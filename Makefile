@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-scale bench-scale-smoke bench-hotpath benchstat test-allocs test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
+.PHONY: all build test test-short bench bench-compare bench-micro bench-scale bench-scale-smoke bench-hotpath benchstat test-allocs test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
 
 all: build test
 
@@ -18,7 +18,23 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# The end-to-end control-loop benchmark (benchmark/README.md): every workload,
+# untraced for the gated end-to-end metrics and traced for the per-layer ones,
+# written to BENCH_OUT. About five minutes.
+BENCH_OUT ?= bench/e2e.json
 bench:
+	$(GO) run ./benchmark -workload all -out $(BENCH_OUT)
+
+# Gate two `make bench` documents against BENCHMARK.json's bounds: exit 1 on
+# a breach. Either side may be a comma-separated list of documents (repeat
+# runs): make bench-compare BASE=a1.json,a2.json NEW=b1.json,b2.json
+comma := ,
+bench-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make bench-compare BASE=base.json[,..] NEW=new.json[,..]"; exit 2; }
+	$(GO) run ./benchmark -compare $(BASE) $(subst $(comma), ,$(NEW))
+
+# Go micro-benchmarks of every package, then the flow-scale run.
+bench-micro:
 	$(GO) test -bench=. -benchmem ./...
 	$(MAKE) bench-scale
 
@@ -57,12 +73,14 @@ benchstat:
 	fi
 
 # Allocation-regression tests: the hot paths (codec round trip, fold step,
-# event schedule/dispatch) must stay at zero allocations per op. These skip
+# event schedule/dispatch) must stay at zero allocations per op, and a warm
+# Install (measure half already verified and compiled) under its pin. These skip
 # themselves under -race (alloc counts are inflated), so `check` runs them
 # in a separate non-race pass.
 test-allocs:
 	$(GO) test -run 'TestAllocs' -count=1 \
-		./internal/proto ./internal/netsim ./internal/lang ./internal/ipc/shmring
+		./internal/proto ./internal/netsim ./internal/lang ./internal/ipc/shmring \
+		./internal/datapath
 
 # Robustness lane: the concurrent packages (sharded runtime, socket link,
 # transports, fault injectors, datapath fail-safe) twice under the race
@@ -129,14 +147,16 @@ check: vet lint
 	$(MAKE) verify-programs
 	$(MAKE) fuzz-smoke
 
-# 10-second smoke of each proto fuzz target; `go test -fuzz` accepts one
-# target per invocation. For a longer hunt, raise FUZZTIME.
+# 10-second smoke of each fuzz target (wire decoders, program decoder halves,
+# VM backends); `go test -fuzz` accepts one target per invocation. For a
+# longer hunt, raise FUZZTIME.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshal$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzCreateRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzStackVsRegister$$' -fuzztime=$(FUZZTIME) ./internal/lang
+	$(GO) test -run='^$$' -fuzz='^FuzzMeasurePrefix$$' -fuzztime=$(FUZZTIME) ./internal/lang
 
 fmt:
 	gofmt -l -w .

@@ -44,23 +44,23 @@ func NewCubic() *Cubic { return &Cubic{} }
 // Name implements core.Alg.
 func (cu *Cubic) Name() string { return "cubic" }
 
-// cubicFold gathers acked bytes, an RTT filter, and the datapath clock.
-func cubicFold() *lang.FoldSpec {
-	return &lang.FoldSpec{
-		Regs: []lang.RegDef{
-			{Name: "acked", Init: 0},
-			{Name: "rtt_f", Init: 0},
-			{Name: "dp_now", Init: 0},
-		},
-		Updates: []lang.Assign{
-			{Dst: "acked", E: lang.Add(lang.V("acked"), lang.V("pkt.acked"))},
-			{Dst: "rtt_f", E: lang.Ite(lang.Eq(lang.V("rtt_f"), lang.C(0)),
-				lang.V("pkt.rtt"),
-				lang.Add(lang.Mul(lang.C(0.875), lang.V("rtt_f")),
-					lang.Mul(lang.C(0.125), lang.V("pkt.rtt"))))},
-			{Dst: "dp_now", E: lang.V("pkt.now")},
-		},
-	}
+// cubicFold gathers acked bytes, an RTT filter, and the datapath clock. It
+// never changes, so every flow installs this one spec (a FoldSpec is
+// immutable once installed).
+var cubicFold = &lang.FoldSpec{
+	Regs: []lang.RegDef{
+		{Name: "acked", Init: 0},
+		{Name: "rtt_f", Init: 0},
+		{Name: "dp_now", Init: 0},
+	},
+	Updates: []lang.Assign{
+		{Dst: "acked", E: lang.Add(lang.V("acked"), lang.V("pkt.acked"))},
+		{Dst: "rtt_f", E: lang.Ite(lang.Eq(lang.V("rtt_f"), lang.C(0)),
+			lang.V("pkt.rtt"),
+			lang.Add(lang.Mul(lang.C(0.875), lang.V("rtt_f")),
+				lang.Mul(lang.C(0.125), lang.V("pkt.rtt"))))},
+		{Dst: "dp_now", E: lang.V("pkt.now")},
+	},
 }
 
 // Init implements core.Alg.
@@ -77,7 +77,7 @@ func (cu *Cubic) Init(f *core.Flow) {
 // twice per RTT, the paper's "once or twice per RTT" cadence.
 func (cu *Cubic) install(f *core.Flow) {
 	prog := lang.NewProgram().
-		MeasureFold(cubicFold()).
+		MeasureFold(cubicFold).
 		Cwnd(lang.C(cu.cwndSegs * cu.mss)).
 		WaitRtts(0.5).
 		Report().

@@ -28,20 +28,20 @@ func NewDCTCP() *DCTCP { return &DCTCP{g: 1.0 / 16} }
 // Name implements core.Alg.
 func (d *DCTCP) Name() string { return "dctcp" }
 
-func dctcpFold() *lang.FoldSpec {
-	return &lang.FoldSpec{
-		Regs: []lang.RegDef{
-			{Name: "acked_b", Init: 0},
-			{Name: "marked_b", Init: 0},
-			{Name: "lost_b", Init: 0},
-		},
-		Updates: []lang.Assign{
-			{Dst: "acked_b", E: lang.Add(lang.V("acked_b"), lang.V("pkt.acked"))},
-			{Dst: "marked_b", E: lang.Add(lang.V("marked_b"),
-				lang.Mul(lang.V("pkt.ecn"), lang.V("pkt.acked")))},
-			{Dst: "lost_b", E: lang.Add(lang.V("lost_b"), lang.V("pkt.lost"))},
-		},
-	}
+// dctcpFold counts acked, CE-marked and lost bytes; one immutable spec for
+// every flow.
+var dctcpFold = &lang.FoldSpec{
+	Regs: []lang.RegDef{
+		{Name: "acked_b", Init: 0},
+		{Name: "marked_b", Init: 0},
+		{Name: "lost_b", Init: 0},
+	},
+	Updates: []lang.Assign{
+		{Dst: "acked_b", E: lang.Add(lang.V("acked_b"), lang.V("pkt.acked"))},
+		{Dst: "marked_b", E: lang.Add(lang.V("marked_b"),
+			lang.Mul(lang.V("pkt.ecn"), lang.V("pkt.acked")))},
+		{Dst: "lost_b", E: lang.Add(lang.V("lost_b"), lang.V("pkt.lost"))},
+	},
 }
 
 // Init implements core.Alg.
@@ -55,7 +55,7 @@ func (d *DCTCP) Init(f *core.Flow) {
 
 func (d *DCTCP) install(f *core.Flow) {
 	prog := lang.NewProgram().
-		MeasureFold(dctcpFold()).
+		MeasureFold(dctcpFold).
 		Cwnd(lang.C(d.cwnd)).
 		WaitRtts(1).
 		Report().

@@ -110,28 +110,36 @@ func (v *VegasFold) Init(f *core.Flow) {
 	v.install(f)
 }
 
-// vegasFoldSpec is the paper's VegasState fold: base_rtt carries the min
-// RTT, delta accumulates ±1 per packet from the queue estimate. The paper's
-// foldFn closes over v.cwnd; expressions reference the datapath's live
-// "cwnd" variable instead, which tracks it between reports.
+// vegasInQ is the per-packet queue estimate, (rtt - base_rtt) * cwnd/mss /
+// base_rtt. The paper's foldFn closes over v.cwnd; expressions reference the
+// datapath's live "cwnd" variable instead, which tracks it between reports.
+var vegasInQ = lang.Div(
+	lang.Mul(lang.Sub(lang.V("pkt.rtt"), lang.V("base_rtt")),
+		lang.Div(lang.V("cwnd"), lang.V("mss"))),
+	lang.Max(lang.V("base_rtt"), lang.C(1e-9)))
+
+// vegasUpdates is the update rule of the paper's VegasState fold: base_rtt
+// carries the min RTT, delta accumulates ±1 per packet from the queue
+// estimate. It never changes, so every spec foldSpec builds shares it (a
+// FoldSpec tree is immutable once installed).
+var vegasUpdates = []lang.Assign{
+	{Dst: "base_rtt", E: lang.Min(lang.V("base_rtt"), lang.Max(lang.V("pkt.rtt"), lang.C(1e-9)))},
+	{Dst: "delta", E: lang.Ite(lang.Lt(vegasInQ, lang.C(vegasAlpha)),
+		lang.Add(lang.V("delta"), lang.C(1)),
+		lang.Ite(lang.Gt(vegasInQ, lang.C(vegasBeta)),
+			lang.Sub(lang.V("delta"), lang.C(1)),
+			lang.V("delta")))},
+}
+
+// foldSpec is the fold with base_rtt starting from the best estimate so
+// far: only the registers are built per install.
 func (v *VegasFold) foldSpec() *lang.FoldSpec {
-	inQ := lang.Div(
-		lang.Mul(lang.Sub(lang.V("pkt.rtt"), lang.V("base_rtt")),
-			lang.Div(lang.V("cwnd"), lang.V("mss"))),
-		lang.Max(lang.V("base_rtt"), lang.C(1e-9)))
 	return &lang.FoldSpec{
 		Regs: []lang.RegDef{
 			{Name: "base_rtt", Init: v.baseRTT},
 			{Name: "delta", Init: 0},
 		},
-		Updates: []lang.Assign{
-			{Dst: "base_rtt", E: lang.Min(lang.V("base_rtt"), lang.Max(lang.V("pkt.rtt"), lang.C(1e-9)))},
-			{Dst: "delta", E: lang.Ite(lang.Lt(inQ, lang.C(vegasAlpha)),
-				lang.Add(lang.V("delta"), lang.C(1)),
-				lang.Ite(lang.Gt(inQ, lang.C(vegasBeta)),
-					lang.Sub(lang.V("delta"), lang.C(1)),
-					lang.V("delta")))},
-		},
+		Updates: vegasUpdates,
 	}
 }
 

@@ -1,25 +1,155 @@
 package datapath_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/algorithms"
+	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
+	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/lang/randprog"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
-// TestBackendsBitIdentical drives the same simulated flow under the same
-// fold+control program once per VM backend and requires the two runs to be
-// indistinguishable: every report bit-identical, every control decision
-// landing on the same window. The simulator is deterministic, so the only
-// possible source of divergence is the expression engine itself.
+// outcome is everything observable about a flow that was handed a sequence
+// of Installs: what it sent (reports, and InstallErr replies with their
+// reason text), where the window and rate ended, its counters, its variable
+// table and the program left in force.
+type outcome struct {
+	msgs  []proto.Msg
+	cwnd  int
+	rate  float64
+	stats datapath.Stats
+	vars  []float64
+	prog  string
+}
+
+// runInstalls drives one simulated flow, delivering progs 100 ms apart. A
+// cold run empties the artifact table and the flow's own reference before
+// every Install, so each one builds its measure half from the bytes, the way
+// the first Install in a new process does; a warm run leaves both alone.
+func runInstalls(t *testing.T, cfg datapath.Config, cold bool, progs [][]byte) outcome {
+	t.Helper()
+	datapath.ResetArtifacts()
+	r := newRig(t, link8(), tcp.Options{}, cfg)
+	r.flow.Conn.Start()
+	for i, data := range progs {
+		data := data
+		r.sim.Schedule(time.Duration(i+1)*100*time.Millisecond, func() {
+			if cold {
+				datapath.ResetArtifacts()
+				r.dp.ForgetArtifact()
+			}
+			r.dp.Deliver(&proto.Install{SID: 1, Prog: data})
+		})
+	}
+	r.sim.Run(time.Duration(len(progs)+5) * 100 * time.Millisecond)
+	return outcome{
+		msgs:  r.sent,
+		cwnd:  r.flow.Conn.Cwnd(),
+		rate:  r.flow.Conn.PacingRate(),
+		stats: r.dp.Stats(),
+		vars:  append([]float64(nil), r.dp.Vars()...),
+		prog:  r.dp.Program().String(),
+	}
+}
+
+// sameTraffic requires two runs to have sent the same messages, bit for bit,
+// and to have ended on the same window and rate.
+func sameTraffic(t *testing.T, what string, a, b outcome) {
+	t.Helper()
+	if a.cwnd != b.cwnd || a.rate != b.rate {
+		t.Fatalf("%s: final flow state diverged: cwnd %d vs %d, rate %v vs %v", what, a.cwnd, b.cwnd, a.rate, b.rate)
+	}
+	if len(a.msgs) != len(b.msgs) {
+		t.Fatalf("%s: message counts diverged: %d vs %d", what, len(a.msgs), len(b.msgs))
+	}
+	for i := range a.msgs {
+		am, aOK := a.msgs[i].(*proto.Measurement)
+		bm, bOK := b.msgs[i].(*proto.Measurement)
+		if aOK != bOK {
+			t.Fatalf("%s: msg %d: type diverged: %T vs %T", what, i, a.msgs[i], b.msgs[i])
+		}
+		if !aOK {
+			// InstallErr (Seq and Reason text), Create, Vector, Urgent.
+			if !reflect.DeepEqual(a.msgs[i], b.msgs[i]) {
+				t.Fatalf("%s: msg %d diverged:\n %+v\n %+v", what, i, a.msgs[i], b.msgs[i])
+			}
+			continue
+		}
+		if am.Seq != bm.Seq || len(am.Fields) != len(bm.Fields) {
+			t.Fatalf("%s: msg %d: seq/field count diverged: %d/%d vs %d/%d", what, i, am.Seq, len(am.Fields), bm.Seq, len(bm.Fields))
+		}
+		for j := range am.Fields {
+			if math.Float64bits(am.Fields[j]) != math.Float64bits(bm.Fields[j]) {
+				t.Fatalf("%s: msg %d field %d: %v (%#x) vs %v (%#x)", what, i, j,
+					am.Fields[j], math.Float64bits(am.Fields[j]), bm.Fields[j], math.Float64bits(bm.Fields[j]))
+			}
+		}
+	}
+}
+
+// bitIdentical runs progs four ways — register and stack VM, each warm and
+// cold — and requires: within a backend, warm and cold indistinguishable in
+// every observable (traffic, counters, variable table, program), with the
+// warm run having reused artifacts and the cold run having built every one;
+// across backends, the same traffic. The simulator is deterministic, so the
+// only possible sources of divergence are the expression engine and the
+// install path.
+func bitIdentical(t *testing.T, verify absint.Mode, progs [][]byte, wantHits bool) {
+	t.Helper()
+	var warmByBackend [2]outcome
+	for i, stackVM := range []bool{false, true} {
+		cfg := datapath.Config{StackVM: stackVM, Verify: verify}
+		warm := runInstalls(t, cfg, false, progs)
+		cold := runInstalls(t, cfg, true, progs)
+		what := fmt.Sprintf("stackVM=%v warm vs cold", stackVM)
+		sameTraffic(t, what, warm, cold)
+		if warm.stats.Deterministic() != cold.stats.Deterministic() {
+			t.Fatalf("%s: stats diverged:\n %+v\n %+v", what, warm.stats, cold.stats)
+		}
+		if len(warm.vars) != len(cold.vars) {
+			t.Fatalf("%s: variable tables of %d and %d slots", what, len(warm.vars), len(cold.vars))
+		}
+		for j := range warm.vars {
+			if math.Float64bits(warm.vars[j]) != math.Float64bits(cold.vars[j]) {
+				t.Fatalf("%s: vars[%d]: %v vs %v", what, j, warm.vars[j], cold.vars[j])
+			}
+		}
+		if warm.prog != cold.prog {
+			t.Fatalf("%s: program in force diverged:\n %s\n %s", what, warm.prog, cold.prog)
+		}
+		if cold.stats.InstallArtifactHits != 0 {
+			t.Fatalf("cold run reused %d artifacts", cold.stats.InstallArtifactHits)
+		}
+		if wantHits && warm.stats.InstallArtifactHits == 0 {
+			t.Fatalf("warm run never reused an artifact: %+v", warm.stats)
+		}
+		warmByBackend[i] = warm
+	}
+	sameTraffic(t, "register vs stack", warmByBackend[0], warmByBackend[1])
+}
+
+func marshal(t *testing.T, p *lang.Program) []byte {
+	t.Helper()
+	data, err := lang.MarshalProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestBackendsBitIdentical is the differential harness for the two VM
+// backends and for the two ways an Install can find its measure half.
 func TestBackendsBitIdentical(t *testing.T) {
-	run := func(stackVM bool) (msgs []proto.Msg, cwnd int, rate float64) {
-		r := newRig(t, link8(), tcp.Options{}, datapath.Config{StackVM: stackVM})
-		r.flow.Conn.Start()
+	t.Run("fold", func(t *testing.T) {
 		fold := &lang.FoldSpec{
 			Regs: []lang.RegDef{
 				{Name: "base_rtt", Init: 1e9},
@@ -32,48 +162,66 @@ func TestBackendsBitIdentical(t *testing.T) {
 				{Dst: "acked", E: lang.Add(lang.V("acked"), lang.V("pkt.acked"))},
 			},
 		}
-		p := lang.NewProgram().
-			MeasureFold(fold).
-			Cwnd(lang.Min(lang.Add(lang.V("cwnd"), lang.Ite(
-				lang.Gt(lang.V("pkt.lost"), lang.C(0)),
-				lang.C(0),
-				lang.V("mss"))), lang.C(1<<30))).
-			WaitRtts(1).
-			Report().
-			MustBuild()
-		install(t, r, p)
-		r.sim.Run(2 * time.Second)
-		return r.sent, r.flow.Conn.Cwnd(), r.flow.Conn.PacingRate()
-	}
+		var progs [][]byte
+		// The paper's shape: the same fold every time, one constant moving.
+		for i := 0; i < 10; i++ {
+			progs = append(progs, marshal(t, lang.NewProgram().
+				MeasureFold(fold).
+				Cwnd(lang.Min(lang.Add(lang.V("cwnd"), lang.Ite(
+					lang.Gt(lang.V("pkt.lost"), lang.C(0)),
+					lang.C(0),
+					lang.Mul(lang.C(float64(i)), lang.V("mss")))), lang.C(1<<30))).
+				WaitRtts(1).
+				Report().
+				MustBuild()))
+		}
+		bitIdentical(t, absint.ModeStrict, progs, true)
+	})
 
-	sMsgs, sCwnd, sRate := run(true)
-	rMsgs, rCwnd, rRate := run(false)
-
-	if sCwnd != rCwnd || sRate != rRate {
-		t.Fatalf("final flow state diverged: stack cwnd=%d rate=%v, register cwnd=%d rate=%v",
-			sCwnd, sRate, rCwnd, rRate)
-	}
-	if len(sMsgs) != len(rMsgs) {
-		t.Fatalf("message counts diverged: stack=%d register=%d", len(sMsgs), len(rMsgs))
-	}
-	for i := range sMsgs {
-		sm, sOK := sMsgs[i].(*proto.Measurement)
-		rm, rOK := rMsgs[i].(*proto.Measurement)
-		if sOK != rOK {
-			t.Fatalf("msg %d: type diverged: %T vs %T", i, sMsgs[i], rMsgs[i])
-		}
-		if !sOK {
-			continue
-		}
-		if len(sm.Fields) != len(rm.Fields) {
-			t.Fatalf("msg %d: field counts diverged: %d vs %d", i, len(sm.Fields), len(rm.Fields))
-		}
-		for j := range sm.Fields {
-			if math.Float64bits(sm.Fields[j]) != math.Float64bits(rm.Fields[j]) {
-				t.Fatalf("msg %d field %d: stack=%v (%#x) register=%v (%#x)",
-					i, j, sm.Fields[j], math.Float64bits(sm.Fields[j]),
-					rm.Fields[j], math.Float64bits(rm.Fields[j]))
+	// Every Install-time program of every bundled algorithm, each delivered
+	// twice so the second finds the first's artifact.
+	for _, info := range algorithms.All() {
+		info := info
+		t.Run("alg/"+info.Name, func(t *testing.T) {
+			described, _ := core.Describe(info.Factory, 1448)
+			var progs [][]byte
+			for _, p := range described {
+				data := marshal(t, p)
+				progs = append(progs, data, data)
 			}
-		}
+			if len(progs) == 0 {
+				t.Skip("algorithm installs no program")
+			}
+			bitIdentical(t, absint.ModeStrict, progs, true)
+		})
+	}
+
+	// Random install sequences: random programs, repeats, and programs that
+	// put one program's instructions behind another's measure half (valid or
+	// not — a refusal's reason text must match too). Strict refuses most
+	// random programs; warn installs and runs them.
+	for seed := int64(0); seed < 12; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("random/%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			var pool []*lang.Program
+			for len(pool) < 5 {
+				if p := randprog.Program(rng); p.Validate() == nil {
+					pool = append(pool, p)
+				}
+			}
+			var progs [][]byte
+			for i := 0; i < 16; i++ {
+				p := pool[rng.Intn(len(pool))]
+				if rng.Intn(3) == 0 {
+					q := *p
+					q.Instrs = pool[rng.Intn(len(pool))].Instrs
+					p = &q
+				}
+				progs = append(progs, marshal(t, p))
+			}
+			bitIdentical(t, absint.ModeStrict, progs, false)
+			bitIdentical(t, absint.ModeWarn, progs, true)
+		})
 	}
 }

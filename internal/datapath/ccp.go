@@ -141,6 +141,16 @@ type Stats struct {
 	// were installed anyway (warn-severity findings in any mode, plus
 	// error-severity ones under Verify=warn).
 	VerifyWarnings int
+	// InstallArtifactHits counts installs whose measure half — the fold with
+	// its Init values, or the vector's fields — was already verified and
+	// compiled (by this flow's current program or by any flow in the process)
+	// and was reused; InstallArtifactMisses counts those that had to build it.
+	// Unlike every other counter here they depend on what the process
+	// installed before this flow, not on the flow's own history, so
+	// run-to-run comparisons go through Deterministic. The built-in default
+	// program is prepared once per process and counts as neither.
+	InstallArtifactHits   int
+	InstallArtifactMisses int
 	// BatchesSent counts multi-report frames shipped; BatchedReports counts
 	// the reports they carried (a batch of one is sent plain and counts
 	// under neither).
@@ -169,6 +179,9 @@ type CCP struct {
 	cfg  Config
 	conn *tcp.Conn
 
+	// art is the shared, immutable artifact of the program in force's measure
+	// half (install.go); fold is this flow's binding of its compiled code.
+	art       *artifact
 	prog      *lang.Program
 	fold      *lang.CompiledFold
 	ctrl      []ctrlCode // compiled expression per instruction (zero for Report)
@@ -260,6 +273,8 @@ type CCP struct {
 	mLivenessStale *metrics.Counter
 	mBackoffRecvd  *metrics.Counter
 	mInstallReject *metrics.Counter
+	mArtifactHit   *metrics.Counter
+	mArtifactMiss  *metrics.Counter
 
 	stats Stats
 }
@@ -300,11 +315,21 @@ func New(cfg Config) *CCP {
 		mLivenessStale: cfg.Metrics.Counter("dp_liveness_stale_total"),
 		mBackoffRecvd:  cfg.Metrics.Counter("dp_backoff_recvd_total"),
 		mInstallReject: cfg.Metrics.Counter("dp_install_rejects_total"),
+		mArtifactHit:   cfg.Metrics.Counter("dp_install_artifact_hits_total"),
+		mArtifactMiss:  cfg.Metrics.Counter("dp_install_artifact_misses_total"),
 	}
 }
 
 // Stats returns a snapshot of the runtime counters.
 func (d *CCP) Stats() Stats { return d.stats }
+
+// Deterministic returns s without the counters that depend on process
+// history (InstallArtifactHits/Misses): what remains is a function of the
+// flow's own inputs, comparable between two runs in one process.
+func (s Stats) Deterministic() Stats {
+	s.InstallArtifactHits, s.InstallArtifactMisses = 0, 0
+	return s
+}
 
 // SID returns the flow's wire-protocol identifier.
 func (d *CCP) SID() uint32 { return d.cfg.SID }
@@ -313,7 +338,9 @@ func (d *CCP) SID() uint32 { return d.cfg.SID }
 func (d *CCP) FallbackActive() bool { return d.fallbackActive }
 
 // Program returns the currently installed program (the default one before
-// any Install).
+// any Install). It is read-only: its Measure (the fold spec and everything
+// under it) is shared with every flow in the process running the same
+// measure half, and the built-in default program is shared whole.
 func (d *CCP) Program() *lang.Program { return d.prog }
 
 // Name implements tcp.CongestionControl.
@@ -335,13 +362,18 @@ func (d *CCP) Init(c *tcp.Conn) {
 		InitCwnd: uint32(c.Cwnd()),
 		Alg:      d.cfg.Alg,
 	})
-	prog := d.cfg.DefaultProgram
-	if prog == nil {
-		prog = lang.NewProgram().MeasureEWMA().WaitRtts(1).Report().MustBuild()
-	}
-	if err := d.install(prog); err != nil {
-		// The default program is statically valid; a failure here is a bug.
-		panic("datapath: default program rejected: " + err.Error())
+	if p := d.cfg.DefaultProgram; p == nil {
+		d.activate(defaultInstall(d.cfg.Verify))
+	} else {
+		// A custom default takes the path an Install of the same bytes would.
+		data, err := lang.MarshalProgram(p)
+		if err == nil {
+			err = d.install(data)
+		}
+		if err != nil {
+			// The default program is statically valid; a failure here is a bug.
+			panic("datapath: default program rejected: " + err.Error())
+		}
 	}
 	if d.cfg.Liveness.on() {
 		d.armLiveness()
@@ -452,14 +484,9 @@ func (d *CCP) Deliver(m proto.Msg) {
 			return
 		}
 		d.touchCtrl(proto.TypeInstall)
-		prog, err := lang.UnmarshalProgram(v.Prog)
-		if err != nil {
-			// A malformed program must not crash the datapath (§5); the
-			// previous program stays in force.
-			d.rejectInstall(v.Seq, err)
-			return
-		}
-		if err := d.install(prog); err != nil {
+		if err := d.install(v.Prog); err != nil {
+			// A malformed or refused program must not crash the datapath
+			// (§5); the previous program stays in force.
 			d.rejectInstall(v.Seq, err)
 			return
 		}
@@ -530,21 +557,6 @@ func (d *CCP) Resync() {
 	})
 }
 
-// ctrlCode is one control-program expression compiled for both backends;
-// eval dispatches on Config.StackVM. Report instructions leave it zero.
-type ctrlCode struct {
-	stack *lang.Code
-	reg   *lang.RegCode
-}
-
-// eval runs a control-program expression on the configured backend.
-func (d *CCP) eval(code ctrlCode) float64 {
-	if d.cfg.StackVM {
-		return code.stack.Eval(d.vars, d.exprStack)
-	}
-	return code.reg.Eval(d.vars)
-}
-
 // rejectInstall records a refused Install and tells the agent why with an
 // InstallErr reply carrying the offending Seq. The refusal degrades, never
 // breaks: the previously installed program (or the default one) keeps
@@ -558,105 +570,6 @@ func (d *CCP) rejectInstall(seq uint32, err error) {
 	}
 	d.scratchIErr = proto.InstallErr{SID: d.cfg.SID, Seq: seq, Reason: reason}
 	d.send(&d.scratchIErr)
-}
-
-// install compiles and activates a program.
-func (d *CCP) install(p *lang.Program) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if d.cfg.Verify != absint.ModeOff {
-		rep, err := absint.Analyze(p, absint.Datapath())
-		if err != nil {
-			return err
-		}
-		d.stats.VerifyWarnings += len(rep.Warnings())
-		if rep.HasErrors() {
-			if d.cfg.Verify == absint.ModeStrict {
-				return rep.Err()
-			}
-			d.stats.VerifyWarnings += len(rep.Errors())
-		}
-	}
-	backend := lang.BackendRegister
-	if d.cfg.StackVM {
-		backend = lang.BackendStack
-	}
-	var fold *lang.CompiledFold
-	var regNames []string
-	if p.Measure.Mode == lang.MeasureFold {
-		var err error
-		fold, err = lang.CompileFoldBackend(p.Measure.Fold, backend)
-		if err != nil {
-			return err
-		}
-		regNames = p.Measure.Fold.RegNames()
-	}
-	resolve := lang.StdResolver(regNames)
-	nvars := lang.VarTableSize(len(regNames))
-	ctrl := make([]ctrlCode, len(p.Instrs))
-	maxStack := 0
-	frameLen := nvars
-	if fold != nil && fold.FrameLen() > frameLen {
-		frameLen = fold.FrameLen()
-	}
-	for i, in := range p.Instrs {
-		var e lang.Expr
-		switch n := in.(type) {
-		case lang.SetRate:
-			e = n.E
-		case lang.SetCwnd:
-			e = n.E
-		case lang.Wait:
-			e = n.Seconds
-		case lang.WaitRtts:
-			e = n.Rtts
-		case lang.Report:
-			continue
-		}
-		code, err := lang.Compile(e, resolve)
-		if err != nil {
-			return err
-		}
-		reg, err := lang.CompileReg(e, resolve, nvars)
-		if err != nil {
-			return err
-		}
-		if code.MaxStack > maxStack {
-			maxStack = code.MaxStack
-		}
-		if reg.FrameLen > frameLen {
-			frameLen = reg.FrameLen
-		}
-		ctrl[i] = ctrlCode{stack: code, reg: reg}
-	}
-
-	// Activation point: no errors possible below.
-	d.prog = p
-	d.fold = fold
-	d.ctrl = ctrl
-	if cap(d.exprStack) < maxStack {
-		d.exprStack = make([]float64, 0, maxStack)
-	}
-	// Size the table to the largest register-VM frame so every fold Step and
-	// control eval takes the zero-copy in-place path. The slots past the
-	// variable table are VM scratch: each program writes its temps before
-	// reading them (verified at compile time), so the codes can share them.
-	d.vars = make([]float64, frameLen)
-	if fold != nil {
-		fold.InitRegs(d.vars)
-	}
-	d.vecFields = p.Measure.Fields
-	d.vec = d.vec[:0]
-	d.pc = 0
-	d.waitedPass = false
-	if d.waitTimer != nil {
-		d.waitTimer.Stop()
-		d.waitTimer = nil
-	}
-	d.refreshFlowVars()
-	d.resume()
-	return nil
 }
 
 func (d *CCP) measureMode() lang.MeasureMode {

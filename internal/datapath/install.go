@@ -1,0 +1,358 @@
+package datapath
+
+import (
+	"sync"
+
+	"github.com/ccp-repro/ccp/internal/lang"
+	"github.com/ccp-repro/ccp/internal/lang/absint"
+)
+
+// Installing a program.
+//
+// The paper's algorithms answer every report with Install(Measure(fold).
+// Cwnd(v).WaitRtts(1).Report()): the fold is the same bytes every time and
+// one constant moves. The wire format already has the seam — the measure half
+// is a self-delimiting prefix of Install.Prog, the control half is the rest —
+// so the install path is split there:
+//
+//  1. find the program's measure half and the artifact for it: the flow's
+//     current one, else the process table, else build it (decode, validate,
+//     abstract interpretation to the register invariant, compile) — once per
+//     distinct byte string per process;
+//  2. run the control half, unabridged, on every Install: decode and validate
+//     the instructions against the artifact's names, check them against its
+//     invariant, apply the checks that span both halves, compile them;
+//  3. activate: registers back to Init, fresh variable table, pc and timers.
+//
+// A miss is the same path with a build in it, so a program gets the same
+// verdict, the same InstallErr text, the same warning count and the same
+// state afterwards whether its measure half was known or not. The table
+// memoizes a pure function of (measure-half bytes, verified or not) — both
+// engines are compiled, so the backend is not part of the key; unlike
+// SetDefaultVerify it cannot change behaviour, only cost.
+
+// artifact is everything the datapath derives from a measure half. Nothing
+// writes to one after buildArtifact returns: flows on different goroutines
+// hold, step and verify against the same artifact at the same time.
+type artifact struct {
+	// key is the measure half's bytes, Init values included: the invariant
+	// starts from them, so a fold whose Init moved is a different artifact.
+	key      string
+	verified bool // inv is present (Config.Verify was not off)
+
+	measure  lang.MeasureSpec
+	regNames []string
+	resolve  lang.Resolver
+	nvars    int
+	fold     *lang.FoldCode    // fold mode only
+	inv      *absint.Invariant // verified only
+}
+
+func buildArtifact(prefix []byte, verified bool) (*artifact, error) {
+	m, _, err := lang.UnmarshalMeasure(prefix)
+	if err != nil {
+		return nil, err
+	}
+	a := &artifact{key: string(prefix), verified: verified, measure: m}
+	if m.Mode == lang.MeasureFold {
+		a.regNames = m.Fold.RegNames()
+	}
+	a.resolve = lang.StdResolver(a.regNames)
+	a.nvars = lang.VarTableSize(len(a.regNames))
+	if verified {
+		a.inv = absint.AnalyzeMeasure(m, absint.Datapath())
+	}
+	if m.Mode == lang.MeasureFold {
+		if a.fold, err = lang.CompileFoldCode(m.Fold); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
+// prefixes reports whether prog starts with the artifact's measure half.
+// Because the encoding is self-delimiting (lang.MeasurePrefixLen), that is
+// the whole test for "prog's measure half is this one": the decoder reading
+// prog would consume exactly these bytes and build exactly this spec.
+func (a *artifact) prefixes(prog []byte) bool {
+	return len(prog) >= len(a.key) && string(prog[:len(a.key)]) == a.key
+}
+
+// artifactCap bounds the process table. The measure halves worth sharing
+// are the few that many flows install — one per algorithm in use, plus the
+// default program's — so the table is small: what it keeps alive after the
+// flows that used it are gone is bounded by a few tens of kilobytes. A flow
+// keeps a strong reference to the artifact it runs, so eviction only ever
+// costs a later rebuild.
+const artifactCap = 16
+
+type artifactKey struct {
+	verified bool
+	prefix   string
+}
+
+// artifactTable is the process-wide memo of buildArtifact: exact-byte keys,
+// fixed capacity, clock (second-chance) eviction. An entry found by get is
+// marked used and survives the hand's next pass; one never asked for again —
+// a Vegas fold keyed by one flow's base_rtt — is the first to go. No map
+// iteration: what is evicted depends only on the order of gets and puts.
+type artifactTable struct {
+	mu    sync.Mutex
+	byKey map[artifactKey]int // slot index
+	slots [artifactCap]struct {
+		art  *artifact
+		used bool
+	}
+	hand int
+}
+
+var artifacts = artifactTable{byKey: make(map[artifactKey]int)}
+
+func (t *artifactTable) get(verified bool, prefix []byte) *artifact {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i, ok := t.byKey[artifactKey{verified, string(prefix)}]
+	if !ok {
+		return nil
+	}
+	t.slots[i].used = true
+	return t.slots[i].art
+}
+
+// put stores a and returns the artifact to use: a itself, or the equal one
+// another goroutine stored first.
+func (t *artifactTable) put(a *artifact) *artifact {
+	k := artifactKey{a.verified, a.key}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i, ok := t.byKey[k]; ok {
+		return t.slots[i].art
+	}
+	for {
+		s := &t.slots[t.hand]
+		i := t.hand
+		t.hand = (t.hand + 1) % artifactCap
+		if s.art != nil && s.used {
+			s.used = false // second chance
+			continue
+		}
+		if s.art != nil {
+			delete(t.byKey, artifactKey{s.art.verified, s.art.key})
+		}
+		s.art = a
+		t.byKey[k] = i
+		return a
+	}
+}
+
+// ctrlCode is one control-program expression compiled for both backends;
+// eval dispatches on Config.StackVM. Report instructions leave it zero.
+type ctrlCode struct {
+	stack *lang.Code
+	reg   *lang.RegCode
+}
+
+// eval runs a control-program expression on the configured backend.
+func (d *CCP) eval(code ctrlCode) float64 {
+	if d.cfg.StackVM {
+		return code.stack.Eval(d.vars, d.exprStack)
+	}
+	return code.reg.Eval(d.vars)
+}
+
+// installable is a program verified and compiled, ready to activate, plus
+// what preparing it adds to Stats (meaningful even when prepare fails).
+type installable struct {
+	art      *artifact
+	prog     *lang.Program
+	ctrl     []ctrlCode // compiled expression per instruction (zero for Report)
+	maxStack int
+	frameLen int
+
+	hit, miss bool // how the artifact was found, once it was
+	warnings  int
+}
+
+// prepare takes wire bytes through steps 1 and 2 above. cur is the flow's
+// current artifact (nil before the first install); a flow's mode never
+// changes, so cur was built under the same one.
+func prepare(cur *artifact, prog []byte, mode absint.Mode) (in installable, err error) {
+	verified := mode != absint.ModeOff
+	art := cur
+	end := 0
+	if art != nil && art.prefixes(prog) {
+		end = len(art.key)
+	} else {
+		if end, err = lang.MeasurePrefixLen(prog); err != nil {
+			return in, err
+		}
+		art = artifacts.get(verified, prog[:end])
+	}
+	// Both halves are decoded before either is validated, as
+	// lang.UnmarshalProgram does, so a malformed byte anywhere is reported
+	// ahead of any semantic complaint.
+	instrs, urgentECN, err := lang.UnmarshalControl(prog[end:])
+	if err != nil {
+		return in, err
+	}
+	if art != nil {
+		in.hit = true
+	} else {
+		in.miss = true
+		if art, err = buildArtifact(prog[:end], verified); err != nil {
+			return in, err
+		}
+		// Only a measure half that passed is kept; a refused one is
+		// recomputed (and refused again) each time it is offered.
+		if !verified || !art.inv.HasErrors() {
+			art = artifacts.put(art)
+		}
+	}
+	in.art = art
+
+	if err := lang.ValidateControl(instrs, art.resolve); err != nil {
+		return in, err
+	}
+	if verified {
+		rep := art.inv.CheckControl(instrs)
+		nerr := 0
+		for _, f := range rep.Findings {
+			if f.Severity == absint.SevError {
+				nerr++
+			}
+		}
+		in.warnings = len(rep.Findings) - nerr
+		if nerr > 0 {
+			if mode == absint.ModeStrict {
+				return in, rep.Err()
+			}
+			in.warnings += nerr
+		}
+	}
+
+	in.ctrl = make([]ctrlCode, len(instrs))
+	in.frameLen = art.nvars
+	if art.fold != nil && art.fold.FrameLen() > in.frameLen {
+		in.frameLen = art.fold.FrameLen()
+	}
+	for i, instr := range instrs {
+		e := lang.InstrExpr(instr)
+		if e == nil {
+			continue // Report
+		}
+		code, err := lang.Compile(e, art.resolve)
+		if err != nil {
+			return in, err
+		}
+		reg, err := lang.CompileReg(e, art.resolve, art.nvars)
+		if err != nil {
+			return in, err
+		}
+		if code.MaxStack > in.maxStack {
+			in.maxStack = code.MaxStack
+		}
+		if reg.FrameLen > in.frameLen {
+			in.frameLen = reg.FrameLen
+		}
+		in.ctrl[i] = ctrlCode{stack: code, reg: reg}
+	}
+	in.prog = &lang.Program{Measure: art.measure, Instrs: instrs, UrgentECN: urgentECN}
+	return in, nil
+}
+
+// defaultInstalls holds the §3 prototype program — EWMA measurement reported
+// once per RTT, what every flow runs until its agent installs something —
+// prepared once per process instead of once per flow. It has no findings, so
+// strict and warn agree and the only distinction is verified or not.
+var defaultInstalls [2]struct {
+	once sync.Once
+	in   installable
+}
+
+func defaultInstall(mode absint.Mode) installable {
+	e := &defaultInstalls[0]
+	if mode == absint.ModeOff {
+		e = &defaultInstalls[1]
+	} else {
+		mode = absint.ModeStrict
+	}
+	e.once.Do(func() {
+		data, err := lang.MarshalProgram(lang.NewProgram().MeasureEWMA().WaitRtts(1).Report().MustBuild())
+		if err == nil {
+			e.in, err = prepare(nil, data, mode)
+		}
+		if err != nil || e.in.warnings != 0 {
+			// The default program is statically valid; a failure here is a bug.
+			panic("datapath: built-in default program rejected")
+		}
+		// Every flow evaluates these from its own goroutine.
+		for i, c := range e.in.ctrl {
+			if c.reg != nil {
+				e.in.ctrl[i].reg = c.reg.Shared()
+			}
+		}
+	})
+	return e.in
+}
+
+// install takes an Install message's program through the whole path. On
+// error the previous program stays in force.
+func (d *CCP) install(prog []byte) error {
+	in, err := prepare(d.art, prog, d.cfg.Verify)
+	d.stats.VerifyWarnings += in.warnings
+	if in.hit {
+		d.stats.InstallArtifactHits++
+		d.mArtifactHit.Inc()
+	} else if in.miss {
+		d.stats.InstallArtifactMisses++
+		d.mArtifactMiss.Inc()
+	}
+	if err != nil {
+		return err
+	}
+	d.activate(in)
+	return nil
+}
+
+// activate puts a prepared program in force. No errors possible here.
+func (d *CCP) activate(in installable) {
+	if d.art != in.art {
+		d.art = in.art
+		d.fold = nil
+		if in.art.fold != nil {
+			backend := lang.BackendRegister
+			if d.cfg.StackVM {
+				backend = lang.BackendStack
+			}
+			d.fold = in.art.fold.Bind(backend)
+		}
+	}
+	d.prog = in.prog
+	d.ctrl = in.ctrl
+	if cap(d.exprStack) < in.maxStack {
+		d.exprStack = make([]float64, 0, in.maxStack)
+	}
+	// Size the table to the largest register-VM frame so every fold Step and
+	// control eval takes the zero-copy in-place path. The slots past the
+	// variable table are VM scratch: each program writes its temps before
+	// reading them (verified at compile time), so the codes can share them.
+	// Every install starts from an all-zero table.
+	if len(d.vars) == in.frameLen {
+		clear(d.vars)
+	} else {
+		d.vars = make([]float64, in.frameLen)
+	}
+	if d.fold != nil {
+		d.fold.InitRegs(d.vars)
+	}
+	d.vecFields = in.prog.Measure.Fields
+	d.vec = d.vec[:0]
+	d.pc = 0
+	d.waitedPass = false
+	if d.waitTimer != nil {
+		d.waitTimer.Stop()
+		d.waitTimer = nil
+	}
+	d.refreshFlowVars()
+	d.resume()
+}

@@ -1,0 +1,366 @@
+package datapath_test
+
+import (
+	"math"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/ccp-repro/ccp/internal/algorithms"
+	"github.com/ccp-repro/ccp/internal/core"
+	"github.com/ccp-repro/ccp/internal/datapath"
+	"github.com/ccp-repro/ccp/internal/lang"
+	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/proto"
+	"github.com/ccp-repro/ccp/internal/tcp"
+	"github.com/ccp-repro/ccp/internal/testenv"
+)
+
+// countFold is a fold that verifies clean; init seeds its one register.
+func countFold(init float64) *lang.FoldSpec {
+	return &lang.FoldSpec{
+		Regs:    []lang.RegDef{{Name: "acked", Init: init}},
+		Updates: []lang.Assign{{Dst: "acked", E: lang.Add(lang.V("acked"), lang.V("pkt.acked"))}},
+	}
+}
+
+func countProg(fold *lang.FoldSpec, cwnd lang.Expr) *lang.Program {
+	return lang.NewProgram().MeasureFold(fold).Cwnd(cwnd).WaitRtts(1).Report().MustBuild()
+}
+
+// algPrograms returns the wire bytes of every program the named bundled
+// algorithm installs when a flow starts.
+func algPrograms(t testing.TB, name string) [][]byte {
+	t.Helper()
+	for _, info := range algorithms.All() {
+		if info.Name != name {
+			continue
+		}
+		described, _ := core.Describe(info.Factory, 1448)
+		var out [][]byte
+		for _, p := range described {
+			data, err := lang.MarshalProgram(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, data)
+		}
+		if len(out) > 0 {
+			return out
+		}
+	}
+	t.Fatalf("algorithm %q installs no program", name)
+	return nil
+}
+
+// deliver sends an Install and returns the InstallErr reason it drew ("" if
+// it was installed).
+func deliver(t *testing.T, r *rig, data []byte) string {
+	t.Helper()
+	before, sent := r.dp.Stats().InstallsRecvd, len(r.sent)
+	r.dp.Deliver(&proto.Install{SID: 1, Prog: data})
+	if r.dp.Stats().InstallsRecvd == before+1 {
+		return ""
+	}
+	for _, m := range r.sent[sent:] {
+		if e, ok := m.(*proto.InstallErr); ok {
+			return e.Reason
+		}
+	}
+	t.Fatal("Install neither applied nor answered with InstallErr")
+	return ""
+}
+
+// TestArtifactHitStillVerifies: knowing a program's measure half buys no
+// trust in its control half. Each bad control half is refused on the hit
+// path with the check a cold install names, and the good program stays in
+// force.
+func TestArtifactHitStillVerifies(t *testing.T) {
+	datapath.ResetArtifacts()
+	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
+	r.flow.Conn.Start()
+	fold := countFold(0)
+	if reason := deliver(t, r, marshal(t, countProg(fold, lang.C(14480)))); reason != "" {
+		t.Fatalf("good program refused: %s", reason)
+	}
+	good := r.dp.Program()
+	if st := r.dp.Stats(); st.InstallArtifactMisses != 1 || st.InstallArtifactHits != 0 {
+		t.Fatalf("first install: %+v", st)
+	}
+
+	undeclared := *countProg(fold, lang.C(14480))
+	undeclared.Instrs = append([]lang.Instr{lang.SetRate{E: lang.V("nosuch")}}, undeclared.Instrs...)
+	for _, tc := range []struct {
+		name string
+		prog *lang.Program
+		want string
+	}{
+		{"window out of bounds", countProg(fold, lang.C(1<<40)), absint.CheckBounds},
+		{"NaN window", countProg(fold, lang.C(math.NaN())), absint.CheckNaNWrite},
+		{"undeclared register", &undeclared, `unknown variable "nosuch"`},
+	} {
+		hits := r.dp.Stats().InstallArtifactHits
+		reason := deliver(t, r, marshal(t, tc.prog))
+		if !strings.Contains(reason, tc.want) {
+			t.Errorf("%s: refused with %q, want %q", tc.name, reason, tc.want)
+		}
+		if r.dp.Stats().InstallArtifactHits != hits+1 {
+			t.Errorf("%s: did not take the hit path: %+v", tc.name, r.dp.Stats())
+		}
+		if r.dp.Program() != good {
+			t.Fatalf("%s: refused program displaced the good one", tc.name)
+		}
+	}
+
+	// One Init moved: a different measure half, so a miss.
+	misses := r.dp.Stats().InstallArtifactMisses
+	if reason := deliver(t, r, marshal(t, countProg(countFold(1), lang.C(14480)))); reason != "" {
+		t.Fatalf("program with a moved Init refused: %s", reason)
+	}
+	if r.dp.Stats().InstallArtifactMisses != misses+1 {
+		t.Fatalf("moved Init was not a miss: %+v", r.dp.Stats())
+	}
+}
+
+// TestRefusedFoldNeverStored: a measure half the verifier refuses is rebuilt
+// and refused every time; nothing of it enters the table.
+func TestRefusedFoldNeverStored(t *testing.T) {
+	datapath.ResetArtifacts()
+	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
+	r.flow.Conn.Start()
+	stored := datapath.StoredArtifacts() // the default program's
+	bad := &lang.FoldSpec{
+		Regs:    []lang.RegDef{{Name: "q", Init: 0}},
+		Updates: []lang.Assign{{Dst: "q", E: lang.Div(lang.V("pkt.acked"), lang.V("pkt.rtt"))}},
+	}
+	data := marshal(t, countProg(bad, lang.C(14480)))
+	for i := 1; i <= 3; i++ {
+		if reason := deliver(t, r, data); !strings.Contains(reason, absint.CheckDivZero) {
+			t.Fatalf("offer %d: refused with %q, want %s", i, reason, absint.CheckDivZero)
+		}
+		if st := r.dp.Stats(); st.InstallArtifactMisses != i || st.InstallArtifactHits != 0 {
+			t.Fatalf("offer %d: %+v", i, st)
+		}
+	}
+	if got := datapath.StoredArtifacts(); got != stored {
+		t.Fatalf("table grew from %d to %d artifacts on refused folds", stored, got)
+	}
+}
+
+// TestArtifactEvictionKeepsFlowsRunning: a full table evicts the oldest
+// artifact, but the flow running it holds its own reference — it keeps
+// folding, reporting and re-installing against it.
+func TestArtifactEvictionKeepsFlowsRunning(t *testing.T) {
+	datapath.ResetArtifacts()
+	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
+	r.flow.Conn.Start()
+	mine := countFold(0.5)
+	if reason := deliver(t, r, marshal(t, countProg(mine, lang.C(14480)))); reason != "" {
+		t.Fatal(reason)
+	}
+
+	// Another flow churns the table past capacity with distinct Inits.
+	other := newRig(t, link8(), tcp.Options{}, datapath.Config{})
+	other.flow.Conn.Start()
+	for i := 0; i < datapath.ArtifactCap+8; i++ {
+		if reason := deliver(t, other, marshal(t, countProg(countFold(float64(i+1)), lang.C(14480)))); reason != "" {
+			t.Fatal(reason)
+		}
+	}
+	if got := datapath.StoredArtifacts(); got != datapath.ArtifactCap {
+		t.Fatalf("table holds %d artifacts, capacity %d", got, datapath.ArtifactCap)
+	}
+
+	// The evicted artifact is still this flow's: same measure half is a hit
+	// without the table, and the fold keeps producing reports.
+	hits := r.dp.Stats().InstallArtifactHits
+	if reason := deliver(t, r, marshal(t, countProg(mine, lang.C(28960)))); reason != "" {
+		t.Fatal(reason)
+	}
+	if r.dp.Stats().InstallArtifactHits != hits+1 {
+		t.Fatalf("re-install after eviction missed: %+v", r.dp.Stats())
+	}
+	before := r.dp.Stats().ReportsSent
+	r.sim.Run(r.sim.Now() + time.Second)
+	if r.dp.Stats().ReportsSent <= before {
+		t.Fatal("flow stopped reporting after its artifact was evicted")
+	}
+	if m := r.lastMeasurement(); len(m.Fields) != 1 || m.Fields[0] < 0.5 {
+		t.Fatalf("fold report after eviction: %+v", m)
+	}
+
+	// A third flow asking for the evicted measure half rebuilds it.
+	third := newRig(t, link8(), tcp.Options{}, datapath.Config{})
+	third.flow.Conn.Start()
+	if reason := deliver(t, third, marshal(t, countProg(mine, lang.C(14480)))); reason != "" {
+		t.Fatal(reason)
+	}
+	if st := third.dp.Stats(); st.InstallArtifactMisses != 1 {
+		t.Fatalf("evicted artifact was found: %+v", st)
+	}
+}
+
+// TestConcurrentFlowsShareArtifact: flows on their own goroutines (as under
+// SocketLink) install, step and report against one artifact at once, on both
+// backends, and each ends exactly where a flow running alone ends. The -race
+// lane (make test-race-robust) is the other half of the assertion.
+func TestConcurrentFlowsShareArtifact(t *testing.T) {
+	progs := append(algPrograms(t, "cubic"), algPrograms(t, "vegas")...)
+	run := func(stackVM bool) (vars []float64, reports [][]float64) {
+		clock := netsim.New(1)
+		var conn *tcp.Conn
+		dp := datapath.New(datapath.Config{SID: 1, Clock: clock, StackVM: stackVM, ToAgent: func(m proto.Msg) error {
+			if v, ok := m.(*proto.Measurement); ok {
+				reports = append(reports, append([]float64(nil), v.Fields...))
+			}
+			return nil
+		}})
+		conn = tcp.NewConn(clock, 1, nil, dp, tcp.Options{MSS: 1448})
+		dp.Init(conn)
+		for round := 0; round < 20; round++ {
+			dp.Deliver(&proto.Install{SID: 1, Prog: progs[round%len(progs)]})
+			for i := 0; i < 32; i++ {
+				dp.OnAck(conn, tcp.AckSample{
+					RTT: time.Duration(10+i%7) * time.Millisecond, AckedBytes: 1448,
+					SndRate: 1e6, DeliveryRate: 1e6, InFlight: 14480, Now: clock.Now(),
+				})
+			}
+			clock.Run(clock.Now() + 200*time.Millisecond)
+		}
+		return append([]float64(nil), dp.Vars()...), reports
+	}
+	for _, stackVM := range []bool{false, true} {
+		datapath.ResetArtifacts()
+		wantVars, wantReports := run(stackVM)
+		if len(wantReports) == 0 {
+			t.Fatal("reference flow sent no reports")
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vars, reports := run(stackVM)
+				if len(reports) != len(wantReports) || len(vars) != len(wantVars) {
+					t.Errorf("stackVM=%v: %d reports, %d vars; alone %d, %d", stackVM, len(reports), len(vars), len(wantReports), len(wantVars))
+					return
+				}
+				for i := range reports {
+					for j := range reports[i] {
+						if math.Float64bits(reports[i][j]) != math.Float64bits(wantReports[i][j]) {
+							t.Errorf("stackVM=%v: report %d field %d: %v, alone %v", stackVM, i, j, reports[i][j], wantReports[i][j])
+							return
+						}
+					}
+				}
+				for i := range vars {
+					if math.Float64bits(vars[i]) != math.Float64bits(wantVars[i]) {
+						t.Errorf("stackVM=%v: vars[%d]: %v, alone %v", stackVM, i, vars[i], wantVars[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestAllocsWarmInstall pins what an Install costs once its measure half is
+// known — the paper's per-report path: decode, validate, verify and compile
+// the control half, plus activation. A cold install of the same programs
+// costs 250-330; the bounds leave room for a few allocations of drift and
+// none for the measure half creeping back in.
+func TestAllocsWarmInstall(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, tc := range []struct {
+		alg string
+		max float64
+	}{{"cubic", 40}, {"vegas", 40}} {
+		data := algPrograms(t, tc.alg)[0]
+		clock := netsim.New(1)
+		dp := datapath.New(datapath.Config{SID: 1, Clock: clock, ToAgent: func(proto.Msg) error { return nil }})
+		dp.Init(tcp.NewConn(clock, 1, nil, dp, tcp.Options{MSS: 1448}))
+		msg := &proto.Install{SID: 1, Prog: data}
+		dp.Deliver(msg)
+		if st := dp.Stats(); st.InstallsRecvd != 1 {
+			t.Fatalf("%s: program refused: %+v", tc.alg, st)
+		}
+		allocs := testing.AllocsPerRun(200, func() { dp.Deliver(msg) })
+		if st := dp.Stats(); st.InstallArtifactHits < 200 || st.InstallRejects != 0 {
+			t.Fatalf("%s: warm installs did not hit: %+v", tc.alg, st)
+		}
+		if allocs > tc.max {
+			t.Errorf("%s: warm Install allocated %.1f times, want <= %.0f", tc.alg, allocs, tc.max)
+		}
+		t.Logf("%s: warm Install: %.1f allocs", tc.alg, allocs)
+	}
+}
+
+// BenchmarkInstall times Deliver(Install) of the bundled cubic and vegas
+// programs: warm (measure half known, the per-report path) and cold (table
+// and flow reference emptied first, the first Install of a fold in a process).
+func BenchmarkInstall(b *testing.B) {
+	for _, alg := range []string{"cubic", "vegas"} {
+		data := algPrograms(b, alg)[0]
+		for _, cold := range []bool{false, true} {
+			name := alg + "/warm"
+			if cold {
+				name = alg + "/cold"
+			}
+			b.Run(name, func(b *testing.B) {
+				clock := netsim.New(1)
+				dp := datapath.New(datapath.Config{SID: 1, Clock: clock, ToAgent: func(proto.Msg) error { return nil }})
+				dp.Init(tcp.NewConn(clock, 1, nil, dp, tcp.Options{MSS: 1448}))
+				msg := &proto.Install{SID: 1, Prog: data}
+				dp.Deliver(msg)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						datapath.ResetArtifacts()
+						dp.ForgetArtifact()
+					}
+					dp.Deliver(msg)
+				}
+				if dp.Stats().InstallRejects != 0 {
+					b.Fatalf("refused: %+v", dp.Stats())
+				}
+			})
+		}
+	}
+}
+
+// TestArtifactTableKeepsSharedHalves: clock eviction. A measure half that
+// new flows keep asking for outlives any number of one-flow halves (Vegas
+// folds keyed by one flow's base_rtt) passing through the table.
+func TestArtifactTableKeepsSharedHalves(t *testing.T) {
+	datapath.ResetArtifacts()
+	shared := marshal(t, countProg(countFold(0.25), lang.C(14480)))
+	newFlow := func() *rig {
+		r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
+		r.flow.Conn.Start()
+		return r
+	}
+	if reason := deliver(t, newFlow(), shared); reason != "" {
+		t.Fatal(reason)
+	}
+	churner := newFlow()
+	for i := 0; i < 4*datapath.ArtifactCap; i++ {
+		if reason := deliver(t, churner, marshal(t, countProg(countFold(float64(i+1)), lang.C(14480)))); reason != "" {
+			t.Fatal(reason)
+		}
+		if i%4 == 3 {
+			r := newFlow()
+			if reason := deliver(t, r, shared); reason != "" {
+				t.Fatal(reason)
+			}
+			if st := r.dp.Stats(); st.InstallArtifactHits != 1 || st.InstallArtifactMisses != 0 {
+				t.Fatalf("after %d one-flow halves the shared one was gone: %+v", i+1, st)
+			}
+		}
+	}
+}

@@ -174,7 +174,7 @@ func agentChaosBaselineMatches() bool {
 		net.Run(dur)
 		return outcome{
 			sum:   summarize(net, f.Flow, rtt, dur),
-			dp:    f.DP.Stats(),
+			dp:    f.DP.Stats().Deterministic(),
 			agent: net.Agent.Stats().FlowsCreated,
 		}
 	}

@@ -188,11 +188,9 @@ func Adversarial() Config {
 }
 
 // Analyze abstractly interprets p under cfg and returns the verifier
-// report. The fold update list is iterated to a fixpoint (with widening)
-// to obtain a per-register invariant; control-program expressions are then
-// evaluated once against that invariant. An error is returned only for
-// structurally invalid programs (Validate failures) — semantic problems
-// are Findings, not errors.
+// report: AnalyzeMeasure over the measure half, then CheckControl over the
+// instruction list. An error is returned only for structurally invalid
+// programs (Validate failures) — semantic problems are Findings, not errors.
 func Analyze(p *lang.Program, cfg Config) (*Report, error) {
 	if p == nil {
 		return nil, errors.New("absint: nil program")
@@ -200,47 +198,120 @@ func Analyze(p *lang.Program, cfg Config) (*Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	return AnalyzeMeasure(p.Measure, cfg).CheckControl(p.Instrs), nil
+}
 
-	var regs []lang.RegDef
-	if p.Measure.Mode == lang.MeasureFold {
-		regs = p.Measure.Fold.Regs
-	}
-	regNames := make([]string, len(regs))
-	for i, r := range regs {
-		regNames[i] = r.Name
-	}
-	a := &analyzer{
-		cfg:     cfg,
-		prog:    p,
-		resolve: lang.StdResolver(regNames),
-		rep:     &Report{},
-	}
+// Invariant is the verifier's result for a measure half, as a value: the
+// abstract variable table every control expression is checked against
+// (assumed packet fields and flow variables, plus each fold register's
+// stable over-approximation) and the findings the fold earns by itself.
+//
+// It is a function of the measure half — mode, registers with their Init
+// values, updates — and the Config alone: the fixpoint starts from the Inits
+// and iterates the updates, and no instruction feeds back into it. So one
+// Invariant serves every program that shares the measure half, and
+// CheckControl on it reports exactly what Analyze on the whole program
+// would. Nothing writes to an Invariant after AnalyzeMeasure returns;
+// CheckControl may run on several goroutines at once.
+type Invariant struct {
+	cfg      Config
+	fold     *lang.FoldSpec // nil outside fold mode
+	mode     lang.MeasureMode
+	regNames []string
+	resolve  lang.Resolver
+	state    []AbsVal
+	// Fold-only findings, in the two places Analyze reports them: from the
+	// pass over the stable state (before the instruction findings) and from
+	// the dead-update scan (after them).
+	stepFindings []Finding
+	deadFindings []Finding
+	// readByFold[i]: some update reads register i. The rest need an
+	// instruction to read them, or they are unread.
+	readByFold []bool
+	fresh      bool // some register derives from a pkt.* field
+}
 
-	st := a.baseState()
-	if p.Measure.Mode == lang.MeasureFold {
-		for i, r := range regs {
+// AnalyzeMeasure iterates m's fold update list to a fixpoint (with widening)
+// to obtain the per-register invariant. m must be valid (lang.UnmarshalMeasure
+// or Program.Validate).
+func AnalyzeMeasure(m lang.MeasureSpec, cfg Config) *Invariant {
+	inv := &Invariant{cfg: cfg.withDefaults(), mode: m.Mode}
+	if m.Mode == lang.MeasureFold {
+		inv.fold = m.Fold
+		inv.regNames = m.Fold.RegNames()
+	}
+	inv.resolve = lang.StdResolver(inv.regNames)
+	a := inv.analyzer()
+	st := a.baseState(len(inv.regNames))
+	if inv.fold != nil {
+		for i, r := range inv.fold.Regs {
 			st[lang.RegSlot(i)] = ConstVal(r.Init)
 		}
-		a.fixpoint(st, len(regs))
+		a.fixpoint(st, len(inv.regNames))
 		// Findings are muted during fixpoint iteration; one final pass over
 		// the stable invariant emits each at most once.
 		a.emit = true
 		a.step(cloneSt(st))
-		a.emit = false
+		inv.stepFindings = a.rep.Findings
+		a.rep = &Report{}
+		a.checkDeadUpdates()
+		inv.deadFindings = a.rep.Findings
+		inv.readByFold = make([]bool, len(inv.regNames))
+		for i, name := range inv.regNames {
+			for _, u := range inv.fold.Updates {
+				if exprReads(u.E, name) {
+					inv.readByFold[i] = true
+					break
+				}
+			}
+			inv.fresh = inv.fresh || st[lang.RegSlot(i)].Fresh
+		}
 	}
+	inv.state = st
+	return inv
+}
+
+// HasErrors reports whether the measure half alone earned an
+// install-blocking finding (every program built on it is refused in strict
+// mode, whatever its instructions).
+func (inv *Invariant) HasErrors() bool {
+	for _, f := range inv.stepFindings {
+		if f.Severity == SevError {
+			return true
+		}
+	}
+	return false
+}
+
+// CheckControl evaluates every control-program expression once against the
+// invariant, adds the checks that span both halves (unread registers,
+// report liveness), and returns the whole program's report, findings in
+// Analyze's order. instrs must be valid against the measure half's names
+// (lang.ValidateControl).
+func (inv *Invariant) CheckControl(instrs []lang.Instr) *Report {
+	a := inv.analyzer()
 	a.emit = true
-	a.checkInstrs(st)
-	a.checkDeadUpdates()
-	a.checkUnreadRegisters(regNames)
-	a.checkReportLiveness()
-	a.checkFreshInput(st, len(regs))
-	return a.rep, nil
+	a.rep.Findings = append(a.rep.Findings, inv.stepFindings...)
+	a.checkInstrs(instrs, inv.state)
+	a.rep.Findings = append(a.rep.Findings, inv.deadFindings...)
+	a.checkUnreadRegisters(inv, instrs)
+	a.checkReportLiveness(instrs)
+	if inv.fold != nil && len(inv.regNames) > 0 && !inv.fresh {
+		a.where = Where{Kind: "program"}
+		a.report(CheckNoFresh, SevWarn, "$", nil,
+			"no fold register derives from a pkt.* field: the fold never incorporates fresh measurements")
+	}
+	return a.rep
+}
+
+func (inv *Invariant) analyzer() *analyzer {
+	return &analyzer{cfg: inv.cfg, fold: inv.fold, mode: inv.mode, resolve: inv.resolve, rep: &Report{}}
 }
 
 type analyzer struct {
 	cfg     Config
-	prog    *lang.Program
+	fold    *lang.FoldSpec
+	mode    lang.MeasureMode
 	resolve lang.Resolver
 	rep     *Report
 	emit    bool
@@ -250,11 +321,7 @@ type analyzer struct {
 // baseState builds the abstract variable table from the assumption
 // profile: packet fields (always fresh), then flow variables, then
 // registers (filled in by the caller for fold mode).
-func (a *analyzer) baseState() []AbsVal {
-	nregs := 0
-	if a.prog.Measure.Mode == lang.MeasureFold {
-		nregs = len(a.prog.Measure.Fold.Regs)
-	}
+func (a *analyzer) baseState(nregs int) []AbsVal {
 	st := make([]AbsVal, lang.VarTableSize(nregs))
 	for i := range st {
 		st[i] = TopVal()
@@ -279,7 +346,7 @@ func (a *analyzer) baseState() []AbsVal {
 // step applies one abstract fold step in place: updates run sequentially,
 // later updates observing earlier results (matching CompiledFold.Step).
 func (a *analyzer) step(st []AbsVal) {
-	for i, u := range a.prog.Measure.Fold.Updates {
+	for i, u := range a.fold.Updates {
 		a.where = Where{Kind: "update", Index: i, Name: u.Dst}
 		v := a.eval(u.E, st, "$")
 		if slot, ok := a.resolve(u.Dst); ok {
@@ -584,8 +651,8 @@ func flipCmp(op lang.BinKind) lang.BinKind {
 
 // checkInstrs evaluates every control-program expression against the
 // stable invariant and applies the write/wait checks.
-func (a *analyzer) checkInstrs(st []AbsVal) {
-	for i, in := range a.prog.Instrs {
+func (a *analyzer) checkInstrs(instrs []lang.Instr, st []AbsVal) {
+	for i, in := range instrs {
 		switch n := in.(type) {
 		case lang.SetCwnd:
 			a.where = Where{Kind: "instr", Index: i, Name: "Cwnd"}
@@ -630,10 +697,7 @@ func (a *analyzer) checkWait(v AbsVal, e lang.Expr) {
 // later update to the same register in the same step with no intervening
 // read: the computation is dead per-packet.
 func (a *analyzer) checkDeadUpdates() {
-	if a.prog.Measure.Mode != lang.MeasureFold {
-		return
-	}
-	ups := a.prog.Measure.Fold.Updates
+	ups := a.fold.Updates
 	for i, u := range ups {
 		for j := i + 1; j < len(ups); j++ {
 			if exprReads(ups[j].E, u.Dst) {
@@ -652,25 +716,11 @@ func (a *analyzer) checkDeadUpdates() {
 // checkUnreadRegisters flags registers no expression ever reads. They are
 // still shipped in reports (write-only telemetry is legitimate), hence a
 // warning, not an error.
-func (a *analyzer) checkUnreadRegisters(regNames []string) {
-	if a.prog.Measure.Mode != lang.MeasureFold {
-		return
-	}
-	for _, name := range regNames {
-		read := false
-		for _, u := range a.prog.Measure.Fold.Updates {
-			if exprReads(u.E, name) {
-				read = true
-				break
-			}
-		}
-		if !read {
-			for _, in := range a.prog.Instrs {
-				if e := instrExpr(in); e != nil && exprReads(e, name) {
-					read = true
-					break
-				}
-			}
+func (a *analyzer) checkUnreadRegisters(inv *Invariant, instrs []lang.Instr) {
+	for i, name := range inv.regNames {
+		read := inv.readByFold[i]
+		for j := 0; !read && j < len(instrs); j++ {
+			read = exprReads(lang.InstrExpr(instrs[j]), name)
 		}
 		if !read {
 			a.where = Where{Kind: "fold", Name: name}
@@ -684,14 +734,14 @@ func (a *analyzer) checkUnreadRegisters(regNames []string) {
 // in fold mode the registers also never reset, and in vector mode the
 // sample buffer grows without bound — install-blocking. EWMA mode merely
 // wastes the measurement machinery — advisory.
-func (a *analyzer) checkReportLiveness() {
-	for _, in := range a.prog.Instrs {
+func (a *analyzer) checkReportLiveness(instrs []lang.Instr) {
+	for _, in := range instrs {
 		if _, ok := in.(lang.Report); ok {
 			return
 		}
 	}
 	a.where = Where{Kind: "program"}
-	switch a.prog.Measure.Mode {
+	switch a.mode {
 	case lang.MeasureFold:
 		a.report(CheckNoReport, SevError, "$", nil,
 			"fold program never reports: registers accumulate forever and measurements never reach the agent")
@@ -704,43 +754,17 @@ func (a *analyzer) checkReportLiveness() {
 	}
 }
 
-// checkFreshInput warns when no register's stable value derives from a
-// packet field: the fold summarizes nothing the datapath measured.
-func (a *analyzer) checkFreshInput(st []AbsVal, nregs int) {
-	if a.prog.Measure.Mode != lang.MeasureFold || nregs == 0 {
-		return
-	}
-	for i := 0; i < nregs; i++ {
-		if st[lang.RegSlot(i)].Fresh {
-			return
-		}
-	}
-	a.where = Where{Kind: "program"}
-	a.report(CheckNoFresh, SevWarn, "$", nil,
-		"no fold register derives from a pkt.* field: the fold never incorporates fresh measurements")
-}
-
+// exprReads reports whether e references the variable name.
 func exprReads(e lang.Expr, name string) bool {
-	for _, v := range lang.Vars(e) {
-		if v == name {
-			return true
-		}
+	switch n := e.(type) {
+	case lang.Var:
+		return string(n) == name
+	case *lang.Bin:
+		return exprReads(n.L, name) || exprReads(n.R, name)
+	case *lang.If:
+		return exprReads(n.Cond, name) || exprReads(n.Then, name) || exprReads(n.Else, name)
 	}
 	return false
-}
-
-func instrExpr(in lang.Instr) lang.Expr {
-	switch n := in.(type) {
-	case lang.SetRate:
-		return n.E
-	case lang.SetCwnd:
-		return n.E
-	case lang.Wait:
-		return n.Seconds
-	case lang.WaitRtts:
-		return n.Rtts
-	}
-	return nil
 }
 
 func cloneSt(st []AbsVal) []AbsVal {

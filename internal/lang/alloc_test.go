@@ -71,3 +71,24 @@ func TestAllocsRegExprEval(t *testing.T) {
 		t.Fatalf("RegCode.Eval (short table) allocated %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestAllocsProgramCodec pins the two per-Install codec costs that are not
+// the program itself: the install path's skip-scan (it runs before anything
+// is known about the program) allocates nothing, and MarshalProgram sizes
+// its buffer up front, so encoding is the one allocation of the result.
+func TestAllocsProgramCodec(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	p := NewProgram().MeasureFold(vegasFold()).Cwnd(C(14480)).WaitRtts(1).Report().MustBuild()
+	data, err := MarshalProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { _, _ = MarshalProgram(p) }); allocs != 1 {
+		t.Fatalf("MarshalProgram allocated %.1f times per op, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { _, _ = MeasurePrefixLen(data) }); allocs != 0 {
+		t.Fatalf("MeasurePrefixLen allocated %.1f times per op, want 0", allocs)
+	}
+}

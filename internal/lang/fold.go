@@ -19,6 +19,12 @@ type Assign struct {
 
 // FoldSpec is a fold function (§2.4): bounded per-flow measurement state
 // plus an update rule applied per acknowledged packet in the datapath.
+//
+// A FoldSpec, and every expression under it, is immutable once it has been
+// handed to a Builder, to Flow.Install or to a compiler: algorithms install
+// one package-level spec from every flow, and the datapath shares one decoded
+// spec (and its compiled code) between all flows running it. To change a
+// fold, build a new one.
 type FoldSpec struct {
 	Regs    []RegDef
 	Updates []Assign
@@ -78,15 +84,26 @@ const (
 	BackendStack
 )
 
-// CompiledFold is a FoldSpec lowered to bytecode for per-ACK execution.
-// Both backends are compiled; Step dispatches on the selected one.
+// FoldCode is a FoldSpec compiled for both engines and nothing else: no
+// backend choice, no scratch. Nothing writes to it after CompileFoldCode
+// returns, so any number of CompiledFolds, on any goroutines, may Bind to one
+// FoldCode and Step at the same time.
+type FoldCode struct {
+	Spec     *FoldSpec
+	reg      *RegCode // whole fold body as one register program, scratchless
+	codes    []*Code  // stack reference: one program per update
+	dsts     []int    // variable-table slots of each update's destination
+	maxStack int
+}
+
+// CompiledFold is a FoldCode bound to a backend for per-ACK execution, with
+// the scratch that backend mutates. The scratch makes a CompiledFold private
+// to one goroutine at a time; share the FoldCode instead.
 type CompiledFold struct {
-	Spec    *FoldSpec
+	*FoldCode
 	backend Backend
-	reg     *RegCode // whole fold body as one register program
-	codes   []*Code  // stack reference: one program per update
-	dsts    []int    // variable-table slots of each update's destination
-	stack   []float64
+	stack   []float64 // stack backend's operand stack
+	frame   []float64 // register backend's staging frame for short tables
 }
 
 // CompileFold validates and compiles f for the default register backend.
@@ -99,35 +116,51 @@ func CompileFold(f *FoldSpec) (*CompiledFold, error) {
 // reference for differential testing — so backend choice never changes
 // what validates.
 func CompileFoldBackend(f *FoldSpec, backend Backend) (*CompiledFold, error) {
+	fc, err := CompileFoldCode(f)
+	if err != nil {
+		return nil, err
+	}
+	return fc.Bind(backend), nil
+}
+
+// CompileFoldCode validates f and compiles it for both engines.
+func CompileFoldCode(f *FoldSpec) (*FoldCode, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	resolve := StdResolver(f.regNames())
-	cf := &CompiledFold{Spec: f, backend: backend}
-	maxStack := 0
+	fc := &FoldCode{Spec: f}
 	for _, a := range f.Updates {
 		code, err := Compile(a.E, resolve)
 		if err != nil {
 			return nil, err
 		}
 		slot, _ := resolve(a.Dst)
-		cf.codes = append(cf.codes, code)
-		cf.dsts = append(cf.dsts, slot)
-		if code.MaxStack > maxStack {
-			maxStack = code.MaxStack
+		fc.codes = append(fc.codes, code)
+		fc.dsts = append(fc.dsts, slot)
+		if code.MaxStack > fc.maxStack {
+			fc.maxStack = code.MaxStack
 		}
 	}
-	cf.stack = make([]float64, 0, maxStack)
 	reg, err := compileFoldReg(f)
 	if err != nil {
 		return nil, err
 	}
-	cf.reg = reg
-	return cf, nil
+	fc.reg = reg
+	return fc, nil
+}
+
+// Bind returns a CompiledFold that steps fc on the given backend.
+func (fc *FoldCode) Bind(backend Backend) *CompiledFold {
+	cf := &CompiledFold{FoldCode: fc, backend: backend}
+	if backend == BackendStack {
+		cf.stack = make([]float64, 0, fc.maxStack)
+	}
+	return cf
 }
 
 // NumRegs returns the number of registers.
-func (cf *CompiledFold) NumRegs() int { return len(cf.Spec.Regs) }
+func (fc *FoldCode) NumRegs() int { return len(fc.Spec.Regs) }
 
 // Backend returns the engine Step dispatches to.
 func (cf *CompiledFold) Backend() Backend { return cf.backend }
@@ -136,12 +169,12 @@ func (cf *CompiledFold) Backend() Backend { return cf.backend }
 // fold's temporaries. Callers that size vars to FrameLen (instead of the
 // minimum VarTableSize) get the zero-copy Step fast path; the extra slots
 // are scratch the datapath never reads.
-func (cf *CompiledFold) FrameLen() int { return cf.reg.FrameLen }
+func (fc *FoldCode) FrameLen() int { return fc.reg.FrameLen }
 
 // InitRegs resets the register slots of vars to their declared initial
 // values. vars must be a full variable table (VarTableSize(NumRegs())).
-func (cf *CompiledFold) InitRegs(vars []float64) {
-	for i, r := range cf.Spec.Regs {
+func (fc *FoldCode) InitRegs(vars []float64) {
+	for i, r := range fc.Spec.Regs {
 		vars[RegSlot(i)] = r.Init
 	}
 }
@@ -150,7 +183,7 @@ func (cf *CompiledFold) InitRegs(vars []float64) {
 // fields, flow variables, and registers (at least VarTableSize(NumRegs())
 // slots); register slots are updated in place. Allocation-free on both
 // backends; on the register backend, vars of FrameLen() slots additionally
-// skip the staging copy.
+// skip the staging copy and touch nothing but vars and the shared code.
 func (cf *CompiledFold) Step(vars []float64) {
 	if cf.backend == BackendStack {
 		for i, code := range cf.codes {
@@ -162,10 +195,14 @@ func (cf *CompiledFold) Step(vars []float64) {
 		cf.reg.Run(vars)
 		return
 	}
-	// vars covers the variable table but not the temp slots: stage into the
-	// compile-time scratch frame and copy the register slots that fit back
-	// (an undersized table simply cannot observe the trailing registers).
-	f := cf.reg.shortFrame(vars)
+	// vars covers the variable table but not the temp slots: stage into this
+	// fold's own frame (made on first use, so Step stays allocation-free
+	// after it) and copy the register slots that fit back (an undersized
+	// table simply cannot observe the trailing registers).
+	if cf.frame == nil {
+		cf.frame = make([]float64, cf.reg.FrameLen)
+	}
+	f := cf.reg.shortFrame(vars, cf.frame)
 	cf.reg.Run(f)
 	if lo, hi := RegSlot(0), min(cf.reg.NVars, len(vars)); hi > lo {
 		copy(vars[lo:hi], f[lo:hi])
@@ -174,8 +211,8 @@ func (cf *CompiledFold) Step(vars []float64) {
 
 // ReadRegs copies the register values out of vars in declaration order,
 // appending to dst.
-func (cf *CompiledFold) ReadRegs(vars []float64, dst []float64) []float64 {
-	for i := range cf.Spec.Regs {
+func (fc *FoldCode) ReadRegs(vars []float64, dst []float64) []float64 {
+	for i := range fc.Spec.Regs {
 		dst = append(dst, vars[RegSlot(i)])
 	}
 	return dst

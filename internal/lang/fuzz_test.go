@@ -1,14 +1,100 @@
 package lang_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	. "github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/lang/randprog"
 )
+
+// FuzzMeasurePrefix pins the two-halves decoding to the whole-program
+// decoder on arbitrary bytes. The install path keys its artifact table on
+// data[:MeasurePrefixLen(data)] and treats "starts with a known measure half"
+// as "has that measure half", so:
+//
+//   - the skip-scan ends exactly where the building decoder ends, and is a
+//     function of those bytes alone (cutting the input there, or swapping
+//     what follows, leaves it unchanged) — the encoding is self-delimiting;
+//   - malformed input fails with the error UnmarshalProgram gives;
+//   - measure half + control half + validation is UnmarshalProgram.
+func FuzzMeasurePrefix(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 24; i++ {
+		if data, err := MarshalProgram(randprog.Program(rng)); err == nil {
+			f.Add(data)
+			f.Add(data[:len(data)/2])
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xCC, 1, 1, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		whole, wholeErr := UnmarshalProgram(data)
+		end, scanErr := MeasurePrefixLen(data)
+		m, n, mErr := UnmarshalMeasure(data)
+		if scanErr != nil {
+			// The scan only fails on malformed bytes, which the whole decoder
+			// reports the same way (the first bad byte wins).
+			if wholeErr == nil || wholeErr.Error() != scanErr.Error() {
+				t.Fatalf("scan error %q, UnmarshalProgram error %v", scanErr, wholeErr)
+			}
+			if mErr == nil || mErr.Error() != scanErr.Error() {
+				t.Fatalf("scan error %q, UnmarshalMeasure error %v", scanErr, mErr)
+			}
+			return
+		}
+		if mErr == nil && n != end {
+			t.Fatalf("scan ended at %d, decoder consumed %d", end, n)
+		}
+		for _, tail := range [][]byte{nil, {0}, {0xff, 0xff, 0xff, 0xff}} {
+			cut := append(append([]byte(nil), data[:end]...), tail...)
+			if e2, err := MeasurePrefixLen(cut); err != nil || e2 != end {
+				t.Fatalf("prefix of %d bytes followed by %x rescans to %d, %v", end, tail, e2, err)
+			}
+		}
+		instrs, urgent, cErr := UnmarshalControl(data[end:])
+		if cErr != nil {
+			if wholeErr == nil || wholeErr.Error() != cErr.Error() {
+				t.Fatalf("control error %q, UnmarshalProgram error %v", cErr, wholeErr)
+			}
+			return
+		}
+		// Both halves decoded: what is left is validation, measure half first.
+		if mErr != nil {
+			if wholeErr == nil || wholeErr.Error() != mErr.Error() {
+				t.Fatalf("measure error %q, UnmarshalProgram error %v", mErr, wholeErr)
+			}
+			return
+		}
+		var regNames []string
+		if m.Mode == MeasureFold {
+			regNames = m.Fold.RegNames()
+		}
+		if vErr := ValidateControl(instrs, StdResolver(regNames)); vErr != nil {
+			if wholeErr == nil || wholeErr.Error() != vErr.Error() {
+				t.Fatalf("control validation %q, UnmarshalProgram error %v", vErr, wholeErr)
+			}
+			return
+		}
+		if wholeErr != nil {
+			t.Fatalf("halves accept what UnmarshalProgram refuses: %v", wholeErr)
+		}
+		halves := &Program{Measure: m, Instrs: instrs, UrgentECN: urgent}
+		if !reflect.DeepEqual(whole, halves) {
+			// NaN constants defeat DeepEqual; the re-encoding settles it.
+			a, errA := MarshalProgram(whole)
+			b, errB := MarshalProgram(halves)
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("halves decode to a different program:\n whole:  %s\n halves: %s", whole, halves)
+			}
+		}
+	})
+}
 
 // FuzzStackVsRegister is the differential harness pinning the register VM
 // to the reference stack interpreter (the CC-Fuzz idea applied to our two
@@ -27,7 +113,7 @@ func FuzzStackVsRegister(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, progSeed, streamSeed int64) {
 		rng := rand.New(rand.NewSource(progSeed))
-		p := randomProgram(rng)
+		p := randprog.Program(rng)
 		if p.Validate() != nil {
 			t.Skip("generator produced an invalid program")
 		}

@@ -87,33 +87,73 @@ type Program struct {
 	UrgentECN bool
 }
 
-// Validate checks the program is well-formed and all expressions resolve.
+// InstrExpr returns the expression an instruction evaluates, or nil for
+// Report (and for instruction types this package does not define).
+func InstrExpr(in Instr) Expr {
+	switch n := in.(type) {
+	case SetRate:
+		return n.E
+	case SetCwnd:
+		return n.E
+	case Wait:
+		return n.Seconds
+	case WaitRtts:
+		return n.Rtts
+	}
+	return nil
+}
+
+// Validate checks the program is well-formed and all expressions resolve:
+// the measure half first, then the control half against its register names.
 func (p *Program) Validate() error {
-	var regNames []string
-	switch p.Measure.Mode {
+	regNames, err := p.Measure.validate()
+	if err != nil {
+		return err
+	}
+	return ValidateControl(p.Instrs, StdResolver(regNames))
+}
+
+// validate checks the measure half on its own and returns the register
+// names the control half may refer to (nil outside fold mode).
+func (m *MeasureSpec) validate() (regNames []string, err error) {
+	switch m.Mode {
 	case MeasureEWMA:
 	case MeasureFold:
-		if p.Measure.Fold == nil {
-			return fmt.Errorf("lang: fold mode without a fold spec")
+		if m.Fold == nil {
+			return nil, fmt.Errorf("lang: fold mode without a fold spec")
 		}
-		if err := p.Measure.Fold.Validate(); err != nil {
-			return err
+		if err := m.Fold.Validate(); err != nil {
+			return nil, err
 		}
-		regNames = p.Measure.Fold.RegNames()
+		regNames = m.Fold.RegNames()
 	case MeasureVector:
-		if len(p.Measure.Fields) == 0 {
-			return fmt.Errorf("lang: vector mode without fields")
+		if len(m.Fields) == 0 {
+			return nil, fmt.Errorf("lang: vector mode without fields")
 		}
-		for _, f := range p.Measure.Fields {
+		for _, f := range m.Fields {
 			if f >= NumPktFields {
-				return fmt.Errorf("lang: invalid vector field %d", f)
+				return nil, fmt.Errorf("lang: invalid vector field %d", f)
 			}
 		}
 	default:
-		return fmt.Errorf("lang: invalid measure mode %d", p.Measure.Mode)
+		return nil, fmt.Errorf("lang: invalid measure mode %d", m.Mode)
 	}
-	resolve := StdResolver(regNames)
-	check := func(e Expr) error {
+	return regNames, nil
+}
+
+// ValidateControl checks the control half: every instruction is one this
+// package defines and every variable it reads resolves (resolve is the
+// StdResolver over the measure half's register names).
+func ValidateControl(instrs []Instr, resolve Resolver) error {
+	for _, in := range instrs {
+		switch in.(type) {
+		case Report:
+			continue
+		case SetRate, SetCwnd, Wait, WaitRtts:
+		default:
+			return fmt.Errorf("lang: unknown instruction %T", in)
+		}
+		e := InstrExpr(in)
 		if e == nil {
 			return fmt.Errorf("lang: nil expression in program")
 		}
@@ -121,26 +161,6 @@ func (p *Program) Validate() error {
 			if _, ok := resolve(v); !ok {
 				return fmt.Errorf("lang: program references unknown variable %q", v)
 			}
-		}
-		return nil
-	}
-	for _, in := range p.Instrs {
-		var err error
-		switch n := in.(type) {
-		case SetRate:
-			err = check(n.E)
-		case SetCwnd:
-			err = check(n.E)
-		case Wait:
-			err = check(n.Seconds)
-		case WaitRtts:
-			err = check(n.Rtts)
-		case Report:
-		default:
-			err = fmt.Errorf("lang: unknown instruction %T", in)
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil

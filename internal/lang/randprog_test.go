@@ -6,137 +6,18 @@ import (
 	"reflect"
 	"testing"
 
-	// The random-program generator and the fuzz harness live in the external
-	// test package so they can import absint (which imports lang) without a
-	// cycle; the dot import keeps the DSL constructors readable.
+	// The fuzz harness lives in the external test package so it can import
+	// absint and randprog (which import lang) without a cycle; the dot import
+	// keeps the DSL constructors readable.
 	. "github.com/ccp-repro/ccp/internal/lang"
+	"github.com/ccp-repro/ccp/internal/lang/randprog"
 )
-
-// numBinKinds mirrors lang's unexported operator count. OpOr is the last
-// operator; serialize.go rejects anything >= OpOr+1, so an operator added
-// without updating this shows up as a round-trip failure here.
-const numBinKinds = OpOr + 1
-
-// randomProgram builds a structurally valid random program: random measure
-// mode (with a matching fold/vector spec) and a random instruction mix.
-func randomProgram(rng *rand.Rand) *Program {
-	p := &Program{}
-	var regNames []string
-	switch rng.Intn(3) {
-	case 0:
-		p.Measure = MeasureSpec{Mode: MeasureEWMA}
-	case 1:
-		nregs := 1 + rng.Intn(4)
-		fold := &FoldSpec{}
-		for i := 0; i < nregs; i++ {
-			name := string(rune('a'+i)) + "_reg"
-			fold.Regs = append(fold.Regs, RegDef{Name: name, Init: math.Trunc(rng.Float64()*100) / 2})
-			regNames = append(regNames, name)
-		}
-		nupd := 1 + rng.Intn(3)
-		for i := 0; i < nupd; i++ {
-			dst := regNames[rng.Intn(len(regNames))]
-			var e Expr
-			if rng.Intn(3) == 0 {
-				// Accumulate shape (dst = op(dst, x)): the register
-				// backend's destination-retargeting fusion target.
-				accOps := []BinKind{OpMin, OpMax, OpAdd}
-				e = &Bin{accOps[rng.Intn(len(accOps))], Var(dst), randomExprOver(rng, 2, regNames)}
-			} else {
-				e = randomExprOver(rng, 3, regNames)
-			}
-			fold.Updates = append(fold.Updates, Assign{Dst: dst, E: e})
-		}
-		p.Measure = MeasureSpec{Mode: MeasureFold, Fold: fold}
-	default:
-		nf := 1 + rng.Intn(int(NumPktFields))
-		for i := 0; i < nf; i++ {
-			p.Measure.Fields = append(p.Measure.Fields, Field(rng.Intn(int(NumPktFields))))
-		}
-		p.Measure.Mode = MeasureVector
-	}
-	ninstr := 1 + rng.Intn(8)
-	for i := 0; i < ninstr; i++ {
-		switch rng.Intn(5) {
-		case 0:
-			p.Instrs = append(p.Instrs, SetRate{randomExprOver(rng, 3, regNames)})
-		case 1:
-			p.Instrs = append(p.Instrs, SetCwnd{randomExprOver(rng, 3, regNames)})
-		case 2:
-			p.Instrs = append(p.Instrs, Wait{Const(rng.Float64())})
-		case 3:
-			p.Instrs = append(p.Instrs, WaitRtts{Const(rng.Float64() * 8)})
-		default:
-			p.Instrs = append(p.Instrs, Report{})
-		}
-	}
-	p.UrgentECN = rng.Intn(2) == 0
-	return p
-}
-
-// randomExprOver builds a random expression over built-ins plus the given
-// register names.
-func randomExprOver(rng *rand.Rand, depth int, regs []string) Expr {
-	if depth <= 0 || rng.Intn(3) == 0 {
-		switch rng.Intn(3) {
-		case 0:
-			return Const(math.Trunc(rng.Float64()*100) / 4)
-		case 1:
-			if len(regs) > 0 && rng.Intn(2) == 0 {
-				return Var(regs[rng.Intn(len(regs))])
-			}
-			return Var(Field(rng.Intn(int(NumPktFields))).String())
-		default:
-			return Var(FlowVar(rng.Intn(int(NumFlowVars))).String())
-		}
-	}
-	switch rng.Intn(12) {
-	case 0, 1:
-		return &If{
-			randomExprOver(rng, depth-1, regs),
-			randomExprOver(rng, depth-1, regs),
-			randomExprOver(rng, depth-1, regs),
-		}
-	case 2:
-		// EWMA shape a*x + (1-a)*y: the register backend's fused form.
-		a := math.Trunc(rng.Float64()*1000) / 1000
-		return &Bin{OpAdd,
-			&Bin{OpMul, Const(a), randomExprOver(rng, depth-1, regs)},
-			&Bin{OpMul, Const(1 - a), randomExprOver(rng, depth-1, regs)},
-		}
-	case 3:
-		// Select-of-comparison: fused into a single dispatch.
-		cmps := []BinKind{OpLt, OpLe, OpGt, OpGe, OpEq, OpNe}
-		return &If{
-			&Bin{cmps[rng.Intn(len(cmps))],
-				randomExprOver(rng, depth-1, regs),
-				randomExprOver(rng, depth-1, regs)},
-			randomExprOver(rng, depth-1, regs),
-			randomExprOver(rng, depth-1, regs),
-		}
-	case 4:
-		// var ⊕ const and const ⊕ var: the inline-constant forms, with
-		// constant-left placement to exercise canonicalization.
-		op := BinKind(rng.Intn(int(numBinKinds)))
-		c := Const(math.Trunc(rng.Float64()*64) / 2)
-		v := randomExprOver(rng, 0, regs)
-		if rng.Intn(2) == 0 {
-			return &Bin{op, c, v}
-		}
-		return &Bin{op, v, c}
-	}
-	return &Bin{
-		BinKind(rng.Intn(int(numBinKinds))),
-		randomExprOver(rng, depth-1, regs),
-		randomExprOver(rng, depth-1, regs),
-	}
-}
 
 func TestRandomProgramsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	valid := 0
 	for trial := 0; trial < 500; trial++ {
-		p := randomProgram(rng)
+		p := randprog.Program(rng)
 		if err := p.Validate(); err != nil {
 			// Random vectors may duplicate fields etc.; only valid
 			// programs must round-trip.
@@ -166,7 +47,7 @@ func TestRandomProgramsCompileForDatapath(t *testing.T) {
 	// expression against the fold's registers.
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
-		p := randomProgram(rng)
+		p := randprog.Program(rng)
 		if err := p.Validate(); err != nil {
 			continue
 		}

@@ -498,7 +498,6 @@ func (rc *regCompiler) finish(result uint16, allowedVarDsts map[uint16]bool) (*R
 	if err := code.verify(allowedVarDsts); err != nil {
 		return nil, err
 	}
-	code.scratch = make([]float64, code.FrameLen)
 	return code, nil
 }
 
@@ -516,7 +515,12 @@ func CompileReg(e Expr, resolve Resolver, nvars int) (*RegCode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rc.finish(res, nil)
+	code, err := rc.finish(res, nil)
+	if err != nil {
+		return nil, err
+	}
+	code.scratch = make([]float64, code.FrameLen)
+	return code, nil
 }
 
 // compileFoldReg lowers a whole fold body — every update, in order — into

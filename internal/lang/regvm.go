@@ -129,9 +129,21 @@ type RegCode struct {
 	FrameLen int
 	// Result is the frame slot holding an expression's value after Run.
 	Result uint16
-	// scratch backs the defensive short-table path; allocated at compile
-	// time so Eval stays allocation-free either way.
+	// scratch backs the defensive short-table path; CompileReg allocates it
+	// so Eval stays allocation-free either way. It is the one part of a
+	// RegCode that Eval writes: code meant for several goroutines (Shared,
+	// and the body of a FoldCode) carries none.
 	scratch []float64
+}
+
+// Shared returns c's instructions and constants without its scratch frame:
+// a RegCode that nothing writes to, safe to Eval from several goroutines at
+// once. Tables of at least FrameLen slots run in place as before; a shorter
+// one now costs an allocation per Eval.
+func (c *RegCode) Shared() *RegCode {
+	s := *c
+	s.scratch = nil
+	return &s
 }
 
 // sq normalizes NaN/±Inf to 0, mirroring applyBin's totalization. v != v
@@ -272,23 +284,27 @@ func (c *RegCode) Run(f []float64) {
 // Eval executes the program and returns the result value. vars of at least
 // FrameLen slots run in place (allocation- and copy-free); shorter tables
 // take the defensive scratch path with the stack VM's semantics for
-// missing slots (they read as 0). Allocation-free on both paths.
+// missing slots (they read as 0). Allocation-free on both paths, except the
+// short-table path of Shared code.
 func (c *RegCode) Eval(vars []float64) float64 {
 	if len(vars) >= c.FrameLen {
 		c.Run(vars)
 		return vars[c.Result]
 	}
-	f := c.shortFrame(vars)
+	f := c.scratch
+	if f == nil {
+		f = make([]float64, c.FrameLen)
+	}
+	f = c.shortFrame(vars, f)
 	c.Run(f)
 	return f[c.Result]
 }
 
-// shortFrame stages an undersized variable table into the scratch frame:
+// shortFrame stages an undersized variable table into f (FrameLen slots):
 // present slots copy in, missing variable slots read as 0 (matching the
 // stack VM's defensive semantics), temps need no clearing because verify
 // proved them written before read.
-func (c *RegCode) shortFrame(vars []float64) []float64 {
-	f := c.scratch
+func (c *RegCode) shortFrame(vars, f []float64) []float64 {
 	n := copy(f, vars)
 	for i := n; i < c.NVars; i++ {
 		f[i] = 0

@@ -9,6 +9,15 @@ import (
 // Binary serialization of Programs for the agent→datapath Install message.
 // The format is versioned and self-delimiting; decoding is defensive (depth
 // and length limits) because the datapath must survive malformed input.
+//
+// The encoding has two halves. The measure half — header, mode, and the
+// fold's registers (with their Init values) and updates, or the vector's
+// fields — is a self-delimiting prefix: every list carries its length and
+// every expression its own shape, so where it ends is a function of its own
+// bytes and never of what follows. The control half — instruction list and
+// flags — is the rest. MeasurePrefixLen, UnmarshalMeasure and
+// UnmarshalControl decode the halves separately; UnmarshalProgram is the two
+// together.
 
 const (
 	progMagic   = 0xCC
@@ -30,10 +39,11 @@ const (
 	maxListLen   = 4096
 )
 
-// MarshalProgram encodes p. The program should be Validate()d first; the
-// encoding itself does not re-validate semantics.
+// MarshalProgram encodes p into one buffer sized up front. The program
+// should be Validate()d first; the encoding itself does not re-validate
+// semantics.
 func MarshalProgram(p *Program) ([]byte, error) {
-	var b []byte
+	b := make([]byte, 0, programSize(p))
 	b = append(b, progMagic, progVersion, byte(p.Measure.Mode))
 	switch p.Measure.Mode {
 	case MeasureEWMA:
@@ -104,40 +114,162 @@ func MarshalProgram(p *Program) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalProgram decodes and validates a program.
-func UnmarshalProgram(data []byte) (*Program, error) {
-	r := &reader{data: data}
-	if r.byte() != progMagic || r.byte() != progVersion {
-		return nil, fmt.Errorf("lang: bad program header")
+// programSize returns the encoded size of p (an upper bound where
+// MarshalProgram would fail anyway), so the encoder allocates once.
+func programSize(p *Program) int {
+	n := 3 + binary.MaxVarintLen32 + len(p.Instrs) + 1 // header, instr count, tags, flags
+	if f := p.Measure.Fold; f != nil {
+		n += 2 * binary.MaxVarintLen32
+		for _, r := range f.Regs {
+			n += 1 + len(r.Name) + 8
+		}
+		for _, u := range f.Updates {
+			n += 1 + len(u.Dst) + exprSize(u.E)
+		}
 	}
+	n += binary.MaxVarintLen32 + len(p.Measure.Fields)
+	for _, in := range p.Instrs {
+		n += exprSize(InstrExpr(in))
+	}
+	return n
+}
+
+func exprSize(e Expr) int {
+	switch n := e.(type) {
+	case Const:
+		return 1 + 8
+	case Var:
+		return 2 + len(n)
+	case *Bin:
+		return 2 + exprSize(n.L) + exprSize(n.R)
+	case *If:
+		return 1 + exprSize(n.Cond) + exprSize(n.Then) + exprSize(n.Else)
+	}
+	return 0
+}
+
+// UnmarshalProgram decodes and validates a program: both halves are decoded,
+// then both validated, so a malformed byte anywhere is reported before any
+// semantic complaint.
+func UnmarshalProgram(data []byte) (*Program, error) {
+	r := reader{data: data}
 	p := &Program{}
-	p.Measure.Mode = MeasureMode(r.byte())
-	switch p.Measure.Mode {
+	if err := r.measure(&p.Measure); err != nil {
+		return nil, err
+	}
+	if err := r.control(p); err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// MeasurePrefixLen returns the length of the measure half at the start of
+// data without building it: the decoder run with construction switched off,
+// so it allocates nothing, applies the same limits (maxExprDepth, maxListLen,
+// maxNameLen) and fails with the same error the decoder would. Because the
+// encoding is self-delimiting the result depends only on data[:n] — two
+// programs share a measure half exactly when one's data[:n] prefixes the
+// other.
+func MeasurePrefixLen(data []byte) (int, error) {
+	_, n, err := decodeMeasure(data, true)
+	return n, err
+}
+
+// UnmarshalMeasure decodes and validates the measure half at the start of
+// data and returns it with the number of bytes it occupies.
+func UnmarshalMeasure(data []byte) (MeasureSpec, int, error) {
+	m, n, err := decodeMeasure(data, false)
+	if err != nil {
+		return MeasureSpec{}, 0, err
+	}
+	if _, err := m.validate(); err != nil {
+		return MeasureSpec{}, 0, err
+	}
+	return m, n, nil
+}
+
+func decodeMeasure(data []byte, skip bool) (MeasureSpec, int, error) {
+	r := reader{data: data, skip: skip}
+	var m MeasureSpec
+	if err := r.measure(&m); err != nil {
+		return MeasureSpec{}, 0, err
+	}
+	if r.err != nil {
+		return MeasureSpec{}, 0, r.err
+	}
+	return m, r.pos, nil
+}
+
+// UnmarshalControl decodes the control half — what follows the measure half
+// — and requires it to end the program. Variable names are not resolved
+// here; ValidateControl checks them against the measure half's registers.
+func UnmarshalControl(data []byte) (instrs []Instr, urgentECN bool, err error) {
+	r := reader{data: data}
+	var p Program
+	if err := r.control(&p); err != nil {
+		return nil, false, err
+	}
+	return p.Instrs, p.UrgentECN, nil
+}
+
+// measure decodes the header and the measure section into m. Header and
+// mode errors return at once; anything else is left in r.err, which stays
+// set through the control half so the first malformed byte wins.
+func (r *reader) measure(m *MeasureSpec) error {
+	if r.byte() != progMagic || r.byte() != progVersion {
+		return fmt.Errorf("lang: bad program header")
+	}
+	m.Mode = MeasureMode(r.byte())
+	switch m.Mode {
 	case MeasureEWMA:
 	case MeasureFold:
-		f := &FoldSpec{}
+		var f *FoldSpec
+		if !r.skip {
+			f = &FoldSpec{}
+		}
 		nregs := r.listLen()
 		for i := 0; i < nregs && r.err == nil; i++ {
 			name := r.string()
 			init := r.f64()
-			f.Regs = append(f.Regs, RegDef{Name: name, Init: init})
+			if f != nil {
+				f.Regs = append(f.Regs, RegDef{Name: name, Init: init})
+			}
 		}
 		nupd := r.listLen()
 		for i := 0; i < nupd && r.err == nil; i++ {
 			dst := r.string()
 			e := r.expr(0)
-			f.Updates = append(f.Updates, Assign{Dst: dst, E: e})
+			if f != nil {
+				f.Updates = append(f.Updates, Assign{Dst: dst, E: e})
+			}
 		}
-		p.Measure.Fold = f
+		m.Fold = f
 	case MeasureVector:
 		n := r.listLen()
 		for i := 0; i < n && r.err == nil; i++ {
-			p.Measure.Fields = append(p.Measure.Fields, Field(r.byte()))
+			f := Field(r.byte())
+			if !r.skip {
+				m.Fields = append(m.Fields, f)
+			}
 		}
 	default:
-		return nil, fmt.Errorf("lang: bad measure mode %d", p.Measure.Mode)
+		return fmt.Errorf("lang: bad measure mode %d", m.Mode)
 	}
+	return nil
+}
+
+// control decodes the instruction list and flags into p and checks that the
+// program ends there.
+func (r *reader) control(p *Program) error {
 	ninstr := r.listLen()
+	if ninstr > 0 {
+		// Every instruction takes at least its tag byte, so the remaining
+		// input bounds the allocation a lying count can ask for.
+		p.Instrs = make([]Instr, 0, min(ninstr, len(r.data)-r.pos))
+	}
 	for i := 0; i < ninstr && r.err == nil; i++ {
 		tag := r.byte()
 		switch tag {
@@ -158,15 +290,12 @@ func UnmarshalProgram(data []byte) (*Program, error) {
 	flags := r.byte()
 	p.UrgentECN = flags&1 != 0
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("lang: %d trailing bytes in program", len(r.data)-r.pos)
+		return fmt.Errorf("lang: %d trailing bytes in program", len(r.data)-r.pos)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return nil
 }
 
 func appendString(b []byte, s string) ([]byte, error) {
@@ -217,6 +346,10 @@ type reader struct {
 	data []byte
 	pos  int
 	err  error
+	// skip walks the input without building anything (MeasurePrefixLen):
+	// strings and expressions come back empty, everything else is the same
+	// code on the same bytes.
+	skip bool
 }
 
 func (r *reader) fail(err error) {
@@ -260,7 +393,10 @@ func (r *reader) string() string {
 		r.fail(fmt.Errorf("lang: truncated string"))
 		return ""
 	}
-	s := string(r.data[r.pos : r.pos+n])
+	s := ""
+	if !r.skip {
+		s = string(r.data[r.pos : r.pos+n])
+	}
 	r.pos += n
 	return s
 }
@@ -288,9 +424,15 @@ func (r *reader) expr(depth int) Expr {
 	}
 	switch tag := r.byte(); tag {
 	case exprTagConst:
-		return Const(r.f64())
+		if v := r.f64(); !r.skip {
+			return Const(v)
+		}
+		return nil
 	case exprTagVar:
-		return Var(r.string())
+		if s := r.string(); !r.skip {
+			return Var(s)
+		}
+		return nil
 	case exprTagBin:
 		op := BinKind(r.byte())
 		if op >= numBinKinds {
@@ -299,11 +441,17 @@ func (r *reader) expr(depth int) Expr {
 		}
 		l := r.expr(depth + 1)
 		rr := r.expr(depth + 1)
+		if r.skip {
+			return nil
+		}
 		return &Bin{op, l, rr}
 	case exprTagIf:
 		c := r.expr(depth + 1)
 		t := r.expr(depth + 1)
 		e := r.expr(depth + 1)
+		if r.skip {
+			return nil
+		}
 		return &If{c, t, e}
 	default:
 		r.fail(fmt.Errorf("lang: bad expression tag 0x%02x", tag))

@@ -461,6 +461,7 @@ func addAgentStats(dst *core.AgentStats, s core.AgentStats) {
 	dst.Restores += s.Restores
 	dst.Heartbeats += s.Heartbeats
 	dst.ResyncAdopts += s.ResyncAdopts
+	dst.InstallErrs += s.InstallErrs
 }
 
 // SnapshotInto streams every shard's flow state through sink (see

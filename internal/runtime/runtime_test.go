@@ -436,3 +436,26 @@ func ExampleRuntime() {
 	fmt.Println(rt.FlowCount())
 	// Output: 1
 }
+
+// TestShardedStatsSumInstallErrs: every shard's datapath refusals show up in
+// the aggregate. A refusing datapath answers an Install with InstallErr; with
+// 64 consecutive SIDs over 4 shards every shard takes some.
+func TestShardedStatsSumInstallErrs(t *testing.T) {
+	rt, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	reply := func(proto.Msg) error { return nil }
+	const flows = 64
+	for i := 1; i <= flows; i++ {
+		rt.HandleMessage(&proto.Create{SID: uint32(i), MSS: 1448, InitCwnd: 14480}, reply)
+	}
+	for i := 1; i <= flows; i++ {
+		rt.HandleMessage(&proto.InstallErr{SID: uint32(i), Seq: 1, Reason: "bounds: instr 0"}, reply)
+	}
+	rt.Drain()
+	if got := rt.Stats().Agent.InstallErrs; got != flows {
+		t.Fatalf("sharded Stats().Agent.InstallErrs = %d, want %d", got, flows)
+	}
+}
