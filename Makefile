@@ -55,7 +55,9 @@ bench-scale-smoke:
 		-json /tmp/bench_scale_smoke.json -validate
 
 # Hot-path before/after comparison (wire codec and simulator event queue);
-# regenerates the committed BENCH_hotpath.json.
+# regenerates the committed BENCH_hotpath.json. The per-ACK fold step has one
+# engine and so no pair: see BenchmarkFoldStep and `make bench`'s
+# lang.fold_step_ns.
 bench-hotpath:
 	$(GO) run ./cmd/ccp-hotpath -json BENCH_hotpath.json
 
@@ -148,7 +150,8 @@ check: vet lint
 	$(MAKE) fuzz-smoke
 
 # 10-second smoke of each fuzz target (wire decoders, program decoder halves,
-# VM backends); `go test -fuzz` accepts one target per invocation. For a
+# the register VM against its stack reference); `go test -fuzz` accepts one
+# target per invocation. For a
 # longer hunt, raise FUZZTIME.
 FUZZTIME ?= 10s
 fuzz-smoke:

@@ -44,24 +44,24 @@ func BenchmarkTable1AlgorithmCoverage(b *testing.B) {
 }
 
 // Table 2: per-operation cost of executing control-program expressions in
-// the datapath VM (the price of one Rate/Cwnd evaluation).
+// the datapath's register VM (the price of one Rate/Cwnd evaluation), over a
+// FrameLen-sized table as a flow's is.
 func BenchmarkTable2ControlPrimitives(b *testing.B) {
 	e := lang.Ite(lang.Lt(lang.V("pkt.rtt"), lang.C(0.05)),
 		lang.Mul(lang.C(1.25), lang.V("rate")),
 		lang.Mul(lang.C(0.75), lang.V("rate")))
-	code, err := lang.Compile(e, lang.StdResolver(nil))
+	code, err := lang.CompileReg(e, lang.StdResolver(nil), lang.VarTableSize(0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	vars := make([]float64, lang.VarTableSize(0))
+	vars := make([]float64, code.FrameLen)
 	vars[lang.PktFieldSlot(lang.FieldRTT)] = 0.02
 	vars[lang.FlowVarSlot(lang.FlowRate)] = 1e6
-	stack := make([]float64, 0, code.MaxStack)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink = code.Eval(vars, stack)
+		sink = code.Eval(vars)
 	}
 	_ = sink
 }
@@ -82,7 +82,7 @@ func BenchmarkFoldPerPacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vars := make([]float64, lang.VarTableSize(cf.NumRegs()))
+	vars := make([]float64, cf.FrameLen())
 	cf.InitRegs(vars)
 	vars[lang.PktFieldSlot(lang.FieldRTT)] = 0.012
 	vars[lang.FlowVarSlot(lang.FlowCwnd)] = 20

@@ -1,19 +1,18 @@
 // Command ccp-hotpath measures the datapath hot paths this repo
-// optimised — the wire codec, the simulator event queue, and per-ACK fold
-// execution — in their before and after forms, and emits the comparison as
-// JSON (BENCH_hotpath.json in the repo root is a committed run).
+// optimised — the wire codec and the simulator event queue — in their before
+// and after forms, and emits the comparison as JSON (BENCH_hotpath.json in
+// the repo root is a committed run). Per-ACK fold execution has one engine
+// and so no pair here: its cost is lang.fold_step_ns in ./benchmark and
+// BenchmarkFoldStep in internal/lang.
 //
 // "Before" lanes are executable history, not estimates. The package-level
 // proto.Marshal/proto.Unmarshal pair deliberately preserves the original
 // allocate-per-call behavior (fresh output buffer, throwaway decoder
-// scratch), refheap below is a faithful reduction of the event queue's
+// scratch), and refheap below is a faithful reduction of the event queue's
 // container/heap predecessor (one *event allocation per Schedule, interface
-// boxing on every push/pop), and the fold lanes run the stack bytecode
-// interpreter the datapath shipped with (still compiled in as
-// lang.BackendStack, the differential-fuzz reference). "After" lanes are
-// the paths production code now runs: AppendMarshal into a reused buffer
-// with a per-reader Decoder, netsim.Sim's index-based 4-ary heap over a
-// free-listed arena, and the register VM with superinstruction fusion.
+// boxing on every push/pop). "After" lanes are the paths production code now
+// runs: AppendMarshal into a reused buffer with a per-reader Decoder, and
+// netsim.Sim's index-based 4-ary heap over a free-listed arena.
 //
 // Usage:
 //
@@ -33,7 +32,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
@@ -103,8 +101,6 @@ func run(jsonOut string, benchtime time.Duration) error {
 		compare("codec round trip (7-field report)", benchCodecAlloc, benchCodecReuse),
 		compare("codec round trip (16-report batch)", benchBatchAlloc, benchBatchReuse),
 		compare("event schedule+dispatch (depth 256)", benchEventHeapAlloc, benchEventArena),
-		compare("fold step (Vegas, 2 updates)", foldLane(vegasFold(), lang.BackendStack), foldLane(vegasFold(), lang.BackendRegister)),
-		compare("fold step (wide, 7 updates)", foldLane(wideFold(), lang.BackendStack), foldLane(wideFold(), lang.BackendRegister)),
 	)
 
 	for _, p := range rep.Pairs {
@@ -297,78 +293,6 @@ func (s *refSim) step() bool {
 	s.now = e.at
 	e.fn()
 	return true
-}
-
-// --- fold-step lanes ---
-
-// vegasFold is the paper's §2.4 example: a min-RTT accumulator plus a
-// queue-occupancy trigger, the canonical small fold.
-func vegasFold() *lang.FoldSpec {
-	inQ := lang.Div(
-		lang.Mul(lang.Sub(lang.V("pkt.rtt"), lang.V("base_rtt")), lang.V("cwnd")),
-		lang.Max(lang.V("base_rtt"), lang.C(1e-9)))
-	return &lang.FoldSpec{
-		Regs: []lang.RegDef{
-			{Name: "base_rtt", Init: 1e9},
-			{Name: "delta", Init: 0},
-		},
-		Updates: []lang.Assign{
-			{Dst: "base_rtt", E: lang.Min(lang.V("base_rtt"), lang.V("pkt.rtt"))},
-			{Dst: "delta", E: lang.Ite(lang.Lt(inQ, lang.C(2)),
-				lang.Add(lang.V("delta"), lang.C(1)),
-				lang.Ite(lang.Gt(inQ, lang.C(4)), lang.Sub(lang.V("delta"), lang.C(1)), lang.V("delta")))},
-		},
-	}
-}
-
-// wideFold stresses a multi-update measurement program: EWMA smoothing,
-// min/max accumulation, shared subexpressions, and select-of-comparison.
-func wideFold() *lang.FoldSpec {
-	excess := lang.Sub(lang.V("pkt.rtt"), lang.V("base_rtt"))
-	return &lang.FoldSpec{
-		Regs: []lang.RegDef{
-			{Name: "base_rtt", Init: 1e9},
-			{Name: "s_rtt", Init: 0},
-			{Name: "max_rate", Init: 0},
-			{Name: "acked_tot", Init: 0},
-			{Name: "lost_tot", Init: 0},
-			{Name: "q_delay", Init: 0},
-			{Name: "cong", Init: 0},
-		},
-		Updates: []lang.Assign{
-			{Dst: "base_rtt", E: lang.Min(lang.V("base_rtt"), lang.V("pkt.rtt"))},
-			{Dst: "s_rtt", E: lang.Add(lang.Mul(lang.C(0.875), lang.V("s_rtt")), lang.Mul(lang.C(0.125), lang.V("pkt.rtt")))},
-			{Dst: "max_rate", E: lang.Max(lang.V("max_rate"), lang.V("pkt.rcv_rate"))},
-			{Dst: "acked_tot", E: lang.Add(lang.V("acked_tot"), lang.V("pkt.acked"))},
-			{Dst: "lost_tot", E: lang.Add(lang.V("lost_tot"), lang.V("pkt.lost"))},
-			{Dst: "q_delay", E: lang.Mul(excess, lang.V("pkt.rcv_rate"))},
-			{Dst: "cong", E: lang.Ite(lang.Gt(excess, lang.C(0.01)), lang.Add(lang.V("cong"), lang.C(1)), lang.V("cong"))},
-		},
-	}
-}
-
-// foldLane builds a benchmark lane running one fold's Step on the given
-// backend, with realistic packet fields and a FrameLen-sized table (the
-// datapath's own sizing, so the register lane measures the in-place path).
-func foldLane(spec *lang.FoldSpec, backend lang.Backend) func(*testing.B) {
-	return func(b *testing.B) {
-		cf, err := lang.CompileFoldBackend(spec, backend)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vars := make([]float64, cf.FrameLen())
-		cf.InitRegs(vars)
-		vars[lang.PktFieldSlot(lang.FieldRTT)] = 0.05
-		vars[lang.PktFieldSlot(lang.FieldAcked)] = 1448
-		vars[lang.PktFieldSlot(lang.FieldRcvRate)] = 1.2e7
-		vars[lang.FlowVarSlot(lang.FlowCwnd)] = 14480
-		vars[lang.FlowVarSlot(lang.FlowMSS)] = 1448
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cf.Step(vars)
-		}
-	}
 }
 
 const eventDepth = 256

@@ -96,45 +96,38 @@ func sameTraffic(t *testing.T, what string, a, b outcome) {
 	}
 }
 
-// bitIdentical runs progs four ways — register and stack VM, each warm and
-// cold — and requires: within a backend, warm and cold indistinguishable in
-// every observable (traffic, counters, variable table, program), with the
-// warm run having reused artifacts and the cold run having built every one;
-// across backends, the same traffic. The simulator is deterministic, so the
-// only possible sources of divergence are the expression engine and the
-// install path.
+// bitIdentical runs progs warm and cold and requires the two
+// indistinguishable in every observable (traffic, counters, variable table,
+// program), with the warm run having reused artifacts and the cold run having
+// built every one. The simulator is deterministic, so the only possible source
+// of divergence is the install path.
 func bitIdentical(t *testing.T, verify absint.Mode, progs [][]byte, wantHits bool) {
 	t.Helper()
-	var warmByBackend [2]outcome
-	for i, stackVM := range []bool{false, true} {
-		cfg := datapath.Config{StackVM: stackVM, Verify: verify}
-		warm := runInstalls(t, cfg, false, progs)
-		cold := runInstalls(t, cfg, true, progs)
-		what := fmt.Sprintf("stackVM=%v warm vs cold", stackVM)
-		sameTraffic(t, what, warm, cold)
-		if warm.stats.Deterministic() != cold.stats.Deterministic() {
-			t.Fatalf("%s: stats diverged:\n %+v\n %+v", what, warm.stats, cold.stats)
-		}
-		if len(warm.vars) != len(cold.vars) {
-			t.Fatalf("%s: variable tables of %d and %d slots", what, len(warm.vars), len(cold.vars))
-		}
-		for j := range warm.vars {
-			if math.Float64bits(warm.vars[j]) != math.Float64bits(cold.vars[j]) {
-				t.Fatalf("%s: vars[%d]: %v vs %v", what, j, warm.vars[j], cold.vars[j])
-			}
-		}
-		if warm.prog != cold.prog {
-			t.Fatalf("%s: program in force diverged:\n %s\n %s", what, warm.prog, cold.prog)
-		}
-		if cold.stats.InstallArtifactHits != 0 {
-			t.Fatalf("cold run reused %d artifacts", cold.stats.InstallArtifactHits)
-		}
-		if wantHits && warm.stats.InstallArtifactHits == 0 {
-			t.Fatalf("warm run never reused an artifact: %+v", warm.stats)
-		}
-		warmByBackend[i] = warm
+	cfg := datapath.Config{Verify: verify}
+	warm := runInstalls(t, cfg, false, progs)
+	cold := runInstalls(t, cfg, true, progs)
+	const what = "warm vs cold"
+	sameTraffic(t, what, warm, cold)
+	if warm.stats.Deterministic() != cold.stats.Deterministic() {
+		t.Fatalf("%s: stats diverged:\n %+v\n %+v", what, warm.stats, cold.stats)
 	}
-	sameTraffic(t, "register vs stack", warmByBackend[0], warmByBackend[1])
+	if len(warm.vars) != len(cold.vars) {
+		t.Fatalf("%s: variable tables of %d and %d slots", what, len(warm.vars), len(cold.vars))
+	}
+	for j := range warm.vars {
+		if math.Float64bits(warm.vars[j]) != math.Float64bits(cold.vars[j]) {
+			t.Fatalf("%s: vars[%d]: %v vs %v", what, j, warm.vars[j], cold.vars[j])
+		}
+	}
+	if warm.prog != cold.prog {
+		t.Fatalf("%s: program in force diverged:\n %s\n %s", what, warm.prog, cold.prog)
+	}
+	if cold.stats.InstallArtifactHits != 0 {
+		t.Fatalf("cold run reused %d artifacts", cold.stats.InstallArtifactHits)
+	}
+	if wantHits && warm.stats.InstallArtifactHits == 0 {
+		t.Fatalf("warm run never reused an artifact: %+v", warm.stats)
+	}
 }
 
 func marshal(t *testing.T, p *lang.Program) []byte {
@@ -146,8 +139,9 @@ func marshal(t *testing.T, p *lang.Program) []byte {
 	return data
 }
 
-// TestBackendsBitIdentical is the differential harness for the two VM
-// backends and for the two ways an Install can find its measure half.
+// TestBackendsBitIdentical is the differential harness for the two ways an
+// Install can find its measure half: built from the bytes, or known already.
+// (Its name dates from when it also ran every sequence on a second VM.)
 func TestBackendsBitIdentical(t *testing.T) {
 	t.Run("fold", func(t *testing.T) {
 		fold := &lang.FoldSpec{

@@ -83,12 +83,6 @@ type Config struct {
 	// Metrics optionally receives datapath counters (reports sent, batch
 	// sizes, fallback activations). Nil is valid.
 	Metrics *metrics.Registry
-	// StackVM runs folds and control-program expressions on the reference
-	// stack interpreter instead of the register VM. The two backends are
-	// bit-identical (pinned by the differential fuzz target in
-	// internal/lang); this is the escape hatch and the A-side of the
-	// hot-path benchmarks.
-	StackVM bool
 	// Verify selects the install-time program verification policy
 	// (internal/lang/absint): strict refuses programs with install-blocking
 	// findings (the previous program stays in force and the agent is told
@@ -180,13 +174,13 @@ type CCP struct {
 	conn *tcp.Conn
 
 	// art is the shared, immutable artifact of the program in force's measure
-	// half (install.go); fold is this flow's binding of its compiled code.
-	art       *artifact
-	prog      *lang.Program
-	fold      *lang.CompiledFold
-	ctrl      []ctrlCode // compiled expression per instruction (zero for Report)
-	vars      []float64
-	exprStack []float64
+	// half (install.go) and fold its compiled fold (nil outside fold mode);
+	// vars is all the VM state a flow has of its own.
+	art  *artifact
+	prog *lang.Program
+	fold *lang.CompiledFold
+	ctrl []*lang.RegCode // compiled expression per instruction (nil for Report)
+	vars []float64
 
 	vec       []float64
 	vecFields []lang.Field
@@ -634,25 +628,25 @@ func (d *CCP) resume() {
 		switch in.(type) {
 		case lang.SetRate:
 			d.refreshFlowVars()
-			rate := d.eval(code)
+			rate := code.Eval(d.vars)
 			if !d.fallbackActive && d.conn != nil {
 				d.conn.SetPacingRate(clampRate(rate))
 				d.refreshFlowVars()
 			}
 		case lang.SetCwnd:
 			d.refreshFlowVars()
-			cwnd := d.eval(code)
+			cwnd := code.Eval(d.vars)
 			if !d.fallbackActive {
 				d.applyCwnd(clampCwnd(cwnd))
 				d.refreshFlowVars()
 			}
 		case lang.Wait:
-			secs := d.eval(code)
+			secs := code.Eval(d.vars)
 			d.waitedPass = true
 			d.scheduleWait(secsToDur(secs))
 			return
 		case lang.WaitRtts:
-			rtts := d.eval(code)
+			rtts := code.Eval(d.vars)
 			d.waitedPass = true
 			d.scheduleWait(d.rttDur(rtts))
 			return

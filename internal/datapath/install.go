@@ -27,8 +27,7 @@ import (
 // A miss is the same path with a build in it, so a program gets the same
 // verdict, the same InstallErr text, the same warning count and the same
 // state afterwards whether its measure half was known or not. The table
-// memoizes a pure function of (measure-half bytes, verified or not) — both
-// engines are compiled, so the backend is not part of the key; unlike
+// memoizes a pure function of (measure-half bytes, verified or not); unlike
 // SetDefaultVerify it cannot change behaviour, only cost.
 
 // artifact is everything the datapath derives from a measure half. Nothing
@@ -44,8 +43,8 @@ type artifact struct {
 	regNames []string
 	resolve  lang.Resolver
 	nvars    int
-	fold     *lang.FoldCode    // fold mode only
-	inv      *absint.Invariant // verified only
+	fold     *lang.CompiledFold // fold mode only
+	inv      *absint.Invariant  // verified only
 }
 
 func buildArtifact(prefix []byte, verified bool) (*artifact, error) {
@@ -63,7 +62,7 @@ func buildArtifact(prefix []byte, verified bool) (*artifact, error) {
 		a.inv = absint.AnalyzeMeasure(m, absint.Datapath())
 	}
 	if m.Mode == lang.MeasureFold {
-		if a.fold, err = lang.CompileFoldCode(m.Fold); err != nil {
+		if a.fold, err = lang.CompileFold(m.Fold); err != nil {
 			return nil, err
 		}
 	}
@@ -145,28 +144,12 @@ func (t *artifactTable) put(a *artifact) *artifact {
 	}
 }
 
-// ctrlCode is one control-program expression compiled for both backends;
-// eval dispatches on Config.StackVM. Report instructions leave it zero.
-type ctrlCode struct {
-	stack *lang.Code
-	reg   *lang.RegCode
-}
-
-// eval runs a control-program expression on the configured backend.
-func (d *CCP) eval(code ctrlCode) float64 {
-	if d.cfg.StackVM {
-		return code.stack.Eval(d.vars, d.exprStack)
-	}
-	return code.reg.Eval(d.vars)
-}
-
 // installable is a program verified and compiled, ready to activate, plus
 // what preparing it adds to Stats (meaningful even when prepare fails).
 type installable struct {
 	art      *artifact
 	prog     *lang.Program
-	ctrl     []ctrlCode // compiled expression per instruction (zero for Report)
-	maxStack int
+	ctrl     []*lang.RegCode // compiled expression per instruction (nil for Report)
 	frameLen int
 
 	hit, miss bool // how the artifact was found, once it was
@@ -230,9 +213,9 @@ func prepare(cur *artifact, prog []byte, mode absint.Mode) (in installable, err 
 		}
 	}
 
-	in.ctrl = make([]ctrlCode, len(instrs))
+	in.ctrl = make([]*lang.RegCode, len(instrs))
 	in.frameLen = art.nvars
-	if art.fold != nil && art.fold.FrameLen() > in.frameLen {
+	if art.fold != nil {
 		in.frameLen = art.fold.FrameLen()
 	}
 	for i, instr := range instrs {
@@ -240,21 +223,12 @@ func prepare(cur *artifact, prog []byte, mode absint.Mode) (in installable, err 
 		if e == nil {
 			continue // Report
 		}
-		code, err := lang.Compile(e, art.resolve)
+		code, err := lang.CompileReg(e, art.resolve, art.nvars)
 		if err != nil {
 			return in, err
 		}
-		reg, err := lang.CompileReg(e, art.resolve, art.nvars)
-		if err != nil {
-			return in, err
-		}
-		if code.MaxStack > in.maxStack {
-			in.maxStack = code.MaxStack
-		}
-		if reg.FrameLen > in.frameLen {
-			in.frameLen = reg.FrameLen
-		}
-		in.ctrl[i] = ctrlCode{stack: code, reg: reg}
+		in.frameLen = max(in.frameLen, code.FrameLen)
+		in.ctrl[i] = code
 	}
 	in.prog = &lang.Program{Measure: art.measure, Instrs: instrs, UrgentECN: urgentECN}
 	return in, nil
@@ -285,12 +259,6 @@ func defaultInstall(mode absint.Mode) installable {
 			// The default program is statically valid; a failure here is a bug.
 			panic("datapath: built-in default program rejected")
 		}
-		// Every flow evaluates these from its own goroutine.
-		for i, c := range e.in.ctrl {
-			if c.reg != nil {
-				e.in.ctrl[i].reg = c.reg.Shared()
-			}
-		}
 	})
 	return e.in
 }
@@ -316,27 +284,15 @@ func (d *CCP) install(prog []byte) error {
 
 // activate puts a prepared program in force. No errors possible here.
 func (d *CCP) activate(in installable) {
-	if d.art != in.art {
-		d.art = in.art
-		d.fold = nil
-		if in.art.fold != nil {
-			backend := lang.BackendRegister
-			if d.cfg.StackVM {
-				backend = lang.BackendStack
-			}
-			d.fold = in.art.fold.Bind(backend)
-		}
-	}
+	d.art = in.art
+	d.fold = in.art.fold
 	d.prog = in.prog
 	d.ctrl = in.ctrl
-	if cap(d.exprStack) < in.maxStack {
-		d.exprStack = make([]float64, 0, in.maxStack)
-	}
 	// Size the table to the largest register-VM frame so every fold Step and
-	// control eval takes the zero-copy in-place path. The slots past the
-	// variable table are VM scratch: each program writes its temps before
-	// reading them (verified at compile time), so the codes can share them.
-	// Every install starts from an all-zero table.
+	// control eval runs in place. The slots past the variable table are VM
+	// scratch: each program writes its temps before reading them (verified at
+	// compile time), so the codes can share them. Every install starts from an
+	// all-zero table.
 	if len(d.vars) == in.frameLen {
 		clear(d.vars)
 	} else {

@@ -333,60 +333,3 @@ func TestParseMode(t *testing.T) {
 		t.Error("ParseMode(bogus): want error")
 	}
 }
-
-// TestEvalTraceMatchesEval pins the trace evaluator bit-for-bit against
-// lang.Eval over adversarial values, and checks that only the selected
-// If branch contributes trace events.
-func TestEvalTraceMatchesEval(t *testing.T) {
-	exprs := []lang.Expr{
-		lang.Div(lang.V("a"), lang.V("b")),
-		lang.Add(lang.Mul(lang.V("a"), lang.V("b")), lang.Sub(lang.V("c"), lang.V("a"))),
-		lang.Max(lang.V("a"), lang.Min(lang.V("b"), lang.V("c"))),
-		lang.Ite(lang.Gt(lang.V("a"), lang.C(0)), lang.Div(lang.C(1), lang.V("a")), lang.C(0)),
-		lang.Ite(lang.V("a"), lang.V("b"), lang.Div(lang.V("c"), lang.V("b"))),
-		lang.And(lang.Le(lang.V("a"), lang.V("b")), lang.Or(lang.V("c"), lang.C(1))),
-		lang.Div(lang.C(1), lang.Max(lang.V("a"), lang.C(1e-9))),
-	}
-	specials := []float64{0, math.Copysign(0, -1), 1, -1, math.NaN(), math.Inf(1), math.Inf(-1),
-		math.MaxFloat64, 5e-324, -2.5, 1e300}
-	vals := map[string]float64{}
-	env := func(name string) (float64, bool) { v, ok := vals[name]; return v, ok }
-	rng := uint64(0x9e3779b97f4a7c15)
-	next := func() float64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return specials[rng%uint64(len(specials))]
-	}
-	for trial := 0; trial < 500; trial++ {
-		vals["a"], vals["b"], vals["c"] = next(), next(), next()
-		for _, e := range exprs {
-			want, err1 := lang.Eval(e, env)
-			got, _, err2 := absint.EvalTrace(e, env)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("error divergence on %s: %v vs %v", e, err1, err2)
-			}
-			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("value divergence on %s with a=%v b=%v c=%v: Eval=%v EvalTrace=%v",
-					e, vals["a"], vals["b"], vals["c"], want, got)
-			}
-		}
-	}
-
-	// Branch selection: an unselected division by zero leaves no trace.
-	env0 := func(string) (float64, bool) { return 0, true }
-	_, tr, err := absint.EvalTrace(lang.Ite(lang.C(0), lang.Div(lang.C(1), lang.C(0)), lang.C(5)), env0)
-	if err != nil || tr.DivZero != 0 {
-		t.Errorf("unselected branch leaked trace events: %+v, %v", tr, err)
-	}
-	_, tr, err = absint.EvalTrace(lang.Ite(lang.C(1), lang.Div(lang.C(1), lang.C(0)), lang.C(5)), env0)
-	if err != nil || tr.DivZero != 1 {
-		t.Errorf("selected branch div-zero not traced: %+v, %v", tr, err)
-	}
-	// A NaN condition is truthy: the then branch is the selected one.
-	envNaN := func(string) (float64, bool) { return math.NaN(), true }
-	_, tr, err = absint.EvalTrace(lang.Ite(lang.V("x"), lang.Div(lang.C(1), lang.C(0)), lang.C(5)), envNaN)
-	if err != nil || tr.DivZero != 1 {
-		t.Errorf("NaN condition must select then branch: %+v, %v", tr, err)
-	}
-}

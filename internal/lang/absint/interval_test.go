@@ -99,3 +99,45 @@ func TestCompareWithNaN(t *testing.T) {
 		t.Errorf("maybe-NaN in [0,1] < -1 = %d, want false (NaN also false)", c)
 	}
 }
+
+// TestTransferContainsEveryOperator is the abstract leg of lang's operator
+// table test (TestEveryOperatorEverywhere): for every BinKind, the transfer
+// function's result contains the concrete one at every pair of sample points
+// — the special values included — both from point operands and from operands
+// joined with a neighbouring sample. On ordinary operands it must also be
+// exact, so an operator that only reaches the catch-all Top fails by name.
+func TestTransferContainsEveryOperator(t *testing.T) {
+	samples := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		5e-324, math.MaxFloat64, -math.MaxFloat64, 1, 3, -2.5,
+	}
+	concrete := func(op lang.BinKind, l, r float64) float64 {
+		v, err := lang.Eval(&lang.Bin{Op: op, L: lang.C(l), R: lang.C(r)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for op := lang.BinKind(0); op < lang.NumBinKinds; op++ {
+		op := op
+		t.Run(op.String(), func(t *testing.T) {
+			for i, l := range samples {
+				for j, r := range samples {
+					want := concrete(op, l, r)
+					point := binTransfer(op, ConstVal(l), ConstVal(r))
+					if point.NaN || !point.I.Contains(want) {
+						t.Errorf("%v %s %v = %v, transfer of the points gives %v", l, op, r, want, point)
+					}
+					wideL := ConstVal(l).Join(ConstVal(samples[(i+1)%len(samples)]))
+					wideR := ConstVal(r).Join(ConstVal(samples[(j+1)%len(samples)]))
+					if wide := binTransfer(op, wideL, wideR); wide.NaN || !wide.I.Contains(want) {
+						t.Errorf("%v %s %v = %v, transfer of %v and %v gives %v", l, op, r, want, wideL, wideR, wide)
+					}
+				}
+			}
+			if got, want := binTransfer(op, ConstVal(3), ConstVal(-2.5)), concrete(op, 3, -2.5); got.I != Point(want) {
+				t.Errorf("3 %s -2.5 = %v, transfer gives %v, want exactly that", op, want, got)
+			}
+		})
+	}
+}

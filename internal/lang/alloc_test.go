@@ -8,50 +8,35 @@ import (
 
 // TestAllocsFoldStep pins the per-ACK fold execution at zero allocations:
 // Step runs once per ACK on the datapath hot path, so a single allocation
-// here multiplies by the packet rate.
+// here multiplies by the packet rate. The table is FrameLen-sized, as every
+// flow's is (datapath.activate).
 func TestAllocsFoldStep(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	for _, bk := range []struct {
-		name    string
-		backend Backend
-	}{{"register", BackendRegister}, {"stack", BackendStack}} {
-		t.Run(bk.name, func(t *testing.T) {
-			cf, err := CompileFoldBackend(vegasFold(), bk.backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// FrameLen-sized table: the register backend's zero-copy path.
-			vars := make([]float64, cf.FrameLen())
-			cf.InitRegs(vars)
-			vars[PktFieldSlot(FieldRTT)] = 0.1
-			vars[FlowVarSlot(FlowCwnd)] = 14480
-			vars[FlowVarSlot(FlowMSS)] = 1448
-			if allocs := testing.AllocsPerRun(1000, func() { cf.Step(vars) }); allocs != 0 {
-				t.Fatalf("CompiledFold.Step allocated %.1f times per op, want 0", allocs)
-			}
+	cf, err := CompileFold(vegasFold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := make([]float64, cf.FrameLen())
+	cf.InitRegs(vars)
+	vars[PktFieldSlot(FieldRTT)] = 0.1
+	vars[FlowVarSlot(FlowCwnd)] = 14480
+	vars[FlowVarSlot(FlowMSS)] = 1448
+	if allocs := testing.AllocsPerRun(1000, func() { cf.Step(vars) }); allocs != 0 {
+		t.Fatalf("CompiledFold.Step allocated %.1f times per op, want 0", allocs)
+	}
 
-			// The staging path for minimum-size tables must stay free too.
-			short := make([]float64, VarTableSize(cf.NumRegs()))
-			cf.InitRegs(short)
-			if allocs := testing.AllocsPerRun(1000, func() { cf.Step(short) }); allocs != 0 {
-				t.Fatalf("CompiledFold.Step (staged) allocated %.1f times per op, want 0", allocs)
-			}
-
-			// Reading the registers back into a reused destination is also on
-			// the report path and must stay free.
-			dst := make([]float64, 0, cf.NumRegs())
-			if allocs := testing.AllocsPerRun(1000, func() { dst = cf.ReadRegs(vars, dst[:0]) }); allocs != 0 {
-				t.Fatalf("CompiledFold.ReadRegs allocated %.1f times per op, want 0", allocs)
-			}
-		})
+	// Reading the registers back into a reused destination is also on
+	// the report path and must stay free.
+	dst := make([]float64, 0, cf.NumRegs())
+	if allocs := testing.AllocsPerRun(1000, func() { dst = cf.ReadRegs(vars, dst[:0]) }); allocs != 0 {
+		t.Fatalf("CompiledFold.ReadRegs allocated %.1f times per op, want 0", allocs)
 	}
 }
 
 // TestAllocsRegExprEval pins control-expression evaluation on the register
-// VM at zero allocations, on both the in-place and the defensive
-// short-table paths (the scratch frame is preallocated at compile time).
+// VM at zero allocations over a FrameLen-sized table.
 func TestAllocsRegExprEval(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -65,10 +50,6 @@ func TestAllocsRegExprEval(t *testing.T) {
 	full[FlowVarSlot(FlowCwnd)] = 14480
 	if allocs := testing.AllocsPerRun(1000, func() { code.Eval(full) }); allocs != 0 {
 		t.Fatalf("RegCode.Eval allocated %.1f times per op, want 0", allocs)
-	}
-	short := make([]float64, int(NumPktFields))
-	if allocs := testing.AllocsPerRun(1000, func() { code.Eval(short) }); allocs != 0 {
-		t.Fatalf("RegCode.Eval (short table) allocated %.1f times per op, want 0", allocs)
 	}
 }
 

@@ -55,7 +55,9 @@ const (
 	OpNe
 	OpAnd
 	OpOr
-	numBinKinds
+	// NumBinKinds is the number of binary operators: the bound of every
+	// per-operator table and of every walk over the operators.
+	NumBinKinds
 )
 
 var binNames = [...]string{"+", "-", "*", "/", "min", "max", "<", "<=", ">", ">=", "==", "!=", "and", "or"}
@@ -152,12 +154,44 @@ func Or(l, r Expr) Expr { return &Bin{OpOr, l, r} }
 func Ite(cond, then, els Expr) Expr { return &If{cond, then, els} }
 
 // Env resolves variable values during tree-walking evaluation (used in tests
-// and by the agent; the datapath uses the compiled bytecode instead).
+// and by the agent; the datapath runs compiled register code instead).
 type Env func(name string) (float64, bool)
 
-// Eval evaluates e under env. Unknown variables are an error; arithmetic is
-// total (x/0 == 0, NaNs are squashed to 0).
+// Events counts the defensive substitutions that make the language total.
+// They are part of an operator's definition, so applyBin reports them where
+// it makes them and everything that needs them (the verifier's soundness
+// lane, the operator table test) reads them from there.
+type Events struct {
+	DivZero int // x/0 evaluated to 0
+	Squash  int // a NaN or ±Inf result replaced by 0
+}
+
+func (ev *Events) add(o Events) {
+	if ev != nil {
+		ev.DivZero += o.DivZero
+		ev.Squash += o.Squash
+	}
+}
+
+// Eval evaluates e under env: the reference meaning of an expression, which
+// the register VM is tested against. Unknown variables are an error;
+// arithmetic is total (x/0 == 0, NaNs are squashed to 0).
 func Eval(e Expr, env Env) (float64, error) {
+	return eval(e, env, nil)
+}
+
+// EvalEvents is Eval that also returns the substitutions made on the path
+// that produced the value. Both branches of an If are evaluated, as
+// everywhere, but only the condition and the selected branch can influence
+// the result, so only their events count: the verifier proves properties of
+// values, not of work that is discarded.
+func EvalEvents(e Expr, env Env) (float64, Events, error) {
+	var ev Events
+	v, err := eval(e, env, &ev)
+	return v, ev, err
+}
+
+func eval(e Expr, env Env, ev *Events) (float64, error) {
 	switch n := e.(type) {
 	case Const:
 		return float64(n), nil
@@ -168,38 +202,46 @@ func Eval(e Expr, env Env) (float64, error) {
 		}
 		return v, nil
 	case *Bin:
-		l, err := Eval(n.L, env)
+		l, err := eval(n.L, env, ev)
 		if err != nil {
 			return 0, err
 		}
-		r, err := Eval(n.R, env)
+		r, err := eval(n.R, env, ev)
 		if err != nil {
 			return 0, err
 		}
-		return applyBin(n.Op, l, r), nil
+		return applyBin(n.Op, l, r, ev), nil
 	case *If:
-		c, err := Eval(n.Cond, env)
+		c, err := eval(n.Cond, env, ev)
 		if err != nil {
 			return 0, err
 		}
-		t, err := Eval(n.Then, env)
+		var thenEv, elseEv Events
+		t, err := eval(n.Then, env, &thenEv)
 		if err != nil {
 			return 0, err
 		}
-		f, err := Eval(n.Else, env)
+		f, err := eval(n.Else, env, &elseEv)
 		if err != nil {
 			return 0, err
 		}
-		if c != 0 {
+		if c != 0 { // NaN != 0, so a NaN condition selects Then
+			ev.add(thenEv)
 			return t, nil
 		}
+		ev.add(elseEv)
 		return f, nil
 	default:
 		return 0, fmt.Errorf("lang: unknown expression node %T", e)
 	}
 }
 
-func applyBin(op BinKind, l, r float64) float64 {
+// applyBin is the definition of every binary operator: the one place a
+// BinKind is given a concrete value. The tree-walker and the stack reference
+// call it per node, the register compiler calls it to fold constants, and the
+// register VM's opcodes are tested against it operator by operator
+// (TestEveryOperatorEverywhere). ev, when not nil, counts the substitutions.
+func applyBin(op BinKind, l, r float64, ev *Events) float64 {
 	var v float64
 	switch op {
 	case OpAdd:
@@ -210,6 +252,9 @@ func applyBin(op BinKind, l, r float64) float64 {
 		v = l * r
 	case OpDiv:
 		if r == 0 {
+			if ev != nil {
+				ev.DivZero++
+			}
 			return 0
 		}
 		v = l / r
@@ -235,6 +280,9 @@ func applyBin(op BinKind, l, r float64) float64 {
 		v = b2f(l != 0 || r != 0)
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if ev != nil {
+			ev.Squash++
+		}
 		return 0
 	}
 	return v

@@ -101,6 +101,41 @@ func TestVarsCollection(t *testing.T) {
 	}
 }
 
+// TestEvalEventsCountTheSelectedPath: both branches of an If are evaluated,
+// but only the condition's and the selected branch's substitutions are
+// reported — the soundness lane holds the verifier to exactly those.
+func TestEvalEventsCountTheSelectedPath(t *testing.T) {
+	divZero := Div(C(1), C(0))
+	zero := func(string) (float64, bool) { return 0, true }
+	nan := func(string) (float64, bool) { return math.NaN(), true }
+	for _, tc := range []struct {
+		name string
+		e    Expr
+		env  Env
+		want Events
+		val  float64
+	}{
+		{"untaken branch x/0 not counted", Ite(C(0), divZero, C(5)), zero, Events{}, 5},
+		{"taken branch x/0 counted", Ite(C(1), divZero, C(5)), zero, Events{DivZero: 1}, 0},
+		{"NaN condition selects then", Ite(V("x"), divZero, C(5)), nan, Events{DivZero: 1}, 0},
+		{"condition always counts", Ite(Div(C(1), V("x")), C(2), C(3)), zero, Events{DivZero: 1}, 3},
+		{"squash counted", Add(Mul(C(math.MaxFloat64), C(2)), C(1)), zero, Events{Squash: 1}, 1},
+		{"nested untaken events dropped", Ite(C(1), Ite(C(0), divZero, Mul(C(math.MaxFloat64), C(2))), divZero), zero, Events{Squash: 1}, 0},
+	} {
+		v, ev, err := EvalEvents(tc.e, tc.env)
+		if err != nil || ev != tc.want || v != tc.val {
+			t.Errorf("%s: EvalEvents(%s) = %v, %+v, %v; want %v, %+v", tc.name, tc.e, v, ev, err, tc.val, tc.want)
+		}
+		if plain, _ := Eval(tc.e, tc.env); math.Float64bits(plain) != math.Float64bits(v) {
+			t.Errorf("%s: Eval = %v, EvalEvents = %v", tc.name, plain, v)
+		}
+	}
+	// An unknown variable is an error even in the branch not taken.
+	if _, _, err := EvalEvents(Ite(C(1), C(2), V("nope")), func(string) (float64, bool) { return 0, false }); err == nil {
+		t.Error("unknown variable in the untaken branch was not reported")
+	}
+}
+
 func TestExprString(t *testing.T) {
 	e := Add(Mul(C(1.25), V("rate")), C(0))
 	if s := e.String(); s != "(+ (* 1.25 rate) 0)" {
@@ -122,7 +157,7 @@ func randomExpr(rng *rand.Rand, depth int) Expr {
 	if rng.Intn(6) == 0 {
 		return &If{randomExpr(rng, depth-1), randomExpr(rng, depth-1), randomExpr(rng, depth-1)}
 	}
-	return &Bin{BinKind(rng.Intn(int(numBinKinds))), randomExpr(rng, depth-1), randomExpr(rng, depth-1)}
+	return &Bin{BinKind(rng.Intn(int(NumBinKinds))), randomExpr(rng, depth-1), randomExpr(rng, depth-1)}
 }
 
 func TestCompiledMatchesInterpreter(t *testing.T) {
@@ -211,7 +246,7 @@ func TestQuickCompiledConstsRoundtrip(t *testing.T) {
 			return false
 		}
 		got := code.Eval(nil, nil)
-		want := applyBin(OpAdd, a, b)
+		want := applyBin(OpAdd, a, b, nil)
 		return got == want
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -30,8 +30,8 @@ func wideFold() *FoldSpec {
 	}
 }
 
-func benchFoldStep(b *testing.B, spec *FoldSpec, backend Backend) {
-	cf, err := CompileFoldBackend(spec, backend)
+func benchFoldStep(b *testing.B, spec *FoldSpec) {
+	cf, err := CompileFold(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,12 +49,10 @@ func benchFoldStep(b *testing.B, spec *FoldSpec, backend Backend) {
 	}
 }
 
-// BenchmarkFoldStep is the per-ACK cost pinned in bench/baseline.txt: the
-// register VM (the shipping default) against the stack reference, on the
-// single-update Vegas fold and the wide multi-update fold.
+// BenchmarkFoldStep is the per-ACK cost pinned in bench/baseline.txt, on the
+// single-update Vegas fold and the wide multi-update fold. (The lane names
+// keep their /register suffix so the baseline's history stays comparable.)
 func BenchmarkFoldStep(b *testing.B) {
-	b.Run("vegas/register", func(b *testing.B) { benchFoldStep(b, vegasFold(), BackendRegister) })
-	b.Run("vegas/stack", func(b *testing.B) { benchFoldStep(b, vegasFold(), BackendStack) })
-	b.Run("wide/register", func(b *testing.B) { benchFoldStep(b, wideFold(), BackendRegister) })
-	b.Run("wide/stack", func(b *testing.B) { benchFoldStep(b, wideFold(), BackendStack) })
+	b.Run("vegas/register", func(b *testing.B) { benchFoldStep(b, vegasFold()) })
+	b.Run("wide/register", func(b *testing.B) { benchFoldStep(b, wideFold()) })
 }

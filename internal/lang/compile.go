@@ -1,11 +1,17 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// The datapath executes expressions as compiled stack bytecode rather than
-// walking the AST: per-ACK work must be cheap and allocation-free (§2.3,
-// §2.4), and constrained datapaths (the paper's SmartNIC/FPGA targets) would
-// realistically consume exactly this kind of flat instruction stream.
+// The stack VM is the differential reference for the register VM, not an
+// engine: nothing the datapath runs is compiled here. It is kept because it
+// shares no code with regcompile.go/regvm.go beyond applyBin — a naive
+// post-order lowering and a loop that checks everything at run time — so
+// FuzzStackVsRegister comparing the two catches a register-compiler or
+// register-VM bug that a self-consistent optimizer would hide. (The last
+// non-test caller is the benchmark's compile-cost replay; see DESIGN.md §12.)
 
 // OpCode is a bytecode operation.
 type OpCode uint8
@@ -26,83 +32,20 @@ type Inst struct {
 }
 
 // Code is a compiled expression: a flat instruction stream plus a constant
-// pool. Eval is allocation-free given a scratch stack of MaxStack slots.
+// pool.
 type Code struct {
 	Insts    []Inst
 	Consts   []float64
 	MaxStack int
-	// maxVarPlus1 is one past the highest variable slot the program reads;
-	// Eval hoists its per-instruction table bounds check to a single
-	// comparison against it.
-	maxVarPlus1 int
-	// verified records that verifyStack proved the stream well-formed
-	// (operand depths sufficient, const indexes in pool, final depth one),
-	// unlocking the checkless fast loop. Hand-assembled Code values leave
-	// it false and always take the defensive interpreter.
-	verified bool
 }
 
-// Resolver maps variable names to slots in the datapath's variable table.
-type Resolver func(name string) (slot int, ok bool)
-
-// Compile lowers e to bytecode, resolving variable names to slots, and
-// verifies the result: the stream must leave exactly one value and every
-// opBin/opSelect must have its operands, so Eval's defensive underflow
-// paths are unreachable-by-construction for compiled programs.
+// Compile lowers e to stack bytecode, resolving variable names to slots.
 func Compile(e Expr, resolve Resolver) (*Code, error) {
 	c := &Code{}
-	depth, err := c.emit(e, resolve, 0)
-	if err != nil {
+	if _, err := c.emit(e, resolve, 0); err != nil {
 		return nil, err
 	}
-	if depth != 1 {
-		return nil, fmt.Errorf("lang: compiled expression leaves %d values on the stack, want 1", depth)
-	}
-	if err := c.verifyStack(); err != nil {
-		return nil, err
-	}
-	c.verified = true
 	return c, nil
-}
-
-// verifyStack replays the instruction stream symbolically: every operand
-// pop is backed by a prior push, every const index is inside the pool,
-// every opBin carries a valid operator, and exactly one value remains.
-func (c *Code) verifyStack() error {
-	depth := 0
-	for i, in := range c.Insts {
-		switch in.Op {
-		case opConst:
-			if int(in.Arg) >= len(c.Consts) {
-				return fmt.Errorf("lang: inst %d: const index %d outside pool of %d", i, in.Arg, len(c.Consts))
-			}
-			depth++
-		case opVar:
-			depth++
-		case opBin:
-			if BinKind(in.Arg) >= numBinKinds {
-				return fmt.Errorf("lang: inst %d: invalid binary op %d", i, in.Arg)
-			}
-			if depth < 2 {
-				return fmt.Errorf("lang: inst %d: binary op over %d operands", i, depth)
-			}
-			depth--
-		case opSelect:
-			if depth < 3 {
-				return fmt.Errorf("lang: inst %d: select over %d operands", i, depth)
-			}
-			depth -= 2
-		default:
-			return fmt.Errorf("lang: inst %d: unknown opcode %d", i, in.Op)
-		}
-		if depth > c.MaxStack {
-			return fmt.Errorf("lang: inst %d: stack depth %d exceeds MaxStack %d", i, depth, c.MaxStack)
-		}
-	}
-	if depth != 1 {
-		return fmt.Errorf("lang: instruction stream leaves %d values, want 1", depth)
-	}
-	return nil
 }
 
 // emit compiles e and returns the stack depth after its value is pushed,
@@ -121,13 +64,10 @@ func (c *Code) emit(e Expr, resolve Resolver, cur int) (int, error) {
 		if slot < 0 || slot > 0xFFFF {
 			return 0, fmt.Errorf("lang: variable slot %d out of range", slot)
 		}
-		if slot+1 > c.maxVarPlus1 {
-			c.maxVarPlus1 = slot + 1
-		}
 		c.Insts = append(c.Insts, Inst{opVar, uint16(slot)})
 		return c.bump(cur + 1), nil
 	case *Bin:
-		if n.Op >= numBinKinds {
+		if n.Op >= NumBinKinds {
 			return 0, fmt.Errorf("lang: invalid binary op %d", n.Op)
 		}
 		d, err := c.emit(n.L, resolve, cur)
@@ -168,8 +108,10 @@ func (c *Code) bump(d int) int {
 }
 
 func (c *Code) constIndex(v float64) uint16 {
+	// By bits, as regcompile.go does: 0 and -0 compare equal and are not the
+	// same constant (min, max and the sign of a product tell them apart).
 	for i, existing := range c.Consts {
-		if existing == v {
+		if math.Float64bits(existing) == math.Float64bits(v) {
 			return uint16(i)
 		}
 	}
@@ -178,19 +120,12 @@ func (c *Code) constIndex(v float64) uint16 {
 }
 
 // Eval executes the bytecode against the variable table. stack must have at
-// least MaxStack capacity; pass nil to allocate one. Out-of-range variable
-// slots read as 0 (the datapath must be total, never trap).
-//
-// Compiled programs whose variable reads all land inside vars take a fast
-// loop with the per-instruction checks hoisted out: verifyStack proved the
-// const indexes and operand depths at compile time, and a single
-// len(vars) comparison covers every variable read.
+// least MaxStack capacity; pass nil to allocate one. Every access is checked:
+// out-of-range variable slots and const indexes read as 0 and an operand
+// underflow returns 0, so a hand-assembled Code cannot trap either.
 func (c *Code) Eval(vars []float64, stack []float64) float64 {
 	if cap(stack) < c.MaxStack {
 		stack = make([]float64, 0, c.MaxStack)
-	}
-	if c.verified && len(vars) >= c.maxVarPlus1 {
-		return c.evalFast(vars, stack[:0])
 	}
 	s := stack[:0]
 	for _, in := range c.Insts {
@@ -212,7 +147,7 @@ func (c *Code) Eval(vars []float64, stack []float64) float64 {
 			if n < 2 {
 				return 0
 			}
-			s[n-2] = applyBin(BinKind(in.Arg), s[n-2], s[n-1])
+			s[n-2] = applyBin(BinKind(in.Arg), s[n-2], s[n-1], nil)
 			s = s[:n-1]
 		case opSelect:
 			n := len(s)
@@ -230,33 +165,6 @@ func (c *Code) Eval(vars []float64, stack []float64) float64 {
 	}
 	if len(s) == 0 {
 		return 0
-	}
-	return s[len(s)-1]
-}
-
-// evalFast is the checked loop minus the checks verifyStack made
-// redundant. Only reachable from Eval for verified programs with a large
-// enough variable table.
-func (c *Code) evalFast(vars []float64, s []float64) float64 {
-	for _, in := range c.Insts {
-		switch in.Op {
-		case opConst:
-			s = append(s, c.Consts[in.Arg])
-		case opVar:
-			s = append(s, vars[in.Arg])
-		case opBin:
-			n := len(s)
-			s[n-2] = applyBin(BinKind(in.Arg), s[n-2], s[n-1])
-			s = s[:n-1]
-		case opSelect:
-			n := len(s)
-			if s[n-3] != 0 {
-				s[n-3] = s[n-2]
-			} else {
-				s[n-3] = s[n-1]
-			}
-			s = s[:n-2]
-		}
 	}
 	return s[len(s)-1]
 }

@@ -43,7 +43,7 @@ func ExampleParseFold() {
 		fmt.Println("compile error:", err)
 		return
 	}
-	vars := make([]float64, lang.VarTableSize(cf.NumRegs()))
+	vars := make([]float64, cf.FrameLen())
 	cf.InitRegs(vars)
 	vars[lang.FlowVarSlot(lang.FlowCwnd)] = 10 * 1448
 	vars[lang.FlowVarSlot(lang.FlowMSS)] = 1448

@@ -97,6 +97,9 @@ func RegSlot(i int) int { return int(NumPktFields) + int(NumFlowVars) + i }
 // VarTableSize returns the table size for a program with nregs registers.
 func VarTableSize(nregs int) int { return RegSlot(nregs) }
 
+// Resolver maps variable names to slots in the datapath's variable table.
+type Resolver func(name string) (slot int, ok bool)
+
 // StdResolver resolves packet fields, flow variables, and the given fold
 // register names to the standard layout. Register names shadow nothing:
 // reserved names are rejected at fold validation time.

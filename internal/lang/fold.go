@@ -71,138 +71,54 @@ func (f *FoldSpec) regNames() []string {
 // RegNames returns the register names in declaration (report) order.
 func (f *FoldSpec) RegNames() []string { return f.regNames() }
 
-// Backend selects the execution engine for compiled folds and expressions.
-// The register VM is the default per-ACK engine; the stack interpreter is
-// kept as the reference implementation the differential fuzz target
-// compares against (and as an escape hatch).
-type Backend uint8
-
-const (
-	// BackendRegister runs the three-address register VM (regvm.go).
-	BackendRegister Backend = iota
-	// BackendStack runs the reference stack interpreter (compile.go).
-	BackendStack
-)
-
-// FoldCode is a FoldSpec compiled for both engines and nothing else: no
-// backend choice, no scratch. Nothing writes to it after CompileFoldCode
-// returns, so any number of CompiledFolds, on any goroutines, may Bind to one
-// FoldCode and Step at the same time.
-type FoldCode struct {
-	Spec     *FoldSpec
-	reg      *RegCode // whole fold body as one register program, scratchless
-	codes    []*Code  // stack reference: one program per update
-	dsts     []int    // variable-table slots of each update's destination
-	maxStack int
-}
-
-// CompiledFold is a FoldCode bound to a backend for per-ACK execution, with
-// the scratch that backend mutates. The scratch makes a CompiledFold private
-// to one goroutine at a time; share the FoldCode instead.
+// CompiledFold is a FoldSpec lowered to one register program. Nothing writes
+// to it after CompileFold returns — all mutable state is the caller's variable
+// table — so any number of flows, on any goroutines, may Step one CompiledFold
+// at the same time.
 type CompiledFold struct {
-	*FoldCode
-	backend Backend
-	stack   []float64 // stack backend's operand stack
-	frame   []float64 // register backend's staging frame for short tables
+	Spec *FoldSpec
+	reg  *RegCode // every update, in order
 }
 
-// CompileFold validates and compiles f for the default register backend.
+// CompileFold validates f and compiles its body for the register VM.
 func CompileFold(f *FoldSpec) (*CompiledFold, error) {
-	return CompileFoldBackend(f, BackendRegister)
-}
-
-// CompileFoldBackend validates and compiles f, selecting the Step engine.
-// Both engines are always compiled — the stack programs double as the
-// reference for differential testing — so backend choice never changes
-// what validates.
-func CompileFoldBackend(f *FoldSpec, backend Backend) (*CompiledFold, error) {
-	fc, err := CompileFoldCode(f)
-	if err != nil {
-		return nil, err
-	}
-	return fc.Bind(backend), nil
-}
-
-// CompileFoldCode validates f and compiles it for both engines.
-func CompileFoldCode(f *FoldSpec) (*FoldCode, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
-	}
-	resolve := StdResolver(f.regNames())
-	fc := &FoldCode{Spec: f}
-	for _, a := range f.Updates {
-		code, err := Compile(a.E, resolve)
-		if err != nil {
-			return nil, err
-		}
-		slot, _ := resolve(a.Dst)
-		fc.codes = append(fc.codes, code)
-		fc.dsts = append(fc.dsts, slot)
-		if code.MaxStack > fc.maxStack {
-			fc.maxStack = code.MaxStack
-		}
 	}
 	reg, err := compileFoldReg(f)
 	if err != nil {
 		return nil, err
 	}
-	fc.reg = reg
-	return fc, nil
-}
-
-// Bind returns a CompiledFold that steps fc on the given backend.
-func (fc *FoldCode) Bind(backend Backend) *CompiledFold {
-	cf := &CompiledFold{FoldCode: fc, backend: backend}
-	if backend == BackendStack {
-		cf.stack = make([]float64, 0, fc.maxStack)
-	}
-	return cf
+	return &CompiledFold{Spec: f, reg: reg}, nil
 }
 
 // NumRegs returns the number of registers.
-func (fc *FoldCode) NumRegs() int { return len(fc.Spec.Regs) }
-
-// Backend returns the engine Step dispatches to.
-func (cf *CompiledFold) Backend() Backend { return cf.backend }
+func (cf *CompiledFold) NumRegs() int { return len(cf.Spec.Regs) }
 
 // FrameLen returns the register-VM frame size: the variable table plus the
-// fold's temporaries. Callers that size vars to FrameLen (instead of the
-// minimum VarTableSize) get the zero-copy Step fast path; the extra slots
-// are scratch the datapath never reads.
-func (fc *FoldCode) FrameLen() int { return fc.reg.FrameLen }
+// fold's temporaries. Callers size vars to FrameLen so Step runs in place; the
+// slots past VarTableSize are scratch the datapath never reads.
+func (cf *CompiledFold) FrameLen() int { return cf.reg.FrameLen }
 
 // InitRegs resets the register slots of vars to their declared initial
 // values. vars must be a full variable table (VarTableSize(NumRegs())).
-func (fc *FoldCode) InitRegs(vars []float64) {
-	for i, r := range fc.Spec.Regs {
+func (cf *CompiledFold) InitRegs(vars []float64) {
+	for i, r := range cf.Spec.Regs {
 		vars[RegSlot(i)] = r.Init
 	}
 }
 
 // Step folds one packet into the registers. vars holds the current packet
-// fields, flow variables, and registers (at least VarTableSize(NumRegs())
-// slots); register slots are updated in place. Allocation-free on both
-// backends; on the register backend, vars of FrameLen() slots additionally
-// skip the staging copy and touch nothing but vars and the shared code.
+// fields, flow variables, and registers; register slots are updated in place.
+// With FrameLen() slots Step touches nothing but vars and allocates nothing.
+// A shorter table gets the same values through a frame of this call's own:
+// missing slots read as 0 and registers that do not fit are dropped.
 func (cf *CompiledFold) Step(vars []float64) {
-	if cf.backend == BackendStack {
-		for i, code := range cf.codes {
-			vars[cf.dsts[i]] = code.Eval(vars, cf.stack)
-		}
-		return
-	}
 	if len(vars) >= cf.reg.FrameLen {
 		cf.reg.Run(vars)
 		return
 	}
-	// vars covers the variable table but not the temp slots: stage into this
-	// fold's own frame (made on first use, so Step stays allocation-free
-	// after it) and copy the register slots that fit back (an undersized
-	// table simply cannot observe the trailing registers).
-	if cf.frame == nil {
-		cf.frame = make([]float64, cf.reg.FrameLen)
-	}
-	f := cf.reg.shortFrame(vars, cf.frame)
+	f := cf.reg.shortFrame(vars)
 	cf.reg.Run(f)
 	if lo, hi := RegSlot(0), min(cf.reg.NVars, len(vars)); hi > lo {
 		copy(vars[lo:hi], f[lo:hi])
@@ -211,8 +127,8 @@ func (cf *CompiledFold) Step(vars []float64) {
 
 // ReadRegs copies the register values out of vars in declaration order,
 // appending to dst.
-func (fc *FoldCode) ReadRegs(vars []float64, dst []float64) []float64 {
-	for i := range fc.Spec.Regs {
+func (cf *CompiledFold) ReadRegs(vars []float64, dst []float64) []float64 {
+	for i := range cf.Spec.Regs {
 		dst = append(dst, vars[RegSlot(i)])
 	}
 	return dst

@@ -133,20 +133,6 @@ func TestFoldSequentialSemantics(t *testing.T) {
 	}
 }
 
-func TestFoldStepAllocationFree(t *testing.T) {
-	cf, err := CompileFold(vegasFold())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars := make([]float64, VarTableSize(cf.NumRegs()))
-	cf.InitRegs(vars)
-	vars[PktFieldSlot(FieldRTT)] = 0.05
-	allocs := testing.AllocsPerRun(100, func() { cf.Step(vars) })
-	if allocs != 0 {
-		t.Fatalf("Step allocates %v per run", allocs)
-	}
-}
-
 func TestFoldReadRegs(t *testing.T) {
 	cf, err := CompileFold(vegasFold())
 	if err != nil {

@@ -97,8 +97,8 @@ func FuzzMeasurePrefix(f *testing.F) {
 }
 
 // FuzzStackVsRegister is the differential harness pinning the register VM
-// to the reference stack interpreter (the CC-Fuzz idea applied to our two
-// backends): a seeded random program is compiled through both pipelines
+// to the reference stack interpreter (the CC-Fuzz idea applied to the engine
+// and its reference): a seeded random program is compiled through both pipelines
 // and driven over a seeded random packet stream — including NaN/Inf/zero
 // specials — and every fold register after every packet, plus every
 // control-expression value, must match bit for bit.
@@ -127,22 +127,23 @@ func FuzzStackVsRegister(f *testing.F) {
 	})
 }
 
-// diffFold steps the fold through both backends over the same packet
-// stream and requires bit-identical registers after every packet.
+// diffFold steps the fold on the register VM and on the stack reference over
+// the same packet stream and requires bit-identical registers after every
+// packet.
 func diffFold(t *testing.T, spec *FoldSpec, seed uint64) {
 	t.Helper()
-	cfS, err := CompileFoldBackend(spec, BackendStack)
+	cfS, err := CompileStackFold(spec)
 	if err != nil {
 		t.Fatalf("stack compile: %v", err)
 	}
-	cfR, err := CompileFoldBackend(spec, BackendRegister)
+	cfR, err := CompileFold(spec)
 	if err != nil {
 		t.Fatalf("register compile: %v", err)
 	}
 	nregs := len(spec.Regs)
 	vs := make([]float64, VarTableSize(nregs))
 	vr := make([]float64, cfR.FrameLen())
-	cfS.InitRegs(vs)
+	cfR.InitRegs(vs)
 	cfR.InitRegs(vr)
 	src := newSpecialSource(seed)
 	for p := 0; p < 64; p++ {
@@ -163,8 +164,9 @@ func diffFold(t *testing.T, spec *FoldSpec, seed uint64) {
 	}
 }
 
-// diffCtrlExprs compiles every control-program expression through both
-// backends and compares values over random variable tables.
+// diffCtrlExprs compiles every control-program expression for the register
+// VM and for the stack reference and compares values over random variable
+// tables.
 func diffCtrlExprs(t *testing.T, p *Program, regNames []string, seed uint64) {
 	t.Helper()
 	resolve := StdResolver(regNames)
@@ -240,15 +242,18 @@ func verifySoundness(t *testing.T, p *Program, seed uint64) {
 	var regNames []string
 	if p.Measure.Mode == MeasureFold {
 		regNames = p.Measure.Fold.RegNames()
-		cf, err = CompileFoldBackend(p.Measure.Fold, BackendStack)
+		cf, err = CompileFold(p.Measure.Fold)
 		if err != nil {
 			t.Fatalf("fold compile: %v", err)
 		}
 	}
 	resolve := StdResolver(regNames)
 	nvars := VarTableSize(len(regNames))
-	vars := make([]float64, nvars) // driven by EvalTrace
-	ref := make([]float64, nvars)  // driven by the stack VM, for cross-checking
+	vars := make([]float64, nvars) // driven by the tree-walker, which reports the events
+	ref := make([]float64, nvars)  // driven by the register VM, sized as a flow's table is
+	if cf != nil {
+		ref = make([]float64, cf.FrameLen())
+	}
 	env := func(name string) (float64, bool) {
 		slot, ok := resolve(name)
 		if !ok {
@@ -265,7 +270,7 @@ func verifySoundness(t *testing.T, p *Program, seed uint64) {
 		idx  int
 		kind string // Where.Name: "Cwnd", "Rate", "Wait", "WaitRtts"
 		e    Expr
-		code *Code
+		code *RegCode
 	}
 	var ctrls []ctrl
 	for idx, in := range p.Instrs {
@@ -283,7 +288,7 @@ func verifySoundness(t *testing.T, p *Program, seed uint64) {
 		case Report:
 			continue
 		}
-		code, err := Compile(e, resolve)
+		code, err := CompileReg(e, resolve, nvars)
 		if err != nil {
 			t.Fatalf("instr %d: %v", idx, err)
 		}
@@ -298,12 +303,12 @@ func verifySoundness(t *testing.T, p *Program, seed uint64) {
 			ref[fi] = v
 		}
 		if cf != nil {
-			// Step the fold by EvalTrace, update by update, so every
+			// Step the fold by the tree-walker, update by update, so every
 			// division-substitution is attributed to its update index; the
-			// stack VM runs alongside and the registers must agree bitwise
-			// (EvalTrace claims to mirror the runtime exactly).
+			// register VM runs alongside and the registers must agree bitwise
+			// (the events are only evidence if the values are the engine's).
 			for ui, u := range p.Measure.Fold.Updates {
-				v, tr, err := absint.EvalTrace(u.E, env)
+				v, tr, err := EvalEvents(u.E, env)
 				if err != nil {
 					t.Fatalf("packet %d update %d: %v", pkt, ui, err)
 				}
@@ -319,7 +324,7 @@ func verifySoundness(t *testing.T, p *Program, seed uint64) {
 			for i := range regNames {
 				a, b := vars[RegSlot(i)], ref[RegSlot(i)]
 				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("EvalTrace diverged from the stack VM: packet %d register %q: trace=%v (%#x) vm=%v (%#x)",
+					t.Fatalf("Eval diverged from the register VM: packet %d register %q: eval=%v (%#x) vm=%v (%#x)",
 						pkt, regNames[i], a, math.Float64bits(a), b, math.Float64bits(b))
 				}
 			}
@@ -328,12 +333,12 @@ func verifySoundness(t *testing.T, p *Program, seed uint64) {
 		// (the fold output) and adversarial packet/flow inputs — exactly
 		// the state space the adversarial profile over-approximates.
 		for _, c := range ctrls {
-			v, tr, err := absint.EvalTrace(c.e, env)
+			v, tr, err := EvalEvents(c.e, env)
 			if err != nil {
 				t.Fatalf("packet %d instr %d: %v", pkt, c.idx, err)
 			}
-			if cv := c.code.Eval(vars, nil); math.Float64bits(v) != math.Float64bits(cv) {
-				t.Fatalf("EvalTrace diverged from the stack VM: packet %d instr %d: trace=%v vm=%v\nexpr: %s",
+			if cv := c.code.Eval(vars); math.Float64bits(v) != math.Float64bits(cv) {
+				t.Fatalf("Eval diverged from the register VM: packet %d instr %d: eval=%v vm=%v\nexpr: %s",
 					pkt, c.idx, v, cv, c.e)
 			}
 			if tr.DivZero > 0 && !has(absint.CheckDivZero, "instr", c.idx) {

@@ -10,11 +10,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/lang"
 )
 
-// numBinKinds mirrors lang's unexported operator count. lang.OpOr is the last
-// operator; serialize.go rejects anything >= lang.OpOr+1, so an operator added
-// without updating this shows up as a round-trip failure here.
-const numBinKinds = lang.OpOr + 1
-
 // Program builds a structurally valid random program: random measure
 // mode (with a matching fold/vector spec) and a random instruction mix.
 func Program(rng *rand.Rand) *lang.Program {
@@ -115,7 +110,7 @@ func ExprOver(rng *rand.Rand, depth int, regs []string) lang.Expr {
 	case 4:
 		// var ⊕ const and const ⊕ var: the inline-constant forms, with
 		// constant-left placement to exercise canonicalization.
-		op := lang.BinKind(rng.Intn(int(numBinKinds)))
+		op := lang.BinKind(rng.Intn(int(lang.NumBinKinds)))
 		c := lang.Const(math.Trunc(rng.Float64()*64) / 2)
 		v := ExprOver(rng, 0, regs)
 		if rng.Intn(2) == 0 {
@@ -124,7 +119,7 @@ func ExprOver(rng *rand.Rand, depth int, regs []string) lang.Expr {
 		return &lang.Bin{Op: op, L: v, R: c}
 	}
 	return &lang.Bin{
-		Op: lang.BinKind(rng.Intn(int(numBinKinds))),
+		Op: lang.BinKind(rng.Intn(int(lang.NumBinKinds))),
 		L:  ExprOver(rng, depth-1, regs),
 		R:  ExprOver(rng, depth-1, regs),
 	}

@@ -10,8 +10,8 @@ import (
 // Lowering from the expression AST to register code, with the optimization
 // pipeline the per-ACK hot path pays for:
 //
-//   - constant folding (through applyBin, so folded arithmetic is
-//     bit-identical to the stack VM evaluating the same subtree),
+//   - constant folding (through applyBin, so a folded subtree has the value
+//     the operator's definition gives it),
 //   - common-subexpression elimination by value numbering, valid across a
 //     fold's update list (updates share packet fields and just-updated
 //     registers; a register write invalidates exactly the values that
@@ -192,7 +192,7 @@ func ewmaParts(e Expr) (coeff float64, x Expr, ok bool) {
 	return 0, nil, false
 }
 
-var rrOps = [numBinKinds]RegOp{
+var rrOps = [NumBinKinds]RegOp{
 	OpAdd: rAdd, OpSub: rSub, OpMul: rMul, OpDiv: rDiv,
 	OpMin: rMin, OpMax: rMax,
 	OpLt: rLt, OpLe: rLe, OpGt: rGt, OpGe: rGe, OpEq: rEq, OpNe: rNe,
@@ -201,7 +201,7 @@ var rrOps = [numBinKinds]RegOp{
 
 // rcOps maps BinKinds to their register⊕const superinstruction (And/Or are
 // strength-reduced before reaching operand selection).
-var rcOps = [numBinKinds]RegOp{
+var rcOps = [NumBinKinds]RegOp{
 	OpAdd: rAddC, OpSub: rSubC, OpMul: rMulC, OpDiv: rDivC,
 	OpMin: rMinC, OpMax: rMaxC,
 	OpLt: rLtC, OpLe: rLeC, OpGt: rGtC, OpGe: rGeC, OpEq: rEqC, OpNe: rNeC,
@@ -216,7 +216,7 @@ var flipCmp = map[BinKind]BinKind{
 func isCmp(k BinKind) bool { return k >= OpLt && k <= OpNe }
 
 func (rc *regCompiler) compileBin(n *Bin) (operand, error) {
-	if n.Op >= numBinKinds {
+	if n.Op >= NumBinKinds {
 		return operand{}, fmt.Errorf("lang: invalid binary op %d", n.Op)
 	}
 	// Fused EWMA: Add(Mul(a, x), Mul(b, y)) with constant coefficients.
@@ -243,7 +243,7 @@ func (rc *regCompiler) compileBin(n *Bin) (operand, error) {
 // superinstruction, or the generic register-register form.
 func (rc *regCompiler) binOperand(op BinKind, l, r operand) (operand, error) {
 	if l.isConst && r.isConst {
-		return cOp(applyBin(op, l.cval, r.cval)), nil
+		return cOp(applyBin(op, l.cval, r.cval, nil)), nil
 	}
 	// And/Or with one constant side reduce to a constant or a boolean
 	// normalization of the other side (b2f(x != 0) == rNeC x, 0).
@@ -373,7 +373,7 @@ func (rc *regCompiler) compileIf(n *If) (operand, error) {
 			return operand{}, err
 		}
 		if l.isConst && r.isConst {
-			return rc.compileBranch(applyBin(cb.Op, l.cval, r.cval) != 0, n)
+			return rc.compileBranch(applyBin(cb.Op, l.cval, r.cval, nil) != 0, n)
 		}
 		th, err := rc.compileExpr(n.Then)
 		if err != nil {
@@ -441,7 +441,7 @@ func (rc *regCompiler) compileIf(n *If) (operand, error) {
 }
 
 // compileBranch resolves an If whose condition folded to a constant. Both
-// branches are pure (the stack VM evaluates both and discards one), so
+// branches are pure (the reference evaluates both and discards one), so
 // compiling only the taken branch is value-identical.
 func (rc *regCompiler) compileBranch(takeThen bool, n *If) (operand, error) {
 	if takeThen {
@@ -503,8 +503,7 @@ func (rc *regCompiler) finish(result uint16, allowedVarDsts map[uint16]bool) (*R
 
 // CompileReg lowers a single expression to optimized register code against
 // the standard variable-table layout (nvars slots resolved by resolve,
-// which must be a StdResolver-compatible mapping). The result is the
-// fast-path twin of Compile's stack bytecode.
+// which must be a StdResolver-compatible mapping).
 func CompileReg(e Expr, resolve Resolver, nvars int) (*RegCode, error) {
 	rc := newRegCompiler(resolve, nvars)
 	o, err := rc.compileExpr(e)
@@ -515,12 +514,7 @@ func CompileReg(e Expr, resolve Resolver, nvars int) (*RegCode, error) {
 	if err != nil {
 		return nil, err
 	}
-	code, err := rc.finish(res, nil)
-	if err != nil {
-		return nil, err
-	}
-	code.scratch = make([]float64, code.FrameLen)
-	return code, nil
+	return rc.finish(res, nil)
 }
 
 // compileFoldReg lowers a whole fold body — every update, in order — into

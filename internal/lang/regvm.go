@@ -10,17 +10,15 @@ import (
 // per-ACK loop carries no semantic range checks, no operand stack, and no
 // silent return-0 underflow paths — every instruction was proven in range
 // and every temp proven written-before-read when the program was compiled
-// (see verify). The stack bytecode in compile.go stays as the reference
-// implementation; the differential fuzz target (FuzzStackVsRegister) pins
-// the two backends to bit-identical results.
+// (see verify). It is the only engine the datapath compiles for; the stack
+// bytecode in compile.go is the reference the differential fuzz target
+// (FuzzStackVsRegister) holds it bit-identical to.
 //
 // Frame layout: slots [0, NVars) are the standard variable table (packet
-// fields, flow variables, fold registers — the same layout fields.go
-// defines, so the datapath writes packet fields into the frame exactly as
-// it did into the stack VM's table), and slots [NVars, FrameLen) are
-// temporaries owned by the VM. Constants live in a per-program pool and
-// are referenced by inline index, never materialized unless an operand
-// position requires a register (select branches).
+// fields, flow variables, fold registers — the layout fields.go defines), and
+// slots [NVars, FrameLen) are temporaries owned by the VM. Constants live in
+// a per-program pool and are referenced by inline index, never materialized
+// unless an operand position requires a register (select branches).
 
 // RegOp is a register-VM operation. The opcode space is deliberately wide:
 // superinstructions fuse the dominant fold shapes (var⊕const, EWMA,
@@ -72,7 +70,7 @@ const (
 
 	// Fused EWMA: f[Dst] = sq(sq(consts[B]*f[A]) + sq(consts[D]*f[C])).
 	// The shape a*x + (1-a)*y dominates smoothed-estimate folds; the
-	// intermediate squashes replicate the stack VM's per-op NaN/Inf
+	// intermediate squashes replicate applyBin's per-op NaN/Inf
 	// normalization exactly, keeping the fusion bit-identical.
 	rEwma
 
@@ -116,34 +114,19 @@ type RInst struct {
 
 // RegCode is a compiled register program: for a single expression the
 // value lands in Result; for a fold body the instructions write the fold's
-// register slots directly and Result is unused.
+// register slots directly and Result is unused. Nothing writes to a RegCode
+// after it is compiled: Eval and Run mutate only the frame they are given, so
+// one RegCode serves any number of goroutines.
 type RegCode struct {
 	Insts  []RInst
 	Consts []float64
 	// NVars is the caller-owned frame prefix (VarTableSize of the program's
 	// register count); FrameLen is NVars plus the temp slots this program
-	// needs. Eval/Run accept any vars of at least FrameLen and fall back to
-	// an internal scratch frame (with the stack VM's missing-slot-reads-0
-	// semantics) for shorter tables.
+	// needs.
 	NVars    int
 	FrameLen int
 	// Result is the frame slot holding an expression's value after Run.
 	Result uint16
-	// scratch backs the defensive short-table path; CompileReg allocates it
-	// so Eval stays allocation-free either way. It is the one part of a
-	// RegCode that Eval writes: code meant for several goroutines (Shared,
-	// and the body of a FoldCode) carries none.
-	scratch []float64
-}
-
-// Shared returns c's instructions and constants without its scratch frame:
-// a RegCode that nothing writes to, safe to Eval from several goroutines at
-// once. Tables of at least FrameLen slots run in place as before; a shorter
-// one now costs an allocation per Eval.
-func (c *RegCode) Shared() *RegCode {
-	s := *c
-	s.scratch = nil
-	return &s
 }
 
 // sq normalizes NaN/±Inf to 0, mirroring applyBin's totalization. v != v
@@ -156,9 +139,8 @@ func sq(v float64) float64 {
 }
 
 // Run executes the program against f, which must have at least FrameLen
-// slots (callers sizing tables with FrameLen get the fast path; Eval
-// handles the general case). No semantic checks: verify proved every
-// index in range at compile time.
+// slots (Eval handles shorter tables). No semantic checks: verify proved
+// every index in range at compile time.
 func (c *RegCode) Run(f []float64) {
 	consts := c.Consts
 	for _, in := range c.Insts {
@@ -282,33 +264,22 @@ func (c *RegCode) Run(f []float64) {
 }
 
 // Eval executes the program and returns the result value. vars of at least
-// FrameLen slots run in place (allocation- and copy-free); shorter tables
-// take the defensive scratch path with the stack VM's semantics for
-// missing slots (they read as 0). Allocation-free on both paths, except the
-// short-table path of Shared code.
+// FrameLen slots run in place (allocation- and copy-free); a shorter table is
+// staged into a frame of this call's own, missing slots reading as 0 as they
+// do on the stack reference.
 func (c *RegCode) Eval(vars []float64) float64 {
-	if len(vars) >= c.FrameLen {
-		c.Run(vars)
-		return vars[c.Result]
+	if len(vars) < c.FrameLen {
+		vars = c.shortFrame(vars)
 	}
-	f := c.scratch
-	if f == nil {
-		f = make([]float64, c.FrameLen)
-	}
-	f = c.shortFrame(vars, f)
-	c.Run(f)
-	return f[c.Result]
+	c.Run(vars)
+	return vars[c.Result]
 }
 
-// shortFrame stages an undersized variable table into f (FrameLen slots):
-// present slots copy in, missing variable slots read as 0 (matching the
-// stack VM's defensive semantics), temps need no clearing because verify
-// proved them written before read.
-func (c *RegCode) shortFrame(vars, f []float64) []float64 {
-	n := copy(f, vars)
-	for i := n; i < c.NVars; i++ {
-		f[i] = 0
-	}
+// shortFrame copies an undersized variable table into a new frame; the slots
+// vars lacks read as 0.
+func (c *RegCode) shortFrame(vars []float64) []float64 {
+	f := make([]float64, c.FrameLen)
+	copy(f, vars)
 	return f
 }
 

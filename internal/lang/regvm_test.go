@@ -26,8 +26,8 @@ func compileExprReg(t *testing.T, e Expr, regs []string) *RegCode {
 	return code
 }
 
-// evalBoth evaluates e through both backends over the same table and
-// requires bitwise agreement; it returns the shared value.
+// evalBoth evaluates e on the register VM and the stack reference over the
+// same table and requires bitwise agreement; it returns the shared value.
 func evalBoth(t *testing.T, e Expr, regs []string, vars []float64) float64 {
 	t.Helper()
 	stack, err := Compile(e, StdResolver(regs))
@@ -40,7 +40,7 @@ func evalBoth(t *testing.T, e Expr, regs []string, vars []float64) float64 {
 	sv := stack.Eval(vars, nil)
 	rv := reg.Eval(frame)
 	if math.Float64bits(sv) != math.Float64bits(rv) {
-		t.Fatalf("backend mismatch for %s: stack=%v (%#x) register=%v (%#x)",
+		t.Fatalf("register VM disagrees with the reference for %s: stack=%v (%#x) register=%v (%#x)",
 			e, sv, math.Float64bits(sv), rv, math.Float64bits(rv))
 	}
 	return sv
@@ -175,7 +175,7 @@ func TestRegCSEAcrossFoldUpdates(t *testing.T) {
 	if opCount(gcode, rSub) != 2 {
 		t.Fatalf("stale CSE hit across register write: %v", gcode.Insts)
 	}
-	// And the numbers must match the stack backend exactly.
+	// And the numbers must match the stack reference exactly.
 	for _, spec := range []*FoldSpec{f, g} {
 		assertFoldsAgree(t, spec, 100, 77)
 	}
@@ -202,23 +202,23 @@ func TestRegAccumulateRetargeting(t *testing.T) {
 	}
 }
 
-// assertFoldsAgree steps the same fold through both backends over a
-// deterministic pseudo-random packet stream and requires bit-identical
-// register values after every packet.
+// assertFoldsAgree steps the same fold on the register VM and on the stack
+// reference over a deterministic pseudo-random packet stream and requires
+// bit-identical register values after every packet.
 func assertFoldsAgree(t *testing.T, f *FoldSpec, packets int, seed uint64) {
 	t.Helper()
-	cfS, err := CompileFoldBackend(f, BackendStack)
+	cfS, err := CompileStackFold(f)
 	if err != nil {
 		t.Fatalf("stack compile: %v", err)
 	}
-	cfR, err := CompileFoldBackend(f, BackendRegister)
+	cfR, err := CompileFold(f)
 	if err != nil {
 		t.Fatalf("register compile: %v", err)
 	}
 	nregs := len(f.Regs)
 	vs := make([]float64, VarTableSize(nregs))
 	vr := make([]float64, cfR.FrameLen())
-	cfS.InitRegs(vs)
+	cfR.InitRegs(vs)
 	cfR.InitRegs(vr)
 	x := seed | 1
 	next := func() float64 {
@@ -267,26 +267,24 @@ func TestRegZeroRegisterFold(t *testing.T) {
 	// datapath can build: measure-fold programs always have ≥1 register,
 	// but the compiler must not choke on an empty update list.
 	f := &FoldSpec{Regs: []RegDef{{Name: "r", Init: 7}}}
-	for _, backend := range []Backend{BackendStack, BackendRegister} {
-		cf, err := CompileFoldBackend(f, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vars := make([]float64, cf.FrameLen())
-		cf.InitRegs(vars)
-		cf.Step(vars)
-		if vars[RegSlot(0)] != 7 {
-			t.Fatalf("backend %d: register changed without updates: %v", backend, vars[RegSlot(0)])
-		}
+	cf, err := CompileFold(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Truly zero registers: no state, Step is a no-op on both backends.
-	empty := &FoldSpec{}
-	assertFoldsAgree(t, empty, 10, 3)
+	vars := make([]float64, cf.FrameLen())
+	cf.InitRegs(vars)
+	cf.Step(vars)
+	if vars[RegSlot(0)] != 7 {
+		t.Fatalf("register changed without updates: %v", vars[RegSlot(0)])
+	}
+	assertFoldsAgree(t, f, 10, 3)
+	// Truly zero registers: no state, Step is a no-op.
+	assertFoldsAgree(t, &FoldSpec{}, 10, 3)
 }
 
 func TestRegSequentialUpdateReads(t *testing.T) {
 	// The paper's Vegas idiom: a later update reads a register written
-	// earlier in the same Step. The register backend compiles the whole
+	// earlier in the same Step. The register compiler lowers the whole
 	// body as one program and must preserve the sequential semantics.
 	f := &FoldSpec{
 		Regs: []RegDef{{Name: "base_rtt", Init: 1e9}, {Name: "in_q"}},
@@ -318,9 +316,9 @@ func TestRegSequentialUpdateReads(t *testing.T) {
 }
 
 func TestRegNaNInfPacketFields(t *testing.T) {
-	// NaN/Inf in packet fields must be squashed identically by both
-	// backends, including through the fused EWMA (whose intermediate
-	// products squash separately).
+	// NaN/Inf in packet fields must be squashed as the reference squashes
+	// them, including through the fused EWMA (whose intermediate products
+	// squash separately).
 	f := &FoldSpec{
 		Regs: []RegDef{{Name: "s", Init: 0.1}, {Name: "m", Init: 0}},
 		Updates: []Assign{
@@ -355,8 +353,8 @@ func TestRegSlotTableSizeMismatch(t *testing.T) {
 	}
 	reg := compileExprReg(t, e, regs)
 
-	// A table missing the register slots: both backends read missing
-	// variable slots as 0 instead of trapping.
+	// A table missing the register slots: the register VM, like the
+	// reference, reads missing variable slots as 0 instead of trapping.
 	short := make([]float64, int(NumPktFields)) // no flow vars, no registers
 	short[PktFieldSlot(FieldRTT)] = 0.25
 	sv := stack.Eval(short, nil)
@@ -380,6 +378,34 @@ func TestRegSlotTableSizeMismatch(t *testing.T) {
 	cf.Step(tbl)
 	if got := tbl[RegSlot(0)]; got != 0.5 {
 		t.Fatalf("fallback Step register = %v, want 0.5", got)
+	}
+
+	// The staged path is the in-place path on a copy: over a stream with
+	// specials, a minimum-size table ends every packet with the registers a
+	// FrameLen-sized one has, bit for bit.
+	wide, err := CompileFold(wideFold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.FrameLen() <= VarTableSize(wide.NumRegs()) {
+		t.Fatal("wideFold needs no temps; the staged path is not exercised")
+	}
+	short, full := make([]float64, VarTableSize(wide.NumRegs())), make([]float64, wide.FrameLen())
+	wide.InitRegs(short)
+	wide.InitRegs(full)
+	specials := []float64{0.05, math.NaN(), math.Inf(1), 0, 1448, math.Inf(-1), 1.2e7, 5e-324}
+	for p := 0; p < 64; p++ {
+		for fi := 0; fi < int(NumPktFields); fi++ {
+			v := specials[(p*7+fi*3)%len(specials)]
+			short[fi], full[fi] = v, v
+		}
+		wide.Step(short)
+		wide.Step(full)
+		for i := 0; i < wide.NumRegs(); i++ {
+			if a, b := short[RegSlot(i)], full[RegSlot(i)]; math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("packet %d register %d: staged %v (%#x), in place %v (%#x)", p, i, a, math.Float64bits(a), b, math.Float64bits(b))
+			}
+		}
 	}
 }
 
@@ -423,32 +449,21 @@ func TestRegVerifyRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestStackCompileVerification(t *testing.T) {
-	// Satellite: Compile now proves depth discipline instead of discarding
-	// it. A well-formed expression passes; a corrupted stream is rejected
-	// by verifyStack directly.
-	code, err := Compile(Add(V("cwnd"), C(1)), StdResolver(nil))
-	if err != nil {
-		t.Fatal(err)
+func TestStackReferenceNeverTraps(t *testing.T) {
+	// The reference checks every access at run time, so even a stream no
+	// compiler would emit evaluates to a number.
+	for name, bad := range map[string]*Code{
+		"binary op over empty stack": {Insts: []Inst{{opBin, uint16(OpAdd)}}, MaxStack: 2},
+		"select over two operands":   {Insts: []Inst{{opVar, 0}, {opVar, 1}, {opSelect, 0}}, MaxStack: 2},
+		"empty stream":               {},
+	} {
+		if got := bad.Eval(nil, nil); got != 0 {
+			t.Errorf("%s = %v, want defensive 0", name, got)
+		}
 	}
-	if !code.verified {
-		t.Fatal("compiled code not marked verified")
-	}
-	bad := &Code{Insts: []Inst{{opBin, uint16(OpAdd)}}, MaxStack: 2}
-	if err := bad.verifyStack(); err == nil {
-		t.Fatal("binary op over empty stack passed verification")
-	}
-	over := &Code{Insts: []Inst{{opConst, 5}}, Consts: []float64{1}, MaxStack: 1}
-	if err := over.verifyStack(); err == nil {
-		t.Fatal("const index outside pool passed verification")
-	}
-	two := &Code{Insts: []Inst{{opVar, 0}, {opVar, 1}}, MaxStack: 2}
-	if err := two.verifyStack(); err == nil {
-		t.Fatal("stream leaving two values passed verification")
-	}
-	// Hand-assembled (unverified) Code still evaluates defensively.
-	if got := bad.Eval(nil, nil); got != 0 {
-		t.Fatalf("unverified underflowing code = %v, want defensive 0", got)
+	over := &Code{Insts: []Inst{{opConst, 5}, {opVar, 9}, {opBin, uint16(OpAdd)}}, Consts: []float64{1}, MaxStack: 2}
+	if got := over.Eval([]float64{3}, nil); got != 0 {
+		t.Errorf("const index and slot out of range = %v, want 0 + 0", got)
 	}
 }
 

@@ -435,7 +435,7 @@ func (r *reader) expr(depth int) Expr {
 		return nil
 	case exprTagBin:
 		op := BinKind(r.byte())
-		if op >= numBinKinds {
+		if op >= NumBinKinds {
 			r.fail(fmt.Errorf("lang: bad binary op %d", op))
 			return Const(0)
 		}
