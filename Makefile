@@ -75,14 +75,15 @@ benchstat:
 	fi
 
 # Allocation-regression tests: the hot paths (codec round trip, fold step,
-# event schedule/dispatch) must stay at zero allocations per op, and a warm
-# Install (measure half already verified and compiled) under its pin. These skip
-# themselves under -race (alloc counts are inflated), so `check` runs them
-# in a separate non-race pass.
+# event schedule/dispatch, program validation, nil-registry instruments) must
+# stay at zero allocations per op, and both ends of a warm Install (the
+# agent's build-and-send, the datapath's measure-half-known apply) under
+# their pins. These skip themselves under -race (alloc counts are inflated),
+# so `check` runs them in a separate non-race pass.
 test-allocs:
 	$(GO) test -run 'TestAllocs' -count=1 \
 		./internal/proto ./internal/netsim ./internal/lang ./internal/ipc/shmring \
-		./internal/datapath
+		./internal/datapath ./internal/core ./internal/metrics
 
 # Robustness lane: the concurrent packages (sharded runtime, socket link,
 # transports, fault injectors, datapath fail-safe) twice under the race
@@ -150,9 +151,9 @@ check: vet lint
 	$(MAKE) fuzz-smoke
 
 # 10-second smoke of each fuzz target (wire decoders, program decoder halves,
-# the register VM against its stack reference); `go test -fuzz` accepts one
-# target per invocation. For a
-# longer hunt, raise FUZZTIME.
+# the register VM against its stack reference, the program validator against
+# its listing reference); `go test -fuzz` accepts one target per invocation.
+# For a longer hunt, raise FUZZTIME.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshal$$' -fuzztime=$(FUZZTIME) ./internal/proto
@@ -160,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzStackVsRegister$$' -fuzztime=$(FUZZTIME) ./internal/lang
 	$(GO) test -run='^$$' -fuzz='^FuzzMeasurePrefix$$' -fuzztime=$(FUZZTIME) ./internal/lang
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateVsReference$$' -fuzztime=$(FUZZTIME) ./internal/lang
 
 fmt:
 	gofmt -l -w .

@@ -27,11 +27,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"strings"
 	"testing"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/gitstamp"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
@@ -79,16 +78,6 @@ type report struct {
 	Pairs     []pair `json:"pairs"`
 }
 
-// gitSHA ties a committed BENCH_hotpath.json to the tree it measured (same
-// stamp as ccp-loadgen's BENCH_scale.json); absent outside a git checkout.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
 func run(jsonOut string, benchtime time.Duration) error {
 	// testing.Benchmark honours the -test.benchtime flag, not a parameter;
 	// inject it so one knob controls every lane.
@@ -96,7 +85,7 @@ func run(jsonOut string, benchtime time.Duration) error {
 		return err
 	}
 
-	rep := report{Tool: "ccp-hotpath", GitSHA: gitSHA(), Benchtime: benchtime.String()}
+	rep := report{Tool: "ccp-hotpath", GitSHA: gitstamp.SHA(), Benchtime: benchtime.String()}
 	rep.Pairs = append(rep.Pairs,
 		compare("codec round trip (7-field report)", benchCodecAlloc, benchCodecReuse),
 		compare("codec round trip (16-report batch)", benchBatchAlloc, benchBatchReuse),

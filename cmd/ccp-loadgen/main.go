@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -35,6 +34,7 @@ import (
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/experiments"
+	"github.com/ccp-repro/ccp/internal/gitstamp"
 )
 
 func main() {
@@ -103,7 +103,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ccp-loadgen: %v\n", err)
 		return 1
 	}
-	res.GitSHA = gitSHA()
+	res.GitSHA = gitstamp.SHA()
 	res.GOGC = *gogc
 	fmt.Print(res.String())
 	if *jsonOut != "" {
@@ -160,16 +160,6 @@ func validateJSON(path string, wantRows int) error {
 		}
 	}
 	return nil
-}
-
-// gitSHA stamps the benchmark output with the commit it ran at; empty when
-// git or the repository is unavailable (the field is omitempty).
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func parseFlows(s string) ([]int, error) {

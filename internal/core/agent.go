@@ -91,8 +91,8 @@ type Agent struct {
 	snapScratch  proto.Snapshot
 	sidScratch   []uint32
 
-	// Cached metrics instruments (detached no-ops when cfg.Metrics is nil),
-	// so the hot path never does a registry lookup.
+	// Cached metrics instruments (nil, which absorbs writes, when cfg.Metrics
+	// is nil), so the hot path never does a registry lookup.
 	mReports   *metrics.Counter
 	mUrgents   *metrics.Counter
 	mCreated   *metrics.Counter

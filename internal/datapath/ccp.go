@@ -179,7 +179,7 @@ type CCP struct {
 	art  *artifact
 	prog *lang.Program
 	fold *lang.CompiledFold
-	ctrl []*lang.RegCode // compiled expression per instruction (nil for Report)
+	ctrl []lang.RegCode // compiled expression per instruction (zero for Report)
 	vars []float64
 
 	vec       []float64
@@ -188,6 +188,7 @@ type CCP struct {
 	pc         int
 	waitedPass bool
 	waitTimer  netsim.Timer
+	onWait     func() // the wait timer's callback, made at the flow's first wait
 	reportSeq  uint32
 
 	// lastCtrlSeq is the newest control sequence number applied; stale or
@@ -257,7 +258,8 @@ type CCP struct {
 	scratchBatch  proto.Batch
 	scratchIErr   proto.InstallErr
 
-	// Cached metrics instruments (detached no-ops when cfg.Metrics is nil).
+	// Cached metrics instruments (nil, which absorbs writes, when cfg.Metrics
+	// is nil).
 	mReportsSent   *metrics.Counter
 	mUrgentsSent   *metrics.Counter
 	mBatchSize     *metrics.Histogram
@@ -623,7 +625,7 @@ func (d *CCP) resume() {
 			d.waitedPass = false
 		}
 		in := d.prog.Instrs[d.pc]
-		code := d.ctrl[d.pc]
+		code := &d.ctrl[d.pc]
 		d.pc++
 		switch in.(type) {
 		case lang.SetRate:
@@ -664,10 +666,13 @@ func (d *CCP) scheduleWait(dur time.Duration) {
 	if d.waitTimer != nil {
 		d.waitTimer.Stop()
 	}
-	d.waitTimer = d.cfg.Clock.AfterFunc(dur, func() {
-		d.waitTimer = nil
-		d.resume()
-	})
+	if d.onWait == nil {
+		d.onWait = func() {
+			d.waitTimer = nil
+			d.resume()
+		}
+	}
+	d.waitTimer = d.cfg.Clock.AfterFunc(dur, d.onWait)
 }
 
 // rttDur converts a WaitRtts coefficient to a duration using the smoothed

@@ -10,7 +10,8 @@ const ArtifactCap = artifactCap
 func ResetArtifacts() {
 	artifacts.mu.Lock()
 	defer artifacts.mu.Unlock()
-	clear(artifacts.byKey)
+	clear(artifacts.byKey[0])
+	clear(artifacts.byKey[1])
 	clear(artifacts.slots[:])
 	artifacts.hand = 0
 }
@@ -19,7 +20,7 @@ func ResetArtifacts() {
 func StoredArtifacts() int {
 	artifacts.mu.Lock()
 	defer artifacts.mu.Unlock()
-	return len(artifacts.byKey)
+	return len(artifacts.byKey[0]) + len(artifacts.byKey[1])
 }
 
 // ForgetArtifact makes the flow's next Install look its measure half up in

@@ -85,19 +85,17 @@ func (a *artifact) prefixes(prog []byte) bool {
 // costs a later rebuild.
 const artifactCap = 16
 
-type artifactKey struct {
-	verified bool
-	prefix   string
-}
-
 // artifactTable is the process-wide memo of buildArtifact: exact-byte keys,
 // fixed capacity, clock (second-chance) eviction. An entry found by get is
 // marked used and survives the hand's next pass; one never asked for again —
 // a Vegas fold keyed by one flow's base_rtt — is the first to go. No map
 // iteration: what is evicted depends only on the order of gets and puts.
 type artifactTable struct {
-	mu    sync.Mutex
-	byKey map[artifactKey]int // slot index
+	mu sync.Mutex
+	// byKey maps measure-half bytes to a slot index, unverified artifacts in
+	// byKey[0] and verified ones in byKey[1]: keyed by the string alone, a
+	// lookup by prefix bytes converts nothing.
+	byKey [2]map[string]int
 	slots [artifactCap]struct {
 		art  *artifact
 		used bool
@@ -105,12 +103,19 @@ type artifactTable struct {
 	hand int
 }
 
-var artifacts = artifactTable{byKey: make(map[artifactKey]int)}
+var artifacts = artifactTable{byKey: [2]map[string]int{{}, {}}}
+
+func (t *artifactTable) index(verified bool) map[string]int {
+	if verified {
+		return t.byKey[1]
+	}
+	return t.byKey[0]
+}
 
 func (t *artifactTable) get(verified bool, prefix []byte) *artifact {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byKey[artifactKey{verified, string(prefix)}]
+	i, ok := t.index(verified)[string(prefix)]
 	if !ok {
 		return nil
 	}
@@ -121,10 +126,10 @@ func (t *artifactTable) get(verified bool, prefix []byte) *artifact {
 // put stores a and returns the artifact to use: a itself, or the equal one
 // another goroutine stored first.
 func (t *artifactTable) put(a *artifact) *artifact {
-	k := artifactKey{a.verified, a.key}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.byKey[k]; ok {
+	byKey := t.index(a.verified)
+	if i, ok := byKey[a.key]; ok {
 		return t.slots[i].art
 	}
 	for {
@@ -136,10 +141,10 @@ func (t *artifactTable) put(a *artifact) *artifact {
 			continue
 		}
 		if s.art != nil {
-			delete(t.byKey, artifactKey{s.art.verified, s.art.key})
+			delete(t.index(s.art.verified), s.art.key)
 		}
 		s.art = a
-		t.byKey[k] = i
+		byKey[a.key] = i
 		return a
 	}
 }
@@ -149,7 +154,7 @@ func (t *artifactTable) put(a *artifact) *artifact {
 type installable struct {
 	art      *artifact
 	prog     *lang.Program
-	ctrl     []*lang.RegCode // compiled expression per instruction (nil for Report)
+	ctrl     []lang.RegCode // compiled expression per instruction (zero for Report)
 	frameLen int
 
 	hit, miss bool // how the artifact was found, once it was
@@ -213,22 +218,15 @@ func prepare(cur *artifact, prog []byte, mode absint.Mode) (in installable, err 
 		}
 	}
 
-	in.ctrl = make([]*lang.RegCode, len(instrs))
+	if in.ctrl, err = lang.CompileControl(instrs, art.resolve, art.nvars); err != nil {
+		return in, err
+	}
 	in.frameLen = art.nvars
 	if art.fold != nil {
 		in.frameLen = art.fold.FrameLen()
 	}
-	for i, instr := range instrs {
-		e := lang.InstrExpr(instr)
-		if e == nil {
-			continue // Report
-		}
-		code, err := lang.CompileReg(e, art.resolve, art.nvars)
-		if err != nil {
-			return in, err
-		}
-		in.frameLen = max(in.frameLen, code.FrameLen)
-		in.ctrl[i] = code
+	for i := range in.ctrl {
+		in.frameLen = max(in.frameLen, in.ctrl[i].FrameLen)
 	}
 	in.prog = &lang.Program{Measure: art.measure, Instrs: instrs, UrgentECN: urgentECN}
 	return in, nil

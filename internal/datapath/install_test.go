@@ -12,6 +12,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -267,9 +268,11 @@ func TestConcurrentFlowsShareArtifact(t *testing.T) {
 
 // TestAllocsWarmInstall pins what an Install costs once its measure half is
 // known — the paper's per-report path: decode, validate, verify and compile
-// the control half (once, for the one engine), plus activation. The bounds
-// are the measured counts: a cold install of the same programs costs 155
-// and 259, and a second compile of the control half 8 more.
+// the control half, plus activation. The bounds are the measured counts, and
+// all but the verifier's (its analyzer, its report and, for cubic, a finding)
+// are kept by the flow: four for the decoded instructions, one for the
+// Program, three for the compiled control half (codes, instructions,
+// constants). A cold install of the same programs costs 110 and 163.
 func TestAllocsWarmInstall(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -277,7 +280,7 @@ func TestAllocsWarmInstall(t *testing.T) {
 	for _, tc := range []struct {
 		alg string
 		max float64
-	}{{"cubic", 28}, {"vegas", 27}} {
+	}{{"cubic", 11}, {"vegas", 10}} {
 		data := algPrograms(t, tc.alg)[0]
 		clock := netsim.New(1)
 		dp := datapath.New(datapath.Config{SID: 1, Clock: clock, ToAgent: func(proto.Msg) error { return nil }})
@@ -295,6 +298,24 @@ func TestAllocsWarmInstall(t *testing.T) {
 			t.Errorf("%s: warm Install allocated %.1f times, want <= %.0f", tc.alg, allocs, tc.max)
 		}
 		t.Logf("%s: warm Install: %.1f allocs", tc.alg, allocs)
+	}
+}
+
+// TestAllocsNewWithoutRegistry: a flow built without a metrics registry holds
+// no instruments. New allocates exactly what it does when every lookup finds
+// its instrument already made — the runtime and its filters — and not ten
+// counters and a 544-byte histogram nothing could ever read.
+func TestAllocsNewWithoutRegistry(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	cfg := datapath.Config{SID: 1, Clock: netsim.New(1), ToAgent: func(proto.Msg) error { return nil }}
+	bare := testing.AllocsPerRun(100, func() { datapath.New(cfg) })
+	cfg.Metrics = metrics.NewRegistry()
+	datapath.New(cfg) // makes the instruments
+	found := testing.AllocsPerRun(100, func() { datapath.New(cfg) })
+	if bare != found {
+		t.Fatalf("New allocates %.1f times without a registry, %.1f with one already filled", bare, found)
 	}
 }
 

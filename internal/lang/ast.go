@@ -18,7 +18,6 @@ package lang
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Expr is a pure arithmetic/boolean expression over named variables.
@@ -295,41 +294,43 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// Vars returns the sorted set of variable names referenced by e. Names are
-// gathered in traversal order and deduplicated after sorting, so the result
-// never depends on map iteration order.
-func Vars(e Expr) []string {
-	var out []string
-	out = collectVars(e, out)
-	sortStrings(out)
-	dedup := out[:0]
-	for i, name := range out {
-		if i == 0 || name != out[i-1] {
-			dedup = append(dedup, name)
-		}
-	}
-	return dedup
+// exprCheck is the validation walk over one expression: no list of its
+// variables is built. Of the variables resolve does not know it keeps the
+// lexicographically smallest — the one a sorted listing would meet first, so
+// the name in the error does not depend on the expression's shape — and it
+// notes a nil node anywhere in the tree.
+type exprCheck struct {
+	unknown    string
+	hasUnknown bool // unknown may be the empty name
+	nilNode    bool
 }
 
-func collectVars(e Expr, out []string) []string {
+// walk takes resolve as an argument instead of keeping it beside unknown:
+// the name ends up in an error, and escape analysis, which sees a struct as
+// one place, would send a scope's method value to the heap with it.
+func (c *exprCheck) walk(e Expr, resolve Resolver) {
 	switch n := e.(type) {
+	case Const:
 	case Var:
-		out = append(out, string(n))
-	case *Bin:
-		out = collectVars(n.L, out)
-		out = collectVars(n.R, out)
-	case *If:
-		out = collectVars(n.Cond, out)
-		out = collectVars(n.Then, out)
-		out = collectVars(n.Else, out)
-	}
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && strings.Compare(s[j], s[j-1]) < 0; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+		if _, ok := resolve(string(n)); !ok && (!c.hasUnknown || string(n) < c.unknown) {
+			c.unknown, c.hasUnknown = string(n), true
 		}
+	case *Bin:
+		if n == nil {
+			c.nilNode = true
+			return
+		}
+		c.walk(n.L, resolve)
+		c.walk(n.R, resolve)
+	case *If:
+		if n == nil {
+			c.nilNode = true
+			return
+		}
+		c.walk(n.Cond, resolve)
+		c.walk(n.Then, resolve)
+		c.walk(n.Else, resolve)
+	default:
+		c.nilNode = true // the four node types are the only non-nil Exprs
 	}
 }

@@ -112,21 +112,75 @@ func StdResolver(regNames []string) Resolver {
 		if i, ok := regIdx[name]; ok {
 			return RegSlot(i), true
 		}
-		if f, ok := FieldByName(name); ok {
-			return PktFieldSlot(f), true
-		}
-		if v, ok := FlowVarByName(name); ok {
-			return FlowVarSlot(v), true
-		}
-		return 0, false
+		return builtinSlot(name)
 	}
+}
+
+// builtinSlot resolves a packet field or flow variable.
+func builtinSlot(name string) (int, bool) {
+	if f, ok := FieldByName(name); ok {
+		return PktFieldSlot(f), true
+	}
+	if v, ok := FlowVarByName(name); ok {
+		return FlowVarSlot(v), true
+	}
+	return 0, false
+}
+
+// regScanMax is the largest fold whose register names are looked up by
+// scanning the declarations. The folds that exist declare two to four
+// registers, where a scan beats building a map and allocates nothing; a wire
+// program may declare up to maxListLen, so past this size the scope is
+// indexed.
+const regScanMax = 8
+
+// regScope is the names a fold's updates and a program's control half may
+// read — the fold's registers over the built-in packet fields and flow
+// variables — resolved against the declarations themselves, to the slots
+// StdResolver gives.
+type regScope struct {
+	regs []RegDef
+	idx  map[string]int // nil up to regScanMax registers
+}
+
+func newRegScope(nregs int) regScope {
+	if nregs > regScanMax {
+		return regScope{idx: make(map[string]int, nregs)}
+	}
+	return regScope{}
+}
+
+// declare extends the scope to regs, one register longer than it was.
+func (s *regScope) declare(regs []RegDef) {
+	s.regs = regs
+	if s.idx != nil {
+		s.idx[regs[len(regs)-1].Name] = len(regs) - 1
+	}
+}
+
+func (s *regScope) reg(name string) (int, bool) {
+	if s.idx != nil {
+		i, ok := s.idx[name]
+		return i, ok
+	}
+	for i := range s.regs {
+		if s.regs[i].Name == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// resolve is the scope as a Resolver.
+func (s *regScope) resolve(name string) (int, bool) {
+	if i, ok := s.reg(name); ok {
+		return RegSlot(i), true
+	}
+	return builtinSlot(name)
 }
 
 // Reserved reports whether name collides with a built-in variable.
 func Reserved(name string) bool {
-	if _, ok := FieldByName(name); ok {
-		return true
-	}
-	_, ok := FlowVarByName(name)
+	_, ok := builtinSlot(name)
 	return ok
 }

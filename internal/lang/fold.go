@@ -31,33 +31,42 @@ type FoldSpec struct {
 }
 
 // Validate checks register naming and that every update targets a declared
-// register and references only resolvable variables.
+// register and is a whole expression over resolvable variables.
 func (f *FoldSpec) Validate() error {
-	seen := map[string]bool{}
-	for _, r := range f.Regs {
+	_, err := f.validate()
+	return err
+}
+
+// validate is Validate, returning the scope the control half resolves in.
+func (f *FoldSpec) validate() (regScope, error) {
+	scope := newRegScope(len(f.Regs))
+	for i, r := range f.Regs {
 		if r.Name == "" {
-			return fmt.Errorf("lang: empty register name")
+			return scope, fmt.Errorf("lang: empty register name")
 		}
 		if Reserved(r.Name) {
-			return fmt.Errorf("lang: register %q collides with a built-in variable", r.Name)
+			return scope, fmt.Errorf("lang: register %q collides with a built-in variable", r.Name)
 		}
-		if seen[r.Name] {
-			return fmt.Errorf("lang: duplicate register %q", r.Name)
+		if _, dup := scope.reg(r.Name); dup {
+			return scope, fmt.Errorf("lang: duplicate register %q", r.Name)
 		}
-		seen[r.Name] = true
+		scope.declare(f.Regs[:i+1])
 	}
-	resolve := StdResolver(f.regNames())
-	for _, a := range f.Updates {
-		if !seen[a.Dst] {
-			return fmt.Errorf("lang: assignment to undeclared register %q", a.Dst)
+	resolve := scope.resolve
+	for i, a := range f.Updates {
+		if _, ok := scope.reg(a.Dst); !ok {
+			return scope, fmt.Errorf("lang: assignment to undeclared register %q", a.Dst)
 		}
-		for _, v := range Vars(a.E) {
-			if _, ok := resolve(v); !ok {
-				return fmt.Errorf("lang: fold references unknown variable %q", v)
-			}
+		var c exprCheck
+		c.walk(a.E, resolve)
+		if c.nilNode {
+			return scope, fmt.Errorf("lang: nil expression in fold update %d (%s)", i, a.Dst)
+		}
+		if c.hasUnknown {
+			return scope, fmt.Errorf("lang: fold references unknown variable %q", c.unknown)
 		}
 	}
-	return nil
+	return scope, nil
 }
 
 func (f *FoldSpec) regNames() []string {

@@ -164,36 +164,26 @@ func diffFold(t *testing.T, spec *FoldSpec, seed uint64) {
 	}
 }
 
-// diffCtrlExprs compiles every control-program expression for the register
-// VM and for the stack reference and compares values over random variable
-// tables.
+// diffCtrlExprs compiles the control half for the register VM, as the
+// datapath does, and every expression of it for the stack reference, and
+// compares values over random variable tables.
 func diffCtrlExprs(t *testing.T, p *Program, regNames []string, seed uint64) {
 	t.Helper()
 	resolve := StdResolver(regNames)
 	nvars := VarTableSize(len(regNames))
 	src := newSpecialSource(seed ^ 0x9e3779b97f4a7c15)
+	// The datapath's compile, checked against CompileReg per instruction.
+	codes := sameControlCode(t, p, resolve, nvars)
 	for idx, in := range p.Instrs {
-		var e Expr
-		switch n := in.(type) {
-		case SetRate:
-			e = n.E
-		case SetCwnd:
-			e = n.E
-		case Wait:
-			e = n.Seconds
-		case WaitRtts:
-			e = n.Rtts
-		case Report:
-			continue
+		e := InstrExpr(in)
+		if e == nil {
+			continue // Report
 		}
 		stack, err := Compile(e, resolve)
 		if err != nil {
 			t.Fatalf("instr %d: stack compile: %v", idx, err)
 		}
-		reg, err := CompileReg(e, resolve, nvars)
-		if err != nil {
-			t.Fatalf("instr %d: register compile: %v", idx, err)
-		}
+		reg := &codes[idx]
 		frame := make([]float64, reg.FrameLen)
 		vars := make([]float64, nvars)
 		for trial := 0; trial < 16; trial++ {

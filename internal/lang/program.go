@@ -106,46 +106,44 @@ func InstrExpr(in Instr) Expr {
 // Validate checks the program is well-formed and all expressions resolve:
 // the measure half first, then the control half against its register names.
 func (p *Program) Validate() error {
-	regNames, err := p.Measure.validate()
+	scope, err := p.Measure.validate()
 	if err != nil {
 		return err
 	}
-	return ValidateControl(p.Instrs, StdResolver(regNames))
+	return ValidateControl(p.Instrs, scope.resolve)
 }
 
-// validate checks the measure half on its own and returns the register
-// names the control half may refer to (nil outside fold mode).
-func (m *MeasureSpec) validate() (regNames []string, err error) {
+// validate checks the measure half on its own and returns the scope the
+// control half resolves in (no registers outside fold mode).
+func (m *MeasureSpec) validate() (regScope, error) {
 	switch m.Mode {
 	case MeasureEWMA:
 	case MeasureFold:
 		if m.Fold == nil {
-			return nil, fmt.Errorf("lang: fold mode without a fold spec")
+			return regScope{}, fmt.Errorf("lang: fold mode without a fold spec")
 		}
-		if err := m.Fold.Validate(); err != nil {
-			return nil, err
-		}
-		regNames = m.Fold.RegNames()
+		return m.Fold.validate()
 	case MeasureVector:
 		if len(m.Fields) == 0 {
-			return nil, fmt.Errorf("lang: vector mode without fields")
+			return regScope{}, fmt.Errorf("lang: vector mode without fields")
 		}
 		for _, f := range m.Fields {
 			if f >= NumPktFields {
-				return nil, fmt.Errorf("lang: invalid vector field %d", f)
+				return regScope{}, fmt.Errorf("lang: invalid vector field %d", f)
 			}
 		}
 	default:
-		return nil, fmt.Errorf("lang: invalid measure mode %d", m.Mode)
+		return regScope{}, fmt.Errorf("lang: invalid measure mode %d", m.Mode)
 	}
-	return regNames, nil
+	return regScope{}, nil
 }
 
 // ValidateControl checks the control half: every instruction is one this
-// package defines and every variable it reads resolves (resolve is the
-// StdResolver over the measure half's register names).
+// package defines and evaluates a whole expression whose every variable
+// resolves (resolve is the StdResolver over the measure half's register
+// names).
 func ValidateControl(instrs []Instr, resolve Resolver) error {
-	for _, in := range instrs {
+	for i, in := range instrs {
 		switch in.(type) {
 		case Report:
 			continue
@@ -153,14 +151,13 @@ func ValidateControl(instrs []Instr, resolve Resolver) error {
 		default:
 			return fmt.Errorf("lang: unknown instruction %T", in)
 		}
-		e := InstrExpr(in)
-		if e == nil {
-			return fmt.Errorf("lang: nil expression in program")
+		var c exprCheck
+		c.walk(InstrExpr(in), resolve)
+		if c.nilNode {
+			return fmt.Errorf("lang: nil expression in instruction %d (%T)", i, in)
 		}
-		for _, v := range Vars(e) {
-			if _, ok := resolve(v); !ok {
-				return fmt.Errorf("lang: program references unknown variable %q", v)
-			}
+		if c.hasUnknown {
+			return fmt.Errorf("lang: program references unknown variable %q", c.unknown)
 		}
 	}
 	return nil
@@ -227,8 +224,21 @@ type Builder struct {
 	err error
 }
 
+// builderInstrs is the instruction capacity a Builder starts with: the
+// per-report shape Cwnd(v).WaitRtts(k).Report() and its Rate-and-Cwnd variant
+// fit without the list growing 1, 2, 4 under them.
+const builderInstrs = 4
+
 // NewProgram returns an empty Builder in EWMA measurement mode.
 func NewProgram() *Builder { return &Builder{} }
+
+func (b *Builder) add(in Instr) *Builder {
+	if b.p.Instrs == nil {
+		b.p.Instrs = make([]Instr, 0, builderInstrs)
+	}
+	b.p.Instrs = append(b.p.Instrs, in)
+	return b
+}
 
 // MeasureEWMA selects the default EWMA measurement mode.
 func (b *Builder) MeasureEWMA() *Builder {
@@ -250,14 +260,12 @@ func (b *Builder) MeasureVector(fields ...Field) *Builder {
 
 // Rate appends Rate(e).
 func (b *Builder) Rate(e Expr) *Builder {
-	b.p.Instrs = append(b.p.Instrs, SetRate{e})
-	return b
+	return b.add(SetRate{e})
 }
 
 // Cwnd appends Cwnd(e).
 func (b *Builder) Cwnd(e Expr) *Builder {
-	b.p.Instrs = append(b.p.Instrs, SetCwnd{e})
-	return b
+	return b.add(SetCwnd{e})
 }
 
 // Wait appends Wait(seconds).
@@ -265,8 +273,7 @@ func (b *Builder) Wait(seconds float64) *Builder { return b.WaitExpr(C(seconds))
 
 // WaitExpr appends Wait(e) with e in seconds.
 func (b *Builder) WaitExpr(e Expr) *Builder {
-	b.p.Instrs = append(b.p.Instrs, Wait{e})
-	return b
+	return b.add(Wait{e})
 }
 
 // WaitRtts appends WaitRtts(alpha).
@@ -274,14 +281,12 @@ func (b *Builder) WaitRtts(alpha float64) *Builder { return b.WaitRttsExpr(C(alp
 
 // WaitRttsExpr appends WaitRtts(e).
 func (b *Builder) WaitRttsExpr(e Expr) *Builder {
-	b.p.Instrs = append(b.p.Instrs, WaitRtts{e})
-	return b
+	return b.add(WaitRtts{e})
 }
 
 // Report appends Report().
 func (b *Builder) Report() *Builder {
-	b.p.Instrs = append(b.p.Instrs, Report{})
-	return b
+	return b.add(Report{})
 }
 
 // UrgentECN marks ECN signals as urgent for this program.

@@ -3,8 +3,6 @@ package lang
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Lowering from the expression AST to register code, with the optimization
@@ -35,31 +33,55 @@ type operand struct {
 func cOp(v float64) operand { return operand{isConst: true, cval: v} }
 func rOp(s uint16) operand  { return operand{reg: s} }
 
-// regCompiler lowers one compilation unit (a whole fold body or one
-// control-program expression) sharing a const pool, a temp allocator, and
-// a value-numbering table.
+// valueKey is a value number: the operation and the operands that determine
+// a computed value, comparable so it keys the memo directly.
+type valueKey struct {
+	form       valueForm
+	op         BinKind // formBin, formSel
+	a, b, c, d operandKey
+}
+
+type valueForm uint8
+
+const (
+	formBin   valueForm = iota + 1 // op(a, b)
+	formEwma                       // consts[c]*a + consts[d]*b, the pool indices in c.slot and d.slot
+	formSel                        // (a op b) ? c : d
+	formIf                         // a ? b : c
+	formConst                      // the constant a, materialized into a slot
+)
+
+// operandKey identifies an operand's value: a constant by its bits, a
+// variable slot by slot and write version — so a later write to the slot
+// retires every key built over the old value — and a temp by its slot alone
+// (temps are written once).
+type operandKey struct {
+	isConst bool
+	slot    uint16
+	ver     uint32
+	bits    uint64
+}
+
+// regCompiler lowers compilation units — a whole fold body, or the
+// expressions of a control half one after another — sharing one instruction
+// array and one constant array. A unit has its own const pool (the constants
+// from constBase on), temp allocator and value-numbering table.
 type regCompiler struct {
 	resolve Resolver
 	nvars   int
 	insts   []RInst
 	consts  []float64
-	ntemps  int
-	// memo maps value-number keys to the operand holding that value; keys
-	// embed per-slot write versions, so a register write makes stale keys
-	// unreachable instead of requiring invalidation scans on reads.
-	memo map[string]operand
+	// instBase and constBase are where the current unit starts in insts and
+	// consts; const indices are relative to constBase.
+	instBase, constBase int
+	ntemps              int
+	// memo maps value numbers to the operand holding that value. It is made
+	// on first insert: a unit that folds to a constant never has one.
+	memo map[valueKey]operand
 	// varVer counts writes per variable slot (for memo keys); memo values
-	// that point AT a rewritten slot are purged eagerly on write.
-	varVer map[uint16]int
-}
-
-func newRegCompiler(resolve Resolver, nvars int) *regCompiler {
-	return &regCompiler{
-		resolve: resolve,
-		nvars:   nvars,
-		memo:    make(map[string]operand),
-		varVer:  make(map[uint16]int),
-	}
+	// that point AT a rewritten slot are purged eagerly on write. Only fold
+	// bodies write variable slots, so it too is made on first use.
+	varVer map[uint16]uint32
 }
 
 func (rc *regCompiler) newTemp() (uint16, error) {
@@ -72,29 +94,28 @@ func (rc *regCompiler) newTemp() (uint16, error) {
 }
 
 func (rc *regCompiler) constIndex(v float64) (uint16, error) {
-	for i, existing := range rc.consts {
+	pool := rc.consts[rc.constBase:]
+	for i, existing := range pool {
 		if math.Float64bits(existing) == math.Float64bits(v) {
 			return uint16(i), nil
 		}
 	}
-	if len(rc.consts) > 0xFFFF {
+	if len(pool) > 0xFFFF {
 		return 0, fmt.Errorf("lang: constant pool exceeds %d entries", 0xFFFF)
 	}
 	rc.consts = append(rc.consts, v)
-	return uint16(len(rc.consts) - 1), nil
+	return uint16(len(pool)), nil
 }
 
-// okey renders an operand as a value-number key component. Variable slots
-// embed their write version so a later write to the slot retires every key
-// built over the old value.
-func (rc *regCompiler) okey(o operand) string {
+// keyOf is o as a value-number key component.
+func (rc *regCompiler) keyOf(o operand) operandKey {
 	if o.isConst {
-		return "c" + strconv.FormatUint(math.Float64bits(o.cval), 16)
+		return operandKey{isConst: true, bits: math.Float64bits(o.cval)}
 	}
 	if int(o.reg) < rc.nvars {
-		return "v" + strconv.Itoa(int(o.reg)) + "@" + strconv.Itoa(rc.varVer[o.reg])
+		return operandKey{slot: o.reg, ver: rc.varVer[o.reg]}
 	}
-	return "t" + strconv.Itoa(int(o.reg))
+	return operandKey{slot: o.reg}
 }
 
 // emit appends an instruction into a fresh temp and returns its operand.
@@ -109,22 +130,26 @@ func (rc *regCompiler) emit(in RInst) (operand, error) {
 }
 
 // emitMemo emits an instruction and records its value under key.
-func (rc *regCompiler) emitMemo(key string, in RInst) (operand, error) {
+func (rc *regCompiler) emitMemo(key valueKey, in RInst) (operand, error) {
 	o, err := rc.emit(in)
 	if err != nil {
 		return operand{}, err
+	}
+	if rc.memo == nil {
+		rc.memo = make(map[valueKey]operand)
 	}
 	rc.memo[key] = o
 	return o, nil
 }
 
-// materialize returns a frame slot holding o, emitting (and memoizing) an
-// rConst for constants needed in register positions.
-func (rc *regCompiler) materialize(o operand) (uint16, error) {
+// materialize returns a frame slot holding o, emitting an rConst for a
+// constant needed in a register position. The slot is memoized for the rest
+// of the unit unless this is the unit's result, which nothing reads again.
+func (rc *regCompiler) materialize(o operand, result bool) (uint16, error) {
 	if !o.isConst {
 		return o.reg, nil
 	}
-	key := "m" + strconv.FormatUint(math.Float64bits(o.cval), 16)
+	key := valueKey{form: formConst, a: rc.keyOf(o)}
 	if hit, ok := rc.memo[key]; ok {
 		return hit.reg, nil
 	}
@@ -132,17 +157,23 @@ func (rc *regCompiler) materialize(o operand) (uint16, error) {
 	if err != nil {
 		return 0, err
 	}
-	reg, err := rc.emitMemo(key, RInst{Op: rConst, A: idx})
-	if err != nil {
-		return 0, err
+	in := RInst{Op: rConst, A: idx}
+	var reg operand
+	if result {
+		reg, err = rc.emit(in)
+	} else {
+		reg, err = rc.emitMemo(key, in)
 	}
-	return reg.reg, nil
+	return reg.reg, err
 }
 
 // noteVarWrite records a write to variable slot s: bump the version (keys
 // over the old value stop matching) and purge memo values that point at
 // the slot itself (their home is about to change contents).
 func (rc *regCompiler) noteVarWrite(s uint16) {
+	if rc.varVer == nil {
+		rc.varVer = make(map[uint16]uint32)
+	}
 	rc.varVer[s]++
 	for k, o := range rc.memo {
 		if !o.isConst && o.reg == s {
@@ -275,14 +306,16 @@ func (rc *regCompiler) binOperand(op BinKind, l, r operand) (operand, error) {
 			l, r = r, l
 		}
 	}
+	// The operands are in their final order: one value number, whichever
+	// instruction form computes it.
+	key := valueKey{form: formBin, op: op, a: rc.keyOf(l), b: rc.keyOf(r)}
+	if hit, ok := rc.memo[key]; ok {
+		return hit, nil
+	}
 	if r.isConst && !l.isConst && rcOps[op] != rNop {
 		idx, err := rc.constIndex(r.cval)
 		if err != nil {
 			return operand{}, err
-		}
-		key := "B" + strconv.Itoa(int(op)) + ":" + rc.okey(l) + ":" + rc.okey(r)
-		if hit, ok := rc.memo[key]; ok {
-			return hit, nil
 		}
 		return rc.emitMemo(key, RInst{Op: rcOps[op], A: l.reg, B: idx})
 	}
@@ -296,15 +329,7 @@ func (rc *regCompiler) binOperand(op BinKind, l, r operand) (operand, error) {
 		if op == OpDiv {
 			rop = rDivCR
 		}
-		key := "B" + strconv.Itoa(int(op)) + ":" + rc.okey(l) + ":" + rc.okey(r)
-		if hit, ok := rc.memo[key]; ok {
-			return hit, nil
-		}
 		return rc.emitMemo(key, RInst{Op: rop, A: r.reg, B: idx})
-	}
-	key := "B" + strconv.Itoa(int(op)) + ":" + rc.okey(l) + ":" + rc.okey(r)
-	if hit, ok := rc.memo[key]; ok {
-		return hit, nil
 	}
 	return rc.emitMemo(key, RInst{Op: rrOps[op], A: l.reg, B: r.reg})
 }
@@ -350,7 +375,7 @@ func (rc *regCompiler) compileEwma(ca float64, xe Expr, cb float64, ye Expr) (op
 	if err != nil {
 		return operand{}, err
 	}
-	key := "E" + strconv.Itoa(int(ia)) + ":" + rc.okey(x) + ":" + strconv.Itoa(int(ib)) + ":" + rc.okey(y)
+	key := valueKey{form: formEwma, a: rc.keyOf(x), b: rc.keyOf(y), c: operandKey{slot: ia}, d: operandKey{slot: ib}}
 	if hit, ok := rc.memo[key]; ok {
 		return hit, nil
 	}
@@ -388,23 +413,23 @@ func (rc *regCompiler) compileIf(n *If) (operand, error) {
 			op = flipCmp[op]
 			l, r = r, l
 		}
-		la, err := rc.materialize(l)
+		la, err := rc.materialize(l, false)
 		if err != nil {
 			return operand{}, err
 		}
-		rb, err := rc.materialize(r)
+		rb, err := rc.materialize(r, false)
 		if err != nil {
 			return operand{}, err
 		}
-		tc, err := rc.materialize(th)
+		tc, err := rc.materialize(th, false)
 		if err != nil {
 			return operand{}, err
 		}
-		ed, err := rc.materialize(el)
+		ed, err := rc.materialize(el, false)
 		if err != nil {
 			return operand{}, err
 		}
-		key := strings.Join([]string{"S", strconv.Itoa(int(op)), rc.okey(rOp(la)), rc.okey(rOp(rb)), rc.okey(rOp(tc)), rc.okey(rOp(ed))}, ":")
+		key := valueKey{form: formSel, op: op, a: rc.keyOf(rOp(la)), b: rc.keyOf(rOp(rb)), c: rc.keyOf(rOp(tc)), d: rc.keyOf(rOp(ed))}
 		if hit, ok := rc.memo[key]; ok {
 			return hit, nil
 		}
@@ -425,15 +450,15 @@ func (rc *regCompiler) compileIf(n *If) (operand, error) {
 	if err != nil {
 		return operand{}, err
 	}
-	tb, err := rc.materialize(th)
+	tb, err := rc.materialize(th, false)
 	if err != nil {
 		return operand{}, err
 	}
-	eb, err := rc.materialize(el)
+	eb, err := rc.materialize(el, false)
 	if err != nil {
 		return operand{}, err
 	}
-	key := strings.Join([]string{"I", rc.okey(cond), rc.okey(rOp(tb)), rc.okey(rOp(eb))}, ":")
+	key := valueKey{form: formIf, a: rc.keyOf(cond), b: rc.keyOf(rOp(tb)), c: rc.keyOf(rOp(eb))}
 	if hit, ok := rc.memo[key]; ok {
 		return hit, nil
 	}
@@ -486,35 +511,81 @@ func (rc *regCompiler) compileAssign(dst uint16, e Expr) error {
 	return nil
 }
 
-// finish packages the compiled unit and runs the compile-time verifier.
-func (rc *regCompiler) finish(result uint16, allowedVarDsts map[uint16]bool) (*RegCode, error) {
-	code := &RegCode{
-		Insts:    rc.insts,
-		Consts:   rc.consts,
+// finish packages the unit compiled since the last finish into code, runs
+// the compile-time verifier on it and starts the next unit.
+func (rc *regCompiler) finish(code *RegCode, result uint16, allowedVarDsts map[uint16]bool) error {
+	*code = RegCode{
 		NVars:    rc.nvars,
 		FrameLen: rc.nvars + rc.ntemps,
 		Result:   result,
 	}
-	if err := code.verify(allowedVarDsts); err != nil {
-		return nil, err
+	// Capacity ends with the unit, so the next unit's appends leave it alone;
+	// a unit that emitted nothing has nil slices, as a RegCode of its own would.
+	if n := len(rc.insts); n > rc.instBase {
+		code.Insts = rc.insts[rc.instBase:n:n]
 	}
-	return code, nil
+	if n := len(rc.consts); n > rc.constBase {
+		code.Consts = rc.consts[rc.constBase:n:n]
+	}
+	rc.instBase, rc.constBase, rc.ntemps = len(rc.insts), len(rc.consts), 0
+	clear(rc.memo)
+	return code.verify(allowedVarDsts)
+}
+
+// compileUnit lowers one expression, as a unit of its own, into code.
+func (rc *regCompiler) compileUnit(e Expr, code *RegCode) error {
+	o, err := rc.compileExpr(e)
+	if err != nil {
+		return err
+	}
+	res, err := rc.materialize(o, true)
+	if err != nil {
+		return err
+	}
+	return rc.finish(code, res, nil)
 }
 
 // CompileReg lowers a single expression to optimized register code against
 // the standard variable-table layout (nvars slots resolved by resolve,
 // which must be a StdResolver-compatible mapping).
 func CompileReg(e Expr, resolve Resolver, nvars int) (*RegCode, error) {
-	rc := newRegCompiler(resolve, nvars)
-	o, err := rc.compileExpr(e)
-	if err != nil {
+	rc := regCompiler{resolve: resolve, nvars: nvars}
+	code := new(RegCode)
+	if err := rc.compileUnit(e, code); err != nil {
 		return nil, err
 	}
-	res, err := rc.materialize(o)
-	if err != nil {
-		return nil, err
+	return code, nil
+}
+
+// CompileControl lowers a control half in one pass: the code CompileReg gives
+// each instruction's expression, in one array (the zero RegCode for Report,
+// which evaluates nothing), with every instruction stream in one backing
+// array and every constant pool in another. The arrays are sized for what
+// the paper's per-report programs are made of — an expression that is one
+// constant is one instruction over one constant — and grow for anything
+// larger.
+func CompileControl(instrs []Instr, resolve Resolver, nvars int) ([]RegCode, error) {
+	nexpr := 0
+	for _, in := range instrs {
+		if InstrExpr(in) != nil {
+			nexpr++
+		}
 	}
-	return rc.finish(res, nil)
+	rc := regCompiler{
+		resolve: resolve,
+		nvars:   nvars,
+		insts:   make([]RInst, 0, nexpr),
+		consts:  make([]float64, 0, nexpr),
+	}
+	codes := make([]RegCode, len(instrs))
+	for i, in := range instrs {
+		if e := InstrExpr(in); e != nil {
+			if err := rc.compileUnit(e, &codes[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return codes, nil
 }
 
 // compileFoldReg lowers a whole fold body — every update, in order — into
@@ -523,7 +594,7 @@ func CompileReg(e Expr, resolve Resolver, nvars int) (*RegCode, error) {
 func compileFoldReg(f *FoldSpec) (*RegCode, error) {
 	resolve := StdResolver(f.regNames())
 	nvars := VarTableSize(len(f.Regs))
-	rc := newRegCompiler(resolve, nvars)
+	rc := regCompiler{resolve: resolve, nvars: nvars}
 	allowed := make(map[uint16]bool, len(f.Regs))
 	for i := range f.Regs {
 		allowed[uint16(RegSlot(i))] = true
@@ -539,5 +610,9 @@ func compileFoldReg(f *FoldSpec) (*RegCode, error) {
 	}
 	// A fold body's effects are its register writes; Result is unused, and
 	// slot 0 always exists (the table starts with the packet fields).
-	return rc.finish(0, allowed)
+	code := new(RegCode)
+	if err := rc.finish(code, 0, allowed); err != nil {
+		return nil, err
+	}
+	return code, nil
 }

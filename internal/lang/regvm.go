@@ -293,12 +293,18 @@ func (c *RegCode) verify(allowedVarDsts map[uint16]bool) error {
 	if c.FrameLen > 0xFFFF {
 		return fmt.Errorf("lang: register frame of %d slots exceeds the 16-bit operand space", c.FrameLen)
 	}
-	written := make([]bool, c.FrameLen)
+	// written[i] is whether temp NVars+i has been written. A control
+	// expression has a temp or two, which fit in the frame of this call.
+	var few [16]bool
+	written := few[:]
+	if ntemps := c.FrameLen - c.NVars; ntemps > len(few) {
+		written = make([]bool, ntemps)
+	}
 	readOK := func(slot uint16) error {
 		if int(slot) >= c.FrameLen {
 			return fmt.Errorf("lang: operand slot %d outside frame of %d", slot, c.FrameLen)
 		}
-		if int(slot) >= c.NVars && !written[slot] {
+		if int(slot) >= c.NVars && !written[int(slot)-c.NVars] {
 			return fmt.Errorf("lang: temp slot %d read before write", slot)
 		}
 		return nil
@@ -357,12 +363,14 @@ func (c *RegCode) verify(allowedVarDsts map[uint16]bool) error {
 		if int(in.Dst) < c.NVars && !allowedVarDsts[in.Dst] {
 			return fmt.Errorf("lang: inst %d (%v): write to variable slot %d not in the destination set", i, in.Op, in.Dst)
 		}
-		written[in.Dst] = true
+		if int(in.Dst) >= c.NVars {
+			written[int(in.Dst)-c.NVars] = true
+		}
 	}
 	if int(c.Result) >= c.FrameLen {
 		return fmt.Errorf("lang: result slot %d outside frame of %d", c.Result, c.FrameLen)
 	}
-	if int(c.Result) >= c.NVars && !written[c.Result] {
+	if int(c.Result) >= c.NVars && !written[int(c.Result)-c.NVars] {
 		return fmt.Errorf("lang: result temp %d never written", c.Result)
 	}
 	return nil

@@ -9,8 +9,12 @@
 //
 //  1. Hot-path writes are a single atomic op (Counter.Inc, Gauge.Add,
 //     Histogram.Observe). No locks, no allocation, safe from any goroutine.
-//  2. A nil *Registry is valid everywhere: lookups return detached
-//     instruments that absorb writes. Instrumented code never nil-checks.
+//  2. A nil *Registry is valid everywhere: lookups return nil instruments,
+//     and a nil *Counter, *Gauge or *Histogram absorbs writes and reads as
+//     empty. Instrumented code never nil-checks, and uninstrumented code
+//     holds no instrument: fifty thousand flows without a registry do not
+//     carry fifty thousand unreadable histograms. (Not one shared sink per
+//     kind instead: every flow on every core would write the same line.)
 //  3. Reads are snapshots: Snapshot() returns a stable, sorted view the
 //     experiments serialize, decoupled from concurrent writers.
 package metrics
@@ -30,14 +34,27 @@ type Counter struct {
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n (negative deltas are a programming error but are not checked
 // on the hot path).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is an instantaneous level (queue depth, live flows).
 type Gauge struct {
@@ -45,13 +62,26 @@ type Gauge struct {
 }
 
 // Set replaces the level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) {
+	if g != nil {
+		g.v.Store(n)
+	}
+}
 
 // Add moves the level by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+func (g *Gauge) Add(n int64) {
+	if g != nil {
+		g.v.Add(n)
+	}
+}
 
 // Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
 
 // histBuckets is the number of power-of-two histogram buckets. Bucket i
 // counts observations in (2^(i-1), 2^i] times the histogram's unit, with
@@ -92,6 +122,9 @@ func bucketUpper(i int) float64 {
 
 // Observe records one observation. Negative values clamp to zero.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -119,7 +152,7 @@ func (h *Histogram) Observe(v float64) {
 // histograms after the shards have quiesced; it is not atomic with respect
 // to concurrent Observe calls on either side.
 func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
+	if h == nil || other == nil {
 		return
 	}
 	oc := other.count.Load()
@@ -161,6 +194,9 @@ type BucketCount struct {
 
 // Snapshot captures the histogram's current distribution.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
 	s := HistogramSnapshot{
 		Count: h.count.Load(),
 		Sum:   float64(h.sum.Load()),
@@ -216,7 +252,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // Registry names and owns instruments. The zero value is not usable; use
-// NewRegistry. A nil *Registry is usable: every lookup returns a detached
+// NewRegistry. A nil *Registry is usable: every lookup returns a nil
 // instrument, so instrumentation can be threaded unconditionally.
 type Registry struct {
 	mu       sync.Mutex
@@ -235,10 +271,10 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the named counter, creating it on first use. On a nil
-// registry it returns a detached counter.
+// registry it returns nil, the counter that absorbs writes.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return &Counter{}
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -251,10 +287,10 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Gauge returns the named gauge, creating it on first use. On a nil
-// registry it returns a detached gauge.
+// registry it returns nil, the gauge that absorbs writes.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
-		return &Gauge{}
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,10 +303,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it on first use. On a
-// nil registry it returns a detached histogram.
+// nil registry it returns nil, the histogram that absorbs writes.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
-		return &Histogram{}
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

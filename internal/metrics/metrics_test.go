@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/ccp-repro/ccp/internal/testenv"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -33,6 +35,51 @@ func TestNilRegistryIsUsable(t *testing.T) {
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
+	}
+}
+
+// TestNilInstrumentsAbsorb: what a nil registry hands out is nil, and every
+// method of a nil instrument is a no-op that reads as empty.
+func TestNilInstrumentsAbsorb(t *testing.T) {
+	var r *Registry
+	c, g, h := r.Counter("x"), r.Gauge("y"), r.Histogram("z")
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out instruments: %v %v %v", c, g, h)
+	}
+	c.Inc()
+	c.Add(3)
+	g.Set(3)
+	g.Add(-1)
+	h.Observe(7)
+	var live Histogram
+	live.Observe(5)
+	h.Merge(&live)
+	live.Merge(h)
+	if c.Value() != 0 || g.Value() != 0 {
+		t.Fatalf("nil counter=%d gauge=%d, want 0", c.Value(), g.Value())
+	}
+	if s := h.Snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
+		t.Fatalf("nil histogram snapshot not empty: %+v", s)
+	}
+	if s := live.Snapshot(); s.Count != 1 {
+		t.Fatalf("merging a nil histogram changed the target: %+v", s)
+	}
+}
+
+// TestAllocsNilRegistry: code instrumented against a nil registry pays
+// nothing for it — no instrument per lookup, nothing per write.
+func TestAllocsNilRegistry(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	var r *Registry
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("x").Inc()
+		r.Gauge("y").Add(1)
+		r.Histogram("z").Observe(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil-registry instruments allocated %.1f times, want 0", allocs)
 	}
 }
 
