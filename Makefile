@@ -61,13 +61,16 @@ bench-scale-smoke:
 bench-hotpath:
 	$(GO) run ./cmd/ccp-hotpath -json BENCH_hotpath.json
 
-# Compares the current codec and event-queue benchmarks against the
-# committed bench/baseline.txt. Requires the benchstat tool; skipped with a
-# hint when it is not installed (no network access is assumed here).
+# Compares the current codec, event-queue, ring, fold and agent-dispatch
+# benchmarks against the committed bench/baseline.txt. Requires the
+# benchstat tool; skipped with a hint when it is not installed (no network
+# access is assumed here).
 benchstat:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) test -run='^$$' -bench=. -benchmem -count=5 \
 			./internal/proto ./internal/netsim ./internal/ipc/shmring ./internal/lang > bench/current.txt && \
+		$(GO) test -run='^$$' -bench='AgentDispatch|RuntimeShardedDispatch' -benchmem -count=5 \
+			. >> bench/current.txt && \
 		benchstat bench/baseline.txt bench/current.txt; \
 	else \
 		echo "benchstat not installed; skipping comparison."; \
@@ -75,20 +78,22 @@ benchstat:
 	fi
 
 # Allocation-regression tests: the hot paths (codec round trip, fold step,
-# event schedule/dispatch, program validation, nil-registry instruments) must
-# stay at zero allocations per op, and both ends of a warm Install (the
-# agent's build-and-send, the datapath's measure-half-known apply) under
-# their pins. These skip themselves under -race (alloc counts are inflated),
-# so `check` runs them in a separate non-race pass.
+# event schedule/dispatch, program validation, nil-registry instruments, a
+# report across the shard hop and the decision it draws) must stay at zero
+# allocations per op, and both ends of a warm Install (the agent's
+# build-and-send, the datapath's measure-half-known apply) under their pins.
+# These skip themselves under -race (alloc counts are inflated), so `check`
+# runs them in a separate non-race pass.
 test-allocs:
 	$(GO) test -run 'TestAllocs' -count=1 \
 		./internal/proto ./internal/netsim ./internal/lang ./internal/ipc/shmring \
-		./internal/datapath ./internal/core ./internal/metrics
+		./internal/datapath ./internal/core ./internal/metrics ./internal/runtime
 
-# Robustness lane: the concurrent packages (sharded runtime, socket link,
-# transports, fault injectors, datapath fail-safe) twice under the race
-# detector. -count=2 defeats test caching and shakes out order-dependent
-# state; CI runs this as its own job.
+# Robustness lane: the concurrent packages (sharded runtime — including
+# TestRaceContainersAccountedExactlyOnce, the mailbox-container ownership
+# stress — socket link, transports, fault injectors, datapath fail-safe)
+# twice under the race detector. -count=2 defeats test caching and shakes
+# out order-dependent state; CI runs this as its own job.
 test-race-robust:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/harness/ \
 		./internal/ipc/ ./internal/ipc/shmring/ ./internal/bridge/ \

@@ -371,10 +371,11 @@ func BenchmarkAgentDispatch(b *testing.B) {
 	}
 	reply := func(proto.Msg) error { return nil }
 	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
-	m := &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 1e6, 1e6, 14480, 0, 0, 0.01}}
+	m := &proto.Measurement{SID: 1, Fields: []float64{0.01, 1e6, 1e6, 14480, 0, 0, 0.01}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m.Seq++ // a repeated sequence number is dropped as stale, undecided
 		agent.HandleMessage(m, reply)
 	}
 }
@@ -404,14 +405,15 @@ func BenchmarkRuntimeShardedDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		sid := atomic.AddUint32(&next, 1)%flows + 1
-		seq := uint32(0)
+		// One report per producer, restamped each time: HandleMessage only
+		// borrows it, as a serve loop's decode scratch is borrowed.
+		m := &proto.Measurement{
+			SID:    atomic.AddUint32(&next, 1)%flows + 1,
+			Fields: []float64{0.01, 1e6, 1e6, 14480, 0, 0, 0.01},
+		}
 		for pb.Next() {
-			seq++
-			rt.HandleMessage(&proto.Measurement{
-				SID: sid, Seq: seq,
-				Fields: []float64{0.01, 1e6, 1e6, 14480, 0, 0, 0.01},
-			}, reply)
+			m.Seq++
+			rt.HandleMessage(m, reply)
 		}
 	})
 	b.StopTimer()

@@ -33,7 +33,7 @@ func newAlgRig(t *testing.T, name string, factory core.AlgFactory) *algRig {
 
 func (r *algRig) handle(m proto.Msg) {
 	r.agent.HandleMessage(m, func(out proto.Msg) error {
-		r.out = append(r.out, out)
+		r.out = append(r.out, proto.Clone(out)) // out is the agent's scratch
 		return nil
 	})
 }

@@ -517,14 +517,22 @@ func aliasCarrier(t types.Type) bool {
 	}
 }
 
-// isCloneCall matches proto.Clone(...) and method clones like m.Clone().
+// isCloneCall matches proto.Clone(...), its container forms CloneInto and
+// CloneBatchInto, and method clones like m.Clone().
 func isCloneCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	fn := calleeFunc(info, call)
-	return fn != nil && fn.Name() == "Clone"
+	if fn == nil {
+		return false
+	}
+	switch fn.Name() {
+	case "Clone", "CloneInto", "CloneBatchInto":
+		return true
+	}
+	return false
 }
 
 // identObj resolves an identifier to its variable object (use or def).

@@ -141,6 +141,20 @@ func cloneThenRetain(dec *proto.Decoder) []proto.Msg {
 	return out
 }
 
+// CloneInto severs it the same way, into a container the caller keeps
+// (the shard mailbox's shape).
+func cloneIntoKeptContainer(dec *proto.Decoder) proto.Msg {
+	var kept proto.Msg
+	for _, raw := range frames() {
+		m, err := dec.Unmarshal(raw)
+		if err != nil {
+			continue
+		}
+		kept = proto.CloneInto(kept, m)
+	}
+	return kept
+}
+
 // Cloning before the second decode keeps the first message valid.
 func cloneBeforeSecondDecode(dec *proto.Decoder, b1, b2 []byte) {
 	m1, _ := dec.Unmarshal(b1)

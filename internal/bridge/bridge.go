@@ -25,7 +25,10 @@ import (
 // Ownership: m is only valid for the duration of the call — the bridge
 // decodes into reusable scratch state and reclaims it as soon as
 // HandleMessage returns. An implementation that queues m for later must take
-// its own copy (proto.Clone).
+// its own copy (proto.Clone). The same holds the other way: a message the
+// handler passes to reply is only lent for the duration of that call (the
+// agent builds decisions in storage it reuses), which the bridge's reply
+// honours by marshalling before it returns.
 type Handler interface {
 	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
 }

@@ -41,7 +41,7 @@ func TestBridgeDelaysByLatency(t *testing.T) {
 	var delivered []proto.Msg
 	var deliveredAt []time.Duration
 	send := b.DatapathSender(func(m proto.Msg) {
-		delivered = append(delivered, m)
+		delivered = append(delivered, proto.Clone(m)) // m is the bridge's decode scratch
 		deliveredAt = append(deliveredAt, sim.Now())
 	})
 

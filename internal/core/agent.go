@@ -81,6 +81,9 @@ type Agent struct {
 	mu    sync.Mutex
 	flows map[uint32]*flowState
 	stats AgentStats
+	// shared is the block every flow of this agent points at; its message
+	// scratch is written only under mu.
+	shared flowShared
 
 	// HA snapshot state (see snapshot.go). snapshotting turns on tombstone
 	// recording the first time SnapshotInto runs, so an agent nobody
@@ -152,6 +155,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	return &Agent{
 		cfg:        cfg,
 		flows:      make(map[uint32]*flowState),
+		shared:     flowShared{verify: cfg.Verify, logf: cfg.Logf},
 		mReports:   cfg.Metrics.Counter("agent_reports_total"),
 		mUrgents:   cfg.Metrics.Counter("agent_urgents_total"),
 		mCreated:   cfg.Metrics.Counter("agent_flows_created_total"),
@@ -178,6 +182,11 @@ func (a *Agent) FlowCount() int {
 // HandleMessage processes one datapath→agent message. reply transmits
 // agent→datapath messages for the flow's datapath (it is captured by the
 // flow created on Create, so each datapath keeps its own channel).
+//
+// Ownership runs the same way in both directions: m is borrowed for the
+// duration of this call, and every message handed to reply is borrowed for
+// the duration of that call — it is built in storage the agent reuses for its
+// next decision, so a reply that keeps a message must proto.Clone it.
 //
 // A *proto.Batch is unpacked here and processed in order under one lock
 // acquisition — the agent-side half of the §4 batching amortization.
@@ -300,10 +309,13 @@ func (a *Agent) handleLocked(m proto.Msg, reply func(proto.Msg) error) {
 	case *proto.Heartbeat:
 		// Supervision probe: echo it so the sender measures true
 		// request→response latency through this agent's dispatch path. The
-		// echo is a copy — v is decode scratch the reply must outlive.
+		// echo is the agent's own message, not v: v is the caller's storage,
+		// which its reply should not find itself handed back.
 		a.stats.Heartbeats++
 		if reply != nil {
-			if err := reply(&proto.Heartbeat{SID: v.SID, Seq: v.Seq, SentAt: v.SentAt}); err != nil {
+			echo := &a.shared.heartbeat
+			*echo = proto.Heartbeat{SID: v.SID, Seq: v.Seq, SentAt: v.SentAt}
+			if err := reply(echo); err != nil {
 				a.stats.Errors++
 			}
 		}
@@ -368,8 +380,7 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 	}
 	// The Create's Seq is the newest control sequence the datapath has
 	// applied (nonzero on resync); the flow numbers its decisions above it.
-	flow := &Flow{Info: info, policy: policy, send: reply, ctrlSeq: v.Seq,
-		verify: a.cfg.Verify, logf: a.logf}
+	flow := &Flow{Info: info, policy: policy, send: reply, ctrlSeq: v.Seq, shared: &a.shared}
 	// Replacing an existing SID (datapath restart or resync) releases the
 	// old state.
 	if old, exists := a.flows[v.SID]; exists {
@@ -436,7 +447,8 @@ func Describe(factory AlgFactory, mss int) (progs []*lang.Program, direct []stri
 	var captured []*lang.Program
 	var directMsgs []string
 	probe := &Flow{
-		Info: FlowInfo{SID: 0, MSS: mss, InitCwnd: 10 * mss},
+		Info:   FlowInfo{SID: 0, MSS: mss, InitCwnd: 10 * mss},
+		shared: new(flowShared),
 		send: func(m proto.Msg) error {
 			switch v := m.(type) {
 			case *proto.Install:

@@ -35,7 +35,7 @@ type capture struct {
 }
 
 func (c *capture) send(m proto.Msg) error {
-	c.msgs = append(c.msgs, m)
+	c.msgs = append(c.msgs, proto.Clone(m)) // m is the agent's scratch
 	return nil
 }
 
@@ -351,7 +351,7 @@ func TestFlowStampsControlSequence(t *testing.T) {
 	// Install, SetCwnd, and SetRate share one ascending sequence space so
 	// the datapath can discard reordered copies of superseded decisions.
 	cap := &capture{}
-	f := &Flow{Info: FlowInfo{SID: 1, MSS: 1448}, send: cap.send}
+	f := &Flow{Info: FlowInfo{SID: 1, MSS: 1448}, send: cap.send, shared: new(flowShared)}
 	if err := f.Install(lang.NewProgram().Cwnd(lang.C(10000)).WaitRtts(1).MustBuild()); err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 }
 
 func TestFlowVerifyStrictRefusesUnsafeProgram(t *testing.T) {
-	f := &Flow{Info: FlowInfo{SID: 1, MSS: 1448}, verify: absint.ModeStrict}
+	f := &Flow{Info: FlowInfo{SID: 1, MSS: 1448}, shared: &flowShared{verify: absint.ModeStrict}}
 	unsafe := lang.NewProgram().
 		Rate(lang.Div(lang.C(1e6), lang.V("pkt.rtt"))).
 		WaitRtts(1).Report().MustBuild()

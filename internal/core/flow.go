@@ -33,24 +33,48 @@ type Policy struct {
 // PolicyFunc selects the policy for a new flow.
 type PolicyFunc func(info FlowInfo) Policy
 
+// flowShared is what every flow of one agent holds in common, reached through
+// one pointer so a Flow carries no per-flow copy of it: the agent's Install
+// settings, and the storage each outgoing message is built in. The send path
+// only borrows a message for the duration of the call (see Flow.send), and an
+// agent makes one decision at a time under its lock, so one block per agent
+// serves all its flows and a decision allocates nothing.
+type flowShared struct {
+	// verify pre-flights programs at Install (AgentConfig.Verify); logf
+	// carries the agent's diagnostic sink (nil on probe flows).
+	verify absint.Mode
+	logf   func(format string, args ...any)
+
+	setCwnd   proto.SetCwnd
+	setRate   proto.SetRate
+	install   proto.Install
+	backoff   proto.Backoff
+	heartbeat proto.Heartbeat
+}
+
 // Flow is the algorithm's handle on one datapath flow: it carries flow
 // metadata and the Install/SetCwnd/SetRate channel back to the datapath,
 // with the agent's policy applied.
+//
+// A Flow's methods are for its algorithm's callbacks (Init, OnMeasurement,
+// OnUrgent), which the agent serializes; they are not safe to call from
+// another goroutine while the agent is dispatching.
 type Flow struct {
 	Info   FlowInfo
 	policy Policy
-	send   func(proto.Msg) error
+	// send transmits toward the flow's datapath. It borrows the message for
+	// the duration of the call: the message is the agent's scratch, rewritten
+	// by the next decision, so an implementation that keeps it must clone.
+	send func(proto.Msg) error
+	// shared is the owning agent's block, never nil; a flow made outside an
+	// agent (Describe's probe) is given its own.
+	shared *flowShared
 
 	installed *lang.Program
 	// progBytes is the wire encoding of installed, kept so snapshots carry
 	// the program without re-marshalling it per snapshot tick.
 	progBytes []byte
 	created   time.Duration
-
-	// verify pre-flights programs at Install (AgentConfig.Verify); logf
-	// carries the agent's diagnostic sink (nil on probe flows).
-	verify absint.Mode
-	logf   func(format string, args ...any)
 
 	// Datapath install-refusal tracking: prevInstalled/prevProgBytes hold the
 	// program the datapath was running before the newest Install, so an
@@ -113,13 +137,13 @@ func (f *Flow) Install(p *lang.Program) error {
 	if err := clamped.Validate(); err != nil {
 		return err
 	}
-	if f.verify == absint.ModeStrict || f.verify == absint.ModeWarn {
+	if verify := f.shared.verify; verify == absint.ModeStrict || verify == absint.ModeWarn {
 		rep, err := absint.Analyze(clamped, absint.Datapath())
 		if err != nil {
 			return err
 		}
 		if rep.HasErrors() {
-			if f.verify == absint.ModeStrict {
+			if verify == absint.ModeStrict {
 				return fmt.Errorf("core: flow %d: program refused by verifier: %w",
 					f.Info.SID, rep.Err())
 			}
@@ -131,7 +155,9 @@ func (f *Flow) Install(p *lang.Program) error {
 		return err
 	}
 	seq := f.nextSeq()
-	if err := f.emit(&proto.Install{SID: f.Info.SID, Seq: seq, Prog: data}); err != nil {
+	m := &f.shared.install
+	*m = proto.Install{SID: f.Info.SID, Seq: seq, Prog: data}
+	if err := f.emit(m); err != nil {
 		return err
 	}
 	f.prevInstalled, f.prevProgBytes = f.installed, f.progBytes
@@ -143,8 +169,8 @@ func (f *Flow) Install(p *lang.Program) error {
 }
 
 func (f *Flow) logfSafe(format string, args ...any) {
-	if f.logf != nil {
-		f.logf(format, args...)
+	if logf := f.shared.logf; logf != nil {
+		logf(format, args...)
 	}
 }
 
@@ -175,7 +201,9 @@ func (f *Flow) SetCwnd(bytes int) error {
 	if bytes < 0 {
 		bytes = 0
 	}
-	return f.emit(&proto.SetCwnd{SID: f.Info.SID, Seq: f.nextSeq(), Bytes: uint32(bytes)})
+	m := &f.shared.setCwnd
+	*m = proto.SetCwnd{SID: f.Info.SID, Seq: f.nextSeq(), Bytes: uint32(bytes)}
+	return f.emit(m)
 }
 
 // SetRate directly sets the pacing rate (bytes/sec), clamped by policy.
@@ -186,7 +214,9 @@ func (f *Flow) SetRate(bps float64) error {
 	if bps < 0 {
 		bps = 0
 	}
-	return f.emit(&proto.SetRate{SID: f.Info.SID, Seq: f.nextSeq(), Bps: bps})
+	m := &f.shared.setRate
+	*m = proto.SetRate{SID: f.Info.SID, Seq: f.nextSeq(), Bps: bps}
+	return f.emit(m)
 }
 
 // Backoff asks the flow's datapath to stretch its report interval by
@@ -199,7 +229,9 @@ func (f *Flow) Backoff(factor float64) error {
 	if factor < 1 {
 		factor = 1
 	}
-	return f.emit(&proto.Backoff{SID: f.Info.SID, Factor: factor})
+	m := &f.shared.backoff
+	*m = proto.Backoff{SID: f.Info.SID, Factor: factor}
+	return f.emit(m)
 }
 
 // Installed returns the most recently installed (policy-rewritten) program,

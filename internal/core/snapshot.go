@@ -153,8 +153,7 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 	if a.cfg.Policy != nil {
 		policy = a.cfg.Policy(info)
 	}
-	flow := &Flow{Info: info, policy: policy, ctrlSeq: snap.CtrlSeq + ctrlSeqSkip,
-		verify: a.cfg.Verify, logf: a.logf}
+	flow := &Flow{Info: info, policy: policy, ctrlSeq: snap.CtrlSeq + ctrlSeqSkip, shared: &a.shared}
 	var restoredProg *lang.Program
 	if snap.Installed && len(snap.Prog) > 0 {
 		p, err := lang.UnmarshalProgram(snap.Prog)

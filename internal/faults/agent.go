@@ -8,7 +8,10 @@ import (
 
 // AgentHandler is the message sink the agent injector wraps — a *core.Agent
 // or a sharded *runtime.Runtime (structurally the bridge.Handler contract:
-// m is borrowed for the duration of the call).
+// m is borrowed for the duration of the call, and a message passed to reply
+// for the duration of that one). The injector clones an m it holds or delays;
+// reply it hands through untouched, so the borrow is the caller's reply's to
+// honour.
 type AgentHandler interface {
 	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
 }

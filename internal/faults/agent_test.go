@@ -8,13 +8,17 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// recordingAgent captures delivered messages for assertions.
+// recordingAgent captures delivered messages for assertions. A handler is
+// only lent m, so what it reads later is a clone; the pointer it was handed
+// is kept beside it for identity checks alone.
 type recordingAgent struct {
-	msgs []proto.Msg
+	msgs   []proto.Msg
+	handed []proto.Msg
 }
 
 func (r *recordingAgent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
-	r.msgs = append(r.msgs, m)
+	r.msgs = append(r.msgs, proto.Clone(m))
+	r.handed = append(r.handed, m)
 }
 
 // manualScheduler queues delayed deliveries for explicit firing.
@@ -57,7 +61,7 @@ func TestAgentInjectorHealthyPassthrough(t *testing.T) {
 	inj := faults.NewAgentInjector(inner, noSchedule(t))
 	m := &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}}
 	inj.HandleMessage(m, nil)
-	if len(inner.msgs) != 1 || inner.msgs[0] != proto.Msg(m) {
+	if len(inner.handed) != 1 || inner.handed[0] != proto.Msg(m) {
 		t.Fatal("healthy mode must pass the borrowed message through synchronously, uncloned")
 	}
 	if st := inj.Stats(); st.Delivered != 1 || st.Held != 0 || st.Delayed != 0 {
@@ -111,7 +115,7 @@ func TestAgentInjectorSlowClonesAndDelays(t *testing.T) {
 		t.Fatalf("delayed delivery order %v, want 1,2", seqs(inner.msgs))
 	}
 	// The Handler contract only borrows m: a delayed delivery must be a copy.
-	if inner.msgs[0] == proto.Msg(m) {
+	if inner.handed[0] == proto.Msg(m) {
 		t.Fatal("slow mode delivered the borrowed message, not a clone")
 	}
 	if st := inj.Stats(); st.Delayed != 2 || st.Delivered != 2 {

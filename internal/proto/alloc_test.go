@@ -88,6 +88,40 @@ func TestAllocsBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocsCloneInto pins the shard hop's copy: once a container has held
+// a report of each shape, copying the next one into it touches no heap — for
+// a bare report, an urgent, a vector and a 16-report batch alike, and for a
+// batch copied only in part.
+func TestAllocsCloneInto(t *testing.T) {
+	msgs := make([]proto.Msg, 16)
+	for i := range msgs {
+		msgs[i] = &proto.Measurement{
+			SID: uint32(i + 1), Seq: uint32(i + 1),
+			Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01},
+		}
+	}
+	odd := func(m proto.Msg) bool { return m.FlowSID()%2 == 1 }
+	for _, src := range []proto.Msg{
+		msgs[0],
+		&proto.Urgent{SID: 7, Seq: 3, Kind: proto.UrgentDupAck, Value: 1448},
+		&proto.Vector{SID: 7, Seq: 4, NumFields: 2, Data: []float64{1, 2, 3, 4}},
+		&proto.Batch{Msgs: msgs},
+	} {
+		var dst proto.Msg
+		requireZeroAllocs(t, "CloneInto "+src.Type().String(), func() {
+			dst = proto.CloneInto(dst, src)
+		})
+	}
+	var part *proto.Batch
+	requireZeroAllocs(t, "CloneBatchInto with a filter", func() {
+		part = proto.CloneBatchInto(part, &proto.Batch{Msgs: msgs}, odd)
+	})
+	if len(part.Msgs) != 8 || part.Msgs[1].FlowSID() != 3 {
+		t.Fatalf("filtered copy kept %d messages, second is flow %d; want 8 and 3",
+			len(part.Msgs), part.Msgs[1].FlowSID())
+	}
+}
+
 // TestAllocsSnapshotRoundTrip pins the HA replication path: a primary
 // streaming periodic snapshots and a standby decoding them must not touch
 // the heap per message once warmed up. The decoder's string interning
@@ -181,8 +215,11 @@ func TestInstallProgAliasesInput(t *testing.T) {
 // FuzzDecoderAliasing decodes arbitrary bytes, deep-copies the result, then
 // scribbles over the input buffer. The copy must match a pristine decode —
 // i.e. Clone must sever every alias the scratch decoder keeps into the input
-// (Install.Prog in particular). Messages are compared through their canonical
-// re-encoding, which is insensitive to nil-versus-empty slice differences.
+// (Install.Prog in particular) — and so must a CloneInto a container that
+// last held a different message (the seed Batch, so report sub-messages are
+// reused and everything else replaced): a container never shares memory with
+// its source. Messages are compared through their canonical re-encoding,
+// which is insensitive to nil-versus-empty slice differences.
 func FuzzDecoderAliasing(f *testing.F) {
 	seed := []proto.Msg{
 		&proto.Install{SID: 1, Seq: 2, Prog: []byte{9, 9, 9}},
@@ -200,6 +237,14 @@ func FuzzDecoderAliasing(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	scribble, err := proto.Marshal(&proto.Batch{Msgs: []proto.Msg{
+		&proto.Measurement{SID: 0xEE, Seq: 0xEE, Fields: []float64{-1, -1, -1, -1}},
+		&proto.Vector{SID: 0xEE, Seq: 0xEE, NumFields: 1, Data: []float64{-1, -1, -1}},
+		&proto.Urgent{SID: 0xEE, Seq: 0xEE, Kind: proto.UrgentECN, Value: -1},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		aliased := append([]byte(nil), data...)
 		var dec proto.Decoder
@@ -208,24 +253,32 @@ func FuzzDecoderAliasing(f *testing.F) {
 			return
 		}
 		cl := proto.Clone(m)
+		into := proto.CloneInto(proto.Clone(seed[3]), m)
 		for i := range aliased {
 			aliased[i] ^= 0xFF
+		}
+		// The decoder's scratch is the other thing a copy must not share:
+		// decode something else over it.
+		if _, err := dec.Unmarshal(scribble); err != nil {
+			t.Fatalf("scribble decode failed: %v", err)
 		}
 		var ref proto.Decoder
 		want, err := ref.Unmarshal(data)
 		if err != nil {
 			t.Fatalf("pristine re-decode failed: %v", err)
 		}
-		clBytes, err := proto.Marshal(cl)
-		if err != nil {
-			t.Fatalf("re-encode of clone failed: %v", err)
-		}
 		wantBytes, err := proto.Marshal(want)
 		if err != nil {
 			t.Fatalf("re-encode of pristine decode failed: %v", err)
 		}
-		if !bytes.Equal(clBytes, wantBytes) {
-			t.Fatalf("clone diverged after input scribble:\nclone    %x\npristine %x", clBytes, wantBytes)
+		for name, c := range map[string]proto.Msg{"Clone": cl, "CloneInto": into} {
+			got, err := proto.Marshal(c)
+			if err != nil {
+				t.Fatalf("re-encode of %s failed: %v", name, err)
+			}
+			if !bytes.Equal(got, wantBytes) {
+				t.Fatalf("%s diverged after input scribble:\ncopy     %x\npristine %x", name, got, wantBytes)
+			}
 		}
 	})
 }

@@ -125,3 +125,86 @@ func TestCloneDeepDisjoint(t *testing.T) {
 		t.Fatalf("clone.Data shares storage with original (got %v)", got)
 	}
 }
+
+// CloneInto means what Clone means whatever the container last held: a
+// longer report, a shorter one, another type, nothing. What it returns is
+// disjoint from its source, and is the container itself when the types match.
+func TestCloneIntoMatchesCloneForAnyContainer(t *testing.T) {
+	srcs := []Msg{
+		&Measurement{SID: 1, Seq: 2, Fields: []float64{1, 2, 3}},
+		&Measurement{SID: 1, Seq: 3},
+		&Vector{SID: 2, Seq: 1, NumFields: 2, Data: []float64{1, 2, 3, 4}},
+		&Urgent{SID: 3, Seq: 1, Kind: UrgentTimeout, Value: 1448},
+		&Close{SID: 4},
+		&Batch{Msgs: []Msg{
+			&Measurement{SID: 5, Seq: 1, Fields: []float64{9}},
+			&Urgent{SID: 6, Seq: 1, Kind: UrgentECN, Value: 2},
+			&Create{SID: 7, Alg: "reno"},
+		}},
+	}
+	containers := func() []Msg {
+		return []Msg{
+			nil,
+			(*Measurement)(nil),
+			&Measurement{SID: 9, Seq: 9, Fields: []float64{7, 7, 7, 7, 7}},
+			&Vector{SID: 9, NumFields: 1, Data: []float64{7}},
+			&Urgent{SID: 9},
+			&Batch{Msgs: []Msg{&Urgent{SID: 9}, &Measurement{SID: 9, Fields: []float64{7, 7}}, &Close{SID: 9}, &Vector{}}},
+		}
+	}
+	for _, src := range srcs {
+		want := mustMarshal(t, Clone(src))
+		for _, dst := range containers() {
+			got := CloneInto(dst, src)
+			if gb := mustMarshal(t, got); string(gb) != string(want) {
+				t.Errorf("CloneInto(%T, %T) = %x, want %x", dst, src, gb, want)
+			}
+			if dst != nil && reflect.TypeOf(dst) == reflect.TypeOf(src) && !reflect.ValueOf(dst).IsNil() && got != dst {
+				t.Errorf("CloneInto(%T, %T) did not reuse its container", dst, src)
+			}
+		}
+	}
+
+	// Disjoint: scribbling on the source after the copy shows nowhere.
+	src := &Batch{Msgs: []Msg{
+		&Measurement{SID: 1, Seq: 1, Fields: []float64{10, 20}},
+		&Vector{SID: 2, Seq: 1, NumFields: 1, Data: []float64{30}},
+	}}
+	got := CloneInto(containers()[5], src).(*Batch)
+	src.Msgs[0].(*Measurement).Fields[1] = -1
+	src.Msgs[1].(*Vector).Data[0] = -1
+	src.Msgs[1] = &Close{SID: 42}
+	if got.Msgs[0].(*Measurement).Fields[1] != 20 || got.Msgs[1].(*Vector).Data[0] != 30 {
+		t.Fatalf("container shares storage with its source: %+v %+v", got.Msgs[0], got.Msgs[1])
+	}
+}
+
+// CloneBatchInto takes the accepted sub-messages in frame order, and keeps
+// the sub-containers it did not need this time for the next.
+func TestCloneBatchIntoFilterKeepsOrder(t *testing.T) {
+	src := &Batch{}
+	for sid := uint32(1); sid <= 9; sid++ {
+		src.Msgs = append(src.Msgs, &Measurement{SID: sid, Seq: 10 * sid, Fields: []float64{float64(sid)}})
+	}
+	var dst *Batch
+	for _, mod := range []uint32{1, 3, 2} { // all nine, then three, then four of them
+		dst = CloneBatchInto(dst, src, func(m Msg) bool { return m.FlowSID()%mod == 0 })
+		var want []uint32
+		for sid := uint32(1); sid <= 9; sid++ {
+			if sid%mod == 0 {
+				want = append(want, sid)
+			}
+		}
+		if len(dst.Msgs) != len(want) {
+			t.Fatalf("mod %d: kept %d, want %d", mod, len(dst.Msgs), len(want))
+		}
+		for i, sid := range want {
+			if m := dst.Msgs[i].(*Measurement); m.SID != sid || m.Seq != 10*sid || m.Fields[0] != float64(sid) {
+				t.Fatalf("mod %d: position %d holds %+v, want flow %d", mod, i, m, sid)
+			}
+		}
+	}
+	if cap(dst.Msgs) < 9 {
+		t.Fatalf("spare sub-containers were dropped: cap %d", cap(dst.Msgs))
+	}
+}

@@ -10,13 +10,13 @@ func meas(sid, seq uint32) item {
 	return item{m: &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{1}}}
 }
 
-func mustPush(t *testing.T, mb *mailbox, it item) (item, bool) {
+func mustPush(t *testing.T, mb *mailbox, it item) (shedReport, bool) {
 	t.Helper()
-	shed, didShed, dropped, ok := mb.push(it, false)
+	shed, dropped, ok := mb.push(it, nil, false)
 	if !ok || dropped {
 		t.Fatalf("push failed: dropped=%v ok=%v", dropped, ok)
 	}
-	return shed, didShed
+	return shed, shed.reports > 0
 }
 
 func TestMailboxShedsOldestReportAtWatermark(t *testing.T) {
@@ -29,15 +29,16 @@ func TestMailboxShedsOldestReportAtWatermark(t *testing.T) {
 	if !didShed {
 		t.Fatal("no shed at watermark occupancy")
 	}
-	if m, ok := shed.m.(*proto.Measurement); !ok || m.Seq != 1 {
-		t.Fatalf("shed %T %+v, want the seq-1 measurement", shed.m, shed.m)
+	if shed.reports != 1 || shed.sid != 1 {
+		t.Fatalf("shed %+v, want one report of flow 1", shed)
 	}
-	// Survivors pop in FIFO order: urgent first, then the new measurement.
-	it, _ := mb.pop()
+	// Survivors pop in FIFO order: urgent first, then the new measurement
+	// (so the one shed was the seq-1 measurement).
+	it, _ := mb.pop(nil)
 	if _, ok := it.m.(*proto.Urgent); !ok {
 		t.Fatalf("first survivor is %T, want Urgent", it.m)
 	}
-	it, _ = mb.pop()
+	it, _ = mb.pop(it.m)
 	if m, ok := it.m.(*proto.Measurement); !ok || m.Seq != 2 {
 		t.Fatalf("second survivor is %T %+v, want seq-2 measurement", it.m, it.m)
 	}
@@ -57,12 +58,12 @@ func TestMailboxNeverShedsControl(t *testing.T) {
 	mustPush(t, mb, item{m: mixed})
 	// Full of control-plane entries: a non-blocking push has nothing to
 	// evict and must drop the newcomer, never a control entry.
-	_, didShed, dropped, ok := mb.push(meas(1, 9), false)
-	if didShed || !dropped || !ok {
-		t.Fatalf("shed=%v dropped=%v ok=%v, want drop with no eviction", didShed, dropped, ok)
+	shed, dropped, ok := mb.push(meas(1, 9), nil, false)
+	if shed.reports != 0 || !dropped || !ok {
+		t.Fatalf("shed=%+v dropped=%v ok=%v, want drop with no eviction", shed, dropped, ok)
 	}
 	for _, want := range []string{"*proto.Create", "*proto.Urgent", "*proto.Batch"} {
-		it, popOK := mb.pop()
+		it, popOK := mb.pop(nil)
 		if !popOK {
 			t.Fatal("queue lost a control entry")
 		}
@@ -119,7 +120,7 @@ func TestMailboxShedThenRecover(t *testing.T) {
 	// Drain fully: pressure is gone, so subsequent pushes below the
 	// watermark must not shed and must preserve FIFO order.
 	for mb.len() > 0 {
-		mb.pop()
+		mb.pop(nil)
 	}
 	for seq := uint32(10); seq < 12; seq++ {
 		if _, didShed := mustPush(t, mb, meas(1, seq)); didShed {
@@ -127,7 +128,7 @@ func TestMailboxShedThenRecover(t *testing.T) {
 		}
 	}
 	for seq := uint32(10); seq < 12; seq++ {
-		it, _ := mb.pop()
+		it, _ := mb.pop(nil)
 		if m := it.m.(*proto.Measurement); m.Seq != seq {
 			t.Fatalf("popped seq %d, want %d (order broken after recovery)", m.Seq, seq)
 		}
@@ -138,14 +139,70 @@ func TestMailboxCloseSemantics(t *testing.T) {
 	mb := newMailbox(4, 0)
 	mustPush(t, mb, meas(1, 1))
 	mb.close()
-	if _, _, _, ok := mb.push(meas(1, 2), true); ok {
+	if _, _, ok := mb.push(meas(1, 2), nil, true); ok {
 		t.Fatal("push accepted after close")
 	}
 	// Entries queued before close stay poppable (shutdown drains them).
-	if it, ok := mb.pop(); !ok || it.m.(*proto.Measurement).Seq != 1 {
+	it, ok := mb.pop(nil)
+	if !ok || it.m.(*proto.Measurement).Seq != 1 {
 		t.Fatalf("queued entry lost on close: ok=%v", ok)
 	}
-	if _, ok := mb.pop(); ok {
+	if _, ok := mb.pop(it.m); ok {
 		t.Fatal("pop reported an entry on a closed empty mailbox")
+	}
+}
+
+// idle counts the containers on mb's free lists; the caller holds mb.mu or
+// has the mailbox to itself.
+func idle(mb *mailbox) int {
+	n := 0
+	for _, l := range mb.free {
+		n += len(l)
+	}
+	return n
+}
+
+// A container goes round: what the shard hands back on pop is what the next
+// push of that kind is copied into. No more than size+1 exist however the
+// kinds mix, and a batch that took in a control message is not kept.
+func TestMailboxRecyclesContainersWithinBound(t *testing.T) {
+	mb := newMailbox(2, 0)
+	lent := &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1, 2}}
+	mustPush(t, mb, item{m: lent})
+	first, _ := mb.pop(nil)
+	if first.m == proto.Msg(lent) {
+		t.Fatal("the mailbox queued the borrowed message itself")
+	}
+	lent.Seq, lent.Fields[0] = 2, 9 // the lender reuses its scratch
+	if got := first.m.(*proto.Measurement); got.Seq != 1 || got.Fields[0] != 1 {
+		t.Fatalf("queued copy follows the lender's scratch: %+v", got)
+	}
+	mustPush(t, mb, item{m: lent})
+	mustPush(t, mb, item{m: lent})
+	second, _ := mb.pop(first.m) // first's container is idle from here
+	mustPush(t, mb, item{m: lent})
+	third, _ := mb.pop(second.m)
+	fourth, _ := mb.pop(third.m)
+	if fourth.m != first.m {
+		t.Fatal("the container handed back was not the one reused")
+	}
+	if mb.made != 3 || idle(mb) != 2 {
+		t.Fatalf("made=%d idle=%d, want the 3 a 2-slot mailbox can have in use, 2 of them idle", mb.made, idle(mb))
+	}
+	// Other kinds arrive with every container already made: each takes the
+	// place of an idle one instead of adding to them.
+	mustPush(t, mb, item{m: &proto.Urgent{SID: 1, Seq: 1}})
+	urgent, _ := mb.pop(fourth.m)
+	mustPush(t, mb, item{m: &proto.Batch{Msgs: []proto.Msg{lent, &proto.Close{SID: 1}}}})
+	mixed, _ := mb.pop(urgent.m)
+	if mb.made != 3 || idle(mb) != 2 || len(mb.free[proto.TypeUrgent]) != 1 {
+		t.Fatalf("made=%d idle=%d urgents idle=%d, want 3, 2 and 1", mb.made, idle(mb), len(mb.free[proto.TypeUrgent]))
+	}
+	mb.close()
+	if _, ok := mb.pop(mixed.m); ok {
+		t.Fatal("pop reported an entry on a closed empty mailbox")
+	}
+	if mb.made != 2 || idle(mb) != 2 {
+		t.Fatalf("made=%d idle=%d after a batch with a Close in it came back, want it let go: 2 and 2", mb.made, idle(mb))
 	}
 }

@@ -69,7 +69,7 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 				m, derr := dec.Unmarshal(f.B)
 				if derr == nil {
 					// Frames and decode scratch are reclaimed right after
-					// dispatch; HandleMessage clones when it must queue.
+					// dispatch; HandleMessage copies what it must queue.
 					r.HandleMessage(m, c.reply)
 				}
 				f.Release()
@@ -96,8 +96,10 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 	return nil
 }
 
-// lockedReply serializes replies onto one transport, same contract as
-// ServeTransport's inline reply func.
+// lockedReply serializes replies onto one transport: the wire is one stream
+// and shard goroutines reply concurrently (Transport.Send is already safe;
+// the mutex keeps reply bursts from interleaving mid-shutdown). It marshals
+// before returning, so it keeps nothing of the message it was lent.
 func lockedReply(t ipc.Transport) func(proto.Msg) error {
 	var mu sync.Mutex
 	return func(m proto.Msg) error {

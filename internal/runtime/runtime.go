@@ -32,10 +32,15 @@ import (
 // core.Agent, or this package's sharded Runtime. Bridges and transports
 // dispatch into a Handler without caring which.
 //
-// Ownership: m is borrowed for the duration of the call — callers decode
-// into reusable scratch and reclaim it after HandleMessage returns. An
-// implementation that queues m must take its own copy (proto.Clone); the
-// sharded Runtime does exactly that.
+// Ownership is one rule in both directions. m is borrowed for the duration
+// of the call — callers decode into reusable scratch and reclaim it after
+// HandleMessage returns, so an implementation that queues m must take its
+// own copy (the sharded Runtime copies reports into containers its mailboxes
+// recycle, and proto.Clones the rest). Every message passed to reply is
+// likewise borrowed for the duration of that call — the agent builds its
+// decisions in storage it reuses for the next one, so a reply that keeps a
+// message past its return must proto.Clone it; one that marshals before
+// returning, as every transport-backed reply does, has nothing to do.
 type Handler interface {
 	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
 }
@@ -104,6 +109,8 @@ type Stats struct {
 	Agent core.AgentStats
 }
 
+// item is one mailbox entry. Queued, m is the mailbox's own copy of the
+// message (see mailbox.push), the shard's to read until its next pop.
 type item struct {
 	m     proto.Msg
 	reply func(proto.Msg) error
@@ -115,7 +122,16 @@ type item struct {
 type shard struct {
 	agent *core.Agent
 	mail  *mailbox
+	// mine accepts the messages of this shard's flows: how it copies its share
+	// out of a frame that spans shards. Made once, not per frame.
+	mine func(proto.Msg) bool
 }
+
+// backoffPool lends the Backoff a shed is answered with. Sheds come from
+// whichever goroutines are dispatching, several at once onto one shard, and
+// reply only borrows the message — so it is per dispatch, not per shard: a
+// shard-owned one would need a lock held across reply.
+var backoffPool = sync.Pool{New: func() any { return new(proto.Backoff) }}
 
 // Runtime is the sharded agent executor. It implements Handler.
 type Runtime struct {
@@ -186,6 +202,7 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, err
 		}
 		sh := &shard{agent: a, mail: newMailbox(cfg.MailboxSize, shedMark)}
+		sh.mine = func(m proto.Msg) bool { return r.shardFor(m.FlowSID()) == sh }
 		r.shards[i] = sh
 		r.wg.Add(1)
 		go r.run(sh)
@@ -199,11 +216,13 @@ func New(cfg Config) (*Runtime, error) {
 // close, so shutdown still drains in-flight work before the shard exits.
 func (r *Runtime) run(sh *shard) {
 	defer r.wg.Done()
+	var prev proto.Msg // the container handled last, handed back by pop
 	for {
-		it, ok := sh.mail.pop()
+		it, ok := sh.mail.pop(prev)
 		if !ok {
 			return
 		}
+		prev = it.m
 		if it.done != nil {
 			close(it.done)
 			continue
@@ -231,8 +250,8 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 //
 // In sharded mode the message outlives this call in a shard mailbox, while
 // the Handler contract lets the caller reuse m as soon as we return — so the
-// sharded path deep-copies m before enqueueing. Callers that already own the
-// message (ServeTransport) dispatch through handleOwned and skip the copy.
+// mailbox queues its own deep copy, made under the lock the enqueue takes
+// anyway (see mailbox).
 func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	if r.inline != nil {
 		r.dispatched.Add(1)
@@ -240,22 +259,18 @@ func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		r.inline.HandleMessage(m, reply)
 		return
 	}
-	r.handleOwned(proto.Clone(m), reply)
-}
-
-// handleOwned routes a message the runtime owns outright (no aliasing of
-// caller scratch) to its shard.
-func (r *Runtime) handleOwned(m proto.Msg, reply func(proto.Msg) error) {
 	if b, ok := m.(*proto.Batch); ok {
 		r.routeBatch(b, reply)
 		return
 	}
-	r.enqueue(r.shardFor(m.FlowSID()), m, reply)
+	r.enqueue(r.shardFor(m.FlowSID()), m, nil, reply)
 }
 
 // routeBatch regroups a batch frame by destination shard. A frame whose
 // messages all share one shard is forwarded intact (the agent unpacks it
-// under a single lock acquisition); a mixed frame is split.
+// under a single lock acquisition); a mixed frame is split, each shard
+// copying out its own messages in frame order. Shards are few, so that is
+// one pass over the frame per shard rather than a grouping built per call.
 func (r *Runtime) routeBatch(b *proto.Batch, reply func(proto.Msg) error) {
 	if len(b.Msgs) == 0 {
 		return
@@ -269,33 +284,35 @@ func (r *Runtime) routeBatch(b *proto.Batch, reply func(proto.Msg) error) {
 		}
 	}
 	if uniform {
-		r.enqueue(first, b, reply)
+		r.enqueue(first, b, nil, reply)
 		return
 	}
 	r.batchesSplit.Add(1)
 	r.mSplits.Inc()
-	groups := make(map[*shard][]proto.Msg, len(r.shards))
-	order := make([]*shard, 0, len(r.shards))
-	for _, sub := range b.Msgs {
-		sh := r.shardFor(sub.FlowSID())
-		if _, seen := groups[sh]; !seen {
-			order = append(order, sh)
+	for _, sh := range r.shards {
+		var only proto.Msg
+		n := 0
+		for _, sub := range b.Msgs {
+			if sh.mine(sub) {
+				only = sub
+				n++
+			}
 		}
-		groups[sh] = append(groups[sh], sub)
-	}
-	for _, sh := range order {
-		g := groups[sh]
-		if len(g) == 1 {
-			r.enqueue(sh, g[0], reply)
-		} else {
-			r.enqueue(sh, &proto.Batch{Msgs: g}, reply)
+		switch n {
+		case 0:
+		case 1:
+			r.enqueue(sh, only, nil, reply)
+		default:
+			r.enqueue(sh, b, sh.mine, reply)
 		}
 	}
 }
 
-func (r *Runtime) enqueue(sh *shard, m proto.Msg, reply func(proto.Msg) error) {
-	it := item{m: m, reply: reply}
-	shed, didShed, dropped, ok := sh.mail.push(it, r.cfg.Overflow == Block)
+// enqueue queues the mailbox's copy of m — of the messages keep accepts,
+// when m is a batch only part of which is this shard's — and accounts for
+// the outcome.
+func (r *Runtime) enqueue(sh *shard, m proto.Msg, keep func(proto.Msg) bool, reply func(proto.Msg) error) {
+	shed, dropped, ok := sh.mail.push(item{m: m, reply: reply}, keep, r.cfg.Overflow == Block)
 	switch {
 	case !ok:
 		r.shutdownDropped.Add(1)
@@ -307,7 +324,7 @@ func (r *Runtime) enqueue(sh *shard, m proto.Msg, reply func(proto.Msg) error) {
 	}
 	r.dispatched.Add(1)
 	r.mDispatched.Inc()
-	if didShed {
+	if shed.reports > 0 {
 		r.onShed(shed)
 	}
 }
@@ -317,13 +334,17 @@ func (r *Runtime) enqueue(sh *shard, m proto.Msg, reply func(proto.Msg) error) {
 // source before correctness does. The Backoff rides the shed entry's reply
 // path (the channel back to the datapath that sent the report); a send
 // failure is ignored — the signal is advisory and the next shed retries.
-func (r *Runtime) onShed(shed item) {
-	r.reportsShed.Add(int64(reportCount(shed.m)))
+func (r *Runtime) onShed(shed shedReport) {
+	r.reportsShed.Add(int64(shed.reports))
 	r.mShed.Inc()
 	if shed.reply == nil {
 		return
 	}
-	if err := shed.reply(&proto.Backoff{SID: backoffSID(shed.m), Factor: r.cfg.ShedBackoff}); err == nil {
+	b := backoffPool.Get().(*proto.Backoff)
+	*b = proto.Backoff{SID: shed.sid, Factor: r.cfg.ShedBackoff}
+	err := shed.reply(b)
+	backoffPool.Put(b)
+	if err == nil {
 		r.backoffsSent.Add(1)
 		r.mBackoffs.Inc()
 	}
@@ -351,7 +372,7 @@ func (r *Runtime) Drain() {
 	}
 	for _, sh := range r.shards {
 		done := make(chan struct{})
-		if _, _, _, ok := sh.mail.push(item{done: done}, true); !ok {
+		if _, _, ok := sh.mail.push(item{done: done}, nil, true); !ok {
 			return // closed: the shards are draining to exit anyway
 		}
 		// The sentinel is queued, so the shard is guaranteed to pop it even
@@ -394,53 +415,23 @@ func (r *Runtime) FlowCount() int {
 
 // ServeTransport reads wire messages from t until Recv fails, dispatching
 // each through HandleMessage. Replies from all shards are serialized onto t
-// with a mutex (the wire is one stream; Transport.Send is already safe, the
-// mutex just keeps reply bursts from interleaving with each other
-// mid-shutdown). Close the runtime separately; ServeTransport returning does
-// not stop the shards.
+// (lockedReply). The loop is pooled end to end in either mode: a frame is
+// received into a pool buffer, decoded into loop-local scratch, and both are
+// reclaimed as soon as HandleMessage returns — which has copied whatever it
+// queued. Close the runtime separately; ServeTransport returning does not
+// stop the shards.
 func (r *Runtime) ServeTransport(t ipc.Transport) error {
-	var sendMu sync.Mutex
-	reply := func(m proto.Msg) error {
-		f, err := proto.MarshalFrame(m)
-		if err != nil {
-			return err
-		}
-		sendMu.Lock()
-		err = t.Send(f.B)
-		sendMu.Unlock()
-		f.Release()
-		return err
-	}
-	if r.inline != nil {
-		// Inline dispatch is synchronous, so frames and decode scratch can be
-		// reclaimed between reads.
-		var dec proto.Decoder
-		for {
-			f, err := ipc.RecvFrame(t)
-			if err != nil {
-				return err
-			}
-			m, err := dec.Unmarshal(f.B)
-			if err != nil {
-				f.Release()
-				continue
-			}
-			r.HandleMessage(m, reply)
-			f.Release()
-		}
-	}
+	reply := lockedReply(t)
+	var dec proto.Decoder
 	for {
-		// Sharded mode: mailboxes retain the message past this iteration, so
-		// take an owned copy off the wire and skip HandleMessage's Clone.
-		data, err := t.Recv()
+		f, err := ipc.RecvFrame(t)
 		if err != nil {
 			return err
 		}
-		m, err := proto.Unmarshal(data)
-		if err != nil {
-			continue
+		if m, err := dec.Unmarshal(f.B); err == nil {
+			r.HandleMessage(m, reply)
 		}
-		r.handleOwned(m, reply)
+		f.Release()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/core"
+	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 )
@@ -188,6 +189,141 @@ func TestMixedBatchSplitsAcrossShards(t *testing.T) {
 	}
 }
 
+// TestSplitThreeShardsInterleaved: a frame whose flows interleave across
+// three shards reaches each shard as that shard's messages in frame order —
+// a sub-batch where it has several, the bare message where it has one — and
+// the frame the caller lent is free to be rewritten the moment HandleMessage
+// returns.
+func TestSplitThreeShardsInterleaved(t *testing.T) {
+	rt, err := runtime.New(runtime.Config{Shards: 3, Agent: agentCfg(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var mu sync.Mutex
+	got := make(map[uint32][]uint32) // per flow, the windows decided, in order
+	reply := func(m proto.Msg) error {
+		if sc, ok := m.(*proto.SetCwnd); ok {
+			mu.Lock()
+			got[sc.SID] = append(got[sc.SID], sc.Bytes)
+			mu.Unlock()
+		}
+		return nil
+	}
+	for sid := uint32(1); sid <= 5; sid++ {
+		rt.HandleMessage(&proto.Create{SID: sid, InitCwnd: 1}, reply)
+	}
+	rt.Drain()
+	before := rt.Stats()
+
+	// Shard 1 gets flows 1 and 4 (five messages), shard 2 flows 2 and 5
+	// (four), shard 0 flow 3 alone (one: no sub-batch).
+	frame := &proto.Batch{}
+	next := make(map[uint32]uint32)
+	for _, sid := range []uint32{1, 2, 3, 4, 5, 1, 2, 4, 5, 1} {
+		next[sid]++
+		frame.Msgs = append(frame.Msgs, &proto.Measurement{SID: sid, Seq: next[sid], Fields: []float64{float64(sid)}})
+	}
+	rt.HandleMessage(frame, reply)
+	for _, sub := range frame.Msgs { // the lender reuses its scratch at once
+		*sub.(*proto.Measurement) = proto.Measurement{SID: 0xBAD, Seq: 0xBAD}
+	}
+	rt.Drain()
+
+	st := rt.Stats()
+	if st.BatchesSplit-before.BatchesSplit != 1 || st.Dispatched-before.Dispatched != 3 {
+		t.Fatalf("splits=%d frames=%d, want 1 split into 3 enqueued frames",
+			st.BatchesSplit-before.BatchesSplit, st.Dispatched-before.Dispatched)
+	}
+	if st.Agent.Batches != 2 || st.Agent.BatchedMsgs != 9 || st.Agent.Measurements != 10 {
+		t.Fatalf("batches=%d batched=%d measurements=%d, want 2 sub-batches carrying 9 of 10 reports",
+			st.Agent.Batches, st.Agent.BatchedMsgs, st.Agent.Measurements)
+	}
+	if st.Agent.UnknownFlowMsg != 0 || st.Agent.StaleReports != 0 {
+		t.Fatalf("misrouted or reordered: %+v", st.Agent)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for sid, n := range next {
+		want := []uint32{1} // Init's window, then seq*100 per report in order
+		for seq := uint32(1); seq <= n; seq++ {
+			want = append(want, seq*100)
+		}
+		if fmt.Sprint(got[sid]) != fmt.Sprint(want) {
+			t.Errorf("flow %d decided %v, want %v", sid, got[sid], want)
+		}
+	}
+}
+
+// TestServeTransportOneLoopBothModes: the serve loop is the same pooled loop
+// inline and sharded — frames decoded into scratch that is reclaimed and
+// rewritten by the next frame, a malformed frame skipped — and every report
+// still draws the decision its own contents call for, in per-flow order.
+func TestServeTransportOneLoopBothModes(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rt, err := runtime.New(runtime.Config{Shards: shards, Agent: agentCfg(nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			agentSide, dpSide := ipc.ChanPair(64)
+			done := make(chan error, 1)
+			go func() { done <- rt.ServeTransport(agentSide) }()
+
+			const flows, reports = 4, 5
+			send := func(m proto.Msg) {
+				t.Helper()
+				data, err := proto.Marshal(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dpSide.Send(data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for sid := uint32(1); sid <= flows; sid++ {
+				send(&proto.Create{SID: sid, InitCwnd: 1})
+			}
+			if err := dpSide.Send([]byte{0xFF, 0xFF}); err != nil {
+				t.Fatal(err)
+			}
+			for seq := uint32(1); seq <= reports; seq++ {
+				frame := &proto.Batch{}
+				for sid := uint32(1); sid <= flows; sid++ {
+					frame.Msgs = append(frame.Msgs, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{1}})
+				}
+				send(frame) // spans every shard
+			}
+			got := make(map[uint32][]uint32)
+			for i := 0; i < flows*(reports+1); i++ {
+				data, err := dpSide.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := proto.Unmarshal(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc, ok := m.(*proto.SetCwnd)
+				if !ok {
+					t.Fatalf("reply %#v, want a SetCwnd", m)
+				}
+				got[sc.SID] = append(got[sc.SID], sc.Bytes)
+			}
+			for sid := uint32(1); sid <= flows; sid++ {
+				if want := "[1 100 200 300 400 500]"; fmt.Sprint(got[sid]) != want {
+					t.Errorf("flow %d decided %v, want %s", sid, got[sid], want)
+				}
+			}
+			dpSide.Close()
+			if err := <-done; err == nil {
+				t.Fatal("ServeTransport should return an error when the peer closes")
+			}
+		})
+	}
+}
+
 func TestDropPolicyUnderOverload(t *testing.T) {
 	gate := make(chan struct{})
 	rt, err := runtime.New(runtime.Config{
@@ -302,8 +438,9 @@ func TestShedUnderOverloadSendsBackoff(t *testing.T) {
 	var backoffs []*proto.Backoff
 	reply := func(m proto.Msg) error {
 		if b, ok := m.(*proto.Backoff); ok {
+			kept := *b // m is only lent to a reply
 			mu.Lock()
-			backoffs = append(backoffs, b)
+			backoffs = append(backoffs, &kept)
 			mu.Unlock()
 		}
 		return nil

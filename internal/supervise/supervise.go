@@ -31,9 +31,11 @@ import (
 
 // Handler is the message sink a supervisor probes — structurally the same
 // contract as bridge.Handler / faults.AgentHandler: m is borrowed for the
-// duration of the call. In a supervised deployment this is the
-// faults.AgentInjector wrapping the live agent, so probes experience the
-// same pauses, delays, and drops the datapath traffic does.
+// duration of the call, and so is whatever the handler passes to reply (the
+// supervisor's echo reads the heartbeat and keeps nothing of it). In a
+// supervised deployment this is the faults.AgentInjector wrapping the live
+// agent, so probes experience the same pauses, delays, and drops the datapath
+// traffic does.
 type Handler interface {
 	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
 }
