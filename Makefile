@@ -61,14 +61,15 @@ bench-scale-smoke:
 bench-hotpath:
 	$(GO) run ./cmd/ccp-hotpath -json BENCH_hotpath.json
 
-# Compares the current codec, event-queue, ring, fold and agent-dispatch
-# benchmarks against the committed bench/baseline.txt. Requires the
-# benchstat tool; skipped with a hint when it is not installed (no network
-# access is assumed here).
+# Compares the current codec, event-queue, ring, fold, agent-dispatch and
+# Install (warm, cold, moved-init) benchmarks against the committed
+# bench/baseline.txt. Requires the benchstat tool; skipped with a hint when
+# it is not installed (no network access is assumed here).
 benchstat:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) test -run='^$$' -bench=. -benchmem -count=5 \
-			./internal/proto ./internal/netsim ./internal/ipc/shmring ./internal/lang > bench/current.txt && \
+			./internal/proto ./internal/netsim ./internal/ipc/shmring ./internal/lang \
+			./internal/datapath > bench/current.txt && \
 		$(GO) test -run='^$$' -bench='AgentDispatch|RuntimeShardedDispatch' -benchmem -count=5 \
 			. >> bench/current.txt && \
 		benchstat bench/baseline.txt bench/current.txt; \
@@ -81,7 +82,8 @@ benchstat:
 # event schedule/dispatch, program validation, nil-registry instruments, a
 # report across the shard hop and the decision it draws) must stay at zero
 # allocations per op, and both ends of a warm Install (the agent's
-# build-and-send, the datapath's measure-half-known apply) under their pins.
+# build-and-send, the datapath's measure-half-known apply), a moved-Init
+# Install and a cold one under their pins.
 # These skip themselves under -race (alloc counts are inflated), so `check`
 # runs them in a separate non-race pass.
 test-allocs:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/ipc"
@@ -114,6 +115,83 @@ func TestAgentFoldNamesAfterInstall(t *testing.T) {
 	}
 	if v, _ := m.Get("m2"); v != 9 {
 		t.Fatalf("m2=%v", v)
+	}
+}
+
+// TestFlowKeepsReportNamesWhileTheyHold: an algorithm that installs per report
+// sends the same register names every time, so the cached name list survives
+// those Installs — the same slice, not an equal one — and is dropped the
+// moment a name, the register count or the mode changes, or a refusal rolls
+// the program back.
+func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
+	alg := &recordAlg{}
+	a := newTestAgent(t, alg, nil)
+	cap := &capture{}
+	a.HandleMessage(createMsg(1), cap.send)
+	a.mu.Lock()
+	flow := a.flows[1].flow
+	a.mu.Unlock()
+
+	fold := func(init float64, names ...string) *lang.Program {
+		f := &lang.FoldSpec{}
+		for _, n := range names {
+			f.Regs = append(f.Regs, lang.RegDef{Name: n, Init: init})
+		}
+		f.Updates = []lang.Assign{{Dst: names[0], E: lang.Add(lang.V(names[0]), lang.V("pkt.acked"))}}
+		return lang.NewProgram().MeasureFold(f).WaitRtts(1).Report().MustBuild()
+	}
+	seq := uint32(0)
+	namesAfter := func(p *lang.Program) []string {
+		t.Helper()
+		if err := flow.Install(p); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+		a.HandleMessage(&proto.Measurement{SID: 1, Seq: seq, Fields: []float64{1, 2, 3}[:len(p.RegNames())]}, cap.send)
+		return alg.measures[len(alg.measures)-1].Names
+	}
+	same := func(x, y []string) bool { return len(x) == len(y) && &x[0] == &y[0] }
+	equal := func(x []string, y ...string) bool { return slices.Equal(x, y) }
+
+	first := namesAfter(fold(0, "m1", "m2"))
+	if !equal(first, "m1", "m2") {
+		t.Fatalf("names %v", first)
+	}
+	if again := namesAfter(fold(7, "m1", "m2")); !same(first, again) {
+		t.Fatal("an Install of the same register names dropped the cached list")
+	}
+	if renamed := namesAfter(fold(7, "m1", "m3")); !equal(renamed, "m1", "m3") {
+		t.Fatalf("after a rename: %v", renamed)
+	}
+	if grown := namesAfter(fold(7, "m1", "m3", "m4")); !equal(grown, "m1", "m3", "m4") {
+		t.Fatalf("after a third register: %v", grown)
+	}
+	if !equal(first, "m1", "m2") {
+		t.Fatalf("a list already handed out was rewritten: %v", first)
+	}
+	vec := lang.NewProgram().MeasureVector(lang.FieldRTT).WaitRtts(1).Report().MustBuild()
+	if err := flow.Install(vec); err != nil {
+		t.Fatal(err)
+	}
+	if got := flow.reportNames(); !equal(got, "pkt.rtt") {
+		t.Fatalf("after a change of mode: %v", got)
+	}
+	if err := flow.Install(vec); err != nil {
+		t.Fatal(err)
+	}
+	if got := flow.reportNames(); !equal(got, "pkt.rtt") || flow.names == nil {
+		t.Fatalf("same vector fields again: %v (cached %v)", got, flow.names)
+	}
+
+	// A refused Install rolls the program back, and the names with it.
+	back := namesAfter(fold(0, "m1", "m2"))
+	if err := flow.Install(fold(0, "x1", "x2")); err != nil {
+		t.Fatal(err)
+	}
+	refused := cap.msgs[len(cap.msgs)-1].(*proto.Install).Seq
+	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refused, Reason: "no"}, cap.send)
+	if got := flow.reportNames(); !equal(got, "m1", "m2") {
+		t.Fatalf("after a rollback: %v, was %v", got, back)
 	}
 }
 

@@ -164,8 +164,42 @@ func (f *Flow) Install(p *lang.Program) error {
 	f.lastInstallSeq = seq
 	f.installed = clamped
 	f.progBytes = data
-	f.names = nil // report field names follow the installed program
+	// Report field names follow the installed program; an algorithm that
+	// installs per report sends the same names every time.
+	if !reportsAs(clamped, f.names) {
+		f.names = nil
+	}
 	return nil
+}
+
+// reportsAs reports whether p's reports carry exactly names (RegNames equal
+// to names), comparing in place.
+func reportsAs(p *lang.Program, names []string) bool {
+	switch p.Measure.Mode {
+	case lang.MeasureFold:
+		regs := p.Measure.Fold.Regs
+		if len(regs) != len(names) {
+			return false
+		}
+		for i := range regs {
+			if regs[i].Name != names[i] {
+				return false
+			}
+		}
+		return true
+	case lang.MeasureVector:
+		fields := p.Measure.Fields
+		if len(fields) != len(names) {
+			return false
+		}
+		for i, fld := range fields {
+			if fld.String() != names[i] {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func (f *Flow) logfSafe(format string, args ...any) {

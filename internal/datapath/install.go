@@ -16,28 +16,43 @@ import (
 // so the install path is split there:
 //
 //  1. find the program's measure half and the artifact for it: the flow's
-//     current one, else the process table, else build it (decode, validate,
-//     abstract interpretation to the register invariant, compile) — once per
-//     distinct byte string per process;
+//     current one, else the process table (both a hit); else derive it from
+//     the flow's current one if only Init values moved, else build it (both a
+//     miss);
 //  2. run the control half, unabridged, on every Install: decode and validate
 //     the instructions against the artifact's names, check them against its
 //     invariant, apply the checks that span both halves, compile them;
 //  3. activate: registers back to Init, fresh variable table, pc and timers.
 //
-// A miss is the same path with a build in it, so a program gets the same
+// Building is decode, validate, abstract interpretation to the register
+// invariant, compile — once per distinct byte string per process. Deriving
+// is for the fold that carries state from one Install to the next through a
+// register's Init (Vegas's base_rtt): the Inits are read in two places only,
+// CompiledFold.InitRegs and the start state of the invariant's fixpoint, so a
+// measure half that is the current one with other Inits (lang.SameShape)
+// keeps the current artifact's decoded updates, names, resolver and compiled
+// code, and gets a new register list and — the one thing that starts from the
+// Inits — a new invariant, from absint.AnalyzeMeasure run in full.
+//
+// All three are the same function of the bytes, so a program gets the same
 // verdict, the same InstallErr text, the same warning count and the same
-// state afterwards whether its measure half was known or not. The table
-// memoizes a pure function of (measure-half bytes, verified or not); unlike
+// state afterwards however its artifact was come by. The table memoizes a
+// pure function of (measure-half bytes, verified or not); unlike
 // SetDefaultVerify it cannot change behaviour, only cost.
 
 // artifact is everything the datapath derives from a measure half. Nothing
-// writes to one after buildArtifact returns: flows on different goroutines
-// hold, step and verify against the same artifact at the same time.
+// writes to one after buildArtifact or derive returns: flows on different
+// goroutines hold, step, verify against and derive from the same artifact at
+// the same time.
 type artifact struct {
 	// key is the measure half's bytes, Init values included: the invariant
 	// starts from them, so a fold whose Init moved is a different artifact.
 	key      string
 	verified bool // inv is present (Config.Verify was not off)
+	// inits is where in key the registers' Init fields are
+	// (lang.MeasureInits): the only bytes a derived artifact's key may differ
+	// in. Shared with every artifact derived from this one.
+	inits []int
 
 	measure  lang.MeasureSpec
 	regNames []string
@@ -53,6 +68,9 @@ func buildArtifact(prefix []byte, verified bool) (*artifact, error) {
 		return nil, err
 	}
 	a := &artifact{key: string(prefix), verified: verified, measure: m}
+	if _, a.inits, err = lang.MeasureInits(prefix); err != nil {
+		return nil, err
+	}
 	if m.Mode == lang.MeasureFold {
 		a.regNames = m.Fold.RegNames()
 	}
@@ -67,6 +85,20 @@ func buildArtifact(prefix []byte, verified bool) (*artifact, error) {
 		}
 	}
 	return a, nil
+}
+
+// derive returns the artifact of prefix, a measure half that is a's with
+// other Init values (lang.SameShape): what buildArtifact(prefix) returns,
+// without the decoding and compiling that would only reproduce what a holds.
+func (a *artifact) derive(prefix []byte) *artifact {
+	d := *a
+	d.key = string(prefix)
+	d.fold = a.fold.WithInits(prefix, a.inits)
+	d.measure.Fold = d.fold.Spec
+	if d.verified {
+		d.inv = absint.AnalyzeMeasure(d.measure, absint.Datapath())
+	}
+	return &d
 }
 
 // prefixes reports whether prog starts with the artifact's measure half.
@@ -87,9 +119,11 @@ const artifactCap = 16
 
 // artifactTable is the process-wide memo of buildArtifact: exact-byte keys,
 // fixed capacity, clock (second-chance) eviction. An entry found by get is
-// marked used and survives the hand's next pass; one never asked for again —
-// a Vegas fold keyed by one flow's base_rtt — is the first to go. No map
-// iteration: what is evicted depends only on the order of gets and puts.
+// marked used and survives the hand's next pass; one never asked for again
+// is the first to go. Derived artifacts are not entered: a Vegas fold keyed
+// by one flow's base_rtt is asked for by that flow alone, which holds it, and
+// would only push out what other flows do share. No map iteration: what is
+// evicted depends only on the order of gets and puts.
 type artifactTable struct {
 	mu sync.Mutex
 	// byKey maps measure-half bytes to a slot index, unverified artifacts in
@@ -183,9 +217,13 @@ func prepare(cur *artifact, prog []byte, mode absint.Mode) (in installable, err 
 	if err != nil {
 		return in, err
 	}
-	if art != nil {
+	switch {
+	case art != nil:
 		in.hit = true
-	} else {
+	case cur != nil && cur.fold != nil && lang.SameShape(cur.key, prog[:end], cur.inits):
+		in.miss = true
+		art = cur.derive(prog[:end])
+	default:
 		in.miss = true
 		if art, err = buildArtifact(prog[:end], verified); err != nil {
 			return in, err

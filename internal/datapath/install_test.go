@@ -27,6 +27,18 @@ func countFold(init float64) *lang.FoldSpec {
 	}
 }
 
+// shapedFold is countFold with shape written into an update constant: folds
+// of different shapes are different measure halves whatever their Inits, so
+// each is built and entered in the table, where folds that differ in init
+// alone are derived from one another and are not.
+func shapedFold(shape int, init float64) *lang.FoldSpec {
+	return &lang.FoldSpec{
+		Regs: []lang.RegDef{{Name: "acked", Init: init}},
+		Updates: []lang.Assign{{Dst: "acked",
+			E: lang.Add(lang.V("acked"), lang.Min(lang.V("pkt.acked"), lang.C(float64(1+shape))))}},
+	}
+}
+
 func countProg(fold *lang.FoldSpec, cwnd lang.Expr) *lang.Program {
 	return lang.NewProgram().MeasureFold(fold).Cwnd(cwnd).WaitRtts(1).Report().MustBuild()
 }
@@ -162,11 +174,11 @@ func TestArtifactEvictionKeepsFlowsRunning(t *testing.T) {
 		t.Fatal(reason)
 	}
 
-	// Another flow churns the table past capacity with distinct Inits.
+	// Another flow churns the table past capacity with distinct folds.
 	other := newRig(t, link8(), tcp.Options{}, datapath.Config{})
 	other.flow.Conn.Start()
 	for i := 0; i < datapath.ArtifactCap+8; i++ {
-		if reason := deliver(t, other, marshal(t, countProg(countFold(float64(i+1)), lang.C(14480)))); reason != "" {
+		if reason := deliver(t, other, marshal(t, countProg(shapedFold(i, 0), lang.C(14480)))); reason != "" {
 			t.Fatal(reason)
 		}
 	}
@@ -205,10 +217,20 @@ func TestArtifactEvictionKeepsFlowsRunning(t *testing.T) {
 
 // TestConcurrentFlowsShareArtifact: flows on their own goroutines (as under
 // SocketLink) install, step and report against one artifact — one compiled
-// fold — at once, and each ends exactly where a flow running alone ends. The
-// -race lane (make test-race-robust) is the other half of the assertion.
+// fold — at once, and derive their own from it when an Init moves while
+// others are stepping it, and each ends exactly where a flow running alone
+// ends. The -race lane (make test-race-robust) is the other half of the
+// assertion.
 func TestConcurrentFlowsShareArtifact(t *testing.T) {
-	progs := append(algPrograms(t, "cubic"), algPrograms(t, "vegas")...)
+	vegas := algPrograms(t, "vegas")[0]
+	progs := append(algPrograms(t, "cubic"), vegas)
+	// Back to the shared vegas artifact after every moved base_rtt, so each
+	// derivation starts from the one all flows hold.
+	for k := 1; k <= 3; k++ {
+		moved := append([]byte(nil), vegas...)
+		setInit(initFields(t, moved)[0], 0.05/float64(k))
+		progs = append(progs, moved, vegas)
+	}
 	run := func() (vars []float64, reports [][]float64) {
 		clock := netsim.New(1)
 		var conn *tcp.Conn
@@ -266,38 +288,100 @@ func TestConcurrentFlowsShareArtifact(t *testing.T) {
 	wg.Wait()
 }
 
+// installKinds are the three ways an Install finds its artifact, as
+// BenchmarkInstall and the TestAllocs pins below provoke them.
+const (
+	warmInstall      = "warm"       // measure half known: the per-report path
+	coldInstall      = "cold"       // table and flow reference emptied first: the first Install of a fold in a process
+	movedInitInstall = "moved-init" // register 0's Init differs from the running program's: Vegas's base_rtt improved
+)
+
+// installer returns a flow already running the named bundled algorithm's
+// program and a function that delivers the i-th further Install of the kind.
+func installer(tb testing.TB, alg, kind string) (*datapath.CCP, func(i int)) {
+	datapath.ResetArtifacts()
+	data := algPrograms(tb, alg)[0]
+	f := newBareFlow(absint.ModeStrict)
+	if reason := f.deliver(data); reason != "" {
+		tb.Fatalf("%s: program refused: %s", alg, reason)
+	}
+	var init0 []byte
+	if kind == movedInitInstall {
+		init0 = initFields(tb, data)[0]
+	}
+	msg := &proto.Install{SID: 1, Prog: data}
+	return f.dp, func(i int) {
+		switch kind {
+		case coldInstall:
+			datapath.ResetArtifacts()
+			f.dp.ForgetArtifact()
+		case movedInitInstall:
+			setInit(init0, 1/float64(i+2))
+		}
+		f.dp.Deliver(msg)
+	}
+}
+
+// installAllocs measures one Install of the kind and checks that every one
+// of them found its artifact the way the kind says.
+func installAllocs(t *testing.T, alg, kind string) float64 {
+	t.Helper()
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	dp, deliver := installer(t, alg, kind)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() { deliver(i); i++ })
+	st := dp.Stats()
+	if st.InstallRejects != 0 || st.InstallsRecvd != 1+i {
+		t.Fatalf("%s %s: installs refused: %+v", alg, kind, st)
+	}
+	wantHits := 0
+	if kind == warmInstall {
+		wantHits = i
+	}
+	if st.InstallArtifactHits != wantHits {
+		t.Fatalf("%s %s: %d hits, want %d: %+v", alg, kind, st.InstallArtifactHits, wantHits, st)
+	}
+	t.Logf("%s: %s Install: %.1f allocs", alg, kind, allocs)
+	return allocs
+}
+
 // TestAllocsWarmInstall pins what an Install costs once its measure half is
 // known — the paper's per-report path: decode, validate, verify and compile
 // the control half, plus activation. The bounds are the measured counts, and
 // all but the verifier's (its analyzer, its report and, for cubic, a finding)
 // are kept by the flow: four for the decoded instructions, one for the
 // Program, three for the compiled control half (codes, instructions,
-// constants). A cold install of the same programs costs 110 and 163.
+// constants).
 func TestAllocsWarmInstall(t *testing.T) {
-	if testenv.RaceEnabled {
-		t.Skip("allocation counts are inflated under -race")
+	for alg, max := range map[string]float64{"cubic": 11, "vegas": 10} {
+		if allocs := installAllocs(t, alg, warmInstall); allocs > max {
+			t.Errorf("%s: warm Install allocated %.1f times, want <= %.0f", alg, allocs, max)
+		}
 	}
-	for _, tc := range []struct {
-		alg string
-		max float64
-	}{{"cubic", 11}, {"vegas", 10}} {
-		data := algPrograms(t, tc.alg)[0]
-		clock := netsim.New(1)
-		dp := datapath.New(datapath.Config{SID: 1, Clock: clock, ToAgent: func(proto.Msg) error { return nil }})
-		dp.Init(tcp.NewConn(clock, 1, nil, dp, tcp.Options{MSS: 1448}))
-		msg := &proto.Install{SID: 1, Prog: data}
-		dp.Deliver(msg)
-		if st := dp.Stats(); st.InstallsRecvd != 1 {
-			t.Fatalf("%s: program refused: %+v", tc.alg, st)
+}
+
+// TestAllocsMovedInitInstall pins the Install on which Vegas's base_rtt
+// improved: the warm ten, five for the derived artifact (itself, its key,
+// the register list, the spec and the compiled-fold header that point at the
+// shared updates and code) and ten for the re-run AnalyzeMeasure (invariant,
+// names, resolver, analyzer, report, two states, read-by-fold). Nothing is
+// decoded or compiled again.
+func TestAllocsMovedInitInstall(t *testing.T) {
+	if allocs := installAllocs(t, "vegas", movedInitInstall); allocs > 25 {
+		t.Errorf("moved-Init Install allocated %.1f times, want <= 25", allocs)
+	}
+}
+
+// TestAllocsColdInstall pins the first Install of a fold in a process, the
+// build the other two paths avoid. The measured counts: it is where a
+// regression in the decoder, the verifier or the compilers shows.
+func TestAllocsColdInstall(t *testing.T) {
+	for alg, max := range map[string]float64{"cubic": 87, "vegas": 112} {
+		if allocs := installAllocs(t, alg, coldInstall); allocs > max {
+			t.Errorf("%s: cold Install allocated %.1f times, want <= %.0f", alg, allocs, max)
 		}
-		allocs := testing.AllocsPerRun(200, func() { dp.Deliver(msg) })
-		if st := dp.Stats(); st.InstallArtifactHits < 200 || st.InstallRejects != 0 {
-			t.Fatalf("%s: warm installs did not hit: %+v", tc.alg, st)
-		}
-		if allocs > tc.max {
-			t.Errorf("%s: warm Install allocated %.1f times, want <= %.0f", tc.alg, allocs, tc.max)
-		}
-		t.Logf("%s: warm Install: %.1f allocs", tc.alg, allocs)
 	}
 }
 
@@ -320,30 +404,20 @@ func TestAllocsNewWithoutRegistry(t *testing.T) {
 }
 
 // BenchmarkInstall times Deliver(Install) of the bundled cubic and vegas
-// programs: warm (measure half known, the per-report path) and cold (table
-// and flow reference emptied first, the first Install of a fold in a process).
+// programs, each way an Install finds its artifact.
 func BenchmarkInstall(b *testing.B) {
 	for _, alg := range []string{"cubic", "vegas"} {
-		data := algPrograms(b, alg)[0]
-		for _, cold := range []bool{false, true} {
-			name := alg + "/warm"
-			if cold {
-				name = alg + "/cold"
-			}
-			b.Run(name, func(b *testing.B) {
-				clock := netsim.New(1)
-				dp := datapath.New(datapath.Config{SID: 1, Clock: clock, ToAgent: func(proto.Msg) error { return nil }})
-				dp.Init(tcp.NewConn(clock, 1, nil, dp, tcp.Options{MSS: 1448}))
-				msg := &proto.Install{SID: 1, Prog: data}
-				dp.Deliver(msg)
+		kinds := []string{warmInstall, coldInstall}
+		if alg == "vegas" {
+			kinds = append(kinds, movedInitInstall)
+		}
+		for _, kind := range kinds {
+			b.Run(alg+"/"+kind, func(b *testing.B) {
+				dp, deliver := installer(b, alg, kind)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if cold {
-						datapath.ResetArtifacts()
-						dp.ForgetArtifact()
-					}
-					dp.Deliver(msg)
+					deliver(i)
 				}
 				if dp.Stats().InstallRejects != 0 {
 					b.Fatalf("refused: %+v", dp.Stats())
@@ -354,8 +428,8 @@ func BenchmarkInstall(b *testing.B) {
 }
 
 // TestArtifactTableKeepsSharedHalves: clock eviction. A measure half that
-// new flows keep asking for outlives any number of one-flow halves (Vegas
-// folds keyed by one flow's base_rtt) passing through the table.
+// new flows keep asking for outlives any number of one-flow halves passing
+// through the table.
 func TestArtifactTableKeepsSharedHalves(t *testing.T) {
 	datapath.ResetArtifacts()
 	shared := marshal(t, countProg(countFold(0.25), lang.C(14480)))
@@ -369,7 +443,7 @@ func TestArtifactTableKeepsSharedHalves(t *testing.T) {
 	}
 	churner := newFlow()
 	for i := 0; i < 4*datapath.ArtifactCap; i++ {
-		if reason := deliver(t, churner, marshal(t, countProg(countFold(float64(i+1)), lang.C(14480)))); reason != "" {
+		if reason := deliver(t, churner, marshal(t, countProg(shapedFold(i, 0), lang.C(14480)))); reason != "" {
 			t.Fatal(reason)
 		}
 		if i%4 == 3 {

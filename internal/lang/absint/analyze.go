@@ -160,25 +160,26 @@ func (c Config) withDefaults() Config {
 // plausible measurement ranges (RTTs under an hour, byte counts within the
 // cwnd clamp, rates within the rate clamp, a positive MSS) and non-NaN
 // flow variables, matching what the simulated datapath actually produces.
-func Datapath() Config {
-	return Config{Assume: map[string]AbsVal{
-		"pkt.rtt":      Finite(0, 3600),
-		"pkt.acked":    Finite(0, 1<<30),
-		"pkt.sacked":   Finite(0, 1<<30),
-		"pkt.lost":     Finite(0, 1<<30),
-		"pkt.ecn":      Finite(0, 1),
-		"pkt.snd_rate": Finite(0, 1e12),
-		"pkt.rcv_rate": Finite(0, 1e12),
-		"pkt.inflight": Finite(0, 1<<30),
-		"pkt.hdr_rate": Finite(0, 1e12),
-		"pkt.now":      Finite(0, 1e9),
-		"cwnd":         Finite(0, 1<<30),
-		"rate":         Finite(0, 1e12),
-		"mss":          Finite(1, 65536),
-		"srtt":         Finite(0, 3600),
-		"min_rtt":      Finite(0, 3600),
-	}}
-}
+// Every call returns the same profile, map included: read it, do not write it.
+func Datapath() Config { return datapathProfile }
+
+var datapathProfile = Config{Assume: map[string]AbsVal{
+	"pkt.rtt":      Finite(0, 3600),
+	"pkt.acked":    Finite(0, 1<<30),
+	"pkt.sacked":   Finite(0, 1<<30),
+	"pkt.lost":     Finite(0, 1<<30),
+	"pkt.ecn":      Finite(0, 1),
+	"pkt.snd_rate": Finite(0, 1e12),
+	"pkt.rcv_rate": Finite(0, 1e12),
+	"pkt.inflight": Finite(0, 1<<30),
+	"pkt.hdr_rate": Finite(0, 1e12),
+	"pkt.now":      Finite(0, 1e9),
+	"cwnd":         Finite(0, 1<<30),
+	"rate":         Finite(0, 1e12),
+	"mss":          Finite(1, 65536),
+	"srtt":         Finite(0, 3600),
+	"min_rtt":      Finite(0, 3600),
+}}
 
 // Adversarial returns the profile the fuzz soundness harness verifies
 // under: every input is unconstrained, including NaN and ±Inf. A program
@@ -247,11 +248,13 @@ func AnalyzeMeasure(m lang.MeasureSpec, cfg Config) *Invariant {
 		for i, r := range inv.fold.Regs {
 			st[lang.RegSlot(i)] = ConstVal(r.Init)
 		}
-		a.fixpoint(st, len(inv.regNames))
+		scratch := make([]AbsVal, len(st))
+		a.fixpoint(st, scratch, len(inv.regNames))
 		// Findings are muted during fixpoint iteration; one final pass over
 		// the stable invariant emits each at most once.
 		a.emit = true
-		a.step(cloneSt(st))
+		copy(scratch, st)
+		a.step(scratch)
 		inv.stepFindings = a.rep.Findings
 		a.rep = &Report{}
 		a.checkDeadUpdates()
@@ -298,7 +301,7 @@ func (inv *Invariant) CheckControl(instrs []lang.Instr) *Report {
 	a.checkReportLiveness(instrs)
 	if inv.fold != nil && len(inv.regNames) > 0 && !inv.fresh {
 		a.where = Where{Kind: "program"}
-		a.report(CheckNoFresh, SevWarn, "$", nil,
+		a.report(CheckNoFresh, SevWarn, nil, nil,
 			"no fold register derives from a pkt.* field: the fold never incorporates fresh measurements")
 	}
 	return a.rep
@@ -348,7 +351,7 @@ func (a *analyzer) baseState(nregs int) []AbsVal {
 func (a *analyzer) step(st []AbsVal) {
 	for i, u := range a.fold.Updates {
 		a.where = Where{Kind: "update", Index: i, Name: u.Dst}
-		v := a.eval(u.E, st, "$")
+		v := a.eval(u.E, st, nil)
 		if slot, ok := a.resolve(u.Dst); ok {
 			st[slot] = v
 		}
@@ -357,10 +360,11 @@ func (a *analyzer) step(st []AbsVal) {
 
 // fixpoint iterates st's register slots to stability: the resulting state
 // over-approximates every reachable register valuation (the initial values
-// are part of the invariant because st only ever grows by joining).
-func (a *analyzer) fixpoint(st []AbsVal, nregs int) {
+// are part of the invariant because st only ever grows by joining). next is
+// scratch of st's length, overwritten by every iteration.
+func (a *analyzer) fixpoint(st, next []AbsVal, nregs int) {
 	for iter := 0; ; iter++ {
-		next := cloneSt(st)
+		copy(next, st)
 		a.step(next)
 		changed := false
 		for i := 0; i < nregs; i++ {
@@ -387,9 +391,35 @@ func (a *analyzer) fixpoint(st []AbsVal, nregs int) {
 	}
 }
 
+// path is a position inside an expression tree, as the chain of steps down
+// from the root ("$", the nil path). Each step lives in the frame of the eval
+// call that takes it, so walking an expression builds no strings; report
+// renders the one path a finding needs.
+type path struct {
+	parent *path
+	seg    string
+}
+
+func (p *path) String() string {
+	if p == nil {
+		return "$"
+	}
+	n := 1
+	for q := p; q != nil; q = q.parent {
+		n += len(q.seg)
+	}
+	b := make([]byte, n)
+	for q := p; q != nil; q = q.parent {
+		n -= len(q.seg)
+		copy(b[n:], q.seg)
+	}
+	b[0] = '$'
+	return string(b)
+}
+
 // eval computes the abstract value of e in state st, emitting findings
-// when a.emit is set. path is the span within the current expression tree.
-func (a *analyzer) eval(e lang.Expr, st []AbsVal, path string) AbsVal {
+// when a.emit is set. at is the span within the current expression tree.
+func (a *analyzer) eval(e lang.Expr, st []AbsVal, at *path) AbsVal {
 	switch n := e.(type) {
 	case lang.Const:
 		return ConstVal(float64(n))
@@ -399,27 +429,25 @@ func (a *analyzer) eval(e lang.Expr, st []AbsVal, path string) AbsVal {
 		}
 		return TopVal()
 	case *lang.Bin:
-		l := a.eval(n.L, st, a.sub(path, ".l"))
-		r := a.eval(n.R, st, a.sub(path, ".r"))
+		l := a.eval(n.L, st, &path{at, ".l"})
+		r := a.eval(n.R, st, &path{at, ".r"})
 		if n.Op == lang.OpDiv && a.emit && r.MayBeZero() {
-			a.report(CheckDivZero, SevError, a.sub(path, ".r"), n.R,
+			a.report(CheckDivZero, SevError, &path{at, ".r"}, n.R,
 				fmt.Sprintf("denominator %s may be zero (x/0 == 0 silently); guard with a comparison or max(_, ε)", r))
 		}
 		return binTransfer(n.Op, l, r)
 	case *lang.If:
-		c := a.eval(n.Cond, st, a.sub(path, ".cond"))
 		// The runtime evaluates both branches (purity) but selects on the
 		// condition; value-wise only the selected branch matters, so each
 		// branch is analyzed under the refined state and infeasible
 		// branches contribute nothing.
-		thenSt := a.refine(n.Cond, true, st)
-		elseSt := a.refine(n.Cond, false, st)
+		c, thenSt, elseSt := a.branch(n.Cond, st, &path{at, ".cond"})
 		out := unreachable()
 		if thenSt != nil {
-			out = a.eval(n.Then, thenSt, a.sub(path, ".then"))
+			out = a.eval(n.Then, thenSt, &path{at, ".then"})
 		}
 		if elseSt != nil {
-			ev := a.eval(n.Else, elseSt, a.sub(path, ".else"))
+			ev := a.eval(n.Else, elseSt, &path{at, ".else"})
 			if thenSt != nil {
 				out = out.Join(ev)
 			} else {
@@ -432,28 +460,41 @@ func (a *analyzer) eval(e lang.Expr, st []AbsVal, path string) AbsVal {
 	return TopVal()
 }
 
-func (a *analyzer) sub(path, seg string) string {
-	if !a.emit {
-		return path
+// branch evaluates an If's condition in st and refines st for each way it
+// can go. A comparison's operands are evaluated here, once, for the value and
+// both refinements.
+func (a *analyzer) branch(cond lang.Expr, st []AbsVal, at *path) (c AbsVal, thenSt, elseSt []AbsVal) {
+	if n, ok := cond.(*lang.Bin); ok && isCmp(n.Op) {
+		l := a.eval(n.L, st, &path{at, ".l"})
+		r := a.eval(n.R, st, &path{at, ".r"})
+		return binTransfer(n.Op, l, r), a.refineCmp(n, true, st, l, r), a.refineCmp(n, false, st, l, r)
 	}
-	return path + seg
+	return a.eval(cond, st, at), a.refine(cond, true, st), a.refine(cond, false, st)
+}
+
+func isCmp(op lang.BinKind) bool {
+	switch op {
+	case lang.OpLt, lang.OpLe, lang.OpGt, lang.OpGe, lang.OpEq, lang.OpNe:
+		return true
+	}
+	return false
 }
 
 func (a *analyzer) evalSilent(e lang.Expr, st []AbsVal) AbsVal {
 	saved := a.emit
 	a.emit = false
-	v := a.eval(e, st, "")
+	v := a.eval(e, st, nil)
 	a.emit = saved
 	return v
 }
 
-func (a *analyzer) report(check string, sev Severity, path string, e lang.Expr, msg string) {
+func (a *analyzer) report(check string, sev Severity, at *path, e lang.Expr, msg string) {
 	expr := ""
 	if e != nil {
 		expr = e.String()
 	}
 	a.rep.Findings = append(a.rep.Findings, Finding{
-		Check: check, Severity: sev, Where: a.where, Path: path, Expr: expr, Message: msg,
+		Check: check, Severity: sev, Where: a.where, Path: at.String(), Expr: expr, Message: msg,
 	})
 }
 
@@ -515,7 +556,7 @@ func (a *analyzer) refine(cond lang.Expr, want bool, st []AbsVal) []AbsVal {
 			}
 			return st
 		case lang.OpLt, lang.OpLe, lang.OpGt, lang.OpGe, lang.OpEq, lang.OpNe:
-			return a.refineCmp(n, want, st)
+			return a.refineCmp(n, want, st, a.evalSilent(n.L, st), a.evalSilent(n.R, st))
 		}
 	}
 	// Generic fallback (arithmetic or nested-If conditions): check
@@ -533,8 +574,10 @@ func (a *analyzer) refine(cond lang.Expr, want bool, st []AbsVal) []AbsVal {
 	return st
 }
 
-// refineCmp narrows st under "L op R == want" for comparison ops.
-func (a *analyzer) refineCmp(n *lang.Bin, want bool, st []AbsVal) []AbsVal {
+// refineCmp narrows st under "L op R == want" for comparison ops. lv and rv
+// are the operands' values in st; they are evaluated again only in a state
+// refineVarSide actually narrowed.
+func (a *analyzer) refineCmp(n *lang.Bin, want bool, st []AbsVal, lv, rv AbsVal) []AbsVal {
 	op := n.Op
 	if !want {
 		switch op {
@@ -543,14 +586,14 @@ func (a *analyzer) refineCmp(n *lang.Bin, want bool, st []AbsVal) []AbsVal {
 		case lang.OpEq:
 			// !(l == r) ⇒ l != r or NaN involved: nothing to narrow, but
 			// definitely-equal non-NaN points make the branch infeasible.
-			if compare(lang.OpEq, a.evalSilent(n.L, st), a.evalSilent(n.R, st)) == tTrue {
+			if compare(lang.OpEq, lv, rv) == tTrue {
 				return nil
 			}
 			return st
 		default:
 			// A false ordered comparison may be explained by a NaN operand;
 			// only narrow when neither side can be NaN.
-			if a.evalSilent(n.L, st).NaN || a.evalSilent(n.R, st).NaN {
+			if lv.NaN || rv.NaN {
 				return st
 			}
 			switch op {
@@ -566,7 +609,6 @@ func (a *analyzer) refineCmp(n *lang.Bin, want bool, st []AbsVal) []AbsVal {
 		}
 	}
 
-	lv, rv := a.evalSilent(n.L, st), a.evalSilent(n.R, st)
 	if op == lang.OpNe {
 		// "l != r" holds: unrepresentable as an interval, but definitely
 		// -equal points make it infeasible.
@@ -588,7 +630,12 @@ func (a *analyzer) refineCmp(n *lang.Bin, want bool, st []AbsVal) []AbsVal {
 	if out == nil {
 		return nil
 	}
-	if compare(op, a.evalSilent(n.L, out), a.evalSilent(n.R, out)) == tFalse {
+	// refineVarSide hands back the state it was given unless it narrowed it
+	// (a state is never empty: it starts with the packet fields).
+	if &out[0] != &st[0] {
+		lv, rv = a.evalSilent(n.L, out), a.evalSilent(n.R, out)
+	}
+	if compare(op, lv, rv) == tFalse {
 		return nil
 	}
 	return out
@@ -656,39 +703,39 @@ func (a *analyzer) checkInstrs(instrs []lang.Instr, st []AbsVal) {
 		switch n := in.(type) {
 		case lang.SetCwnd:
 			a.where = Where{Kind: "instr", Index: i, Name: "Cwnd"}
-			v := a.eval(n.E, st, "$")
+			v := a.eval(n.E, st, nil)
 			a.checkWrite("cwnd", v, a.cfg.CwndMin, a.cfg.CwndMax, n.E)
 		case lang.SetRate:
 			a.where = Where{Kind: "instr", Index: i, Name: "Rate"}
-			v := a.eval(n.E, st, "$")
+			v := a.eval(n.E, st, nil)
 			a.checkWrite("rate", v, a.cfg.RateMin, a.cfg.RateMax, n.E)
 		case lang.Wait:
 			a.where = Where{Kind: "instr", Index: i, Name: "Wait"}
-			a.checkWait(a.eval(n.Seconds, st, "$"), n.Seconds)
+			a.checkWait(a.eval(n.Seconds, st, nil), n.Seconds)
 		case lang.WaitRtts:
 			a.where = Where{Kind: "instr", Index: i, Name: "WaitRtts"}
-			a.checkWait(a.eval(n.Rtts, st, "$"), n.Rtts)
+			a.checkWait(a.eval(n.Rtts, st, nil), n.Rtts)
 		}
 	}
 }
 
 func (a *analyzer) checkWrite(what string, v AbsVal, lo, hi float64, e lang.Expr) {
 	if v.NaN {
-		a.report(CheckNaNWrite, SevError, "$", e,
+		a.report(CheckNaNWrite, SevError, nil, e,
 			fmt.Sprintf("%s write may be NaN (%s): the runtime clamp does not catch NaN; guard the inputs", what, v))
 	}
 	if !v.I.IsEmpty() && (v.I.Lo < lo || v.I.Hi > hi) {
-		a.report(CheckBounds, SevError, "$", e,
+		a.report(CheckBounds, SevError, nil, e,
 			fmt.Sprintf("%s write %s escapes [%g, %g]; wrap in an explicit min/max clamp", what, v, lo, hi))
 	}
 }
 
 func (a *analyzer) checkWait(v AbsVal, e lang.Expr) {
 	if v.NaN {
-		a.report(CheckWait, SevWarn, "$", e, fmt.Sprintf("wait duration may be NaN (%s)", v))
+		a.report(CheckWait, SevWarn, nil, e, fmt.Sprintf("wait duration may be NaN (%s)", v))
 	}
 	if !v.I.IsEmpty() && v.I.Hi <= 0 {
-		a.report(CheckWait, SevWarn, "$", e,
+		a.report(CheckWait, SevWarn, nil, e,
 			fmt.Sprintf("wait duration %s is never positive: the program busy-loops its instruction list", v))
 	}
 }
@@ -705,7 +752,7 @@ func (a *analyzer) checkDeadUpdates() {
 			}
 			if ups[j].Dst == u.Dst {
 				a.where = Where{Kind: "update", Index: i, Name: u.Dst}
-				a.report(CheckDeadUpdate, SevWarn, "$", u.E,
+				a.report(CheckDeadUpdate, SevWarn, nil, u.E,
 					fmt.Sprintf("value is overwritten by update %d before any read", j))
 				break
 			}
@@ -724,7 +771,7 @@ func (a *analyzer) checkUnreadRegisters(inv *Invariant, instrs []lang.Instr) {
 		}
 		if !read {
 			a.where = Where{Kind: "fold", Name: name}
-			a.report(CheckUnreadReg, SevWarn, "$", nil,
+			a.report(CheckUnreadReg, SevWarn, nil, nil,
 				"register is written but never read by any expression (it is still shipped in reports)")
 		}
 	}
@@ -743,13 +790,13 @@ func (a *analyzer) checkReportLiveness(instrs []lang.Instr) {
 	a.where = Where{Kind: "program"}
 	switch a.mode {
 	case lang.MeasureFold:
-		a.report(CheckNoReport, SevError, "$", nil,
+		a.report(CheckNoReport, SevError, nil, nil,
 			"fold program never reports: registers accumulate forever and measurements never reach the agent")
 	case lang.MeasureVector:
-		a.report(CheckNoReport, SevError, "$", nil,
+		a.report(CheckNoReport, SevError, nil, nil,
 			"vector program never reports: the per-packet sample buffer grows without bound")
 	default:
-		a.report(CheckNoReport, SevWarn, "$", nil,
+		a.report(CheckNoReport, SevWarn, nil, nil,
 			"program never reports: measurements never reach the agent")
 	}
 }

@@ -53,10 +53,11 @@ func TestAllocsRegExprEval(t *testing.T) {
 	}
 }
 
-// TestAllocsProgramCodec pins the two per-Install codec costs that are not
-// the program itself: the install path's skip-scan (it runs before anything
-// is known about the program) allocates nothing, and MarshalProgram sizes
-// its buffer up front, so encoding is the one allocation of the result.
+// TestAllocsProgramCodec pins the per-Install codec costs that are not the
+// program itself: the install path's skip-scan (it runs before anything is
+// known about the program) and its shape test allocate nothing, and
+// MarshalProgram sizes its buffer up front, so encoding is the one allocation
+// of the result.
 func TestAllocsProgramCodec(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -71,5 +72,14 @@ func TestAllocsProgramCodec(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { _, _ = MeasurePrefixLen(data) }); allocs != 0 {
 		t.Fatalf("MeasurePrefixLen allocated %.1f times per op, want 0", allocs)
+	}
+	// The shape test runs on every artifact miss of a flow that has a fold.
+	end, inits, err := MeasureInits(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := string(data[:end])
+	if allocs := testing.AllocsPerRun(1000, func() { _ = SameShape(prefix, data[:end], inits) }); allocs != 0 {
+		t.Fatalf("SameShape allocated %.1f times per op, want 0", allocs)
 	}
 }

@@ -101,6 +101,20 @@ func CompileFold(f *FoldSpec) (*CompiledFold, error) {
 	return &CompiledFold{Spec: f, reg: reg}, nil
 }
 
+// WithInits returns cf's code under a spec that differs from cf's only in
+// where the registers start: register i starts from the Init field of data at
+// inits[i], data being a measure half SameShape as the one cf was compiled
+// from and inits its MeasureInits. The Inits are read in InitRegs and nowhere
+// in the compiled code, so the code — and the updates, and the names — are
+// shared, not copied; cf and its spec are not written.
+func (cf *CompiledFold) WithInits(data []byte, inits []int) *CompiledFold {
+	regs := make([]RegDef, len(cf.Spec.Regs))
+	for i, r := range cf.Spec.Regs {
+		regs[i] = RegDef{Name: r.Name, Init: initAt(data, inits[i])}
+	}
+	return &CompiledFold{Spec: &FoldSpec{Regs: regs, Updates: cf.Spec.Updates}, reg: cf.reg}
+}
+
 // NumRegs returns the number of registers.
 func (cf *CompiledFold) NumRegs() int { return len(cf.Spec.Regs) }
 

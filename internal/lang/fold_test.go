@@ -23,6 +23,58 @@ func vegasFold() *FoldSpec {
 	}
 }
 
+// TestWithInitsSharesCode: a fold re-based on other Init values is the fold
+// CompileFold makes of the spec with those values — same start, same steps —
+// and the one it came from is untouched.
+func TestWithInitsSharesCode(t *testing.T) {
+	spec := vegasFold()
+	cf, err := CompileFold(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := MarshalProgram(NewProgram().MeasureFold(spec).WaitRtts(1).Report().MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inits, err := MeasureInits(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := append([]byte(nil), data...)
+	copy(moved[inits[0]:], appendF64(nil, 0.02))
+	copy(moved[inits[1]:], appendF64(nil, math.Copysign(0, -1)))
+
+	got := cf.WithInits(moved, inits)
+	fresh := vegasFold()
+	fresh.Regs[0].Init, fresh.Regs[1].Init = 0.02, math.Copysign(0, -1)
+	want, err := CompileFold(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.reg != cf.reg || &got.Spec.Updates[0] != &spec.Updates[0] {
+		t.Fatal("WithInits copied the code or the updates")
+	}
+	if spec.Regs[0].Init != 1e9 || spec.Regs[1].Init != 0 || cf.Spec != spec {
+		t.Fatalf("WithInits wrote the spec it came from: %+v", spec.Regs)
+	}
+	a, b := make([]float64, got.FrameLen()), make([]float64, want.FrameLen())
+	got.InitRegs(a)
+	want.InitRegs(b)
+	for step := 0; step < 50; step++ {
+		for _, vars := range [][]float64{a, b} {
+			vars[PktFieldSlot(FieldRTT)] = 0.01 + 0.001*float64(step%7)
+			vars[FlowVarSlot(FlowCwnd)] = 14480
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("step %d slot %d: re-based fold %v, compiled fold %v", step, i, a[i], b[i])
+			}
+		}
+		got.Step(a)
+		want.Step(b)
+	}
+}
+
 func TestFoldValidate(t *testing.T) {
 	if err := vegasFold().Validate(); err != nil {
 		t.Fatal(err)

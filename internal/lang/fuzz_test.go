@@ -2,6 +2,7 @@ package lang_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,6 +24,15 @@ import (
 //     what follows, leaves it unchanged) — the encoding is self-delimiting;
 //   - malformed input fails with the error UnmarshalProgram gives;
 //   - measure half + control half + validation is UnmarshalProgram.
+//
+// It also derives an artifact for a measure half that is the flow's current
+// one with other Init values, without decoding it (SameShape), so:
+//
+//   - the Init offsets the skip-scan reports are exactly where the building
+//     decoder read its Inits;
+//   - overwriting only those bytes changes neither the prefix length nor
+//     anything decoded but the Inits, and changing any other byte of the
+//     prefix is not the same shape.
 func FuzzMeasurePrefix(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 24; i++ {
@@ -56,6 +66,9 @@ func FuzzMeasurePrefix(f *testing.F) {
 			if e2, err := MeasurePrefixLen(cut); err != nil || e2 != end {
 				t.Fatalf("prefix of %d bytes followed by %x rescans to %d, %v", end, tail, e2, err)
 			}
+		}
+		if mErr == nil {
+			checkInitOffsets(t, data, end, m)
 		}
 		instrs, urgent, cErr := UnmarshalControl(data[end:])
 		if cErr != nil {
@@ -94,6 +107,73 @@ func FuzzMeasurePrefix(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkInitOffsets holds MeasureInits and SameShape to the building decoder:
+// m is what UnmarshalMeasure made of data, whose measure half is data[:end].
+func checkInitOffsets(t *testing.T, data []byte, end int, m MeasureSpec) {
+	n, inits, err := MeasureInits(data)
+	if err != nil || n != end {
+		t.Fatalf("MeasureInits ends at %d, %v; MeasurePrefixLen at %d", n, err, end)
+	}
+	var regs []RegDef
+	if m.Mode == MeasureFold {
+		regs = m.Fold.Regs
+	}
+	if len(inits) != len(regs) {
+		t.Fatalf("%d Init offsets for %d registers", len(inits), len(regs))
+	}
+	prefix := string(data[:end])
+	moved := append([]byte(nil), data...)
+	want := make([]uint64, len(regs))
+	for i, off := range inits {
+		if got := binary.LittleEndian.Uint64(data[off:]); got != math.Float64bits(regs[i].Init) {
+			t.Fatalf("register %d: Init %x decoded, %x at offset %d", i, math.Float64bits(regs[i].Init), got, off)
+		}
+		// Any bits will do, NaN payloads and subnormals included.
+		want[i] = math.Float64bits(regs[i].Init)*0x9E3779B97F4A7C15 + uint64(off)
+		binary.LittleEndian.PutUint64(moved[off:], want[i])
+	}
+	if !SameShape(prefix, moved[:end], inits) {
+		t.Fatal("a measure half with only its Inits overwritten is not the same shape")
+	}
+	m2, n2, err := UnmarshalMeasure(moved)
+	if err != nil || n2 != end {
+		t.Fatalf("Inits overwritten: decodes to %d bytes, %v; was %d", n2, err, end)
+	}
+	for i := range regs {
+		if got := math.Float64bits(m2.Fold.Regs[i].Init); got != want[i] {
+			t.Fatalf("register %d: wrote Init %x, decoded %x", i, want[i], got)
+		}
+		m2.Fold.Regs[i].Init = regs[i].Init
+	}
+	// Inits put back, it is the spec it was (compared by encoding: NaN
+	// constants defeat DeepEqual).
+	a, errA := MarshalProgram(&Program{Measure: m})
+	b, errB := MarshalProgram(&Program{Measure: m2})
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("overwriting Inits changed more than the Inits:\n was: %x\n now: %x", a, b)
+	}
+	// Every other byte of the prefix is shape.
+	isInit := make([]bool, end)
+	for _, off := range inits {
+		for k := off; k < off+8; k++ {
+			isInit[k] = true
+		}
+	}
+	for k := 0; k < end; k++ {
+		if isInit[k] {
+			continue
+		}
+		other := append([]byte(nil), data[:end]...)
+		other[k] ^= 1 << (k % 8)
+		if SameShape(prefix, other, inits) {
+			t.Fatalf("byte %d of the measure half changed and SameShape held", k)
+		}
+	}
+	if end < len(data) && SameShape(prefix, data[:end+1], inits) {
+		t.Fatal("SameShape held for a longer byte string")
+	}
 }
 
 // FuzzStackVsRegister is the differential harness pinning the register VM

@@ -18,6 +18,13 @@ import (
 // flags — is the rest. MeasurePrefixLen, UnmarshalMeasure and
 // UnmarshalControl decode the halves separately; UnmarshalProgram is the two
 // together.
+//
+// Within the measure half the Init values are the only bytes that steer
+// nothing: every count, name length, tag and operator lies outside them. So
+// two measure halves that agree everywhere but there (SameShape) take the
+// decoder down the identical path and decode to specs that differ in their
+// Inits alone — what an algorithm produces when it carries state from one
+// Install to the next through a register's Init (Vegas's base_rtt).
 
 const (
 	progMagic   = 0xCC
@@ -174,14 +181,49 @@ func UnmarshalProgram(data []byte) (*Program, error) {
 // programs share a measure half exactly when one's data[:n] prefixes the
 // other.
 func MeasurePrefixLen(data []byte) (int, error) {
-	_, n, err := decodeMeasure(data, true)
+	r := reader{data: data, skip: true}
+	_, n, err := r.decodeMeasure()
 	return n, err
+}
+
+// MeasureInits is MeasurePrefixLen that also reports where the Inits are: the
+// offset in data of each fold register's 8-byte Init field, in declaration
+// order (none outside fold mode). It is the same walk, so the offsets are
+// where UnmarshalMeasure reads its Inits from.
+func MeasureInits(data []byte) (n int, inits []int, err error) {
+	r := reader{data: data, skip: true, wantInits: true}
+	_, n, err = r.decodeMeasure()
+	return n, r.inits, err
+}
+
+// SameShape reports whether b is the measure half a with at most its Inits
+// changed: equal length and equal bytes everywhere except the Init fields,
+// inits being MeasureInits(a). If so b needs no decoding: it is a's spec
+// with the Init values found in b at those offsets (CompiledFold.WithInits).
+func SameShape(a string, b []byte, inits []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	pos := 0
+	for _, off := range inits {
+		if a[pos:off] != string(b[pos:off]) {
+			return false
+		}
+		pos = off + 8
+	}
+	return a[pos:] == string(b[pos:])
+}
+
+// initAt decodes the Init field at off (one of MeasureInits' offsets).
+func initAt(data []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 }
 
 // UnmarshalMeasure decodes and validates the measure half at the start of
 // data and returns it with the number of bytes it occupies.
 func UnmarshalMeasure(data []byte) (MeasureSpec, int, error) {
-	m, n, err := decodeMeasure(data, false)
+	r := reader{data: data}
+	m, n, err := r.decodeMeasure()
 	if err != nil {
 		return MeasureSpec{}, 0, err
 	}
@@ -191,8 +233,7 @@ func UnmarshalMeasure(data []byte) (MeasureSpec, int, error) {
 	return m, n, nil
 }
 
-func decodeMeasure(data []byte, skip bool) (MeasureSpec, int, error) {
-	r := reader{data: data, skip: skip}
+func (r *reader) decodeMeasure() (MeasureSpec, int, error) {
 	var m MeasureSpec
 	if err := r.measure(&m); err != nil {
 		return MeasureSpec{}, 0, err
@@ -231,8 +272,16 @@ func (r *reader) measure(m *MeasureSpec) error {
 			f = &FoldSpec{}
 		}
 		nregs := r.listLen()
+		if r.wantInits {
+			// A register takes at least nine bytes (name length, Init), so
+			// the remaining input bounds what a lying count can ask for.
+			r.inits = make([]int, 0, min(nregs, (len(r.data)-r.pos)/9))
+		}
 		for i := 0; i < nregs && r.err == nil; i++ {
 			name := r.string()
+			if r.wantInits {
+				r.inits = append(r.inits, r.pos)
+			}
 			init := r.f64()
 			if f != nil {
 				f.Regs = append(f.Regs, RegDef{Name: name, Init: init})
@@ -350,6 +399,10 @@ type reader struct {
 	// strings and expressions come back empty, everything else is the same
 	// code on the same bytes.
 	skip bool
+	// wantInits records in inits where each register's Init field starts
+	// (MeasureInits).
+	wantInits bool
+	inits     []int
 }
 
 func (r *reader) fail(err error) {
