@@ -61,7 +61,8 @@ bench-scale-smoke:
 bench-hotpath:
 	$(GO) run ./cmd/ccp-hotpath -json BENCH_hotpath.json
 
-# Compares the current codec, event-queue, ring, fold, agent-dispatch and
+# Compares the current codec, event-queue, ring, fold, program-codec
+# (BenchmarkProgramCodec: marshal, unmarshal, prefix scan), agent-dispatch and
 # Install (warm, cold, moved-init) benchmarks against the committed
 # bench/baseline.txt. Requires the benchstat tool; skipped with a hint when
 # it is not installed (no network access is assumed here).
@@ -158,7 +159,8 @@ check: vet lint
 	$(MAKE) fuzz-smoke
 
 # 10-second smoke of each fuzz target (wire decoders, program decoder halves,
-# the register VM against its stack reference, the program validator against
+# the program encoding as an identity both ways, the register VM against its
+# stack reference, the program validator against
 # its listing reference); `go test -fuzz` accepts one target per invocation.
 # For a longer hunt, raise FUZZTIME.
 FUZZTIME ?= 10s
@@ -168,6 +170,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzStackVsRegister$$' -fuzztime=$(FUZZTIME) ./internal/lang
 	$(GO) test -run='^$$' -fuzz='^FuzzMeasurePrefix$$' -fuzztime=$(FUZZTIME) ./internal/lang
+	$(GO) test -run='^$$' -fuzz='^FuzzProgramRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/lang
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateVsReference$$' -fuzztime=$(FUZZTIME) ./internal/lang
 
 fmt:

@@ -325,8 +325,8 @@ func TestOnlyMovedInitsDerive(t *testing.T) {
 		Updates: []lang.Assign{{Dst: "a", E: lang.Add(lang.C(1), lang.V("pkt.rtt"))}},
 	}
 	oneReg := &lang.FoldSpec{
-		Regs:    []lang.RegDef{{Name: "abcdefghijkl", Init: 1}},
-		Updates: []lang.Assign{{Dst: "abcdefghijkl", E: lang.C(1)}},
+		Regs:    []lang.RegDef{{Name: "abcdefghijklmn", Init: 1}},
+		Updates: []lang.Assign{{Dst: "abcdefghijklmn", E: lang.C(1)}},
 	}
 	noUpdates := &lang.FoldSpec{Regs: []lang.RegDef{{Name: "a", Init: 1}}}
 	vector := lang.NewProgram().MeasureVector(make([]lang.Field, 11)...).Cwnd(lang.C(14480)).WaitRtts(1).Report().MustBuild()

@@ -12,6 +12,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/lang/randprog"
 	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -159,6 +160,32 @@ func TestRefusedFoldNeverStored(t *testing.T) {
 	}
 	if got := datapath.StoredArtifacts(); got != stored {
 		t.Fatalf("table grew from %d to %d artifacts on refused folds", stored, got)
+	}
+}
+
+// TestNonCanonicalSpellingsReachInstallErr: a program spelled the long way —
+// by a peer built from other source, or by a corrupted frame — is refused at
+// the flow in the decoder's own words, which name the spelling, and changes
+// nothing: the program in force stays and the table learns no key. The one
+// format a build speaks is the one it accepts.
+func TestNonCanonicalSpellingsReachInstallErr(t *testing.T) {
+	for _, tc := range randprog.NonCanonical() {
+		datapath.ResetArtifacts()
+		f := newBareFlow(absint.ModeStrict)
+		before := f.dp.Program()
+		reason := f.deliver(tc.Data)
+		if tc.Err == "" {
+			if reason != "" {
+				t.Errorf("%s: refused: %s", tc.Name, reason)
+			}
+			continue
+		}
+		if !strings.Contains(reason, tc.Err) {
+			t.Errorf("%s: InstallErr says %q, want %q", tc.Name, reason, tc.Err)
+		}
+		if f.dp.Program() != before || datapath.StoredArtifacts() != 0 || f.dp.Stats().InstallRejects != 1 {
+			t.Errorf("%s: the refusal left a trace: %d artifacts stored, %+v", tc.Name, datapath.StoredArtifacts(), f.dp.Stats())
+		}
 	}
 }
 
@@ -363,14 +390,14 @@ func TestAllocsWarmInstall(t *testing.T) {
 }
 
 // TestAllocsMovedInitInstall pins the Install on which Vegas's base_rtt
-// improved: the warm ten, five for the derived artifact (itself, its key,
+// improved: the warm nine, five for the derived artifact (itself, its key,
 // the register list, the spec and the compiled-fold header that point at the
 // shared updates and code) and ten for the re-run AnalyzeMeasure (invariant,
 // names, resolver, analyzer, report, two states, read-by-fold). Nothing is
 // decoded or compiled again.
 func TestAllocsMovedInitInstall(t *testing.T) {
-	if allocs := installAllocs(t, "vegas", movedInitInstall); allocs > 25 {
-		t.Errorf("moved-Init Install allocated %.1f times, want <= 25", allocs)
+	if allocs := installAllocs(t, "vegas", movedInitInstall); allocs > 24 {
+		t.Errorf("moved-Init Install allocated %.1f times, want <= 24", allocs)
 	}
 }
 
@@ -378,7 +405,7 @@ func TestAllocsMovedInitInstall(t *testing.T) {
 // build the other two paths avoid. The measured counts: it is where a
 // regression in the decoder, the verifier or the compilers shows.
 func TestAllocsColdInstall(t *testing.T) {
-	for alg, max := range map[string]float64{"cubic": 87, "vegas": 112} {
+	for alg, max := range map[string]float64{"cubic": 70, "vegas": 76} {
 		if allocs := installAllocs(t, alg, coldInstall); allocs > max {
 			t.Errorf("%s: cold Install allocated %.1f times, want <= %.0f", alg, allocs, max)
 		}

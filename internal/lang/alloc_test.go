@@ -56,8 +56,9 @@ func TestAllocsRegExprEval(t *testing.T) {
 // TestAllocsProgramCodec pins the per-Install codec costs that are not the
 // program itself: the install path's skip-scan (it runs before anything is
 // known about the program) and its shape test allocate nothing, and
-// MarshalProgram sizes its buffer up front, so encoding is the one allocation
-// of the result.
+// MarshalProgram sizes its buffer up front and exactly — the agent keeps the
+// result per flow, twice, and snapshots copy it — so encoding is the one
+// allocation of the result with no slack behind it.
 func TestAllocsProgramCodec(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -66,6 +67,9 @@ func TestAllocsProgramCodec(t *testing.T) {
 	data, err := MarshalProgram(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(data) != cap(data) {
+		t.Fatalf("MarshalProgram returned %d bytes in a buffer of %d", len(data), cap(data))
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { _, _ = MarshalProgram(p) }); allocs != 1 {
 		t.Fatalf("MarshalProgram allocated %.1f times per op, want 1", allocs)

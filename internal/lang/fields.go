@@ -39,8 +39,8 @@ func (f Field) String() string {
 
 // FieldByName maps "pkt.rtt"-style names to Fields.
 func FieldByName(name string) (Field, bool) {
-	for i, n := range fieldNames {
-		if n == name {
+	for i := range fieldNames { // by index: ranging over the array's values copies it
+		if fieldNames[i] == name {
 			return Field(i), true
 		}
 	}
@@ -74,8 +74,8 @@ func (v FlowVar) String() string {
 
 // FlowVarByName maps names to FlowVars.
 func FlowVarByName(name string) (FlowVar, bool) {
-	for i, n := range flowVarNames {
-		if n == name {
+	for i := range flowVarNames {
+		if flowVarNames[i] == name {
 			return FlowVar(i), true
 		}
 	}
@@ -127,6 +127,30 @@ func builtinSlot(name string) (int, bool) {
 	return 0, false
 }
 
+// numBuiltins is the number of built-in variables: the slots below RegSlot(0).
+const numBuiltins = int(NumPktFields) + int(NumFlowVars)
+
+// builtinVars is each built-in variable, by slot, as an expression, and
+// smallConsts each whole constant 0..255: made once, so the program decoder
+// hands out the same immutable node wherever one is read instead of making a
+// name and an interface value per occurrence.
+var (
+	builtinVars [numBuiltins]Expr
+	smallConsts [256]Expr
+)
+
+func init() {
+	for i, n := range fieldNames {
+		builtinVars[PktFieldSlot(Field(i))] = Var(n)
+	}
+	for i, n := range flowVarNames {
+		builtinVars[FlowVarSlot(FlowVar(i))] = Var(n)
+	}
+	for i := range smallConsts {
+		smallConsts[i] = Const(i)
+	}
+}
+
 // regScanMax is the largest fold whose register names are looked up by
 // scanning the declarations. The folds that exist declare two to four
 // registers, where a scan beats building a map and allocates nothing; a wire
@@ -148,6 +172,19 @@ func newRegScope(nregs int) regScope {
 		return regScope{idx: make(map[string]int, nregs)}
 	}
 	return regScope{}
+}
+
+// scopeOf is the scope of a whole register list that need not be valid: of
+// two registers with one name the first is the one found.
+func scopeOf(regs []RegDef) regScope {
+	s := newRegScope(len(regs))
+	s.regs = regs
+	if s.idx != nil {
+		for i := len(regs) - 1; i >= 0; i-- {
+			s.idx[regs[i].Name] = i
+		}
+	}
+	return s
 }
 
 // declare extends the scope to regs, one register longer than it was.

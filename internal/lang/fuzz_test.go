@@ -22,7 +22,9 @@ import (
 //   - the skip-scan ends exactly where the building decoder ends, and is a
 //     function of those bytes alone (cutting the input there, or swapping
 //     what follows, leaves it unchanged) — the encoding is self-delimiting;
-//   - malformed input fails with the error UnmarshalProgram gives;
+//   - malformed input — a non-canonical spelling included — fails with the
+//     error UnmarshalProgram gives, and what the scan accepts the building
+//     decoder accepts;
 //   - measure half + control half + validation is UnmarshalProgram.
 //
 // It also derives an artifact for a measure half that is the flow's current
@@ -41,8 +43,11 @@ func FuzzMeasurePrefix(f *testing.F) {
 			f.Add(data[:len(data)/2])
 		}
 	}
+	for _, tc := range randprog.NonCanonical() {
+		f.Add(tc.Data)
+	}
 	f.Add([]byte{})
-	f.Add([]byte{0xCC, 1, 1, 0xff, 0xff, 0xff})
+	f.Add([]byte{0xCC, 2, 1, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole, wholeErr := UnmarshalProgram(data)
 		end, scanErr := MeasurePrefixLen(data)
@@ -66,6 +71,12 @@ func FuzzMeasurePrefix(f *testing.F) {
 			if e2, err := MeasurePrefixLen(cut); err != nil || e2 != end {
 				t.Fatalf("prefix of %d bytes followed by %x rescans to %d, %v", end, tail, e2, err)
 			}
+		}
+		// What the scan walks past the building decoder builds: with an empty
+		// control half behind it the measure half decodes (validation aside),
+		// so a spelling refused as non-canonical is refused by both.
+		if _, err := DecodeProgram(append(append([]byte(nil), data[:end]...), 0, 0)); err != nil {
+			t.Fatalf("the scan accepts a measure half the decoder refuses: %v", err)
 		}
 		if mErr == nil {
 			checkInitOffsets(t, data, end, m)
@@ -174,6 +185,154 @@ func checkInitOffsets(t *testing.T, data []byte, end int, m MeasureSpec) {
 	if end < len(data) && SameShape(prefix, data[:end+1], inits) {
 		t.Fatal("SameShape held for a longer byte string")
 	}
+}
+
+// FuzzProgramRoundTrip pins the program encoding as an identity in both
+// directions. From bytes: whatever UnmarshalProgram accepts, MarshalProgram
+// gives back byte for byte — the artifact table and a flow's "is this the
+// measure half I run" test compare bytes, so one program must be one string.
+// From programs: any program MarshalProgram takes — sound or not, with names
+// nothing declares, constants of every kind and registers past the one-byte
+// index — comes back from the decoder node for node and bit for bit, and is
+// refused, if it is, in Validate's own words.
+func FuzzProgramRoundTrip(f *testing.F) {
+	rng := rand.New(rand.NewSource(47))
+	for i := int64(0); i < 32; i++ {
+		data, err := MarshalProgram(wireProgram(i))
+		if err != nil {
+			continue
+		}
+		if len(data) > 1024 {
+			// The seed number alone brings the large fold back; as corpus
+			// bytes it would only give the fuzzer 40 KiB inputs to minimize.
+			data = data[:64]
+		}
+		f.Add(data, i)
+		if i%4 == 0 {
+			data[rng.Intn(len(data))] ^= byte(1 << rng.Intn(8))
+			f.Add(data, i)
+		}
+	}
+	for _, tc := range randprog.NonCanonical() {
+		f.Add(tc.Data, int64(len(tc.Data)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		if p, err := UnmarshalProgram(data); err == nil {
+			if again, err := MarshalProgram(p); err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("accepted bytes do not re-encode to themselves:\n in:  %x\n out: %x (%v)\n program: %s", data, again, err, p)
+			}
+		}
+
+		p := wireProgram(seed)
+		enc, err := MarshalProgram(p)
+		if err != nil {
+			if p.Measure.Mode <= MeasureVector {
+				t.Fatalf("marshal: %v\nprogram: %s", err, p)
+			}
+			return // breakProgram's mode 9: there is nothing to encode it as
+		}
+		if len(enc) != cap(enc) {
+			t.Fatalf("%d bytes encoded into a buffer of %d", len(enc), cap(enc))
+		}
+		got, err := DecodeProgram(enc)
+		if err != nil {
+			t.Fatalf("the encoder's own bytes are refused: %v\nprogram: %s", err, p)
+		}
+		if !sameProgram(p, got) {
+			t.Fatalf("round trip mismatch:\n in:  %s\n out: %s", p, got)
+		}
+		_, wireErr := UnmarshalProgram(enc)
+		if want := p.Validate(); (want == nil) != (wireErr == nil) || (want != nil && want.Error() != wireErr.Error()) {
+			t.Fatalf("Validate says %v, the far end of the wire %v\nprogram: %s", want, wireErr, p)
+		}
+	})
+}
+
+// wireProgram is the seed's random program, left alone, damaged the ways
+// validation catches (breakProgram), or grown where the encoding has more
+// than one form to choose from: constants the two-byte form must not take,
+// names nothing declares, and folds of up to maxListLen registers, read
+// through both index forms.
+func wireProgram(seed int64) *Program {
+	rng := rand.New(rand.NewSource(seed))
+	p := randprog.Program(rng)
+	fold := p.Measure.Fold
+	switch rng.Intn(4) {
+	case 0:
+	case 1:
+		breakProgram(rng, p)
+	case 2:
+		consts := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324,
+			0, 1, 255, 256, -1, 0.5, 254.5, math.MaxFloat64, math.Float64frombits(rng.Uint64())}
+		c := func() Expr { return Const(consts[rng.Intn(len(consts))]) }
+		p.Instrs = append(p.Instrs, SetRate{E: Ite(c(), Mul(c(), V("nosuch")), Add(c(), V("rate")))})
+		if fold != nil {
+			fold.Updates = append(fold.Updates, Assign{Dst: fold.Regs[0].Name, E: Max(c(), Sub(V("pkt.now"), c()))})
+		}
+	case 3:
+		if fold != nil {
+			n := []int{100, 126, 127, 128, 129, 300, 4096 - len(fold.Regs)}[rng.Intn(7)]
+			for i := 0; i < n; i++ {
+				fold.Regs = append(fold.Regs, RegDef{Name: fmt.Sprintf("r%d", i), Init: float64(i) / 2})
+			}
+			for i := 0; i < 8; i++ {
+				a, b := rng.Intn(n), rng.Intn(n)
+				fold.Updates = append(fold.Updates, Assign{Dst: fmt.Sprintf("r%d", a),
+					E: Add(V(fmt.Sprintf("r%d", b)), V(fold.Regs[0].Name))})
+			}
+			p.Instrs = append(p.Instrs, SetCwnd{E: V(fmt.Sprintf("r%d", n-1))})
+		}
+	}
+	return p
+}
+
+// sameProgram is DeepEqual that tells −0 from 0 and a NaN from nothing: every
+// constant and Init by its bits.
+func sameProgram(a, b *Program) bool {
+	bits := math.Float64bits
+	if a.Measure.Mode != b.Measure.Mode || a.UrgentECN != b.UrgentECN || len(a.Instrs) != len(b.Instrs) ||
+		(a.Measure.Fold == nil) != (b.Measure.Fold == nil) || !reflect.DeepEqual(a.Measure.Fields, b.Measure.Fields) {
+		return false
+	}
+	var sameExpr func(x, y Expr) bool
+	sameExpr = func(x, y Expr) bool {
+		switch x := x.(type) {
+		case Const:
+			y, ok := y.(Const)
+			return ok && bits(float64(x)) == bits(float64(y))
+		case Var:
+			y, ok := y.(Var)
+			return ok && x == y
+		case *Bin:
+			y, ok := y.(*Bin)
+			return ok && x.Op == y.Op && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
+		case *If:
+			y, ok := y.(*If)
+			return ok && sameExpr(x.Cond, y.Cond) && sameExpr(x.Then, y.Then) && sameExpr(x.Else, y.Else)
+		}
+		return x == nil && y == nil
+	}
+	if fa, fb := a.Measure.Fold, b.Measure.Fold; fa != nil {
+		if len(fa.Regs) != len(fb.Regs) || len(fa.Updates) != len(fb.Updates) {
+			return false
+		}
+		for i, r := range fa.Regs {
+			if r.Name != fb.Regs[i].Name || bits(r.Init) != bits(fb.Regs[i].Init) {
+				return false
+			}
+		}
+		for i, u := range fa.Updates {
+			if u.Dst != fb.Updates[i].Dst || !sameExpr(u.E, fb.Updates[i].E) {
+				return false
+			}
+		}
+	}
+	for i, in := range a.Instrs {
+		if reflect.TypeOf(in) != reflect.TypeOf(b.Instrs[i]) || !sameExpr(InstrExpr(in), InstrExpr(b.Instrs[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzStackVsRegister is the differential harness pinning the register VM

@@ -1,6 +1,7 @@
-// Package randprog generates seeded random datapath programs for the
-// differential and fuzz tests of internal/lang and internal/datapath. It is
-// test support: nothing outside _test files imports it.
+// Package randprog generates seeded random datapath programs, and keeps the
+// hand-written wire programs (wire.go), for the differential and fuzz tests of
+// internal/lang and internal/datapath. It is test support: nothing outside
+// _test files imports it.
 package randprog
 
 import (

@@ -58,9 +58,10 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		{},
 		{0x00},
 		{progMagic},
-		{progMagic, 99},              // bad version
-		{progMagic, progVersion, 77}, // bad mode
-		{progMagic, progVersion, 0},  // truncated after mode
+		{progMagic, 99},                         // bad version
+		{progMagic, 1, 0, 1, instrTagReport, 0}, // a whole program in format version 1
+		{progMagic, progVersion, 77},            // bad mode
+		{progMagic, progVersion, 0},             // truncated after mode
 		{progMagic, progVersion, 0, 1, instrTagRate}, // truncated expr
 		{progMagic, progVersion, 0, 1, 0xEE, 0},      // bad instr tag
 	}

@@ -132,7 +132,7 @@ func TestAllocsSnapshotRoundTrip(t *testing.T) {
 		SID: 7, Installed: true, MSS: 1448, InitCwnd: 14480,
 		CtrlSeq: 93, CreateSeq: 2, ReportSeq: 1204, UrgentSeq: 3,
 		SrcAddr: "10.0.0.1:4242", DstAddr: "10.0.0.2:80", Alg: "cubic",
-		Prog:  []byte{0xCC, 1, 0, 1, 0x14, 0},
+		Prog:  []byte{0xCC, 2, 0, 1, 0x14, 0},
 		State: []float64{14480, 65535, 2.5, 0.01, 1.2e6, 0, 0.25},
 	}
 	buf := make([]byte, 0, 256)

@@ -78,7 +78,7 @@ func FuzzCreateRoundTrip(f *testing.F) {
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(uint32(7), true, uint32(1448), uint32(14480), uint32(12), uint32(1),
 		uint32(40), uint32(2), "10.0.0.1:80", "10.0.0.2:80", "cubic",
-		[]byte{0xCC, 1, 0}, 14480.0, 2.5)
+		[]byte{0xCC, 2, 0}, 14480.0, 2.5)
 	f.Add(uint32(0), false, uint32(0), uint32(0), uint32(0), uint32(0),
 		uint32(0), uint32(0), "", "", "", []byte(nil), 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, sid uint32, installed bool, mss, initCwnd,

@@ -20,7 +20,7 @@ func sampleMsgs() []Msg {
 		&Urgent{SID: 4, Seq: 2, Kind: UrgentTimeout, Value: 14600},
 		&Urgent{SID: 4, Kind: UrgentECN, Value: 3},
 		&Close{SID: 5},
-		&Install{SID: 6, Seq: 3, Prog: []byte{0xCC, 1, 0, 1, 0x14, 0}},
+		&Install{SID: 6, Seq: 3, Prog: []byte{0xCC, 2, 0, 1, 0x14, 0}},
 		&Install{SID: 6, Prog: nil},
 		&SetCwnd{SID: 8, Seq: 7, Bytes: 29200},
 		&SetRate{SID: 9, Seq: 8, Bps: 1.25e9},
@@ -35,7 +35,7 @@ func sampleMsgs() []Msg {
 		&Snapshot{SID: 12, Installed: true, MSS: 1448, InitCwnd: 14480,
 			CtrlSeq: 77, CreateSeq: 3, ReportSeq: 200, UrgentSeq: 5,
 			SrcAddr: "10.0.0.1:4242", DstAddr: "10.0.0.2:80", Alg: "cubic",
-			Prog:  []byte{0xCC, 1, 0, 1, 0x14, 0},
+			Prog:  []byte{0xCC, 2, 0, 1, 0x14, 0},
 			State: []float64{14480, 65535, 2.5, 0.01}},
 		&Snapshot{SID: 13, Closed: true},
 		&Heartbeat{SID: 0, Seq: 9, SentAt: 1.25},
