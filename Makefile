@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-compare bench-micro bench-scale bench-scale-smoke bench-hotpath benchstat test-allocs test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
+.PHONY: all build test test-short bench bench-smoke bench-compare bench-micro benchstat test-allocs test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
 
 all: build test
 
@@ -33,33 +33,19 @@ bench-compare:
 	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make bench-compare BASE=base.json[,..] NEW=new.json[,..]"; exit 2; }
 	$(GO) run ./benchmark -compare $(BASE) $(subst $(comma), ,$(NEW))
 
-# Go micro-benchmarks of every package, then the flow-scale run.
+# CI smoke of the end-to-end benchmark: two seconds of direct50k — real
+# rings, the sharded runtime and the verifier under a 50k-flow table. The
+# exit status is the assertion (the run checks itself: every report answered,
+# every decision accounted for); shared runners jitter too much to bound a
+# latency here.
+bench-smoke:
+	$(GO) run ./benchmark -workload direct50k -seconds 2
+
+# Go micro-benchmarks of every package: the codec before/after pairs
+# (internal/proto RoundTrip*{Alloc,Reuse}), the event heap (internal/netsim
+# BenchmarkScheduleDispatch), the fold step, rings, Install paths.
 bench-micro:
 	$(GO) test -bench=. -benchmem ./...
-	$(MAKE) bench-scale
-
-# Flow-scale benchmark (1k→100k flows over shared-memory rings served by
-# one multiplexed goroutine). The default seed is fixed, so BENCH_scale.json
-# is deterministic up to machine-dependent timing fields. This is the
-# committed configuration; expect a few minutes of wall clock at 100k flows.
-bench-scale:
-	$(GO) run ./cmd/ccp-loadgen -transport shmring -conns 4 -outstanding 256 \
-		-interval 200us -gogc 800 -flows 1000,10000,50000,100000 -reports 20 \
-		-timeout 600s -json BENCH_scale.json -validate
-
-# CI smoke for the loadgen pipeline: tiny flow counts through the same
-# shmring lane, then re-parse the JSON output and assert populated rows.
-bench-scale-smoke:
-	$(GO) run ./cmd/ccp-loadgen -transport shmring -conns 2 -outstanding 16 \
-		-flows 1,16,64 -reports 10 -timeout 120s \
-		-json /tmp/bench_scale_smoke.json -validate
-
-# Hot-path before/after comparison (wire codec and simulator event queue);
-# regenerates the committed BENCH_hotpath.json. The per-ACK fold step has one
-# engine and so no pair: see BenchmarkFoldStep and `make bench`'s
-# lang.fold_step_ns.
-bench-hotpath:
-	$(GO) run ./cmd/ccp-hotpath -json BENCH_hotpath.json
 
 # Compares the current codec, event-queue, ring, fold, program-codec
 # (BenchmarkProgramCodec: marshal, unmarshal, prefix scan), agent-dispatch and
@@ -94,25 +80,30 @@ test-allocs:
 
 # Robustness lane: the concurrent packages (sharded runtime — including
 # TestRaceContainersAccountedExactlyOnce, the mailbox-container ownership
-# stress — socket link, transports, fault injectors, datapath fail-safe)
+# stress — socket link, transports, fault injectors, datapath fail-safe, and
+# the ccp-agent process itself: serve, replicate, promote, shut down)
 # twice under the race detector. -count=2 defeats test caching and shakes
 # out order-dependent state; CI runs this as its own job.
 test-race-robust:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/harness/ \
 		./internal/ipc/ ./internal/ipc/shmring/ ./internal/bridge/ \
-		./internal/faults/ ./internal/datapath/ ./internal/supervise/
+		./internal/faults/ ./internal/datapath/ ./internal/supervise/ \
+		./cmd/ccp-agent/
 
 # High-availability lane: the supervise package (failure detector, warm
 # standby, wire replication), the harness failover path and probe-gated
 # fallback hysteresis, snapshot aggregation across the sharded runtime
-# (including the restart-vs-shedding race shape), and the ablation-ha
+# (including the restart-vs-shedding race shape, and restore routing to the
+# owning shard), the shipped binary's own failover (cmd/ccp-agent: run twice
+# in-process, primary and standby, over real sockets), and the ablation-ha
 # acceptance tests.
 test-ha:
 	$(GO) test -count=1 ./internal/supervise/
 	$(GO) test -count=1 -run 'TestSlowAgentSingleFallbackCycle|TestProbesOffNoProbeTraffic|TestWarmStandbyFailoverBeatsFallback|TestPumpPausesWithDeadAgent' \
 		./internal/harness/
-	$(GO) test -count=1 -run 'TestSnapshotIntoAggregatesShards|TestRaceShardRestartDuringShedding' \
+	$(GO) test -count=1 -run 'TestSnapshotIntoAggregatesShards|TestRaceShardRestartDuringShedding|TestRuntimeRestoreFlowRoutesToOwningShard' \
 		./internal/runtime/
+	$(GO) test -count=1 ./cmd/ccp-agent/
 	$(GO) test -count=1 -run 'TestAblHA' ./internal/experiments/
 
 vet:

@@ -382,7 +382,7 @@ func BenchmarkAgentDispatch(b *testing.B) {
 
 // Sharded runtime dispatch: the same per-report path as BenchmarkAgentDispatch
 // but through the flow-affine sharded executor, fed from parallel producers —
-// the scaling story of the loadgen benchmark in microbenchmark form.
+// the scaling story of ./benchmark's direct50k workload in microbenchmark form.
 func BenchmarkRuntimeShardedDispatch(b *testing.B) {
 	rt, err := ccpruntime.New(ccpruntime.Config{
 		Shards: 4,

@@ -8,21 +8,35 @@
 //	ccp-agent -list-algs
 //	ccp-agent -listen /tmp/ccp.sock -max-rate-mbps 100   # per-flow policy
 //
+// The process is one internal/runtime.Runtime serving the socket — the same
+// executor, serve loop and shard hop the end-to-end benchmark (./benchmark)
+// measures. There is no flag for the shard count: it is GOMAXPROCS, so the
+// agent uses the cores the process is given and nothing else has to agree
+// with it. With GOMAXPROCS=1 that is the inline mode, a single agent called
+// synchronously from each connection's serve loop; with more, flows are
+// partitioned over that many agents by SID and the connections' loops only
+// decode and enqueue.
+//
 // High availability (see DESIGN.md §10): a primary replicates per-flow
 // snapshots to a warm standby, which promotes itself into a live agent when
 // the replication stream drops:
 //
 //	ccp-agent -listen /tmp/ccp-standby.sock -standby
 //	ccp-agent -listen /tmp/ccp.sock -replicate /tmp/ccp-standby.sock
+//
+// SIGINT or SIGTERM shuts down in order: stop accepting, let every connection
+// finish the frame it is reading, answer what has been dispatched, then exit.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"os/signal"
+	stdruntime "runtime"
 	"syscall"
 	"time"
 
@@ -30,163 +44,191 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/supervise"
 )
 
+// config is the parsed command line.
+type config struct {
+	listen         string
+	defaultAlg     string
+	maxRateMbps    float64
+	maxCwndKB      int
+	verbose        bool
+	standby        bool
+	replicateTo    string
+	replicateEvery time.Duration
+	verify         absint.Mode
+
+	// serving, when set, is handed the runtime as it starts taking datapath
+	// connections — for a standby, after promotion. Tests read its Stats.
+	serving func(*runtime.Runtime)
+}
+
 func main() {
-	var (
-		listen     = flag.String("listen", "/tmp/ccp.sock", "Unix socket path to listen on")
-		defaultAlg = flag.String("default-alg", "cubic", "algorithm for flows that don't request one")
-		maxRate    = flag.Float64("max-rate-mbps", 0, "per-flow max rate policy in Mbit/s (0 = none)")
-		maxCwnd    = flag.Int("max-cwnd-kb", 0, "per-flow max cwnd policy in KiB (0 = none)")
-		listAlgs   = flag.Bool("list-algs", false, "list registered algorithms and exit")
-		verbose    = flag.Bool("v", false, "log per-flow activity")
-		standby    = flag.Bool("standby", false,
-			"run as a warm standby: consume snapshot replication on the listen socket, promote when the primary's stream drops")
-		replicateTo = flag.String("replicate", "",
-			"standby socket to replicate per-flow snapshots to (\"\" = no replication)")
-		verifyFlag     = flag.String("verify", "off", "agent-side pre-flight program verification: strict|warn|off")
-		replicateEvery = flag.Duration("replicate-interval", 50*time.Millisecond,
-			"snapshot replication period (with -replicate)")
-	)
+	var cfg config
+	flag.StringVar(&cfg.listen, "listen", "/tmp/ccp.sock", "Unix socket path to listen on")
+	flag.StringVar(&cfg.defaultAlg, "default-alg", "cubic", "algorithm for flows that don't request one")
+	flag.Float64Var(&cfg.maxRateMbps, "max-rate-mbps", 0, "per-flow max rate policy in Mbit/s (0 = none)")
+	flag.IntVar(&cfg.maxCwndKB, "max-cwnd-kb", 0, "per-flow max cwnd policy in KiB (0 = none)")
+	listAlgs := flag.Bool("list-algs", false, "list registered algorithms and exit")
+	flag.BoolVar(&cfg.verbose, "v", false, "log per-flow activity")
+	flag.BoolVar(&cfg.standby, "standby", false,
+		"run as a warm standby: consume snapshot replication on the listen socket, promote when the primary's stream drops")
+	flag.StringVar(&cfg.replicateTo, "replicate", "",
+		"standby socket to replicate per-flow snapshots to (\"\" = no replication)")
+	verifyFlag := flag.String("verify", "off", "agent-side pre-flight program verification: strict|warn|off")
+	flag.DurationVar(&cfg.replicateEvery, "replicate-interval", 50*time.Millisecond,
+		"snapshot replication period (with -replicate)")
 	flag.Parse()
 
-	reg := algorithms.NewRegistry()
 	if *listAlgs {
-		for _, name := range reg.Names() {
+		for _, name := range algorithms.NewRegistry().Names() {
 			fmt.Println(name)
 		}
 		return
 	}
-
-	var policy core.PolicyFunc
-	if *maxRate > 0 || *maxCwnd > 0 {
-		policy = func(info core.FlowInfo) core.Policy {
-			return core.Policy{
-				MaxRateBps:   *maxRate * 1e6 / 8,
-				MaxCwndBytes: *maxCwnd * 1024,
-			}
-		}
-	}
-	logf := func(string, ...any) {}
-	if *verbose {
-		logf = log.Printf
-	}
-	vmode, err := absint.ParseMode(*verifyFlag)
-	if err != nil {
+	var err error
+	if cfg.verify, err = absint.ParseMode(*verifyFlag); err != nil {
 		log.Fatalf("ccp-agent: %v", err)
 	}
-	agentCfg := core.AgentConfig{
-		Registry:   reg,
-		DefaultAlg: *defaultAlg,
-		Policy:     policy,
-		Logf:       logf,
-		Verify:     vmode,
-	}
 
-	os.Remove(*listen)
-	ln, err := ipc.ListenUnix(*listen)
-	if err != nil {
-		log.Fatalf("ccp-agent: listen %s: %v", *listen, err)
-	}
-	defer ln.Close()
-	defer os.Remove(*listen)
-
-	var agent *core.Agent
-	if *standby {
-		agent = runStandby(ln, agentCfg)
-	} else {
-		agent, err = core.NewAgent(agentCfg)
-		if err != nil {
-			log.Fatalf("ccp-agent: %v", err)
-		}
-	}
-	if *replicateTo != "" {
-		go replicate(agent, *replicateTo, *replicateEvery)
-	}
-	log.Printf("ccp-agent: listening on %s (default algorithm %q)", *listen, *defaultAlg)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		ln.Close()
-		os.Remove(*listen)
-		os.Exit(0)
-	}()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			log.Printf("ccp-agent: accept: %v", err)
-			return
-		}
-		if *verbose {
-			log.Printf("ccp-agent: datapath connected")
-		}
-		go func() {
-			t := ipc.NewStream(conn)
-			if err := agent.ServeTransport(t); err != nil && *verbose {
-				log.Printf("ccp-agent: datapath disconnected: %v", err)
-			}
-			t.Close()
-		}()
+	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer cancel()
+	if err := run(ctx, cfg); err != nil {
+		log.Fatalf("ccp-agent: %v", err)
 	}
 }
 
-// runStandby holds the process in warm-standby mode: replication streams
-// from the primary are consumed one at a time on the listen socket, keeping
-// the snapshot store current. When a stream drops with flow state held —
-// the primary died — the store is promoted into a live agent, and main's
-// accept loop takes over serving datapaths on the same socket.
-func runStandby(ln *net.UnixListener, cfg core.AgentConfig) *core.Agent {
+// run is the whole agent process: listen, wait out the standby phase if
+// there is one, then serve datapaths until ctx is cancelled. It returns once
+// the runtime has drained and every goroutine it started has ended.
+func run(ctx context.Context, cfg config) error {
+	agentCfg := core.AgentConfig{
+		Registry:   algorithms.NewRegistry(),
+		DefaultAlg: cfg.defaultAlg,
+		Verify:     cfg.verify,
+	}
+	if cfg.maxRateMbps > 0 || cfg.maxCwndKB > 0 {
+		agentCfg.Policy = func(core.FlowInfo) core.Policy {
+			return core.Policy{
+				MaxRateBps:   cfg.maxRateMbps * 1e6 / 8,
+				MaxCwndBytes: cfg.maxCwndKB * 1024,
+			}
+		}
+	}
+	if cfg.verbose {
+		agentCfg.Logf = log.Printf
+	}
+	rt, err := runtime.New(runtime.Config{Shards: stdruntime.GOMAXPROCS(0), Agent: agentCfg})
+	if err != nil {
+		return err
+	}
+	defer rt.Close() // last: after everything below has stopped feeding it
+
+	os.Remove(cfg.listen)
+	ln, err := ipc.ListenUnix(cfg.listen)
+	if err != nil {
+		return fmt.Errorf("listen %s: %w", cfg.listen, err)
+	}
+	defer os.Remove(cfg.listen)
+	// Cancellation — a signal, or run returning early — reaches whoever is
+	// accepting by closing the listener, and the replicator directly.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	context.AfterFunc(ctx, func() { ln.Close() })
+
+	if cfg.standby {
+		if promoted, err := standBy(ctx, ln, rt); !promoted {
+			return err
+		}
+	}
+	if cfg.replicateTo != "" {
+		replicated := make(chan struct{})
+		go func() {
+			defer close(replicated)
+			replicate(ctx, rt, cfg.replicateTo, cfg.replicateEvery)
+		}()
+		defer func() {
+			cancel()
+			<-replicated
+		}()
+	}
+	log.Printf("ccp-agent: listening on %s (default algorithm %q, %d shard(s))",
+		cfg.listen, cfg.defaultAlg, rt.Shards())
+	if cfg.serving != nil {
+		cfg.serving(rt)
+	}
+	return rt.Serve(ln)
+}
+
+// standBy holds the process in warm-standby mode: replication streams from
+// the primary are consumed one at a time on the listen socket — by the serve
+// loop datapath connections get, with the snapshot store as its handler —
+// keeping the store current. When a stream drops with flow state held, the
+// primary died: the store is restored into rt, standBy reports the promotion,
+// and run goes on to serve datapaths on the same socket. Cancellation ends it
+// unpromoted.
+func standBy(ctx context.Context, ln net.Listener, rt *runtime.Runtime) (promoted bool, err error) {
 	sb := supervise.NewStandby()
 	log.Printf("ccp-agent: warm standby, awaiting replication")
-	for {
+	for sb.FlowCount() == 0 {
 		conn, err := ln.Accept()
 		if err != nil {
-			log.Fatalf("ccp-agent: standby accept: %v", err)
+			if ctx.Err() != nil {
+				err = nil // the listener was closed to stop us
+			}
+			return false, err
 		}
-		t := ipc.NewStream(conn)
-		serveErr := sb.ServeTransport(t)
-		t.Close()
+		unhook := context.AfterFunc(ctx, func() { conn.Close() })
+		serveErr := runtime.ServeTransport(sb, ipc.NewStream(conn))
+		unhook()
+		conn.Close()
 		st := sb.Stats()
 		log.Printf("ccp-agent: replication stream ended (%v): holding %d flows (applied %d, removed %d)",
 			serveErr, sb.FlowCount(), st.Applied, st.Removed)
-		if sb.FlowCount() > 0 {
-			break
+		if ctx.Err() != nil {
+			return false, nil
 		}
 	}
-	agent, err := sb.Promote(cfg)
-	if err != nil {
-		log.Fatalf("ccp-agent: promote: %v", err)
-	}
-	st := agent.Stats()
+	sb.RestoreInto(rt)
 	log.Printf("ccp-agent: promoted standby: %d flows restored (%d failed)",
-		st.Restores, sb.Stats().RestoreErrors)
-	return agent
+		rt.Stats().Agent.Restores, sb.Stats().RestoreErrors)
+	return true, nil
 }
 
-// replicate pushes periodic snapshot passes to a standby's socket: a full
-// pass on each fresh connection, incremental deltas after, redialing with a
-// short backoff while the standby is down.
-func replicate(agent *core.Agent, path string, every time.Duration) {
+// replicate pushes periodic snapshot passes to a standby's socket until ctx
+// is cancelled: a full pass on each fresh connection, incremental deltas
+// after, redialing with a short backoff while the standby is down.
+func replicate(ctx context.Context, rt *runtime.Runtime, path string, every time.Duration) {
+	// pause waits d out, or reports that cancellation came first.
+	pause := func(d time.Duration) bool {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(d):
+			return true
+		}
+	}
 	for {
 		t, err := ipc.DialUnix(path)
 		if err != nil {
-			time.Sleep(time.Second)
+			if !pause(time.Second) {
+				return
+			}
 			continue
 		}
 		log.Printf("ccp-agent: replicating to %s every %v", path, every)
-		full := true
-		for {
-			if _, err := supervise.Replicate(agent, full, t); err != nil {
+		for full := true; ; full = false {
+			if _, err := supervise.Replicate(rt, full, t); err != nil {
 				log.Printf("ccp-agent: replication to %s broken: %v", path, err)
-				t.Close()
 				break
 			}
-			full = false
-			time.Sleep(every)
+			if !pause(every) {
+				t.Close()
+				return
+			}
 		}
+		t.Close()
 	}
 }

@@ -18,21 +18,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// Handler consumes datapath→agent messages: a *core.Agent or a sharded
-// *runtime.Runtime both satisfy it, so simulations can swap the single-loop
-// agent for the sharded executor without touching the bridge.
-//
-// Ownership: m is only valid for the duration of the call — the bridge
-// decodes into reusable scratch state and reclaims it as soon as
-// HandleMessage returns. An implementation that queues m for later must take
-// its own copy (proto.Clone). The same holds the other way: a message the
-// handler passes to reply is only lent for the duration of that call (the
-// agent builds decisions in storage it reuses), which the bridge's reply
-// honours by marshalling before it returns.
-type Handler interface {
-	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
-}
-
 // Stats counts bridge traffic, for the CPU/message accounting experiments.
 type Stats struct {
 	ToAgentMsgs   int
@@ -48,7 +33,7 @@ type Stats struct {
 // fallback experiment).
 type Bridge struct {
 	sim     *netsim.Sim
-	agent   Handler
+	agent   proto.Handler
 	latency time.Duration
 	stopped bool
 	// gen counts Stop calls. Deliveries capture the generation they were
@@ -65,7 +50,7 @@ type Bridge struct {
 }
 
 // New creates a bridge to agent with the given one-way IPC latency.
-func New(sim *netsim.Sim, agent Handler, latency time.Duration) *Bridge {
+func New(sim *netsim.Sim, agent proto.Handler, latency time.Duration) *Bridge {
 	return &Bridge{sim: sim, agent: agent, latency: latency}
 }
 

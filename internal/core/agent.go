@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/metrics"
@@ -74,7 +73,8 @@ type AgentStats struct {
 // from one or more datapaths onto per-flow algorithm instances and relays
 // their decisions back. Dispatch is a synchronous state transition, so the
 // agent runs identically on the simulator event loop (deterministic) and
-// behind a transport goroutine (ServeTransport).
+// behind a transport goroutine (internal/runtime's serve loops). It is a
+// proto.Handler and knows nothing of transports.
 type Agent struct {
 	cfg AgentConfig
 
@@ -183,10 +183,9 @@ func (a *Agent) FlowCount() int {
 // agent→datapath messages for the flow's datapath (it is captured by the
 // flow created on Create, so each datapath keeps its own channel).
 //
-// Ownership runs the same way in both directions: m is borrowed for the
-// duration of this call, and every message handed to reply is borrowed for
-// the duration of that call — it is built in storage the agent reuses for its
-// next decision, so a reply that keeps a message must proto.Clone it.
+// Ownership is proto.Handler's rule: m is borrowed for the duration of this
+// call, and every message handed to reply — built in storage the agent reuses
+// for its next decision — for the duration of that one.
 //
 // A *proto.Batch is unpacked here and processed in order under one lock
 // acquisition — the agent-side half of the §4 batching amortization.
@@ -393,43 +392,6 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 	a.mCreated.Inc()
 	a.mLiveFlows.Set(int64(len(a.flows)))
 	alg.Init(flow)
-}
-
-// ServeTransport reads wire messages from t until Recv fails, dispatching
-// each through HandleMessage with replies marshalled back onto t. It is the
-// agent's main loop when deployed as a separate process (Figure 1).
-//
-// The loop is pooled end to end: frames are received into pool buffers,
-// decoded into a loop-local Decoder's scratch (HandleMessage is synchronous
-// and does not retain the message), and released before the next read.
-func (a *Agent) ServeTransport(t ipc.Transport) error {
-	reply := func(m proto.Msg) error {
-		f, err := proto.MarshalFrame(m)
-		if err != nil {
-			return err
-		}
-		err = t.Send(f.B)
-		f.Release()
-		return err
-	}
-	var dec proto.Decoder
-	for {
-		f, err := ipc.RecvFrame(t)
-		if err != nil {
-			return err
-		}
-		m, err := dec.Unmarshal(f.B)
-		if err != nil {
-			f.Release()
-			a.mu.Lock()
-			a.stats.Errors++
-			a.mu.Unlock()
-			a.logf("agent: bad message: %v", err)
-			continue
-		}
-		a.HandleMessage(m, reply)
-		f.Release()
-	}
 }
 
 func (a *Agent) logf(format string, args ...any) {

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -342,45 +341,6 @@ func TestPolicyRewritesPrograms(t *testing.T) {
 	})
 	if err != nil || got != 1e6 {
 		t.Fatalf("clamped rate=%v err=%v", got, err)
-	}
-}
-
-func TestServeTransport(t *testing.T) {
-	alg := &recordAlg{}
-	alg.onInit = func(f *Flow) { f.SetCwnd(1000) }
-	a := newTestAgent(t, alg, nil)
-	agentSide, dpSide := ipc.ChanPair(16)
-	done := make(chan error, 1)
-	go func() { done <- a.ServeTransport(agentSide) }()
-
-	data, err := proto.Marshal(createMsg(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dpSide.Send(data); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := dpSide.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := proto.Unmarshal(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc, ok := m.(*proto.SetCwnd); !ok || sc.Bytes != 1000 || sc.SID != 9 {
-		t.Fatalf("reply=%#v", m)
-	}
-	// Malformed frames are skipped, not fatal.
-	if err := dpSide.Send([]byte{0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	dpSide.Close()
-	if err := <-done; err == nil {
-		t.Fatal("ServeTransport should return an error when the peer closes")
-	}
-	if a.Stats().Errors == 0 {
-		t.Fatal("bad frame not counted")
 	}
 }
 

@@ -6,16 +6,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// AgentHandler is the message sink the agent injector wraps — a *core.Agent
-// or a sharded *runtime.Runtime (structurally the bridge.Handler contract:
-// m is borrowed for the duration of the call, and a message passed to reply
-// for the duration of that one). The injector clones an m it holds or delays;
-// reply it hands through untouched, so the borrow is the caller's reply's to
-// honour.
-type AgentHandler interface {
-	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
-}
-
 // AgentMode is the injected health state of the agent process.
 type AgentMode int
 
@@ -72,7 +62,7 @@ type heldMsg struct {
 // AgentInjector wraps the agent with process-level fault modes — pause,
 // slowdown, kill/restart — complementing the channel-level Injector: that
 // one corrupts the pipe, this one sickens the endpoint. Deliveries held or
-// delayed are cloned (the Handler contract only borrows the original), and
+// delayed are cloned (proto.Handler only borrows the original), and
 // delayed deliveries fire on the supplied schedule function, so under the
 // simulator everything stays on the virtual clock and deterministic.
 //
@@ -80,7 +70,7 @@ type heldMsg struct {
 // runs on the event loop. Mode changes and message arrivals must come from
 // the same scheduling domain.
 type AgentInjector struct {
-	inner    AgentHandler
+	inner    proto.Handler
 	schedule func(time.Duration, func())
 	mode     AgentMode
 	delay    time.Duration
@@ -93,7 +83,7 @@ type AgentInjector struct {
 
 // NewAgentInjector wraps inner, scheduling delayed deliveries with schedule
 // (the simulator's Schedule in experiments). The injector starts healthy.
-func NewAgentInjector(inner AgentHandler, schedule func(time.Duration, func())) *AgentInjector {
+func NewAgentInjector(inner proto.Handler, schedule func(time.Duration, func())) *AgentInjector {
 	return &AgentInjector{inner: inner, schedule: schedule}
 }
 
@@ -103,7 +93,7 @@ func (a *AgentInjector) Stats() AgentFaultStats { return a.stats }
 // Mode returns the current injected health state.
 func (a *AgentInjector) Mode() AgentMode { return a.mode }
 
-// HandleMessage implements the agent-handler contract, applying the current
+// HandleMessage implements proto.Handler, applying the current
 // fault mode.
 func (a *AgentInjector) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	switch a.mode {
@@ -177,7 +167,7 @@ func (a *AgentInjector) Kill() {
 // supervisor resolved. The injector returns to healthy passthrough.
 // Anything a pause was holding dies with the replaced process (replaying it
 // into the replacement would deliver another agent's backlog out of order).
-func (a *AgentInjector) Restart(inner AgentHandler) {
+func (a *AgentInjector) Restart(inner proto.Handler) {
 	a.stats.DroppedOnKill += len(a.held)
 	a.held = nil
 	a.inner = inner

@@ -17,9 +17,9 @@ import (
 //
 // In-process replication (the pump applies snapshots straight into the
 // standby on the simulator clock) keeps supervised runs deterministic; the
-// wire path for two-process deployments is supervise.Replicate /
-// Standby.ServeTransport, exercised by the supervise tests and the
-// ccp-agent -standby mode.
+// wire path for two-process deployments is supervise.Replicate into a
+// Standby behind runtime.ServeTransport, exercised by the supervise tests and
+// the ccp-agent -standby mode.
 type HAConfig struct {
 	// SnapshotInterval is the replication pump period (default 50ms). The
 	// standby's state is at most this stale at failover.

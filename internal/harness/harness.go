@@ -16,6 +16,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/supervise"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
@@ -129,7 +130,7 @@ func New(cfg Config) *Net {
 		agentCfg: agentCfg,
 		verify:   cfg.Verify,
 	}
-	var sink bridge.Handler = agent
+	var sink proto.Handler = agent
 	if cfg.AgentFaults {
 		n.AgentInj = faults.NewAgentInjector(agent, func(d time.Duration, fn func()) {
 			sim.Schedule(d, fn)

@@ -5,124 +5,82 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ccp-repro/ccp/internal/algorithms"
-	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
+	"github.com/ccp-repro/ccp/internal/harness"
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/netsim"
-	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
 // TestAgentOverRealUnixSocket is the full Figure 1 deployment as an
 // automated test: the agent serves the wire protocol on a real Unix stream
-// socket (exactly like cmd/ccp-agent), the simulated datapath's CCP runtime
-// marshals its messages onto that socket, and the simulation advances in
-// wall-clock slices with agent replies pumped back in between.
+// socket (startAgentProc: the runtime and accept-and-serve call cmd/ccp-agent
+// makes), the simulated datapath's CCP runtime reaches it through a
+// SocketLink, and the simulation advances in wall-clock slices with agent
+// replies pumped back in between.
 func TestAgentOverRealUnixSocket(t *testing.T) {
 	sockPath := filepath.Join(t.TempDir(), "ccp.sock")
+	proc := startAgentProc(t, sockPath)
 
-	agent, err := core.NewAgent(core.AgentConfig{
-		Registry:   algorithms.NewRegistry(),
-		DefaultAlg: "cubic",
+	link := harness.NewSocketLink(harness.SocketLinkConfig{
+		Dial: func() (ipc.Transport, error) { return ipc.DialUnix(sockPath) },
+		Logf: t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := ipc.ListenUnix(sockPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+	defer link.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for !link.Connected() {
+		if time.Now().After(deadline) {
+			t.Fatal("link never connected")
 		}
-		agent.ServeTransport(ipc.NewStream(conn))
-	}()
-
-	client, err := ipc.DialUnix(sockPath)
-	if err != nil {
-		t.Fatal(err)
+		time.Sleep(time.Millisecond)
 	}
-	defer client.Close()
+	link.Pump() // the connect's resync pass, while there is no flow to replay
 
 	sim := netsim.New(1)
 	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
-	link := netsim.LinkConfig{RateBps: 48e6, Delay: 5 * time.Millisecond, QueueBytes: 60000}
-	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: link}, fwd, rev)
+	bottleneck := netsim.LinkConfig{RateBps: 48e6, Delay: 5 * time.Millisecond, QueueBytes: 60000}
+	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: bottleneck}, fwd, rev)
 
-	dp := datapath.New(datapath.Config{
-		SID:   1,
-		Alg:   "cubic",
-		Clock: sim,
-		ToAgent: func(m proto.Msg) error {
-			data, err := proto.Marshal(m)
-			if err != nil {
-				return err
-			}
-			return client.Send(data)
-		},
-	})
+	dp := datapath.New(datapath.Config{SID: 1, Alg: "cubic", Clock: sim, ToAgent: link.ToAgent})
+	link.Attach(dp)
 	flow := tcp.NewFlow(sim, 1, path, fwd, rev, dp, tcp.Options{})
-
-	replies := make(chan proto.Msg, 256)
-	go func() {
-		for {
-			data, err := client.Recv()
-			if err != nil {
-				close(replies)
-				return
-			}
-			m, err := proto.Unmarshal(data)
-			if err != nil {
-				t.Errorf("bad reply frame: %v", err)
-				continue
-			}
-			replies <- m
-		}
-	}()
 
 	flow.Conn.Start()
 	const (
 		dur   = 4 * time.Second
 		slice = 5 * time.Millisecond
 	)
-	received := 0
-	deadline := time.Now().Add(30 * time.Second)
 	for now := time.Duration(0); now < dur; now += slice {
 		if time.Now().After(deadline) {
 			t.Fatal("wall-clock deadline exceeded")
 		}
 		sim.Run(now + slice)
-	drain:
-		for {
-			select {
-			case m, ok := <-replies:
-				if !ok {
-					break drain
-				}
-				received++
-				dp.Deliver(m)
-			default:
-				break drain
-			}
-		}
+		link.Pump()
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	if agent.Stats().FlowsCreated != 1 {
-		t.Fatalf("agent flows=%d", agent.Stats().FlowsCreated)
+	st := proc.agentStats()
+	if st.FlowsCreated != 1 {
+		t.Fatalf("agent flows=%d", st.FlowsCreated)
 	}
-	if agent.Stats().Measurements == 0 {
+	if st.Measurements == 0 {
 		t.Fatal("no measurements crossed the socket")
 	}
-	if received == 0 || dp.Stats().InstallsRecvd == 0 {
-		t.Fatalf("no agent control crossed back: received=%d installs=%d",
-			received, dp.Stats().InstallsRecvd)
+	if ls := link.Stats(); ls.DecodeErrors != 0 || ls.UnknownSID != 0 {
+		t.Fatalf("bad reply frames: %+v", ls)
+	}
+	if dst := dp.Stats(); dst.InstallsRecvd == 0 {
+		t.Fatalf("no agent control crossed back: %+v", dst)
 	}
 	if u := path.Forward.Utilization(dur); u < 0.5 {
 		t.Fatalf("utilization %.3f with socket-attached agent", u)
+	}
+	// An orderly stop: Serve reports a closed listener as a clean exit, and
+	// nothing the agent received failed to decode.
+	if err := proc.kill(); err != nil {
+		t.Fatalf("Serve returned %v after its listener closed", err)
+	}
+	if n := proc.rt.Stats().DecodeErrors; n != 0 {
+		t.Fatalf("%d frames from the datapath did not decode", n)
 	}
 }

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"net"
 	"path/filepath"
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,22 +14,23 @@ import (
 	"github.com/ccp-repro/ccp/internal/harness"
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
-// agentProc is one "agent process": a core.Agent serving a Unix socket, with
-// enough handles to kill it abruptly.
+// agentProc is one "agent process" as cmd/ccp-agent runs it: a
+// runtime.Runtime, GOMAXPROCS shards wide, serving a Unix socket.
 type agentProc struct {
-	agent *core.Agent
-	ln    *net.UnixListener
-	conns chan ipc.Transport
+	rt     *runtime.Runtime
+	ln     *net.UnixListener
+	served chan error
 }
 
 func startAgentProc(t *testing.T, sockPath string) *agentProc {
 	t.Helper()
-	agent, err := core.NewAgent(core.AgentConfig{
-		Registry:   algorithms.NewRegistry(),
-		DefaultAlg: "cubic",
+	rt, err := runtime.New(runtime.Config{
+		Shards: stdruntime.GOMAXPROCS(0),
+		Agent:  core.AgentConfig{Registry: algorithms.NewRegistry(), DefaultAlg: "cubic"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,33 +39,21 @@ func startAgentProc(t *testing.T, sockPath string) *agentProc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &agentProc{agent: agent, ln: ln, conns: make(chan ipc.Transport, 4)}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			tr := ipc.NewStream(conn)
-			p.conns <- tr
-			go agent.ServeTransport(tr)
-		}
-	}()
+	p := &agentProc{rt: rt, ln: ln, served: make(chan error, 1)}
+	go func() { p.served <- rt.Serve(ln) }()
 	return p
 }
 
-// kill closes the listener and every accepted connection: the process dies,
-// its socket buffers die with it.
-func (p *agentProc) kill() {
+// agentStats reads the process's agent counters, summed over its shards.
+func (p *agentProc) agentStats() core.AgentStats { return p.rt.Stats().Agent }
+
+// kill stops the process: the listener closes, and every accepted connection
+// with it. It returns Serve's error.
+func (p *agentProc) kill() error {
 	p.ln.Close()
-	for {
-		select {
-		case tr := <-p.conns:
-			tr.Close()
-		default:
-			return
-		}
-	}
+	err := <-p.served
+	p.rt.Close()
+	return err
 }
 
 // hungTransport is a transport produced by a dial the link already gave up
@@ -146,6 +136,20 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 		Logf:        t.Logf,
 	})
 	defer link.Close()
+	deadline := time.Now().Add(60 * time.Second)
+	waitConnected := func() {
+		t.Helper()
+		for !link.Connected() {
+			if time.Now().After(deadline) {
+				t.Fatal("link never reconnected")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Connect, and let the connect's resync pass run while there is no flow to
+	// replay: the flow's own Create is then the only one agent 1 sees.
+	waitConnected()
+	link.Pump()
 
 	sim := netsim.New(1)
 	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
@@ -164,7 +168,6 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	flow.Conn.Start()
 
 	const slice = 5 * time.Millisecond
-	deadline := time.Now().Add(60 * time.Second)
 	runUntil := func(until time.Duration) {
 		t.Helper()
 		for now := sim.Now(); now < until; now += slice {
@@ -176,21 +179,11 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	waitConnected := func() {
-		t.Helper()
-		for !link.Connected() {
-			if time.Now().After(deadline) {
-				t.Fatal("link never reconnected")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	// Phase 1: healthy run under agent 1.
-	waitConnected()
 	runUntil(1 * time.Second)
-	if proc1.agent.Stats().FlowsCreated != 1 {
-		t.Fatalf("agent1 flows=%d", proc1.agent.Stats().FlowsCreated)
+	if proc1.agentStats().FlowsCreated != 1 {
+		t.Fatalf("agent1 flows=%d", proc1.agentStats().FlowsCreated)
 	}
 	if dp.Stats().InstallsRecvd == 0 {
 		t.Fatal("agent1 never installed a program")
@@ -211,7 +204,7 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	waitConnected()
 	runUntil(4 * time.Second)
 
-	if got := proc2.agent.Stats().FlowsCreated; got < 1 {
+	if got := proc2.agentStats().FlowsCreated; got < 1 {
 		t.Fatalf("agent2 never re-adopted the flow (flows=%d)", got)
 	}
 	if dp.FallbackActive() {

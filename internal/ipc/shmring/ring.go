@@ -223,7 +223,7 @@ func (e *Endpoint) releaseView() {
 }
 
 // peerInProcess reports whether the peer endpoint lives in this process
-// (Pair, tests, the loadgen). The peer writes its pid into the header when
+// (Pair, tests, ./benchmark). The peer writes its pid into the header when
 // it maps the file; the comparison is cached after the first sighting (the
 // slot never changes once set). An unattached peer (slot still 0) reads as
 // cross-process — the conservative answer for the starved-mode gate.

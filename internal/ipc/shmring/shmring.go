@@ -315,7 +315,7 @@ func Open(path string, o Options) (*Endpoint, error) {
 
 // Pair creates the ring file at path and opens both endpoints in-process:
 // the A side with aOpts, the B side with bOpts. It exists for tests,
-// benchmarks, and single-process deployments (the loadgen) — the shared
+// benchmarks, and single-process deployments (./benchmark) — the shared
 // memory is real either way.
 func Pair(path string, aOpts, bOpts Options) (a, b *Endpoint, err error) {
 	a, err = Create(path, aOpts)

@@ -85,6 +85,24 @@ type Msg interface {
 	FlowSID() uint32
 }
 
+// Handler is anything that consumes datapath→agent messages: a bare
+// core.Agent, the sharded runtime.Runtime, a fault injector or a warm standby
+// in front of either. Bridges, serve loops and supervisors dispatch into a
+// Handler without caring which.
+//
+// Ownership is one rule in both directions. m is borrowed for the duration
+// of the call — callers decode into reusable scratch and reclaim it after
+// HandleMessage returns, so an implementation that queues m must take its
+// own copy (the sharded Runtime copies reports into containers its mailboxes
+// recycle, and Clones the rest). Every message passed to reply is likewise
+// borrowed for the duration of that call — the agent builds its decisions in
+// storage it reuses for the next one, so a reply that keeps a message past
+// its return must Clone it; one that marshals before returning, as every
+// transport-backed reply does, has nothing to do.
+type Handler interface {
+	HandleMessage(m Msg, reply func(Msg) error)
+}
+
 // Create announces a new flow to the agent (triggering the algorithm's
 // Init handler). A datapath re-sends Create to resynchronize after an agent
 // restart; Seq then carries the highest control sequence number the datapath

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	stdruntime "runtime"
-	"sync"
 
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -18,12 +17,13 @@ import (
 // of serve loops, each a single goroutine polling readiness instead of
 // 100k blocked readers.
 //
-// Every member must implement ipc.TryRecver. Decode errors skip the frame,
-// like ServeTransport; a member whose receive fails (peer closed, ring
-// corrupted) is dropped from the rotation. ServeSet returns nil once every
-// member is dropped, or WaitAny's error if the set itself fails first.
-// Replies are serialized per-connection; shard goroutines may invoke them
-// concurrently with the loop.
+// Every member must implement ipc.TryRecver. Each frame goes through the same
+// frameStep as ServeTransport's (an undecodable one is counted and skipped);
+// a member whose receive fails (peer closed, ring corrupted) is dropped from
+// the rotation. ServeSet returns nil once every member is dropped, or
+// WaitAny's error if the set itself fails first. Replies are serialized
+// per-connection; shard goroutines may invoke them concurrently with the
+// loop.
 //
 // Run exactly one ServeSet per set: the doorbell has one waiter by contract
 // (see shmring.Mux).
@@ -46,7 +46,7 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 	// Big enough to amortize the sweep over a batch, small enough that a
 	// saturated ring cannot monopolize the loop.
 	const drainQuota = 64
-	var dec proto.Decoder
+	step := newFrameStep(r)
 	live := len(conns)
 	idleSweeps := 0
 	for live > 0 {
@@ -66,13 +66,7 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 					break
 				}
 				progress = true
-				m, derr := dec.Unmarshal(f.B)
-				if derr == nil {
-					// Frames and decode scratch are reclaimed right after
-					// dispatch; HandleMessage copies what it must queue.
-					r.HandleMessage(m, c.reply)
-				}
-				f.Release()
+				step.handle(f, c.reply)
 			}
 		}
 		if progress {
@@ -94,23 +88,4 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 		}
 	}
 	return nil
-}
-
-// lockedReply serializes replies onto one transport: the wire is one stream
-// and shard goroutines reply concurrently (Transport.Send is already safe;
-// the mutex keeps reply bursts from interleaving mid-shutdown). It marshals
-// before returning, so it keeps nothing of the message it was lent.
-func lockedReply(t ipc.Transport) func(proto.Msg) error {
-	var mu sync.Mutex
-	return func(m proto.Msg) error {
-		f, err := proto.MarshalFrame(m)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		err = t.Send(f.B)
-		mu.Unlock()
-		f.Release()
-		return err
-	}
 }

@@ -12,9 +12,13 @@
 //
 // With Shards <= 1 the runtime degenerates to a synchronous pass-through
 // around a single agent: no goroutines, no mailboxes, bit-identical to
-// calling core.Agent directly. Deterministic simulations use that mode; the
-// goroutine-per-shard mode serves real transports and the flow-scale
-// benchmark.
+// calling core.Agent directly. Deterministic simulations use that mode, and
+// so does cmd/ccp-agent on one core; the goroutine-per-shard mode is what it
+// runs on more and what ./benchmark measures.
+//
+// The package is also the only thing that serves an agent: one frame step
+// (serve.go) under the blocking ServeTransport loop, the polled ServeSet, and
+// Serve, which accepts connections for the first.
 package runtime
 
 import (
@@ -23,27 +27,9 @@ import (
 	"sync/atomic"
 
 	"github.com/ccp-repro/ccp/internal/core"
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
-
-// Handler is anything that consumes datapath→agent messages: a bare
-// core.Agent, or this package's sharded Runtime. Bridges and transports
-// dispatch into a Handler without caring which.
-//
-// Ownership is one rule in both directions. m is borrowed for the duration
-// of the call — callers decode into reusable scratch and reclaim it after
-// HandleMessage returns, so an implementation that queues m must take its
-// own copy (the sharded Runtime copies reports into containers its mailboxes
-// recycle, and proto.Clones the rest). Every message passed to reply is
-// likewise borrowed for the duration of that call — the agent builds its
-// decisions in storage it reuses for the next one, so a reply that keeps a
-// message past its return must proto.Clone it; one that marshals before
-// returning, as every transport-backed reply does, has nothing to do.
-type Handler interface {
-	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
-}
 
 // OverflowPolicy selects what a full shard mailbox does to new messages.
 type OverflowPolicy int
@@ -105,6 +91,9 @@ type Stats struct {
 	// signals sent to the affected flows.
 	ReportsShed  int64
 	BackoffsSent int64
+	// DecodeErrors counts frames a serve loop received and could not decode.
+	// They never reach HandleMessage, so Dispatched does not include them.
+	DecodeErrors int64
 	// Agent is the sum of every shard's core.AgentStats.
 	Agent core.AgentStats
 }
@@ -133,7 +122,7 @@ type shard struct {
 // shard-owned one would need a lock held across reply.
 var backoffPool = sync.Pool{New: func() any { return new(proto.Backoff) }}
 
-// Runtime is the sharded agent executor. It implements Handler.
+// Runtime is the sharded agent executor. It implements proto.Handler.
 type Runtime struct {
 	cfg    Config
 	shards []*shard
@@ -149,12 +138,14 @@ type Runtime struct {
 	batchesSplit    atomic.Int64
 	reportsShed     atomic.Int64
 	backoffsSent    atomic.Int64
+	decodeErrors    atomic.Int64
 
 	mDispatched *metrics.Counter
 	mDropped    *metrics.Counter
 	mSplits     *metrics.Counter
 	mShed       *metrics.Counter
 	mBackoffs   *metrics.Counter
+	mDecodeErrs *metrics.Counter
 }
 
 // New validates cfg and returns a runtime. Shard goroutines (if any) start
@@ -179,6 +170,7 @@ func New(cfg Config) (*Runtime, error) {
 		mSplits:     cfg.Metrics.Counter("runtime_batches_split_total"),
 		mShed:       cfg.Metrics.Counter("runtime_reports_shed_total"),
 		mBackoffs:   cfg.Metrics.Counter("runtime_backoffs_sent_total"),
+		mDecodeErrs: cfg.Metrics.Counter("runtime_decode_errors_total"),
 	}
 	if cfg.Shards <= 1 {
 		a, err := core.NewAgent(cfg.Agent)
@@ -243,15 +235,15 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 	return r.shards[int(sid)%len(r.shards)]
 }
 
-// HandleMessage implements Handler: it routes the message to its flow's
+// HandleMessage implements proto.Handler: it routes the message to its flow's
 // shard. In inline mode it is a direct synchronous call. Batches whose
 // messages span shards are split into per-shard sub-batches, preserving
 // per-flow order (each flow's messages stay on one shard, in arrival order).
 //
 // In sharded mode the message outlives this call in a shard mailbox, while
-// the Handler contract lets the caller reuse m as soon as we return — so the
-// mailbox queues its own deep copy, made under the lock the enqueue takes
-// anyway (see mailbox).
+// proto.Handler lets the caller reuse m as soon as we return — so the mailbox
+// queues its own deep copy, made under the lock the enqueue takes anyway (see
+// mailbox).
 func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	if r.inline != nil {
 		r.dispatched.Add(1)
@@ -390,6 +382,7 @@ func (r *Runtime) Stats() Stats {
 		BatchesSplit:    r.batchesSplit.Load(),
 		ReportsShed:     r.reportsShed.Load(),
 		BackoffsSent:    r.backoffsSent.Load(),
+		DecodeErrors:    r.decodeErrors.Load(),
 	}
 	if r.inline != nil {
 		s.Agent = r.inline.Stats()
@@ -411,28 +404,6 @@ func (r *Runtime) FlowCount() int {
 		n += sh.agent.FlowCount()
 	}
 	return n
-}
-
-// ServeTransport reads wire messages from t until Recv fails, dispatching
-// each through HandleMessage. Replies from all shards are serialized onto t
-// (lockedReply). The loop is pooled end to end in either mode: a frame is
-// received into a pool buffer, decoded into loop-local scratch, and both are
-// reclaimed as soon as HandleMessage returns — which has copied whatever it
-// queued. Close the runtime separately; ServeTransport returning does not
-// stop the shards.
-func (r *Runtime) ServeTransport(t ipc.Transport) error {
-	reply := lockedReply(t)
-	var dec proto.Decoder
-	for {
-		f, err := ipc.RecvFrame(t)
-		if err != nil {
-			return err
-		}
-		if m, err := dec.Unmarshal(f.B); err == nil {
-			r.HandleMessage(m, reply)
-		}
-		f.Release()
-	}
 }
 
 func addAgentStats(dst *core.AgentStats, s core.AgentStats) {
@@ -476,4 +447,15 @@ func (r *Runtime) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int
 		}
 	}
 	return total, nil
+}
+
+// RestoreFlow rebuilds one flow from a snapshot on the shard that owns its
+// SID, so the flow's next report finds it (see core.Agent.RestoreFlow). With
+// SnapshotInto it makes a Runtime both ends of the HA pair: a warm standby's
+// store promotes into one exactly as it does into a bare agent.
+func (r *Runtime) RestoreFlow(snap *proto.Snapshot) error {
+	if r.inline != nil {
+		return r.inline.RestoreFlow(snap)
+	}
+	return r.shardFor(snap.SID).agent.RestoreFlow(snap)
 }

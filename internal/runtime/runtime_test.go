@@ -60,7 +60,7 @@ func script(n int) []proto.Msg {
 }
 
 // replies runs every message through h, collecting marshalled replies.
-func replies(t *testing.T, h runtime.Handler, msgs []proto.Msg) [][]byte {
+func replies(t *testing.T, h proto.Handler, msgs []proto.Msg) [][]byte {
 	t.Helper()
 	var mu sync.Mutex
 	var out [][]byte
@@ -257,8 +257,10 @@ func TestSplitThreeShardsInterleaved(t *testing.T) {
 
 // TestServeTransportOneLoopBothModes: the serve loop is the same pooled loop
 // inline and sharded — frames decoded into scratch that is reclaimed and
-// rewritten by the next frame, a malformed frame skipped — and every report
-// still draws the decision its own contents call for, in per-flow order.
+// rewritten by the next frame, a malformed frame counted (once, and never as
+// a dispatch) and skipped — and every report still draws the decision its own
+// contents call for, in per-flow order. ServeSet's half of the same assertion
+// is TestServeSetMultiplexesConnections.
 func TestServeTransportOneLoopBothModes(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -269,7 +271,7 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 			defer rt.Close()
 			agentSide, dpSide := ipc.ChanPair(64)
 			done := make(chan error, 1)
-			go func() { done <- rt.ServeTransport(agentSide) }()
+			go func() { done <- runtime.ServeTransport(rt, agentSide) }()
 
 			const flows, reports = 4, 5
 			send := func(m proto.Msg) {
@@ -319,6 +321,19 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 			dpSide.Close()
 			if err := <-done; err == nil {
 				t.Fatal("ServeTransport should return an error when the peer closes")
+			}
+			st := rt.Stats()
+			if st.DecodeErrors != 1 {
+				t.Errorf("decode errors = %d, want the one 0xFF 0xFF frame", st.DecodeErrors)
+			}
+			// Every decodable frame is one dispatch inline; sharded, each of the
+			// batches spans all three shards and is enqueued once per shard.
+			want := int64(flows + reports)
+			if shards > 1 {
+				want = flows + reports*int64(shards)
+			}
+			if st.Dispatched != want {
+				t.Errorf("dispatched = %d, want %d: the undecodable frame must not count", st.Dispatched, want)
 			}
 		})
 	}

@@ -162,3 +162,55 @@ func TestRaceShardRestartDuringShedding(t *testing.T) {
 		t.Fatalf("restores = %d, want %d", got, flows)
 	}
 }
+
+// TestRuntimeRestoreFlowRoutesToOwningShard: a flow restored from a snapshot
+// lands on the shard its SID maps to, so its next report — routed by the same
+// mapping — finds it and is answered, for SIDs covering every shard (and
+// inline, where there is one agent to find). A flow restored anywhere else
+// would meet its report as an unknown flow and stay silent.
+func TestRuntimeRestoreFlowRoutesToOwningShard(t *testing.T) {
+	const flows = 12 // three per shard at Shards: 4
+	primary, err := runtime.New(runtime.Config{Shards: 1, Agent: agentCfg(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	for sid := uint32(1); sid <= flows; sid++ {
+		primary.HandleMessage(&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480}, func(proto.Msg) error { return nil })
+	}
+	sb := supervise.NewStandby()
+	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
+		sb.Apply(s)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, shards := range []int{1, 4} {
+		rt, err := runtime.New(runtime.Config{Shards: shards, Agent: agentCfg(nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.RestoreInto(rt)
+		var mu sync.Mutex
+		answered := map[uint32]uint32{}
+		for sid := uint32(1); sid <= flows; sid++ {
+			rt.HandleMessage(&proto.Measurement{SID: sid, Seq: 7, Fields: []float64{1}}, func(m proto.Msg) error {
+				mu.Lock()
+				answered[m.FlowSID()] = m.(*proto.SetCwnd).Bytes
+				mu.Unlock()
+				return nil
+			})
+		}
+		rt.Close() // drains
+		st := rt.Stats()
+		if st.Agent.Restores != flows || st.Agent.UnknownFlowMsg != 0 || st.Agent.Measurements != flows {
+			t.Fatalf("shards=%d: %+v", shards, st.Agent)
+		}
+		for sid := uint32(1); sid <= flows; sid++ {
+			if answered[sid] != 700 {
+				t.Errorf("shards=%d: flow %d's report drew %d, want echoAlg's 700", shards, sid, answered[sid])
+			}
+		}
+	}
+}

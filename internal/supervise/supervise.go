@@ -29,17 +29,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// Handler is the message sink a supervisor probes — structurally the same
-// contract as bridge.Handler / faults.AgentHandler: m is borrowed for the
-// duration of the call, and so is whatever the handler passes to reply (the
-// supervisor's echo reads the heartbeat and keeps nothing of it). In a
-// supervised deployment this is the faults.AgentInjector wrapping the live
-// agent, so probes experience the same pauses, delays, and drops the datapath
-// traffic does.
-type Handler interface {
-	HandleMessage(m proto.Msg, reply func(proto.Msg) error)
-}
-
 // State is the supervisor's judgment of the agent.
 type State int
 
@@ -71,8 +60,10 @@ type Config struct {
 	// Clock schedules probe ticks (the simulator clock in experiments).
 	// Required.
 	Clock netsim.Clock
-	// Handler receives the probes. Required.
-	Handler Handler
+	// Handler receives the probes. Required. In a supervised deployment this
+	// is the faults.AgentInjector wrapping the live agent, so probes
+	// experience the same pauses, delays, and drops the datapath traffic does.
+	Handler proto.Handler
 	// Interval is the probe period (default 10ms).
 	Interval time.Duration
 	// Alpha is the EWMA gain on latency samples (default 0.3).
@@ -322,14 +313,15 @@ type StandbyStats struct {
 	// RestoreErrors counts snapshots Promote could not restore (the flow
 	// is skipped; the rest of the table still promotes).
 	RestoreErrors int
-	// Unexpected counts non-snapshot messages on the replication stream.
+	// Unexpected counts non-snapshot messages and undecodable frames on the
+	// replication stream.
 	Unexpected int
 }
 
 // Standby is the warm half of the HA pair: a snapshot store that tracks the
 // primary agent's per-flow state and can be promoted into a live agent.
 // Feed it with Apply (in-process replication, e.g. the harness snapshot
-// pump) or ServeTransport (wire replication over an ipc.Transport).
+// pump) or, as a proto.Handler, from a serve loop (wire replication).
 //
 // Standby methods are mutex-guarded: a transport-fed standby receives from
 // a socket goroutine while promotion happens elsewhere.
@@ -375,19 +367,20 @@ func (s *Standby) Stats() StandbyStats {
 	return s.stats
 }
 
-// Promote builds a live agent from the store: a fresh core.Agent with every
-// tracked flow restored, in ascending SID order so promotion is
-// deterministic. A snapshot that fails to restore (bad program bytes) is
-// skipped and counted; one poisoned flow must not block failover for the
-// rest. The store is left intact — the caller decides whether this standby
-// keeps replicating or retires.
-func (s *Standby) Promote(cfg core.AgentConfig) (*core.Agent, error) {
+// Restorer is what a standby's store is restored into: a *core.Agent, or the
+// sharded runtime.Runtime, which routes each flow to the shard that owns it.
+type Restorer interface {
+	RestoreFlow(snap *proto.Snapshot) error
+}
+
+// RestoreInto restores every tracked flow into dst, in ascending SID order so
+// promotion is deterministic. A snapshot that fails to restore (bad program
+// bytes) is skipped and counted; one poisoned flow must not block failover
+// for the rest. The store is left intact — the caller decides whether this
+// standby keeps replicating or retires.
+func (s *Standby) RestoreInto(dst Restorer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	agent, err := core.NewAgent(cfg)
-	if err != nil {
-		return nil, err
-	}
 	sids := make([]uint32, len(s.snaps))
 	i := 0
 	for sid := range s.snaps {
@@ -396,16 +389,28 @@ func (s *Standby) Promote(cfg core.AgentConfig) (*core.Agent, error) {
 	}
 	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
 	for _, sid := range sids {
-		if err := agent.RestoreFlow(s.snaps[sid]); err != nil {
+		if err := dst.RestoreFlow(s.snaps[sid]); err != nil {
 			s.stats.RestoreErrors++
 		}
 	}
+}
+
+// Promote builds a live agent from the store: a fresh core.Agent with every
+// tracked flow restored (see RestoreInto).
+func (s *Standby) Promote(cfg core.AgentConfig) (*core.Agent, error) {
+	agent, err := core.NewAgent(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.RestoreInto(agent)
 	return agent, nil
 }
 
 // HandleMessage feeds one replication message: snapshots (bare or batched)
 // apply; anything else counts as unexpected. The reply func is unused —
-// replication is one-way. The signature matches Handler so a standby can
+// replication is one-way. A standby is a proto.Handler so that the serve loop
+// agents run (runtime.ServeTransport) consumes a replication stream over an
+// ipc.Transport, which is what ccp-agent -standby does, and so that it can
 // sit directly behind a bridge or injector in tests.
 func (s *Standby) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
 	switch v := m.(type) {
@@ -416,46 +421,34 @@ func (s *Standby) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
 			if snap, ok := sub.(*proto.Snapshot); ok {
 				s.Apply(snap)
 			} else {
-				s.mu.Lock()
-				s.stats.Unexpected++
-				s.mu.Unlock()
+				s.unexpected()
 			}
 		}
 	default:
-		s.mu.Lock()
-		s.stats.Unexpected++
-		s.mu.Unlock()
+		s.unexpected()
 	}
 }
 
-// ServeTransport consumes a replication stream from t until Recv fails:
-// each frame is decoded and folded into the store. This is the standby
-// agent's main loop in a two-process deployment (ccp-agent -standby).
-func (s *Standby) ServeTransport(t ipc.Transport) error {
-	var dec proto.Decoder
-	for {
-		f, err := ipc.RecvFrame(t)
-		if err != nil {
-			return err
-		}
-		m, err := dec.Unmarshal(f.B)
-		if err != nil {
-			f.Release()
-			s.mu.Lock()
-			s.stats.Unexpected++
-			s.mu.Unlock()
-			continue
-		}
-		s.HandleMessage(m, nil)
-		f.Release()
-	}
+// BadFrame counts a replication frame the serve loop could not decode.
+func (s *Standby) BadFrame(error) { s.unexpected() }
+
+func (s *Standby) unexpected() {
+	s.mu.Lock()
+	s.stats.Unexpected++
+	s.mu.Unlock()
+}
+
+// SnapshotSource is a live agent whose flow state can be replicated: a
+// *core.Agent or a runtime.Runtime (see core.Agent.SnapshotInto).
+type SnapshotSource interface {
+	SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, error)
 }
 
 // Replicate streams one snapshot pass from a live agent onto t, marshalling
 // each snapshot as its own frame. full=true replays the entire flow table
 // (what a freshly attached standby needs once); full=false sends the
 // incremental delta. Returns the number of frames sent.
-func Replicate(a *core.Agent, full bool, t ipc.Transport) (int, error) {
+func Replicate(a SnapshotSource, full bool, t ipc.Transport) (int, error) {
 	return a.SnapshotInto(full, func(snap *proto.Snapshot) error {
 		f, err := proto.MarshalFrame(snap)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
+	"github.com/ccp-repro/ccp/internal/runtime"
 )
 
 // echoHandler answers heartbeats synchronously, like a healthy agent.
@@ -26,7 +27,7 @@ func (e *echoHandler) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	}
 }
 
-func newTestSupervisor(sim *netsim.Sim, h Handler, onFailover func()) *Supervisor {
+func newTestSupervisor(sim *netsim.Sim, h proto.Handler, onFailover func()) *Supervisor {
 	return NewSupervisor(Config{
 		Clock:         sim,
 		Handler:       h,
@@ -294,8 +295,10 @@ func TestStandbyTombstoneRemoves(t *testing.T) {
 }
 
 // Replication over a real ipc.Transport: frames stream through a ChanPair
-// and the standby's ServeTransport loop, and the result promotes
-// identically to in-process Apply.
+// and the serve loop agents run (runtime.ServeTransport, the standby as its
+// handler), and the result promotes identically to in-process Apply — into a
+// bare agent and into a sharded runtime alike. What is not a snapshot, whether
+// it decodes or not, is counted and changes nothing.
 func TestStandbyServeTransport(t *testing.T) {
 	primary := buildPrimary(t)
 	a, b := ipc.ChanPair(64)
@@ -306,27 +309,44 @@ func TestStandbyServeTransport(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("replicated %d frames, want 2", n)
 	}
+	stray, err := proto.Marshal(&proto.Close{SID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{{0xFF, 0xFF}, stray} {
+		if err := a.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	sb := NewStandby()
-	if err := sb.ServeTransport(b); err != ipc.ErrClosed {
+	if err := runtime.ServeTransport(sb, b); err != ipc.ErrClosed {
 		t.Fatalf("ServeTransport error = %v, want ErrClosed after drain", err)
 	}
 	if got := sb.FlowCount(); got != 2 {
 		t.Fatalf("standby flows = %d, want 2", got)
 	}
-	if got := sb.Stats().Unexpected; got != 0 {
-		t.Fatalf("unexpected frames = %d, want 0", got)
+	if got := sb.Stats().Unexpected; got != 2 {
+		t.Fatalf("unexpected frames = %d, want 2 (one undecodable, one not a snapshot)", got)
 	}
-	promoted, err := sb.Promote(core.AgentConfig{
-		Registry:   algorithms.NewRegistry(),
-		DefaultAlg: "cubic",
-	})
+	cfg := core.AgentConfig{Registry: algorithms.NewRegistry(), DefaultAlg: "cubic"}
+	promoted, err := sb.Promote(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := promoted.FlowCount(); got != 2 {
 		t.Fatalf("promoted agent has %d flows, want 2", got)
+	}
+	rt, err := runtime.New(runtime.Config{Shards: 2, Agent: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	sb.RestoreInto(rt)
+	if st := rt.Stats(); rt.FlowCount() != 2 || st.Agent.Restores != 2 || sb.Stats().RestoreErrors != 0 {
+		t.Fatalf("promoted runtime has %d flows, %d restores, %d restore errors; want 2, 2, 0",
+			rt.FlowCount(), st.Agent.Restores, sb.Stats().RestoreErrors)
 	}
 }
