@@ -83,7 +83,7 @@ test-allocs:
 # stress — socket link, transports, fault injectors, datapath fail-safe, and
 # the ccp-agent process itself: serve, replicate, promote, shut down)
 # twice under the race detector. -count=2 defeats test caching and shakes
-# out order-dependent state; CI runs this as its own job.
+# out order-dependent state. Part of `check`.
 test-race-robust:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/harness/ \
 		./internal/ipc/ ./internal/ipc/shmring/ ./internal/bridge/ \
@@ -136,13 +136,20 @@ test-debugpool:
 		./internal/ipc ./internal/ipc/shmring ./internal/harness \
 		./internal/bridge ./internal/runtime ./internal/core
 
-# Pre-merge gate: vet, the invariant analyzers, the race-enabled short test
-# suite, the zero-alloc regression pass, the debugpool ownership lane, the
+# Pre-merge gate, and the one lane a contributor has to know: vet, the
+# invariant analyzers, the race-enabled short test suite, the concurrent
+# packages twice more under the race detector, the zero-alloc regression
+# pass, the debugpool ownership lane, the high-availability lane, the
 # program-verifier corpus, and a short fuzz pass over the wire-protocol
-# decoders (the surface exposed to a faulty or corrupting channel).
-# ~2 minutes total.
+# decoders (the surface exposed to a faulty or corrupting channel). CI runs
+# this and no other test job (with FUZZTIME=15s).
+# Budget: 6 minutes. Measured on two cores: 5m07s, of which the race short
+# suite is about 3 minutes (internal/experiments alone 2m14s under -race),
+# fuzz-smoke 75 s, test-race-robust 15 s when its packages are already built
+# (25 s inside this run), everything else under 30 s together.
 check: vet lint
 	$(GO) test -race -short ./...
+	$(MAKE) test-race-robust
 	$(MAKE) test-allocs
 	$(MAKE) test-debugpool
 	$(MAKE) test-ha

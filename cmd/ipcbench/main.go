@@ -3,9 +3,9 @@
 // the shared-memory ring transport and Unix domain sockets, under an idle
 // and a busy CPU.
 //
-// By default it forks itself as the echo-server process (true two-process
-// IPC, like the paper's agent↔datapath split) and prints percentile rows
-// plus a CDF. With -inproc the echo server runs as a goroutine instead.
+// It forks itself as the echo-server process (true two-process IPC, like the
+// paper's agent↔datapath split) and prints percentile rows plus a CDF. The
+// goroutine-peer variant of the measurement is `ccp-sim -experiment fig2`.
 //
 // Usage:
 //
@@ -37,7 +37,6 @@ func main() {
 		samples   = flag.Int("samples", 60000, "round trips per condition")
 		warmup    = flag.Int("warmup", 500, "discarded warmup round trips")
 		payload   = flag.Int("payload", 64, "message payload bytes")
-		inproc    = flag.Bool("inproc", false, "echo server as a goroutine instead of a child process")
 		cdfOut    = flag.Bool("cdf", false, "emit CSV CDF rows instead of a table")
 	)
 	flag.Parse()
@@ -59,7 +58,7 @@ func main() {
 	}
 	for _, tr := range transports {
 		for _, busy := range []bool{false, true} {
-			s, err := measure(tr, *samples, *warmup, *payload, busy, *inproc)
+			s, err := measure(tr, *samples, *warmup, *payload, busy)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ipcbench: %s busy=%v: %v\n", tr, busy, err)
 				os.Exit(1)
@@ -82,8 +81,8 @@ func main() {
 	}
 }
 
-func measure(transport string, samples, warmup, payload int, busy, inproc bool) (*stats.Samples, error) {
-	client, cleanup, err := setup(transport, inproc)
+func measure(transport string, samples, warmup, payload int, busy bool) (*stats.Samples, error) {
+	client, cleanup, err := setup(transport)
 	if err != nil {
 		return nil, err
 	}
@@ -96,8 +95,8 @@ func measure(transport string, samples, warmup, payload int, busy, inproc bool) 
 	return ipc.MeasureRTT(client, samples, warmup, payload)
 }
 
-// setup builds the echo peer (child process unless inproc) and the client.
-func setup(transport string, inproc bool) (ipc.Transport, func(), error) {
+// setup builds the echo peer (a child process) and the client.
+func setup(transport string) (ipc.Transport, func(), error) {
 	dir, err := os.MkdirTemp("", "ipcbench-*")
 	if err != nil {
 		return nil, nil, err
@@ -107,7 +106,7 @@ func setup(transport string, inproc bool) (ipc.Transport, func(), error) {
 	switch transport {
 	case "shmring":
 		// The benchmark side Creates the ring file so it exists before the
-		// echo peer (goroutine or child process) Opens it; the ring itself
+		// echo peer Opens it; the ring itself
 		// buffers any sends that race the peer's startup.
 		ringPath := filepath.Join(dir, "ring")
 		client, err := shmring.Create(ringPath, shmring.Options{})
@@ -115,51 +114,20 @@ func setup(transport string, inproc bool) (ipc.Transport, func(), error) {
 			cleanupDir()
 			return nil, nil, err
 		}
-		var stopServer func()
-		if inproc {
-			server, err := shmring.Open(ringPath, shmring.Options{})
-			if err != nil {
-				client.Close()
-				cleanupDir()
-				return nil, nil, err
-			}
-			go ipc.Echo(server)
-			stopServer = func() { server.Close() }
-		} else {
-			cmd, err := forkServer("shmring", ringPath, "")
-			if err != nil {
-				client.Close()
-				cleanupDir()
-				return nil, nil, err
-			}
-			stopServer = func() { cmd.Process.Kill(); cmd.Wait() }
+		stopServer, err := forkServer("shmring", ringPath, "")
+		if err != nil {
+			client.Close()
+			cleanupDir()
+			return nil, nil, err
 		}
 		return client, func() { client.Close(); stopServer(); cleanupDir() }, nil
 
 	case "unix":
 		path := filepath.Join(dir, "echo.sock")
-		var stopServer func()
-		if inproc {
-			ln, err := ipc.ListenUnix(path)
-			if err != nil {
-				cleanupDir()
-				return nil, nil, err
-			}
-			go func() {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				ipc.Echo(ipc.NewStream(conn))
-			}()
-			stopServer = func() { ln.Close() }
-		} else {
-			cmd, err := forkServer("unix", path, "")
-			if err != nil {
-				cleanupDir()
-				return nil, nil, err
-			}
-			stopServer = func() { cmd.Process.Kill(); cmd.Wait() }
+		stopServer, err := forkServer("unix", path, "")
+		if err != nil {
+			cleanupDir()
+			return nil, nil, err
 		}
 		client, err := dialRetry(func() (ipc.Transport, error) { return ipc.DialUnix(path) })
 		if err != nil {
@@ -172,22 +140,10 @@ func setup(transport string, inproc bool) (ipc.Transport, func(), error) {
 	case "unixgram":
 		serverPath := filepath.Join(dir, "server.sock")
 		clientPath := filepath.Join(dir, "client.sock")
-		var stopServer func()
-		if inproc {
-			server, err := ipc.BindDgram(serverPath, clientPath)
-			if err != nil {
-				cleanupDir()
-				return nil, nil, err
-			}
-			go ipc.Echo(server)
-			stopServer = func() { server.Close() }
-		} else {
-			cmd, err := forkServer("unixgram", serverPath, clientPath)
-			if err != nil {
-				cleanupDir()
-				return nil, nil, err
-			}
-			stopServer = func() { cmd.Process.Kill(); cmd.Wait() }
+		stopServer, err := forkServer("unixgram", serverPath, clientPath)
+		if err != nil {
+			cleanupDir()
+			return nil, nil, err
 		}
 		client, err := dialRetry(func() (ipc.Transport, error) {
 			// The client can bind before the server exists; Sends fail
@@ -217,8 +173,9 @@ func setup(transport string, inproc bool) (ipc.Transport, func(), error) {
 	}
 }
 
-// forkServer re-executes this binary as the echo server.
-func forkServer(mode, path, peer string) (*exec.Cmd, error) {
+// forkServer re-executes this binary as the echo server and returns what
+// kills and reaps it.
+func forkServer(mode, path, peer string) (stop func(), err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -228,7 +185,7 @@ func forkServer(mode, path, peer string) (*exec.Cmd, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	return cmd, nil
+	return func() { cmd.Process.Kill(); cmd.Wait() }, nil
 }
 
 // dialRetry retries connection setup while the server process starts up.

@@ -59,7 +59,7 @@ func main() {
 	fmt.Printf("goodput:            %.1f Mbit/s\n",
 		float64(flow.Receiver.Delivered())*8/dur.Seconds()/1e6)
 	fmt.Printf("smoothed RTT:       %v (propagation %v)\n", flow.Conn.SRTT(), rtt)
-	fmt.Printf("agent measurements: %d (batched ~2x per RTT)\n", net.Agent.Stats().Measurements)
-	fmt.Printf("urgent events:      %d\n", net.Agent.Stats().Urgents)
+	fmt.Printf("agent measurements: %d (batched ~2x per RTT)\n", net.Agent.Stats().Agent.Measurements)
+	fmt.Printf("urgent events:      %d\n", net.Agent.Stats().Agent.Urgents)
 	fmt.Printf("programs installed: %d\n", flow.DP.Stats().InstallsRecvd)
 }

@@ -38,7 +38,7 @@ func TestCCPRenoUtilization(t *testing.T) {
 	if f.DP.Stats().ReportsSent == 0 {
 		t.Fatal("no measurement reports reached the agent path")
 	}
-	if net.Agent.Stats().Measurements == 0 {
+	if net.Agent.Stats().Agent.Measurements == 0 {
 		t.Fatal("agent saw no measurements")
 	}
 }
@@ -82,7 +82,7 @@ func TestCCPVegasVectorLowDelay(t *testing.T) {
 	if f.DP.Stats().VectorsSent == 0 || f.DP.Stats().VectorRowsSent == 0 {
 		t.Fatal("vector mode sent no vectors")
 	}
-	if net.Agent.Stats().Vectors == 0 {
+	if net.Agent.Stats().Agent.Vectors == 0 {
 		t.Fatal("agent saw no vectors")
 	}
 }
@@ -265,7 +265,7 @@ func TestRegistryCoversTable1(t *testing.T) {
 func TestDeterministicEndToEnd(t *testing.T) {
 	one := func() (int64, int) {
 		net, f := run(t, "cubic", wan16(), tcp.Options{}, 10*time.Second)
-		return f.Receiver.Delivered(), net.Agent.Stats().Measurements
+		return f.Receiver.Delivered(), net.Agent.Stats().Agent.Measurements
 	}
 	d1, m1 := one()
 	d2, m2 := one()

@@ -213,10 +213,10 @@ func TestFlowChurn(t *testing.T) {
 		}
 	}
 	net.Run(10 * time.Second)
-	if got := net.Agent.Stats().FlowsCreated; got != 10 {
+	if got := net.Agent.Stats().Agent.FlowsCreated; got != 10 {
 		t.Fatalf("creates=%d", got)
 	}
-	if got := net.Agent.Stats().FlowsClosed; got != 5 {
+	if got := net.Agent.Stats().Agent.FlowsClosed; got != 5 {
 		t.Fatalf("closes=%d", got)
 	}
 	if got := net.Agent.FlowCount(); got != 5 {

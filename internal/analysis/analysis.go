@@ -25,7 +25,7 @@
 // control flow, branch state discarded — so they report only what is
 // certainly (or near-certainly) a violation and stay zero-false-positive
 // on the existing tree. Code that intentionally breaks an invariant (for
-// example the wall-clock RealClock in netsim) carries a
+// example the real-time Figure 2 echo servers in experiments) carries a
 //
 //	//lint:ownership <reason>
 //

@@ -13,6 +13,7 @@ package bridge
 import (
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/bufpool"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -74,9 +75,35 @@ func (b *Bridge) Start() { b.stopped = false }
 // Stopped reports whether the bridge is dropping traffic.
 func (b *Bridge) Stopped() bool { return b.stopped }
 
+// Tap stands on one direction of one connection's wire, between the encoder
+// and the decoder, so that whatever it does to a message it does to the bytes
+// the bridge already produced — a message is encoded once and decoded once
+// with a tap or without. To the agent the tap comes before the latency, to
+// the datapath after it.
+type Tap struct {
+	// Carry is handed each encoded frame, valid for the call only, and calls
+	// next for every copy that is to go on — none, one or several, during the
+	// call or later — with bytes that next then owns.
+	Carry func(frame []byte, next func([]byte))
+	// Killed is told of each carried frame the receiving decoder refused.
+	// That is the tap's doing, not the codec's: it is not a MarshalError.
+	Killed func()
+}
+
 // DatapathSender returns the ToAgent function for a datapath runtime whose
 // agent→datapath deliveries go to deliver (normally (*datapath.CCP).Deliver).
 func (b *Bridge) DatapathSender(deliver func(proto.Msg)) func(proto.Msg) error {
+	return b.TappedSender(deliver, nil, nil)
+}
+
+// TappedSender is DatapathSender with a tap on either direction's wire (nil
+// for none: the pooled frame then crosses as it is, copied nowhere).
+func (b *Bridge) TappedSender(deliver func(proto.Msg), toAgent, toDatapath *Tap) func(proto.Msg) error {
+	arriveDp := func(frame []byte) { b.decode(frame, toDatapath, deliver) }
+	if toDatapath != nil {
+		decodeDp := arriveDp
+		arriveDp = func(frame []byte) { toDatapath.Carry(frame, decodeDp) }
+	}
 	reply := func(m proto.Msg) error {
 		// Marshal on the agent side, unmarshal on the datapath side.
 		f, err := proto.MarshalFrame(m)
@@ -84,26 +111,13 @@ func (b *Bridge) DatapathSender(deliver func(proto.Msg)) func(proto.Msg) error {
 			b.stats.MarshalErrors++
 			return err
 		}
-		if b.stopped {
-			f.Release()
-			return nil // silently lost, like a dead process's socket buffer
-		}
-		b.stats.ToDpMsgs++
-		b.stats.ToDpBytes += int64(len(f.B))
-		gen := b.gen
-		b.sim.Schedule(b.latency, func() {
-			defer f.Release() // the frame dies with the delivery either way
-			if b.stopped || b.gen != gen {
-				return // crashed while in flight
-			}
-			msg, err := b.dec.Unmarshal(f.B)
-			if err != nil {
-				b.stats.MarshalErrors++
-				return
-			}
-			deliver(msg)
-		})
+		b.cross(f, &b.stats.ToDpMsgs, &b.stats.ToDpBytes, arriveDp)
 		return nil
+	}
+	handle := func(m proto.Msg) { b.agent.HandleMessage(m, reply) }
+	arriveAgent := func(frame []byte) { b.decode(frame, toAgent, handle) }
+	crossToAgent := func(raw []byte) {
+		b.cross(bufpool.Wrap(raw), &b.stats.ToAgentMsgs, &b.stats.ToAgentBytes, arriveAgent)
 	}
 	return func(m proto.Msg) error {
 		f, err := proto.MarshalFrame(m)
@@ -111,26 +125,48 @@ func (b *Bridge) DatapathSender(deliver func(proto.Msg)) func(proto.Msg) error {
 			b.stats.MarshalErrors++
 			return err
 		}
-		if b.stopped {
-			f.Release()
+		if toAgent == nil {
+			b.cross(f, &b.stats.ToAgentMsgs, &b.stats.ToAgentBytes, arriveAgent)
 			return nil
 		}
-		b.stats.ToAgentMsgs++
-		b.stats.ToAgentBytes += int64(len(f.B))
-		gen := b.gen
-		b.sim.Schedule(b.latency, func() {
-			defer f.Release()
-			if b.stopped || b.gen != gen {
-				return // crashed while in flight
-			}
-			msg, err := b.dec.Unmarshal(f.B)
-			if err != nil {
-				b.stats.MarshalErrors++
-				return
-			}
-			b.agent.HandleMessage(msg, reply)
-		})
+		toAgent.Carry(f.B, crossToAgent)
+		f.Release()
 		return nil
+	}
+}
+
+// cross counts one frame into its direction and carries it over the latency:
+// arrive runs on the far side unless the bridge stopped in between. The frame
+// is cross's to release, and dies with the delivery either way.
+func (b *Bridge) cross(f *bufpool.Buf, msgs *int, bytes *int64, arrive func(frame []byte)) {
+	if b.stopped {
+		f.Release()
+		return // silently lost, like a dead process's socket buffer
+	}
+	*msgs++
+	*bytes += int64(len(f.B))
+	gen := b.gen
+	b.sim.Schedule(b.latency, func() {
+		defer f.Release()
+		if b.stopped || b.gen != gen {
+			return // crashed while in flight
+		}
+		arrive(f.B)
+	})
+}
+
+// decode is the receiving end of either direction: the frame's message goes
+// to the receiver, or the frame is counted as undecodable against whoever
+// could have made it so.
+func (b *Bridge) decode(frame []byte, tap *Tap, to func(proto.Msg)) {
+	msg, err := b.dec.Unmarshal(frame)
+	switch {
+	case err == nil:
+		to(msg)
+	case tap != nil:
+		tap.Killed()
+	default:
+		b.stats.MarshalErrors++
 	}
 }
 

@@ -34,8 +34,9 @@ type Config struct {
 	SID uint32
 	// Alg optionally names the algorithm the agent should run for this flow.
 	Alg string
-	// Clock provides time and timers (the simulator in experiments, a
-	// RealClock over real transports).
+	// Clock provides time and timers: the simulator in experiments, and over
+	// real transports whatever steps the flow (benchmark/'s driver makes each
+	// flow its own clock).
 	Clock netsim.Clock
 	// ToAgent transmits a message to the agent. In simulation it schedules
 	// a delayed delivery; over a real transport it marshals and sends.

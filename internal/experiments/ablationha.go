@@ -199,8 +199,8 @@ func runHACell(fault, mode string) HACell {
 		FallbackOnA:  stA.FallbackOn,
 		FallbackOffA: stA.FallbackOff,
 		FallbackOnB:  stB.FallbackOn,
-		Restores:     net.Agent.Stats().Restores,
-		ResyncAdopts: net.Agent.Stats().ResyncAdopts,
+		Restores:     net.Agent.Stats().Agent.Restores,
+		ResyncAdopts: net.Agent.Stats().Agent.ResyncAdopts,
 	}
 	if mode == "warm" {
 		cell.Failovers = net.Supervisor.Stats().Failovers

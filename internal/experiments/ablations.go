@@ -267,7 +267,7 @@ func AblFallback() AblFallbackResult {
 		Deactivations:     st.FallbackOff,
 		Resyncs:           st.Resyncs,
 		Installs:          st.InstallsRecvd,
-		AgentFlowsCreated: net.Agent.Stats().FlowsCreated,
+		AgentFlowsCreated: net.Agent.Stats().Agent.FlowsCreated,
 	}
 }
 

@@ -146,7 +146,7 @@ func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 		HandoffRamps:      st.HandoffRamps,
 		Resyncs:           st.Resyncs,
 		InstallsRecvd:     st.InstallsRecvd,
-		AgentFlowsCreated: net.Agent.Stats().FlowsCreated,
+		AgentFlowsCreated: net.Agent.Stats().Agent.FlowsCreated,
 		Inj:               net.AgentInj.Stats(),
 		MetricFallbackOn:  reg.Counter("dp_fallback_on_total").Value(),
 		MetricAgentGone:   reg.Counter("dp_agent_gone_total").Value(),
@@ -175,7 +175,7 @@ func agentChaosBaselineMatches() bool {
 		return outcome{
 			sum:   summarize(net, f.Flow, rtt, dur),
 			dp:    f.DP.Stats().Deterministic(),
-			agent: net.Agent.Stats().FlowsCreated,
+			agent: net.Agent.Stats().Agent.FlowsCreated,
 		}
 	}
 	return run(false) == run(true)

@@ -62,7 +62,7 @@ func AblChaos() AblChaosResult {
 		rtt := sampleRTT(net, f.Conn, 50*time.Millisecond, dur)
 		f.Conn.Start()
 		net.Run(dur)
-		o := outcome{sum: summarize(net, f.Flow, rtt, dur), dp: f.DP.Stats().Deterministic(), agent: net.Agent.Stats()}
+		o := outcome{sum: summarize(net, f.Flow, rtt, dur), dp: f.DP.Stats().Deterministic(), agent: net.Agent.Stats().Agent}
 		if net.FaultBridge != nil {
 			o.fault = net.FaultBridge.Stats()
 		}

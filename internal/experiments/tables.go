@@ -157,7 +157,7 @@ func Table3() Table3Result {
 	f.Conn.Start()
 	net.Run(10 * time.Second)
 
-	ast := net.Agent.Stats()
+	ast := net.Agent.Stats().Agent
 	dst := f.DP.Stats()
 	return Table3Result{Rows: []Table3Row{
 		{"Init(seq, flow)", "initialize flow state", ast.FlowsCreated},

@@ -9,11 +9,12 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// Bridge wraps a simulator IPC bridge with fault injection. Every message
-// crossing it is marshalled, run through the injector at the byte level
-// (so corruption exercises the real decoders), and — if it still decodes —
-// forwarded through the inner bridge's latency model. It offers the same
-// Connect entry point as bridge.Bridge, so harnesses can swap it in.
+// Bridge wraps a simulator IPC bridge with fault injection. The injector is
+// applied to the frames the inner bridge has already encoded (so corruption
+// exercises the real decoders) on their way to the inner bridge's one decode:
+// a message is marshalled once and unmarshalled once whether or not a fault
+// touches it. It offers the same Connect entry point as bridge.Bridge, so
+// harnesses can swap it in.
 type Bridge struct {
 	inner *bridge.Bridge
 	sim   *netsim.Sim
@@ -38,58 +39,48 @@ func (b *Bridge) Stats() Stats { return b.inj.Stats() }
 func (b *Bridge) Inner() *bridge.Bridge { return b.inner }
 
 // Connect builds a datapath runtime for one flow whose channel to and from
-// the agent passes through the fault injector.
+// the agent passes through the fault injector: datapath→agent faults apply
+// before the bridge's latency (the total delay, jitter + latency, is what the
+// agent observes), agent→datapath faults after it.
 //
-// Directions with a zero plan skip the wrapper's byte-level round trip: no
-// fault can touch the bytes and no delivery outlives the call, and the inner
-// bridge already runs the real codec once per message, so re-encoding here
-// would only burn allocations. Delivery counters advance exactly as the
-// injector's zero-plan path would, keeping fault sweeps' rate-0 rows
-// comparable.
+// Directions with a zero plan are not tapped at all: no fault can touch the
+// bytes and no delivery outlives the call, so the pooled frame crosses the
+// inner bridge uncopied. Delivery counters advance exactly as the injector's
+// zero-plan path would, keeping fault sweeps' rate-0 rows comparable.
 func (b *Bridge) Connect(cfg datapath.Config) *datapath.CCP {
 	cfg.Clock = b.sim
 	var dp *datapath.CCP
-	send := b.inner.DatapathSender(func(m proto.Msg) {
-		// Agent→datapath: faults apply after the bridge's latency.
-		if b.inj.plan.ToDatapath.Zero() {
+	deliver := func(m proto.Msg) { dp.Deliver(m) }
+	if b.inj.plan.ToDatapath.Zero() {
+		deliver = func(m proto.Msg) {
 			b.inj.stats.ToDatapath.Delivered++
 			dp.Deliver(m)
-			return
 		}
-		data, err := proto.Marshal(m)
-		if err != nil {
-			return
-		}
-		b.inj.Apply(ToDatapath, data, func(raw []byte) {
-			msg, err := proto.Unmarshal(raw)
-			if err != nil {
-				b.inj.NoteDecodeKilled(ToDatapath)
-				return
-			}
-			dp.Deliver(msg)
-		})
-	})
-	cfg.ToAgent = func(m proto.Msg) error {
-		// Datapath→agent: faults apply before the bridge's latency; the
-		// total delay (jitter + latency) is what the agent observes.
-		if b.inj.plan.ToAgent.Zero() {
+	}
+	send := b.inner.TappedSender(deliver, b.tap(ToAgent), b.tap(ToDatapath))
+	cfg.ToAgent = send
+	if b.inj.plan.ToAgent.Zero() {
+		cfg.ToAgent = func(m proto.Msg) error {
 			b.inj.stats.ToAgent.Delivered++
 			return send(m)
 		}
-		data, err := proto.Marshal(m)
-		if err != nil {
-			return err
-		}
-		b.inj.Apply(ToAgent, data, func(raw []byte) {
-			msg, err := proto.Unmarshal(raw)
-			if err != nil {
-				b.inj.NoteDecodeKilled(ToAgent)
-				return
-			}
-			_ = send(msg)
-		})
-		return nil
 	}
 	dp = datapath.New(cfg)
 	return dp
+}
+
+// tap puts the injector on one direction of a connection's wire; nil when
+// the direction's plan is zero. The injector's deliveries may outlive the
+// call or happen twice, and the frame is the bridge's pooled buffer, so the
+// bytes are copied out of it once.
+func (b *Bridge) tap(dir Dir) *bridge.Tap {
+	if b.inj.plan.dir(dir).Zero() {
+		return nil
+	}
+	return &bridge.Tap{
+		Carry: func(frame []byte, next func([]byte)) {
+			b.inj.Apply(dir, append([]byte(nil), frame...), next)
+		},
+		Killed: func() { b.inj.NoteDecodeKilled(dir) },
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/faults"
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
@@ -194,12 +195,7 @@ func runChannelCfg(t *testing.T, plan *faults.Plan, cfg datapath.Config) channel
 		dp = fb.Connect(cfg)
 	}
 
-	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
-	path := netsim.NewPath(sim, netsim.PathConfig{
-		Bottleneck: netsim.LinkConfig{RateBps: 8e6, Delay: 5 * time.Millisecond, QueueBytes: 1 << 20},
-	}, fwd, rev)
-	flow := tcp.NewFlow(sim, 1, path, fwd, rev, dp, tcp.Options{})
-	flow.Conn.Start()
+	flow := startFlow(sim, dp)
 	sim.Run(2 * time.Second)
 
 	out := channelRun{agent: agent.Stats(), dp: dp.Stats(), cwnd: flow.Conn.Cwnd()}
@@ -207,6 +203,17 @@ func runChannelCfg(t *testing.T, plan *faults.Plan, cfg datapath.Config) channel
 		out.fault = fb.Stats()
 	}
 	return out
+}
+
+// startFlow starts one flow under dp on an 8 Mbit/s, 10 ms path.
+func startFlow(sim *netsim.Sim, dp *datapath.CCP) *tcp.Flow {
+	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
+	path := netsim.NewPath(sim, netsim.PathConfig{
+		Bottleneck: netsim.LinkConfig{RateBps: 8e6, Delay: 5 * time.Millisecond, QueueBytes: 1 << 20},
+	}, fwd, rev)
+	flow := tcp.NewFlow(sim, 1, path, fwd, rev, dp, tcp.Options{})
+	flow.Conn.Start()
+	return flow
 }
 
 func TestBridgeZeroPlanBitIdentical(t *testing.T) {
@@ -251,6 +258,67 @@ func TestBridgeCorruptionIsDecodeKilled(t *testing.T) {
 	// The flow must survive regardless: corruption never crashes either end.
 	if run.cwnd <= 0 {
 		t.Fatalf("cwnd=%d", run.cwnd)
+	}
+}
+
+// recorder is the agent end of a bridge: it keeps a copy of every message
+// that reaches it and answers none.
+type recorder struct{ got []proto.Msg }
+
+func (r *recorder) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
+	r.got = append(r.got, proto.Clone(m)) // m is the bridge's decode scratch
+}
+
+// runRecorded drives one flow's reports through a fault bridge into a
+// recorder for a second, then lets everything in flight land.
+func runRecorded(t *testing.T, plan faults.Plan) (*recorder, faults.DirStats, bridge.Stats) {
+	t.Helper()
+	sim := netsim.New(1)
+	rec := &recorder{}
+	fb := faults.NewBridge(sim, bridge.New(sim, rec, 50*time.Microsecond), plan)
+	flow := startFlow(sim, fb.Connect(datapath.Config{SID: 1, Alg: "reno"}))
+	sim.Schedule(time.Second, flow.Conn.Stop)
+	sim.Run(2 * time.Second)
+	return rec, fb.Stats().ToAgent, fb.Inner().Stats()
+}
+
+func TestBridgeDuplicateArrivesTwiceAndEqual(t *testing.T) {
+	// The injector hands the same bytes on twice; each copy crosses the inner
+	// bridge as its own frame and is decoded on its own.
+	rec, st, inner := runRecorded(t, faults.Plan{ToAgent: faults.DirPlan{Duplicate: 1}})
+	if st.Duplicated == 0 || len(rec.got) != 2*st.Duplicated {
+		t.Fatalf("handler saw %d messages for %d duplicated frames", len(rec.got), st.Duplicated)
+	}
+	for i := 0; i < len(rec.got); i += 2 {
+		if !reflect.DeepEqual(rec.got[i], rec.got[i+1]) {
+			t.Fatalf("copies %d and %d differ:\n%#v\n%#v", i, i+1, rec.got[i], rec.got[i+1])
+		}
+	}
+	if inner.ToAgentMsgs != len(rec.got) || inner.MarshalErrors != 0 {
+		t.Fatalf("inner bridge carried %d frames with %d codec errors, want %d and 0",
+			inner.ToAgentMsgs, inner.MarshalErrors, len(rec.got))
+	}
+}
+
+func TestBridgeKilledFrameCountedOnceNeverDelivered(t *testing.T) {
+	// Every frame is corrupted on the wire. One the agent-side decoder refuses
+	// is the injector's kill — counted there once, not as a codec error of the
+	// inner bridge — and the handler never hears of it.
+	rec, st, inner := runRecorded(t, faults.Plan{ToAgent: faults.DirPlan{Corrupt: 1}})
+	if st.Corrupted == 0 || st.Corrupted != st.Delivered {
+		t.Fatalf("not every frame was corrupted: %+v", st)
+	}
+	if st.DecodeKilled == 0 {
+		t.Fatalf("hardened decoder rejected nothing out of %d corruptions", st.Corrupted)
+	}
+	if len(rec.got)+st.DecodeKilled != st.Delivered {
+		t.Fatalf("%d frames on the wire, %d killed, but the handler saw %d", st.Delivered, st.DecodeKilled, len(rec.got))
+	}
+	if inner.MarshalErrors != 0 {
+		t.Fatalf("inner bridge booked %d injected kills as its own codec errors", inner.MarshalErrors)
+	}
+	if inner.ToAgentMsgs != st.Delivered {
+		t.Fatalf("inner bridge carried %d frames, injector passed on %d", inner.ToAgentMsgs, st.Delivered)
 	}
 }
 

@@ -68,17 +68,16 @@ func (n *Net) haPump() {
 	n.Sim.Schedule(n.haInterval, n.haPump)
 }
 
-// failover is the supervisor's promotion hook: build a live agent from the
-// standby's store, swap it in behind the injector (healthy passthrough),
-// and reset the supervisor's health state so the replacement is judged on
-// its own echoes. Datapaths find the new agent through their fallback
-// resyncs; restored flows adopt those resyncs instead of cold-rebuilding.
+// failover is the supervisor's promotion hook: build a fresh agent, restore
+// the standby's store into it (the two calls ccp-agent -standby makes), swap
+// it in behind the injector (healthy passthrough), and reset the supervisor's
+// health state so the replacement is judged on its own echoes. Datapaths find
+// the new agent through their fallback resyncs; restored flows adopt those
+// resyncs instead of cold-rebuilding.
 func (n *Net) failover() {
-	promoted, err := n.Standby.Promote(n.agentCfg)
-	if err != nil {
-		panic("harness: promote: " + err.Error())
-	}
-	n.Agent = promoted
-	n.AgentInj.Restart(promoted)
+	n.Agent.Close()
+	n.Agent = n.newAgent()
+	n.Standby.RestoreInto(n.Agent)
+	n.AgentInj.Restart(n.Agent)
 	n.Supervisor.Adopt()
 }

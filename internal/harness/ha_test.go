@@ -71,7 +71,7 @@ func TestProbesOffNoProbeTraffic(t *testing.T) {
 	if st.ProbesSent != 0 || st.ProbeEchoes != 0 || st.ProbeExits != 0 {
 		t.Fatalf("probe machinery ran with ProbeInterval=0: %+v", st)
 	}
-	if got := net.Agent.Stats().Heartbeats; got != 0 {
+	if got := net.Agent.Stats().Agent.Heartbeats; got != 0 {
 		t.Fatalf("agent saw %d heartbeats with probing off", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestWarmStandbyFailoverBeatsFallback(t *testing.T) {
 	if sup.Failovers != 1 {
 		t.Fatalf("failovers = %d, want 1: %+v", sup.Failovers, sup)
 	}
-	ag := net.Agent.Stats()
+	ag := net.Agent.Stats().Agent
 	if ag.Restores == 0 {
 		t.Fatal("promoted agent restored no flows — cold start, not warm standby")
 	}

@@ -1,8 +1,9 @@
 // Package harness assembles complete simulated CCP deployments: a dumbbell
 // network, a user-space agent with the bundled algorithm registry, the
 // simulated-IPC bridge, and any mix of CCP-controlled and native
-// (in-datapath) flows. Experiments, examples, and integration tests all
-// build on it.
+// (in-datapath) flows. The agent is the runtime.Runtime that cmd/ccp-agent
+// serves, with the one shard the event loop runs itself. Experiments,
+// examples, and integration tests all build on it.
 package harness
 
 import (
@@ -17,6 +18,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
+	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/supervise"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
@@ -68,7 +70,7 @@ type Net struct {
 	Path   *netsim.Path
 	Fwd    *netsim.Demux
 	Rev    *netsim.Demux
-	Agent  *core.Agent
+	Agent  *runtime.Runtime
 	Bridge *bridge.Bridge
 	// FaultBridge is set when Config.Faults was given; CCP flows connect
 	// through it instead of Bridge.
@@ -116,23 +118,19 @@ func New(cfg Config) *Net {
 		Policy:     cfg.Policy,
 		Metrics:    cfg.Metrics,
 	}
-	agent, err := core.NewAgent(agentCfg)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
 	n := &Net{
 		Sim:      sim,
 		Path:     path,
 		Fwd:      fwd,
 		Rev:      rev,
-		Agent:    agent,
 		metrics:  cfg.Metrics,
 		agentCfg: agentCfg,
 		verify:   cfg.Verify,
 	}
-	var sink proto.Handler = agent
+	n.Agent = n.newAgent()
+	var sink proto.Handler = n.Agent
 	if cfg.AgentFaults {
-		n.AgentInj = faults.NewAgentInjector(agent, func(d time.Duration, fn func()) {
+		n.AgentInj = faults.NewAgentInjector(n.Agent, func(d time.Duration, fn func()) {
 			sim.Schedule(d, fn)
 		})
 		sink = n.AgentInj
@@ -147,6 +145,19 @@ func New(cfg Config) *Net {
 	return n
 }
 
+// newAgent builds the deployment's agent the way cmd/ccp-agent does on one
+// core: a runtime whose single shard the dispatching caller — here the
+// simulator's event loop — runs itself, so runs stay deterministic.
+// Config.Metrics goes to the agent only; the runtime's dispatch counters
+// (runtime_*) stay out of the deployment's registry.
+func (n *Net) newAgent() *runtime.Runtime {
+	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: n.agentCfg})
+	if err != nil {
+		panic("harness: " + err.Error())
+	}
+	return rt
+}
+
 // RestartAgent models an agent process restart: a fresh agent (empty flow
 // table, same configuration) replaces the old one behind the injector, and
 // the injector returns to healthy pass-through. Flows re-enter the fresh
@@ -156,12 +167,9 @@ func (n *Net) RestartAgent() {
 	if n.AgentInj == nil {
 		panic("harness: RestartAgent requires Config.AgentFaults")
 	}
-	agent, err := core.NewAgent(n.agentCfg)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
-	n.Agent = agent
-	n.AgentInj.Restart(agent)
+	n.Agent.Close()
+	n.Agent = n.newAgent()
+	n.AgentInj.Restart(n.Agent)
 }
 
 // CCPFlow is a CCP-controlled flow plus its datapath runtime.

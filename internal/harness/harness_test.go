@@ -23,7 +23,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if net.Utilization(5*time.Second) < 0.6 {
 		t.Fatalf("default deployment underperforms: %.3f", net.Utilization(5*time.Second))
 	}
-	if net.Agent.Stats().FlowsCreated != 1 {
+	if net.Agent.Stats().Agent.FlowsCreated != 1 {
 		t.Fatal("flow not announced to agent")
 	}
 }
@@ -69,7 +69,7 @@ func TestSIDsAreUnique(t *testing.T) {
 	net.Run(time.Second)
 	// Three creates with distinct SIDs: the agent tracks all of them even
 	// though only one started (Create is sent at Start; only f1 started).
-	if got := net.Agent.Stats().FlowsCreated; got != 1 {
+	if got := net.Agent.Stats().Agent.FlowsCreated; got != 1 {
 		t.Fatalf("creates=%d, want 1 (only started flows announce)", got)
 	}
 }

@@ -90,8 +90,8 @@ func (g *Gauge) Value() int64 {
 const histBuckets = 64
 
 // Histogram accumulates a distribution of non-negative observations in
-// power-of-two buckets. Observe is lock-free; Snapshot and Merge are
-// consistent enough for reporting (they read counters individually, so a
+// power-of-two buckets. Observe is lock-free; Snapshot is
+// consistent enough for reporting (it reads counters individually, so a
 // snapshot taken mid-burst may be off by in-flight observations — fine for
 // telemetry, and the scale experiments quiesce before reading).
 type Histogram struct {
@@ -144,34 +144,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 		if h.min.CompareAndSwap(cur, int64(v)+1) {
 			break
-		}
-	}
-}
-
-// Merge folds other's observations into h. Used to combine per-shard
-// histograms after the shards have quiesced; it is not atomic with respect
-// to concurrent Observe calls on either side.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	oc := other.count.Load()
-	if oc == 0 {
-		return
-	}
-	h.count.Add(oc)
-	h.sum.Add(other.sum.Load())
-	for i := range h.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	if om := other.max.Load(); om > h.max.Load() {
-		h.max.Store(om)
-	}
-	if om := other.min.Load(); om != 0 {
-		if cur := h.min.Load(); cur == 0 || om < cur {
-			h.min.Store(om)
 		}
 	}
 }

@@ -51,18 +51,11 @@ func TestNilInstrumentsAbsorb(t *testing.T) {
 	g.Set(3)
 	g.Add(-1)
 	h.Observe(7)
-	var live Histogram
-	live.Observe(5)
-	h.Merge(&live)
-	live.Merge(h)
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatalf("nil counter=%d gauge=%d, want 0", c.Value(), g.Value())
 	}
 	if s := h.Snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
 		t.Fatalf("nil histogram snapshot not empty: %+v", s)
-	}
-	if s := live.Snapshot(); s.Count != 1 {
-		t.Fatalf("merging a nil histogram changed the target: %+v", s)
 	}
 }
 
@@ -118,43 +111,6 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 	if s.Count != 1 || s.Min != 0 || s.Max != 0 {
 		t.Fatalf("negative-observation snapshot %+v", s)
 	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Observe(10)
-	}
-	for i := 0; i < 100; i++ {
-		b.Observe(1000)
-	}
-	a.Merge(&b)
-	s := a.Snapshot()
-	if s.Count != 200 {
-		t.Fatalf("merged count=%d", s.Count)
-	}
-	if s.Min != 10 || s.Max != 1000 {
-		t.Fatalf("merged min=%v max=%v", s.Min, s.Max)
-	}
-	if q := s.Quantile(0.25); q < 10 || q > 20 {
-		t.Errorf("q25=%v want ~10..16", q)
-	}
-	if q := s.Quantile(0.9); q < 1000 || q > 2000 {
-		t.Errorf("q90=%v want ~1000..1024", q)
-	}
-
-	// Merging an empty histogram is a no-op; merging into an empty one
-	// copies.
-	var empty, dst Histogram
-	a.Merge(&empty)
-	if a.Snapshot().Count != 200 {
-		t.Fatal("merge of empty changed count")
-	}
-	dst.Merge(&a)
-	if got := dst.Snapshot(); got.Count != 200 || got.Min != 10 {
-		t.Fatalf("merge into empty: %+v", got)
-	}
-	a.Merge(nil) // must not panic
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {

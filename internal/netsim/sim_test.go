@@ -133,31 +133,3 @@ func TestSimDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestRealClockAfterFunc(t *testing.T) {
-	c := NewRealClock()
-	done := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("real timer did not fire")
-	}
-	if c.Now() <= 0 {
-		t.Fatal("real clock did not advance")
-	}
-}
-
-func TestRealClockTimerStop(t *testing.T) {
-	c := NewRealClock()
-	fired := make(chan struct{}, 1)
-	tm := c.AfterFunc(50*time.Millisecond, func() { fired <- struct{}{} })
-	if !tm.Stop() {
-		t.Fatal("stop failed")
-	}
-	select {
-	case <-fired:
-		t.Fatal("stopped timer fired")
-	case <-time.After(100 * time.Millisecond):
-	}
-}

@@ -10,11 +10,11 @@
 // instances) outright; the only shared state is the dispatch table, which is
 // immutable after New.
 //
-// With Shards <= 1 the runtime degenerates to a synchronous pass-through
-// around a single agent: no goroutines, no mailboxes, bit-identical to
-// calling core.Agent directly. Deterministic simulations use that mode, and
-// so does cmd/ccp-agent on one core; the goroutine-per-shard mode is what it
-// runs on more and what ./benchmark measures.
+// With Shards <= 1 there is one shard with no mailbox and no goroutine: the
+// caller of HandleMessage runs the shard's agent itself, bit-identical to
+// calling core.Agent directly. The deterministic simulator (internal/harness)
+// runs that, and so does cmd/ccp-agent on one core; a goroutine per shard is
+// what ccp-agent runs on more and what ./benchmark measures.
 //
 // The package is also the only thing that serves an agent: one frame step
 // (serve.go) under the blocking ServeTransport loop, the polled ServeSet, and
@@ -47,8 +47,8 @@ const (
 
 // Config configures a Runtime.
 type Config struct {
-	// Shards is the number of parallel agent shards. 0 or 1 selects the
-	// inline synchronous mode.
+	// Shards is the number of parallel agent shards. 0 or 1 is a single shard
+	// run synchronously by whoever calls HandleMessage.
 	Shards int
 	// Agent configures every shard's agent (they share the registry, policy,
 	// and metrics; each shard instantiates its own flow table).
@@ -63,7 +63,7 @@ type Config struct {
 	// to make room, and the evicted flow is sent a proto.Backoff asking its
 	// datapath to stretch its report interval. Urgents, Create/Close, and
 	// mixed batches are never shed. 0 disables (the pre-shedding
-	// behaviour). Inline mode (Shards <= 1) has no queue and is unaffected.
+	// behaviour). A single shard (Shards <= 1) has no queue and is unaffected.
 	ShedWatermark float64
 	// ShedBackoff is the report-interval stretch factor carried by the
 	// Backoff sent to a shed flow (default 2).
@@ -76,8 +76,8 @@ type Config struct {
 // Stats counts the runtime's dispatch activity. Agent aggregates the
 // per-shard agent counters.
 type Stats struct {
-	// Dispatched counts messages accepted for processing (inline calls or
-	// mailbox enqueues; a batch counts once per enqueued frame).
+	// Dispatched counts messages accepted for processing (synchronous calls
+	// or mailbox enqueues; a batch counts once per enqueued frame).
 	Dispatched int64
 	// Dropped counts messages discarded by the Drop overflow policy.
 	Dropped int64
@@ -110,7 +110,9 @@ type item struct {
 
 type shard struct {
 	agent *core.Agent
-	mail  *mailbox
+	// mail is nil in the single shard of Shards <= 1, which has no goroutine
+	// either: HandleMessage calls its agent directly.
+	mail *mailbox
 	// mine accepts the messages of this shard's flows: how it copies its share
 	// out of a frame that spans shards. Made once, not per frame.
 	mine func(proto.Msg) bool
@@ -125,8 +127,7 @@ var backoffPool = sync.Pool{New: func() any { return new(proto.Backoff) }}
 // Runtime is the sharded agent executor. It implements proto.Handler.
 type Runtime struct {
 	cfg    Config
-	shards []*shard
-	inline *core.Agent // non-nil iff Shards <= 1
+	shards []*shard // never empty
 
 	wg sync.WaitGroup
 
@@ -172,14 +173,6 @@ func New(cfg Config) (*Runtime, error) {
 		mBackoffs:   cfg.Metrics.Counter("runtime_backoffs_sent_total"),
 		mDecodeErrs: cfg.Metrics.Counter("runtime_decode_errors_total"),
 	}
-	if cfg.Shards <= 1 {
-		a, err := core.NewAgent(cfg.Agent)
-		if err != nil {
-			return nil, err
-		}
-		r.inline = a
-		return r, nil
-	}
 	shedMark := 0
 	if cfg.ShedWatermark > 0 {
 		shedMark = int(cfg.ShedWatermark * float64(cfg.MailboxSize))
@@ -187,17 +180,20 @@ func New(cfg Config) (*Runtime, error) {
 			shedMark = 1
 		}
 	}
-	r.shards = make([]*shard, cfg.Shards)
+	r.shards = make([]*shard, max(cfg.Shards, 1))
 	for i := range r.shards {
 		a, err := core.NewAgent(cfg.Agent)
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{agent: a, mail: newMailbox(cfg.MailboxSize, shedMark)}
+		sh := &shard{agent: a}
 		sh.mine = func(m proto.Msg) bool { return r.shardFor(m.FlowSID()) == sh }
 		r.shards[i] = sh
-		r.wg.Add(1)
-		go r.run(sh)
+		if cfg.Shards > 1 {
+			sh.mail = newMailbox(cfg.MailboxSize, shedMark)
+			r.wg.Add(1)
+			go r.run(sh)
+		}
 	}
 	return r, nil
 }
@@ -223,32 +219,28 @@ func (r *Runtime) run(sh *shard) {
 	}
 }
 
-// Shards returns the number of parallel shards (1 in inline mode).
-func (r *Runtime) Shards() int {
-	if r.inline != nil {
-		return 1
-	}
-	return len(r.shards)
-}
+// Shards returns the number of shards (at least 1).
+func (r *Runtime) Shards() int { return len(r.shards) }
 
 func (r *Runtime) shardFor(sid uint32) *shard {
 	return r.shards[int(sid)%len(r.shards)]
 }
 
 // HandleMessage implements proto.Handler: it routes the message to its flow's
-// shard. In inline mode it is a direct synchronous call. Batches whose
-// messages span shards are split into per-shard sub-batches, preserving
+// shard. This is the one place the executor is chosen: a shard without a
+// mailbox is run here, by the caller, as a direct synchronous call. Batches
+// whose messages span shards are split into per-shard sub-batches, preserving
 // per-flow order (each flow's messages stay on one shard, in arrival order).
 //
-// In sharded mode the message outlives this call in a shard mailbox, while
+// Queued, the message outlives this call in a shard mailbox, while
 // proto.Handler lets the caller reuse m as soon as we return — so the mailbox
 // queues its own deep copy, made under the lock the enqueue takes anyway (see
 // mailbox).
 func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
-	if r.inline != nil {
+	if sh := r.shards[0]; sh.mail == nil {
 		r.dispatched.Add(1)
 		r.mDispatched.Inc()
-		r.inline.HandleMessage(m, reply)
+		sh.agent.HandleMessage(m, reply)
 		return
 	}
 	if b, ok := m.(*proto.Batch); ok {
@@ -343,12 +335,14 @@ func (r *Runtime) onShed(shed shedReport) {
 }
 
 // Close shuts the runtime down: new messages are refused, queued messages
-// are drained, and all shard goroutines exit before Close returns. Inline
-// mode has nothing to stop. Safe to call more than once.
+// are drained, and all shard goroutines exit before Close returns. A shard
+// the caller runs has nothing to stop. Safe to call more than once.
 func (r *Runtime) Close() {
 	r.closeOnce.Do(func() {
 		for _, sh := range r.shards {
-			sh.mail.close()
+			if sh.mail != nil {
+				sh.mail.close()
+			}
 		}
 	})
 	r.wg.Wait()
@@ -359,10 +353,10 @@ func (r *Runtime) Close() {
 // It does not stop new messages from arriving; callers quiesce their senders
 // first (the benchmark does this between load steps).
 func (r *Runtime) Drain() {
-	if r.inline != nil {
-		return
-	}
 	for _, sh := range r.shards {
+		if sh.mail == nil {
+			return // run by its callers: nothing is ever queued
+		}
 		done := make(chan struct{})
 		if _, _, ok := sh.mail.push(item{done: done}, nil, true); !ok {
 			return // closed: the shards are draining to exit anyway
@@ -384,10 +378,6 @@ func (r *Runtime) Stats() Stats {
 		BackoffsSent:    r.backoffsSent.Load(),
 		DecodeErrors:    r.decodeErrors.Load(),
 	}
-	if r.inline != nil {
-		s.Agent = r.inline.Stats()
-		return s
-	}
 	for _, sh := range r.shards {
 		addAgentStats(&s.Agent, sh.agent.Stats())
 	}
@@ -396,9 +386,6 @@ func (r *Runtime) Stats() Stats {
 
 // FlowCount sums live flows across shards.
 func (r *Runtime) FlowCount() int {
-	if r.inline != nil {
-		return r.inline.FlowCount()
-	}
 	n := 0
 	for _, sh := range r.shards {
 		n += sh.agent.FlowCount()
@@ -435,9 +422,6 @@ func addAgentStats(dst *core.AgentStats, s core.AgentStats) {
 // export against that shard's message processing, and a flow mutated
 // mid-pass is simply picked up by the next incremental round.
 func (r *Runtime) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, error) {
-	if r.inline != nil {
-		return r.inline.SnapshotInto(full, sink)
-	}
 	total := 0
 	for _, sh := range r.shards {
 		n, err := sh.agent.SnapshotInto(full, sink)
@@ -451,11 +435,9 @@ func (r *Runtime) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int
 
 // RestoreFlow rebuilds one flow from a snapshot on the shard that owns its
 // SID, so the flow's next report finds it (see core.Agent.RestoreFlow). With
-// SnapshotInto it makes a Runtime both ends of the HA pair: a warm standby's
-// store promotes into one exactly as it does into a bare agent.
+// SnapshotInto it makes a Runtime both ends of the HA pair: failover is
+// runtime.New plus supervise.Standby.RestoreInto, in the simulator and in
+// ccp-agent -standby alike.
 func (r *Runtime) RestoreFlow(snap *proto.Snapshot) error {
-	if r.inline != nil {
-		return r.inline.RestoreFlow(snap)
-	}
 	return r.shardFor(snap.SID).agent.RestoreFlow(snap)
 }

@@ -138,7 +138,7 @@ func TestRaceShardRestartDuringShedding(t *testing.T) {
 	rt.Drain()
 
 	// One final quiescent pass so the standby holds every live flow, then
-	// "restart the shards": promote the standby into a fresh agent.
+	// "restart the shards": promote the standby into a fresh runtime.
 	if _, err := rt.SnapshotInto(true, func(s *proto.Snapshot) error {
 		sb.Apply(s)
 		return nil
@@ -151,14 +151,16 @@ func TestRaceShardRestartDuringShedding(t *testing.T) {
 	if st.ReportsShed == 0 || st.BackoffsSent == 0 {
 		t.Fatalf("the race never exercised shedding: %+v", st)
 	}
-	promoted, err := sb.Promote(agentCfg(nil))
+	promoted, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer promoted.Close()
+	sb.RestoreInto(promoted)
 	if got := promoted.FlowCount(); got != flows {
-		t.Fatalf("promoted agent has %d flows, want %d", got, flows)
+		t.Fatalf("promoted runtime has %d flows, want %d", got, flows)
 	}
-	if got := promoted.Stats().Restores; got != flows {
+	if got := promoted.Stats().Agent.Restores; got != flows {
 		t.Fatalf("restores = %d, want %d", got, flows)
 	}
 }

@@ -2,24 +2,9 @@ package stats_test
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/ccp-repro/ccp/internal/stats"
 )
-
-// ExampleWindowedMinMax shows the BBR-style windowed filters.
-func ExampleWindowedMinMax() {
-	minRTT := stats.NewWindowedMin(10 * time.Second)
-	minRTT.Update(0*time.Second, 0.025)
-	minRTT.Update(2*time.Second, 0.012)
-	minRTT.Update(4*time.Second, 0.030)
-	fmt.Printf("min within window: %.3f\n", minRTT.Value(4*time.Second))
-	// The 12ms sample expires after 10s; the window keeps its best survivor.
-	fmt.Printf("min after expiry:  %.3f\n", minRTT.Value(13*time.Second))
-	// Output:
-	// min within window: 0.012
-	// min after expiry:  0.030
-}
 
 // ExampleSamples computes the percentile summary used by the Figure 2
 // report.

@@ -23,19 +23,6 @@ func (s *Samples) Add(x float64) {
 // Len returns the number of observations.
 func (s *Samples) Len() int { return len(s.xs) }
 
-// Merge folds every observation of other into s, leaving other unchanged.
-// It is how per-shard latency collections are combined after the shards
-// quiesce: each shard accumulates into its own Samples with no locking, and
-// the coordinator merges once at the end. Merging nil or an empty set is a
-// no-op.
-func (s *Samples) Merge(other *Samples) {
-	if other == nil || len(other.xs) == 0 {
-		return
-	}
-	s.xs = append(s.xs, other.xs...)
-	s.sorted = false
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks. Returns 0 for an empty set.
 func (s *Samples) Percentile(p float64) float64 {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestEWMAFirstSampleInitializes(t *testing.T) {
@@ -119,88 +118,6 @@ func TestMeanVarFewSamples(t *testing.T) {
 	m.Add(3)
 	if m.Mean() != 3 || m.Var() != 0 {
 		t.Fatal("single-sample MeanVar wrong")
-	}
-}
-
-func TestWindowedMinBasic(t *testing.T) {
-	w := NewWindowedMin(10 * time.Second)
-	w.Update(0, 5)
-	w.Update(1*time.Second, 3)
-	if got := w.Value(1 * time.Second); got != 3 {
-		t.Fatalf("min=%v, want 3", got)
-	}
-	w.Update(2*time.Second, 7)
-	if got := w.Value(2 * time.Second); got != 3 {
-		t.Fatalf("min=%v, want 3", got)
-	}
-	// After the 3 expires, the 7 remains.
-	if got := w.Value(12 * time.Second); got != 7 {
-		t.Fatalf("min after expiry=%v, want 7", got)
-	}
-}
-
-func TestWindowedMaxBasic(t *testing.T) {
-	w := NewWindowedMax(5 * time.Second)
-	w.Update(0, 100)
-	w.Update(1*time.Second, 50)
-	if got := w.Value(1 * time.Second); got != 100 {
-		t.Fatalf("max=%v, want 100", got)
-	}
-	if got := w.Value(6 * time.Second); got != 50 {
-		t.Fatalf("max after expiry=%v, want 50", got)
-	}
-}
-
-func TestWindowedKeepsLastSample(t *testing.T) {
-	// Even when everything has expired, the most recent sample is retained
-	// so Value never goes to zero spuriously mid-flow.
-	w := NewWindowedMin(time.Second)
-	w.Update(0, 9)
-	if got := w.Value(100 * time.Second); got != 9 {
-		t.Fatalf("last sample dropped: %v", got)
-	}
-	if w.Empty(100 * time.Second) {
-		t.Fatal("reported empty while retaining a sample")
-	}
-}
-
-func TestWindowedReset(t *testing.T) {
-	w := NewWindowedMax(time.Second)
-	w.Update(0, 1)
-	w.Reset()
-	if !w.Empty(0) || w.Value(0) != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
-func TestWindowedMinMatchesBruteForce(t *testing.T) {
-	// Property: deque implementation matches a brute-force window scan.
-	rng := rand.New(rand.NewSource(7))
-	type sample struct {
-		at time.Duration
-		v  float64
-	}
-	window := 500 * time.Millisecond
-	w := NewWindowedMin(window)
-	var hist []sample
-	now := time.Duration(0)
-	for i := 0; i < 5000; i++ {
-		now += time.Duration(rng.Intn(50)) * time.Millisecond
-		v := rng.Float64() * 1000
-		hist = append(hist, sample{now, v})
-		got := w.Update(now, v)
-
-		// Brute force: min over samples in (now-window, now], but always
-		// including the latest sample (deque keeps >=1 element).
-		best := v
-		for _, s := range hist {
-			if s.at >= now-window {
-				best = math.Min(best, s.v)
-			}
-		}
-		if got != best {
-			t.Fatalf("step %d: deque=%v brute=%v", i, got, best)
-		}
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -310,7 +309,7 @@ type StandbyStats struct {
 	// Removed counts tombstone deletions.
 	Applied int
 	Removed int
-	// RestoreErrors counts snapshots Promote could not restore (the flow
+	// RestoreErrors counts snapshots RestoreInto could not restore (the flow
 	// is skipped; the rest of the table still promotes).
 	RestoreErrors int
 	// Unexpected counts non-snapshot messages and undecodable frames on the
@@ -319,7 +318,8 @@ type StandbyStats struct {
 }
 
 // Standby is the warm half of the HA pair: a snapshot store that tracks the
-// primary agent's per-flow state and can be promoted into a live agent.
+// primary agent's per-flow state and can be restored into a live agent
+// (promotion is runtime.New plus RestoreInto).
 // Feed it with Apply (in-process replication, e.g. the harness snapshot
 // pump) or, as a proto.Handler, from a serve loop (wire replication).
 //
@@ -367,8 +367,8 @@ func (s *Standby) Stats() StandbyStats {
 	return s.stats
 }
 
-// Restorer is what a standby's store is restored into: a *core.Agent, or the
-// sharded runtime.Runtime, which routes each flow to the shard that owns it.
+// Restorer is what a standby's store is restored into: a runtime.Runtime,
+// which routes each flow to the shard that owns it.
 type Restorer interface {
 	RestoreFlow(snap *proto.Snapshot) error
 }
@@ -393,17 +393,6 @@ func (s *Standby) RestoreInto(dst Restorer) {
 			s.stats.RestoreErrors++
 		}
 	}
-}
-
-// Promote builds a live agent from the store: a fresh core.Agent with every
-// tracked flow restored (see RestoreInto).
-func (s *Standby) Promote(cfg core.AgentConfig) (*core.Agent, error) {
-	agent, err := core.NewAgent(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.RestoreInto(agent)
-	return agent, nil
 }
 
 // HandleMessage feeds one replication message: snapshots (bare or batched)

@@ -206,7 +206,66 @@ func applySink(sb *Standby) func(*proto.Snapshot) error {
 	}
 }
 
-func TestStandbyApplyAndPromote(t *testing.T) {
+// checkRestored promotes sb the way every deployment does — runtime.New, then
+// RestoreInto — with the shard the caller runs and with shard goroutines, and
+// checks the promoted runtime against the primary: same flows, algorithms,
+// programs and exported registers, with control sequences skipped ahead so
+// post-snapshot primary decisions cannot shadow standby ones.
+func checkRestored(t *testing.T, sb *Standby, primary *core.Agent) {
+	t.Helper()
+	prim := map[uint32]*proto.Snapshot{}
+	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
+		prim[s.SID] = proto.Clone(s).(*proto.Snapshot)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		rt, err := runtime.New(runtime.Config{Shards: shards, Agent: core.AgentConfig{
+			Registry:   algorithms.NewRegistry(),
+			DefaultAlg: "cubic",
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.RestoreInto(rt)
+		if st := rt.Stats(); rt.FlowCount() != len(prim) || st.Agent.Restores != len(prim) || sb.Stats().RestoreErrors != 0 {
+			t.Fatalf("shards=%d: promoted runtime has %d flows, %d restores, %d restore errors; want %d, %d, 0",
+				shards, rt.FlowCount(), st.Agent.Restores, sb.Stats().RestoreErrors, len(prim), len(prim))
+		}
+		_, err = rt.SnapshotInto(true, func(s *proto.Snapshot) error {
+			p, ok := prim[s.SID]
+			if !ok {
+				t.Fatalf("shards=%d: promoted flow %d missing on primary", shards, s.SID)
+			}
+			if s.Alg != p.Alg || s.MSS != p.MSS || s.SrcAddr != p.SrcAddr {
+				t.Fatalf("shards=%d: flow %d identity mismatch: %+v vs %+v", shards, s.SID, s, p)
+			}
+			if string(s.Prog) != string(p.Prog) {
+				t.Fatalf("shards=%d: flow %d program diverged after restore", shards, s.SID)
+			}
+			if len(s.State) != len(p.State) {
+				t.Fatalf("shards=%d: flow %d state length %d vs %d", shards, s.SID, len(s.State), len(p.State))
+			}
+			for i := range s.State {
+				if s.State[i] != p.State[i] {
+					t.Fatalf("shards=%d: flow %d state[%d] = %v, want %v", shards, s.SID, i, s.State[i], p.State[i])
+				}
+			}
+			if !proto.SeqNewer(s.CtrlSeq, p.CtrlSeq) {
+				t.Fatalf("shards=%d: flow %d restored ctrlSeq %d not ahead of primary's %d",
+					shards, s.SID, s.CtrlSeq, p.CtrlSeq)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Close()
+	}
+}
+
+func TestStandbyApplyAndRestore(t *testing.T) {
 	primary := buildPrimary(t)
 	sb := NewStandby()
 	n, err := primary.SnapshotInto(true, applySink(sb))
@@ -216,60 +275,7 @@ func TestStandbyApplyAndPromote(t *testing.T) {
 	if n != 2 || sb.FlowCount() != 2 {
 		t.Fatalf("snapshots=%d standby flows=%d, want 2/2", n, sb.FlowCount())
 	}
-
-	promoted, err := sb.Promote(core.AgentConfig{
-		Registry:   algorithms.NewRegistry(),
-		DefaultAlg: "cubic",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := promoted.FlowCount(); got != 2 {
-		t.Fatalf("promoted agent has %d flows, want 2", got)
-	}
-	if got := promoted.Stats().Restores; got != 2 {
-		t.Fatalf("restores = %d, want 2", got)
-	}
-
-	// The promoted agent's state must match the primary's: same algorithms,
-	// programs, and exported registers, with control sequences skipped ahead
-	// so post-snapshot primary decisions cannot shadow standby ones.
-	prim := map[uint32]*proto.Snapshot{}
-	_, err = primary.SnapshotInto(true, func(s *proto.Snapshot) error {
-		prim[s.SID] = proto.Clone(s).(*proto.Snapshot)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = promoted.SnapshotInto(true, func(s *proto.Snapshot) error {
-		p, ok := prim[s.SID]
-		if !ok {
-			t.Fatalf("promoted flow %d missing on primary", s.SID)
-		}
-		if s.Alg != p.Alg || s.MSS != p.MSS || s.SrcAddr != p.SrcAddr {
-			t.Fatalf("flow %d identity mismatch: %+v vs %+v", s.SID, s, p)
-		}
-		if string(s.Prog) != string(p.Prog) {
-			t.Fatalf("flow %d program diverged after restore", s.SID)
-		}
-		if len(s.State) != len(p.State) {
-			t.Fatalf("flow %d state length %d vs %d", s.SID, len(s.State), len(p.State))
-		}
-		for i := range s.State {
-			if s.State[i] != p.State[i] {
-				t.Fatalf("flow %d state[%d] = %v, want %v", s.SID, i, s.State[i], p.State[i])
-			}
-		}
-		if !proto.SeqNewer(s.CtrlSeq, p.CtrlSeq) {
-			t.Fatalf("flow %d restored ctrlSeq %d not ahead of primary's %d",
-				s.SID, s.CtrlSeq, p.CtrlSeq)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkRestored(t, sb, primary)
 }
 
 func TestStandbyTombstoneRemoves(t *testing.T) {
@@ -296,9 +302,8 @@ func TestStandbyTombstoneRemoves(t *testing.T) {
 
 // Replication over a real ipc.Transport: frames stream through a ChanPair
 // and the serve loop agents run (runtime.ServeTransport, the standby as its
-// handler), and the result promotes identically to in-process Apply — into a
-// bare agent and into a sharded runtime alike. What is not a snapshot, whether
-// it decodes or not, is counted and changes nothing.
+// handler), and the result promotes identically to in-process Apply. What is
+// not a snapshot, whether it decodes or not, is counted and changes nothing.
 func TestStandbyServeTransport(t *testing.T) {
 	primary := buildPrimary(t)
 	a, b := ipc.ChanPair(64)
@@ -331,22 +336,5 @@ func TestStandbyServeTransport(t *testing.T) {
 	if got := sb.Stats().Unexpected; got != 2 {
 		t.Fatalf("unexpected frames = %d, want 2 (one undecodable, one not a snapshot)", got)
 	}
-	cfg := core.AgentConfig{Registry: algorithms.NewRegistry(), DefaultAlg: "cubic"}
-	promoted, err := sb.Promote(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := promoted.FlowCount(); got != 2 {
-		t.Fatalf("promoted agent has %d flows, want 2", got)
-	}
-	rt, err := runtime.New(runtime.Config{Shards: 2, Agent: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	sb.RestoreInto(rt)
-	if st := rt.Stats(); rt.FlowCount() != 2 || st.Agent.Restores != 2 || sb.Stats().RestoreErrors != 0 {
-		t.Fatalf("promoted runtime has %d flows, %d restores, %d restore errors; want 2, 2, 0",
-			rt.FlowCount(), st.Agent.Restores, sb.Stats().RestoreErrors)
-	}
+	checkRestored(t, sb, primary)
 }
