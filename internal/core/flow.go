@@ -304,8 +304,9 @@ func (f *Flow) applyPolicy(p *lang.Program) *lang.Program {
 }
 
 // reportNames returns the field names for incoming scalar measurements,
-// based on the installed program (EWMA defaults before any install). The
-// list is cached until the next Install.
+// based on the installed program (EWMA defaults before any install, one list
+// for every flow: lang.EWMAReportNames). The list is cached until the next
+// Install and never written to.
 func (f *Flow) reportNames() []string {
 	if f.names == nil {
 		if f.installed == nil {

@@ -21,7 +21,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/metrics"
-	"github.com/ccp-repro/ccp/internal/nativecc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/stats"
@@ -42,11 +41,14 @@ type Config struct {
 	// a delayed delivery; over a real transport it marshals and sends.
 	//
 	// Ownership: the message (including a Batch's Msgs and any Fields/Data
-	// slices) is only valid for the duration of the call — the runtime emits
-	// reports from reusable scratch. ToAgent must marshal or deep-copy
-	// (proto.Clone) anything it keeps past returning. Both the simulator
-	// bridge and SocketLink marshal synchronously, so they satisfy this for
-	// free.
+	// slices) is only valid for the duration of the call — the runtime builds
+	// what it sends in scratch it reuses for the next one: CCP.rep and the
+	// scratch fields beside it, vectorState.rep, a batching flow's slabs and
+	// frame (batch.go), the probe (failsafe.go). ToAgent must marshal or
+	// deep-copy (proto.Clone) anything it keeps past returning, and be done
+	// with the message before anything it sets off calls back into the flow.
+	// Both the simulator bridge and SocketLink marshal synchronously, so they
+	// satisfy this for free.
 	ToAgent func(proto.Msg) error
 	// FallbackAfter reverts to in-datapath NewReno when no agent message
 	// has arrived for this long (0 disables the watchdog). When
@@ -104,72 +106,14 @@ var defaultVerify = absint.ModeStrict
 // the experiment harness; call it before creating flows.
 func SetDefaultVerify(m absint.Mode) { defaultVerify = m }
 
-// Stats counts the runtime's activity for experiments and tests.
-type Stats struct {
-	AcksProcessed  int
-	ReportsSent    int
-	VectorsSent    int
-	VectorRowsSent int
-	UrgentsSent    int
-	SendErrors     int
-	InstallsRecvd  int
-	SetCwndRecvd   int
-	SetRateRecvd   int
-	FallbackOn     int
-	FallbackOff    int
-	VectorDropped  int
-	// StaleCtrlDropped counts sequenced control messages (Install, SetCwnd,
-	// SetRate) discarded because a newer decision had already been applied —
-	// the reorder/duplicate protection of the control channel.
-	StaleCtrlDropped int
-	// Resyncs counts Create re-announcements sent while the fallback was
-	// active, prompting a restarted agent to re-adopt the flow.
-	Resyncs int
-	// UnexpectedMsgs counts agent messages of a type the datapath does not
-	// handle; they are ignored rather than trusted.
-	UnexpectedMsgs int
-	// InstallRejects counts Install messages refused — malformed wire
-	// programs and verifier rejections alike. Each one was answered with a
-	// proto.InstallErr and left the previous program in force.
-	InstallRejects int
-	// VerifyWarnings counts advisory verifier findings on programs that
-	// were installed anyway (warn-severity findings in any mode, plus
-	// error-severity ones under Verify=warn).
-	VerifyWarnings int
-	// InstallArtifactHits counts installs whose measure half — the fold with
-	// its Init values, or the vector's fields — was already verified and
-	// compiled (by this flow's current program or by any flow in the process)
-	// and was reused; InstallArtifactMisses counts those that had to build it.
-	// Unlike every other counter here they depend on what the process
-	// installed before this flow, not on the flow's own history, so
-	// run-to-run comparisons go through Deterministic. The built-in default
-	// program is prepared once per process and counts as neither.
-	InstallArtifactHits   int
-	InstallArtifactMisses int
-	// BatchesSent counts multi-report frames shipped; BatchedReports counts
-	// the reports they carried (a batch of one is sent plain and counts
-	// under neither).
-	BatchesSent    int
-	BatchedReports int
-	// LivenessStale counts fallback entries triggered by the staleness
-	// budget (vs. AgentGoneSignals, explicit transport notifications that
-	// the agent connection is lost). HandoffRamps counts smoothed
-	// fallback-exit transitions; BackoffsRecvd counts overload backoff
-	// messages accepted from the agent runtime.
-	LivenessStale    int
-	AgentGoneSignals int
-	HandoffRamps     int
-	BackoffsRecvd    int
-	// Heartbeat probing (LivenessConfig.ProbeInterval): probes sent, echoes
-	// received, and fallback exits granted by a recovered probe score.
-	ProbesSent  int
-	ProbeEchoes int
-	ProbeExits  int
-}
-
 // CCP is the datapath runtime for one flow. It implements
 // tcp.CongestionControl and is driven by the datapath's ACK processing on
 // one side and by Deliver (messages from the agent) on the other.
+//
+// The struct is what every flow uses on every ACK, report and decision. What
+// only some flows use is behind one pointer per feature, declared in the
+// feature's file and nil until New finds it configured or the flow first
+// needs it; TestCCPSize holds the line.
 type CCP struct {
 	cfg  Config
 	conn *tcp.Conn
@@ -183,97 +127,48 @@ type CCP struct {
 	ctrl []lang.RegCode // compiled expression per instruction (zero for Report)
 	vars []float64
 
-	vec       []float64
-	vecFields []lang.Field
+	pc        int
+	waitTimer netsim.Timer
+	onWait    func() // the wait timer's callback, made at the flow's first wait
 
-	pc         int
 	waitedPass bool
-	waitTimer  netsim.Timer
-	onWait     func() // the wait timer's callback, made at the flow's first wait
-	reportSeq  uint32
+	// fallbackActive: the §5 fallback (failsafe.go) is controlling the flow.
+	// It implies fs != nil.
+	fallbackActive bool
 
-	// lastCtrlSeq is the newest control sequence number applied; stale or
-	// duplicate control messages are dropped (seq 0 is unsequenced and always
-	// accepted). urgentSeq numbers outgoing urgents so the agent can dedup
-	// duplicated deliveries.
+	// reportSeq numbers outgoing reports. lastCtrlSeq is the newest control
+	// sequence number applied; stale or duplicate control messages are dropped
+	// (seq 0 is unsequenced and always accepted). urgentSeq numbers outgoing
+	// urgents so the agent can dedup duplicated deliveries.
+	reportSeq   uint32
 	lastCtrlSeq uint32
 	urgentSeq   uint32
 
 	// EWMA-mode state (§3 prototype).
-	ewmaRtt  *stats.EWMA
-	ewmaSnd  *stats.EWMA
-	ewmaRcv  *stats.EWMA
+	ewmaRtt  stats.EWMA
+	ewmaSnd  stats.EWMA
+	ewmaRcv  stats.EWMA
 	ackedAcc float64
 	lostAcc  float64
 	pktsAcc  int
 	ecnAcc   int
 	lastRtt  float64
 
-	// Safety fallback (§5) and the liveness layer over it (failsafe.go).
-	fallback       tcp.CongestionControl
-	fallbackActive bool
-	lastAgentMsg   time.Duration
-	watchdog       netsim.Timer
-	// Per-kind control staleness clocks (virtual time of last applied
-	// Install / SetCwnd / SetRate; see failsafe.go).
-	lastInstallAt time.Duration
-	lastCwndAt    time.Duration
-	lastRateAt    time.Duration
-	agentGone     bool
-	liveTimer     netsim.Timer
-	// handoffUntil, when nonzero, smooths window increases until the
-	// post-fallback handoff ramp expires. backoffFactor stretches program
-	// waits under agent overload (1 or less: none).
-	handoffUntil  time.Duration
-	backoffFactor float64
-	// Heartbeat probe health scoring (failsafe.go): EWMA of probe round-trip
-	// latency in seconds, plus the oldest still-unanswered probe so silence
-	// degrades the score between echoes.
-	probeTimer   netsim.Timer
-	probeSeq     uint32
-	probeEWMA    float64
-	probeSamples int
-	unechoedSeq  uint32
-	unechoedAt   time.Duration
-	haveUnechoed bool
-	scratchHB    proto.Heartbeat
+	// Optional features.
+	fs     *failsafe    // failsafe.go: watchdogs, probes, fallback, backoff
+	smooth *smoother    // smooth.go: window ramp
+	batch  *batcher     // batch.go: report coalescing
+	vec    *vectorState // report.go: vector mode
+	ins    *instruments // stats.go: Config.Metrics handles
 
-	// Smooth window transitions (§3 future work).
-	cwndTarget  int
-	cwndStep    int
-	smoothTimer netsim.Timer
-
-	// Report coalescing (§4 batching).
-	pending    []proto.Msg
-	batchTimer netsim.Timer
-
-	// Report scratch: messages handed to ToAgent are built here and reused
-	// once the agent side has consumed them (ToAgent's ownership contract),
-	// so steady-state reporting allocates nothing. Slab counters reset after
-	// every send/flush; pending holds pointers into the slabs meanwhile.
-	repMeas       []proto.Measurement
-	repVecs       []proto.Vector
-	nRepMeas      int
-	nRepVecs      int
+	// Message scratch (Config.ToAgent's ownership rule): rep is the report of
+	// a flow that does not batch (a batching flow's are in its batcher),
+	// scratchUrgent and scratchIErr the urgent and the refusal.
+	rep           proto.Measurement
 	scratchUrgent proto.Urgent
-	scratchBatch  proto.Batch
 	scratchIErr   proto.InstallErr
 
-	// Cached metrics instruments (nil, which absorbs writes, when cfg.Metrics
-	// is nil).
-	mReportsSent   *metrics.Counter
-	mUrgentsSent   *metrics.Counter
-	mBatchSize     *metrics.Histogram
-	mFallbackOn    *metrics.Counter
-	mFallbackOff   *metrics.Counter
-	mAgentGone     *metrics.Counter
-	mLivenessStale *metrics.Counter
-	mBackoffRecvd  *metrics.Counter
-	mInstallReject *metrics.Counter
-	mArtifactHit   *metrics.Counter
-	mArtifactMiss  *metrics.Counter
-
-	stats Stats
+	n coreCounts
 }
 
 // New creates a CCP runtime. Attach it to a tcp.Conn as its congestion
@@ -297,35 +192,23 @@ func New(cfg Config) *CCP {
 	if cfg.Verify == absint.ModeDefault {
 		cfg.Verify = defaultVerify
 	}
-	return &CCP{
-		cfg:            cfg,
-		fallback:       nativecc.NewNewReno(),
-		ewmaRtt:        stats.NewEWMA(0.125),
-		ewmaSnd:        stats.NewEWMA(0.25),
-		ewmaRcv:        stats.NewEWMA(0.25),
-		mReportsSent:   cfg.Metrics.Counter("dp_reports_sent_total"),
-		mUrgentsSent:   cfg.Metrics.Counter("dp_urgents_sent_total"),
-		mBatchSize:     cfg.Metrics.Histogram("dp_batch_size"),
-		mFallbackOn:    cfg.Metrics.Counter("dp_fallback_on_total"),
-		mFallbackOff:   cfg.Metrics.Counter("dp_fallback_off_total"),
-		mAgentGone:     cfg.Metrics.Counter("dp_agent_gone_total"),
-		mLivenessStale: cfg.Metrics.Counter("dp_liveness_stale_total"),
-		mBackoffRecvd:  cfg.Metrics.Counter("dp_backoff_recvd_total"),
-		mInstallReject: cfg.Metrics.Counter("dp_install_rejects_total"),
-		mArtifactHit:   cfg.Metrics.Counter("dp_install_artifact_hits_total"),
-		mArtifactMiss:  cfg.Metrics.Counter("dp_install_artifact_misses_total"),
+	d := &CCP{
+		cfg:     cfg,
+		ewmaRtt: stats.MakeEWMA(0.125),
+		ewmaSnd: stats.MakeEWMA(0.25),
+		ewmaRcv: stats.MakeEWMA(0.25),
+		ins:     newInstruments(cfg.Metrics),
 	}
-}
-
-// Stats returns a snapshot of the runtime counters.
-func (d *CCP) Stats() Stats { return d.stats }
-
-// Deterministic returns s without the counters that depend on process
-// history (InstallArtifactHits/Misses): what remains is a function of the
-// flow's own inputs, comparable between two runs in one process.
-func (s Stats) Deterministic() Stats {
-	s.InstallArtifactHits, s.InstallArtifactMisses = 0, 0
-	return s
+	if d.watched() {
+		d.fs = &failsafe{}
+	}
+	if cfg.SmoothCwnd {
+		d.smooth = &smoother{}
+	}
+	if cfg.BatchInterval > 0 {
+		d.batch = &batcher{}
+	}
+	return d
 }
 
 // SID returns the flow's wire-protocol identifier.
@@ -352,7 +235,6 @@ func (d *CCP) Name() string {
 // default program.
 func (d *CCP) Init(c *tcp.Conn) {
 	d.conn = c
-	d.lastAgentMsg = d.cfg.Clock.Now()
 	d.send(&proto.Create{
 		SID:      d.cfg.SID,
 		MSS:      uint32(c.MSS()),
@@ -372,60 +254,33 @@ func (d *CCP) Init(c *tcp.Conn) {
 			panic("datapath: default program rejected: " + err.Error())
 		}
 	}
-	if d.cfg.Liveness.on() {
-		d.armLiveness()
-	} else {
-		d.armWatchdog()
-	}
+	d.armFailsafe()
 }
 
 // Close implements tcp.CongestionControl.
 func (d *CCP) Close(c *tcp.Conn) {
 	d.flushBatch()
 	d.send(&proto.Close{SID: d.cfg.SID})
-	if d.waitTimer != nil {
-		d.waitTimer.Stop()
-		d.waitTimer = nil
-	}
-	if d.watchdog != nil {
-		d.watchdog.Stop()
-		d.watchdog = nil
-	}
-	if d.liveTimer != nil {
-		d.liveTimer.Stop()
-		d.liveTimer = nil
-	}
-	if d.probeTimer != nil {
-		d.probeTimer.Stop()
-		d.probeTimer = nil
-	}
-	if d.smoothTimer != nil {
-		d.smoothTimer.Stop()
-		d.smoothTimer = nil
-	}
+	stopTimer(&d.waitTimer)
+	d.stopFailsafe()
+	d.stopSmoothing()
 }
 
 // OnAck implements tcp.CongestionControl: fold the ACK into the current
 // measurement state.
 func (d *CCP) OnAck(c *tcp.Conn, s tcp.AckSample) {
-	d.stats.AcksProcessed++
+	d.n.AcksProcessed++
 	d.updateVars(s)
 
 	if d.fallbackActive {
-		d.fallback.OnAck(c, s)
+		d.fs.fallback.OnAck(c, s)
 	}
 
 	switch d.measureMode() {
 	case lang.MeasureFold:
 		d.fold.Step(d.vars)
 	case lang.MeasureVector:
-		if len(d.vec)/len(d.vecFields) < d.cfg.MaxVectorRows {
-			for _, f := range d.vecFields {
-				d.vec = append(d.vec, d.vars[lang.PktFieldSlot(f)])
-			}
-		} else {
-			d.stats.VectorDropped++
-		}
+		d.vec.sample(d.vars, d.cfg.MaxVectorRows)
 	default: // EWMA
 		if s.RTT > 0 {
 			d.ewmaRtt.Update(s.RTT.Seconds())
@@ -449,7 +304,7 @@ func (d *CCP) OnAck(c *tcp.Conn, s tcp.AckSample) {
 // OnCongestion implements tcp.CongestionControl: report urgent events.
 func (d *CCP) OnCongestion(c *tcp.Conn, ev tcp.CongEvent, lostBytes int) {
 	if d.fallbackActive {
-		d.fallback.OnCongestion(c, ev, lostBytes)
+		d.fs.fallback.OnCongestion(c, ev, lostBytes)
 	}
 	switch ev {
 	case tcp.EventDupAck:
@@ -487,20 +342,20 @@ func (d *CCP) Deliver(m proto.Msg) {
 			d.rejectInstall(v.Seq, err)
 			return
 		}
-		d.stats.InstallsRecvd++
+		d.n.InstallsRecvd++
 	case *proto.SetCwnd:
 		if d.staleCtrl(v.Seq) {
 			return
 		}
 		d.touchCtrl(proto.TypeSetCwnd)
-		d.stats.SetCwndRecvd++
+		d.n.SetCwndRecvd++
 		d.applyCwnd(int(v.Bytes))
 	case *proto.SetRate:
 		if d.staleCtrl(v.Seq) {
 			return
 		}
 		d.touchCtrl(proto.TypeSetRate)
-		d.stats.SetRateRecvd++
+		d.n.SetRateRecvd++
 		if d.conn != nil {
 			d.conn.SetPacingRate(v.Bps)
 		}
@@ -516,7 +371,7 @@ func (d *CCP) Deliver(m proto.Msg) {
 		// Anything else on the control channel is noise (corruption that
 		// happened to decode, or a confused agent); ignore it and do not
 		// treat it as liveness.
-		d.stats.UnexpectedMsgs++
+		d.n.UnexpectedMsgs++
 	}
 }
 
@@ -528,30 +383,11 @@ func (d *CCP) staleCtrl(seq uint32) bool {
 		return false // unsequenced: always accepted
 	}
 	if !proto.SeqNewer(seq, d.lastCtrlSeq) {
-		d.stats.StaleCtrlDropped++
+		d.n.StaleCtrlDropped++
 		return true
 	}
 	d.lastCtrlSeq = seq
 	return false
-}
-
-// Resync re-announces the flow to the agent. The Create carries the flow's
-// *current* window (not the original one) so a restarted agent starts from
-// live state, and the newest applied control sequence so the agent resumes
-// numbering above it instead of looking stale.
-func (d *CCP) Resync() {
-	if d.conn == nil {
-		return
-	}
-	d.stats.Resyncs++
-	d.flushBatch()
-	d.send(&proto.Create{
-		SID:      d.cfg.SID,
-		MSS:      uint32(d.conn.MSS()),
-		InitCwnd: uint32(d.conn.Cwnd()),
-		Seq:      d.lastCtrlSeq,
-		Alg:      d.cfg.Alg,
-	})
 }
 
 // rejectInstall records a refused Install and tells the agent why with an
@@ -559,8 +395,8 @@ func (d *CCP) Resync() {
 // breaks: the previously installed program (or the default one) keeps
 // controlling the flow, and the §5 fallback machinery is untouched.
 func (d *CCP) rejectInstall(seq uint32, err error) {
-	d.stats.InstallRejects++
-	d.mInstallReject.Inc()
+	d.n.InstallRejects++
+	d.ins.inc(mInstallReject)
 	reason := err.Error()
 	if len(reason) > 255 {
 		reason = reason[:252] + "..."
@@ -689,255 +525,6 @@ func (d *CCP) rttDur(rtts float64) time.Duration {
 	return time.Duration(float64(srtt) * rtts)
 }
 
-// report ships the batched measurement state to the agent and resets it.
-// Report messages are built in the scratch slabs (see the field comments):
-// ToAgent consumes its message synchronously, so once a report leaves via
-// send/flushBatch its slab entry — Fields backing included — is reusable.
-func (d *CCP) report() {
-	d.reportSeq++
-	if d.reportSeq == 0 {
-		d.reportSeq = 1 // skip 0 on wrap: 0 means "unsequenced" on the wire
-	}
-	switch d.measureMode() {
-	case lang.MeasureFold:
-		v := d.nextRepMeas()
-		v.SID, v.Seq = d.cfg.SID, d.reportSeq
-		v.Fields = d.fold.ReadRegs(d.vars, v.Fields[:0])
-		d.sendReport(v)
-		d.stats.ReportsSent++
-		d.mReportsSent.Inc()
-		d.fold.InitRegs(d.vars)
-	case lang.MeasureVector:
-		if len(d.vecFields) == 0 {
-			return
-		}
-		v := d.nextRepVec()
-		v.SID, v.Seq = d.cfg.SID, d.reportSeq
-		v.NumFields = uint8(len(d.vecFields))
-		v.Data = append(v.Data[:0], d.vec...)
-		d.vec = d.vec[:0]
-		d.sendReport(v)
-		d.stats.VectorsSent++
-		d.mReportsSent.Inc()
-		d.stats.VectorRowsSent += len(v.Data) / len(d.vecFields)
-	default: // EWMA (§3 prototype report)
-		ecnFrac := 0.0
-		if d.pktsAcc > 0 {
-			ecnFrac = float64(d.ecnAcc) / float64(d.pktsAcc)
-		}
-		v := d.nextRepMeas()
-		v.SID, v.Seq = d.cfg.SID, d.reportSeq
-		v.Fields = append(v.Fields[:0],
-			d.ewmaRtt.Value(),
-			d.ewmaSnd.Value(),
-			d.ewmaRcv.Value(),
-			d.ackedAcc,
-			d.lostAcc,
-			ecnFrac,
-			d.lastRtt,
-		)
-		d.sendReport(v)
-		d.stats.ReportsSent++
-		d.mReportsSent.Inc()
-		d.ackedAcc, d.lostAcc = 0, 0
-		d.pktsAcc, d.ecnAcc = 0, 0
-	}
-}
-
-// nextRepMeas hands out a scratch Measurement. Slab growth relocates the
-// backing array, but entries already pending keep the old array alive through
-// their pointers, so handed-out messages are never disturbed.
-func (d *CCP) nextRepMeas() *proto.Measurement {
-	if d.nRepMeas == len(d.repMeas) {
-		d.repMeas = append(d.repMeas, proto.Measurement{})
-	}
-	v := &d.repMeas[d.nRepMeas]
-	d.nRepMeas++
-	return v
-}
-
-// nextRepVec hands out a scratch Vector (same discipline as nextRepMeas).
-func (d *CCP) nextRepVec() *proto.Vector {
-	if d.nRepVecs == len(d.repVecs) {
-		d.repVecs = append(d.repVecs, proto.Vector{})
-	}
-	v := &d.repVecs[d.nRepVecs]
-	d.nRepVecs++
-	return v
-}
-
-// resetReportScratch reclaims the slabs after the agent side has consumed
-// every outstanding report (i.e. right after a send or flush).
-func (d *CCP) resetReportScratch() {
-	d.nRepMeas, d.nRepVecs = 0, 0
-}
-
-func (d *CCP) sendUrgent(kind proto.UrgentKind, value float64) {
-	d.stats.UrgentsSent++
-	d.mUrgentsSent.Inc()
-	d.urgentSeq++
-	if d.urgentSeq == 0 {
-		d.urgentSeq = 1 // skip 0 on wrap, as for reportSeq
-	}
-	// Urgent events must not queue behind a batch window (§2.1), but flushing
-	// first keeps the per-flow order the agent observes identical to the
-	// unbatched schedule's.
-	d.flushBatch()
-	d.scratchUrgent = proto.Urgent{SID: d.cfg.SID, Seq: d.urgentSeq, Kind: kind, Value: value}
-	d.send(&d.scratchUrgent)
-}
-
-func (d *CCP) send(m proto.Msg) {
-	if err := d.cfg.ToAgent(m); err != nil {
-		d.stats.SendErrors++
-	}
-}
-
-// sendReport ships a report message, coalescing it into a pending batch when
-// BatchInterval is set. The batch flushes when the interval elapses or the
-// batch fills, whichever comes first; a batch that drained to a single
-// message is sent plain, so shipping one report costs exactly the unbatched
-// encoding.
-func (d *CCP) sendReport(m proto.Msg) {
-	if d.cfg.BatchInterval <= 0 {
-		d.send(m)
-		d.resetReportScratch()
-		return
-	}
-	d.pending = append(d.pending, m)
-	if len(d.pending) >= d.cfg.MaxBatchMsgs {
-		d.flushBatch()
-		return
-	}
-	if d.batchTimer == nil {
-		d.batchTimer = d.cfg.Clock.AfterFunc(d.cfg.BatchInterval, func() {
-			d.batchTimer = nil
-			d.flushBatch()
-		})
-	}
-}
-
-// flushBatch ships any coalesced reports immediately. Safe to call with an
-// empty pending buffer. The batch frame itself is scratch: ToAgent consumes
-// it synchronously, so pending and the report slabs are reclaimed on return.
-func (d *CCP) flushBatch() {
-	if d.batchTimer != nil {
-		d.batchTimer.Stop()
-		d.batchTimer = nil
-	}
-	if len(d.pending) == 0 {
-		return
-	}
-	if len(d.pending) == 1 {
-		m := d.pending[0]
-		d.pending = d.pending[:0]
-		d.send(m)
-		d.resetReportScratch()
-		return
-	}
-	d.stats.BatchesSent++
-	d.stats.BatchedReports += len(d.pending)
-	d.mBatchSize.Observe(float64(len(d.pending)))
-	d.scratchBatch.Msgs = d.pending
-	d.send(&d.scratchBatch)
-	d.scratchBatch.Msgs = nil
-	d.pending = d.pending[:0]
-	d.resetReportScratch()
-}
-
-// applyCwnd routes a window update through the smoothing ramp when enabled:
-// increases are applied in steps over roughly one RTT so a per-RTT window
-// jump does not dump a burst into the network (§3 future work); decreases
-// and the non-smoothed path apply directly.
-func (d *CCP) applyCwnd(target int) {
-	if d.conn == nil {
-		return
-	}
-	if !d.smoothingActive() || target <= d.conn.Cwnd() {
-		d.cwndTarget = 0
-		d.conn.SetCwnd(target)
-		return
-	}
-	d.cwndTarget = target
-	d.cwndStep = (target - d.conn.Cwnd() + 3) / 4
-	if d.cwndStep < d.conn.MSS() {
-		d.cwndStep = d.conn.MSS()
-	}
-	if d.smoothTimer == nil {
-		d.smoothStep()
-	}
-}
-
-// smoothStep advances a quarter of the original increase every srtt/4, so
-// the ramp completes in roughly one round trip.
-func (d *CCP) smoothStep() {
-	d.smoothTimer = nil
-	if d.conn == nil || d.cwndTarget == 0 {
-		return
-	}
-	cur := d.conn.Cwnd()
-	if cur >= d.cwndTarget {
-		d.cwndTarget = 0
-		return
-	}
-	next := cur + d.cwndStep
-	if next >= d.cwndTarget {
-		next = d.cwndTarget
-	}
-	d.conn.SetCwnd(next)
-	if next < d.cwndTarget {
-		d.smoothTimer = d.cfg.Clock.AfterFunc(d.rttDur(0.25), d.smoothStep)
-	} else {
-		d.cwndTarget = 0
-	}
-}
-
-// Safety fallback (§5).
-
-func (d *CCP) touchAgent() {
-	d.lastAgentMsg = d.cfg.Clock.Now()
-	if d.fallbackActive && !d.agentGone && d.exitGateOK() {
-		// Resume the installed program from the top (with a handoff ramp
-		// under the liveness layer; see failsafe.go). While the transport
-		// still reports the agent gone, a straggling queued decision does
-		// not exit fallback; with probing enabled, neither does a decision
-		// arriving while the probe score is still unhealthy (hysteresis).
-		d.exitFallback()
-	}
-}
-
-func (d *CCP) armWatchdog() {
-	if d.cfg.FallbackAfter <= 0 {
-		return
-	}
-	interval := d.cfg.FallbackAfter / 4
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	d.watchdog = d.cfg.Clock.AfterFunc(interval, func() {
-		now := d.cfg.Clock.Now()
-		if !d.fallbackActive && now-d.lastAgentMsg > d.cfg.FallbackAfter {
-			d.fallbackActive = true
-			d.stats.FallbackOn++
-			d.mFallbackOn.Inc()
-			if d.waitTimer != nil {
-				d.waitTimer.Stop()
-				d.waitTimer = nil
-			}
-			if d.conn != nil {
-				d.fallback.Init(d.conn)
-			}
-		}
-		if d.fallbackActive {
-			// Re-announce the flow every tick while the agent is silent: if
-			// the silence was a crash, the restarted agent has no flow state
-			// and needs a Create to re-adopt the flow (crash/resync recovery).
-			d.Resync()
-		}
-		d.armWatchdog()
-	})
-}
-
 func clampRate(bps float64) float64 {
 	if bps < 0 {
 		return 0
@@ -956,6 +543,14 @@ func clampCwnd(bytes float64) int {
 		return 1 << 30
 	}
 	return int(bytes)
+}
+
+// stopTimer cancels *t if it is armed and clears it.
+func stopTimer(t *netsim.Timer) {
+	if *t != nil {
+		(*t).Stop()
+		*t = nil
+	}
 }
 
 func secsToDur(s float64) time.Duration {

@@ -1,5 +1,7 @@
 package datapath
 
+import "reflect"
+
 // Test hooks: the artifact table is a memo, so only a test can need to see
 // it empty or full. None of this is reachable from non-test code.
 
@@ -29,3 +31,35 @@ func (d *CCP) ForgetArtifact() { d.art = nil }
 
 // Vars is the flow's variable table.
 func (d *CCP) Vars() []float64 { return d.vars }
+
+// Features names the optional-feature structs the flow has, in CCP's field
+// order.
+func (d *CCP) Features() []string {
+	var have []string
+	add := func(name string, has bool) {
+		if has {
+			have = append(have, name)
+		}
+	}
+	add("failsafe", d.fs != nil)
+	add("smooth", d.smooth != nil)
+	add("batch", d.batch != nil)
+	add("vector", d.vec != nil)
+	add("instruments", d.ins != nil)
+	return have
+}
+
+// NumberedStats is the Stats of a flow that has every feature struct and
+// whose counters hold 1, 2, 3, ... in the order they are declared: a view
+// that assembles every counter exactly once returns each number once.
+func NumberedStats() (s Stats, counters int) {
+	d := &CCP{fs: &failsafe{}, batch: &batcher{}, vec: &vectorState{}}
+	for _, counts := range []any{&d.n, &d.fs.n, &d.batch.n, &d.vec.n} {
+		v := reflect.ValueOf(counts).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			counters++
+			v.Field(i).SetInt(int64(counters))
+		}
+	}
+	return d.Stats(), counters
+}

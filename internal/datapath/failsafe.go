@@ -3,6 +3,8 @@ package datapath
 import (
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/nativecc"
+	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
@@ -36,6 +38,69 @@ import (
 // Everything is driven by the configured netsim.Clock; with LivenessConfig
 // zero the layer is completely inert and the legacy watchdog behaviour is
 // bit-identical to before this file existed.
+
+// failsafe is the fail-safe state of one flow: everything the two watchdogs,
+// the probe loop, the fallback and the overload backoff keep. A flow has one
+// from New when Config.FallbackAfter or Config.Liveness is set, and otherwise
+// from the first time something exercises the layer (a Backoff from the
+// agent runtime, a Resync from the transport); until then CCP.fs is nil and
+// the flow cannot be in fallback.
+type failsafe struct {
+	// fallback is the in-datapath controller, made at the first fallback
+	// entry (engageFallback) and reused by later ones.
+	fallback tcp.CongestionControl
+	// lastAgentMsg is the virtual time of the last applied control decision
+	// of any kind, which both watchdogs measure silence from; the per-kind
+	// clocks beside it (Install / SetCwnd / SetRate) feed Staleness only.
+	lastAgentMsg  time.Duration
+	lastInstallAt time.Duration
+	lastCwndAt    time.Duration
+	lastRateAt    time.Duration
+	agentGone     bool
+	watchdog      netsim.Timer
+	liveTimer     netsim.Timer
+	// handoffUntil, when nonzero, smooths window increases until the
+	// post-fallback handoff ramp expires. backoffFactor stretches program
+	// waits under agent overload (1 or less: none).
+	handoffUntil  time.Duration
+	backoffFactor float64
+	// Heartbeat probe health scoring: EWMA of probe round-trip latency in
+	// seconds, plus the oldest still-unanswered probe so silence degrades the
+	// score between echoes. scratchHB is the probe handed to ToAgent, valid
+	// for that call (Config.ToAgent).
+	probeTimer   netsim.Timer
+	probeSeq     uint32
+	probeEWMA    float64
+	probeSamples int
+	unechoedSeq  uint32
+	unechoedAt   time.Duration
+	haveUnechoed bool
+	scratchHB    proto.Heartbeat
+
+	n failsafeCounts
+}
+
+// failsafeCounts is the fail-safe layer's part of Stats.
+type failsafeCounts struct {
+	FallbackOn       int
+	FallbackOff      int
+	Resyncs          int
+	LivenessStale    int
+	AgentGoneSignals int
+	HandoffRamps     int
+	BackoffsRecvd    int
+	ProbesSent       int
+	ProbeEchoes      int
+	ProbeExits       int
+}
+
+// failsafe returns the flow's fail-safe state, making it on first use.
+func (d *CCP) failsafe() *failsafe {
+	if d.fs == nil {
+		d.fs = &failsafe{}
+	}
+	return d.fs
+}
 
 // LivenessConfig configures the fail-safe layer for one flow. The zero
 // value disables it (Config.FallbackAfter then governs, as before).
@@ -120,7 +185,9 @@ const probeAlpha = 0.3
 
 // Staleness reports the virtual time since the last applied control message
 // of each kind (Install, SetCwnd, SetRate), and since any of them. A kind
-// never received reads as the time since Init.
+// never received reads as the time since Init. The clocks are the fail-safe
+// layer's: a flow with neither Config.Liveness nor Config.FallbackAfter keeps
+// none and reads as zero.
 type Staleness struct {
 	Install time.Duration
 	Cwnd    time.Duration
@@ -130,13 +197,22 @@ type Staleness struct {
 
 // Staleness returns the flow's current control-staleness clocks.
 func (d *CCP) Staleness() Staleness {
-	now := d.cfg.Clock.Now()
-	return Staleness{
-		Install: now - d.lastInstallAt,
-		Cwnd:    now - d.lastCwndAt,
-		Rate:    now - d.lastRateAt,
-		Any:     now - d.lastAgentMsg,
+	if !d.watched() {
+		return Staleness{}
 	}
+	fs, now := d.fs, d.cfg.Clock.Now()
+	return Staleness{
+		Install: now - fs.lastInstallAt,
+		Cwnd:    now - fs.lastCwndAt,
+		Rate:    now - fs.lastRateAt,
+		Any:     now - fs.lastAgentMsg,
+	}
+}
+
+// watched reports whether either watchdog is configured, which is when New
+// gives the flow its fail-safe state and Init starts its clocks.
+func (d *CCP) watched() bool {
+	return d.cfg.Liveness.on() || d.cfg.FallbackAfter > 0
 }
 
 // AgentGone tells the datapath the transport has lost (gone=true) or
@@ -145,13 +221,13 @@ func (d *CCP) Staleness() Staleness {
 // back signal alone does not exit fallback — only a fresh applied decision
 // proves the control loop is closed again.
 func (d *CCP) AgentGone(gone bool) {
-	if !d.cfg.Liveness.on() || gone == d.agentGone {
+	if !d.cfg.Liveness.on() || gone == d.fs.agentGone {
 		return
 	}
-	d.agentGone = gone
+	d.fs.agentGone = gone
 	if gone {
-		d.stats.AgentGoneSignals++
-		d.mAgentGone.Inc()
+		d.fs.n.AgentGoneSignals++
+		d.ins.inc(mAgentGone)
 		if !d.fallbackActive {
 			d.enterFallback(false)
 		}
@@ -159,27 +235,94 @@ func (d *CCP) AgentGone(gone bool) {
 }
 
 // touchCtrl records an applied control decision of kind t for the
-// staleness clocks, then feeds the shared liveness state.
+// staleness clocks, then feeds the shared liveness state. A flow with no
+// fail-safe state has no clock to reset and no fallback to leave.
 func (d *CCP) touchCtrl(t proto.MsgType) {
+	fs := d.fs
+	if fs == nil {
+		return
+	}
 	now := d.cfg.Clock.Now()
 	switch t {
 	case proto.TypeInstall:
-		d.lastInstallAt = now
+		fs.lastInstallAt = now
 	case proto.TypeSetCwnd:
-		d.lastCwndAt = now
+		fs.lastCwndAt = now
 	case proto.TypeSetRate:
-		d.lastRateAt = now
+		fs.lastRateAt = now
 	}
 	d.touchAgent()
+}
+
+func (d *CCP) touchAgent() {
+	fs := d.fs
+	fs.lastAgentMsg = d.cfg.Clock.Now()
+	if d.fallbackActive && !fs.agentGone && d.exitGateOK() {
+		// Resume the installed program from the top (with a handoff ramp
+		// under the liveness layer). While the transport still reports the
+		// agent gone, a straggling queued decision does not exit fallback;
+		// with probing enabled, neither does a decision arriving while the
+		// probe score is still unhealthy (hysteresis).
+		d.exitFallback()
+	}
+}
+
+// armFailsafe starts the configured watchdog — the liveness layer, else the
+// §5 one — from Init; silence is measured from now.
+func (d *CCP) armFailsafe() {
+	if !d.watched() {
+		return
+	}
+	d.fs.lastAgentMsg = d.cfg.Clock.Now()
+	if d.cfg.Liveness.on() {
+		d.armLiveness()
+	} else {
+		d.armWatchdog()
+	}
+}
+
+// stopFailsafe cancels the layer's timers when the flow closes.
+func (d *CCP) stopFailsafe() {
+	if fs := d.fs; fs != nil {
+		stopTimer(&fs.watchdog)
+		stopTimer(&fs.liveTimer)
+		stopTimer(&fs.probeTimer)
+	}
+}
+
+// armWatchdog runs the minimal §5 watchdog (Config.FallbackAfter).
+func (d *CCP) armWatchdog() {
+	interval := d.cfg.FallbackAfter / 4
+	if interval <= 0 {
+		interval = time.Millisecond
+	}
+	fs := d.fs
+	fs.watchdog = d.cfg.Clock.AfterFunc(interval, func() {
+		now := d.cfg.Clock.Now()
+		if !d.fallbackActive && now-fs.lastAgentMsg > d.cfg.FallbackAfter {
+			fallback := d.engageFallback()
+			if d.conn != nil {
+				fallback.Init(d.conn)
+			}
+		}
+		if d.fallbackActive {
+			// Re-announce the flow every tick while the agent is silent: if
+			// the silence was a crash, the restarted agent has no flow state
+			// and needs a Create to re-adopt the flow (crash/resync recovery).
+			d.Resync()
+		}
+		d.armWatchdog()
+	})
 }
 
 // armLiveness starts the periodic staleness evaluation (the liveness
 // layer's replacement for armWatchdog) and, when configured, the heartbeat
 // probe loop.
 func (d *CCP) armLiveness() {
-	d.lastInstallAt = d.lastAgentMsg
-	d.lastCwndAt = d.lastAgentMsg
-	d.lastRateAt = d.lastAgentMsg
+	fs := d.fs
+	fs.lastInstallAt = fs.lastAgentMsg
+	fs.lastCwndAt = fs.lastAgentMsg
+	fs.lastRateAt = fs.lastAgentMsg
 	d.scheduleLiveness()
 	if d.cfg.Liveness.probesOn() {
 		d.scheduleProbe()
@@ -195,29 +338,30 @@ func (d *CCP) armLiveness() {
 // dup-dropped by an agent that never lost the flow, so no fresh decision
 // may ever arrive to exit on).
 func (d *CCP) scheduleProbe() {
-	d.probeTimer = d.cfg.Clock.AfterFunc(d.cfg.Liveness.ProbeInterval, func() {
+	fs := d.fs
+	fs.probeTimer = d.cfg.Clock.AfterFunc(d.cfg.Liveness.ProbeInterval, func() {
 		now := d.cfg.Clock.Now()
-		if d.haveUnechoed {
-			d.foldProbeSample(now - d.unechoedAt)
+		if fs.haveUnechoed {
+			d.foldProbeSample(now - fs.unechoedAt)
 		}
-		d.probeSeq++
-		if d.probeSeq == 0 {
-			d.probeSeq = 1
+		fs.probeSeq++
+		if fs.probeSeq == 0 {
+			fs.probeSeq = 1
 		}
-		if !d.haveUnechoed {
-			d.haveUnechoed = true
-			d.unechoedSeq = d.probeSeq
-			d.unechoedAt = now
+		if !fs.haveUnechoed {
+			fs.haveUnechoed = true
+			fs.unechoedSeq = fs.probeSeq
+			fs.unechoedAt = now
 		}
-		d.stats.ProbesSent++
-		d.scratchHB = proto.Heartbeat{SID: d.cfg.SID, Seq: d.probeSeq, SentAt: now.Seconds()}
-		d.send(&d.scratchHB)
+		fs.n.ProbesSent++
+		fs.scratchHB = proto.Heartbeat{SID: d.cfg.SID, Seq: fs.probeSeq, SentAt: now.Seconds()}
+		d.send(&fs.scratchHB)
 		// Entry edge for the blind-spot case: control decisions still arrive
 		// at the normal cadence (lastAgentMsg stays fresh) but every round
 		// trip is slower than the budget — the flow is effectively
 		// uncontrolled and belongs in fallback.
-		if !d.fallbackActive && !d.agentGone && d.probeSamples > 0 &&
-			d.probeEWMA > d.cfg.Liveness.StalenessBudget.Seconds() {
+		if !d.fallbackActive && !fs.agentGone && fs.probeSamples > 0 &&
+			fs.probeEWMA > d.cfg.Liveness.StalenessBudget.Seconds() {
 			d.enterFallback(true)
 		}
 		d.scheduleProbe()
@@ -229,6 +373,7 @@ func (d *CCP) scheduleProbe() {
 // clamped at twice the budget so a long outage saturates the score instead
 // of poisoning the post-heal decay.
 func (d *CCP) foldProbeSample(lat time.Duration) {
+	fs := d.fs
 	s := lat.Seconds()
 	if s < 0 {
 		s = 0
@@ -236,17 +381,17 @@ func (d *CCP) foldProbeSample(lat time.Duration) {
 	if cap := 2 * d.cfg.Liveness.StalenessBudget.Seconds(); s > cap {
 		s = cap
 	}
-	if d.probeSamples == 0 {
-		d.probeEWMA = s
+	if fs.probeSamples == 0 {
+		fs.probeEWMA = s
 	} else {
-		d.probeEWMA = (1-probeAlpha)*d.probeEWMA + probeAlpha*s
+		fs.probeEWMA = (1-probeAlpha)*fs.probeEWMA + probeAlpha*s
 	}
-	d.probeSamples++
+	fs.probeSamples++
 }
 
 // probeHealthy reports whether the EWMA latency is inside the exit band.
 func (d *CCP) probeHealthy() bool {
-	return d.probeSamples > 0 && d.probeEWMA < d.cfg.Liveness.exitLatency().Seconds()
+	return d.fs.probeSamples > 0 && d.fs.probeEWMA < d.cfg.Liveness.exitLatency().Seconds()
 }
 
 // exitGateOK is the hysteresis exit gate consulted by touchAgent: with
@@ -266,16 +411,17 @@ func (d *CCP) exitGateOK() bool {
 // control staleness clocks.
 func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 	if !d.cfg.Liveness.probesOn() {
-		d.stats.UnexpectedMsgs++
+		d.n.UnexpectedMsgs++
 		return
 	}
-	d.stats.ProbeEchoes++
+	fs := d.fs
+	fs.n.ProbeEchoes++
 	d.foldProbeSample(d.cfg.Clock.Now() - secsToDur(v.SentAt))
-	if !d.haveUnechoed || v.Seq == d.unechoedSeq || proto.SeqNewer(v.Seq, d.unechoedSeq) {
-		d.haveUnechoed = false
+	if !fs.haveUnechoed || v.Seq == fs.unechoedSeq || proto.SeqNewer(v.Seq, fs.unechoedSeq) {
+		fs.haveUnechoed = false
 	}
-	if d.fallbackActive && !d.agentGone && d.probeHealthy() {
-		d.stats.ProbeExits++
+	if d.fallbackActive && !fs.agentGone && d.probeHealthy() {
+		fs.n.ProbeExits++
 		// touchAgent applies the exit (resetting the staleness clock too, so
 		// the budget does not immediately re-trip on the pre-outage
 		// lastAgentMsg).
@@ -284,10 +430,11 @@ func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 }
 
 func (d *CCP) scheduleLiveness() {
-	d.liveTimer = d.cfg.Clock.AfterFunc(d.cfg.Liveness.checkInterval(), func() {
+	fs := d.fs
+	fs.liveTimer = d.cfg.Clock.AfterFunc(d.cfg.Liveness.checkInterval(), func() {
 		now := d.cfg.Clock.Now()
-		if !d.fallbackActive && (d.agentGone || now-d.lastAgentMsg > d.cfg.Liveness.StalenessBudget) {
-			d.enterFallback(!d.agentGone)
+		if !d.fallbackActive && (fs.agentGone || now-fs.lastAgentMsg > d.cfg.Liveness.StalenessBudget) {
+			d.enterFallback(!fs.agentGone)
 		}
 		if d.fallbackActive {
 			// Re-announce the flow every tick while degraded: a restarted
@@ -298,32 +445,42 @@ func (d *CCP) scheduleLiveness() {
 	})
 }
 
+// engageFallback is what both ways into fallback start with — the §5
+// watchdog's and the liveness layer's enterFallback: mark the flow, count the
+// entry, stop the program's wait. It returns the in-datapath controller, made
+// here the first time a flow needs one, for the caller to Init.
+func (d *CCP) engageFallback() tcp.CongestionControl {
+	fs := d.fs
+	d.fallbackActive = true
+	fs.n.FallbackOn++
+	d.ins.inc(mFallbackOn)
+	stopTimer(&d.waitTimer)
+	if fs.fallback == nil {
+		fs.fallback = nativecc.NewNewReno()
+	}
+	return fs.fallback
+}
+
 // enterFallback hands the flow to the in-datapath algorithm. stale records
 // whether the trigger was budget exhaustion (vs. an explicit gone signal).
 func (d *CCP) enterFallback(stale bool) {
-	d.fallbackActive = true
-	d.stats.FallbackOn++
-	d.mFallbackOn.Inc()
+	fallback := d.engageFallback()
 	if stale {
-		d.stats.LivenessStale++
-		d.mLivenessStale.Inc()
-	}
-	if d.waitTimer != nil {
-		d.waitTimer.Stop()
-		d.waitTimer = nil
+		d.fs.n.LivenessStale++
+		d.ins.inc(mLivenessStale)
 	}
 	// Cancel any in-flight smoothing ramp; the fallback owns the window now.
-	d.cwndTarget = 0
-	d.handoffUntil = 0
+	d.cancelRamp()
+	d.fs.handoffUntil = 0
 	if d.conn != nil {
 		// The dead agent's last pacing cap must not throttle the fallback.
 		d.conn.SetPacingRate(0)
-		d.fallback.Init(d.conn)
+		fallback.Init(d.conn)
 		// Conservative entry: replay the fallback's own multiplicative
 		// decrease, halving cwnd (floor two segments) and starting it in
 		// congestion avoidance rather than slow-starting from the stale
 		// window.
-		d.fallback.OnCongestion(d.conn, tcp.EventECN, 0)
+		fallback.OnCongestion(d.conn, tcp.EventECN, 0)
 	}
 }
 
@@ -332,30 +489,28 @@ func (d *CCP) enterFallback(stale bool) {
 // layer the transition is additionally smoothed by a handoff ramp.
 func (d *CCP) exitFallback() {
 	d.fallbackActive = false
-	d.stats.FallbackOff++
-	d.mFallbackOff.Inc()
+	d.fs.n.FallbackOff++
+	d.ins.inc(mFallbackOff)
 	if d.cfg.Liveness.on() {
-		d.stats.HandoffRamps++
-		d.handoffUntil = d.cfg.Clock.Now() + d.rttDur(d.cfg.Liveness.handoffRtts())
+		d.fs.n.HandoffRamps++
+		d.fs.handoffUntil = d.cfg.Clock.Now() + d.rttDur(d.cfg.Liveness.handoffRtts())
 	}
 	d.pc = 0
 	d.waitedPass = false
 	d.resume()
 }
 
-// smoothingActive reports whether window increases should currently ramp
-// instead of stepping: always under SmoothCwnd, and during the post-fallback
-// handoff window under the liveness layer.
-func (d *CCP) smoothingActive() bool {
-	if d.cfg.SmoothCwnd {
+// handingOff reports whether the flow is inside its post-fallback handoff
+// window, during which window increases ramp even without SmoothCwnd.
+func (d *CCP) handingOff() bool {
+	fs := d.fs
+	if fs == nil || fs.handoffUntil == 0 {
+		return false
+	}
+	if d.cfg.Clock.Now() < fs.handoffUntil {
 		return true
 	}
-	if d.handoffUntil > 0 {
-		if d.cfg.Clock.Now() < d.handoffUntil {
-			return true
-		}
-		d.handoffUntil = 0
-	}
+	fs.handoffUntil = 0
 	return false
 }
 
@@ -364,8 +519,9 @@ func (d *CCP) smoothingActive() bool {
 // and lets it decay back toward 1 as waits are scheduled. Backoff is
 // advisory — it is not a control decision and does not count as liveness.
 func (d *CCP) handleBackoff(v *proto.Backoff) {
-	d.stats.BackoffsRecvd++
-	d.mBackoffRecvd.Inc()
+	fs := d.failsafe()
+	fs.n.BackoffsRecvd++
+	d.ins.inc(mBackoffRecvd)
 	f := v.Factor
 	if f < 1 {
 		f = 1
@@ -373,24 +529,25 @@ func (d *CCP) handleBackoff(v *proto.Backoff) {
 	if mx := d.cfg.Liveness.maxBackoff(); f > mx {
 		f = mx
 	}
-	if f > d.backoffFactor {
-		d.backoffFactor = f
+	if f > fs.backoffFactor {
+		fs.backoffFactor = f
 	}
 }
 
 // stretchWait applies (and decays) the overload backoff factor to a program
 // wait duration. With no backoff in force it returns dur unchanged.
 func (d *CCP) stretchWait(dur time.Duration) time.Duration {
-	if d.backoffFactor <= 1 {
+	fs := d.fs
+	if fs == nil || fs.backoffFactor <= 1 {
 		return dur
 	}
-	dur = time.Duration(float64(dur) * d.backoffFactor)
+	dur = time.Duration(float64(dur) * fs.backoffFactor)
 	// Geometric decay: pressure relief is automatic once the runtime stops
 	// sending Backoffs, restoring full measurement frequency within a few
 	// report intervals.
-	d.backoffFactor *= 0.9
-	if d.backoffFactor < 1.01 {
-		d.backoffFactor = 1
+	fs.backoffFactor *= 0.9
+	if fs.backoffFactor < 1.01 {
+		fs.backoffFactor = 1
 	}
 	return dur
 }
@@ -398,8 +555,27 @@ func (d *CCP) stretchWait(dur time.Duration) time.Duration {
 // BackoffFactor returns the report-interval stretch currently in force
 // (1 when none).
 func (d *CCP) BackoffFactor() float64 {
-	if d.backoffFactor < 1 {
+	if d.fs == nil || d.fs.backoffFactor < 1 {
 		return 1
 	}
-	return d.backoffFactor
+	return d.fs.backoffFactor
+}
+
+// Resync re-announces the flow to the agent. The Create carries the flow's
+// *current* window (not the original one) so a restarted agent starts from
+// live state, and the newest applied control sequence so the agent resumes
+// numbering above it instead of looking stale.
+func (d *CCP) Resync() {
+	if d.conn == nil {
+		return
+	}
+	d.failsafe().n.Resyncs++
+	d.flushBatch()
+	d.send(&proto.Create{
+		SID:      d.cfg.SID,
+		MSS:      uint32(d.conn.MSS()),
+		InitCwnd: uint32(d.conn.Cwnd()),
+		Seq:      d.lastCtrlSeq,
+		Alg:      d.cfg.Alg,
+	})
 }

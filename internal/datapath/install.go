@@ -303,13 +303,13 @@ func defaultInstall(mode absint.Mode) installable {
 // error the previous program stays in force.
 func (d *CCP) install(prog []byte) error {
 	in, err := prepare(d.art, prog, d.cfg.Verify)
-	d.stats.VerifyWarnings += in.warnings
+	d.n.VerifyWarnings += in.warnings
 	if in.hit {
-		d.stats.InstallArtifactHits++
-		d.mArtifactHit.Inc()
+		d.n.InstallArtifactHits++
+		d.ins.inc(mArtifactHit)
 	} else if in.miss {
-		d.stats.InstallArtifactMisses++
-		d.mArtifactMiss.Inc()
+		d.n.InstallArtifactMisses++
+		d.ins.inc(mArtifactMiss)
 	}
 	if err != nil {
 		return err
@@ -337,14 +337,16 @@ func (d *CCP) activate(in installable) {
 	if d.fold != nil {
 		d.fold.InitRegs(d.vars)
 	}
-	d.vecFields = in.prog.Measure.Fields
-	d.vec = d.vec[:0]
+	if d.vec == nil && in.prog.Measure.Mode == lang.MeasureVector {
+		d.vec = &vectorState{}
+	}
+	if v := d.vec; v != nil {
+		v.fields = in.prog.Measure.Fields
+		v.rows = v.rows[:0]
+	}
 	d.pc = 0
 	d.waitedPass = false
-	if d.waitTimer != nil {
-		d.waitTimer.Stop()
-		d.waitTimer = nil
-	}
+	stopTimer(&d.waitTimer)
 	d.refreshFlowVars()
 	d.resume()
 }

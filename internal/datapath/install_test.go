@@ -13,7 +13,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/lang/randprog"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -409,24 +408,6 @@ func TestAllocsColdInstall(t *testing.T) {
 		if allocs := installAllocs(t, alg, coldInstall); allocs > max {
 			t.Errorf("%s: cold Install allocated %.1f times, want <= %.0f", alg, allocs, max)
 		}
-	}
-}
-
-// TestAllocsNewWithoutRegistry: a flow built without a metrics registry holds
-// no instruments. New allocates exactly what it does when every lookup finds
-// its instrument already made — the runtime and its filters — and not ten
-// counters and a 544-byte histogram nothing could ever read.
-func TestAllocsNewWithoutRegistry(t *testing.T) {
-	if testenv.RaceEnabled {
-		t.Skip("allocation counts are inflated under -race")
-	}
-	cfg := datapath.Config{SID: 1, Clock: netsim.New(1), ToAgent: func(proto.Msg) error { return nil }}
-	bare := testing.AllocsPerRun(100, func() { datapath.New(cfg) })
-	cfg.Metrics = metrics.NewRegistry()
-	datapath.New(cfg) // makes the instruments
-	found := testing.AllocsPerRun(100, func() { datapath.New(cfg) })
-	if bare != found {
-		t.Fatalf("New allocates %.1f times without a registry, %.1f with one already filled", bare, found)
 	}
 }
 

@@ -1,0 +1,202 @@
+package datapath
+
+import "github.com/ccp-repro/ccp/internal/metrics"
+
+// What the runtime counts. Each counter lives with the state of the code
+// that bumps it — the core's in CCP.n, a feature's in that feature's struct —
+// and Stats is the view assembled from whichever of them the flow has.
+
+// Stats counts the runtime's activity for experiments and tests.
+type Stats struct {
+	AcksProcessed  int
+	ReportsSent    int
+	VectorsSent    int
+	VectorRowsSent int
+	UrgentsSent    int
+	SendErrors     int
+	InstallsRecvd  int
+	SetCwndRecvd   int
+	SetRateRecvd   int
+	FallbackOn     int
+	FallbackOff    int
+	VectorDropped  int
+	// StaleCtrlDropped counts sequenced control messages (Install, SetCwnd,
+	// SetRate) discarded because a newer decision had already been applied —
+	// the reorder/duplicate protection of the control channel.
+	StaleCtrlDropped int
+	// Resyncs counts Create re-announcements sent while the fallback was
+	// active, prompting a restarted agent to re-adopt the flow.
+	Resyncs int
+	// UnexpectedMsgs counts agent messages of a type the datapath does not
+	// handle; they are ignored rather than trusted.
+	UnexpectedMsgs int
+	// InstallRejects counts Install messages refused — malformed wire
+	// programs and verifier rejections alike. Each one was answered with a
+	// proto.InstallErr and left the previous program in force.
+	InstallRejects int
+	// VerifyWarnings counts advisory verifier findings on programs that
+	// were installed anyway (warn-severity findings in any mode, plus
+	// error-severity ones under Verify=warn).
+	VerifyWarnings int
+	// InstallArtifactHits counts installs whose measure half — the fold with
+	// its Init values, or the vector's fields — was already verified and
+	// compiled (by this flow's current program or by any flow in the process)
+	// and was reused; InstallArtifactMisses counts those that had to build it.
+	// Unlike every other counter here they depend on what the process
+	// installed before this flow, not on the flow's own history, so
+	// run-to-run comparisons go through Deterministic. The built-in default
+	// program is prepared once per process and counts as neither.
+	InstallArtifactHits   int
+	InstallArtifactMisses int
+	// BatchesSent counts multi-report frames shipped; BatchedReports counts
+	// the reports they carried (a batch of one is sent plain and counts
+	// under neither).
+	BatchesSent    int
+	BatchedReports int
+	// LivenessStale counts fallback entries triggered by the staleness
+	// budget (vs. AgentGoneSignals, explicit transport notifications that
+	// the agent connection is lost). HandoffRamps counts smoothed
+	// fallback-exit transitions; BackoffsRecvd counts overload backoff
+	// messages accepted from the agent runtime.
+	LivenessStale    int
+	AgentGoneSignals int
+	HandoffRamps     int
+	BackoffsRecvd    int
+	// Heartbeat probing (LivenessConfig.ProbeInterval): probes sent, echoes
+	// received, and fallback exits granted by a recovered probe score.
+	ProbesSent  int
+	ProbeEchoes int
+	ProbeExits  int
+}
+
+// coreCounts are the counters every flow's ACK, report and decision paths
+// bump. The rest of Stats is counted where the feature's state is:
+// failsafeCounts (failsafe.go), batchCounts (batch.go), vectorCounts
+// (report.go).
+type coreCounts struct {
+	AcksProcessed         int
+	ReportsSent           int
+	UrgentsSent           int
+	SendErrors            int
+	InstallsRecvd         int
+	SetCwndRecvd          int
+	SetRateRecvd          int
+	StaleCtrlDropped      int
+	UnexpectedMsgs        int
+	InstallRejects        int
+	VerifyWarnings        int
+	InstallArtifactHits   int
+	InstallArtifactMisses int
+}
+
+// Stats returns a snapshot of the runtime counters: the core's, and those of
+// each optional feature the flow has state for (a feature it never had
+// counted nothing).
+func (d *CCP) Stats() Stats {
+	s := Stats{
+		AcksProcessed:         d.n.AcksProcessed,
+		ReportsSent:           d.n.ReportsSent,
+		UrgentsSent:           d.n.UrgentsSent,
+		SendErrors:            d.n.SendErrors,
+		InstallsRecvd:         d.n.InstallsRecvd,
+		SetCwndRecvd:          d.n.SetCwndRecvd,
+		SetRateRecvd:          d.n.SetRateRecvd,
+		StaleCtrlDropped:      d.n.StaleCtrlDropped,
+		UnexpectedMsgs:        d.n.UnexpectedMsgs,
+		InstallRejects:        d.n.InstallRejects,
+		VerifyWarnings:        d.n.VerifyWarnings,
+		InstallArtifactHits:   d.n.InstallArtifactHits,
+		InstallArtifactMisses: d.n.InstallArtifactMisses,
+	}
+	if fs := d.fs; fs != nil {
+		s.FallbackOn = fs.n.FallbackOn
+		s.FallbackOff = fs.n.FallbackOff
+		s.Resyncs = fs.n.Resyncs
+		s.LivenessStale = fs.n.LivenessStale
+		s.AgentGoneSignals = fs.n.AgentGoneSignals
+		s.HandoffRamps = fs.n.HandoffRamps
+		s.BackoffsRecvd = fs.n.BackoffsRecvd
+		s.ProbesSent = fs.n.ProbesSent
+		s.ProbeEchoes = fs.n.ProbeEchoes
+		s.ProbeExits = fs.n.ProbeExits
+	}
+	if b := d.batch; b != nil {
+		s.BatchesSent = b.n.BatchesSent
+		s.BatchedReports = b.n.BatchedReports
+	}
+	if v := d.vec; v != nil {
+		s.VectorsSent = v.n.VectorsSent
+		s.VectorRowsSent = v.n.VectorRowsSent
+		s.VectorDropped = v.n.VectorDropped
+	}
+	return s
+}
+
+// Deterministic returns s without the counters that depend on process
+// history (InstallArtifactHits/Misses): what remains is a function of the
+// flow's own inputs, comparable between two runs in one process.
+func (s Stats) Deterministic() Stats {
+	s.InstallArtifactHits, s.InstallArtifactMisses = 0, 0
+	return s
+}
+
+// instrument names one of the counters a flow mirrors into Config.Metrics.
+type instrument int
+
+const (
+	mReportsSent instrument = iota
+	mUrgentsSent
+	mFallbackOn
+	mFallbackOff
+	mAgentGone
+	mLivenessStale
+	mBackoffRecvd
+	mInstallReject
+	mArtifactHit
+	mArtifactMiss
+	numInstruments
+)
+
+var instrumentNames = [numInstruments]string{
+	mReportsSent:   "dp_reports_sent_total",
+	mUrgentsSent:   "dp_urgents_sent_total",
+	mFallbackOn:    "dp_fallback_on_total",
+	mFallbackOff:   "dp_fallback_off_total",
+	mAgentGone:     "dp_agent_gone_total",
+	mLivenessStale: "dp_liveness_stale_total",
+	mBackoffRecvd:  "dp_backoff_recvd_total",
+	mInstallReject: "dp_install_rejects_total",
+	mArtifactHit:   "dp_install_artifact_hits_total",
+	mArtifactMiss:  "dp_install_artifact_misses_total",
+}
+
+// instruments caches a flow's handles into its metrics registry. A flow
+// without a registry has none: the nil *instruments absorbs writes, as a nil
+// *metrics.Counter does.
+type instruments struct {
+	counters  [numInstruments]*metrics.Counter
+	batchSize *metrics.Histogram
+}
+
+func newInstruments(r *metrics.Registry) *instruments {
+	if r == nil {
+		return nil
+	}
+	ins := &instruments{batchSize: r.Histogram("dp_batch_size")}
+	for i, name := range instrumentNames {
+		ins.counters[i] = r.Counter(name)
+	}
+	return ins
+}
+
+func (ins *instruments) inc(i instrument) {
+	if ins != nil {
+		ins.counters[i].Inc()
+	}
+}
+
+func (ins *instruments) observeBatch(size int) {
+	if ins != nil {
+		ins.batchSize.Observe(float64(size))
+	}
+}

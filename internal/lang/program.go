@@ -164,7 +164,8 @@ func ValidateControl(instrs []Instr, resolve Resolver) error {
 }
 
 // RegNames returns the measurement field names a Report will carry, in
-// order: fold register names, vector field names, or the EWMA defaults.
+// order: fold register names, vector field names, or the EWMA defaults. The
+// EWMA defaults are EWMAReportNames' list: shared, do not modify.
 func (p *Program) RegNames() []string {
 	switch p.Measure.Mode {
 	case MeasureFold:
@@ -212,10 +213,13 @@ const (
 	EWMALastRtt = "last_rtt" // most recent raw RTT sample, seconds
 )
 
-// EWMAReportNames returns the EWMA-mode report field names in order.
-func EWMAReportNames() []string {
-	return []string{EWMARtt, EWMASndRate, EWMARcvRate, EWMAAcked, EWMALost, EWMAEcnFrac, EWMALastRtt}
-}
+var ewmaReportNames = []string{EWMARtt, EWMASndRate, EWMARcvRate, EWMAAcked, EWMALost, EWMAEcnFrac, EWMALastRtt}
+
+// EWMAReportNames returns the EWMA-mode report field names in order. Every
+// call returns the same list — each default-program flow on an agent decodes
+// its reports under it — so it is shared, do not modify (its capacity is its
+// length: an append copies).
+func EWMAReportNames() []string { return ewmaReportNames }
 
 // Builder assembles a Program fluently, mirroring the paper's
 // Measure(...).Rate(...).WaitRtts(1.0).Report() notation.

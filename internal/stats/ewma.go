@@ -6,24 +6,25 @@ package stats
 import "math"
 
 // EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]: higher alpha weights new samples more heavily. The zero
-// value is not usable; construct with NewEWMA.
+// alpha in (0, 1]: higher alpha weights new samples more heavily. It is a
+// value: embed it where it is used. The zero value has alpha 1 (it follows the
+// last sample); MakeEWMA sets any other.
 type EWMA struct {
-	alpha float64
+	keep  float64 // 1 - alpha, the weight of the running value, in [0, 1)
 	value float64
 	init  bool
 }
 
-// NewEWMA returns an EWMA with the given smoothing factor. Alpha is clamped
+// MakeEWMA returns an EWMA with the given smoothing factor. Alpha is clamped
 // to (0, 1].
-func NewEWMA(alpha float64) *EWMA {
+func MakeEWMA(alpha float64) EWMA {
 	if alpha <= 0 {
 		alpha = 1e-9
 	}
 	if alpha > 1 {
 		alpha = 1
 	}
-	return &EWMA{alpha: alpha}
+	return EWMA{keep: 1 - alpha}
 }
 
 // Update folds a new sample into the average and returns the new value. The
@@ -34,7 +35,7 @@ func (e *EWMA) Update(sample float64) float64 {
 		e.init = true
 		return e.value
 	}
-	e.value = e.alpha*sample + (1-e.alpha)*e.value
+	e.value = (1-e.keep)*sample + e.keep*e.value
 	return e.value
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestEWMAFirstSampleInitializes(t *testing.T) {
-	e := NewEWMA(0.5)
+	e := MakeEWMA(0.5)
 	if e.Initialized() {
 		t.Fatal("fresh EWMA reports initialized")
 	}
@@ -22,7 +22,7 @@ func TestEWMAFirstSampleInitializes(t *testing.T) {
 }
 
 func TestEWMASmoothing(t *testing.T) {
-	e := NewEWMA(0.5)
+	e := MakeEWMA(0.5)
 	e.Update(10)
 	if got := e.Update(20); got != 15 {
 		t.Fatalf("got %v, want 15", got)
@@ -34,7 +34,7 @@ func TestEWMASmoothing(t *testing.T) {
 
 func TestEWMAAlphaClamped(t *testing.T) {
 	for _, alpha := range []float64{-1, 0, 2} {
-		e := NewEWMA(alpha)
+		e := MakeEWMA(alpha)
 		e.Update(1)
 		e.Update(3)
 		v := e.Value()
@@ -45,7 +45,7 @@ func TestEWMAAlphaClamped(t *testing.T) {
 }
 
 func TestEWMAReset(t *testing.T) {
-	e := NewEWMA(0.3)
+	e := MakeEWMA(0.3)
 	e.Update(5)
 	e.Reset()
 	if e.Initialized() || e.Value() != 0 {
@@ -54,7 +54,7 @@ func TestEWMAReset(t *testing.T) {
 }
 
 func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.25)
+	e := MakeEWMA(0.25)
 	for i := 0; i < 200; i++ {
 		e.Update(42)
 	}
@@ -75,7 +75,7 @@ func TestEWMABetweenMinAndMax(t *testing.T) {
 			}
 		}
 		alpha := float64(alphaRaw%100+1) / 100
-		e := NewEWMA(alpha)
+		e := MakeEWMA(alpha)
 		lo, hi := samples[0], samples[0]
 		for _, s := range samples {
 			lo = math.Min(lo, s)
