@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke bench-compare bench-micro benchstat test-allocs test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
+.PHONY: all build test test-short lines bench bench-smoke bench-compare bench-micro benchstat test-allocs test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
 
 all: build test
 
@@ -17,6 +17,11 @@ test:
 # wall-clock echo round trips).
 test-short:
 	$(GO) test -short ./...
+
+# Non-test Go lines in the tree: the number ROADMAP item 5 and CHANGES.md
+# have quoted since PR 20. Counts what git tracks (`git add` a new file first).
+lines:
+	@git ls-files '*.go' | grep -v _test.go | grep -v testdata | xargs cat | wc -l
 
 # The end-to-end control-loop benchmark (benchmark/README.md): every workload,
 # untraced for the gated end-to-end metrics and traced for the per-layer ones,

@@ -68,15 +68,16 @@ func BenchmarkTable2ControlPrimitives(b *testing.B) {
 
 // §2.4: per-ACK cost of the fold path (bounded state in the datapath).
 func BenchmarkFoldPerPacket(b *testing.B) {
-	fold, err := lang.ParseFold(`
-		(def (base_rtt 1e9) (delta 0))
-		(:= base_rtt (min base_rtt pkt.rtt))
-		(:= delta (if (< (/ (* (- pkt.rtt base_rtt) cwnd) (max base_rtt 1e-9)) 2)
-		              (+ delta 1)
-		              (if (> (/ (* (- pkt.rtt base_rtt) cwnd) (max base_rtt 1e-9)) 4)
-		                  (- delta 1) delta)))`)
-	if err != nil {
-		b.Fatal(err)
+	baseRTT, delta := lang.V("base_rtt"), lang.V("delta")
+	queued := lang.Div(lang.Mul(lang.Sub(lang.V("pkt.rtt"), baseRTT), lang.V("cwnd")), lang.Max(baseRTT, lang.C(1e-9)))
+	fold := &lang.FoldSpec{
+		Regs: []lang.RegDef{{Name: "base_rtt", Init: 1e9}, {Name: "delta", Init: 0}},
+		Updates: []lang.Assign{
+			{Dst: "base_rtt", E: lang.Min(baseRTT, lang.V("pkt.rtt"))},
+			{Dst: "delta", E: lang.Ite(lang.Lt(queued, lang.C(2)),
+				lang.Add(delta, lang.C(1)),
+				lang.Ite(lang.Gt(queued, lang.C(4)), lang.Sub(delta, lang.C(1)), delta))},
+		},
 	}
 	cf, err := lang.CompileFold(fold)
 	if err != nil {

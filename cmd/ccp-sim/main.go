@@ -16,9 +16,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/experiments"
-	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/trace"
 )
 
@@ -38,16 +36,8 @@ func main() {
 		outDir     = flag.String("out", "", "directory for CSV series output (optional)")
 		scale      = flag.Float64("scale", 1.0, "scale link rates (e.g. 0.1 runs fig3 at 100 Mbit/s)")
 		samples    = flag.Int("fig2-samples", 60000, "fig2: RTT samples per condition")
-		verify     = flag.String("verify", "strict", "install-time program verification: strict|warn|off")
 	)
 	flag.Parse()
-
-	vmode, err := absint.ParseMode(*verify)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccp-sim: %v\n", err)
-		os.Exit(2)
-	}
-	datapath.SetDefaultVerify(vmode)
 
 	if *list {
 		for _, id := range experimentOrder {

@@ -50,14 +50,11 @@ type Config struct {
 	// Both the simulator bridge and SocketLink marshal synchronously, so they
 	// satisfy this for free.
 	ToAgent func(proto.Msg) error
-	// FallbackAfter reverts to in-datapath NewReno when no agent message
-	// has arrived for this long (0 disables the watchdog). When
-	// Liveness.StalenessBudget is set the liveness layer supersedes this
-	// watchdog and FallbackAfter is ignored.
-	FallbackAfter time.Duration
-	// Liveness configures the fail-safe layer (see failsafe.go): per-kind
-	// control staleness clocks, explicit agent-gone handling, conservative
-	// fallback entry, and smoothed re-handoff. Zero value disables it.
+	// Liveness configures the fail-safe layer (see failsafe.go), the §5
+	// watchdog: in-datapath NewReno takes over when no control decision has
+	// been applied for Liveness.StalenessBudget, with per-kind staleness
+	// clocks, explicit agent-gone handling, conservative fallback entry, and
+	// smoothed re-handoff. Zero value disables it.
 	Liveness LivenessConfig
 	// MaxVectorRows caps vector-mode batching memory (default 8192 rows);
 	// beyond it, samples are dropped and counted.
@@ -90,21 +87,10 @@ type Config struct {
 	// (internal/lang/absint): strict refuses programs with install-blocking
 	// findings (the previous program stays in force and the agent is told
 	// via proto.InstallErr), warn counts them but installs anyway, off skips
-	// analysis. ModeDefault resolves to the package default (strict unless
-	// changed with SetDefaultVerify).
+	// analysis. ModeDefault is strict: the datapath is a trust boundary (§2:
+	// it executes programs handed to it by a less-trusted agent).
 	Verify absint.Mode
 }
-
-// defaultVerify is the verification mode used when Config.Verify is
-// ModeDefault. The datapath is a trust boundary (§2: it executes programs
-// handed to it by a less-trusted agent), so the default is strict.
-var defaultVerify = absint.ModeStrict
-
-// SetDefaultVerify sets the process-wide default verification mode used by
-// flows whose Config leaves Verify at ModeDefault. It exists for command-line
-// tools (-verify=strict|warn|off) that construct datapaths indirectly through
-// the experiment harness; call it before creating flows.
-func SetDefaultVerify(m absint.Mode) { defaultVerify = m }
 
 // CCP is the datapath runtime for one flow. It implements
 // tcp.CongestionControl and is driven by the datapath's ACK processing on
@@ -190,7 +176,7 @@ func New(cfg Config) *CCP {
 		cfg.MaxBatchMsgs = proto.MaxBatchMsgs
 	}
 	if cfg.Verify == absint.ModeDefault {
-		cfg.Verify = defaultVerify
+		cfg.Verify = absint.ModeStrict
 	}
 	d := &CCP{
 		cfg:     cfg,
@@ -199,7 +185,7 @@ func New(cfg Config) *CCP {
 		ewmaRcv: stats.MakeEWMA(0.25),
 		ins:     newInstruments(cfg.Metrics),
 	}
-	if d.watched() {
+	if cfg.Liveness.on() {
 		d.fs = &failsafe{}
 	}
 	if cfg.SmoothCwnd {

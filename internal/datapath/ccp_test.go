@@ -394,15 +394,20 @@ func TestDirectSetCwndSetRate(t *testing.T) {
 }
 
 func TestFallbackOnAgentSilence(t *testing.T) {
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{FallbackAfter: 500 * time.Millisecond})
+	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	r.flow.Conn.Start()
-	// Agent never sends anything: after 500ms the datapath must take over.
+	// Agent never sends anything: once the 500ms budget is spent the
+	// datapath must take over.
+	r.sim.Run(500 * time.Millisecond)
+	if r.dp.FallbackActive() {
+		t.Fatal("fallback active inside the budget")
+	}
 	r.sim.Run(2 * time.Second)
 	if !r.dp.FallbackActive() {
 		t.Fatal("fallback not active despite agent silence")
 	}
-	if r.dp.Stats().FallbackOn != 1 {
-		t.Fatalf("fallback activations=%d", r.dp.Stats().FallbackOn)
+	if st := r.dp.Stats(); st.FallbackOn != 1 || st.LivenessStale != 1 {
+		t.Fatalf("stats=%+v, want one activation, by staleness", st)
 	}
 	// The fallback NewReno keeps the flow moving.
 	pre := r.flow.Receiver.Delivered()
@@ -410,18 +415,22 @@ func TestFallbackOnAgentSilence(t *testing.T) {
 	if r.flow.Receiver.Delivered() <= pre {
 		t.Fatal("no progress under fallback")
 	}
-	// Agent returns: fallback deactivates.
+	// Agent returns: fallback deactivates, through the handoff ramp. The
+	// decision is below the window NewReno grew, and a decrease is not ramped.
 	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 20000})
 	if r.dp.FallbackActive() {
 		t.Fatal("fallback still active after agent message")
 	}
-	if r.dp.Stats().FallbackOff != 1 {
-		t.Fatalf("fallback deactivations=%d", r.dp.Stats().FallbackOff)
+	if st := r.dp.Stats(); st.FallbackOff != 1 || st.HandoffRamps != 1 {
+		t.Fatalf("stats=%+v, want one deactivation, ramped", st)
+	}
+	if got := r.flow.Conn.Cwnd(); got != 20000 {
+		t.Fatalf("cwnd=%d after the agent's decision, want 20000", got)
 	}
 }
 
 func TestNoFallbackWhenAgentAlive(t *testing.T) {
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{FallbackAfter: 500 * time.Millisecond})
+	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	r.flow.Conn.Start()
 	// Simulate a live agent: poke every 200ms.
 	var poke func()
@@ -526,7 +535,7 @@ func TestUnsequencedCtrlAlwaysAccepted(t *testing.T) {
 func TestStaleCtrlIsNotLiveness(t *testing.T) {
 	// Replayed stale messages must not hold the §5 watchdog off: only
 	// applied decisions prove the agent is making progress.
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{FallbackAfter: 500 * time.Millisecond})
+	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	r.flow.Conn.Start()
 	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 100, Bytes: 20000})
 	stale := func() { r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 1, Bytes: 5000}) }
@@ -562,7 +571,7 @@ func TestUrgentsCarrySequence(t *testing.T) {
 }
 
 func TestWatchdogResyncsWhileFallbackActive(t *testing.T) {
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{FallbackAfter: 500 * time.Millisecond})
+	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	r.flow.Conn.Start()
 	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 7, Bytes: 20000})
 	r.sim.Run(2 * time.Second) // agent goes silent; fallback engages
@@ -595,7 +604,7 @@ func TestFallbackRecoveryReinstallsProgram(t *testing.T) {
 	// Crash recovery end state: after the agent returns and re-installs, the
 	// CCP program is in force and the window is the agent's decision — no
 	// native-fallback state bleeds into the CCP window.
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{FallbackAfter: 500 * time.Millisecond})
+	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	r.flow.Conn.Start()
 	r.sim.Run(3 * time.Second) // fallback engages; NewReno grows the window
 	if !r.dp.FallbackActive() {
@@ -610,11 +619,12 @@ func TestFallbackRecoveryReinstallsProgram(t *testing.T) {
 	if r.dp.FallbackActive() {
 		t.Fatal("fallback still active after re-install")
 	}
-	if r.dp.Stats().FallbackOff != 1 || r.dp.Stats().InstallsRecvd != 1 {
-		t.Fatalf("stats=%+v", r.dp.Stats())
+	if st := r.dp.Stats(); st.FallbackOff != 1 || st.HandoffRamps != 1 || st.InstallsRecvd != 1 {
+		t.Fatalf("stats=%+v", st)
 	}
 	// The re-installed program runs immediately and overwrites whatever
-	// window the native fallback had grown to.
+	// window the native fallback had grown to (from half the window at entry
+	// to well past 30000 in 2.5s; the exit ramp smooths increases only).
 	if got := r.flow.Conn.Cwnd(); got != 30000 {
 		t.Fatalf("cwnd=%d after re-install, want the program's 30000", got)
 	}

@@ -9,15 +9,11 @@ import (
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
-// This file is the fail-safe layer: liveness tracking over the agent's
-// control decisions, entry into the in-datapath fallback when the control
-// plane goes stale or the link reports the agent gone, and the seamless
-// re-handoff back to CCP control when the agent recovers.
-//
-// It subsumes the minimal §5 watchdog (Config.FallbackAfter): that watchdog
-// only measures "any agent message recently?" and re-enters the installed
-// program with no window adjustment in either direction. The liveness layer
-// instead:
+// This file is the fail-safe layer — the paper's §5 fallback "if the agent
+// dies": liveness tracking over the agent's control decisions, entry into the
+// in-datapath fallback when the control plane goes stale or the link reports
+// the agent gone, and the seamless re-handoff back to CCP control when the
+// agent recovers. There is one way in and one way out. The layer:
 //
 //   - keeps per-kind staleness clocks (virtual time of the last *applied*
 //     Install / SetCwnd / SetRate), so tests and operators can see which
@@ -36,12 +32,12 @@ import (
 //     without a cwnd discontinuity.
 //
 // Everything is driven by the configured netsim.Clock; with LivenessConfig
-// zero the layer is completely inert and the legacy watchdog behaviour is
-// bit-identical to before this file existed.
+// zero the layer is inert and a silent agent leaves the flow on its last
+// decision.
 
-// failsafe is the fail-safe state of one flow: everything the two watchdogs,
-// the probe loop, the fallback and the overload backoff keep. A flow has one
-// from New when Config.FallbackAfter or Config.Liveness is set, and otherwise
+// failsafe is the fail-safe state of one flow: everything the staleness
+// watchdog, the probe loop, the fallback and the overload backoff keep. A flow
+// has one from New when Config.Liveness is set, and otherwise
 // from the first time something exercises the layer (a Backoff from the
 // agent runtime, a Resync from the transport); until then CCP.fs is nil and
 // the flow cannot be in fallback.
@@ -50,14 +46,13 @@ type failsafe struct {
 	// entry (engageFallback) and reused by later ones.
 	fallback tcp.CongestionControl
 	// lastAgentMsg is the virtual time of the last applied control decision
-	// of any kind, which both watchdogs measure silence from; the per-kind
+	// of any kind, which the watchdog measures silence from; the per-kind
 	// clocks beside it (Install / SetCwnd / SetRate) feed Staleness only.
 	lastAgentMsg  time.Duration
 	lastInstallAt time.Duration
 	lastCwndAt    time.Duration
 	lastRateAt    time.Duration
 	agentGone     bool
-	watchdog      netsim.Timer
 	liveTimer     netsim.Timer
 	// handoffUntil, when nonzero, smooths window increases until the
 	// post-fallback handoff ramp expires. backoffFactor stretches program
@@ -103,23 +98,13 @@ func (d *CCP) failsafe() *failsafe {
 }
 
 // LivenessConfig configures the fail-safe layer for one flow. The zero
-// value disables it (Config.FallbackAfter then governs, as before).
+// value disables it: the flow then has no watchdog and no fallback.
 type LivenessConfig struct {
 	// StalenessBudget is how long the flow may run without a fresh applied
 	// control decision (Install, SetCwnd, SetRate) before the datapath
 	// assumes the agent is sick and enters fallback. 0 disables the
 	// liveness layer entirely.
 	StalenessBudget time.Duration
-	// CheckInterval is how often staleness is evaluated (default
-	// StalenessBudget/4, at least 1ms).
-	CheckInterval time.Duration
-	// HandoffRtts is the length of the exit ramp in round trips: after the
-	// agent recovers, window increases are smoothed over this many RTTs
-	// (default 1) so re-handoff causes no burst.
-	HandoffRtts float64
-	// MaxBackoff caps the report-interval stretch factor accepted from
-	// overloaded-agent Backoff messages (default 8).
-	MaxBackoff float64
 	// ProbeInterval enables heartbeat probing: every interval the datapath
 	// sends a proto.Heartbeat that a healthy agent echoes, and the measured
 	// request→response latency feeds an EWMA health score with enter/exit
@@ -129,65 +114,47 @@ type LivenessConfig struct {
 	// on stale state; only a round-trip probe sees the true lag. 0 disables
 	// probing, leaving the budget-only behaviour bit-identical.
 	ProbeInterval time.Duration
-	// ExitLatencyFraction sets the exit threshold of the hysteresis band as
-	// a fraction of StalenessBudget (default 0.5): once in fallback, the
-	// flow returns to agent control only when the probe EWMA is below
-	// fraction×budget, so a marginally-slow agent converges to one clean
-	// fallback entry instead of flapping in and out.
-	ExitLatencyFraction float64
 }
 
 func (lc LivenessConfig) on() bool { return lc.StalenessBudget > 0 }
 
-func (lc LivenessConfig) checkInterval() time.Duration {
-	iv := lc.CheckInterval
-	if iv <= 0 {
-		iv = lc.StalenessBudget / 4
-	}
-	if iv <= 0 {
-		iv = time.Millisecond
-	}
-	return iv
-}
-
-func (lc LivenessConfig) handoffRtts() float64 {
-	if lc.HandoffRtts <= 0 {
-		return 1
-	}
-	return lc.HandoffRtts
-}
-
-func (lc LivenessConfig) maxBackoff() float64 {
-	if lc.MaxBackoff <= 0 {
-		return 8
-	}
-	return lc.MaxBackoff
-}
-
 func (lc LivenessConfig) probesOn() bool { return lc.on() && lc.ProbeInterval > 0 }
 
-// exitLatency is the healthy threshold of the hysteresis band.
-func (lc LivenessConfig) exitLatency() time.Duration {
-	fr := lc.ExitLatencyFraction
-	if fr <= 0 {
-		fr = 0.5
-	}
-	if fr > 1 {
-		fr = 1
-	}
-	return time.Duration(float64(lc.StalenessBudget) * fr)
-}
-
-// probeAlpha is the EWMA gain of the probe latency filter: heavy enough
-// that a handful of healthy echoes after a heal crosses the exit threshold
-// within a few probe intervals, light enough that one jittered echo cannot.
-const probeAlpha = 0.3
+// The layer's fixed parameters.
+const (
+	// livenessChecksPerBudget is how many times per StalenessBudget staleness
+	// is evaluated (never more often than livenessMinCheck): entry comes at
+	// most a quarter of a budget late, and a flow in fallback re-announces
+	// itself to a restarted agent at the same cadence.
+	livenessChecksPerBudget = 4
+	livenessMinCheck        = time.Millisecond
+	// handoffRtts is the length of the exit ramp in round trips. One is the
+	// horizon §3 smoothing already spreads a window increase over: long
+	// enough that re-handoff causes no burst, short enough that the agent's
+	// first decision is in force by its second.
+	handoffRtts = 1
+	// maxBackoff caps the report-interval stretch accepted from an
+	// overloaded agent's Backoff. Eight report intervals of silence is still
+	// a controlled flow; more and a runtime that asked for too much would
+	// have starved its own algorithms of measurements.
+	maxBackoff = 8
+	// exitLatencyFraction sets the exit threshold of the probe hysteresis
+	// band as a fraction of StalenessBudget: once in fallback, the flow
+	// returns to agent control only when the probe EWMA is below half the
+	// budget it entered at, so a marginally slow agent converges to one
+	// clean fallback entry instead of flapping in and out.
+	exitLatencyFraction = 0.5
+	// probeAlpha is the EWMA gain of the probe latency filter: heavy enough
+	// that a handful of healthy echoes after a heal crosses the exit
+	// threshold within a few probe intervals, light enough that one jittered
+	// echo cannot.
+	probeAlpha = 0.3
+)
 
 // Staleness reports the virtual time since the last applied control message
 // of each kind (Install, SetCwnd, SetRate), and since any of them. A kind
 // never received reads as the time since Init. The clocks are the fail-safe
-// layer's: a flow with neither Config.Liveness nor Config.FallbackAfter keeps
-// none and reads as zero.
+// layer's: a flow without Config.Liveness keeps none and reads as zero.
 type Staleness struct {
 	Install time.Duration
 	Cwnd    time.Duration
@@ -197,7 +164,7 @@ type Staleness struct {
 
 // Staleness returns the flow's current control-staleness clocks.
 func (d *CCP) Staleness() Staleness {
-	if !d.watched() {
+	if !d.cfg.Liveness.on() {
 		return Staleness{}
 	}
 	fs, now := d.fs, d.cfg.Clock.Now()
@@ -207,12 +174,6 @@ func (d *CCP) Staleness() Staleness {
 		Rate:    now - fs.lastRateAt,
 		Any:     now - fs.lastAgentMsg,
 	}
-}
-
-// watched reports whether either watchdog is configured, which is when New
-// gives the flow its fail-safe state and Init starts its clocks.
-func (d *CCP) watched() bool {
-	return d.cfg.Liveness.on() || d.cfg.FallbackAfter > 0
 }
 
 // AgentGone tells the datapath the transport has lost (gone=true) or
@@ -258,74 +219,34 @@ func (d *CCP) touchAgent() {
 	fs := d.fs
 	fs.lastAgentMsg = d.cfg.Clock.Now()
 	if d.fallbackActive && !fs.agentGone && d.exitGateOK() {
-		// Resume the installed program from the top (with a handoff ramp
-		// under the liveness layer). While the transport still reports the
-		// agent gone, a straggling queued decision does not exit fallback;
-		// with probing enabled, neither does a decision arriving while the
-		// probe score is still unhealthy (hysteresis).
+		// Resume the installed program from the top, with a handoff ramp.
+		// While the transport still reports the agent gone, a straggling
+		// queued decision does not exit fallback; with probing enabled,
+		// neither does a decision arriving while the probe score is still
+		// unhealthy (hysteresis).
 		d.exitFallback()
 	}
 }
 
-// armFailsafe starts the configured watchdog — the liveness layer, else the
-// §5 one — from Init; silence is measured from now.
+// armFailsafe starts the staleness watchdog and, when configured, the
+// heartbeat probe loop from Init; silence is measured from now.
 func (d *CCP) armFailsafe() {
-	if !d.watched() {
+	if !d.cfg.Liveness.on() {
 		return
 	}
-	d.fs.lastAgentMsg = d.cfg.Clock.Now()
-	if d.cfg.Liveness.on() {
-		d.armLiveness()
-	} else {
-		d.armWatchdog()
+	fs, now := d.fs, d.cfg.Clock.Now()
+	fs.lastAgentMsg, fs.lastInstallAt, fs.lastCwndAt, fs.lastRateAt = now, now, now, now
+	d.scheduleLiveness()
+	if d.cfg.Liveness.probesOn() {
+		d.scheduleProbe()
 	}
 }
 
 // stopFailsafe cancels the layer's timers when the flow closes.
 func (d *CCP) stopFailsafe() {
 	if fs := d.fs; fs != nil {
-		stopTimer(&fs.watchdog)
 		stopTimer(&fs.liveTimer)
 		stopTimer(&fs.probeTimer)
-	}
-}
-
-// armWatchdog runs the minimal §5 watchdog (Config.FallbackAfter).
-func (d *CCP) armWatchdog() {
-	interval := d.cfg.FallbackAfter / 4
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	fs := d.fs
-	fs.watchdog = d.cfg.Clock.AfterFunc(interval, func() {
-		now := d.cfg.Clock.Now()
-		if !d.fallbackActive && now-fs.lastAgentMsg > d.cfg.FallbackAfter {
-			fallback := d.engageFallback()
-			if d.conn != nil {
-				fallback.Init(d.conn)
-			}
-		}
-		if d.fallbackActive {
-			// Re-announce the flow every tick while the agent is silent: if
-			// the silence was a crash, the restarted agent has no flow state
-			// and needs a Create to re-adopt the flow (crash/resync recovery).
-			d.Resync()
-		}
-		d.armWatchdog()
-	})
-}
-
-// armLiveness starts the periodic staleness evaluation (the liveness
-// layer's replacement for armWatchdog) and, when configured, the heartbeat
-// probe loop.
-func (d *CCP) armLiveness() {
-	fs := d.fs
-	fs.lastInstallAt = fs.lastAgentMsg
-	fs.lastCwndAt = fs.lastAgentMsg
-	fs.lastRateAt = fs.lastAgentMsg
-	d.scheduleLiveness()
-	if d.cfg.Liveness.probesOn() {
-		d.scheduleProbe()
 	}
 }
 
@@ -391,7 +312,7 @@ func (d *CCP) foldProbeSample(lat time.Duration) {
 
 // probeHealthy reports whether the EWMA latency is inside the exit band.
 func (d *CCP) probeHealthy() bool {
-	return d.fs.probeSamples > 0 && d.fs.probeEWMA < d.cfg.Liveness.exitLatency().Seconds()
+	return d.fs.probeSamples > 0 && d.fs.probeEWMA < exitLatencyFraction*d.cfg.Liveness.StalenessBudget.Seconds()
 }
 
 // exitGateOK is the hysteresis exit gate consulted by touchAgent: with
@@ -429,9 +350,12 @@ func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 	}
 }
 
+// scheduleLiveness runs the staleness watchdog: the one timer-driven way
+// into fallback.
 func (d *CCP) scheduleLiveness() {
 	fs := d.fs
-	fs.liveTimer = d.cfg.Clock.AfterFunc(d.cfg.Liveness.checkInterval(), func() {
+	every := max(d.cfg.Liveness.StalenessBudget/livenessChecksPerBudget, livenessMinCheck)
+	fs.liveTimer = d.cfg.Clock.AfterFunc(every, func() {
 		now := d.cfg.Clock.Now()
 		if !d.fallbackActive && (fs.agentGone || now-fs.lastAgentMsg > d.cfg.Liveness.StalenessBudget) {
 			d.enterFallback(!fs.agentGone)
@@ -445,10 +369,9 @@ func (d *CCP) scheduleLiveness() {
 	})
 }
 
-// engageFallback is what both ways into fallback start with — the §5
-// watchdog's and the liveness layer's enterFallback: mark the flow, count the
-// entry, stop the program's wait. It returns the in-datapath controller, made
-// here the first time a flow needs one, for the caller to Init.
+// engageFallback is what entry starts with: mark the flow, count the entry,
+// stop the program's wait. It returns the in-datapath controller, made here
+// the first time a flow needs one, for enterFallback to Init.
 func (d *CCP) engageFallback() tcp.CongestionControl {
 	fs := d.fs
 	d.fallbackActive = true
@@ -485,16 +408,14 @@ func (d *CCP) enterFallback(stale bool) {
 }
 
 // exitFallback returns authority to the agent after a fresh applied
-// decision. The installed program restarts from the top; under the liveness
-// layer the transition is additionally smoothed by a handoff ramp.
+// decision. The installed program restarts from the top, and the transition
+// is smoothed by a handoff ramp.
 func (d *CCP) exitFallback() {
 	d.fallbackActive = false
 	d.fs.n.FallbackOff++
 	d.ins.inc(mFallbackOff)
-	if d.cfg.Liveness.on() {
-		d.fs.n.HandoffRamps++
-		d.fs.handoffUntil = d.cfg.Clock.Now() + d.rttDur(d.cfg.Liveness.handoffRtts())
-	}
+	d.fs.n.HandoffRamps++
+	d.fs.handoffUntil = d.cfg.Clock.Now() + d.rttDur(handoffRtts)
 	d.pc = 0
 	d.waitedPass = false
 	d.resume()
@@ -515,7 +436,7 @@ func (d *CCP) handingOff() bool {
 }
 
 // handleBackoff applies an overload Backoff from the agent runtime: the
-// flow keeps the largest in-force stretch factor, clamped to MaxBackoff,
+// flow keeps the largest in-force stretch factor, clamped to maxBackoff,
 // and lets it decay back toward 1 as waits are scheduled. Backoff is
 // advisory — it is not a control decision and does not count as liveness.
 func (d *CCP) handleBackoff(v *proto.Backoff) {
@@ -526,8 +447,8 @@ func (d *CCP) handleBackoff(v *proto.Backoff) {
 	if f < 1 {
 		f = 1
 	}
-	if mx := d.cfg.Liveness.maxBackoff(); f > mx {
-		f = mx
+	if f > maxBackoff {
+		f = maxBackoff
 	}
 	if f > fs.backoffFactor {
 		fs.backoffFactor = f

@@ -239,31 +239,3 @@ func TestCtrlSeqWraparoundDoesNotBlackhole(t *testing.T) {
 		t.Fatalf("stats=%+v, want 3 applied / 1 stale-dropped", st)
 	}
 }
-
-func TestLegacyWatchdogStillGoverns(t *testing.T) {
-	// With Liveness zero, FallbackAfter behaves exactly as before: entry
-	// without cwnd change, exit on any applied decision, no handoff ramp.
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{FallbackAfter: 200 * time.Millisecond})
-	r.flow.Conn.Start()
-	r.sim.Run(10 * time.Millisecond)
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 1, Bytes: 60000})
-	r.sim.Run(600 * time.Millisecond)
-	if !r.dp.FallbackActive() {
-		t.Fatal("legacy watchdog did not fire")
-	}
-	st := r.dp.Stats()
-	if st.LivenessStale != 0 || st.HandoffRamps != 0 {
-		t.Fatalf("liveness counters moved under legacy watchdog: %+v", st)
-	}
-	target := 90000
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 2, Bytes: uint32(target)})
-	if r.dp.FallbackActive() {
-		t.Fatal("legacy exit failed")
-	}
-	if got := r.flow.Conn.Cwnd(); got != target {
-		t.Fatalf("legacy exit must step directly: cwnd=%d want %d", got, target)
-	}
-	if st := r.dp.Stats(); st.HandoffRamps != 0 {
-		t.Fatalf("legacy exit ramped: %+v", st)
-	}
-}

@@ -84,7 +84,6 @@ func TestFeatureStateOnlyWhereUsed(t *testing.T) {
 	}{
 		{name: "default"},
 		{name: "Liveness", cfg: livenessCfg(10 * time.Second), want: []string{"failsafe"}},
-		{name: "FallbackAfter", cfg: datapath.Config{FallbackAfter: 10 * time.Second}, want: []string{"failsafe"}},
 		{name: "SmoothCwnd", cfg: datapath.Config{SmoothCwnd: true}, want: []string{"smooth"}},
 		{name: "BatchInterval", cfg: datapath.Config{BatchInterval: 5 * time.Millisecond}, want: []string{"batch"}},
 		{name: "vector program", then: func(r *rig) {

@@ -37,8 +37,8 @@ import (
 // All three are the same function of the bytes, so a program gets the same
 // verdict, the same InstallErr text, the same warning count and the same
 // state afterwards however its artifact was come by. The table memoizes a
-// pure function of (measure-half bytes, verified or not); unlike
-// SetDefaultVerify it cannot change behaviour, only cost.
+// pure function of (measure-half bytes, verified or not): it cannot change
+// behaviour, only cost.
 
 // artifact is everything the datapath derives from a measure half. Nothing
 // writes to one after buildArtifact or derive returns: flows on different

@@ -250,7 +250,7 @@ func AblFallback() AblFallbackResult {
 	dur := 25 * time.Second
 	net := harness.New(harness.Config{Seed: 1, Link: link})
 	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{},
-		datapath.Config{FallbackAfter: 500 * time.Millisecond})
+		datapath.Config{Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}})
 	thr := sampleThroughput(net, f.Receiver, 100*time.Millisecond, dur)
 	f.Conn.Start()
 	net.Sim.Schedule(5*time.Second, net.Bridge.Stop)

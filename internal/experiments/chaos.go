@@ -58,7 +58,7 @@ func AblChaos() AblChaosResult {
 	runOne := func(plan *faults.Plan) outcome {
 		net := harness.New(harness.Config{Seed: 1, Link: link, Faults: plan})
 		f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{},
-			datapath.Config{FallbackAfter: 500 * time.Millisecond})
+			datapath.Config{Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}})
 		rtt := sampleRTT(net, f.Conn, 50*time.Millisecond, dur)
 		f.Conn.Start()
 		net.Run(dur)

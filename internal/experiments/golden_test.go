@@ -24,7 +24,9 @@ import (
 // ablation-agentchaos scenarios 5 s, ext-synthesis 4 s).
 //
 // The digests were generated at commit 1ba1ba0, the parent of the PR that
-// put runtime.Runtime under the harness.
+// put runtime.Runtime under the harness; ablation-fallback's and
+// ablation-chaos's at the PR that left the datapath one watchdog
+// (EXPERIMENTS.md has what moved, row by row).
 var golden = []struct {
 	id     string
 	run    func() fmt.Stringer
@@ -37,9 +39,9 @@ var golden = []struct {
 	{"fig4", func() fmt.Stringer { return Fig4(Fig4Config{RateBps: 96e6}) }, "69761eddf48e34fe44e3088f3b03aa72d4ce06da48a0f0498c7301a6f6b5f946"},
 	{"ablation-batching", func() fmt.Stringer { return AblBatching() }, "4a603912e95aa50dc1271832008eab2315355414aa86ead8cd3cf8d0dc0f31c3"},
 	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "7813b7cd221c2144fea4e4c6fbb1ff017b92b375a40a048938c401ff636f8a72"},
-	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "ab4f399e24894ac0b4d589825307660364f2daa8961cc9a12f42ceb25500c701"},
+	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "4c94ce0ad94677a0b780a53f3f2bfd90d5db524a40b346230aef3bc1cfa2efa5"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "04ecd276a549ae31643150aa69b2f1cb09deaeb66a3687112104fa84207352e7"},
 	{"ablation-agentchaos-5of6", func() fmt.Stringer {
 		res := AblAgentChaosResult{BaselineMatches: agentChaosBaselineMatches()}
 		for _, fault := range []string{"kill", "pause", "slow"} {

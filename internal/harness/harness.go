@@ -186,7 +186,7 @@ func (n *Net) AddCCPFlow(id netsim.FlowID, alg string, opts tcp.Options) *CCPFlo
 }
 
 // AddCCPFlowCfg is AddCCPFlow with extra datapath configuration
-// (FallbackAfter, DefaultProgram, MaxVectorRows).
+// (Liveness, DefaultProgram, MaxVectorRows).
 func (n *Net) AddCCPFlowCfg(id netsim.FlowID, alg string, opts tcp.Options, dpCfg datapath.Config) *CCPFlow {
 	n.nextSID++
 	dpCfg.SID = n.nextSID

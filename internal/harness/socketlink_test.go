@@ -157,11 +157,11 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: lnk}, fwd, rev)
 
 	dp := datapath.New(datapath.Config{
-		SID:           1,
-		Alg:           "cubic",
-		Clock:         sim,
-		ToAgent:       link.ToAgent,
-		FallbackAfter: 200 * time.Millisecond,
+		SID:      1,
+		Alg:      "cubic",
+		Clock:    sim,
+		ToAgent:  link.ToAgent,
+		Liveness: datapath.LivenessConfig{StalenessBudget: 200 * time.Millisecond},
 	})
 	link.Attach(dp)
 	flow := tcp.NewFlow(sim, 1, path, fwd, rev, dp, tcp.Options{})
@@ -190,11 +190,15 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	}
 
 	// Phase 2: the agent process dies. The flow keeps running; the sim keeps
-	// advancing; the §5 fallback takes over once the silence exceeds 200ms.
+	// advancing; the §5 fallback takes over as soon as the link reports the
+	// connection lost, or else once the silence exceeds 200ms.
 	proc1.kill()
 	runUntil(2 * time.Second)
 	if !dp.FallbackActive() {
 		t.Fatal("fallback not active with the agent dead")
+	}
+	if st := dp.Stats(); st.AgentGoneSignals+st.LivenessStale == 0 {
+		t.Fatalf("stats=%+v, want entry by a gone signal or by staleness", st)
 	}
 
 	// Phase 3: a fresh agent process appears on the same socket. The link
@@ -210,8 +214,8 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	if dp.FallbackActive() {
 		t.Fatal("fallback still active after agent restart")
 	}
-	if dp.Stats().FallbackOff == 0 {
-		t.Fatalf("fallback never deactivated: %+v", dp.Stats())
+	if st := dp.Stats(); st.FallbackOff == 0 || st.HandoffRamps != st.FallbackOff {
+		t.Fatalf("fallback never deactivated, or left without a handoff ramp: %+v", st)
 	}
 	st := link.Stats()
 	if st.Connects < 2 || st.Resyncs < 1 {

@@ -6,15 +6,18 @@ import (
 	"github.com/ccp-repro/ccp/internal/lang"
 )
 
-// ExampleParseProgram parses the paper's §2.1 BBR pulse pattern from its
-// textual form.
-func ExampleParseProgram() {
-	p, err := lang.ParseProgram(`
-		Rate(1.25*rate).WaitRtts(1.0).Report().
-		Rate(0.75*rate).WaitRtts(1.0).Report().
-		Rate(rate).WaitRtts(6.0).Report()`)
+// ExampleProgram_String builds the paper's §2.1 BBR pulse pattern — probe at
+// 1.25× for a round trip, drain at 0.75×, cruise for six — and prints how an
+// instruction reads.
+func ExampleProgram_String() {
+	rate := lang.V("rate")
+	p, err := lang.NewProgram().
+		Rate(lang.Mul(lang.C(1.25), rate)).WaitRtts(1).Report().
+		Rate(lang.Mul(lang.C(0.75), rate)).WaitRtts(1).Report().
+		Rate(rate).WaitRtts(6).Report().
+		Build()
 	if err != nil {
-		fmt.Println("parse error:", err)
+		fmt.Println("build error:", err)
 		return
 	}
 	fmt.Println(len(p.Instrs), "instructions")
@@ -24,19 +27,22 @@ func ExampleParseProgram() {
 	// Rate((* 1.25 rate))
 }
 
-// ExampleParseFold builds the paper's §2.4 Vegas fold from the
-// S-expression dialect and runs it over two synthetic ACKs.
-func ExampleParseFold() {
-	fold, err := lang.ParseFold(`
-		(def (base_rtt 1e9) (delta 0))
-		(:= base_rtt (min base_rtt pkt.rtt))
-		(:= delta (if (< (/ (* (- pkt.rtt base_rtt) (/ cwnd mss)) (max base_rtt 1e-9)) 2)
-		              (+ delta 1)
-		              (if (> (/ (* (- pkt.rtt base_rtt) (/ cwnd mss)) (max base_rtt 1e-9)) 4)
-		                  (- delta 1) delta)))`)
-	if err != nil {
-		fmt.Println("parse error:", err)
-		return
+// ExampleFoldSpec builds the paper's §2.4 Vegas fold — the minimum RTT seen,
+// and a window delta stepped by the estimated queue occupancy in packets —
+// and runs it over two synthetic ACKs.
+func ExampleFoldSpec() {
+	baseRTT, delta := lang.V("base_rtt"), lang.V("delta")
+	queued := lang.Div(
+		lang.Mul(lang.Sub(lang.V("pkt.rtt"), baseRTT), lang.Div(lang.V("cwnd"), lang.V("mss"))),
+		lang.Max(baseRTT, lang.C(1e-9)))
+	fold := &lang.FoldSpec{
+		Regs: []lang.RegDef{{Name: "base_rtt", Init: 1e9}, {Name: "delta", Init: 0}},
+		Updates: []lang.Assign{
+			{Dst: "base_rtt", E: lang.Min(baseRTT, lang.V("pkt.rtt"))},
+			{Dst: "delta", E: lang.Ite(lang.Lt(queued, lang.C(2)),
+				lang.Add(delta, lang.C(1)),
+				lang.Ite(lang.Gt(queued, lang.C(4)), lang.Sub(delta, lang.C(1)), delta))},
+		},
 	}
 	cf, err := lang.CompileFold(fold)
 	if err != nil {
@@ -60,7 +66,7 @@ func ExampleParseFold() {
 }
 
 // ExampleNewProgram assembles a program with the fluent builder and prints
-// its canonical dotted form.
+// it whole.
 func ExampleNewProgram() {
 	p := lang.NewProgram().
 		MeasureVector(lang.FieldRTT, lang.FieldAcked).

@@ -13,27 +13,10 @@ var opSamples = []float64{
 	5e-324, math.MaxFloat64, -math.MaxFloat64, 1, 3, -2.5,
 }
 
-// infixSpelling writes (a op b) the way parse_text.go reads it: an infix
-// token, or a call for the operators that are functions there.
-func infixSpelling(op BinKind) (string, bool) {
-	for tok, k := range infixOps {
-		if k == op {
-			return "a " + tok + " b", true
-		}
-	}
-	switch op {
-	case OpMin:
-		return "min(a, b)", true
-	case OpMax:
-		return "max(a, b)", true
-	}
-	return "", false
-}
-
 // TestEveryOperatorEverywhere walks each BinKind through every place that
 // gives it meaning or a spelling, against applyBin, its definition: the
 // tree-walker, the stack reference, the register compiler's four operand
-// shapes, the wire format and both text syntaxes. (The abstract transfer
+// shapes, the wire format and its printed name. (The abstract transfer
 // function's leg is TestTransferContainsEveryOperator in absint.) An
 // operator added to the enum and missing from any of them fails here under
 // its own name.
@@ -49,15 +32,16 @@ func TestEveryOperatorEverywhere(t *testing.T) {
 	for op := BinKind(0); op < NumBinKinds; op++ {
 		op := op
 		t.Run(op.String(), func(t *testing.T) {
-			// Spellings: S-expression, infix, wire.
+			// Spellings: the printed name (unique, or two operators read as
+			// one in every Program.String()), then the wire.
 			sym := &Bin{op, V("a"), V("b")}
-			if back, err := ParseExpr(sym.String()); err != nil || back.String() != sym.String() {
-				t.Errorf("S-expression %q parses to %v, %v", sym, back, err)
+			if want := "(" + binNames[op] + " a b)"; binNames[op] == "" || sym.String() != want {
+				t.Errorf("prints as %q, want %q", sym, want)
 			}
-			if src, ok := infixSpelling(op); !ok {
-				t.Errorf("no infix spelling")
-			} else if back, err := ParseInfixExpr(src); err != nil || back.String() != sym.String() {
-				t.Errorf("infix %q parses to %v, %v; want %s", src, back, err, sym)
+			for other := BinKind(0); other < op; other++ {
+				if binNames[other] == binNames[op] {
+					t.Errorf("prints as %q, and so does operator %d", binNames[op], other)
+				}
 			}
 			prog := NewProgram().MeasureEWMA().Cwnd(&Bin{op, a, C(3)}).WaitRtts(1).Report().MustBuild()
 			data, err := MarshalProgram(prog)

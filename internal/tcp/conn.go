@@ -232,8 +232,18 @@ func (c *Conn) pacedOut() bool {
 }
 
 // nextLostIndex returns the index of the first lost segment at or after the
-// scan pointer, or -1. The pointer only moves forward between loss events,
-// so scanning is amortized O(1) per send.
+// scan pointer, or -1. The pointer only moves forward between loss events, so
+// over a window of a few hundred segments scanning is amortized O(1) per send.
+//
+// That stops holding once rackMarkLost has marked a long prefix. Every
+// rackMarkLost call walks c.segs from index 0 across the segments already
+// lost or SACKed, and pulls the pointer back to the first one it marks, so
+// the next sweep here re-walks the SACKed and repaired segments between the
+// holes: both are linear in the window per loss event. In ablation-agentchaos's slow-agent
+// cell with the fail-safe off (the agent lets the window reach 461,750
+// segments) that is 7,699 rackMarkLost calls of 440,000 segments each and 52
+// million calls here — 46% and 26% of the cell's 17 s. A scan cursor keyed by
+// sequence number, carried across calls, is the fix (ROADMAP small debts).
 func (c *Conn) nextLostIndex() int {
 	if len(c.segs) == 0 {
 		return -1
