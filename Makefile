@@ -39,12 +39,15 @@ bench-compare:
 	$(GO) run ./benchmark -compare $(BASE) $(subst $(comma), ,$(NEW))
 
 # CI smoke of the end-to-end benchmark: two seconds of direct50k — real
-# rings, the sharded runtime and the verifier under a 50k-flow table. The
-# exit status is the assertion (the run checks itself: every report answered,
-# every decision accounted for); shared runners jitter too much to bound a
-# latency here.
+# rings, the sharded runtime and the verifier under a 50k-flow table — then
+# two of reinstall, where every report is answered by an Install (by
+# reference after a flow's first: direct50k never sends one). The exit status
+# is the assertion (the run checks itself: every report answered, every
+# decision accounted for, and any InstallErr — a refused reference included —
+# fails it); shared runners jitter too much to bound a latency here.
 bench-smoke:
 	$(GO) run ./benchmark -workload direct50k -seconds 2
+	$(GO) run ./benchmark -workload reinstall -seconds 2
 
 # Go micro-benchmarks of every package: the codec before/after pairs
 # (internal/proto RoundTrip*{Alloc,Reuse}), the event heap (internal/netsim
@@ -54,7 +57,7 @@ bench-micro:
 
 # Compares the current codec, event-queue, ring, fold, program-codec
 # (BenchmarkProgramCodec: marshal, unmarshal, prefix scan), agent-dispatch and
-# Install (warm, cold, moved-init) benchmarks against the committed
+# Install (warm, by-ref, cold, moved-init) benchmarks against the committed
 # bench/baseline.txt. Requires the benchstat tool; skipped with a hint when
 # it is not installed (no network access is assumed here).
 benchstat:

@@ -381,6 +381,30 @@ func BenchmarkAgentDispatch(b *testing.B) {
 	}
 }
 
+// The installing counterpart of BenchmarkAgentDispatch: a Cubic flow answers
+// every report by building a program and installing it, which since Install
+// by reference means marshalling it whole (kept for snapshots), comparing its
+// measure half with the last one's in place and encoding a reference.
+func BenchmarkAgentDispatchInstall(b *testing.B) {
+	agent, err := core.NewAgent(core.AgentConfig{
+		Registry:   algorithms.NewRegistry(),
+		DefaultAlg: "cubic",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reply := func(proto.Msg) error { return nil }
+	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
+	m := &proto.Measurement{SID: 1, Fields: []float64{1448, 0.01, 0}} // acked, rtt_f, dp_now
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Seq++
+		m.Fields[2] += 0.005
+		agent.HandleMessage(m, reply)
+	}
+}
+
 // Sharded runtime dispatch: the same per-report path as BenchmarkAgentDispatch
 // but through the flow-affine sharded executor, fed from parallel producers —
 // the scaling story of ./benchmark's direct50k workload in microbenchmark form.

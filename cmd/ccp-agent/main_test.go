@@ -12,7 +12,9 @@ import (
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/harness"
 	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
@@ -59,6 +61,12 @@ func (p *proc) kill(t *testing.T, sock string) {
 // its runtime (sharded when the process has more than one core to use, inline
 // with one: both are exercised), adopt the datapaths' resyncs rather than
 // cold-start the flows, and answer their next reports.
+//
+// Installs cross by reference on this path, so two more things are held:
+// what is replicated is always the whole program, never a reference to an
+// Install the standby did not see; and the promoted agent, whose datapaths
+// still hold the epoch of an Install the primary sent, installs whole before
+// it refers to anything — no reference is refused, before or after.
 func TestStandbyTakesOverOnTheShippedPath(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -132,6 +140,26 @@ func TestStandbyTakesOverOnTheShippedPath(t *testing.T) {
 				return st.FlowsCreated == 2 && st.Measurements >= 20 && time.Now().After(replicated)
 			})
 
+			if n := primaryRT.Stats().Agent.InstallsByRef; n == 0 {
+				t.Fatal("the primary sent no Install by reference: the snapshot check below would hold of anything")
+			}
+			snaps, err := primaryRT.SnapshotInto(true, func(snap *proto.Snapshot) error {
+				if p, err := lang.UnmarshalProgram(snap.Prog); err != nil || p.Measure.Mode != lang.MeasureFold {
+					t.Errorf("flow %d is replicated as %v (%v), want its whole fold program", snap.SID, p, err)
+				}
+				return nil
+			})
+			if err != nil || snaps != 2 {
+				t.Fatalf("snapshot pass over the primary: %d flows, %v", snaps, err)
+			}
+			wholeInstalls := func() (n int) {
+				for _, dp := range dps {
+					n += dp.Stats().InstallsRecvd - dp.Stats().InstallsByRef
+				}
+				return n
+			}
+			wholeBefore := wholeInstalls()
+
 			// Phase 2: the primary goes away. Its replication stream drops with
 			// it, which is the standby's cue.
 			primary.kill(t, primarySock)
@@ -163,6 +191,18 @@ func TestStandbyTakesOverOnTheShippedPath(t *testing.T) {
 			}
 			if ls := link.Stats(); ls.Connects != 2 || ls.Resyncs != 2 {
 				t.Fatalf("link stats %+v: want one reconnect replaying two flows", ls)
+			}
+			// Each flow took the promoted agent's first Install whole, and every
+			// reference since named it: a reference to anything the primary had
+			// installed would have been refused.
+			if got := wholeInstalls(); got < wholeBefore+2 || st.Agent.InstallsByRef == 0 {
+				t.Fatalf("%d whole installs after failover, %d before; the promoted agent sent %d by reference",
+					got, wholeBefore, st.Agent.InstallsByRef)
+			}
+			for _, dp := range dps {
+				if ds := dp.Stats(); ds.RefRefusals != 0 || ds.InstallRejects != 0 || st.Agent.InstallErrs != 0 {
+					t.Fatalf("flow %d refused an install across the failover: %+v", dp.SID(), ds)
+				}
 			}
 		})
 	}

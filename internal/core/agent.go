@@ -67,6 +67,13 @@ type AgentStats struct {
 	// rejections, malformed encodings). Each one means the refusing flow kept
 	// running its previous program.
 	InstallErrs int
+	// InstallsByRef counts the Installs sent as a reference to the measure
+	// half of an earlier one plus a control half (Flow.Install). RefResends
+	// counts the programs sent again, whole, because the datapath refused a
+	// reference to the flow's newest whole Install (Flow.noteInstallErr); each
+	// answers one of InstallErrs.
+	InstallsByRef int
+	RefResends    int
 }
 
 // Agent is the user-space congestion control plane: it multiplexes flows
@@ -153,9 +160,11 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("core: default algorithm %q not registered", cfg.DefaultAlg)
 	}
 	return &Agent{
-		cfg:        cfg,
-		flows:      make(map[uint32]*flowState),
-		shared:     flowShared{verify: cfg.Verify, logf: cfg.Logf},
+		cfg:   cfg,
+		flows: make(map[uint32]*flowState),
+		shared: flowShared{verify: cfg.Verify, logf: cfg.Logf,
+			mByRef:      cfg.Metrics.Counter("agent_installs_by_ref_total"),
+			mRefResends: cfg.Metrics.Counter("agent_ref_resends_total")},
 		mReports:   cfg.Metrics.Counter("agent_reports_total"),
 		mUrgents:   cfg.Metrics.Counter("agent_urgents_total"),
 		mCreated:   cfg.Metrics.Counter("agent_flows_created_total"),
@@ -169,7 +178,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 func (a *Agent) Stats() AgentStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stats
+	s := a.stats
+	s.InstallsByRef, s.RefResends = a.shared.installsByRef, a.shared.refResends
+	return s
 }
 
 // FlowCount returns the number of live flows.
@@ -403,7 +414,9 @@ func (a *Agent) logf(format string, args ...any) {
 // Describe returns a human-readable summary of an algorithm's capability
 // requirements by instantiating it against a probe flow; used by the
 // Table 1 experiment. The probe flow records the installed program without
-// any datapath attached.
+// any datapath attached. Programs are read off the wire, where only an
+// Install that brings a new measure half is whole (Flow.Install): an Init
+// that installed twice over one fold would show its second as a reference.
 func Describe(factory AlgFactory, mss int) (progs []*lang.Program, direct []string) {
 	alg := factory()
 	var captured []*lang.Program

@@ -19,8 +19,9 @@ func (g *flowGrabber) Init(f *core.Flow)                          { g.flow = f }
 func (g *flowGrabber) OnMeasurement(*core.Flow, core.Measurement) {}
 func (g *flowGrabber) OnUrgent(*core.Flow, core.UrgentEvent)      {}
 
-// grabbedFlow returns a flow of a fresh agent, and a count of what it sends.
-func grabbedFlow(t *testing.T) (*core.Flow, *int) {
+// grabbedFlowOf returns a fresh agent and a flow of it that sends through
+// reply.
+func grabbedFlowOf(t *testing.T, reply func(proto.Msg) error) (*core.Agent, *core.Flow) {
 	t.Helper()
 	grab := &flowGrabber{}
 	reg := core.NewRegistry()
@@ -29,10 +30,16 @@ func grabbedFlow(t *testing.T) (*core.Flow, *int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
+	return agent, grab.flow
+}
+
+// grabbedFlow returns a flow of a fresh agent, and a count of what it sends.
+func grabbedFlow(t *testing.T) (*core.Flow, *int) {
+	t.Helper()
 	sent := new(int)
-	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480},
-		func(proto.Msg) error { *sent++; return nil })
-	return grab.flow, sent
+	_, flow := grabbedFlowOf(t, func(proto.Msg) error { *sent++; return nil })
+	return flow, sent
 }
 
 // TestAllocsFlowDecision pins a direct decision at nothing: SetCwnd, SetRate
@@ -82,46 +89,87 @@ func TestFlowSize(t *testing.T) {
 // per report, adds the program itself — Builder, Program, instruction list,
 // and a box per instruction and per non-constant operand — and no list that
 // grew under it.
+//
+// Both forms an Install crosses in are held to the same pins: by reference,
+// when the measure half is the last whole Install's (the reference is encoded
+// in the agent's scratch), and whole, provoked here by alternating two
+// algorithms' programs so that no Install shares a half with the one before.
 func TestAllocsFlowInstall(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	flow, sent := grabbedFlow(t)
+	var whole, byRef int
+	agent, flow := grabbedFlowOf(t, func(m proto.Msg) error {
+		if lang.IsRef(m.(*proto.Install).Prog) {
+			byRef++
+		} else {
+			whole++
+		}
+		return nil
+	})
+	install := func(p *lang.Program) {
+		if err := flow.Install(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 
+	var progs []*lang.Program
+	var names []string
 	for _, info := range algorithms.All() {
 		if info.Name != "cubic" && info.Name != "vegas" {
 			continue
 		}
-		progs, _ := core.Describe(info.Factory, 1448)
-		if len(progs) == 0 {
+		described, _ := core.Describe(info.Factory, 1448)
+		if len(described) == 0 {
 			t.Fatalf("%s installs no program", info.Name)
 		}
-		p := progs[0]
-		before := *sent
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := flow.Install(p); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if *sent-before < 200 {
-			t.Fatalf("%s: installs were not sent", info.Name)
-		}
-		if allocs > 1 {
-			t.Errorf("%s: Flow.Install allocated %.1f times, want <= 1", info.Name, allocs)
-		}
+		progs, names = append(progs, described[0]), append(names, info.Name)
+	}
+	if len(progs) != 2 {
+		t.Fatalf("found %v, want cubic and vegas", names)
+	}
+	build := func(fold *lang.FoldSpec, cwnd float64) *lang.Program {
+		return lang.NewProgram().MeasureFold(fold).Cwnd(lang.C(cwnd)).WaitRtts(1).Report().MustBuild()
+	}
 
-		fold, cwnd := p.Measure.Fold, 14480.0
-		allocs = testing.AllocsPerRun(200, func() {
-			cwnd++
-			err := flow.Install(lang.NewProgram().MeasureFold(fold).
-				Cwnd(lang.C(cwnd)).WaitRtts(1).Report().MustBuild())
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 7 {
-			t.Errorf("%s: build and Install allocated %.1f times, want <= 7", info.Name, allocs)
+	for i, p := range progs {
+		name := names[i]
+		install(p) // whole: the half is new to the flow
+		whole, byRef = 0, 0
+		allocs := testing.AllocsPerRun(200, func() { install(p) })
+		if allocs > 1 {
+			t.Errorf("%s: Flow.Install by reference allocated %.1f times, want <= 1", name, allocs)
 		}
-		t.Logf("%s: build and Install: %.1f allocs", info.Name, allocs)
+		cwnd := 14480.0
+		allocs = testing.AllocsPerRun(200, func() { cwnd++; install(build(p.Measure.Fold, cwnd)) })
+		if allocs > 7 {
+			t.Errorf("%s: build and Install by reference allocated %.1f times, want <= 7", name, allocs)
+		}
+		t.Logf("%s: build and Install by reference: %.1f allocs", name, allocs)
+		if whole != 0 || byRef < 400 {
+			t.Fatalf("%s: %d installs went whole and %d by reference, want none and all", name, whole, byRef)
+		}
+	}
+
+	whole, byRef = 0, 0
+	allocs := testing.AllocsPerRun(200, func() { install(progs[0]); install(progs[1]) })
+	if allocs > 2 {
+		t.Errorf("Flow.Install, whole, allocated %.1f times for two, want <= 2", allocs)
+	}
+	cwnd := 14480.0
+	allocs = testing.AllocsPerRun(200, func() {
+		cwnd++
+		install(build(progs[0].Measure.Fold, cwnd))
+		install(build(progs[1].Measure.Fold, cwnd))
+	})
+	if allocs > 14 {
+		t.Errorf("build and Install, whole, allocated %.1f times for two, want <= 14", allocs)
+	}
+	t.Logf("build and Install, whole: %.1f allocs for two", allocs)
+	if byRef != 0 || whole < 800 {
+		t.Fatalf("%d installs went by reference and %d whole, want none and all", byRef, whole)
+	}
+	if st := agent.Stats(); st.InstallsByRef < 800 || st.RefResends != 0 {
+		t.Fatalf("agent counted %d installs by reference, %d re-sends", st.InstallsByRef, st.RefResends)
 	}
 }

@@ -612,3 +612,246 @@ func TestFlowVerifyStrictRefusesUnsafeProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// installs returns the Installs among the captured messages.
+func (c *capture) installs() []*proto.Install {
+	var out []*proto.Install
+	for _, m := range c.msgs {
+		if v, ok := m.(*proto.Install); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func refFold(init float64) *lang.FoldSpec {
+	return &lang.FoldSpec{
+		Regs:    []lang.RegDef{{Name: "acked", Init: init}},
+		Updates: []lang.Assign{{Dst: "acked", E: lang.Add(lang.V("acked"), lang.V("pkt.acked"))}},
+	}
+}
+
+func refProg(fold *lang.FoldSpec, cwnd float64) *lang.Program {
+	return lang.NewProgram().MeasureFold(fold).Cwnd(lang.C(cwnd)).WaitRtts(1).Report().MustBuild()
+}
+
+// grabFlow creates flow 1 on a fresh agent and returns it with what it sends.
+func grabFlow(t *testing.T) (*Agent, *Flow, *capture) {
+	t.Helper()
+	a := newTestAgent(t, &recordAlg{}, nil)
+	cap := &capture{}
+	a.HandleMessage(createMsg(1), cap.send)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a, a.flows[1].flow, cap
+}
+
+// TestFlowInstallsByReference: an Install whose measure half is byte for byte
+// the last whole Install's crosses as a reference to that Install's Seq and
+// the control half alone; anything else — a first Install, another fold, a
+// moved Init, EWMA mode — crosses whole and becomes what later ones refer to.
+// The flow keeps the whole program either way.
+func TestFlowInstallsByReference(t *testing.T) {
+	a, flow, cap := grabFlow(t)
+	fold := refFold(0)
+	vector := func(cwnd float64) *lang.Program {
+		return lang.NewProgram().MeasureVector(lang.FieldRTT).Cwnd(lang.C(cwnd)).WaitRtts(1).Report().MustBuild()
+	}
+	ewma := func(cwnd float64) *lang.Program {
+		return lang.NewProgram().Cwnd(lang.C(cwnd)).WaitRtts(1).Report().MustBuild()
+	}
+	steps := []struct {
+		what  string
+		p     *lang.Program
+		byRef bool
+	}{
+		{"first install", refProg(fold, 10000), false},
+		{"same fold, new window", refProg(fold, 20000), true},
+		{"same fold built afresh", refProg(refFold(0), 30000), true},
+		{"moved Init", refProg(refFold(0.5), 30000), false},
+		{"the moved fold again", refProg(refFold(0.5), 40000), true},
+		{"vector mode", vector(10000), false},
+		{"vector mode again", vector(20000), true},
+		{"EWMA mode", ewma(10000), false},
+		{"EWMA mode again", ewma(20000), false},
+		{"back to the fold", refProg(fold, 50000), false},
+		{"and again", refProg(fold, 60000), true},
+	}
+	var wholeSeq uint32
+	byRef := 0
+	for _, st := range steps {
+		if err := flow.Install(st.p); err != nil {
+			t.Fatalf("%s: %v", st.what, err)
+		}
+		msgs := cap.installs()
+		sent := msgs[len(msgs)-1]
+		want, err := lang.MarshalProgram(st.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(flow.progBytes) != string(want) || flow.Installed() != st.p {
+			t.Fatalf("%s: the flow keeps % x, want the whole program % x", st.what, flow.progBytes, want)
+		}
+		if lang.IsRef(sent.Prog) != st.byRef {
+			t.Fatalf("%s: sent by reference: %v, want %v (% x)", st.what, !st.byRef, st.byRef, sent.Prog)
+		}
+		if !st.byRef {
+			if string(sent.Prog) != string(want) {
+				t.Fatalf("%s: sent % x, want % x", st.what, sent.Prog, want)
+			}
+			wholeSeq = sent.Seq
+			continue
+		}
+		byRef++
+		m, n, err := lang.UnmarshalMeasure(sent.Prog)
+		if err != nil || m.Mode != lang.MeasureRef || m.Epoch != wholeSeq {
+			t.Fatalf("%s: reference decodes to %+v (%v), want epoch %d", st.what, m, err, wholeSeq)
+		}
+		end, err := lang.MeasurePrefixLen(want)
+		if err != nil || string(sent.Prog[n:]) != string(want[end:]) {
+			t.Fatalf("%s: control half sent % x, the program's % x", st.what, sent.Prog[n:], want[end:])
+		}
+	}
+	if got := a.Stats(); got.InstallsByRef != byRef || got.RefResends != 0 {
+		t.Fatalf("agent counted %d installs by reference and %d re-sends, want %d and 0", got.InstallsByRef, got.RefResends, byRef)
+	}
+
+	// The reference form is the flow's to choose, never the caller's.
+	ref := &lang.Program{Measure: lang.MeasureSpec{Mode: lang.MeasureRef, Epoch: wholeSeq}, Instrs: []lang.Instr{lang.Report{}}}
+	if err := flow.Install(ref); err == nil {
+		t.Fatal("Flow.Install accepted a program in by-reference form")
+	}
+}
+
+// TestFlowRefusedReference: what an InstallErr does depends on which Install
+// it refuses. A refused reference makes the flow send its newest program
+// whole at once, after which the refusals of the other references sent
+// meanwhile change nothing; a refused whole Install rolls back if it is the
+// newest, and is never referred to again.
+func TestFlowRefusedReference(t *testing.T) {
+	a, flow, cap := grabFlow(t)
+	fold := refFold(0)
+	progs := []*lang.Program{refProg(fold, 10000), refProg(fold, 20000), refProg(fold, 30000)}
+	for _, p := range progs {
+		if err := flow.Install(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := cap.installs()
+	whole, ref1, ref2 := sent[0], sent[1], sent[2]
+	if lang.IsRef(whole.Prog) || !lang.IsRef(ref1.Prog) || !lang.IsRef(ref2.Prog) {
+		t.Fatal("want one whole Install and two references")
+	}
+	refuse := func(seq uint32) { a.HandleMessage(&proto.InstallErr{SID: 1, Seq: seq, Reason: "no"}, cap.send) }
+
+	// The whole Install never arrived: the datapath refuses the first reference.
+	refuse(ref1.Seq)
+	sent = cap.installs()
+	if len(sent) != 4 {
+		t.Fatalf("a refused reference drew %d further installs, want 1", len(sent)-3)
+	}
+	again := sent[3]
+	newest, _ := lang.MarshalProgram(progs[2])
+	if string(again.Prog) != string(newest) || !proto.SeqNewer(again.Seq, ref2.Seq) {
+		t.Fatalf("re-sent seq %d % x, want the newest program whole under a fresh Seq", again.Seq, again.Prog)
+	}
+	if flow.Installed() != progs[2] || a.Stats().RefResends != 1 {
+		t.Fatalf("after the re-send the flow holds %s, %d re-sends counted", flow.Installed(), a.Stats().RefResends)
+	}
+	// The second reference's refusal, and a duplicate of the first's, are history.
+	refuse(ref2.Seq)
+	refuse(ref1.Seq)
+	refuse(again.Seq + 100) // and one for an Install never sent is noise
+	if got := cap.installs(); len(got) != 4 || flow.Installed() != progs[2] {
+		t.Fatalf("superseded refusals drew %d installs, flow holds %s", len(got)-4, flow.Installed())
+	}
+	// Later installs refer to the re-sent one.
+	if err := flow.Install(refProg(fold, 40000)); err != nil {
+		t.Fatal(err)
+	}
+	sent = cap.installs()
+	if m, _, err := lang.UnmarshalMeasure(sent[4].Prog); err != nil || m.Epoch != again.Seq {
+		t.Fatalf("the install after a re-send names %+v (%v), want epoch %d", m, err, again.Seq)
+	}
+
+	// A refused whole Install that is the newest rolls back, and nothing
+	// refers to it afterwards.
+	moved := refProg(refFold(0.5), 40000)
+	if err := flow.Install(moved); err != nil {
+		t.Fatal(err)
+	}
+	before := flow.prevInstalled
+	sent = cap.installs()
+	refuse(sent[len(sent)-1].Seq)
+	if flow.Installed() != before || len(cap.installs()) != len(sent) {
+		t.Fatalf("refused whole install: flow holds %s, %d installs drawn", flow.Installed(), len(cap.installs())-len(sent))
+	}
+	if err := flow.Install(refProg(refFold(0.5), 50000)); err != nil {
+		t.Fatal(err)
+	}
+	sent = cap.installs()
+	if lang.IsRef(sent[len(sent)-1].Prog) {
+		t.Fatal("an install referred to one the datapath refused")
+	}
+	if got := a.Stats(); got.InstallErrs != 5 || got.RefResends != 1 {
+		t.Fatalf("agent counted %d install errors and %d re-sends, want 5 and 1", got.InstallErrs, got.RefResends)
+	}
+}
+
+// TestRestoredFlowKnowsNoEpoch: snapshots always carry the whole program, a
+// snapshot carrying a reference is refused, and a flow rebuilt from one
+// installs whole first — what Init sent before the datapath was adopted went
+// nowhere, and what the failed agent installed is not this flow's to name.
+func TestRestoredFlowKnowsNoEpoch(t *testing.T) {
+	fold := refFold(0)
+	alg := &recordAlg{onInit: func(f *Flow) { f.Install(refProg(fold, 10000)) }}
+	primary := newTestAgent(t, alg, nil)
+	cap := &capture{}
+	primary.HandleMessage(createMsg(1), cap.send)
+	primary.mu.Lock()
+	flow := primary.flows[1].flow
+	primary.mu.Unlock()
+	if err := flow.Install(refProg(fold, 20000)); err != nil {
+		t.Fatal(err)
+	}
+	if sent := cap.installs(); len(sent) != 2 || !lang.IsRef(sent[1].Prog) {
+		t.Fatalf("want a whole install and a reference, got %d installs", len(sent))
+	}
+	var snap *proto.Snapshot
+	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
+		snap = proto.Clone(s).(*proto.Snapshot)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := lang.UnmarshalProgram(snap.Prog); err != nil || p.Measure.Mode != lang.MeasureFold {
+		t.Fatalf("snapshot carries %v (%v), want the whole fold program", p, err)
+	}
+
+	standby := newTestAgent(t, alg, nil)
+	bad := *snap
+	bad.Prog = lang.AppendRef(nil, 1, []byte{1, 0x14, 0})
+	if err := standby.RestoreFlow(&bad); err == nil {
+		t.Fatal("RestoreFlow accepted a snapshot carrying a reference")
+	}
+	if err := standby.RestoreFlow(snap); err != nil {
+		t.Fatal(err)
+	}
+	// The datapath's first report binds the channel; the install it draws
+	// crosses whole even though the measure half is the one Init installed.
+	after := &capture{}
+	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0}}, after.send)
+	standby.mu.Lock()
+	restored := standby.flows[1].flow
+	standby.mu.Unlock()
+	if err := restored.Install(refProg(fold, 30000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Install(refProg(fold, 40000)); err != nil {
+		t.Fatal(err)
+	}
+	sent := after.installs()
+	if len(sent) != 2 || lang.IsRef(sent[0].Prog) || !lang.IsRef(sent[1].Prog) {
+		t.Fatalf("restored flow sent %d installs; want the first whole, the second by reference", len(sent))
+	}
+}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -50,6 +52,18 @@ type flowShared struct {
 	install   proto.Install
 	backoff   proto.Backoff
 	heartbeat proto.Heartbeat
+	// refProg is the storage an Install by reference is encoded in: borrowed by
+	// send like the message that points at it, it grows to the largest control
+	// half the agent has sent and is then reused.
+	refProg []byte
+
+	// Counted here, where a Flow can reach them: Agent.Stats reads them into
+	// AgentStats.InstallsByRef and RefResends, and the two counters mirror
+	// them into AgentConfig.Metrics (nil, which absorbs writes, without one).
+	installsByRef int
+	refResends    int
+	mByRef        *metrics.Counter
+	mRefResends   *metrics.Counter
 }
 
 // Flow is the algorithm's handle on one datapath flow: it carries flow
@@ -81,9 +95,18 @@ type Flow struct {
 	// InstallErr for that Install rolls the agent's view back to what is
 	// actually live (report-name alignment depends on it). lastInstallSeq is
 	// the control sequence of the newest Install sent.
+	//
+	// wholeSeq is the Seq of the newest Install sent whole — the epoch its
+	// measure half has at the datapath once applied — and wholeLen that half's
+	// length in progBytes, or 0 when a later Install may not refer to it: the
+	// program was EWMA-mode, which has no shorter reference form, it went
+	// nowhere (a restored flow not yet adopted), or the datapath refused it.
+	// Every Install sent after wholeSeq, up to lastInstallSeq, was a reference
+	// to it.
 	prevInstalled  *lang.Program
 	prevProgBytes  []byte
 	lastInstallSeq uint32
+	wholeSeq       uint32
 	installErrs    int
 	lastInstallErr string
 
@@ -93,7 +116,8 @@ type Flow struct {
 	// datapath announced in Create, which on a resync is the newest sequence
 	// it has applied — a restarted agent resumes numbering above it instead
 	// of looking stale.
-	ctrlSeq uint32
+	ctrlSeq  uint32
+	wholeLen uint32
 
 	// Stats observed by the agent for this flow.
 	reports int
@@ -129,9 +153,18 @@ func (f *Flow) emit(m proto.Msg) error {
 // the flow's policy: every Rate expression is clamped with min(e, maxRate)
 // and every Cwnd expression with min(e, maxCwnd). Expression rewriting means
 // the policy holds even between agent decisions, inside the datapath.
+//
+// What crosses is the whole program, or — when its measure half is byte for
+// byte the one the last whole Install carried, as it is for an algorithm that
+// answers every report by moving a constant in its control half — a reference
+// to that Install and the control half alone (lang.AppendRef). Either way the
+// flow keeps the whole encoding: snapshots and rollback never see a reference.
 func (f *Flow) Install(p *lang.Program) error {
 	if p == nil {
 		return fmt.Errorf("core: nil program")
+	}
+	if p.Measure.Mode == lang.MeasureRef {
+		return fmt.Errorf("core: a program is installed whole; the reference form is chosen here")
 	}
 	clamped := f.applyPolicy(p)
 	if err := clamped.Validate(); err != nil {
@@ -150,15 +183,33 @@ func (f *Flow) Install(p *lang.Program) error {
 			f.logfSafe("core: flow %d: verifier: %v", f.Info.SID, rep.Err())
 		}
 	}
-	data, err := lang.MarshalProgram(clamped)
+	data, n, err := lang.MarshalHalves(clamped)
 	if err != nil {
 		return err
 	}
+	// f.progBytes is the last program sent, whole or by reference to the
+	// same half, so its first wholeLen bytes are the half wholeSeq names.
+	byRef := n == int(f.wholeLen) && bytes.Equal(data[:n], f.progBytes[:n])
 	seq := f.nextSeq()
 	m := &f.shared.install
 	*m = proto.Install{SID: f.Info.SID, Seq: seq, Prog: data}
+	if byRef {
+		f.shared.refProg = lang.AppendRef(f.shared.refProg[:0], f.wholeSeq, data[n:])
+		m.Prog = f.shared.refProg
+	}
 	if err := f.emit(m); err != nil {
 		return err
+	}
+	if byRef {
+		f.shared.installsByRef++
+		f.shared.mByRef.Inc()
+	} else {
+		// An EWMA-mode measure half is shorter than a reference to it, and
+		// what a flow still without a channel sends (emit) reaches nobody.
+		f.wholeSeq, f.wholeLen = seq, 0
+		if clamped.Measure.Mode != lang.MeasureEWMA && f.send != nil {
+			f.wholeLen = uint32(n)
+		}
 	}
 	f.prevInstalled, f.prevProgBytes = f.installed, f.progBytes
 	f.lastInstallSeq = seq
@@ -208,16 +259,47 @@ func (f *Flow) logfSafe(format string, args ...any) {
 	}
 }
 
-// noteInstallErr records a datapath install refusal. A refusal of the newest
-// Install rolls the agent's view of the installed program back to the one the
-// datapath actually kept, so report-field naming stays aligned; a refusal of
-// an older, already-superseded Install only counts.
+// noteInstallErr records a datapath install refusal; what else it does depends
+// on which Install was refused.
+//
+// One sent before the newest whole Install is history: that Install
+// superseded it, and the two ends agree again if it was applied.
+//
+// The newest whole Install itself: no later Install may refer to it. If it is
+// also the newest Install of all, the agent's view of the installed program
+// rolls back to the one the datapath actually kept, so report-field naming
+// stays aligned; refused but already superseded, it only counts.
+//
+// One sent after it, which is to say a reference: the program was not
+// necessarily at fault — the datapath may not hold the half it named (the
+// whole Install was lost, overtaken, or stale on arrival) — and a verdict on a
+// control half alone settles nothing. So there is nothing to roll back: the
+// newest program's kept bytes go again, whole, at once and under a fresh Seq,
+// instead of the flow running an older control half until its next report,
+// and the refusals of the references sent meanwhile are history by the rule
+// above. Refused whole, it rolls back like any other.
 func (f *Flow) noteInstallErr(seq uint32, reason string) {
 	f.installErrs++
 	f.lastInstallErr = reason
-	if seq != 0 && seq == f.lastInstallSeq {
-		f.installed, f.progBytes = f.prevInstalled, f.prevProgBytes
-		f.names = nil
+	switch {
+	case seq == 0 || proto.SeqNewer(f.wholeSeq, seq) || proto.SeqNewer(seq, f.lastInstallSeq):
+		// Unsequenced, superseded, or no Install of this flow's at all.
+	case seq == f.wholeSeq:
+		f.wholeLen = 0
+		if seq == f.lastInstallSeq {
+			f.installed, f.progBytes = f.prevInstalled, f.prevProgBytes
+			f.names = nil
+		}
+	default:
+		m := &f.shared.install
+		*m = proto.Install{SID: f.Info.SID, Seq: f.nextSeq(), Prog: f.progBytes}
+		if f.emit(m) != nil {
+			f.wholeLen = 0 // the channel is gone too; the next Install goes whole
+			return
+		}
+		f.shared.refResends++
+		f.shared.mRefResends.Inc()
+		f.lastInstallSeq, f.wholeSeq = m.Seq, m.Seq
 	}
 }
 

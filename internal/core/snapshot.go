@@ -160,6 +160,9 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 		if err != nil {
 			return fmt.Errorf("core: snapshot for flow %d carries a bad program: %w", snap.SID, err)
 		}
+		if p.Measure.Mode == lang.MeasureRef {
+			return fmt.Errorf("core: snapshot for flow %d carries a reference, not a program", snap.SID)
+		}
 		restoredProg = p
 	}
 	if old, exists := a.flows[snap.SID]; exists {

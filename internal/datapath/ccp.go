@@ -125,10 +125,15 @@ type CCP struct {
 	// reportSeq numbers outgoing reports. lastCtrlSeq is the newest control
 	// sequence number applied; stale or duplicate control messages are dropped
 	// (seq 0 is unsequenced and always accepted). urgentSeq numbers outgoing
-	// urgents so the agent can dedup duplicated deliveries.
+	// urgents so the agent can dedup duplicated deliveries. epoch is the ctrl
+	// Seq of the Install whose measure half is in force — what an Install by
+	// reference must name (install.go) — and 0, which no reference can name,
+	// for the default program, a Config.DefaultProgram or an unsequenced
+	// Install; only a whole-program Install that activates sets it.
 	reportSeq   uint32
 	lastCtrlSeq uint32
 	urgentSeq   uint32
+	epoch       uint32
 
 	// EWMA-mode state (§3 prototype).
 	ewmaRtt  stats.EWMA
@@ -233,7 +238,7 @@ func (d *CCP) Init(c *tcp.Conn) {
 		// A custom default takes the path an Install of the same bytes would.
 		data, err := lang.MarshalProgram(p)
 		if err == nil {
-			err = d.install(data)
+			err = d.install(0, data)
 		}
 		if err != nil {
 			// The default program is statically valid; a failure here is a bug.
@@ -322,7 +327,7 @@ func (d *CCP) Deliver(m proto.Msg) {
 			return
 		}
 		d.touchCtrl(proto.TypeInstall)
-		if err := d.install(v.Prog); err != nil {
+		if err := d.install(v.Seq, v.Prog); err != nil {
 			// A malformed or refused program must not crash the datapath
 			// (§5); the previous program stays in force.
 			d.rejectInstall(v.Seq, err)

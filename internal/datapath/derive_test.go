@@ -54,8 +54,15 @@ type bareFlow struct {
 }
 
 func newBareFlow(verify absint.Mode) *bareFlow {
+	return newBareFlowCfg(datapath.Config{Verify: verify})
+}
+
+// newBareFlowCfg is newBareFlow with cfg's settings; SID, Clock and ToAgent
+// are the bare flow's own.
+func newBareFlowCfg(cfg datapath.Config) *bareFlow {
 	f := &bareFlow{clock: netsim.New(1)}
-	f.dp = datapath.New(datapath.Config{SID: 1, Clock: f.clock, Verify: verify, ToAgent: func(m proto.Msg) error {
+	cfg.SID, cfg.Clock = 1, f.clock
+	cfg.ToAgent = func(m proto.Msg) error {
 		switch v := m.(type) {
 		case *proto.Measurement:
 			f.reports = append(f.reports, append([]float64(nil), v.Fields...))
@@ -63,7 +70,8 @@ func newBareFlow(verify absint.Mode) *bareFlow {
 			f.refusal = v.Reason
 		}
 		return nil
-	}})
+	}
+	f.dp = datapath.New(cfg)
 	f.conn = tcp.NewConn(f.clock, 1, nil, f.dp, tcp.Options{MSS: 1448})
 	f.dp.Init(f.conn)
 	return f
@@ -71,9 +79,13 @@ func newBareFlow(verify absint.Mode) *bareFlow {
 
 // deliver sends an Install and returns the InstallErr reason it drew ("" if
 // it was installed).
-func (f *bareFlow) deliver(data []byte) string {
+func (f *bareFlow) deliver(data []byte) string { return f.deliverSeq(0, data) }
+
+// deliverSeq is deliver of a sequenced Install: one that is not stale, and
+// whose Seq becomes the flow's epoch if it brings a measure half.
+func (f *bareFlow) deliverSeq(seq uint32, data []byte) string {
 	f.refusal = ""
-	f.dp.Deliver(&proto.Install{SID: 1, Prog: data})
+	f.dp.Deliver(&proto.Install{SID: 1, Seq: seq, Prog: data})
 	return f.refusal
 }
 

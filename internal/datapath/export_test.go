@@ -1,6 +1,10 @@
 package datapath
 
-import "reflect"
+import (
+	"reflect"
+
+	"github.com/ccp-repro/ccp/internal/lang"
+)
 
 // Test hooks: the artifact table is a memo, so only a test can need to see
 // it empty or full. None of this is reachable from non-test code.
@@ -31,6 +35,12 @@ func (d *CCP) ForgetArtifact() { d.art = nil }
 
 // Vars is the flow's variable table.
 func (d *CCP) Vars() []float64 { return d.vars }
+
+// Control is where the control program stands: its compiled code and the
+// index of the instruction to run next. Epoch is the Seq of the Install whose
+// measure half is in force.
+func (d *CCP) Control() ([]lang.RegCode, int) { return d.ctrl, d.pc }
+func (d *CCP) Epoch() uint32                  { return d.epoch }
 
 // Features names the optional-feature structs the flow has, in CCP's field
 // order.

@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"fmt"
 	"sync"
 
 	"github.com/ccp-repro/ccp/internal/lang"
@@ -16,9 +17,9 @@ import (
 // so the install path is split there:
 //
 //  1. find the program's measure half and the artifact for it: the flow's
-//     current one, else the process table (both a hit); else derive it from
-//     the flow's current one if only Init values moved, else build it (both a
-//     miss);
+//     current artifact by reference, else by prefix, else the table (each a
+//     hit); else derive it from the flow's current one if only Init values
+//     moved, else build it (both a miss);
 //  2. run the control half, unabridged, on every Install: decode and validate
 //     the instructions against the artifact's names, check them against its
 //     invariant, apply the checks that span both halves, compile them;
@@ -34,10 +35,20 @@ import (
 // code, and gets a new register list and — the one thing that starts from the
 // Inits — a new invariant, from absint.AnalyzeMeasure run in full.
 //
-// All three are the same function of the bytes, so a program gets the same
-// verdict, the same InstallErr text, the same warning count and the same
-// state afterwards however its artifact was come by. The table memoizes a
-// pure function of (measure-half bytes, verified or not): it cannot change
+// By reference is for the commonest Install of all, the one whose measure half
+// is the one before's: the agent sends lang.MeasureRef and the epoch — the
+// ctrl Seq of the Install that carried the half whole — in place of the bytes
+// (lang.AppendRef), and the flow, which keeps the epoch of the half it runs
+// (CCP.epoch), finds its artifact by comparing two integers. A reference to
+// any other epoch names a half this flow does not hold (the whole Install was
+// lost, reordered behind its reference, refused, or superseded): it is
+// refused like any other bad Install, the running program stays, and the
+// InstallErr makes the agent send the program whole.
+//
+// All of these are the same function of the measure half, so a program gets
+// the same verdict, the same InstallErr text, the same warning count and the
+// same state afterwards however its artifact was come by. The table memoizes
+// a pure function of (measure-half bytes, verified or not): it cannot change
 // behaviour, only cost.
 
 // artifact is everything the datapath derives from a measure half. Nothing
@@ -192,19 +203,34 @@ type installable struct {
 	frameLen int
 
 	hit, miss bool // how the artifact was found, once it was
-	warnings  int
+	// byRef: the artifact was found by reference (a hit); staleRef: the
+	// reference named an epoch other than the flow's and was refused for it.
+	byRef, staleRef bool
+	warnings        int
 }
 
 // prepare takes wire bytes through steps 1 and 2 above. cur is the flow's
-// current artifact (nil before the first install); a flow's mode never
-// changes, so cur was built under the same one.
-func prepare(cur *artifact, prog []byte, mode absint.Mode) (in installable, err error) {
+// current artifact (nil before the first install) and epoch the Seq of the
+// Install that brought it; a flow's mode never changes, so cur was built
+// under the same one.
+func prepare(cur *artifact, epoch uint32, prog []byte, mode absint.Mode) (in installable, err error) {
 	verified := mode != absint.ModeOff
 	art := cur
 	end := 0
-	if art != nil && art.prefixes(prog) {
+	switch {
+	case lang.IsRef(prog):
+		var m lang.MeasureSpec
+		if m, end, err = lang.UnmarshalMeasure(prog); err != nil {
+			return in, err
+		}
+		if m.Epoch != epoch {
+			in.staleRef = true
+			return in, fmt.Errorf("datapath: install refers to the measure half of epoch %d, the flow runs epoch %d", m.Epoch, epoch)
+		}
+		in.byRef = true
+	case art != nil && art.prefixes(prog):
 		end = len(art.key)
-	} else {
+	default:
 		if end, err = lang.MeasurePrefixLen(prog); err != nil {
 			return in, err
 		}
@@ -289,7 +315,7 @@ func defaultInstall(mode absint.Mode) installable {
 	e.once.Do(func() {
 		data, err := lang.MarshalProgram(lang.NewProgram().MeasureEWMA().WaitRtts(1).Report().MustBuild())
 		if err == nil {
-			e.in, err = prepare(nil, data, mode)
+			e.in, err = prepare(nil, 0, data, mode)
 		}
 		if err != nil || e.in.warnings != 0 {
 			// The default program is statically valid; a failure here is a bug.
@@ -299,11 +325,16 @@ func defaultInstall(mode absint.Mode) installable {
 	return e.in
 }
 
-// install takes an Install message's program through the whole path. On
-// error the previous program stays in force.
-func (d *CCP) install(prog []byte) error {
-	in, err := prepare(d.art, prog, d.cfg.Verify)
+// install takes an Install message's program through the whole path; seq is
+// the message's Seq, the epoch of the measure half if the program brings one.
+// On error the previous program, and its epoch, stay in force.
+func (d *CCP) install(seq uint32, prog []byte) error {
+	in, err := prepare(d.art, d.epoch, prog, d.cfg.Verify)
 	d.n.VerifyWarnings += in.warnings
+	if in.staleRef {
+		d.n.RefRefusals++
+		d.ins.inc(mRefRefusal)
+	}
 	if in.hit {
 		d.n.InstallArtifactHits++
 		d.ins.inc(mArtifactHit)
@@ -313,6 +344,12 @@ func (d *CCP) install(prog []byte) error {
 	}
 	if err != nil {
 		return err
+	}
+	if in.byRef {
+		d.n.InstallsByRef++
+		d.ins.inc(mInstallByRef)
+	} else {
+		d.epoch = seq
 	}
 	d.activate(in)
 	return nil

@@ -314,10 +314,11 @@ func TestConcurrentFlowsShareArtifact(t *testing.T) {
 	wg.Wait()
 }
 
-// installKinds are the three ways an Install finds its artifact, as
+// installKinds are the four ways an Install finds its artifact, as
 // BenchmarkInstall and the TestAllocs pins below provoke them.
 const (
 	warmInstall      = "warm"       // measure half known: the per-report path
+	byRefInstall     = "by-ref"     // the same, the half named by its epoch and not sent: the per-report path since Install by reference
 	coldInstall      = "cold"       // table and flow reference emptied first: the first Install of a fold in a process
 	movedInitInstall = "moved-init" // register 0's Init differs from the running program's: Vegas's base_rtt improved
 )
@@ -328,7 +329,7 @@ func installer(tb testing.TB, alg, kind string) (*datapath.CCP, func(i int)) {
 	datapath.ResetArtifacts()
 	data := algPrograms(tb, alg)[0]
 	f := newBareFlow(absint.ModeStrict)
-	if reason := f.deliver(data); reason != "" {
+	if reason := f.deliverSeq(1, data); reason != "" {
 		tb.Fatalf("%s: program refused: %s", alg, reason)
 	}
 	var init0 []byte
@@ -336,6 +337,10 @@ func installer(tb testing.TB, alg, kind string) (*datapath.CCP, func(i int)) {
 		init0 = initFields(tb, data)[0]
 	}
 	msg := &proto.Install{SID: 1, Prog: data}
+	if kind == byRefInstall {
+		_, ctrl := halves(tb, data)
+		msg.Prog = lang.AppendRef(nil, 1, ctrl)
+	}
 	return f.dp, func(i int) {
 		switch kind {
 		case coldInstall:
@@ -362,12 +367,15 @@ func installAllocs(t *testing.T, alg, kind string) float64 {
 	if st.InstallRejects != 0 || st.InstallsRecvd != 1+i {
 		t.Fatalf("%s %s: installs refused: %+v", alg, kind, st)
 	}
-	wantHits := 0
-	if kind == warmInstall {
+	wantHits, wantByRef := 0, 0
+	if kind == warmInstall || kind == byRefInstall {
 		wantHits = i
 	}
-	if st.InstallArtifactHits != wantHits {
-		t.Fatalf("%s %s: %d hits, want %d: %+v", alg, kind, st.InstallArtifactHits, wantHits, st)
+	if kind == byRefInstall {
+		wantByRef = i
+	}
+	if st.InstallArtifactHits != wantHits || st.InstallsByRef != wantByRef {
+		t.Fatalf("%s %s: %d hits, %d by reference, want %d, %d: %+v", alg, kind, st.InstallArtifactHits, st.InstallsByRef, wantHits, wantByRef, st)
 	}
 	t.Logf("%s: %s Install: %.1f allocs", alg, kind, allocs)
 	return allocs
@@ -380,10 +388,17 @@ func installAllocs(t *testing.T, alg, kind string) float64 {
 // are kept by the flow: four for the decoded instructions, one for the
 // Program, three for the compiled control half (codes, instructions,
 // constants).
+//
+// By reference it is the same Install with the measure half found by an
+// integer compare: no allocation more than the warm one's.
 func TestAllocsWarmInstall(t *testing.T) {
 	for alg, max := range map[string]float64{"cubic": 11, "vegas": 10} {
-		if allocs := installAllocs(t, alg, warmInstall); allocs > max {
-			t.Errorf("%s: warm Install allocated %.1f times, want <= %.0f", alg, allocs, max)
+		warm := installAllocs(t, alg, warmInstall)
+		if warm > max {
+			t.Errorf("%s: warm Install allocated %.1f times, want <= %.0f", alg, warm, max)
+		}
+		if byRef := installAllocs(t, alg, byRefInstall); byRef > warm {
+			t.Errorf("%s: Install by reference allocated %.1f times, the warm one %.1f", alg, byRef, warm)
 		}
 	}
 }
@@ -415,7 +430,7 @@ func TestAllocsColdInstall(t *testing.T) {
 // programs, each way an Install finds its artifact.
 func BenchmarkInstall(b *testing.B) {
 	for _, alg := range []string{"cubic", "vegas"} {
-		kinds := []string{warmInstall, coldInstall}
+		kinds := []string{warmInstall, byRefInstall, coldInstall}
 		if alg == "vegas" {
 			kinds = append(kinds, movedInitInstall)
 		}

@@ -48,6 +48,14 @@ type Stats struct {
 	// program is prepared once per process and counts as neither.
 	InstallArtifactHits   int
 	InstallArtifactMisses int
+	// InstallsByRef counts the installs, of InstallsRecvd, whose measure half
+	// crossed as a reference to the one the flow already ran (an artifact hit
+	// found by comparing epochs); RefRefusals counts the references, of
+	// InstallRejects, that named an epoch other than the flow's — the whole
+	// Install they refer to was lost, reordered behind them, refused or
+	// superseded.
+	InstallsByRef int
+	RefRefusals   int
 	// BatchesSent counts multi-report frames shipped; BatchedReports counts
 	// the reports they carried (a batch of one is sent plain and counts
 	// under neither).
@@ -87,6 +95,8 @@ type coreCounts struct {
 	VerifyWarnings        int
 	InstallArtifactHits   int
 	InstallArtifactMisses int
+	InstallsByRef         int
+	RefRefusals           int
 }
 
 // Stats returns a snapshot of the runtime counters: the core's, and those of
@@ -107,6 +117,8 @@ func (d *CCP) Stats() Stats {
 		VerifyWarnings:        d.n.VerifyWarnings,
 		InstallArtifactHits:   d.n.InstallArtifactHits,
 		InstallArtifactMisses: d.n.InstallArtifactMisses,
+		InstallsByRef:         d.n.InstallsByRef,
+		RefRefusals:           d.n.RefRefusals,
 	}
 	if fs := d.fs; fs != nil {
 		s.FallbackOn = fs.n.FallbackOn
@@ -154,6 +166,8 @@ const (
 	mInstallReject
 	mArtifactHit
 	mArtifactMiss
+	mInstallByRef
+	mRefRefusal
 	numInstruments
 )
 
@@ -168,6 +182,8 @@ var instrumentNames = [numInstruments]string{
 	mInstallReject: "dp_install_rejects_total",
 	mArtifactHit:   "dp_install_artifact_hits_total",
 	mArtifactMiss:  "dp_install_artifact_misses_total",
+	mInstallByRef:  "dp_installs_by_ref_total",
+	mRefRefusal:    "dp_ref_refusals_total",
 }
 
 // instruments caches a flow's handles into its metrics registry. A flow

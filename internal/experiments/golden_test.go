@@ -24,9 +24,11 @@ import (
 // ablation-agentchaos scenarios 5 s, ext-synthesis 4 s).
 //
 // The digests were generated at commit 1ba1ba0, the parent of the PR that
-// put runtime.Runtime under the harness; ablation-fallback's and
-// ablation-chaos's at the PR that left the datapath one watchdog
-// (EXPERIMENTS.md has what moved, row by row).
+// put runtime.Runtime under the harness; ablation-fallback's at the PR that
+// left the datapath one watchdog; ablation-chaos's and ablation-agentchaos's
+// at the PR that sent Installs by reference, where a lost or stale whole
+// Install now costs the references behind it too (EXPERIMENTS.md has what
+// moved each time, row by row; the other 15 did not move either time).
 var golden = []struct {
 	id     string
 	run    func() fmt.Stringer
@@ -41,7 +43,7 @@ var golden = []struct {
 	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "7813b7cd221c2144fea4e4c6fbb1ff017b92b375a40a048938c401ff636f8a72"},
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "04ecd276a549ae31643150aa69b2f1cb09deaeb66a3687112104fa84207352e7"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "6e3a065117054a6277e548853995279a8295906e737326d9d6b3f45926765255"},
 	{"ablation-agentchaos-5of6", func() fmt.Stringer {
 		res := AblAgentChaosResult{BaselineMatches: agentChaosBaselineMatches()}
 		for _, fault := range []string{"kill", "pause", "slow"} {
@@ -52,7 +54,7 @@ var golden = []struct {
 			}
 		}
 		return res
-	}, "7a9a92be2681c4ff19513b7fa802a5473deecda3e2e656b8fb26f6ffe9e3a267"},
+	}, "512d0a07fece9960bed41f72087fe0c4859cfb9ec2b47096ac9e561f497c0033"},
 	{"ablation-ha-7of9", func() fmt.Stringer {
 		var res AblHAResult
 		for _, fault := range []string{"kill", "pause", "slow"} {

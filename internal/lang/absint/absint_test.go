@@ -333,3 +333,32 @@ func TestParseMode(t *testing.T) {
 		t.Error("ParseMode(bogus): want error")
 	}
 }
+
+// TestReferenceAnalyzedStandAlone: a program in by-reference form is, on its
+// own, a control half over the built-in variables. It analyzes like one; a
+// read of a register of the half it names is Validate's unknown variable
+// through Analyze, and — put to CheckControl directly, as a tool holding only
+// the captured bytes might — an unconstrained value and a finding where it is
+// written, never a panic.
+func TestReferenceAnalyzedStandAlone(t *testing.T) {
+	ref := func(instrs ...lang.Instr) *lang.Program {
+		return &lang.Program{Measure: lang.MeasureSpec{Mode: lang.MeasureRef, Epoch: 7}, Instrs: instrs}
+	}
+	clean := ref(lang.SetCwnd{E: lang.C(14480)}, lang.WaitRtts{Rtts: lang.C(1)}, lang.Report{})
+	if rep := analyze(t, clean, absint.Datapath()); len(rep.Findings) != 0 {
+		t.Errorf("clean reference: unexpected findings: %v", rep.Findings)
+	}
+	noReport := ref(lang.SetCwnd{E: lang.C(14480)}, lang.WaitRtts{Rtts: lang.C(1)})
+	if fs := byCheck(analyze(t, noReport, absint.Datapath()), absint.CheckNoReport); len(fs) != 1 || fs[0].Severity != absint.SevWarn {
+		t.Errorf("reference without Report: want one no-report warning, got %v", fs)
+	}
+
+	reads := ref(lang.SetCwnd{E: lang.Add(lang.V("cwnd"), lang.V("delta"))}, lang.WaitRtts{Rtts: lang.C(1)}, lang.Report{})
+	if _, err := absint.Analyze(reads, absint.Datapath()); err == nil {
+		t.Error("Analyze accepted a reference whose control half reads a register")
+	}
+	rep := absint.AnalyzeMeasure(reads.Measure, absint.Datapath()).CheckControl(reads.Instrs)
+	if fs := byCheck(rep, absint.CheckBounds); len(fs) != 1 || fs[0].Severity != absint.SevError || fs[0].Where.Name != "Cwnd" {
+		t.Errorf("register read outside its flow: want one bounds error on the Cwnd write, got %v", rep.Findings)
+	}
+}

@@ -192,6 +192,13 @@ func Adversarial() Config {
 // report: AnalyzeMeasure over the measure half, then CheckControl over the
 // instruction list. An error is returned only for structurally invalid
 // programs (Validate failures) — semantic problems are Findings, not errors.
+//
+// A program in by-reference form (lang.MeasureRef) is analyzed as what it is
+// stand-alone, a control half over the built-in variables: Validate refuses a
+// read of the named half's registers, and a control half put to CheckControl
+// without it evaluates such a read as unconstrained, which is a finding on
+// whatever it is written to. The datapath does neither: it checks a
+// reference's control half against the invariant of the half it names.
 func Analyze(p *lang.Program, cfg Config) (*Report, error) {
 	if p == nil {
 		return nil, errors.New("absint: nil program")
@@ -780,7 +787,8 @@ func (a *analyzer) checkUnreadRegisters(inv *Invariant, instrs []lang.Instr) {
 // checkReportLiveness: a program with no Report never ships measurements;
 // in fold mode the registers also never reset, and in vector mode the
 // sample buffer grows without bound — install-blocking. EWMA mode merely
-// wastes the measurement machinery — advisory.
+// wastes the measurement machinery — advisory, as it is for a reference taken
+// stand-alone, whose mode is the named half's.
 func (a *analyzer) checkReportLiveness(instrs []lang.Instr) {
 	for _, in := range instrs {
 		if _, ok := in.(lang.Report); ok {

@@ -46,6 +46,9 @@ func FuzzMeasurePrefix(f *testing.F) {
 	for _, tc := range randprog.NonCanonical() {
 		f.Add(tc.Data)
 	}
+	for _, data := range referenceSeeds(rng) {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xCC, 2, 1, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -216,6 +219,9 @@ func FuzzProgramRoundTrip(f *testing.F) {
 	for _, tc := range randprog.NonCanonical() {
 		f.Add(tc.Data, int64(len(tc.Data)))
 	}
+	for _, data := range referenceSeeds(rng) {
+		f.Add(data, int64(len(data)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		if p, err := UnmarshalProgram(data); err == nil {
 			if again, err := MarshalProgram(p); err != nil || !bytes.Equal(again, data) {
@@ -246,6 +252,26 @@ func FuzzProgramRoundTrip(f *testing.F) {
 			t.Fatalf("Validate says %v, the far end of the wire %v\nprogram: %s", want, wireErr, p)
 		}
 	})
+}
+
+// referenceSeeds is the by-reference form as corpus: random programs' control
+// halves behind references of every epoch width (those that read no register
+// are accepted, and must re-encode to themselves), and the spellings the
+// decoder refuses — epoch 0, a padded epoch, one past 32 bits.
+func referenceSeeds(rng *rand.Rand) [][]byte {
+	seeds := [][]byte{
+		{0xCC, 2, 3, 0x00, 1, 0x14, 0},
+		{0xCC, 2, 3, 0x85, 0x00, 1, 0x14, 0},
+		{0xCC, 2, 3, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 0x14, 0},
+		{0xCC, 2, 3},
+	}
+	for _, epoch := range []uint32{1, 127, 128, 1 << 14, 1 << 21, 1 << 28, math.MaxUint32} {
+		data, n, err := MarshalHalves(randprog.Program(rng))
+		if err == nil {
+			seeds = append(seeds, AppendRef(nil, epoch, data[n:]))
+		}
+	}
+	return seeds
 }
 
 // wireProgram is the seed's random program, left alone, damaged the ways

@@ -18,6 +18,17 @@ const (
 	// MeasureVector appends per-packet samples of the selected fields and
 	// ships the whole vector at Report time (flexible, unbounded state).
 	MeasureVector
+	// MeasureRef stands in an Install for a measure half the flow already
+	// runs: it names the half by its epoch, the ctrl Seq of the Install that
+	// carried it whole, and only the control half crosses (Figure 1's "update",
+	// where the other modes are "install"). It is a wire form and not a way to
+	// measure: the Builder never produces it, Flow.Install and RestoreFlow
+	// refuse it, and the datapath resolves it to the artifact it stands for
+	// before anything is validated. Stand-alone — a captured Install read by a
+	// tool — it decodes, validates and analyzes as a program with no registers:
+	// the control half is checked against the built-in variables, and a read of
+	// one of the named half's registers is an unknown variable there.
+	MeasureRef
 )
 
 func (m MeasureMode) String() string {
@@ -28,6 +39,8 @@ func (m MeasureMode) String() string {
 		return "fold"
 	case MeasureVector:
 		return "vector"
+	case MeasureRef:
+		return "ref"
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
@@ -37,6 +50,7 @@ type MeasureSpec struct {
 	Mode   MeasureMode
 	Fold   *FoldSpec // Mode == MeasureFold
 	Fields []Field   // Mode == MeasureVector
+	Epoch  uint32    // Mode == MeasureRef; never 0, the epoch no Install has
 }
 
 // Instr is one control-program primitive (Table 2).
@@ -132,6 +146,10 @@ func (m *MeasureSpec) validate() (regScope, error) {
 				return regScope{}, fmt.Errorf("lang: invalid vector field %d", f)
 			}
 		}
+	case MeasureRef:
+		if m.Epoch == 0 {
+			return regScope{}, fmt.Errorf("lang: reference to epoch 0")
+		}
 	default:
 		return regScope{}, fmt.Errorf("lang: invalid measure mode %d", m.Mode)
 	}
@@ -164,8 +182,9 @@ func ValidateControl(instrs []Instr, resolve Resolver) error {
 }
 
 // RegNames returns the measurement field names a Report will carry, in
-// order: fold register names, vector field names, or the EWMA defaults. The
-// EWMA defaults are EWMAReportNames' list: shared, do not modify.
+// order: fold register names, vector field names, or the EWMA defaults (none
+// for a reference, whose reports are the named measure half's). The EWMA
+// defaults are EWMAReportNames' list: shared, do not modify.
 func (p *Program) RegNames() []string {
 	switch p.Measure.Mode {
 	case MeasureFold:
@@ -176,6 +195,8 @@ func (p *Program) RegNames() []string {
 			names[i] = f.String()
 		}
 		return names
+	case MeasureRef:
+		return nil
 	default:
 		return EWMAReportNames()
 	}
@@ -193,6 +214,8 @@ func (p *Program) String() string {
 			fields[i] = strings.TrimPrefix(f.String(), "pkt.")
 		}
 		parts = append(parts, fmt.Sprintf("Measure(%s)", strings.Join(fields, ", ")))
+	case MeasureRef:
+		parts = append(parts, fmt.Sprintf("Measure(ref:%d)", p.Measure.Epoch))
 	default:
 		parts = append(parts, "Measure(ewma)")
 	}

@@ -18,7 +18,8 @@ import (
 //
 // The encoding has two halves. The measure half — header, mode, and the
 // fold's registers (with their Init values) and updates, or the vector's
-// fields — is a self-delimiting prefix: every list carries its length and
+// fields, or (MeasureRef) the epoch of a measure half the flow already runs —
+// is a self-delimiting prefix: every list carries its length and
 // every expression its own shape, so where it ends is a function of its own
 // bytes and never of what follows. The control half — instruction list and
 // flags — is the rest. MeasurePrefixLen, UnmarshalMeasure and
@@ -85,6 +86,14 @@ var (
 // semantics, and a program Validate refuses still encodes (an undeclared name
 // crosses by name), so the far end refuses it in Validate's words.
 func MarshalProgram(p *Program) ([]byte, error) {
+	data, _, err := MarshalHalves(p)
+	return data, err
+}
+
+// MarshalHalves is MarshalProgram that also says where the measure half ends:
+// data[:ctrlAt] is what MeasurePrefixLen(data) would walk to find, known here
+// from having written it, and data[ctrlAt:] the control half AppendRef takes.
+func MarshalHalves(p *Program) (data []byte, ctrlAt int, err error) {
 	var regs regScope
 	if f := p.Measure.Fold; f != nil {
 		regs = scopeOf(f.Regs)
@@ -99,7 +108,7 @@ func MarshalProgram(p *Program) ([]byte, error) {
 	case MeasureEWMA:
 	case MeasureFold:
 		if p.Measure.Fold == nil {
-			return nil, fmt.Errorf("lang: fold mode without fold")
+			return nil, 0, fmt.Errorf("lang: fold mode without fold")
 		}
 		f := p.Measure.Fold
 		b = binary.AppendUvarint(b, uint64(len(f.Regs)))
@@ -107,7 +116,7 @@ func MarshalProgram(p *Program) ([]byte, error) {
 			var err error
 			b, err = appendString(b, r.Name)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			b = appendF64(b, r.Init)
 		}
@@ -116,11 +125,11 @@ func MarshalProgram(p *Program) ([]byte, error) {
 			var err error
 			b, err = appendVar(b, u.Dst, &regs)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			b, err = appendExpr(b, u.E, &regs)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 	case MeasureVector:
@@ -128,9 +137,15 @@ func MarshalProgram(p *Program) ([]byte, error) {
 		for _, f := range p.Measure.Fields {
 			b = append(b, byte(f))
 		}
+	case MeasureRef:
+		if p.Measure.Epoch == 0 {
+			return nil, 0, fmt.Errorf("lang: reference to epoch 0")
+		}
+		b = binary.AppendUvarint(b, uint64(p.Measure.Epoch))
 	default:
-		return nil, fmt.Errorf("lang: cannot marshal measure mode %d", p.Measure.Mode)
+		return nil, 0, fmt.Errorf("lang: cannot marshal measure mode %d", p.Measure.Mode)
 	}
+	ctrlAt = len(b)
 	b = binary.AppendUvarint(b, uint64(len(p.Instrs)))
 	for _, in := range p.Instrs {
 		var err error
@@ -153,7 +168,7 @@ func MarshalProgram(p *Program) ([]byte, error) {
 			err = fmt.Errorf("lang: cannot marshal instruction %T", in)
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	var flags byte
@@ -161,9 +176,25 @@ func MarshalProgram(p *Program) ([]byte, error) {
 		flags |= 1
 	}
 	b = append(b, flags)
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
+	data = make([]byte, len(b))
+	copy(data, b)
+	return data, ctrlAt, nil
+}
+
+// AppendRef appends to dst a program in its by-reference form: a measure half
+// that only names epoch — the ctrl Seq of the Install that carried the measure
+// half meant — and then ctrl, a control half as it stands in a whole program's
+// encoding (MarshalHalves' data[ctrlAt:]). epoch must not be 0, which is no
+// Install's.
+func AppendRef(dst []byte, epoch uint32, ctrl []byte) []byte {
+	dst = append(dst, progMagic, progVersion, byte(MeasureRef))
+	dst = binary.AppendUvarint(dst, uint64(epoch))
+	return append(dst, ctrl...)
+}
+
+// IsRef reports whether data starts as a program in by-reference form does.
+func IsRef(data []byte) bool {
+	return len(data) > 2 && data[0] == progMagic && data[1] == progVersion && data[2] == byte(MeasureRef)
 }
 
 // smallConst reports whether v has the two-byte form: a whole number 0..255
@@ -345,6 +376,11 @@ func (r *reader) measure(m *MeasureSpec) error {
 			if !r.skip {
 				m.Fields = append(m.Fields, f)
 			}
+		}
+	case MeasureRef:
+		m.Epoch = uint32(r.uvarint("epoch", math.MaxUint32))
+		if m.Epoch == 0 {
+			r.fail(fmt.Errorf("lang: reference to epoch 0"))
 		}
 	default:
 		return fmt.Errorf("lang: bad measure mode %d", m.Mode)
@@ -543,14 +579,14 @@ func (r *reader) string() string {
 	return ""
 }
 
-// uvarint reads a count or an index of at most maxListLen, in the fewest
+// uvarint reads a count, an index or an epoch of at most max, in the fewest
 // bytes that hold it.
-func (r *reader) uvarint(what string) int {
+func (r *reader) uvarint(what string, max uint64) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || v > maxListLen {
+	if n <= 0 || v > max {
 		r.fail(fmt.Errorf("lang: bad %s", what))
 		return 0
 	}
@@ -559,10 +595,10 @@ func (r *reader) uvarint(what string) int {
 		return 0
 	}
 	r.pos += n
-	return int(v)
+	return v
 }
 
-func (r *reader) listLen() int { return r.uvarint("list length") }
+func (r *reader) listLen() int { return int(r.uvarint("list length", maxListLen)) }
 
 // declared reports whether name is one of the registers of the fold being
 // decoded, by reading the declarations back from data. Only a variable that
@@ -610,7 +646,7 @@ func (r *reader) variable(tag byte) Expr {
 	case tag >= exprTagReg:
 		i := int(tag - exprTagReg)
 		if tag == exprTagRegLong {
-			if i = r.uvarint("register index"); i <= regShortMax && r.err == nil {
+			if i = int(r.uvarint("register index", maxListLen)); i <= regShortMax && r.err == nil {
 				r.fail(fmt.Errorf("lang: register index %d in its long form", i))
 			}
 		}

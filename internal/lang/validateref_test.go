@@ -72,6 +72,10 @@ func RefValidateProgram(p *Program) error {
 				return fmt.Errorf("lang: invalid vector field %d", f)
 			}
 		}
+	case MeasureRef:
+		if m.Epoch == 0 {
+			return fmt.Errorf("lang: reference to epoch 0")
+		}
 	default:
 		return fmt.Errorf("lang: invalid measure mode %d", m.Mode)
 	}

@@ -411,6 +411,8 @@ func addAgentStats(dst *core.AgentStats, s core.AgentStats) {
 	dst.Heartbeats += s.Heartbeats
 	dst.ResyncAdopts += s.ResyncAdopts
 	dst.InstallErrs += s.InstallErrs
+	dst.InstallsByRef += s.InstallsByRef
+	dst.RefResends += s.RefResends
 }
 
 // SnapshotInto streams every shard's flow state through sink (see
