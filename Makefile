@@ -74,17 +74,17 @@ benchstat:
 	fi
 
 # Allocation-regression tests: the hot paths (codec round trip, fold step,
-# event schedule/dispatch, program validation, nil-registry instruments, a
-# report across the shard hop and the decision it draws) must stay at zero
-# allocations per op, and both ends of a warm Install (the agent's
-# build-and-send, the datapath's measure-half-known apply), a moved-Init
-# Install and a cold one under their pins.
+# event schedule/dispatch, program validation, a report across the shard hop
+# and the decision it draws) must stay at zero allocations per op, and both
+# ends of a warm Install (the agent's build-and-send, the datapath's
+# measure-half-known apply), a moved-Init Install and a cold one under their
+# pins.
 # These skip themselves under -race (alloc counts are inflated), so `check`
 # runs them in a separate non-race pass.
 test-allocs:
 	$(GO) test -run 'TestAllocs' -count=1 \
 		./internal/proto ./internal/netsim ./internal/lang ./internal/ipc/shmring \
-		./internal/datapath ./internal/core ./internal/metrics ./internal/runtime
+		./internal/datapath ./internal/core ./internal/runtime
 
 # Robustness lane: the concurrent packages (sharded runtime — including
 # TestRaceContainersAccountedExactlyOnce, the mailbox-container ownership

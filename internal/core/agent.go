@@ -6,7 +6,6 @@ import (
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -21,9 +20,6 @@ type AgentConfig struct {
 	Policy PolicyFunc
 	// Logf, if set, receives diagnostic messages.
 	Logf func(format string, args ...any)
-	// Metrics, if set, receives agent counters (reports processed, batch
-	// sizes, flow churn) alongside the AgentStats snapshot. Nil is valid.
-	Metrics *metrics.Registry
 	// Verify pre-flights programs at Flow.Install with the internal/lang/absint
 	// verifier, before they ever reach the wire: strict makes Install return an
 	// error, warn logs the findings and sends anyway. The default is off — the
@@ -100,15 +96,6 @@ type Agent struct {
 	closedSIDs   []uint32
 	snapScratch  proto.Snapshot
 	sidScratch   []uint32
-
-	// Cached metrics instruments (nil, which absorbs writes, when cfg.Metrics
-	// is nil), so the hot path never does a registry lookup.
-	mReports   *metrics.Counter
-	mUrgents   *metrics.Counter
-	mCreated   *metrics.Counter
-	mClosed    *metrics.Counter
-	mBatchSize *metrics.Histogram
-	mLiveFlows *metrics.Gauge
 }
 
 type flowState struct {
@@ -160,17 +147,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("core: default algorithm %q not registered", cfg.DefaultAlg)
 	}
 	return &Agent{
-		cfg:   cfg,
-		flows: make(map[uint32]*flowState),
-		shared: flowShared{verify: cfg.Verify, logf: cfg.Logf,
-			mByRef:      cfg.Metrics.Counter("agent_installs_by_ref_total"),
-			mRefResends: cfg.Metrics.Counter("agent_ref_resends_total")},
-		mReports:   cfg.Metrics.Counter("agent_reports_total"),
-		mUrgents:   cfg.Metrics.Counter("agent_urgents_total"),
-		mCreated:   cfg.Metrics.Counter("agent_flows_created_total"),
-		mClosed:    cfg.Metrics.Counter("agent_flows_closed_total"),
-		mBatchSize: cfg.Metrics.Histogram("agent_batch_size"),
-		mLiveFlows: cfg.Metrics.Gauge("agent_live_flows"),
+		cfg:    cfg,
+		flows:  make(map[uint32]*flowState),
+		shared: flowShared{verify: cfg.Verify, logf: cfg.Logf},
 	}, nil
 }
 
@@ -206,7 +185,6 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	if b, ok := m.(*proto.Batch); ok {
 		a.stats.Batches++
 		a.stats.BatchedMsgs += len(b.Msgs)
-		a.mBatchSize.Observe(float64(len(b.Msgs)))
 		for _, sub := range b.Msgs {
 			if _, nested := sub.(*proto.Batch); nested {
 				a.stats.Errors++ // the decoder rejects these; defend anyway
@@ -238,7 +216,6 @@ func (a *Agent) handleLocked(m proto.Msg, reply func(proto.Msg) error) {
 			st.flow.send = reply // restored flow adopts its datapath lazily
 		}
 		a.stats.Measurements++
-		a.mReports.Inc()
 		st.flow.reports++
 		names := st.flow.reportNames()
 		meas := Measurement{Seq: v.Seq, Names: names, Values: v.Fields}
@@ -257,7 +234,6 @@ func (a *Agent) handleLocked(m proto.Msg, reply func(proto.Msg) error) {
 			st.flow.send = reply
 		}
 		a.stats.Vectors++
-		a.mReports.Inc()
 		st.flow.reports++
 		fields := st.flow.vectorFields()
 		meas := Measurement{Seq: v.Seq, Names: st.flow.reportNames()}
@@ -284,7 +260,6 @@ func (a *Agent) handleLocked(m proto.Msg, reply func(proto.Msg) error) {
 			st.flow.send = reply
 		}
 		a.stats.Urgents++
-		a.mUrgents.Inc()
 		st.flow.urgents++
 		st.alg.OnUrgent(st.flow, UrgentEvent{Kind: v.Kind, Value: v.Value})
 	case *proto.Close:
@@ -301,8 +276,6 @@ func (a *Agent) handleLocked(m proto.Msg, reply func(proto.Msg) error) {
 			a.closedSIDs = append(a.closedSIDs, v.SID)
 		}
 		a.stats.FlowsClosed++
-		a.mClosed.Inc()
-		a.mLiveFlows.Set(int64(len(a.flows)))
 	case *proto.InstallErr:
 		// The datapath refused an Install (its §9 verifier gate, or a
 		// malformed encoding). The flow is fail-safe — the datapath keeps its
@@ -400,8 +373,6 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 	}
 	a.flows[v.SID] = &flowState{flow: flow, alg: alg, createSeq: v.Seq}
 	a.stats.FlowsCreated++
-	a.mCreated.Inc()
-	a.mLiveFlows.Set(int64(len(a.flows)))
 	alg.Init(flow)
 }
 

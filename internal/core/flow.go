@@ -7,7 +7,6 @@ import (
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -58,12 +57,9 @@ type flowShared struct {
 	refProg []byte
 
 	// Counted here, where a Flow can reach them: Agent.Stats reads them into
-	// AgentStats.InstallsByRef and RefResends, and the two counters mirror
-	// them into AgentConfig.Metrics (nil, which absorbs writes, without one).
+	// AgentStats.InstallsByRef and RefResends.
 	installsByRef int
 	refResends    int
-	mByRef        *metrics.Counter
-	mRefResends   *metrics.Counter
 }
 
 // Flow is the algorithm's handle on one datapath flow: it carries flow
@@ -202,7 +198,6 @@ func (f *Flow) Install(p *lang.Program) error {
 	}
 	if byRef {
 		f.shared.installsByRef++
-		f.shared.mByRef.Inc()
 	} else {
 		// An EWMA-mode measure half is shorter than a reference to it, and
 		// what a flow still without a channel sends (emit) reaches nobody.
@@ -298,7 +293,6 @@ func (f *Flow) noteInstallErr(seq uint32, reason string) {
 			return
 		}
 		f.shared.refResends++
-		f.shared.mRefResends.Inc()
 		f.lastInstallSeq, f.wholeSeq = m.Seq, m.Seq
 	}
 }

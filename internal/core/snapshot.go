@@ -128,7 +128,6 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 				r.Release(st.flow)
 			}
 			delete(a.flows, snap.SID)
-			a.mLiveFlows.Set(int64(len(a.flows)))
 		}
 		return nil
 	}
@@ -195,6 +194,5 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 		restored:      true,
 	}
 	a.stats.Restores++
-	a.mLiveFlows.Set(int64(len(a.flows)))
 	return nil
 }

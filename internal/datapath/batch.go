@@ -104,7 +104,6 @@ func (d *CCP) flushBatch() {
 	}
 	b.n.BatchesSent++
 	b.n.BatchedReports += len(b.pending)
-	d.ins.observeBatch(len(b.pending))
 	b.frame.Msgs = b.pending
 	d.send(&b.frame)
 	b.frame.Msgs = nil

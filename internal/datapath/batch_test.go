@@ -6,7 +6,6 @@ import (
 
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -163,23 +162,39 @@ func TestMaxBatchMsgsFlushesEarly(t *testing.T) {
 	}
 }
 
-func TestDatapathMetricsThreaded(t *testing.T) {
-	reg := metrics.NewRegistry()
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{
-		BatchInterval: 100 * time.Millisecond,
-		Metrics:       reg,
-	})
-	r.flow.Conn.Start()
-	r.sim.Run(2 * time.Second)
-	snap := reg.Snapshot()
-	if snap.Counters["dp_reports_sent_total"] != int64(r.dp.Stats().ReportsSent) {
-		t.Fatalf("metrics/stats mismatch: %v vs %+v", snap.Counters, r.dp.Stats())
-	}
-	h, ok := snap.Histograms["dp_batch_size"]
-	if !ok || h.Count == 0 {
-		t.Fatalf("batch size histogram empty: %+v", snap.Histograms)
-	}
-	if h.Min < 2 {
-		t.Fatalf("single-message batches should be sent plain (min=%v)", h.Min)
+// TestBatchFramesCarryTwoOrMore: a batch that drained to one report is sent
+// plain, so every frame on the wire carries at least two, and Stats counts
+// exactly the frames and reports that crossed as batches. A 5 ms window is
+// shorter than the round trip a report waits for, so each of its flushes holds
+// one report; a 100 ms window holds several.
+func TestBatchFramesCarryTwoOrMore(t *testing.T) {
+	for _, tc := range []struct {
+		interval       time.Duration
+		plain, batched bool
+	}{{5 * time.Millisecond, true, false}, {100 * time.Millisecond, false, true}} {
+		r := newRig(t, link8(), tcp.Options{}, datapath.Config{BatchInterval: tc.interval})
+		r.flow.Conn.Start()
+		r.sim.Run(2 * time.Second)
+		plain, batches, batched := 0, 0, 0
+		for _, m := range r.sent {
+			switch v := m.(type) {
+			case *proto.Measurement:
+				plain++
+			case *proto.Batch:
+				if len(v.Msgs) < 2 {
+					t.Fatalf("%v: batch %d carries %d reports; one is sent plain", tc.interval, batches, len(v.Msgs))
+				}
+				batches++
+				batched += len(v.Msgs)
+			}
+		}
+		if (plain > 0) != tc.plain || (batches > 0) != tc.batched {
+			t.Fatalf("%v: %d reports sent plain and %d batches, want plain %v, batches %v",
+				tc.interval, plain, batches, tc.plain, tc.batched)
+		}
+		if st := r.dp.Stats(); batches != st.BatchesSent || batched != st.BatchedReports {
+			t.Fatalf("%v: wire carried %d batches of %d reports, Stats counts %d of %d",
+				tc.interval, batches, batched, st.BatchesSent, st.BatchedReports)
+		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/stats"
@@ -80,9 +79,6 @@ type Config struct {
 	// MaxBatchMsgs flushes a partial batch early once it holds this many
 	// reports (default 64, capped at proto.MaxBatchMsgs).
 	MaxBatchMsgs int
-	// Metrics optionally receives datapath counters (reports sent, batch
-	// sizes, fallback activations). Nil is valid.
-	Metrics *metrics.Registry
 	// Verify selects the install-time program verification policy
 	// (internal/lang/absint): strict refuses programs with install-blocking
 	// findings (the previous program stays in force and the agent is told
@@ -150,7 +146,6 @@ type CCP struct {
 	smooth *smoother    // smooth.go: window ramp
 	batch  *batcher     // batch.go: report coalescing
 	vec    *vectorState // report.go: vector mode
-	ins    *instruments // stats.go: Config.Metrics handles
 
 	// Message scratch (Config.ToAgent's ownership rule): rep is the report of
 	// a flow that does not batch (a batching flow's are in its batcher),
@@ -188,7 +183,6 @@ func New(cfg Config) *CCP {
 		ewmaRtt: stats.MakeEWMA(0.125),
 		ewmaSnd: stats.MakeEWMA(0.25),
 		ewmaRcv: stats.MakeEWMA(0.25),
-		ins:     newInstruments(cfg.Metrics),
 	}
 	if cfg.Liveness.on() {
 		d.fs = &failsafe{}
@@ -387,7 +381,6 @@ func (d *CCP) staleCtrl(seq uint32) bool {
 // controlling the flow, and the §5 fallback machinery is untouched.
 func (d *CCP) rejectInstall(seq uint32, err error) {
 	d.n.InstallRejects++
-	d.ins.inc(mInstallReject)
 	reason := err.Error()
 	if len(reason) > 255 {
 		reason = reason[:252] + "..."

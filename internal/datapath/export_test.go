@@ -55,7 +55,6 @@ func (d *CCP) Features() []string {
 	add("smooth", d.smooth != nil)
 	add("batch", d.batch != nil)
 	add("vector", d.vec != nil)
-	add("instruments", d.ins != nil)
 	return have
 }
 

@@ -188,7 +188,6 @@ func (d *CCP) AgentGone(gone bool) {
 	d.fs.agentGone = gone
 	if gone {
 		d.fs.n.AgentGoneSignals++
-		d.ins.inc(mAgentGone)
 		if !d.fallbackActive {
 			d.enterFallback(false)
 		}
@@ -376,7 +375,6 @@ func (d *CCP) engageFallback() tcp.CongestionControl {
 	fs := d.fs
 	d.fallbackActive = true
 	fs.n.FallbackOn++
-	d.ins.inc(mFallbackOn)
 	stopTimer(&d.waitTimer)
 	if fs.fallback == nil {
 		fs.fallback = nativecc.NewNewReno()
@@ -390,7 +388,6 @@ func (d *CCP) enterFallback(stale bool) {
 	fallback := d.engageFallback()
 	if stale {
 		d.fs.n.LivenessStale++
-		d.ins.inc(mLivenessStale)
 	}
 	// Cancel any in-flight smoothing ramp; the fallback owns the window now.
 	d.cancelRamp()
@@ -413,7 +410,6 @@ func (d *CCP) enterFallback(stale bool) {
 func (d *CCP) exitFallback() {
 	d.fallbackActive = false
 	d.fs.n.FallbackOff++
-	d.ins.inc(mFallbackOff)
 	d.fs.n.HandoffRamps++
 	d.fs.handoffUntil = d.cfg.Clock.Now() + d.rttDur(handoffRtts)
 	d.pc = 0
@@ -442,7 +438,6 @@ func (d *CCP) handingOff() bool {
 func (d *CCP) handleBackoff(v *proto.Backoff) {
 	fs := d.failsafe()
 	fs.n.BackoffsRecvd++
-	d.ins.inc(mBackoffRecvd)
 	f := v.Factor
 	if f < 1 {
 		f = 1

@@ -12,7 +12,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	ccpruntime "github.com/ccp-repro/ccp/internal/runtime"
@@ -27,7 +26,7 @@ import (
 // TestCCPSize pins the per-flow struct at the 640-byte size class. A flow in
 // the default configuration is one of tens of thousands (benchmark's
 // direct50k); if this fails, what was added belongs in its feature's struct
-// (failsafe, smoother, batcher, vectorState, instruments), behind the pointer
+// (failsafe, smoother, batcher, vectorState), behind the pointer
 // only the flows that use the feature pay for.
 func TestCCPSize(t *testing.T) {
 	if got := unsafe.Sizeof(datapath.CCP{}); got > 640 {
@@ -50,22 +49,16 @@ func TestAllocsNewFlow(t *testing.T) {
 	}
 }
 
-// TestAllocsNewWithoutRegistry: a flow built without a metrics registry holds
-// no instruments. New allocates the runtime and nothing else; with a registry
-// whose every lookup finds its instrument already made it allocates one thing
-// more, the flow's handles — and never ten counters and a 544-byte histogram
-// nothing could read.
+// TestAllocsNewWithoutRegistry: there is no metrics registry, so a flow holds
+// no instruments. New allocates the CCP and nothing else — never ten counters
+// and a 544-byte histogram nothing could read.
 func TestAllocsNewWithoutRegistry(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	cfg := datapath.Config{SID: 1, Clock: netsim.New(1), ToAgent: func(proto.Msg) error { return nil }}
-	bare := testing.AllocsPerRun(100, func() { datapath.New(cfg) })
-	cfg.Metrics = metrics.NewRegistry()
-	datapath.New(cfg) // makes the instruments
-	found := testing.AllocsPerRun(100, func() { datapath.New(cfg) })
-	if bare != 1 || found != 2 {
-		t.Fatalf("New allocates %.1f times without a registry and %.1f with one already filled, want 1 and 2", bare, found)
+	if allocs := testing.AllocsPerRun(100, func() { datapath.New(cfg) }); allocs != 1 {
+		t.Fatalf("New allocated %.1f times, want 1", allocs)
 	}
 }
 
@@ -94,7 +87,6 @@ func TestFeatureStateOnlyWhereUsed(t *testing.T) {
 		{name: "Backoff", then: func(r *rig) {
 			r.dp.Deliver(&proto.Backoff{SID: 1, Factor: 2})
 		}, want: []string{"failsafe"}},
-		{name: "Metrics", cfg: datapath.Config{Metrics: metrics.NewRegistry()}, want: []string{"instruments"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, link8(), tcp.Options{}, tc.cfg)

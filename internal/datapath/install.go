@@ -333,21 +333,17 @@ func (d *CCP) install(seq uint32, prog []byte) error {
 	d.n.VerifyWarnings += in.warnings
 	if in.staleRef {
 		d.n.RefRefusals++
-		d.ins.inc(mRefRefusal)
 	}
 	if in.hit {
 		d.n.InstallArtifactHits++
-		d.ins.inc(mArtifactHit)
 	} else if in.miss {
 		d.n.InstallArtifactMisses++
-		d.ins.inc(mArtifactMiss)
 	}
 	if err != nil {
 		return err
 	}
 	if in.byRef {
 		d.n.InstallsByRef++
-		d.ins.inc(mInstallByRef)
 	} else {
 		d.epoch = seq
 	}

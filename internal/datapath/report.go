@@ -51,7 +51,6 @@ func (d *CCP) report() {
 		v.Fields = d.fold.ReadRegs(d.vars, v.Fields[:0])
 		d.sendReport(v)
 		d.n.ReportsSent++
-		d.ins.inc(mReportsSent)
 		d.fold.InitRegs(d.vars)
 	case lang.MeasureVector:
 		vs := d.vec
@@ -65,7 +64,6 @@ func (d *CCP) report() {
 		vs.rows = vs.rows[:0]
 		d.sendReport(v)
 		vs.n.VectorsSent++
-		d.ins.inc(mReportsSent)
 		vs.n.VectorRowsSent += len(v.Data) / len(vs.fields)
 	default: // EWMA (§3 prototype report)
 		ecnFrac := 0.0
@@ -85,7 +83,6 @@ func (d *CCP) report() {
 		)
 		d.sendReport(v)
 		d.n.ReportsSent++
-		d.ins.inc(mReportsSent)
 		d.ackedAcc, d.lostAcc = 0, 0
 		d.pktsAcc, d.ecnAcc = 0, 0
 	}
@@ -111,7 +108,6 @@ func (d *CCP) nextRepVec() *proto.Vector {
 
 func (d *CCP) sendUrgent(kind proto.UrgentKind, value float64) {
 	d.n.UrgentsSent++
-	d.ins.inc(mUrgentsSent)
 	d.urgentSeq++
 	if d.urgentSeq == 0 {
 		d.urgentSeq = 1 // skip 0 on wrap, as for reportSeq

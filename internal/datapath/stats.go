@@ -1,10 +1,9 @@
 package datapath
 
-import "github.com/ccp-repro/ccp/internal/metrics"
-
 // What the runtime counts. Each counter lives with the state of the code
 // that bumps it — the core's in CCP.n, a feature's in that feature's struct —
-// and Stats is the view assembled from whichever of them the flow has.
+// and Stats, the one place they are read, is the view assembled from
+// whichever of them the flow has.
 
 // Stats counts the runtime's activity for experiments and tests.
 type Stats struct {
@@ -150,69 +149,4 @@ func (d *CCP) Stats() Stats {
 func (s Stats) Deterministic() Stats {
 	s.InstallArtifactHits, s.InstallArtifactMisses = 0, 0
 	return s
-}
-
-// instrument names one of the counters a flow mirrors into Config.Metrics.
-type instrument int
-
-const (
-	mReportsSent instrument = iota
-	mUrgentsSent
-	mFallbackOn
-	mFallbackOff
-	mAgentGone
-	mLivenessStale
-	mBackoffRecvd
-	mInstallReject
-	mArtifactHit
-	mArtifactMiss
-	mInstallByRef
-	mRefRefusal
-	numInstruments
-)
-
-var instrumentNames = [numInstruments]string{
-	mReportsSent:   "dp_reports_sent_total",
-	mUrgentsSent:   "dp_urgents_sent_total",
-	mFallbackOn:    "dp_fallback_on_total",
-	mFallbackOff:   "dp_fallback_off_total",
-	mAgentGone:     "dp_agent_gone_total",
-	mLivenessStale: "dp_liveness_stale_total",
-	mBackoffRecvd:  "dp_backoff_recvd_total",
-	mInstallReject: "dp_install_rejects_total",
-	mArtifactHit:   "dp_install_artifact_hits_total",
-	mArtifactMiss:  "dp_install_artifact_misses_total",
-	mInstallByRef:  "dp_installs_by_ref_total",
-	mRefRefusal:    "dp_ref_refusals_total",
-}
-
-// instruments caches a flow's handles into its metrics registry. A flow
-// without a registry has none: the nil *instruments absorbs writes, as a nil
-// *metrics.Counter does.
-type instruments struct {
-	counters  [numInstruments]*metrics.Counter
-	batchSize *metrics.Histogram
-}
-
-func newInstruments(r *metrics.Registry) *instruments {
-	if r == nil {
-		return nil
-	}
-	ins := &instruments{batchSize: r.Histogram("dp_batch_size")}
-	for i, name := range instrumentNames {
-		ins.counters[i] = r.Counter(name)
-	}
-	return ins
-}
-
-func (ins *instruments) inc(i instrument) {
-	if ins != nil {
-		ins.counters[i].Inc()
-	}
-}
-
-func (ins *instruments) observeBatch(size int) {
-	if ins != nil {
-		ins.batchSize.Observe(float64(size))
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/faults"
 	"github.com/ccp-repro/ccp/internal/harness"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
@@ -44,10 +43,6 @@ type AgentChaosScenario struct {
 	AgentFlowsCreated int
 	// Injected-fault accounting (held/replayed/dropped messages).
 	Inj faults.AgentFaultStats
-	// MetricFallbackOn/MetricAgentGone read the same transitions back from
-	// the metrics registry, proving the counters are wired end to end.
-	MetricFallbackOn int64
-	MetricAgentGone  int64
 }
 
 // AblAgentChaosResult is the agent-chaos matrix: each process-level fault
@@ -89,13 +84,7 @@ func AblAgentChaos() AblAgentChaosResult {
 
 func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 	link := oneBDPLink(48e6, 10*time.Millisecond)
-	reg := metrics.NewRegistry()
-	net := harness.New(harness.Config{
-		Seed:        1,
-		Link:        link,
-		AgentFaults: true,
-		Metrics:     reg,
-	})
+	net := harness.New(harness.Config{Seed: 1, Link: link, AgentFaults: true})
 	var dpCfg datapath.Config
 	if fallback {
 		dpCfg.Liveness = datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}
@@ -148,8 +137,6 @@ func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 		InstallsRecvd:     st.InstallsRecvd,
 		AgentFlowsCreated: net.Agent.Stats().Agent.FlowsCreated,
 		Inj:               net.AgentInj.Stats(),
-		MetricFallbackOn:  reg.Counter("dp_fallback_on_total").Value(),
-		MetricAgentGone:   reg.Counter("dp_agent_gone_total").Value(),
 	}
 }
 

@@ -34,11 +34,6 @@ func TestAblAgentChaosKillShape(t *testing.T) {
 	if on.InstallsRecvd < 1 {
 		t.Fatal("recovered agent installed nothing: CCP control not restored")
 	}
-	// The registry counter aggregates both flows' datapaths (flow A may also
-	// have entered fallback before stopping), so it is at least flow B's own.
-	if on.MetricFallbackOn < int64(on.FallbackOn) {
-		t.Fatalf("metrics fallback-on %d < stats %d", on.MetricFallbackOn, on.FallbackOn)
-	}
 
 	off := runAgentChaos("kill", false)
 	if off.UtilDuring > 0.40 {

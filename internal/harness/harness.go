@@ -15,7 +15,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/faults"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
@@ -51,9 +50,6 @@ type Config struct {
 	// The injector starts healthy, which is transparent: deliveries are
 	// synchronous pass-through.
 	AgentFaults bool
-	// Metrics, when non-nil, is threaded into the agent and every CCP flow's
-	// datapath runtime, so one registry observes the whole deployment.
-	Metrics *metrics.Registry
 	// HA, when non-nil, deploys the high-availability layer: warm-standby
 	// replication plus a supervisor that promotes the standby on agent
 	// failure. Requires AgentFaults. See HAConfig.
@@ -83,7 +79,6 @@ type Net struct {
 	Standby    *supervise.Standby
 	Supervisor *supervise.Supervisor
 
-	metrics    *metrics.Registry
 	agentCfg   core.AgentConfig
 	verify     absint.Mode
 	nextSID    uint32
@@ -116,14 +111,12 @@ func New(cfg Config) *Net {
 		Registry:   cfg.Registry,
 		DefaultAlg: cfg.DefaultAlg,
 		Policy:     cfg.Policy,
-		Metrics:    cfg.Metrics,
 	}
 	n := &Net{
 		Sim:      sim,
 		Path:     path,
 		Fwd:      fwd,
 		Rev:      rev,
-		metrics:  cfg.Metrics,
 		agentCfg: agentCfg,
 		verify:   cfg.Verify,
 	}
@@ -147,9 +140,8 @@ func New(cfg Config) *Net {
 
 // newAgent builds the deployment's agent the way cmd/ccp-agent does on one
 // core: a runtime whose single shard the dispatching caller — here the
-// simulator's event loop — runs itself, so runs stay deterministic.
-// Config.Metrics goes to the agent only; the runtime's dispatch counters
-// (runtime_*) stay out of the deployment's registry.
+// simulator's event loop — runs itself, so runs stay deterministic. Its
+// counters are read from Net.Agent.Stats(), the agent's own under .Agent.
 func (n *Net) newAgent() *runtime.Runtime {
 	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: n.agentCfg})
 	if err != nil {
@@ -191,9 +183,6 @@ func (n *Net) AddCCPFlowCfg(id netsim.FlowID, alg string, opts tcp.Options, dpCf
 	n.nextSID++
 	dpCfg.SID = n.nextSID
 	dpCfg.Alg = alg
-	if dpCfg.Metrics == nil {
-		dpCfg.Metrics = n.metrics
-	}
 	if dpCfg.Verify == absint.ModeDefault {
 		dpCfg.Verify = n.verify
 	}

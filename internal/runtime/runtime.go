@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"github.com/ccp-repro/ccp/internal/core"
-	"github.com/ccp-repro/ccp/internal/metrics"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -50,8 +49,9 @@ type Config struct {
 	// Shards is the number of parallel agent shards. 0 or 1 is a single shard
 	// run synchronously by whoever calls HandleMessage.
 	Shards int
-	// Agent configures every shard's agent (they share the registry, policy,
-	// and metrics; each shard instantiates its own flow table).
+	// Agent configures every shard's agent (they share the registry and
+	// policy; each shard instantiates its own flow table, and Stats().Agent
+	// sums their counters).
 	Agent core.AgentConfig
 	// MailboxSize bounds each shard's queue (default 1024).
 	MailboxSize int
@@ -68,9 +68,6 @@ type Config struct {
 	// ShedBackoff is the report-interval stretch factor carried by the
 	// Backoff sent to a shed flow (default 2).
 	ShedBackoff float64
-	// Metrics optionally receives runtime counters. Nil is valid; this is
-	// normally the same registry as Agent.Metrics.
-	Metrics *metrics.Registry
 }
 
 // Stats counts the runtime's dispatch activity. Agent aggregates the
@@ -140,13 +137,6 @@ type Runtime struct {
 	reportsShed     atomic.Int64
 	backoffsSent    atomic.Int64
 	decodeErrors    atomic.Int64
-
-	mDispatched *metrics.Counter
-	mDropped    *metrics.Counter
-	mSplits     *metrics.Counter
-	mShed       *metrics.Counter
-	mBackoffs   *metrics.Counter
-	mDecodeErrs *metrics.Counter
 }
 
 // New validates cfg and returns a runtime. Shard goroutines (if any) start
@@ -164,15 +154,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.ShedBackoff <= 1 {
 		cfg.ShedBackoff = 2
 	}
-	r := &Runtime{
-		cfg:         cfg,
-		mDispatched: cfg.Metrics.Counter("runtime_dispatched_total"),
-		mDropped:    cfg.Metrics.Counter("runtime_dropped_total"),
-		mSplits:     cfg.Metrics.Counter("runtime_batches_split_total"),
-		mShed:       cfg.Metrics.Counter("runtime_reports_shed_total"),
-		mBackoffs:   cfg.Metrics.Counter("runtime_backoffs_sent_total"),
-		mDecodeErrs: cfg.Metrics.Counter("runtime_decode_errors_total"),
-	}
+	r := &Runtime{cfg: cfg}
 	shedMark := 0
 	if cfg.ShedWatermark > 0 {
 		shedMark = int(cfg.ShedWatermark * float64(cfg.MailboxSize))
@@ -239,7 +221,6 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	if sh := r.shards[0]; sh.mail == nil {
 		r.dispatched.Add(1)
-		r.mDispatched.Inc()
 		sh.agent.HandleMessage(m, reply)
 		return
 	}
@@ -272,7 +253,6 @@ func (r *Runtime) routeBatch(b *proto.Batch, reply func(proto.Msg) error) {
 		return
 	}
 	r.batchesSplit.Add(1)
-	r.mSplits.Inc()
 	for _, sh := range r.shards {
 		var only proto.Msg
 		n := 0
@@ -303,11 +283,9 @@ func (r *Runtime) enqueue(sh *shard, m proto.Msg, keep func(proto.Msg) bool, rep
 		return
 	case dropped:
 		r.dropped.Add(1)
-		r.mDropped.Inc()
 		return
 	}
 	r.dispatched.Add(1)
-	r.mDispatched.Inc()
 	if shed.reports > 0 {
 		r.onShed(shed)
 	}
@@ -320,7 +298,6 @@ func (r *Runtime) enqueue(sh *shard, m proto.Msg, keep func(proto.Msg) bool, rep
 // failure is ignored — the signal is advisory and the next shed retries.
 func (r *Runtime) onShed(shed shedReport) {
 	r.reportsShed.Add(int64(shed.reports))
-	r.mShed.Inc()
 	if shed.reply == nil {
 		return
 	}
@@ -330,7 +307,6 @@ func (r *Runtime) onShed(shed shedReport) {
 	backoffPool.Put(b)
 	if err == nil {
 		r.backoffsSent.Add(1)
-		r.mBackoffs.Inc()
 	}
 }
 

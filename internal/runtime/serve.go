@@ -67,7 +67,6 @@ func ServeTransport(h proto.Handler, t ipc.Transport) error {
 // agents' diagnostic log.
 func (r *Runtime) BadFrame(err error) {
 	r.decodeErrors.Add(1)
-	r.mDecodeErrs.Inc()
 	r.logf("runtime: bad frame: %v", err)
 }
 
