@@ -117,9 +117,9 @@ test-ha:
 vet:
 	$(GO) vet ./...
 
-# The repo's own invariant checker: five go/analysis-style passes
-# (bufrelease, decoderalias, simdeterminism, lockorder, dslverify) over the
-# whole tree. `go run ./cmd/ccp-lint -json ./...` emits machine-readable
+# The repo's own invariant checker: six go/analysis-style passes
+# (bufrelease, decoderalias, simdeterminism, lockorder, dslverify, unused)
+# over the whole tree. `go run ./cmd/ccp-lint -json ./...` emits machine-readable
 # diagnostics for CI annotation; see DESIGN.md §8 and §13 for what each pass
 # enforces.
 lint:

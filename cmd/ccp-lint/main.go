@@ -1,9 +1,11 @@
-// ccp-lint is the repo's invariant checker: a multichecker over the custom
-// go/analysis-style passes in internal/analysis that enforce the hot-path
-// ownership, aliasing, and determinism contracts the compiler cannot see
-// (bufpool single-owner frames, proto.Decoder scratch aliasing, simulator
-// determinism, mutex ordering, and — via the Install-gate verifier — the
-// safety of statically-constructed datapath programs).
+// ccp-lint is the repo's invariant checker: a multichecker over the six
+// custom go/analysis-style passes in internal/analysis that enforce the
+// hot-path ownership, aliasing, and determinism contracts the compiler
+// cannot see (bufpool single-owner frames, proto.Decoder scratch aliasing,
+// simulator determinism, mutex ordering, and — via the Install-gate
+// verifier — the safety of statically-constructed datapath programs), and
+// that no code is without a caller (unused, which takes its roots from the
+// whole module whatever packages are named).
 //
 // Usage:
 //
@@ -13,7 +15,8 @@
 // status is 0 when the tree is clean, 1 when any analyzer reports, and 2
 // on load errors. Intentional, documented invariant breaks are allowlisted
 // in source with a `//lint:ownership <reason>` comment on or directly
-// above the offending line.
+// above the offending line, and test oracles only tests call with a
+// `//lint:testsupport <reason>` line in their doc comment.
 package main
 
 import (
@@ -75,8 +78,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccp-lint: %v\n", err)
 		os.Exit(2)
 	}
-	// The full suite also runs the //lint:ownership hygiene pass (reasonless
-	// or stale directives); a -run filter skips it, since a partial analyzer
+	// The full suite also runs the directive hygiene pass (reasonless or
+	// stale directives); a -run filter skips it, since a partial analyzer
 	// set cannot tell a stale directive from one excusing an unrun analyzer.
 	var diags []analysis.Diagnostic
 	if *run == "" {

@@ -105,12 +105,6 @@ func (cm *GroupCM) onUrgent(u core.UrgentEvent) {
 	}
 }
 
-// Rate returns the current aggregate budget (bytes/sec), for tests.
-func (cm *GroupCM) Rate() float64 { return cm.rate }
-
-// Members returns the number of flows under management.
-func (cm *GroupCM) Members() int { return len(cm.flows) }
-
 // cmMember is the thin per-flow shim the registry instantiates.
 type cmMember struct {
 	cm *GroupCM

@@ -11,11 +11,7 @@
 // per-RTT commands from the agent (Reno, Timely).
 package algorithms
 
-import (
-	"sort"
-
-	"github.com/ccp-repro/ccp/internal/core"
-)
+import "github.com/ccp-repro/ccp/internal/core"
 
 // Info describes an algorithm for the Table 1 reproduction: the measurement
 // primitives it consumes and the control knobs it drives.
@@ -123,19 +119,6 @@ func All() []Info {
 			Factory:      func() core.Alg { return NewSynthesizedAIMD(1, 0.5) },
 		},
 	}
-}
-
-// Names returns every bundled algorithm's name, sorted. Listings (CLI
-// output, logs, experiment headers) use this deterministic order; Table 1
-// reproduction order lives in All.
-func Names() []string {
-	infos := All()
-	out := make([]string, 0, len(infos))
-	for _, info := range infos {
-		out = append(out, info.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Register adds every bundled algorithm to reg.

@@ -15,6 +15,8 @@
 //     cross-function acquisition order.
 //   - dslverify: statically-constructed datapath programs (lang builder
 //     chains) must pass the absint Install-gate verifier.
+//   - unused: every package-level declaration of a non-test file is
+//     reached from a main, an init or a package-level var initializer.
 //
 // The upstream x/tools module is deliberately not a dependency: the
 // analyzers only need parsed+type-checked packages, which the standard
@@ -30,7 +32,9 @@
 //	//lint:ownership <reason>
 //
 // comment on the offending line or the line above it, which suppresses
-// every diagnostic for that line.
+// every diagnostic but unused's for that line. A test oracle or fixture
+// that only tests call carries a //lint:testsupport directive instead (see
+// Unused).
 package analysis
 
 import (
@@ -61,7 +65,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	diags *[]Diagnostic
+	diags  *[]Diagnostic
+	loader *Loader
 }
 
 // A Diagnostic is one reported invariant violation.
@@ -92,53 +97,103 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ownershipDirective is the escape-hatch comment prefix: a line comment
-// beginning with it allowlists its own line and the line below.
+// beginning with it allowlists its own line and the line below, for every
+// analyzer but unused (whose directive is testSupportDirective).
 const ownershipDirective = "//lint:ownership"
 
-// suppressedLines returns, per filename, the set of line numbers covered by
-// a //lint:ownership directive in the given files.
-func suppressedLines(fset *token.FileSet, files []*ast.File) map[string]map[int]bool {
-	sup := make(map[string]map[int]bool)
-	for _, f := range files {
+// A directive is one //lint:ownership or //lint:testsupport comment: the
+// lines it covers and whether it suppressed anything.
+type directive struct {
+	kind     string // "ownership" or "testsupport"
+	pos      token.Position
+	reason   string
+	from, to int // covered lines of pos.Filename
+	used     bool
+}
+
+// directives returns every directive in pkg. A testsupport directive covers
+// the line after its comment group: where a declaration it is the doc comment
+// of has its name, which is where the unused pass reports it.
+func directives(pkg *Package) []*directive {
+	var dirs []*directive
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ownershipDirective) {
-					continue
+				dir := &directive{kind: "ownership", pos: pkg.Fset.Position(c.Pos())}
+				dir.from, dir.to = dir.pos.Line, dir.pos.Line+1
+				rest, ok := strings.CutPrefix(c.Text, ownershipDirective)
+				if !ok {
+					if rest, ok = strings.CutPrefix(c.Text, testSupportDirective); !ok {
+						continue
+					}
+					dir.kind, dir.to = "testsupport", pkg.Fset.Position(cg.End()).Line+1
+					dir.from = dir.to
 				}
-				pos := fset.Position(c.Pos())
-				m := sup[pos.Filename]
-				if m == nil {
-					m = make(map[int]bool)
-					sup[pos.Filename] = m
-				}
-				m[pos.Line] = true
-				m[pos.Line+1] = true
+				dir.reason = strings.TrimSpace(rest)
+				dirs = append(dirs, dir)
 			}
 		}
 	}
-	return sup
+	return dirs
 }
 
 // Run applies each analyzer to each package and returns the surviving
-// diagnostics sorted by position. Diagnostics on lines carrying (or
-// directly below) a //lint:ownership comment are dropped.
+// diagnostics sorted by position. Diagnostics a directive covers are
+// dropped.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	return run(pkgs, analyzers, false)
+}
+
+// RunAll applies the full analyzer suite plus directive hygiene: every
+// directive must carry a non-empty reason, and must actually suppress at
+// least one diagnostic — an allowlist entry that suppresses nothing is stale
+// (the code it excused was fixed, moved or gained a caller) and rots into a
+// blanket waiver for whatever lands there next. Hygiene findings are
+// reported under the directive's kind, "ownership" or "testsupport".
+func RunAll(pkgs []*Package) ([]Diagnostic, error) {
+	return run(pkgs, All(), true)
+}
+
+func run(pkgs []*Package, analyzers []*Analyzer, hygiene bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		sup := suppressedLines(pkg.Fset, pkg.Files)
 		raw, err := runAnalyzers(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
+		dirs := directives(pkg)
+	next:
 		for _, d := range raw {
-			if m := sup[d.File]; m != nil && m[d.Line] {
-				continue
+			// The last directive covering a line is the one it uses.
+			for i := len(dirs) - 1; i >= 0; i-- {
+				dir := dirs[i]
+				if d.File == dir.pos.Filename && dir.from <= d.Line && d.Line <= dir.to &&
+					(dir.kind == "testsupport") == (d.Analyzer == Unused.Name) {
+					dir.used = true
+					continue next
+				}
 			}
 			diags = append(diags, d)
+		}
+		if !hygiene {
+			continue
+		}
+		for _, dir := range dirs {
+			if dir.reason == "" {
+				diags = append(diags, dir.finding(dir.kind+" directive has no reason: state why it is needed"))
+			}
+			if !dir.used {
+				diags = append(diags, dir.finding("stale "+dir.kind+" directive: it suppresses no diagnostic; remove it"))
+			}
 		}
 	}
 	sortDiags(diags)
 	return diags, nil
+}
+
+func (dir *directive) finding(msg string) Diagnostic {
+	return Diagnostic{Analyzer: dir.kind, Pos: dir.pos, File: dir.pos.Filename,
+		Line: dir.pos.Line, Col: dir.pos.Column, Message: msg}
 }
 
 // runAnalyzers applies analyzers to one package, returning every diagnostic
@@ -154,6 +209,7 @@ func runAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			diags:     &out,
+			loader:    pkg.loader,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
@@ -179,87 +235,9 @@ func sortDiags(diags []Diagnostic) {
 	})
 }
 
-// ownershipDir is one //lint:ownership directive occurrence.
-type ownershipDir struct {
-	pos    token.Position
-	reason string
-}
-
-// RunAll applies the full analyzer suite plus directive hygiene: every
-// //lint:ownership comment must carry a non-empty reason, and must actually
-// suppress at least one diagnostic — an allowlist entry that suppresses
-// nothing is stale (the code it excused was fixed or moved) and rots into
-// a blanket waiver for whatever lands on that line next. Hygiene findings
-// are reported under the analyzer name "ownership".
-func RunAll(pkgs []*Package) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		raw, err := runAnalyzers(pkg, All())
-		if err != nil {
-			return nil, err
-		}
-		// Collect the package's directives with the line spans they cover.
-		var dirs []ownershipDir
-		used := map[int]bool{} // index into dirs
-		covers := map[string]map[int]int{}
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, ownershipDirective) {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					reason := strings.TrimSpace(strings.TrimPrefix(c.Text, ownershipDirective))
-					m := covers[pos.Filename]
-					if m == nil {
-						m = make(map[int]int)
-						covers[pos.Filename] = m
-					}
-					m[pos.Line] = len(dirs)
-					m[pos.Line+1] = len(dirs)
-					dirs = append(dirs, ownershipDir{pos: pos, reason: reason})
-				}
-			}
-		}
-		for _, d := range raw {
-			if m := covers[d.File]; m != nil {
-				if idx, ok := m[d.Line]; ok {
-					used[idx] = true
-					continue
-				}
-			}
-			diags = append(diags, d)
-		}
-		for i, dir := range dirs {
-			if dir.reason == "" {
-				diags = append(diags, Diagnostic{
-					Analyzer: "ownership",
-					Pos:      dir.pos,
-					File:     dir.pos.Filename,
-					Line:     dir.pos.Line,
-					Col:      dir.pos.Column,
-					Message:  "ownership directive has no reason: state why the invariant is intentionally broken",
-				})
-			}
-			if !used[i] {
-				diags = append(diags, Diagnostic{
-					Analyzer: "ownership",
-					Pos:      dir.pos,
-					File:     dir.pos.Filename,
-					Line:     dir.pos.Line,
-					Col:      dir.pos.Column,
-					Message:  "stale ownership directive: it suppresses no diagnostic; remove it",
-				})
-			}
-		}
-	}
-	sortDiags(diags)
-	return diags, nil
-}
-
 // All returns every analyzer in this suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{BufRelease, DecoderAlias, SimDeterminism, LockOrder, DSLVerify}
+	return []*Analyzer{BufRelease, DecoderAlias, SimDeterminism, LockOrder, DSLVerify, Unused}
 }
 
 // --- shared type helpers ---

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,6 +19,11 @@ func TestLockOrder(t *testing.T)      { RunTest(t, LockOrder, "lockorder") }
 // statically-constructed programs; the fixture imports the real lang
 // package, so builder-API or verifier drift breaks it immediately.
 func TestDSLVerify(t *testing.T) { RunTest(t, DSLVerify, "dslverify") }
+
+// TestUnused runs the reachability pass over a corpus whose program is two
+// packages, only one of them analyzed: a narrow run must still count the
+// other's main as a caller.
+func TestUnused(t *testing.T) { RunTest(t, Unused, "unused", "unusedcmd") }
 
 // TestSimDeterminismLang covers the fold-VM compiler package's scope: the
 // lang corpus mirrors compiler-shaped hazards (memo-map ranges feeding
@@ -68,7 +75,7 @@ func TestOwnershipSuppression(t *testing.T) {
 
 // TestAll ensures the registry stays in sync with the shipped analyzers.
 func TestAll(t *testing.T) {
-	want := []string{"bufrelease", "decoderalias", "simdeterminism", "lockorder", "dslverify"}
+	want := []string{"bufrelease", "decoderalias", "simdeterminism", "lockorder", "dslverify", "unused"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(got), len(want))
@@ -85,9 +92,10 @@ func TestAll(t *testing.T) {
 
 // TestTreeIsClean runs the full suite over the whole module — the same
 // gate as `make lint`. Every intentional invariant break in the tree must
-// carry a //lint:ownership directive with a reason; a directive that
-// suppresses nothing, or that gives no reason, fails the gate too (RunAll's
-// hygiene pass).
+// carry a //lint:ownership directive with a reason, and every declaration no
+// binary reaches is deleted or carries a //lint:testsupport one; a directive
+// that suppresses nothing, or that gives no reason, fails the gate too
+// (RunAll's hygiene pass).
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; covered by make lint")
@@ -166,4 +174,73 @@ func mustLoadTestPkg(t *testing.T, loader *Loader, name, dir string) *Package {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestTestSupportHygiene pins RunAll's checks of //lint:testsupport on the
+// unused corpus: the directive on Oracle suppresses its finding; the one on
+// live, which init reaches, is stale; the one on Reasonless gives no reason.
+func TestTestSupportHygiene(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader.RegisterDir("unusedcmd", "testdata/src/unusedcmd")
+	diags, err := RunAll([]*Package{mustLoadTestPkg(t, loader, "unused", "testdata/src/unused")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale, reasonless int
+	for _, d := range diags {
+		switch {
+		case d.Analyzer != "testsupport":
+		case strings.Contains(d.Message, "stale"):
+			stale++
+		case strings.Contains(d.Message, "no reason"):
+			reasonless++
+		default:
+			t.Errorf("unexpected hygiene finding: %s", d)
+		}
+		if strings.Contains(d.Message, "Oracle") || strings.Contains(d.Message, "helper") {
+			t.Errorf("test support reported: %s", d)
+		}
+	}
+	if stale != 1 || reasonless != 1 {
+		t.Fatalf("hygiene findings: stale=%d reasonless=%d, want 1 and 1\nall: %v", stale, reasonless, diags)
+	}
+}
+
+// TestUnusedNarrowLoad pins that the unused pass takes its roots from the
+// whole module whatever was loaded: a run over ./internal/lang alone, whose
+// exported API only other packages call, reports exactly what a run over
+// ./... reports in that package.
+func TestUnusedNarrowLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module type-check is slow; covered by make lint")
+	}
+	run := func(pattern string) []string {
+		loader, err := NewLoader(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := loader.Load(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := Run(pkgs, []*Analyzer{Unused})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, d := range diags {
+			if filepath.Dir(d.File) == filepath.Join(loader.modRoot, "internal", "lang") {
+				out = append(out, d.String())
+			}
+		}
+		return out
+	}
+	narrow, whole := run("./internal/lang"), run("./...")
+	if !slices.Equal(narrow, whole) {
+		t.Fatalf("./internal/lang alone reports %d findings there, ./... reports %d:\n%v\nvs\n%v",
+			len(narrow), len(whole), narrow, whole)
+	}
 }

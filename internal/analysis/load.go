@@ -22,6 +22,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader
 }
 
 // Loader parses and type-checks packages of the enclosing module without
@@ -43,6 +45,8 @@ type Loader struct {
 	typed map[string]*Package
 	// extra maps additional import paths to directories (testdata packages).
 	extra map[string]string
+	// unreached memoizes the unused pass's findings over the module.
+	unreached map[types.Object]bool
 }
 
 // NewLoader returns a loader rooted at the module containing dir.
@@ -92,9 +96,6 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// ModRoot returns the module root directory.
-func (l *Loader) ModRoot() string { return l.modRoot }
-
 // Import implements types.Importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, l.modRoot, 0)
@@ -133,19 +134,6 @@ func (l *Loader) moduleDir(path string) (string, bool) {
 		return filepath.Join(l.modRoot, filepath.FromSlash(rest)), true
 	}
 	return "", false
-}
-
-// RegisterDir maps importPath to dir for subsequent loads, letting testdata
-// packages import one another under stable names.
-func (l *Loader) RegisterDir(importPath, dir string) {
-	l.extra[importPath] = dir
-}
-
-// LoadDir parses and type-checks the single package in dir under the given
-// import path. Only buildable non-test files (per the default build
-// context) are included, matching what ships in the binary.
-func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
-	return l.check(importPath, dir, nil)
 }
 
 // Load expands patterns ("./...", "./internal/proto", "dir/...") relative
@@ -255,6 +243,8 @@ func (l *Loader) check(importPath, dir string, goFiles []string) (*Package, erro
 		Files: files,
 		Types: tpkg,
 		Info:  info,
+
+		loader: l,
 	}
 	l.typed[importPath] = pkg
 	return pkg, nil

@@ -77,7 +77,7 @@ func lockExplicitUnlock(s *shard) {
 	s.mu.Unlock()
 }
 
-// Conditional early exit with its own unlock (faults.Transport shape).
+// Conditional early exit with its own unlock (a fault-injecting Send's shape).
 func earlyExit(s *shard, fail bool) int {
 	s.mu.Lock()
 	if fail {

@@ -58,9 +58,6 @@ func New(sim *netsim.Sim, agent proto.Handler, latency time.Duration) *Bridge {
 // Stats returns a snapshot of the bridge counters.
 func (b *Bridge) Stats() Stats { return b.stats }
 
-// SetLatency changes the one-way IPC latency for subsequent messages.
-func (b *Bridge) SetLatency(d time.Duration) { b.latency = d }
-
 // Stop makes the bridge drop all traffic in both directions, simulating an
 // agent crash: future sends are dropped, and messages already scheduled for
 // delivery are discarded when they fire. Resume with Start.
@@ -71,9 +68,6 @@ func (b *Bridge) Stop() {
 
 // Start re-enables a stopped bridge (the agent process restarted).
 func (b *Bridge) Start() { b.stopped = false }
-
-// Stopped reports whether the bridge is dropping traffic.
-func (b *Bridge) Stopped() bool { return b.stopped }
 
 // Tap stands on one direction of one connection's wire, between the encoder
 // and the decoder, so that whatever it does to a message it does to the bytes

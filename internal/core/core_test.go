@@ -578,8 +578,8 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 	if a.Stats().InstallErrs != 1 {
 		t.Fatalf("InstallErrs=%d", a.Stats().InstallErrs)
 	}
-	if flow.InstallErrs() != 1 || flow.LastInstallErr() != "bounds: instr 0" {
-		t.Fatalf("flow refusal state: n=%d reason=%q", flow.InstallErrs(), flow.LastInstallErr())
+	if flow.installErrs != 1 || flow.lastInstallErr != "bounds: instr 0" {
+		t.Fatalf("flow refusal state: n=%d reason=%q", flow.installErrs, flow.lastInstallErr)
 	}
 	got := float64(flow.Installed().Instrs[0].(lang.SetCwnd).E.(lang.Const))
 	if got != 20000 {

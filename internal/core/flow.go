@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
@@ -49,7 +48,6 @@ type flowShared struct {
 	setCwnd   proto.SetCwnd
 	setRate   proto.SetRate
 	install   proto.Install
-	backoff   proto.Backoff
 	heartbeat proto.Heartbeat
 	// refProg is the storage an Install by reference is encoded in: borrowed by
 	// send like the message that points at it, it grows to the largest control
@@ -84,7 +82,6 @@ type Flow struct {
 	// progBytes is the wire encoding of installed, kept so snapshots carry
 	// the program without re-marshalling it per snapshot tick.
 	progBytes []byte
-	created   time.Duration
 
 	// Datapath install-refusal tracking: prevInstalled/prevProgBytes hold the
 	// program the datapath was running before the newest Install, so an
@@ -297,11 +294,6 @@ func (f *Flow) noteInstallErr(seq uint32, reason string) {
 	}
 }
 
-// InstallErrs returns how many of this flow's installs the datapath refused;
-// LastInstallErr is the most recent refusal diagnostic.
-func (f *Flow) InstallErrs() int       { return f.installErrs }
-func (f *Flow) LastInstallErr() string { return f.lastInstallErr }
-
 // SetCwnd directly sets the congestion window (bytes), clamped by policy.
 // It is the degenerate control path for datapaths without program support.
 func (f *Flow) SetCwnd(bytes int) error {
@@ -329,27 +321,11 @@ func (f *Flow) SetRate(bps float64) error {
 	return f.emit(m)
 }
 
-// Backoff asks the flow's datapath to stretch its report interval by
-// factor — the overload-degradation signal an algorithm (or the sharded
-// runtime, which sends it directly when it sheds a report) uses to coarsen
-// measurement frequency instead of dropping decisions. Advisory: it carries
-// no control sequence number and does not count as control liveness at the
-// datapath. Factors below 1 are rejected by the wire codec, so clamp here.
-func (f *Flow) Backoff(factor float64) error {
-	if factor < 1 {
-		factor = 1
-	}
-	m := &f.shared.backoff
-	*m = proto.Backoff{SID: f.Info.SID, Factor: factor}
-	return f.emit(m)
-}
-
 // Installed returns the most recently installed (policy-rewritten) program,
 // or nil before the first Install.
+//
+//lint:testsupport the agent's view of the program that core's install tests and bridge's TestReferenceInterleavings compare against the datapath's
 func (f *Flow) Installed() *lang.Program { return f.installed }
-
-// Policy returns the agent policy governing this flow.
-func (f *Flow) Policy() Policy { return f.policy }
 
 // applyPolicy rewrites p's control expressions under the flow policy.
 func (f *Flow) applyPolicy(p *lang.Program) *lang.Program {

@@ -206,6 +206,8 @@ func (d *CCP) FallbackActive() bool { return d.fallbackActive }
 // any Install). It is read-only: its Measure (the fold spec and everything
 // under it) is shared with every flow in the process running the same
 // measure half, and the built-in default program is shared whole.
+//
+//lint:testsupport the datapath's view of the running program that datapath's install, derive, by-reference and backend tests, bridge's TestReferenceInterleavings and algorithms' tests compare against
 func (d *CCP) Program() *lang.Program { return d.prog }
 
 // Name implements tcp.CongestionControl.

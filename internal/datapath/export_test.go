@@ -2,6 +2,7 @@ package datapath
 
 import (
 	"reflect"
+	"time"
 
 	"github.com/ccp-repro/ccp/internal/lang"
 )
@@ -71,4 +72,38 @@ func NumberedStats() (s Stats, counters int) {
 		}
 	}
 	return d.Stats(), counters
+}
+
+// Staleness reports the virtual time since the last applied control message
+// of each kind (Install, SetCwnd, SetRate), and since any of them. A kind
+// never received reads as the time since Init. The clocks are the fail-safe
+// layer's: a flow without Config.Liveness keeps none and reads as zero.
+type Staleness struct {
+	Install time.Duration
+	Cwnd    time.Duration
+	Rate    time.Duration
+	Any     time.Duration
+}
+
+// Staleness returns the flow's current control-staleness clocks.
+func (d *CCP) Staleness() Staleness {
+	if !d.cfg.Liveness.on() {
+		return Staleness{}
+	}
+	fs, now := d.fs, d.cfg.Clock.Now()
+	return Staleness{
+		Install: now - fs.lastInstallAt,
+		Cwnd:    now - fs.lastCwndAt,
+		Rate:    now - fs.lastRateAt,
+		Any:     now - fs.lastAgentMsg,
+	}
+}
+
+// BackoffFactor returns the report-interval stretch currently in force
+// (1 when none).
+func (d *CCP) BackoffFactor() float64 {
+	if d.fs == nil || d.fs.backoffFactor < 1 {
+		return 1
+	}
+	return d.fs.backoffFactor
 }

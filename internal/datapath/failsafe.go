@@ -151,31 +151,6 @@ const (
 	probeAlpha = 0.3
 )
 
-// Staleness reports the virtual time since the last applied control message
-// of each kind (Install, SetCwnd, SetRate), and since any of them. A kind
-// never received reads as the time since Init. The clocks are the fail-safe
-// layer's: a flow without Config.Liveness keeps none and reads as zero.
-type Staleness struct {
-	Install time.Duration
-	Cwnd    time.Duration
-	Rate    time.Duration
-	Any     time.Duration
-}
-
-// Staleness returns the flow's current control-staleness clocks.
-func (d *CCP) Staleness() Staleness {
-	if !d.cfg.Liveness.on() {
-		return Staleness{}
-	}
-	fs, now := d.fs, d.cfg.Clock.Now()
-	return Staleness{
-		Install: now - fs.lastInstallAt,
-		Cwnd:    now - fs.lastCwndAt,
-		Rate:    now - fs.lastRateAt,
-		Any:     now - fs.lastAgentMsg,
-	}
-}
-
 // AgentGone tells the datapath the transport has lost (gone=true) or
 // re-established (gone=false) the agent connection. With the liveness layer
 // disabled this is a no-op. A gone signal enters fallback immediately; a
@@ -466,15 +441,6 @@ func (d *CCP) stretchWait(dur time.Duration) time.Duration {
 		fs.backoffFactor = 1
 	}
 	return dur
-}
-
-// BackoffFactor returns the report-interval stretch currently in force
-// (1 when none).
-func (d *CCP) BackoffFactor() float64 {
-	if d.fs == nil || d.fs.backoffFactor < 1 {
-		return 1
-	}
-	return d.fs.backoffFactor
 }
 
 // Resync re-announces the flow to the agent. The Create carries the flow's

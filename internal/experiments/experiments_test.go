@@ -142,7 +142,7 @@ func TestFig2SmokeSized(t *testing.T) {
 			t.Fatalf("%s idle p99=%v, not negligible vs WAN RTTs", tr, p99)
 		}
 	}
-	if pts := res.CDF("unixgram", false, 50); len(pts) != 50 {
+	if pts := seriesOf(t, res, "unixgram", false).Samples.CDF(50); len(pts) != 50 {
 		t.Fatalf("CDF points=%d", len(pts))
 	}
 	if !strings.Contains(res.String(), "unixgram") {

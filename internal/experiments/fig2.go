@@ -173,13 +173,3 @@ func (r Fig2Result) String() string {
 	}
 	return b.String()
 }
-
-// CDF returns n evenly spaced CDF points for the named series.
-func (r Fig2Result) CDF(transport string, busy bool, n int) []stats.CDFPoint {
-	for _, s := range r.Series {
-		if s.Transport == transport && s.Busy == busy {
-			return s.Samples.CDF(n)
-		}
-	}
-	return nil
-}

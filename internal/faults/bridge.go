@@ -35,9 +35,6 @@ func NewBridge(sim *netsim.Sim, inner *bridge.Bridge, plan Plan) *Bridge {
 // Stats returns the injector's fault counters.
 func (b *Bridge) Stats() Stats { return b.inj.Stats() }
 
-// Inner returns the wrapped bridge (for Stop/Start and traffic stats).
-func (b *Bridge) Inner() *bridge.Bridge { return b.inner }
-
 // Connect builds a datapath runtime for one flow whose channel to and from
 // the agent passes through the fault injector: datapath→agent faults apply
 // before the bridge's latency (the total delay, jitter + latency, is what the

@@ -50,14 +50,11 @@ type DirPlan struct {
 	Corrupt float64
 	// Duplicate delivers the message twice.
 	Duplicate float64
-	// Reorder holds the message for ReorderDelay so later messages overtake
-	// it.
+	// Reorder holds the message for 4×Jitter (1ms when Jitter is zero) so
+	// later messages overtake it.
 	Reorder float64
 	// Jitter adds a uniform extra delay in [0, Jitter) to every delivery.
 	Jitter time.Duration
-	// ReorderDelay is how long a reordered message is held (default
-	// 4×Jitter, or 1ms when Jitter is zero).
-	ReorderDelay time.Duration
 }
 
 // Zero reports whether the plan injects nothing. A zero plan is guaranteed
@@ -69,9 +66,6 @@ func (p DirPlan) Zero() bool {
 }
 
 func (p DirPlan) reorderDelay() time.Duration {
-	if p.ReorderDelay > 0 {
-		return p.ReorderDelay
-	}
 	if p.Jitter > 0 {
 		return 4 * p.Jitter
 	}
@@ -90,9 +84,6 @@ func Uniform(rate float64, jitter time.Duration) Plan {
 	d := DirPlan{Drop: rate, Corrupt: rate, Duplicate: rate, Reorder: rate, Jitter: jitter}
 	return Plan{ToAgent: d, ToDatapath: d}
 }
-
-// Zero reports whether both directions inject nothing.
-func (p Plan) Zero() bool { return p.ToAgent.Zero() && p.ToDatapath.Zero() }
 
 func (p *Plan) dir(d Dir) *DirPlan {
 	if d == ToAgent {

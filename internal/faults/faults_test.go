@@ -12,7 +12,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/faults"
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -275,11 +274,12 @@ func runRecorded(t *testing.T, plan faults.Plan) (*recorder, faults.DirStats, br
 	t.Helper()
 	sim := netsim.New(1)
 	rec := &recorder{}
-	fb := faults.NewBridge(sim, bridge.New(sim, rec, 50*time.Microsecond), plan)
+	inner := bridge.New(sim, rec, 50*time.Microsecond)
+	fb := faults.NewBridge(sim, inner, plan)
 	flow := startFlow(sim, fb.Connect(datapath.Config{SID: 1, Alg: "reno"}))
 	sim.Schedule(time.Second, flow.Conn.Stop)
 	sim.Run(2 * time.Second)
-	return rec, fb.Stats().ToAgent, fb.Inner().Stats()
+	return rec, fb.Stats().ToAgent, inner.Stats()
 }
 
 func TestBridgeDuplicateArrivesTwiceAndEqual(t *testing.T) {
@@ -357,56 +357,5 @@ func TestBridgeBatchedChannelSurvivesCorruption(t *testing.T) {
 	}
 	if run.agent.Measurements > run.dp.ReportsSent {
 		t.Fatalf("agent saw more reports (%d) than sent (%d)", run.agent.Measurements, run.dp.ReportsSent)
-	}
-}
-
-func TestTransportWrapperDeterministicDrops(t *testing.T) {
-	recvCount := func(seed int64) (int, faults.DirStats) {
-		a, b := ipc.ChanPair(256)
-		wa := faults.WrapTransport(a, faults.DirPlan{Drop: 0.5}, seed)
-		for i := 0; i < 100; i++ {
-			if err := wa.Send([]byte{byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wa.Close()
-		n := 0
-		for {
-			if _, err := b.Recv(); err != nil {
-				break
-			}
-			n++
-		}
-		return n, wa.Stats()
-	}
-	n1, st1 := recvCount(11)
-	n2, st2 := recvCount(11)
-	if n1 != n2 || st1 != st2 {
-		t.Fatalf("same seed diverged: %d/%+v vs %d/%+v", n1, st1, n2, st2)
-	}
-	if st1.Dropped+st1.Delivered != 100 {
-		t.Fatalf("accounting: %+v", st1)
-	}
-	if n1 != st1.Delivered {
-		t.Fatalf("received %d but delivered %d", n1, st1.Delivered)
-	}
-	if n1 == 0 || n1 == 100 {
-		t.Fatalf("drop rate 0.5 delivered %d of 100", n1)
-	}
-}
-
-func TestTransportWrapperZeroPlanPassthrough(t *testing.T) {
-	a, b := ipc.ChanPair(16)
-	wa := faults.WrapTransport(a, faults.DirPlan{}, 1)
-	if err := wa.Send([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Recv()
-	if err != nil || string(got) != "hello" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-	wa.Close()
-	if err := wa.Send([]byte("x")); err == nil {
-		t.Fatal("send on closed transport succeeded")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/faults"
-	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
@@ -28,9 +27,6 @@ type Config struct {
 	Seed int64
 	// Link is the forward bottleneck.
 	Link netsim.LinkConfig
-	// ReverseDelay overrides the ACK path's one-way delay (default: same
-	// as the bottleneck's, i.e. symmetric).
-	ReverseDelay time.Duration
 	// IPCLatency is the one-way agent↔datapath latency (default 25µs, the
 	// order of the Figure 2 Unix-socket measurements).
 	IPCLatency time.Duration
@@ -54,10 +50,6 @@ type Config struct {
 	// replication plus a supervisor that promotes the standby on agent
 	// failure. Requires AgentFaults. See HAConfig.
 	HA *HAConfig
-	// Verify sets every CCP flow's install-time verification mode unless its
-	// datapath.Config says otherwise (ModeDefault here keeps the datapath
-	// package default, strict).
-	Verify absint.Mode
 }
 
 // Net is a running deployment.
@@ -80,7 +72,6 @@ type Net struct {
 	Supervisor *supervise.Supervisor
 
 	agentCfg   core.AgentConfig
-	verify     absint.Mode
 	nextSID    uint32
 	haInterval time.Duration
 	haPrimed   bool
@@ -103,10 +94,7 @@ func New(cfg Config) *Net {
 	}
 	sim := netsim.New(cfg.Seed)
 	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
-	path := netsim.NewPath(sim, netsim.PathConfig{
-		Bottleneck:   cfg.Link,
-		ReverseDelay: cfg.ReverseDelay,
-	}, fwd, rev)
+	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: cfg.Link}, fwd, rev)
 	agentCfg := core.AgentConfig{
 		Registry:   cfg.Registry,
 		DefaultAlg: cfg.DefaultAlg,
@@ -118,7 +106,6 @@ func New(cfg Config) *Net {
 		Fwd:      fwd,
 		Rev:      rev,
 		agentCfg: agentCfg,
-		verify:   cfg.Verify,
 	}
 	n.Agent = n.newAgent()
 	var sink proto.Handler = n.Agent
@@ -183,9 +170,6 @@ func (n *Net) AddCCPFlowCfg(id netsim.FlowID, alg string, opts tcp.Options, dpCf
 	n.nextSID++
 	dpCfg.SID = n.nextSID
 	dpCfg.Alg = alg
-	if dpCfg.Verify == absint.ModeDefault {
-		dpCfg.Verify = n.verify
-	}
 	var dp *datapath.CCP
 	if n.FaultBridge != nil {
 		dp = n.FaultBridge.Connect(dpCfg)
@@ -221,12 +205,6 @@ func (n *Net) Run(until time.Duration) {
 func (n *Net) Utilization(elapsed time.Duration) float64 {
 	return n.Path.Forward.Utilization(elapsed)
 }
-
-// Gbps converts bits/sec for LinkConfig literals.
-func Gbps(g float64) float64 { return g * 1e9 }
-
-// Mbps converts bits/sec for LinkConfig literals.
-func Mbps(m float64) float64 { return m * 1e6 }
 
 // BDPBytes computes a bandwidth-delay product for buffer sizing.
 func BDPBytes(rateBps float64, rtt time.Duration) int {

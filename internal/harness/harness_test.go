@@ -90,9 +90,6 @@ func TestPolicyPlumbed(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if harness.Gbps(1) != 1e9 || harness.Mbps(10) != 10e6 {
-		t.Fatal("rate helpers wrong")
-	}
 	if harness.BDPBytes(1e9, 10*time.Millisecond) != 1250000 {
 		t.Fatal("BDP helper wrong")
 	}

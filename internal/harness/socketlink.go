@@ -114,6 +114,8 @@ func NewSocketLink(cfg SocketLinkConfig) *SocketLink {
 }
 
 // Stats returns a snapshot of the link counters.
+//
+//lint:testsupport the counters harness's socket-link tests and ccp-agent's failover test assert on
 func (l *SocketLink) Stats() SocketLinkStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()

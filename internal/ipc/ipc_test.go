@@ -297,11 +297,11 @@ func TestMeasureRTTChan(t *testing.T) {
 	if s.Len() != 200 {
 		t.Fatalf("samples=%d", s.Len())
 	}
-	if s.Min() <= 0 {
-		t.Fatalf("non-positive RTT %v", s.Min())
+	if s.Percentile(0) <= 0 {
+		t.Fatalf("non-positive RTT %v", s.Percentile(0))
 	}
-	if s.Median() > float64(50*time.Millisecond) {
-		t.Fatalf("implausible in-process RTT median %v", time.Duration(s.Median()))
+	if s.Percentile(50) > float64(50*time.Millisecond) {
+		t.Fatalf("implausible in-process RTT median %v", time.Duration(s.Percentile(50)))
 	}
 }
 
@@ -329,8 +329,8 @@ func TestMeasureRTTUnixStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 100 || s.Min() <= 0 {
-		t.Fatalf("bad samples: n=%d min=%v", s.Len(), s.Min())
+	if s.Len() != 100 || s.Percentile(0) <= 0 {
+		t.Fatalf("bad samples: n=%d min=%v", s.Len(), s.Percentile(0))
 	}
 }
 

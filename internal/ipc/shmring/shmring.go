@@ -414,9 +414,6 @@ func (e *Endpoint) Close() error {
 	return nil
 }
 
-// Path returns the ring file path.
-func (e *Endpoint) Path() string { return e.path }
-
 func (e *Endpoint) failAndClose(format string, args ...any) error {
 	err := fmt.Errorf("shmring: "+format, args...)
 	e.corrupt.CompareAndSwap(nil, &err)

@@ -29,7 +29,7 @@ func byCheck(rep *absint.Report, check string) []absint.Finding {
 
 func TestDefaultProgramClean(t *testing.T) {
 	p := lang.NewProgram().MeasureEWMA().WaitRtts(1).Report().MustBuild()
-	for _, cfg := range []absint.Config{absint.Datapath(), absint.Adversarial()} {
+	for _, cfg := range []absint.Config{absint.Datapath(), absint.Config{}} {
 		rep := analyze(t, p, cfg)
 		if len(rep.Findings) != 0 {
 			t.Errorf("default program: unexpected findings: %v", rep.Findings)
@@ -84,7 +84,7 @@ func TestGuardDomination(t *testing.T) {
 // excludes NaN) and still prunes zero.
 func TestGuardDominationFalseBranch(t *testing.T) {
 	p := lang.NewProgram().MeasureEWMA().
-		Rate(lang.Ite(lang.Le(lang.V("pkt.rtt"), lang.C(1e-3)),
+		Rate(lang.Ite(&lang.Bin{Op: lang.OpLe, L: lang.V("pkt.rtt"), R: lang.C(1e-3)},
 			lang.C(1e6),
 			lang.Div(lang.C(1e6), lang.V("pkt.rtt")))).
 		WaitRtts(1).Report().MustBuild()
@@ -99,7 +99,7 @@ func TestGuardDominationFalseBranch(t *testing.T) {
 func TestConjunctionGuard(t *testing.T) {
 	p := lang.NewProgram().MeasureEWMA().
 		Cwnd(lang.Ite(
-			lang.And(lang.Gt(lang.V("pkt.rtt"), lang.C(1e-3)), lang.Lt(lang.V("pkt.rtt"), lang.C(10))),
+			&lang.Bin{Op: lang.OpAnd, L: lang.Gt(lang.V("pkt.rtt"), lang.C(1e-3)), R: lang.Lt(lang.V("pkt.rtt"), lang.C(10))},
 			lang.Div(lang.C(1e4), lang.V("pkt.rtt")),
 			lang.C(0))).
 		WaitRtts(1).Report().MustBuild()
@@ -124,7 +124,7 @@ func TestMaxGuardSoundness(t *testing.T) {
 	if rep := analyze(t, p, absint.Datapath()); len(rep.Findings) != 0 {
 		t.Errorf("datapath profile: unexpected findings: %v", rep.Findings)
 	}
-	rep := analyze(t, p, absint.Adversarial())
+	rep := analyze(t, p, absint.Config{})
 	if len(byCheck(rep, absint.CheckDivZero)) == 0 {
 		t.Errorf("adversarial profile: max(NaN, ε) squashes to 0 — div-zero finding expected, got %v", rep.Findings)
 	}

@@ -97,17 +97,6 @@ func (r *Report) Errors() []Finding {
 	return out
 }
 
-// Warnings returns the advisory findings.
-func (r *Report) Warnings() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Severity == SevWarn {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Err returns nil if the report has no errors, else an error naming the
 // first one (and how many more there are).
 func (r *Report) Err() error {
@@ -129,10 +118,10 @@ type Config struct {
 	// abstract values. Unlisted variables are unconstrained (any float64
 	// including NaN). Packet fields are always treated as fresh.
 	Assume map[string]AbsVal
-	// Write bounds; zero values default to the datapath clamps
-	// [0, 2^30] bytes for cwnd and [0, 1e12] bytes/sec for rate.
-	CwndMin, CwndMax float64
-	RateMin, RateMax float64
+	// Upper write bounds; zero values default to the datapath clamps,
+	// 2^30 bytes for cwnd and 1e12 bytes/sec for rate. Every write must
+	// also stay at or above 0, the clamps' floor.
+	CwndMax, RateMax float64
 	// Fixpoint budget: widening starts after WidenAfter iterations
 	// (default 4); after MaxIters (default 64) surviving unstable
 	// registers degrade to Top. Termination does not depend on MaxIters —
@@ -180,13 +169,6 @@ var datapathProfile = Config{Assume: map[string]AbsVal{
 	"srtt":         Finite(0, 3600),
 	"min_rtt":      Finite(0, 3600),
 }}
-
-// Adversarial returns the profile the fuzz soundness harness verifies
-// under: every input is unconstrained, including NaN and ±Inf. A program
-// clean under this profile is safe against arbitrary measurement garbage.
-func Adversarial() Config {
-	return Config{}
-}
 
 // Analyze abstractly interprets p under cfg and returns the verifier
 // report: AnalyzeMeasure over the measure half, then CheckControl over the
@@ -711,11 +693,11 @@ func (a *analyzer) checkInstrs(instrs []lang.Instr, st []AbsVal) {
 		case lang.SetCwnd:
 			a.where = Where{Kind: "instr", Index: i, Name: "Cwnd"}
 			v := a.eval(n.E, st, nil)
-			a.checkWrite("cwnd", v, a.cfg.CwndMin, a.cfg.CwndMax, n.E)
+			a.checkWrite("cwnd", v, a.cfg.CwndMax, n.E)
 		case lang.SetRate:
 			a.where = Where{Kind: "instr", Index: i, Name: "Rate"}
 			v := a.eval(n.E, st, nil)
-			a.checkWrite("rate", v, a.cfg.RateMin, a.cfg.RateMax, n.E)
+			a.checkWrite("rate", v, a.cfg.RateMax, n.E)
 		case lang.Wait:
 			a.where = Where{Kind: "instr", Index: i, Name: "Wait"}
 			a.checkWait(a.eval(n.Seconds, st, nil), n.Seconds)
@@ -726,14 +708,14 @@ func (a *analyzer) checkInstrs(instrs []lang.Instr, st []AbsVal) {
 	}
 }
 
-func (a *analyzer) checkWrite(what string, v AbsVal, lo, hi float64, e lang.Expr) {
+func (a *analyzer) checkWrite(what string, v AbsVal, hi float64, e lang.Expr) {
 	if v.NaN {
 		a.report(CheckNaNWrite, SevError, nil, e,
 			fmt.Sprintf("%s write may be NaN (%s): the runtime clamp does not catch NaN; guard the inputs", what, v))
 	}
-	if !v.I.IsEmpty() && (v.I.Lo < lo || v.I.Hi > hi) {
+	if !v.I.IsEmpty() && (v.I.Lo < 0 || v.I.Hi > hi) {
 		a.report(CheckBounds, SevError, nil, e,
-			fmt.Sprintf("%s write %s escapes [%g, %g]; wrap in an explicit min/max clamp", what, v, lo, hi))
+			fmt.Sprintf("%s write %s escapes [0, %g]; wrap in an explicit min/max clamp", what, v, hi))
 	}
 }
 

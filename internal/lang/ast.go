@@ -128,32 +128,17 @@ func Max(l, r Expr) Expr { return &Bin{OpMax, l, r} }
 // Lt returns l < r as 0/1.
 func Lt(l, r Expr) Expr { return &Bin{OpLt, l, r} }
 
-// Le returns l <= r as 0/1.
-func Le(l, r Expr) Expr { return &Bin{OpLe, l, r} }
-
 // Gt returns l > r as 0/1.
 func Gt(l, r Expr) Expr { return &Bin{OpGt, l, r} }
-
-// Ge returns l >= r as 0/1.
-func Ge(l, r Expr) Expr { return &Bin{OpGe, l, r} }
 
 // Eq returns l == r as 0/1.
 func Eq(l, r Expr) Expr { return &Bin{OpEq, l, r} }
 
-// Ne returns l != r as 0/1.
-func Ne(l, r Expr) Expr { return &Bin{OpNe, l, r} }
-
-// And returns boolean and as 0/1.
-func And(l, r Expr) Expr { return &Bin{OpAnd, l, r} }
-
-// Or returns boolean or as 0/1.
-func Or(l, r Expr) Expr { return &Bin{OpOr, l, r} }
-
 // Ite returns a conditional expression.
 func Ite(cond, then, els Expr) Expr { return &If{cond, then, els} }
 
-// Env resolves variable values during tree-walking evaluation (used in tests
-// and by the agent; the datapath runs compiled register code instead).
+// Env resolves variable values during tree-walking evaluation (Eval, the
+// reference the register VM is tested against).
 type Env func(name string) (float64, bool)
 
 // Events counts the defensive substitutions that make the language total.
@@ -175,19 +160,10 @@ func (ev *Events) add(o Events) {
 // Eval evaluates e under env: the reference meaning of an expression, which
 // the register VM is tested against. Unknown variables are an error;
 // arithmetic is total (x/0 == 0, NaNs are squashed to 0).
+//
+//lint:testsupport the oracle of lang's VM and operator tests, absint's interval soundness tests, algorithms' unit tests and core's tests
 func Eval(e Expr, env Env) (float64, error) {
 	return eval(e, env, nil)
-}
-
-// EvalEvents is Eval that also returns the substitutions made on the path
-// that produced the value. Both branches of an If are evaluated, as
-// everywhere, but only the condition and the selected branch can influence
-// the result, so only their events count: the verifier proves properties of
-// values, not of work that is discarded.
-func EvalEvents(e Expr, env Env) (float64, Events, error) {
-	var ev Events
-	v, err := eval(e, env, &ev)
-	return v, ev, err
 }
 
 func eval(e Expr, env Env, ev *Events) (float64, error) {

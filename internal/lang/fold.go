@@ -115,9 +115,6 @@ func (cf *CompiledFold) WithInits(data []byte, inits []int) *CompiledFold {
 	return &CompiledFold{Spec: &FoldSpec{Regs: regs, Updates: cf.Spec.Updates}, reg: cf.reg}
 }
 
-// NumRegs returns the number of registers.
-func (cf *CompiledFold) NumRegs() int { return len(cf.Spec.Regs) }
-
 // FrameLen returns the register-VM frame size: the variable table plus the
 // fold's temporaries. Callers size vars to FrameLen so Step runs in place; the
 // slots past VarTableSize are scratch the datapath never reads.

@@ -480,7 +480,7 @@ func diffCtrlExprs(t *testing.T, p *Program, regNames []string, seed uint64) {
 // class of bug that would let a bad program through the Install gate.
 func verifySoundness(t *testing.T, p *Program, seed uint64) {
 	t.Helper()
-	rep, err := absint.Analyze(p, absint.Adversarial())
+	rep, err := absint.Analyze(p, absint.Config{})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

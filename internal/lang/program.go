@@ -247,8 +247,7 @@ func EWMAReportNames() []string { return ewmaReportNames }
 // Builder assembles a Program fluently, mirroring the paper's
 // Measure(...).Rate(...).WaitRtts(1.0).Report() notation.
 type Builder struct {
-	p   Program
-	err error
+	p Program
 }
 
 // builderInstrs is the instruction capacity a Builder starts with: the
@@ -324,9 +323,6 @@ func (b *Builder) UrgentECN() *Builder {
 
 // Build validates and returns the program.
 func (b *Builder) Build() (*Program, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
 	p := b.p
 	if err := p.Validate(); err != nil {
 		return nil, err

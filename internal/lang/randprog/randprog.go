@@ -13,6 +13,8 @@ import (
 
 // Program builds a structurally valid random program: random measure
 // mode (with a matching fold/vector spec) and a random instruction mix.
+//
+//lint:testsupport the generator of lang's fuzz, validate and randprog tests and datapath's install, derive, by-reference and backend tests
 func Program(rng *rand.Rand) *lang.Program {
 	p := &lang.Program{}
 	var regNames []string

@@ -20,6 +20,8 @@ type WireCase struct {
 // must refuse with an error of its own, and the canonical spellings beside
 // them, which it must accept. The bytes are literals on purpose: they pin the
 // format, so a change to a tag value fails here.
+//
+//lint:testsupport the wire fixtures of lang's fuzz and randprog tests and datapath's install tests
 func NonCanonical() []WireCase {
 	named := func(s string) []byte { return append([]byte{0x63, byte(len(s))}, s...) }
 	prog := func(version byte, nregs, dst, update, cwnd []byte, flags byte) []byte {

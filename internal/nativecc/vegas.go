@@ -24,6 +24,8 @@ type Vegas struct {
 
 // NewVegas returns a Vegas controller with the Linux defaults (alpha=2,
 // beta=4, gamma=1); alpha/beta match the paper's §2.4 example.
+//
+//lint:testsupport the in-datapath baseline of nativecc's TestVegasLowDelay and tcp's TestVegasKeepsQueueShort and TestInvariantsUnderRandomLoss
 func NewVegas() *Vegas { return &Vegas{alpha: 2, beta: 4, gamma: 1} }
 
 // Name implements tcp.CongestionControl.

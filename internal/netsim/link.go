@@ -63,9 +63,6 @@ func NewLink(sim *Sim, cfg LinkConfig, dst Handler) *Link {
 	return &Link{sim: sim, cfg: cfg, dst: dst}
 }
 
-// Config returns the link's configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // SetRate changes the link rate at runtime (packets already in service
 // finish at the old rate). Used to model variable links — cellular
 // capacity swings, mid-experiment bandwidth changes.
@@ -78,6 +75,8 @@ func (l *Link) SetRate(bps float64) {
 // OscillateRate varies the link rate sinusoidally around base with the
 // given relative amplitude (0..1) and period, re-evaluated every period/16.
 // It models a cellular-style variable link. Returns a stop function.
+//
+//lint:testsupport the variable link of algorithms' TestSproutOnOscillatingLink and netsim's TestOscillateRateVaries
 func OscillateRate(sim *Sim, l *Link, base, amplitude float64, period time.Duration) (stop func()) {
 	if amplitude < 0 {
 		amplitude = 0
@@ -111,12 +110,6 @@ var sin16 = [16]float64{
 
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
-
-// QueueBytes returns the current queue occupancy in wire bytes.
-func (l *Link) QueueBytes() int { return l.qBytes }
-
-// SetDst replaces the delivery handler (used when wiring topologies).
-func (l *Link) SetDst(dst Handler) { l.dst = dst }
 
 // Enqueue offers a packet to the link. It may be dropped or marked.
 func (l *Link) Enqueue(p *Packet) {

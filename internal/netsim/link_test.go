@@ -205,14 +205,6 @@ func TestPathRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPathBDP(t *testing.T) {
-	cfg := PathConfig{Bottleneck: LinkConfig{RateBps: 1e9, Delay: 5 * time.Millisecond}}
-	// 1Gbps * 10ms RTT = 1.25e6 bytes.
-	if got := cfg.BDPBytes(); got != 1250000 {
-		t.Fatalf("BDP=%d", got)
-	}
-}
-
 func TestDemuxRouting(t *testing.T) {
 	d := NewDemux()
 	var a, b, def int
@@ -260,7 +252,7 @@ func TestSetRateTakesEffect(t *testing.T) {
 	}
 	// Non-positive rates are ignored.
 	l.SetRate(0)
-	if l.Config().RateBps != 80e6 {
+	if l.cfg.RateBps != 80e6 {
 		t.Fatal("zero rate applied")
 	}
 }
@@ -273,7 +265,7 @@ func TestOscillateRateVaries(t *testing.T) {
 	lo, hi := 1e18, 0.0
 	for ms := 5; ms <= 200; ms += 5 {
 		s.Run(time.Duration(ms) * time.Millisecond)
-		r := l.Config().RateBps
+		r := l.cfg.RateBps
 		if r < lo {
 			lo = r
 		}
@@ -285,9 +277,9 @@ func TestOscillateRateVaries(t *testing.T) {
 		t.Fatalf("oscillation range [%.3g, %.3g], want ~[4e6, 12e6]", lo, hi)
 	}
 	stop()
-	at := l.Config().RateBps
+	at := l.cfg.RateBps
 	s.Run(time.Second)
-	if l.Config().RateBps != at {
+	if l.cfg.RateBps != at {
 		t.Fatal("oscillation continued after stop")
 	}
 }

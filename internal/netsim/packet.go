@@ -59,9 +59,3 @@ func (p *Packet) Wire() int {
 type Handler interface {
 	Handle(p *Packet)
 }
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(p *Packet)
-
-// Handle implements Handler.
-func (f HandlerFunc) Handle(p *Packet) { f(p) }

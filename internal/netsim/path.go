@@ -1,17 +1,13 @@
 package netsim
 
-import "time"
-
 // PathConfig describes a symmetric two-way path: a forward bottleneck link
-// (data direction) and a reverse link for ACKs. The reverse link is
-// provisioned at the same rate with an ample buffer so ACKs never queue —
-// the common dumbbell-evaluation assumption.
+// (data direction) and a reverse link for ACKs. The reverse link has the
+// bottleneck's one-way delay, so RTTmin = 2 * Delay, and is provisioned
+// with ample rate and buffer so ACKs never queue — the common
+// dumbbell-evaluation assumption.
 type PathConfig struct {
 	// Bottleneck is the forward (data) link.
 	Bottleneck LinkConfig
-	// ReverseDelay is the one-way delay of the ACK path. Zero means "same
-	// as the bottleneck's delay", yielding RTTmin = 2 * Delay.
-	ReverseDelay time.Duration
 }
 
 // Path wires a forward bottleneck and a reverse ACK link between two
@@ -26,10 +22,6 @@ type Path struct {
 // multi-flow dumbbells, use a Demux handler on each side.
 func NewPath(sim *Sim, cfg PathConfig, fwdDst, revDst Handler) *Path {
 	rev := cfg.Bottleneck
-	rev.Delay = cfg.ReverseDelay
-	if rev.Delay == 0 {
-		rev.Delay = cfg.Bottleneck.Delay
-	}
 	// The ACK path should not itself be a bottleneck: scale its rate and
 	// buffer up and disable loss/marking.
 	rev.RateBps = cfg.Bottleneck.RateBps * 4
@@ -40,16 +32,6 @@ func NewPath(sim *Sim, cfg PathConfig, fwdDst, revDst Handler) *Path {
 		Forward: NewLink(sim, cfg.Bottleneck, fwdDst),
 		Reverse: NewLink(sim, rev, revDst),
 	}
-}
-
-// BDPBytes returns the bandwidth-delay product of cfg in bytes, using the
-// full round-trip (forward + reverse propagation delay).
-func (cfg PathConfig) BDPBytes() int {
-	rtt := cfg.Bottleneck.Delay + cfg.ReverseDelay
-	if cfg.ReverseDelay == 0 {
-		rtt = 2 * cfg.Bottleneck.Delay
-	}
-	return int(cfg.Bottleneck.RateBps / 8 * rtt.Seconds())
 }
 
 // Demux routes packets to per-flow handlers, with an optional default.

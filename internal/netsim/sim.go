@@ -197,13 +197,6 @@ func (s *Sim) Step() bool {
 	return false
 }
 
-// Halt stops Run after the currently executing event returns.
-func (s *Sim) Halt() { s.halted = true }
-
-// Pending returns the number of scheduled events still occupying the queue
-// (including lazily-cancelled ones not yet compacted away).
-func (s *Sim) Pending() int { return len(s.heap) }
-
 // freeSlot retires an arena slot for reuse. Bumping gen invalidates any
 // Timer handle still pointing at the finished occupancy.
 func (s *Sim) freeSlot(idx int32) {

@@ -15,6 +15,8 @@ type FairStamper struct {
 }
 
 // NewFairStamper attaches a stamper to link and returns it.
+//
+//lint:testsupport the router assist of algorithms' TestCCPXCPAdoptsRouterRate and TestCCPXCPSharesFairly, tested by netsim's TestFairStamper*
 func NewFairStamper(link *Link) *FairStamper {
 	s := &FairStamper{
 		link:   link,

@@ -309,6 +309,8 @@ const (
 const MaxBatchMsgs = maxBatchMsgs
 
 // Marshal encodes m as one self-contained message.
+//
+//lint:testsupport the one-call encoder of the proto, runtime, harness, supervise, datapath and core tests and of the root and benchmark/ benchmarks
 func Marshal(m Msg) ([]byte, error) {
 	return AppendMarshal(nil, m)
 }
@@ -464,6 +466,8 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 // Unmarshal decodes one message into freshly allocated structs, with one
 // exception: Install.Prog aliases data (see Decoder for the rule). Receive
 // loops that decode at high rates should hold a reusable Decoder instead.
+//
+//lint:testsupport the allocating decoder of the proto, runtime, bridge and core tests and of the root benchmarks
 func Unmarshal(data []byte) (Msg, error) {
 	var dec Decoder
 	return dec.Unmarshal(data)

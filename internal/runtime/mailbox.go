@@ -93,28 +93,24 @@ func newMailbox(size, shedMark int) *mailbox {
 // keep is non-nil and it.m a batch). A drain sentinel has no message and is
 // queued as is. When occupancy has reached the shed watermark and an older
 // sheddable entry exists, that entry is evicted to make room and described
-// in shed. With no room and nothing sheddable, push blocks for space when
-// block is true, otherwise reports dropped. ok is false only when the
-// mailbox is closed.
-func (mb *mailbox) push(it item, keep func(proto.Msg) bool, block bool) (shed shedReport, dropped, ok bool) {
+// in shed. With no room and nothing sheddable, push blocks for space. ok is
+// false only when the mailbox is closed.
+func (mb *mailbox) push(it item, keep func(proto.Msg) bool) (shed shedReport, ok bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
 		if mb.closed {
-			return shedReport{}, false, false
+			return shedReport{}, false
 		}
 		if mb.shedMark > 0 && mb.n >= mb.shedMark {
 			if s := mb.shedOldestLocked(); s.reports > 0 {
 				mb.insertLocked(it, keep)
-				return s, false, true
+				return s, true
 			}
 		}
 		if mb.n < len(mb.buf) {
 			mb.insertLocked(it, keep)
-			return shedReport{}, false, true
-		}
-		if !block {
-			return shedReport{}, true, true
+			return shedReport{}, true
 		}
 		mb.notFull.Wait()
 	}
@@ -151,12 +147,6 @@ func (mb *mailbox) close() {
 	mb.closed = true
 	mb.notFull.Broadcast()
 	mb.notEmpty.Broadcast()
-}
-
-func (mb *mailbox) len() int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.n
 }
 
 // insertLocked copies it.m into a container (see push) and appends the

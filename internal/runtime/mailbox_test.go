@@ -12,11 +12,17 @@ func meas(sid, seq uint32) item {
 
 func mustPush(t *testing.T, mb *mailbox, it item) (shedReport, bool) {
 	t.Helper()
-	shed, dropped, ok := mb.push(it, nil, false)
-	if !ok || dropped {
-		t.Fatalf("push failed: dropped=%v ok=%v", dropped, ok)
+	shed, ok := mb.push(it, nil)
+	if !ok {
+		t.Fatal("push refused by an open mailbox")
 	}
 	return shed, shed.reports > 0
+}
+
+func (mb *mailbox) len() int {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return mb.n
 }
 
 func TestMailboxShedsOldestReportAtWatermark(t *testing.T) {
@@ -48,7 +54,7 @@ func TestMailboxShedsOldestReportAtWatermark(t *testing.T) {
 }
 
 func TestMailboxNeverShedsControl(t *testing.T) {
-	mb := newMailbox(3, 1)
+	mb := newMailbox(4, 1)
 	mixed := &proto.Batch{Msgs: []proto.Msg{
 		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}},
 		&proto.Close{SID: 1},
@@ -56,13 +62,13 @@ func TestMailboxNeverShedsControl(t *testing.T) {
 	mustPush(t, mb, item{m: &proto.Create{SID: 1}})
 	mustPush(t, mb, item{m: &proto.Urgent{SID: 1, Seq: 1}})
 	mustPush(t, mb, item{m: mixed})
-	// Full of control-plane entries: a non-blocking push has nothing to
-	// evict and must drop the newcomer, never a control entry.
-	shed, dropped, ok := mb.push(meas(1, 9), nil, false)
-	if shed.reports != 0 || !dropped || !ok {
-		t.Fatalf("shed=%+v dropped=%v ok=%v, want drop with no eviction", shed, dropped, ok)
+	// Above the watermark with only control-plane entries queued: there is
+	// nothing to evict, so the newcomer takes a free slot and every control
+	// entry stays.
+	if shed, _ := mustPush(t, mb, meas(1, 9)); shed.reports != 0 {
+		t.Fatalf("shed=%+v, want no eviction of a control entry", shed)
 	}
-	for _, want := range []string{"*proto.Create", "*proto.Urgent", "*proto.Batch"} {
+	for _, want := range []string{"*proto.Create", "*proto.Urgent", "*proto.Batch", "other"} {
 		it, popOK := mb.pop(nil)
 		if !popOK {
 			t.Fatal("queue lost a control entry")
@@ -139,7 +145,7 @@ func TestMailboxCloseSemantics(t *testing.T) {
 	mb := newMailbox(4, 0)
 	mustPush(t, mb, meas(1, 1))
 	mb.close()
-	if _, _, ok := mb.push(meas(1, 2), nil, true); ok {
+	if _, ok := mb.push(meas(1, 2), nil); ok {
 		t.Fatal("push accepted after close")
 	}
 	// Entries queued before close stay poppable (shutdown drains them).

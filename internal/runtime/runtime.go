@@ -30,20 +30,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// OverflowPolicy selects what a full shard mailbox does to new messages.
-type OverflowPolicy int
-
-const (
-	// Block applies backpressure: the dispatching goroutine waits for
-	// mailbox space (or shutdown). This is the default — congestion report
-	// loss degrades control quality silently, so the datapath channel should
-	// slow down instead.
-	Block OverflowPolicy = iota
-	// Drop discards the message immediately and counts it. Use when the
-	// dispatcher must never stall (e.g. it is also serving other shards).
-	Drop
-)
-
 // Config configures a Runtime.
 type Config struct {
 	// Shards is the number of parallel agent shards. 0 or 1 is a single shard
@@ -53,10 +39,11 @@ type Config struct {
 	// policy; each shard instantiates its own flow table, and Stats().Agent
 	// sums their counters).
 	Agent core.AgentConfig
-	// MailboxSize bounds each shard's queue (default 1024).
+	// MailboxSize bounds each shard's queue (default 1024). A full mailbox
+	// applies backpressure: the dispatching goroutine waits for space (or
+	// shutdown), since silently losing congestion reports degrades control
+	// quality where slowing the datapath channel does not.
 	MailboxSize int
-	// Overflow selects the full-mailbox policy (default Block).
-	Overflow OverflowPolicy
 	// ShedWatermark, when in (0, 1], turns on overload shedding: once a
 	// shard's queue occupancy reaches watermark×MailboxSize, enqueues evict
 	// the oldest queued *report* (Measurement, Vector, or all-report Batch)
@@ -76,7 +63,9 @@ type Stats struct {
 	// Dispatched counts messages accepted for processing (synchronous calls
 	// or mailbox enqueues; a batch counts once per enqueued frame).
 	Dispatched int64
-	// Dropped counts messages discarded by the Drop overflow policy.
+	// Dropped is always 0: a full mailbox blocks and never discards. It
+	// stays only because the benchmark harness reports it as runtime.dropped,
+	// until that harness's next revision (ROADMAP item 2) retires the name.
 	Dropped int64
 	// ShutdownDropped counts messages that arrived during or after Close.
 	ShutdownDropped int64
@@ -131,7 +120,6 @@ type Runtime struct {
 	closeOnce sync.Once
 
 	dispatched      atomic.Int64
-	dropped         atomic.Int64
 	shutdownDropped atomic.Int64
 	batchesSplit    atomic.Int64
 	reportsShed     atomic.Int64
@@ -276,13 +264,9 @@ func (r *Runtime) routeBatch(b *proto.Batch, reply func(proto.Msg) error) {
 // when m is a batch only part of which is this shard's — and accounts for
 // the outcome.
 func (r *Runtime) enqueue(sh *shard, m proto.Msg, keep func(proto.Msg) bool, reply func(proto.Msg) error) {
-	shed, dropped, ok := sh.mail.push(item{m: m, reply: reply}, keep, r.cfg.Overflow == Block)
-	switch {
-	case !ok:
+	shed, ok := sh.mail.push(item{m: m, reply: reply}, keep)
+	if !ok {
 		r.shutdownDropped.Add(1)
-		return
-	case dropped:
-		r.dropped.Add(1)
 		return
 	}
 	r.dispatched.Add(1)
@@ -334,7 +318,7 @@ func (r *Runtime) Drain() {
 			return // run by its callers: nothing is ever queued
 		}
 		done := make(chan struct{})
-		if _, _, ok := sh.mail.push(item{done: done}, nil, true); !ok {
+		if _, ok := sh.mail.push(item{done: done}, nil); !ok {
 			return // closed: the shards are draining to exit anyway
 		}
 		// The sentinel is queued, so the shard is guaranteed to pop it even
@@ -347,7 +331,6 @@ func (r *Runtime) Drain() {
 func (r *Runtime) Stats() Stats {
 	s := Stats{
 		Dispatched:      r.dispatched.Load(),
-		Dropped:         r.dropped.Load(),
 		ShutdownDropped: r.shutdownDropped.Load(),
 		BatchesSplit:    r.batchesSplit.Load(),
 		ReportsShed:     r.reportsShed.Load(),

@@ -22,7 +22,7 @@ func (ploddingAlg) OnMeasurement(f *core.Flow, m core.Measurement) {
 }
 func (ploddingAlg) OnUrgent(f *core.Flow, u core.UrgentEvent) { _ = f.SetCwnd(1) }
 
-func ploddingRuntime(t *testing.T, overflow OverflowPolicy) *Runtime {
+func ploddingRuntime(t *testing.T) *Runtime {
 	t.Helper()
 	reg := core.NewRegistry()
 	reg.Register("plod", func() core.Alg { return ploddingAlg{} })
@@ -30,7 +30,6 @@ func ploddingRuntime(t *testing.T, overflow OverflowPolicy) *Runtime {
 		Shards:        3,
 		Agent:         core.AgentConfig{Registry: reg, DefaultAlg: "plod"},
 		MailboxSize:   8,
-		Overflow:      overflow,
 		ShedWatermark: 0.5,
 	})
 	if err != nil {
@@ -66,25 +65,23 @@ func watchFreeLists(t *testing.T, rt *Runtime, stop <-chan struct{}, done *sync.
 
 // TestRaceContainersAccountedExactlyOnce drives the recycled containers
 // through every way out of a mailbox at once — handled, shed at the
-// watermark, refused by Drop, refused by a Close racing the producers — and
-// checks the two things ownership promises: the free lists never hold more
-// than MailboxSize+1 containers, and every report pushed is handled, shed or
-// counted dropped exactly once (none lost, none seen twice or out of order).
+// watermark, refused by a Close racing the producers — and checks the two
+// things ownership promises: the free lists never hold more than
+// MailboxSize+1 containers, and every report pushed is handled, shed or
+// refused exactly once (none lost, none seen twice or out of order).
 func TestRaceContainersAccountedExactlyOnce(t *testing.T) {
 	// Six consecutive flows per producer: a spanning frame gives each of the
 	// three shards two reports, so the filtered copy runs.
 	const producers, flowsPer, rounds = 4, 6, 300
 	for _, c := range []struct {
-		name     string
-		overflow OverflowPolicy
-		batches  bool // spanning frames; then Close waits for the producers
+		name    string
+		batches bool // spanning frames; then Close waits for the producers
 	}{
-		{"drop/singles/close-races", Drop, false},
-		{"block/singles/close-races", Block, false},
-		{"block/spanning-batches", Block, true},
+		{"block/singles/close-races", false},
+		{"block/spanning-batches", true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rt := ploddingRuntime(t, c.overflow)
+			rt := ploddingRuntime(t)
 			var backoffs atomic.Int64
 			reply := func(m proto.Msg) error {
 				if _, ok := m.(*proto.Backoff); ok {
@@ -152,15 +149,15 @@ func TestRaceContainersAccountedExactlyOnce(t *testing.T) {
 
 			st := rt.Stats()
 			handled := int64(st.Agent.Measurements + st.Agent.Urgents)
-			if got := handled + st.ReportsShed + st.Dropped + st.ShutdownDropped; got != pushed.Load() {
-				t.Fatalf("handled %d + shed %d + dropped %d + refused at shutdown %d = %d, pushed %d",
-					handled, st.ReportsShed, st.Dropped, st.ShutdownDropped, got, pushed.Load())
+			if got := handled + st.ReportsShed + st.ShutdownDropped; got != pushed.Load() {
+				t.Fatalf("handled %d + shed %d + refused at shutdown %d = %d, pushed %d",
+					handled, st.ReportsShed, st.ShutdownDropped, got, pushed.Load())
 			}
 			if st.Agent.StaleReports != 0 || st.Agent.DupUrgents != 0 || st.Agent.UnknownFlowMsg != 0 {
 				t.Fatalf("a report was seen twice, out of order or under another flow: %+v", st.Agent)
 			}
-			if c.batches && (st.Dropped != 0 || st.ShutdownDropped != 0) {
-				t.Fatalf("the blocking policy lost frames: %+v", st)
+			if c.batches && st.ShutdownDropped != 0 {
+				t.Fatalf("the blocking mailbox lost frames: %+v", st)
 			}
 			if st.BackoffsSent != backoffs.Load() {
 				t.Fatalf("stats count %d backoffs, the reply path saw %d", st.BackoffsSent, backoffs.Load())

@@ -1,9 +1,7 @@
 // Package stats provides the small statistical building blocks used by the
 // datapath (rate estimation, RTT filtering) and by the experiment harnesses
-// (percentiles, CDFs, summaries).
+// (percentiles and CDFs).
 package stats
-
-import "math"
 
 // EWMA is an exponentially weighted moving average with smoothing factor
 // alpha in (0, 1]: higher alpha weights new samples more heavily. It is a
@@ -42,41 +40,5 @@ func (e *EWMA) Update(sample float64) float64 {
 // Value returns the current average, or 0 if no samples have been folded in.
 func (e *EWMA) Value() float64 { return e.value }
 
-// Initialized reports whether at least one sample has been observed.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // Reset discards all state.
 func (e *EWMA) Reset() { e.value, e.init = 0, false }
-
-// MeanVar accumulates an online mean and variance (Welford's algorithm).
-// The zero value is ready to use.
-type MeanVar struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds in one sample.
-func (m *MeanVar) Add(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// Count returns the number of samples observed.
-func (m *MeanVar) Count() int { return m.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (m *MeanVar) Mean() float64 { return m.mean }
-
-// Var returns the (population) variance, or 0 with fewer than two samples.
-func (m *MeanVar) Var() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// Stddev returns the population standard deviation.
-func (m *MeanVar) Stddev() float64 { return math.Sqrt(m.Var()) }

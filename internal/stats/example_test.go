@@ -13,7 +13,7 @@ func ExampleSamples() {
 	for _, us := range []float64{11, 12, 12, 13, 14, 48, 80} {
 		rtts.Add(us)
 	}
-	fmt.Printf("p50=%.0fµs p99=%.0fµs\n", rtts.Median(), rtts.Percentile(99))
+	fmt.Printf("p50=%.0fµs p99=%.0fµs\n", rtts.Percentile(50), rtts.Percentile(99))
 	// Output:
 	// p50=13µs p99=78µs
 }

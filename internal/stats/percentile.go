@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Samples collects float64 observations for percentile and CDF reporting.
@@ -46,39 +44,6 @@ func (s *Samples) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (s *Samples) Median() float64 { return s.Percentile(50) }
-
-// Mean returns the arithmetic mean, or 0 for an empty set.
-func (s *Samples) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Min returns the smallest observation, or 0 for an empty set.
-func (s *Samples) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[0]
-}
-
-// Max returns the largest observation, or 0 for an empty set.
-func (s *Samples) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[len(s.xs)-1]
-}
-
 // CDFPoint is one point of an empirical CDF: fraction F of samples are <= X.
 type CDFPoint struct {
 	X float64
@@ -102,18 +67,6 @@ func (s *Samples) CDF(n int) []CDFPoint {
 		pts = append(pts, CDFPoint{X: s.xs[idx], F: f})
 	}
 	return pts
-}
-
-// Summary formats min/median/p95/p99/max using the given unit formatter.
-func (s *Samples) Summary(format func(float64) string) string {
-	if format == nil {
-		format = func(v float64) string { return fmt.Sprintf("%.3g", v) }
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d min=%s p50=%s p95=%s p99=%s max=%s",
-		s.Len(), format(s.Min()), format(s.Median()),
-		format(s.Percentile(95)), format(s.Percentile(99)), format(s.Max()))
-	return b.String()
 }
 
 func (s *Samples) sort() {

@@ -184,16 +184,8 @@ func (s *Supervisor) Stop() {
 	}
 }
 
-// State returns the current health judgment.
-func (s *Supervisor) State() State { return s.state }
-
 // Stats returns a snapshot of the activity counters.
 func (s *Supervisor) Stats() Stats { return s.stats }
-
-// Latency returns the current latency EWMA (zero before any sample).
-func (s *Supervisor) Latency() time.Duration {
-	return time.Duration(s.ewma * float64(time.Second))
-}
 
 // Adopt resets the health state after the orchestrator has swapped a fresh
 // agent behind the handler (promotion or restart): score, misses, and

@@ -63,7 +63,7 @@ type Conn struct {
 
 	stats ConnStats
 
-	// lastSample is the most recent AckSample, for observers.
+	// lastSample is the most recent AckSample; reports carry its rates.
 	lastSample AckSample
 }
 
@@ -122,9 +122,6 @@ func (c *Conn) Handle(p *netsim.Packet) {
 
 // Accessors used by congestion-control modules and experiments.
 
-// FlowID returns the flow identifier.
-func (c *Conn) FlowID() netsim.FlowID { return c.flow }
-
 // MSS returns the maximum segment size in bytes.
 func (c *Conn) MSS() int { return c.opts.MSS }
 
@@ -167,17 +164,11 @@ func (c *Conn) SRTT() time.Duration { return c.srtt }
 // MinRTT returns the minimum observed RTT (0 before the first sample).
 func (c *Conn) MinRTT() time.Duration { return c.minRtt }
 
-// InFlight returns the bytes currently considered in flight.
-func (c *Conn) InFlight() int { return c.pipe }
-
 // Delivered returns cumulative delivered (acked) bytes.
 func (c *Conn) Delivered() int64 { return c.delivered }
 
 // Stats returns a snapshot of the sender counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
-
-// LastSample returns the most recent per-ACK measurement.
-func (c *Conn) LastSample() AckSample { return c.lastSample }
 
 // Now returns the datapath clock.
 func (c *Conn) Now() time.Duration { return c.sim.Now() }

@@ -5,6 +5,8 @@ import "fmt"
 // CheckInvariants recomputes the sender's bookkeeping from first principles
 // and returns an error if the incremental accounting has drifted. It is a
 // verification aid for tests and debugging; it never mutates state.
+//
+//lint:testsupport the oracle of tcp's TestInvariantsUnderRandomLoss, TestDrainAfterLossStops and TestInvariantsWithTSO, and algorithms' TestFlowChurn
 func (c *Conn) CheckInvariants() error {
 	pipe := 0
 	lastEnd := c.sndUna
@@ -41,6 +43,3 @@ func (c *Conn) CheckInvariants() error {
 	}
 	return nil
 }
-
-// SndUna exposes the cumulative-ack point for reliability tests.
-func (c *Conn) SndUna() uint64 { return c.sndUna }

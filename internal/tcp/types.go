@@ -8,11 +8,7 @@
 // runtime (internal/datapath) implement.
 package tcp
 
-import (
-	"time"
-
-	"github.com/ccp-repro/ccp/internal/netsim"
-)
+import "time"
 
 // CongEvent classifies congestion signals the datapath raises synchronously.
 type CongEvent uint8
@@ -150,10 +146,4 @@ type ReceiverStats struct {
 	OutOfOrder     int   // packets buffered out of order
 	Duplicates     int   // packets at or below rcvNxt
 	CEMarks        int   // CE-marked packets seen
-}
-
-// clock is the shared simulator handle both endpoints use.
-type clock interface {
-	Now() time.Duration
-	Schedule(d time.Duration, fn func()) netsim.Timer
 }

