@@ -101,15 +101,15 @@ test-race-robust:
 # High-availability lane: the supervise package (failure detector, warm
 # standby, wire replication), the harness failover path and probe-gated
 # fallback hysteresis, snapshot aggregation across the sharded runtime
-# (including the restart-vs-shedding race shape, and restore routing to the
-# owning shard), the shipped binary's own failover (cmd/ccp-agent: run twice
+# (including a restart raced against dispatchers blocked on full mailboxes,
+# and restore routing to the owning shard), the shipped binary's own failover (cmd/ccp-agent: run twice
 # in-process, primary and standby, over real sockets), and the ablation-ha
 # acceptance tests.
 test-ha:
 	$(GO) test -count=1 ./internal/supervise/
 	$(GO) test -count=1 -run 'TestSlowAgentSingleFallbackCycle|TestProbesOffNoProbeTraffic|TestWarmStandbyFailoverBeatsFallback|TestPumpPausesWithDeadAgent' \
 		./internal/harness/
-	$(GO) test -count=1 -run 'TestSnapshotIntoAggregatesShards|TestRaceShardRestartDuringShedding|TestRuntimeRestoreFlowRoutesToOwningShard' \
+	$(GO) test -count=1 -run 'TestSnapshotIntoAggregatesShards|TestRaceShardRestartUnderBackpressure|TestRuntimeRestoreFlowRoutesToOwningShard' \
 		./internal/runtime/
 	$(GO) test -count=1 ./cmd/ccp-agent/
 	$(GO) test -count=1 -run 'TestAblHA' ./internal/experiments/
@@ -151,9 +151,9 @@ test-debugpool:
 # program-verifier corpus, and a short fuzz pass over the wire-protocol
 # decoders (the surface exposed to a faulty or corrupting channel). CI runs
 # this and no other test job (with FUZZTIME=15s).
-# Budget: 6 minutes. Measured on two cores: 5m07s, of which the race short
+# Budget: 6 minutes. Measured on two cores: 5m10s, of which the race short
 # suite is about 3 minutes (internal/experiments alone 2m14s under -race),
-# fuzz-smoke 75 s, test-race-robust 15 s when its packages are already built
+# fuzz-smoke 85 s, test-race-robust 15 s when its packages are already built
 # (25 s inside this run), everything else under 30 s together.
 check: vet lint
 	$(GO) test -race -short ./...
@@ -164,7 +164,8 @@ check: vet lint
 	$(MAKE) verify-programs
 	$(MAKE) fuzz-smoke
 
-# 10-second smoke of each fuzz target (wire decoders, program decoder halves,
+# 10-second smoke of each fuzz target (wire decoders, the decoder's copies
+# against its scratch, program decoder halves,
 # the program encoding as an identity both ways, the register VM against its
 # stack reference, the program validator against
 # its listing reference); `go test -fuzz` accepts one target per invocation.
@@ -172,6 +173,7 @@ check: vet lint
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshal$$' -fuzztime=$(FUZZTIME) ./internal/proto
+	$(GO) test -run='^$$' -fuzz='^FuzzDecoderAliasing$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzCreateRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzStackVsRegister$$' -fuzztime=$(FUZZTIME) ./internal/lang

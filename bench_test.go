@@ -175,29 +175,6 @@ func BenchmarkProtoMeasurementUnmarshal(b *testing.B) {
 	}
 }
 
-// Batched IPC: a 64-report frame through the serializer, reported per
-// report — the amortization the §4 batching argument buys.
-func BenchmarkProtoBatchRoundTrip64(b *testing.B) {
-	batch := &proto.Batch{}
-	for i := 0; i < 64; i++ {
-		batch.Msgs = append(batch.Msgs, &proto.Measurement{
-			SID: uint32(i%8 + 1), Seq: uint32(i + 1),
-			Fields: []float64{0.01, 2.5e6, 1.2e6, 14480, 0, 0.1, 0.012},
-		})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := proto.Marshal(batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := proto.Unmarshal(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/report")
-}
-
 // Program installation: agent-side marshal + datapath-side unmarshal and
 // validation of the §2.1 BBR pulse program.
 func BenchmarkProgramInstall(b *testing.B) {

@@ -517,8 +517,8 @@ func aliasCarrier(t types.Type) bool {
 	}
 }
 
-// isCloneCall matches proto.Clone(...), its container forms CloneInto and
-// CloneBatchInto, and method clones like m.Clone().
+// isCloneCall matches proto.Clone(...), its container form CloneInto, and
+// method clones like m.Clone().
 func isCloneCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -529,7 +529,7 @@ func isCloneCall(info *types.Info, e ast.Expr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Clone", "CloneInto", "CloneBatchInto":
+	case "Clone", "CloneInto":
 		return true
 	}
 	return false

@@ -172,8 +172,8 @@ func twoDecoders(d1, d2 *proto.Decoder, b1, b2 []byte) {
 	consume(m2)
 }
 
-// Split views of a single decode, consumed before the next decode
-// (SocketLink.pumpFrame shape).
+// Split views of a single decode, consumed before the next decode (the
+// benchmark harness's receive shape).
 func splitAndDeliver(dec *proto.Decoder, raw []byte) {
 	m, err := dec.Unmarshal(raw)
 	if err != nil {

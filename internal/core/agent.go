@@ -51,10 +51,6 @@ type AgentStats struct {
 	// StaleReports counts measurements and vectors discarded because a newer
 	// report had already been processed.
 	StaleReports int
-	// Batches counts multi-report frames unpacked; BatchedMsgs counts the
-	// messages they carried.
-	Batches     int
-	BatchedMsgs int
 	// Restores counts flows rebuilt from snapshots (standby promotion).
 	Restores int
 	// Heartbeats counts supervision probes echoed.
@@ -176,29 +172,9 @@ func (a *Agent) FlowCount() int {
 // Ownership is proto.Handler's rule: m is borrowed for the duration of this
 // call, and every message handed to reply — built in storage the agent reuses
 // for its next decision — for the duration of that one.
-//
-// A *proto.Batch is unpacked here and processed in order under one lock
-// acquisition — the agent-side half of the §4 batching amortization.
 func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if b, ok := m.(*proto.Batch); ok {
-		a.stats.Batches++
-		a.stats.BatchedMsgs += len(b.Msgs)
-		for _, sub := range b.Msgs {
-			if _, nested := sub.(*proto.Batch); nested {
-				a.stats.Errors++ // the decoder rejects these; defend anyway
-				continue
-			}
-			a.handleLocked(sub, reply)
-		}
-		return
-	}
-	a.handleLocked(m, reply)
-}
-
-// handleLocked dispatches one non-batch message; a.mu must be held.
-func (a *Agent) handleLocked(m proto.Msg, reply func(proto.Msg) error) {
 	switch v := m.(type) {
 	case *proto.Create:
 		a.handleCreate(v, reply)

@@ -39,13 +39,13 @@ type Config struct {
 	// ToAgent transmits a message to the agent. In simulation it schedules
 	// a delayed delivery; over a real transport it marshals and sends.
 	//
-	// Ownership: the message (including a Batch's Msgs and any Fields/Data
-	// slices) is only valid for the duration of the call — the runtime builds
-	// what it sends in scratch it reuses for the next one: CCP.rep and the
-	// scratch fields beside it, vectorState.rep, a batching flow's slabs and
-	// frame (batch.go), the probe (failsafe.go). ToAgent must marshal or
-	// deep-copy (proto.Clone) anything it keeps past returning, and be done
-	// with the message before anything it sets off calls back into the flow.
+	// Ownership: the message (including any Fields/Data slices) is only
+	// valid for the duration of the call — the runtime builds what it sends
+	// in scratch it reuses for the next one: CCP.rep and the scratch fields
+	// beside it, vectorState.rep, the probe (failsafe.go). ToAgent must
+	// marshal or deep-copy (proto.Clone) anything it keeps past returning,
+	// and be done with the message before anything it sets off calls back
+	// into the flow.
 	// Both the simulator bridge and SocketLink marshal synchronously, so they
 	// satisfy this for free.
 	ToAgent func(proto.Msg) error
@@ -55,9 +55,6 @@ type Config struct {
 	// clocks, explicit agent-gone handling, conservative fallback entry, and
 	// smoothed re-handoff. Zero value disables it.
 	Liveness LivenessConfig
-	// MaxVectorRows caps vector-mode batching memory (default 8192 rows);
-	// beyond it, samples are dropped and counted.
-	MaxVectorRows int
 	// DefaultProgram runs before the agent installs anything. Nil means the
 	// §3 prototype behaviour: EWMA measurement reported once per RTT.
 	DefaultProgram *lang.Program
@@ -67,18 +64,6 @@ type Config struct {
 	// due to per-RTT congestion window updates"). Decreases still apply
 	// immediately.
 	SmoothCwnd bool
-	// BatchInterval coalesces report messages (Measurement, Vector) into
-	// proto.Batch frames flushed at most every interval; 0 sends every
-	// report as its own IPC message (the pre-batching behaviour,
-	// bit-identical). Urgent events, Create, and Close bypass coalescing
-	// but flush pending reports first, preserving per-flow ordering. This
-	// is the paper's §4 trade-off knob: a longer interval amortizes
-	// per-message IPC cost over more reports at the price of added control
-	// staleness.
-	BatchInterval time.Duration
-	// MaxBatchMsgs flushes a partial batch early once it holds this many
-	// reports (default 64, capped at proto.MaxBatchMsgs).
-	MaxBatchMsgs int
 	// Verify selects the install-time program verification policy
 	// (internal/lang/absint): strict refuses programs with install-blocking
 	// findings (the previous program stays in force and the agent is told
@@ -142,13 +127,11 @@ type CCP struct {
 	lastRtt  float64
 
 	// Optional features.
-	fs     *failsafe    // failsafe.go: watchdogs, probes, fallback, backoff
+	fs     *failsafe    // failsafe.go: watchdogs, probes, fallback
 	smooth *smoother    // smooth.go: window ramp
-	batch  *batcher     // batch.go: report coalescing
 	vec    *vectorState // report.go: vector mode
 
-	// Message scratch (Config.ToAgent's ownership rule): rep is the report of
-	// a flow that does not batch (a batching flow's are in its batcher),
+	// Message scratch (Config.ToAgent's ownership rule): rep is the report,
 	// scratchUrgent and scratchIErr the urgent and the refusal.
 	rep           proto.Measurement
 	scratchUrgent proto.Urgent
@@ -160,20 +143,11 @@ type CCP struct {
 // New creates a CCP runtime. Attach it to a tcp.Conn as its congestion
 // control; it announces itself to the agent on Init.
 func New(cfg Config) *CCP {
-	if cfg.MaxVectorRows <= 0 {
-		cfg.MaxVectorRows = 8192
-	}
 	if cfg.Clock == nil {
 		panic("datapath: Config.Clock is required")
 	}
 	if cfg.ToAgent == nil {
 		panic("datapath: Config.ToAgent is required")
-	}
-	if cfg.MaxBatchMsgs <= 0 {
-		cfg.MaxBatchMsgs = 64
-	}
-	if cfg.MaxBatchMsgs > proto.MaxBatchMsgs {
-		cfg.MaxBatchMsgs = proto.MaxBatchMsgs
 	}
 	if cfg.Verify == absint.ModeDefault {
 		cfg.Verify = absint.ModeStrict
@@ -189,9 +163,6 @@ func New(cfg Config) *CCP {
 	}
 	if cfg.SmoothCwnd {
 		d.smooth = &smoother{}
-	}
-	if cfg.BatchInterval > 0 {
-		d.batch = &batcher{}
 	}
 	return d
 }
@@ -246,7 +217,6 @@ func (d *CCP) Init(c *tcp.Conn) {
 
 // Close implements tcp.CongestionControl.
 func (d *CCP) Close(c *tcp.Conn) {
-	d.flushBatch()
 	d.send(&proto.Close{SID: d.cfg.SID})
 	stopTimer(&d.waitTimer)
 	d.stopFailsafe()
@@ -267,7 +237,7 @@ func (d *CCP) OnAck(c *tcp.Conn, s tcp.AckSample) {
 	case lang.MeasureFold:
 		d.fold.Step(d.vars)
 	case lang.MeasureVector:
-		d.vec.sample(d.vars, d.cfg.MaxVectorRows)
+		d.vec.sample(d.vars)
 	default: // EWMA
 		if s.RTT > 0 {
 			d.ewmaRtt.Update(s.RTT.Seconds())
@@ -346,10 +316,6 @@ func (d *CCP) Deliver(m proto.Msg) {
 		if d.conn != nil {
 			d.conn.SetPacingRate(v.Bps)
 		}
-	case *proto.Backoff:
-		// Overload degradation signal, not a control decision: it never
-		// resets the liveness clocks.
-		d.handleBackoff(v)
 	case *proto.Heartbeat:
 		// Echoed supervision probe (failsafe.go): feeds the EWMA health
 		// score, never the control staleness clocks.
@@ -482,7 +448,6 @@ func (d *CCP) resume() {
 }
 
 func (d *CCP) scheduleWait(dur time.Duration) {
-	dur = d.stretchWait(dur)
 	if dur <= 0 {
 		dur = time.Microsecond
 	}
@@ -511,12 +476,14 @@ func (d *CCP) rttDur(rtts float64) time.Duration {
 	return time.Duration(float64(srtt) * rtts)
 }
 
+// clampRate and clampCwnd hold program writes to the bounds the install-time
+// verifier proves them against (absint.RateMax, absint.CwndMax).
 func clampRate(bps float64) float64 {
 	if bps < 0 {
 		return 0
 	}
-	if bps > 1e12 {
-		return 1e12
+	if bps > absint.RateMax {
+		return absint.RateMax
 	}
 	return bps
 }
@@ -525,8 +492,8 @@ func clampCwnd(bytes float64) int {
 	if bytes < 0 {
 		return 0 // tcp floors at one MSS
 	}
-	if bytes > 1<<30 {
-		return 1 << 30
+	if bytes > absint.CwndMax {
+		return absint.CwndMax
 	}
 	return int(bytes)
 }

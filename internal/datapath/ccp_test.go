@@ -179,17 +179,19 @@ func TestVectorProgramShipsRows(t *testing.T) {
 }
 
 func TestVectorCapDropsExcess(t *testing.T) {
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{MaxVectorRows: 4})
+	// About 690 ACKs a second arrive over link8: a 20 s wait samples more
+	// rows than one report may hold.
+	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
 	r.flow.Conn.Start()
 	install(t, r, lang.NewProgram().
 		MeasureVector(lang.FieldRTT).
-		WaitRtts(5).Report().MustBuild())
-	r.sim.Run(time.Second)
+		Wait(20).Report().MustBuild())
+	r.sim.Run(21 * time.Second)
 	if r.dp.Stats().VectorDropped == 0 {
 		t.Fatal("cap not enforced")
 	}
 	for _, m := range r.sent {
-		if v, ok := m.(*proto.Vector); ok && v.Rows() > 4 {
+		if v, ok := m.(*proto.Vector); ok && v.Rows() > datapath.MaxVectorRows {
 			t.Fatalf("vector exceeded cap: %d rows", v.Rows())
 		}
 	}

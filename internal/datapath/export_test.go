@@ -13,6 +13,9 @@ import (
 // ArtifactCap is the process table's capacity.
 const ArtifactCap = artifactCap
 
+// MaxVectorRows is how many rows a vector report holds at most.
+const MaxVectorRows = maxVectorRows
+
 // ResetArtifacts empties the process table, as in a new process.
 func ResetArtifacts() {
 	artifacts.mu.Lock()
@@ -54,7 +57,6 @@ func (d *CCP) Features() []string {
 	}
 	add("failsafe", d.fs != nil)
 	add("smooth", d.smooth != nil)
-	add("batch", d.batch != nil)
 	add("vector", d.vec != nil)
 	return have
 }
@@ -63,8 +65,8 @@ func (d *CCP) Features() []string {
 // whose counters hold 1, 2, 3, ... in the order they are declared: a view
 // that assembles every counter exactly once returns each number once.
 func NumberedStats() (s Stats, counters int) {
-	d := &CCP{fs: &failsafe{}, batch: &batcher{}, vec: &vectorState{}}
-	for _, counts := range []any{&d.n, &d.fs.n, &d.batch.n, &d.vec.n} {
+	d := &CCP{fs: &failsafe{}, vec: &vectorState{}}
+	for _, counts := range []any{&d.n, &d.fs.n, &d.vec.n} {
 		v := reflect.ValueOf(counts).Elem()
 		for i := 0; i < v.NumField(); i++ {
 			counters++
@@ -97,13 +99,4 @@ func (d *CCP) Staleness() Staleness {
 		Rate:    now - fs.lastRateAt,
 		Any:     now - fs.lastAgentMsg,
 	}
-}
-
-// BackoffFactor returns the report-interval stretch currently in force
-// (1 when none).
-func (d *CCP) BackoffFactor() float64 {
-	if d.fs == nil || d.fs.backoffFactor < 1 {
-		return 1
-	}
-	return d.fs.backoffFactor
 }

@@ -36,11 +36,9 @@ import (
 // decision.
 
 // failsafe is the fail-safe state of one flow: everything the staleness
-// watchdog, the probe loop, the fallback and the overload backoff keep. A flow
-// has one from New when Config.Liveness is set, and otherwise
-// from the first time something exercises the layer (a Backoff from the
-// agent runtime, a Resync from the transport); until then CCP.fs is nil and
-// the flow cannot be in fallback.
+// watchdog, the probe loop and the fallback keep. A flow has one from New
+// when Config.Liveness is set, and otherwise from the first Resync from the
+// transport; until then CCP.fs is nil and the flow cannot be in fallback.
 type failsafe struct {
 	// fallback is the in-datapath controller, made at the first fallback
 	// entry (engageFallback) and reused by later ones.
@@ -55,10 +53,8 @@ type failsafe struct {
 	agentGone     bool
 	liveTimer     netsim.Timer
 	// handoffUntil, when nonzero, smooths window increases until the
-	// post-fallback handoff ramp expires. backoffFactor stretches program
-	// waits under agent overload (1 or less: none).
-	handoffUntil  time.Duration
-	backoffFactor float64
+	// post-fallback handoff ramp expires.
+	handoffUntil time.Duration
 	// Heartbeat probe health scoring: EWMA of probe round-trip latency in
 	// seconds, plus the oldest still-unanswered probe so silence degrades the
 	// score between echoes. scratchHB is the probe handed to ToAgent, valid
@@ -83,7 +79,6 @@ type failsafeCounts struct {
 	LivenessStale    int
 	AgentGoneSignals int
 	HandoffRamps     int
-	BackoffsRecvd    int
 	ProbesSent       int
 	ProbeEchoes      int
 	ProbeExits       int
@@ -133,11 +128,6 @@ const (
 	// enough that re-handoff causes no burst, short enough that the agent's
 	// first decision is in force by its second.
 	handoffRtts = 1
-	// maxBackoff caps the report-interval stretch accepted from an
-	// overloaded agent's Backoff. Eight report intervals of silence is still
-	// a controlled flow; more and a runtime that asked for too much would
-	// have starved its own algorithms of measurements.
-	maxBackoff = 8
 	// exitLatencyFraction sets the exit threshold of the probe hysteresis
 	// band as a fraction of StalenessBudget: once in fallback, the flow
 	// returns to agent control only when the probe EWMA is below half the
@@ -302,8 +292,8 @@ func (d *CCP) exitGateOK() bool {
 
 // handleHeartbeat processes an echoed probe: measure the round trip, clear
 // the unanswered-probe tracker, and exit fallback if the score has
-// recovered. Echoes are advisory like Backoff — they never reset the
-// control staleness clocks.
+// recovered. Echoes are advisory — they never reset the control staleness
+// clocks.
 func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 	if !d.cfg.Liveness.probesOn() {
 		d.n.UnexpectedMsgs++
@@ -406,43 +396,6 @@ func (d *CCP) handingOff() bool {
 	return false
 }
 
-// handleBackoff applies an overload Backoff from the agent runtime: the
-// flow keeps the largest in-force stretch factor, clamped to maxBackoff,
-// and lets it decay back toward 1 as waits are scheduled. Backoff is
-// advisory — it is not a control decision and does not count as liveness.
-func (d *CCP) handleBackoff(v *proto.Backoff) {
-	fs := d.failsafe()
-	fs.n.BackoffsRecvd++
-	f := v.Factor
-	if f < 1 {
-		f = 1
-	}
-	if f > maxBackoff {
-		f = maxBackoff
-	}
-	if f > fs.backoffFactor {
-		fs.backoffFactor = f
-	}
-}
-
-// stretchWait applies (and decays) the overload backoff factor to a program
-// wait duration. With no backoff in force it returns dur unchanged.
-func (d *CCP) stretchWait(dur time.Duration) time.Duration {
-	fs := d.fs
-	if fs == nil || fs.backoffFactor <= 1 {
-		return dur
-	}
-	dur = time.Duration(float64(dur) * fs.backoffFactor)
-	// Geometric decay: pressure relief is automatic once the runtime stops
-	// sending Backoffs, restoring full measurement frequency within a few
-	// report intervals.
-	fs.backoffFactor *= 0.9
-	if fs.backoffFactor < 1.01 {
-		fs.backoffFactor = 1
-	}
-	return dur
-}
-
 // Resync re-announces the flow to the agent. The Create carries the flow's
 // *current* window (not the original one) so a restarted agent starts from
 // live state, and the newest applied control sequence so the agent resumes
@@ -452,7 +405,6 @@ func (d *CCP) Resync() {
 		return
 	}
 	d.failsafe().n.Resyncs++
-	d.flushBatch()
 	d.send(&proto.Create{
 		SID:      d.cfg.SID,
 		MSS:      uint32(d.conn.MSS()),

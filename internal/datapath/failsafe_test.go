@@ -159,60 +159,6 @@ func TestStalenessClocksPerKind(t *testing.T) {
 	}
 }
 
-func TestBackoffStretchesReportInterval(t *testing.T) {
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
-	r.flow.Conn.Start()
-	r.sim.Run(time.Second)
-	base := r.countMsgs(proto.TypeMeasurement)
-	r.dp.Deliver(&proto.Backoff{SID: 1, Factor: 4})
-	if st := r.dp.Stats(); st.BackoffsRecvd != 1 {
-		t.Fatalf("stats=%+v", st)
-	}
-	if r.dp.BackoffFactor() != 4 {
-		t.Fatalf("factor=%v, want 4", r.dp.BackoffFactor())
-	}
-	r.sim.Run(2 * time.Second)
-	second := r.countMsgs(proto.TypeMeasurement) - base
-	// The stretch decays geometrically, so the second second has fewer
-	// reports than the first (which had ~1 per RTT ≈ 100) but not 4x fewer
-	// forever; just require a visible reduction.
-	if second >= base {
-		t.Fatalf("backoff did not reduce report rate: first=%d second=%d", base, second)
-	}
-	// And the factor decays back toward 1, restoring full frequency.
-	r.sim.Run(10 * time.Second)
-	if r.dp.BackoffFactor() != 1 {
-		t.Fatalf("factor=%v never decayed to 1", r.dp.BackoffFactor())
-	}
-}
-
-func TestBackoffClampedAndNotLiveness(t *testing.T) {
-	r := newRig(t, link8(), tcp.Options{}, livenessCfg(300*time.Millisecond))
-	r.flow.Conn.Start()
-	r.dp.Deliver(&proto.Backoff{SID: 1, Factor: 1e6})
-	if got := r.dp.BackoffFactor(); got != 8 {
-		t.Fatalf("factor=%v, want clamp at default max 8", got)
-	}
-	if st := r.dp.Stats(); st.UnexpectedMsgs != 0 {
-		t.Fatalf("Backoff miscounted as unexpected: %+v", st)
-	}
-	// Backoffs alone must not keep the flow "live": with only Backoffs
-	// arriving, the staleness budget still blows.
-	stop := r.sim.Now() + 900*time.Millisecond
-	var feed func()
-	feed = func() {
-		r.dp.Deliver(&proto.Backoff{SID: 1, Factor: 2})
-		if r.sim.Now() < stop {
-			r.sim.Schedule(50*time.Millisecond, feed)
-		}
-	}
-	r.sim.Schedule(0, feed)
-	r.sim.Run(time.Second)
-	if !r.dp.FallbackActive() {
-		t.Fatal("a stream of Backoffs kept the liveness clock fresh")
-	}
-}
-
 func TestCtrlSeqWraparoundDoesNotBlackhole(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
 	r.flow.Conn.Start()

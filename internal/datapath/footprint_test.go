@@ -23,14 +23,14 @@ import (
 // allocations of making one, which optional features a flow pays for, and the
 // live heap of ten thousand of them.
 
-// TestCCPSize pins the per-flow struct at the 640-byte size class. A flow in
+// TestCCPSize pins the per-flow struct at the 576-byte size class. A flow in
 // the default configuration is one of tens of thousands (benchmark's
 // direct50k); if this fails, what was added belongs in its feature's struct
-// (failsafe, smoother, batcher, vectorState), behind the pointer
-// only the flows that use the feature pay for.
+// (failsafe, smoother, vectorState), behind the pointer only the flows that
+// use the feature pay for.
 func TestCCPSize(t *testing.T) {
-	if got := unsafe.Sizeof(datapath.CCP{}); got > 640 {
-		t.Fatalf("datapath.CCP is %d bytes, want <= 640", got)
+	if got := unsafe.Sizeof(datapath.CCP{}); got > 576 {
+		t.Fatalf("datapath.CCP is %d bytes, want <= 576", got)
 	}
 }
 
@@ -78,15 +78,11 @@ func TestFeatureStateOnlyWhereUsed(t *testing.T) {
 		{name: "default"},
 		{name: "Liveness", cfg: livenessCfg(10 * time.Second), want: []string{"failsafe"}},
 		{name: "SmoothCwnd", cfg: datapath.Config{SmoothCwnd: true}, want: []string{"smooth"}},
-		{name: "BatchInterval", cfg: datapath.Config{BatchInterval: 5 * time.Millisecond}, want: []string{"batch"}},
 		{name: "vector program", then: func(r *rig) {
 			if reason := deliver(t, r, vector); reason != "" {
 				t.Fatal(reason)
 			}
 		}, want: []string{"vector"}},
-		{name: "Backoff", then: func(r *rig) {
-			r.dp.Deliver(&proto.Backoff{SID: 1, Factor: 2})
-		}, want: []string{"failsafe"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, link8(), tcp.Options{}, tc.cfg)
@@ -148,11 +144,11 @@ func TestAllocsFlowFootprint(t *testing.T) {
 		t.Skip("heap sizes are inflated under -race")
 	}
 	const flows = 10000
-	// maxPerFlow is the measured 1,759 bytes — CCP 640, tcp.Conn 480, Init 209
+	// maxPerFlow is the measured 1,695 bytes — CCP 576, tcp.Conn 480, Init 210
 	// (a 128-byte variable table, the wait timer, its callback), the agent's
-	// side 430 (core.Flow 256, the table entry and its map slot, reno, the
+	// side 429 (core.Flow 256, the table entry and its map slot, reno, the
 	// reply) — and one 64-byte size class to spare.
-	const maxPerFlow = 1823
+	const maxPerFlow = 1759
 
 	rt, err := ccpruntime.New(ccpruntime.Config{Shards: 1, Agent: core.AgentConfig{
 		Registry: algorithms.NewRegistry(), DefaultAlg: "reno",

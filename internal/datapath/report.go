@@ -15,7 +15,7 @@ import (
 type vectorState struct {
 	fields []lang.Field // the program in force's columns; empty outside vector mode
 	rows   []float64    // samples since the last report, row-major
-	rep    proto.Vector // the unbatched report, valid for one ToAgent call
+	rep    proto.Vector // the report, valid for one ToAgent call
 
 	n vectorCounts
 }
@@ -27,9 +27,14 @@ type vectorCounts struct {
 	VectorDropped  int
 }
 
-// sample appends the ACK's row, or counts it dropped once maxRows are held.
-func (v *vectorState) sample(vars []float64, maxRows int) {
-	if len(v.rows)/len(v.fields) >= maxRows {
+// maxVectorRows caps the rows a vector report holds; beyond it an ACK's
+// sample is dropped and counted.
+const maxVectorRows = 8192
+
+// sample appends the ACK's row, or counts it dropped once maxVectorRows are
+// held.
+func (v *vectorState) sample(vars []float64) {
+	if len(v.rows)/len(v.fields) >= maxVectorRows {
 		v.n.VectorDropped++
 		return
 	}
@@ -46,10 +51,10 @@ func (d *CCP) report() {
 	}
 	switch d.measureMode() {
 	case lang.MeasureFold:
-		v := d.nextRepMeas()
+		v := &d.rep
 		v.SID, v.Seq = d.cfg.SID, d.reportSeq
 		v.Fields = d.fold.ReadRegs(d.vars, v.Fields[:0])
-		d.sendReport(v)
+		d.send(v)
 		d.n.ReportsSent++
 		d.fold.InitRegs(d.vars)
 	case lang.MeasureVector:
@@ -57,12 +62,12 @@ func (d *CCP) report() {
 		if len(vs.fields) == 0 {
 			return
 		}
-		v := d.nextRepVec()
+		v := &vs.rep
 		v.SID, v.Seq = d.cfg.SID, d.reportSeq
 		v.NumFields = uint8(len(vs.fields))
 		v.Data = append(v.Data[:0], vs.rows...)
 		vs.rows = vs.rows[:0]
-		d.sendReport(v)
+		d.send(v)
 		vs.n.VectorsSent++
 		vs.n.VectorRowsSent += len(v.Data) / len(vs.fields)
 	default: // EWMA (§3 prototype report)
@@ -70,7 +75,7 @@ func (d *CCP) report() {
 		if d.pktsAcc > 0 {
 			ecnFrac = float64(d.ecnAcc) / float64(d.pktsAcc)
 		}
-		v := d.nextRepMeas()
+		v := &d.rep
 		v.SID, v.Seq = d.cfg.SID, d.reportSeq
 		v.Fields = append(v.Fields[:0],
 			d.ewmaRtt.Value(),
@@ -81,29 +86,11 @@ func (d *CCP) report() {
 			ecnFrac,
 			d.lastRtt,
 		)
-		d.sendReport(v)
+		d.send(v)
 		d.n.ReportsSent++
 		d.ackedAcc, d.lostAcc = 0, 0
 		d.pktsAcc, d.ecnAcc = 0, 0
 	}
-}
-
-// nextRepMeas hands out the Measurement to build the next report in: the
-// flow's one when reports leave as they are made, a slab entry when they wait
-// in a batch.
-func (d *CCP) nextRepMeas() *proto.Measurement {
-	if d.batch != nil {
-		return d.batch.nextMeas()
-	}
-	return &d.rep
-}
-
-// nextRepVec is nextRepMeas for a Vector.
-func (d *CCP) nextRepVec() *proto.Vector {
-	if d.batch != nil {
-		return d.batch.nextVec()
-	}
-	return &d.vec.rep
 }
 
 func (d *CCP) sendUrgent(kind proto.UrgentKind, value float64) {
@@ -112,10 +99,6 @@ func (d *CCP) sendUrgent(kind proto.UrgentKind, value float64) {
 	if d.urgentSeq == 0 {
 		d.urgentSeq = 1 // skip 0 on wrap, as for reportSeq
 	}
-	// Urgent events must not queue behind a batch window (§2.1), but flushing
-	// first keeps the per-flow order the agent observes identical to the
-	// unbatched schedule's.
-	d.flushBatch()
 	d.scratchUrgent = proto.Urgent{SID: d.cfg.SID, Seq: d.urgentSeq, Kind: kind, Value: value}
 	d.send(&d.scratchUrgent)
 }

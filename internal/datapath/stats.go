@@ -55,20 +55,13 @@ type Stats struct {
 	// superseded.
 	InstallsByRef int
 	RefRefusals   int
-	// BatchesSent counts multi-report frames shipped; BatchedReports counts
-	// the reports they carried (a batch of one is sent plain and counts
-	// under neither).
-	BatchesSent    int
-	BatchedReports int
 	// LivenessStale counts fallback entries triggered by the staleness
 	// budget (vs. AgentGoneSignals, explicit transport notifications that
 	// the agent connection is lost). HandoffRamps counts smoothed
-	// fallback-exit transitions; BackoffsRecvd counts overload backoff
-	// messages accepted from the agent runtime.
+	// fallback-exit transitions.
 	LivenessStale    int
 	AgentGoneSignals int
 	HandoffRamps     int
-	BackoffsRecvd    int
 	// Heartbeat probing (LivenessConfig.ProbeInterval): probes sent, echoes
 	// received, and fallback exits granted by a recovered probe score.
 	ProbesSent  int
@@ -78,8 +71,7 @@ type Stats struct {
 
 // coreCounts are the counters every flow's ACK, report and decision paths
 // bump. The rest of Stats is counted where the feature's state is:
-// failsafeCounts (failsafe.go), batchCounts (batch.go), vectorCounts
-// (report.go).
+// failsafeCounts (failsafe.go) and vectorCounts (report.go).
 type coreCounts struct {
 	AcksProcessed         int
 	ReportsSent           int
@@ -126,14 +118,9 @@ func (d *CCP) Stats() Stats {
 		s.LivenessStale = fs.n.LivenessStale
 		s.AgentGoneSignals = fs.n.AgentGoneSignals
 		s.HandoffRamps = fs.n.HandoffRamps
-		s.BackoffsRecvd = fs.n.BackoffsRecvd
 		s.ProbesSent = fs.n.ProbesSent
 		s.ProbeEchoes = fs.n.ProbeEchoes
 		s.ProbeExits = fs.n.ProbeExits
-	}
-	if b := d.batch; b != nil {
-		s.BatchesSent = b.n.BatchesSent
-		s.BatchedReports = b.n.BatchedReports
 	}
 	if v := d.vec; v != nil {
 		s.VectorsSent = v.n.VectorsSent

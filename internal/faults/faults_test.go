@@ -170,12 +170,6 @@ type channelRun struct {
 // runChannel drives one CCP flow for two seconds through the plain bridge
 // (plan == nil) or through a fault bridge with the given plan.
 func runChannel(t *testing.T, plan *faults.Plan) channelRun {
-	return runChannelCfg(t, plan, datapath.Config{SID: 1, Alg: "reno"})
-}
-
-// runChannelCfg is runChannel with explicit datapath configuration (for the
-// batched-IPC variants).
-func runChannelCfg(t *testing.T, plan *faults.Plan, cfg datapath.Config) channelRun {
 	t.Helper()
 	sim := netsim.New(1)
 	reg := algorithms.NewRegistry()
@@ -185,6 +179,7 @@ func runChannelCfg(t *testing.T, plan *faults.Plan, cfg datapath.Config) channel
 	}
 	br := bridge.New(sim, agent, 50*time.Microsecond)
 
+	cfg := datapath.Config{SID: 1, Alg: "reno"}
 	var dp *datapath.CCP
 	var fb *faults.Bridge
 	if plan == nil {
@@ -319,43 +314,5 @@ func TestBridgeKilledFrameCountedOnceNeverDelivered(t *testing.T) {
 	}
 	if inner.ToAgentMsgs != st.Delivered {
 		t.Fatalf("inner bridge carried %d frames, injector passed on %d", inner.ToAgentMsgs, st.Delivered)
-	}
-}
-
-func TestBridgeBatchedReportsPassThrough(t *testing.T) {
-	// Batched report frames must cross the fault bridge like any other
-	// message: the datapath coalesces, the injector sees whole frames, and
-	// the agent unpacks — no report is lost on a fault-free channel.
-	cfg := datapath.Config{SID: 1, Alg: "reno", BatchInterval: 50 * time.Millisecond}
-	run := runChannelCfg(t, &faults.Plan{}, cfg)
-	if run.dp.BatchesSent == 0 {
-		t.Fatalf("datapath never batched: %+v", run.dp)
-	}
-	if run.agent.Batches == 0 {
-		t.Fatalf("agent never unpacked a batch: %+v", run.agent)
-	}
-	if got, want := run.agent.Measurements, run.dp.ReportsSent; got != want {
-		t.Fatalf("agent processed %d reports, datapath sent %d", got, want)
-	}
-	if run.dp.SetCwndRecvd == 0 {
-		t.Fatalf("control loop never closed: %+v", run.dp)
-	}
-}
-
-func TestBridgeBatchedChannelSurvivesCorruption(t *testing.T) {
-	// Corrupting batch frames kills whole frames at the decoder, never either
-	// endpoint.
-	plan := faults.Uniform(0, 0)
-	plan.ToAgent.Corrupt = 0.3
-	cfg := datapath.Config{SID: 1, Alg: "reno", BatchInterval: 50 * time.Millisecond}
-	run := runChannelCfg(t, &plan, cfg)
-	if run.fault.ToAgent.Corrupted == 0 {
-		t.Fatalf("no corruptions: %+v", run.fault)
-	}
-	if run.cwnd <= 0 {
-		t.Fatalf("cwnd=%d", run.cwnd)
-	}
-	if run.agent.Measurements > run.dp.ReportsSent {
-		t.Fatalf("agent saw more reports (%d) than sent (%d)", run.agent.Measurements, run.dp.ReportsSent)
 	}
 }

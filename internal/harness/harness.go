@@ -165,7 +165,7 @@ func (n *Net) AddCCPFlow(id netsim.FlowID, alg string, opts tcp.Options) *CCPFlo
 }
 
 // AddCCPFlowCfg is AddCCPFlow with extra datapath configuration
-// (Liveness, DefaultProgram, MaxVectorRows).
+// (Liveness, DefaultProgram, SmoothCwnd).
 func (n *Net) AddCCPFlowCfg(id netsim.FlowID, alg string, opts tcp.Options, dpCfg datapath.Config) *CCPFlow {
 	n.nextSID++
 	dpCfg.SID = n.nextSID

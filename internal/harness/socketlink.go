@@ -27,8 +27,7 @@ type SocketLinkConfig struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// InboxDepth bounds buffered agent frames between Pump calls (default
-	// 1024); overflow is dropped and counted, never blocking the reader. A
-	// frame is one wire message, which may be a batch of reports.
+	// 1024); overflow is dropped and counted, never blocking the reader.
 	InboxDepth int
 	// Logf, if set, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
@@ -208,10 +207,9 @@ func (l *SocketLink) Pump() {
 	}
 }
 
-// pumpFrame decodes one wire frame into the link's scratch decoder and routes
-// its messages (unbatched here: Pump routes by FlowSID, and a batch frame has
-// no single flow; splitting preserves frame order). Deliver consumes each
-// message before the next decode, so the scratch is safe to reuse.
+// pumpFrame decodes one wire frame into the link's scratch decoder and
+// routes its message by FlowSID. Deliver consumes the message before the next
+// decode, so the scratch is safe to reuse.
 func (l *SocketLink) pumpFrame(f *bufpool.Buf) {
 	defer f.Release()
 	m, err := l.dec.Unmarshal(f.B)
@@ -219,16 +217,14 @@ func (l *SocketLink) pumpFrame(f *bufpool.Buf) {
 		l.note(func(s *SocketLinkStats) { s.DecodeErrors++ })
 		return
 	}
-	for _, sub := range proto.Split(m) {
-		l.mu.Lock()
-		dp := l.dps[sub.FlowSID()]
-		if dp == nil {
-			l.stats.UnknownSID++
-		}
-		l.mu.Unlock()
-		if dp != nil {
-			dp.Deliver(sub)
-		}
+	l.mu.Lock()
+	dp := l.dps[m.FlowSID()]
+	if dp == nil {
+		l.stats.UnknownSID++
+	}
+	l.mu.Unlock()
+	if dp != nil {
+		dp.Deliver(m)
 	}
 }
 

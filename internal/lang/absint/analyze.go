@@ -110,18 +110,21 @@ func (r *Report) Err() error {
 	return fmt.Errorf("%s (and %d more)", errs[0], len(errs)-1)
 }
 
+// The datapath's runtime clamps, and so the upper bounds every cwnd and rate
+// write is checked against: 2^30 bytes for cwnd and 1e12 bytes/sec for rate.
+// Every write must also stay at or above 0, the clamps' floor.
+const (
+	CwndMax = 1 << 30
+	RateMax = 1e12
+)
+
 // Config parameterizes the abstract interpretation: the assumed abstract
-// values of packet fields and flow variables, the write bounds that mirror
-// the datapath's runtime clamps, and the fixpoint budget.
+// values of packet fields and flow variables, and the fixpoint budget.
 type Config struct {
 	// Assume maps variable names ("pkt.rtt", "cwnd") to their assumed
 	// abstract values. Unlisted variables are unconstrained (any float64
 	// including NaN). Packet fields are always treated as fresh.
 	Assume map[string]AbsVal
-	// Upper write bounds; zero values default to the datapath clamps,
-	// 2^30 bytes for cwnd and 1e12 bytes/sec for rate. Every write must
-	// also stay at or above 0, the clamps' floor.
-	CwndMax, RateMax float64
 	// Fixpoint budget: widening starts after WidenAfter iterations
 	// (default 4); after MaxIters (default 64) surviving unstable
 	// registers degrade to Top. Termination does not depend on MaxIters —
@@ -130,12 +133,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CwndMax == 0 {
-		c.CwndMax = 1 << 30
-	}
-	if c.RateMax == 0 {
-		c.RateMax = 1e12
-	}
 	if c.MaxIters == 0 {
 		c.MaxIters = 64
 	}
@@ -154,17 +151,17 @@ func Datapath() Config { return datapathProfile }
 
 var datapathProfile = Config{Assume: map[string]AbsVal{
 	"pkt.rtt":      Finite(0, 3600),
-	"pkt.acked":    Finite(0, 1<<30),
-	"pkt.sacked":   Finite(0, 1<<30),
-	"pkt.lost":     Finite(0, 1<<30),
+	"pkt.acked":    Finite(0, CwndMax),
+	"pkt.sacked":   Finite(0, CwndMax),
+	"pkt.lost":     Finite(0, CwndMax),
 	"pkt.ecn":      Finite(0, 1),
-	"pkt.snd_rate": Finite(0, 1e12),
-	"pkt.rcv_rate": Finite(0, 1e12),
-	"pkt.inflight": Finite(0, 1<<30),
-	"pkt.hdr_rate": Finite(0, 1e12),
+	"pkt.snd_rate": Finite(0, RateMax),
+	"pkt.rcv_rate": Finite(0, RateMax),
+	"pkt.inflight": Finite(0, CwndMax),
+	"pkt.hdr_rate": Finite(0, RateMax),
 	"pkt.now":      Finite(0, 1e9),
-	"cwnd":         Finite(0, 1<<30),
-	"rate":         Finite(0, 1e12),
+	"cwnd":         Finite(0, CwndMax),
+	"rate":         Finite(0, RateMax),
 	"mss":          Finite(1, 65536),
 	"srtt":         Finite(0, 3600),
 	"min_rtt":      Finite(0, 3600),
@@ -693,11 +690,11 @@ func (a *analyzer) checkInstrs(instrs []lang.Instr, st []AbsVal) {
 		case lang.SetCwnd:
 			a.where = Where{Kind: "instr", Index: i, Name: "Cwnd"}
 			v := a.eval(n.E, st, nil)
-			a.checkWrite("cwnd", v, a.cfg.CwndMax, n.E)
+			a.checkWrite("cwnd", v, CwndMax, n.E)
 		case lang.SetRate:
 			a.where = Where{Kind: "instr", Index: i, Name: "Rate"}
 			v := a.eval(n.E, st, nil)
-			a.checkWrite("rate", v, a.cfg.RateMax, n.E)
+			a.checkWrite("rate", v, RateMax, n.E)
 		case lang.Wait:
 			a.where = Where{Kind: "instr", Index: i, Name: "Wait"}
 			a.checkWait(a.eval(n.Seconds, st, nil), n.Seconds)

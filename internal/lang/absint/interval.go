@@ -78,8 +78,8 @@ func (iv Interval) Meet(o Interval) Interval {
 // and packet counts (1024, 65536), the cwnd clamp (2^30 bytes), the rate
 // clamp (1e12 bytes/sec), and finally ±Inf.
 var (
-	hiThresholds = []float64{0, 1, 1024, 65536, 1 << 30, 1e12, math.Inf(1)}
-	loThresholds = []float64{0, -1, -65536, -1e12, math.Inf(-1)}
+	hiThresholds = []float64{0, 1, 1024, 65536, CwndMax, RateMax, math.Inf(1)}
+	loThresholds = []float64{0, -1, -65536, -RateMax, math.Inf(-1)}
 )
 
 // Widen accelerates convergence: endpoints of next that moved past the

@@ -64,61 +64,19 @@ func TestAllocsSetCwndRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAllocsBatchRoundTrip(t *testing.T) {
-	msgs := make([]proto.Msg, 16)
-	for i := range msgs {
-		msgs[i] = &proto.Measurement{
-			SID: uint32(i + 1), Seq: uint32(i + 1),
-			Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01},
-		}
-	}
-	m := &proto.Batch{Msgs: msgs}
-	var buf []byte // reassigned each run so grown capacity is kept
-	var dec proto.Decoder
-	var encErr, decErr error
-	requireZeroAllocs(t, "batch round trip", func() {
-		buf, encErr = proto.AppendMarshal(buf[:0], m)
-		if encErr != nil {
-			return
-		}
-		_, decErr = dec.Unmarshal(buf)
-	})
-	if encErr != nil || decErr != nil {
-		t.Fatalf("round trip failed: enc=%v dec=%v", encErr, decErr)
-	}
-}
-
 // TestAllocsCloneInto pins the shard hop's copy: once a container has held
 // a report of each shape, copying the next one into it touches no heap — for
-// a bare report, an urgent, a vector and a 16-report batch alike, and for a
-// batch copied only in part.
+// a bare report, an urgent and a vector alike.
 func TestAllocsCloneInto(t *testing.T) {
-	msgs := make([]proto.Msg, 16)
-	for i := range msgs {
-		msgs[i] = &proto.Measurement{
-			SID: uint32(i + 1), Seq: uint32(i + 1),
-			Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01},
-		}
-	}
-	odd := func(m proto.Msg) bool { return m.FlowSID()%2 == 1 }
 	for _, src := range []proto.Msg{
-		msgs[0],
+		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}},
 		&proto.Urgent{SID: 7, Seq: 3, Kind: proto.UrgentDupAck, Value: 1448},
 		&proto.Vector{SID: 7, Seq: 4, NumFields: 2, Data: []float64{1, 2, 3, 4}},
-		&proto.Batch{Msgs: msgs},
 	} {
 		var dst proto.Msg
 		requireZeroAllocs(t, "CloneInto "+src.Type().String(), func() {
 			dst = proto.CloneInto(dst, src)
 		})
-	}
-	var part *proto.Batch
-	requireZeroAllocs(t, "CloneBatchInto with a filter", func() {
-		part = proto.CloneBatchInto(part, &proto.Batch{Msgs: msgs}, odd)
-	})
-	if len(part.Msgs) != 8 || part.Msgs[1].FlowSID() != 3 {
-		t.Fatalf("filtered copy kept %d messages, second is flow %d; want 8 and 3",
-			len(part.Msgs), part.Msgs[1].FlowSID())
 	}
 }
 
@@ -213,37 +171,41 @@ func TestInstallProgAliasesInput(t *testing.T) {
 }
 
 // FuzzDecoderAliasing decodes arbitrary bytes, deep-copies the result, then
-// scribbles over the input buffer. The copy must match a pristine decode —
-// i.e. Clone must sever every alias the scratch decoder keeps into the input
-// (Install.Prog in particular) — and so must a CloneInto a container that
-// last held a different message (the seed Batch, so report sub-messages are
-// reused and everything else replaced): a container never shares memory with
-// its source. Messages are compared through their canonical re-encoding,
-// which is insensitive to nil-versus-empty slice differences.
+// scribbles over the input buffer and the decoder's scratch. The copy must
+// match a pristine decode — i.e. Clone must sever every alias the scratch
+// decoder keeps into the input (Install.Prog and Snapshot.Prog in
+// particular) — and so must a CloneInto a report container that last held a
+// different report of the same kind, whose storage the copy reuses: a
+// container never shares memory with its source. Messages are compared
+// through their canonical re-encoding, which is insensitive to
+// nil-versus-empty slice differences.
 func FuzzDecoderAliasing(f *testing.F) {
-	seed := []proto.Msg{
+	for _, m := range []proto.Msg{
 		&proto.Install{SID: 1, Seq: 2, Prog: []byte{9, 9, 9}},
 		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1, 2, 3}},
 		&proto.Vector{SID: 1, Seq: 1, NumFields: 1, Data: []float64{0.5, 0.25}},
-		&proto.Batch{Msgs: []proto.Msg{
-			&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{4}},
-			&proto.Install{SID: 2, Seq: 3, Prog: []byte{7, 7}},
-		}},
-	}
-	for _, m := range seed {
+		&proto.Snapshot{SID: 1, Installed: true, Alg: "reno", Prog: []byte{7, 7}, State: []float64{4}},
+	} {
 		data, err := proto.Marshal(m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
-	scribble, err := proto.Marshal(&proto.Batch{Msgs: []proto.Msg{
+	// What each report container held last; decoding these again is also
+	// the scribble over the decoder's report scratch.
+	held := []proto.Msg{
 		&proto.Measurement{SID: 0xEE, Seq: 0xEE, Fields: []float64{-1, -1, -1, -1}},
 		&proto.Vector{SID: 0xEE, Seq: 0xEE, NumFields: 1, Data: []float64{-1, -1, -1}},
 		&proto.Urgent{SID: 0xEE, Seq: 0xEE, Kind: proto.UrgentECN, Value: -1},
-	}})
-	if err != nil {
-		f.Fatal(err)
+	}
+	var scribble [][]byte
+	for _, m := range held {
+		data, err := proto.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		scribble = append(scribble, data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		aliased := append([]byte(nil), data...)
@@ -253,14 +215,20 @@ func FuzzDecoderAliasing(f *testing.F) {
 			return
 		}
 		cl := proto.Clone(m)
-		into := proto.CloneInto(proto.Clone(seed[3]), m)
+		var container proto.Msg
+		for _, h := range held {
+			if h.Type() == m.Type() {
+				container = proto.Clone(h)
+			}
+		}
+		into := proto.CloneInto(container, m)
 		for i := range aliased {
 			aliased[i] ^= 0xFF
 		}
-		// The decoder's scratch is the other thing a copy must not share:
-		// decode something else over it.
-		if _, err := dec.Unmarshal(scribble); err != nil {
-			t.Fatalf("scribble decode failed: %v", err)
+		for _, b := range scribble {
+			if _, err := dec.Unmarshal(b); err != nil {
+				t.Fatalf("scribble decode failed: %v", err)
+			}
 		}
 		var ref proto.Decoder
 		want, err := ref.Unmarshal(data)

@@ -19,17 +19,6 @@ func benchReport() *proto.Measurement {
 	}
 }
 
-func benchBatch(n int) *proto.Batch {
-	msgs := make([]proto.Msg, n)
-	for i := range msgs {
-		msgs[i] = &proto.Measurement{
-			SID: uint32(i + 1), Seq: uint32(i + 1),
-			Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01},
-		}
-	}
-	return &proto.Batch{Msgs: msgs}
-}
-
 func BenchmarkMarshalReport(b *testing.B) {
 	m := benchReport()
 	b.ReportAllocs()
@@ -96,37 +85,6 @@ func BenchmarkRoundTripReportAlloc(b *testing.B) {
 
 func BenchmarkRoundTripReportReuse(b *testing.B) {
 	m := benchReport()
-	var buf []byte
-	var dec proto.Decoder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = proto.AppendMarshal(buf[:0], m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRoundTripBatch16Alloc(b *testing.B) {
-	m := benchBatch(16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := proto.Marshal(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := proto.Unmarshal(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRoundTripBatch16Reuse(b *testing.B) {
-	m := benchBatch(16)
 	var buf []byte
 	var dec proto.Decoder
 	b.ReportAllocs()

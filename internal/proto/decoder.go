@@ -10,9 +10,9 @@ import "fmt"
 // Ownership rules:
 //
 //   - The message returned by Unmarshal — and everything reachable from it
-//     (Report Fields, Vector Data, Batch sub-messages) — is valid only until
-//     the next Unmarshal call on the same Decoder. Callers that need a
-//     message longer must Clone it.
+//     (Report Fields, Vector Data) — is valid only until the next Unmarshal
+//     call on the same Decoder. Callers that need a message longer must
+//     Clone it.
 //   - Install.Prog aliases the input buffer (no copy on decode); it is
 //     additionally invalidated when the input buffer is released or reused.
 //     Receivers either consume the program during dispatch (the datapath
@@ -21,43 +21,39 @@ import "fmt"
 //     goroutine.
 //
 // A Decoder reused across messages may return empty (rather than nil)
-// Fields/Data/Msgs slices where a fresh decode would return nil; callers
-// must treat the two identically, as encoding does.
+// Fields/Data slices where a fresh decode would return nil; callers must
+// treat the two identically, as encoding does.
 type Decoder struct {
-	creates  []Create
-	meas     []Measurement
-	vecs     []Vector
-	urgents  []Urgent
-	closes   []Close
-	installs []Install
-	cwnds    []SetCwnd
-	rates    []SetRate
-	backoffs []Backoff
-	snaps    []Snapshot
-	hbs      []Heartbeat
-	instErrs []InstallErr
-	batch    Batch
+	// One scratch message of each type, made the first time that type is
+	// decoded: a frame is one message, so the next Unmarshal of a type
+	// overwrites the last, slice capacity included.
+	create  *Create
+	meas    *Measurement
+	vec     *Vector
+	urgent  *Urgent
+	close   *Close
+	install *Install
+	cwnd    *SetCwnd
+	rate    *SetRate
+	snap    *Snapshot
+	hb      *Heartbeat
+	instErr *InstallErr
+}
 
-	nCreate, nMeas, nVec, nUrgent, nClose, nInstall, nCwnd, nRate, nBackoff int
-	nSnap, nHB, nInstErr                                                    int
-
-	// sub is the cursor for decoding batch sub-messages. It lives on the
-	// Decoder rather than the stack because the recursive decode call defeats
-	// escape analysis (a stack-local cursor costs one heap allocation per
-	// sub-message). Sub-decodes reject nested batches, so the cursor is never
-	// needed twice at once.
-	sub decoder
+// scratch returns *p, making it on first use.
+func scratch[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
 }
 
 // Unmarshal decodes one message into the decoder's scratch storage. The
 // result is valid until the next Unmarshal on dec; see the type comment for
 // the full ownership rules.
 func (dec *Decoder) Unmarshal(data []byte) (Msg, error) {
-	dec.nCreate, dec.nMeas, dec.nVec, dec.nUrgent = 0, 0, 0, 0
-	dec.nClose, dec.nInstall, dec.nCwnd, dec.nRate, dec.nBackoff = 0, 0, 0, 0, 0
-	dec.nSnap, dec.nHB, dec.nInstErr = 0, 0, 0
 	d := decoder{data: data}
-	m, err := dec.decode(&d, true)
+	m, err := dec.decode(&d)
 	if err != nil {
 		return nil, err
 	}
@@ -70,20 +66,19 @@ func (dec *Decoder) Unmarshal(data []byte) (Msg, error) {
 	return m, nil
 }
 
-// decode reads one message from d. Batches are accepted only at the top
-// level (allowBatch), matching the no-nesting wire rule.
-func (dec *Decoder) decode(d *decoder, allowBatch bool) (Msg, error) {
+// decode reads one message from d.
+func (dec *Decoder) decode(d *decoder) (Msg, error) {
 	t := MsgType(d.byte())
 	switch t {
 	case TypeCreate:
-		v := dec.nextCreate()
+		v := scratch(&dec.create)
 		v.SID, v.MSS, v.InitCwnd, v.Seq = d.u32(), d.u32(), d.u32(), d.u32()
 		v.SrcAddr = d.str()
 		v.DstAddr = d.str()
 		v.Alg = d.str()
 		return v, nil
 	case TypeMeasurement:
-		v := dec.nextMeas()
+		v := scratch(&dec.meas)
 		v.SID, v.Seq = d.u32(), d.u32()
 		n := d.length(maxFieldCount, 8)
 		v.Fields = v.Fields[:0]
@@ -97,7 +92,7 @@ func (dec *Decoder) decode(d *decoder, allowBatch bool) (Msg, error) {
 		}
 		return v, nil
 	case TypeVector:
-		v := dec.nextVec()
+		v := scratch(&dec.vec)
 		v.SID, v.Seq, v.NumFields = d.u32(), d.u32(), d.byte()
 		n := d.length(maxVectorLen, 8)
 		v.Data = v.Data[:0]
@@ -114,18 +109,18 @@ func (dec *Decoder) decode(d *decoder, allowBatch bool) (Msg, error) {
 		}
 		return v, nil
 	case TypeUrgent:
-		v := dec.nextUrgent()
+		v := scratch(&dec.urgent)
 		v.SID, v.Seq, v.Kind, v.Value = d.u32(), d.u32(), UrgentKind(d.byte()), d.f64()
 		if d.err == nil && (v.Kind < UrgentDupAck || v.Kind > UrgentECN) {
 			return nil, fmt.Errorf("proto: invalid urgent kind %d", v.Kind)
 		}
 		return v, nil
 	case TypeClose:
-		v := dec.nextClose()
+		v := scratch(&dec.close)
 		v.SID = d.u32()
 		return v, nil
 	case TypeInstall:
-		v := dec.nextInstall()
+		v := scratch(&dec.install)
 		v.SID, v.Seq = d.u32(), d.u32()
 		n := d.length(maxProgramSize, 1)
 		// Aliases the input: the single copy, if the receiver needs one, is
@@ -133,22 +128,15 @@ func (dec *Decoder) decode(d *decoder, allowBatch bool) (Msg, error) {
 		v.Prog = d.view(n)
 		return v, nil
 	case TypeSetCwnd:
-		v := dec.nextCwnd()
+		v := scratch(&dec.cwnd)
 		v.SID, v.Seq, v.Bytes = d.u32(), d.u32(), d.u32()
 		return v, nil
 	case TypeSetRate:
-		v := dec.nextRate()
+		v := scratch(&dec.rate)
 		v.SID, v.Seq, v.Bps = d.u32(), d.u32(), d.f64()
 		return v, nil
-	case TypeBackoff:
-		v := dec.nextBackoff()
-		v.SID, v.Factor = d.u32(), d.f64()
-		if d.err == nil && (v.Factor < 1 || v.Factor > 1e6 || v.Factor != v.Factor) {
-			return nil, fmt.Errorf("proto: invalid backoff factor %v", v.Factor)
-		}
-		return v, nil
 	case TypeSnapshot:
-		v := dec.nextSnap()
+		v := scratch(&dec.snap)
 		if ver := d.byte(); d.err == nil && ver != SnapshotVersion {
 			return nil, fmt.Errorf("proto: unsupported snapshot version %d", ver)
 		}
@@ -180,155 +168,14 @@ func (dec *Decoder) decode(d *decoder, allowBatch bool) (Msg, error) {
 		}
 		return v, nil
 	case TypeHeartbeat:
-		v := dec.nextHeartbeat()
+		v := scratch(&dec.hb)
 		v.SID, v.Seq, v.SentAt = d.u32(), d.u32(), d.f64()
 		return v, nil
 	case TypeInstallErr:
-		v := dec.nextInstallErr()
+		v := scratch(&dec.instErr)
 		v.SID, v.Seq = d.u32(), d.u32()
 		v.Reason = d.strInto(v.Reason)
 		return v, nil
-	case TypeBatch:
-		if !allowBatch {
-			return nil, fmt.Errorf("proto: nested batch")
-		}
-		v := &dec.batch
-		v.Msgs = v.Msgs[:0]
-		n := d.length(maxBatchMsgs, 1)
-		for i := 0; i < n && d.err == nil; i++ {
-			sz := d.length(len(d.data)-d.pos, 1)
-			raw := d.view(sz)
-			if d.err != nil {
-				break
-			}
-			dec.sub = decoder{data: raw}
-			sub, err := dec.decode(&dec.sub, false)
-			if err == nil && dec.sub.err != nil {
-				err = dec.sub.err
-			}
-			if err == nil && dec.sub.pos != len(dec.sub.data) {
-				err = fmt.Errorf("proto: %d trailing bytes after %s", len(dec.sub.data)-dec.sub.pos, sub.Type())
-			}
-			if err != nil {
-				return nil, fmt.Errorf("proto: batch message %d: %w", i, err)
-			}
-			v.Msgs = append(v.Msgs, sub)
-		}
-		return v, nil
 	}
 	return nil, fmt.Errorf("proto: unknown message type %d", t)
-}
-
-// The next* helpers hand out one scratch element per message decoded,
-// growing the slab on first use and reusing it (including each element's
-// retained slice capacity) thereafter. Pointers handed out earlier in the
-// same Unmarshal stay valid across growth: they alias the old backing array,
-// which the results keep alive.
-
-func (dec *Decoder) nextCreate() *Create {
-	if dec.nCreate == len(dec.creates) {
-		dec.creates = append(dec.creates, Create{})
-	}
-	v := &dec.creates[dec.nCreate]
-	dec.nCreate++
-	return v
-}
-
-func (dec *Decoder) nextMeas() *Measurement {
-	if dec.nMeas == len(dec.meas) {
-		dec.meas = append(dec.meas, Measurement{})
-	}
-	v := &dec.meas[dec.nMeas]
-	dec.nMeas++
-	return v
-}
-
-func (dec *Decoder) nextVec() *Vector {
-	if dec.nVec == len(dec.vecs) {
-		dec.vecs = append(dec.vecs, Vector{})
-	}
-	v := &dec.vecs[dec.nVec]
-	dec.nVec++
-	return v
-}
-
-func (dec *Decoder) nextUrgent() *Urgent {
-	if dec.nUrgent == len(dec.urgents) {
-		dec.urgents = append(dec.urgents, Urgent{})
-	}
-	v := &dec.urgents[dec.nUrgent]
-	dec.nUrgent++
-	return v
-}
-
-func (dec *Decoder) nextClose() *Close {
-	if dec.nClose == len(dec.closes) {
-		dec.closes = append(dec.closes, Close{})
-	}
-	v := &dec.closes[dec.nClose]
-	dec.nClose++
-	return v
-}
-
-func (dec *Decoder) nextInstall() *Install {
-	if dec.nInstall == len(dec.installs) {
-		dec.installs = append(dec.installs, Install{})
-	}
-	v := &dec.installs[dec.nInstall]
-	dec.nInstall++
-	return v
-}
-
-func (dec *Decoder) nextCwnd() *SetCwnd {
-	if dec.nCwnd == len(dec.cwnds) {
-		dec.cwnds = append(dec.cwnds, SetCwnd{})
-	}
-	v := &dec.cwnds[dec.nCwnd]
-	dec.nCwnd++
-	return v
-}
-
-func (dec *Decoder) nextRate() *SetRate {
-	if dec.nRate == len(dec.rates) {
-		dec.rates = append(dec.rates, SetRate{})
-	}
-	v := &dec.rates[dec.nRate]
-	dec.nRate++
-	return v
-}
-
-func (dec *Decoder) nextBackoff() *Backoff {
-	if dec.nBackoff == len(dec.backoffs) {
-		dec.backoffs = append(dec.backoffs, Backoff{})
-	}
-	v := &dec.backoffs[dec.nBackoff]
-	dec.nBackoff++
-	return v
-}
-
-func (dec *Decoder) nextSnap() *Snapshot {
-	if dec.nSnap == len(dec.snaps) {
-		dec.snaps = append(dec.snaps, Snapshot{})
-	}
-	v := &dec.snaps[dec.nSnap]
-	dec.nSnap++
-	return v
-}
-
-func (dec *Decoder) nextHeartbeat() *Heartbeat {
-	if dec.nHB == len(dec.hbs) {
-		dec.hbs = append(dec.hbs, Heartbeat{})
-	}
-	v := &dec.hbs[dec.nHB]
-	dec.nHB++
-	return v
-}
-
-func (dec *Decoder) nextInstallErr() *InstallErr {
-	if dec.nInstErr == len(dec.instErrs) {
-		dec.instErrs = append(dec.instErrs, InstallErr{})
-	}
-	v := &dec.instErrs[dec.nInstErr]
-	dec.nInstErr++
-	return v
 }

@@ -14,11 +14,15 @@ import (
 // coverage-guided exploration; the seed corpus alone runs in the normal
 // test suite.
 func FuzzUnmarshal(f *testing.F) {
+	frames := retiredFrames() // refused: seeds for the reserved type bytes
 	for _, m := range sampleMsgs() {
 		data, err := Marshal(m)
 		if err != nil {
 			f.Fatal(err)
 		}
+		frames = append(frames, data)
+	}
+	for _, data := range frames {
 		f.Add(data)
 		// Truncations and a corrupted type byte seed the error paths.
 		f.Add(data[:len(data)/2])

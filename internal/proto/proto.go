@@ -4,7 +4,7 @@
 // wide range of congestion control algorithms:
 //
 //	datapath → agent: Create, Measurement, Vector, Urgent, Close, InstallErr
-//	agent → datapath: Install, SetCwnd, SetRate, Backoff
+//	agent → datapath: Install, SetCwnd, SetRate
 //
 // Messages are encoded little-endian with uvarint lengths; each Marshal
 // produces exactly one self-contained message (the transport adds framing).
@@ -39,8 +39,11 @@ const (
 	TypeInstall
 	TypeSetCwnd
 	TypeSetRate
-	TypeBatch
-	TypeBackoff
+	// 9 and 10 are reserved and decode as unknown types. They once carried
+	// report batches and overload backoffs; keeping the gap keeps every other
+	// type's byte, and so which corrupted frames still decode.
+	_
+	_
 	TypeSnapshot
 	TypeHeartbeat
 	TypeInstallErr
@@ -64,10 +67,6 @@ func (t MsgType) String() string {
 		return "SetCwnd"
 	case TypeSetRate:
 		return "SetRate"
-	case TypeBatch:
-		return "Batch"
-	case TypeBackoff:
-		return "Backoff"
 	case TypeSnapshot:
 		return "Snapshot"
 	case TypeHeartbeat:
@@ -226,33 +225,6 @@ type SetRate struct {
 	Bps float64
 }
 
-// Backoff asks a datapath to degrade its measurement frequency: the control
-// plane is shedding load (a shard mailbox over its pressure watermark, or an
-// agent policy throttling a chatty flow) and would rather receive fewer
-// reports than drop them unpredictably. The datapath stretches its report
-// waits by Factor and decays back to its programmed cadence on its own, so no
-// recovery message is needed and a lost Backoff only means slightly later
-// relief. Backoff is advisory: it never carries a window or rate decision and
-// does not count as control liveness.
-type Backoff struct {
-	SID uint32
-	// Factor multiplies the flow's report intervals. Values are clamped to
-	// [1, the datapath's configured maximum]; the datapath keeps the largest
-	// factor currently in force.
-	Factor float64
-}
-
-// Batch carries several messages in one IPC frame — the §4 scaling answer:
-// per-message transport cost (syscall, framing, wakeup) is amortized across
-// every report coalesced within a batching interval, at the price of added
-// control staleness for the non-first messages. Batches are a transport
-// optimization, not a semantic grouping: receivers process the contained
-// messages in order exactly as if each had arrived alone. Sub-messages may
-// concern different flows; batches must not nest.
-type Batch struct {
-	Msgs []Msg
-}
-
 // SeqNewer reports whether sequence number a is newer than b under
 // wraparound arithmetic (serial number comparison): a is newer when it lies
 // at most 2^31-1 increments ahead of b. Sequence number 0 is reserved for
@@ -267,8 +239,6 @@ func (m *Close) Type() MsgType       { return TypeClose }
 func (m *Install) Type() MsgType     { return TypeInstall }
 func (m *SetCwnd) Type() MsgType     { return TypeSetCwnd }
 func (m *SetRate) Type() MsgType     { return TypeSetRate }
-func (m *Batch) Type() MsgType       { return TypeBatch }
-func (m *Backoff) Type() MsgType     { return TypeBackoff }
 func (m *InstallErr) Type() MsgType  { return TypeInstallErr }
 
 func (m *Create) FlowSID() uint32      { return m.SID }
@@ -279,20 +249,12 @@ func (m *Close) FlowSID() uint32       { return m.SID }
 func (m *Install) FlowSID() uint32     { return m.SID }
 func (m *SetCwnd) FlowSID() uint32     { return m.SID }
 func (m *SetRate) FlowSID() uint32     { return m.SID }
-func (m *Backoff) FlowSID() uint32     { return m.SID }
 func (m *InstallErr) FlowSID() uint32  { return m.SID }
 
-// FlowSID returns 0: a batch spans flows, so per-flow routing must unpack
-// it (see Split).
-func (m *Batch) FlowSID() uint32 { return 0 }
-
-// Split returns the messages m stands for: the contained messages for a
-// Batch, or m itself for any other message. Receivers that route per flow
-// call Split first so batches are transparent to them.
+// Split returns []Msg{m}: every message is its own frame. It stays only
+// because the benchmark harness's receive path calls it, until that
+// harness's next revision (ROADMAP item 2) drops the call.
 func Split(m Msg) []Msg {
-	if b, ok := m.(*Batch); ok {
-		return b.Msgs
-	}
 	return []Msg{m}
 }
 
@@ -302,11 +264,7 @@ const (
 	maxFieldCount  = 1 << 12
 	maxVectorLen   = 1 << 20
 	maxProgramSize = 1 << 16
-	maxBatchMsgs   = 1 << 10
 )
-
-// MaxBatchMsgs is the largest number of messages one Batch may carry.
-const MaxBatchMsgs = maxBatchMsgs
 
 // Marshal encodes m as one self-contained message.
 //
@@ -384,12 +342,6 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, v.SID)
 		b = binary.LittleEndian.AppendUint32(b, v.Seq)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Bps))
-	case *Backoff:
-		if v.Factor < 1 || v.Factor > 1e6 || v.Factor != v.Factor {
-			return nil, fmt.Errorf("proto: invalid backoff factor %v", v.Factor)
-		}
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Factor))
 	case *Snapshot:
 		if len(v.Prog) > maxProgramSize {
 			return nil, fmt.Errorf("proto: snapshot program too large (%d bytes)", len(v.Prog))
@@ -432,30 +384,6 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 		var err error
 		if b, err = appendStr(b, v.Reason); err != nil {
 			return nil, err
-		}
-	case *Batch:
-		if len(v.Msgs) > maxBatchMsgs {
-			return nil, fmt.Errorf("proto: batch too large (%d messages)", len(v.Msgs))
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.Msgs)))
-		for _, sub := range v.Msgs {
-			if _, nested := sub.(*Batch); nested {
-				return nil, fmt.Errorf("proto: nested batch")
-			}
-			// Encode the sub-message in place, then shift it right to make
-			// room for its uvarint length prefix — no intermediate buffer.
-			start := len(b)
-			var err error
-			if b, err = AppendMarshal(b, sub); err != nil {
-				return nil, err
-			}
-			subLen := len(b) - start
-			pl := uvarintLen(uint64(subLen))
-			for i := 0; i < pl; i++ {
-				b = append(b, 0)
-			}
-			copy(b[start+pl:], b[start:len(b)-pl])
-			binary.PutUvarint(b[start:start+pl], uint64(subLen))
 		}
 	default:
 		return nil, fmt.Errorf("proto: cannot marshal %T", m)
@@ -548,8 +476,8 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// view returns the next n bytes aliasing the input (for sub-decoding that
-// copies on its own terms).
+// view returns the next n bytes aliasing the input (Install.Prog and
+// Snapshot.Prog: the receiver copies on its own terms).
 func (d *decoder) view(n int) []byte {
 	if d.err != nil || d.pos+n > len(d.data) {
 		d.fail()

@@ -1,9 +1,11 @@
 package proto
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -24,14 +26,6 @@ func sampleMsgs() []Msg {
 		&Install{SID: 6, Prog: nil},
 		&SetCwnd{SID: 8, Seq: 7, Bytes: 29200},
 		&SetRate{SID: 9, Seq: 8, Bps: 1.25e9},
-		&Backoff{SID: 10, Factor: 4},
-		&Backoff{SID: 10, Factor: 1},
-		&Batch{Msgs: []Msg{
-			&Measurement{SID: 1, Seq: 100, Fields: []float64{0.01, 1e6}},
-			&Measurement{SID: 2, Seq: 3, Fields: []float64{0.02, 2e6}},
-			&Urgent{SID: 1, Seq: 9, Kind: UrgentDupAck, Value: 1448},
-		}},
-		&Batch{},
 		&Snapshot{SID: 12, Installed: true, MSS: 1448, InitCwnd: 14480,
 			CtrlSeq: 77, CreateSeq: 3, ReportSeq: 200, UrgentSeq: 5,
 			SrcAddr: "10.0.0.1:4242", DstAddr: "10.0.0.2:80", Alg: "cubic",
@@ -41,6 +35,67 @@ func sampleMsgs() []Msg {
 		&Heartbeat{SID: 0, Seq: 9, SentAt: 1.25},
 		&InstallErr{SID: 14, Seq: 41, Reason: "verifier: rate write escapes [0, 1e12]"},
 		&InstallErr{SID: 15},
+	}
+}
+
+// retiredFrames are frames of the two retired wire types as a peer that
+// still sent them encoded them: type 9, a report batch (a uvarint count, then
+// each message behind its uvarint length), and type 10, an overload backoff
+// (the SID, then a float64 report-interval factor).
+func retiredFrames() [][]byte {
+	batch := []byte{9, 2}
+	for _, m := range []Msg{
+		&Measurement{SID: 1, Seq: 100, Fields: []float64{0.01, 1e6}},
+		&Urgent{SID: 1, Seq: 9, Kind: UrgentDupAck, Value: 1448},
+	} {
+		sub, err := Marshal(m)
+		if err != nil {
+			panic(err)
+		}
+		batch = append(binary.AppendUvarint(batch, uint64(len(sub))), sub...)
+	}
+	backoff := func(factor float64) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte{10}, 10)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(factor))
+	}
+	return [][]byte{batch, {9, 0}, backoff(4), backoff(1)}
+}
+
+// TestWireTypeNumbers pins each message type's byte on the wire, and that
+// the bytes of the two retired types are refused as unknown whatever follows
+// them: a corrupted frame that starts with 9 or 10 must not decode.
+func TestWireTypeNumbers(t *testing.T) {
+	for _, c := range []struct {
+		m    Msg
+		want byte
+	}{
+		{&Create{}, 1}, {&Measurement{}, 2}, {&Vector{NumFields: 1}, 3},
+		{&Urgent{Kind: UrgentDupAck}, 4}, {&Close{}, 5}, {&Install{}, 6},
+		{&SetCwnd{}, 7}, {&SetRate{}, 8}, {&Snapshot{}, 11},
+		{&Heartbeat{}, 12}, {&InstallErr{}, 13},
+	} {
+		data, err := Marshal(c.m)
+		if err != nil {
+			t.Fatalf("%T: %v", c.m, err)
+		}
+		if data[0] != c.want {
+			t.Errorf("%T is type byte %d on the wire, want %d", c.m, data[0], c.want)
+		}
+		if got, err := Unmarshal(data); err != nil || got.Type() != c.m.Type() {
+			t.Errorf("type byte %d decodes as %v (err %v), want %v", c.want, got, err, c.m.Type())
+		}
+	}
+	for _, frame := range append(retiredFrames(), []byte{9}, []byte{10}) {
+		if _, err := Unmarshal(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("retired frame %x: err=%v, want an unknown message type", frame, err)
+		}
+	}
+}
+
+func TestSplit(t *testing.T) {
+	m := &Close{SID: 1}
+	if got := Split(m); len(got) != 1 || got[0] != Msg(m) {
+		t.Fatalf("Split(m)=%v, want [m]", got)
 	}
 }
 
@@ -79,9 +134,8 @@ func TestTypeAndSID(t *testing.T) {
 	wantTypes := []MsgType{
 		TypeCreate, TypeCreate, TypeCreate, TypeMeasurement, TypeMeasurement,
 		TypeVector, TypeUrgent, TypeUrgent, TypeUrgent, TypeClose, TypeInstall,
-		TypeInstall, TypeSetCwnd, TypeSetRate, TypeBackoff, TypeBackoff,
-		TypeBatch, TypeBatch, TypeSnapshot, TypeSnapshot, TypeHeartbeat,
-		TypeInstallErr, TypeInstallErr,
+		TypeInstall, TypeSetCwnd, TypeSetRate, TypeSnapshot, TypeSnapshot,
+		TypeHeartbeat, TypeInstallErr, TypeInstallErr,
 	}
 	for i, m := range sampleMsgs() {
 		if m.Type() != wantTypes[i] {
@@ -129,14 +183,6 @@ func TestMarshalRejectsOversize(t *testing.T) {
 	long := make([]byte, 300)
 	if _, err := Marshal(&Create{SrcAddr: string(long)}); err == nil {
 		t.Fatal("oversized string marshalled")
-	}
-}
-
-func TestMarshalRejectsBadBackoffFactor(t *testing.T) {
-	for _, f := range []float64{0, 0.5, -1, 1e7, math.NaN()} {
-		if _, err := Marshal(&Backoff{SID: 1, Factor: f}); err == nil {
-			t.Errorf("backoff factor %v marshalled", f)
-		}
 	}
 }
 

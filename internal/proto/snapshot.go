@@ -56,8 +56,8 @@ type Snapshot struct {
 // it verbatim, so the sender measures true request→response latency as
 // now − SentAt with no pending-probe table. SID 0 probes the agent as a
 // whole; a nonzero SID attributes the probe to one flow's handler path.
-// Heartbeats are advisory like Backoff: they carry no decision and never
-// count as control liveness.
+// Heartbeats are advisory: they carry no decision and never count as
+// control liveness.
 type Heartbeat struct {
 	SID    uint32
 	Seq    uint32

@@ -15,8 +15,8 @@ import (
 // borrowed report crosses into a shard in a recycled container, the
 // algorithm's decision is built in the shard agent's scratch, and a reply
 // that marshals into a reused buffer keeps none of it. One op is a report in
-// and its decisions out, on a two-shard runtime, for a bare Measurement, an
-// Urgent, a 16-report batch confined to one shard, and one split between both.
+// and its decision out, on a two-shard runtime, for a Measurement and an
+// Urgent.
 func TestAllocsShardedDispatch(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -58,35 +58,19 @@ func TestAllocsShardedDispatch(t *testing.T) {
 
 	report := &proto.Measurement{SID: 3, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}}
 	urgent := &proto.Urgent{SID: 4, Kind: proto.UrgentDupAck, Value: 1448}
-	batch := &proto.Batch{}
-	for sid := uint32(2); sid <= flows; sid += 2 { // even flows: all shard 0
-		batch.Msgs = append(batch.Msgs, &proto.Measurement{SID: sid, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}})
-	}
-	spanning := &proto.Batch{}
-	for sid := uint32(1); sid <= 16; sid++ { // eight flows a shard
-		spanning.Msgs = append(spanning.Msgs, &proto.Measurement{SID: sid, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}})
-	}
-	stampAll := func(b *proto.Batch, seq uint32) {
-		for _, sub := range b.Msgs {
-			sub.(*proto.Measurement).Seq = seq
-		}
-	}
 	var seq uint32
 	for _, c := range []struct {
-		name    string
-		m       proto.Msg
-		answers int64
-		stamp   func()
+		name  string
+		m     proto.Msg
+		stamp func()
 	}{
-		{"Measurement", report, 1, func() { report.Seq = seq }},
-		{"Urgent", urgent, 1, func() { urgent.Seq = seq }},
-		{"16-report batch", batch, int64(len(batch.Msgs)), func() { stampAll(batch, seq) }},
-		{"16-report batch split in two", spanning, int64(len(spanning.Msgs)), func() { stampAll(spanning, seq) }},
+		{"Measurement", report, func() { report.Seq = seq }},
+		{"Urgent", urgent, func() { urgent.Seq = seq }},
 	} {
 		op := func() {
 			seq++
 			c.stamp()
-			want := replies.Load() + c.answers
+			want := replies.Load() + 1
 			rt.HandleMessage(c.m, reply)
 			await(want)
 		}

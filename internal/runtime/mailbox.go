@@ -8,14 +8,11 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// mailbox is a shard's bounded queue: a mutex-guarded ring buffer rather
-// than a channel, because overload-aware degradation needs an operation a
-// channel cannot express — evicting the *oldest sheddable* entry to admit a
-// new one. Measurement traffic is time-series data: when the agent falls
-// behind, the newest report is worth more than the oldest, so pressure
-// sheds from the front. Control-plane traffic (Create, Close, Urgent,
-// Install acks via reply, drain sentinels) is never shed — losing it would
-// corrupt flow state rather than merely coarsen it.
+// mailbox is a shard's bounded queue: a mutex-guarded ring buffer that
+// blocks a push while it is full and a pop while it is empty. It is a ring
+// under a lock rather than a channel because of the free lists below: a
+// container is taken and handed back under the same lock the queue takes,
+// so the copy a report crosses in costs no synchronization of its own.
 //
 // The mailbox also owns the storage reports cross the shard boundary in.
 // A dispatcher only borrows the message it routes, so push copies it into a
@@ -34,14 +31,10 @@ type mailbox struct {
 	head     int
 	n        int
 	closed   bool
-	// shedMark is the occupancy at or above which a push may evict the
-	// oldest sheddable entry instead of blocking/dropping; 0 disables
-	// shedding (pure channel semantics).
-	shedMark int
 	// free holds the idle containers, one stack per message type (only the
 	// recycled types' are ever used) so an urgent between two measurements
 	// does not cost either its storage.
-	free [proto.TypeBatch + 1][]proto.Msg
+	free [proto.TypeUrgent + 1][]proto.Msg
 	// made counts the containers in existence, wherever they are. A slot's
 	// worth and the shard's one is all a single type can ever need, so when
 	// that many exist and a type with none idle needs one, an idle container
@@ -50,70 +43,44 @@ type mailbox struct {
 }
 
 // recycled says whether messages of type t cross in mailbox containers: the
-// reports, bare or batched. Everything else (Create, Close, InstallErr,
-// Heartbeat) is rare control traffic and crosses as a proto.Clone the
-// collector reclaims.
+// reports. Everything else (Create, Close, InstallErr, Heartbeat) is rare
+// control traffic and crosses as a proto.Clone the collector reclaims.
 func recycled(t proto.MsgType) bool {
 	switch t {
-	case proto.TypeMeasurement, proto.TypeVector, proto.TypeUrgent, proto.TypeBatch:
+	case proto.TypeMeasurement, proto.TypeVector, proto.TypeUrgent:
 		return true
 	}
 	return false
 }
 
-// allReports says whether a batch carries nothing but bare reports, which
-// is what makes its container worth keeping.
-func allReports(b *proto.Batch) bool {
-	for _, sub := range b.Msgs {
-		if t := sub.Type(); !recycled(t) || t == proto.TypeBatch {
-			return false
-		}
-	}
-	return true
-}
-
-// shedReport describes a report push evicted: how many reports it carried
-// (0: nothing was evicted), the flow to send the Backoff to, and the reply
-// path it arrived with. The container itself is already back on a free list.
-type shedReport struct {
-	reports int
-	sid     uint32
-	reply   func(proto.Msg) error
-}
-
-func newMailbox(size, shedMark int) *mailbox {
-	mb := &mailbox{buf: make([]item, size), shedMark: shedMark}
+func newMailbox(size int) *mailbox {
+	mb := &mailbox{buf: make([]item, size)}
 	mb.notFull = sync.NewCond(&mb.mu)
 	mb.notEmpty = sync.NewCond(&mb.mu)
 	return mb
 }
 
 // push enqueues a copy of it: it.m is borrowed, and what is queued is a
-// container holding its deep copy (of the sub-messages keep accepts, when
-// keep is non-nil and it.m a batch). A drain sentinel has no message and is
-// queued as is. When occupancy has reached the shed watermark and an older
-// sheddable entry exists, that entry is evicted to make room and described
-// in shed. With no room and nothing sheddable, push blocks for space. ok is
-// false only when the mailbox is closed.
-func (mb *mailbox) push(it item, keep func(proto.Msg) bool) (shed shedReport, ok bool) {
+// container holding its deep copy, taken only once there is room in the ring
+// so that no container is held by a pusher waiting for space. A drain
+// sentinel has no message and is queued as is. With no room, push blocks for
+// space. It returns false only when the mailbox is closed.
+func (mb *mailbox) push(it item) bool {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for {
-		if mb.closed {
-			return shedReport{}, false
-		}
-		if mb.shedMark > 0 && mb.n >= mb.shedMark {
-			if s := mb.shedOldestLocked(); s.reports > 0 {
-				mb.insertLocked(it, keep)
-				return s, true
-			}
-		}
-		if mb.n < len(mb.buf) {
-			mb.insertLocked(it, keep)
-			return shedReport{}, true
-		}
+	for !mb.closed && mb.n == len(mb.buf) {
 		mb.notFull.Wait()
 	}
+	if mb.closed {
+		return false
+	}
+	if it.m != nil {
+		it.m = mb.copyLocked(it.m)
+	}
+	mb.buf[(mb.head+mb.n)%len(mb.buf)] = it
+	mb.n++
+	mb.notEmpty.Signal()
+	return true
 }
 
 // pop dequeues the oldest entry, blocking while the mailbox is open and
@@ -149,22 +116,10 @@ func (mb *mailbox) close() {
 	mb.notEmpty.Broadcast()
 }
 
-// insertLocked copies it.m into a container (see push) and appends the
-// entry. Called only with room in the ring, so a container is never held by
-// a pusher waiting for space.
-func (mb *mailbox) insertLocked(it item, keep func(proto.Msg) bool) {
-	if it.m != nil {
-		it.m = mb.copyLocked(it.m, keep)
-	}
-	mb.buf[(mb.head+mb.n)%len(mb.buf)] = it
-	mb.n++
-	mb.notEmpty.Signal()
-}
-
 // copyLocked returns a deep copy of the borrowed m in a container off the
 // free list for its type — a fresh one when the list is empty, and always
 // for types that are not recycled.
-func (mb *mailbox) copyLocked(m proto.Msg, keep func(proto.Msg) bool) proto.Msg {
+func (mb *mailbox) copyLocked(m proto.Msg) proto.Msg {
 	t := m.Type()
 	if !recycled(t) {
 		return proto.Clone(m)
@@ -183,10 +138,6 @@ func (mb *mailbox) copyLocked(m proto.Msg, keep func(proto.Msg) bool) proto.Msg 
 		}
 		mb.made++
 	}
-	if keep != nil {
-		cb, _ := c.(*proto.Batch)
-		return proto.CloneBatchInto(cb, m.(*proto.Batch), keep)
-	}
 	return proto.CloneInto(c, m)
 }
 
@@ -204,18 +155,13 @@ func (mb *mailbox) takeIdleLocked(t proto.MsgType) proto.Msg {
 
 // recycleLocked puts a container nobody reads any more back on its free
 // list. A message of a type that is not recycled (or none: a sentinel's) is
-// left to the collector, and so is a batch container that took in control
-// messages: it would keep their strings alive.
+// left to the collector.
 func (mb *mailbox) recycleLocked(m proto.Msg) {
 	if m == nil {
 		return
 	}
 	t := m.Type()
 	if !recycled(t) {
-		return
-	}
-	if b, ok := m.(*proto.Batch); ok && !allReports(b) {
-		mb.made--
 		return
 	}
 	if bufpool.DebugEnabled {
@@ -244,74 +190,5 @@ func poison(m proto.Msg) {
 		}
 	case *proto.Urgent:
 		v.SID, v.Value = sid, nan
-	case *proto.Batch:
-		for _, sub := range v.Msgs {
-			poison(sub)
-		}
 	}
-}
-
-// shedOldestLocked evicts the oldest sheddable entry, compacting the ring,
-// and recycles its container once it has been described. With nothing
-// sheddable queued it returns the zero shedReport.
-func (mb *mailbox) shedOldestLocked() shedReport {
-	for off := 0; off < mb.n; off++ {
-		i := (mb.head + off) % len(mb.buf)
-		if !sheddable(mb.buf[i]) {
-			continue
-		}
-		s := mb.buf[i]
-		// Shift everything after the hole forward one slot.
-		for j := off; j < mb.n-1; j++ {
-			from := (mb.head + j + 1) % len(mb.buf)
-			to := (mb.head + j) % len(mb.buf)
-			mb.buf[to] = mb.buf[from]
-		}
-		mb.buf[(mb.head+mb.n-1)%len(mb.buf)] = item{}
-		mb.n--
-		mb.notFull.Signal()
-		shed := shedReport{reports: reportCount(s.m), sid: backoffSID(s.m), reply: s.reply}
-		mb.recycleLocked(s.m)
-		return shed
-	}
-	return shedReport{}
-}
-
-// sheddable reports whether an entry carries only measurement reports.
-// Urgents, Create/Close, drain sentinels, and mixed batches are load-bearing
-// control state and never shed.
-func sheddable(it item) bool {
-	if it.done != nil {
-		return false
-	}
-	switch m := it.m.(type) {
-	case *proto.Measurement, *proto.Vector:
-		return true
-	case *proto.Batch:
-		for _, sub := range m.Msgs {
-			switch sub.(type) {
-			case *proto.Measurement, *proto.Vector:
-			default:
-				return false
-			}
-		}
-		return len(m.Msgs) > 0
-	}
-	return false
-}
-
-// reportCount is how many reports an entry carries, for the shed counter.
-func reportCount(m proto.Msg) int {
-	if b, ok := m.(*proto.Batch); ok {
-		return len(b.Msgs)
-	}
-	return 1
-}
-
-// backoffSID picks the flow a shed entry's Backoff should target.
-func backoffSID(m proto.Msg) uint32 {
-	if b, ok := m.(*proto.Batch); ok && len(b.Msgs) > 0 {
-		return b.Msgs[0].FlowSID()
-	}
-	return m.FlowSID()
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"testing"
+	"time"
 
 	"github.com/ccp-repro/ccp/internal/proto"
 )
@@ -10,142 +11,55 @@ func meas(sid, seq uint32) item {
 	return item{m: &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{1}}}
 }
 
-func mustPush(t *testing.T, mb *mailbox, it item) (shedReport, bool) {
+func mustPush(t *testing.T, mb *mailbox, it item) {
 	t.Helper()
-	shed, ok := mb.push(it, nil)
-	if !ok {
+	if !mb.push(it) {
 		t.Fatal("push refused by an open mailbox")
 	}
-	return shed, shed.reports > 0
 }
 
-func (mb *mailbox) len() int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.n
-}
-
-func TestMailboxShedsOldestReportAtWatermark(t *testing.T) {
-	mb := newMailbox(4, 2)
-	mustPush(t, mb, meas(1, 1))
-	mustPush(t, mb, item{m: &proto.Urgent{SID: 1, Seq: 1}})
-	// Occupancy is at the watermark: this push must evict the oldest
-	// sheddable entry (the seq-1 measurement), not the urgent in front of it.
-	shed, didShed := mustPush(t, mb, meas(1, 2))
-	if !didShed {
-		t.Fatal("no shed at watermark occupancy")
-	}
-	if shed.reports != 1 || shed.sid != 1 {
-		t.Fatalf("shed %+v, want one report of flow 1", shed)
-	}
-	// Survivors pop in FIFO order: urgent first, then the new measurement
-	// (so the one shed was the seq-1 measurement).
-	it, _ := mb.pop(nil)
-	if _, ok := it.m.(*proto.Urgent); !ok {
-		t.Fatalf("first survivor is %T, want Urgent", it.m)
-	}
-	it, _ = mb.pop(it.m)
-	if m, ok := it.m.(*proto.Measurement); !ok || m.Seq != 2 {
-		t.Fatalf("second survivor is %T %+v, want seq-2 measurement", it.m, it.m)
-	}
-	if mb.len() != 0 {
-		t.Fatalf("len=%d after draining", mb.len())
-	}
-}
-
-func TestMailboxNeverShedsControl(t *testing.T) {
-	mb := newMailbox(4, 1)
-	mixed := &proto.Batch{Msgs: []proto.Msg{
-		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}},
-		&proto.Close{SID: 1},
-	}}
+// A full mailbox blocks the pusher and never discards: the push waits until
+// a pop makes room, and entries pop in push order, control and reports
+// alike. A pusher still waiting when the mailbox closes is refused.
+func TestMailboxBlocksWhenFull(t *testing.T) {
+	mb := newMailbox(2)
 	mustPush(t, mb, item{m: &proto.Create{SID: 1}})
-	mustPush(t, mb, item{m: &proto.Urgent{SID: 1, Seq: 1}})
-	mustPush(t, mb, item{m: mixed})
-	// Above the watermark with only control-plane entries queued: there is
-	// nothing to evict, so the newcomer takes a free slot and every control
-	// entry stays.
-	if shed, _ := mustPush(t, mb, meas(1, 9)); shed.reports != 0 {
-		t.Fatalf("shed=%+v, want no eviction of a control entry", shed)
+	mustPush(t, mb, meas(1, 1))
+	pushed := make(chan bool)
+	go func() { pushed <- mb.push(meas(1, 2)) }()
+	select {
+	case <-pushed:
+		t.Fatal("a push into a full mailbox returned without waiting for room")
+	case <-time.After(20 * time.Millisecond):
 	}
-	for _, want := range []string{"*proto.Create", "*proto.Urgent", "*proto.Batch", "other"} {
-		it, popOK := mb.pop(nil)
-		if !popOK {
-			t.Fatal("queue lost a control entry")
-		}
-		if got := typeName(it.m); got != want {
-			t.Fatalf("popped %s, want %s", got, want)
+	it, _ := mb.pop(nil)
+	if _, ok := it.m.(*proto.Create); !ok {
+		t.Fatalf("first entry is %T, want the Create", it.m)
+	}
+	if !<-pushed {
+		t.Fatal("push refused by an open mailbox")
+	}
+	for _, seq := range []uint32{1, 2} {
+		it, _ = mb.pop(it.m)
+		if m, ok := it.m.(*proto.Measurement); !ok || m.Seq != seq {
+			t.Fatalf("popped %T %+v, want the seq-%d measurement", it.m, it.m, seq)
 		}
 	}
-}
 
-func typeName(m proto.Msg) string {
-	switch m.(type) {
-	case *proto.Create:
-		return "*proto.Create"
-	case *proto.Urgent:
-		return "*proto.Urgent"
-	case *proto.Batch:
-		return "*proto.Batch"
-	}
-	return "other"
-}
-
-func TestSheddableClassification(t *testing.T) {
-	report := &proto.Measurement{SID: 1, Seq: 1}
-	cases := []struct {
-		name string
-		it   item
-		want bool
-	}{
-		{"measurement", item{m: report}, true},
-		{"vector", item{m: &proto.Vector{SID: 1, Seq: 1}}, true},
-		{"report batch", item{m: &proto.Batch{Msgs: []proto.Msg{report, &proto.Vector{SID: 2, Seq: 1}}}}, true},
-		{"empty batch", item{m: &proto.Batch{}}, false},
-		{"mixed batch", item{m: &proto.Batch{Msgs: []proto.Msg{report, &proto.Create{SID: 2}}}}, false},
-		{"create", item{m: &proto.Create{SID: 1}}, false},
-		{"close", item{m: &proto.Close{SID: 1}}, false},
-		{"urgent", item{m: &proto.Urgent{SID: 1, Seq: 1}}, false},
-		{"drain sentinel", item{done: make(chan struct{})}, false},
-	}
-	for _, c := range cases {
-		if got := sheddable(c.it); got != c.want {
-			t.Errorf("sheddable(%s)=%v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestMailboxShedThenRecover(t *testing.T) {
-	mb := newMailbox(4, 3)
-	for seq := uint32(1); seq <= 3; seq++ {
-		mustPush(t, mb, meas(1, seq))
-	}
-	if _, didShed := mustPush(t, mb, meas(1, 4)); !didShed {
-		t.Fatal("no shed at watermark")
-	}
-	// Drain fully: pressure is gone, so subsequent pushes below the
-	// watermark must not shed and must preserve FIFO order.
-	for mb.len() > 0 {
-		mb.pop(nil)
-	}
-	for seq := uint32(10); seq < 12; seq++ {
-		if _, didShed := mustPush(t, mb, meas(1, seq)); didShed {
-			t.Fatalf("shed below watermark after recovery (seq %d)", seq)
-		}
-	}
-	for seq := uint32(10); seq < 12; seq++ {
-		it, _ := mb.pop(nil)
-		if m := it.m.(*proto.Measurement); m.Seq != seq {
-			t.Fatalf("popped seq %d, want %d (order broken after recovery)", m.Seq, seq)
-		}
+	mustPush(t, mb, meas(1, 3))
+	mustPush(t, mb, meas(1, 4))
+	go func() { pushed <- mb.push(meas(1, 5)) }()
+	mb.close()
+	if <-pushed {
+		t.Fatal("a push waiting on a full mailbox was accepted after close")
 	}
 }
 
 func TestMailboxCloseSemantics(t *testing.T) {
-	mb := newMailbox(4, 0)
+	mb := newMailbox(4)
 	mustPush(t, mb, meas(1, 1))
 	mb.close()
-	if _, ok := mb.push(meas(1, 2), nil); ok {
+	if mb.push(meas(1, 2)) {
 		t.Fatal("push accepted after close")
 	}
 	// Entries queued before close stay poppable (shutdown drains them).
@@ -170,9 +84,9 @@ func idle(mb *mailbox) int {
 
 // A container goes round: what the shard hands back on pop is what the next
 // push of that kind is copied into. No more than size+1 exist however the
-// kinds mix, and a batch that took in a control message is not kept.
+// kinds mix.
 func TestMailboxRecyclesContainersWithinBound(t *testing.T) {
-	mb := newMailbox(2, 0)
+	mb := newMailbox(2)
 	lent := &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1, 2}}
 	mustPush(t, mb, item{m: lent})
 	first, _ := mb.pop(nil)
@@ -199,16 +113,15 @@ func TestMailboxRecyclesContainersWithinBound(t *testing.T) {
 	// place of an idle one instead of adding to them.
 	mustPush(t, mb, item{m: &proto.Urgent{SID: 1, Seq: 1}})
 	urgent, _ := mb.pop(fourth.m)
-	mustPush(t, mb, item{m: &proto.Batch{Msgs: []proto.Msg{lent, &proto.Close{SID: 1}}}})
-	mixed, _ := mb.pop(urgent.m)
-	if mb.made != 3 || idle(mb) != 2 || len(mb.free[proto.TypeUrgent]) != 1 {
-		t.Fatalf("made=%d idle=%d urgents idle=%d, want 3, 2 and 1", mb.made, idle(mb), len(mb.free[proto.TypeUrgent]))
+	if mb.made != 3 || idle(mb) != 2 {
+		t.Fatalf("made=%d idle=%d with the urgent in the shard's hands, want 3 and 2", mb.made, idle(mb))
 	}
 	mb.close()
-	if _, ok := mb.pop(mixed.m); ok {
+	if _, ok := mb.pop(urgent.m); ok {
 		t.Fatal("pop reported an entry on a closed empty mailbox")
 	}
-	if mb.made != 2 || idle(mb) != 2 {
-		t.Fatalf("made=%d idle=%d after a batch with a Close in it came back, want it let go: 2 and 2", mb.made, idle(mb))
+	if mb.made != 3 || idle(mb) != 3 || len(mb.free[proto.TypeUrgent]) != 1 {
+		t.Fatalf("made=%d idle=%d urgents idle=%d after the urgent came back, want 3, 3 and 1",
+			mb.made, idle(mb), len(mb.free[proto.TypeUrgent]))
 	}
 }

@@ -17,14 +17,12 @@ import (
 // connections through one ServeSet goroutine: every connection's flows must
 // be processed and every reply must come back on the connection that owns
 // the flow (no cross-wiring), in both inline and sharded dispatch modes.
-// Reports arrive both one to a frame and batched, each batch carrying every
-// flow of its connection and so spanning shards; every report is answered,
-// none dropped, and the one frame that does not decode is counted as that and
-// nothing else.
+// Every report is answered, none dropped, and the one frame that does not
+// decode is counted as that and nothing else.
 func TestServeSetMultiplexesConnections(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const conns, flows, reports, batches = 4, 2, 5, 5
+			const conns, flows, reports = 4, 2, 10
 			dir := t.TempDir()
 			mux, err := shmring.NewMux(filepath.Join(dir, "mux.bell"))
 			if err != nil {
@@ -67,17 +65,9 @@ func TestServeSetMultiplexesConnections(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for seq := uint32(reports + 1); seq <= reports+batches; seq++ {
-					frame := &proto.Batch{}
-					for f := 1; f <= flows; f++ {
-						frame.Msgs = append(frame.Msgs, &proto.Measurement{
-							SID: uint32(ci*100 + f), Seq: seq, Fields: []float64{float64(seq)}})
-					}
-					send(t, d, frame)
-				}
 			}
 			// One SetCwnd per Create (echoAlg.Init) plus one per Measurement.
-			const wantReplies = flows * (1 + reports + batches)
+			const wantReplies = flows * (1 + reports)
 			for ci, d := range dp {
 				lo, hi := uint32(ci*100+1), uint32(ci*100+flows)
 				for n := 0; n < wantReplies; n++ {
@@ -101,18 +91,15 @@ func TestServeSetMultiplexesConnections(t *testing.T) {
 				t.Fatal("ServeSet did not return after all endpoints closed")
 			}
 			st := rt.Stats()
-			if min := int64(conns * (flows*(1+reports) + batches)); st.Dispatched < min {
-				t.Fatalf("dispatched %d messages, want at least %d", st.Dispatched, min)
+			if want := int64(conns * flows * (1 + reports)); st.Dispatched != want {
+				t.Fatalf("dispatched %d messages, want %d", st.Dispatched, want)
 			}
-			if want := conns * flows * (reports + batches); st.Agent.Measurements != want ||
+			if want := conns * flows * reports; st.Agent.Measurements != want ||
 				st.ShutdownDropped != 0 || st.Agent.StaleReports != 0 {
 				t.Fatalf("answered %d of %d reports: %+v", st.Agent.Measurements, want, st)
 			}
 			if st.DecodeErrors != 1 {
 				t.Fatalf("decode errors = %d, want the one 0xFF 0xFF frame", st.DecodeErrors)
-			}
-			if shards > 1 && st.BatchesSplit != conns*batches {
-				t.Fatalf("%d batches split across shards, want all %d", st.BatchesSplit, conns*batches)
 			}
 		})
 	}

@@ -44,39 +44,26 @@ type Config struct {
 	// shutdown), since silently losing congestion reports degrades control
 	// quality where slowing the datapath channel does not.
 	MailboxSize int
-	// ShedWatermark, when in (0, 1], turns on overload shedding: once a
-	// shard's queue occupancy reaches watermark×MailboxSize, enqueues evict
-	// the oldest queued *report* (Measurement, Vector, or all-report Batch)
-	// to make room, and the evicted flow is sent a proto.Backoff asking its
-	// datapath to stretch its report interval. Urgents, Create/Close, and
-	// mixed batches are never shed. 0 disables (the pre-shedding
-	// behaviour). A single shard (Shards <= 1) has no queue and is unaffected.
-	ShedWatermark float64
-	// ShedBackoff is the report-interval stretch factor carried by the
-	// Backoff sent to a shed flow (default 2).
-	ShedBackoff float64
 }
 
 // Stats counts the runtime's dispatch activity. Agent aggregates the
 // per-shard agent counters.
 type Stats struct {
 	// Dispatched counts messages accepted for processing (synchronous calls
-	// or mailbox enqueues; a batch counts once per enqueued frame).
+	// or mailbox enqueues).
 	Dispatched int64
-	// Dropped is always 0: a full mailbox blocks and never discards. It
-	// stays only because the benchmark harness reports it as runtime.dropped,
-	// until that harness's next revision (ROADMAP item 2) retires the name.
-	Dropped int64
-	// ShutdownDropped counts messages that arrived during or after Close.
-	ShutdownDropped int64
-	// BatchesSplit counts batch frames that spanned shards and were split
-	// into per-shard sub-batches.
+	// Dropped, BatchesSplit, ReportsShed and BackoffsSent are always 0: a
+	// full mailbox blocks and never discards or sheds, and every frame is one
+	// message with one shard. They stay only because the benchmark harness
+	// reports them as runtime.{dropped,batches_split,reports_shed,
+	// backoffs_sent}, until that harness's next revision (ROADMAP item 2)
+	// retires the names.
+	Dropped      int64
 	BatchesSplit int64
-	// ReportsShed counts reports evicted by overload shedding (a shed batch
-	// counts each report it carried); BackoffsSent counts the degradation
-	// signals sent to the affected flows.
 	ReportsShed  int64
 	BackoffsSent int64
+	// ShutdownDropped counts messages that arrived during or after Close.
+	ShutdownDropped int64
 	// DecodeErrors counts frames a serve loop received and could not decode.
 	// They never reach HandleMessage, so Dispatched does not include them.
 	DecodeErrors int64
@@ -99,16 +86,7 @@ type shard struct {
 	// mail is nil in the single shard of Shards <= 1, which has no goroutine
 	// either: HandleMessage calls its agent directly.
 	mail *mailbox
-	// mine accepts the messages of this shard's flows: how it copies its share
-	// out of a frame that spans shards. Made once, not per frame.
-	mine func(proto.Msg) bool
 }
-
-// backoffPool lends the Backoff a shed is answered with. Sheds come from
-// whichever goroutines are dispatching, several at once onto one shard, and
-// reply only borrows the message — so it is per dispatch, not per shard: a
-// shard-owned one would need a lock held across reply.
-var backoffPool = sync.Pool{New: func() any { return new(proto.Backoff) }}
 
 // Runtime is the sharded agent executor. It implements proto.Handler.
 type Runtime struct {
@@ -121,9 +99,6 @@ type Runtime struct {
 
 	dispatched      atomic.Int64
 	shutdownDropped atomic.Int64
-	batchesSplit    atomic.Int64
-	reportsShed     atomic.Int64
-	backoffsSent    atomic.Int64
 	decodeErrors    atomic.Int64
 }
 
@@ -136,20 +111,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.MailboxSize <= 0 {
 		cfg.MailboxSize = 1024
 	}
-	if cfg.ShedWatermark < 0 || cfg.ShedWatermark > 1 {
-		return nil, fmt.Errorf("runtime: shed watermark %v outside [0, 1]", cfg.ShedWatermark)
-	}
-	if cfg.ShedBackoff <= 1 {
-		cfg.ShedBackoff = 2
-	}
 	r := &Runtime{cfg: cfg}
-	shedMark := 0
-	if cfg.ShedWatermark > 0 {
-		shedMark = int(cfg.ShedWatermark * float64(cfg.MailboxSize))
-		if shedMark < 1 {
-			shedMark = 1
-		}
-	}
 	r.shards = make([]*shard, max(cfg.Shards, 1))
 	for i := range r.shards {
 		a, err := core.NewAgent(cfg.Agent)
@@ -157,10 +119,9 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, err
 		}
 		sh := &shard{agent: a}
-		sh.mine = func(m proto.Msg) bool { return r.shardFor(m.FlowSID()) == sh }
 		r.shards[i] = sh
 		if cfg.Shards > 1 {
-			sh.mail = newMailbox(cfg.MailboxSize, shedMark)
+			sh.mail = newMailbox(cfg.MailboxSize)
 			r.wg.Add(1)
 			go r.run(sh)
 		}
@@ -198,9 +159,7 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 
 // HandleMessage implements proto.Handler: it routes the message to its flow's
 // shard. This is the one place the executor is chosen: a shard without a
-// mailbox is run here, by the caller, as a direct synchronous call. Batches
-// whose messages span shards are split into per-shard sub-batches, preserving
-// per-flow order (each flow's messages stay on one shard, in arrival order).
+// mailbox is run here, by the caller, as a direct synchronous call.
 //
 // Queued, the message outlives this call in a shard mailbox, while
 // proto.Handler lets the caller reuse m as soon as we return — so the mailbox
@@ -212,86 +171,11 @@ func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		sh.agent.HandleMessage(m, reply)
 		return
 	}
-	if b, ok := m.(*proto.Batch); ok {
-		r.routeBatch(b, reply)
-		return
-	}
-	r.enqueue(r.shardFor(m.FlowSID()), m, nil, reply)
-}
-
-// routeBatch regroups a batch frame by destination shard. A frame whose
-// messages all share one shard is forwarded intact (the agent unpacks it
-// under a single lock acquisition); a mixed frame is split, each shard
-// copying out its own messages in frame order. Shards are few, so that is
-// one pass over the frame per shard rather than a grouping built per call.
-func (r *Runtime) routeBatch(b *proto.Batch, reply func(proto.Msg) error) {
-	if len(b.Msgs) == 0 {
-		return
-	}
-	first := r.shardFor(b.Msgs[0].FlowSID())
-	uniform := true
-	for _, sub := range b.Msgs[1:] {
-		if r.shardFor(sub.FlowSID()) != first {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		r.enqueue(first, b, nil, reply)
-		return
-	}
-	r.batchesSplit.Add(1)
-	for _, sh := range r.shards {
-		var only proto.Msg
-		n := 0
-		for _, sub := range b.Msgs {
-			if sh.mine(sub) {
-				only = sub
-				n++
-			}
-		}
-		switch n {
-		case 0:
-		case 1:
-			r.enqueue(sh, only, nil, reply)
-		default:
-			r.enqueue(sh, b, sh.mine, reply)
-		}
-	}
-}
-
-// enqueue queues the mailbox's copy of m — of the messages keep accepts,
-// when m is a batch only part of which is this shard's — and accounts for
-// the outcome.
-func (r *Runtime) enqueue(sh *shard, m proto.Msg, keep func(proto.Msg) bool, reply func(proto.Msg) error) {
-	shed, ok := sh.mail.push(item{m: m, reply: reply}, keep)
-	if !ok {
+	if !r.shardFor(m.FlowSID()).mail.push(item{m: m, reply: reply}) {
 		r.shutdownDropped.Add(1)
 		return
 	}
 	r.dispatched.Add(1)
-	if shed.reports > 0 {
-		r.onShed(shed)
-	}
-}
-
-// onShed accounts for an evicted report and asks the shed flow's datapath
-// to back off its report interval, so measurement frequency degrades at the
-// source before correctness does. The Backoff rides the shed entry's reply
-// path (the channel back to the datapath that sent the report); a send
-// failure is ignored — the signal is advisory and the next shed retries.
-func (r *Runtime) onShed(shed shedReport) {
-	r.reportsShed.Add(int64(shed.reports))
-	if shed.reply == nil {
-		return
-	}
-	b := backoffPool.Get().(*proto.Backoff)
-	*b = proto.Backoff{SID: shed.sid, Factor: r.cfg.ShedBackoff}
-	err := shed.reply(b)
-	backoffPool.Put(b)
-	if err == nil {
-		r.backoffsSent.Add(1)
-	}
 }
 
 // Close shuts the runtime down: new messages are refused, queued messages
@@ -318,7 +202,7 @@ func (r *Runtime) Drain() {
 			return // run by its callers: nothing is ever queued
 		}
 		done := make(chan struct{})
-		if _, ok := sh.mail.push(item{done: done}, nil); !ok {
+		if !sh.mail.push(item{done: done}) {
 			return // closed: the shards are draining to exit anyway
 		}
 		// The sentinel is queued, so the shard is guaranteed to pop it even
@@ -332,9 +216,6 @@ func (r *Runtime) Stats() Stats {
 	s := Stats{
 		Dispatched:      r.dispatched.Load(),
 		ShutdownDropped: r.shutdownDropped.Load(),
-		BatchesSplit:    r.batchesSplit.Load(),
-		ReportsShed:     r.reportsShed.Load(),
-		BackoffsSent:    r.backoffsSent.Load(),
 		DecodeErrors:    r.decodeErrors.Load(),
 	}
 	for _, sh := range r.shards {
@@ -364,8 +245,6 @@ func addAgentStats(dst *core.AgentStats, s core.AgentStats) {
 	dst.DupCreates += s.DupCreates
 	dst.DupUrgents += s.DupUrgents
 	dst.StaleReports += s.StaleReports
-	dst.Batches += s.Batches
-	dst.BatchedMsgs += s.BatchedMsgs
 	dst.Restores += s.Restores
 	dst.Heartbeats += s.Heartbeats
 	dst.ResyncAdopts += s.ResyncAdopts

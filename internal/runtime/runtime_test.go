@@ -44,11 +44,9 @@ func script(n int) []proto.Msg {
 		msgs = append(msgs, &proto.Create{SID: uint32(i), MSS: 1448, InitCwnd: 14480})
 	}
 	for seq := uint32(1); seq <= 3; seq++ {
-		var batch []proto.Msg
 		for i := 1; i <= n; i++ {
-			batch = append(batch, &proto.Measurement{SID: uint32(i), Seq: seq, Fields: []float64{float64(seq)}})
+			msgs = append(msgs, &proto.Measurement{SID: uint32(i), Seq: seq, Fields: []float64{float64(seq)}})
 		}
-		msgs = append(msgs, &proto.Batch{Msgs: batch})
 	}
 	for i := 1; i <= n; i++ {
 		msgs = append(msgs, &proto.Urgent{SID: uint32(i), Seq: 1, Kind: proto.UrgentDupAck, Value: 1448})
@@ -155,106 +153,6 @@ func TestShardedPartitionPreservesPerFlowOrder(t *testing.T) {
 	}
 }
 
-func TestMixedBatchSplitsAcrossShards(t *testing.T) {
-	rt, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	reply := func(proto.Msg) error { return nil }
-	for i := 1; i <= 8; i++ {
-		rt.HandleMessage(&proto.Create{SID: uint32(i)}, reply)
-	}
-	rt.Drain()
-	// One frame spanning all shards, one confined to a single shard.
-	var mixed, uniform []proto.Msg
-	for i := 1; i <= 8; i++ {
-		mixed = append(mixed, &proto.Measurement{SID: uint32(i), Seq: 1, Fields: []float64{1}})
-	}
-	for seq := uint32(2); seq <= 4; seq++ {
-		uniform = append(uniform, &proto.Measurement{SID: 4, Seq: seq, Fields: []float64{1}})
-	}
-	rt.HandleMessage(&proto.Batch{Msgs: mixed}, reply)
-	rt.HandleMessage(&proto.Batch{Msgs: uniform}, reply)
-	rt.Drain()
-	st := rt.Stats()
-	if st.BatchesSplit != 1 {
-		t.Fatalf("splits=%d, want 1 (uniform frame must pass intact)", st.BatchesSplit)
-	}
-	if st.Agent.Measurements != 8+3 {
-		t.Fatalf("measurements=%d", st.Agent.Measurements)
-	}
-	if st.Agent.UnknownFlowMsg != 0 {
-		t.Fatalf("misrouted messages: %+v", st.Agent)
-	}
-}
-
-// TestSplitThreeShardsInterleaved: a frame whose flows interleave across
-// three shards reaches each shard as that shard's messages in frame order —
-// a sub-batch where it has several, the bare message where it has one — and
-// the frame the caller lent is free to be rewritten the moment HandleMessage
-// returns.
-func TestSplitThreeShardsInterleaved(t *testing.T) {
-	rt, err := runtime.New(runtime.Config{Shards: 3, Agent: agentCfg(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	var mu sync.Mutex
-	got := make(map[uint32][]uint32) // per flow, the windows decided, in order
-	reply := func(m proto.Msg) error {
-		if sc, ok := m.(*proto.SetCwnd); ok {
-			mu.Lock()
-			got[sc.SID] = append(got[sc.SID], sc.Bytes)
-			mu.Unlock()
-		}
-		return nil
-	}
-	for sid := uint32(1); sid <= 5; sid++ {
-		rt.HandleMessage(&proto.Create{SID: sid, InitCwnd: 1}, reply)
-	}
-	rt.Drain()
-	before := rt.Stats()
-
-	// Shard 1 gets flows 1 and 4 (five messages), shard 2 flows 2 and 5
-	// (four), shard 0 flow 3 alone (one: no sub-batch).
-	frame := &proto.Batch{}
-	next := make(map[uint32]uint32)
-	for _, sid := range []uint32{1, 2, 3, 4, 5, 1, 2, 4, 5, 1} {
-		next[sid]++
-		frame.Msgs = append(frame.Msgs, &proto.Measurement{SID: sid, Seq: next[sid], Fields: []float64{float64(sid)}})
-	}
-	rt.HandleMessage(frame, reply)
-	for _, sub := range frame.Msgs { // the lender reuses its scratch at once
-		*sub.(*proto.Measurement) = proto.Measurement{SID: 0xBAD, Seq: 0xBAD}
-	}
-	rt.Drain()
-
-	st := rt.Stats()
-	if st.BatchesSplit-before.BatchesSplit != 1 || st.Dispatched-before.Dispatched != 3 {
-		t.Fatalf("splits=%d frames=%d, want 1 split into 3 enqueued frames",
-			st.BatchesSplit-before.BatchesSplit, st.Dispatched-before.Dispatched)
-	}
-	if st.Agent.Batches != 2 || st.Agent.BatchedMsgs != 9 || st.Agent.Measurements != 10 {
-		t.Fatalf("batches=%d batched=%d measurements=%d, want 2 sub-batches carrying 9 of 10 reports",
-			st.Agent.Batches, st.Agent.BatchedMsgs, st.Agent.Measurements)
-	}
-	if st.Agent.UnknownFlowMsg != 0 || st.Agent.StaleReports != 0 {
-		t.Fatalf("misrouted or reordered: %+v", st.Agent)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for sid, n := range next {
-		want := []uint32{1} // Init's window, then seq*100 per report in order
-		for seq := uint32(1); seq <= n; seq++ {
-			want = append(want, seq*100)
-		}
-		if fmt.Sprint(got[sid]) != fmt.Sprint(want) {
-			t.Errorf("flow %d decided %v, want %v", sid, got[sid], want)
-		}
-	}
-}
-
 // TestServeTransportOneLoopBothModes: the serve loop is the same pooled loop
 // inline and sharded — frames decoded into scratch that is reclaimed and
 // rewritten by the next frame, a malformed frame counted (once, and never as
@@ -291,11 +189,9 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for seq := uint32(1); seq <= reports; seq++ {
-				frame := &proto.Batch{}
 				for sid := uint32(1); sid <= flows; sid++ {
-					frame.Msgs = append(frame.Msgs, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{1}})
+					send(&proto.Measurement{SID: sid, Seq: seq, Fields: []float64{1}})
 				}
-				send(frame) // spans every shard
 			}
 			got := make(map[uint32][]uint32)
 			for i := 0; i < flows*(reports+1); i++ {
@@ -326,13 +222,8 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 			if st.DecodeErrors != 1 {
 				t.Errorf("decode errors = %d, want the one 0xFF 0xFF frame", st.DecodeErrors)
 			}
-			// Every decodable frame is one dispatch inline; sharded, each of the
-			// batches spans all three shards and is enqueued once per shard.
-			want := int64(flows + reports)
-			if shards > 1 {
-				want = flows + reports*int64(shards)
-			}
-			if st.Dispatched != want {
+			// Every decodable frame is one dispatch, inline and sharded alike.
+			if want := int64(flows * (1 + reports)); st.Dispatched != want {
 				t.Errorf("dispatched = %d, want %d: the undecodable frame must not count", st.Dispatched, want)
 			}
 		})
@@ -363,7 +254,7 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 
 func TestConcurrentDispatchManyGoroutines(t *testing.T) {
 	// The -race run in make check leans on this test: many producers, four
-	// shards, mixed singles and batches.
+	// shards.
 	rt, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
 	if err != nil {
 		t.Fatal(err)
@@ -383,11 +274,9 @@ func TestConcurrentDispatchManyGoroutines(t *testing.T) {
 			defer wg.Done()
 			base := uint32(p * flowsPer)
 			for seq := uint32(1); seq <= reports; seq++ {
-				var batch []proto.Msg
 				for f := 0; f < flowsPer; f++ {
-					batch = append(batch, &proto.Measurement{SID: base + uint32(f) + 1, Seq: seq, Fields: []float64{1}})
+					rt.HandleMessage(&proto.Measurement{SID: base + uint32(f) + 1, Seq: seq, Fields: []float64{1}}, reply)
 				}
-				rt.HandleMessage(&proto.Batch{Msgs: batch}, reply)
 			}
 		}(p)
 	}
@@ -402,146 +291,12 @@ func TestConcurrentDispatchManyGoroutines(t *testing.T) {
 	}
 }
 
-func TestShedUnderOverloadSendsBackoff(t *testing.T) {
-	gate := make(chan struct{})
-	rt, err := runtime.New(runtime.Config{
-		Shards:        2,
-		Agent:         agentCfg(gate),
-		MailboxSize:   4,
-		ShedWatermark: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var backoffs []*proto.Backoff
-	reply := func(m proto.Msg) error {
-		if b, ok := m.(*proto.Backoff); ok {
-			kept := *b // m is only lent to a reply
-			mu.Lock()
-			backoffs = append(backoffs, &kept)
-			mu.Unlock()
-		}
-		return nil
-	}
-	rt.HandleMessage(&proto.Create{SID: 2}, reply)
-	rt.Drain()
-	// Wedge shard 0 (SID 2) in OnMeasurement and pour reports in. Shedding
-	// must keep making room, so the mailbox never fills and the producer
-	// never stalls.
-	const reports = 20
-	for seq := uint32(1); seq <= reports; seq++ {
-		rt.HandleMessage(&proto.Measurement{SID: 2, Seq: seq, Fields: []float64{1}}, reply)
-	}
-	// No Stats() while shard 0 is parked: it takes each shard agent's lock,
-	// which shard 0 holds in OnMeasurement. Shed counts are final once the
-	// loop above has returned.
-	close(gate)
-	rt.Close()
-	final := rt.Stats()
-	if final.ReportsShed == 0 {
-		t.Fatalf("no reports shed despite wedged shard: %+v", final)
-	}
-	// Conservation: every report was either processed or shed, none lost.
-	if got := int64(final.Agent.Measurements) + final.ReportsShed; got != reports {
-		t.Fatalf("processed+shed=%d, want %d (stats=%+v)", got, reports, final)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if int64(len(backoffs)) != final.BackoffsSent {
-		t.Fatalf("captured %d backoffs, stats say %d", len(backoffs), final.BackoffsSent)
-	}
-	if len(backoffs) == 0 {
-		t.Fatal("no Backoff degradation signal sent to the shed flow")
-	}
-	for _, b := range backoffs {
-		if b.SID != 2 || b.Factor != 2 {
-			t.Fatalf("backoff=%+v, want SID 2 factor 2 (default)", b)
-		}
-	}
-}
-
-func TestShedNeverTouchesControlMessages(t *testing.T) {
-	gate := make(chan struct{})
-	rt, err := runtime.New(runtime.Config{
-		Shards:        2,
-		Agent:         agentCfg(gate),
-		MailboxSize:   4,
-		ShedWatermark: 0.25, // watermark of 1: maximum shedding pressure
-		ShedBackoff:   3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply := func(proto.Msg) error { return nil }
-	rt.HandleMessage(&proto.Create{SID: 2}, reply)
-	rt.Drain()
-	// Interleave reports with urgents and a second flow's Create while the
-	// shard is wedged; only reports may be shed.
-	for seq := uint32(1); seq <= 6; seq++ {
-		rt.HandleMessage(&proto.Measurement{SID: 2, Seq: seq, Fields: []float64{1}}, reply)
-	}
-	rt.HandleMessage(&proto.Urgent{SID: 2, Seq: 1, Kind: proto.UrgentDupAck, Value: 1448}, reply)
-	rt.HandleMessage(&proto.Create{SID: 4}, reply)
-	rt.HandleMessage(&proto.Close{SID: 4}, reply)
-	close(gate)
-	rt.Close()
-	st := rt.Stats()
-	if st.Agent.FlowsCreated != 2 || st.Agent.FlowsClosed != 1 || st.Agent.Urgents != 1 {
-		t.Fatalf("control-plane message lost under shedding: %+v", st.Agent)
-	}
-	if st.ReportsShed == 0 {
-		t.Fatalf("expected report shedding at watermark 1: %+v", st)
-	}
-}
-
-func TestInlineModeUnaffectedByShedConfig(t *testing.T) {
-	// Inline mode (shards <= 1) has no queue: a shed config must change
-	// nothing — replies stay bit-identical to a bare agent and the shed
-	// counters never move.
-	msgs := script(8)
-	direct, err := core.NewAgent(agentCfg(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := runtime.New(runtime.Config{
-		Shards:        1,
-		Agent:         agentCfg(nil),
-		ShedWatermark: 0.5,
-		ShedBackoff:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	want := replies(t, direct, msgs)
-	got := replies(t, rt, msgs)
-	if len(want) != len(got) {
-		t.Fatalf("reply counts diverged: agent=%d runtime=%d", len(want), len(got))
-	}
-	for i := range want {
-		if string(want[i]) != string(got[i]) {
-			t.Fatalf("reply %d diverged under shed config", i)
-		}
-	}
-	st := rt.Stats()
-	if st.ReportsShed != 0 || st.BackoffsSent != 0 {
-		t.Fatalf("inline mode shed something: %+v", st)
-	}
-}
-
 func TestBadConfigRejected(t *testing.T) {
 	if _, err := runtime.New(runtime.Config{Shards: -1, Agent: agentCfg(nil)}); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 	if _, err := runtime.New(runtime.Config{Shards: 2}); err == nil {
 		t.Fatal("missing registry accepted")
-	}
-	if _, err := runtime.New(runtime.Config{Shards: 2, Agent: agentCfg(nil), ShedWatermark: -0.1}); err == nil {
-		t.Fatal("negative shed watermark accepted")
-	}
-	if _, err := runtime.New(runtime.Config{Shards: 2, Agent: agentCfg(nil), ShedWatermark: 1.5}); err == nil {
-		t.Fatal("shed watermark above 1 accepted")
 	}
 }
 

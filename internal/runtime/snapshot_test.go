@@ -47,18 +47,17 @@ func TestSnapshotIntoAggregatesShards(t *testing.T) {
 }
 
 // The HA snapshot pump runs against a live sharded runtime, so a snapshot
-// pass must be safe while shards are shedding reports (Backoffs in flight
-// on reply paths) and while the flow table churns — and the state it
-// captures mid-storm must still promote into a working replacement agent,
-// which is exactly what a shard restart does. The -race lane is the real
-// assertion here; see `make test-race-robust`.
-func TestRaceShardRestartDuringShedding(t *testing.T) {
+// pass must be safe while shard mailboxes are full and dispatchers block on
+// them, and while the flow table churns — and the state it captures
+// mid-storm must still promote into a working replacement agent, which is
+// exactly what a shard restart does. The -race lane is the real assertion
+// here; see `make test-race-robust`.
+func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	rt, err := runtime.New(runtime.Config{
-		Shards:        4,
-		Agent:         agentCfg(gate),
-		MailboxSize:   8,
-		ShedWatermark: 0.5,
+		Shards:      4,
+		Agent:       agentCfg(gate),
+		MailboxSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +71,7 @@ func TestRaceShardRestartDuringShedding(t *testing.T) {
 
 	stop := make(chan struct{})
 	// Feeder: drip processing tokens so the shards crawl — mailboxes stay
-	// near the watermark and shedding stays continuously active.
+	// full and the producers stay blocked on them.
 	var feedWG sync.WaitGroup
 	feedWG.Add(1)
 	go func() {
@@ -85,18 +84,18 @@ func TestRaceShardRestartDuringShedding(t *testing.T) {
 			}
 		}
 	}()
-	// Producers: pour sequenced reports over every flow. Shedding evicts
-	// older reports to admit these, sending proto.Backoff on our reply path
-	// concurrently with everything else.
+	// Producers: pour sequenced reports over every flow, each push waiting
+	// for room in its shard's mailbox.
+	const producers, rounds = 4, 50
 	var prodWG sync.WaitGroup
-	for p := 0; p < 4; p++ {
+	for p := 0; p < producers; p++ {
 		prodWG.Add(1)
 		go func(p int) {
 			defer prodWG.Done()
-			for seq := uint32(1); seq <= 50; seq++ {
+			for seq := uint32(1); seq <= rounds; seq++ {
 				for i := 1; i <= flows; i++ {
 					rt.HandleMessage(&proto.Measurement{
-						SID: uint32(i), Seq: seq + uint32(p)*50, Fields: []float64{1},
+						SID: uint32(i), Seq: seq + uint32(p)*rounds, Fields: []float64{1},
 					}, reply)
 				}
 			}
@@ -147,9 +146,11 @@ func TestRaceShardRestartDuringShedding(t *testing.T) {
 	}
 	rt.Close()
 
+	// Producers interleave each flow's sequence numbers, so some reports
+	// arrive stale; none may be lost to the blocking mailboxes.
 	st := rt.Stats()
-	if st.ReportsShed == 0 || st.BackoffsSent == 0 {
-		t.Fatalf("the race never exercised shedding: %+v", st)
+	if got := st.Agent.Measurements + st.Agent.StaleReports; got != producers*rounds*flows || st.ShutdownDropped != 0 {
+		t.Fatalf("%d of %d reports reached an agent: %+v", got, producers*rounds*flows, st)
 	}
 	promoted, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
 	if err != nil {

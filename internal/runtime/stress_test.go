@@ -10,8 +10,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// ploddingAlg yields on every report so mailboxes fill and shedding, dropping
-// and blocking all happen.
+// ploddingAlg yields on every report so mailboxes fill and pushes block.
 type ploddingAlg struct{}
 
 func (ploddingAlg) Name() string      { return "plod" }
@@ -27,10 +26,9 @@ func ploddingRuntime(t *testing.T) *Runtime {
 	reg := core.NewRegistry()
 	reg.Register("plod", func() core.Alg { return ploddingAlg{} })
 	rt, err := New(Config{
-		Shards:        3,
-		Agent:         core.AgentConfig{Registry: reg, DefaultAlg: "plod"},
-		MailboxSize:   8,
-		ShedWatermark: 0.5,
+		Shards:      3,
+		Agent:       core.AgentConfig{Registry: reg, DefaultAlg: "plod"},
+		MailboxSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,107 +62,70 @@ func watchFreeLists(t *testing.T, rt *Runtime, stop <-chan struct{}, done *sync.
 }
 
 // TestRaceContainersAccountedExactlyOnce drives the recycled containers
-// through every way out of a mailbox at once — handled, shed at the
-// watermark, refused by a Close racing the producers — and checks the two
-// things ownership promises: the free lists never hold more than
-// MailboxSize+1 containers, and every report pushed is handled, shed or
-// refused exactly once (none lost, none seen twice or out of order).
+// through every way out of a mailbox at once — handled, or refused by a Close
+// racing producers that block on full mailboxes — and checks the two things
+// ownership promises: the free lists never hold more than MailboxSize+1
+// containers, and every report pushed is handled or refused exactly once
+// (none lost, none seen twice or out of order).
 func TestRaceContainersAccountedExactlyOnce(t *testing.T) {
-	// Six consecutive flows per producer: a spanning frame gives each of the
-	// three shards two reports, so the filtered copy runs.
+	// Six consecutive flows per producer: two on each of the three shards.
 	const producers, flowsPer, rounds = 4, 6, 300
-	for _, c := range []struct {
-		name    string
-		batches bool // spanning frames; then Close waits for the producers
-	}{
-		{"block/singles/close-races", false},
-		{"block/spanning-batches", true},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			rt := ploddingRuntime(t)
-			var backoffs atomic.Int64
-			reply := func(m proto.Msg) error {
-				if _, ok := m.(*proto.Backoff); ok {
-					backoffs.Add(1)
+	t.Run("block/singles/close-races", func(t *testing.T) {
+		rt := ploddingRuntime(t)
+		reply := func(proto.Msg) error { return nil }
+		for sid := uint32(1); sid <= producers*flowsPer; sid++ {
+			rt.HandleMessage(&proto.Create{SID: sid}, reply)
+		}
+		rt.Drain()
+
+		stop := make(chan struct{})
+		var watcher, wg sync.WaitGroup
+		watcher.Add(1)
+		go watchFreeLists(t, rt, stop, &watcher)
+
+		var pushed atomic.Int64 // reports and urgents handed to HandleMessage
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(base uint32) {
+				defer wg.Done()
+				// One scratch report per flow, rewritten every round:
+				// HandleMessage only borrows it.
+				subs := make([]proto.Measurement, flowsPer)
+				for i := range subs {
+					subs[i] = proto.Measurement{SID: base + uint32(i), Fields: []float64{1, 2, 3}}
 				}
-				return nil
-			}
-			for sid := uint32(1); sid <= producers*flowsPer; sid++ {
-				rt.HandleMessage(&proto.Create{SID: sid}, reply)
-			}
-			rt.Drain()
-
-			stop := make(chan struct{})
-			var watcher, wg sync.WaitGroup
-			watcher.Add(1)
-			go watchFreeLists(t, rt, stop, &watcher)
-
-			var pushed atomic.Int64 // reports and urgents handed to HandleMessage
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(base uint32) {
-					defer wg.Done()
-					// One scratch frame per producer, rewritten every round:
-					// HandleMessage only borrows it.
-					subs := make([]proto.Measurement, flowsPer)
-					frame := &proto.Batch{}
+				urgent := &proto.Urgent{SID: base, Kind: proto.UrgentDupAck}
+				for seq := uint32(1); seq <= rounds; seq++ {
 					for i := range subs {
-						subs[i] = proto.Measurement{SID: base + uint32(i), Fields: []float64{1, 2, 3}}
-						frame.Msgs = append(frame.Msgs, &subs[i])
+						subs[i].Seq = seq
+						pushed.Add(1)
+						rt.HandleMessage(&subs[i], reply)
 					}
-					urgent := &proto.Urgent{SID: base, Kind: proto.UrgentDupAck}
-					for seq := uint32(1); seq <= rounds; seq++ {
-						for i := range subs {
-							subs[i].Seq = seq
-						}
-						if c.batches {
-							pushed.Add(flowsPer)
-							rt.HandleMessage(frame, reply)
-							continue
-						}
-						for i := range subs {
-							pushed.Add(1)
-							rt.HandleMessage(&subs[i], reply)
-						}
-						if seq%16 == 0 {
-							urgent.Seq = seq
-							pushed.Add(1)
-							rt.HandleMessage(urgent, reply)
-						}
+					if seq%16 == 0 {
+						urgent.Seq = seq
+						pushed.Add(1)
+						rt.HandleMessage(urgent, reply)
 					}
-				}(uint32(p*flowsPer + 1))
-			}
-			if c.batches {
-				wg.Wait()
-			} else {
-				// Close lands mid-stream: about half the traffic is in.
-				for pushed.Load() < producers*flowsPer*rounds/2 {
-					stdruntime.Gosched()
 				}
-			}
-			rt.Close()
-			wg.Wait()
-			close(stop)
-			watcher.Wait()
+			}(uint32(p*flowsPer + 1))
+		}
+		// Close lands mid-stream: about half the traffic is in.
+		for pushed.Load() < producers*flowsPer*rounds/2 {
+			stdruntime.Gosched()
+		}
+		rt.Close()
+		wg.Wait()
+		close(stop)
+		watcher.Wait()
 
-			st := rt.Stats()
-			handled := int64(st.Agent.Measurements + st.Agent.Urgents)
-			if got := handled + st.ReportsShed + st.ShutdownDropped; got != pushed.Load() {
-				t.Fatalf("handled %d + shed %d + refused at shutdown %d = %d, pushed %d",
-					handled, st.ReportsShed, st.ShutdownDropped, got, pushed.Load())
-			}
-			if st.Agent.StaleReports != 0 || st.Agent.DupUrgents != 0 || st.Agent.UnknownFlowMsg != 0 {
-				t.Fatalf("a report was seen twice, out of order or under another flow: %+v", st.Agent)
-			}
-			if c.batches && st.ShutdownDropped != 0 {
-				t.Fatalf("the blocking mailbox lost frames: %+v", st)
-			}
-			if st.BackoffsSent != backoffs.Load() {
-				t.Fatalf("stats count %d backoffs, the reply path saw %d", st.BackoffsSent, backoffs.Load())
-			}
-			if st.ReportsShed == 0 {
-				t.Logf("nothing was shed this run: %+v", st)
-			}
-		})
-	}
+		st := rt.Stats()
+		handled := int64(st.Agent.Measurements + st.Agent.Urgents)
+		if got := handled + st.ShutdownDropped; got != pushed.Load() {
+			t.Fatalf("handled %d + refused at shutdown %d = %d, pushed %d",
+				handled, st.ShutdownDropped, got, pushed.Load())
+		}
+		if st.Agent.StaleReports != 0 || st.Agent.DupUrgents != 0 || st.Agent.UnknownFlowMsg != 0 {
+			t.Fatalf("a report was seen twice, out of order or under another flow: %+v", st.Agent)
+		}
+	})
 }

@@ -387,9 +387,9 @@ func (s *Standby) RestoreInto(dst Restorer) {
 	}
 }
 
-// HandleMessage feeds one replication message: snapshots (bare or batched)
-// apply; anything else counts as unexpected. The reply func is unused —
-// replication is one-way. A standby is a proto.Handler so that the serve loop
+// HandleMessage feeds one replication message: a snapshot applies; anything
+// else counts as unexpected. The reply func is unused — replication is
+// one-way. A standby is a proto.Handler so that the serve loop
 // agents run (runtime.ServeTransport) consumes a replication stream over an
 // ipc.Transport, which is what ccp-agent -standby does, and so that it can
 // sit directly behind a bridge or injector in tests.
@@ -397,14 +397,6 @@ func (s *Standby) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
 	switch v := m.(type) {
 	case *proto.Snapshot:
 		s.Apply(v)
-	case *proto.Batch:
-		for _, sub := range v.Msgs {
-			if snap, ok := sub.(*proto.Snapshot); ok {
-				s.Apply(snap)
-			} else {
-				s.unexpected()
-			}
-		}
 	default:
 		s.unexpected()
 	}
