@@ -13,8 +13,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Skips the real-time Figure 2 IPC measurement (several minutes of
-# wall-clock echo round trips).
+# Skips the golden digests, a doubled experiment sweep and the whole-module
+# lint tests. cmd/ipcbench's two-process Figure 2 test still runs all six
+# rows at 100 samples each and checks every echo; only its latency bound is
+# left out.
 test-short:
 	$(GO) test -short ./...
 
@@ -145,7 +147,8 @@ test-debugpool:
 		./internal/bridge ./internal/runtime ./internal/core
 
 # Pre-merge gate, and the one lane a contributor has to know: vet, the
-# invariant analyzers, the race-enabled short test suite, the concurrent
+# invariant analyzers, the race-enabled short test suite (cross-process IPC
+# included: cmd/ipcbench's six two-process rows, about 3 s), the concurrent
 # packages twice more under the race detector, the zero-alloc regression
 # pass, the debugpool ownership lane, the high-availability lane, the
 # program-verifier corpus, and a short fuzz pass over the wire-protocol
@@ -191,9 +194,11 @@ examples:
 	$(GO) run ./examples/socketagent
 
 # Regenerates every table and figure (fig5 and the low-RTT sweep take a
-# few minutes each); CSV series land in results/.
+# few minutes each); CSV series land in results/. Figure 2 is the
+# two-process measurement of cmd/ipcbench, printed as a table.
 experiments:
 	$(GO) run ./cmd/ccp-sim -experiment all -out results
+	$(GO) run ./cmd/ipcbench
 
 clean:
 	rm -rf results

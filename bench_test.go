@@ -224,20 +224,27 @@ func BenchmarkFig2IPCUnixStreamRTT(b *testing.B) {
 		if err := client.Send(msg); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := client.Recv(); err != nil {
+		f, err := ipc.RecvFrame(client)
+		if err != nil {
 			b.Fatal(err)
 		}
+		f.Release()
 	}
 }
 
 // BenchmarkFig2IPCUnixgramRTT is the Netlink-substitute condition.
 func BenchmarkFig2IPCUnixgramRTT(b *testing.B) {
 	dir := b.TempDir()
-	a, peer, err := ipc.DgramPair(filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock"))
+	pa, pb := filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock")
+	a, err := ipc.BindDgram(pa, pb)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer a.Close()
+	peer, err := ipc.BindDgram(pb, pa)
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer peer.Close()
 	go ipc.Echo(peer)
 	msg := make([]byte, 64)
@@ -246,9 +253,11 @@ func BenchmarkFig2IPCUnixgramRTT(b *testing.B) {
 		if err := a.Send(msg); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.Recv(); err != nil {
+		f, err := ipc.RecvFrame(a)
+		if err != nil {
 			b.Fatal(err)
 		}
+		f.Release()
 	}
 }
 

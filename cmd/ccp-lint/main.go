@@ -13,10 +13,8 @@
 //
 // Packages default to ./... relative to the enclosing module. The exit
 // status is 0 when the tree is clean, 1 when any analyzer reports, and 2
-// on load errors. Intentional, documented invariant breaks are allowlisted
-// in source with a `//lint:ownership <reason>` comment on or directly
-// above the offending line, and test oracles only tests call with a
-// `//lint:testsupport <reason>` line in their doc comment.
+// on load errors. There is one allowlist: a test oracle only tests call
+// carries a `//lint:testsupport <reason>` line in its doc comment.
 package main
 
 import (

@@ -1,5 +1,7 @@
 // Command ccp-sim runs the paper-reproduction experiments and prints their
-// tables/series. Each experiment id matches DESIGN.md's experiment index.
+// tables/series. Each experiment id matches DESIGN.md's experiment index;
+// Figure 2 is a wall-clock measurement between two processes, made by
+// cmd/ipcbench instead.
 //
 // Usage:
 //
@@ -22,7 +24,7 @@ import (
 
 var experimentOrder = []string{
 	"table1", "table2", "table3",
-	"fig2", "fig3", "fig4", "fig5",
+	"fig3", "fig4", "fig5",
 	"ablation-batching", "ablation-lowrtt", "ablation-foldvec",
 	"ablation-fallback", "ablation-urgent", "ablation-chaos",
 	"ablation-agentchaos", "ablation-ha",
@@ -35,7 +37,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		outDir     = flag.String("out", "", "directory for CSV series output (optional)")
 		scale      = flag.Float64("scale", 1.0, "scale link rates (e.g. 0.1 runs fig3 at 100 Mbit/s)")
-		samples    = flag.Int("fig2-samples", 60000, "fig2: RTT samples per condition")
 	)
 	flag.Parse()
 
@@ -54,14 +55,14 @@ func main() {
 		ids = experimentOrder
 	}
 	for _, id := range ids {
-		if err := run(id, *scale, *samples, *outDir); err != nil {
+		if err := run(id, *scale, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "ccp-sim: %s: %v\n", id, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func run(id string, scale float64, fig2Samples int, outDir string) error {
+func run(id string, scale float64, outDir string) error {
 	start := time.Now()
 	switch id {
 	case "table1":
@@ -70,17 +71,6 @@ func run(id string, scale float64, fig2Samples int, outDir string) error {
 		fmt.Println(experiments.Table2())
 	case "table3":
 		fmt.Println(experiments.Table3())
-	case "fig2":
-		res, err := experiments.Fig2(experiments.Fig2Config{Samples: fig2Samples})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		if outDir != "" {
-			if err := writeFig2CSV(res, outDir); err != nil {
-				return err
-			}
-		}
 	case "fig3":
 		res := experiments.Fig3(experiments.Fig3Config{RateBps: 1e9 * scale})
 		fmt.Println(res)
@@ -149,26 +139,4 @@ func writeSeriesCSV(dir, name string, step time.Duration, series ...*trace.Serie
 	}
 	defer f.Close()
 	return trace.WriteMultiCSV(f, step, series...)
-}
-
-func writeFig2CSV(res experiments.Fig2Result, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "fig2_cdf.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "transport,cpu,rtt_us,cdf")
-	for _, s := range res.Series {
-		cpu := "idle"
-		if s.Busy {
-			cpu = "busy"
-		}
-		for _, p := range s.Samples.CDF(200) {
-			fmt.Fprintf(f, "%s,%s,%.3f,%.4f\n", s.Transport, cpu, p.X/1000, p.F)
-		}
-	}
-	return nil
 }

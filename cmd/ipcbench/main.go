@@ -4,8 +4,9 @@
 // and a busy CPU.
 //
 // It forks itself as the echo-server process (true two-process IPC, like the
-// paper's agent↔datapath split) and prints percentile rows plus a CDF. The
-// goroutine-peer variant of the measurement is `ccp-sim -experiment fig2`.
+// paper's agent↔datapath split) and prints percentile rows plus a CDF. It is
+// the repo's one Figure 2 measurement; `go test ./cmd/ipcbench` runs it small
+// and checks every echo.
 //
 // Usage:
 //
@@ -58,7 +59,13 @@ func main() {
 	}
 	for _, tr := range transports {
 		for _, busy := range []bool{false, true} {
-			s, err := measure(tr, *samples, *warmup, *payload, busy)
+			client, cleanup, err := setup(tr)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "ipcbench: %s: %v\n", tr, err)
+				os.Exit(1)
+			}
+			s, err := measure(client, *samples, *warmup, *payload, busy)
+			cleanup()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ipcbench: %s busy=%v: %v\n", tr, busy, err)
 				os.Exit(1)
@@ -81,12 +88,9 @@ func main() {
 	}
 }
 
-func measure(transport string, samples, warmup, payload int, busy bool) (*stats.Samples, error) {
-	client, cleanup, err := setup(transport)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
+// measure times round trips to client's echo peer, with every CPU busy
+// when busy is set.
+func measure(client ipc.Transport, samples, warmup, payload int, busy bool) (*stats.Samples, error) {
 	if busy {
 		stop := ipc.BusyLoad(0)
 		defer stop()
@@ -157,7 +161,14 @@ func setup(transport string) (ipc.Transport, func(), error) {
 				os.Remove(clientPath)
 				return nil, err
 			}
-			t.Recv() // drain the probe echo
+			// Drain the probe echo.
+			f, err := ipc.RecvFrame(t)
+			if err != nil {
+				t.Close()
+				os.Remove(clientPath)
+				return nil, err
+			}
+			f.Release()
 			return t, nil
 		})
 		if err != nil {

@@ -26,15 +26,10 @@
 // Analyzers are conservative by construction — intra-procedural, linear
 // control flow, branch state discarded — so they report only what is
 // certainly (or near-certainly) a violation and stay zero-false-positive
-// on the existing tree. Code that intentionally breaks an invariant (for
-// example the real-time Figure 2 echo servers in experiments) carries a
-//
-//	//lint:ownership <reason>
-//
-// comment on the offending line or the line above it, which suppresses
-// every diagnostic but unused's for that line. A test oracle or fixture
-// that only tests call carries a //lint:testsupport directive instead (see
-// Unused).
+// on the existing tree. There is no escape hatch for the first five: code
+// that breaks their invariant is changed or moved out of their scope. The
+// one directive is unused's: a test oracle or fixture that only tests call
+// carries //lint:testsupport in its doc comment (see Unused).
 package analysis
 
 import (
@@ -96,41 +91,27 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ownershipDirective is the escape-hatch comment prefix: a line comment
-// beginning with it allowlists its own line and the line below, for every
-// analyzer but unused (whose directive is testSupportDirective).
-const ownershipDirective = "//lint:ownership"
-
-// A directive is one //lint:ownership or //lint:testsupport comment: the
-// lines it covers and whether it suppressed anything.
+// A directive is one //lint:testsupport comment: the line it covers (the
+// line after its comment group, where a declaration it is the doc comment of
+// has its name, which is where the unused pass reports it) and whether it
+// suppressed anything.
 type directive struct {
-	kind     string // "ownership" or "testsupport"
-	pos      token.Position
-	reason   string
-	from, to int // covered lines of pos.Filename
-	used     bool
+	pos    token.Position
+	reason string
+	line   int
+	used   bool
 }
 
-// directives returns every directive in pkg. A testsupport directive covers
-// the line after its comment group: where a declaration it is the doc comment
-// of has its name, which is where the unused pass reports it.
+// directives returns every directive in pkg.
 func directives(pkg *Package) []*directive {
 	var dirs []*directive
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				dir := &directive{kind: "ownership", pos: pkg.Fset.Position(c.Pos())}
-				dir.from, dir.to = dir.pos.Line, dir.pos.Line+1
-				rest, ok := strings.CutPrefix(c.Text, ownershipDirective)
-				if !ok {
-					if rest, ok = strings.CutPrefix(c.Text, testSupportDirective); !ok {
-						continue
-					}
-					dir.kind, dir.to = "testsupport", pkg.Fset.Position(cg.End()).Line+1
-					dir.from = dir.to
+				if rest, ok := strings.CutPrefix(c.Text, testSupportDirective); ok {
+					dirs = append(dirs, &directive{pos: pkg.Fset.Position(c.Pos()),
+						reason: strings.TrimSpace(rest), line: pkg.Fset.Position(cg.End()).Line + 1})
 				}
-				dir.reason = strings.TrimSpace(rest)
-				dirs = append(dirs, dir)
 			}
 		}
 	}
@@ -138,7 +119,7 @@ func directives(pkg *Package) []*directive {
 }
 
 // Run applies each analyzer to each package and returns the surviving
-// diagnostics sorted by position. Diagnostics a directive covers are
+// diagnostics sorted by position. Unused findings a directive covers are
 // dropped.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return run(pkgs, analyzers, false)
@@ -146,10 +127,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // RunAll applies the full analyzer suite plus directive hygiene: every
 // directive must carry a non-empty reason, and must actually suppress at
-// least one diagnostic — an allowlist entry that suppresses nothing is stale
-// (the code it excused was fixed, moved or gained a caller) and rots into a
-// blanket waiver for whatever lands there next. Hygiene findings are
-// reported under the directive's kind, "ownership" or "testsupport".
+// least one diagnostic — a directive that suppresses nothing is stale (the
+// declaration gained a caller, moved or went) and rots into a blanket waiver
+// for whatever lands there next. Hygiene findings are reported under the
+// analyzer name "testsupport".
 func RunAll(pkgs []*Package) ([]Diagnostic, error) {
 	return run(pkgs, All(), true)
 }
@@ -164,11 +145,8 @@ func run(pkgs []*Package, analyzers []*Analyzer, hygiene bool) ([]Diagnostic, er
 		dirs := directives(pkg)
 	next:
 		for _, d := range raw {
-			// The last directive covering a line is the one it uses.
-			for i := len(dirs) - 1; i >= 0; i-- {
-				dir := dirs[i]
-				if d.File == dir.pos.Filename && dir.from <= d.Line && d.Line <= dir.to &&
-					(dir.kind == "testsupport") == (d.Analyzer == Unused.Name) {
+			for _, dir := range dirs {
+				if d.Analyzer == Unused.Name && d.File == dir.pos.Filename && d.Line == dir.line {
 					dir.used = true
 					continue next
 				}
@@ -180,10 +158,10 @@ func run(pkgs []*Package, analyzers []*Analyzer, hygiene bool) ([]Diagnostic, er
 		}
 		for _, dir := range dirs {
 			if dir.reason == "" {
-				diags = append(diags, dir.finding(dir.kind+" directive has no reason: state why it is needed"))
+				diags = append(diags, dir.finding("testsupport directive has no reason: state why it is needed"))
 			}
 			if !dir.used {
-				diags = append(diags, dir.finding("stale "+dir.kind+" directive: it suppresses no diagnostic; remove it"))
+				diags = append(diags, dir.finding("stale testsupport directive: it suppresses no diagnostic; remove it"))
 			}
 		}
 	}
@@ -192,7 +170,7 @@ func run(pkgs []*Package, analyzers []*Analyzer, hygiene bool) ([]Diagnostic, er
 }
 
 func (dir *directive) finding(msg string) Diagnostic {
-	return Diagnostic{Analyzer: dir.kind, Pos: dir.pos, File: dir.pos.Filename,
+	return Diagnostic{Analyzer: "testsupport", Pos: dir.pos, File: dir.pos.Filename,
 		Line: dir.pos.Line, Col: dir.pos.Column, Message: msg}
 }
 

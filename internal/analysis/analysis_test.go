@@ -34,45 +34,6 @@ func TestSimDeterminismLang(t *testing.T) { RunTest(t, SimDeterminism, "lang") }
 // scope: the identical constructs must produce no diagnostics.
 func TestSimDeterminismScope(t *testing.T) { RunTest(t, SimDeterminism, "notsim") }
 
-// TestOwnershipSuppression checks the //lint:ownership escape hatch
-// end-to-end: the netsim corpus contains a deliberate wall-clock call that
-// only the directive keeps quiet.
-func TestOwnershipSuppression(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := "testdata/src/netsim"
-	loader.RegisterDir("netsim", dir)
-	p, err := loader.LoadDir("netsim", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Count raw diagnostics (pre-suppression) by running the analyzer
-	// directly, then compare with the suppressed pipeline.
-	var raw []Diagnostic
-	pass := &Pass{Analyzer: SimDeterminism, Fset: p.Fset, Files: p.Files, Pkg: p.Types, TypesInfo: p.Info, diags: &raw}
-	if err := SimDeterminism.Run(pass); err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := Run([]*Package{p}, []*Analyzer{SimDeterminism})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != len(filtered)+1 {
-		t.Fatalf("expected exactly one suppressed diagnostic: raw=%d filtered=%d", len(raw), len(filtered))
-	}
-	found := false
-	for _, d := range raw {
-		if strings.Contains(d.Message, "time.Now") && d.Line > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("raw diagnostics missing the suppressed time.Now finding: %v", raw)
-	}
-}
-
 // TestAll ensures the registry stays in sync with the shipped analyzers.
 func TestAll(t *testing.T) {
 	want := []string{"bufrelease", "decoderalias", "simdeterminism", "lockorder", "dslverify", "unused"}
@@ -91,11 +52,10 @@ func TestAll(t *testing.T) {
 }
 
 // TestTreeIsClean runs the full suite over the whole module — the same
-// gate as `make lint`. Every intentional invariant break in the tree must
-// carry a //lint:ownership directive with a reason, and every declaration no
-// binary reaches is deleted or carries a //lint:testsupport one; a directive
-// that suppresses nothing, or that gives no reason, fails the gate too
-// (RunAll's hygiene pass).
+// gate as `make lint`. No pass may report anything, and every declaration no
+// binary reaches is deleted or carries a //lint:testsupport directive; a
+// directive that suppresses nothing, or that gives no reason, fails the gate
+// too (RunAll's hygiene pass).
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; covered by make lint")
@@ -117,52 +77,6 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestOwnershipHygiene pins RunAll's directive checks on the netsim corpus:
-// its one directive has a reason and suppresses a real diagnostic, so the
-// hygiene pass adds nothing; a synthetic stale or reasonless directive is
-// reported.
-func TestOwnershipHygiene(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := "testdata/src/netsim"
-	loader.RegisterDir("netsim", dir)
-	p, err := loader.LoadDir("netsim", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunAll([]*Package{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		if d.Analyzer == "ownership" {
-			t.Errorf("healthy directive flagged: %s", d)
-		}
-	}
-
-	hyg, err := RunAll([]*Package{mustLoadTestPkg(t, loader, "ownershiphygiene", "testdata/src/ownershiphygiene")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stale, reasonless int
-	for _, d := range hyg {
-		if d.Analyzer != "ownership" {
-			continue
-		}
-		if strings.Contains(d.Message, "stale") {
-			stale++
-		}
-		if strings.Contains(d.Message, "no reason") {
-			reasonless++
-		}
-	}
-	if stale != 2 || reasonless != 1 {
-		t.Fatalf("hygiene findings: stale=%d reasonless=%d, want 2 and 1\nall: %v", stale, reasonless, hyg)
 	}
 }
 

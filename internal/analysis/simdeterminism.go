@@ -21,8 +21,8 @@ import (
 //     (append, channel send, scheduling/emission calls) — map iteration
 //     order is randomized per run
 //
-// Code that intentionally measures the real world (the wall-clock IPC
-// experiments) carries a //lint:ownership line comment.
+// There is no exemption: code that measures the real world (cmd/ipcbench's
+// Figure 2) lives outside these packages.
 var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
 	Doc:  "forbid wall-clock, global rand, goroutines, and map-ordered event emission in deterministic packages",

@@ -165,8 +165,8 @@ func returnsFrame() *bufpool.Buf {
 	return f
 }
 
-// Select-based release in each unreachable-together arm (chanTransport
-// shape): branch state is not merged, so the post-select use is clean.
+// Select-based release in each unreachable-together arm (a channel-carried
+// frame): branch state is not merged, so the post-select use is clean.
 func selectRelease(ch chan *bufpool.Buf, closed chan struct{}) {
 	f := bufpool.Get(8)
 	select {

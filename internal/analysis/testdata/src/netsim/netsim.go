@@ -93,9 +93,3 @@ func sliceOrder(q *queue, events []event) {
 		q.Schedule(e)
 	}
 }
-
-// The escape hatch: intentional wall-clock use, documented and allowlisted.
-func realClockEpoch() time.Time {
-	//lint:ownership RealClock deliberately anchors to the host clock
-	return time.Now()
-}

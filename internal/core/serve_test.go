@@ -1,10 +1,11 @@
 package core_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/core"
-	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 )
@@ -29,7 +30,11 @@ func TestServeTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agentSide, dpSide := ipc.ChanPair(16)
+	agentSide, dpSide, err := shmring.Pair(filepath.Join(t.TempDir(), "ring"), shmring.Options{}, shmring.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agentSide.Close()
 	done := make(chan error, 1)
 	go func() { done <- runtime.ServeTransport(a, agentSide) }()
 

@@ -110,57 +110,6 @@ func scaledCosts(factor float64) offload.CostModel {
 	return m
 }
 
-func TestFig2SmokeSized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time IPC measurement")
-	}
-	// BusyWorkers is kept small: in a core-constrained CI container a full
-	// GOMAXPROCS spin load starves the echo processes entirely.
-	res, err := Fig2(Fig2Config{Samples: 1000, Warmup: 100, BusyWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Series) != 8 {
-		t.Fatalf("series=%d, want 8", len(res.Series))
-	}
-	for _, s := range res.Series {
-		if s.Samples.Len() != 1000 {
-			t.Fatalf("%s busy=%v: %d samples", s.Transport, s.Busy, s.Samples.Len())
-		}
-		p50 := s.P(50)
-		limit := 10 * time.Millisecond
-		if s.Busy {
-			limit = 500 * time.Millisecond // scheduler contention, not IPC cost
-		}
-		if p50 <= 0 || p50 > limit {
-			t.Fatalf("%s busy=%v: implausible p50 %v", s.Transport, s.Busy, p50)
-		}
-	}
-	// The paper's framing: IPC RTTs are negligible vs WAN RTTs (~10ms).
-	for _, tr := range []string{"shmring", "unixgram", "unix-stream"} {
-		if p99 := seriesOf(t, res, tr, false).P(99); p99 > 5*time.Millisecond {
-			t.Fatalf("%s idle p99=%v, not negligible vs WAN RTTs", tr, p99)
-		}
-	}
-	if pts := seriesOf(t, res, "unixgram", false).Samples.CDF(50); len(pts) != 50 {
-		t.Fatalf("CDF points=%d", len(pts))
-	}
-	if !strings.Contains(res.String(), "unixgram") {
-		t.Fatal("rendering missing transports")
-	}
-}
-
-func seriesOf(t *testing.T, res Fig2Result, transport string, busy bool) Fig2Series {
-	t.Helper()
-	for _, s := range res.Series {
-		if s.Transport == transport && s.Busy == busy {
-			return s
-		}
-	}
-	t.Fatalf("series %s busy=%v missing", transport, busy)
-	return Fig2Series{}
-}
-
 func TestTable1Complete(t *testing.T) {
 	res := Table1()
 	if len(res.Rows) < 10 {

@@ -16,7 +16,7 @@ import (
 // and a change that is meant to move an experiment regenerates its row (the
 // failure message prints the new digest) and says why.
 //
-// Left out: fig2 (wall-clock), fig5 and ablation-lowrtt (minutes), and the
+// Left out: fig5 and ablation-lowrtt (minutes), and the
 // slow-agent cells of ablation-ha and ablation-agentchaos that take 18–52 s
 // each (`slow`×{none, fallback} and `slow`×failsafe-off); those two
 // experiments are pinned by their remaining cells, rendered by the same

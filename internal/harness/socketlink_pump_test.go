@@ -1,7 +1,10 @@
 package harness_test
 
 import (
+	"net"
+	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -12,11 +15,28 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// pairLink builds a SocketLink over an in-process transport pair, returning
-// the agent-side endpoint for the test to write into.
+// pairLink builds a SocketLink over a Unix socketpair, returning the
+// agent-side endpoint for the test to write into. A stream, not a ring: the
+// link's reader queues received frames in its inbox, so each must outlive
+// the next receive.
 func pairLink(t *testing.T, depth int) (*harness.SocketLink, ipc.Transport) {
 	t.Helper()
-	dpSide, agentSide := ipc.ChanPair(depth)
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends [2]ipc.Transport
+	for i, fd := range fds {
+		f := os.NewFile(uintptr(fd), "socketpair")
+		conn, err := net.FileConn(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = ipc.NewStream(conn)
+	}
+	dpSide, agentSide := ends[0], ends[1]
+	t.Cleanup(func() { agentSide.Close() })
 	dialed := false
 	link := harness.NewSocketLink(harness.SocketLinkConfig{
 		Dial: func() (ipc.Transport, error) {

@@ -1,6 +1,8 @@
 package ipc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -12,9 +14,9 @@ import (
 // This file implements the Figure 2 measurement: the round-trip latency of a
 // small control message over an IPC mechanism, under an idle and a heavily
 // loaded CPU. The paper measured Netlink (kernel↔user) and Unix domain
-// sockets (user↔user); we measure Unix datagram sockets (the closest stdlib
-// analog of Netlink's datagram semantics) and Unix stream sockets, plus the
-// in-process channel transport as a floor.
+// sockets (user↔user); cmd/ipcbench measures Unix datagram sockets (the
+// closest stdlib analog of Netlink's datagram semantics), Unix stream
+// sockets and the shared-memory ring, each between two processes.
 
 // Echo serves echo requests on t until Recv fails: every received message is
 // sent straight back. Run it on its own goroutine (or process). The loop is
@@ -34,12 +36,15 @@ func Echo(t Transport) {
 	}
 }
 
-// MeasureRTT sends n messages of size payloadBytes over t, waiting for each
-// echo before sending the next, and returns the per-message round-trip
-// times. warmup extra round trips run first and are discarded.
+// MeasureRTT sends n messages of payloadBytes (at least 4) over t, waiting
+// for each echo before sending the next, and returns the per-message
+// round-trip times. warmup extra round trips run first and are discarded.
+// Each echo is received the way the agent and datapath receive, as a frame
+// released after use, and must come back byte for byte: every message
+// carries its index, so a stale or altered echo is an error.
 func MeasureRTT(t Transport, n, warmup, payloadBytes int) (*stats.Samples, error) {
-	if payloadBytes < 1 {
-		payloadBytes = 1
+	if payloadBytes < 4 {
+		payloadBytes = 4
 	}
 	msg := make([]byte, payloadBytes)
 	for i := range msg {
@@ -47,17 +52,20 @@ func MeasureRTT(t Transport, n, warmup, payloadBytes int) (*stats.Samples, error
 	}
 	var out stats.Samples
 	for i := 0; i < warmup+n; i++ {
+		binary.LittleEndian.PutUint32(msg, uint32(i))
 		start := time.Now()
 		if err := t.Send(msg); err != nil {
 			return nil, fmt.Errorf("ipc: echo send %d: %w", i, err)
 		}
-		reply, err := t.Recv()
+		reply, err := RecvFrame(t)
 		if err != nil {
 			return nil, fmt.Errorf("ipc: echo recv %d: %w", i, err)
 		}
 		rtt := time.Since(start)
-		if len(reply) != len(msg) {
-			return nil, fmt.Errorf("ipc: echo reply length %d, want %d", len(reply), len(msg))
+		intact := bytes.Equal(reply.B, msg)
+		reply.Release()
+		if !intact {
+			return nil, fmt.Errorf("ipc: echo %d does not match what was sent", i)
 		}
 		if i >= warmup {
 			out.Add(float64(rtt))

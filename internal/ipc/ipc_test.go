@@ -4,124 +4,11 @@ import (
 	"bytes"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestChanPairRoundTrip(t *testing.T) {
-	a, b := ChanPair(4)
-	defer a.Close()
-	defer b.Close()
-	if err := a.Send([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "hello" {
-		t.Fatalf("got %q", got)
-	}
-	if err := b.Send([]byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	got, err = a.Recv()
-	if err != nil || string(got) != "world" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-}
-
-func TestChanPairCopiesOnSend(t *testing.T) {
-	a, b := ChanPair(1)
-	defer a.Close()
-	defer b.Close()
-	msg := []byte("abc")
-	if err := a.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	msg[0] = 'X'
-	got, _ := b.Recv()
-	if string(got) != "abc" {
-		t.Fatalf("send did not copy: %q", got)
-	}
-}
-
-func TestChanPairClose(t *testing.T) {
-	a, b := ChanPair(0)
-	a.Close()
-	if err := a.Send([]byte("x")); err != ErrClosed {
-		t.Fatalf("send on closed: %v", err)
-	}
-	if _, err := b.Recv(); err != ErrClosed {
-		t.Fatalf("recv from closed peer: %v", err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestChanPairCloseUnblocksRecv(t *testing.T) {
-	a, b := ChanPair(0)
-	defer b.Close()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := a.Recv()
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	a.Close()
-	select {
-	case err := <-errc:
-		if err != ErrClosed {
-			t.Fatalf("err=%v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Recv did not unblock on Close")
-	}
-}
-
-func TestChanPairDrainsQueuedAfterPeerClose(t *testing.T) {
-	a, b := ChanPair(4)
-	defer b.Close()
-	if err := a.Send([]byte("queued")); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	got, err := b.Recv()
-	if err != nil || string(got) != "queued" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-}
-
-func TestChanPairDrainsEveryQueuedAfterPeerClose(t *testing.T) {
-	// Regression: with several messages in flight at close time, every one
-	// must be delivered before ErrClosed — none may be lost to the race
-	// between the queued-message and peer-closed select cases. Repeat to
-	// cover select's random case choice.
-	for trial := 0; trial < 200; trial++ {
-		a, b := ChanPair(8)
-		for i := byte(0); i < 5; i++ {
-			if err := a.Send([]byte{i}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a.Close()
-		for i := byte(0); i < 5; i++ {
-			got, err := b.Recv()
-			if err != nil {
-				t.Fatalf("trial %d: lost message %d: %v", trial, i, err)
-			}
-			if len(got) != 1 || got[0] != i {
-				t.Fatalf("trial %d: got %v, want [%d]", trial, got, i)
-			}
-		}
-		if _, err := b.Recv(); err != ErrClosed {
-			t.Fatalf("trial %d: drained transport returned %v", trial, err)
-		}
-		b.Close()
-	}
-}
 
 func TestUnixStreamRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -227,14 +114,27 @@ func TestStreamRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-func TestDgramPairRoundTrip(t *testing.T) {
+// dgramPair binds two Unix datagram sockets in a fresh directory, each
+// addressed at the other.
+func dgramPair(t *testing.T) (Transport, Transport) {
+	t.Helper()
 	dir := t.TempDir()
-	a, b, err := DgramPair(filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock"))
+	pa, pb := filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock")
+	a, err := BindDgram(pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	defer b.Close()
+	t.Cleanup(func() { a.Close() })
+	b, err := BindDgram(pb, pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return a, b
+}
+
+func TestDgramRoundTrip(t *testing.T) {
+	a, b := dgramPair(t)
 	if err := a.Send([]byte("ping")); err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +152,7 @@ func TestDgramPairRoundTrip(t *testing.T) {
 }
 
 func TestDgramPreservesBoundaries(t *testing.T) {
-	dir := t.TempDir()
-	a, b, err := DgramPair(filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
+	a, b := dgramPair(t)
 	for _, m := range []string{"x", "yy", "zzz"} {
 		if err := a.Send([]byte(m)); err != nil {
 			t.Fatal(err)
@@ -272,23 +166,21 @@ func TestDgramPreservesBoundaries(t *testing.T) {
 	}
 }
 
-func TestDgramPairPathCollision(t *testing.T) {
+func TestBindDgramPathCollision(t *testing.T) {
 	dir := t.TempDir()
 	pa, pb := filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock")
-	a, b, err := DgramPair(pa, pb)
+	a, err := BindDgram(pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	defer b.Close()
-	if _, _, err := DgramPair(pa, pb); err == nil {
-		t.Fatal("rebinding bound paths succeeded")
+	if _, err := BindDgram(pa, pb); err == nil {
+		t.Fatal("rebinding a bound path succeeded")
 	}
 }
 
-func TestMeasureRTTChan(t *testing.T) {
-	a, b := ChanPair(1)
-	defer a.Close()
+func TestMeasureRTTUnixgram(t *testing.T) {
+	a, b := dgramPair(t)
 	go Echo(b)
 	s, err := MeasureRTT(a, 200, 20, 64)
 	if err != nil {
@@ -301,7 +193,30 @@ func TestMeasureRTTChan(t *testing.T) {
 		t.Fatalf("non-positive RTT %v", s.Percentile(0))
 	}
 	if s.Percentile(50) > float64(50*time.Millisecond) {
-		t.Fatalf("implausible in-process RTT median %v", time.Duration(s.Percentile(50)))
+		t.Fatalf("implausible local RTT median %v", time.Duration(s.Percentile(50)))
+	}
+}
+
+// TestMeasureRTTRejectsAlteredEcho: an echo that differs from what was sent
+// by one byte fails the measurement rather than counting as a sample.
+func TestMeasureRTTRejectsAlteredEcho(t *testing.T) {
+	a, b := dgramPair(t)
+	go func() {
+		for n := 0; ; n++ {
+			msg, err := b.Recv()
+			if err != nil {
+				return
+			}
+			if n == 5 {
+				msg[len(msg)-1] ^= 1
+			}
+			if b.Send(msg) != nil {
+				return
+			}
+		}
+	}()
+	if _, err := MeasureRTT(a, 10, 0, 16); err == nil || !strings.Contains(err.Error(), "echo 5") {
+		t.Fatalf("MeasureRTT over a peer that alters echo 5 returned %v", err)
 	}
 }
 
@@ -350,8 +265,9 @@ func TestBusyLoadStops(t *testing.T) {
 }
 
 func TestMeasureRTTErrorOnClosed(t *testing.T) {
-	a, b := ChanPair(0)
-	b.Close()
+	c1, c2 := net.Pipe()
+	c2.Close()
+	a := NewStream(c1)
 	a.Close()
 	if _, err := MeasureRTT(a, 1, 0, 8); err == nil {
 		t.Fatal("expected error on closed transport")

@@ -46,11 +46,16 @@ func BenchmarkShmRingRTT(b *testing.B) {
 
 func BenchmarkUnixRTT(b *testing.B) {
 	dir := b.TempDir()
-	a, peer, err := ipc.DgramPair(filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock"))
+	pa, pb := filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock")
+	a, err := ipc.BindDgram(pa, pb)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer a.Close()
+	peer, err := ipc.BindDgram(pb, pa)
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer peer.Close()
 	benchRTT(b, a, peer)
 }

@@ -126,10 +126,8 @@ type Options struct {
 	// Bell, when non-nil, is a shared doorbell (a Mux's): the endpoint
 	// registers it instead of creating a private one, so one serve loop can
 	// park for many connections. The endpoint does not close a shared bell.
+	// A private bell is the socket "<ring path>.a.bell" or ".b.bell" by role.
 	Bell *Bell
-	// BellPath overrides the private doorbell socket path (default
-	// "<ring path>.a.bell" / ".b.bell" by role). Ignored when Bell is set.
-	BellPath string
 }
 
 func (o Options) withDefaults() Options {
@@ -352,11 +350,7 @@ func newEndpoint(mem []byte, path string, role byte, o Options) (*Endpoint, erro
 	if o.Bell != nil {
 		e.bell = o.Bell
 	} else {
-		bp := o.BellPath
-		if bp == "" {
-			bp = path + "." + string(role) + ".bell"
-		}
-		bell, err := NewBell(bp)
+		bell, err := NewBell(path + "." + string(role) + ".bell")
 		if err != nil {
 			syscall.Munmap(mem)
 			return nil, err

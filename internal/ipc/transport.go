@@ -1,14 +1,13 @@
 // Package ipc provides the message transports connecting the CCP agent and
-// datapaths: an in-process channel pair (tests and single-binary
-// deployments), Unix stream sockets, and Unix datagram sockets (the closest
-// stdlib analog of the Netlink sockets the paper's kernel datapath used).
-// It also contains the echo client/server and CPU-load machinery behind the
-// Figure 2 IPC round-trip-latency measurement.
+// datapaths: Unix stream sockets and Unix datagram sockets (the closest
+// stdlib analog of the Netlink sockets the paper's kernel datapath used);
+// the shared-memory ring is the subpackage shmring. It also contains the
+// echo client/server and CPU-load machinery cmd/ipcbench uses to measure
+// Figure 2's round-trip latency between two processes.
 package ipc
 
 import (
 	"errors"
-	"sync"
 
 	"github.com/ccp-repro/ccp/internal/bufpool"
 )
@@ -77,112 +76,4 @@ func RecvFrame(t Transport) (*bufpool.Buf, error) {
 		return nil, err
 	}
 	return bufpool.Wrap(msg), nil
-}
-
-// chanTransport is one endpoint of an in-process pair. Frames travel the
-// channels as pooled buffers: Send copies into a frame from the pool, and
-// RecvFrame hands that frame to the receiver, so a steady-state
-// Send/RecvFrame/Release loop recycles a fixed set of buffers.
-type chanTransport struct {
-	send chan<- *bufpool.Buf
-	recv <-chan *bufpool.Buf
-
-	mu     sync.Mutex
-	closed chan struct{}
-	peer   *chanTransport
-}
-
-// ChanPair returns two connected in-process transports with the given buffer
-// depth per direction. Messages are copied on Send, so callers may reuse
-// their buffers.
-func ChanPair(depth int) (Transport, Transport) {
-	if depth < 0 {
-		depth = 0
-	}
-	ab := make(chan *bufpool.Buf, depth)
-	ba := make(chan *bufpool.Buf, depth)
-	a := &chanTransport{send: ab, recv: ba, closed: make(chan struct{})}
-	b := &chanTransport{send: ba, recv: ab, closed: make(chan struct{})}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-func (c *chanTransport) Send(msg []byte) error {
-	f := bufpool.Get(len(msg))
-	f.B = append(f.B, msg...)
-	// Check for closure first: a three-way select would pick randomly among
-	// ready cases, letting a send "succeed" into a closed pair's buffer.
-	select {
-	case <-c.closed:
-		f.Release()
-		return ErrClosed
-	case <-c.peer.closed:
-		f.Release()
-		return ErrClosed
-	default:
-	}
-	select {
-	case <-c.closed:
-		f.Release()
-		return ErrClosed
-	case <-c.peer.closed:
-		f.Release()
-		return ErrClosed
-	case c.send <- f:
-		return nil
-	}
-}
-
-func (c *chanTransport) RecvFrame() (*bufpool.Buf, error) {
-	// A message already in flight when the peer closes must still be
-	// delivered (a real socket's receive buffer survives the peer's close),
-	// so queued messages win over the peer-closed signal: drain first,
-	// report ErrClosed only once the channel is empty. Closing our own end
-	// still fails immediately.
-	select {
-	case <-c.closed:
-		return nil, ErrClosed
-	default:
-	}
-	select {
-	case f := <-c.recv:
-		return f, nil
-	default:
-	}
-	select {
-	case <-c.closed:
-		return nil, ErrClosed
-	case f := <-c.recv:
-		return f, nil
-	case <-c.peer.closed:
-		select {
-		case f := <-c.recv:
-			return f, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
-
-func (c *chanTransport) Recv() ([]byte, error) {
-	f, err := c.RecvFrame()
-	if err != nil {
-		return nil, err
-	}
-	msg := make([]byte, len(f.B))
-	copy(msg, f.B)
-	f.Release()
-	return msg, nil
-}
-
-func (c *chanTransport) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return nil
-	default:
-		close(c.closed)
-	}
-	return nil
 }

@@ -164,18 +164,3 @@ func BindDgram(local, peer string) (Transport, error) {
 	}
 	return newDgram(conn, paddr), nil
 }
-
-// DgramPair binds Unix datagram sockets at pathA and pathB, each addressed
-// at the other, and returns the two endpoints. Both paths must be free.
-func DgramPair(pathA, pathB string) (Transport, Transport, error) {
-	a, err := BindDgram(pathA, pathB)
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := BindDgram(pathB, pathA)
-	if err != nil {
-		a.Close()
-		return nil, nil, err
-	}
-	return a, b, nil
-}

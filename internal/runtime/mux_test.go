@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -106,11 +107,12 @@ func TestServeSetMultiplexesConnections(t *testing.T) {
 }
 
 // TestServeSetRejectsUnpollable pins the error contract for transports that
-// cannot be polled (no TryRecvFrame).
+// cannot be polled (no TryRecvFrame), such as a stream.
 func TestServeSetRejectsUnpollable(t *testing.T) {
-	a, b := ipc.ChanPair(4)
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	a := ipc.NewStream(c1)
 	defer a.Close()
-	defer b.Close()
 	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: agentCfg(nil)})
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,12 @@ package runtime_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/core"
-	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 )
@@ -167,7 +168,11 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.Close()
-			agentSide, dpSide := ipc.ChanPair(64)
+			agentSide, dpSide, err := shmring.Pair(filepath.Join(t.TempDir(), "ring"), shmring.Options{}, shmring.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agentSide.Close()
 			done := make(chan error, 1)
 			go func() { done <- runtime.ServeTransport(rt, agentSide) }()
 

@@ -65,8 +65,6 @@ type Config struct {
 	Handler proto.Handler
 	// Interval is the probe period (default 10ms).
 	Interval time.Duration
-	// Alpha is the EWMA gain on latency samples (default 0.3).
-	Alpha float64
 	// LatencyBudget: when the latency EWMA exceeds this, the agent is
 	// Failed even though it still answers — a uniformly slow agent is as
 	// useless to a datapath as a dead one (its decisions arrive stale).
@@ -75,23 +73,26 @@ type Config struct {
 	// MissBudget is the number of consecutive probe ticks with the oldest
 	// probe still unanswered before the agent is Failed (default 3).
 	MissBudget int
-	// SuspectFraction: EWMA above SuspectFraction×LatencyBudget moves a
-	// Healthy agent to Suspect (default 0.5).
-	SuspectFraction float64
-	// RecoverFraction: a Suspect or Failed agent returns to Healthy only
-	// once every probe is answered and the EWMA is below
-	// RecoverFraction×LatencyBudget (default 0.25). The gap between the
-	// two fractions is the hysteresis band.
-	RecoverFraction float64
-	// FailoverCooldown is the minimum spacing between OnFailover firings
-	// (default 10×Interval), so a flapping environment cannot thrash
-	// promotions.
-	FailoverCooldown time.Duration
-	// OnFailover runs when the agent transitions to Failed (outside
-	// cooldown). Typically: promote the standby and point the injector at
-	// it. Nil means monitor-only.
+	// OnFailover runs when the agent transitions to Failed, at most once
+	// per cooldownIntervals×Interval. Typically: promote the standby and
+	// point the injector at it. Nil means monitor-only.
 	OnFailover func()
 }
+
+const (
+	// alpha is the EWMA gain on latency samples.
+	alpha = 0.3
+	// An EWMA above suspectFraction×LatencyBudget moves a Healthy agent to
+	// Suspect. A Suspect or Failed agent returns to Healthy only once every
+	// probe is answered and the EWMA is below recoverFraction×LatencyBudget;
+	// the gap between the two is the hysteresis band.
+	suspectFraction = 0.5
+	recoverFraction = 0.25
+	// cooldownIntervals probe intervals is the minimum spacing between
+	// OnFailover firings, so a flapping environment cannot thrash
+	// promotions.
+	cooldownIntervals = 10
+)
 
 // Stats counts supervisor activity.
 type Stats struct {
@@ -147,23 +148,11 @@ func NewSupervisor(cfg Config) *Supervisor {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Millisecond
 	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.3
-	}
 	if cfg.LatencyBudget <= 0 {
 		cfg.LatencyBudget = 100 * time.Millisecond
 	}
 	if cfg.MissBudget <= 0 {
 		cfg.MissBudget = 3
-	}
-	if cfg.SuspectFraction <= 0 || cfg.SuspectFraction > 1 {
-		cfg.SuspectFraction = 0.5
-	}
-	if cfg.RecoverFraction <= 0 || cfg.RecoverFraction >= cfg.SuspectFraction {
-		cfg.RecoverFraction = cfg.SuspectFraction / 2
-	}
-	if cfg.FailoverCooldown <= 0 {
-		cfg.FailoverCooldown = 10 * cfg.Interval
 	}
 	return &Supervisor{cfg: cfg}
 }
@@ -261,7 +250,7 @@ func (s *Supervisor) foldSample(lat float64) {
 	if s.samples == 0 {
 		s.ewma = lat
 	} else {
-		s.ewma = s.cfg.Alpha*lat + (1-s.cfg.Alpha)*s.ewma
+		s.ewma = alpha*lat + (1-alpha)*s.ewma
 	}
 	s.samples++
 }
@@ -276,19 +265,19 @@ func (s *Supervisor) evaluate(now time.Duration) {
 			s.state = Failed
 			if s.cfg.OnFailover != nil && (!s.haveCooldown || now >= s.cooldownUntil) {
 				s.stats.Failovers++
-				s.cooldownUntil = now + s.cfg.FailoverCooldown
+				s.cooldownUntil = now + cooldownIntervals*s.cfg.Interval
 				s.haveCooldown = true
 				s.cfg.OnFailover()
 			}
 		}
 	case s.state == Healthy:
-		if s.misses > 0 || (s.samples > 0 && s.ewma > s.cfg.SuspectFraction*budget) {
+		if s.misses > 0 || (s.samples > 0 && s.ewma > suspectFraction*budget) {
 			s.state = Suspect
 			s.stats.Suspects++
 		}
 	default: // Suspect or Failed: recovery needs the stricter exit gate
 		if s.misses == 0 && !s.haveUnechoed && s.samples > 0 &&
-			s.ewma < s.cfg.RecoverFraction*budget {
+			s.ewma < recoverFraction*budget {
 			s.state = Healthy
 			s.stats.Recoveries++
 		}

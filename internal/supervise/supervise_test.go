@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/faults"
 	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
@@ -300,13 +302,18 @@ func TestStandbyTombstoneRemoves(t *testing.T) {
 	}
 }
 
-// Replication over a real ipc.Transport: frames stream through a ChanPair
-// and the serve loop agents run (runtime.ServeTransport, the standby as its
-// handler), and the result promotes identically to in-process Apply. What is
-// not a snapshot, whether it decodes or not, is counted and changes nothing.
+// Replication over a real ipc.Transport: frames stream through a
+// shared-memory ring and the serve loop agents run (runtime.ServeTransport,
+// the standby as its handler), and the result promotes identically to
+// in-process Apply. What is not a snapshot, whether it decodes or not, is
+// counted and changes nothing.
 func TestStandbyServeTransport(t *testing.T) {
 	primary := buildPrimary(t)
-	a, b := ipc.ChanPair(64)
+	a, b, err := shmring.Pair(filepath.Join(t.TempDir(), "ring"), shmring.Options{}, shmring.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
 	n, err := Replicate(primary, true, a)
 	if err != nil {
 		t.Fatal(err)
