@@ -131,11 +131,17 @@ lint:
 # the tree must pass the absint Install-gate checks (the dslverify lint
 # pass), every registered algorithm's Install-time programs must verify
 # clean under the datapath profile, and the pinned rejection table must
-# stay refused (the corpus tests in internal/lang/absint).
+# stay refused (the corpus tests in internal/lang/absint). The datapath is
+# the one place a program is verified at run time, so the agent binary must
+# not link the verifier.
 verify-programs:
 	$(GO) run ./cmd/ccp-lint -run dslverify ./...
 	$(GO) test -count=1 -run 'TestRegisteredAlgorithmsVerifyClean|TestRejectionTable' \
 		./internal/lang/absint
+	@if $(GO) list -deps ./cmd/ccp-agent | grep -q '/internal/lang/absint$$'; then \
+		echo "verify-programs: cmd/ccp-agent depends on internal/lang/absint; the datapath is the one Install gate"; \
+		exit 1; \
+	fi
 
 # Runtime ownership checking for pooled frames: Release poisons the payload
 # and records owner stacks, so double-Release and write-after-Release panic

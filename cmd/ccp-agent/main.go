@@ -43,7 +43,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/algorithms"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/ipc"
-	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/supervise"
 )
@@ -58,7 +57,6 @@ type config struct {
 	standby        bool
 	replicateTo    string
 	replicateEvery time.Duration
-	verify         absint.Mode
 
 	// serving, when set, is handed the runtime as it starts taking datapath
 	// connections — for a standby, after promotion. Tests read its Stats.
@@ -77,7 +75,6 @@ func main() {
 		"run as a warm standby: consume snapshot replication on the listen socket, promote when the primary's stream drops")
 	flag.StringVar(&cfg.replicateTo, "replicate", "",
 		"standby socket to replicate per-flow snapshots to (\"\" = no replication)")
-	verifyFlag := flag.String("verify", "off", "agent-side pre-flight program verification: strict|warn|off")
 	flag.DurationVar(&cfg.replicateEvery, "replicate-interval", 50*time.Millisecond,
 		"snapshot replication period (with -replicate)")
 	flag.Parse()
@@ -87,10 +84,6 @@ func main() {
 			fmt.Println(name)
 		}
 		return
-	}
-	var err error
-	if cfg.verify, err = absint.ParseMode(*verifyFlag); err != nil {
-		log.Fatalf("ccp-agent: %v", err)
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -107,7 +100,6 @@ func run(ctx context.Context, cfg config) error {
 	agentCfg := core.AgentConfig{
 		Registry:   algorithms.NewRegistry(),
 		DefaultAlg: cfg.defaultAlg,
-		Verify:     cfg.verify,
 	}
 	if cfg.maxRateMbps > 0 || cfg.maxCwndKB > 0 {
 		agentCfg.Policy = func(core.FlowInfo) core.Policy {

@@ -15,8 +15,8 @@ import (
 // lang.NewProgram()...Build()/MustBuild() builder chain whose expressions
 // are built entirely from the lang constructors (C, V, Add, Ite, ...) with
 // compile-time-constant leaves. The datapath refuses such programs at
-// Install in strict mode; this pass surfaces the same refusal at the source
-// line of the offending instruction, before anything runs.
+// Install; this pass surfaces the same refusal at the source line of the
+// offending instruction, before anything runs.
 //
 // The reconstruction is conservative: a chain routed through a variable, a
 // constructor argument that is not a Go constant, or any shape the decoder

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -20,12 +19,6 @@ type AgentConfig struct {
 	Policy PolicyFunc
 	// Logf, if set, receives diagnostic messages.
 	Logf func(format string, args ...any)
-	// Verify pre-flights programs at Flow.Install with the internal/lang/absint
-	// verifier, before they ever reach the wire: strict makes Install return an
-	// error, warn logs the findings and sends anyway. The default is off — the
-	// datapath's own install gate is authoritative and the agent-side check
-	// only buys an earlier, richer diagnostic.
-	Verify absint.Mode
 }
 
 // AgentStats counts the agent's activity.
@@ -143,9 +136,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("core: default algorithm %q not registered", cfg.DefaultAlg)
 	}
 	return &Agent{
-		cfg:    cfg,
-		flows:  make(map[uint32]*flowState),
-		shared: flowShared{verify: cfg.Verify, logf: cfg.Logf},
+		cfg:   cfg,
+		flows: make(map[uint32]*flowState),
 	}, nil
 }
 

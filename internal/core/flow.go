@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -34,17 +33,12 @@ type Policy struct {
 type PolicyFunc func(info FlowInfo) Policy
 
 // flowShared is what every flow of one agent holds in common, reached through
-// one pointer so a Flow carries no per-flow copy of it: the agent's Install
-// settings, and the storage each outgoing message is built in. The send path
-// only borrows a message for the duration of the call (see Flow.send), and an
-// agent makes one decision at a time under its lock, so one block per agent
-// serves all its flows and a decision allocates nothing.
+// one pointer so a Flow carries no per-flow copy of it: the storage each
+// outgoing message is built in. The send path only borrows a message for the
+// duration of the call (see Flow.send), and an agent makes one decision at a
+// time under its lock, so one block per agent serves all its flows and a
+// decision allocates nothing.
 type flowShared struct {
-	// verify pre-flights programs at Install (AgentConfig.Verify); logf
-	// carries the agent's diagnostic sink (nil on probe flows).
-	verify absint.Mode
-	logf   func(format string, args ...any)
-
 	setCwnd   proto.SetCwnd
 	setRate   proto.SetRate
 	install   proto.Install
@@ -163,19 +157,6 @@ func (f *Flow) Install(p *lang.Program) error {
 	if err := clamped.Validate(); err != nil {
 		return err
 	}
-	if verify := f.shared.verify; verify == absint.ModeStrict || verify == absint.ModeWarn {
-		rep, err := absint.Analyze(clamped, absint.Datapath())
-		if err != nil {
-			return err
-		}
-		if rep.HasErrors() {
-			if verify == absint.ModeStrict {
-				return fmt.Errorf("core: flow %d: program refused by verifier: %w",
-					f.Info.SID, rep.Err())
-			}
-			f.logfSafe("core: flow %d: verifier: %v", f.Info.SID, rep.Err())
-		}
-	}
 	data, n, err := lang.MarshalHalves(clamped)
 	if err != nil {
 		return err
@@ -243,12 +224,6 @@ func reportsAs(p *lang.Program, names []string) bool {
 		return true
 	}
 	return false
-}
-
-func (f *Flow) logfSafe(format string, args ...any) {
-	if logf := f.shared.logf; logf != nil {
-		logf(format, args...)
-	}
 }
 
 // noteInstallErr records a datapath install refusal; what else it does depends

@@ -12,7 +12,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/lang/randprog"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -101,11 +100,10 @@ func sameTraffic(t *testing.T, what string, a, b outcome) {
 // program), with the warm run having reused artifacts and the cold run having
 // built every one. The simulator is deterministic, so the only possible source
 // of divergence is the install path.
-func bitIdentical(t *testing.T, verify absint.Mode, progs [][]byte, wantHits bool) {
+func bitIdentical(t *testing.T, progs [][]byte, wantHits bool) {
 	t.Helper()
-	cfg := datapath.Config{Verify: verify}
-	warm := runInstalls(t, cfg, false, progs)
-	cold := runInstalls(t, cfg, true, progs)
+	warm := runInstalls(t, datapath.Config{}, false, progs)
+	cold := runInstalls(t, datapath.Config{}, true, progs)
 	const what = "warm vs cold"
 	sameTraffic(t, what, warm, cold)
 	if warm.stats.Deterministic() != cold.stats.Deterministic() {
@@ -169,7 +167,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 				Report().
 				MustBuild()))
 		}
-		bitIdentical(t, absint.ModeStrict, progs, true)
+		bitIdentical(t, progs, true)
 	})
 
 	// Every Install-time program of every bundled algorithm, each delivered
@@ -186,14 +184,14 @@ func TestBackendsBitIdentical(t *testing.T) {
 			if len(progs) == 0 {
 				t.Skip("algorithm installs no program")
 			}
-			bitIdentical(t, absint.ModeStrict, progs, true)
+			bitIdentical(t, progs, true)
 		})
 	}
 
 	// Random install sequences: random programs, repeats, and programs that
 	// put one program's instructions behind another's measure half (valid or
-	// not — a refusal's reason text must match too). Strict refuses most
-	// random programs; warn installs and runs them.
+	// not — a refusal's reason text must match too). Most random programs
+	// are refused, so hits are not required.
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("random/%d", seed), func(t *testing.T) {
@@ -214,8 +212,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 				}
 				progs = append(progs, marshal(t, p))
 			}
-			bitIdentical(t, absint.ModeStrict, progs, false)
-			bitIdentical(t, absint.ModeWarn, progs, true)
+			bitIdentical(t, progs, false)
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/lang/absint"
 	"github.com/ccp-repro/ccp/internal/lang/randprog"
 )
 
@@ -35,14 +34,14 @@ func halves(t testing.TB, data []byte) (measure, ctrl []byte) {
 // both as Seq 2: whole to one, as a reference to epoch 1 to the other.
 // Everything observable but the epoch and the by-reference count must agree.
 // It reports whether there was anything to compare and how the Install ended.
-func checkRefEqualsWhole(t *testing.T, name string, mode absint.Mode, first, second []byte) (compared, installed bool) {
+func checkRefEqualsWhole(t *testing.T, name string, first, second []byte) (compared, installed bool) {
 	t.Helper()
 	datapath.ResetArtifacts()
 	measure, ctrl := halves(t, second)
 	if m, _ := halves(t, first); string(m) != string(measure) {
 		t.Fatalf("%s: the two programs do not share a measure half", name)
 	}
-	whole, byRef := newBareFlow(mode), newBareFlow(mode)
+	whole, byRef := newBareFlow(), newBareFlow()
 	if reason := whole.deliverSeq(1, first); reason != "" {
 		return false, false // first itself is refused: no epoch to refer to
 	}
@@ -110,7 +109,7 @@ func checkRefEqualsWhole(t *testing.T, name string, mode absint.Mode, first, sec
 }
 
 // TestRefEqualsWhole: for every program a bundled algorithm installs and a
-// thousand random ones, under every verify mode, a flow handed a control half
+// thousand random ones, a flow handed a control half
 // by reference and one handed the same program whole agree on the verdict,
 // the InstallErr text, the warning count, the program in force, the compiled
 // control half and where it stands, and every variable and report after
@@ -119,10 +118,9 @@ func checkRefEqualsWhole(t *testing.T, name string, mode absint.Mode, first, sec
 // declare, or write what the verifier refuses), and damaged ones.
 func TestRefEqualsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	modes := []absint.Mode{absint.ModeStrict, absint.ModeWarn, absint.ModeOff}
 	var installed, refused int
-	offer := func(name string, first, second []byte, mode absint.Mode) {
-		compared, ok := checkRefEqualsWhole(t, fmt.Sprintf("%s verify=%v", name, mode), mode, first, second)
+	offer := func(name string, first, second []byte) {
+		compared, ok := checkRefEqualsWhole(t, name, first, second)
 		if compared && ok {
 			installed++
 		} else if compared {
@@ -150,12 +148,10 @@ func TestRefEqualsWhole(t *testing.T) {
 	}
 	for i, first := range bundled {
 		name := fmt.Sprintf("bundled %d", i)
-		for _, mode := range modes {
-			offer(name, first, first, mode)
-			offer(name+" moved constant", first, splice(first, marshal(t, countProg(countFold(0), lang.C(float64(1448*(2+i)))))), mode)
-			offer(name+" spliced", first, splice(first, bundled[rng.Intn(len(bundled))]), mode)
-			offer(name+" damaged", first, damage(first), mode)
-		}
+		offer(name, first, first)
+		offer(name+" moved constant", first, splice(first, marshal(t, countProg(countFold(0), lang.C(float64(1448*(2+i)))))))
+		offer(name+" spliced", first, splice(first, bundled[rng.Intn(len(bundled))]))
+		offer(name+" damaged", first, damage(first))
 	}
 	var prev []byte
 	for i := 0; i < 1000; i++ {
@@ -164,12 +160,12 @@ func TestRefEqualsWhole(t *testing.T) {
 			continue
 		}
 		first := marshal(t, p)
-		name, mode := fmt.Sprintf("randprog %d", i), modes[i%len(modes)]
-		offer(name, first, first, mode)
+		name := fmt.Sprintf("randprog %d", i)
+		offer(name, first, first)
 		if prev != nil {
-			offer(name+" spliced", first, splice(first, prev), mode)
+			offer(name+" spliced", first, splice(first, prev))
 		}
-		offer(name+" damaged", first, damage(first), mode)
+		offer(name+" damaged", first, damage(first))
 		prev = first
 	}
 	t.Logf("%d installs by reference agreed with the whole program, %d refusals", installed, refused)
@@ -213,18 +209,18 @@ func TestStaleReferenceRefused(t *testing.T) {
 	}
 
 	t.Run("default program", func(t *testing.T) {
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		refuse(t, f, 1, 1)
 	})
 	t.Run("unsequenced install", func(t *testing.T) {
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		if reason := f.deliver(cubic); reason != "" {
 			t.Fatal(reason)
 		}
 		refuse(t, f, 1, 1)
 	})
 	t.Run("lost install", func(t *testing.T) {
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		if reason := f.deliverSeq(3, cubic); reason != "" {
 			t.Fatal(reason)
 		}
@@ -241,7 +237,7 @@ func TestStaleReferenceRefused(t *testing.T) {
 		accept(t, f, 10, 8)
 	})
 	t.Run("refused install", func(t *testing.T) {
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		if reason := f.deliverSeq(1, cubic); reason != "" {
 			t.Fatal(reason)
 		}
@@ -253,7 +249,7 @@ func TestStaleReferenceRefused(t *testing.T) {
 		accept(t, f, 4, 1)
 	})
 	t.Run("superseded install", func(t *testing.T) {
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		if reason := f.deliverSeq(1, cubic); reason != "" {
 			t.Fatal(reason)
 		}
@@ -264,7 +260,7 @@ func TestStaleReferenceRefused(t *testing.T) {
 		refuse(t, f, 3, 1)
 	})
 	t.Run("reordered behind its reference", func(t *testing.T) {
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		refuse(t, f, 2, 1)
 		// The whole Install arrives second and is stale by then.
 		if reason := f.deliverSeq(1, cubic); reason != "" || f.dp.Stats().StaleCtrlDropped != 1 {

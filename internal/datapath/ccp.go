@@ -64,13 +64,6 @@ type Config struct {
 	// due to per-RTT congestion window updates"). Decreases still apply
 	// immediately.
 	SmoothCwnd bool
-	// Verify selects the install-time program verification policy
-	// (internal/lang/absint): strict refuses programs with install-blocking
-	// findings (the previous program stays in force and the agent is told
-	// via proto.InstallErr), warn counts them but installs anyway, off skips
-	// analysis. ModeDefault is strict: the datapath is a trust boundary (§2:
-	// it executes programs handed to it by a less-trusted agent).
-	Verify absint.Mode
 }
 
 // CCP is the datapath runtime for one flow. It implements
@@ -149,9 +142,6 @@ func New(cfg Config) *CCP {
 	if cfg.ToAgent == nil {
 		panic("datapath: Config.ToAgent is required")
 	}
-	if cfg.Verify == absint.ModeDefault {
-		cfg.Verify = absint.ModeStrict
-	}
 	d := &CCP{
 		cfg:     cfg,
 		ewmaRtt: stats.MakeEWMA(0.125),
@@ -200,7 +190,7 @@ func (d *CCP) Init(c *tcp.Conn) {
 		Alg:      d.cfg.Alg,
 	})
 	if p := d.cfg.DefaultProgram; p == nil {
-		d.activate(defaultInstall(d.cfg.Verify))
+		d.activate(defaultInstall())
 	} else {
 		// A custom default takes the path an Install of the same bytes would.
 		data, err := lang.MarshalProgram(p)

@@ -53,8 +53,8 @@ type bareFlow struct {
 	refusal string // Reason of the last InstallErr
 }
 
-func newBareFlow(verify absint.Mode) *bareFlow {
-	return newBareFlowCfg(datapath.Config{Verify: verify})
+func newBareFlow() *bareFlow {
+	return newBareFlowCfg(datapath.Config{})
 }
 
 // newBareFlowCfg is newBareFlow with cfg's settings; SID, Clock and ToAgent
@@ -136,10 +136,10 @@ func randomInit(rng *rand.Rand) float64 {
 // artifact it runs, the second has been made to forget that artifact and
 // finds the table empty, so it builds. Everything observable must agree. It
 // returns whether there was anything to compare and how the Install ended.
-func checkDerivedEqualsBuilt(t *testing.T, name string, mode absint.Mode, base, moved []byte) (compared, installed bool) {
+func checkDerivedEqualsBuilt(t *testing.T, name string, base, moved []byte) (compared, installed bool) {
 	t.Helper()
 	datapath.ResetArtifacts()
-	derived, built := newBareFlow(mode), newBareFlow(mode)
+	derived, built := newBareFlow(), newBareFlow()
 	if reason := derived.deliver(base); reason != "" {
 		return false, false // base itself is refused: nothing to derive from
 	}
@@ -226,13 +226,11 @@ func TestDerivedEqualsBuilt(t *testing.T) {
 					setInit(field, randomInit(rng))
 				}
 			}
-			for _, mode := range []absint.Mode{absint.ModeStrict, absint.ModeWarn, absint.ModeOff} {
-				compared, ok := checkDerivedEqualsBuilt(t, fmt.Sprintf("%s round %d verify=%v", name, round, mode), mode, base, moved)
-				if compared && ok {
-					installed++
-				} else if compared {
-					refused++
-				}
+			compared, ok := checkDerivedEqualsBuilt(t, fmt.Sprintf("%s round %d", name, round), base, moved)
+			if compared && ok {
+				installed++
+			} else if compared {
+				refused++
 			}
 		}
 	}
@@ -274,7 +272,7 @@ func guardedFold(floor float64) *lang.FoldSpec {
 // program in force stays.
 func TestDerivedInstallStillVerifies(t *testing.T) {
 	datapath.ResetArtifacts()
-	f := newBareFlow(absint.ModeStrict)
+	f := newBareFlow()
 	if reason := f.deliver(marshal(t, countProg(guardedFold(1), lang.C(14480)))); reason != "" {
 		t.Fatalf("good program refused: %s", reason)
 	}
@@ -296,7 +294,7 @@ func TestDerivedInstallStillVerifies(t *testing.T) {
 		if reason == "" || !bytes.Contains([]byte(reason), []byte(tc.want)) {
 			t.Errorf("%s: refused with %q, want %q", tc.name, reason, tc.want)
 		}
-		fresh := newBareFlow(absint.ModeStrict)
+		fresh := newBareFlow()
 		if built := fresh.deliver(data); built != reason {
 			t.Errorf("%s: derived install refused with %q, a build with %q", tc.name, reason, built)
 		}
@@ -354,7 +352,7 @@ func TestOnlyMovedInitsDerive(t *testing.T) {
 		{"mode", countProg(noUpdates, lang.C(14480)), vector},
 	} {
 		datapath.ResetArtifacts()
-		f := newBareFlow(absint.ModeWarn)
+		f := newBareFlow()
 		from, offer := marshal(t, tc.from), marshal(t, tc.offer)
 		if len(from) != len(offer) {
 			t.Fatalf("%s: programs are %d and %d bytes; the case needs equal lengths", tc.name, len(from), len(offer))
@@ -382,11 +380,11 @@ func TestDerivedArtifactsStayOutOfTable(t *testing.T) {
 	shared := make([][]byte, datapath.ArtifactCap)
 	for i := range shared {
 		shared[i] = marshal(t, countProg(shapedFold(i, 0), lang.C(14480)))
-		if reason := newBareFlow(absint.ModeStrict).deliver(shared[i]); reason != "" {
+		if reason := newBareFlow().deliver(shared[i]); reason != "" {
 			t.Fatal(reason)
 		}
 	}
-	mover := newBareFlow(absint.ModeStrict)
+	mover := newBareFlow()
 	for i := 0; i <= 1000; i++ {
 		if reason := mover.deliver(marshal(t, countProg(shapedFold(0, float64(i)), lang.C(14480)))); reason != "" {
 			t.Fatal(reason)
@@ -396,7 +394,7 @@ func TestDerivedArtifactsStayOutOfTable(t *testing.T) {
 		t.Fatalf("mover: %+v", st)
 	}
 	for i, data := range shared {
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		if reason := f.deliver(data); reason != "" {
 			t.Fatal(reason)
 		}

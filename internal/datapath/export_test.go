@@ -20,8 +20,7 @@ const MaxVectorRows = maxVectorRows
 func ResetArtifacts() {
 	artifacts.mu.Lock()
 	defer artifacts.mu.Unlock()
-	clear(artifacts.byKey[0])
-	clear(artifacts.byKey[1])
+	clear(artifacts.byKey)
 	clear(artifacts.slots[:])
 	artifacts.hand = 0
 }
@@ -30,7 +29,7 @@ func ResetArtifacts() {
 func StoredArtifacts() int {
 	artifacts.mu.Lock()
 	defer artifacts.mu.Unlock()
-	return len(artifacts.byKey[0]) + len(artifacts.byKey[1])
+	return len(artifacts.byKey)
 }
 
 // ForgetArtifact makes the flow's next Install look its measure half up in

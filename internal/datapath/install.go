@@ -48,8 +48,13 @@ import (
 // All of these are the same function of the measure half, so a program gets
 // the same verdict, the same InstallErr text, the same warning count and the
 // same state afterwards however its artifact was come by. The table memoizes
-// a pure function of (measure-half bytes, verified or not): it cannot change
-// behaviour, only cost.
+// a pure function of the measure-half bytes: it cannot change behaviour, only
+// cost.
+//
+// Every Install is verified, and one with an install-blocking finding is
+// refused: the datapath runs programs handed to it by a less-trusted agent,
+// so it is the trust boundary (§2), and there is no setting that makes it
+// anything else.
 
 // artifact is everything the datapath derives from a measure half. Nothing
 // writes to one after buildArtifact or derive returns: flows on different
@@ -58,8 +63,7 @@ import (
 type artifact struct {
 	// key is the measure half's bytes, Init values included: the invariant
 	// starts from them, so a fold whose Init moved is a different artifact.
-	key      string
-	verified bool // inv is present (Config.Verify was not off)
+	key string
 	// inits is where in key the registers' Init fields are
 	// (lang.MeasureInits): the only bytes a derived artifact's key may differ
 	// in. Shared with every artifact derived from this one.
@@ -70,15 +74,15 @@ type artifact struct {
 	resolve  lang.Resolver
 	nvars    int
 	fold     *lang.CompiledFold // fold mode only
-	inv      *absint.Invariant  // verified only
+	inv      *absint.Invariant
 }
 
-func buildArtifact(prefix []byte, verified bool) (*artifact, error) {
+func buildArtifact(prefix []byte) (*artifact, error) {
 	m, _, err := lang.UnmarshalMeasure(prefix)
 	if err != nil {
 		return nil, err
 	}
-	a := &artifact{key: string(prefix), verified: verified, measure: m}
+	a := &artifact{key: string(prefix), measure: m}
 	if _, a.inits, err = lang.MeasureInits(prefix); err != nil {
 		return nil, err
 	}
@@ -87,9 +91,7 @@ func buildArtifact(prefix []byte, verified bool) (*artifact, error) {
 	}
 	a.resolve = lang.StdResolver(a.regNames)
 	a.nvars = lang.VarTableSize(len(a.regNames))
-	if verified {
-		a.inv = absint.AnalyzeMeasure(m, absint.Datapath())
-	}
+	a.inv = absint.AnalyzeMeasure(m, absint.Datapath())
 	if m.Mode == lang.MeasureFold {
 		if a.fold, err = lang.CompileFold(m.Fold); err != nil {
 			return nil, err
@@ -106,9 +108,7 @@ func (a *artifact) derive(prefix []byte) *artifact {
 	d.key = string(prefix)
 	d.fold = a.fold.WithInits(prefix, a.inits)
 	d.measure.Fold = d.fold.Spec
-	if d.verified {
-		d.inv = absint.AnalyzeMeasure(d.measure, absint.Datapath())
-	}
+	d.inv = absint.AnalyzeMeasure(d.measure, absint.Datapath())
 	return &d
 }
 
@@ -137,10 +137,9 @@ const artifactCap = 16
 // evicted depends only on the order of gets and puts.
 type artifactTable struct {
 	mu sync.Mutex
-	// byKey maps measure-half bytes to a slot index, unverified artifacts in
-	// byKey[0] and verified ones in byKey[1]: keyed by the string alone, a
+	// byKey maps measure-half bytes to a slot index: keyed by the string, a
 	// lookup by prefix bytes converts nothing.
-	byKey [2]map[string]int
+	byKey map[string]int
 	slots [artifactCap]struct {
 		art  *artifact
 		used bool
@@ -148,19 +147,12 @@ type artifactTable struct {
 	hand int
 }
 
-var artifacts = artifactTable{byKey: [2]map[string]int{{}, {}}}
+var artifacts = artifactTable{byKey: map[string]int{}}
 
-func (t *artifactTable) index(verified bool) map[string]int {
-	if verified {
-		return t.byKey[1]
-	}
-	return t.byKey[0]
-}
-
-func (t *artifactTable) get(verified bool, prefix []byte) *artifact {
+func (t *artifactTable) get(prefix []byte) *artifact {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.index(verified)[string(prefix)]
+	i, ok := t.byKey[string(prefix)]
 	if !ok {
 		return nil
 	}
@@ -173,8 +165,7 @@ func (t *artifactTable) get(verified bool, prefix []byte) *artifact {
 func (t *artifactTable) put(a *artifact) *artifact {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	byKey := t.index(a.verified)
-	if i, ok := byKey[a.key]; ok {
+	if i, ok := t.byKey[a.key]; ok {
 		return t.slots[i].art
 	}
 	for {
@@ -186,10 +177,10 @@ func (t *artifactTable) put(a *artifact) *artifact {
 			continue
 		}
 		if s.art != nil {
-			delete(t.index(s.art.verified), s.art.key)
+			delete(t.byKey, s.art.key)
 		}
 		s.art = a
-		byKey[a.key] = i
+		t.byKey[a.key] = i
 		return a
 	}
 }
@@ -211,10 +202,8 @@ type installable struct {
 
 // prepare takes wire bytes through steps 1 and 2 above. cur is the flow's
 // current artifact (nil before the first install) and epoch the Seq of the
-// Install that brought it; a flow's mode never changes, so cur was built
-// under the same one.
-func prepare(cur *artifact, epoch uint32, prog []byte, mode absint.Mode) (in installable, err error) {
-	verified := mode != absint.ModeOff
+// Install that brought it.
+func prepare(cur *artifact, epoch uint32, prog []byte) (in installable, err error) {
 	art := cur
 	end := 0
 	switch {
@@ -234,7 +223,7 @@ func prepare(cur *artifact, epoch uint32, prog []byte, mode absint.Mode) (in ins
 		if end, err = lang.MeasurePrefixLen(prog); err != nil {
 			return in, err
 		}
-		art = artifacts.get(verified, prog[:end])
+		art = artifacts.get(prog[:end])
 	}
 	// Both halves are decoded before either is validated, as
 	// lang.UnmarshalProgram does, so a malformed byte anywhere is reported
@@ -251,12 +240,12 @@ func prepare(cur *artifact, epoch uint32, prog []byte, mode absint.Mode) (in ins
 		art = cur.derive(prog[:end])
 	default:
 		in.miss = true
-		if art, err = buildArtifact(prog[:end], verified); err != nil {
+		if art, err = buildArtifact(prog[:end]); err != nil {
 			return in, err
 		}
 		// Only a measure half that passed is kept; a refused one is
 		// recomputed (and refused again) each time it is offered.
-		if !verified || !art.inv.HasErrors() {
+		if !art.inv.HasErrors() {
 			art = artifacts.put(art)
 		}
 	}
@@ -265,21 +254,10 @@ func prepare(cur *artifact, epoch uint32, prog []byte, mode absint.Mode) (in ins
 	if err := lang.ValidateControl(instrs, art.resolve); err != nil {
 		return in, err
 	}
-	if verified {
-		rep := art.inv.CheckControl(instrs)
-		nerr := 0
-		for _, f := range rep.Findings {
-			if f.Severity == absint.SevError {
-				nerr++
-			}
-		}
-		in.warnings = len(rep.Findings) - nerr
-		if nerr > 0 {
-			if mode == absint.ModeStrict {
-				return in, rep.Err()
-			}
-			in.warnings += nerr
-		}
+	rep := art.inv.CheckControl(instrs)
+	in.warnings = len(rep.Findings) - len(rep.Errors())
+	if err := rep.Err(); err != nil {
+		return in, err
 	}
 
 	if in.ctrl, err = lang.CompileControl(instrs, art.resolve, art.nvars); err != nil {
@@ -296,40 +274,27 @@ func prepare(cur *artifact, epoch uint32, prog []byte, mode absint.Mode) (in ins
 	return in, nil
 }
 
-// defaultInstalls holds the §3 prototype program — EWMA measurement reported
+// defaultInstall returns the §3 prototype program — EWMA measurement reported
 // once per RTT, what every flow runs until its agent installs something —
-// prepared once per process instead of once per flow. It has no findings, so
-// strict and warn agree and the only distinction is verified or not.
-var defaultInstalls [2]struct {
-	once sync.Once
-	in   installable
-}
-
-func defaultInstall(mode absint.Mode) installable {
-	e := &defaultInstalls[0]
-	if mode == absint.ModeOff {
-		e = &defaultInstalls[1]
-	} else {
-		mode = absint.ModeStrict
+// prepared once per process instead of once per flow.
+var defaultInstall = sync.OnceValue(func() installable {
+	data, err := lang.MarshalProgram(lang.NewProgram().MeasureEWMA().WaitRtts(1).Report().MustBuild())
+	var in installable
+	if err == nil {
+		in, err = prepare(nil, 0, data)
 	}
-	e.once.Do(func() {
-		data, err := lang.MarshalProgram(lang.NewProgram().MeasureEWMA().WaitRtts(1).Report().MustBuild())
-		if err == nil {
-			e.in, err = prepare(nil, 0, data, mode)
-		}
-		if err != nil || e.in.warnings != 0 {
-			// The default program is statically valid; a failure here is a bug.
-			panic("datapath: built-in default program rejected")
-		}
-	})
-	return e.in
-}
+	if err != nil || in.warnings != 0 {
+		// The default program is statically valid; a failure here is a bug.
+		panic("datapath: built-in default program rejected")
+	}
+	return in
+})
 
 // install takes an Install message's program through the whole path; seq is
 // the message's Seq, the epoch of the measure half if the program brings one.
 // On error the previous program, and its epoch, stay in force.
 func (d *CCP) install(seq uint32, prog []byte) error {
-	in, err := prepare(d.art, d.epoch, prog, d.cfg.Verify)
+	in, err := prepare(d.art, d.epoch, prog)
 	d.n.VerifyWarnings += in.warnings
 	if in.staleRef {
 		d.n.RefRefusals++

@@ -170,7 +170,7 @@ func TestRefusedFoldNeverStored(t *testing.T) {
 func TestNonCanonicalSpellingsReachInstallErr(t *testing.T) {
 	for _, tc := range randprog.NonCanonical() {
 		datapath.ResetArtifacts()
-		f := newBareFlow(absint.ModeStrict)
+		f := newBareFlow()
 		before := f.dp.Program()
 		reason := f.deliver(tc.Data)
 		if tc.Err == "" {
@@ -328,7 +328,7 @@ const (
 func installer(tb testing.TB, alg, kind string) (*datapath.CCP, func(i int)) {
 	datapath.ResetArtifacts()
 	data := algPrograms(tb, alg)[0]
-	f := newBareFlow(absint.ModeStrict)
+	f := newBareFlow()
 	if reason := f.deliverSeq(1, data); reason != "" {
 		tb.Fatalf("%s: program refused: %s", alg, reason)
 	}

@@ -33,9 +33,9 @@ type Stats struct {
 	// programs and verifier rejections alike. Each one was answered with a
 	// proto.InstallErr and left the previous program in force.
 	InstallRejects int
-	// VerifyWarnings counts advisory verifier findings on programs that
-	// were installed anyway (warn-severity findings in any mode, plus
-	// error-severity ones under Verify=warn).
+	// VerifyWarnings counts the verifier's advisory (warn-severity) findings
+	// on every Install it checked, refused ones included: they never block an
+	// install.
 	VerifyWarnings int
 	// InstallArtifactHits counts installs whose measure half — the fold with
 	// its Init values, or the vector's fields — was already verified and

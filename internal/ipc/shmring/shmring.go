@@ -101,9 +101,10 @@ const (
 	// shorter than this anyway).
 	bellPathMax = ctrlSize - offBellPath
 
-	// DefaultRingBytes is the per-direction data size (256 KiB: deep enough
-	// that batched report traffic never stalls, small enough that a
-	// connection costs ~half a MiB of address space).
+	// DefaultRingBytes is the per-direction data size (256 KiB: a few
+	// thousand one-report frames, deep enough that a burst of reports does
+	// not stall the sender, small enough that a connection costs ~half a
+	// MiB of address space).
 	DefaultRingBytes = 1 << 18
 
 	minRingBytes = 1 << 12

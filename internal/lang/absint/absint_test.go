@@ -59,7 +59,7 @@ func TestUnguardedDivision(t *testing.T) {
 	if f.Expr != "pkt.rtt" {
 		t.Errorf("div-zero expr = %q, want pkt.rtt", f.Expr)
 	}
-	if !rep.HasErrors() || rep.Err() == nil {
+	if len(rep.Errors()) == 0 || rep.Err() == nil {
 		t.Errorf("report should carry errors")
 	}
 }
@@ -181,7 +181,7 @@ func TestNoReportSeverity(t *testing.T) {
 	if len(fs) != 1 || fs[0].Severity != absint.SevWarn {
 		t.Fatalf("EWMA without Report: want one no-report warning, got %v", rep.Findings)
 	}
-	if rep.HasErrors() {
+	if len(rep.Errors()) > 0 {
 		t.Errorf("EWMA without Report must not be install-blocking")
 	}
 }
@@ -207,7 +207,7 @@ func TestDeadUpdateAndUnreadRegister(t *testing.T) {
 	if len(unread) != 1 || unread[0].Where.Name != "b_r" {
 		t.Errorf("want unread-register for b_r, got %v", rep.Findings)
 	}
-	if rep.HasErrors() {
+	if len(rep.Errors()) > 0 {
 		t.Errorf("dead/unread are advisories, got errors: %v", rep.Errors())
 	}
 
@@ -316,21 +316,6 @@ func TestAnalyzeRejectsInvalidPrograms(t *testing.T) {
 	bad := &lang.Program{Measure: lang.MeasureSpec{Mode: lang.MeasureMode(9)}}
 	if _, err := absint.Analyze(bad, absint.Datapath()); err == nil {
 		t.Error("invalid measure mode: want error")
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	cases := map[string]absint.Mode{
-		"strict": absint.ModeStrict, "warn": absint.ModeWarn, "off": absint.ModeOff, "": absint.ModeDefault,
-	}
-	for in, want := range cases {
-		got, err := absint.ParseMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := absint.ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus): want error")
 	}
 }
 

@@ -76,16 +76,6 @@ type Report struct {
 	Findings []Finding
 }
 
-// HasErrors reports whether any finding is install-blocking.
-func (r *Report) HasErrors() bool {
-	for _, f := range r.Findings {
-		if f.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
-
 // Errors returns the install-blocking findings.
 func (r *Report) Errors() []Finding {
 	var out []Finding
@@ -119,28 +109,21 @@ const (
 )
 
 // Config parameterizes the abstract interpretation: the assumed abstract
-// values of packet fields and flow variables, and the fixpoint budget.
+// values of packet fields and flow variables.
 type Config struct {
 	// Assume maps variable names ("pkt.rtt", "cwnd") to their assumed
 	// abstract values. Unlisted variables are unconstrained (any float64
 	// including NaN). Packet fields are always treated as fresh.
 	Assume map[string]AbsVal
-	// Fixpoint budget: widening starts after WidenAfter iterations
-	// (default 4); after MaxIters (default 64) surviving unstable
-	// registers degrade to Top. Termination does not depend on MaxIters —
-	// widening guarantees it — the cap is a backstop.
-	MaxIters, WidenAfter int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxIters == 0 {
-		c.MaxIters = 64
-	}
-	if c.WidenAfter == 0 {
-		c.WidenAfter = 4
-	}
-	return c
-}
+// Fixpoint budget: widening starts after wideningDelay iterations; after
+// iterationCap surviving unstable registers degrade to Top. Termination does
+// not depend on iterationCap — widening guarantees it — the cap is a backstop.
+const (
+	wideningDelay = 4
+	iterationCap  = 64
+)
 
 // Datapath returns the profile the Install gate verifies under: physically
 // plausible measurement ranges (RTTs under an hour, byte counts within the
@@ -222,7 +205,7 @@ type Invariant struct {
 // to obtain the per-register invariant. m must be valid (lang.UnmarshalMeasure
 // or Program.Validate).
 func AnalyzeMeasure(m lang.MeasureSpec, cfg Config) *Invariant {
-	inv := &Invariant{cfg: cfg.withDefaults(), mode: m.Mode}
+	inv := &Invariant{cfg: cfg, mode: m.Mode}
 	if m.Mode == lang.MeasureFold {
 		inv.fold = m.Fold
 		inv.regNames = m.Fold.RegNames()
@@ -261,8 +244,8 @@ func AnalyzeMeasure(m lang.MeasureSpec, cfg Config) *Invariant {
 }
 
 // HasErrors reports whether the measure half alone earned an
-// install-blocking finding (every program built on it is refused in strict
-// mode, whatever its instructions).
+// install-blocking finding (every program built on it is refused, whatever
+// its instructions).
 func (inv *Invariant) HasErrors() bool {
 	for _, f := range inv.stepFindings {
 		if f.Severity == SevError {
@@ -356,7 +339,7 @@ func (a *analyzer) fixpoint(st, next []AbsVal, nregs int) {
 		for i := 0; i < nregs; i++ {
 			slot := lang.RegSlot(i)
 			j := st[slot].Join(next[slot])
-			if iter >= a.cfg.WidenAfter {
+			if iter >= wideningDelay {
 				j.I = st[slot].I.Widen(j.I)
 			}
 			if j != st[slot] {
@@ -367,7 +350,7 @@ func (a *analyzer) fixpoint(st, next []AbsVal, nregs int) {
 		if !changed {
 			return
 		}
-		if iter >= a.cfg.MaxIters {
+		if iter >= iterationCap {
 			for i := 0; i < nregs; i++ {
 				slot := lang.RegSlot(i)
 				st[slot] = AbsVal{I: Top(), NaN: true, Fresh: st[slot].Fresh}

@@ -13,8 +13,8 @@ import (
 
 // TestRegisteredAlgorithmsVerifyClean is the corpus gate: every Install-time
 // program of every bundled algorithm must verify with no install-blocking
-// findings under the datapath profile — the same check the datapath runs in
-// strict mode, so a regression here is a flow that silently keeps its
+// findings under the datapath profile — the same check the datapath runs on
+// every Install, so a regression here is a flow that silently keeps its
 // previous program in production.
 func TestRegisteredAlgorithmsVerifyClean(t *testing.T) {
 	for _, info := range algorithms.All() {
@@ -89,7 +89,7 @@ func TestRejectionTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.HasErrors() {
+			if len(rep.Errors()) == 0 {
 				t.Fatalf("program accepted; findings: %v", rep.Findings)
 			}
 			found := false

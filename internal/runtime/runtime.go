@@ -39,12 +39,13 @@ type Config struct {
 	// policy; each shard instantiates its own flow table, and Stats().Agent
 	// sums their counters).
 	Agent core.AgentConfig
-	// MailboxSize bounds each shard's queue (default 1024). A full mailbox
-	// applies backpressure: the dispatching goroutine waits for space (or
-	// shutdown), since silently losing congestion reports degrades control
-	// quality where slowing the datapath channel does not.
-	MailboxSize int
 }
+
+// mailboxSize bounds each shard's queue. A full mailbox applies
+// backpressure: the dispatching goroutine waits for space (or shutdown),
+// since silently losing congestion reports degrades control quality where
+// slowing the datapath channel does not.
+const mailboxSize = 1024
 
 // Stats counts the runtime's dispatch activity. Agent aggregates the
 // per-shard agent counters.
@@ -104,12 +105,12 @@ type Runtime struct {
 
 // New validates cfg and returns a runtime. Shard goroutines (if any) start
 // immediately.
-func New(cfg Config) (*Runtime, error) {
+func New(cfg Config) (*Runtime, error) { return newRuntime(cfg, mailboxSize) }
+
+// newRuntime is New with shard mailboxes of size messages.
+func newRuntime(cfg Config, size int) (*Runtime, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("runtime: negative shard count %d", cfg.Shards)
-	}
-	if cfg.MailboxSize <= 0 {
-		cfg.MailboxSize = 1024
 	}
 	r := &Runtime{cfg: cfg}
 	r.shards = make([]*shard, max(cfg.Shards, 1))
@@ -121,7 +122,7 @@ func New(cfg Config) (*Runtime, error) {
 		sh := &shard{agent: a}
 		r.shards[i] = sh
 		if cfg.Shards > 1 {
-			sh.mail = newMailbox(cfg.MailboxSize)
+			sh.mail = newMailbox(size)
 			r.wg.Add(1)
 			go r.run(sh)
 		}

@@ -54,11 +54,10 @@ func TestSnapshotIntoAggregatesShards(t *testing.T) {
 // here; see `make test-race-robust`.
 func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 	gate := make(chan struct{})
-	rt, err := runtime.New(runtime.Config{
-		Shards:      4,
-		Agent:       agentCfg(gate),
-		MailboxSize: 8,
-	})
+	rt, err := runtime.NewWithMailboxes(runtime.Config{
+		Shards: 4,
+		Agent:  agentCfg(gate),
+	}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,10 @@ func ploddingRuntime(t *testing.T) *Runtime {
 	t.Helper()
 	reg := core.NewRegistry()
 	reg.Register("plod", func() core.Alg { return ploddingAlg{} })
-	rt, err := New(Config{
-		Shards:      3,
-		Agent:       core.AgentConfig{Registry: reg, DefaultAlg: "plod"},
-		MailboxSize: 8,
-	})
+	rt, err := NewWithMailboxes(Config{
+		Shards: 3,
+		Agent:  core.AgentConfig{Registry: reg, DefaultAlg: "plod"},
+	}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func watchFreeLists(t *testing.T, rt *Runtime, stop <-chan struct{}, done *sync.
 // TestRaceContainersAccountedExactlyOnce drives the recycled containers
 // through every way out of a mailbox at once — handled, or refused by a Close
 // racing producers that block on full mailboxes — and checks the two things
-// ownership promises: the free lists never hold more than MailboxSize+1
+// ownership promises: the free lists never hold more than the mailbox size + 1
 // containers, and every report pushed is handled or refused exactly once
 // (none lost, none seen twice or out of order).
 func TestRaceContainersAccountedExactlyOnce(t *testing.T) {

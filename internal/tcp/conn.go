@@ -77,7 +77,7 @@ func NewConn(sim *netsim.Sim, id netsim.FlowID, out *netsim.Link, cc CongestionC
 		opts: opts,
 		out:  out,
 		cc:   cc,
-		cwnd: opts.InitCwndSegs * opts.MSS,
+		cwnd: initialWindowSegs * opts.MSS,
 	}
 }
 
@@ -198,7 +198,7 @@ func (c *Conn) trySend() {
 			c.retransmitSeg(li)
 			continue
 		}
-		if c.pipe+c.opts.MSS > c.cwnd || len(c.segs) >= c.opts.MaxInflightSegs {
+		if c.pipe+c.opts.MSS > c.cwnd || len(c.segs) >= segBufferCap {
 			return
 		}
 		if c.pacedOut() {

@@ -83,8 +83,6 @@ type CongestionControl interface {
 type Options struct {
 	// MSS is the maximum segment size in payload bytes (default 1448).
 	MSS int
-	// InitCwndSegs is the initial window in segments (default 10, IW10).
-	InitCwndSegs int
 	// ECN enables ECN-capable transport on data packets.
 	ECN bool
 	// AckEvery generates one ACK per this many data packets (default 1;
@@ -96,16 +94,18 @@ type Options struct {
 	TSOSegs int
 	// MinRTO floors the retransmission timeout (default 200ms).
 	MinRTO time.Duration
-	// MaxInflightSegs caps the sender's segment buffer (default 1<<20).
-	MaxInflightSegs int
 }
+
+// The initial window (IW10) and the cap on the sender's segment buffer, both
+// in segments.
+const (
+	initialWindowSegs = 10
+	segBufferCap      = 1 << 20
+)
 
 func (o Options) withDefaults() Options {
 	if o.MSS <= 0 {
 		o.MSS = 1448
-	}
-	if o.InitCwndSegs <= 0 {
-		o.InitCwndSegs = 10
 	}
 	if o.AckEvery <= 0 {
 		o.AckEvery = 1
@@ -115,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinRTO <= 0 {
 		o.MinRTO = 200 * time.Millisecond
-	}
-	if o.MaxInflightSegs <= 0 {
-		o.MaxInflightSegs = 1 << 20
 	}
 	return o
 }
