@@ -47,9 +47,20 @@ bench-compare:
 # is the assertion (the run checks itself: every report answered, every
 # decision accounted for, and any InstallErr — a refused reference included —
 # fails it); shared runners jitter too much to bound a latency here.
+# It also fails if the runs leave ring backing files behind: shmring keeps
+# them in /dev/shm (the temporary directory off Linux), named ccp-ring-*,
+# only until a peer opens the ring.
+ring_files = ls "$$(if [ "$$(uname -s)" = Linux ]; then echo /dev/shm; else echo "$${TMPDIR:-/tmp}"; fi)" | grep -c '^ccp-ring-' || true
 bench-smoke:
-	$(GO) run ./benchmark -workload direct50k -seconds 2
-	$(GO) run ./benchmark -workload reinstall -seconds 2
+	@before=$$($(ring_files)); \
+	echo "$(GO) run ./benchmark -workload direct50k -seconds 2" && \
+	$(GO) run ./benchmark -workload direct50k -seconds 2 && \
+	echo "$(GO) run ./benchmark -workload reinstall -seconds 2" && \
+	$(GO) run ./benchmark -workload reinstall -seconds 2 && \
+	after=$$($(ring_files)) && \
+	if [ "$$after" -gt "$$before" ]; then \
+		echo "bench-smoke: ring files in the backing directory grew from $$before to $$after"; exit 1; \
+	fi
 
 # Go micro-benchmarks of every package: the codec before/after pairs
 # (internal/proto RoundTrip*{Alloc,Reuse}), the event heap (internal/netsim

@@ -23,8 +23,8 @@ func TestAllocsShmRingRoundTrip(t *testing.T) {
 	if bufpool.DebugEnabled {
 		t.Skip("debugpool ownership tracking records stack traces on Release")
 	}
-	a, b, err := shmring.Pair(filepath.Join(t.TempDir(), "ring"),
-		shmring.Options{RingBytes: 4096}, shmring.Options{RingBytes: 4096})
+	a, b, err := shmring.PairSized(filepath.Join(t.TempDir(), "ring"), 4096,
+		shmring.Options{}, shmring.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

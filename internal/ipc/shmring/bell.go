@@ -3,7 +3,6 @@ package shmring
 import (
 	"fmt"
 	"net"
-	"os"
 	"sync/atomic"
 	"time"
 )
@@ -17,34 +16,36 @@ type doorbellConn = *net.UnixConn
 // Bell is a wakeup doorbell: a bound Unix datagram socket a consumer parks
 // on and producers ding. Datagram sockets give exactly the futex-like
 // semantics the ring needs with nothing outside the stdlib: waiting is one
-// blocking read, waking is one sendto from any process that knows the path,
-// and a burst of dings coalesces into (at least) one wakeup — a slow
-// receiver just finds the socket buffer non-empty and returns immediately.
+// blocking read, waking is one sendto from any process that knows the
+// address, and a burst of dings coalesces into (at least) one wakeup — a
+// slow receiver just finds the socket buffer non-empty and returns
+// immediately.
 //
 // A Bell may back a single endpoint or be shared by many (see Mux), but it
 // must have exactly one waiter: competing readers would steal each other's
 // wakeups.
 type Bell struct {
 	conn   *net.UnixConn
-	path   string
+	addr   string
 	closed atomic.Bool
 }
 
-// NewBell binds a doorbell socket at path.
+// NewBell binds a doorbell named by path: on Linux in the abstract socket
+// namespace, so no file is made at path; elsewhere a socket file at path.
 func NewBell(path string) (*Bell, error) {
-	addr, err := net.ResolveUnixAddr("unixgram", path)
+	addr, err := bellAddr(path)
 	if err != nil {
 		return nil, fmt.Errorf("shmring: doorbell addr: %w", err)
 	}
-	conn, err := net.ListenUnixgram("unixgram", addr)
+	conn, err := net.ListenUnixgram("unixgram", &net.UnixAddr{Name: addr, Net: "unixgram"})
 	if err != nil {
 		return nil, fmt.Errorf("shmring: doorbell bind: %w", err)
 	}
-	return &Bell{conn: conn, path: path}, nil
+	return &Bell{conn: conn, addr: addr}, nil
 }
 
-// Path returns the socket path producers ding.
-func (b *Bell) Path() string { return b.path }
+// Addr returns the socket address producers ding.
+func (b *Bell) Addr() string { return b.addr }
 
 // wait blocks until a ding arrives, d elapses, or the bell is closed.
 // Callers treat every return as spurious and re-check ring state.
@@ -72,20 +73,16 @@ func (b *Bell) drain() {
 	}
 }
 
-// Close unblocks the waiter and removes the socket file.
+// Close unblocks the waiter and frees the address.
 func (b *Bell) Close() error {
 	if b.closed.Swap(true) {
 		return nil
 	}
 	err := b.conn.Close()
-	os.Remove(b.path)
+	unbindBell(b.addr)
 	return err
 }
 
-func dialBell(path string) (doorbellConn, error) {
-	raddr, err := net.ResolveUnixAddr("unixgram", path)
-	if err != nil {
-		return nil, err
-	}
-	return net.DialUnix("unixgram", nil, raddr)
+func dialBell(addr string) (doorbellConn, error) {
+	return net.DialUnix("unixgram", nil, &net.UnixAddr{Name: addr, Net: "unixgram"})
 }

@@ -2,6 +2,7 @@ package shmring_test
 
 import (
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/ipc"
@@ -42,6 +43,36 @@ func BenchmarkShmRingRTT(b *testing.B) {
 	defer a.Close()
 	defer peer.Close()
 	benchRTT(b, a, peer)
+}
+
+// BenchmarkPairLifecycle is one ring's whole life in one process: Pair on a
+// fresh path in a temporary directory, one 64-byte frame each way, then both
+// Closes. It is the per-ring share of what a stack build pays, the set-up
+// that the round trip benchmarks above leave out.
+func BenchmarkPairLifecycle(b *testing.B) {
+	dir := b.TempDir()
+	msg := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, peer, err := shmring.Pair(filepath.Join(dir, strconv.Itoa(i)),
+			shmring.Options{}, shmring.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, hop := range [][2]ipc.Transport{{a, peer}, {peer, a}} {
+			if err := hop[0].Send(msg); err != nil {
+				b.Fatal(err)
+			}
+			f, err := ipc.RecvFrame(hop[1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			f.Release()
+		}
+		a.Close()
+		peer.Close()
+	}
 }
 
 func BenchmarkUnixRTT(b *testing.B) {

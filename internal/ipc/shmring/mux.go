@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ccp-repro/ccp/internal/ipc"
 )
@@ -19,21 +18,21 @@ import (
 // A Mux's bell must have exactly one waiter; run one serve loop (one
 // Runtime.ServeSet) per Mux. Mux implements ipc.RecvSet.
 type Mux struct {
-	bell        *Bell
-	parkTimeout time.Duration
+	bell *Bell
 
 	mu  sync.Mutex
 	eps []*Endpoint
 }
 
-// NewMux binds a shared doorbell at bellPath. Endpoints to be served by this
-// Mux must be created with Options.Bell = mux.Bell() and then Adopt-ed.
+// NewMux binds a shared doorbell named by bellPath (see NewBell). Endpoints
+// to be served by this Mux must be created with Options.Bell = mux.Bell()
+// and then Adopt-ed.
 func NewMux(bellPath string) (*Mux, error) {
 	bell, err := NewBell(bellPath)
 	if err != nil {
 		return nil, err
 	}
-	return &Mux{bell: bell, parkTimeout: 20 * time.Millisecond}, nil
+	return &Mux{bell: bell}, nil
 }
 
 // Bell returns the shared doorbell, for Options.Bell.
@@ -94,7 +93,7 @@ func (m *Mux) WaitAny() error {
 		}
 	}
 	if !ready {
-		m.bell.wait(m.parkTimeout)
+		m.bell.wait(parkTimeout)
 	} else {
 		// We are returning without a blocking read; swallow any dings
 		// producers sent while our flags were armed so the next park does

@@ -260,10 +260,10 @@ const starvedOSYields = 4
 // Parking is lost-wakeup-free: arm the parked flag, re-check for data and
 // closure, and only then block — a producer that published after our check
 // must observe parked=1 and ring the bell (see Send). The wait is bounded by
-// ParkTimeout purely as a crash backstop; spurious wakeups just loop.
+// parkTimeout purely as a crash backstop; spurious wakeups just loop.
 func (e *Endpoint) waitRecv(spins *int) (parked bool) {
 	*spins++
-	budget := e.opts.SpinYields
+	budget := e.spinYields
 	if e.spinStarved && e.parkStreak&127 != 0 {
 		if *spins <= starvedOSYields {
 			// A few OS yields before parking: on a ping-pong workload the
@@ -301,14 +301,14 @@ func (e *Endpoint) waitRecv(spins *int) (parked bool) {
 		// even though we never blocked.
 		return true
 	}
-	e.bell.wait(e.opts.ParkTimeout)
+	e.bell.wait(e.parkTimeout)
 	atomic.StoreUint32(r.parked, 0)
 	return true
 }
 
 // wakePeer rings the doorbell the peer registered in our send ring. The
 // dialed connection is cached; errors are deliberately ignored (a missing or
-// full doorbell only delays the peer until its ParkTimeout re-check).
+// full doorbell only delays the peer until its parkTimeout re-check).
 func (e *Endpoint) wakePeer() {
 	r := &e.sendR
 	e.peerMu.Lock()

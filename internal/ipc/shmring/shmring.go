@@ -20,6 +20,12 @@
 // consumer) — so the hot path never false-shares, plus the consumer's park
 // flag and registered doorbell address.
 //
+// The ring file lives in memory: Create makes it in /dev/shm (tmpfs; the
+// system temporary directory off Linux) and places a symlink to it at the
+// path it is given, which is only the rendezvous name. Open maps the file
+// through that name and then removes the file's own name, so a ring that
+// both sides have closed and unmapped leaves nothing behind but the symlink.
+//
 // # Framing
 //
 // Messages are length-prefixed: a 4-byte little-endian size, then the
@@ -46,12 +52,13 @@
 // Receivers spin briefly (yielding the scheduler, and periodically the OS,
 // so a single-CPU host can run the peer), then park: set the ring's park
 // flag, re-check emptiness, and block on a datagram-socket doorbell with a
-// bounded timeout. A producer that observes the park flag after publishing
-// clears it with a CAS and sends one datagram to the consumer's registered
-// doorbell — so a saturated ring costs zero syscalls and an idle one costs
-// one wakeup per park. Producers facing a full ring never use the doorbell;
-// they yield and then sleep in bounded steps (backpressure is already the
-// slow path). Close always wakes both sides: the closer raises its shared
+// bounded timeout. On Linux doorbells are bound in the abstract socket
+// namespace, so they make no file and a crashed process leaves none. A
+// producer that observes the park flag after publishing clears it with a
+// CAS and sends one datagram to the consumer's registered doorbell — so a
+// saturated ring costs zero syscalls and an idle one costs one wakeup per
+// park. Producers facing a full ring never use the doorbell; they yield and
+// then sleep in bounded steps (backpressure is already the slow path). Close always wakes both sides: the closer raises its shared
 // closed flag, rings the peer's doorbell, and closes its own.
 package shmring
 
@@ -96,52 +103,41 @@ const (
 	offBellLen  = 136 // doorbell path length; nonzero publishes the path
 	offBellPath = 140
 
-	// bellPathMax bounds a registered doorbell socket path (the control
-	// block reserves ctrlSize-offBellPath bytes; Unix socket paths are
-	// shorter than this anyway).
+	// bellPathMax bounds a registered doorbell address (the control block
+	// reserves ctrlSize-offBellPath bytes; Unix socket addresses are shorter
+	// than this anyway).
 	bellPathMax = ctrlSize - offBellPath
 
-	// DefaultRingBytes is the per-direction data size (256 KiB: a few
-	// thousand one-report frames, deep enough that a burst of reports does
-	// not stall the sender, small enough that a connection costs ~half a
-	// MiB of address space).
-	DefaultRingBytes = 1 << 18
+	// ringBytes is the per-direction data size (256 KiB: a few thousand
+	// one-report frames, deep enough that a burst of reports does not stall
+	// the sender, small enough that a connection costs ~half a MiB of
+	// memory).
+	ringBytes = 1 << 18
 
 	minRingBytes = 1 << 12
 	maxRingBytes = 1 << 30
+
+	// spinYields is how many scheduler yields a receiver burns before
+	// parking on the doorbell. Every fourth yield is an OS yield so a busy
+	// single-CPU host still lets the peer process run.
+	spinYields = 192
+	// parkTimeout bounds one doorbell wait. It is a liveness backstop — a
+	// parked receiver whose peer dies without closing re-checks the shared
+	// flags this often — not a correctness mechanism.
+	parkTimeout = 20 * time.Millisecond
+
+	// ringPattern names ring backing files in ringDir (os.CreateTemp
+	// replaces the "*").
+	ringPattern = "ccp-ring-*"
 )
 
 // Options configures an endpoint.
 type Options struct {
-	// RingBytes is the data size per direction (power of two, default
-	// DefaultRingBytes). Only Create uses it; Open adopts the file's size.
-	RingBytes int
-	// SpinYields is how many scheduler yields a receiver burns before
-	// parking on the doorbell (default 192). Every fourth yield is an OS
-	// yield so a busy single-CPU host still lets the peer process run.
-	SpinYields int
-	// ParkTimeout bounds one doorbell wait (default 20ms). It is a liveness
-	// backstop — a parked receiver whose peer dies without closing re-checks
-	// the shared flags this often — not a correctness mechanism.
-	ParkTimeout time.Duration
 	// Bell, when non-nil, is a shared doorbell (a Mux's): the endpoint
 	// registers it instead of creating a private one, so one serve loop can
 	// park for many connections. The endpoint does not close a shared bell.
-	// A private bell is the socket "<ring path>.a.bell" or ".b.bell" by role.
+	// A private bell is NewBell("<ring path>.a.bell") or ".b.bell" by role.
 	Bell *Bell
-}
-
-func (o Options) withDefaults() Options {
-	if o.RingBytes == 0 {
-		o.RingBytes = DefaultRingBytes
-	}
-	if o.SpinYields == 0 {
-		o.SpinYields = 192
-	}
-	if o.ParkTimeout == 0 {
-		o.ParkTimeout = 20 * time.Millisecond
-	}
-	return o
 }
 
 // ring is one direction's view of the shared mapping.
@@ -187,9 +183,13 @@ func (r *ring) read(at uint64, p []byte) {
 // advances the consumer cursor and lets the producer reuse the region. At
 // most one received frame may be outstanding per endpoint.
 type Endpoint struct {
-	mem  []byte
+	mem  *mapping
 	path string
 	role byte // 'a' (creator) or 'b' (opener)
+	// backing is the creator's name for the ring's backing file in ringDir,
+	// removed by Close if no peer ever opened the ring (the opener removes
+	// it otherwise). Empty on the opener.
+	backing string
 
 	sendR ring // we produce
 	recvR ring // we consume
@@ -198,9 +198,12 @@ type Endpoint struct {
 	peerClosed  *uint32
 	peerPid     *uint32 // peer's pid slot in the header (0 until it attaches)
 
-	opts    Options
-	bell    *Bell
-	ownBell bool
+	// spinYields and parkTimeout are the package constants; only tests
+	// (export_test.go) change them.
+	spinYields  int
+	parkTimeout time.Duration
+	bell        *Bell
+	ownBell     bool
 
 	// peerMu guards the cached dial to the peer's doorbell.
 	peerMu   sync.Mutex
@@ -239,43 +242,59 @@ type Endpoint struct {
 	corrupt atomic.Pointer[error]
 }
 
-// Create creates the ring file at path (which must not exist) and returns
-// endpoint A. The file is fully initialized before Create returns, so a
-// peer may Open it at any later moment.
-func Create(path string, o Options) (*Endpoint, error) {
-	o = o.withDefaults()
-	if err := checkRingBytes(o.RingBytes); err != nil {
+// Create creates a ring, names it path (which must not exist) and returns
+// endpoint A. The ring's memory is a file in ringDir (tmpfs on Linux) and
+// path is a symlink to it; the ring is fully initialized before Create
+// returns, so a peer may Open path at any later moment. A failed Create
+// leaves nothing at path or in ringDir.
+func Create(path string, o Options) (*Endpoint, error) { return create(path, ringBytes, o) }
+
+func create(path string, size int, o Options) (*Endpoint, error) {
+	if err := checkRingBytes(size); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+	f, err := os.CreateTemp(ringDir, ringPattern)
 	if err != nil {
 		return nil, fmt.Errorf("shmring: create: %w", err)
 	}
-	total := fileSize(o.RingBytes)
-	if err := f.Truncate(int64(total)); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("shmring: size ring file: %w", err)
+	backing := f.Name()
+	total := fileSize(size)
+	err = f.Truncate(int64(total))
+	var mem []byte
+	if err == nil {
+		mem, err = syscall.Mmap(int(f.Fd()), 0, total, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	}
-	mem, err := syscall.Mmap(int(f.Fd()), 0, total, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	f.Close()
 	if err != nil {
-		os.Remove(path)
-		return nil, fmt.Errorf("shmring: mmap: %w", err)
+		os.Remove(backing)
+		return nil, fmt.Errorf("shmring: map ring file: %w", err)
 	}
 	binary.LittleEndian.PutUint32(mem[offVersion:], version)
-	binary.LittleEndian.PutUint32(mem[offRing:], uint32(o.RingBytes))
+	binary.LittleEndian.PutUint32(mem[offRing:], uint32(size))
 	// Publish the header: Open validates the magic before trusting anything
 	// else, so store it last, atomically.
 	atomic.StoreUint64(u64at(mem, offMagic), magic)
-	return newEndpoint(mem, path, 'a', o)
+	if err := os.Symlink(backing, path); err != nil {
+		syscall.Munmap(mem)
+		os.Remove(backing)
+		return nil, fmt.Errorf("shmring: create: %w", err)
+	}
+	e, err := newEndpoint(mem, path, 'a', size, o)
+	if err != nil {
+		os.Remove(path)
+		os.Remove(backing)
+		return nil, err
+	}
+	e.backing = backing
+	return e, nil
 }
 
-// Open maps an existing ring file and returns endpoint B. It fails (rather
-// than blocking) when the file is absent or not yet initialized; dialers
-// retry, exactly as they would a socket that is not listening yet.
+// Open maps the ring named path and returns endpoint B. It fails (rather
+// than blocking) when the ring is absent or not yet initialized; dialers
+// retry, exactly as they would a socket that is not listening yet. Once the
+// ring is mapped, Open removes its backing file's name: nothing needs it
+// after the rendezvous, since recovery never re-attaches to an old mapping.
 func Open(path string, o Options) (*Endpoint, error) {
-	o = o.withDefaults()
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("shmring: open: %w", err)
@@ -293,12 +312,12 @@ func Open(path string, o Options) (*Endpoint, error) {
 		f.Close()
 		return nil, fmt.Errorf("shmring: %s: version %d, want %d", path, v, version)
 	}
-	ringBytes := int(binary.LittleEndian.Uint32(hdr[offRing:]))
-	if err := checkRingBytes(ringBytes); err != nil {
+	size := int(binary.LittleEndian.Uint32(hdr[offRing:]))
+	if err := checkRingBytes(size); err != nil {
 		f.Close()
 		return nil, err
 	}
-	total := fileSize(ringBytes)
+	total := fileSize(size)
 	if st, err := f.Stat(); err != nil || st.Size() < int64(total) {
 		f.Close()
 		return nil, fmt.Errorf("shmring: %s: truncated ring file", path)
@@ -308,16 +327,22 @@ func Open(path string, o Options) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shmring: mmap: %w", err)
 	}
-	o.RingBytes = ringBytes
-	return newEndpoint(mem, path, 'b', o)
+	if backing, err := os.Readlink(path); err == nil {
+		os.Remove(backing)
+	}
+	return newEndpoint(mem, path, 'b', size, o)
 }
 
-// Pair creates the ring file at path and opens both endpoints in-process:
+// Pair creates the ring named path and opens both endpoints in-process:
 // the A side with aOpts, the B side with bOpts. It exists for tests,
 // benchmarks, and single-process deployments (./benchmark) — the shared
 // memory is real either way.
 func Pair(path string, aOpts, bOpts Options) (a, b *Endpoint, err error) {
-	a, err = Create(path, aOpts)
+	return pair(path, ringBytes, aOpts, bOpts)
+}
+
+func pair(path string, size int, aOpts, bOpts Options) (a, b *Endpoint, err error) {
+	a, err = create(path, size, aOpts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -329,11 +354,12 @@ func Pair(path string, aOpts, bOpts Options) (a, b *Endpoint, err error) {
 	return a, b, nil
 }
 
-func newEndpoint(mem []byte, path string, role byte, o Options) (*Endpoint, error) {
-	ringBytes := o.RingBytes
-	r0 := ringAt(mem, fileHdrSize, ringBytes)
-	r1 := ringAt(mem, fileHdrSize+ctrlSize+ringBytes, ringBytes)
-	e := &Endpoint{mem: mem, path: path, role: role, opts: o}
+// newEndpoint takes over mem, a mapping of fileSize(size) bytes, and unmaps
+// it if it fails.
+func newEndpoint(mem []byte, path string, role byte, size int, o Options) (*Endpoint, error) {
+	r0 := ringAt(mem, fileHdrSize, size)
+	r1 := ringAt(mem, fileHdrSize+ctrlSize+size, size)
+	e := &Endpoint{mem: &mapping{mem}, path: path, role: role, spinYields: spinYields, parkTimeout: parkTimeout}
 	if role == 'a' {
 		e.sendR, e.recvR = r0, r1
 		e.localClosed = u32at(mem, offClosedA)
@@ -367,17 +393,22 @@ func newEndpoint(mem []byte, path string, role byte, o Options) (*Endpoint, erro
 	}
 	// The mapping is reclaimed when the endpoint becomes unreachable — not
 	// in Close, which would race operations (and views) still in flight.
-	runtime.SetFinalizer(e, func(e *Endpoint) { syscall.Munmap(e.mem) })
+	runtime.SetFinalizer(e.mem, func(m *mapping) { syscall.Munmap(m.b) })
 	return e, nil
 }
 
-// register publishes our doorbell path in the ring we consume, so the
-// producer on the far side knows whom to wake. The path bytes go first,
+// mapping owns an endpoint's shared memory, and its finalizer unmaps it. It
+// is an object of its own because an Endpoint reaches itself through its
+// view's release hook, and the runtime never finalizes an object in a cycle.
+type mapping struct{ b []byte }
+
+// register publishes our doorbell address in the ring we consume, so the
+// producer on the far side knows whom to wake. The address bytes go first,
 // the length last with an atomic store: a nonzero length is the publish.
 func (e *Endpoint) register() error {
-	p := e.bell.Path()
+	p := e.bell.Addr()
 	if len(p) > bellPathMax {
-		return fmt.Errorf("shmring: doorbell path %q longer than %d bytes", p, bellPathMax)
+		return fmt.Errorf("shmring: doorbell address %q longer than %d bytes", p, bellPathMax)
 	}
 	copy(e.recvR.bellPath, p)
 	atomic.StoreUint32(e.recvR.bellLen, uint32(len(p)))
@@ -386,12 +417,16 @@ func (e *Endpoint) register() error {
 
 // Close marks this side closed, wakes a parked peer and any parked local
 // receiver, and releases the private doorbell. The shared mapping itself is
-// reclaimed when the endpoint is garbage collected (see newEndpoint); the
-// ring file stays on disk for the creator's directory cleanup.
+// reclaimed when the endpoint is garbage collected (see newEndpoint). A
+// creator whose ring no peer opened removes the backing file; the symlink
+// at the ring's path stays for the creator's directory cleanup.
 func (e *Endpoint) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
 		atomic.StoreUint32(e.localClosed, 1)
+		if e.backing != "" && atomic.LoadUint32(e.peerPid) == 0 {
+			os.Remove(e.backing)
+		}
 		// A peer parked on our send ring must wake to observe the flag.
 		if atomic.CompareAndSwapUint32(e.sendR.parked, 1, 0) {
 			e.wakePeer()
@@ -423,20 +458,20 @@ func checkRingBytes(n int) error {
 	return nil
 }
 
-func fileSize(ringBytes int) int {
-	return fileHdrSize + 2*(ctrlSize+ringBytes)
+func fileSize(size int) int {
+	return fileHdrSize + 2*(ctrlSize+size)
 }
 
-func ringAt(mem []byte, ctrl, ringBytes int) ring {
+func ringAt(mem []byte, ctrl, size int) ring {
 	return ring{
 		head:     u64at(mem, ctrl+offHead),
 		tail:     u64at(mem, ctrl+offTail),
 		parked:   u32at(mem, ctrl+offParked),
 		bellLen:  u32at(mem, ctrl+offBellLen),
 		bellPath: mem[ctrl+offBellPath : ctrl+ctrlSize],
-		data:     mem[ctrl+ctrlSize : ctrl+ctrlSize+ringBytes],
-		size:     uint64(ringBytes),
-		mask:     uint64(ringBytes) - 1,
+		data:     mem[ctrl+ctrlSize : ctrl+ctrlSize+size],
+		size:     uint64(size),
+		mask:     uint64(size) - 1,
 	}
 }
 

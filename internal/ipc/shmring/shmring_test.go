@@ -3,10 +3,15 @@ package shmring
 import (
 	"bytes"
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,9 +26,10 @@ var (
 	_ ipc.RecvSet     = (*Mux)(nil)
 )
 
-func testPair(t *testing.T, o Options) (*Endpoint, *Endpoint) {
+// testPair returns both ends of a ring of size data bytes per direction.
+func testPair(t *testing.T, size int) (*Endpoint, *Endpoint) {
 	t.Helper()
-	a, b, err := Pair(filepath.Join(t.TempDir(), "ring"), o, o)
+	a, b, err := PairSized(filepath.Join(t.TempDir(), "ring"), size, Options{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +38,7 @@ func testPair(t *testing.T, o Options) (*Endpoint, *Endpoint) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	a, b := testPair(t, Options{})
+	a, b := testPair(t, ringBytes)
 	for _, size := range []int{1, 2, 3, 64, 1024, 65536} {
 		msg := make([]byte, size)
 		for i := range msg {
@@ -63,7 +69,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestBoundariesPreserved(t *testing.T) {
-	a, b := testPair(t, Options{})
+	a, b := testPair(t, ringBytes)
 	sizes := []int{5, 1, 300, 7, 64}
 	for i, n := range sizes {
 		msg := bytes.Repeat([]byte{byte(i + 1)}, n)
@@ -90,7 +96,7 @@ func TestBoundariesPreserved(t *testing.T) {
 // byte offset of the ring hosts a record start in the first walk.
 func TestWrapAroundEveryOffset(t *testing.T) {
 	for _, payload := range []int{3, 1001} { // records of 7 and 1005 bytes; gcd with 4096 is 1
-		a, b := testPair(t, Options{RingBytes: 4096})
+		a, b := testPair(t, 4096)
 		msg := make([]byte, payload)
 		iters := 2 * 4096 / (4 + payload) * (4 + payload) // at least two full ring trips
 		if payload == 3 {
@@ -122,7 +128,7 @@ func TestWrapAroundEveryOffset(t *testing.T) {
 // (rather than dropping or erroring) until the consumer frees space, and
 // that every message survives in order.
 func TestFullRingBackpressure(t *testing.T) {
-	a, b := testPair(t, Options{RingBytes: 4096})
+	a, b := testPair(t, 4096)
 	const total = 200
 	var sent atomic.Int32
 	errc := make(chan error, 1)
@@ -159,7 +165,7 @@ func TestFullRingBackpressure(t *testing.T) {
 // TestCloseWhileParkedLocal closes an endpoint whose receiver is parked on
 // its own doorbell; the receiver must wake promptly with ErrClosed.
 func TestCloseWhileParkedLocal(t *testing.T) {
-	a, _ := testPair(t, Options{})
+	a, _ := testPair(t, ringBytes)
 	done := make(chan error, 1)
 	go func() {
 		_, err := a.RecvFrame()
@@ -185,7 +191,8 @@ func TestCloseWhileParkedLocal(t *testing.T) {
 // ring the parked receiver's doorbell so it observes the shared closed flag
 // without waiting out the park timeout.
 func TestCloseWhileParkedPeer(t *testing.T) {
-	a, b := testPair(t, Options{ParkTimeout: 10 * time.Second})
+	a, b := testPair(t, ringBytes)
+	a.SetWait(spinYields, 10*time.Second)
 	done := make(chan error, 1)
 	go func() {
 		_, err := a.RecvFrame()
@@ -204,7 +211,7 @@ func TestCloseWhileParkedPeer(t *testing.T) {
 }
 
 func TestDrainAfterPeerClose(t *testing.T) {
-	a, b := testPair(t, Options{})
+	a, b := testPair(t, ringBytes)
 	for i := 0; i < 3; i++ {
 		if err := a.Send([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -233,7 +240,7 @@ func TestDrainAfterPeerClose(t *testing.T) {
 // fails the connection instead of handing out a frame.
 func TestTornSizeHeader(t *testing.T) {
 	t.Run("short header", func(t *testing.T) {
-		a, b := testPair(t, Options{})
+		a, b := testPair(t, ringBytes)
 		// Publish 2 bytes: less than a size header.
 		atomic.StoreUint64(a.sendR.head, 2)
 		_, err := b.TryRecvFrame()
@@ -249,7 +256,7 @@ func TestTornSizeHeader(t *testing.T) {
 		}
 	})
 	t.Run("absurd length", func(t *testing.T) {
-		a, b := testPair(t, Options{})
+		a, b := testPair(t, ringBytes)
 		hdr := []byte{0xff, 0xff, 0xff, 0x7f} // ~2 GiB record
 		a.sendR.write(0, hdr)
 		atomic.StoreUint64(a.sendR.head, 8)
@@ -258,7 +265,7 @@ func TestTornSizeHeader(t *testing.T) {
 		}
 	})
 	t.Run("length past head", func(t *testing.T) {
-		a, b := testPair(t, Options{})
+		a, b := testPair(t, ringBytes)
 		hdr := []byte{100, 0, 0, 0} // claims 100 bytes; only 6 published
 		a.sendR.write(0, hdr)
 		atomic.StoreUint64(a.sendR.head, 10)
@@ -272,7 +279,7 @@ func TestTornSizeHeader(t *testing.T) {
 // hands out one frame at a time, and the next receive fails until Release
 // advances the cursor.
 func TestSingleOutstandingFrame(t *testing.T) {
-	a, b := testPair(t, Options{})
+	a, b := testPair(t, ringBytes)
 	a.Send([]byte("one"))
 	a.Send([]byte("two"))
 	f1, err := b.RecvFrame()
@@ -300,7 +307,7 @@ func TestSingleOutstandingFrame(t *testing.T) {
 // sized for one record accepts the next Send only after the view is
 // released.
 func TestReleaseFreesSpace(t *testing.T) {
-	a, b := testPair(t, Options{RingBytes: 4096})
+	a, b := testPair(t, 4096)
 	big := make([]byte, 3000)
 	if err := a.Send(big); err != nil {
 		t.Fatal(err)
@@ -333,7 +340,7 @@ func TestReleaseFreesSpace(t *testing.T) {
 }
 
 func TestOversizedFrameRejected(t *testing.T) {
-	a, _ := testPair(t, Options{RingBytes: 4096})
+	a, _ := testPair(t, 4096)
 	if err := a.Send(make([]byte, ipc.MaxFrame+1)); err == nil {
 		t.Fatal("frame above ipc.MaxFrame accepted")
 	}
@@ -346,7 +353,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 
 func TestCreateOpenValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Create(filepath.Join(dir, "r1"), Options{RingBytes: 1000}); err == nil {
+	if _, _, err := PairSized(filepath.Join(dir, "r1"), 1000, Options{}, Options{}); err == nil {
 		t.Fatal("non-power-of-two ring size accepted")
 	}
 	if _, err := Open(filepath.Join(dir, "absent"), Options{}); err == nil {
@@ -371,11 +378,204 @@ func TestCreateOpenValidation(t *testing.T) {
 	}
 }
 
+// ringFiles lists the ring backing files in ringDir.
+func ringFiles(t *testing.T) map[string]bool {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(ringDir, ringPattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
+	}
+	return set
+}
+
+// checkNoNewRingFiles fails if ringDir holds a ring file that was not in
+// before. Rings other test binaries create meanwhile live there only until
+// their peer opens them, so a new name is given a second to go.
+func checkNoNewRingFiles(t *testing.T, before map[string]bool) {
+	t.Helper()
+	var added []string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		added = added[:0]
+		for n := range ringFiles(t) {
+			if !before[n] {
+				added = append(added, n)
+			}
+		}
+		if len(added) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if len(added) != 0 {
+		t.Fatalf("ring files left in %s: %v", ringDir, added)
+	}
+}
+
+// TestFailedCreateLeavesNothing is the regression test for a Create that
+// failed after making its ring file, which then refused every retry at the
+// same path with "file exists". A 101-byte path makes the private doorbell's
+// address one byte too long to bind, after the symlink is in place; a path
+// that exists fails the symlink itself.
+func TestFailedCreateLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	if len(dir) > 99 {
+		t.Skipf("temporary directory %s too long for a 101-byte path", dir)
+	}
+	path := filepath.Join(dir, strings.Repeat("r", 100-len(dir)))
+	before := ringFiles(t)
+	if _, err := Create(path, Options{}); err == nil {
+		t.Fatal("Create succeeded with a doorbell address too long to bind")
+	}
+	if _, err := os.Lstat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed Create left something at its path: %v", err)
+	}
+	checkNoNewRingFiles(t, before)
+
+	taken := filepath.Join(dir, "taken")
+	if err := os.WriteFile(taken, []byte("not a ring"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(taken, Options{}); !errors.Is(err, os.ErrExist) {
+		t.Fatalf("Create over an existing file returned %v, want a file-exists error", err)
+	}
+	if got, err := os.ReadFile(taken); err != nil || string(got) != "not a ring" {
+		t.Fatalf("Create disturbed the file at its path: %q, %v", got, err)
+	}
+	checkNoNewRingFiles(t, before)
+}
+
+// TestRingMemoryIsNotOnDisk pins where a ring's memory lives: on Linux the
+// path Create is given is a symlink into tmpfs, and the backing file's name
+// is gone once the ring is opened — or, for a ring no peer opened, once its
+// creator closes it.
+func TestRingMemoryIsNotOnDisk(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("ring memory is tmpfs only on Linux")
+	}
+	const tmpfsMagic = 0x01021994
+	path := filepath.Join(t.TempDir(), "ring")
+	a, err := Create(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing, err := os.Readlink(path)
+	if err != nil {
+		t.Fatalf("ring path is not a symlink: %v", err)
+	}
+	var fs syscall.Statfs_t
+	if err := syscall.Statfs(backing, &fs); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Type != tmpfsMagic {
+		t.Fatalf("ring file %s is on filesystem type %#x, want tmpfs", backing, fs.Type)
+	}
+	b, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	b.Close()
+	if _, err := os.Lstat(backing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("ring file %s outlived the rendezvous: %v", backing, err)
+	}
+
+	lone := filepath.Join(t.TempDir(), "lone")
+	c, err := Create(lone, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backing, err = os.Readlink(lone); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if _, err := os.Lstat(backing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("ring file %s of a ring no peer opened outlived its creator's Close: %v", backing, err)
+	}
+}
+
+// TestClosedRingsAreUnmapped is the regression test for a finalizer that
+// never ran: closed, unreachable endpoints must give their mappings back,
+// or every ring a long-lived process builds holds its memory until exit.
+func TestClosedRingsAreUnmapped(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/maps")
+	}
+	mapped := func() int {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(maps), "/ccp-ring-")
+	}
+	before := mapped()
+	dir := t.TempDir()
+	var eps []*Endpoint
+	for i := 0; i < 50; i++ {
+		a, b, err := Pair(filepath.Join(dir, "ring"+strconv.Itoa(i)), Options{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		b.Close()
+		eps = append(eps, a, b)
+	}
+	if n := mapped(); n < len(eps) {
+		t.Fatalf("%d ring mappings while %d endpoints are reachable", n, len(eps))
+	}
+	runtime.KeepAlive(eps)
+	for deadline := time.Now().Add(5 * time.Second); mapped() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d ring mappings left after closing 50 rings, want at most %d", mapped(), before)
+		}
+		runtime.GC()
+	}
+}
+
+// TestBellNameFreedOnClose checks a doorbell's name is free the moment its
+// bell closes, and that a file left at the path — here the socket file of a
+// bound socket closed without unlinking, as a crashed process leaves one —
+// does not refuse the next bind (on Linux, where bells make no file).
+func TestBellNameFreedOnClose(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.bell")
+	first, err := NewBell(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	second, err := NewBell(path)
+	if err != nil {
+		t.Fatalf("bind after the previous bell closed: %v", err)
+	}
+	second.Close()
+
+	if runtime.GOOS != "linux" {
+		return
+	}
+	stale := filepath.Join(dir, "stale.bell")
+	conn, err := net.ListenUnixgram("unixgram", &net.UnixAddr{Name: stale, Net: "unixgram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if _, err := os.Lstat(stale); err != nil {
+		t.Fatalf("closed socket left no file to test against: %v", err)
+	}
+	b, err := NewBell(stale)
+	if err != nil {
+		t.Fatalf("bind on a path holding a stale socket file: %v", err)
+	}
+	b.Close()
+}
+
 // TestEchoMeasureRTT runs the Figure 2 measurement machinery end to end over
 // the ring: the generic Echo server and MeasureRTT client exercise exactly
 // the Transport+FrameRecver surface the experiment uses.
 func TestEchoMeasureRTT(t *testing.T) {
-	a, b := testPair(t, Options{})
+	a, b := testPair(t, ringBytes)
 	go ipc.Echo(b)
 	s, err := ipc.MeasureRTT(a, 32, 4, 64)
 	if err != nil {
@@ -392,7 +592,9 @@ func TestEchoMeasureRTT(t *testing.T) {
 // doorbell, and the view hand-off.
 func TestStressProducerConsumer(t *testing.T) {
 	const total = 20000
-	a, b := testPair(t, Options{RingBytes: 1 << 14, SpinYields: 16})
+	a, b := testPair(t, 1<<14)
+	a.SetWait(16, parkTimeout)
+	b.SetWait(16, parkTimeout)
 	run := func(src, dst *Endpoint, dir string, wg *sync.WaitGroup) {
 		defer wg.Done()
 		var inner sync.WaitGroup
