@@ -69,15 +69,16 @@ bench-micro:
 	$(GO) test -bench=. -benchmem ./...
 
 # Compares the current codec, event-queue, ring, fold, program-codec
-# (BenchmarkProgramCodec: marshal, unmarshal, prefix scan), agent-dispatch and
-# Install (warm, by-ref, cold, moved-init) benchmarks against the committed
+# (BenchmarkProgramCodec: marshal, unmarshal, prefix scan), agent-dispatch,
+# Install (warm, by-ref, cold, moved-init) and shipped-loop (a report and its
+# decision through SocketLink and Runtime.Serve) benchmarks against the committed
 # bench/baseline.txt. Requires the benchstat tool; skipped with a hint when
 # it is not installed (no network access is assumed here).
 benchstat:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		$(GO) test -run='^$$' -bench=. -benchmem -count=5 \
 			./internal/proto ./internal/netsim ./internal/ipc/shmring ./internal/lang \
-			./internal/datapath > bench/current.txt && \
+			./internal/datapath ./internal/harness > bench/current.txt && \
 		$(GO) test -run='^$$' -bench='AgentDispatch|RuntimeShardedDispatch' -benchmem -count=5 \
 			. >> bench/current.txt && \
 		benchstat bench/baseline.txt bench/current.txt; \
@@ -171,18 +172,26 @@ test-debugpool:
 # program-verifier corpus, and a short fuzz pass over the wire-protocol
 # decoders (the surface exposed to a faulty or corrupting channel). CI runs
 # this and no other test job (with FUZZTIME=15s).
+# Like bench-smoke, it fails if the tests leave ring backing files behind
+# (the agent tests create rings for every datapath they connect).
 # Budget: 6 minutes. Measured on two cores: 5m10s, of which the race short
 # suite is about 3 minutes (internal/experiments alone 2m14s under -race),
 # fuzz-smoke 85 s, test-race-robust 15 s when its packages are already built
 # (25 s inside this run), everything else under 30 s together.
 check: vet lint
-	$(GO) test -race -short ./...
-	$(MAKE) test-race-robust
-	$(MAKE) test-allocs
-	$(MAKE) test-debugpool
-	$(MAKE) test-ha
-	$(MAKE) verify-programs
-	$(MAKE) fuzz-smoke
+	@before=$$($(ring_files)); \
+	echo "$(GO) test -race -short ./..." && \
+	$(GO) test -race -short ./... && \
+	$(MAKE) test-race-robust && \
+	$(MAKE) test-allocs && \
+	$(MAKE) test-debugpool && \
+	$(MAKE) test-ha && \
+	$(MAKE) verify-programs && \
+	$(MAKE) fuzz-smoke && \
+	after=$$($(ring_files)) && \
+	if [ "$$after" -gt "$$before" ]; then \
+		echo "check: ring files in the backing directory grew from $$before to $$after"; exit 1; \
+	fi
 
 # 10-second smoke of each fuzz target (wire decoders, the decoder's copies
 # against its scratch, program decoder halves,

@@ -8,14 +8,14 @@
 //	ccp-agent -list-algs
 //	ccp-agent -listen /tmp/ccp.sock -max-rate-mbps 100   # per-flow policy
 //
-// The process is one internal/runtime.Runtime serving the socket — the same
-// executor, serve loop and shard hop the end-to-end benchmark (./benchmark)
-// measures. There is no flag for the shard count: it is GOMAXPROCS, so the
-// agent uses the cores the process is given and nothing else has to agree
-// with it. With GOMAXPROCS=1 that is the inline mode, a single agent called
-// synchronously from each connection's serve loop; with more, flows are
-// partitioned over that many agents by SID and the connections' loops only
-// decode and enqueue.
+// The process is one internal/runtime.Runtime handing each datapath that
+// connects a shared-memory ring, all served by one loop — the executor, rings,
+// serve loop and shard hop the end-to-end benchmark (./benchmark) measures.
+// There is no flag for the shard count: it is GOMAXPROCS, so the agent uses
+// the cores the process is given and nothing else has to agree with it. With
+// GOMAXPROCS=1 that is the inline mode, a single agent called synchronously
+// from the serve loop; with more, flows are partitioned over that many agents
+// by SID and the serve loop only decodes and enqueues.
 //
 // High availability (see DESIGN.md §10): a primary replicates per-flow
 // snapshots to a warm standby, which promotes itself into a live agent when
@@ -24,8 +24,8 @@
 //	ccp-agent -listen /tmp/ccp-standby.sock -standby
 //	ccp-agent -listen /tmp/ccp.sock -replicate /tmp/ccp-standby.sock
 //
-// SIGINT or SIGTERM shuts down in order: stop accepting, let every connection
-// finish the frame it is reading, answer what has been dispatched, then exit.
+// SIGINT or SIGTERM shuts down in order: stop accepting, let the serve loop
+// finish its sweep, answer what has been dispatched, then exit.
 package main
 
 import (
@@ -118,7 +118,9 @@ func run(ctx context.Context, cfg config) error {
 	}
 	defer rt.Close() // last: after everything below has stopped feeding it
 
-	os.Remove(cfg.listen)
+	if err := claim(cfg.listen); err != nil {
+		return err
+	}
 	ln, err := ipc.ListenUnix(cfg.listen)
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", cfg.listen, err)
@@ -152,6 +154,24 @@ func run(ctx context.Context, cfg config) error {
 		cfg.serving(rt)
 	}
 	return rt.Serve(ln)
+}
+
+// claim frees path for the listener. It refuses what is not a socket, and a
+// socket a live agent answers on; a socket nobody answers on is removed.
+func claim(path string) error {
+	switch st, err := os.Lstat(path); {
+	case os.IsNotExist(err):
+		return nil
+	case err != nil:
+		return err
+	case st.Mode()&os.ModeSocket == 0:
+		return fmt.Errorf("listen %s: exists and is not a socket", path)
+	}
+	if conn, err := net.Dial("unix", path); err == nil {
+		conn.Close()
+		return fmt.Errorf("listen %s: an agent is already serving it", path)
+	}
+	return os.Remove(path)
 }
 
 // standBy holds the process in warm-standby mode: replication streams from

@@ -3,15 +3,17 @@ package main
 import (
 	"context"
 	"fmt"
+	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	stdruntime "runtime"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/harness"
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -37,7 +39,7 @@ func start(cfg config) *proc {
 }
 
 // kill stops the process and waits for run to return, which it must do
-// cleanly and with its socket removed.
+// cleanly, leaving nothing beside the socket's path.
 func (p *proc) kill(t *testing.T, sock string) {
 	t.Helper()
 	p.stop()
@@ -49,14 +51,34 @@ func (p *proc) kill(t *testing.T, sock string) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after a stop")
 	}
-	if _, err := os.Stat(sock); !os.IsNotExist(err) {
-		t.Fatalf("socket %s left behind (stat: %v)", sock, err)
+	assertNothingBeside(t, sock)
+}
+
+// assertNothingBeside fails unless the socket at sock, and every ring name
+// beside it, is gone.
+func assertNothingBeside(t *testing.T, sock string) {
+	t.Helper()
+	if left, _ := filepath.Glob(sock + "*"); len(left) != 0 {
+		t.Fatalf("left behind at the socket's path: %v", left)
+	}
+}
+
+// dialer is a SocketLink's Dial for the first of paths that answers.
+func dialer(paths ...string) func() (net.Conn, error) {
+	return func() (conn net.Conn, err error) {
+		for _, p := range paths {
+			if conn, err = net.Dial("unix", p); err == nil {
+				return conn, nil
+			}
+		}
+		return nil, err
 	}
 }
 
 // TestStandbyTakesOverOnTheShippedPath runs the HA pair exactly as two
 // ccp-agent processes would — run twice, a primary with -replicate and a
-// -standby — with two flows attached over the real Unix socket. When the
+// -standby — with two flows attached over the real Unix socket and the rings
+// it hands out. When the
 // primary is stopped the standby must promote what was replicated to it into
 // its runtime (sharded when the process has more than one core to use, inline
 // with one: both are exercised), adopt the datapaths' resyncs rather than
@@ -94,15 +116,7 @@ func TestStandbyTakesOverOnTheShippedPath(t *testing.T) {
 
 			// A datapath reaches whichever agent is up, the primary for choice.
 			link := harness.NewSocketLink(harness.SocketLinkConfig{
-				Dial: func() (ipc.Transport, error) {
-					if tr, err := ipc.DialUnix(primarySock); err == nil {
-						return tr, nil
-					}
-					return ipc.DialUnix(standbySock)
-				},
-				BackoffBase: 2 * time.Millisecond,
-				BackoffMax:  20 * time.Millisecond,
-				Logf:        t.Logf,
+				Dial: dialer(primarySock, standbySock),
 			})
 			defer link.Close()
 			wait("the link", link.Connected)
@@ -206,4 +220,163 @@ func TestStandbyTakesOverOnTheShippedPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMain runs the agent instead of the tests when a test re-executes this
+// binary as a ccp-agent process (`<binary> -listen <path> ...`), so a test
+// can kill a real agent process.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-listen" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// agentProcess starts this test binary as a ccp-agent process listening on
+// sock. Its log goes to the test's.
+func agentProcess(t *testing.T, sock string) *exec.Cmd {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-listen", sock, "-default-alg", "cubic")
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	return cmd
+}
+
+// TestAgentSurvivesSIGKILLAcrossProcesses is the crash path of DESIGN §11 on
+// the shipped binary: a datapath (a SocketLink) meets a ccp-agent process on
+// its socket and takes a ring from it, and the agent is then killed with
+// SIGKILL, so nothing of its own shutdown runs. The link must notice from the
+// socket's EOF and report the agent gone; the ring's memory must not outlive
+// the agent (the datapath removed its name when it opened it); and a new
+// agent at the same -listen must start over the dead one's socket and ring
+// names and re-adopt the flow from the link's replayed Create. An orderly
+// stop of the second agent then leaves nothing beside the path.
+func TestAgentSurvivesSIGKILLAcrossProcesses(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "agent.sock")
+	deadline := time.Now().Add(60 * time.Second)
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	first := agentProcess(t, sock)
+	link := harness.NewSocketLink(harness.SocketLinkConfig{Dial: dialer(sock)})
+	defer link.Close()
+	wait("the link to the first agent", link.Connected)
+	link.Pump() // the connect's resync pass, while there is no flow to replay
+
+	sim := netsim.New(1)
+	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
+	bottleneck := netsim.LinkConfig{RateBps: 48e6, Delay: 5 * time.Millisecond, QueueBytes: 60000}
+	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: bottleneck}, fwd, rev)
+	dp := datapath.New(datapath.Config{
+		SID:      1,
+		Alg:      "cubic",
+		Clock:    sim,
+		ToAgent:  link.ToAgent,
+		Liveness: datapath.LivenessConfig{StalenessBudget: 200 * time.Millisecond},
+	})
+	link.Attach(dp)
+	tcp.NewFlow(sim, 1, path, fwd, rev, dp, tcp.Options{}).Conn.Start()
+	advance := func() bool {
+		sim.Run(sim.Now() + 5*time.Millisecond)
+		link.Pump()
+		time.Sleep(100 * time.Microsecond)
+		return false
+	}
+	installs := func() int { return dp.Stats().InstallsRecvd }
+	wait("the first agent's installs", func() bool { return advance() || installs() >= 10 })
+
+	rings, _ := filepath.Glob(sock + ".ring*")
+	if len(rings) != 1 {
+		t.Fatalf("ring names beside the socket: %v, want the link's one", rings)
+	}
+	backing, err := os.Readlink(rings[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := first.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	first.Wait()
+	wait("the link to report the agent gone", func() bool {
+		return advance() || dp.Stats().AgentGoneSignals > 0
+	})
+	if link.Connected() || !dp.FallbackActive() {
+		t.Fatalf("after the kill: link connected %v, fallback %v", link.Connected(), dp.FallbackActive())
+	}
+	if _, err := os.Stat(backing); !os.IsNotExist(err) {
+		t.Fatalf("the killed agent's ring memory %s outlived it (stat: %v)", backing, err)
+	}
+
+	second := agentProcess(t, sock)
+	before := installs()
+	wait("the second agent to re-adopt the flow", func() bool {
+		return advance() || (link.Stats().Connects == 2 && installs() >= before+10 && !dp.FallbackActive())
+	})
+	if st := link.Stats(); st.Resyncs != 1 || st.DecodeErrors != 0 || st.UnknownSID != 0 {
+		t.Fatalf("link stats %+v: want one replayed Create and clean frames", st)
+	}
+	if ds := dp.Stats(); ds.InstallRejects != 0 || ds.RefRefusals != 0 {
+		t.Fatalf("a refused install across the restart: %+v", ds)
+	}
+
+	if err := second.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Wait(); err != nil {
+		t.Fatalf("the second agent's orderly stop: %v", err)
+	}
+	assertNothingBeside(t, sock)
+}
+
+// TestListenRefusesWhatItDoesNotOwn pins -listen's claim: the agent deletes
+// neither a file that is not a socket nor a live agent's socket. A second
+// agent on a live agent's path used to take it over, and the first agent's
+// exit then unlinked the second's socket, leaving it unreachable.
+func TestListenRefusesWhatItDoesNotOwn(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "notes")
+	if err := os.WriteFile(file, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), config{listen: file, defaultAlg: "cubic"}); err == nil {
+		t.Fatal("the agent listened over a regular file")
+	}
+	if b, err := os.ReadFile(file); err != nil || string(b) != "keep" {
+		t.Fatalf("the regular file at -listen: %q, %v", b, err)
+	}
+
+	sock := filepath.Join(dir, "agent.sock")
+	first := start(config{listen: sock})
+	<-first.serving
+	if err := run(context.Background(), config{listen: sock, defaultAlg: "cubic"}); err == nil {
+		t.Fatal("a second agent took over a live agent's socket")
+	}
+	// The first agent still meets datapaths at its path.
+	link := harness.NewSocketLink(harness.SocketLinkConfig{Dial: dialer(sock)})
+	deadline := time.Now().Add(10 * time.Second)
+	for !link.Connected() {
+		if time.Now().After(deadline) {
+			t.Fatal("the first agent is unreachable after the refused takeover")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	link.Close()
+	first.kill(t, sock)
 }

@@ -1,12 +1,12 @@
 // Socketagent: the deployment shape of the paper's Figure 1 — the agent and
-// the datapath communicate over a *real* Unix domain socket using the real
-// wire protocol (Create/Measurement/Urgent up, Install/SetCwnd/SetRate
-// down), rather than the modelled in-simulator bridge.
+// the datapath meet on a *real* Unix domain socket and speak the real wire
+// protocol (Create/Measurement/Urgent up, Install/SetCwnd/SetRate down) over
+// the shared-memory ring the agent hands out there, not the modelled bridge.
 //
 // The datapath here is still the simulated transport (we have no kernel
-// module to load), but every control message genuinely crosses a socket:
-// the agent side is the call cmd/ccp-agent makes (a runtime.Runtime serving
-// the listener), the datapath side a harness.SocketLink, and the simulation
+// module to load), but every control message genuinely crosses: the agent
+// side is the call cmd/ccp-agent makes (a runtime.Runtime serving the
+// listener), the datapath side a harness.SocketLink, and the simulation
 // advances in small wall-clock slices, applying agent messages between
 // slices.
 //
@@ -16,6 +16,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"path/filepath"
 	stdruntime "runtime"
@@ -59,7 +60,7 @@ func main() {
 	// The datapath side: a simulated flow whose CCP runtime speaks the wire
 	// protocol over the socket.
 	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial: func() (ipc.Transport, error) { return ipc.DialUnix(sockPath) },
+		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
 	})
 	defer link.Close()
 	for !link.Connected() {
@@ -98,7 +99,7 @@ func main() {
 		time.Sleep(50 * time.Microsecond)
 	}
 	// Stop the agent the way a signal stops ccp-agent: closing the listener
-	// lets every connection finish its frame and the shards answer.
+	// lets the serve loop finish its sweep and the shards answer.
 	ln.Close()
 	if err := <-served; err != nil {
 		log.Fatal(err)
@@ -106,7 +107,7 @@ func main() {
 	link.Pump()
 
 	dst, ast := dp.Stats(), agent.Stats()
-	fmt.Println("socketagent — agent and datapath speaking the real wire protocol over a Unix socket")
+	fmt.Println("socketagent — agent and datapath speaking the real wire protocol over a ring handed out on a Unix socket")
 	fmt.Println()
 	fmt.Printf("socket path:            %s\n", sockPath)
 	fmt.Printf("messages to agent:      %d\n", sent)

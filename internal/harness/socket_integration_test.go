@@ -1,30 +1,30 @@
 package harness_test
 
 import (
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/harness"
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
 // TestAgentOverRealUnixSocket is the full Figure 1 deployment as an
-// automated test: the agent serves the wire protocol on a real Unix stream
-// socket (startAgentProc: the runtime and accept-and-serve call cmd/ccp-agent
-// makes), the simulated datapath's CCP runtime reaches it through a
-// SocketLink, and the simulation advances in wall-clock slices with agent
-// replies pumped back in between.
+// automated test: the agent listens on a real Unix socket and serves the wire
+// protocol over the shared-memory ring it hands each datapath there
+// (startAgentProc: the runtime and Serve call cmd/ccp-agent makes), the
+// simulated datapath's CCP runtime reaches it through a SocketLink, and the
+// simulation advances in wall-clock slices with agent replies pumped back in
+// between. An orderly stop leaves nothing beside the socket's path.
 func TestAgentOverRealUnixSocket(t *testing.T) {
 	sockPath := filepath.Join(t.TempDir(), "ccp.sock")
 	proc := startAgentProc(t, sockPath)
 
 	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial: func() (ipc.Transport, error) { return ipc.DialUnix(sockPath) },
-		Logf: t.Logf,
+		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
 	})
 	defer link.Close()
 	deadline := time.Now().Add(30 * time.Second)
@@ -82,5 +82,8 @@ func TestAgentOverRealUnixSocket(t *testing.T) {
 	}
 	if n := proc.rt.Stats().DecodeErrors; n != 0 {
 		t.Fatalf("%d frames from the datapath did not decode", n)
+	}
+	if left, _ := filepath.Glob(sockPath + "*"); len(left) != 0 {
+		t.Fatalf("left beside the socket after an orderly stop: %v", left)
 	}
 }

@@ -2,61 +2,62 @@ package harness_test
 
 import (
 	"net"
-	"os"
+	"path/filepath"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/harness"
 	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// pairLink builds a SocketLink over a Unix socketpair, returning the
-// agent-side endpoint for the test to write into. A stream, not a ring: the
-// link's reader queues received frames in its inbox, so each must outlive
-// the next receive.
-func pairLink(t *testing.T, depth int) (*harness.SocketLink, ipc.Transport) {
+// pairLink connects a SocketLink to a stand-in agent that hands it one ring,
+// as Runtime.Serve does, and returns the agent's end of that ring for the
+// test to write into. The stand-in takes one connection: redials fail fast.
+func pairLink(t *testing.T) (*harness.SocketLink, ipc.Transport) {
 	t.Helper()
-	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	sockPath := filepath.Join(t.TempDir(), "agent.sock")
+	ln, err := ipc.ListenUnix(sockPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ends [2]ipc.Transport
-	for i, fd := range fds {
-		f := os.NewFile(uintptr(fd), "socketpair")
-		conn, err := net.FileConn(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends[i] = ipc.NewStream(conn)
+	type agentEnd struct {
+		conn net.Conn
+		ring *shmring.Endpoint
+		err  error
 	}
-	dpSide, agentSide := ends[0], ends[1]
-	t.Cleanup(func() { agentSide.Close() })
-	dialed := false
-	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial: func() (ipc.Transport, error) {
-			if dialed {
-				// One connection per test; redial attempts fail fast and the
-				// connect loop backs off until Close.
-				return nil, ipc.ErrClosed
-			}
-			dialed = true
-			return dpSide, nil
-		},
-		BackoffBase: time.Millisecond,
-		BackoffMax:  10 * time.Millisecond,
-		InboxDepth:  depth,
-	})
+	accepted := make(chan agentEnd, 1)
+	go func() {
+		conn, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			accepted <- agentEnd{err: err}
+			return
+		}
+		path := sockPath + ".ring0"
+		ring, err := shmring.Create(path, shmring.Options{})
+		if err == nil {
+			err = ipc.NewStream(conn).Send([]byte(path))
+		}
+		accepted <- agentEnd{conn, ring, err}
+	}()
+	link := harness.NewSocketLinkWaits(harness.SocketLinkConfig{
+		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+	}, time.Second, time.Millisecond, 10*time.Millisecond)
 	t.Cleanup(func() { link.Close() })
+	a := <-accepted
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	t.Cleanup(func() { a.ring.Close(); a.conn.Close() })
 	for !link.Connected() {
 		time.Sleep(time.Millisecond)
 	}
-	return link, agentSide
+	return link, a.ring
 }
 
 func sendMsg(t *testing.T, tr ipc.Transport, m proto.Msg) {
@@ -83,12 +84,12 @@ func attachDP(link *harness.SocketLink, sim *netsim.Sim, sid uint32) *datapath.C
 	return dp
 }
 
-// TestSocketLinkConcurrentInboxAndPump hammers the link from three sides at
-// once — the reader goroutine filling the inbox, Pump draining it, and flows
-// sending ToAgent — to give the race detector something to chew on (the
-// make check -race run covers this path).
-func TestSocketLinkConcurrentInboxAndPump(t *testing.T) {
-	link, agentSide := pairLink(t, 4096)
+// TestSocketLinkConcurrentRingAndPump hammers the link from three sides at
+// once — the agent filling the ring (and held back while it is full), Pump
+// draining it, and flows sending ToAgent — to give the race detector
+// something to chew on (the make check -race run covers this path).
+func TestSocketLinkConcurrentRingAndPump(t *testing.T) {
+	link, agentSide := pairLink(t)
 	sim := netsim.New(1)
 	const flows = 8
 	dps := make([]*datapath.CCP, flows)
@@ -127,7 +128,7 @@ func TestSocketLinkConcurrentInboxAndPump(t *testing.T) {
 		}
 	}()
 
-	// Agent side must also drain what the datapaths send, or the pair fills.
+	// Agent side must also drain what the datapaths send, or the ring fills.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -154,7 +155,7 @@ func TestSocketLinkConcurrentInboxAndPump(t *testing.T) {
 		link.Pump()
 	}
 	close(stop)
-	if st := link.Stats(); st.UnknownSID != 0 || st.Dropped != 0 || st.DecodeErrors != 0 {
+	if st := link.Stats(); st.UnknownSID != 0 || st.DecodeErrors != 0 {
 		t.Fatalf("link stats=%+v", st)
 	}
 	// Per-flow control sequence: each flow applied exactly perFlow decisions

@@ -4,7 +4,6 @@ import (
 	"net"
 	"path/filepath"
 	stdruntime "runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +18,8 @@ import (
 )
 
 // agentProc is one "agent process" as cmd/ccp-agent runs it: a
-// runtime.Runtime, GOMAXPROCS shards wide, serving a Unix socket.
+// runtime.Runtime, GOMAXPROCS shards wide, serving datapaths that meet it on
+// a Unix socket.
 type agentProc struct {
 	rt     *runtime.Runtime
 	ln     *net.UnixListener
@@ -47,8 +47,8 @@ func startAgentProc(t *testing.T, sockPath string) *agentProc {
 // agentStats reads the process's agent counters, summed over its shards.
 func (p *agentProc) agentStats() core.AgentStats { return p.rt.Stats().Agent }
 
-// kill stops the process: the listener closes, and every accepted connection
-// with it. It returns Serve's error.
+// kill stops the process: the listener closes, and every ring and accepted
+// connection with it. It returns Serve's error.
 func (p *agentProc) kill() error {
 	p.ln.Close()
 	err := <-p.served
@@ -56,47 +56,51 @@ func (p *agentProc) kill() error {
 	return err
 }
 
-// hungTransport is a transport produced by a dial the link already gave up
-// on; the link's drainer must close it.
-type hungTransport struct {
-	once   sync.Once // several abandoned dials may share one transport
-	closed chan struct{}
-}
-
-func (h *hungTransport) Send([]byte) error     { return nil }
-func (h *hungTransport) Recv() ([]byte, error) { select {} }
-func (h *hungTransport) Close() error {
-	h.once.Do(func() { close(h.closed) })
-	return nil
-}
-
-// TestSocketLinkBoundsHungDial wedges Dial (a SYN into a black hole, a
-// deadlocked listener): every attempt must be abandoned at DialTimeout and
-// counted, and Close must return promptly with a dial still in flight — the
+// TestSocketLinkBoundsHungDial wedges the agent end of the rendezvous (a
+// deadlocked listener that accepts and never hands back a ring): every
+// attempt must be abandoned at the rendezvous timeout and its connection
+// closed, and Close must return promptly with an attempt in flight — the
 // regression this guards is an unbounded dial hanging the whole harness
 // teardown.
 func TestSocketLinkBoundsHungDial(t *testing.T) {
-	release := make(chan struct{})
-	tr := &hungTransport{closed: make(chan struct{})}
-	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial: func() (ipc.Transport, error) {
-			<-release // wedged until the test lets go
-			return tr, nil
-		},
-		DialTimeout: 10 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for link.Stats().DialTimeouts < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dial timeouts never accrued: %+v", link.Stats())
+	sockPath := filepath.Join(t.TempDir(), "wedged.sock")
+	ln, err := ipc.ListenUnix(sockPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The wedged agent accepts and says nothing; each connection it holds
+	// reports when the link hangs up on it, if the test is still listening.
+	hungUp := make(chan struct{})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				conn.Read(make([]byte, 1))
+				conn.Close()
+				select {
+				case hungUp <- struct{}{}:
+				case <-time.After(5 * time.Second):
+				}
+			}()
 		}
-		time.Sleep(time.Millisecond)
+	}()
+	link := harness.NewSocketLinkWaits(harness.SocketLinkConfig{
+		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+	}, 10*time.Millisecond, time.Millisecond, 2*time.Millisecond)
+
+	for i := 0; i < 2; i++ {
+		select {
+		case <-hungUp:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a wedged rendezvous was never abandoned, or its connection was left open")
+		}
 	}
 	if link.Connected() {
-		t.Fatal("link claims connected with every dial wedged")
+		t.Fatal("link claims connected with every rendezvous wedged")
 	}
 
 	done := make(chan struct{})
@@ -107,16 +111,7 @@ func TestSocketLinkBoundsHungDial(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung behind a wedged dial")
-	}
-
-	// The wedged dial finally completes after abandonment: its transport
-	// belongs to nobody and the link's drainer must close it.
-	close(release)
-	select {
-	case <-tr.closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoned dial's transport leaked unclosed")
+		t.Fatal("Close hung behind a wedged rendezvous")
 	}
 }
 
@@ -129,12 +124,9 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	sockPath := filepath.Join(t.TempDir(), "ccp.sock")
 	proc1 := startAgentProc(t, sockPath)
 
-	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial:        func() (ipc.Transport, error) { return ipc.DialUnix(sockPath) },
-		BackoffBase: 2 * time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-		Logf:        t.Logf,
-	})
+	link := harness.NewSocketLinkWaits(harness.SocketLinkConfig{
+		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+	}, time.Second, 2*time.Millisecond, 20*time.Millisecond)
 	defer link.Close()
 	deadline := time.Now().Add(60 * time.Second)
 	waitConnected := func() {

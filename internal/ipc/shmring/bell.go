@@ -58,6 +58,13 @@ func (b *Bell) wait(d time.Duration) {
 	b.conn.Read(buf[:])
 }
 
+// ring wakes the bell's own waiter. A full socket buffer already holds a
+// wakeup, so a ding that does not fit is dropped.
+func (b *Bell) ring() {
+	b.conn.SetWriteDeadline(time.Now().Add(time.Millisecond))
+	b.conn.WriteToUnix(ding, &net.UnixAddr{Name: b.addr, Net: "unixgram"})
+}
+
 // drain empties any queued dings without blocking, so a waiter that already
 // found work does not wake instantly on the next park for stale signals.
 func (b *Bell) drain() {

@@ -2,6 +2,7 @@ package shmring
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,13 +16,17 @@ import (
 // scaling move — readiness polling instead of a blocked goroutine per
 // datapath connection.
 //
-// A Mux's bell must have exactly one waiter; run one serve loop (one
-// Runtime.ServeSet) per Mux. Mux implements ipc.RecvSet.
+// Members may be adopted while a Mux is served (Version, Leave). The
+// serve loop of a Mux made by NewMux returns once every member has left; one
+// made by NewOpenMux waits for members, until Close. A Mux's bell must have
+// exactly one waiter; run one serve loop (one Runtime.ServeSet) per Mux.
 type Mux struct {
-	bell *Bell
+	bell    *Bell
+	version atomic.Uint64 // moves on every Adopt and on Close
 
-	mu  sync.Mutex
-	eps []*Endpoint
+	mu   sync.Mutex
+	eps  []*Endpoint
+	open bool
 }
 
 // NewMux binds a shared doorbell named by bellPath (see NewBell). Endpoints
@@ -35,23 +40,45 @@ func NewMux(bellPath string) (*Mux, error) {
 	return &Mux{bell: bell}, nil
 }
 
+// NewOpenMux is NewMux for a set whose serve loop waits for members.
+func NewOpenMux(bellPath string) (*Mux, error) {
+	m, err := NewMux(bellPath)
+	if err == nil {
+		m.open = true
+	}
+	return m, err
+}
+
 // Bell returns the shared doorbell, for Options.Bell.
 func (m *Mux) Bell() *Bell { return m.bell }
 
-// Adopt adds an endpoint to the set. The endpoint must have been opened
-// with this Mux's bell — otherwise its producer would ring a doorbell
-// nobody in this loop is listening to.
+// Adopt adds an endpoint to the set, waking an open Mux's serve loop to take
+// it in. The endpoint must have been opened with this Mux's bell — otherwise
+// its producer would ring a doorbell nobody in this loop is listening to.
 func (m *Mux) Adopt(e *Endpoint) error {
 	if e.bell != m.bell {
 		return fmt.Errorf("shmring: endpoint %s was not opened with this mux's bell", e.path)
 	}
 	m.mu.Lock()
 	m.eps = append(m.eps, e)
+	if m.version.Add(1); m.open {
+		m.bell.ring()
+	}
 	m.mu.Unlock()
 	return nil
 }
 
-// Transports returns the adopted endpoints as ipc.Transports.
+// Leave removes t, whose receive failed, from the set; its owner closes it.
+func (m *Mux) Leave(t ipc.Transport) {
+	m.mu.Lock()
+	m.eps = slices.DeleteFunc(m.eps, func(e *Endpoint) bool { return ipc.Transport(e) == t })
+	m.mu.Unlock()
+}
+
+// Version moves whenever a member joins or the set is closed.
+func (m *Mux) Version() uint64 { return m.version.Load() }
+
+// Transports returns the members as ipc.Transports.
 func (m *Mux) Transports() []ipc.Transport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -62,14 +89,14 @@ func (m *Mux) Transports() []ipc.Transport {
 	return ts
 }
 
-// WaitAny blocks until at least one adopted endpoint may have a frame (or
-// is closed), with the same arm/re-check/park protocol a single endpoint
-// uses — so no publication is lost between the emptiness check and the
-// park. Spurious returns are allowed and expected; callers re-poll. It
-// returns ipc.ErrClosed only when every endpoint is closed.
+// WaitAny blocks until at least one member may have a frame (or is closed),
+// with the same arm/re-check/park protocol a single endpoint uses — so no
+// publication is lost between the emptiness check and the park. Spurious
+// returns are allowed and expected; callers re-poll. With no live member it
+// returns ipc.ErrClosed, or, if the set is open, parks until one joins.
 func (m *Mux) WaitAny() error {
 	m.mu.Lock()
-	eps := m.eps
+	eps, open := m.eps, m.open
 	m.mu.Unlock()
 	live := 0
 	for _, e := range eps {
@@ -80,7 +107,11 @@ func (m *Mux) WaitAny() error {
 		atomic.StoreUint32(e.recvR.parked, 1)
 	}
 	if live == 0 {
-		return ipc.ErrClosed
+		if !open {
+			return ipc.ErrClosed
+		}
+		m.bell.wait(parkTimeout) // Adopt rings, Close closes the bell
+		return nil
 	}
 	ready := false
 	for _, e := range eps {
@@ -106,6 +137,12 @@ func (m *Mux) WaitAny() error {
 	return nil
 }
 
-// Close releases the shared doorbell. It does not close the endpoints;
-// their owner does.
-func (m *Mux) Close() error { return m.bell.Close() }
+// Close ends the set and releases the doorbell: the serve loop returns at the
+// end of its sweep. The endpoints stay open for their owner.
+func (m *Mux) Close() error {
+	m.mu.Lock()
+	m.eps, m.open = nil, false
+	m.mu.Unlock()
+	m.version.Add(1)
+	return m.bell.Close()
+}

@@ -88,16 +88,7 @@ func fullWait(yields *int, sleep *time.Duration) {
 
 // Recv returns the next message as a fresh slice (copying out of the ring).
 // Prefer RecvFrame on hot paths.
-func (e *Endpoint) Recv() ([]byte, error) {
-	f, err := e.RecvFrame()
-	if err != nil {
-		return nil, err
-	}
-	msg := make([]byte, len(f.B))
-	copy(msg, f.B)
-	f.Release()
-	return msg, nil
-}
+func (e *Endpoint) Recv() ([]byte, error) { return ipc.CopyFrame(e) }
 
 // RecvFrame blocks until a message is available and returns a zero-copy view
 // of it. The view aliases ring memory (or an endpoint-owned staging buffer

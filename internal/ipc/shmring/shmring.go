@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -352,6 +353,17 @@ func pair(path string, size int, aOpts, bOpts Options) (a, b *Endpoint, err erro
 		return nil, nil, err
 	}
 	return a, b, nil
+}
+
+// Remove deletes a ring name whose creator is gone without closing it (a
+// crashed process), and the ring's memory with it if no peer ever opened the
+// ring. It leaves alone a path that is not a link to a ring file.
+func Remove(path string) {
+	backing, err := os.Readlink(path)
+	if ok, _ := filepath.Match(filepath.Join(ringDir, ringPattern), backing); err == nil && ok {
+		os.Remove(backing) // already gone if a peer opened the ring
+		os.Remove(path)
+	}
 }
 
 // newEndpoint takes over mem, a mapping of fileSize(size) bytes, and unmaps

@@ -7,6 +7,7 @@
 package ipc
 
 import (
+	"bytes"
 	"errors"
 
 	"github.com/ccp-repro/ccp/internal/bufpool"
@@ -61,6 +62,17 @@ type TryRecver interface {
 type RecvSet interface {
 	Transports() []Transport
 	WaitAny() error
+}
+
+// CopyFrame is Recv in terms of RecvFrame: the next message, copied out of
+// its frame.
+func CopyFrame(fr FrameRecver) ([]byte, error) {
+	f, err := fr.RecvFrame()
+	if err != nil {
+		return nil, err
+	}
+	defer f.Release()
+	return bytes.Clone(f.B), nil
 }
 
 // RecvFrame receives one message from t as a frame the caller must Release.

@@ -67,16 +67,7 @@ func (s *streamTransport) RecvFrame() (*bufpool.Buf, error) {
 	return f, nil
 }
 
-func (s *streamTransport) Recv() ([]byte, error) {
-	f, err := s.RecvFrame()
-	if err != nil {
-		return nil, err
-	}
-	msg := make([]byte, len(f.B))
-	copy(msg, f.B)
-	f.Release()
-	return msg, nil
-}
+func (s *streamTransport) Recv() ([]byte, error) { return CopyFrame(s) }
 
 func (s *streamTransport) Close() error { return s.conn.Close() }
 
@@ -134,16 +125,7 @@ func (d *dgramTransport) RecvFrame() (*bufpool.Buf, error) {
 	return f, nil
 }
 
-func (d *dgramTransport) Recv() ([]byte, error) {
-	f, err := d.RecvFrame()
-	if err != nil {
-		return nil, err
-	}
-	msg := make([]byte, len(f.B))
-	copy(msg, f.B)
-	f.Release()
-	return msg, nil
-}
+func (d *dgramTransport) Recv() ([]byte, error) { return CopyFrame(d) }
 
 func (d *dgramTransport) Close() error { return d.conn.Close() }
 

@@ -8,58 +8,86 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// ServeSet services every connection in set from the calling goroutine: it
-// round-robins TryRecvFrame over the members (a bounded drain quota per
-// member per sweep, so one firehose connection cannot starve the rest) and
-// parks on the set's shared doorbell only after a full sweep finds nothing.
-// This is the agent-side answer to goroutine-per-connection: with
-// shared-memory rings, 100k datapath connections are serviced by a handful
-// of serve loops, each a single goroutine polling readiness instead of
-// 100k blocked readers.
-//
+// growingSet is a RecvSet whose members join while it is served, as a
+// shmring.Mux's do (see ServeSet).
+type growingSet interface {
+	ipc.RecvSet
+	Version() uint64
+	Leave(t ipc.Transport)
+}
+
+// ServeSet services every connection in set from the calling goroutine (one
+// goroutine polling readiness, not a blocked reader per datapath): it
+// round-robins TryRecvFrame over the members, at most drainQuota frames each
+// per sweep, and parks in WaitAny only after a full sweep finds nothing.
 // Every member must implement ipc.TryRecver. Each frame goes through the same
-// frameStep as ServeTransport's (an undecodable one is counted and skipped);
-// a member whose receive fails (peer closed, ring corrupted) is dropped from
-// the rotation. ServeSet returns nil once every member is dropped, or
-// WaitAny's error if the set itself fails first. Replies are serialized
-// per-connection; shard goroutines may invoke them concurrently with the
-// loop.
-//
-// Run exactly one ServeSet per set: the doorbell has one waiter by contract
-// (see shmring.Mux).
+// frameStep as ServeTransport's; a member whose receive fails (peer closed,
+// ring corrupted) is dropped. Replies to one member are serialized; shard
+// goroutines may send them concurrently with the loop. The members of a
+// growingSet are read again whenever its Version moves, each dropped one is
+// handed back with Leave, and with none left the loop waits in WaitAny.
+// ServeSet returns nil once every member is dropped (and WaitAny says none
+// can join), or WaitAny's error if the set itself fails first. Run exactly
+// one ServeSet per set: the doorbell has one waiter (see shmring.Mux).
 func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 	type conn struct {
-		t      ipc.TryRecver
-		reply  func(proto.Msg) error
-		closed bool
+		tr    ipc.Transport
+		t     ipc.TryRecver
+		reply func(proto.Msg) error
 	}
-	ts := set.Transports()
-	conns := make([]*conn, len(ts))
-	for i, t := range ts {
-		tr, ok := t.(ipc.TryRecver)
-		if !ok {
-			return fmt.Errorf("runtime: ServeSet member %d (%T) is not pollable", i, t)
+	var conns []conn
+	// A member keeps its reply across re-reads: one lock per connection.
+	replies := make(map[ipc.Transport]func(proto.Msg) error)
+	members := func() error {
+		conns = conns[:0]
+		for i, t := range set.Transports() {
+			tr, ok := t.(ipc.TryRecver)
+			if !ok {
+				return fmt.Errorf("runtime: ServeSet member %d (%T) is not pollable", i, t)
+			}
+			if replies[t] == nil {
+				replies[t] = lockedReply(t)
+			}
+			conns = append(conns, conn{t, tr, replies[t]})
 		}
-		conns[i] = &conn{t: tr, reply: lockedReply(t)}
+		return nil
+	}
+	grow, _ := set.(growingSet)
+	var version uint64 // a growing set is read again on the first sweep
+	if err := members(); err != nil {
+		return err
 	}
 	// drainQuota bounds how many frames one connection may deliver per sweep.
 	// Big enough to amortize the sweep over a batch, small enough that a
 	// saturated ring cannot monopolize the loop.
 	const drainQuota = 64
 	step := newFrameStep(r)
-	live := len(conns)
 	idleSweeps := 0
-	for live > 0 {
-		progress := false
-		for _, c := range conns {
-			if c.closed {
-				continue
+	for {
+		if grow != nil && grow.Version() != version {
+			version = grow.Version()
+			if err := members(); err != nil {
+				return err
 			}
+		}
+		if len(conns) == 0 {
+			if grow == nil || set.WaitAny() != nil {
+				return nil
+			}
+			continue
+		}
+		progress := false
+		for i := 0; i < len(conns); i++ {
+			c := conns[i]
 			for q := 0; q < drainQuota; q++ {
 				f, err := c.t.TryRecvFrame()
 				if err != nil {
-					c.closed = true
-					live--
+					delete(replies, c.tr)
+					conns = append(conns[:i], conns[i+1:]...)
+					i--
+					if grow != nil {
+						grow.Leave(c.tr)
+					}
 					break
 				}
 				if f == nil {
@@ -81,11 +109,8 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 			continue
 		}
 		idleSweeps = 0
-		if err := set.WaitAny(); err != nil {
-			if live > 0 {
-				return err
-			}
+		if err := set.WaitAny(); err != nil && len(conns) > 0 {
+			return err
 		}
 	}
-	return nil
 }

@@ -18,7 +18,7 @@
 //
 // The package is also the only thing that serves an agent: one frame step
 // (serve.go) under the blocking ServeTransport loop, the polled ServeSet, and
-// Serve, which accepts connections for the first.
+// Serve, which hands each datapath that connects a ring the second serves.
 package runtime
 
 import (

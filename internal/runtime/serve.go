@@ -1,12 +1,17 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
 
 	"github.com/ccp-repro/ccp/internal/bufpool"
 	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -46,10 +51,9 @@ func (s *frameStep) handle(f *bufpool.Buf, reply func(proto.Msg) error) {
 
 // ServeTransport is the one blocking serve loop: it reads frames from t until
 // receive fails, putting each through h with replies marshalled back onto t,
-// and returns the receive error. An agent serves a datapath connection with
-// it (h is a Runtime — Serve does this for every connection a listener
-// accepts) and a warm standby consumes its replication stream with it (h is
-// a supervise.Standby). It stops nothing when it returns: a Runtime is closed
+// and returns the receive error. A warm standby consumes its replication
+// stream with it (h is a supervise.Standby); datapaths are served over rings,
+// by ServeSet. It stops nothing when it returns: a Runtime is closed
 // separately.
 func ServeTransport(h proto.Handler, t ipc.Transport) error {
 	reply := lockedReply(t)
@@ -76,68 +80,82 @@ func (r *Runtime) logf(format string, args ...any) {
 	}
 }
 
-// Serve is the agent process's main loop (Figure 1): it accepts connections
-// on the Unix stream socket ln, each a datapath, and serves every one with
-// ServeTransport on its own goroutine until ln is closed. Closing ln is the
-// shutdown signal, and the shutdown is orderly: each connection stops reading,
-// finishes the frame it has in hand, the shards answer everything already
-// dispatched (Drain), and only then are the connections closed. Serve returns
-// nil after such a shutdown and Accept's error otherwise. It does not Close
-// the runtime.
+// Serve is the agent process's main loop (Figure 1). Each connection ln
+// accepts is a datapath's rendezvous: Serve creates a ring beside ln's path,
+// sends its path back as one stream frame, and serves it with every other
+// ring in one ServeSet. The socket carries nothing more; its EOF is the
+// datapath's death, on which the ring is closed and its name removed. Ring
+// names a crashed agent left beside the path are removed first. Closing ln is
+// an orderly shutdown: the serve loop stops at the end of its sweep, the
+// shards answer what was dispatched (Drain), and then the rings and
+// connections close. Serve returns nil after it and Accept's error otherwise.
+// It does not Close the runtime.
 func (r *Runtime) Serve(ln *net.UnixListener) error {
-	var (
-		mu       sync.Mutex
-		open     = make(map[*net.UnixConn]struct{})
-		stopping bool
-		loops    sync.WaitGroup
-	)
+	base, err := filepath.Abs(ln.Addr().String())
+	if err != nil {
+		return err
+	}
+	stale, _ := filepath.Glob(base + ".ring*")
+	for _, path := range stale {
+		shmring.Remove(path) // leaves alone anything that is not a ring name
+	}
+	mux, err := shmring.NewOpenMux(base + ".bell")
+	if err != nil {
+		return err
+	}
+	served := make(chan error, 1)
+	go func() { served <- r.ServeSet(mux) }()
+	stopping, stop := context.WithCancel(context.Background())
+	var watchers sync.WaitGroup
 	var acceptErr error
-	for {
-		conn, err := ln.AcceptUnix()
-		if err != nil {
-			acceptErr = err
+	for n := 0; ; n++ {
+		var conn *net.UnixConn
+		if conn, acceptErr = ln.AcceptUnix(); acceptErr != nil {
 			break
 		}
-		mu.Lock()
-		open[conn] = struct{}{}
-		mu.Unlock()
-		r.logf("runtime: datapath connected")
-		loops.Add(1)
-		go func() {
-			defer loops.Done()
-			err := ServeTransport(r, ipc.NewStream(conn))
-			r.logf("runtime: datapath disconnected: %v", err)
-			mu.Lock()
-			if !stopping { // else Serve closes it, after the drain
-				delete(open, conn)
-				conn.Close()
+		path := base + ".ring" + strconv.Itoa(n)
+		ring, err := shmring.Create(path, shmring.Options{Bell: mux.Bell()})
+		if err == nil {
+			if err = mux.Adopt(ring); err == nil {
+				err = ipc.NewStream(conn).Send([]byte(path))
 			}
-			mu.Unlock()
+			if err != nil {
+				ring.Close() // the serve loop drops it if it was adopted
+				os.Remove(path)
+			}
+		}
+		if err != nil {
+			r.logf("runtime: datapath refused: %v", err)
+			conn.Close()
+			continue
+		}
+		watchers.Add(1)
+		go func() {
+			defer watchers.Done()
+			unhook := context.AfterFunc(stopping, func() { conn.Close() })
+			_, err := conn.Read(make([]byte, 1)) // at EOF, or the shutdown's Close
+			r.logf("runtime: datapath on %s gone: %v", path, err)
+			unhook()
+			ring.Close()
+			os.Remove(path)
+			conn.Close()
 		}()
 	}
-	mu.Lock()
-	stopping = true
-	for conn := range open {
-		// The read side only: decisions for the frames already taken in
-		// still have to go out.
-		conn.CloseRead()
-	}
-	mu.Unlock()
-	loops.Wait()
+	mux.Close()
+	serveErr := <-served
 	r.Drain()
-	for conn := range open {
-		conn.Close()
+	stop()
+	watchers.Wait()
+	if !errors.Is(acceptErr, net.ErrClosed) {
+		return acceptErr
 	}
-	if errors.Is(acceptErr, net.ErrClosed) {
-		return nil
-	}
-	return acceptErr
+	return serveErr
 }
 
-// lockedReply serializes replies onto one transport: the wire is one stream
-// and shard goroutines reply concurrently (Transport.Send is already safe;
-// the mutex keeps reply bursts from interleaving mid-shutdown). It marshals
-// before returning, so it keeps nothing of the message it was lent.
+// lockedReply sends each reply on t as one frame, one at a time: shard
+// goroutines reply concurrently, and a wrapper around t may keep state per
+// send (the benchmark's tracer decodes each reply). It marshals before
+// returning, so it keeps nothing of the message it was lent.
 func lockedReply(t ipc.Transport) func(proto.Msg) error {
 	var mu sync.Mutex
 	return func(m proto.Msg) error {

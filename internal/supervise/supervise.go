@@ -378,8 +378,8 @@ func (s *Standby) RestoreInto(dst Restorer) {
 
 // HandleMessage feeds one replication message: a snapshot applies; anything
 // else counts as unexpected. The reply func is unused — replication is
-// one-way. A standby is a proto.Handler so that the serve loop
-// agents run (runtime.ServeTransport) consumes a replication stream over an
+// one-way. A standby is a proto.Handler so that the runtime's blocking serve
+// loop (runtime.ServeTransport) consumes a replication stream over an
 // ipc.Transport, which is what ccp-agent -standby does, and so that it can
 // sit directly behind a bridge or injector in tests.
 func (s *Standby) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
