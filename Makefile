@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lines bench bench-smoke bench-compare bench-micro benchstat test-allocs test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
+.PHONY: all build test test-short lines bench bench-smoke bench-compare bench-micro benchstat test-allocs test-golden test-debugpool test-race-robust test-ha vet lint verify-programs fmt check fuzz-smoke examples experiments clean
 
 all: build test
 
@@ -100,6 +100,14 @@ test-allocs:
 		./internal/proto ./internal/netsim ./internal/lang ./internal/ipc/shmring \
 		./internal/datapath ./internal/core ./internal/runtime
 
+# The golden digests: TestGoldenDigests pins the SHA-256 of every fast
+# experiment's output, the proof that a change meant to leave the simulated
+# control loop alone did. It skips itself under -short, so the race short
+# suite never runs it; this lane runs it once, without -race. 23–32 s on two
+# cores. Part of `check`.
+test-golden:
+	$(GO) test -count=1 -run TestGoldenDigests ./internal/experiments
+
 # Robustness lane: the concurrent packages (sharded runtime — including
 # TestRaceContainersAccountedExactlyOnce, the mailbox-container ownership
 # stress — socket link, transports, fault injectors, datapath fail-safe, and
@@ -168,22 +176,22 @@ test-debugpool:
 # invariant analyzers, the race-enabled short test suite (cross-process IPC
 # included: cmd/ipcbench's six two-process rows, about 3 s), the concurrent
 # packages twice more under the race detector, the zero-alloc regression
-# pass, the debugpool ownership lane, the high-availability lane, the
+# pass, the golden digests, the debugpool ownership lane, the high-availability lane, the
 # program-verifier corpus, and a short fuzz pass over the wire-protocol
 # decoders (the surface exposed to a faulty or corrupting channel). CI runs
 # this and no other test job (with FUZZTIME=15s).
 # Like bench-smoke, it fails if the tests leave ring backing files behind
 # (the agent tests create rings for every datapath they connect).
-# Budget: 6 minutes. Measured on two cores: 5m10s, of which the race short
-# suite is about 3 minutes (internal/experiments alone 2m14s under -race),
-# fuzz-smoke 85 s, test-race-robust 15 s when its packages are already built
-# (25 s inside this run), everything else under 30 s together.
+# Budget: 7 minutes. Measured on two cores: 6m09s, of which
+# internal/experiments under -race is 3m22s and the golden digests 23 s (on a
+# busy box the same run took 11m06s: 5m03s and 76 s).
 check: vet lint
 	@before=$$($(ring_files)); \
 	echo "$(GO) test -race -short ./..." && \
 	$(GO) test -race -short ./... && \
 	$(MAKE) test-race-robust && \
 	$(MAKE) test-allocs && \
+	$(MAKE) test-golden && \
 	$(MAKE) test-debugpool && \
 	$(MAKE) test-ha && \
 	$(MAKE) verify-programs && \

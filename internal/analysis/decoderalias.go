@@ -8,8 +8,8 @@ import (
 
 // DecoderAlias enforces the proto.Decoder aliasing contract: everything
 // returned by Decoder.Unmarshal — and everything derived from it (type
-// assertions, field views like Report.Fields or Install.Prog, batch
-// sub-messages) — is backed by the decoder's scratch storage and is
+// assertions, field views like Measurement.Fields or Install.Prog) — is
+// backed by the decoder's scratch storage and is
 // invalidated by the next Unmarshal on the same decoder. Values that must
 // outlive the next decode go through proto.Clone.
 //

@@ -113,20 +113,6 @@ type flowState struct {
 	restored bool
 }
 
-// staleSeq reports whether a datapath-stamped sequence number has already
-// been seen, advancing *last when it is fresh. Seq 0 is unsequenced and
-// always fresh.
-func staleSeq(seq uint32, last *uint32) bool {
-	if seq == 0 {
-		return false
-	}
-	if !proto.SeqNewer(seq, *last) {
-		return true
-	}
-	*last = seq
-	return false
-}
-
 // NewAgent validates cfg and returns an agent.
 func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Registry == nil {
@@ -171,17 +157,9 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	case *proto.Create:
 		a.handleCreate(v, reply)
 	case *proto.Measurement:
-		st, ok := a.flows[v.SID]
-		if !ok {
-			a.stats.UnknownFlowMsg++
+		st := a.admit(v.SID, v.Seq, false, reply)
+		if st == nil {
 			return
-		}
-		if staleSeq(v.Seq, &st.lastReportSeq) {
-			a.stats.StaleReports++
-			return
-		}
-		if st.flow.send == nil {
-			st.flow.send = reply // restored flow adopts its datapath lazily
 		}
 		a.stats.Measurements++
 		st.flow.reports++
@@ -189,17 +167,9 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		meas := Measurement{Seq: v.Seq, Names: names, Values: v.Fields}
 		st.alg.OnMeasurement(st.flow, meas)
 	case *proto.Vector:
-		st, ok := a.flows[v.SID]
-		if !ok {
-			a.stats.UnknownFlowMsg++
+		st := a.admit(v.SID, v.Seq, false, reply)
+		if st == nil {
 			return
-		}
-		if staleSeq(v.Seq, &st.lastReportSeq) {
-			a.stats.StaleReports++
-			return
-		}
-		if st.flow.send == nil {
-			st.flow.send = reply
 		}
 		a.stats.Vectors++
 		st.flow.reports++
@@ -215,31 +185,19 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		}
 		st.alg.OnMeasurement(st.flow, meas)
 	case *proto.Urgent:
-		st, ok := a.flows[v.SID]
-		if !ok {
-			a.stats.UnknownFlowMsg++
+		st := a.admit(v.SID, v.Seq, true, reply)
+		if st == nil {
 			return
-		}
-		if staleSeq(v.Seq, &st.lastUrgentSeq) {
-			a.stats.DupUrgents++
-			return
-		}
-		if st.flow.send == nil {
-			st.flow.send = reply
 		}
 		a.stats.Urgents++
 		st.flow.urgents++
 		st.alg.OnUrgent(st.flow, UrgentEvent{Kind: v.Kind, Value: v.Value})
 	case *proto.Close:
-		st, ok := a.flows[v.SID]
-		if !ok {
+		st := a.drop(v.SID)
+		if st == nil {
 			a.stats.UnknownFlowMsg++
 			return
 		}
-		if r, ok := st.alg.(Releaser); ok {
-			r.Release(st.flow)
-		}
-		delete(a.flows, v.SID)
 		if a.snapshotting && st.snapped {
 			a.closedSIDs = append(a.closedSIDs, v.SID)
 		}
@@ -276,6 +234,31 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	}
 }
 
+// admit is the one way a report or an urgent reaches its flow: the flow sid
+// must exist, and seq must be fresh against the flow's cursor for its kind
+// (reports and urgents are numbered apart). What fails either check is
+// counted and nil is returned. A restored flow adopts its datapath's channel
+// here, lazily, from the first message that gets through.
+func (a *Agent) admit(sid, seq uint32, urgent bool, reply func(proto.Msg) error) *flowState {
+	st, ok := a.flows[sid]
+	if !ok {
+		a.stats.UnknownFlowMsg++
+		return nil
+	}
+	cursor, refused := &st.lastReportSeq, &a.stats.StaleReports
+	if urgent {
+		cursor, refused = &st.lastUrgentSeq, &a.stats.DupUrgents
+	}
+	if !proto.AdmitSeq(seq, cursor) {
+		*refused++
+		return nil
+	}
+	if st.flow.send == nil {
+		st.flow.send = reply
+	}
+	return st
+}
+
 func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 	// A faulty channel can deliver the same announcement twice; recreating
 	// the flow would discard live algorithm state, so replays of the Create
@@ -306,7 +289,22 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 			return
 		}
 	}
-	name := v.Alg
+	a.newFlow(v, nil, reply)
+	a.stats.FlowsCreated++
+}
+
+// newFlow is the one way a flow is made, from a datapath's Create or, with
+// snap set, from a snapshot (whose flow fields c repeats): it instantiates the
+// requested algorithm (the default when the name is empty or unregistered),
+// applies the policy, replaces whatever the SID held, and runs the
+// algorithm's Init on the new flow, which sends on reply.
+//
+// It also sets where the flow numbers its decisions from. A cold flow
+// numbers from c.Seq, the newest control sequence the datapath announced
+// having applied (nonzero on resync). A restored flow numbers ctrlSeqSkip
+// above the snapshot's last issued sequence, and resumes its dedup cursors.
+func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(proto.Msg) error) *flowState {
+	name := c.Alg
 	if name == "" {
 		name = a.cfg.DefaultAlg
 	}
@@ -314,34 +312,46 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 	if !ok {
 		a.stats.UnknownAlgReq++
 		a.logf("agent: flow %d requested unknown algorithm %q; using default %q",
-			v.SID, name, a.cfg.DefaultAlg)
+			c.SID, name, a.cfg.DefaultAlg)
 		alg, _ = a.cfg.Registry.New(a.cfg.DefaultAlg)
 	}
 	info := FlowInfo{
-		SID:      v.SID,
-		MSS:      int(v.MSS),
-		InitCwnd: int(v.InitCwnd),
-		SrcAddr:  v.SrcAddr,
-		DstAddr:  v.DstAddr,
+		SID:      c.SID,
+		MSS:      int(c.MSS),
+		InitCwnd: int(c.InitCwnd),
+		SrcAddr:  c.SrcAddr,
+		DstAddr:  c.DstAddr,
 		Alg:      name,
 	}
 	var policy Policy
 	if a.cfg.Policy != nil {
 		policy = a.cfg.Policy(info)
 	}
-	// The Create's Seq is the newest control sequence the datapath has
-	// applied (nonzero on resync); the flow numbers its decisions above it.
-	flow := &Flow{Info: info, policy: policy, send: reply, ctrlSeq: v.Seq, shared: &a.shared}
-	// Replacing an existing SID (datapath restart or resync) releases the
-	// old state.
-	if old, exists := a.flows[v.SID]; exists {
-		if r, ok := old.alg.(Releaser); ok {
-			r.Release(old.flow)
-		}
+	st := &flowState{alg: alg, createSeq: c.Seq}
+	ctrlSeq := c.Seq
+	if snap != nil {
+		ctrlSeq = snap.CtrlSeq + ctrlSeqSkip
+		st.lastReportSeq, st.lastUrgentSeq, st.restored = snap.ReportSeq, snap.UrgentSeq, true
 	}
-	a.flows[v.SID] = &flowState{flow: flow, alg: alg, createSeq: v.Seq}
-	a.stats.FlowsCreated++
-	alg.Init(flow)
+	st.flow = &Flow{Info: info, policy: policy, send: reply, ctrlSeq: ctrlSeq, shared: &a.shared}
+	a.drop(c.SID)
+	a.flows[c.SID] = st
+	alg.Init(st.flow)
+	return st
+}
+
+// drop removes flow sid, releasing its algorithm, and returns what it held
+// (nil for no flow).
+func (a *Agent) drop(sid uint32) *flowState {
+	st, ok := a.flows[sid]
+	if !ok {
+		return nil
+	}
+	if r, ok := st.alg.(Releaser); ok {
+		r.Release(st.flow)
+	}
+	delete(a.flows, sid)
+	return st
 }
 
 func (a *Agent) logf(format string, args ...any) {

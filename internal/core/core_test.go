@@ -429,32 +429,6 @@ func TestFlowSequenceResumesFromCreate(t *testing.T) {
 	}
 }
 
-func TestNextSeqSkipsZeroOnWrap(t *testing.T) {
-	f := &Flow{ctrlSeq: ^uint32(0) - 1}
-	if s := f.nextSeq(); s != ^uint32(0) {
-		t.Fatalf("seq=%d", s)
-	}
-	if s := f.nextSeq(); s != 1 {
-		t.Fatalf("seq after wrap=%d, want 1 (0 is reserved for unsequenced)", s)
-	}
-}
-
-func TestStaleSeqWraparound(t *testing.T) {
-	last := ^uint32(0)
-	if staleSeq(1, &last) {
-		t.Fatal("wrapped seq 1 treated as stale after 2^32-1")
-	}
-	if last != 1 {
-		t.Fatalf("last=%d after wrap, want 1", last)
-	}
-	if !staleSeq(^uint32(0), &last) {
-		t.Fatal("replayed pre-wrap seq accepted after the wrap")
-	}
-	if staleSeq(0, &last) || last != 1 {
-		t.Fatal("seq 0 must stay unsequenced and always fresh")
-	}
-}
-
 func TestAgentReportsSurviveSeqWraparound(t *testing.T) {
 	alg := &recordAlg{}
 	a := newTestAgent(t, alg, nil)
@@ -838,5 +812,89 @@ func TestRestoredFlowKnowsNoEpoch(t *testing.T) {
 	sent := after.installs()
 	if len(sent) != 2 || lang.IsRef(sent[0].Prog) || !lang.IsRef(sent[1].Prog) {
 		t.Fatalf("restored flow sent %d installs; want the first whole, the second by reference", len(sent))
+	}
+}
+
+// TestEveryWayAFlowIsMade walks one agent through every message that makes,
+// replaces, keeps or removes a flow, and checks after each step what the
+// algorithms saw (Init and Release calls), the flow table, the counters, and
+// where the step's flow numbers its next decision from.
+func TestEveryWayAFlowIsMade(t *testing.T) {
+	alg := &recordAlg{}
+	a := newTestAgent(t, alg, nil)
+	cap := &capture{}
+	create := func(sid, seq uint32) func() error {
+		return func() error {
+			c := createMsg(sid)
+			c.Seq = seq
+			a.HandleMessage(c, cap.send)
+			return nil
+		}
+	}
+	restore := func(snap proto.Snapshot) func() error {
+		return func() error { return a.RestoreFlow(&snap) }
+	}
+	snap := func(sid uint32, name string, ctrlSeq uint32) proto.Snapshot {
+		return proto.Snapshot{SID: sid, MSS: 1448, InitCwnd: 14480, CtrlSeq: ctrlSeq,
+			CreateSeq: 3, SrcAddr: "a", DstAddr: "b", Alg: name}
+	}
+	badProg := snap(1, "record", 70)
+	badProg.Installed, badProg.Prog = true, []byte{0xff, 0xff, 0xff}
+
+	type counts struct {
+		inits, releases, flows                             int
+		created, closed, restores, unknownAlg, dups, adopt int
+	}
+	steps := []struct {
+		name    string
+		do      func() error
+		wantErr bool
+		sid     uint32
+		ctrlSeq uint32 // the step's flow's newest control sequence; 0: gone
+		want    counts
+	}{
+		{"create", create(1, 5), false, 1, 5,
+			counts{inits: 1, flows: 1, created: 1}},
+		{"duplicate create", create(1, 5), false, 1, 5,
+			counts{inits: 1, flows: 1, created: 1, dups: 1}},
+		{"resync create over a live flow", create(1, 9), false, 1, 9,
+			counts{inits: 2, releases: 1, flows: 1, created: 2, dups: 1}},
+		{"restore", restore(snap(2, "record", 40)), false, 2, 40 + ctrlSeqSkip,
+			counts{inits: 3, releases: 1, flows: 2, created: 2, restores: 1, dups: 1}},
+		{"restore over a live flow", restore(snap(1, "record", 60)), false, 1, 60 + ctrlSeqSkip,
+			counts{inits: 4, releases: 2, flows: 2, created: 2, restores: 2, dups: 1}},
+		{"restore naming an unregistered algorithm", restore(snap(3, "ghost", 0)), false, 3, ctrlSeqSkip,
+			counts{inits: 5, releases: 2, flows: 3, created: 2, restores: 3, unknownAlg: 1, dups: 1}},
+		{"bad-program snapshot", restore(badProg), true, 1, 60 + ctrlSeqSkip,
+			counts{inits: 5, releases: 2, flows: 3, created: 2, restores: 3, unknownAlg: 1, dups: 1}},
+		{"resync create over a restored flow", create(1, 11), false, 1, 60 + ctrlSeqSkip,
+			counts{inits: 5, releases: 2, flows: 3, created: 2, restores: 3, unknownAlg: 1, dups: 1, adopt: 1}},
+		{"tombstone", restore(proto.Snapshot{SID: 2, Closed: true}), false, 2, 0,
+			counts{inits: 5, releases: 3, flows: 2, created: 2, restores: 3, unknownAlg: 1, dups: 1, adopt: 1}},
+		{"close", func() error { a.HandleMessage(&proto.Close{SID: 1}, cap.send); return nil }, false, 1, 0,
+			counts{inits: 5, releases: 4, flows: 1, created: 2, closed: 1, restores: 3, unknownAlg: 1, dups: 1, adopt: 1}},
+	}
+	for _, s := range steps {
+		if err := s.do(); (err != nil) != s.wantErr {
+			t.Fatalf("%s: err = %v, want an error: %v", s.name, err, s.wantErr)
+		}
+		st := a.Stats()
+		got := counts{
+			inits: alg.inits, releases: alg.releases, flows: a.FlowCount(),
+			created: st.FlowsCreated, closed: st.FlowsClosed, restores: st.Restores,
+			unknownAlg: st.UnknownAlgReq, dups: st.DupCreates, adopt: st.ResyncAdopts,
+		}
+		if got != s.want {
+			t.Fatalf("%s:\n got %+v\nwant %+v", s.name, got, s.want)
+		}
+		a.mu.Lock()
+		var ctrlSeq uint32
+		if fs, ok := a.flows[s.sid]; ok {
+			ctrlSeq = fs.flow.ctrlSeq
+		}
+		a.mu.Unlock()
+		if ctrlSeq != s.ctrlSeq {
+			t.Fatalf("%s: flow %d numbers from %d, want %d", s.name, s.sid, ctrlSeq, s.ctrlSeq)
+		}
 	}
 }

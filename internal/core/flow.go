@@ -115,16 +115,6 @@ type Flow struct {
 	names []string
 }
 
-// nextSeq allocates the next control sequence number, skipping 0 on wrap
-// (seq 0 marks an unsequenced message on the wire).
-func (f *Flow) nextSeq() uint32 {
-	f.ctrlSeq++
-	if f.ctrlSeq == 0 {
-		f.ctrlSeq = 1
-	}
-	return f.ctrlSeq
-}
-
 // emit transmits one agent→datapath message. A flow restored from a
 // snapshot has no channel until its datapath's first message reaches the
 // promoted agent (see Agent.RestoreFlow); decisions made before that are
@@ -164,7 +154,7 @@ func (f *Flow) Install(p *lang.Program) error {
 	// f.progBytes is the last program sent, whole or by reference to the
 	// same half, so its first wholeLen bytes are the half wholeSeq names.
 	byRef := n == int(f.wholeLen) && bytes.Equal(data[:n], f.progBytes[:n])
-	seq := f.nextSeq()
+	seq := proto.NextSeq(&f.ctrlSeq)
 	m := &f.shared.install
 	*m = proto.Install{SID: f.Info.SID, Seq: seq, Prog: data}
 	if byRef {
@@ -259,7 +249,7 @@ func (f *Flow) noteInstallErr(seq uint32, reason string) {
 		}
 	default:
 		m := &f.shared.install
-		*m = proto.Install{SID: f.Info.SID, Seq: f.nextSeq(), Prog: f.progBytes}
+		*m = proto.Install{SID: f.Info.SID, Seq: proto.NextSeq(&f.ctrlSeq), Prog: f.progBytes}
 		if f.emit(m) != nil {
 			f.wholeLen = 0 // the channel is gone too; the next Install goes whole
 			return
@@ -279,7 +269,7 @@ func (f *Flow) SetCwnd(bytes int) error {
 		bytes = 0
 	}
 	m := &f.shared.setCwnd
-	*m = proto.SetCwnd{SID: f.Info.SID, Seq: f.nextSeq(), Bytes: uint32(bytes)}
+	*m = proto.SetCwnd{SID: f.Info.SID, Seq: proto.NextSeq(&f.ctrlSeq), Bytes: uint32(bytes)}
 	return f.emit(m)
 }
 
@@ -292,7 +282,7 @@ func (f *Flow) SetRate(bps float64) error {
 		bps = 0
 	}
 	m := &f.shared.setRate
-	*m = proto.SetRate{SID: f.Info.SID, Seq: f.nextSeq(), Bps: bps}
+	*m = proto.SetRate{SID: f.Info.SID, Seq: proto.NextSeq(&f.ctrlSeq), Bps: bps}
 	return f.emit(m)
 }
 

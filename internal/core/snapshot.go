@@ -111,10 +111,11 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 // pair. The restored flow resumes the snapshot's sequence-dedup state, keeps
 // its installed program (so fold reports decode by name without a datapath
 // round trip), and numbers future decisions ctrlSeqSkip above the snapshot's
-// last issued sequence. The algorithm is freshly instantiated, Init'd
-// against a silent flow handle, then overwritten via ImportState when both
-// sides support it — so an algorithm without snapshot support degrades to a
-// cold start rather than an error.
+// last issued sequence (newFlow). The algorithm is freshly instantiated,
+// Init'd against a silent flow handle, then overwritten via ImportState when
+// both sides support it — so an algorithm without snapshot support degrades
+// to a cold start rather than an error. A snapshot whose program does not
+// decode is refused before anything is touched.
 //
 // The flow has no reply channel yet; it binds lazily to the first datapath
 // message that reaches it after promotion (decisions made before that are
@@ -123,36 +124,9 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if snap.Closed {
-		if st, ok := a.flows[snap.SID]; ok {
-			if r, ok := st.alg.(Releaser); ok {
-				r.Release(st.flow)
-			}
-			delete(a.flows, snap.SID)
-		}
+		a.drop(snap.SID)
 		return nil
 	}
-	name := snap.Alg
-	if name == "" {
-		name = a.cfg.DefaultAlg
-	}
-	alg, ok := a.cfg.Registry.New(name)
-	if !ok {
-		a.stats.UnknownAlgReq++
-		alg, _ = a.cfg.Registry.New(a.cfg.DefaultAlg)
-	}
-	info := FlowInfo{
-		SID:      snap.SID,
-		MSS:      int(snap.MSS),
-		InitCwnd: int(snap.InitCwnd),
-		SrcAddr:  snap.SrcAddr,
-		DstAddr:  snap.DstAddr,
-		Alg:      name,
-	}
-	var policy Policy
-	if a.cfg.Policy != nil {
-		policy = a.cfg.Policy(info)
-	}
-	flow := &Flow{Info: info, policy: policy, ctrlSeq: snap.CtrlSeq + ctrlSeqSkip, shared: &a.shared}
 	var restoredProg *lang.Program
 	if snap.Installed && len(snap.Prog) > 0 {
 		p, err := lang.UnmarshalProgram(snap.Prog)
@@ -164,11 +138,6 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 		}
 		restoredProg = p
 	}
-	if old, exists := a.flows[snap.SID]; exists {
-		if r, ok := old.alg.(Releaser); ok {
-			r.Release(old.flow)
-		}
-	}
 	// Init runs against the still-silent flow: anything it sends (its own
 	// Install, an initial cwnd) is dropped, and the imported state below
 	// overwrites what it initialized. If the import is refused, the Init'd
@@ -176,22 +145,15 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 	// is applied after Init — Init's own Install would otherwise clobber it,
 	// and the datapath is still running the snapshot's program, not the
 	// cold-start one.
-	alg.Init(flow)
+	st := a.newFlow(&proto.Create{SID: snap.SID, MSS: snap.MSS, InitCwnd: snap.InitCwnd,
+		Seq: snap.CreateSeq, SrcAddr: snap.SrcAddr, DstAddr: snap.DstAddr, Alg: snap.Alg}, snap, nil)
 	if restoredProg != nil {
-		flow.installed = restoredProg
-		flow.progBytes = append([]byte(nil), snap.Prog...)
-		flow.names = nil
+		st.flow.installed = restoredProg
+		st.flow.progBytes = append([]byte(nil), snap.Prog...)
+		st.flow.names = nil
 	}
-	if exp, ok := alg.(SnapshotExporter); ok && len(snap.State) > 0 {
+	if exp, ok := st.alg.(SnapshotExporter); ok && len(snap.State) > 0 {
 		exp.ImportState(snap.State)
-	}
-	a.flows[snap.SID] = &flowState{
-		flow:          flow,
-		alg:           alg,
-		createSeq:     snap.CreateSeq,
-		lastReportSeq: snap.ReportSeq,
-		lastUrgentSeq: snap.UrgentSeq,
-		restored:      true,
 	}
 	a.stats.Restores++
 	return nil

@@ -183,12 +183,7 @@ func (d *CCP) Name() string {
 // default program.
 func (d *CCP) Init(c *tcp.Conn) {
 	d.conn = c
-	d.send(&proto.Create{
-		SID:      d.cfg.SID,
-		MSS:      uint32(c.MSS()),
-		InitCwnd: uint32(c.Cwnd()),
-		Alg:      d.cfg.Alg,
-	})
+	d.announce(0)
 	if p := d.cfg.DefaultProgram; p == nil {
 		d.activate(defaultInstall())
 	} else {
@@ -322,15 +317,11 @@ func (d *CCP) Deliver(m proto.Msg) {
 // applied one, recording and dropping stale or duplicate copies. It advances
 // lastCtrlSeq when the message is fresh.
 func (d *CCP) staleCtrl(seq uint32) bool {
-	if seq == 0 {
-		return false // unsequenced: always accepted
+	if proto.AdmitSeq(seq, &d.lastCtrlSeq) {
+		return false
 	}
-	if !proto.SeqNewer(seq, d.lastCtrlSeq) {
-		d.n.StaleCtrlDropped++
-		return true
-	}
-	d.lastCtrlSeq = seq
-	return false
+	d.n.StaleCtrlDropped++
+	return true
 }
 
 // rejectInstall records a refused Install and tells the agent why with an

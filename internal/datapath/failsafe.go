@@ -55,18 +55,12 @@ type failsafe struct {
 	// handoffUntil, when nonzero, smooths window increases until the
 	// post-fallback handoff ramp expires.
 	handoffUntil time.Duration
-	// Heartbeat probe health scoring: EWMA of probe round-trip latency in
-	// seconds, plus the oldest still-unanswered probe so silence degrades the
-	// score between echoes. scratchHB is the probe handed to ToAgent, valid
-	// for that call (Config.ToAgent).
-	probeTimer   netsim.Timer
-	probeSeq     uint32
-	probeEWMA    float64
-	probeSamples int
-	unechoedSeq  uint32
-	unechoedAt   time.Duration
-	haveUnechoed bool
-	scratchHB    proto.Heartbeat
+	// Heartbeat probing: score is the agent's health by its echoes, with a
+	// limit of twice the budget (probeLimit). scratchHB is the probe handed to
+	// ToAgent, valid for that call (Config.ToAgent).
+	probeTimer netsim.Timer
+	score      proto.ProbeScore
+	scratchHB  proto.Heartbeat
 
 	n failsafeCounts
 }
@@ -134,11 +128,6 @@ const (
 	// budget it entered at, so a marginally slow agent converges to one
 	// clean fallback entry instead of flapping in and out.
 	exitLatencyFraction = 0.5
-	// probeAlpha is the EWMA gain of the probe latency filter: heavy enough
-	// that a handful of healthy echoes after a heal crosses the exit
-	// threshold within a few probe intervals, light enough that one jittered
-	// echo cannot.
-	probeAlpha = 0.3
 )
 
 // AgentGone tells the datapath the transport has lost (gone=true) or
@@ -214,69 +203,41 @@ func (d *CCP) stopFailsafe() {
 	}
 }
 
-// scheduleProbe runs the heartbeat loop: each tick folds the age of the
-// oldest still-unanswered probe into the health score (so a dead or paused
-// agent drives the EWMA up even though no echoes arrive), sends a fresh
-// probe, and applies the hysteresis entry edge. Probes keep flowing while
-// in fallback — a healthy echo stream is the exit signal (see
-// handleHeartbeat; after a heal, the datapath's periodic Resyncs are
-// dup-dropped by an agent that never lost the flow, so no fresh decision
-// may ever arrive to exit on).
+// scheduleProbe runs the heartbeat loop: each tick sends a fresh probe (the
+// score folds in the age of the oldest still-unanswered one, so a dead or
+// paused agent drives it up even though no echoes arrive) and applies the
+// hysteresis entry edge. Probes keep flowing while in fallback — a healthy
+// echo stream is the exit signal (see handleHeartbeat; after a heal, the
+// datapath's periodic Resyncs are dup-dropped by an agent that never lost the
+// flow, so no fresh decision may ever arrive to exit on).
 func (d *CCP) scheduleProbe() {
 	fs := d.fs
 	fs.probeTimer = d.cfg.Clock.AfterFunc(d.cfg.Liveness.ProbeInterval, func() {
 		now := d.cfg.Clock.Now()
-		if fs.haveUnechoed {
-			d.foldProbeSample(now - fs.unechoedAt)
-		}
-		fs.probeSeq++
-		if fs.probeSeq == 0 {
-			fs.probeSeq = 1
-		}
-		if !fs.haveUnechoed {
-			fs.haveUnechoed = true
-			fs.unechoedSeq = fs.probeSeq
-			fs.unechoedAt = now
-		}
+		seq, _ := fs.score.Probe(now, d.probeLimit())
 		fs.n.ProbesSent++
-		fs.scratchHB = proto.Heartbeat{SID: d.cfg.SID, Seq: fs.probeSeq, SentAt: now.Seconds()}
+		fs.scratchHB = proto.Heartbeat{SID: d.cfg.SID, Seq: seq, SentAt: now.Seconds()}
 		d.send(&fs.scratchHB)
 		// Entry edge for the blind-spot case: control decisions still arrive
 		// at the normal cadence (lastAgentMsg stays fresh) but every round
 		// trip is slower than the budget — the flow is effectively
 		// uncontrolled and belongs in fallback.
-		if !d.fallbackActive && !fs.agentGone && fs.probeSamples > 0 &&
-			fs.probeEWMA > d.cfg.Liveness.StalenessBudget.Seconds() {
+		if lat, ok := fs.score.Score(); !d.fallbackActive && !fs.agentGone && ok &&
+			lat > d.cfg.Liveness.StalenessBudget.Seconds() {
 			d.enterFallback(true)
 		}
 		d.scheduleProbe()
 	})
 }
 
-// foldProbeSample feeds one latency observation (an echo round trip, or the
-// age of an unanswered probe) into the EWMA health score. Samples are
-// clamped at twice the budget so a long outage saturates the score instead
-// of poisoning the post-heal decay.
-func (d *CCP) foldProbeSample(lat time.Duration) {
-	fs := d.fs
-	s := lat.Seconds()
-	if s < 0 {
-		s = 0
-	}
-	if cap := 2 * d.cfg.Liveness.StalenessBudget.Seconds(); s > cap {
-		s = cap
-	}
-	if fs.probeSamples == 0 {
-		fs.probeEWMA = s
-	} else {
-		fs.probeEWMA = (1-probeAlpha)*fs.probeEWMA + probeAlpha*s
-	}
-	fs.probeSamples++
-}
+// probeLimit clamps the score's samples at twice the budget, so a long
+// outage saturates the score instead of poisoning the post-heal decay.
+func (d *CCP) probeLimit() float64 { return 2 * d.cfg.Liveness.StalenessBudget.Seconds() }
 
 // probeHealthy reports whether the EWMA latency is inside the exit band.
 func (d *CCP) probeHealthy() bool {
-	return d.fs.probeSamples > 0 && d.fs.probeEWMA < exitLatencyFraction*d.cfg.Liveness.StalenessBudget.Seconds()
+	lat, ok := d.fs.score.Score()
+	return ok && lat < exitLatencyFraction*d.cfg.Liveness.StalenessBudget.Seconds()
 }
 
 // exitGateOK is the hysteresis exit gate consulted by touchAgent: with
@@ -301,10 +262,7 @@ func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 	}
 	fs := d.fs
 	fs.n.ProbeEchoes++
-	d.foldProbeSample(d.cfg.Clock.Now() - secsToDur(v.SentAt))
-	if !fs.haveUnechoed || v.Seq == fs.unechoedSeq || proto.SeqNewer(v.Seq, fs.unechoedSeq) {
-		fs.haveUnechoed = false
-	}
+	fs.score.Echo(v.Seq, (d.cfg.Clock.Now() - secsToDur(v.SentAt)).Seconds(), d.probeLimit())
 	if d.fallbackActive && !fs.agentGone && d.probeHealthy() {
 		fs.n.ProbeExits++
 		// touchAgent applies the exit (resetting the staleness clock too, so
@@ -396,20 +354,27 @@ func (d *CCP) handingOff() bool {
 	return false
 }
 
-// Resync re-announces the flow to the agent. The Create carries the flow's
-// *current* window (not the original one) so a restarted agent starts from
-// live state, and the newest applied control sequence so the agent resumes
-// numbering above it instead of looking stale.
+// Resync re-announces the flow to the agent, carrying the newest applied
+// control sequence so the agent resumes numbering above it instead of
+// looking stale.
 func (d *CCP) Resync() {
 	if d.conn == nil {
 		return
 	}
 	d.failsafe().n.Resyncs++
+	d.announce(d.lastCtrlSeq)
+}
+
+// announce sends the flow's Create: Init's first announcement with seq 0, a
+// Resync's with the newest control sequence applied. It carries the flow's
+// *current* window (not the original one), so a restarted agent starts from
+// live state.
+func (d *CCP) announce(seq uint32) {
 	d.send(&proto.Create{
 		SID:      d.cfg.SID,
 		MSS:      uint32(d.conn.MSS()),
 		InitCwnd: uint32(d.conn.Cwnd()),
-		Seq:      d.lastCtrlSeq,
+		Seq:      seq,
 		Alg:      d.cfg.Alg,
 	})
 }

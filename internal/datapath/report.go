@@ -45,14 +45,11 @@ func (v *vectorState) sample(vars []float64) {
 
 // report ships the batched measurement state to the agent and resets it.
 func (d *CCP) report() {
-	d.reportSeq++
-	if d.reportSeq == 0 {
-		d.reportSeq = 1 // skip 0 on wrap: 0 means "unsequenced" on the wire
-	}
+	seq := proto.NextSeq(&d.reportSeq)
 	switch d.measureMode() {
 	case lang.MeasureFold:
 		v := &d.rep
-		v.SID, v.Seq = d.cfg.SID, d.reportSeq
+		v.SID, v.Seq = d.cfg.SID, seq
 		v.Fields = d.fold.ReadRegs(d.vars, v.Fields[:0])
 		d.send(v)
 		d.n.ReportsSent++
@@ -63,7 +60,7 @@ func (d *CCP) report() {
 			return
 		}
 		v := &vs.rep
-		v.SID, v.Seq = d.cfg.SID, d.reportSeq
+		v.SID, v.Seq = d.cfg.SID, seq
 		v.NumFields = uint8(len(vs.fields))
 		v.Data = append(v.Data[:0], vs.rows...)
 		vs.rows = vs.rows[:0]
@@ -76,7 +73,7 @@ func (d *CCP) report() {
 			ecnFrac = float64(d.ecnAcc) / float64(d.pktsAcc)
 		}
 		v := &d.rep
-		v.SID, v.Seq = d.cfg.SID, d.reportSeq
+		v.SID, v.Seq = d.cfg.SID, seq
 		v.Fields = append(v.Fields[:0],
 			d.ewmaRtt.Value(),
 			d.ewmaSnd.Value(),
@@ -95,11 +92,7 @@ func (d *CCP) report() {
 
 func (d *CCP) sendUrgent(kind proto.UrgentKind, value float64) {
 	d.n.UrgentsSent++
-	d.urgentSeq++
-	if d.urgentSeq == 0 {
-		d.urgentSeq = 1 // skip 0 on wrap, as for reportSeq
-	}
-	d.scratchUrgent = proto.Urgent{SID: d.cfg.SID, Seq: d.urgentSeq, Kind: kind, Value: value}
+	d.scratchUrgent = proto.Urgent{SID: d.cfg.SID, Seq: proto.NextSeq(&d.urgentSeq), Kind: kind, Value: value}
 	d.send(&d.scratchUrgent)
 }
 

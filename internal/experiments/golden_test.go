@@ -20,8 +20,10 @@ import (
 // slow-agent cells of ablation-ha and ablation-agentchaos that take 18–52 s
 // each (`slow`×{none, fallback} and `slow`×failsafe-off); those two
 // experiments are pinned by their remaining cells, rendered by the same
-// String(). Budget: 30 s in total; about 20 s measured (fig3 7 s, the
-// ablation-agentchaos scenarios 5 s, ext-synthesis 4 s).
+// String(). Budget: 90 s in total. Measured on two cores: 23–32 s (fig3
+// 9–15 s, the ablation-agentchaos scenarios 7–8 s, ext-synthesis 4–5 s), and
+// 76 s inside a `make check` on a busy box. Skipped under -short; `make
+// test-golden` is its lane in `make check`.
 //
 // The digests were generated at commit 1ba1ba0, the parent of the PR that
 // put runtime.Runtime under the harness; ablation-fallback's at the PR that

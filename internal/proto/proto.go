@@ -17,7 +17,8 @@
 // Urgent) carry a per-flow sequence number so that an unreliable channel —
 // one that reorders or duplicates messages — cannot regress a newer decision
 // or double-count an urgent event. Seq 0 means "unsequenced" and is always
-// accepted; see SeqNewer for the comparison rule.
+// accepted. Both ends share one rule each way: a sender numbers with NextSeq,
+// a receiver checks with AdmitSeq, and both compare with SeqNewer.
 package proto
 
 import (
@@ -230,6 +231,33 @@ type SetRate struct {
 // at most 2^31-1 increments ahead of b. Sequence number 0 is reserved for
 // "unsequenced" and should be special-cased by callers before comparing.
 func SeqNewer(a, b uint32) bool { return int32(a-b) > 0 }
+
+// NextSeq advances the counter *last and returns the new sequence number,
+// skipping 0 on wrap: 0 marks an unsequenced message. Every sequence number
+// a sender stamps comes from here.
+func NextSeq(last *uint32) uint32 {
+	*last++
+	if *last == 0 {
+		*last = 1
+	}
+	return *last
+}
+
+// AdmitSeq reports whether a received sequence number is fresh — newer than
+// *last, the newest admitted so far, which it then becomes — or 0, which is
+// unsequenced and always admitted without moving *last. A false result is a
+// duplicated or reordered copy of something already superseded. Every
+// receiver checks sequence numbers here.
+func AdmitSeq(seq uint32, last *uint32) bool {
+	if seq == 0 {
+		return true
+	}
+	if !SeqNewer(seq, *last) {
+		return false
+	}
+	*last = seq
+	return true
+}
 
 func (m *Create) Type() MsgType      { return TypeCreate }
 func (m *Measurement) Type() MsgType { return TypeMeasurement }

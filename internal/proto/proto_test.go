@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func sampleMsgs() []Msg {
@@ -250,6 +251,119 @@ func TestSeqNewer(t *testing.T) {
 		if got := SeqNewer(c.a, c.b); got != c.want {
 			t.Errorf("SeqNewer(%d, %d)=%v, want %v", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+func TestNextSeqSkipsZeroOnWrap(t *testing.T) {
+	last := ^uint32(0) - 1
+	if s := NextSeq(&last); s != ^uint32(0) {
+		t.Fatalf("seq=%d", s)
+	}
+	if s := NextSeq(&last); s != 1 || last != 1 {
+		t.Fatalf("seq after wrap=%d (counter %d), want 1 (0 is reserved for unsequenced)", s, last)
+	}
+}
+
+func TestStaleSeqWraparound(t *testing.T) {
+	last := ^uint32(0)
+	if !AdmitSeq(1, &last) {
+		t.Fatal("wrapped seq 1 treated as stale after 2^32-1")
+	}
+	if last != 1 {
+		t.Fatalf("last=%d after wrap, want 1", last)
+	}
+	if AdmitSeq(^uint32(0), &last) || AdmitSeq(1, &last) {
+		t.Fatal("replayed seq accepted after the wrap")
+	}
+	if !AdmitSeq(0, &last) || last != 1 {
+		t.Fatal("seq 0 must stay unsequenced and always fresh")
+	}
+}
+
+// TestProbeScore drives the heartbeat health score through each of its rules,
+// with a limit of 200 ms.
+func TestProbeScore(t *testing.T) {
+	const limit = 0.2
+	ms := time.Millisecond
+	probe := func(t *testing.T, p *ProbeScore, at time.Duration, wantSeq uint32, wantMissed bool) {
+		t.Helper()
+		if seq, missed := p.Probe(at, limit); seq != wantSeq || missed != wantMissed {
+			t.Fatalf("Probe(%v) = %d, missed %v; want %d, missed %v", at, seq, missed, wantSeq, wantMissed)
+		}
+	}
+	cases := []struct {
+		name        string
+		start       ProbeScore
+		run         func(t *testing.T, p *ProbeScore)
+		score       float64
+		scored      bool
+		outstanding bool
+	}{
+		{"unscored before any sample", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, 1, false)
+		}, 0, false, true},
+		{"the first sample seeds the score", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, 1, false)
+			p.Echo(1, 0.05, limit)
+		}, 0.05, true, false},
+		{"a later sample moves it by the gain", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			p.Echo(1, 0.05, limit)
+			p.Echo(2, 0.15, limit)
+		}, 0.7*0.05 + 0.3*0.15, true, false},
+		{"a negative sample clamps to zero", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			p.Echo(1, -1, limit)
+		}, 0, true, false},
+		{"an over-limit sample clamps to the limit", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			p.Echo(1, 5, limit)
+		}, limit, true, false},
+		{"an unanswered probe's age folds in at each later probe", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, 1, false)
+			probe(t, p, 10*ms, 2, true)
+			probe(t, p, 30*ms, 3, true)
+		}, 0.7*0.01 + 0.3*0.03, true, true},
+		{"an unanswered probe's age clamps too", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, 1, false)
+			probe(t, p, time.Minute, 2, true)
+		}, limit, true, true},
+		{"an echo of a later probe answers the outstanding one", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, 1, false)
+			probe(t, p, 10*ms, 2, true)
+			p.Echo(2, 0.001, limit)
+			probe(t, p, 20*ms, 3, false)
+			p.Echo(3, 0.001, limit)
+		}, 0.7*(0.7*0.01+0.3*0.001) + 0.3*0.001, true, false},
+		{"an echo of an older probe does not", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, 1, false)
+			p.Echo(1, 0, limit)
+			probe(t, p, 10*ms, 2, false)
+			p.Echo(1, 0, limit)
+			probe(t, p, 20*ms, 3, true)
+		}, 0.3 * 0.01, true, true},
+		{"numbering skips zero on wrap", ProbeScore{seq: ^uint32(0) - 1}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, ^uint32(0), false)
+			probe(t, p, 10*ms, 1, true)
+			p.Echo(1, 0.01, limit)
+		}, 0.01, true, false},
+		{"Reset forgets the score and the probes but keeps numbering", ProbeScore{}, func(t *testing.T, p *ProbeScore) {
+			probe(t, p, 0, 1, false)
+			probe(t, p, 10*ms, 2, true)
+			p.Reset()
+			if _, scored := p.Score(); scored || p.Outstanding() {
+				t.Fatal("Reset kept the score or the outstanding probe")
+			}
+			probe(t, p, 20*ms, 3, false)
+		}, 0, false, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.start
+			c.run(t, &p)
+			score, scored := p.Score()
+			if math.Abs(score-c.score) > 1e-12 || scored != c.scored || p.Outstanding() != c.outstanding {
+				t.Fatalf("score %v (scored %v), outstanding %v; want %v (scored %v), outstanding %v",
+					score, scored, p.Outstanding(), c.score, c.scored, c.outstanding)
+			}
+		})
 	}
 }
 

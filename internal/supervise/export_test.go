@@ -9,5 +9,6 @@ func (s *Supervisor) State() State { return s.state }
 
 // Latency returns the current latency EWMA (zero before any sample).
 func (s *Supervisor) Latency() time.Duration {
-	return time.Duration(s.ewma * float64(time.Second))
+	lat, _ := s.score.Score()
+	return time.Duration(lat * float64(time.Second))
 }

@@ -80,8 +80,6 @@ type Config struct {
 }
 
 const (
-	// alpha is the EWMA gain on latency samples.
-	alpha = 0.3
 	// An EWMA above suspectFraction×LatencyBudget moves a Healthy agent to
 	// Suspect. A Suspect or Failed agent returns to Healthy only once every
 	// probe is answered and the EWMA is below recoverFraction×LatencyBudget;
@@ -108,8 +106,9 @@ type Stats struct {
 }
 
 // Supervisor health-checks an agent by sending proto.Heartbeat probes
-// through its message path and scoring the echoes: an EWMA of
-// request→response latency catches the slow-agent failure mode, and a
+// through its message path and scoring the echoes: the EWMA of
+// request→response latency a proto.ProbeScore keeps (with a limit of twice
+// the latency budget) catches the slow-agent failure mode, and a
 // consecutive-miss counter catches the dead/paused one. Crossing either
 // budget fires OnFailover.
 //
@@ -119,16 +118,9 @@ type Supervisor struct {
 	cfg   Config
 	timer netsim.Timer
 
-	state   State
-	ewma    float64 // seconds
-	samples int
-	misses  int
-	seq     uint32
-	// Oldest unanswered probe; age folds into the EWMA each tick so a
-	// silent agent's score climbs even though no echo ever arrives.
-	unechoedSeq   uint32
-	unechoedAt    time.Duration
-	haveUnechoed  bool
+	state         State
+	score         proto.ProbeScore
+	misses        int
 	cooldownUntil time.Duration
 	haveCooldown  bool
 	scratch       proto.Heartbeat
@@ -179,38 +171,30 @@ func (s *Supervisor) Stats() Stats { return s.stats }
 // Adopt resets the health state after the orchestrator has swapped a fresh
 // agent behind the handler (promotion or restart): score, misses, and
 // outstanding probes all clear, so the new agent is judged on its own
-// echoes rather than its predecessor's corpse. The failover cooldown is
-// preserved — it spaces promotions, not probes.
+// echoes rather than its predecessor's corpse. Probe numbering continues,
+// and the failover cooldown is preserved — it spaces promotions, not probes.
 func (s *Supervisor) Adopt() {
 	s.state = Healthy
-	s.ewma = 0
-	s.samples = 0
+	s.score.Reset()
 	s.misses = 0
-	s.haveUnechoed = false
 }
+
+// limit clamps the score's samples at twice the budget, so one long outage
+// does not poison the EWMA for minutes after recovery.
+func (s *Supervisor) limit() float64 { return 2 * s.cfg.LatencyBudget.Seconds() }
 
 // tick sends one probe and scores the silence since the last one.
 func (s *Supervisor) tick() {
 	s.timer = nil
 	now := s.cfg.Clock.Now()
-	if s.haveUnechoed {
-		// The oldest probe is still unanswered: fold its age in as a
-		// latency sample (clamped, so one long outage does not poison the
-		// EWMA for minutes after recovery) and count the miss.
+	seq, missed := s.score.Probe(now, s.limit())
+	if missed {
+		// The oldest probe was still unanswered: the score has folded in its
+		// age; count the miss.
 		s.misses++
 		s.stats.Misses++
-		s.foldSample((now - s.unechoedAt).Seconds())
 	}
-	s.seq++
-	if s.seq == 0 {
-		s.seq = 1
-	}
-	if !s.haveUnechoed {
-		s.unechoedSeq = s.seq
-		s.unechoedAt = now
-		s.haveUnechoed = true
-	}
-	s.scratch = proto.Heartbeat{Seq: s.seq, SentAt: now.Seconds()}
+	s.scratch = proto.Heartbeat{Seq: seq, SentAt: now.Seconds()}
 	s.stats.ProbesSent++
 	s.cfg.Handler.HandleMessage(&s.scratch, s.echo)
 	s.evaluate(s.cfg.Clock.Now())
@@ -229,36 +213,16 @@ func (s *Supervisor) echo(m proto.Msg) error {
 	now := s.cfg.Clock.Now()
 	s.stats.Echoes++
 	s.misses = 0
-	lat := now.Seconds() - hb.SentAt
-	s.foldSample(lat)
-	if s.haveUnechoed && (hb.Seq == s.unechoedSeq || proto.SeqNewer(hb.Seq, s.unechoedSeq)) {
-		s.haveUnechoed = false
-	}
+	s.score.Echo(hb.Seq, now.Seconds()-hb.SentAt, s.limit())
 	s.evaluate(now)
 	return nil
-}
-
-// foldSample merges one latency observation (seconds) into the EWMA,
-// clamped at twice the budget.
-func (s *Supervisor) foldSample(lat float64) {
-	if lat < 0 {
-		lat = 0
-	}
-	if max := 2 * s.cfg.LatencyBudget.Seconds(); lat > max {
-		lat = max
-	}
-	if s.samples == 0 {
-		s.ewma = lat
-	} else {
-		s.ewma = alpha*lat + (1-alpha)*s.ewma
-	}
-	s.samples++
 }
 
 // evaluate runs the Healthy/Suspect/Failed state machine.
 func (s *Supervisor) evaluate(now time.Duration) {
 	budget := s.cfg.LatencyBudget.Seconds()
-	blown := s.misses >= s.cfg.MissBudget || (s.samples > 0 && s.ewma > budget)
+	lat, scored := s.score.Score()
+	blown := s.misses >= s.cfg.MissBudget || (scored && lat > budget)
 	switch {
 	case blown:
 		if s.state != Failed {
@@ -271,13 +235,13 @@ func (s *Supervisor) evaluate(now time.Duration) {
 			}
 		}
 	case s.state == Healthy:
-		if s.misses > 0 || (s.samples > 0 && s.ewma > suspectFraction*budget) {
+		if s.misses > 0 || (scored && lat > suspectFraction*budget) {
 			s.state = Suspect
 			s.stats.Suspects++
 		}
 	default: // Suspect or Failed: recovery needs the stricter exit gate
-		if s.misses == 0 && !s.haveUnechoed && s.samples > 0 &&
-			s.ewma < recoverFraction*budget {
+		if s.misses == 0 && !s.score.Outstanding() && scored &&
+			lat < recoverFraction*budget {
 			s.state = Healthy
 			s.stats.Recoveries++
 		}
