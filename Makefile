@@ -101,12 +101,13 @@ test-allocs:
 		./internal/datapath ./internal/core ./internal/runtime
 
 # The golden digests: TestGoldenDigests pins the SHA-256 of every fast
-# experiment's output, the proof that a change meant to leave the simulated
-# control loop alone did. It skips itself under -short, so the race short
-# suite never runs it; this lane runs it once, without -race. 23–32 s on two
-# cores. Part of `check`.
+# experiment's output and of the stdout of the simulated examples
+# (quickstart, customalg, multiflow), the proof that a change meant to leave
+# the simulated control loop alone did. Both skip themselves under -short, so
+# the race short suite never runs them; this lane runs them once, without
+# -race. 25–35 s on two cores. Part of `check`.
 test-golden:
-	$(GO) test -count=1 -run TestGoldenDigests ./internal/experiments
+	$(GO) test -count=1 -run TestGoldenDigests ./internal/experiments ./examples
 
 # Robustness lane: the concurrent packages (sharded runtime — including
 # TestRaceContainersAccountedExactlyOnce, the mailbox-container ownership

@@ -179,7 +179,7 @@ func selectRelease(ch chan *bufpool.Buf, closed chan struct{}) {
 }
 
 // A frame captured by a scheduled closure is released there, not here
-// (bridge.DatapathSender shape).
+// (the shape of bridge.Bridge.cross).
 func closureRelease(schedule func(func())) {
 	f, err := mkframe()
 	if err != nil {

@@ -29,20 +29,15 @@ type Stats struct {
 }
 
 // Bridge connects one agent to any number of datapath runtimes over a
-// simulated IPC link with fixed one-way latency. A negative latency or a
-// stopped bridge drops messages (used to simulate agent death for the §5
-// fallback experiment).
+// simulated IPC link with fixed one-way latency (not negative: the
+// simulator panics on a negative delay). It loses nothing itself; an agent
+// that dies, and a channel that drops, are the fault layers' doing
+// (internal/faults), one behind the bridge and one on its wire.
 type Bridge struct {
 	sim     *netsim.Sim
 	agent   proto.Handler
 	latency time.Duration
-	stopped bool
-	// gen counts Stop calls. Deliveries capture the generation they were
-	// scheduled under and are discarded if a Stop intervened before they
-	// fire: a killed process loses its socket buffer, so messages already
-	// "in the kernel" at crash time must vanish with it.
-	gen   uint64
-	stats Stats
+	stats   Stats
 
 	// dec is the bridge's decode scratch. The simulator is single-threaded
 	// and every delivery consumes its decoded message before returning, so
@@ -57,17 +52,6 @@ func New(sim *netsim.Sim, agent proto.Handler, latency time.Duration) *Bridge {
 
 // Stats returns a snapshot of the bridge counters.
 func (b *Bridge) Stats() Stats { return b.stats }
-
-// Stop makes the bridge drop all traffic in both directions, simulating an
-// agent crash: future sends are dropped, and messages already scheduled for
-// delivery are discarded when they fire. Resume with Start.
-func (b *Bridge) Stop() {
-	b.stopped = true
-	b.gen++
-}
-
-// Start re-enables a stopped bridge (the agent process restarted).
-func (b *Bridge) Start() { b.stopped = false }
 
 // Tap stands on one direction of one connection's wire, between the encoder
 // and the decoder, so that whatever it does to a message it does to the bytes
@@ -84,14 +68,10 @@ type Tap struct {
 	Killed func()
 }
 
-// DatapathSender returns the ToAgent function for a datapath runtime whose
-// agent→datapath deliveries go to deliver (normally (*datapath.CCP).Deliver).
-func (b *Bridge) DatapathSender(deliver func(proto.Msg)) func(proto.Msg) error {
-	return b.TappedSender(deliver, nil, nil)
-}
-
-// TappedSender is DatapathSender with a tap on either direction's wire (nil
-// for none: the pooled frame then crosses as it is, copied nowhere).
+// TappedSender returns the ToAgent function for a datapath runtime whose
+// agent→datapath deliveries go to deliver (normally (*datapath.CCP).Deliver),
+// with a tap on either direction's wire (nil for none: the pooled frame then
+// crosses as it is, copied nowhere).
 func (b *Bridge) TappedSender(deliver func(proto.Msg), toAgent, toDatapath *Tap) func(proto.Msg) error {
 	arriveDp := func(frame []byte) { b.decode(frame, toDatapath, deliver) }
 	if toDatapath != nil {
@@ -129,22 +109,14 @@ func (b *Bridge) TappedSender(deliver func(proto.Msg), toAgent, toDatapath *Tap)
 	}
 }
 
-// cross counts one frame into its direction and carries it over the latency:
-// arrive runs on the far side unless the bridge stopped in between. The frame
-// is cross's to release, and dies with the delivery either way.
+// cross counts one frame into its direction and carries it over the latency
+// to arrive on the far side. The frame is cross's to release, and dies with
+// the delivery.
 func (b *Bridge) cross(f *bufpool.Buf, msgs *int, bytes *int64, arrive func(frame []byte)) {
-	if b.stopped {
-		f.Release()
-		return // silently lost, like a dead process's socket buffer
-	}
 	*msgs++
 	*bytes += int64(len(f.B))
-	gen := b.gen
 	b.sim.Schedule(b.latency, func() {
 		defer f.Release()
-		if b.stopped || b.gen != gen {
-			return // crashed while in flight
-		}
 		arrive(f.B)
 	})
 }
@@ -164,12 +136,13 @@ func (b *Bridge) decode(frame []byte, tap *Tap, to func(proto.Msg)) {
 	}
 }
 
-// Connect builds a datapath runtime for one flow, wired through the bridge.
-// It is the common setup path for simulation experiments.
-func (b *Bridge) Connect(cfg datapath.Config) *datapath.CCP {
+// Connect builds a datapath runtime for one flow, wired through the bridge
+// with the given taps on its wire (nil for none; see TappedSender). It is
+// the one setup path of simulated flows.
+func (b *Bridge) Connect(cfg datapath.Config, toAgent, toDatapath *Tap) *datapath.CCP {
 	cfg.Clock = b.sim
 	var dp *datapath.CCP
-	cfg.ToAgent = b.DatapathSender(func(m proto.Msg) { dp.Deliver(m) })
+	cfg.ToAgent = b.TappedSender(func(m proto.Msg) { dp.Deliver(m) }, toAgent, toDatapath)
 	dp = datapath.New(cfg)
 	return dp
 }

@@ -108,15 +108,12 @@ func runHACell(fault, mode string) HACell {
 	// prices.
 	link := oneBDPLink(48e6, haRTT)
 	link.QueueBytes /= 4
-	cfg := harness.Config{Seed: 1, Link: link, AgentFaults: true}
+	cfg := harness.Config{Seed: 1, Link: link}
 	if mode == "warm" {
-		cfg.HA = &harness.HAConfig{
-			SnapshotInterval: 50 * time.Millisecond,
-			Supervisor: supervise.Config{
-				Interval:      5 * time.Millisecond,
-				LatencyBudget: 100 * time.Millisecond,
-				MissBudget:    3,
-			},
+		cfg.HA = &supervise.Config{
+			Interval:      5 * time.Millisecond,
+			LatencyBudget: 100 * time.Millisecond,
+			MissBudget:    3,
 		}
 	}
 	net := harness.New(cfg)
@@ -130,30 +127,13 @@ func runHACell(fault, mode string) HACell {
 	a.Conn.Start() // A spans the whole run
 	net.StartAt(b.Flow, chaosBStartAt)
 
-	net.Sim.Schedule(chaosFaultAt, func() {
-		switch fault {
-		case "kill":
-			net.AgentInj.Kill()
-		case "pause":
-			net.AgentInj.Pause()
-		case "slow":
-			net.AgentInj.SlowDown(700 * time.Millisecond)
-		}
-	})
+	onset, heal := agentFault(net, fault)
+	net.Sim.Schedule(chaosFaultAt, onset)
 	if mode != "warm" {
 		// Heal at t=16s. In warm mode the supervisor's promotion already
 		// replaced the process (Restart drops the corpse's backlog), so
 		// there is nothing left to heal.
-		net.Sim.Schedule(chaosHealAt, func() {
-			switch fault {
-			case "kill":
-				net.RestartAgent()
-			case "pause":
-				net.AgentInj.Resume()
-			case "slow":
-				net.AgentInj.SlowDown(0)
-			}
-		})
+		net.Sim.Schedule(chaosHealAt, heal)
 	}
 
 	// Time-to-recovery probe: from the fault onward, watch (on the sim

@@ -244,7 +244,8 @@ type AblFallbackResult struct {
 	AgentFlowsCreated int
 }
 
-// AblFallback kills the bridge (agent crash) from t=5s to t=15s.
+// AblFallback kills the agent process from t=5s to t=15s; the same agent,
+// flow table intact, comes back behind the injector.
 func AblFallback() AblFallbackResult {
 	link := oneBDPLink(48e6, 10*time.Millisecond)
 	dur := 25 * time.Second
@@ -253,8 +254,8 @@ func AblFallback() AblFallbackResult {
 		datapath.Config{Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}})
 	thr := sampleThroughput(net, f.Receiver, 100*time.Millisecond, dur)
 	f.Conn.Start()
-	net.Sim.Schedule(5*time.Second, net.Bridge.Stop)
-	net.Sim.Schedule(15*time.Second, net.Bridge.Start)
+	net.Sim.Schedule(5*time.Second, net.AgentInj.Kill)
+	net.Sim.Schedule(15*time.Second, func() { net.AgentInj.Restart(net.Agent) })
 	net.Run(dur)
 
 	cap := link.RateBps / 8

@@ -46,16 +46,9 @@ type AgentChaosScenario struct {
 }
 
 // AblAgentChaosResult is the agent-chaos matrix: each process-level fault
-// (kill, pause, slowdown) with the fail-safe layer on and off, plus a
-// transparency check that a healthy injector with the layer disabled is
-// bit-identical to no injector at all.
+// (kill, pause, slowdown) with the fail-safe layer on and off.
 type AblAgentChaosResult struct {
 	Scenarios []AgentChaosScenario
-	// BaselineMatches reports that a run with the injector in the path
-	// (healthy, liveness disabled) produced exactly the same summary and
-	// datapath counters as a run without it — the guarantee that lets every
-	// pre-existing experiment stay bit-identical.
-	BaselineMatches bool
 }
 
 // Chaos timeline constants. Flow A warms the link and leaves; flow B is
@@ -78,13 +71,29 @@ func AblAgentChaos() AblAgentChaosResult {
 			res.Scenarios = append(res.Scenarios, runAgentChaos(fault, fb))
 		}
 	}
-	res.BaselineMatches = agentChaosBaselineMatches()
 	return res
+}
+
+// agentFault returns the onset and the heal of a process-level fault of the
+// deployment's agent: "kill" (healed by a real process restart: a fresh
+// agent with an empty flow table, which only the datapaths' Resync Creates
+// can repopulate), "pause", or "slow" (700 ms per message).
+func agentFault(net *harness.Net, fault string) (onset, heal func()) {
+	inj := net.AgentInj
+	switch fault {
+	case "kill":
+		return inj.Kill, net.RestartAgent
+	case "pause":
+		return inj.Pause, inj.Resume
+	case "slow":
+		return func() { inj.SlowDown(700 * time.Millisecond) }, func() { inj.SlowDown(0) }
+	}
+	panic("experiments: unknown agent fault " + fault)
 }
 
 func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 	link := oneBDPLink(48e6, 10*time.Millisecond)
-	net := harness.New(harness.Config{Seed: 1, Link: link, AgentFaults: true})
+	net := harness.New(harness.Config{Seed: 1, Link: link})
 	var dpCfg datapath.Config
 	if fallback {
 		dpCfg.Liveness = datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}
@@ -98,28 +107,9 @@ func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 	net.StartAt(b.Flow, chaosBStartAt)
 	net.StopAt(a.Flow, chaosAStopAt)
 
-	net.Sim.Schedule(chaosFaultAt, func() {
-		switch fault {
-		case "kill":
-			net.AgentInj.Kill()
-		case "pause":
-			net.AgentInj.Pause()
-		case "slow":
-			net.AgentInj.SlowDown(700 * time.Millisecond)
-		}
-	})
-	net.Sim.Schedule(chaosHealAt, func() {
-		switch fault {
-		case "kill":
-			// A real process restart: fresh agent, empty flow table. Only
-			// the datapaths' Resync Creates can repopulate it.
-			net.RestartAgent()
-		case "pause":
-			net.AgentInj.Resume()
-		case "slow":
-			net.AgentInj.SlowDown(0)
-		}
-	})
+	onset, heal := agentFault(net, fault)
+	net.Sim.Schedule(chaosFaultAt, onset)
+	net.Sim.Schedule(chaosHealAt, heal)
 	net.Run(chaosDur)
 
 	capBps := link.RateBps / 8
@@ -140,34 +130,6 @@ func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 	}
 }
 
-// agentChaosBaselineMatches runs the same healthy workload with and without
-// the agent injector in the path (liveness disabled in both) and compares
-// every observable: run summary, datapath counters, and agent counters. The
-// injector's healthy mode is synchronous pass-through, so the two runs must
-// be bit-identical.
-func agentChaosBaselineMatches() bool {
-	type outcome struct {
-		sum   RunSummary
-		dp    datapath.Stats
-		agent int
-	}
-	run := func(injected bool) outcome {
-		link := oneBDPLink(48e6, 10*time.Millisecond)
-		dur := 10 * time.Second
-		net := harness.New(harness.Config{Seed: 1, Link: link, AgentFaults: injected})
-		f := net.AddCCPFlow(1, "cubic", tcp.Options{})
-		rtt := sampleRTT(net, f.Conn, 50*time.Millisecond, dur)
-		f.Conn.Start()
-		net.Run(dur)
-		return outcome{
-			sum:   summarize(net, f.Flow, rtt, dur),
-			dp:    f.DP.Stats().Deterministic(),
-			agent: net.Agent.Stats().Agent.FlowsCreated,
-		}
-	}
-	return run(false) == run(true)
-}
-
 // String renders the matrix.
 func (r AblAgentChaosResult) String() string {
 	var b strings.Builder
@@ -186,7 +148,5 @@ func (r AblAgentChaosResult) String() string {
 			s.FallbackOn, s.FallbackOff, s.Resyncs, s.InstallsRecvd,
 			s.AgentFlowsCreated, s.HandoffRamps)
 	}
-	fmt.Fprintf(&b, "\n  healthy-injector transparency (bit-identical to no injector): %v\n",
-		r.BaselineMatches)
 	return b.String()
 }

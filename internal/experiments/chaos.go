@@ -30,15 +30,10 @@ type AblChaosRow struct {
 }
 
 // AblChaosResult sweeps channel fault intensity over the agent↔datapath
-// channel: at zero the wrapped channel must be bit-identical to the plain
-// one; as faults grow the sequence protocol and the §5 fallback must keep
-// the flow alive and its utilization bounded away from zero.
+// channel: as faults grow the sequence protocol and the §5 fallback must
+// keep the flow alive and its utilization bounded away from zero.
 type AblChaosResult struct {
 	Rows []AblChaosRow
-	// ZeroMatchesBaseline is true when the rate-0 run's summary, datapath
-	// counters, and agent counters all equal a run with no fault layer at
-	// all — the injector at rate 0 is provably transparent.
-	ZeroMatchesBaseline bool
 }
 
 // AblChaos runs CCP Cubic under uniform drop/corrupt/duplicate/reorder rates
@@ -55,33 +50,30 @@ func AblChaos() AblChaosResult {
 		agent core.AgentStats
 		fault faults.Stats
 	}
-	runOne := func(plan *faults.Plan) outcome {
+	runOne := func(plan faults.Plan) outcome {
 		net := harness.New(harness.Config{Seed: 1, Link: link, Faults: plan})
 		f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{},
 			datapath.Config{Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}})
 		rtt := sampleRTT(net, f.Conn, 50*time.Millisecond, dur)
 		f.Conn.Start()
 		net.Run(dur)
-		o := outcome{sum: summarize(net, f.Flow, rtt, dur), dp: f.DP.Stats().Deterministic(), agent: net.Agent.Stats().Agent}
-		if net.FaultBridge != nil {
-			o.fault = net.FaultBridge.Stats()
+		return outcome{
+			sum:   summarize(net, f.Flow, rtt, dur),
+			dp:    f.DP.Stats().Deterministic(),
+			agent: net.Agent.Stats().Agent,
+			fault: net.ChannelInj.Stats(),
 		}
-		return o
 	}
 
-	base := runOne(nil)
 	var res AblChaosResult
 	for _, rate := range []float64{0, 0.05, 0.2, 0.5, 0.9} {
-		// Rate 0 is the fully zero plan (no jitter either): the injector is
-		// in the path but must be a no-op.
+		// Rate 0 is the fully zero plan (no jitter either): nothing on the
+		// wire.
 		plan := faults.Plan{}
 		if rate > 0 {
 			plan = faults.Uniform(rate, 2*time.Millisecond)
 		}
-		o := runOne(&plan)
-		if rate == 0 {
-			res.ZeroMatchesBaseline = o.sum == base.sum && o.dp == base.dp && o.agent == base.agent
-		}
+		o := runOne(plan)
 		res.Rows = append(res.Rows, AblChaosRow{
 			Rate:             rate,
 			Utilization:      o.sum.Utilization,
@@ -112,6 +104,5 @@ func (r AblChaosResult) String() string {
 			row.AgentDiscards, row.Injected.Dropped, row.Injected.Corrupted,
 			row.Injected.DecodeKilled)
 	}
-	fmt.Fprintf(&b, "\n  rate-0 run bit-identical to fault-free channel: %v\n", r.ZeroMatchesBaseline)
 	return b.String()
 }

@@ -220,10 +220,6 @@ func TestAblChaosShape(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows=%d", len(res.Rows))
 	}
-	// The fault layer at rate 0 must be provably transparent.
-	if !res.ZeroMatchesBaseline {
-		t.Fatalf("rate-0 run diverged from the fault-free channel: %+v", res.Rows[0])
-	}
 	for _, row := range res.Rows {
 		// Bounded utilization at every intensity: the flow always completes
 		// and keeps the link moving (the §5 fallback carries the worst case).

@@ -3,13 +3,13 @@
 // must survive a misbehaving or dead agent — is only as strong as the
 // adversity it has been tested under; this package supplies that adversity
 // as a first-class subsystem: per-direction drop, delay-jitter, reorder,
-// duplicate, and corrupt faults applied to marshalled wire messages.
+// duplicate, and corrupt faults applied to marshalled wire messages, and
+// (AgentInjector) pause, slowdown, kill and restart of the agent process.
 //
-// Two adapters exist: Bridge wraps the simulator's IPC bridge so whole
-// experiments run under faults on the virtual clock (bit-identical across
+// An Injector stands on the simulator's IPC bridge through Tap, so whole
+// experiments run under faults on the virtual clock: bit-identical across
 // runs with the same seed, and bit-identical to the fault-free path when
-// the plan is zero), and Transport decorates an ipc.Transport for the real
-// socket path.
+// the plan is zero, because a zero direction is not tapped at all.
 //
 // All fate decisions draw from a single *rand.Rand in a fixed order
 // (drop, corrupt, duplicate, then per-copy jitter and reorder), so a run is
@@ -19,6 +19,8 @@ package faults
 import (
 	"math/rand"
 	"time"
+
+	"github.com/ccp-repro/ccp/internal/bridge"
 )
 
 // Dir names a channel direction.
@@ -92,7 +94,8 @@ func (p *Plan) dir(d Dir) *DirPlan {
 	return &p.ToDatapath
 }
 
-// DirStats counts one direction's injected faults.
+// DirStats counts one direction's injected faults. A direction with a zero
+// plan has no tap (Tap), so nothing on it is counted.
 type DirStats struct {
 	// Delivered counts copies handed to the receiver (duplicates count
 	// twice; corrupted-but-delivered copies count too).
@@ -102,7 +105,7 @@ type DirStats struct {
 	Duplicated int
 	Reordered  int
 	// DecodeKilled counts corrupted messages the receiver's decoder
-	// rejected (reported by the adapters via NoteDecodeKilled).
+	// rejected (reported by the bridge through the tap's Killed).
 	DecodeKilled int
 }
 
@@ -133,8 +136,7 @@ func (s *Stats) dir(d Dir) *DirStats {
 }
 
 // Injector decides the fate of messages under a Plan. It is not safe for
-// concurrent use; the simulator adapter runs on the event loop, and the
-// transport adapter serializes access itself.
+// concurrent use: its taps run on the simulator's event loop.
 type Injector struct {
 	plan     Plan
 	rng      *rand.Rand
@@ -143,8 +145,7 @@ type Injector struct {
 }
 
 // NewInjector builds an injector drawing randomness from rng and scheduling
-// delayed deliveries with schedule (the simulator's Schedule in experiments,
-// a time.AfterFunc shim over real transports).
+// delayed deliveries with schedule (the simulator's Schedule).
 func NewInjector(plan Plan, rng *rand.Rand, schedule func(time.Duration, func())) *Injector {
 	return &Injector{plan: plan, rng: rng, schedule: schedule}
 }
@@ -152,9 +153,23 @@ func NewInjector(plan Plan, rng *rand.Rand, schedule func(time.Duration, func())
 // Stats returns a snapshot of the fault counters.
 func (inj *Injector) Stats() Stats { return inj.stats }
 
-// NoteDecodeKilled records that a corrupted message failed to decode at the
-// receiver and was discarded.
-func (inj *Injector) NoteDecodeKilled(dir Dir) { inj.stats.dir(dir).DecodeKilled++ }
+// Tap puts the injector on one direction of a bridge connection's wire
+// (bridge.Bridge.Connect); nil when the direction's plan is zero, so that no
+// fault can touch the bytes, no delivery outlives the send and the pooled
+// frame crosses uncopied. The injector's deliveries may outlive the call or
+// happen twice, and the frame is the bridge's pooled buffer, so the bytes
+// are copied out of it once.
+func (inj *Injector) Tap(dir Dir) *bridge.Tap {
+	if inj.plan.dir(dir).Zero() {
+		return nil
+	}
+	return &bridge.Tap{
+		Carry: func(frame []byte, next func([]byte)) {
+			inj.Apply(dir, append([]byte(nil), frame...), next)
+		},
+		Killed: func() { inj.stats.dir(dir).DecodeKilled++ },
+	}
+}
 
 // Apply decides the fate of one marshalled message travelling in dir and
 // invokes deliver zero, one, or two times — possibly later, via schedule.

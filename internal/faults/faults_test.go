@@ -48,6 +48,10 @@ func TestZeroPlanConsumesNoRandomness(t *testing.T) {
 	if st.ToAgent.Delivered != 10 || st.ToAgent.Dropped != 0 {
 		t.Fatalf("stats=%+v", st)
 	}
+	// Nor does a zero plan put anything on a bridge's wire.
+	if inj.Tap(faults.ToAgent) != nil || inj.Tap(faults.ToDatapath) != nil {
+		t.Fatal("zero plan tapped the wire")
+	}
 }
 
 func TestDropAll(t *testing.T) {
@@ -158,8 +162,8 @@ func TestDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// channelRun is the observable outcome of one simulated flow; fault-free
-// wrapped runs must reproduce the plain bridge's outcome bit for bit.
+// channelRun is the observable outcome of one simulated flow; a run under a
+// zero plan must reproduce the plain bridge's outcome bit for bit.
 type channelRun struct {
 	agent core.AgentStats
 	dp    datapath.Stats
@@ -168,7 +172,7 @@ type channelRun struct {
 }
 
 // runChannel drives one CCP flow for two seconds through the plain bridge
-// (plan == nil) or through a fault bridge with the given plan.
+// (plan == nil) or through the bridge with an injector's taps on its wire.
 func runChannel(t *testing.T, plan *faults.Plan) channelRun {
 	t.Helper()
 	sim := netsim.New(1)
@@ -181,22 +185,30 @@ func runChannel(t *testing.T, plan *faults.Plan) channelRun {
 
 	cfg := datapath.Config{SID: 1, Alg: "reno"}
 	var dp *datapath.CCP
-	var fb *faults.Bridge
+	var inj *faults.Injector
 	if plan == nil {
-		dp = br.Connect(cfg)
+		dp = br.Connect(cfg, nil, nil)
 	} else {
-		fb = faults.NewBridge(sim, br, *plan)
-		dp = fb.Connect(cfg)
+		inj = newSimInjector(sim, *plan)
+		dp = br.Connect(cfg, inj.Tap(faults.ToAgent), inj.Tap(faults.ToDatapath))
 	}
 
 	flow := startFlow(sim, dp)
 	sim.Run(2 * time.Second)
 
 	out := channelRun{agent: agent.Stats(), dp: dp.Stats(), cwnd: flow.Conn.Cwnd()}
-	if fb != nil {
-		out.fault = fb.Stats()
+	if inj != nil {
+		out.fault = inj.Stats()
 	}
 	return out
+}
+
+// newSimInjector is the injector a simulated deployment puts on its bridge:
+// randomness from the simulator's seeded RNG, delays on its clock.
+func newSimInjector(sim *netsim.Sim, plan faults.Plan) *faults.Injector {
+	return faults.NewInjector(plan, sim.Rand(), func(d time.Duration, fn func()) {
+		sim.Schedule(d, fn)
+	})
 }
 
 // startFlow starts one flow under dp on an 8 Mbit/s, 10 ms path.
@@ -263,18 +275,19 @@ func (r *recorder) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
 	r.got = append(r.got, proto.Clone(m)) // m is the bridge's decode scratch
 }
 
-// runRecorded drives one flow's reports through a fault bridge into a
+// runRecorded drives one flow's reports through a tapped bridge into a
 // recorder for a second, then lets everything in flight land.
 func runRecorded(t *testing.T, plan faults.Plan) (*recorder, faults.DirStats, bridge.Stats) {
 	t.Helper()
 	sim := netsim.New(1)
 	rec := &recorder{}
 	inner := bridge.New(sim, rec, 50*time.Microsecond)
-	fb := faults.NewBridge(sim, inner, plan)
-	flow := startFlow(sim, fb.Connect(datapath.Config{SID: 1, Alg: "reno"}))
+	inj := newSimInjector(sim, plan)
+	flow := startFlow(sim, inner.Connect(datapath.Config{SID: 1, Alg: "reno"},
+		inj.Tap(faults.ToAgent), inj.Tap(faults.ToDatapath)))
 	sim.Schedule(time.Second, flow.Conn.Stop)
 	sim.Run(2 * time.Second)
-	return rec, fb.Stats().ToAgent, inner.Stats()
+	return rec, inj.Stats().ToAgent, inner.Stats()
 }
 
 func TestBridgeDuplicateArrivesTwiceAndEqual(t *testing.T) {

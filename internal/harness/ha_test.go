@@ -23,10 +23,7 @@ func haLink() netsim.LinkConfig {
 // driven by the probe latency EWMA clearing its hysteresis gate after the
 // agent heals.
 func TestSlowAgentSingleFallbackCycle(t *testing.T) {
-	net := harness.New(harness.Config{
-		Link:        haLink(),
-		AgentFaults: true,
-	})
+	net := harness.New(harness.Config{Link: haLink()})
 	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
 		Liveness: datapath.LivenessConfig{
 			StalenessBudget: 200 * time.Millisecond,
@@ -61,7 +58,7 @@ func TestSlowAgentSingleFallbackCycle(t *testing.T) {
 // Without probes (ProbeInterval zero) the probe machinery must stay
 // completely cold — the PR 6 behaviour, bit for bit.
 func TestProbesOffNoProbeTraffic(t *testing.T) {
-	net := harness.New(harness.Config{Link: haLink(), AgentFaults: true})
+	net := harness.New(harness.Config{Link: haLink()})
 	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
 		Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond},
 	})
@@ -83,15 +80,11 @@ func TestProbesOffNoProbeTraffic(t *testing.T) {
 // promoted agent.
 func TestWarmStandbyFailoverBeatsFallback(t *testing.T) {
 	net := harness.New(harness.Config{
-		Link:        haLink(),
-		AgentFaults: true,
-		HA: &harness.HAConfig{
-			SnapshotInterval: 50 * time.Millisecond,
-			Supervisor: supervise.Config{
-				Interval:      5 * time.Millisecond,
-				LatencyBudget: 100 * time.Millisecond,
-				MissBudget:    3,
-			},
+		Link: haLink(),
+		HA: &supervise.Config{
+			Interval:      5 * time.Millisecond,
+			LatencyBudget: 100 * time.Millisecond,
+			MissBudget:    3,
 		},
 	})
 	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
@@ -133,17 +126,13 @@ func TestWarmStandbyFailoverBeatsFallback(t *testing.T) {
 // corpse cannot export its state); the standby keeps the last delta.
 func TestPumpPausesWithDeadAgent(t *testing.T) {
 	net := harness.New(harness.Config{
-		Link:        haLink(),
-		AgentFaults: true,
-		HA: &harness.HAConfig{
-			SnapshotInterval: 50 * time.Millisecond,
-			// Monitor thresholds so loose the supervisor never fires: this
-			// test watches the pump alone.
-			Supervisor: supervise.Config{
-				Interval:      10 * time.Millisecond,
-				LatencyBudget: time.Hour,
-				MissBudget:    1 << 30,
-			},
+		Link: haLink(),
+		// Monitor thresholds so loose the supervisor never fires: this
+		// test watches the pump alone.
+		HA: &supervise.Config{
+			Interval:      10 * time.Millisecond,
+			LatencyBudget: time.Hour,
+			MissBudget:    1 << 30,
 		},
 	})
 	f := net.AddCCPFlow(1, "cubic", tcp.Options{})

@@ -1,6 +1,8 @@
 // Package harness assembles complete simulated CCP deployments: a dumbbell
 // network, a user-space agent with the bundled algorithm registry, the
-// simulated-IPC bridge, and any mix of CCP-controlled and native
+// simulated-IPC bridge with both fault layers in its path (the agent
+// injector behind it, the channel injector on its wire; both transparent
+// until told otherwise), and any mix of CCP-controlled and native
 // (in-datapath) flows. The agent is the runtime.Runtime that cmd/ccp-agent
 // serves, with the one shard the event loop runs itself. Experiments,
 // examples, and integration tests all build on it.
@@ -15,7 +17,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/faults"
 	"github.com/ccp-repro/ccp/internal/netsim"
-	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/supervise"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -36,20 +37,17 @@ type Config struct {
 	Policy core.PolicyFunc
 	// Registry overrides the algorithm registry (default: all bundled).
 	Registry *core.Registry
-	// Faults, when non-nil, routes every CCP flow's agent↔datapath channel
-	// through a fault injector with this plan (drawing on the simulator RNG,
-	// so runs stay deterministic per seed).
-	Faults *faults.Plan
-	// AgentFaults, when true, interposes a faults.AgentInjector between the
-	// bridge and the agent, so experiments can pause, slow, kill, and
-	// restart the agent process itself (Net.AgentInj / Net.RestartAgent).
-	// The injector starts healthy, which is transparent: deliveries are
-	// synchronous pass-through.
-	AgentFaults bool
-	// HA, when non-nil, deploys the high-availability layer: warm-standby
-	// replication plus a supervisor that promotes the standby on agent
-	// failure. Requires AgentFaults. See HAConfig.
-	HA *HAConfig
+	// Faults is the plan of the channel fault injector on every CCP flow's
+	// agent↔datapath wire (Net.ChannelInj), drawing on the simulator RNG so
+	// runs stay deterministic per seed. The zero plan injects nothing and
+	// puts nothing on the wire.
+	Faults faults.Plan
+	// HA, when non-nil, deploys the high-availability layer: a warm standby
+	// replicated every 50 ms, and a supervisor with this configuration that
+	// promotes the standby on agent failure. Its Clock, Handler and
+	// OnFailover are wired by the harness; zero values take the supervise
+	// defaults. See startHA.
+	HA *supervise.Config
 }
 
 // Net is a running deployment.
@@ -60,21 +58,21 @@ type Net struct {
 	Rev    *netsim.Demux
 	Agent  *runtime.Runtime
 	Bridge *bridge.Bridge
-	// FaultBridge is set when Config.Faults was given; CCP flows connect
-	// through it instead of Bridge.
-	FaultBridge *faults.Bridge
-	// AgentInj is set when Config.AgentFaults was given; the bridge delivers
-	// to it instead of directly to Agent.
+	// ChannelInj is the fault injector on every CCP flow's wire, under
+	// Config.Faults.
+	ChannelInj *faults.Injector
+	// AgentInj stands between the bridge and Agent. Healthy, it passes every
+	// message through synchronously; it is the one way to pause, slow, kill
+	// and restart the agent process.
 	AgentInj *faults.AgentInjector
 	// Standby and Supervisor are set when Config.HA was given. After a
 	// failover, Agent points at the promoted standby.
 	Standby    *supervise.Standby
 	Supervisor *supervise.Supervisor
 
-	agentCfg   core.AgentConfig
-	nextSID    uint32
-	haInterval time.Duration
-	haPrimed   bool
+	agentCfg core.AgentConfig
+	nextSID  uint32
+	haPrimed bool
 }
 
 // New builds a deployment; panics on misconfiguration (tests and
@@ -107,18 +105,11 @@ func New(cfg Config) *Net {
 		Rev:      rev,
 		agentCfg: agentCfg,
 	}
+	schedule := func(d time.Duration, fn func()) { sim.Schedule(d, fn) }
 	n.Agent = n.newAgent()
-	var sink proto.Handler = n.Agent
-	if cfg.AgentFaults {
-		n.AgentInj = faults.NewAgentInjector(n.Agent, func(d time.Duration, fn func()) {
-			sim.Schedule(d, fn)
-		})
-		sink = n.AgentInj
-	}
-	n.Bridge = bridge.New(sim, sink, cfg.IPCLatency)
-	if cfg.Faults != nil {
-		n.FaultBridge = faults.NewBridge(sim, n.Bridge, *cfg.Faults)
-	}
+	n.AgentInj = faults.NewAgentInjector(n.Agent, schedule)
+	n.ChannelInj = faults.NewInjector(cfg.Faults, sim.Rand(), schedule)
+	n.Bridge = bridge.New(sim, n.AgentInj, cfg.IPCLatency)
 	if cfg.HA != nil {
 		n.startHA(*cfg.HA)
 	}
@@ -140,14 +131,19 @@ func (n *Net) newAgent() *runtime.Runtime {
 // RestartAgent models an agent process restart: a fresh agent (empty flow
 // table, same configuration) replaces the old one behind the injector, and
 // the injector returns to healthy pass-through. Flows re-enter the fresh
-// agent via the datapaths' Resync Creates. Panics unless the deployment was
-// built with AgentFaults.
-func (n *Net) RestartAgent() {
-	if n.AgentInj == nil {
-		panic("harness: RestartAgent requires Config.AgentFaults")
-	}
+// agent via the datapaths' Resync Creates.
+func (n *Net) RestartAgent() { n.replaceAgent(nil) }
+
+// replaceAgent is the one way a new agent process takes over: the old agent
+// is closed, a fresh one is built, filled from the standby's store when one
+// is given (the two calls ccp-agent -standby makes), and swapped in behind
+// the injector, which returns to healthy pass-through.
+func (n *Net) replaceAgent(from *supervise.Standby) {
 	n.Agent.Close()
 	n.Agent = n.newAgent()
+	if from != nil {
+		from.RestoreInto(n.Agent)
+	}
 	n.AgentInj.Restart(n.Agent)
 }
 
@@ -170,12 +166,7 @@ func (n *Net) AddCCPFlowCfg(id netsim.FlowID, alg string, opts tcp.Options, dpCf
 	n.nextSID++
 	dpCfg.SID = n.nextSID
 	dpCfg.Alg = alg
-	var dp *datapath.CCP
-	if n.FaultBridge != nil {
-		dp = n.FaultBridge.Connect(dpCfg)
-	} else {
-		dp = n.Bridge.Connect(dpCfg)
-	}
+	dp := n.Bridge.Connect(dpCfg, n.ChannelInj.Tap(faults.ToAgent), n.ChannelInj.Tap(faults.ToDatapath))
 	f := tcp.NewFlow(n.Sim, id, n.Path, n.Fwd, n.Rev, dp, opts)
 	return &CCPFlow{Flow: f, DP: dp}
 }

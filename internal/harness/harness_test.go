@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/core"
+	"github.com/ccp-repro/ccp/internal/datapath"
+	"github.com/ccp-repro/ccp/internal/faults"
 	"github.com/ccp-repro/ccp/internal/harness"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/nativecc"
@@ -26,6 +28,49 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if net.Agent.Stats().Agent.FlowsCreated != 1 {
 		t.Fatal("flow not announced to agent")
+	}
+}
+
+// Every deployment carries both fault layers, transparent until used: with
+// no option set, the agent goes down and comes back through the agent
+// injector, restarts as a fresh process, and the channel injector's
+// counters read zero.
+func TestPlainDeploymentHasBothFaultLayers(t *testing.T) {
+	net := harness.New(harness.Config{Link: link()})
+	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
+		Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond},
+	})
+	f.Conn.Start()
+	net.Run(2 * time.Second)
+	if st := net.ChannelInj.Stats(); st != (faults.Stats{}) {
+		t.Fatalf("zero plan counted on the wire: %+v", st)
+	}
+	if net.AgentInj.Stats().Delivered == 0 {
+		t.Fatal("healthy agent injector passed nothing through")
+	}
+
+	net.AgentInj.Kill()
+	net.Run(4 * time.Second)
+	if net.AgentInj.Stats().DroppedDead == 0 {
+		t.Fatal("a killed agent received traffic")
+	}
+	if f.DP.Stats().FallbackOn == 0 {
+		t.Fatal("datapath never fell back while the agent was dead")
+	}
+	net.AgentInj.Restart(net.Agent)
+	net.Run(6 * time.Second)
+	if f.DP.FallbackActive() {
+		t.Fatal("still in fallback after the same agent came back")
+	}
+
+	old := net.Agent
+	net.RestartAgent()
+	if net.Agent == old {
+		t.Fatal("RestartAgent kept the old agent")
+	}
+	net.Run(9 * time.Second)
+	if net.Agent.Stats().Agent.FlowsCreated == 0 {
+		t.Fatal("the fresh agent never adopted the flow")
 	}
 }
 
