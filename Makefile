@@ -47,9 +47,9 @@ bench-compare:
 # is the assertion (the run checks itself: every report answered, every
 # decision accounted for, and any InstallErr — a refused reference included —
 # fails it); shared runners jitter too much to bound a latency here.
-# It also fails if the runs leave ring backing files behind: shmring keeps
-# them in /dev/shm (the temporary directory off Linux), named ccp-ring-*,
-# only until a peer opens the ring.
+# It also fails if the runs leave ring files behind: shmring makes them in
+# /dev/shm (the temporary directory off Linux), named ccp-ring-*, and they
+# have that name only inside Create.
 ring_files = ls "$$(if [ "$$(uname -s)" = Linux ]; then echo /dev/shm; else echo "$${TMPDIR:-/tmp}"; fi)" | grep -c '^ccp-ring-' || true
 bench-smoke:
 	@before=$$($(ring_files)); \

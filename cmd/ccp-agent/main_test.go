@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	stdruntime "runtime"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -63,11 +64,54 @@ func assertNothingBeside(t *testing.T, sock string) {
 	}
 }
 
+// assertOnlySocket fails if anything but the socket is beside its path, or a
+// ring file not in before has a name. Other test binaries' rings are named for
+// an instant inside shmring.Create, so a new ring file is given a second to go.
+func assertOnlySocket(t *testing.T, sock string, before map[string]bool) {
+	t.Helper()
+	if beside, _ := filepath.Glob(sock + "*"); !slices.Equal(beside, []string{sock}) {
+		t.Fatalf("beside the socket: %v, want only the socket", beside)
+	}
+	var added []string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		added = added[:0]
+		for n := range ringFiles(t) {
+			if !before[n] {
+				added = append(added, n)
+			}
+		}
+		if len(added) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if len(added) != 0 {
+		t.Fatalf("ring files named: %v", added)
+	}
+}
+
+// ringFiles lists the ring files that have a name: shmring makes them in
+// /dev/shm (the temporary directory off Linux) as ccp-ring-*.
+func ringFiles(t *testing.T) map[string]bool {
+	dir := os.TempDir()
+	if stdruntime.GOOS == "linux" {
+		dir = "/dev/shm"
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "ccp-ring-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
+	}
+	return set
+}
+
 // dialer is a SocketLink's Dial for the first of paths that answers.
-func dialer(paths ...string) func() (net.Conn, error) {
-	return func() (conn net.Conn, err error) {
+func dialer(paths ...string) func() (*net.UnixConn, error) {
+	return func() (conn *net.UnixConn, err error) {
 		for _, p := range paths {
-			if conn, err = net.Dial("unix", p); err == nil {
+			if conn, err = net.DialUnix("unix", nil, &net.UnixAddr{Name: p, Net: "unix"}); err == nil {
 				return conn, nil
 			}
 		}
@@ -255,13 +299,15 @@ func agentProcess(t *testing.T, sock string) *exec.Cmd {
 // the shipped binary: a datapath (a SocketLink) meets a ccp-agent process on
 // its socket and takes a ring from it, and the agent is then killed with
 // SIGKILL, so nothing of its own shutdown runs. The link must notice from the
-// socket's EOF and report the agent gone; the ring's memory must not outlive
-// the agent (the datapath removed its name when it opened it); and a new
-// agent at the same -listen must start over the dead one's socket and ring
-// names and re-adopt the flow from the link's replayed Create. An orderly
-// stop of the second agent then leaves nothing beside the path.
+// socket's EOF and report the agent gone; the ring must have no name, before
+// the kill or after it: nothing beside the socket but the socket, and no ring
+// file in the ring directory; and a new agent at the same -listen must start
+// over the dead one's socket and re-adopt the flow from the link's replayed
+// Create. An orderly stop of the second agent then leaves nothing beside the
+// path.
 func TestAgentSurvivesSIGKILLAcrossProcesses(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "agent.sock")
+	rings := ringFiles(t)
 	deadline := time.Now().Add(60 * time.Second)
 	wait := func(what string, cond func() bool) {
 		t.Helper()
@@ -301,14 +347,7 @@ func TestAgentSurvivesSIGKILLAcrossProcesses(t *testing.T) {
 	installs := func() int { return dp.Stats().InstallsRecvd }
 	wait("the first agent's installs", func() bool { return advance() || installs() >= 10 })
 
-	rings, _ := filepath.Glob(sock + ".ring*")
-	if len(rings) != 1 {
-		t.Fatalf("ring names beside the socket: %v, want the link's one", rings)
-	}
-	backing, err := os.Readlink(rings[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertOnlySocket(t, sock, rings)
 
 	if err := first.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
@@ -320,9 +359,7 @@ func TestAgentSurvivesSIGKILLAcrossProcesses(t *testing.T) {
 	if link.Connected() || !dp.FallbackActive() {
 		t.Fatalf("after the kill: link connected %v, fallback %v", link.Connected(), dp.FallbackActive())
 	}
-	if _, err := os.Stat(backing); !os.IsNotExist(err) {
-		t.Fatalf("the killed agent's ring memory %s outlived it (stat: %v)", backing, err)
-	}
+	assertOnlySocket(t, sock, rings)
 
 	second := agentProcess(t, sock)
 	before := installs()

@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		serveFlag = flag.String("serve", "", "internal: run as echo server on this socket/ring path")
+		serveFlag = flag.String("serve", "", "internal: run as echo server on this socket path (shmring: doorbell name, ring on descriptor 3)")
 		serveMode = flag.String("serve-mode", "", "internal: transport for -serve (unix|unixgram|shmring)")
 		peer      = flag.String("peer", "", "internal: peer path for unixgram serve")
 
@@ -109,16 +109,16 @@ func setup(transport string) (ipc.Transport, func(), error) {
 
 	switch transport {
 	case "shmring":
-		// The benchmark side Creates the ring file so it exists before the
-		// echo peer Opens it; the ring itself
-		// buffers any sends that race the peer's startup.
+		// The echo peer inherits the ring's memory as a descriptor; the
+		// ring itself buffers any sends that race the peer's startup.
 		ringPath := filepath.Join(dir, "ring")
-		client, err := shmring.Create(ringPath, shmring.Options{})
+		client, ring, err := shmring.Create(ringPath, shmring.Options{})
 		if err != nil {
 			cleanupDir()
 			return nil, nil, err
 		}
-		stopServer, err := forkServer("shmring", ringPath, "")
+		stopServer, err := forkServer("shmring", ringPath, "", ring)
+		ring.Close()
 		if err != nil {
 			client.Close()
 			cleanupDir()
@@ -184,15 +184,16 @@ func setup(transport string) (ipc.Transport, func(), error) {
 	}
 }
 
-// forkServer re-executes this binary as the echo server and returns what
-// kills and reaps it.
-func forkServer(mode, path, peer string) (stop func(), err error) {
+// forkServer re-executes this binary as the echo server, giving it files from
+// descriptor 3 on, and returns what kills and reaps it.
+func forkServer(mode, path, peer string, files ...*os.File) (stop func(), err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
 	cmd := exec.Command(exe, "-serve", path, "-serve-mode", mode, "-peer", peer)
 	cmd.Stderr = os.Stderr
+	cmd.ExtraFiles = files
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
@@ -217,21 +218,11 @@ func dialRetry(dial func() (ipc.Transport, error)) (ipc.Transport, error) {
 func runServer(mode, path, peer string) {
 	switch mode {
 	case "shmring":
-		// The parent Creates the ring before forking, so Open should
-		// succeed immediately; retry briefly anyway in case the fork won
-		// a race with the file becoming visible.
-		var ep ipc.Transport
-		for i := 0; ; i++ {
-			t, err := shmring.Open(path, shmring.Options{})
-			if err == nil {
-				ep = t
-				break
-			}
-			if i >= 100 {
-				fmt.Fprintf(os.Stderr, "ipcbench server: %v\n", err)
-				os.Exit(1)
-			}
-			time.Sleep(10 * time.Millisecond)
+		// The ring's memory is descriptor 3 (forkServer's ExtraFiles).
+		ep, err := shmring.Open(os.NewFile(3, "ring"), path, shmring.Options{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ipcbench server: %v\n", err)
+			os.Exit(1)
 		}
 		ipc.Echo(ep)
 	case "unix":

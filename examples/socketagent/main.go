@@ -60,7 +60,9 @@ func main() {
 	// The datapath side: a simulated flow whose CCP runtime speaks the wire
 	// protocol over the socket.
 	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+		Dial: func() (*net.UnixConn, error) {
+			return net.DialUnix("unix", nil, &net.UnixAddr{Name: sockPath, Net: "unix"})
+		},
 	})
 	defer link.Close()
 	for !link.Connected() {

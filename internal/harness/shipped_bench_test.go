@@ -1,7 +1,6 @@
 package harness_test
 
 import (
-	"net"
 	"path/filepath"
 	stdruntime "runtime"
 	"testing"
@@ -42,7 +41,7 @@ func BenchmarkShippedLoop(b *testing.B) {
 	defer func() { ln.Close(); <-served }()
 
 	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+		Dial: dial(sockPath),
 	})
 	defer link.Close()
 	for !link.Connected() {

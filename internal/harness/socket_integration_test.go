@@ -1,7 +1,6 @@
 package harness_test
 
 import (
-	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -24,7 +23,7 @@ func TestAgentOverRealUnixSocket(t *testing.T) {
 	proc := startAgentProc(t, sockPath)
 
 	link := harness.NewSocketLink(harness.SocketLinkConfig{
-		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+		Dial: dial(sockPath),
 	})
 	defer link.Close()
 	deadline := time.Now().Add(30 * time.Second)

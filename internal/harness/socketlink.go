@@ -2,12 +2,14 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/datapath"
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
@@ -16,11 +18,11 @@ import (
 type SocketLinkConfig struct {
 	// Dial connects to the agent's socket, and must not block (a Unix socket
 	// dial does not). Required; retried with backoff while the link is down.
-	Dial func() (net.Conn, error)
+	Dial func() (*net.UnixConn, error)
 }
 
-// The link's waits, which tests shorten (export_test.go): for the ring's path
-// after a dial (a wedged agent fails the attempt here), and between redials,
+// The link's waits, which tests shorten (export_test.go): for the ring after
+// a dial (a wedged agent fails the attempt here), and between redials,
 // doubling from base to max.
 const (
 	rendezvousTimeout = 2 * time.Second
@@ -43,18 +45,19 @@ type SocketLinkStats struct {
 
 // SocketLink maintains a datapath's connection to an out-of-process agent
 // (Runtime.Serve), surviving agent crashes. The agent's Unix socket is the
-// rendezvous: it hands back a shared-memory ring that carries every frame,
-// and its EOF is the agent's death, on which the link redials. After a
-// reconnect it replays each attached flow's Create (datapath.Resync), so a
-// restarted agent re-adopts live flows. Pump, which the simulation loop calls
-// between time slices, drains the ring into the flows on the simulation
-// thread; a full ring holds the agent back until it does.
+// rendezvous: it hands back a shared-memory ring's memory as a descriptor,
+// the ring carries every frame, and the socket's EOF is the agent's death,
+// on which the link redials. After a reconnect it replays each attached
+// flow's Create (datapath.Resync), so a restarted agent re-adopts live flows.
+// Pump, which the simulation loop calls between time slices, drains the ring
+// into the flows on the simulation thread; a full ring holds the agent back
+// until it does.
 type SocketLink struct {
 	cfg   SocketLinkConfig
 	waits waits
 
 	mu         sync.Mutex
-	conn       net.Conn          // from dial to loss
+	conn       *net.UnixConn     // from dial to loss
 	ring       *shmring.Endpoint // nil while the link is down
 	dps        map[uint32]*datapath.CCP
 	needResync bool
@@ -249,12 +252,8 @@ func (l *SocketLink) session() error {
 	}
 	l.mu.Unlock()
 	conn.SetReadDeadline(time.Now().Add(l.waits.rendezvous))
-	path, err := ipc.NewStream(conn).Recv()
+	ring, err := openRing(conn)
 	conn.SetReadDeadline(time.Time{})
-	var ring *shmring.Endpoint
-	if err == nil {
-		ring, err = shmring.Open(string(path), shmring.Options{})
-	}
 	l.mu.Lock()
 	if err == nil {
 		l.ring = ring
@@ -274,4 +273,34 @@ func (l *SocketLink) session() error {
 	l.mu.Unlock()
 	conn.Close()
 	return err
+}
+
+// openRing reads the agent's rendezvous message, a ring's name and its memory
+// as one descriptor, and opens the ring. The received file is closed on every
+// path: the mapping is all the ring needs.
+func openRing(conn *net.UnixConn) (*shmring.Endpoint, error) {
+	name := make([]byte, 4096)
+	oob := make([]byte, syscall.CmsgSpace(4)) // room for one descriptor: the kernel closes any more
+	n, oobn, _, _, err := conn.ReadMsgUnix(name, oob)
+	if err != nil {
+		return nil, err
+	}
+	cmsgs, err := syscall.ParseSocketControlMessage(oob[:oobn])
+	var fds []int
+	for _, c := range cmsgs {
+		rights, _ := syscall.ParseUnixRights(&c) // fails only on a message that carries no descriptor
+		fds = append(fds, rights...)
+	}
+	if err == nil && len(fds) != 1 {
+		err = fmt.Errorf("harness: rendezvous carried %d descriptors, want 1", len(fds))
+	}
+	if err != nil {
+		for _, fd := range fds {
+			syscall.Close(fd)
+		}
+		return nil, err
+	}
+	f := os.NewFile(uintptr(fds[0]), string(name[:n]))
+	defer f.Close()
+	return shmring.Open(f, f.Name(), shmring.Options{})
 }

@@ -4,6 +4,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -26,27 +27,28 @@ func pairLink(t *testing.T) (*harness.SocketLink, ipc.Transport) {
 		t.Fatal(err)
 	}
 	type agentEnd struct {
-		conn net.Conn
+		conn *net.UnixConn
 		ring *shmring.Endpoint
 		err  error
 	}
 	accepted := make(chan agentEnd, 1)
 	go func() {
-		conn, err := ln.Accept()
+		conn, err := ln.AcceptUnix()
 		ln.Close()
 		if err != nil {
 			accepted <- agentEnd{err: err}
 			return
 		}
-		path := sockPath + ".ring0"
-		ring, err := shmring.Create(path, shmring.Options{})
+		name := sockPath + ".ring0"
+		ring, f, err := shmring.Create(name, shmring.Options{})
 		if err == nil {
-			err = ipc.NewStream(conn).Send([]byte(path))
+			_, _, err = conn.WriteMsgUnix([]byte(name), syscall.UnixRights(int(f.Fd())), nil)
+			f.Close()
 		}
 		accepted <- agentEnd{conn, ring, err}
 	}()
 	link := harness.NewSocketLinkWaits(harness.SocketLinkConfig{
-		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+		Dial: dial(sockPath),
 	}, time.Second, time.Millisecond, 10*time.Millisecond)
 	t.Cleanup(func() { link.Close() })
 	a := <-accepted

@@ -56,6 +56,13 @@ func (p *agentProc) kill() error {
 	return err
 }
 
+// dial is a SocketLink's Dial for the agent socket at path.
+func dial(path string) func() (*net.UnixConn, error) {
+	return func() (*net.UnixConn, error) {
+		return net.DialUnix("unix", nil, &net.UnixAddr{Name: path, Net: "unix"})
+	}
+}
+
 // TestSocketLinkBoundsHungDial wedges the agent end of the rendezvous (a
 // deadlocked listener that accepts and never hands back a ring): every
 // attempt must be abandoned at the rendezvous timeout and its connection
@@ -89,7 +96,7 @@ func TestSocketLinkBoundsHungDial(t *testing.T) {
 		}
 	}()
 	link := harness.NewSocketLinkWaits(harness.SocketLinkConfig{
-		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+		Dial: dial(sockPath),
 	}, 10*time.Millisecond, time.Millisecond, 2*time.Millisecond)
 
 	for i := 0; i < 2; i++ {
@@ -125,7 +132,7 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	proc1 := startAgentProc(t, sockPath)
 
 	link := harness.NewSocketLinkWaits(harness.SocketLinkConfig{
-		Dial: func() (net.Conn, error) { return net.Dial("unix", sockPath) },
+		Dial: dial(sockPath),
 	}, time.Second, 2*time.Millisecond, 20*time.Millisecond)
 	defer link.Close()
 	deadline := time.Now().Add(60 * time.Second)

@@ -3,6 +3,7 @@ package ipc
 import (
 	"bytes"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -53,6 +54,25 @@ func TestUnixStreamRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("size %d: echo mismatch", size)
 		}
+	}
+}
+
+// TestListenUnixOwnerOnly checks the listening socket's mode: whoever can
+// connect to an agent's socket receives a ring's memory, so only the owner
+// may.
+func TestListenUnixOwnerOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ccp.sock")
+	ln, err := ListenUnix(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := st.Mode().Perm(); perm != 0o600 {
+		t.Fatalf("socket mode %#o, want 0600", perm)
 	}
 }
 

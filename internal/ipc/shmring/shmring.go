@@ -20,11 +20,14 @@
 // consumer) — so the hot path never false-shares, plus the consumer's park
 // flag and registered doorbell address.
 //
-// The ring file lives in memory: Create makes it in /dev/shm (tmpfs; the
-// system temporary directory off Linux) and places a symlink to it at the
-// path it is given, which is only the rendezvous name. Open maps the file
-// through that name and then removes the file's own name, so a ring that
-// both sides have closed and unmapped leaves nothing behind but the symlink.
+// The ring file lives in memory and has no name: Create makes it in /dev/shm
+// (tmpfs; the system temporary directory off Linux) and removes its name
+// before it returns, so the only ways to the memory are the creator's mapping
+// and the *os.File Create hands back. The creator passes that file to its
+// peer as a descriptor (over a Unix socket, or to a child process), and Open
+// maps it. A ring both sides have closed and unmapped leaves nothing behind,
+// whatever killed them. The path an endpoint is given only names its private
+// doorbell; nothing is created at it.
 //
 // # Framing
 //
@@ -65,9 +68,7 @@ package shmring
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -79,9 +80,7 @@ import (
 )
 
 const (
-	// magic is "CCPSHMR1" as a little-endian uint64; it is stored last during
-	// Create so an Open racing the creator sees either no magic or a fully
-	// initialized header.
+	// magic is "CCPSHMR1" as a little-endian uint64.
 	magic   = uint64(0x31524d4853504343)
 	version = uint32(1)
 
@@ -127,8 +126,8 @@ const (
 	// flags this often — not a correctness mechanism.
 	parkTimeout = 20 * time.Millisecond
 
-	// ringPattern names ring backing files in ringDir (os.CreateTemp
-	// replaces the "*").
+	// ringPattern is a ring file's name in ringDir while Create makes it
+	// (os.CreateTemp replaces the "*").
 	ringPattern = "ccp-ring-*"
 )
 
@@ -137,7 +136,7 @@ type Options struct {
 	// Bell, when non-nil, is a shared doorbell (a Mux's): the endpoint
 	// registers it instead of creating a private one, so one serve loop can
 	// park for many connections. The endpoint does not close a shared bell.
-	// A private bell is NewBell("<ring path>.a.bell") or ".b.bell" by role.
+	// A private bell is NewBell("<endpoint path>.a.bell") or ".b.bell" by role.
 	Bell *Bell
 }
 
@@ -187,10 +186,6 @@ type Endpoint struct {
 	mem  *mapping
 	path string
 	role byte // 'a' (creator) or 'b' (opener)
-	// backing is the creator's name for the ring's backing file in ringDir,
-	// removed by Close if no peer ever opened the ring (the opener removes
-	// it otherwise). Empty on the opener.
-	backing string
 
 	sendR ring // we produce
 	recvR ring // we consume
@@ -243,127 +238,95 @@ type Endpoint struct {
 	corrupt atomic.Pointer[error]
 }
 
-// Create creates a ring, names it path (which must not exist) and returns
-// endpoint A. The ring's memory is a file in ringDir (tmpfs on Linux) and
-// path is a symlink to it; the ring is fully initialized before Create
-// returns, so a peer may Open path at any later moment. A failed Create
-// leaves nothing at path or in ringDir.
-func Create(path string, o Options) (*Endpoint, error) { return create(path, ringBytes, o) }
+// Create creates a ring and returns endpoint A and the ring's memory as a
+// file with no name, fully initialized: the caller hands the file to the
+// peer, which maps it with Open, and closes its own copy. path only names
+// the endpoint's private doorbell (see Options.Bell); nothing is created at
+// it.
+func Create(path string, o Options) (*Endpoint, *os.File, error) { return create(path, ringBytes, o) }
 
-func create(path string, size int, o Options) (*Endpoint, error) {
+func create(path string, size int, o Options) (*Endpoint, *os.File, error) {
 	if err := checkRingBytes(size); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f, err := os.CreateTemp(ringDir, ringPattern)
 	if err != nil {
-		return nil, fmt.Errorf("shmring: create: %w", err)
+		return nil, nil, fmt.Errorf("shmring: create: %w", err)
 	}
-	backing := f.Name()
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("shmring: create: %w", err)
+	}
 	total := fileSize(size)
 	err = f.Truncate(int64(total))
 	var mem []byte
 	if err == nil {
 		mem, err = syscall.Mmap(int(f.Fd()), 0, total, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	}
-	f.Close()
 	if err != nil {
-		os.Remove(backing)
-		return nil, fmt.Errorf("shmring: map ring file: %w", err)
+		f.Close()
+		return nil, nil, fmt.Errorf("shmring: map ring file: %w", err)
 	}
+	binary.LittleEndian.PutUint64(mem[offMagic:], magic)
 	binary.LittleEndian.PutUint32(mem[offVersion:], version)
 	binary.LittleEndian.PutUint32(mem[offRing:], uint32(size))
-	// Publish the header: Open validates the magic before trusting anything
-	// else, so store it last, atomically.
-	atomic.StoreUint64(u64at(mem, offMagic), magic)
-	if err := os.Symlink(backing, path); err != nil {
-		syscall.Munmap(mem)
-		os.Remove(backing)
-		return nil, fmt.Errorf("shmring: create: %w", err)
-	}
 	e, err := newEndpoint(mem, path, 'a', size, o)
 	if err != nil {
-		os.Remove(path)
-		os.Remove(backing)
-		return nil, err
+		f.Close()
+		return nil, nil, err
 	}
-	e.backing = backing
-	return e, nil
+	return e, f, nil
 }
 
-// Open maps the ring named path and returns endpoint B. It fails (rather
-// than blocking) when the ring is absent or not yet initialized; dialers
-// retry, exactly as they would a socket that is not listening yet. Once the
-// ring is mapped, Open removes its backing file's name: nothing needs it
-// after the rendezvous, since recovery never re-attaches to an old mapping.
-func Open(path string, o Options) (*Endpoint, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("shmring: open: %w", err)
-	}
+// Open maps the ring in f, a file its creator handed over, and returns
+// endpoint B. The header is input from another process, so Open checks it
+// before it trusts the ring's size. It does not close f; path names the
+// endpoint's private doorbell, as for Create.
+func Open(f *os.File, path string, o Options) (*Endpoint, error) {
 	var hdr [fileHdrSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("shmring: read header: %w", err)
 	}
 	if binary.LittleEndian.Uint64(hdr[offMagic:]) != magic {
-		f.Close()
-		return nil, fmt.Errorf("shmring: %s: not a shmring file (or not initialized yet)", path)
+		return nil, fmt.Errorf("shmring: %s: not a shmring file", path)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[offVersion:]); v != version {
-		f.Close()
 		return nil, fmt.Errorf("shmring: %s: version %d, want %d", path, v, version)
 	}
 	size := int(binary.LittleEndian.Uint32(hdr[offRing:]))
 	if err := checkRingBytes(size); err != nil {
-		f.Close()
 		return nil, err
 	}
 	total := fileSize(size)
 	if st, err := f.Stat(); err != nil || st.Size() < int64(total) {
-		f.Close()
 		return nil, fmt.Errorf("shmring: %s: truncated ring file", path)
 	}
 	mem, err := syscall.Mmap(int(f.Fd()), 0, total, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	f.Close()
 	if err != nil {
 		return nil, fmt.Errorf("shmring: mmap: %w", err)
-	}
-	if backing, err := os.Readlink(path); err == nil {
-		os.Remove(backing)
 	}
 	return newEndpoint(mem, path, 'b', size, o)
 }
 
-// Pair creates the ring named path and opens both endpoints in-process:
-// the A side with aOpts, the B side with bOpts. It exists for tests,
-// benchmarks, and single-process deployments (./benchmark) — the shared
-// memory is real either way.
+// Pair creates a ring and opens both endpoints in-process: the A side with
+// aOpts, the B side with bOpts. It exists for tests, benchmarks, and
+// single-process deployments (./benchmark) — the shared memory is real
+// either way.
 func Pair(path string, aOpts, bOpts Options) (a, b *Endpoint, err error) {
 	return pair(path, ringBytes, aOpts, bOpts)
 }
 
 func pair(path string, size int, aOpts, bOpts Options) (a, b *Endpoint, err error) {
-	a, err = create(path, size, aOpts)
+	a, f, err := create(path, size, aOpts)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err = Open(path, bOpts)
-	if err != nil {
+	defer f.Close()
+	if b, err = Open(f, path, bOpts); err != nil {
 		a.Close()
 		return nil, nil, err
 	}
 	return a, b, nil
-}
-
-// Remove deletes a ring name whose creator is gone without closing it (a
-// crashed process), and the ring's memory with it if no peer ever opened the
-// ring. It leaves alone a path that is not a link to a ring file.
-func Remove(path string) {
-	backing, err := os.Readlink(path)
-	if ok, _ := filepath.Match(filepath.Join(ringDir, ringPattern), backing); err == nil && ok {
-		os.Remove(backing) // already gone if a peer opened the ring
-		os.Remove(path)
-	}
 }
 
 // newEndpoint takes over mem, a mapping of fileSize(size) bytes, and unmaps
@@ -429,16 +392,11 @@ func (e *Endpoint) register() error {
 
 // Close marks this side closed, wakes a parked peer and any parked local
 // receiver, and releases the private doorbell. The shared mapping itself is
-// reclaimed when the endpoint is garbage collected (see newEndpoint). A
-// creator whose ring no peer opened removes the backing file; the symlink
-// at the ring's path stays for the creator's directory cleanup.
+// reclaimed when the endpoint is garbage collected (see newEndpoint).
 func (e *Endpoint) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
 		atomic.StoreUint32(e.localClosed, 1)
-		if e.backing != "" && atomic.LoadUint32(e.peerPid) == 0 {
-			os.Remove(e.backing)
-		}
 		// A peer parked on our send ring must wake to observe the flag.
 		if atomic.CompareAndSwapUint32(e.sendR.parked, 1, 0) {
 			e.wakePeer()

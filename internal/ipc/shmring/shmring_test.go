@@ -2,6 +2,7 @@ package shmring
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -351,30 +352,59 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestCreateOpenValidation checks Open refuses a file whose header is not a
+// ring's — the file comes from another process — one check at a time, and
+// that two live endpoints cannot share a path's doorbell name.
 func TestCreateOpenValidation(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := PairSized(filepath.Join(dir, "r1"), 1000, Options{}, Options{}); err == nil {
 		t.Fatal("non-power-of-two ring size accepted")
 	}
-	if _, err := Open(filepath.Join(dir, "absent"), Options{}); err == nil {
-		t.Fatal("Open of a missing file succeeded")
-	}
-	// Open of a file that exists but was never initialized must fail (the
-	// creator publishes the magic last), so dialers can retry cleanly.
-	garbage := filepath.Join(dir, "garbage")
-	if err := os.WriteFile(garbage, make([]byte, 4096), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(garbage, Options{}); err == nil {
-		t.Fatal("Open of an uninitialized file succeeded")
-	}
-	a, err := Create(filepath.Join(dir, "r2"), Options{})
+	blank, err := os.CreateTemp(dir, "blank")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer blank.Close()
+	if err := blank.Truncate(int64(fileSize(4096))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(blank, filepath.Join(dir, "r2"), Options{}); err == nil {
+		t.Fatal("Open of an uninitialized file succeeded")
+	}
+	for _, c := range []struct {
+		what string
+		off  int64
+		val  uint32
+	}{
+		{"no magic", offMagic, 0},
+		{"another version", offVersion, version + 1},
+		{"a ring size that is not a power of two", offRing, 1000},
+		{"a ring larger than the file", offRing, 8192},
+	} {
+		a, f, err := create(filepath.Join(dir, "r3"), 4096, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var word [4]byte
+		binary.LittleEndian.PutUint32(word[:], c.val)
+		if _, err := f.WriteAt(word[:], c.off); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := Open(f, filepath.Join(dir, "r4"), Options{}); err == nil {
+			b.Close()
+			t.Errorf("Open accepted a header with %s", c.what)
+		}
+		f.Close()
+		a.Close()
+	}
+	a, f, err := Create(filepath.Join(dir, "r5"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	defer a.Close()
-	if _, err := Create(filepath.Join(dir, "r2"), Options{}); err == nil {
-		t.Fatal("Create over an existing ring file succeeded")
+	if _, _, err := Create(filepath.Join(dir, "r5"), Options{}); err == nil {
+		t.Fatal("a second Create on a live endpoint's doorbell name succeeded")
 	}
 }
 
@@ -393,8 +423,8 @@ func ringFiles(t *testing.T) map[string]bool {
 }
 
 // checkNoNewRingFiles fails if ringDir holds a ring file that was not in
-// before. Rings other test binaries create meanwhile live there only until
-// their peer opens them, so a new name is given a second to go.
+// before. Rings other test binaries create meanwhile have a name there only
+// inside Create, so a new name is given a second to go.
 func checkNoNewRingFiles(t *testing.T, before map[string]bool) {
 	t.Helper()
 	var added []string
@@ -415,10 +445,9 @@ func checkNoNewRingFiles(t *testing.T, before map[string]bool) {
 }
 
 // TestFailedCreateLeavesNothing is the regression test for a Create that
-// failed after making its ring file, which then refused every retry at the
-// same path with "file exists". A 101-byte path makes the private doorbell's
-// address one byte too long to bind, after the symlink is in place; a path
-// that exists fails the symlink itself.
+// failed after making its ring file and left it behind. A 101-byte path makes
+// the private doorbell's address one byte too long to bind, after the ring
+// is mapped.
 func TestFailedCreateLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
 	if len(dir) > 99 {
@@ -426,74 +455,54 @@ func TestFailedCreateLeavesNothing(t *testing.T) {
 	}
 	path := filepath.Join(dir, strings.Repeat("r", 100-len(dir)))
 	before := ringFiles(t)
-	if _, err := Create(path, Options{}); err == nil {
+	if _, _, err := Create(path, Options{}); err == nil {
 		t.Fatal("Create succeeded with a doorbell address too long to bind")
 	}
 	if _, err := os.Lstat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed Create left something at its path: %v", err)
 	}
 	checkNoNewRingFiles(t, before)
-
-	taken := filepath.Join(dir, "taken")
-	if err := os.WriteFile(taken, []byte("not a ring"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Create(taken, Options{}); !errors.Is(err, os.ErrExist) {
-		t.Fatalf("Create over an existing file returned %v, want a file-exists error", err)
-	}
-	if got, err := os.ReadFile(taken); err != nil || string(got) != "not a ring" {
-		t.Fatalf("Create disturbed the file at its path: %q, %v", got, err)
-	}
-	checkNoNewRingFiles(t, before)
 }
 
-// TestRingMemoryIsNotOnDisk pins where a ring's memory lives: on Linux the
-// path Create is given is a symlink into tmpfs, and the backing file's name
-// is gone once the ring is opened — or, for a ring no peer opened, once its
-// creator closes it.
+// TestRingMemoryIsNotOnDisk pins where a ring's memory lives: on Linux in
+// tmpfs, in a file that has no name from the moment Create returns — not in
+// ringDir, and not at the path Create was given.
 func TestRingMemoryIsNotOnDisk(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("ring memory is tmpfs only on Linux")
 	}
 	const tmpfsMagic = 0x01021994
 	path := filepath.Join(t.TempDir(), "ring")
-	a, err := Create(path, Options{})
+	a, f, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	backing, err := os.Readlink(path)
-	if err != nil {
-		t.Fatalf("ring path is not a symlink: %v", err)
-	}
+	defer a.Close()
+	defer f.Close()
 	var fs syscall.Statfs_t
-	if err := syscall.Statfs(backing, &fs); err != nil {
+	if err := syscall.Fstatfs(int(f.Fd()), &fs); err != nil {
 		t.Fatal(err)
 	}
 	if fs.Type != tmpfsMagic {
-		t.Fatalf("ring file %s is on filesystem type %#x, want tmpfs", backing, fs.Type)
+		t.Fatalf("ring memory is on filesystem type %#x, want tmpfs", fs.Type)
 	}
-	b, err := Open(path, Options{})
+	st, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Close()
+	if n := st.Sys().(*syscall.Stat_t).Nlink; n != 0 {
+		t.Fatalf("ring memory has %d names, want none", n)
+	}
+	for _, name := range []string{f.Name(), path} {
+		if _, err := os.Lstat(name); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s exists after Create: %v", name, err)
+		}
+	}
+	b, err := Open(f, path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.Close()
-	if _, err := os.Lstat(backing); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("ring file %s outlived the rendezvous: %v", backing, err)
-	}
-
-	lone := filepath.Join(t.TempDir(), "lone")
-	c, err := Create(lone, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backing, err = os.Readlink(lone); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if _, err := os.Lstat(backing); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("ring file %s of a ring no peer opened outlived its creator's Close: %v", backing, err)
-	}
 }
 
 // TestClosedRingsAreUnmapped is the regression test for a finalizer that

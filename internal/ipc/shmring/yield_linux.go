@@ -7,8 +7,9 @@ import (
 	"syscall"
 )
 
-// ringDir holds ring backing files. It is tmpfs, so a ring's pages never
-// need a disk block on first write and are never written back.
+// ringDir is where Create makes a ring's memory, which has a name there only
+// inside Create. It is tmpfs, so a ring's pages never need a disk block on
+// first write and are never written back.
 const ringDir = "/dev/shm"
 
 // osYield yields the processor to any runnable thread, including one in

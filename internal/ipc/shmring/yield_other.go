@@ -7,8 +7,9 @@ import (
 	"runtime"
 )
 
-// ringDir holds ring backing files; without Linux's /dev/shm it is the
-// system temporary directory.
+// ringDir is where Create makes a ring's memory, which has a name there only
+// inside Create; without Linux's /dev/shm it is the system temporary
+// directory.
 var ringDir = os.TempDir()
 
 // osYield on non-Linux platforms falls back to a scheduler yield; the park

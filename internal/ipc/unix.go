@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 
 	"github.com/ccp-repro/ccp/internal/bufpool"
@@ -71,14 +72,23 @@ func (s *streamTransport) Recv() ([]byte, error) { return CopyFrame(s) }
 
 func (s *streamTransport) Close() error { return s.conn.Close() }
 
-// ListenUnix listens on a Unix stream socket at path. The caller accepts
-// connections and wraps each with NewStream.
+// ListenUnix listens on a Unix stream socket at path, which only its owner
+// may connect to (mode 0600): an agent hands every connection a ring's
+// memory. The caller accepts connections and wraps each with NewStream.
 func ListenUnix(path string) (*net.UnixListener, error) {
 	addr, err := net.ResolveUnixAddr("unix", path)
 	if err != nil {
 		return nil, err
 	}
-	return net.ListenUnix("unix", addr)
+	ln, err := net.ListenUnix("unix", addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Chmod(path, 0o600); err != nil {
+		ln.Close()
+		return nil, err
+	}
+	return ln, nil
 }
 
 // DialUnix connects to a Unix stream socket and returns a framing Transport.

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"net"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
+	"syscall"
 
 	"github.com/ccp-repro/ccp/internal/bufpool"
 	"github.com/ccp-repro/ccp/internal/ipc"
@@ -81,23 +81,20 @@ func (r *Runtime) logf(format string, args ...any) {
 }
 
 // Serve is the agent process's main loop (Figure 1). Each connection ln
-// accepts is a datapath's rendezvous: Serve creates a ring beside ln's path,
-// sends its path back as one stream frame, and serves it with every other
-// ring in one ServeSet. The socket carries nothing more; its EOF is the
-// datapath's death, on which the ring is closed and its name removed. Ring
-// names a crashed agent left beside the path are removed first. Closing ln is
-// an orderly shutdown: the serve loop stops at the end of its sweep, the
-// shards answer what was dispatched (Drain), and then the rings and
-// connections close. Serve returns nil after it and Accept's error otherwise.
-// It does not Close the runtime.
+// accepts is a datapath's rendezvous: Serve creates a ring, sends the
+// datapath its memory as a descriptor with the name "<ln's path>.ring<n>",
+// which only roots the datapath's doorbell name, and serves it with every
+// other ring in one ServeSet. The socket carries nothing more; its EOF is the
+// datapath's death, on which the ring is closed. No ring has a name on disk,
+// so neither a crash nor a stop leaves one behind. Closing ln is an orderly
+// shutdown: the serve loop stops at the end of its sweep, the shards answer
+// what was dispatched (Drain), and then the rings and connections close.
+// Serve returns nil after it and Accept's error otherwise. It does not Close
+// the runtime.
 func (r *Runtime) Serve(ln *net.UnixListener) error {
 	base, err := filepath.Abs(ln.Addr().String())
 	if err != nil {
 		return err
-	}
-	stale, _ := filepath.Glob(base + ".ring*")
-	for _, path := range stale {
-		shmring.Remove(path) // leaves alone anything that is not a ring name
 	}
 	mux, err := shmring.NewOpenMux(base + ".bell")
 	if err != nil {
@@ -113,15 +110,15 @@ func (r *Runtime) Serve(ln *net.UnixListener) error {
 		if conn, acceptErr = ln.AcceptUnix(); acceptErr != nil {
 			break
 		}
-		path := base + ".ring" + strconv.Itoa(n)
-		ring, err := shmring.Create(path, shmring.Options{Bell: mux.Bell()})
+		name := base + ".ring" + strconv.Itoa(n)
+		ring, f, err := shmring.Create(name, shmring.Options{Bell: mux.Bell()})
 		if err == nil {
 			if err = mux.Adopt(ring); err == nil {
-				err = ipc.NewStream(conn).Send([]byte(path))
+				_, _, err = conn.WriteMsgUnix([]byte(name), syscall.UnixRights(int(f.Fd())), nil)
 			}
+			f.Close()
 			if err != nil {
 				ring.Close() // the serve loop drops it if it was adopted
-				os.Remove(path)
 			}
 		}
 		if err != nil {
@@ -134,10 +131,9 @@ func (r *Runtime) Serve(ln *net.UnixListener) error {
 			defer watchers.Done()
 			unhook := context.AfterFunc(stopping, func() { conn.Close() })
 			_, err := conn.Read(make([]byte, 1)) // at EOF, or the shutdown's Close
-			r.logf("runtime: datapath on %s gone: %v", path, err)
+			r.logf("runtime: datapath on %s gone: %v", name, err)
 			unhook()
 			ring.Close()
-			os.Remove(path)
 			conn.Close()
 		}()
 	}
