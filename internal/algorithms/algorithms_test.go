@@ -263,7 +263,7 @@ func TestRegistryCoversTable1(t *testing.T) {
 }
 
 func TestDeterministicEndToEnd(t *testing.T) {
-	one := func() (int64, int) {
+	one := func() (int64, int64) {
 		net, f := run(t, "cubic", wan16(), tcp.Options{}, 10*time.Second)
 		return f.Receiver.Delivered(), net.Agent.Stats().Agent.Measurements
 	}

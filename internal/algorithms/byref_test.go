@@ -32,7 +32,7 @@ func TestInstallsByReferenceShare(t *testing.T) {
 		net := harness.New(harness.Config{Link: wan16(), DefaultAlg: "reno"})
 		f := net.AddCCPFlow(1, tc.alg, tcp.Options{ECN: tc.alg == "dctcp"})
 		f.Conn.Start()
-		reports := func() int { s := net.Agent.Stats().Agent; return s.Measurements + s.Vectors }
+		reports := func() int64 { s := net.Agent.Stats().Agent; return s.Measurements + s.Vectors }
 		for dur := 5 * time.Second; reports() < 200 && dur <= 60*time.Second; dur += 5 * time.Second {
 			net.Run(dur)
 		}
@@ -43,7 +43,7 @@ func TestInstallsByReferenceShare(t *testing.T) {
 		if dp.InstallRejects != 0 || dp.RefRefusals != 0 || agent.InstallErrs != 0 || agent.RefResends != 0 {
 			t.Errorf("%s: an install was refused on a clean channel: %+v", tc.alg, dp)
 		}
-		if dp.InstallsByRef != agent.InstallsByRef {
+		if int64(dp.InstallsByRef) != agent.InstallsByRef {
 			t.Errorf("%s: the agent sent %d installs by reference, the datapath applied %d", tc.alg, agent.InstallsByRef, dp.InstallsByRef)
 		}
 		share := float64(dp.InstallsByRef) / float64(dp.InstallsRecvd)

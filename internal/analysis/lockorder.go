@@ -9,8 +9,11 @@ import (
 	"strings"
 )
 
-// LockOrder checks mutex discipline in the runtime's shard/mailbox paths
-// (and everywhere else): every sync.Mutex/RWMutex Lock must be matched by
+// LockOrder checks mutex discipline on the lock classes in the tree:
+// runtime's mailbox.mu, shard.mu and lockedReply's mu, harness.SocketLink.mu,
+// datapath.artifactTable.mu, shmring's Mux.mu and Endpoint send/recv/peerMu,
+// and ipc's stream send/recvMu (core.Agent and supervise.Standby have one
+// owner and none). Every sync.Mutex/RWMutex Lock must be matched by
 // an Unlock or a defer in the same function, a mutex must not be re-locked
 // on a straight-line path (self-deadlock), and two lock classes must be
 // acquired in a consistent order across the package (an A-then-B function

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -9,8 +10,8 @@ import (
 // SimDeterminism enforces the bit-identical-replay contract of the
 // simulator and the native congestion-control implementations: given the
 // same seed, a run must produce the same event sequence on every machine
-// and every execution. Inside the deterministic packages (netsim, tcp,
-// nativecc, experiments) it forbids:
+// and every execution. Inside the deterministic packages (deterministicPkgs)
+// it forbids:
 //
 //   - wall-clock reads (time.Now, time.Since, timers, sleeps) — simulated
 //     time comes from the event loop, never the host
@@ -19,7 +20,9 @@ import (
 //   - goroutine spawns: event order must not depend on the Go scheduler
 //   - ranging over a map when the body feeds an order-sensitive sink
 //     (append, channel send, scheduling/emission calls) — map iteration
-//     order is randomized per run
+//     order is randomized per run — unless the only sink is s = append(s,
+//     ...) and the next statement in the block sorts s (sortFuncs; the
+//     pass trusts the sort to be total)
 //
 // There is no exemption: code that measures the real world (cmd/ipcbench's
 // Figure 2) lives outside these packages.
@@ -36,8 +39,10 @@ var SimDeterminism = &Analyzer{
 // its own goroutines. lang is here because both fold VMs (the stack
 // reference and the register backend) promise bit-identical replay: the
 // compilers must never let host entropy — clocks, global rand, map
-// iteration order — leak into instruction selection or pool layout.
-var deterministicPkgs = []string{"netsim", "tcp", "nativecc", "experiments", "supervise", "lang"}
+// iteration order — leak into instruction selection or pool layout. core and
+// algorithms are here because the simulator replays the agent: it starts no
+// goroutine (internal/runtime owns execution) and never follows map order.
+var deterministicPkgs = []string{"netsim", "tcp", "nativecc", "experiments", "supervise", "lang", "core", "algorithms"}
 
 // wallClockFuncs are time-package functions that read or wait on the host
 // clock.
@@ -58,6 +63,9 @@ var seededRandCtors = map[string]bool{
 // from a map range makes the event sequence depend on map hash seeds.
 var orderSinkPrefixes = []string{"Schedule", "Emit", "Enqueue", "Push", "Send", "Deliver", "Write"}
 
+// sortFuncs sort a whole slice in place.
+var sortFuncs = map[string]bool{"sort.Slice": true, "sort.Strings": true, "sort.Ints": true, "slices.Sort": true}
+
 func runSimDeterminism(pass *Pass) error {
 	scoped := false
 	for _, seg := range deterministicPkgs {
@@ -70,14 +78,19 @@ func runSimDeterminism(pass *Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
+		next := map[ast.Stmt]ast.Stmt{} // filled by a block before its statements are visited
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.BlockStmt:
+				for i := 1; i < len(n.List); i++ {
+					next[n.List[i-1]] = n.List[i]
+				}
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(), "goroutine spawn in deterministic package %s: event order must not depend on the scheduler", pass.Pkg.Name())
 			case *ast.CallExpr:
 				checkDeterminismCall(pass, n)
 			case *ast.RangeStmt:
-				checkMapRange(pass, n)
+				checkMapRange(pass, n, next[n])
 			}
 			return true
 		})
@@ -106,8 +119,9 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 }
 
 // checkMapRange reports ranging over a map when the body contains an
-// order-sensitive sink.
-func checkMapRange(pass *Pass, r *ast.RangeStmt) {
+// order-sensitive sink other than s = append(s, ...) where after, the next
+// statement, sorts s.
+func checkMapRange(pass *Pass, r *ast.RangeStmt, after ast.Stmt) {
 	tv, ok := pass.TypesInfo.Types[r.X]
 	if !ok || tv.Type == nil {
 		return
@@ -115,12 +129,26 @@ func checkMapRange(pass *Pass, r *ast.RangeStmt) {
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 		return
 	}
+	sorted := "" // the source text of the slice after sorts
+	if es, ok := after.(*ast.ExprStmt); ok {
+		if call, ok := es.X.(*ast.CallExpr); ok && len(call.Args) > 0 {
+			if fn := calleeFunc(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil && sortFuncs[fn.Pkg().Path()+"."+fn.Name()] {
+				sorted = types.ExprString(call.Args[0])
+			}
+		}
+	}
+	excused := map[ast.Expr]bool{}
 	sink := ""
 	ast.Inspect(r.Body, func(n ast.Node) bool {
 		if sink != "" {
 			return false
 		}
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if call, ok := n.Rhs[0].(*ast.CallExpr); ok && n.Tok == token.ASSIGN && len(n.Lhs) == 1 && len(call.Args) > 0 &&
+				types.ExprString(n.Lhs[0]) == sorted && types.ExprString(call.Args[0]) == sorted {
+				excused[call] = true
+			}
 		case *ast.SendStmt:
 			sink = "a channel send"
 		case *ast.CallExpr:
@@ -132,7 +160,7 @@ func checkMapRange(pass *Pass, r *ast.RangeStmt) {
 					}
 				}
 			}
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && !excused[n] {
 				if b, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin && b.Name() == "append" {
 					sink = "an append"
 				}

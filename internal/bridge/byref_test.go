@@ -171,7 +171,7 @@ func TestReferenceInterleavings(t *testing.T) {
 		errsLate
 		errsLost
 	)
-	cases, resent := 0, 0
+	cases, resent := 0, int64(0)
 	for _, order := range orders {
 		for fates := 0; fates < 27; fates++ {
 			for errs := errsAtOnce; errs <= errsLost; errs++ {

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"reflect"
+	"sync/atomic"
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -21,44 +22,45 @@ type AgentConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// AgentStats counts the agent's activity.
+// AgentStats counts the agent's activity. Only the agent's owner writes a
+// counter, with an atomic add, so any goroutine may read them (Agent.Stats).
 type AgentStats struct {
-	FlowsCreated   int
-	FlowsClosed    int
-	Measurements   int
-	Vectors        int
-	Urgents        int
-	UnknownFlowMsg int
-	UnknownAlgReq  int
-	Errors         int
+	FlowsCreated   int64
+	FlowsClosed    int64
+	Measurements   int64
+	Vectors        int64
+	Urgents        int64
+	UnknownFlowMsg int64
+	UnknownAlgReq  int64
+	Errors         int64
 	// DupCreates counts duplicated Create deliveries for a flow the agent
 	// already tracks (same announcement replayed by a faulty channel).
-	DupCreates int
+	DupCreates int64
 	// DupUrgents counts urgent events discarded because their sequence
 	// number had already been seen — a duplicated or reordered delivery.
-	DupUrgents int
+	DupUrgents int64
 	// ResyncAdopts counts datapath resync Creates absorbed by a restored
 	// flow: after failover the datapath's CC state is intact, so the
 	// promoted agent adopts the channel instead of cold-rebuilding the flow.
-	ResyncAdopts int
+	ResyncAdopts int64
 	// StaleReports counts measurements and vectors discarded because a newer
 	// report had already been processed.
-	StaleReports int
+	StaleReports int64
 	// Restores counts flows rebuilt from snapshots (standby promotion).
-	Restores int
+	Restores int64
 	// Heartbeats counts supervision probes echoed.
-	Heartbeats int
+	Heartbeats int64
 	// InstallErrs counts datapath refusals of installed programs (verifier
 	// rejections, malformed encodings). Each one means the refusing flow kept
 	// running its previous program.
-	InstallErrs int
+	InstallErrs int64
 	// InstallsByRef counts the Installs sent as a reference to the measure
 	// half of an earlier one plus a control half (Flow.Install). RefResends
 	// counts the programs sent again, whole, because the datapath refused a
 	// reference to the flow's newest whole Install (Flow.noteInstallErr); each
 	// answers one of InstallErrs.
-	InstallsByRef int
-	RefResends    int
+	InstallsByRef int64
+	RefResends    int64
 }
 
 // Agent is the user-space congestion control plane: it multiplexes flows
@@ -67,14 +69,15 @@ type AgentStats struct {
 // agent runs identically on the simulator event loop (deterministic) and
 // behind a transport goroutine (internal/runtime's serve loops). It is a
 // proto.Handler and knows nothing of transports.
+// An Agent has one owner and no lock, like datapath.CCP: only Stats and
+// FlowCount may be called from another goroutine.
 type Agent struct {
 	cfg AgentConfig
 
-	mu    sync.Mutex
 	flows map[uint32]*flowState
-	stats AgentStats
-	// shared is the block every flow of this agent points at; its message
-	// scratch is written only under mu.
+	live  atomic.Int64 // len(flows), for FlowCount
+	// shared is the block every flow of this agent points at, the agent's
+	// counters included.
 	shared flowShared
 
 	// HA snapshot state (see snapshot.go). snapshotting turns on tombstone
@@ -101,12 +104,10 @@ type flowState struct {
 	// samples is vector-mode scratch, reused across reports (OnMeasurement
 	// must not retain it; see Measurement).
 	samples []PktSample
-	// Snapshot dirty tracking: snapped marks a state exported at least once;
-	// snapReports/snapUrgents are the flow's activity counters as of that
-	// export, so an idle flow is skipped by incremental snapshots.
-	snapped     bool
-	snapReports int
-	snapUrgents int
+	// Snapshot dirty tracking: snapped marks a state exported at least once,
+	// dirty one that admitted a report or an urgent since, so an idle flow is
+	// skipped by incremental snapshots.
+	snapped, dirty bool
 	// restored marks a flow rebuilt from a snapshot whose datapath has not
 	// spoken to this agent yet; the first resync Create is adopted rather
 	// than treated as a datapath restart (see handleCreate).
@@ -127,21 +128,23 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}, nil
 }
 
-// Stats returns a snapshot of the agent counters.
+// Stats returns a snapshot of the agent counters, without waiting.
 func (a *Agent) Stats() AgentStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := a.stats
-	s.InstallsByRef, s.RefResends = a.shared.installsByRef, a.shared.refResends
+	var s AgentStats
+	s.Add(&a.shared.stats)
 	return s
 }
 
-// FlowCount returns the number of live flows.
-func (a *Agent) FlowCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.flows)
+// Add adds o's counters to s, loading each atomically (o may be a live agent's).
+func (s *AgentStats) Add(o *AgentStats) {
+	d, x := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	for i := range d.NumField() {
+		d.Field(i).SetInt(d.Field(i).Int() + atomic.LoadInt64(x.Field(i).Addr().Interface().(*int64)))
+	}
 }
+
+// FlowCount returns the number of live flows, without waiting.
+func (a *Agent) FlowCount() int { return int(a.live.Load()) }
 
 // HandleMessage processes one datapath→agent message. reply transmits
 // agent→datapath messages for the flow's datapath (it is captured by the
@@ -151,8 +154,6 @@ func (a *Agent) FlowCount() int {
 // call, and every message handed to reply — built in storage the agent reuses
 // for its next decision — for the duration of that one.
 func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	switch v := m.(type) {
 	case *proto.Create:
 		a.handleCreate(v, reply)
@@ -161,8 +162,7 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		if st == nil {
 			return
 		}
-		a.stats.Measurements++
-		st.flow.reports++
+		atomic.AddInt64(&a.shared.stats.Measurements, 1)
 		names := st.flow.reportNames()
 		meas := Measurement{Seq: v.Seq, Names: names, Values: v.Fields}
 		st.alg.OnMeasurement(st.flow, meas)
@@ -171,8 +171,7 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		if st == nil {
 			return
 		}
-		a.stats.Vectors++
-		st.flow.reports++
+		atomic.AddInt64(&a.shared.stats.Vectors, 1)
 		fields := st.flow.vectorFields()
 		meas := Measurement{Seq: v.Seq, Names: st.flow.reportNames()}
 		if int(v.NumFields) == len(fields) {
@@ -189,47 +188,46 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		if st == nil {
 			return
 		}
-		a.stats.Urgents++
-		st.flow.urgents++
+		atomic.AddInt64(&a.shared.stats.Urgents, 1)
 		st.alg.OnUrgent(st.flow, UrgentEvent{Kind: v.Kind, Value: v.Value})
 	case *proto.Close:
 		st := a.drop(v.SID)
 		if st == nil {
-			a.stats.UnknownFlowMsg++
+			atomic.AddInt64(&a.shared.stats.UnknownFlowMsg, 1)
 			return
 		}
 		if a.snapshotting && st.snapped {
 			a.closedSIDs = append(a.closedSIDs, v.SID)
 		}
-		a.stats.FlowsClosed++
+		atomic.AddInt64(&a.shared.stats.FlowsClosed, 1)
 	case *proto.InstallErr:
 		// The datapath refused an Install (its §9 verifier gate, or a
 		// malformed encoding). The flow is fail-safe — the datapath keeps its
 		// previous program — so the agent's job is to surface the diagnostic
 		// and stop trusting that the refused program is live.
-		a.stats.InstallErrs++
+		atomic.AddInt64(&a.shared.stats.InstallErrs, 1)
 		st, ok := a.flows[v.SID]
 		if !ok {
-			a.stats.UnknownFlowMsg++
+			atomic.AddInt64(&a.shared.stats.UnknownFlowMsg, 1)
 			return
 		}
-		st.flow.noteInstallErr(v.Seq, v.Reason)
+		st.flow.noteInstallErr(v.Seq)
 		a.logf("agent: flow %d: datapath refused install seq %d: %s", v.SID, v.Seq, v.Reason)
 	case *proto.Heartbeat:
 		// Supervision probe: echo it so the sender measures true
 		// request→response latency through this agent's dispatch path. The
 		// echo is the agent's own message, not v: v is the caller's storage,
 		// which its reply should not find itself handed back.
-		a.stats.Heartbeats++
+		atomic.AddInt64(&a.shared.stats.Heartbeats, 1)
 		if reply != nil {
 			echo := &a.shared.heartbeat
 			*echo = proto.Heartbeat{SID: v.SID, Seq: v.Seq, SentAt: v.SentAt}
 			if err := reply(echo); err != nil {
-				a.stats.Errors++
+				atomic.AddInt64(&a.shared.stats.Errors, 1)
 			}
 		}
 	default:
-		a.stats.Errors++
+		atomic.AddInt64(&a.shared.stats.Errors, 1)
 		a.logf("agent: unexpected message %T", m)
 	}
 }
@@ -242,20 +240,21 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 func (a *Agent) admit(sid, seq uint32, urgent bool, reply func(proto.Msg) error) *flowState {
 	st, ok := a.flows[sid]
 	if !ok {
-		a.stats.UnknownFlowMsg++
+		atomic.AddInt64(&a.shared.stats.UnknownFlowMsg, 1)
 		return nil
 	}
-	cursor, refused := &st.lastReportSeq, &a.stats.StaleReports
+	cursor, refused := &st.lastReportSeq, &a.shared.stats.StaleReports
 	if urgent {
-		cursor, refused = &st.lastUrgentSeq, &a.stats.DupUrgents
+		cursor, refused = &st.lastUrgentSeq, &a.shared.stats.DupUrgents
 	}
 	if !proto.AdmitSeq(seq, cursor) {
-		*refused++
+		atomic.AddInt64(refused, 1)
 		return nil
 	}
 	if st.flow.send == nil {
 		st.flow.send = reply
 	}
+	st.dirty = true
 	return st
 }
 
@@ -266,7 +265,7 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 	// Seq is a real resync and does rebuild the flow.)
 	if old, exists := a.flows[v.SID]; exists {
 		if v.Seq != 0 && v.Seq == old.createSeq {
-			a.stats.DupCreates++
+			atomic.AddInt64(&a.shared.stats.DupCreates, 1)
 			return
 		}
 		if old.restored && v.Seq != 0 {
@@ -285,12 +284,12 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 			if !proto.SeqNewer(old.flow.ctrlSeq, v.Seq) {
 				old.flow.ctrlSeq = v.Seq + ctrlSeqSkip
 			}
-			a.stats.ResyncAdopts++
+			atomic.AddInt64(&a.shared.stats.ResyncAdopts, 1)
 			return
 		}
 	}
 	a.newFlow(v, nil, reply)
-	a.stats.FlowsCreated++
+	atomic.AddInt64(&a.shared.stats.FlowsCreated, 1)
 }
 
 // newFlow is the one way a flow is made, from a datapath's Create or, with
@@ -310,7 +309,7 @@ func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(proto.
 	}
 	alg, ok := a.cfg.Registry.New(name)
 	if !ok {
-		a.stats.UnknownAlgReq++
+		atomic.AddInt64(&a.shared.stats.UnknownAlgReq, 1)
 		a.logf("agent: flow %d requested unknown algorithm %q; using default %q",
 			c.SID, name, a.cfg.DefaultAlg)
 		alg, _ = a.cfg.Registry.New(a.cfg.DefaultAlg)
@@ -336,6 +335,7 @@ func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(proto.
 	st.flow = &Flow{Info: info, policy: policy, send: reply, ctrlSeq: ctrlSeq, shared: &a.shared}
 	a.drop(c.SID)
 	a.flows[c.SID] = st
+	a.live.Store(int64(len(a.flows)))
 	alg.Init(st.flow)
 	return st
 }
@@ -351,6 +351,7 @@ func (a *Agent) drop(sid uint32) *flowState {
 		r.Release(st.flow)
 	}
 	delete(a.flows, sid)
+	a.live.Store(int64(len(a.flows)))
 	return st
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/lang"
@@ -126,9 +128,7 @@ func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 	a := newTestAgent(t, alg, nil)
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
-	a.mu.Lock()
 	flow := a.flows[1].flow
-	a.mu.Unlock()
 
 	fold := func(init float64, names ...string) *lang.Program {
 		f := &lang.FoldSpec{}
@@ -530,9 +530,7 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 	a.HandleMessage(createMsg(1), cap.send)
 
 	var flow *Flow
-	a.mu.Lock()
 	flow = a.flows[1].flow
-	a.mu.Unlock()
 
 	first := lang.NewProgram().Cwnd(lang.C(20000)).WaitRtts(1).Report().MustBuild()
 	second := lang.NewProgram().Cwnd(lang.C(30000)).WaitRtts(1).Report().MustBuild()
@@ -544,15 +542,14 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 	}
 	refusedSeq := cap.msgs[len(cap.msgs)-1].(*proto.Install).Seq
 
-	// The datapath refuses the second install: the agent must count it, keep
+	// The datapath refuses the second install: the agent must count it, log
 	// the diagnostic, and roll its program view back to the first program —
 	// the one actually still live in the datapath.
+	var logged string
+	a.cfg.Logf = func(format string, args ...any) { logged = fmt.Sprintf(format, args...) }
 	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refusedSeq, Reason: "bounds: instr 0"}, cap.send)
-	if a.Stats().InstallErrs != 1 {
-		t.Fatalf("InstallErrs=%d", a.Stats().InstallErrs)
-	}
-	if flow.installErrs != 1 || flow.lastInstallErr != "bounds: instr 0" {
-		t.Fatalf("flow refusal state: n=%d reason=%q", flow.installErrs, flow.lastInstallErr)
+	if a.Stats().InstallErrs != 1 || !strings.Contains(logged, "bounds: instr 0") {
+		t.Fatalf("InstallErrs=%d, logged %q", a.Stats().InstallErrs, logged)
 	}
 	got := float64(flow.Installed().Instrs[0].(lang.SetCwnd).E.(lang.Const))
 	if got != 20000 {
@@ -600,8 +597,6 @@ func grabFlow(t *testing.T) (*Agent, *Flow, *capture) {
 	a := newTestAgent(t, &recordAlg{}, nil)
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a, a.flows[1].flow, cap
 }
 
@@ -637,7 +632,7 @@ func TestFlowInstallsByReference(t *testing.T) {
 		{"and again", refProg(fold, 60000), true},
 	}
 	var wholeSeq uint32
-	byRef := 0
+	var byRef int64
 	for _, st := range steps {
 		if err := flow.Install(st.p); err != nil {
 			t.Fatalf("%s: %v", st.what, err)
@@ -767,9 +762,7 @@ func TestRestoredFlowKnowsNoEpoch(t *testing.T) {
 	primary := newTestAgent(t, alg, nil)
 	cap := &capture{}
 	primary.HandleMessage(createMsg(1), cap.send)
-	primary.mu.Lock()
 	flow := primary.flows[1].flow
-	primary.mu.Unlock()
 	if err := flow.Install(refProg(fold, 20000)); err != nil {
 		t.Fatal(err)
 	}
@@ -800,9 +793,7 @@ func TestRestoredFlowKnowsNoEpoch(t *testing.T) {
 	// crosses whole even though the measure half is the one Init installed.
 	after := &capture{}
 	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0}}, after.send)
-	standby.mu.Lock()
 	restored := standby.flows[1].flow
-	standby.mu.Unlock()
 	if err := restored.Install(refProg(fold, 30000)); err != nil {
 		t.Fatal(err)
 	}
@@ -843,7 +834,7 @@ func TestEveryWayAFlowIsMade(t *testing.T) {
 
 	type counts struct {
 		inits, releases, flows                             int
-		created, closed, restores, unknownAlg, dups, adopt int
+		created, closed, restores, unknownAlg, dups, adopt int64
 	}
 	steps := []struct {
 		name    string
@@ -887,12 +878,10 @@ func TestEveryWayAFlowIsMade(t *testing.T) {
 		if got != s.want {
 			t.Fatalf("%s:\n got %+v\nwant %+v", s.name, got, s.want)
 		}
-		a.mu.Lock()
 		var ctrlSeq uint32
 		if fs, ok := a.flows[s.sid]; ok {
 			ctrlSeq = fs.flow.ctrlSeq
 		}
-		a.mu.Unlock()
 		if ctrlSeq != s.ctrlSeq {
 			t.Fatalf("%s: flow %d numbers from %d, want %d", s.name, s.sid, ctrlSeq, s.ctrlSeq)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -35,9 +36,9 @@ type PolicyFunc func(info FlowInfo) Policy
 // flowShared is what every flow of one agent holds in common, reached through
 // one pointer so a Flow carries no per-flow copy of it: the storage each
 // outgoing message is built in. The send path only borrows a message for the
-// duration of the call (see Flow.send), and an agent makes one decision at a
-// time under its lock, so one block per agent serves all its flows and a
-// decision allocates nothing.
+// duration of the call (see Flow.send), and an agent, which has one owner,
+// makes one decision at a time, so one block per agent serves all its flows
+// and a decision allocates nothing.
 type flowShared struct {
 	setCwnd   proto.SetCwnd
 	setRate   proto.SetRate
@@ -48,10 +49,9 @@ type flowShared struct {
 	// half the agent has sent and is then reused.
 	refProg []byte
 
-	// Counted here, where a Flow can reach them: Agent.Stats reads them into
-	// AgentStats.InstallsByRef and RefResends.
-	installsByRef int
-	refResends    int
+	// stats are the agent's counters, here where a Flow can count its
+	// InstallsByRef and RefResends.
+	stats AgentStats
 }
 
 // Flow is the algorithm's handle on one datapath flow: it carries flow
@@ -94,8 +94,6 @@ type Flow struct {
 	prevProgBytes  []byte
 	lastInstallSeq uint32
 	wholeSeq       uint32
-	installErrs    int
-	lastInstallErr string
 
 	// ctrlSeq numbers outgoing control messages (Install, SetCwnd, SetRate)
 	// in one shared sequence space, so the datapath can discard reordered or
@@ -105,10 +103,6 @@ type Flow struct {
 	// of looking stale.
 	ctrlSeq  uint32
 	wholeLen uint32
-
-	// Stats observed by the agent for this flow.
-	reports int
-	urgents int
 
 	// names caches reportNames' result: report dispatch is the agent's hot
 	// path and the name list only changes on Install.
@@ -165,7 +159,7 @@ func (f *Flow) Install(p *lang.Program) error {
 		return err
 	}
 	if byRef {
-		f.shared.installsByRef++
+		atomic.AddInt64(&f.shared.stats.InstallsByRef, 1)
 	} else {
 		// An EWMA-mode measure half is shorter than a reference to it, and
 		// what a flow still without a channel sends (emit) reaches nobody.
@@ -216,8 +210,8 @@ func reportsAs(p *lang.Program, names []string) bool {
 	return false
 }
 
-// noteInstallErr records a datapath install refusal; what else it does depends
-// on which Install was refused.
+// noteInstallErr answers a datapath install refusal (the agent counts and logs
+// it); what it does depends on which Install was refused.
 //
 // One sent before the newest whole Install is history: that Install
 // superseded it, and the two ends agree again if it was applied.
@@ -235,9 +229,7 @@ func reportsAs(p *lang.Program, names []string) bool {
 // instead of the flow running an older control half until its next report,
 // and the refusals of the references sent meanwhile are history by the rule
 // above. Refused whole, it rolls back like any other.
-func (f *Flow) noteInstallErr(seq uint32, reason string) {
-	f.installErrs++
-	f.lastInstallErr = reason
+func (f *Flow) noteInstallErr(seq uint32) {
 	switch {
 	case seq == 0 || proto.SeqNewer(f.wholeSeq, seq) || proto.SeqNewer(seq, f.lastInstallSeq):
 		// Unsequenced, superseded, or no Install of this flow's at all.
@@ -254,7 +246,7 @@ func (f *Flow) noteInstallErr(seq uint32, reason string) {
 			f.wholeLen = 0 // the channel is gone too; the next Install goes whole
 			return
 		}
-		f.shared.refResends++
+		atomic.AddInt64(&f.shared.stats.RefResends, 1)
 		f.lastInstallSeq, f.wholeSeq = m.Seq, m.Seq
 	}
 }

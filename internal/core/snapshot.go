@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -43,32 +44,28 @@ const ctrlSeqSkip = 1 << 16
 //
 // The *proto.Snapshot handed to sink is reusable scratch owned by the
 // agent: it is valid only for the duration of the call, and sink must Clone
-// it to retain it. sink must not call back into the agent (a.mu is held).
+// it to retain it. sink runs on the agent's owner, between two messages: it
+// must not call back into the agent, nor into the runtime that owns it.
 // Iteration is in ascending SID order so replication streams are
 // deterministic under the simulator.
 func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.snapshotting = true
 
 	emitted := 0
-	if len(a.closedSIDs) > 0 {
-		sort.Slice(a.closedSIDs, func(i, j int) bool { return a.closedSIDs[i] < a.closedSIDs[j] })
-		for _, sid := range a.closedSIDs {
-			a.snapScratch = proto.Snapshot{SID: sid, Closed: true,
-				Prog: a.snapScratch.Prog[:0], State: a.snapScratch.State[:0]}
-			if err := sink(&a.snapScratch); err != nil {
-				return emitted, err
-			}
-			emitted++
+	sort.Slice(a.closedSIDs, func(i, j int) bool { return a.closedSIDs[i] < a.closedSIDs[j] })
+	for _, sid := range a.closedSIDs {
+		a.snapScratch = proto.Snapshot{SID: sid, Closed: true,
+			Prog: a.snapScratch.Prog[:0], State: a.snapScratch.State[:0]}
+		if err := sink(&a.snapScratch); err != nil {
+			return emitted, err
 		}
-		a.closedSIDs = a.closedSIDs[:0]
+		emitted++
 	}
+	a.closedSIDs = a.closedSIDs[:0]
 
 	a.sidScratch = a.sidScratch[:0]
 	for sid, st := range a.flows {
-		if !full && st.snapped &&
-			st.flow.reports == st.snapReports && st.flow.urgents == st.snapUrgents {
+		if !full && st.snapped && !st.dirty {
 			continue
 		}
 		a.sidScratch = append(a.sidScratch, sid)
@@ -100,8 +97,7 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 		if err := sink(snap); err != nil {
 			return emitted, err
 		}
-		st.snapped = true
-		st.snapReports, st.snapUrgents = f.reports, f.urgents
+		st.snapped, st.dirty = true, false
 		emitted++
 	}
 	return emitted, nil
@@ -121,8 +117,6 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 // message that reaches it after promotion (decisions made before that are
 // dropped, not queued). Tombstone snapshots remove the flow instead.
 func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if snap.Closed {
 		a.drop(snap.SID)
 		return nil
@@ -155,6 +149,6 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 	if exp, ok := st.alg.(SnapshotExporter); ok && len(snap.State) > 0 {
 		exp.ImportState(snap.State)
 	}
-	a.stats.Restores++
+	atomic.AddInt64(&a.shared.stats.Restores, 1)
 	return nil
 }

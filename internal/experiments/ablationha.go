@@ -179,8 +179,8 @@ func runHACell(fault, mode string) HACell {
 		FallbackOnA:  stA.FallbackOn,
 		FallbackOffA: stA.FallbackOff,
 		FallbackOnB:  stB.FallbackOn,
-		Restores:     net.Agent.Stats().Agent.Restores,
-		ResyncAdopts: net.Agent.Stats().Agent.ResyncAdopts,
+		Restores:     int(net.Agent.Stats().Agent.Restores),
+		ResyncAdopts: int(net.Agent.Stats().Agent.ResyncAdopts),
 	}
 	if mode == "warm" {
 		cell.Failovers = net.Supervisor.Stats().Failovers

@@ -268,7 +268,7 @@ func AblFallback() AblFallbackResult {
 		Deactivations:     st.FallbackOff,
 		Resyncs:           st.Resyncs,
 		Installs:          st.InstallsRecvd,
-		AgentFlowsCreated: net.Agent.Stats().Agent.FlowsCreated,
+		AgentFlowsCreated: int(net.Agent.Stats().Agent.FlowsCreated),
 	}
 }
 

@@ -125,7 +125,7 @@ func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 		HandoffRamps:      st.HandoffRamps,
 		Resyncs:           st.Resyncs,
 		InstallsRecvd:     st.InstallsRecvd,
-		AgentFlowsCreated: net.Agent.Stats().Agent.FlowsCreated,
+		AgentFlowsCreated: int(net.Agent.Stats().Agent.FlowsCreated),
 		Inj:               net.AgentInj.Stats(),
 	}
 }

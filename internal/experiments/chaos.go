@@ -83,7 +83,7 @@ func AblChaos() AblChaosResult {
 			FallbackOff:      o.dp.FallbackOff,
 			Resyncs:          o.dp.Resyncs,
 			StaleCtrlDropped: o.dp.StaleCtrlDropped,
-			AgentDiscards:    o.agent.DupCreates + o.agent.DupUrgents + o.agent.StaleReports,
+			AgentDiscards:    int(o.agent.DupCreates + o.agent.DupUrgents + o.agent.StaleReports),
 			Injected:         o.fault.Total(),
 		})
 	}

@@ -160,9 +160,9 @@ func Table3() Table3Result {
 	ast := net.Agent.Stats().Agent
 	dst := f.DP.Stats()
 	return Table3Result{Rows: []Table3Row{
-		{"Init(seq, flow)", "initialize flow state", ast.FlowsCreated},
-		{"OnMeasurement(m)", "measurements have arrived", ast.Measurements + ast.Vectors},
-		{"OnUrgent(type)", "an urgent event has occurred", ast.Urgents},
+		{"Init(seq, flow)", "initialize flow state", int(ast.FlowsCreated)},
+		{"OnMeasurement(m)", "measurements have arrived", int(ast.Measurements + ast.Vectors)},
+		{"OnUrgent(type)", "an urgent event has occurred", int(ast.Urgents)},
 		{"Install(p)", "send new control program to the datapath", dst.InstallsRecvd},
 	}}
 }

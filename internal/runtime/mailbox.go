@@ -62,8 +62,8 @@ func newMailbox(size int) *mailbox {
 
 // push enqueues a copy of it: it.m is borrowed, and what is queued is a
 // container holding its deep copy, taken only once there is room in the ring
-// so that no container is held by a pusher waiting for space. A drain
-// sentinel has no message and is queued as is. With no room, push blocks for
+// so that no container is held by a pusher waiting for space. An exec call
+// has no message and is queued as is. With no room, push blocks for
 // space. It returns false only when the mailbox is closed.
 func (mb *mailbox) push(it item) bool {
 	mb.mu.Lock()
@@ -85,7 +85,7 @@ func (mb *mailbox) push(it item) bool {
 
 // pop dequeues the oldest entry, blocking while the mailbox is open and
 // empty, after taking back prev — the message of the entry the caller popped
-// last and is done with (nil the first time, and after a sentinel). ok is
+// last and is done with (nil the first time, and after an exec call). ok is
 // false once the mailbox is closed and fully drained.
 func (mb *mailbox) pop(prev proto.Msg) (it item, ok bool) {
 	mb.mu.Lock()
@@ -154,7 +154,7 @@ func (mb *mailbox) takeIdleLocked(t proto.MsgType) proto.Msg {
 }
 
 // recycleLocked puts a container nobody reads any more back on its free
-// list. A message of a type that is not recycled (or none: a sentinel's) is
+// list. A message of a type that is not recycled (or none: an exec call's) is
 // left to the collector.
 func (mb *mailbox) recycleLocked(m proto.Msg) {
 	if m == nil {

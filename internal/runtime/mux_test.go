@@ -95,7 +95,7 @@ func TestServeSetMultiplexesConnections(t *testing.T) {
 			if want := int64(conns * flows * (1 + reports)); st.Dispatched != want {
 				t.Fatalf("dispatched %d messages, want %d", st.Dispatched, want)
 			}
-			if want := conns * flows * reports; st.Agent.Measurements != want ||
+			if want := int64(conns * flows * reports); st.Agent.Measurements != want ||
 				st.ShutdownDropped != 0 || st.Agent.StaleReports != 0 {
 				t.Fatalf("answered %d of %d reports: %+v", st.Agent.Measurements, want, st)
 			}

@@ -36,7 +36,7 @@ func TestPoisonedContainerExposesKeptValues(t *testing.T) {
 	reply := func(proto.Msg) error { return nil }
 	rt.HandleMessage(&proto.Create{SID: 2}, reply)
 	rt.HandleMessage(&proto.Measurement{SID: 2, Seq: 1, Fields: []float64{0.01, 1e6, 1448}}, reply)
-	// Drain's sentinel is the shard's next pop: the report's container has
+	// Drain's exec call is the shard's next pop: the report's container has
 	// been handed back by the time it returns.
 	rt.Drain()
 	if len(kept) != 3 {

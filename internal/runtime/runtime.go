@@ -8,13 +8,15 @@
 // flow lands on the same shard and per-flow ordering is preserved without
 // any global coordination. Each shard owns its agent (flow map, algorithm
 // instances) outright; the only shared state is the dispatch table, which is
-// immutable after New.
+// immutable after New. Anything else that touches a shard's agent runs on the
+// shard, between two messages (exec).
 //
 // With Shards <= 1 there is one shard with no mailbox and no goroutine: the
-// caller of HandleMessage runs the shard's agent itself, bit-identical to
-// calling core.Agent directly. The deterministic simulator (internal/harness)
-// runs that, and so does cmd/ccp-agent on one core; a goroutine per shard is
-// what ccp-agent runs on more and what ./benchmark measures.
+// caller of HandleMessage runs the shard's agent itself, under the shard's
+// mutex, bit-identical to calling core.Agent directly. The deterministic
+// simulator (internal/harness) runs that, and so does cmd/ccp-agent on one
+// core; a goroutine per shard is what ccp-agent runs on more and what
+// ./benchmark measures.
 //
 // The package is also the only thing that serves an agent: one frame step
 // (serve.go) under the blocking ServeTransport loop, the polled ServeSet, and
@@ -77,9 +79,9 @@ type Stats struct {
 type item struct {
 	m     proto.Msg
 	reply func(proto.Msg) error
-	// done, when non-nil, marks a drain sentinel: the shard closes it instead
-	// of dispatching.
-	done chan struct{}
+	// do, when non-nil, is a call the shard makes on its agent in place of a
+	// message (see exec).
+	do func(*core.Agent)
 }
 
 type shard struct {
@@ -87,6 +89,9 @@ type shard struct {
 	// mail is nil in the single shard of Shards <= 1, which has no goroutine
 	// either: HandleMessage calls its agent directly.
 	mail *mailbox
+	// mu serializes the callers who run the agent: HandleMessage's without a
+	// mailbox, and exec's without a shard goroutine.
+	mu sync.Mutex
 }
 
 // Runtime is the sharded agent executor. It implements proto.Handler.
@@ -131,9 +136,9 @@ func newRuntime(cfg Config, size int) (*Runtime, error) {
 }
 
 // run is one shard's loop: pop the mailbox until it closes and drains.
-// Only this goroutine touches the shard's agent, so the agent's internal
-// mutex never contends. The mailbox keeps queued entries poppable after
-// close, so shutdown still drains in-flight work before the shard exits.
+// Only this goroutine touches the shard's agent until it exits. The mailbox
+// keeps queued entries poppable after close, so shutdown still drains
+// in-flight work before the shard exits.
 func (r *Runtime) run(sh *shard) {
 	defer r.wg.Done()
 	var prev proto.Msg // the container handled last, handed back by pop
@@ -143,8 +148,8 @@ func (r *Runtime) run(sh *shard) {
 			return
 		}
 		prev = it.m
-		if it.done != nil {
-			close(it.done)
+		if it.do != nil {
+			it.do(sh.agent)
 			continue
 		}
 		sh.agent.HandleMessage(it.m, it.reply)
@@ -169,6 +174,8 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	if sh := r.shards[0]; sh.mail == nil {
 		r.dispatched.Add(1)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		sh.agent.HandleMessage(m, reply)
 		return
 	}
@@ -193,26 +200,36 @@ func (r *Runtime) Close() {
 	r.wg.Wait()
 }
 
+// exec runs fn on sh's agent between two messages and returns once it has:
+// queued behind every message before it on a goroutine shard (close keeps
+// queued entries poppable), and under sh.mu on a caller-run shard or once
+// Close has stopped the shard goroutines. fn must not call back into exec.
+func (r *Runtime) exec(sh *shard, fn func(*core.Agent)) {
+	if sh.mail != nil {
+		done := make(chan struct{})
+		if sh.mail.push(item{do: func(a *core.Agent) { fn(a); close(done) }}) {
+			<-done
+			return
+		}
+		r.wg.Wait()
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fn(sh.agent)
+}
+
 // Drain blocks until every message dispatched before the call has been
-// handed to its shard's agent, by pushing a sentinel through each mailbox.
-// It does not stop new messages from arriving; callers quiesce their senders
-// first (the benchmark does this between load steps).
+// handed to its shard's agent. It does not stop new messages from arriving;
+// callers quiesce their senders first (the benchmark does this between load
+// steps).
 func (r *Runtime) Drain() {
 	for _, sh := range r.shards {
-		if sh.mail == nil {
-			return // run by its callers: nothing is ever queued
-		}
-		done := make(chan struct{})
-		if !sh.mail.push(item{done: done}) {
-			return // closed: the shards are draining to exit anyway
-		}
-		// The sentinel is queued, so the shard is guaranteed to pop it even
-		// if Close races in (close keeps queued entries poppable).
-		<-done
+		r.exec(sh, func(*core.Agent) {})
 	}
 }
 
-// Stats aggregates dispatch counters and every shard's agent counters.
+// Stats aggregates dispatch counters and every shard's agent counters,
+// without waiting for a shard.
 func (r *Runtime) Stats() Stats {
 	s := Stats{
 		Dispatched:      r.dispatched.Load(),
@@ -220,12 +237,13 @@ func (r *Runtime) Stats() Stats {
 		DecodeErrors:    r.decodeErrors.Load(),
 	}
 	for _, sh := range r.shards {
-		addAgentStats(&s.Agent, sh.agent.Stats())
+		st := sh.agent.Stats()
+		s.Agent.Add(&st)
 	}
 	return s
 }
 
-// FlowCount sums live flows across shards.
+// FlowCount sums live flows across shards, without waiting.
 func (r *Runtime) FlowCount() int {
 	n := 0
 	for _, sh := range r.shards {
@@ -234,38 +252,18 @@ func (r *Runtime) FlowCount() int {
 	return n
 }
 
-func addAgentStats(dst *core.AgentStats, s core.AgentStats) {
-	dst.FlowsCreated += s.FlowsCreated
-	dst.FlowsClosed += s.FlowsClosed
-	dst.Measurements += s.Measurements
-	dst.Vectors += s.Vectors
-	dst.Urgents += s.Urgents
-	dst.UnknownFlowMsg += s.UnknownFlowMsg
-	dst.UnknownAlgReq += s.UnknownAlgReq
-	dst.Errors += s.Errors
-	dst.DupCreates += s.DupCreates
-	dst.DupUrgents += s.DupUrgents
-	dst.StaleReports += s.StaleReports
-	dst.Restores += s.Restores
-	dst.Heartbeats += s.Heartbeats
-	dst.ResyncAdopts += s.ResyncAdopts
-	dst.InstallErrs += s.InstallErrs
-	dst.InstallsByRef += s.InstallsByRef
-	dst.RefResends += s.RefResends
-}
-
 // SnapshotInto streams every shard's flow state through sink (see
 // core.Agent.SnapshotInto for the contract: the snapshot is scratch, clone
 // to retain; full=false emits only the incremental delta). Shards are
 // visited in index order, and each shard emits its flows in ascending SID
-// order, so the stream is deterministic given quiescent shards. It is safe
-// against concurrent dispatch — each shard agent's own lock serializes the
-// export against that shard's message processing, and a flow mutated
-// mid-pass is simply picked up by the next incremental round.
-func (r *Runtime) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, error) {
-	total := 0
+// order, so the stream is deterministic given quiescent shards. Each shard's
+// pass runs on that shard between two messages (exec), so it captures every
+// message dispatched to the shard before the pass was asked for, and sink runs
+// on the shard: it must not call back into the runtime.
+func (r *Runtime) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (total int, err error) {
 	for _, sh := range r.shards {
-		n, err := sh.agent.SnapshotInto(full, sink)
+		var n int
+		r.exec(sh, func(a *core.Agent) { n, err = a.SnapshotInto(full, sink) })
 		total += n
 		if err != nil {
 			return total, err
@@ -279,6 +277,7 @@ func (r *Runtime) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int
 // SnapshotInto it makes a Runtime both ends of the HA pair: failover is
 // runtime.New plus supervise.Standby.RestoreInto, in the simulator and in
 // ccp-agent -standby alike.
-func (r *Runtime) RestoreFlow(snap *proto.Snapshot) error {
-	return r.shardFor(snap.SID).agent.RestoreFlow(snap)
+func (r *Runtime) RestoreFlow(snap *proto.Snapshot) (err error) {
+	r.exec(r.shardFor(snap.SID), func(a *core.Agent) { err = a.RestoreFlow(snap) })
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/ipc/shmring"
@@ -252,7 +253,7 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 	}
 	rt.Close() // must drain everything already accepted
 	st := rt.Stats()
-	if got := st.Agent.Measurements + int(st.ShutdownDropped); got != flows*reports {
+	if got := st.Agent.Measurements + st.ShutdownDropped; got != flows*reports {
 		t.Fatalf("processed+shutdownDropped=%d, want %d (stats=%+v)", got, flows*reports, st)
 	}
 }
@@ -334,5 +335,54 @@ func TestShardedStatsSumInstallErrs(t *testing.T) {
 	rt.Drain()
 	if got := rt.Stats().Agent.InstallErrs; got != flows {
 		t.Fatalf("sharded Stats().Agent.InstallErrs = %d, want %d", got, flows)
+	}
+}
+
+// TestStatsNeverWaits: Stats and FlowCount load counters the shard publishes,
+// so an observer reads them while a shard is parked inside an algorithm
+// callback, whichever executor runs the shard.
+func TestStatsNeverWaits(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			gate := make(chan struct{})
+			rt, err := runtime.New(runtime.Config{Shards: shards, Agent: agentCfg(gate)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply := func(proto.Msg) error { return nil }
+			rt.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
+			// The caller runs a one-shard runtime, so the report parks this
+			// goroutine; with four it parks shard 1.
+			handled := make(chan struct{})
+			go func() {
+				defer close(handled)
+				rt.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}}, reply)
+			}()
+
+			read := make(chan struct{})
+			go func() {
+				defer close(read)
+				// The report is counted before OnMeasurement runs, and the
+				// shard cannot leave it until the gate opens: every read from
+				// here on is made while the shard is parked.
+				for rt.Stats().Agent.Measurements == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				for range 10 {
+					if st, n := rt.Stats(), rt.FlowCount(); st.Agent.FlowsCreated != 1 || n != 1 {
+						t.Errorf("%d flows, %+v", n, st.Agent)
+					}
+				}
+			}()
+			select {
+			case <-read:
+			case <-time.After(5 * time.Second):
+				t.Error("Stats or FlowCount waited for a parked shard")
+			}
+			close(gate)
+			<-read
+			<-handled
+			rt.Close()
+		})
 	}
 }

@@ -1,9 +1,15 @@
 package runtime_test
 
 import (
+	"errors"
+	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/supervise"
@@ -129,8 +135,8 @@ func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 	close(stop)
 	feedWG.Wait()
 	// Unwedge before waiting on the replicator: a snapshot pass already in
-	// flight blocks on a shard agent's lock, which the shard only drops once
-	// its gated OnMeasurement returns.
+	// flight waits to run on its shard, which only happens once the shard's
+	// gated OnMeasurement returns.
 	close(gate)
 	snapWG.Wait()
 	rt.Drain()
@@ -214,5 +220,119 @@ func TestRuntimeRestoreFlowRoutesToOwningShard(t *testing.T) {
 				t.Errorf("shards=%d: flow %d's report drew %d, want echoAlg's 700", shards, sid, answered[sid])
 			}
 		}
+	}
+}
+
+// TestRaceOneShardServeSnapshotRestore is ccp-agent -replicate on one
+// core: with Shards: 1 the agent is run by its callers, so ServeSet's
+// dispatch from several rings, a replicator looping SnapshotInto and Stats,
+// and a promotion restoring fresh SIDs all reach the one agent from their own
+// goroutines. The shard's mutex must order them; the -race lane is the real
+// assertion (see `make test-race-robust`), the counts the functional one.
+func TestRaceOneShardServeSnapshotRestore(t *testing.T) {
+	const conns, flows, reports, restores = 3, 4, 100, 50
+	dir := t.TempDir()
+	mux, err := shmring.NewMux(filepath.Join(dir, "mux.bell"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	dp := make([]ipc.Transport, conns)
+	for i := range dp {
+		a, b, err := shmring.Pair(filepath.Join(dir, fmt.Sprintf("ring%d", i)),
+			shmring.Options{}, shmring.Options{Bell: mux.Bell()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mux.Adopt(b); err != nil {
+			t.Fatal(err)
+		}
+		dp[i] = a
+		defer a.Close()
+		defer b.Close()
+	}
+	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: agentCfg(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	served := make(chan error, 1)
+	go func() { served <- rt.ServeSet(mux) }()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	sb := supervise.NewStandby()
+	go func() { // the replicator
+		defer wg.Done()
+		for full := true; ; full = false {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := rt.SnapshotInto(full, func(s *proto.Snapshot) error {
+				sb.Apply(s)
+				return nil
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+			if st := rt.Stats(); st.Agent.Measurements > conns*flows*reports || rt.FlowCount() > conns*flows+restores {
+				t.Errorf("counters past their totals: %d flows, %+v", rt.FlowCount(), st.Agent)
+				return
+			}
+		}
+	}()
+	go func() { // a promotion restoring SIDs no ring uses
+		defer wg.Done()
+		for i := uint32(0); i < restores; i++ {
+			if err := rt.RestoreFlow(&proto.Snapshot{SID: 1000 + i, MSS: 1448, InitCwnd: 14480, Alg: "echo"}); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+
+	// Each connection owns SIDs ci*100+1 ... ci*100+flows, and reads back one
+	// SetCwnd per Create (echoAlg.Init) and one per report.
+	for ci, d := range dp {
+		for f := 1; f <= flows; f++ {
+			sid := uint32(ci*100 + f)
+			send(t, d, &proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480})
+			for seq := uint32(1); seq <= reports; seq++ {
+				send(t, d, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{float64(seq)}})
+			}
+		}
+	}
+	for ci, d := range dp {
+		for n := 0; n < flows*(1+reports); n++ {
+			recvMsg(t, d, ci, n)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for _, tr := range mux.Transports() {
+		tr.Close()
+	}
+	select {
+	case err := <-served:
+		if err != nil && !errors.Is(err, ipc.ErrClosed) {
+			t.Fatalf("ServeSet returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeSet did not return after all endpoints closed")
+	}
+
+	st := rt.Stats()
+	if st.Agent.Measurements != conns*flows*reports || st.Agent.Restores != restores || st.Agent.UnknownFlowMsg != 0 {
+		t.Fatalf("stats after the run: %+v", st.Agent)
+	}
+	n, err := rt.SnapshotInto(true, func(s *proto.Snapshot) error {
+		sb.Apply(s)
+		return nil
+	})
+	if err != nil || n != conns*flows+restores || rt.FlowCount() != n || sb.FlowCount() != n {
+		t.Fatalf("final pass emitted %d (%v), runtime holds %d flows, standby %d; want %d",
+			n, err, rt.FlowCount(), sb.FlowCount(), conns*flows+restores)
 	}
 }

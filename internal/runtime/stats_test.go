@@ -7,12 +7,12 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 )
 
-// TestAddAgentStatsSumsEveryCounter: Stats().Agent is summed by hand, field
-// by field, so a field added to core.AgentStats without a line in
-// addAgentStats would read zero for ever. Three shards whose counters hold
-// 1, 2, 3, ... in declaration order must sum to three times each, in the same
-// field (TestShardedStatsSumInstallErrs drives the same sum through real
-// shards).
+// TestAddAgentStatsSumsEveryCounter: Stats().Agent sums the shards' counters
+// with core.AgentStats.Add, one loop over the struct's fields, so a field
+// added to core.AgentStats is summed with no line to add. Three shards whose
+// counters hold 1, 2, 3, ... in declaration order must sum to three times
+// each, in the same field (TestShardedStatsSumInstallErrs drives the same sum
+// through real shards).
 func TestAddAgentStatsSumsEveryCounter(t *testing.T) {
 	var shard core.AgentStats
 	v := reflect.ValueOf(&shard).Elem()
@@ -22,7 +22,7 @@ func TestAddAgentStatsSumsEveryCounter(t *testing.T) {
 	const shards = 3
 	var sum core.AgentStats
 	for range shards {
-		addAgentStats(&sum, shard)
+		sum.Add(&shard)
 	}
 	got := reflect.ValueOf(sum)
 	for i := 0; i < got.NumField(); i++ {

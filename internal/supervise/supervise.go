@@ -20,7 +20,6 @@ package supervise
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/ipc"
@@ -267,11 +266,9 @@ type StandbyStats struct {
 // (promotion is runtime.New plus RestoreInto).
 // Feed it with Apply (in-process replication, e.g. the harness snapshot
 // pump) or, as a proto.Handler, from a serve loop (wire replication).
-//
-// Standby methods are mutex-guarded: a transport-fed standby receives from
-// a socket goroutine while promotion happens elsewhere.
+// Like core.Agent it has one owner and no lock: ccp-agent -standby feeds and
+// promotes it from one goroutine, the simulator from its event loop.
 type Standby struct {
-	mu    sync.Mutex
 	snaps map[uint32]*proto.Snapshot
 	stats StandbyStats
 }
@@ -285,8 +282,6 @@ func NewStandby() *Standby {
 // anything else replaces it. snap is borrowed for the duration of the call
 // (it is cloned before retention), matching the SnapshotInto sink contract.
 func (s *Standby) Apply(snap *proto.Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if snap.Closed {
 		if _, ok := s.snaps[snap.SID]; ok {
 			delete(s.snaps, snap.SID)
@@ -299,18 +294,10 @@ func (s *Standby) Apply(snap *proto.Snapshot) {
 }
 
 // FlowCount returns the number of flows currently tracked.
-func (s *Standby) FlowCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.snaps)
-}
+func (s *Standby) FlowCount() int { return len(s.snaps) }
 
 // Stats returns a snapshot of the activity counters.
-func (s *Standby) Stats() StandbyStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Standby) Stats() StandbyStats { return s.stats }
 
 // Restorer is what a standby's store is restored into: a runtime.Runtime,
 // which routes each flow to the shard that owns it.
@@ -324,13 +311,9 @@ type Restorer interface {
 // for the rest. The store is left intact — the caller decides whether this
 // standby keeps replicating or retires.
 func (s *Standby) RestoreInto(dst Restorer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sids := make([]uint32, len(s.snaps))
-	i := 0
+	sids := make([]uint32, 0, len(s.snaps))
 	for sid := range s.snaps {
-		sids[i] = sid
-		i++
+		sids = append(sids, sid)
 	}
 	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
 	for _, sid := range sids {
@@ -351,18 +334,12 @@ func (s *Standby) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
 	case *proto.Snapshot:
 		s.Apply(v)
 	default:
-		s.unexpected()
+		s.stats.Unexpected++
 	}
 }
 
 // BadFrame counts a replication frame the serve loop could not decode.
-func (s *Standby) BadFrame(error) { s.unexpected() }
-
-func (s *Standby) unexpected() {
-	s.mu.Lock()
-	s.stats.Unexpected++
-	s.mu.Unlock()
-}
+func (s *Standby) BadFrame(error) { s.stats.Unexpected++ }
 
 // SnapshotSource is a live agent whose flow state can be replicated: a
 // *core.Agent or a runtime.Runtime (see core.Agent.SnapshotInto).

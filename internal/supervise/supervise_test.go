@@ -231,7 +231,7 @@ func checkRestored(t *testing.T, sb *Standby, primary *core.Agent) {
 			t.Fatal(err)
 		}
 		sb.RestoreInto(rt)
-		if st := rt.Stats(); rt.FlowCount() != len(prim) || st.Agent.Restores != len(prim) || sb.Stats().RestoreErrors != 0 {
+		if st := rt.Stats(); rt.FlowCount() != len(prim) || st.Agent.Restores != int64(len(prim)) || sb.Stats().RestoreErrors != 0 {
 			t.Fatalf("shards=%d: promoted runtime has %d flows, %d restores, %d restore errors; want %d, %d, 0",
 				shards, rt.FlowCount(), st.Agent.Restores, sb.Stats().RestoreErrors, len(prim), len(prim))
 		}
