@@ -154,13 +154,24 @@ lint:
 # clean under the datapath profile, and the pinned rejection table must
 # stay refused (the corpus tests in internal/lang/absint). The datapath is
 # the one place a program is verified at run time, so the agent binary must
-# not link the verifier.
+# not link the verifier. Each half links only its own side: the datapath
+# reaches its host through internal/cc alone, so its closure holds no
+# simulator (tcp, netsim, nativecc), and the agent's holds neither the
+# simulator's clock nor its transport (netsim, tcp).
 verify-programs:
 	$(GO) run ./cmd/ccp-lint -run dslverify ./...
 	$(GO) test -count=1 -run 'TestRegisteredAlgorithmsVerifyClean|TestRejectionTable' \
 		./internal/lang/absint
 	@if $(GO) list -deps ./cmd/ccp-agent | grep -q '/internal/lang/absint$$'; then \
 		echo "verify-programs: cmd/ccp-agent depends on internal/lang/absint; the datapath is the one Install gate"; \
+		exit 1; \
+	fi
+	@if $(GO) list -deps ./internal/datapath | grep -E '/internal/(tcp|netsim|nativecc)$$'; then \
+		echo "verify-programs: internal/datapath depends on the simulator (above); it reaches its host through internal/cc only"; \
+		exit 1; \
+	fi
+	@if $(GO) list -deps ./cmd/ccp-agent | grep -E '/internal/(netsim|tcp)$$'; then \
+		echo "verify-programs: cmd/ccp-agent depends on the simulator (above); it runs on internal/cc's Clock"; \
 		exit 1; \
 	fi
 

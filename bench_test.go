@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/algorithms"
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/experiments"
 	"github.com/ccp-repro/ccp/internal/harness"
@@ -263,7 +264,7 @@ func BenchmarkFig2IPCUnixgramRTT(b *testing.B) {
 
 // figureBench runs a scaled single-flow simulation per iteration and
 // reports utilization.
-func figureBench(b *testing.B, ccp bool, alg string, native func() tcp.CongestionControl) {
+func figureBench(b *testing.B, ccp bool, alg string, native func() cc.CongestionControl) {
 	b.Helper()
 	link := netsim.LinkConfig{RateBps: 48e6, Delay: 5 * time.Millisecond, QueueBytes: 60000}
 	dur := 5 * time.Second
@@ -287,7 +288,7 @@ func figureBench(b *testing.B, ccp bool, alg string, native func() tcp.Congestio
 func BenchmarkFig3CubicCCP(b *testing.B) { figureBench(b, true, "cubic", nil) }
 
 func BenchmarkFig3CubicNative(b *testing.B) {
-	figureBench(b, false, "", func() tcp.CongestionControl { return nativecc.NewCubic() })
+	figureBench(b, false, "", func() cc.CongestionControl { return nativecc.NewCubic() })
 }
 
 // Figure 4: NewReno with a competing flow joining mid-run (scaled).
@@ -313,8 +314,8 @@ func BenchmarkFig4NewRenoNative(b *testing.B) {
 	var fair float64
 	for i := 0; i < b.N; i++ {
 		net := harness.New(harness.Config{Seed: int64(i + 1), Link: link})
-		f1 := net.AddNativeFlow(1, nativecc.NewNewReno(), tcp.Options{})
-		f2 := net.AddNativeFlow(2, nativecc.NewNewReno(), tcp.Options{})
+		f1 := net.AddNativeFlow(1, cc.NewNewReno(), tcp.Options{})
+		f2 := net.AddNativeFlow(2, cc.NewNewReno(), tcp.Options{})
 		f1.Conn.Start()
 		net.StartAt(f1, 0)
 		net.StartAt(f2, 3*time.Second)

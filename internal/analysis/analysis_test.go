@@ -30,6 +30,11 @@ func TestUnused(t *testing.T) { RunTest(t, Unused, "unused", "unusedcmd") }
 // emission, entropy in instruction selection).
 func TestSimDeterminismLang(t *testing.T) { RunTest(t, SimDeterminism, "lang") }
 
+// TestSimDeterminismCC covers the host surface package's scope: a Clock, a
+// Timer or a fallback controller that reads the host's time, entropy or
+// scheduler.
+func TestSimDeterminismCC(t *testing.T) { RunTest(t, SimDeterminism, "cc") }
+
 // TestSimDeterminismScope runs simdeterminism over a package outside its
 // scope: the identical constructs must produce no diagnostics.
 func TestSimDeterminismScope(t *testing.T) { RunTest(t, SimDeterminism, "notsim") }

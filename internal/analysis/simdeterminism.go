@@ -33,8 +33,11 @@ var SimDeterminism = &Analyzer{
 }
 
 // deterministicPkgs are the final import-path segments this analyzer
-// applies to. supervise is here because the supervisor and standby must be
-// drivable entirely from a netsim.Clock — failover experiments replay
+// applies to. cc is here because it holds the Clock and Timer every
+// simulated run steps and the Reno every host falls back to: a clock or a
+// controller there that read the host would make each of those runs
+// unrepeatable. supervise is here because the supervisor and standby must be
+// drivable entirely from a cc.Clock — failover experiments replay
 // bit-identically only if the HA layer never reads the host clock or spawns
 // its own goroutines. lang is here because both fold VMs (the stack
 // reference and the register backend) promise bit-identical replay: the
@@ -42,7 +45,7 @@ var SimDeterminism = &Analyzer{
 // iteration order — leak into instruction selection or pool layout. core and
 // algorithms are here because the simulator replays the agent: it starts no
 // goroutine (internal/runtime owns execution) and never follows map order.
-var deterministicPkgs = []string{"netsim", "tcp", "nativecc", "experiments", "supervise", "lang", "core", "algorithms"}
+var deterministicPkgs = []string{"cc", "netsim", "tcp", "nativecc", "experiments", "supervise", "lang", "core", "algorithms"}
 
 // wallClockFuncs are time-package functions that read or wait on the host
 // clock.

@@ -1,7 +1,8 @@
 // Package datapath implements the CCP modification to the datapath (§2):
 // the runtime that a CCP-conformant datapath embeds. It plugs into the
-// transport as a tcp.CongestionControl, but instead of making congestion
-// control decisions locally it:
+// transport as a cc.CongestionControl and reaches it only through cc.Host
+// and a cc.Clock, so it links no transport and no simulator. Instead of
+// making congestion control decisions locally it:
 //
 //   - executes the control program installed by the user-space agent
 //     (Rate/Cwnd/Wait/WaitRtts/Report phase machine),
@@ -12,18 +13,18 @@
 //   - enforces the window/rate decisions that arrive asynchronously.
 //
 // It also implements the §5 safety fallback: if the agent goes silent, the
-// datapath reverts to a built-in NewReno until the agent returns.
+// datapath reverts to the NewReno every host carries (cc.NewNewReno) until
+// the agent returns.
 package datapath
 
 import (
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
-	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/stats"
-	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
 // Config configures one flow's CCP datapath runtime.
@@ -35,7 +36,7 @@ type Config struct {
 	// Clock provides time and timers: the simulator in experiments, and over
 	// real transports whatever steps the flow (benchmark/'s driver makes each
 	// flow its own clock).
-	Clock netsim.Clock
+	Clock cc.Clock
 	// ToAgent transmits a message to the agent. In simulation it schedules
 	// a delayed delivery; over a real transport it marshals and sends.
 	//
@@ -67,7 +68,7 @@ type Config struct {
 }
 
 // CCP is the datapath runtime for one flow. It implements
-// tcp.CongestionControl and is driven by the datapath's ACK processing on
+// cc.CongestionControl and is driven by the datapath's ACK processing on
 // one side and by Deliver (messages from the agent) on the other.
 //
 // The struct is what every flow uses on every ACK, report and decision. What
@@ -75,8 +76,10 @@ type Config struct {
 // feature's file and nil until New finds it configured or the flow first
 // needs it; TestCCPSize holds the line.
 type CCP struct {
-	cfg  Config
-	conn *tcp.Conn
+	cfg Config
+	// host is the transport this flow steers, set by Init; until then it is
+	// a nil interface, and everything that touches the host checks for that.
+	host cc.Host
 
 	// art is the shared, immutable artifact of the program in force's measure
 	// half (install.go) and fold its compiled fold (nil outside fold mode);
@@ -88,7 +91,7 @@ type CCP struct {
 	vars []float64
 
 	pc        int
-	waitTimer netsim.Timer
+	waitTimer cc.Timer
 	onWait    func() // the wait timer's callback, made at the flow's first wait
 
 	waitedPass bool
@@ -133,8 +136,9 @@ type CCP struct {
 	n coreCounts
 }
 
-// New creates a CCP runtime. Attach it to a tcp.Conn as its congestion
-// control; it announces itself to the agent on Init.
+// New creates a CCP runtime. Attach it to a host (a cc.Host, such as the
+// simulator's *tcp.Conn) as its congestion control; it announces itself to
+// the agent on Init.
 func New(cfg Config) *CCP {
 	if cfg.Clock == nil {
 		panic("datapath: Config.Clock is required")
@@ -171,7 +175,7 @@ func (d *CCP) FallbackActive() bool { return d.fallbackActive }
 //lint:testsupport the datapath's view of the running program that datapath's install, derive, by-reference and backend tests, bridge's TestReferenceInterleavings and algorithms' tests compare against
 func (d *CCP) Program() *lang.Program { return d.prog }
 
-// Name implements tcp.CongestionControl.
+// Name implements cc.CongestionControl.
 func (d *CCP) Name() string {
 	if d.cfg.Alg != "" {
 		return "ccp/" + d.cfg.Alg
@@ -179,10 +183,10 @@ func (d *CCP) Name() string {
 	return "ccp"
 }
 
-// Init implements tcp.CongestionControl: announce the flow and start the
+// Init implements cc.CongestionControl: announce the flow and start the
 // default program.
-func (d *CCP) Init(c *tcp.Conn) {
-	d.conn = c
+func (d *CCP) Init(h cc.Host) {
+	d.host = h
 	d.announce(0)
 	if p := d.cfg.DefaultProgram; p == nil {
 		d.activate(defaultInstall())
@@ -200,22 +204,22 @@ func (d *CCP) Init(c *tcp.Conn) {
 	d.armFailsafe()
 }
 
-// Close implements tcp.CongestionControl.
-func (d *CCP) Close(c *tcp.Conn) {
+// Close implements cc.CongestionControl.
+func (d *CCP) Close(h cc.Host) {
 	d.send(&proto.Close{SID: d.cfg.SID})
 	stopTimer(&d.waitTimer)
 	d.stopFailsafe()
 	d.stopSmoothing()
 }
 
-// OnAck implements tcp.CongestionControl: fold the ACK into the current
+// OnAck implements cc.CongestionControl: fold the ACK into the current
 // measurement state.
-func (d *CCP) OnAck(c *tcp.Conn, s tcp.AckSample) {
+func (d *CCP) OnAck(h cc.Host, s cc.AckSample) {
 	d.n.AcksProcessed++
 	d.updateVars(s)
 
 	if d.fallbackActive {
-		d.fs.fallback.OnAck(c, s)
+		d.fs.fallback.OnAck(h, s)
 	}
 
 	switch d.measureMode() {
@@ -243,17 +247,17 @@ func (d *CCP) OnAck(c *tcp.Conn, s tcp.AckSample) {
 	}
 }
 
-// OnCongestion implements tcp.CongestionControl: report urgent events.
-func (d *CCP) OnCongestion(c *tcp.Conn, ev tcp.CongEvent, lostBytes int) {
+// OnCongestion implements cc.CongestionControl: report urgent events.
+func (d *CCP) OnCongestion(h cc.Host, ev cc.CongEvent, lostBytes int) {
 	if d.fallbackActive {
-		d.fs.fallback.OnCongestion(c, ev, lostBytes)
+		d.fs.fallback.OnCongestion(h, ev, lostBytes)
 	}
 	switch ev {
-	case tcp.EventDupAck:
+	case cc.EventDupAck:
 		d.sendUrgent(proto.UrgentDupAck, float64(lostBytes))
-	case tcp.EventTimeout:
+	case cc.EventTimeout:
 		d.sendUrgent(proto.UrgentTimeout, float64(lostBytes))
-	case tcp.EventECN:
+	case cc.EventECN:
 		if d.prog != nil && d.prog.UrgentECN {
 			d.sendUrgent(proto.UrgentECN, 1)
 		}
@@ -298,8 +302,8 @@ func (d *CCP) Deliver(m proto.Msg) {
 		}
 		d.touchCtrl(proto.TypeSetRate)
 		d.n.SetRateRecvd++
-		if d.conn != nil {
-			d.conn.SetPacingRate(v.Bps)
+		if d.host != nil {
+			d.host.SetPacingRate(v.Bps)
 		}
 	case *proto.Heartbeat:
 		// Echoed supervision probe (failsafe.go): feeds the EWMA health
@@ -346,13 +350,13 @@ func (d *CCP) measureMode() lang.MeasureMode {
 }
 
 // updateVars refreshes the packet-field and flow-variable slots from an ACK.
-func (d *CCP) updateVars(s tcp.AckSample) {
+func (d *CCP) updateVars(s cc.AckSample) {
 	if len(d.vars) == 0 {
 		return
 	}
 	rtt := s.RTT.Seconds()
-	if rtt == 0 && d.conn != nil {
-		rtt = d.conn.SRTT().Seconds() // retransmission echo: use the filter
+	if rtt == 0 && d.host != nil {
+		rtt = d.host.SRTT().Seconds() // retransmission echo: use the filter
 	}
 	d.vars[lang.PktFieldSlot(lang.FieldRTT)] = rtt
 	d.vars[lang.PktFieldSlot(lang.FieldAcked)] = float64(s.AckedBytes)
@@ -368,14 +372,14 @@ func (d *CCP) updateVars(s tcp.AckSample) {
 }
 
 func (d *CCP) refreshFlowVars() {
-	if d.conn == nil || len(d.vars) == 0 {
+	if d.host == nil || len(d.vars) == 0 {
 		return
 	}
-	d.vars[lang.FlowVarSlot(lang.FlowCwnd)] = float64(d.conn.Cwnd())
-	d.vars[lang.FlowVarSlot(lang.FlowRate)] = d.conn.PacingRate()
-	d.vars[lang.FlowVarSlot(lang.FlowMSS)] = float64(d.conn.MSS())
-	d.vars[lang.FlowVarSlot(lang.FlowSRTT)] = d.conn.SRTT().Seconds()
-	d.vars[lang.FlowVarSlot(lang.FlowMinRTT)] = d.conn.MinRTT().Seconds()
+	d.vars[lang.FlowVarSlot(lang.FlowCwnd)] = float64(d.host.Cwnd())
+	d.vars[lang.FlowVarSlot(lang.FlowRate)] = d.host.PacingRate()
+	d.vars[lang.FlowVarSlot(lang.FlowMSS)] = float64(d.host.MSS())
+	d.vars[lang.FlowVarSlot(lang.FlowSRTT)] = d.host.SRTT().Seconds()
+	d.vars[lang.FlowVarSlot(lang.FlowMinRTT)] = d.host.MinRTT().Seconds()
 }
 
 // resume executes the control program until it blocks on a wait.
@@ -401,8 +405,8 @@ func (d *CCP) resume() {
 		case lang.SetRate:
 			d.refreshFlowVars()
 			rate := code.Eval(d.vars)
-			if !d.fallbackActive && d.conn != nil {
-				d.conn.SetPacingRate(clampRate(rate))
+			if !d.fallbackActive && d.host != nil {
+				d.host.SetPacingRate(clampRate(rate))
 				d.refreshFlowVars()
 			}
 		case lang.SetCwnd:
@@ -448,8 +452,8 @@ func (d *CCP) scheduleWait(dur time.Duration) {
 // RTT, with a conservative default before the first sample.
 func (d *CCP) rttDur(rtts float64) time.Duration {
 	srtt := time.Duration(0)
-	if d.conn != nil {
-		srtt = d.conn.SRTT()
+	if d.host != nil {
+		srtt = d.host.SRTT()
 	}
 	if srtt == 0 {
 		srtt = 100 * time.Millisecond
@@ -471,7 +475,7 @@ func clampRate(bps float64) float64 {
 
 func clampCwnd(bytes float64) int {
 	if bytes < 0 {
-		return 0 // tcp floors at one MSS
+		return 0 // the host floors it at one MSS
 	}
 	if bytes > absint.CwndMax {
 		return absint.CwndMax
@@ -480,7 +484,7 @@ func clampCwnd(bytes float64) int {
 }
 
 // stopTimer cancels *t if it is armed and clears it.
-func stopTimer(t *netsim.Timer) {
+func stopTimer(t *cc.Timer) {
 	if *t != nil {
 		(*t).Stop()
 		*t = nil

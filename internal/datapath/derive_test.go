@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/algorithms"
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
@@ -93,7 +94,7 @@ func (f *bareFlow) deliverSeq(seq uint32, data []byte) string {
 func (f *bareFlow) acks(seed int64, n int) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		f.dp.OnAck(f.conn, tcp.AckSample{
+		f.dp.OnAck(f.conn, cc.AckSample{
 			RTT: time.Duration(1+rng.Intn(50)) * time.Millisecond, AckedBytes: rng.Intn(3) * 1448,
 			SndRate: rng.Float64() * 1e7, DeliveryRate: rng.Float64() * 1e7,
 			InFlight: rng.Intn(64) * 1448, Now: f.clock.Now(),

@@ -86,6 +86,10 @@ type Staleness struct {
 	Any     time.Duration
 }
 
+// HasHost reports whether the flow has a host. Before Init the field is a
+// nil interface, so this is false; a typed nil would read true.
+func (d *CCP) HasHost() bool { return d.host != nil }
+
 // Staleness returns the flow's current control-staleness clocks.
 func (d *CCP) Staleness() Staleness {
 	if !d.cfg.Liveness.on() {

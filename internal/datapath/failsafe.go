@@ -3,10 +3,8 @@ package datapath
 import (
 	"time"
 
-	"github.com/ccp-repro/ccp/internal/nativecc"
-	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/proto"
-	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
 // This file is the fail-safe layer — the paper's §5 fallback "if the agent
@@ -31,7 +29,7 @@ import (
 //     even when SmoothCwnd is off, so authority returns to the agent
 //     without a cwnd discontinuity.
 //
-// Everything is driven by the configured netsim.Clock; with LivenessConfig
+// Everything is driven by the configured cc.Clock; with LivenessConfig
 // zero the layer is inert and a silent agent leaves the flow on its last
 // decision.
 
@@ -42,7 +40,7 @@ import (
 type failsafe struct {
 	// fallback is the in-datapath controller, made at the first fallback
 	// entry (engageFallback) and reused by later ones.
-	fallback tcp.CongestionControl
+	fallback cc.CongestionControl
 	// lastAgentMsg is the virtual time of the last applied control decision
 	// of any kind, which the watchdog measures silence from; the per-kind
 	// clocks beside it (Install / SetCwnd / SetRate) feed Staleness only.
@@ -51,14 +49,14 @@ type failsafe struct {
 	lastCwndAt    time.Duration
 	lastRateAt    time.Duration
 	agentGone     bool
-	liveTimer     netsim.Timer
+	liveTimer     cc.Timer
 	// handoffUntil, when nonzero, smooths window increases until the
 	// post-fallback handoff ramp expires.
 	handoffUntil time.Duration
 	// Heartbeat probing: score is the agent's health by its echoes, with a
 	// limit of twice the budget (probeLimit). scratchHB is the probe handed to
 	// ToAgent, valid for that call (Config.ToAgent).
-	probeTimer netsim.Timer
+	probeTimer cc.Timer
 	score      proto.ProbeScore
 	scratchHB  proto.Heartbeat
 
@@ -294,13 +292,13 @@ func (d *CCP) scheduleLiveness() {
 // engageFallback is what entry starts with: mark the flow, count the entry,
 // stop the program's wait. It returns the in-datapath controller, made here
 // the first time a flow needs one, for enterFallback to Init.
-func (d *CCP) engageFallback() tcp.CongestionControl {
+func (d *CCP) engageFallback() cc.CongestionControl {
 	fs := d.fs
 	d.fallbackActive = true
 	fs.n.FallbackOn++
 	stopTimer(&d.waitTimer)
 	if fs.fallback == nil {
-		fs.fallback = nativecc.NewNewReno()
+		fs.fallback = cc.NewNewReno()
 	}
 	return fs.fallback
 }
@@ -315,15 +313,15 @@ func (d *CCP) enterFallback(stale bool) {
 	// Cancel any in-flight smoothing ramp; the fallback owns the window now.
 	d.cancelRamp()
 	d.fs.handoffUntil = 0
-	if d.conn != nil {
+	if d.host != nil {
 		// The dead agent's last pacing cap must not throttle the fallback.
-		d.conn.SetPacingRate(0)
-		fallback.Init(d.conn)
+		d.host.SetPacingRate(0)
+		fallback.Init(d.host)
 		// Conservative entry: replay the fallback's own multiplicative
 		// decrease, halving cwnd (floor two segments) and starting it in
 		// congestion avoidance rather than slow-starting from the stale
 		// window.
-		fallback.OnCongestion(d.conn, tcp.EventECN, 0)
+		fallback.OnCongestion(d.host, cc.EventECN, 0)
 	}
 }
 
@@ -358,7 +356,7 @@ func (d *CCP) handingOff() bool {
 // control sequence so the agent resumes numbering above it instead of
 // looking stale.
 func (d *CCP) Resync() {
-	if d.conn == nil {
+	if d.host == nil {
 		return
 	}
 	d.failsafe().n.Resyncs++
@@ -372,8 +370,8 @@ func (d *CCP) Resync() {
 func (d *CCP) announce(seq uint32) {
 	d.send(&proto.Create{
 		SID:      d.cfg.SID,
-		MSS:      uint32(d.conn.MSS()),
-		InitCwnd: uint32(d.conn.Cwnd()),
+		MSS:      uint32(d.host.MSS()),
+		InitCwnd: uint32(d.host.Cwnd()),
 		Seq:      seq,
 		Alg:      d.cfg.Alg,
 	})

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"github.com/ccp-repro/ccp/internal/algorithms"
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
@@ -93,7 +94,7 @@ func TestFeatureStateOnlyWhereUsed(t *testing.T) {
 			if reason := deliver(t, r, fold); reason != "" {
 				t.Fatal(reason)
 			}
-			r.dp.OnCongestion(r.flow.Conn, tcp.EventDupAck, 1448)
+			r.dp.OnCongestion(r.flow.Conn, cc.EventDupAck, 1448)
 			r.sim.Run(500 * time.Millisecond)
 			st := r.dp.Stats()
 			if st.AcksProcessed < 100 || st.ReportsSent < 2 || st.SetCwndRecvd != 1 || st.SetRateRecvd != 1 ||

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/algorithms"
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/lang"
@@ -271,7 +272,7 @@ func TestConcurrentFlowsShareArtifact(t *testing.T) {
 		for round := 0; round < 20; round++ {
 			dp.Deliver(&proto.Install{SID: 1, Prog: progs[round%len(progs)]})
 			for i := 0; i < 32; i++ {
-				dp.OnAck(conn, tcp.AckSample{
+				dp.OnAck(conn, cc.AckSample{
 					RTT: time.Duration(10+i%7) * time.Millisecond, AckedBytes: 1448,
 					SndRate: 1e6, DeliveryRate: 1e6, InFlight: 14480, Now: clock.Now(),
 				})

@@ -1,6 +1,6 @@
 package datapath
 
-import "github.com/ccp-repro/ccp/internal/netsim"
+import "github.com/ccp-repro/ccp/internal/cc"
 
 // Smooth window transitions (§3 future work, Config.SmoothCwnd; also the
 // fail-safe layer's handoff ramp).
@@ -11,7 +11,7 @@ import "github.com/ccp-repro/ccp/internal/netsim"
 type smoother struct {
 	target int // the window the ramp is climbing to; 0 when none is in progress
 	step   int
-	timer  netsim.Timer
+	timer  cc.Timer
 }
 
 // cancelRamp abandons a ramp in progress; the window stays where it got to.
@@ -28,13 +28,13 @@ func (d *CCP) cancelRamp() {
 // SmoothCwnd, and during the post-fallback handoff window under the liveness
 // layer.
 func (d *CCP) applyCwnd(target int) {
-	if d.conn == nil {
+	if d.host == nil {
 		return
 	}
 	ramping := d.cfg.SmoothCwnd || d.handingOff()
-	if !ramping || target <= d.conn.Cwnd() {
+	if !ramping || target <= d.host.Cwnd() {
 		d.cancelRamp()
-		d.conn.SetCwnd(target)
+		d.host.SetCwnd(target)
 		return
 	}
 	if d.smooth == nil {
@@ -42,9 +42,9 @@ func (d *CCP) applyCwnd(target int) {
 	}
 	sm := d.smooth
 	sm.target = target
-	sm.step = (target - d.conn.Cwnd() + 3) / 4
-	if sm.step < d.conn.MSS() {
-		sm.step = d.conn.MSS()
+	sm.step = (target - d.host.Cwnd() + 3) / 4
+	if sm.step < d.host.MSS() {
+		sm.step = d.host.MSS()
 	}
 	if sm.timer == nil {
 		d.smoothStep()
@@ -56,10 +56,10 @@ func (d *CCP) applyCwnd(target int) {
 func (d *CCP) smoothStep() {
 	sm := d.smooth
 	sm.timer = nil
-	if d.conn == nil || sm.target == 0 {
+	if d.host == nil || sm.target == 0 {
 		return
 	}
-	cur := d.conn.Cwnd()
+	cur := d.host.Cwnd()
 	if cur >= sm.target {
 		sm.target = 0
 		return
@@ -68,7 +68,7 @@ func (d *CCP) smoothStep() {
 	if next >= sm.target {
 		next = sm.target
 	}
-	d.conn.SetCwnd(next)
+	d.host.SetCwnd(next)
 	if next < sm.target {
 		sm.timer = d.cfg.Clock.AfterFunc(d.rttDur(0.25), d.smoothStep)
 	} else {

@@ -5,11 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/harness"
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/nativecc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -41,7 +41,7 @@ func AblBatching() AblBatchingResult {
 
 	// Native reference trace.
 	ref := harness.New(harness.Config{Seed: 1, Link: link})
-	refFlow := ref.AddNativeFlow(1, nativecc.NewRenoCC(), tcp.Options{})
+	refFlow := ref.AddNativeFlow(1, cc.NewRenoCC(), tcp.Options{})
 	refCwnd := sampleCwnd(ref, refFlow.Conn, sample, dur)
 	refFlow.Conn.Start()
 	ref.Run(dur)

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/harness"
-	"github.com/ccp-repro/ccp/internal/nativecc"
 	"github.com/ccp-repro/ccp/internal/tcp"
 	"github.com/ccp-repro/ccp/internal/trace"
 )
@@ -81,8 +81,8 @@ func Fig4(cfg Fig4Config) Fig4Result {
 			f1 = net.AddCCPFlow(1, "newreno", tcp.Options{}).Flow
 			f2 = net.AddCCPFlow(2, "newreno", tcp.Options{}).Flow
 		} else {
-			f1 = net.AddNativeFlow(1, nativecc.NewNewReno(), tcp.Options{})
-			f2 = net.AddNativeFlow(2, nativecc.NewNewReno(), tcp.Options{})
+			f1 = net.AddNativeFlow(1, cc.NewNewReno(), tcp.Options{})
+			f2 = net.AddNativeFlow(2, cc.NewNewReno(), tcp.Options{})
 		}
 		t1 := sampleThroughput(net, f1.Receiver, cfg.Bin, cfg.Duration)
 		t2 := sampleThroughput(net, f2.Receiver, cfg.Bin, cfg.Duration)

@@ -13,6 +13,7 @@ import (
 
 	"github.com/ccp-repro/ccp/internal/algorithms"
 	"github.com/ccp-repro/ccp/internal/bridge"
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/faults"
@@ -173,8 +174,8 @@ func (n *Net) AddCCPFlowCfg(id netsim.FlowID, alg string, opts tcp.Options, dpCf
 
 // AddNativeFlow creates a flow with in-datapath congestion control (the
 // paper's baseline configuration).
-func (n *Net) AddNativeFlow(id netsim.FlowID, cc tcp.CongestionControl, opts tcp.Options) *tcp.Flow {
-	return tcp.NewFlow(n.Sim, id, n.Path, n.Fwd, n.Rev, cc, opts)
+func (n *Net) AddNativeFlow(id netsim.FlowID, ctl cc.CongestionControl, opts tcp.Options) *tcp.Flow {
+	return tcp.NewFlow(n.Sim, id, n.Path, n.Fwd, n.Rev, ctl, opts)
 }
 
 // StartAt schedules a flow start at sim time t.

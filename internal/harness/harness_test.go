@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/faults"
@@ -88,7 +89,7 @@ func TestMixedNativeAndCCPFlows(t *testing.T) {
 
 func TestStartStopAt(t *testing.T) {
 	net := harness.New(harness.Config{Link: link()})
-	f := net.AddNativeFlow(1, nativecc.NewRenoCC(), tcp.Options{})
+	f := net.AddNativeFlow(1, cc.NewRenoCC(), tcp.Options{})
 	net.StartAt(f, 2*time.Second)
 	net.StopAt(f, 4*time.Second)
 	net.Run(time.Second)

@@ -1,9 +1,14 @@
+// Package nativecc implements congestion control algorithms that run
+// *inside* the datapath, processing every ACK synchronously — the way the
+// Linux kernel implements them. They are the paper's baselines: Figures 3
+// and 4 compare CCP-based implementations against these. Reno and NewReno,
+// the floor every host carries, are in internal/cc.
 package nativecc
 
 import (
 	"time"
 
-	"github.com/ccp-repro/ccp/internal/tcp"
+	"github.com/ccp-repro/ccp/internal/cc"
 )
 
 // Cubic is the Linux-style CUBIC congestion controller, including the
@@ -34,11 +39,11 @@ const (
 // NewCubic returns a CUBIC congestion controller with fast convergence.
 func NewCubic() *Cubic { return &Cubic{fastConvergence: true} }
 
-// Name implements tcp.CongestionControl.
+// Name implements cc.CongestionControl.
 func (cu *Cubic) Name() string { return "cubic" }
 
-// Init implements tcp.CongestionControl.
-func (cu *Cubic) Init(c *tcp.Conn) {
+// Init implements cc.CongestionControl.
+func (cu *Cubic) Init(c cc.Host) {
 	cu.ssthresh = 1 << 30
 	cu.reset()
 }
@@ -52,8 +57,8 @@ func (cu *Cubic) reset() {
 	cu.tcpCwnd = 0
 }
 
-// OnAck implements tcp.CongestionControl.
-func (cu *Cubic) OnAck(c *tcp.Conn, s tcp.AckSample) {
+// OnAck implements cc.CongestionControl.
+func (cu *Cubic) OnAck(c cc.Host, s cc.AckSample) {
 	if s.AckedBytes <= 0 || c.InRecovery() {
 		return
 	}
@@ -114,11 +119,11 @@ func (cu *Cubic) OnAck(c *tcp.Conn, s tcp.AckSample) {
 	}
 }
 
-// OnCongestion implements tcp.CongestionControl.
-func (cu *Cubic) OnCongestion(c *tcp.Conn, ev tcp.CongEvent, lostBytes int) {
+// OnCongestion implements cc.CongestionControl.
+func (cu *Cubic) OnCongestion(c cc.Host, ev cc.CongEvent, lostBytes int) {
 	mss := c.MSS()
 	switch ev {
-	case tcp.EventDupAck, tcp.EventECN:
+	case cc.EventDupAck, cc.EventECN:
 		cwndSegs := float64(c.Cwnd()) / float64(mss)
 		cu.epochStart = -1
 		if cwndSegs < cu.wLastMax && cu.fastConvergence {
@@ -126,19 +131,19 @@ func (cu *Cubic) OnCongestion(c *tcp.Conn, ev tcp.CongEvent, lostBytes int) {
 		} else {
 			cu.wLastMax = cwndSegs
 		}
-		cu.ssthresh = maxInt(int(cwndSegs*cubicBetaScale)*mss, 2*mss)
+		cu.ssthresh = max(int(cwndSegs*cubicBetaScale)*mss, 2*mss)
 		c.SetCwnd(cu.ssthresh)
-	case tcp.EventTimeout:
+	case cc.EventTimeout:
 		cwndSegs := float64(c.Cwnd()) / float64(mss)
 		cu.epochStart = -1
 		cu.wLastMax = cwndSegs
-		cu.ssthresh = maxInt(int(cwndSegs*cubicBetaScale)*mss, 2*mss)
+		cu.ssthresh = max(int(cwndSegs*cubicBetaScale)*mss, 2*mss)
 		c.SetCwnd(mss)
 	}
 }
 
-// Close implements tcp.CongestionControl.
-func (cu *Cubic) Close(c *tcp.Conn) {}
+// Close implements cc.CongestionControl.
+func (cu *Cubic) Close(c cc.Host) {}
 
 // CubeRoot computes the cube root the way the Linux kernel's cubic does:
 // a 6-bit lookup table on the leading bits followed by one Newton-Raphson

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
@@ -25,12 +26,12 @@ func TestCubeRootEdgeCases(t *testing.T) {
 	}
 }
 
-func runFlow(t *testing.T, cc tcp.CongestionControl, link netsim.LinkConfig, dur time.Duration) (*tcp.Flow, *netsim.Path) {
+func runFlow(t *testing.T, ctl cc.CongestionControl, link netsim.LinkConfig, dur time.Duration) (*tcp.Flow, *netsim.Path) {
 	t.Helper()
 	sim := netsim.New(1)
 	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
 	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: link}, fwd, rev)
-	f := tcp.NewFlow(sim, 1, path, fwd, rev, cc, tcp.Options{})
+	f := tcp.NewFlow(sim, 1, path, fwd, rev, ctl, tcp.Options{})
 	f.Conn.Start()
 	sim.Run(dur)
 	return f, path
@@ -42,14 +43,14 @@ func bottleneck1BDP() netsim.LinkConfig {
 }
 
 func TestRenoAchievesUtilization(t *testing.T) {
-	_, path := runFlow(t, NewRenoCC(), bottleneck1BDP(), 30*time.Second)
+	_, path := runFlow(t, cc.NewRenoCC(), bottleneck1BDP(), 30*time.Second)
 	if u := path.Forward.Utilization(30 * time.Second); u < 0.75 {
 		t.Fatalf("reno utilization %.2f", u)
 	}
 }
 
 func TestNewRenoAchievesUtilization(t *testing.T) {
-	_, path := runFlow(t, NewNewReno(), bottleneck1BDP(), 30*time.Second)
+	_, path := runFlow(t, cc.NewNewReno(), bottleneck1BDP(), 30*time.Second)
 	if u := path.Forward.Utilization(30 * time.Second); u < 0.75 {
 		t.Fatalf("newreno utilization %.2f", u)
 	}
@@ -78,7 +79,7 @@ func TestCubicBeatsRenoOnLongFat(t *testing.T) {
 	// On a high-BDP path, CUBIC should recover to full utilization faster
 	// than Reno after drops — the reason it replaced Reno as the default.
 	link := netsim.LinkConfig{RateBps: 200e6, Delay: 25 * time.Millisecond, QueueBytes: 200e6 / 8 * 0.05}
-	_, pr := runFlow(t, NewRenoCC(), link, 60*time.Second)
+	_, pr := runFlow(t, cc.NewRenoCC(), link, 60*time.Second)
 	_, pc := runFlow(t, NewCubic(), link, 60*time.Second)
 	ur := pr.Forward.Utilization(60 * time.Second)
 	uc := pc.Forward.Utilization(60 * time.Second)
@@ -87,46 +88,26 @@ func TestCubicBeatsRenoOnLongFat(t *testing.T) {
 	}
 }
 
-func TestRenoSsthreshAfterTimeout(t *testing.T) {
-	// After a timeout the window collapses to one MSS and slow-starts back.
-	sim := netsim.New(1)
-	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
-	link := netsim.LinkConfig{RateBps: 16e6, Delay: 5 * time.Millisecond, QueueBytes: 1 << 20}
-	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: link}, fwd, rev)
-	r := NewRenoCC()
-	f := tcp.NewFlow(sim, 1, path, fwd, rev, r, tcp.Options{})
-	f.Conn.Start()
-	sim.Run(2 * time.Second)
-	pre := f.Conn.Cwnd()
-	r.OnCongestion(f.Conn, tcp.EventTimeout, 0)
-	if f.Conn.Cwnd() != f.Conn.MSS() {
-		t.Fatalf("cwnd after timeout = %d, want 1 MSS", f.Conn.Cwnd())
-	}
-	if r.ssthresh < pre/2-f.Conn.MSS() || r.ssthresh > pre/2+f.Conn.MSS() {
-		t.Fatalf("ssthresh=%d, want ~%d", r.ssthresh, pre/2)
-	}
-}
-
 func TestNewRenoSingleHalvingPerEpisode(t *testing.T) {
 	sim := netsim.New(1)
 	fwd, rev := netsim.NewDemux(), netsim.NewDemux()
 	link := netsim.LinkConfig{RateBps: 16e6, Delay: 5 * time.Millisecond, QueueBytes: 1 << 20}
 	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: link}, fwd, rev)
-	n := NewNewReno()
+	n := cc.NewNewReno()
 	f := tcp.NewFlow(sim, 1, path, fwd, rev, n, tcp.Options{})
 	f.Conn.Start()
 	sim.Run(time.Second)
 	f.Conn.SetCwnd(100 * f.Conn.MSS())
-	n.OnCongestion(f.Conn, tcp.EventDupAck, f.Conn.MSS())
+	n.OnCongestion(f.Conn, cc.EventDupAck, f.Conn.MSS())
 	after1 := f.Conn.Cwnd()
-	n.OnCongestion(f.Conn, tcp.EventDupAck, f.Conn.MSS())
+	n.OnCongestion(f.Conn, cc.EventDupAck, f.Conn.MSS())
 	if f.Conn.Cwnd() != after1 {
 		t.Fatalf("second dupack inside recovery re-halved: %d -> %d", after1, f.Conn.Cwnd())
 	}
 }
 
 func TestNamesStable(t *testing.T) {
-	if NewRenoCC().Name() != "reno" || NewNewReno().Name() != "newreno" ||
+	if cc.NewRenoCC().Name() != "reno" || cc.NewNewReno().Name() != "newreno" ||
 		NewCubic().Name() != "cubic" || NewVegas().Name() != "vegas" {
 		t.Fatal("algorithm names changed")
 	}

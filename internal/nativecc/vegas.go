@@ -3,7 +3,7 @@ package nativecc
 import (
 	"time"
 
-	"github.com/ccp-repro/ccp/internal/tcp"
+	"github.com/ccp-repro/ccp/internal/cc"
 )
 
 // Vegas is delay-based congestion control following the structure of the
@@ -28,24 +28,24 @@ type Vegas struct {
 //lint:testsupport the in-datapath baseline of nativecc's TestVegasLowDelay and tcp's TestVegasKeepsQueueShort and TestInvariantsUnderRandomLoss
 func NewVegas() *Vegas { return &Vegas{alpha: 2, beta: 4, gamma: 1} }
 
-// Name implements tcp.CongestionControl.
+// Name implements cc.CongestionControl.
 func (v *Vegas) Name() string { return "vegas" }
 
-// Init implements tcp.CongestionControl.
-func (v *Vegas) Init(c *tcp.Conn) {
+// Init implements cc.CongestionControl.
+func (v *Vegas) Init(c cc.Host) {
 	v.ssthresh = 1 << 30
 	v.baseRTT = 0
 	v.resetEpoch(c)
 }
 
-func (v *Vegas) resetEpoch(c *tcp.Conn) {
+func (v *Vegas) resetEpoch(c cc.Host) {
 	v.minRTT = 1 << 62
 	v.cntRTT = 0
 	v.epochEnd = c.Delivered() + int64(c.Cwnd())
 }
 
-// OnAck implements tcp.CongestionControl.
-func (v *Vegas) OnAck(c *tcp.Conn, s tcp.AckSample) {
+// OnAck implements cc.CongestionControl.
+func (v *Vegas) OnAck(c cc.Host, s cc.AckSample) {
 	if s.RTT > 0 {
 		if v.baseRTT == 0 || s.RTT < v.baseRTT {
 			v.baseRTT = s.RTT
@@ -71,7 +71,7 @@ func (v *Vegas) OnAck(c *tcp.Conn, s tcp.AckSample) {
 	}
 }
 
-func (v *Vegas) epochUpdate(c *tcp.Conn) {
+func (v *Vegas) epochUpdate(c cc.Host) {
 	mss := c.MSS()
 	cwnd := c.Cwnd()
 	if v.cntRTT <= 2 || v.baseRTT == 0 || v.minRTT >= 1<<62 {
@@ -90,38 +90,31 @@ func (v *Vegas) epochUpdate(c *tcp.Conn) {
 	switch {
 	case diff > v.gamma && cwnd < v.ssthresh:
 		// Slow-start overshoot: clamp to target and leave slow start.
-		newCwnd := minInt(cwnd, int(target)+mss)
+		newCwnd := min(cwnd, int(target)+mss)
 		c.SetCwnd(newCwnd)
-		v.ssthresh = minInt(v.ssthresh, maxInt(newCwnd-mss, 2*mss))
+		v.ssthresh = min(v.ssthresh, max(newCwnd-mss, 2*mss))
 	case cwnd < v.ssthresh:
 		// Still in slow start; per-ACK doubling continues elsewhere.
 	case diff > v.beta:
 		c.SetCwnd(cwnd - mss)
-		v.ssthresh = minInt(v.ssthresh, maxInt(cwnd-2*mss, 2*mss))
+		v.ssthresh = min(v.ssthresh, max(cwnd-2*mss, 2*mss))
 	case diff < v.alpha:
 		c.SetCwnd(cwnd + mss)
 	}
 }
 
-// OnCongestion implements tcp.CongestionControl.
-func (v *Vegas) OnCongestion(c *tcp.Conn, ev tcp.CongEvent, lostBytes int) {
+// OnCongestion implements cc.CongestionControl.
+func (v *Vegas) OnCongestion(c cc.Host, ev cc.CongEvent, lostBytes int) {
 	mss := c.MSS()
 	switch ev {
-	case tcp.EventDupAck, tcp.EventECN:
-		v.ssthresh = maxInt(c.Cwnd()/2, 2*mss)
+	case cc.EventDupAck, cc.EventECN:
+		v.ssthresh = max(c.Cwnd()/2, 2*mss)
 		c.SetCwnd(v.ssthresh)
-	case tcp.EventTimeout:
-		v.ssthresh = maxInt(c.Cwnd()/2, 2*mss)
+	case cc.EventTimeout:
+		v.ssthresh = max(c.Cwnd()/2, 2*mss)
 		c.SetCwnd(mss)
 	}
 }
 
-// Close implements tcp.CongestionControl.
-func (v *Vegas) Close(c *tcp.Conn) {}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// Close implements cc.CongestionControl.
+func (v *Vegas) Close(c cc.Host) {}

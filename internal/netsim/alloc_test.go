@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/testenv"
 )
 
@@ -51,7 +52,7 @@ func TestAllocsScheduleDispatch(t *testing.T) {
 func TestPendingShrinksAfterMassCancellation(t *testing.T) {
 	s := New(1)
 	const n = 1000
-	timers := make([]Timer, 0, n)
+	timers := make([]cc.Timer, 0, n)
 	for i := 0; i < n; i++ {
 		// Long deadlines: none of these fire during the test.
 		timers = append(timers, s.Schedule(time.Hour, func() {}))
@@ -74,7 +75,7 @@ func TestPendingShrinksAfterMassCancellation(t *testing.T) {
 func TestCompactionPreservesOrder(t *testing.T) {
 	s := New(1)
 	var got []int
-	var cancel []Timer
+	var cancel []cc.Timer
 	for i := 0; i < 200; i++ {
 		i := i
 		tm := s.Schedule(time.Duration(200-i)*time.Millisecond, func() { got = append(got, i) })

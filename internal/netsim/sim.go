@@ -13,30 +13,15 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"github.com/ccp-repro/ccp/internal/cc"
 )
 
-// Clock is the time source shared by the datapath and agent so that they run
-// unchanged under simulation (virtual time) and over real transports
-// (wall-clock time).
-type Clock interface {
-	// Now returns the time elapsed since the clock's epoch.
-	Now() time.Duration
-	// AfterFunc schedules fn to run after d. The returned timer can stop it.
-	AfterFunc(d time.Duration, fn func()) Timer
-}
-
-// Timer is a cancellable pending callback, analogous to *time.Timer.
-//
-// Lifetime: a Timer handle is live only while its callback is pending. Once
-// the callback has fired, or Stop has returned true, the handle is dead and
-// must be dropped — the simulator recycles the underlying event slot, so a
-// retained dead handle may observe (and a Stop on it may cancel) an
-// unrelated later event. The idiom throughout this repo is to nil the
-// holding field inside the callback and after every Stop.
-type Timer interface {
-	// Stop cancels the callback and reports whether it was still pending.
-	Stop() bool
-}
+// Clock and Timer live in internal/cc, so that the datapath and the
+// supervisor run on them without linking the simulator. Timer stays here only
+// because benchmark/ spells it through this package, and only until the
+// benchmark harness's next revision (ROADMAP item 2) spells it from cc.
+type Timer = cc.Timer
 
 // Sim is a discrete-event simulator. Create with New, schedule work with
 // Schedule/AfterFunc, and drive it with Run or Step. Sim is not safe for
@@ -74,14 +59,14 @@ type slot struct {
 	handle *simTimer
 }
 
-// simTimer implements Timer for one occupancy of an arena slot.
+// simTimer implements cc.Timer for one occupancy of an arena slot.
 type simTimer struct {
 	s   *Sim
 	idx int32
 	gen uint32
 }
 
-// Stop implements Timer. Cancellation is lazy — the event keeps its heap
+// Stop implements cc.Timer. Cancellation is lazy — the event keeps its heap
 // position until it reaches the root or a compaction sweeps it — but when
 // cancelled events exceed half the heap they are compacted away, so mass
 // cancellation (e.g. one abandoned RTO per ACK) cannot bloat the queue.
@@ -104,7 +89,7 @@ func New(seed int64) *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Now returns the current virtual time. Sim implements Clock.
+// Now returns the current virtual time. Sim implements cc.Clock.
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Rand returns the simulator's seeded random source.
@@ -113,7 +98,7 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Schedule runs fn at the current time plus d. A negative d panics: the
 // simulator cannot travel backwards. Steady state (slots recycling through
 // the free list, heap within capacity) this allocates nothing.
-func (s *Sim) Schedule(d time.Duration, fn func()) Timer {
+func (s *Sim) Schedule(d time.Duration, fn func()) cc.Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: schedule in the past (d=%v)", d))
 	}
@@ -140,8 +125,8 @@ func (s *Sim) Schedule(d time.Duration, fn func()) Timer {
 	return sl.handle
 }
 
-// AfterFunc implements Clock; it is Schedule under the standard-library name.
-func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
+// AfterFunc implements cc.Clock; it is Schedule under the standard-library name.
+func (s *Sim) AfterFunc(d time.Duration, fn func()) cc.Timer {
 	return s.Schedule(d, fn)
 }
 

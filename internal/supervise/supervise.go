@@ -13,17 +13,19 @@
 // most one snapshot interval stale, so flows resume fresh agent decisions
 // within a handful of RTTs instead of riding the in-datapath fallback.
 //
-// Everything here runs on a netsim.Clock with no goroutines and no maps
-// feeding ordered sinks, so supervised simulations stay bit-identical per
-// seed (the ccp-lint simdeterminism pass covers this package).
+// Everything here runs on a cc.Clock, the simulator's in experiments, so
+// the package links no simulator and neither does ccp-agent, which links it
+// for the standby. It starts no goroutines and feeds no ordered sink from a
+// map, so supervised simulations stay bit-identical per seed (the ccp-lint
+// simdeterminism pass covers this package).
 package supervise
 
 import (
 	"sort"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/ipc"
-	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -57,7 +59,7 @@ func (s State) String() string {
 type Config struct {
 	// Clock schedules probe ticks (the simulator clock in experiments).
 	// Required.
-	Clock netsim.Clock
+	Clock cc.Clock
 	// Handler receives the probes. Required. In a supervised deployment this
 	// is the faults.AgentInjector wrapping the live agent, so probes
 	// experience the same pauses, delays, and drops the datapath traffic does.
@@ -115,7 +117,7 @@ type Stats struct {
 // scheduling domain (the simulator event loop).
 type Supervisor struct {
 	cfg   Config
-	timer netsim.Timer
+	timer cc.Timer
 
 	state         State
 	score         proto.ProbeScore

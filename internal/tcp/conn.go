@@ -3,6 +3,7 @@ package tcp
 import (
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 )
 
@@ -25,13 +26,13 @@ type segment struct {
 
 // Conn is the sending half of a simulated flow: it transmits an unbounded
 // bulk stream, subject to the congestion window and pacing rate that its
-// CongestionControl module sets.
+// cc.CongestionControl module sets.
 type Conn struct {
 	sim  *netsim.Sim
 	flow netsim.FlowID
 	opts Options
 	out  *netsim.Link
-	cc   CongestionControl
+	cc   cc.CongestionControl
 
 	running    bool
 	cwnd       int     // bytes
@@ -56,27 +57,27 @@ type Conn struct {
 
 	srtt, rttvar, minRtt time.Duration
 	rtoBackoff           uint
-	rtoTimer             netsim.Timer
+	rtoTimer             cc.Timer
 	rtoDeadline          time.Duration
-	paceTimer            netsim.Timer
+	paceTimer            cc.Timer
 	nextPace             time.Duration
 
 	stats ConnStats
 
 	// lastSample is the most recent AckSample; reports carry its rates.
-	lastSample AckSample
+	lastSample cc.AckSample
 }
 
 // NewConn creates a sender for flow id on sim, transmitting into out and
 // governed by cc. Call Start to begin the bulk transfer.
-func NewConn(sim *netsim.Sim, id netsim.FlowID, out *netsim.Link, cc CongestionControl, opts Options) *Conn {
+func NewConn(sim *netsim.Sim, id netsim.FlowID, out *netsim.Link, ctl cc.CongestionControl, opts Options) *Conn {
 	opts = opts.withDefaults()
 	return &Conn{
 		sim:  sim,
 		flow: id,
 		opts: opts,
 		out:  out,
-		cc:   cc,
+		cc:   ctl,
 		cwnd: initialWindowSegs * opts.MSS,
 	}
 }
@@ -100,7 +101,7 @@ func (c *Conn) Stop() {
 	}
 	c.running = false
 	// Nil the fields after stopping: the simulator recycles timer slots, so a
-	// handle is dead once stopped and must not be retained (see netsim.Timer).
+	// handle is dead once stopped and must not be retained (see cc.Timer).
 	if c.rtoTimer != nil {
 		c.rtoTimer.Stop()
 		c.rtoTimer = nil
@@ -120,7 +121,8 @@ func (c *Conn) Handle(p *netsim.Packet) {
 	c.onAck(p)
 }
 
-// Accessors used by congestion-control modules and experiments.
+// Accessors. All but Stats and Now are the cc.Host a congestion-control
+// module steers; those two serve experiments.
 
 // MSS returns the maximum segment size in bytes.
 func (c *Conn) MSS() int { return c.opts.MSS }
@@ -366,7 +368,7 @@ func (c *Conn) onAck(p *netsim.Packet) {
 		}
 	}
 
-	sample := AckSample{
+	sample := cc.AckSample{
 		RTT:          rtt,
 		ECNEcho:      p.ECNEcho,
 		HdrRate:      p.HdrRate,
@@ -431,7 +433,7 @@ func (c *Conn) onAck(p *netsim.Packet) {
 	}
 
 	if p.ECNEcho {
-		c.cc.OnCongestion(c, EventECN, 0)
+		c.cc.OnCongestion(c, cc.EventECN, 0)
 	}
 
 	sample.InFlight = c.pipe
@@ -442,14 +444,14 @@ func (c *Conn) onAck(p *netsim.Packet) {
 
 // enterRecovery handles the third duplicate ACK: fast retransmit plus a
 // RACK sweep over the whole in-flight window.
-func (c *Conn) enterRecovery(sample *AckSample) {
+func (c *Conn) enterRecovery(sample *cc.AckSample) {
 	c.inRecovery = true
 	c.recoverSeq = c.sndNxt
 	c.stats.FastRetx++
 	lost := c.markHeadLost()
 	lost += c.rackMarkLost()
 	sample.LostBytes += lost
-	c.cc.OnCongestion(c, EventDupAck, lost)
+	c.cc.OnCongestion(c, cc.EventDupAck, lost)
 	c.retransmitHead()
 }
 
@@ -647,7 +649,7 @@ func (c *Conn) onTimeout() {
 	if c.rtoBackoff < 16 {
 		c.rtoBackoff++
 	}
-	c.cc.OnCongestion(c, EventTimeout, lost)
+	c.cc.OnCongestion(c, cc.EventTimeout, lost)
 	c.retransmitHead()
 	c.trySend()
 }

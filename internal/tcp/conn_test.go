@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/nativecc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -26,8 +27,8 @@ func newTestbed(seed int64, link netsim.LinkConfig) *testbed {
 	return &testbed{sim: sim, path: path, fwd: fwd, rev: rev}
 }
 
-func (tb *testbed) addFlow(id netsim.FlowID, cc tcp.CongestionControl, opts tcp.Options) *tcp.Flow {
-	f := tcp.NewFlow(tb.sim, id, tb.path, tb.fwd, tb.rev, cc, opts)
+func (tb *testbed) addFlow(id netsim.FlowID, ctl cc.CongestionControl, opts tcp.Options) *tcp.Flow {
+	f := tcp.NewFlow(tb.sim, id, tb.path, tb.fwd, tb.rev, ctl, opts)
 	tb.flows = append(tb.flows, f)
 	return f
 }
@@ -38,12 +39,12 @@ type fixedCC struct {
 	rate float64
 
 	acks    int
-	events  []tcp.CongEvent
-	samples []tcp.AckSample
+	events  []cc.CongEvent
+	samples []cc.AckSample
 }
 
 func (f *fixedCC) Name() string { return "fixed" }
-func (f *fixedCC) Init(c *tcp.Conn) {
+func (f *fixedCC) Init(c cc.Host) {
 	if f.cwnd > 0 {
 		c.SetCwnd(f.cwnd)
 	}
@@ -51,16 +52,16 @@ func (f *fixedCC) Init(c *tcp.Conn) {
 		c.SetPacingRate(f.rate)
 	}
 }
-func (f *fixedCC) OnAck(c *tcp.Conn, s tcp.AckSample) {
+func (f *fixedCC) OnAck(c cc.Host, s cc.AckSample) {
 	f.acks++
 	if len(f.samples) < 4096 {
 		f.samples = append(f.samples, s)
 	}
 }
-func (f *fixedCC) OnCongestion(c *tcp.Conn, ev tcp.CongEvent, lost int) {
+func (f *fixedCC) OnCongestion(c cc.Host, ev cc.CongEvent, lost int) {
 	f.events = append(f.events, ev)
 }
-func (f *fixedCC) Close(c *tcp.Conn) {}
+func (f *fixedCC) Close(c cc.Host) {}
 
 // link8mbps is a small, fast-to-simulate configuration: 8 Mbit/s, 10 ms RTT.
 func link8mbps() netsim.LinkConfig {
@@ -69,8 +70,8 @@ func link8mbps() netsim.LinkConfig {
 
 func TestBulkTransferDelivers(t *testing.T) {
 	tb := newTestbed(1, link8mbps())
-	cc := &fixedCC{cwnd: 20 * 1448}
-	f := tb.addFlow(1, cc, tcp.Options{})
+	fc := &fixedCC{cwnd: 20 * 1448}
+	f := tb.addFlow(1, fc, tcp.Options{})
 	f.Conn.Start()
 	tb.sim.Run(2 * time.Second)
 
@@ -84,7 +85,7 @@ func TestBulkTransferDelivers(t *testing.T) {
 	if f.Conn.Stats().BytesAcked > f.Receiver.Delivered() {
 		t.Fatalf("acked %d > delivered %d", f.Conn.Stats().BytesAcked, f.Receiver.Delivered())
 	}
-	if cc.acks == 0 {
+	if fc.acks == 0 {
 		t.Fatal("no OnAck callbacks")
 	}
 }
@@ -92,8 +93,8 @@ func TestBulkTransferDelivers(t *testing.T) {
 func TestCwndLimitsInflight(t *testing.T) {
 	tb := newTestbed(1, link8mbps())
 	cwnd := 10 * 1448
-	cc := &fixedCC{cwnd: cwnd}
-	f := tb.addFlow(1, cc, tcp.Options{})
+	fc := &fixedCC{cwnd: cwnd}
+	f := tb.addFlow(1, fc, tcp.Options{})
 	f.Conn.Start()
 	// Check inflight at several points during the run.
 	for ms := 50; ms <= 1000; ms += 50 {
@@ -162,8 +163,8 @@ func TestFastRetransmitOnLoss(t *testing.T) {
 	// receiver must end up with a contiguous stream.
 	link := netsim.LinkConfig{RateBps: 8e6, Delay: 5 * time.Millisecond, QueueBytes: 8 * 1500}
 	tb := newTestbed(1, link)
-	cc := &fixedCC{cwnd: 40 * 1448}
-	f := tb.addFlow(1, cc, tcp.Options{})
+	fc := &fixedCC{cwnd: 40 * 1448}
+	f := tb.addFlow(1, fc, tcp.Options{})
 	f.Conn.Start()
 	tb.sim.Run(5 * time.Second)
 
@@ -175,8 +176,8 @@ func TestFastRetransmitOnLoss(t *testing.T) {
 		t.Fatal("no retransmissions")
 	}
 	sawDupAck := false
-	for _, ev := range cc.events {
-		if ev == tcp.EventDupAck {
+	for _, ev := range fc.events {
+		if ev == cc.EventDupAck {
 			sawDupAck = true
 		}
 	}
@@ -195,8 +196,8 @@ func TestTimeoutRecovery(t *testing.T) {
 	// window too small for 3 dup ACKs.
 	link := netsim.LinkConfig{RateBps: 8e6, Delay: 5 * time.Millisecond, QueueBytes: 1 << 20, LossProb: 0.4}
 	tb := newTestbed(7, link)
-	cc := &fixedCC{cwnd: 2 * 1448}
-	f := tb.addFlow(1, cc, tcp.Options{MinRTO: 50 * time.Millisecond})
+	fc := &fixedCC{cwnd: 2 * 1448}
+	f := tb.addFlow(1, fc, tcp.Options{MinRTO: 50 * time.Millisecond})
 	f.Conn.Start()
 	tb.sim.Run(10 * time.Second)
 
@@ -204,8 +205,8 @@ func TestTimeoutRecovery(t *testing.T) {
 		t.Fatal("no timeouts on a 40%-loss link with a 2-segment window")
 	}
 	sawTimeout := false
-	for _, ev := range cc.events {
-		if ev == tcp.EventTimeout {
+	for _, ev := range fc.events {
+		if ev == cc.EventTimeout {
 			sawTimeout = true
 		}
 	}
@@ -224,16 +225,16 @@ func TestECNEcho(t *testing.T) {
 		QueueBytes: 1 << 20, ECNThresholdBytes: 5 * 1500,
 	}
 	tb := newTestbed(1, link)
-	cc := &fixedCC{cwnd: 40 * 1448}
-	f := tb.addFlow(1, cc, tcp.Options{ECN: true})
+	fc := &fixedCC{cwnd: 40 * 1448}
+	f := tb.addFlow(1, fc, tcp.Options{ECN: true})
 	f.Conn.Start()
 	tb.sim.Run(2 * time.Second)
 	if f.Conn.Stats().ECNEchoes == 0 {
 		t.Fatal("no ECN echoes despite standing queue above threshold")
 	}
 	sawECN := false
-	for _, ev := range cc.events {
-		if ev == tcp.EventECN {
+	for _, ev := range fc.events {
+		if ev == cc.EventECN {
 			sawECN = true
 		}
 	}
@@ -241,7 +242,7 @@ func TestECNEcho(t *testing.T) {
 		t.Fatal("congestion control never saw EventECN")
 	}
 	ecnSample := false
-	for _, s := range cc.samples {
+	for _, s := range fc.samples {
 		if s.ECNEcho {
 			ecnSample = true
 		}
@@ -256,12 +257,12 @@ func TestDeliveryRateSample(t *testing.T) {
 	// delivery-rate samples should approach the link rate (1e6 B/s wire,
 	// minus header overhead ≈ 0.973e6 payload B/s).
 	tb := newTestbed(1, link8mbps())
-	cc := &fixedCC{cwnd: 60 * 1448}
-	f := tb.addFlow(1, cc, tcp.Options{})
+	fc := &fixedCC{cwnd: 60 * 1448}
+	f := tb.addFlow(1, fc, tcp.Options{})
 	f.Conn.Start()
 	tb.sim.Run(3 * time.Second)
-	var last tcp.AckSample
-	for _, s := range cc.samples {
+	var last cc.AckSample
+	for _, s := range fc.samples {
 		if s.DeliveryRate > 0 {
 			last = s
 		}
@@ -278,13 +279,13 @@ func TestKarnRTTExclusion(t *testing.T) {
 	// Retransmitted segments must not contribute RTT samples.
 	link := netsim.LinkConfig{RateBps: 8e6, Delay: 5 * time.Millisecond, QueueBytes: 1 << 20, LossProb: 0.2}
 	tb := newTestbed(3, link)
-	cc := &fixedCC{cwnd: 20 * 1448}
-	f := tb.addFlow(1, cc, tcp.Options{MinRTO: 50 * time.Millisecond})
+	fc := &fixedCC{cwnd: 20 * 1448}
+	f := tb.addFlow(1, fc, tcp.Options{MinRTO: 50 * time.Millisecond})
 	f.Conn.Start()
 	tb.sim.Run(3 * time.Second)
 	// All valid samples must be plausible (>= propagation RTT); an echo
 	// from a retransmission would yield a wildly wrong (tiny or huge) RTT.
-	for _, s := range cc.samples {
+	for _, s := range fc.samples {
 		if s.RTT != 0 && s.RTT < 10*time.Millisecond {
 			t.Fatalf("implausible RTT sample %v (Karn violation)", s.RTT)
 		}
@@ -293,8 +294,8 @@ func TestKarnRTTExclusion(t *testing.T) {
 
 func TestTSOBatchesWirePackets(t *testing.T) {
 	tb := newTestbed(1, link8mbps())
-	cc := &fixedCC{cwnd: 64 * 1448}
-	f := tb.addFlow(1, cc, tcp.Options{TSOSegs: 8})
+	fc := &fixedCC{cwnd: 64 * 1448}
+	f := tb.addFlow(1, fc, tcp.Options{TSOSegs: 8})
 	f.Conn.Start()
 	tb.sim.Run(time.Second)
 	st := f.Conn.Stats()
@@ -354,8 +355,8 @@ func TestStopHaltsTransmission(t *testing.T) {
 
 func TestTwoFlowsShareBottleneck(t *testing.T) {
 	tb := newTestbed(1, link8mbps())
-	f1 := tb.addFlow(1, nativecc.NewRenoCC(), tcp.Options{})
-	f2 := tb.addFlow(2, nativecc.NewRenoCC(), tcp.Options{})
+	f1 := tb.addFlow(1, cc.NewRenoCC(), tcp.Options{})
+	f2 := tb.addFlow(2, cc.NewRenoCC(), tcp.Options{})
 	f1.Conn.Start()
 	f2.Conn.Start()
 	tb.sim.Run(20 * time.Second)
@@ -378,7 +379,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 
 func TestRenoSawtooth(t *testing.T) {
 	tb := newTestbed(1, netsim.LinkConfig{RateBps: 8e6, Delay: 5 * time.Millisecond, QueueBytes: 12500}) // 1 BDP buffer
-	f := tb.addFlow(1, nativecc.NewRenoCC(), tcp.Options{})
+	f := tb.addFlow(1, cc.NewRenoCC(), tcp.Options{})
 	f.Conn.Start()
 	// Sample cwnd over time; expect growth and at least one halving.
 	var cwnds []int

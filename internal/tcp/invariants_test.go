@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/nativecc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -15,11 +16,11 @@ import (
 // accounting (pipe, segment continuity, window floor) at every sample
 // point, plus end-to-end reliability once the loss stops.
 func TestInvariantsUnderRandomLoss(t *testing.T) {
-	ccs := map[string]func() tcp.CongestionControl{
-		"reno":    func() tcp.CongestionControl { return nativecc.NewRenoCC() },
-		"cubic":   func() tcp.CongestionControl { return nativecc.NewCubic() },
-		"newreno": func() tcp.CongestionControl { return nativecc.NewNewReno() },
-		"vegas":   func() tcp.CongestionControl { return nativecc.NewVegas() },
+	ccs := map[string]func() cc.CongestionControl{
+		"reno":    func() cc.CongestionControl { return cc.NewRenoCC() },
+		"cubic":   func() cc.CongestionControl { return nativecc.NewCubic() },
+		"newreno": func() cc.CongestionControl { return cc.NewNewReno() },
+		"vegas":   func() cc.CongestionControl { return nativecc.NewVegas() },
 	}
 	for name, mk := range ccs {
 		for _, lossProb := range []float64{0.01, 0.1, 0.3} {

@@ -3,6 +3,7 @@ package tcp
 import (
 	"time"
 
+	"github.com/ccp-repro/ccp/internal/cc"
 	"github.com/ccp-repro/ccp/internal/netsim"
 )
 
@@ -23,7 +24,7 @@ type Receiver struct {
 	// about every delivery even when ranges outnumber the block limit.
 	lastChanged int
 	sinceAck    int // segments (not wire packets) since the last ACK
-	ackTimer    netsim.Timer
+	ackTimer    cc.Timer
 	// pending echo for a timer-driven delayed ACK
 	pendingEcho     time.Duration
 	pendingEchoRetx bool
@@ -227,8 +228,8 @@ type Flow struct {
 // NewFlow creates and registers a flow's endpoints over path: data flows
 // through path.Forward to the receiver (via fwdDemux), ACKs through
 // path.Reverse back to the sender (via revDemux).
-func NewFlow(sim *netsim.Sim, id netsim.FlowID, path *netsim.Path, fwdDemux, revDemux *netsim.Demux, cc CongestionControl, opts Options) *Flow {
-	conn := NewConn(sim, id, path.Forward, cc, opts)
+func NewFlow(sim *netsim.Sim, id netsim.FlowID, path *netsim.Path, fwdDemux, revDemux *netsim.Demux, ctl cc.CongestionControl, opts Options) *Flow {
+	conn := NewConn(sim, id, path.Forward, ctl, opts)
 	recv := NewReceiver(sim, id, path.Reverse, opts)
 	fwdDemux.Register(id, recv)
 	revDemux.Register(id, conn)

@@ -3,81 +3,27 @@
 // in for the paper's Linux kernel datapath. The sender enforces a congestion
 // window and pacing rate, detects loss (triple duplicate ACK, RTO), samples
 // per-ACK RTT and delivery/sending rates (Linux rate-sample style), and
-// exposes the pluggable congestion-control callback surface that both the
-// native in-datapath algorithms (internal/nativecc) and the CCP datapath
-// runtime (internal/datapath) implement.
+// drives a cc.CongestionControl through that surface: *Conn is a cc.Host.
+// The native in-datapath algorithms (internal/nativecc), the CCP datapath
+// runtime (internal/datapath) and the Reno every host carries (internal/cc)
+// plug into it; none of them imports this package.
 package tcp
 
-import "time"
+import (
+	"time"
 
-// CongEvent classifies congestion signals the datapath raises synchronously.
-type CongEvent uint8
-
-// Congestion events.
-const (
-	EventDupAck  CongEvent = iota + 1 // triple duplicate ACK; fast retransmit issued
-	EventTimeout                      // retransmission timeout fired
-	EventECN                          // ECN echo seen on an ACK
+	"github.com/ccp-repro/ccp/internal/cc"
 )
 
-func (e CongEvent) String() string {
-	switch e {
-	case EventDupAck:
-		return "dupack"
-	case EventTimeout:
-		return "timeout"
-	case EventECN:
-		return "ecn"
-	}
-	return "event(?)"
-}
+// The callback surface lives in internal/cc. These two names stay here only
+// because benchmark/ spells them through this package, and only until the
+// benchmark harness's next revision (ROADMAP item 2) spells them from cc.
 
-// AckSample carries the per-ACK measurements (Table 1's primitives) the
-// datapath computes for its congestion-control module.
-type AckSample struct {
-	// RTT is the RTT sample from the echoed timestamp, 0 if the echo came
-	// from a retransmission (Karn's rule).
-	RTT time.Duration
-	// AckedBytes is the number of bytes newly cumulatively acknowledged.
-	AckedBytes int
-	// SackedBytes is the number of bytes newly selectively acknowledged.
-	SackedBytes int
-	// LostBytes is the number of bytes newly declared lost by this event.
-	LostBytes int
-	// ECNEcho reports a CE echo on this ACK.
-	ECNEcho bool
-	// SndRate is the measured sending rate (bytes/sec) over the lifetime of
-	// the just-acked segment.
-	SndRate float64
-	// DeliveryRate is the measured delivery rate (bytes/sec) over the
-	// lifetime of the just-acked segment.
-	DeliveryRate float64
-	// InFlight is the number of unacknowledged bytes after this ACK.
-	InFlight int
-	// HdrRate is the router-stamped per-flow rate echoed by the receiver
-	// (XCP-style), 0 if absent.
-	HdrRate float64
-	// Now is the datapath clock at ACK processing time.
-	Now time.Duration
-}
+// AckSample stays until the harness's next revision (ROADMAP item 2).
+type AckSample = cc.AckSample
 
-// CongestionControl is the datapath's pluggable congestion-avoidance hook,
-// modelled on Linux's pluggable TCP (§4). Implementations adjust the window
-// and rate through the Conn handle; the datapath owns all transmission and
-// loss-recovery mechanics.
-type CongestionControl interface {
-	// Name identifies the algorithm.
-	Name() string
-	// Init is called once when the connection starts.
-	Init(c *Conn)
-	// OnAck is called for every processed acknowledgment.
-	OnAck(c *Conn, s AckSample)
-	// OnCongestion is called on loss or ECN events, with the bytes newly
-	// declared lost (0 for ECN).
-	OnCongestion(c *Conn, ev CongEvent, lostBytes int)
-	// Close is called when the connection stops.
-	Close(c *Conn)
-}
+// EventDupAck stays until the harness's next revision (ROADMAP item 2).
+const EventDupAck = cc.EventDupAck
 
 // Options configures a flow's endpoints.
 type Options struct {
