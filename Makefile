@@ -194,24 +194,29 @@ test-debugpool:
 # this and no other test job (with FUZZTIME=15s).
 # Like bench-smoke, it fails if the tests leave ring backing files behind
 # (the agent tests create rings for every datapath they connect).
-# Budget: 7 minutes. Measured on two cores: 6m09s, of which
-# internal/experiments under -race is 3m22s and the golden digests 23 s (on a
-# busy box the same run took 11m06s: 5m03s and 76 s).
-check: vet lint
-	@before=$$($(ring_files)); \
-	echo "$(GO) test -race -short ./..." && \
-	$(GO) test -race -short ./... && \
-	$(MAKE) test-race-robust && \
-	$(MAKE) test-allocs && \
-	$(MAKE) test-golden && \
-	$(MAKE) test-debugpool && \
-	$(MAKE) test-ha && \
-	$(MAKE) verify-programs && \
-	$(MAKE) fuzz-smoke && \
+# Each step prints its wall time and the last line the total, so where check
+# time goes is on every run's log. Measured on two cores: 8m18s, of which
+# `go test -race -short ./...` is 314 s, fuzz-smoke 90 s, test-race-robust
+# 43 s and the golden digests 26 s; 6m01s with go test's cache warm.
+check:
+	@before=$$($(ring_files)); t0=$$(date +%s); \
+	step() { s=$$(date +%s); echo "$$*"; "$$@" || exit 1; \
+		echo "check: $$* took $$(($$(date +%s) - s)) s"; }; \
+	step $(MAKE) vet && \
+	step $(MAKE) lint && \
+	step $(GO) test -race -short ./... && \
+	step $(MAKE) test-race-robust && \
+	step $(MAKE) test-allocs && \
+	step $(MAKE) test-golden && \
+	step $(MAKE) test-debugpool && \
+	step $(MAKE) test-ha && \
+	step $(MAKE) verify-programs && \
+	step $(MAKE) fuzz-smoke && \
 	after=$$($(ring_files)) && \
 	if [ "$$after" -gt "$$before" ]; then \
 		echo "check: ring files in the backing directory grew from $$before to $$after"; exit 1; \
-	fi
+	fi; \
+	t=$$(($$(date +%s) - t0)); echo "check: total $$((t / 60))m$$((t % 60))s"
 
 # 10-second smoke of each fuzz target (wire decoders, the decoder's copies
 # against its scratch, program decoder halves,

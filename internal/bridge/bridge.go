@@ -19,7 +19,9 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// Stats counts bridge traffic, for the CPU/message accounting experiments.
+// Stats counts bridge traffic for fig5, ablation-batching and ablation-foldvec,
+// none of which runs a fault plan. Under one, ToAgentMsgs and ToAgentBytes
+// count every frame on the wire to the agent, decoder-killed ones included.
 type Stats struct {
 	ToAgentMsgs   int
 	ToAgentBytes  int64

@@ -163,8 +163,7 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 			return
 		}
 		atomic.AddInt64(&a.shared.stats.Measurements, 1)
-		names := st.flow.reportNames()
-		meas := Measurement{Seq: v.Seq, Names: names, Values: v.Fields}
+		meas := Measurement{Seq: v.Seq, Names: st.flow.layout.names, Values: v.Fields}
 		st.alg.OnMeasurement(st.flow, meas)
 	case *proto.Vector:
 		st := a.admit(v.SID, v.Seq, false, reply)
@@ -172,8 +171,8 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 			return
 		}
 		atomic.AddInt64(&a.shared.stats.Vectors, 1)
-		fields := st.flow.vectorFields()
-		meas := Measurement{Seq: v.Seq, Names: st.flow.reportNames()}
+		fields := st.flow.layout.fields
+		meas := Measurement{Seq: v.Seq, Names: st.flow.layout.names}
 		if int(v.NumFields) == len(fields) {
 			samples := st.samples[:0]
 			for i := 0; i < v.Rows(); i++ {
@@ -332,7 +331,7 @@ func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(proto.
 		ctrlSeq = snap.CtrlSeq + ctrlSeqSkip
 		st.lastReportSeq, st.lastUrgentSeq, st.restored = snap.ReportSeq, snap.UrgentSeq, true
 	}
-	st.flow = &Flow{Info: info, policy: policy, send: reply, ctrlSeq: ctrlSeq, shared: &a.shared}
+	st.flow = &Flow{Info: info, policy: policy, send: reply, ctrlSeq: ctrlSeq, shared: &a.shared, layout: ewmaLayout}
 	a.drop(c.SID)
 	a.flows[c.SID] = st
 	a.live.Store(int64(len(a.flows)))

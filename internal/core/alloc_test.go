@@ -70,11 +70,11 @@ func TestAllocsFlowDecision(t *testing.T) {
 }
 
 // TestFlowSize keeps the per-flow cost of the agent from creeping: a Flow is
-// 248 bytes, in the 256-byte size class, since the per-agent block took over
-// its verify mode and log sink (264, the 288-byte class, before) and a
-// creation time nothing set went, and must not grow past that.
+// 176 bytes, a size class of its own, since it keeps its program only as
+// bytes and points at a report layout its agent shares (208 before, holding
+// two program trees and its own name list), and must not grow past that.
 func TestFlowSize(t *testing.T) {
-	const pinned = 248
+	const pinned = 176
 	if got := unsafe.Sizeof(core.Flow{}); got > pinned {
 		t.Fatalf("core.Flow is %d bytes, was %d: what was added belongs in the per-agent block", got, pinned)
 	}

@@ -120,9 +120,10 @@ func TestAgentFoldNamesAfterInstall(t *testing.T) {
 
 // TestFlowKeepsReportNamesWhileTheyHold: an algorithm that installs per report
 // sends the same register names every time, so the cached name list survives
-// those Installs — the same slice, not an equal one — and is dropped the
+// those Installs — the same slice, not an equal one — and is replaced the
 // moment a name, the register count or the mode changes, or a refusal rolls
-// the program back.
+// the program back. A layout the agent has made before comes back as the
+// same list, and a list handed out is never rewritten.
 func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 	alg := &recordAlg{}
 	a := newTestAgent(t, alg, nil)
@@ -171,25 +172,119 @@ func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 	if err := flow.Install(vec); err != nil {
 		t.Fatal(err)
 	}
-	if got := flow.reportNames(); !equal(got, "pkt.rtt") {
+	kept := flow.layout
+	if got := flow.layout.names; !equal(got, "pkt.rtt") {
 		t.Fatalf("after a change of mode: %v", got)
 	}
 	if err := flow.Install(vec); err != nil {
 		t.Fatal(err)
 	}
-	if got := flow.reportNames(); !equal(got, "pkt.rtt") || flow.names == nil {
-		t.Fatalf("same vector fields again: %v (cached %v)", got, flow.names)
+	if got := flow.layout.names; !equal(got, "pkt.rtt") || flow.layout != kept {
+		t.Fatalf("same vector fields again: %v, layout kept: %v", got, flow.layout == kept)
 	}
 
 	// A refused Install rolls the program back, and the names with it.
 	back := namesAfter(fold(0, "m1", "m2"))
+	if !same(first, back) {
+		t.Fatal("a layout the agent had made before was made again")
+	}
 	if err := flow.Install(fold(0, "x1", "x2")); err != nil {
 		t.Fatal(err)
 	}
 	refused := cap.msgs[len(cap.msgs)-1].(*proto.Install).Seq
 	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refused, Reason: "no"}, cap.send)
-	if got := flow.reportNames(); !equal(got, "m1", "m2") {
+	if got := flow.layout.names; !equal(got, "m1", "m2") {
 		t.Fatalf("after a rollback: %v, was %v", got, back)
+	}
+}
+
+// TestLayoutFollowsRollbackAndRestore: a flow's report layout goes where its
+// program goes, in both modes whose layout a program sets. After the datapath
+// refuses the newest whole Install, the next report is named by the program
+// still running; a flow restored from a snapshot names its first report by
+// the snapshot's program, not by the one its algorithm's Init installed, and
+// by the datapath's default program when the snapshot carries none.
+func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
+	fold := func(names ...string) *lang.Program {
+		f := &lang.FoldSpec{}
+		for _, n := range names {
+			f.Regs = append(f.Regs, lang.RegDef{Name: n})
+		}
+		f.Updates = []lang.Assign{{Dst: names[0], E: lang.Add(lang.V(names[0]), lang.V("pkt.acked"))}}
+		return lang.NewProgram().MeasureFold(f).WaitRtts(1).Report().MustBuild()
+	}
+	vector := func(fields ...lang.Field) *lang.Program {
+		return lang.NewProgram().MeasureVector(fields...).WaitRtts(1).Report().MustBuild()
+	}
+	for _, c := range []struct {
+		mode        string
+		live, other *lang.Program
+		report      func(seq uint32) proto.Msg
+		named       func(m Measurement) bool // by live's layout
+	}{
+		{"fold", fold("a1", "a2"), fold("b1"),
+			func(seq uint32) proto.Msg { return &proto.Measurement{SID: 1, Seq: seq, Fields: []float64{7, 9}} },
+			func(m Measurement) bool {
+				a1, _ := m.Get("a1")
+				a2, _ := m.Get("a2")
+				return slices.Equal(m.Names, []string{"a1", "a2"}) && a1 == 7 && a2 == 9
+			}},
+		{"vector", vector(lang.FieldRTT, lang.FieldAcked), vector(lang.FieldECN),
+			func(seq uint32) proto.Msg {
+				return &proto.Vector{SID: 1, Seq: seq, NumFields: 2, Data: []float64{0.01, 1448}}
+			},
+			func(m Measurement) bool {
+				return slices.Equal(m.Names, []string{"pkt.rtt", "pkt.acked"}) && len(m.Samples) == 1 &&
+					m.Samples[0].Get(lang.FieldRTT) == 0.01 && m.Samples[0].Get(lang.FieldAcked) == 1448
+			}},
+	} {
+		t.Run(c.mode, func(t *testing.T) {
+			alg := &recordAlg{}
+			primary := newTestAgent(t, alg, nil)
+			cap := &capture{}
+			primary.HandleMessage(createMsg(1), cap.send)
+			flow := primary.flows[1].flow
+			for _, p := range []*lang.Program{c.live, c.other} {
+				if err := flow.Install(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sent := cap.installs()
+			if len(sent) != 2 || lang.IsRef(sent[1].Prog) {
+				t.Fatalf("want two whole Installs, got %d", len(sent))
+			}
+			primary.HandleMessage(&proto.InstallErr{SID: 1, Seq: sent[1].Seq, Reason: "no"}, cap.send)
+			primary.HandleMessage(c.report(1), cap.send)
+			if m := alg.measures[len(alg.measures)-1]; !c.named(m) {
+				t.Fatalf("after a refused whole Install the report reads %+v", m)
+			}
+
+			var snap *proto.Snapshot
+			if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
+				snap = proto.Clone(s).(*proto.Snapshot)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			restoredAlg := &recordAlg{onInit: func(f *Flow) { f.Install(c.other) }}
+			standby := newTestAgent(t, restoredAlg, nil)
+			if err := standby.RestoreFlow(snap); err != nil {
+				t.Fatal(err)
+			}
+			standby.HandleMessage(c.report(2), cap.send)
+			if len(restoredAlg.measures) != 1 || !c.named(restoredAlg.measures[0]) {
+				t.Fatalf("a restored flow's first report reads %+v", restoredAlg.measures)
+			}
+			bare := *snap
+			bare.SID, bare.Prog = 2, nil
+			if err := standby.RestoreFlow(&bare); err != nil {
+				t.Fatal(err)
+			}
+			standby.HandleMessage(&proto.Measurement{SID: 2, Seq: 2, Fields: []float64{0.01}}, cap.send)
+			if m := restoredAlg.measures[1]; !slices.Equal(m.Names, lang.EWMAReportNames()) {
+				t.Fatalf("a flow restored with no program reads %v", m.Names)
+			}
+		})
 	}
 }
 
@@ -643,7 +738,7 @@ func TestFlowInstallsByReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(flow.progBytes) != string(want) || flow.Installed() != st.p {
+		if string(flow.progBytes) != string(want) {
 			t.Fatalf("%s: the flow keeps % x, want the whole program % x", st.what, flow.progBytes, want)
 		}
 		if lang.IsRef(sent.Prog) != st.byRef {
@@ -709,14 +804,14 @@ func TestFlowRefusedReference(t *testing.T) {
 	if string(again.Prog) != string(newest) || !proto.SeqNewer(again.Seq, ref2.Seq) {
 		t.Fatalf("re-sent seq %d % x, want the newest program whole under a fresh Seq", again.Seq, again.Prog)
 	}
-	if flow.Installed() != progs[2] || a.Stats().RefResends != 1 {
+	if string(flow.progBytes) != string(newest) || a.Stats().RefResends != 1 {
 		t.Fatalf("after the re-send the flow holds %s, %d re-sends counted", flow.Installed(), a.Stats().RefResends)
 	}
 	// The second reference's refusal, and a duplicate of the first's, are history.
 	refuse(ref2.Seq)
 	refuse(ref1.Seq)
 	refuse(again.Seq + 100) // and one for an Install never sent is noise
-	if got := cap.installs(); len(got) != 4 || flow.Installed() != progs[2] {
+	if got := cap.installs(); len(got) != 4 || string(flow.progBytes) != string(newest) {
 		t.Fatalf("superseded refusals drew %d installs, flow holds %s", len(got)-4, flow.Installed())
 	}
 	// Later installs refer to the re-sent one.
@@ -734,10 +829,10 @@ func TestFlowRefusedReference(t *testing.T) {
 	if err := flow.Install(moved); err != nil {
 		t.Fatal(err)
 	}
-	before := flow.prevInstalled
+	before := flow.prevProgBytes
 	sent = cap.installs()
 	refuse(sent[len(sent)-1].Seq)
-	if flow.Installed() != before || len(cap.installs()) != len(sent) {
+	if string(flow.progBytes) != string(before) || len(cap.installs()) != len(sent) {
 		t.Fatalf("refused whole install: flow holds %s, %d installs drawn", flow.Installed(), len(cap.installs())-len(sent))
 	}
 	if err := flow.Install(refProg(refFold(0.5), 50000)); err != nil {
@@ -830,7 +925,7 @@ func TestEveryWayAFlowIsMade(t *testing.T) {
 			CreateSeq: 3, SrcAddr: "a", DstAddr: "b", Alg: name}
 	}
 	badProg := snap(1, "record", 70)
-	badProg.Installed, badProg.Prog = true, []byte{0xff, 0xff, 0xff}
+	badProg.Prog = []byte{0xff, 0xff, 0xff}
 
 	type counts struct {
 		inits, releases, flows                             int

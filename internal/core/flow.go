@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/ccp-repro/ccp/internal/lang"
@@ -35,10 +36,10 @@ type PolicyFunc func(info FlowInfo) Policy
 
 // flowShared is what every flow of one agent holds in common, reached through
 // one pointer so a Flow carries no per-flow copy of it: the storage each
-// outgoing message is built in. The send path only borrows a message for the
-// duration of the call (see Flow.send), and an agent, which has one owner,
-// makes one decision at a time, so one block per agent serves all its flows
-// and a decision allocates nothing.
+// outgoing message is built in, and the report layouts. The send path only
+// borrows a message for the duration of the call (see Flow.send), and an
+// agent, which has one owner, makes one decision at a time, so one block per
+// agent serves all its flows and a decision allocates nothing.
 type flowShared struct {
 	setCwnd   proto.SetCwnd
 	setRate   proto.SetRate
@@ -48,6 +49,7 @@ type flowShared struct {
 	// send like the message that points at it, it grows to the largest control
 	// half the agent has sent and is then reused.
 	refProg []byte
+	layouts []*reportLayout // shared by its flows (layoutOf)
 
 	// stats are the agent's counters, here where a Flow can count its
 	// InstallsByRef and RefResends.
@@ -72,16 +74,15 @@ type Flow struct {
 	// agent (Describe's probe) is given its own.
 	shared *flowShared
 
-	installed *lang.Program
-	// progBytes is the wire encoding of installed, kept so snapshots carry
-	// the program without re-marshalling it per snapshot tick.
+	// progBytes is the program last installed, whole, kept so snapshots carry
+	// it without re-marshalling it; layout is how its reports are laid out.
 	progBytes []byte
+	layout    *reportLayout
 
-	// Datapath install-refusal tracking: prevInstalled/prevProgBytes hold the
-	// program the datapath was running before the newest Install, so an
-	// InstallErr for that Install rolls the agent's view back to what is
-	// actually live (report-name alignment depends on it). lastInstallSeq is
-	// the control sequence of the newest Install sent.
+	// Datapath install-refusal tracking: prevProgBytes holds the program the
+	// datapath ran before the newest Install, so an InstallErr for that
+	// Install rolls the agent's view back to what is live (report naming
+	// depends on it). lastInstallSeq is the newest Install's control sequence.
 	//
 	// wholeSeq is the Seq of the newest Install sent whole — the epoch its
 	// measure half has at the datapath once applied — and wholeLen that half's
@@ -90,7 +91,6 @@ type Flow struct {
 	// nowhere (a restored flow not yet adopted), or the datapath refused it.
 	// Every Install sent after wholeSeq, up to lastInstallSeq, was a reference
 	// to it.
-	prevInstalled  *lang.Program
 	prevProgBytes  []byte
 	lastInstallSeq uint32
 	wholeSeq       uint32
@@ -103,10 +103,6 @@ type Flow struct {
 	// of looking stale.
 	ctrlSeq  uint32
 	wholeLen uint32
-
-	// names caches reportNames' result: report dispatch is the agent's hot
-	// path and the name list only changes on Install.
-	names []string
 }
 
 // emit transmits one agent→datapath message. A flow restored from a
@@ -168,46 +164,86 @@ func (f *Flow) Install(p *lang.Program) error {
 			f.wholeLen = uint32(n)
 		}
 	}
-	f.prevInstalled, f.prevProgBytes = f.installed, f.progBytes
+	f.prevProgBytes, f.progBytes = f.progBytes, data
 	f.lastInstallSeq = seq
-	f.installed = clamped
-	f.progBytes = data
-	// Report field names follow the installed program; an algorithm that
-	// installs per report sends the same names every time.
-	if !reportsAs(clamped, f.names) {
-		f.names = nil
+	// The layout follows the installed program; an algorithm that installs
+	// per report keeps the one it has every time.
+	if !reportsAs(clamped, f.layout) {
+		f.layout = f.shared.layoutOf(clamped)
 	}
 	return nil
 }
 
-// reportsAs reports whether p's reports carry exactly names (RegNames equal
-// to names), comparing in place.
-func reportsAs(p *lang.Program, names []string) bool {
+// reportLayout is how a program's reports are laid out: a Measurement's value
+// names and, in vector mode, a Vector's row fields. Never written, it is shared.
+type reportLayout struct {
+	names  []string
+	fields []lang.Field
+}
+
+// ewmaLayout is an EWMA-mode program's layout, and a flow's before any.
+var ewmaLayout = &reportLayout{names: lang.EWMAReportNames()}
+
+// maxLayouts bounds flowShared.layouts, past what an agent's algorithms use.
+const maxLayouts = 16
+
+// reportsAs reports whether p's reports are laid out as l says, in place.
+func reportsAs(p *lang.Program, l *reportLayout) bool {
 	switch p.Measure.Mode {
 	case lang.MeasureFold:
 		regs := p.Measure.Fold.Regs
-		if len(regs) != len(names) {
+		if l == nil || l.fields != nil || len(regs) != len(l.names) {
 			return false
 		}
 		for i := range regs {
-			if regs[i].Name != names[i] {
+			if regs[i].Name != l.names[i] {
 				return false
 			}
 		}
 		return true
 	case lang.MeasureVector:
-		fields := p.Measure.Fields
-		if len(fields) != len(names) {
-			return false
-		}
-		for i, fld := range fields {
-			if fld.String() != names[i] {
-				return false
-			}
-		}
-		return true
+		return l != nil && slices.Equal(p.Measure.Fields, l.fields)
 	}
-	return false
+	return l == ewmaLayout
+}
+
+// layoutOf returns the layout of p's reports, one the agent keeps if it can,
+// so that a flow changing programs allocates no layout made before.
+func (s *flowShared) layoutOf(p *lang.Program) *reportLayout {
+	mode := p.Measure.Mode
+	if mode != lang.MeasureFold && mode != lang.MeasureVector {
+		return ewmaLayout
+	}
+	for _, l := range s.layouts {
+		if reportsAs(p, l) {
+			return l
+		}
+	}
+	l := &reportLayout{names: p.RegNames()}
+	if mode == lang.MeasureVector {
+		l.fields = slices.Clone(p.Measure.Fields)
+	}
+	if len(s.layouts) < maxLayouts {
+		s.layouts = append(s.layouts, l)
+	}
+	return l
+}
+
+// readLayout reads the layout back from prog, a whole program's bytes or none,
+// for an InstallErr rollback and a restore. What does not decode, or is a
+// reference, fails (with EWMA's layout: a flow's is never nil).
+func (s *flowShared) readLayout(prog []byte) (*reportLayout, error) {
+	if len(prog) == 0 {
+		return ewmaLayout, nil
+	}
+	p, err := lang.UnmarshalProgram(prog)
+	if err == nil && p.Measure.Mode == lang.MeasureRef {
+		err = fmt.Errorf("core: a reference, not a whole program")
+	}
+	if err != nil {
+		return ewmaLayout, err
+	}
+	return s.layoutOf(p), nil
 }
 
 // noteInstallErr answers a datapath install refusal (the agent counts and logs
@@ -236,8 +272,8 @@ func (f *Flow) noteInstallErr(seq uint32) {
 	case seq == f.wholeSeq:
 		f.wholeLen = 0
 		if seq == f.lastInstallSeq {
-			f.installed, f.progBytes = f.prevInstalled, f.prevProgBytes
-			f.names = nil
+			f.progBytes = f.prevProgBytes
+			f.layout, _ = f.shared.readLayout(f.progBytes) // the flow's own encoding decodes
 		}
 	default:
 		m := &f.shared.install
@@ -279,10 +315,13 @@ func (f *Flow) SetRate(bps float64) error {
 }
 
 // Installed returns the most recently installed (policy-rewritten) program,
-// or nil before the first Install.
+// decoded from the bytes the flow keeps, or nil before the first Install.
 //
 //lint:testsupport the agent's view of the program that core's install tests and bridge's TestReferenceInterleavings compare against the datapath's
-func (f *Flow) Installed() *lang.Program { return f.installed }
+func (f *Flow) Installed() *lang.Program {
+	p, _ := lang.UnmarshalProgram(f.progBytes)
+	return p
+}
 
 // applyPolicy rewrites p's control expressions under the flow policy.
 func (f *Flow) applyPolicy(p *lang.Program) *lang.Program {
@@ -310,27 +349,4 @@ func (f *Flow) applyPolicy(p *lang.Program) *lang.Program {
 		}
 	}
 	return &out
-}
-
-// reportNames returns the field names for incoming scalar measurements,
-// based on the installed program (EWMA defaults before any install, one list
-// for every flow: lang.EWMAReportNames). The list is cached until the next
-// Install and never written to.
-func (f *Flow) reportNames() []string {
-	if f.names == nil {
-		if f.installed == nil {
-			f.names = lang.EWMAReportNames()
-		} else {
-			f.names = f.installed.RegNames()
-		}
-	}
-	return f.names
-}
-
-// vectorFields returns the per-packet fields for vector measurements.
-func (f *Flow) vectorFields() []lang.Field {
-	if f.installed == nil {
-		return nil
-	}
-	return f.installed.Measure.Fields
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync/atomic"
 
-	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -78,7 +78,6 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 		snap := &a.snapScratch
 		*snap = proto.Snapshot{
 			SID:       sid,
-			Installed: f.installed != nil,
 			MSS:       uint32(f.Info.MSS),
 			InitCwnd:  uint32(f.Info.InitCwnd),
 			CtrlSeq:   f.ctrlSeq,
@@ -105,13 +104,14 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 
 // RestoreFlow rebuilds one flow from a snapshot — the standby half of the HA
 // pair. The restored flow resumes the snapshot's sequence-dedup state, keeps
-// its installed program (so fold reports decode by name without a datapath
-// round trip), and numbers future decisions ctrlSeqSkip above the snapshot's
-// last issued sequence (newFlow). The algorithm is freshly instantiated,
+// the snapshot's program as bytes and the report layout read from them
+// (readLayout: reports are named without a datapath round trip), and numbers
+// future decisions ctrlSeqSkip above the snapshot's last issued sequence
+// (newFlow). The algorithm is freshly instantiated,
 // Init'd against a silent flow handle, then overwritten via ImportState when
 // both sides support it — so an algorithm without snapshot support degrades
 // to a cold start rather than an error. A snapshot whose program does not
-// decode is refused before anything is touched.
+// decode, or is a reference, is refused before anything is touched.
 //
 // The flow has no reply channel yet; it binds lazily to the first datapath
 // message that reaches it after promotion (decisions made before that are
@@ -121,31 +121,20 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 		a.drop(snap.SID)
 		return nil
 	}
-	var restoredProg *lang.Program
-	if snap.Installed && len(snap.Prog) > 0 {
-		p, err := lang.UnmarshalProgram(snap.Prog)
-		if err != nil {
-			return fmt.Errorf("core: snapshot for flow %d carries a bad program: %w", snap.SID, err)
-		}
-		if p.Measure.Mode == lang.MeasureRef {
-			return fmt.Errorf("core: snapshot for flow %d carries a reference, not a program", snap.SID)
-		}
-		restoredProg = p
+	layout, err := a.shared.readLayout(snap.Prog)
+	if err != nil {
+		return fmt.Errorf("core: snapshot for flow %d carries a bad program: %w", snap.SID, err)
 	}
 	// Init runs against the still-silent flow: anything it sends (its own
 	// Install, an initial cwnd) is dropped, and the imported state below
 	// overwrites what it initialized. If the import is refused, the Init'd
 	// cold-start state is exactly the right fallback. The snapshot's program
-	// is applied after Init — Init's own Install would otherwise clobber it,
-	// and the datapath is still running the snapshot's program, not the
-	// cold-start one.
+	// (or none: the datapath's default) is applied after Init, whose own
+	// Install would otherwise clobber it: the datapath is still running the
+	// snapshot's program, not the cold-start one.
 	st := a.newFlow(&proto.Create{SID: snap.SID, MSS: snap.MSS, InitCwnd: snap.InitCwnd,
 		Seq: snap.CreateSeq, SrcAddr: snap.SrcAddr, DstAddr: snap.DstAddr, Alg: snap.Alg}, snap, nil)
-	if restoredProg != nil {
-		st.flow.installed = restoredProg
-		st.flow.progBytes = append([]byte(nil), snap.Prog...)
-		st.flow.names = nil
-	}
+	st.flow.progBytes, st.flow.layout = bytes.Clone(snap.Prog), layout
 	if exp, ok := st.alg.(SnapshotExporter); ok && len(snap.State) > 0 {
 		exp.ImportState(snap.State)
 	}

@@ -198,8 +198,16 @@ func TestUnsafeInstallRefusedAtTheDatapath(t *testing.T) {
 	if dp.InstallRejects != 2 || dp.RefRefusals != 0 || dp.InstallsRecvd != 1 {
 		t.Fatalf("datapath: %+v; want the reference and the resend refused by the verifier, the safe program installed", dp)
 	}
-	if alg.flow.Installed() != alg.safe {
-		t.Fatalf("agent's view is %v, want the safe program back", alg.flow.Installed())
+	safe, err := lang.MarshalProgram(alg.safe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := alg.flow.Installed()
+	if held == nil {
+		t.Fatal("the agent holds no program")
+	}
+	if got, _ := lang.MarshalProgram(held); string(got) != string(safe) {
+		t.Fatalf("agent's view is %v, want the safe program back", held)
 	}
 	if got, want := f.DP.Program().String(), alg.safe.String(); got != want {
 		t.Fatalf("datapath runs %s, want %s", got, want)

@@ -87,7 +87,7 @@ func TestAllocsCloneInto(t *testing.T) {
 // zero-alloc; this is the regression test for it.
 func TestAllocsSnapshotRoundTrip(t *testing.T) {
 	m := &proto.Snapshot{
-		SID: 7, Installed: true, MSS: 1448, InitCwnd: 14480,
+		SID: 7, MSS: 1448, InitCwnd: 14480,
 		CtrlSeq: 93, CreateSeq: 2, ReportSeq: 1204, UrgentSeq: 3,
 		SrcAddr: "10.0.0.1:4242", DstAddr: "10.0.0.2:80", Alg: "cubic",
 		Prog:  []byte{0xCC, 2, 0, 1, 0x14, 0},
@@ -184,7 +184,7 @@ func FuzzDecoderAliasing(f *testing.F) {
 		&proto.Install{SID: 1, Seq: 2, Prog: []byte{9, 9, 9}},
 		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1, 2, 3}},
 		&proto.Vector{SID: 1, Seq: 1, NumFields: 1, Data: []float64{0.5, 0.25}},
-		&proto.Snapshot{SID: 1, Installed: true, Alg: "reno", Prog: []byte{7, 7}, State: []float64{4}},
+		&proto.Snapshot{SID: 1, Alg: "reno", Prog: []byte{7, 7}, State: []float64{4}},
 	} {
 		data, err := proto.Marshal(m)
 		if err != nil {

@@ -142,11 +142,10 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		}
 		v.SID = d.u32()
 		fl := d.byte()
-		if d.err == nil && fl&^(snapFlagClosed|snapFlagInstalled) != 0 {
+		if d.err == nil && fl&^snapFlagClosed != 0 {
 			return nil, fmt.Errorf("proto: unknown snapshot flags %#x", fl)
 		}
 		v.Closed = fl&snapFlagClosed != 0
-		v.Installed = fl&snapFlagInstalled != 0
 		v.MSS, v.InitCwnd = d.u32(), d.u32()
 		v.CtrlSeq, v.CreateSeq = d.u32(), d.u32()
 		v.ReportSeq, v.UrgentSeq = d.u32(), d.u32()

@@ -80,15 +80,15 @@ func FuzzCreateRoundTrip(f *testing.F) {
 // panics, and accepted bytes are canonical) is covered by FuzzUnmarshal,
 // whose seeds include snapshots via sampleMsgs.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add(uint32(7), true, uint32(1448), uint32(14480), uint32(12), uint32(1),
+	f.Add(uint32(7), uint32(1448), uint32(14480), uint32(12), uint32(1),
 		uint32(40), uint32(2), "10.0.0.1:80", "10.0.0.2:80", "cubic",
 		[]byte{0xCC, 2, 0}, 14480.0, 2.5)
-	f.Add(uint32(0), false, uint32(0), uint32(0), uint32(0), uint32(0),
+	f.Add(uint32(0), uint32(0), uint32(0), uint32(0), uint32(0),
 		uint32(0), uint32(0), "", "", "", []byte(nil), 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, sid uint32, installed bool, mss, initCwnd,
+	f.Fuzz(func(t *testing.T, sid, mss, initCwnd,
 		ctrlSeq, createSeq, reportSeq, urgentSeq uint32,
 		src, dst, alg string, prog []byte, s0, s1 float64) {
-		in := &Snapshot{SID: sid, Installed: installed, MSS: mss,
+		in := &Snapshot{SID: sid, MSS: mss,
 			InitCwnd: initCwnd, CtrlSeq: ctrlSeq, CreateSeq: createSeq,
 			ReportSeq: reportSeq, UrgentSeq: urgentSeq,
 			SrcAddr: src, DstAddr: dst, Alg: alg,

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -27,7 +28,7 @@ func sampleMsgs() []Msg {
 		&Install{SID: 6, Prog: nil},
 		&SetCwnd{SID: 8, Seq: 7, Bytes: 29200},
 		&SetRate{SID: 9, Seq: 8, Bps: 1.25e9},
-		&Snapshot{SID: 12, Installed: true, MSS: 1448, InitCwnd: 14480,
+		&Snapshot{SID: 12, MSS: 1448, InitCwnd: 14480,
 			CtrlSeq: 77, CreateSeq: 3, ReportSeq: 200, UrgentSeq: 5,
 			SrcAddr: "10.0.0.1:4242", DstAddr: "10.0.0.2:80", Alg: "cubic",
 			Prog:  []byte{0xCC, 2, 0, 1, 0x14, 0},
@@ -89,6 +90,40 @@ func TestWireTypeNumbers(t *testing.T) {
 	for _, frame := range append(retiredFrames(), []byte{9}, []byte{10}) {
 		if _, err := Unmarshal(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Errorf("retired frame %x: err=%v, want an unknown message type", frame, err)
+		}
+	}
+}
+
+// TestSnapshotVersionAndFlags pins the snapshot's version byte at 2 and its
+// one flag bit, Closed: a frame of another version, or one that sets any
+// other flag bit — version 1's retired "installed" bit among them — is
+// refused, not half-understood.
+func TestSnapshotVersionAndFlags(t *testing.T) {
+	const versionAt, flagsAt = 1, 6 // after the type byte; after the version and the SID
+	for _, m := range []*Snapshot{
+		{SID: 12, MSS: 1448, Alg: "cubic", Prog: []byte{0xCC, 2, 0, 1, 0x14, 0}},
+		{SID: 13, Closed: true},
+	} {
+		data, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[versionAt] != 2 || data[flagsAt] != m.flags() {
+			t.Fatalf("snapshot %d: version %d, flags %#x on the wire", m.SID, data[versionAt], data[flagsAt])
+		}
+		for _, v := range []byte{0, 1, 3} {
+			bad := bytes.Clone(data)
+			bad[versionAt] = v
+			if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "snapshot version") {
+				t.Errorf("snapshot %d as version %d: err=%v, want a refusal", m.SID, v, err)
+			}
+		}
+		for bit := 1; bit < 8; bit++ {
+			bad := bytes.Clone(data)
+			bad[flagsAt] |= 1 << bit
+			if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "unknown snapshot flags") {
+				t.Errorf("snapshot %d with flag bit %d: err=%v, want a refusal", m.SID, bit, err)
+			}
 		}
 	}
 }

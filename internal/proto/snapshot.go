@@ -12,14 +12,12 @@ import "time"
 // SnapshotVersion is the only snapshot encoding this build reads or writes.
 // A decoder seeing any other version errors out rather than guessing — a
 // standby from a different build must not restore state it half-understands.
-const SnapshotVersion = 1
+// Version 2 retired version 1's "installed" flag: Prog is empty or a program.
+const SnapshotVersion = 2
 
-// Snapshot flag bits (a decode rejecting unknown bits keeps the encoding
-// canonical: exactly one byte sequence per message).
-const (
-	snapFlagClosed    = 1 << 0
-	snapFlagInstalled = 1 << 1
-)
+// snapFlagClosed is the one snapshot flag. A decode refuses any other bit,
+// which keeps the encoding canonical: one byte sequence per message.
+const snapFlagClosed = 1 << 0
 
 // Snapshot is one flow's portable congestion-control state: everything a
 // standby agent needs to resume fresh decisions for the flow without a
@@ -32,11 +30,8 @@ const (
 // A Snapshot with Closed set is a tombstone: the flow ended and the standby
 // must forget it. Tombstones carry no program or state.
 type Snapshot struct {
-	SID    uint32
-	Closed bool // tombstone: drop the flow at the standby
-	// Installed mirrors whether the primary had sent the flow's program; a
-	// restored flow must not re-enter the install handshake if so.
-	Installed bool
+	SID       uint32
+	Closed    bool // tombstone: drop the flow at the standby
 	MSS       uint32
 	InitCwnd  uint32 // bytes
 	CtrlSeq   uint32 // last control sequence number the primary issued
@@ -46,8 +41,8 @@ type Snapshot struct {
 	SrcAddr   string
 	DstAddr   string
 	Alg       string
-	// Prog is the serialized installed program. Decoded Snapshots alias the
-	// input buffer here (the Install.Prog rule); retainers must Clone.
+	// Prog is the installed program (none before the first Install); decoded
+	// Snapshots alias the input buffer here (the Install.Prog rule).
 	Prog []byte
 	// State is the algorithm's exported registers (cwnd, ssthresh, phase,
 	// fold accumulators, ...) in the algorithm's own documented order.
@@ -152,12 +147,8 @@ func (m *Heartbeat) FlowSID() uint32 { return m.SID }
 const maxSnapStateLen = 256
 
 func (m *Snapshot) flags() byte {
-	var f byte
 	if m.Closed {
-		f |= snapFlagClosed
+		return snapFlagClosed
 	}
-	if m.Installed {
-		f |= snapFlagInstalled
-	}
-	return f
+	return 0
 }
