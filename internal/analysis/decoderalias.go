@@ -517,8 +517,7 @@ func aliasCarrier(t types.Type) bool {
 	}
 }
 
-// isCloneCall matches proto.Clone(...), its container form CloneInto, and
-// method clones like m.Clone().
+// isCloneCall matches proto.Clone(...) and method clones like m.Clone().
 func isCloneCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -528,11 +527,7 @@ func isCloneCall(info *types.Info, e ast.Expr) bool {
 	if fn == nil {
 		return false
 	}
-	switch fn.Name() {
-	case "Clone", "CloneInto":
-		return true
-	}
-	return false
+	return fn.Name() == "Clone"
 }
 
 // identObj resolves an identifier to its variable object (use or def).

@@ -145,11 +145,12 @@ func TestAllocsFlowFootprint(t *testing.T) {
 		t.Skip("heap sizes are inflated under -race")
 	}
 	const flows = 10000
-	// maxPerFlow is the measured 1,695 bytes — CCP 576, tcp.Conn 480, Init 210
-	// (a 128-byte variable table, the wait timer, its callback), the agent's
-	// side 429 (core.Flow 256, the table entry and its map slot, reno, the
-	// reply) — and one 64-byte size class to spare.
-	const maxPerFlow = 1759
+	// maxPerFlow is the measured 1,567 bytes — CCP 576 (560 by Sizeof, in
+	// its size class), tcp.Conn 448, Init 210 (a 128-byte variable table, the
+	// wait timer, its callback), the agent's side 333 (core.Flow, 176 by
+	// Sizeof, the table entry and its map slot, reno, the reply) — and one
+	// 64-byte size class to spare.
+	const maxPerFlow = 1631
 
 	rt, err := ccpruntime.New(ccpruntime.Config{Shards: 1, Agent: core.AgentConfig{
 		Registry: algorithms.NewRegistry(), DefaultAlg: "reno",

@@ -64,22 +64,6 @@ func TestAllocsSetCwndRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAllocsCloneInto pins the shard hop's copy: once a container has held
-// a report of each shape, copying the next one into it touches no heap — for
-// a bare report, an urgent and a vector alike.
-func TestAllocsCloneInto(t *testing.T) {
-	for _, src := range []proto.Msg{
-		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}},
-		&proto.Urgent{SID: 7, Seq: 3, Kind: proto.UrgentDupAck, Value: 1448},
-		&proto.Vector{SID: 7, Seq: 4, NumFields: 2, Data: []float64{1, 2, 3, 4}},
-	} {
-		var dst proto.Msg
-		requireZeroAllocs(t, "CloneInto "+src.Type().String(), func() {
-			dst = proto.CloneInto(dst, src)
-		})
-	}
-}
-
 // TestAllocsSnapshotRoundTrip pins the HA replication path: a primary
 // streaming periodic snapshots and a standby decoding them must not touch
 // the heap per message once warmed up. The decoder's string interning
@@ -174,11 +158,8 @@ func TestInstallProgAliasesInput(t *testing.T) {
 // scribbles over the input buffer and the decoder's scratch. The copy must
 // match a pristine decode — i.e. Clone must sever every alias the scratch
 // decoder keeps into the input (Install.Prog and Snapshot.Prog in
-// particular) — and so must a CloneInto a report container that last held a
-// different report of the same kind, whose storage the copy reuses: a
-// container never shares memory with its source. Messages are compared
-// through their canonical re-encoding, which is insensitive to
-// nil-versus-empty slice differences.
+// particular). Messages are compared through their canonical re-encoding,
+// which is insensitive to nil-versus-empty slice differences.
 func FuzzDecoderAliasing(f *testing.F) {
 	for _, m := range []proto.Msg{
 		&proto.Install{SID: 1, Seq: 2, Prog: []byte{9, 9, 9}},
@@ -192,15 +173,14 @@ func FuzzDecoderAliasing(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// What each report container held last; decoding these again is also
-	// the scribble over the decoder's report scratch.
-	held := []proto.Msg{
+	// Decoding these again is the scribble over the decoder's report scratch.
+	reports := []proto.Msg{
 		&proto.Measurement{SID: 0xEE, Seq: 0xEE, Fields: []float64{-1, -1, -1, -1}},
 		&proto.Vector{SID: 0xEE, Seq: 0xEE, NumFields: 1, Data: []float64{-1, -1, -1}},
 		&proto.Urgent{SID: 0xEE, Seq: 0xEE, Kind: proto.UrgentECN, Value: -1},
 	}
 	var scribble [][]byte
-	for _, m := range held {
+	for _, m := range reports {
 		data, err := proto.Marshal(m)
 		if err != nil {
 			f.Fatal(err)
@@ -215,13 +195,6 @@ func FuzzDecoderAliasing(f *testing.F) {
 			return
 		}
 		cl := proto.Clone(m)
-		var container proto.Msg
-		for _, h := range held {
-			if h.Type() == m.Type() {
-				container = proto.Clone(h)
-			}
-		}
-		into := proto.CloneInto(container, m)
 		for i := range aliased {
 			aliased[i] ^= 0xFF
 		}
@@ -239,14 +212,12 @@ func FuzzDecoderAliasing(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of pristine decode failed: %v", err)
 		}
-		for name, c := range map[string]proto.Msg{"Clone": cl, "CloneInto": into} {
-			got, err := proto.Marshal(c)
-			if err != nil {
-				t.Fatalf("re-encode of %s failed: %v", name, err)
-			}
-			if !bytes.Equal(got, wantBytes) {
-				t.Fatalf("%s diverged after input scribble:\ncopy     %x\npristine %x", name, got, wantBytes)
-			}
+		got, err := proto.Marshal(cl)
+		if err != nil {
+			t.Fatalf("re-encode of Clone failed: %v", err)
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Fatalf("Clone diverged after input scribble:\ncopy     %x\npristine %x", got, wantBytes)
 		}
 	})
 }

@@ -9,8 +9,17 @@ func Clone(m Msg) Msg {
 	case *Create:
 		c := *v
 		return &c
-	case *Measurement, *Vector, *Urgent:
-		return CloneInto(nil, m)
+	case *Measurement:
+		c := *v
+		c.Fields = append([]float64(nil), v.Fields...)
+		return &c
+	case *Vector:
+		c := *v
+		c.Data = append([]float64(nil), v.Data...)
+		return &c
+	case *Urgent:
+		c := *v
+		return &c
 	case *Close:
 		c := *v
 		return &c
@@ -37,40 +46,4 @@ func Clone(m Msg) Msg {
 		return &c
 	}
 	return m
-}
-
-// CloneInto is Clone for a receiver that keeps its own containers: it
-// returns a deep copy of src sharing no memory with it, built in dst when dst
-// is a report (Measurement, Vector or Urgent) of src's concrete type — its
-// Fields and Data capacity is reused, so a container recycled over a steady
-// stream of reports is copied into without allocating. Any other pairing, a
-// nil dst included, is exactly Clone(src). The caller must own dst outright;
-// what dst held is overwritten.
-func CloneInto(dst, src Msg) Msg {
-	switch v := src.(type) {
-	case *Measurement:
-		d, _ := dst.(*Measurement)
-		if d == nil {
-			d = new(Measurement)
-		}
-		d.SID, d.Seq = v.SID, v.Seq
-		d.Fields = append(d.Fields[:0], v.Fields...)
-		return d
-	case *Vector:
-		d, _ := dst.(*Vector)
-		if d == nil {
-			d = new(Vector)
-		}
-		d.SID, d.Seq, d.NumFields = v.SID, v.Seq, v.NumFields
-		d.Data = append(d.Data[:0], v.Data...)
-		return d
-	case *Urgent:
-		d, _ := dst.(*Urgent)
-		if d == nil {
-			d = new(Urgent)
-		}
-		*d = *v
-		return d
-	}
-	return Clone(src)
 }

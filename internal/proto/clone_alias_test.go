@@ -104,47 +104,3 @@ func TestCloneDeepDisjoint(t *testing.T) {
 		t.Fatalf("clone.Prog/State share storage with original (got %v, %v)", cs.Prog, cs.State)
 	}
 }
-
-// CloneInto means what Clone means whatever the container last held: a
-// longer report, a shorter one, another type, nothing. What it returns is
-// disjoint from its source, and is the container itself when the types match.
-func TestCloneIntoMatchesCloneForAnyContainer(t *testing.T) {
-	srcs := []Msg{
-		&Measurement{SID: 1, Seq: 2, Fields: []float64{1, 2, 3}},
-		&Measurement{SID: 1, Seq: 3},
-		&Vector{SID: 2, Seq: 1, NumFields: 2, Data: []float64{1, 2, 3, 4}},
-		&Urgent{SID: 3, Seq: 1, Kind: UrgentTimeout, Value: 1448},
-		&Close{SID: 4},
-	}
-	containers := func() []Msg {
-		return []Msg{
-			nil,
-			(*Measurement)(nil),
-			&Measurement{SID: 9, Seq: 9, Fields: []float64{7, 7, 7, 7, 7}},
-			&Vector{SID: 9, NumFields: 1, Data: []float64{7}},
-			&Urgent{SID: 9},
-		}
-	}
-	for _, src := range srcs {
-		want := mustMarshal(t, Clone(src))
-		for _, dst := range containers() {
-			got := CloneInto(dst, src)
-			if gb := mustMarshal(t, got); string(gb) != string(want) {
-				t.Errorf("CloneInto(%T, %T) = %x, want %x", dst, src, gb, want)
-			}
-			if dst != nil && reflect.TypeOf(dst) == reflect.TypeOf(src) && !reflect.ValueOf(dst).IsNil() && got != dst {
-				t.Errorf("CloneInto(%T, %T) did not reuse its container", dst, src)
-			}
-		}
-	}
-
-	// Disjoint: scribbling on the source after the copy shows nowhere.
-	meas := &Measurement{SID: 1, Seq: 1, Fields: []float64{10, 20}}
-	vec := &Vector{SID: 2, Seq: 1, NumFields: 1, Data: []float64{30}}
-	gm := CloneInto(containers()[2], meas).(*Measurement)
-	gv := CloneInto(containers()[3], vec).(*Vector)
-	meas.Fields[1], vec.Data[0] = -1, -1
-	if gm.Fields[1] != 20 || gv.Data[0] != 30 {
-		t.Fatalf("container shares storage with its source: %+v %+v", gm, gv)
-	}
-}

@@ -1,6 +1,10 @@
 package proto
 
-import "github.com/ccp-repro/ccp/internal/bufpool"
+import (
+	"encoding/binary"
+
+	"github.com/ccp-repro/ccp/internal/bufpool"
+)
 
 // MarshalFrame encodes m into a pooled frame. The caller owns the returned
 // buffer (frame.B is the encoded message) and must Release it exactly once
@@ -20,4 +24,16 @@ func MarshalFrame(m Msg) (*bufpool.Buf, error) {
 	}
 	f.B = b
 	return f, nil
+}
+
+// FrameSID reads the flow a frame is for from its header alone, without
+// decoding it: every message a datapath sends the agent carries its SID
+// little-endian at bytes 1–4, after the type byte (a Snapshot, which has a
+// version byte there, is not one). ok is false when the frame is too short
+// to hold one; the body is not checked.
+func FrameSID(frame []byte) (sid uint32, ok bool) {
+	if len(frame) < 5 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(frame[1:5]), true
 }

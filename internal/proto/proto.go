@@ -93,8 +93,8 @@ type Msg interface {
 // Ownership is one rule in both directions. m is borrowed for the duration
 // of the call — callers decode into reusable scratch and reclaim it after
 // HandleMessage returns, so an implementation that queues m must take its
-// own copy (the sharded Runtime copies reports into containers its mailboxes
-// recycle, and Clones the rest). Every message passed to reply is likewise
+// own copy (the sharded Runtime marshals it into a buffer its mailboxes
+// recycle, and the shard decodes that). Every message passed to reply is likewise
 // borrowed for the duration of that call — the agent builds its decisions in
 // storage it reuses for the next one, so a reply that keeps a message past
 // its return must Clone it; one that marshals before returning, as every

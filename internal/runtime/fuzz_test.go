@@ -1,0 +1,94 @@
+package runtime
+
+import (
+	"testing"
+
+	"github.com/ccp-repro/ccp/internal/core"
+	"github.com/ccp-repro/ccp/internal/proto"
+)
+
+// FuzzShardFrames puts arbitrary bytes through the frame-dispatch path of a
+// two-shard runtime, the path ServeSet takes for every frame it receives.
+// The input is a run of frames, each a length byte and that many bytes. The
+// rule each frame must keep:
+//
+//   - one too short to route (proto.FrameSID) is counted in DecodeErrors by
+//     the dispatcher and not dispatched;
+//   - one that routes is dispatched, and counted in DecodeErrors by its shard
+//     exactly when its body does not decode;
+//   - nothing panics, and after Drain every buffer is back on its shard's free
+//     list.
+//
+// Each shard's mailbox has one slot and every frame is drained before the
+// next, so a shard that has received anything owns exactly one buffer: a
+// path that lost one would leave the list empty, one that returned it twice
+// would leave two.
+func FuzzShardFrames(f *testing.F) {
+	var seed []byte
+	for _, m := range []proto.Msg{
+		&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480, Alg: "plod"},
+		&proto.Create{SID: 2, MSS: 1448, InitCwnd: 14480},
+		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 1e6, 1448}},
+		&proto.Vector{SID: 2, Seq: 1, NumFields: 2, Data: []float64{1, 2, 3, 4}},
+		&proto.Urgent{SID: 2, Seq: 1, Kind: proto.UrgentDupAck, Value: 1448},
+		&proto.InstallErr{SID: 1, Seq: 1, Reason: "refused"},
+		&proto.Heartbeat{SID: 1, Seq: 1, SentAt: 1.5},
+		&proto.Close{SID: 1},
+	} {
+		b, err := proto.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed = append(append(seed, byte(len(b))), b...)
+		f.Add(append([]byte{byte(len(b) - 1)}, b[:len(b)-1]...)) // truncated body
+	}
+	f.Add(seed)
+	f.Add([]byte{2, 0xFF, 0xFF, 5, 0xFF, 1, 0, 0, 0})
+
+	reg := core.NewRegistry()
+	reg.Register("plod", func() core.Alg { return ploddingAlg{} })
+	cfg := Config{Shards: 2, Agent: core.AgentConfig{Registry: reg, DefaultAlg: "plod"}}
+	reply := func(proto.Msg) error { return nil }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rt, err := newRuntime(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		owned := make([]int, len(rt.shards)) // buffers each shard must hold
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			frame := data[1 : 1+n]
+			data = data[1+n:]
+
+			before := rt.Stats()
+			rt.dispatch(frame, reply)
+			rt.Drain()
+			after := rt.Stats()
+
+			sid, routable := proto.FrameSID(frame)
+			_, decErr := proto.Unmarshal(frame)
+			var wantDispatched, wantBad int64
+			if routable {
+				wantDispatched = 1
+				owned[int(sid)%len(rt.shards)] = 1
+			}
+			if decErr != nil {
+				wantBad = 1
+			}
+			if d, b := after.Dispatched-before.Dispatched, after.DecodeErrors-before.DecodeErrors; d != wantDispatched || b != wantBad {
+				t.Fatalf("frame %x (routable %v, decode error %v): dispatched %d, decode errors %d; want %d and %d",
+					frame, routable, decErr, d, b, wantDispatched, wantBad)
+			}
+			for i, sh := range rt.shards {
+				sh.mail.mu.Lock()
+				free, queued := len(sh.mail.free), sh.mail.n
+				sh.mail.mu.Unlock()
+				if queued != 0 || free != owned[i] {
+					t.Fatalf("after frame %x and Drain, shard %d has %d queued and %d buffers free, want 0 and %d",
+						frame, i, queued, free, owned[i])
+				}
+			}
+		}
+	})
+}

@@ -20,10 +20,13 @@ type growingSet interface {
 // goroutine polling readiness, not a blocked reader per datapath): it
 // round-robins TryRecvFrame over the members, at most drainQuota frames each
 // per sweep, and parks in WaitAny only after a full sweep finds nothing.
-// Every member must implement ipc.TryRecver. Each frame goes through the same
-// frameStep as ServeTransport's; a member whose receive fails (peer closed,
-// ring corrupted) is dropped. Replies to one member are serialized; shard
-// goroutines may send them concurrently with the loop. The members of a
+// Every member must implement ipc.TryRecver. The loop does not decode: each
+// frame is routed to its flow's shard by the SID in its header and copied
+// into that shard's mailbox (dispatch), and the shard decodes it; a
+// caller-run shard (Shards <= 1) decodes and runs it inline. A member whose
+// receive fails (peer closed, ring corrupted) is dropped. Replies to one
+// member are serialized; shard goroutines may send them concurrently with
+// the loop. The members of a
 // growingSet are read again whenever its Version moves, each dropped one is
 // handed back with Leave, and with none left the loop waits in WaitAny.
 // ServeSet returns nil once every member is dropped (and WaitAny says none
@@ -61,7 +64,6 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 	// Big enough to amortize the sweep over a batch, small enough that a
 	// saturated ring cannot monopolize the loop.
 	const drainQuota = 64
-	step := newFrameStep(r)
 	idleSweeps := 0
 	for {
 		if grow != nil && grow.Version() != version {
@@ -94,7 +96,8 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 					break
 				}
 				progress = true
-				step.handle(f, c.reply)
+				r.dispatch(f.B, c.reply)
+				f.Release()
 			}
 		}
 		if progress {

@@ -20,10 +20,11 @@ func (a hoardingAlg) Init(*core.Flow)                                {}
 func (a hoardingAlg) OnMeasurement(_ *core.Flow, m core.Measurement) { *a.kept = m.Values }
 func (a hoardingAlg) OnUrgent(*core.Flow, core.UrgentEvent)          {}
 
-// TestPoisonedContainerExposesKeptValues: under -tags debugpool a container
-// going back to its free list is overwritten, so an algorithm that kept
-// Measurement.Values past OnMeasurement reads NaNs, not the plausible stale
-// numbers that would hide the bug until another flow's report landed there.
+// TestPoisonedContainerExposesKeptValues: under -tags debugpool the shard
+// decoder's scratch message is overwritten once the agent returns, so an
+// algorithm that kept Measurement.Values past OnMeasurement reads NaNs, not
+// the plausible stale numbers that would hide the bug until another report
+// was decoded there.
 func TestPoisonedContainerExposesKeptValues(t *testing.T) {
 	var kept []float64
 	reg := core.NewRegistry()
@@ -36,15 +37,15 @@ func TestPoisonedContainerExposesKeptValues(t *testing.T) {
 	reply := func(proto.Msg) error { return nil }
 	rt.HandleMessage(&proto.Create{SID: 2}, reply)
 	rt.HandleMessage(&proto.Measurement{SID: 2, Seq: 1, Fields: []float64{0.01, 1e6, 1448}}, reply)
-	// Drain's exec call is the shard's next pop: the report's container has
-	// been handed back by the time it returns.
+	// Drain returns once the shard has handled the report, and so poisoned
+	// its scratch.
 	rt.Drain()
 	if len(kept) != 3 {
 		t.Fatalf("the algorithm saw %d values, want 3", len(kept))
 	}
 	for i, v := range kept {
 		if !math.IsNaN(v) {
-			t.Fatalf("kept Values[%d] = %v after the container was recycled, want poison", i, v)
+			t.Fatalf("kept Values[%d] = %v after the agent returned, want poison", i, v)
 		}
 	}
 }

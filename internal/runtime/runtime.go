@@ -11,6 +11,10 @@
 // immutable after New. Anything else that touches a shard's agent runs on the
 // shard, between two messages (exec).
 //
+// A message crosses to a goroutine shard as the bytes it arrived in: a serve
+// loop routes each frame by the SID in its header, the shard's mailbox holds
+// a copy of its bytes, and the shard decodes it with its own decoder.
+//
 // With Shards <= 1 there is one shard with no mailbox and no goroutine: the
 // caller of HandleMessage runs the shard's agent itself, under the shard's
 // mutex, bit-identical to calling core.Agent directly. The deterministic
@@ -24,10 +28,13 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
+	"github.com/ccp-repro/ccp/internal/bufpool"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
@@ -52,8 +59,9 @@ const mailboxSize = 1024
 // Stats counts the runtime's dispatch activity. Agent aggregates the
 // per-shard agent counters.
 type Stats struct {
-	// Dispatched counts messages accepted for processing (synchronous calls
-	// or mailbox enqueues).
+	// Dispatched counts messages and frames accepted for processing
+	// (synchronous calls or mailbox enqueues). A frame counts once it has
+	// been routed to its shard, before the shard decodes it.
 	Dispatched int64
 	// Dropped, BatchesSplit, ReportsShed and BackoffsSent are always 0: a
 	// full mailbox blocks and never discards or sheds, and every frame is one
@@ -67,17 +75,19 @@ type Stats struct {
 	BackoffsSent int64
 	// ShutdownDropped counts messages that arrived during or after Close.
 	ShutdownDropped int64
-	// DecodeErrors counts frames a serve loop received and could not decode.
-	// They never reach HandleMessage, so Dispatched does not include them.
+	// DecodeErrors counts frames received and not decoded: one too short to
+	// route, counted by the serve loop and never dispatched, and one routed
+	// to its shard whose body the shard could not decode, which Dispatched
+	// includes. Neither reaches an agent.
 	DecodeErrors int64
 	// Agent is the sum of every shard's core.AgentStats.
 	Agent core.AgentStats
 }
 
-// item is one mailbox entry. Queued, m is the mailbox's own copy of the
-// message (see mailbox.push), the shard's to read until its next pop.
+// item is one mailbox entry. Queued, frame is the mailbox's own copy of an
+// encoded message (see mailbox.push), the shard's to read until its next pop.
 type item struct {
-	m     proto.Msg
+	frame []byte
 	reply func(proto.Msg) error
 	// do, when non-nil, is a call the shard makes on its agent in place of a
 	// message (see exec).
@@ -89,9 +99,11 @@ type shard struct {
 	// mail is nil in the single shard of Shards <= 1, which has no goroutine
 	// either: HandleMessage calls its agent directly.
 	mail *mailbox
-	// mu serializes the callers who run the agent: HandleMessage's without a
-	// mailbox, and exec's without a shard goroutine.
+	// mu serializes the callers who run the agent: HandleMessage's and
+	// dispatch's without a mailbox, and exec's without a shard goroutine.
 	mu sync.Mutex
+	// dec decodes the shard's frames, on its goroutine or under mu.
+	dec proto.Decoder
 }
 
 // Runtime is the sharded agent executor. It implements proto.Handler.
@@ -141,18 +153,57 @@ func newRuntime(cfg Config, size int) (*Runtime, error) {
 // in-flight work before the shard exits.
 func (r *Runtime) run(sh *shard) {
 	defer r.wg.Done()
-	var prev proto.Msg // the container handled last, handed back by pop
+	var prev []byte // the buffer handled last, handed back by pop
 	for {
 		it, ok := sh.mail.pop(prev)
 		if !ok {
 			return
 		}
-		prev = it.m
+		prev = it.frame
 		if it.do != nil {
 			it.do(sh.agent)
 			continue
 		}
-		sh.agent.HandleMessage(it.m, it.reply)
+		r.handleFrame(sh, it.frame, it.reply)
+	}
+}
+
+// handleFrame decodes frame into sh's scratch and hands it to sh's agent; a
+// frame that does not decode is counted and goes no further. It runs on the
+// shard: its goroutine, or the caller under sh.mu.
+func (r *Runtime) handleFrame(sh *shard, frame []byte, reply func(proto.Msg) error) {
+	m, err := sh.dec.Unmarshal(frame)
+	if err != nil {
+		r.BadFrame(err)
+		return
+	}
+	sh.agent.HandleMessage(m, reply)
+	if bufpool.DebugEnabled {
+		poison(m)
+	}
+}
+
+// poison overwrites a shard decoder's scratch message once the agent has
+// returned (under -tags debugpool), so anything still reading it — an
+// algorithm that kept Measurement.Values past OnMeasurement, a reply that
+// kept what it was lent — sees NaNs and flow 0xDBDBDBDB instead of a
+// plausible stale report.
+func poison(m proto.Msg) {
+	const sid = 0xDBDBDBDB
+	nan := math.NaN()
+	switch v := m.(type) {
+	case *proto.Measurement:
+		v.SID = sid
+		for i := range v.Fields {
+			v.Fields[i] = nan
+		}
+	case *proto.Vector:
+		v.SID = sid
+		for i := range v.Data {
+			v.Data[i] = nan
+		}
+	case *proto.Urgent:
+		v.SID, v.Value = sid, nan
 	}
 }
 
@@ -164,13 +215,12 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 }
 
 // HandleMessage implements proto.Handler: it routes the message to its flow's
-// shard. This is the one place the executor is chosen: a shard without a
-// mailbox is run here, by the caller, as a direct synchronous call.
-//
-// Queued, the message outlives this call in a shard mailbox, while
-// proto.Handler lets the caller reuse m as soon as we return — so the mailbox
-// queues its own deep copy, made under the lock the enqueue takes anyway (see
-// mailbox).
+// shard. A shard without a mailbox is run here, by the caller, as a direct
+// synchronous call. For a goroutine shard m is marshalled, into scratch on
+// this call's stack, and queued as a received frame is: proto.Handler lets
+// the caller reuse m as soon as we return, and the mailbox queues its own copy
+// of the bytes. A message that does not marshal is counted with the frames
+// that do not decode.
 func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	if sh := r.shards[0]; sh.mail == nil {
 		r.dispatched.Add(1)
@@ -179,12 +229,47 @@ func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		sh.agent.HandleMessage(m, reply)
 		return
 	}
-	if !r.shardFor(m.FlowSID()).mail.push(item{m: m, reply: reply}) {
+	var scratch [256]byte
+	frame, err := proto.AppendMarshal(scratch[:0], m)
+	if err != nil {
+		r.BadFrame(err)
+		return
+	}
+	r.enqueue(r.shardFor(m.FlowSID()), frame, reply)
+}
+
+// dispatch routes one received frame, which it only borrows, to its flow's
+// shard by the SID in its header (proto.FrameSID): a goroutine shard queues a
+// copy and decodes it later, a caller-run shard decodes and runs it now. A
+// frame too short to route is counted here and dispatched nowhere; one with a
+// bad body is dispatched and counted by the shard that fails to decode it.
+func (r *Runtime) dispatch(frame []byte, reply func(proto.Msg) error) {
+	sid, ok := proto.FrameSID(frame)
+	if !ok {
+		r.BadFrame(errShortFrame)
+		return
+	}
+	sh := r.shardFor(sid)
+	if sh.mail == nil {
+		r.dispatched.Add(1)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		r.handleFrame(sh, frame, reply)
+		return
+	}
+	r.enqueue(sh, frame, reply)
+}
+
+// enqueue queues a copy of frame in sh's mailbox (see mailbox.push).
+func (r *Runtime) enqueue(sh *shard, frame []byte, reply func(proto.Msg) error) {
+	if !sh.mail.push(item{reply: reply}, frame) {
 		r.shutdownDropped.Add(1)
 		return
 	}
 	r.dispatched.Add(1)
 }
+
+var errShortFrame = errors.New("runtime: frame too short to name its flow")
 
 // Close shuts the runtime down: new messages are refused, queued messages
 // are drained, and all shard goroutines exit before Close returns. A shard
@@ -207,7 +292,7 @@ func (r *Runtime) Close() {
 func (r *Runtime) exec(sh *shard, fn func(*core.Agent)) {
 	if sh.mail != nil {
 		done := make(chan struct{})
-		if sh.mail.push(item{do: func(a *core.Agent) { fn(a); close(done) }}) {
+		if sh.mail.push(item{do: func(a *core.Agent) { fn(a); close(done) }}, nil) {
 			<-done
 			return
 		}

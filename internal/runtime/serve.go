@@ -9,66 +9,45 @@ import (
 	"sync"
 	"syscall"
 
-	"github.com/ccp-repro/ccp/internal/bufpool"
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/ipc/shmring"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// badFramer is the optional half of a serve loop's handler: one that has it
-// is told of each frame the loop received and could not decode. A Runtime
+// badFramer is the optional half of ServeTransport's handler: one that has
+// it is told of each frame the loop received and could not decode. A Runtime
 // counts them (Stats.DecodeErrors); a warm standby counts them as unexpected.
 type badFramer interface {
 	BadFrame(err error)
 }
 
-// frameStep is what a serve loop does with each frame it receives, written
-// once for the blocking loop (ServeTransport) and the polled one (ServeSet):
-// decode into scratch the loop keeps, hand the message to the handler, and
-// reclaim frame and scratch as soon as the handler returns — it has copied
-// whatever it queued (proto.Handler). A frame that does not decode is
-// counted, never dispatched.
-type frameStep struct {
-	h   proto.Handler
-	bad badFramer // nil when h does not count bad frames
-	dec proto.Decoder
-}
-
-func newFrameStep(h proto.Handler) frameStep {
-	bad, _ := h.(badFramer)
-	return frameStep{h: h, bad: bad}
-}
-
-// handle consumes f: the caller's ownership of the frame ends here.
-func (s *frameStep) handle(f *bufpool.Buf, reply func(proto.Msg) error) {
-	if m, err := s.dec.Unmarshal(f.B); err == nil {
-		s.h.HandleMessage(m, reply)
-	} else if s.bad != nil {
-		s.bad.BadFrame(err)
-	}
-	f.Release()
-}
-
 // ServeTransport is the one blocking serve loop: it reads frames from t until
-// receive fails, putting each through h with replies marshalled back onto t,
-// and returns the receive error. A warm standby consumes its replication
-// stream with it (h is a supervise.Standby); datapaths are served over rings,
-// by ServeSet. It stops nothing when it returns: a Runtime is closed
-// separately.
+// receive fails, decoding each into scratch the loop keeps and handing it to
+// h with replies marshalled back onto t, and returns the receive error. A
+// frame that does not decode is counted, never handed on. A warm standby
+// consumes its replication stream with it (h is a supervise.Standby);
+// datapaths are served over rings, by ServeSet. It stops nothing when it
+// returns: a Runtime is closed separately.
 func ServeTransport(h proto.Handler, t ipc.Transport) error {
 	reply := lockedReply(t)
-	step := newFrameStep(h)
+	bad, _ := h.(badFramer)
+	var dec proto.Decoder
 	for {
 		f, err := ipc.RecvFrame(t)
 		if err != nil {
 			return err
 		}
-		step.handle(f, reply)
+		if m, err := dec.Unmarshal(f.B); err == nil {
+			h.HandleMessage(m, reply)
+		} else if bad != nil {
+			bad.BadFrame(err)
+		}
+		f.Release()
 	}
 }
 
-// BadFrame counts a frame a serve loop could not decode and reports it on the
-// agents' diagnostic log.
+// BadFrame counts a frame a serve loop or a shard could not decode and
+// reports it on the agents' diagnostic log.
 func (r *Runtime) BadFrame(err error) {
 	r.decodeErrors.Add(1)
 	r.logf("runtime: bad frame: %v", err)

@@ -36,18 +36,19 @@ func ploddingRuntime(t *testing.T) *Runtime {
 }
 
 // watchFreeLists samples every mailbox until stop closes, failing the test
-// if more containers exist than can be in use at once — one per slot and the
-// one in the shard's hands — or the free lists hold more than exist.
+// if more buffers are idle or queued than can exist at once — one per slot
+// and the one in the shard's hands, which holds none while both counts are
+// at their most.
 func watchFreeLists(t *testing.T, rt *Runtime, stop <-chan struct{}, done *sync.WaitGroup) {
 	defer done.Done()
 	for {
 		for i, sh := range rt.shards {
 			mb := sh.mail
 			mb.mu.Lock()
-			free, made, size := idle(mb), mb.made, len(mb.buf)
+			free, queued, size := len(mb.free), mb.n, mb.size
 			mb.mu.Unlock()
-			if free > made || made > size+1 {
-				t.Errorf("shard %d: %d containers idle of %d made, mailbox size %d", i, free, made, size)
+			if free+queued > size+1 {
+				t.Errorf("shard %d: %d buffers idle and %d queued, mailbox size %d", i, free, queued, size)
 				return
 			}
 		}
@@ -60,11 +61,11 @@ func watchFreeLists(t *testing.T, rt *Runtime, stop <-chan struct{}, done *sync.
 	}
 }
 
-// TestRaceContainersAccountedExactlyOnce drives the recycled containers
+// TestRaceContainersAccountedExactlyOnce drives the recycled frame buffers
 // through every way out of a mailbox at once — handled, or refused by a Close
 // racing producers that block on full mailboxes — and checks the two things
-// ownership promises: the free lists never hold more than the mailbox size + 1
-// containers, and every report pushed is handled or refused exactly once
+// ownership promises: no more than the mailbox size + 1 buffers are ever
+// idle or queued, and every report pushed is handled or refused exactly once
 // (none lost, none seen twice or out of order).
 func TestRaceContainersAccountedExactlyOnce(t *testing.T) {
 	// Six consecutive flows per producer: two on each of the three shards.
