@@ -219,8 +219,8 @@ check:
 	t=$$(($$(date +%s) - t0)); echo "check: total $$((t / 60))m$$((t % 60))s"
 
 # 10-second smoke of each fuzz target (wire decoders, the decoder's copies
-# against its scratch, frames routed to and decoded on agent shards, program
-# decoder halves,
+# against its scratch, frames routed to and decoded on agent shards, a warm
+# standby's replication frames through promotion, program decoder halves,
 # the program encoding as an identity both ways, the register VM against its
 # stack reference, the program validator against
 # its listing reference); `go test -fuzz` accepts one target per invocation.
@@ -232,6 +232,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCreateRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzShardFrames$$' -fuzztime=$(FUZZTIME) ./internal/runtime
+	$(GO) test -run='^$$' -fuzz='^FuzzStandbyApply$$' -fuzztime=$(FUZZTIME) ./internal/supervise
 	$(GO) test -run='^$$' -fuzz='^FuzzStackVsRegister$$' -fuzztime=$(FUZZTIME) ./internal/lang
 	$(GO) test -run='^$$' -fuzz='^FuzzMeasurePrefix$$' -fuzztime=$(FUZZTIME) ./internal/lang
 	$(GO) test -run='^$$' -fuzz='^FuzzProgramRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/lang

@@ -43,6 +43,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/algorithms"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/ipc"
+	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/supervise"
 )
@@ -193,7 +194,8 @@ func standBy(ctx context.Context, ln net.Listener, rt *runtime.Runtime) (promote
 			return false, err
 		}
 		unhook := context.AfterFunc(ctx, func() { conn.Close() })
-		serveErr := runtime.ServeTransport(sb, ipc.NewStream(conn))
+		apply := func(frame []byte, _ func(proto.Msg) error) error { return sb.Apply(frame) }
+		serveErr := runtime.ServeTransport(apply, ipc.NewStream(conn))
 		unhook()
 		conn.Close()
 		st := sb.Stats()
@@ -232,7 +234,7 @@ func replicate(ctx context.Context, rt *runtime.Runtime, path string, every time
 		}
 		log.Printf("ccp-agent: replicating to %s every %v", path, every)
 		for full := true; ; full = false {
-			if _, err := supervise.Replicate(rt, full, t); err != nil {
+			if _, err := supervise.Replicate(rt, full, t.Send); err != nil {
 				log.Printf("ccp-agent: replication to %s broken: %v", path, err)
 				break
 			}

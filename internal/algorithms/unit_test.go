@@ -31,9 +31,21 @@ func newAlgRig(t *testing.T, name string, factory core.AlgFactory) *algRig {
 	return r
 }
 
+// copyMsg deep-copies m by the codec round trip.
+func copyMsg(m proto.Msg) proto.Msg {
+	b, err := proto.Marshal(m)
+	if err == nil {
+		m, err = proto.Unmarshal(b)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func (r *algRig) handle(m proto.Msg) {
 	r.agent.HandleMessage(m, func(out proto.Msg) error {
-		r.out = append(r.out, proto.Clone(out)) // out is the agent's scratch
+		r.out = append(r.out, copyMsg(out)) // out is the agent's scratch
 		return nil
 	})
 }

@@ -6,7 +6,7 @@
 //   - bufrelease: a bufpool.Buf has exactly one owner and one Release
 //     (use-after-Release, double-Release, leaked pooled frames).
 //   - decoderalias: proto.Decoder results are invalid after the next
-//     Unmarshal on the same decoder unless proto.Clone'd.
+//     Unmarshal on the same decoder unless copied (a Clone) first.
 //   - simdeterminism: the simulator and native-CC packages must stay
 //     bit-identical (no wall clock, global rand, goroutines, or map-order
 //     dependent event emission).

@@ -11,7 +11,8 @@ import (
 // assertions, field views like Measurement.Fields or Install.Prog) — is
 // backed by the decoder's scratch storage and is
 // invalidated by the next Unmarshal on the same decoder. Values that must
-// outlive the next decode go through proto.Clone.
+// outlive the next decode are copied first: the frame's bytes (bytes.Clone),
+// or the message by the codec round trip.
 //
 // The same discipline governs zero-copy ring frames: RecvFrame and
 // TryRecvFrame methods whose first result is a *bufpool.Buf (the
@@ -26,17 +27,19 @@ import (
 //
 //  1. Straight-line staleness: a decoder-derived value used after a
 //     subsequent Unmarshal on the same decoder, without an intervening
-//     proto.Clone, is reported.
+//     Clone, is reported.
 //  2. Loop retention: inside a loop whose body calls Unmarshal, storing a
-//     non-Cloned derived value into anything declared outside the loop
-//     (append target, assignment, map store, channel send) retains scratch
-//     across iterations and is reported.
+//     derived value that no Clone copied into anything declared outside the
+//     loop (append target, assignment, map store, channel send) retains
+//     scratch across iterations and is reported.
 //
-// Passing a derived value to a function call is allowed: the Handler
-// contract is "borrowed for the duration of the call".
+// Passing a derived value to a function call is allowed: a handler is lent
+// what it is passed for the duration of the call (core.Agent.HandleMessage).
+// A call to any function named Clone (bytes.Clone, a method m.Clone()) counts
+// as the copy.
 var DecoderAlias = &Analyzer{
 	Name: "decoderalias",
-	Doc:  "check that proto.Decoder results are not retained across the next Unmarshal without proto.Clone",
+	Doc:  "check that proto.Decoder results are not retained across the next Unmarshal without a copy (a Clone)",
 	Run:  runDecoderAlias,
 }
 
@@ -311,9 +314,9 @@ func (d *aliasScan) retention(dst, src ast.Expr, pos token.Pos, st aliasState, l
 		return
 	}
 	if isNamedType(dec.Type(), "proto", "Decoder") {
-		d.pass.Reportf(pos, "decoder-owned value %s across iterations of a loop that calls Unmarshal; it aliases scratch reused by the next decode — proto.Clone it first", how)
+		d.pass.Reportf(pos, "decoder-owned value %s across iterations of a loop that calls Unmarshal; it aliases scratch reused by the next decode — copy it first (a Clone of the bytes it came from, or the codec round trip)", how)
 	} else {
-		d.pass.Reportf(pos, "ring-frame view %s across iterations of a loop that receives frames; it aliases ring memory recycled by the next receive — copy the bytes (or proto.Clone the message) first", how)
+		d.pass.Reportf(pos, "ring-frame view %s across iterations of a loop that receives frames; it aliases ring memory recycled by the next receive — copy the bytes (bytes.Clone) first", how)
 	}
 }
 
@@ -517,7 +520,8 @@ func aliasCarrier(t types.Type) bool {
 	}
 }
 
-// isCloneCall matches proto.Clone(...) and method clones like m.Clone().
+// isCloneCall matches a call to any function named Clone: bytes.Clone(...),
+// slices.Clone(...), and method clones like m.Clone().
 func isCloneCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

@@ -1,9 +1,11 @@
 // Package decoderalias is the analysistest corpus for the decoderalias
 // analyzer: retaining decoder-owned values across the next Unmarshal
-// without proto.Clone.
+// without a copy (a Clone).
 package decoderalias
 
 import (
+	"bytes"
+
 	"github.com/ccp-repro/ccp/internal/bufpool"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
@@ -128,25 +130,27 @@ func borrowPerIteration(dec *proto.Decoder) {
 	}
 }
 
-// Clone severs the alias: retention is fine afterwards.
-func cloneThenRetain(dec *proto.Decoder) []proto.Msg {
-	var out []proto.Msg
+// A Clone severs the alias: retention is fine afterwards.
+func cloneThenRetain(dec *proto.Decoder) [][]byte {
+	var out [][]byte
 	for _, raw := range frames() {
 		m, err := dec.Unmarshal(raw)
 		if err != nil {
 			continue
 		}
-		out = append(out, proto.Clone(m))
+		if inst, ok := m.(*proto.Install); ok {
+			out = append(out, bytes.Clone(inst.Prog))
+		}
 	}
 	return out
 }
 
-// Cloning before the second decode keeps the first message valid.
+// Cloning before the second decode keeps the first message's bytes valid.
 func cloneBeforeSecondDecode(dec *proto.Decoder, b1, b2 []byte) {
 	m1, _ := dec.Unmarshal(b1)
-	keep := proto.Clone(m1)
+	keep := bytes.Clone(m1.(*proto.Install).Prog)
 	m2, _ := dec.Unmarshal(b2)
-	consume(keep)
+	sink(keep)
 	consume(m2)
 }
 

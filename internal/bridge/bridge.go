@@ -1,13 +1,14 @@
 // Package bridge wires CCP datapath runtimes to a CCP agent inside the
 // simulator, modelling the IPC channel of Figure 1 as a configurable
-// latency. Every message is marshalled to and from the wire format, so the
-// full protocol path is exercised even in simulation; only the transport's
+// latency. Every message is marshalled to the wire format, so the full
+// protocol path is exercised even in simulation; only the transport's
 // latency is modelled rather than measured.
 //
-// Frames cross the bridge as pooled buffers (proto.MarshalFrame) and are
-// decoded into per-bridge scratch state (proto.Decoder), so a steady stream
-// of reports costs one frame-pool round trip per message instead of a fresh
-// byte slice plus a fresh message struct.
+// Frames cross the bridge as pooled buffers (proto.MarshalFrame). A frame
+// bound for the agent reaches it undecoded, as a serve loop hands it on
+// (runtime.Runtime.HandleFrame, or the fault injector in front of it); only
+// frames bound for the datapath are decoded here, into per-bridge scratch
+// state (proto.Decoder).
 package bridge
 
 import (
@@ -22,6 +23,8 @@ import (
 // Stats counts bridge traffic for fig5, ablation-batching and ablation-foldvec,
 // none of which runs a fault plan. Under one, ToAgentMsgs and ToAgentBytes
 // count every frame on the wire to the agent, decoder-killed ones included.
+// MarshalErrors also counts an untapped frame either end refused: the agent
+// side is told by the error its handler returns.
 type Stats struct {
 	ToAgentMsgs   int
 	ToAgentBytes  int64
@@ -37,18 +40,20 @@ type Stats struct {
 // (internal/faults), one behind the bridge and one on its wire.
 type Bridge struct {
 	sim     *netsim.Sim
-	agent   proto.Handler
+	agent   func(frame []byte, reply func(proto.Msg) error) error
 	latency time.Duration
 	stats   Stats
 
-	// dec is the bridge's decode scratch. The simulator is single-threaded
-	// and every delivery consumes its decoded message before returning, so
-	// one decoder serves both directions.
+	// dec is the bridge's decode scratch for frames bound for a datapath. The
+	// simulator is single-threaded and every delivery consumes its decoded
+	// message before returning.
 	dec proto.Decoder
 }
 
-// New creates a bridge to agent with the given one-way IPC latency.
-func New(sim *netsim.Sim, agent proto.Handler, latency time.Duration) *Bridge {
+// New creates a bridge with the given one-way IPC latency to agent, which is
+// handed each frame bound for it (it only borrows the frame) and returns the
+// error of one it refused undelivered (runtime.Runtime.HandleFrame).
+func New(sim *netsim.Sim, agent func(frame []byte, reply func(proto.Msg) error) error, latency time.Duration) *Bridge {
 	return &Bridge{sim: sim, agent: agent, latency: latency}
 }
 
@@ -65,7 +70,8 @@ type Tap struct {
 	// next for every copy that is to go on — none, one or several, during the
 	// call or later — with bytes that next then owns.
 	Carry func(frame []byte, next func([]byte))
-	// Killed is told of each carried frame the receiving decoder refused.
+	// Killed is told of each carried frame the receiving decoder refused (on
+	// the agent side, the frame the agent handler returned an error for).
 	// That is the tap's doing, not the codec's: it is not a MarshalError.
 	Killed func()
 }
@@ -75,7 +81,14 @@ type Tap struct {
 // with a tap on either direction's wire (nil for none: the pooled frame then
 // crosses as it is, copied nowhere).
 func (b *Bridge) TappedSender(deliver func(proto.Msg), toAgent, toDatapath *Tap) func(proto.Msg) error {
-	arriveDp := func(frame []byte) { b.decode(frame, toDatapath, deliver) }
+	arriveDp := func(frame []byte) {
+		msg, err := b.dec.Unmarshal(frame)
+		if err != nil {
+			b.refused(toDatapath)
+			return
+		}
+		deliver(msg)
+	}
 	if toDatapath != nil {
 		decodeDp := arriveDp
 		arriveDp = func(frame []byte) { toDatapath.Carry(frame, decodeDp) }
@@ -90,8 +103,11 @@ func (b *Bridge) TappedSender(deliver func(proto.Msg), toAgent, toDatapath *Tap)
 		b.cross(f, &b.stats.ToDpMsgs, &b.stats.ToDpBytes, arriveDp)
 		return nil
 	}
-	handle := func(m proto.Msg) { b.agent.HandleMessage(m, reply) }
-	arriveAgent := func(frame []byte) { b.decode(frame, toAgent, handle) }
+	arriveAgent := func(frame []byte) {
+		if b.agent(frame, reply) != nil {
+			b.refused(toAgent)
+		}
+	}
 	crossToAgent := func(raw []byte) {
 		b.cross(bufpool.Wrap(raw), &b.stats.ToAgentMsgs, &b.stats.ToAgentBytes, arriveAgent)
 	}
@@ -123,19 +139,14 @@ func (b *Bridge) cross(f *bufpool.Buf, msgs *int, bytes *int64, arrive func(fram
 	})
 }
 
-// decode is the receiving end of either direction: the frame's message goes
-// to the receiver, or the frame is counted as undecodable against whoever
-// could have made it so.
-func (b *Bridge) decode(frame []byte, tap *Tap, to func(proto.Msg)) {
-	msg, err := b.dec.Unmarshal(frame)
-	switch {
-	case err == nil:
-		to(msg)
-	case tap != nil:
+// refused counts a frame the receiving end refused against whoever could have
+// made it so: the tap on its wire, or else the codec.
+func (b *Bridge) refused(tap *Tap) {
+	if tap != nil {
 		tap.Killed()
-	default:
-		b.stats.MarshalErrors++
+		return
 	}
+	b.stats.MarshalErrors++
 }
 
 // Connect builds a datapath runtime for one flow, wired through the bridge

@@ -6,9 +6,9 @@ import (
 
 	"github.com/ccp-repro/ccp/internal/bridge"
 	"github.com/ccp-repro/ccp/internal/core"
-	"github.com/ccp-repro/ccp/internal/proto"
-
 	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/proto"
+	"github.com/ccp-repro/ccp/internal/runtime"
 )
 
 type echoAlg struct{ inits int }
@@ -21,27 +21,41 @@ func (e *echoAlg) Init(f *core.Flow) {
 func (e *echoAlg) OnMeasurement(f *core.Flow, m core.Measurement) {}
 func (e *echoAlg) OnUrgent(f *core.Flow, u core.UrgentEvent)      {}
 
-func newAgent(t *testing.T, alg core.Alg) *core.Agent {
+// copyMsg deep-copies m by the codec round trip.
+func copyMsg(m proto.Msg) proto.Msg {
+	b, err := proto.Marshal(m)
+	if err == nil {
+		m, err = proto.Unmarshal(b)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// newAgent is the simulator's agent: a runtime whose one shard the bridge's
+// caller runs.
+func newAgent(t *testing.T, alg core.Alg) *runtime.Runtime {
 	t.Helper()
 	reg := core.NewRegistry()
 	reg.Register("echo", func() core.Alg { return alg })
-	a, err := core.NewAgent(core.AgentConfig{Registry: reg, DefaultAlg: "echo"})
+	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: core.AgentConfig{Registry: reg, DefaultAlg: "echo"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return rt
 }
 
 func TestBridgeDelaysByLatency(t *testing.T) {
 	sim := netsim.New(1)
 	alg := &echoAlg{}
 	agent := newAgent(t, alg)
-	b := bridge.New(sim, agent, 100*time.Microsecond)
+	b := bridge.New(sim, agent.HandleFrame, 100*time.Microsecond)
 
 	var delivered []proto.Msg
 	var deliveredAt []time.Duration
 	send := b.TappedSender(func(m proto.Msg) {
-		delivered = append(delivered, proto.Clone(m)) // m is the bridge's decode scratch
+		delivered = append(delivered, copyMsg(m)) // m is the bridge's decode scratch
 		deliveredAt = append(deliveredAt, sim.Now())
 	}, nil, nil)
 
@@ -74,12 +88,12 @@ func TestBridgeDelaysByLatency(t *testing.T) {
 func TestBridgeSetLatency(t *testing.T) {
 	sim := netsim.New(1)
 	agent := newAgent(t, &echoAlg{})
-	b := bridge.New(sim, agent, time.Millisecond)
+	b := bridge.New(sim, agent.HandleFrame, time.Millisecond)
 	b.SetLatency(time.Hour)
 	send := b.TappedSender(func(m proto.Msg) {}, nil, nil)
 	send(&proto.Create{SID: 1})
 	sim.Run(time.Minute)
-	if agent.Stats().FlowsCreated != 0 {
+	if agent.Stats().Agent.FlowsCreated != 0 {
 		t.Fatal("latency change not applied")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
+	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
@@ -44,7 +45,7 @@ type held struct {
 type refRig struct {
 	t        *testing.T
 	sim      *netsim.Sim
-	agent    *core.Agent
+	agent    *runtime.Runtime
 	flow     *core.Flow
 	dp       *datapath.CCP
 	hold     bool
@@ -62,7 +63,7 @@ func newRefRig(t *testing.T) *refRig {
 	r := &refRig{t: t, sim: netsim.New(1)}
 	alg := &grabAlg{}
 	r.agent = newAgent(t, alg)
-	b := bridge.New(r.sim, r.agent, 10*time.Microsecond)
+	b := bridge.New(r.sim, r.agent.HandleFrame, 10*time.Microsecond)
 	killed := func() { t.Error("a frame the test only held was refused by the decoder") }
 	toDp := &bridge.Tap{Killed: killed, Carry: func(frame []byte, next func([]byte)) {
 		c := append([]byte(nil), frame...)
@@ -232,7 +233,7 @@ func TestReferenceInterleavings(t *testing.T) {
 						name, r.dp.Program(), r.flow.Installed())
 				}
 				cases++
-				resent += r.agent.Stats().RefResends
+				resent += r.agent.Stats().Agent.RefResends
 				if got := r.dp.Stats(); got.RefRefusals+got.InstallsRecvd+got.StaleCtrlDropped == 0 {
 					t.Fatalf("%s: nothing reached the datapath: %+v", name, got)
 				}

@@ -67,8 +67,8 @@ type AgentStats struct {
 // from one or more datapaths onto per-flow algorithm instances and relays
 // their decisions back. Dispatch is a synchronous state transition, so the
 // agent runs identically on the simulator event loop (deterministic) and
-// behind a transport goroutine (internal/runtime's serve loops). It is a
-// proto.Handler and knows nothing of transports.
+// behind a transport goroutine (internal/runtime's serve loops). It takes
+// decoded messages and knows nothing of transports or frames.
 // An Agent has one owner and no lock, like datapath.CCP: only Stats and
 // FlowCount may be called from another goroutine.
 type Agent struct {
@@ -150,9 +150,14 @@ func (a *Agent) FlowCount() int { return int(a.live.Load()) }
 // agent→datapath messages for the flow's datapath (it is captured by the
 // flow created on Create, so each datapath keeps its own channel).
 //
-// Ownership is proto.Handler's rule: m is borrowed for the duration of this
-// call, and every message handed to reply — built in storage the agent reuses
-// for its next decision — for the duration of that one.
+// Ownership is one rule in both directions. m is borrowed for the duration
+// of this call: callers decode into scratch they reuse once it returns (a
+// runtime shard, its decoder). Every message handed to reply is likewise
+// borrowed for the duration of that call — it is built in storage the agent
+// reuses for its next decision — so a reply that keeps one past its return
+// must copy it (marshal it, or a Marshal and Unmarshal round trip for a
+// message); one that marshals before returning, as every transport-backed
+// reply does, has nothing to do.
 func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	switch v := m.(type) {
 	case *proto.Create:

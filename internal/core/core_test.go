@@ -35,8 +35,20 @@ type capture struct {
 	msgs []proto.Msg
 }
 
+// copyMsg deep-copies m by the codec round trip.
+func copyMsg(m proto.Msg) proto.Msg {
+	b, err := proto.Marshal(m)
+	if err == nil {
+		m, err = proto.Unmarshal(b)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func (c *capture) send(m proto.Msg) error {
-	c.msgs = append(c.msgs, proto.Clone(m)) // m is the agent's scratch
+	c.msgs = append(c.msgs, copyMsg(m)) // m is the agent's scratch
 	return nil
 }
 
@@ -261,7 +273,7 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 
 			var snap *proto.Snapshot
 			if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
-				snap = proto.Clone(s).(*proto.Snapshot)
+				snap = copyMsg(s).(*proto.Snapshot)
 				return nil
 			}); err != nil {
 				t.Fatal(err)
@@ -866,7 +878,7 @@ func TestRestoredFlowKnowsNoEpoch(t *testing.T) {
 	}
 	var snap *proto.Snapshot
 	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
-		snap = proto.Clone(s).(*proto.Snapshot)
+		snap = copyMsg(s).(*proto.Snapshot)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -44,9 +44,9 @@ type Config struct {
 	// valid for the duration of the call — the runtime builds what it sends
 	// in scratch it reuses for the next one: CCP.rep and the scratch fields
 	// beside it, vectorState.rep, the probe (failsafe.go). ToAgent must
-	// marshal or deep-copy (proto.Clone) anything it keeps past returning,
-	// and be done with the message before anything it sets off calls back
-	// into the flow.
+	// marshal anything it keeps past returning (a copy is the codec round
+	// trip), and be done with the message before anything it sets off calls
+	// back into the flow.
 	// Both the simulator bridge and SocketLink marshal synchronously, so they
 	// satisfy this for free.
 	ToAgent func(proto.Msg) error

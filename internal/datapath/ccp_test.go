@@ -22,6 +22,18 @@ type rig struct {
 	sent []proto.Msg
 }
 
+// copyMsg deep-copies m by the codec round trip.
+func copyMsg(m proto.Msg) proto.Msg {
+	b, err := proto.Marshal(m)
+	if err == nil {
+		m, err = proto.Unmarshal(b)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func newRig(t *testing.T, link netsim.LinkConfig, opts tcp.Options, cfg datapath.Config) *rig {
 	t.Helper()
 	r := &rig{sim: netsim.New(1)}
@@ -32,7 +44,7 @@ func newRig(t *testing.T, link netsim.LinkConfig, opts tcp.Options, cfg datapath
 	cfg.ToAgent = func(m proto.Msg) error {
 		// ToAgent only borrows m (the runtime reuses its report scratch), so
 		// the capture log must deep-copy.
-		r.sent = append(r.sent, proto.Clone(m))
+		r.sent = append(r.sent, copyMsg(m))
 		return nil
 	}
 	r.dp = datapath.New(cfg)

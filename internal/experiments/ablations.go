@@ -255,7 +255,7 @@ func AblFallback() AblFallbackResult {
 	thr := sampleThroughput(net, f.Receiver, 100*time.Millisecond, dur)
 	f.Conn.Start()
 	net.Sim.Schedule(5*time.Second, net.AgentInj.Kill)
-	net.Sim.Schedule(15*time.Second, func() { net.AgentInj.Restart(net.Agent) })
+	net.Sim.Schedule(15*time.Second, func() { net.AgentInj.Restart(net.Agent.HandleFrame) })
 	net.Run(dur)
 
 	cap := link.RateBps / 8

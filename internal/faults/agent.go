@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"bytes"
+	"slices"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -40,13 +42,15 @@ func (m AgentMode) String() string {
 
 // AgentFaultStats counts the injector's interference.
 type AgentFaultStats struct {
-	// Delivered counts messages handed to the inner agent (replays and
-	// delayed deliveries included).
+	// Delivered counts messages handed to the inner agent and taken by it
+	// (replays and delayed deliveries included; a frame it refused to decode
+	// is not one).
 	Delivered int
 	// DroppedDead counts messages that arrived while the agent was dead.
 	DroppedDead int
-	// Held counts messages captured by a pause; Replayed counts those
-	// delivered on resume (the rest died with a Kill, under DroppedOnKill).
+	// Held counts messages captured by a pause, a delayed delivery that came
+	// due during one included; Replayed counts those delivered on resume (the
+	// rest died with a Kill, under DroppedOnKill).
 	Held          int
 	Replayed      int
 	DroppedOnKill int
@@ -54,27 +58,35 @@ type AgentFaultStats struct {
 	Delayed int
 }
 
-type heldMsg struct {
-	m     proto.Msg
+// heldFrame is a frame a pause holds: its own copy of the bytes, the reply it
+// came with, and its place in arrival order.
+type heldFrame struct {
+	frame []byte
 	reply func(proto.Msg) error
+	n     uint64
 }
 
 // AgentInjector wraps the agent with process-level fault modes — pause,
 // slowdown, kill/restart — complementing the channel-level Injector: that
-// one corrupts the pipe, this one sickens the endpoint. Deliveries held or
-// delayed are cloned (proto.Handler only borrows the original), and
-// delayed deliveries fire on the supplied schedule function, so under the
-// simulator everything stays on the virtual clock and deterministic.
+// one corrupts the pipe, this one sickens the endpoint. It takes the agent's
+// input as frames, the way the agent does (runtime.Runtime.HandleFrame).
+// A frame held or delayed is a byte copy (the caller only lends the
+// original), and delayed deliveries fire on the supplied schedule function,
+// so under the simulator everything stays on the virtual clock and
+// deterministic. A frame the agent would refuse is refused only when it is
+// delivered: the caller learns of it (HandleFrame's error) only in healthy
+// pass-through.
 //
 // Like Injector, it is not safe for concurrent use: the simulator adapter
 // runs on the event loop. Mode changes and message arrivals must come from
 // the same scheduling domain.
 type AgentInjector struct {
-	inner    proto.Handler
+	inner    func(frame []byte, reply func(proto.Msg) error) error
 	schedule func(time.Duration, func())
 	mode     AgentMode
 	delay    time.Duration
-	held     []heldMsg
+	held     []heldFrame
+	arrivals uint64 // frames handed to HandleFrame, numbering held ones
 	// gen discards in-flight slow deliveries scheduled before a Kill or
 	// Restart, the way a dead process loses what was in its input queue.
 	gen   uint64
@@ -83,7 +95,7 @@ type AgentInjector struct {
 
 // NewAgentInjector wraps inner, scheduling delayed deliveries with schedule
 // (the simulator's Schedule in experiments). The injector starts healthy.
-func NewAgentInjector(inner proto.Handler, schedule func(time.Duration, func())) *AgentInjector {
+func NewAgentInjector(inner func(frame []byte, reply func(proto.Msg) error) error, schedule func(time.Duration, func())) *AgentInjector {
 	return &AgentInjector{inner: inner, schedule: schedule}
 }
 
@@ -93,34 +105,57 @@ func (a *AgentInjector) Stats() AgentFaultStats { return a.stats }
 // Mode returns the current injected health state.
 func (a *AgentInjector) Mode() AgentMode { return a.mode }
 
-// HandleMessage implements proto.Handler, applying the current
-// fault mode.
-func (a *AgentInjector) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
+// HandleFrame takes one frame bound for the agent, which it only borrows,
+// and applies the current fault mode. It returns inner's error in healthy
+// pass-through and nil otherwise.
+func (a *AgentInjector) HandleFrame(frame []byte, reply func(proto.Msg) error) error {
+	a.arrivals++
 	switch a.mode {
 	case AgentHealthy:
-		a.stats.Delivered++
-		a.inner.HandleMessage(m, reply)
+		return a.deliver(frame, reply)
 	case AgentPaused:
-		a.stats.Held++
-		a.held = append(a.held, heldMsg{m: proto.Clone(m), reply: reply})
+		a.hold(heldFrame{frame: bytes.Clone(frame), reply: reply, n: a.arrivals})
 	case AgentSlow:
 		a.stats.Delayed++
-		c := proto.Clone(m)
+		h := heldFrame{frame: bytes.Clone(frame), reply: reply, n: a.arrivals}
 		gen := a.gen
 		a.schedule(a.delay, func() {
-			if a.gen != gen || a.mode == AgentDead {
-				return // the process died with this still queued
+			switch {
+			case a.gen != gen || a.mode == AgentDead:
+				// the process died with this still queued
+			case a.mode == AgentPaused:
+				a.hold(h) // it came due on a stopped process
+			default:
+				a.deliver(h.frame, h.reply)
 			}
-			a.stats.Delivered++
-			a.inner.HandleMessage(c, reply)
 		})
 	case AgentDead:
 		a.stats.DroppedDead++
 	}
+	return nil
 }
 
-// Pause freezes the agent: subsequent messages are held until Resume (or
-// lost to a Kill).
+// deliver hands frame to the inner agent, counting it delivered if taken.
+func (a *AgentInjector) deliver(frame []byte, reply func(proto.Msg) error) error {
+	err := a.inner(frame, reply)
+	if err == nil {
+		a.stats.Delivered++
+	}
+	return err
+}
+
+// hold keeps h for Resume, in arrival order among the frames held.
+func (a *AgentInjector) hold(h heldFrame) {
+	a.stats.Held++
+	i := len(a.held)
+	for i > 0 && a.held[i-1].n > h.n {
+		i--
+	}
+	a.held = slices.Insert(a.held, i, h)
+}
+
+// Pause freezes the agent: subsequent messages, and delayed ones that come
+// due, are held until Resume (or lost to a Kill).
 func (a *AgentInjector) Pause() { a.mode = AgentPaused }
 
 // Resume unfreezes a paused agent, synchronously replaying held messages in
@@ -134,8 +169,7 @@ func (a *AgentInjector) Resume() {
 	a.held = nil
 	for _, h := range held {
 		a.stats.Replayed++
-		a.stats.Delivered++
-		a.inner.HandleMessage(h.m, h.reply)
+		a.deliver(h.frame, h.reply)
 	}
 }
 
@@ -167,7 +201,7 @@ func (a *AgentInjector) Kill() {
 // supervisor resolved. The injector returns to healthy passthrough.
 // Anything a pause was holding dies with the replaced process (replaying it
 // into the replacement would deliver another agent's backlog out of order).
-func (a *AgentInjector) Restart(inner proto.Handler) {
+func (a *AgentInjector) Restart(inner func(frame []byte, reply func(proto.Msg) error) error) {
 	a.stats.DroppedOnKill += len(a.held)
 	a.held = nil
 	a.inner = inner

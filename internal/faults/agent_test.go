@@ -1,6 +1,8 @@
 package faults_test
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -8,17 +10,33 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// recordingAgent captures delivered messages for assertions. A handler is
-// only lent m, so what it reads later is a clone; the pointer it was handed
-// is kept beside it for identity checks alone.
+// recordingAgent captures delivered frames for assertions. A handler is only
+// lent a frame, so what it reads later is decoded from a byte copy; the frame
+// it was handed is kept beside it for identity checks alone. It refuses a
+// frame that does not decode, as a runtime does.
 type recordingAgent struct {
 	msgs   []proto.Msg
-	handed []proto.Msg
+	handed [][]byte
 }
 
-func (r *recordingAgent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
-	r.msgs = append(r.msgs, proto.Clone(m))
-	r.handed = append(r.handed, m)
+func (r *recordingAgent) handle(frame []byte, _ func(proto.Msg) error) error {
+	m, err := proto.Unmarshal(bytes.Clone(frame))
+	if err != nil {
+		return err
+	}
+	r.msgs = append(r.msgs, m)
+	r.handed = append(r.handed, frame)
+	return nil
+}
+
+// frame marshals m for HandleFrame.
+func frame(t *testing.T, m proto.Msg) []byte {
+	t.Helper()
+	b, err := proto.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // manualScheduler queues delayed deliveries for explicit firing.
@@ -58,11 +76,18 @@ func sameSeqs(a []uint32, b ...uint32) bool {
 
 func TestAgentInjectorHealthyPassthrough(t *testing.T) {
 	inner := &recordingAgent{}
-	inj := faults.NewAgentInjector(inner, noSchedule(t))
-	m := &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}}
-	inj.HandleMessage(m, nil)
-	if len(inner.handed) != 1 || inner.handed[0] != proto.Msg(m) {
-		t.Fatal("healthy mode must pass the borrowed message through synchronously, uncloned")
+	inj := faults.NewAgentInjector(inner.handle, noSchedule(t))
+	f := frame(t, &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}})
+	if err := inj.HandleFrame(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(inner.handed) != 1 || &inner.handed[0][0] != &f[0] {
+		t.Fatal("healthy mode must pass the borrowed frame through synchronously, uncopied")
+	}
+	// A frame the agent refuses is the caller's to count (a bridge's tap),
+	// and is not delivered.
+	if err := inj.HandleFrame([]byte{0xFF, 0xFF}, nil); err == nil {
+		t.Fatal("healthy mode hid the agent's refusal of a bad frame")
 	}
 	if st := inj.Stats(); st.Delivered != 1 || st.Held != 0 || st.Delayed != 0 {
 		t.Fatalf("stats=%+v", st)
@@ -74,10 +99,10 @@ func TestAgentInjectorHealthyPassthrough(t *testing.T) {
 
 func TestAgentInjectorPauseHoldsAndResumeReplaysInOrder(t *testing.T) {
 	inner := &recordingAgent{}
-	inj := faults.NewAgentInjector(inner, noSchedule(t))
+	inj := faults.NewAgentInjector(inner.handle, noSchedule(t))
 	inj.Pause()
 	for seq := uint32(1); seq <= 3; seq++ {
-		inj.HandleMessage(&proto.Measurement{SID: 1, Seq: seq}, nil)
+		inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: seq}), nil)
 	}
 	if len(inner.msgs) != 0 {
 		t.Fatal("paused agent received messages")
@@ -102,11 +127,12 @@ func TestAgentInjectorPauseHoldsAndResumeReplaysInOrder(t *testing.T) {
 func TestAgentInjectorSlowClonesAndDelays(t *testing.T) {
 	inner := &recordingAgent{}
 	sched := &manualScheduler{}
-	inj := faults.NewAgentInjector(inner, sched.schedule)
+	inj := faults.NewAgentInjector(inner.handle, sched.schedule)
 	inj.SlowDown(700 * time.Millisecond)
-	m := &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}}
-	inj.HandleMessage(m, nil)
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 2}, nil)
+	f := frame(t, &proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}})
+	inj.HandleFrame(f, nil)
+	f[0] = 0xFF // the caller's to reuse once HandleFrame returns
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 2}), nil)
 	if len(inner.msgs) != 0 {
 		t.Fatal("slow delivery arrived before the delay elapsed")
 	}
@@ -114,34 +140,84 @@ func TestAgentInjectorSlowClonesAndDelays(t *testing.T) {
 	if !sameSeqs(seqs(inner.msgs), 1, 2) {
 		t.Fatalf("delayed delivery order %v, want 1,2", seqs(inner.msgs))
 	}
-	// The Handler contract only borrows m: a delayed delivery must be a copy.
-	if inner.handed[0] == proto.Msg(m) {
-		t.Fatal("slow mode delivered the borrowed message, not a clone")
+	// HandleFrame only borrows the frame: a delayed delivery must be a copy.
+	if &inner.handed[0][0] == &f[0] {
+		t.Fatal("slow mode delivered the borrowed frame, not a copy")
 	}
 	if st := inj.Stats(); st.Delayed != 2 || st.Delivered != 2 {
 		t.Fatalf("stats=%+v", st)
 	}
 	// SlowDown(0) restores synchronous passthrough.
 	inj.SlowDown(0)
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 3}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 3}), nil)
 	if !sameSeqs(seqs(inner.msgs), 1, 2, 3) {
 		t.Fatalf("post-recovery delivery missing: %v", seqs(inner.msgs))
+	}
+}
+
+// A delayed delivery that comes due while the agent is paused is held with
+// the frames the pause caught, and replayed on Resume in arrival order: a
+// stopped process handles nothing, however long it was queued.
+func TestAgentInjectorSlowDeliveryDueDuringPauseIsHeld(t *testing.T) {
+	inner := &recordingAgent{}
+	sched := &manualScheduler{}
+	inj := faults.NewAgentInjector(inner.handle, sched.schedule)
+	inj.SlowDown(time.Second)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 1}), nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 2}), nil)
+	inj.Pause()
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 3}), nil)
+	sched.fireAll() // 1 and 2 come due on the paused agent
+	if len(inner.msgs) != 0 {
+		t.Fatalf("a paused agent was handed %v", seqs(inner.msgs))
+	}
+	if st := inj.Stats(); st.Held != 3 || st.Delivered != 0 {
+		t.Fatalf("stats=%+v, want the two due deliveries held beside the third", st)
+	}
+	inj.Resume()
+	if !sameSeqs(seqs(inner.msgs), 1, 2, 3) {
+		t.Fatalf("replay order %v, want 1,2,3", seqs(inner.msgs))
+	}
+	if st := inj.Stats(); st.Replayed != 3 || st.Delivered != 3 {
+		t.Fatalf("stats=%+v", st)
+	}
+}
+
+// The error of a frame the agent refuses reaches the caller only in healthy
+// pass-through; a held or delayed one is refused when it is delivered.
+func TestAgentInjectorReturnsRefusalOnlyWhenHealthy(t *testing.T) {
+	refuse := errors.New("refused")
+	calls := 0
+	inj := faults.NewAgentInjector(func([]byte, func(proto.Msg) error) error {
+		calls++
+		return refuse
+	}, noSchedule(t))
+	if err := inj.HandleFrame([]byte{1}, nil); err != refuse {
+		t.Fatalf("healthy: err=%v, want the agent's", err)
+	}
+	inj.Pause()
+	if err := inj.HandleFrame([]byte{1}, nil); err != nil {
+		t.Fatalf("paused: err=%v, want nil", err)
+	}
+	inj.Resume()
+	if st := inj.Stats(); calls != 2 || st.Delivered != 0 || st.Replayed != 1 {
+		t.Fatalf("calls=%d stats=%+v: a refused frame is not delivered", calls, st)
 	}
 }
 
 func TestAgentInjectorKillDropsHeldAndInflight(t *testing.T) {
 	inner := &recordingAgent{}
 	sched := &manualScheduler{}
-	inj := faults.NewAgentInjector(inner, sched.schedule)
+	inj := faults.NewAgentInjector(inner.handle, sched.schedule)
 
 	inj.Pause()
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 1}, nil)
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 2}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 1}), nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 2}), nil)
 	inj.Kill()
 	if st := inj.Stats(); st.DroppedOnKill != 2 {
 		t.Fatalf("stats=%+v, want held messages lost with the process", st)
 	}
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 3}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 3}), nil)
 	if st := inj.Stats(); st.DroppedDead != 1 {
 		t.Fatalf("stats=%+v", st)
 	}
@@ -150,9 +226,9 @@ func TestAgentInjectorKillDropsHeldAndInflight(t *testing.T) {
 	}
 
 	// In-flight slow deliveries scheduled before a Kill die with it too.
-	inj.Restart(inner)
+	inj.Restart(inner.handle)
 	inj.SlowDown(time.Second)
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 4}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 4}), nil)
 	inj.Kill()
 	sched.fireAll()
 	if len(inner.msgs) != 0 {
@@ -166,14 +242,14 @@ func TestAgentInjectorKillDropsHeldAndInflight(t *testing.T) {
 func TestAgentInjectorRestartSwapsProcess(t *testing.T) {
 	old := &recordingAgent{}
 	sched := &manualScheduler{}
-	inj := faults.NewAgentInjector(old, sched.schedule)
+	inj := faults.NewAgentInjector(old.handle, sched.schedule)
 
 	// A slow delivery in flight across a Restart belongs to the old process
 	// generation and must not reach the new one.
 	inj.SlowDown(time.Second)
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 1}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 1}), nil)
 	fresh := &recordingAgent{}
-	inj.Restart(fresh)
+	inj.Restart(fresh.handle)
 	sched.fireAll()
 	if len(old.msgs) != 0 || len(fresh.msgs) != 0 {
 		t.Fatal("pre-restart in-flight delivery crossed the process boundary")
@@ -181,7 +257,7 @@ func TestAgentInjectorRestartSwapsProcess(t *testing.T) {
 	if inj.Mode() != faults.AgentHealthy {
 		t.Fatalf("mode=%v after restart", inj.Mode())
 	}
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 2}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 2}), nil)
 	if len(fresh.msgs) != 1 || len(old.msgs) != 0 {
 		t.Fatal("post-restart delivery did not go to the fresh process")
 	}
@@ -190,14 +266,14 @@ func TestAgentInjectorRestartSwapsProcess(t *testing.T) {
 func TestAgentInjectorSlowAfterPauseReplaysFirst(t *testing.T) {
 	inner := &recordingAgent{}
 	sched := &manualScheduler{}
-	inj := faults.NewAgentInjector(inner, sched.schedule)
+	inj := faults.NewAgentInjector(inner.handle, sched.schedule)
 	inj.Pause()
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 1}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 1}), nil)
 	inj.SlowDown(time.Second) // slow, not stopped: held backlog flushes now
 	if !sameSeqs(seqs(inner.msgs), 1) {
 		t.Fatalf("held message not replayed on SlowDown: %v", seqs(inner.msgs))
 	}
-	inj.HandleMessage(&proto.Measurement{SID: 1, Seq: 2}, nil)
+	inj.HandleFrame(frame(t, &proto.Measurement{SID: 1, Seq: 2}), nil)
 	if len(inner.msgs) != 1 {
 		t.Fatal("slow-mode delivery was synchronous")
 	}

@@ -14,6 +14,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/faults"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
+	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
@@ -176,12 +177,8 @@ type channelRun struct {
 func runChannel(t *testing.T, plan *faults.Plan) channelRun {
 	t.Helper()
 	sim := netsim.New(1)
-	reg := algorithms.NewRegistry()
-	agent, err := core.NewAgent(core.AgentConfig{Registry: reg, DefaultAlg: "reno"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := bridge.New(sim, agent, 50*time.Microsecond)
+	agent := newRenoRuntime(t)
+	br := bridge.New(sim, agent.HandleFrame, 50*time.Microsecond)
 
 	cfg := datapath.Config{SID: 1, Alg: "reno"}
 	var dp *datapath.CCP
@@ -196,11 +193,23 @@ func runChannel(t *testing.T, plan *faults.Plan) channelRun {
 	flow := startFlow(sim, dp)
 	sim.Run(2 * time.Second)
 
-	out := channelRun{agent: agent.Stats(), dp: dp.Stats(), cwnd: flow.Conn.Cwnd()}
+	out := channelRun{agent: agent.Stats().Agent, dp: dp.Stats(), cwnd: flow.Conn.Cwnd()}
 	if inj != nil {
 		out.fault = inj.Stats()
 	}
 	return out
+}
+
+// newRenoRuntime is the simulator's agent: a one-shard runtime, run by the
+// bridge's caller, whose flows default to reno.
+func newRenoRuntime(t *testing.T) *runtime.Runtime {
+	t.Helper()
+	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: core.AgentConfig{Registry: algorithms.NewRegistry(), DefaultAlg: "reno"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt
 }
 
 // newSimInjector is the injector a simulated deployment puts on its bridge:
@@ -267,21 +276,13 @@ func TestBridgeCorruptionIsDecodeKilled(t *testing.T) {
 	}
 }
 
-// recorder is the agent end of a bridge: it keeps a copy of every message
-// that reaches it and answers none.
-type recorder struct{ got []proto.Msg }
-
-func (r *recorder) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
-	r.got = append(r.got, proto.Clone(m)) // m is the bridge's decode scratch
-}
-
 // runRecorded drives one flow's reports through a tapped bridge into a
-// recorder for a second, then lets everything in flight land.
-func runRecorded(t *testing.T, plan faults.Plan) (*recorder, faults.DirStats, bridge.Stats) {
+// recordingAgent for a second, then lets everything in flight land.
+func runRecorded(t *testing.T, plan faults.Plan) (*recordingAgent, faults.DirStats, bridge.Stats) {
 	t.Helper()
 	sim := netsim.New(1)
-	rec := &recorder{}
-	inner := bridge.New(sim, rec, 50*time.Microsecond)
+	rec := &recordingAgent{}
+	inner := bridge.New(sim, rec.handle, 50*time.Microsecond)
 	inj := newSimInjector(sim, plan)
 	flow := startFlow(sim, inner.Connect(datapath.Config{SID: 1, Alg: "reno"},
 		inj.Tap(faults.ToAgent), inj.Tap(faults.ToDatapath)))
@@ -294,17 +295,17 @@ func TestBridgeDuplicateArrivesTwiceAndEqual(t *testing.T) {
 	// The injector hands the same bytes on twice; each copy crosses the inner
 	// bridge as its own frame and is decoded on its own.
 	rec, st, inner := runRecorded(t, faults.Plan{ToAgent: faults.DirPlan{Duplicate: 1}})
-	if st.Duplicated == 0 || len(rec.got) != 2*st.Duplicated {
-		t.Fatalf("handler saw %d messages for %d duplicated frames", len(rec.got), st.Duplicated)
+	if st.Duplicated == 0 || len(rec.msgs) != 2*st.Duplicated {
+		t.Fatalf("handler saw %d messages for %d duplicated frames", len(rec.msgs), st.Duplicated)
 	}
-	for i := 0; i < len(rec.got); i += 2 {
-		if !reflect.DeepEqual(rec.got[i], rec.got[i+1]) {
-			t.Fatalf("copies %d and %d differ:\n%#v\n%#v", i, i+1, rec.got[i], rec.got[i+1])
+	for i := 0; i < len(rec.msgs); i += 2 {
+		if !reflect.DeepEqual(rec.msgs[i], rec.msgs[i+1]) {
+			t.Fatalf("copies %d and %d differ:\n%#v\n%#v", i, i+1, rec.msgs[i], rec.msgs[i+1])
 		}
 	}
-	if inner.ToAgentMsgs != len(rec.got) || inner.MarshalErrors != 0 {
+	if inner.ToAgentMsgs != len(rec.msgs) || inner.MarshalErrors != 0 {
 		t.Fatalf("inner bridge carried %d frames with %d codec errors, want %d and 0",
-			inner.ToAgentMsgs, inner.MarshalErrors, len(rec.got))
+			inner.ToAgentMsgs, inner.MarshalErrors, len(rec.msgs))
 	}
 }
 
@@ -319,13 +320,48 @@ func TestBridgeKilledFrameCountedOnceNeverDelivered(t *testing.T) {
 	if st.DecodeKilled == 0 {
 		t.Fatalf("hardened decoder rejected nothing out of %d corruptions", st.Corrupted)
 	}
-	if len(rec.got)+st.DecodeKilled != st.Delivered {
-		t.Fatalf("%d frames on the wire, %d killed, but the handler saw %d", st.Delivered, st.DecodeKilled, len(rec.got))
+	if len(rec.msgs)+st.DecodeKilled != st.Delivered {
+		t.Fatalf("%d frames on the wire, %d killed, but the handler saw %d", st.Delivered, st.DecodeKilled, len(rec.msgs))
 	}
 	if inner.MarshalErrors != 0 {
 		t.Fatalf("inner bridge booked %d injected kills as its own codec errors", inner.MarshalErrors)
 	}
 	if inner.ToAgentMsgs != st.Delivered {
 		t.Fatalf("inner bridge carried %d frames, injector passed on %d", inner.ToAgentMsgs, st.Delivered)
+	}
+}
+
+// A frame bound for the agent crosses the bridge undecoded, and the agent's
+// runtime decodes it. One the channel corrupted past decoding is the
+// injector's kill, counted once, and reaches no agent counter: the agent
+// ends as one that was handed only the frames that decode.
+func TestBridgeKilledFrameReachesNoAgentCounter(t *testing.T) {
+	sim := netsim.New(1)
+	agent, shadow := newRenoRuntime(t), newRenoRuntime(t)
+	killed := 0
+	br := bridge.New(sim, func(frame []byte, reply func(proto.Msg) error) error {
+		if _, err := proto.Unmarshal(frame); err != nil {
+			killed++
+		} else {
+			shadow.HandleFrame(frame, func(proto.Msg) error { return nil })
+		}
+		return agent.HandleFrame(frame, reply)
+	}, 50*time.Microsecond)
+	inj := newSimInjector(sim, faults.Plan{ToAgent: faults.DirPlan{Corrupt: 0.3}})
+	startFlow(sim, br.Connect(datapath.Config{SID: 1, Alg: "reno"}, inj.Tap(faults.ToAgent), nil))
+	sim.Run(2 * time.Second)
+
+	st, rt := inj.Stats().ToAgent, agent.Stats()
+	if killed == 0 || st.DecodeKilled != killed {
+		t.Fatalf("%d frames failed to decode, the channel counted %d kills", killed, st.DecodeKilled)
+	}
+	if rt.DecodeErrors != int64(killed) {
+		t.Fatalf("runtime counted %d bad frames, want the %d killed", rt.DecodeErrors, killed)
+	}
+	if want := shadow.Stats().Agent; rt.Agent != want || want.Measurements == 0 {
+		t.Fatalf("agent counters %+v, want those of the frames that decode, %+v", rt.Agent, want)
+	}
+	if br.Stats().MarshalErrors != 0 {
+		t.Fatalf("bridge booked %d kills as codec errors", br.Stats().MarshalErrors)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/faults"
-	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/supervise"
 )
 
@@ -18,15 +17,14 @@ const snapshotInterval = 50 * time.Millisecond
 // injector — the injector is both the supervisor's probe target and the
 // switch that redirects datapath traffic to the promoted agent.
 //
-// In-process replication (the pump applies snapshots straight into the
-// standby on the simulator clock) keeps supervised runs deterministic; the
-// wire path for two-process deployments is supervise.Replicate into a
-// Standby behind runtime.ServeTransport, exercised by the supervise tests and
-// the ccp-agent -standby mode.
+// The pump replicates as ccp-agent does, with supervise.Replicate, over the
+// same wire codec: its send is Standby.Apply, called on the simulator clock,
+// where ccp-agent's is the standby's transport. So supervised runs stay
+// deterministic and run the two-process replication code.
 func (n *Net) startHA(scfg supervise.Config) {
 	n.Standby = supervise.NewStandby()
 	scfg.Clock = n.Sim
-	scfg.Handler = n.AgentInj
+	scfg.Handler = n.AgentInj.HandleFrame
 	scfg.OnFailover = n.failover
 	n.Supervisor = supervise.NewSupervisor(scfg)
 	n.Supervisor.Start()
@@ -42,10 +40,7 @@ func (n *Net) startHA(scfg supervise.Config) {
 func (n *Net) haPump() {
 	if m := n.AgentInj.Mode(); m == faults.AgentHealthy || m == faults.AgentSlow {
 		full := !n.haPrimed
-		if _, err := n.Agent.SnapshotInto(full, func(s *proto.Snapshot) error {
-			n.Standby.Apply(s)
-			return nil
-		}); err == nil {
+		if _, err := supervise.Replicate(n.Agent, full, n.Standby.Apply); err == nil {
 			n.haPrimed = true
 		}
 	}

@@ -108,9 +108,9 @@ func New(cfg Config) *Net {
 	}
 	schedule := func(d time.Duration, fn func()) { sim.Schedule(d, fn) }
 	n.Agent = n.newAgent()
-	n.AgentInj = faults.NewAgentInjector(n.Agent, schedule)
+	n.AgentInj = faults.NewAgentInjector(n.Agent.HandleFrame, schedule)
 	n.ChannelInj = faults.NewInjector(cfg.Faults, sim.Rand(), schedule)
-	n.Bridge = bridge.New(sim, n.AgentInj, cfg.IPCLatency)
+	n.Bridge = bridge.New(sim, n.AgentInj.HandleFrame, cfg.IPCLatency)
 	if cfg.HA != nil {
 		n.startHA(*cfg.HA)
 	}
@@ -145,7 +145,7 @@ func (n *Net) replaceAgent(from *supervise.Standby) {
 	if from != nil {
 		from.RestoreInto(n.Agent)
 	}
-	n.AgentInj.Restart(n.Agent)
+	n.AgentInj.Restart(n.Agent.HandleFrame)
 }
 
 // CCPFlow is a CCP-controlled flow plus its datapath runtime.

@@ -58,7 +58,7 @@ func TestPlainDeploymentHasBothFaultLayers(t *testing.T) {
 	if f.DP.Stats().FallbackOn == 0 {
 		t.Fatal("datapath never fell back while the agent was dead")
 	}
-	net.AgentInj.Restart(net.Agent)
+	net.AgentInj.Restart(net.Agent.HandleFrame)
 	net.Run(6 * time.Second)
 	if f.DP.FallbackActive() {
 		t.Fatal("still in fallback after the same agent came back")

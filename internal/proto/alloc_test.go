@@ -113,7 +113,7 @@ func TestAllocsDecodeReuseIndependentResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got1 := proto.Clone(m1).(*proto.Measurement)
+	got1 := copyMsg(t, m1).(*proto.Measurement)
 	m2, err := dec.Unmarshal(bb)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +127,26 @@ func TestAllocsDecodeReuseIndependentResults(t *testing.T) {
 	}
 }
 
+// copyMsg deep-copies m by the codec round trip: Marshal into a fresh buffer,
+// then Unmarshal into fresh structs, whose one alias (Install.Prog) is into
+// that buffer.
+func copyMsg(t *testing.T, m proto.Msg) proto.Msg {
+	t.Helper()
+	b, err := proto.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := proto.Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestInstallProgAliasesInput documents the decoder's one deliberate aliasing
 // choice: Install.Prog is a view of the input buffer, not a copy. Callers
-// that outlive the buffer must Clone.
+// that outlive the buffer must copy the bytes, or the message by the codec
+// round trip.
 func TestInstallProgAliasesInput(t *testing.T) {
 	m := &proto.Install{SID: 3, Seq: 1, Prog: []byte{1, 2, 3, 4}}
 	data, err := proto.Marshal(m)
@@ -142,7 +159,7 @@ func TestInstallProgAliasesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := got.(*proto.Install)
-	cl := proto.Clone(got).(*proto.Install)
+	cl := copyMsg(t, got).(*proto.Install)
 	for i := range data {
 		data[i] = 0xAA
 	}
@@ -150,15 +167,15 @@ func TestInstallProgAliasesInput(t *testing.T) {
 		t.Fatal("Install.Prog did not alias the input buffer; the zero-copy view was lost")
 	}
 	if !bytes.Equal(cl.Prog, []byte{1, 2, 3, 4}) {
-		t.Fatalf("Clone aliased the input buffer: %v", cl.Prog)
+		t.Fatalf("the round-trip copy aliased the input buffer: %v", cl.Prog)
 	}
 }
 
-// FuzzDecoderAliasing decodes arbitrary bytes, deep-copies the result, then
-// scribbles over the input buffer and the decoder's scratch. The copy must
-// match a pristine decode — i.e. Clone must sever every alias the scratch
-// decoder keeps into the input (Install.Prog and Snapshot.Prog in
-// particular). Messages are compared through their canonical re-encoding,
+// FuzzDecoderAliasing decodes arbitrary bytes, deep-copies the result by the
+// codec round trip, then scribbles over the input buffer and the decoder's
+// scratch. The copy must match a pristine decode — i.e. the round trip must
+// sever every alias the scratch decoder keeps into the input (Install.Prog
+// and Snapshot.Prog in particular). Messages are compared through their canonical re-encoding,
 // which is insensitive to nil-versus-empty slice differences.
 func FuzzDecoderAliasing(f *testing.F) {
 	for _, m := range []proto.Msg{
@@ -194,7 +211,7 @@ func FuzzDecoderAliasing(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cl := proto.Clone(m)
+		cl := copyMsg(t, m)
 		for i := range aliased {
 			aliased[i] ^= 0xFF
 		}
@@ -214,10 +231,10 @@ func FuzzDecoderAliasing(f *testing.F) {
 		}
 		got, err := proto.Marshal(cl)
 		if err != nil {
-			t.Fatalf("re-encode of Clone failed: %v", err)
+			t.Fatalf("re-encode of the copy failed: %v", err)
 		}
 		if !bytes.Equal(got, wantBytes) {
-			t.Fatalf("Clone diverged after input scribble:\ncopy     %x\npristine %x", got, wantBytes)
+			t.Fatalf("the copy diverged after input scribble:\ncopy     %x\npristine %x", got, wantBytes)
 		}
 	})
 }

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// These tests pin down the Clone contract the decoderalias analyzer assumes:
-// a cloned message shares no memory with decoder scratch or the input
-// buffer, so it stays valid across the next Unmarshal (and across mutation
-// of the frame it was decoded from), while the un-cloned view does not.
+// These tests pin down the contract the decoderalias analyzer assumes: a
+// clone — the codec round trip, Marshal then the allocating Unmarshal —
+// shares no memory with decoder scratch or the input buffer, so it stays
+// valid across the next Unmarshal (and across mutation of the frame it was
+// decoded from), while the un-cloned view does not.
 
 func mustMarshal(t *testing.T, m Msg) []byte {
 	t.Helper()
@@ -17,6 +18,16 @@ func mustMarshal(t *testing.T, m Msg) []byte {
 		t.Fatalf("marshal %T: %v", m, err)
 	}
 	return b
+}
+
+// clone deep-copies m by the codec round trip.
+func clone(t *testing.T, m Msg) Msg {
+	t.Helper()
+	c, err := Unmarshal(mustMarshal(t, m))
+	if err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	return c
 }
 
 func decodeWith(t *testing.T, dec *Decoder, b []byte) Msg {
@@ -28,7 +39,7 @@ func decodeWith(t *testing.T, dec *Decoder, b []byte) Msg {
 	return m
 }
 
-// Clone of a report decoded into scratch must survive the next Unmarshal on
+// A clone of a report decoded into scratch must survive the next Unmarshal on
 // the same decoder; the raw view is recycled out from under us.
 func TestCloneSurvivesNextUnmarshal(t *testing.T) {
 	frame1 := mustMarshal(t, &Measurement{SID: 1, Seq: 10, Fields: []float64{1.5, 2.5, 3.5}})
@@ -36,7 +47,7 @@ func TestCloneSurvivesNextUnmarshal(t *testing.T) {
 
 	var dec Decoder
 	raw := decodeWith(t, &dec, frame1).(*Measurement)
-	clone := Clone(raw).(*Measurement)
+	clone := clone(t, raw).(*Measurement)
 
 	// The clone must not share backing storage with the scratch view.
 	if &clone.Fields[0] == &raw.Fields[0] {
@@ -59,14 +70,14 @@ func TestCloneSurvivesNextUnmarshal(t *testing.T) {
 }
 
 // Install decodes with a zero-copy Prog that aliases the input buffer.
-// Clone must copy it; the raw view must follow buffer mutation.
+// A clone must copy it; the raw view must follow buffer mutation.
 func TestCloneInstallSurvivesBufferMutation(t *testing.T) {
 	prog := []byte{0xAA, 0xBB, 0xCC, 0xDD}
 	frame := mustMarshal(t, &Install{SID: 5, Seq: 2, Prog: prog})
 
 	var dec Decoder
 	raw := decodeWith(t, &dec, frame).(*Install)
-	clone := Clone(raw).(*Install)
+	clone := clone(t, raw).(*Install)
 
 	// Overwrite the wire bytes in place, as a transport reusing its read
 	// buffer (or a bufpool.Release under -tags debugpool) would.
@@ -82,13 +93,13 @@ func TestCloneInstallSurvivesBufferMutation(t *testing.T) {
 	}
 }
 
-// Clone of a message with slices must be fully disjoint: mutating any slice
+// A clone of a message with slices must be fully disjoint: mutating any slice
 // reachable from the original must not show through the clone.
 func TestCloneDeepDisjoint(t *testing.T) {
 	meas := &Measurement{SID: 1, Seq: 1, Fields: []float64{10, 20}}
 	vec := &Vector{SID: 3, Seq: 4, NumFields: 2, Data: []float64{1, 2, 3, 4}}
 	snap := &Snapshot{SID: 2, Prog: []byte{1, 2, 3}, State: []float64{5, 6}}
-	cm, cv, cs := Clone(meas).(*Measurement), Clone(vec).(*Vector), Clone(snap).(*Snapshot)
+	cm, cv, cs := clone(t, meas).(*Measurement), clone(t, vec).(*Vector), clone(t, snap).(*Snapshot)
 
 	meas.Fields[0] = -99
 	vec.Data[3] = -1

@@ -85,24 +85,6 @@ type Msg interface {
 	FlowSID() uint32
 }
 
-// Handler is anything that consumes datapath→agent messages: a bare
-// core.Agent, the sharded runtime.Runtime, a fault injector or a warm standby
-// in front of either. Bridges, serve loops and supervisors dispatch into a
-// Handler without caring which.
-//
-// Ownership is one rule in both directions. m is borrowed for the duration
-// of the call — callers decode into reusable scratch and reclaim it after
-// HandleMessage returns, so an implementation that queues m must take its
-// own copy (the sharded Runtime marshals it into a buffer its mailboxes
-// recycle, and the shard decodes that). Every message passed to reply is likewise
-// borrowed for the duration of that call — the agent builds its decisions in
-// storage it reuses for the next one, so a reply that keeps a message past
-// its return must Clone it; one that marshals before returning, as every
-// transport-backed reply does, has nothing to do.
-type Handler interface {
-	HandleMessage(m Msg, reply func(Msg) error)
-}
-
 // Create announces a new flow to the agent (triggering the algorithm's
 // Init handler). A datapath re-sends Create to resynchronize after an agent
 // restart; Seq then carries the highest control sequence number the datapath
@@ -423,7 +405,7 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 // exception: Install.Prog aliases data (see Decoder for the rule). Receive
 // loops that decode at high rates should hold a reusable Decoder instead.
 //
-//lint:testsupport the allocating decoder of the proto, runtime, bridge and core tests and of the root benchmarks
+//lint:testsupport the allocating decoder of the tests (with Marshal, the codec round trip that copies a message) and of the root benchmarks
 func Unmarshal(data []byte) (Msg, error) {
 	var dec Decoder
 	return dec.Unmarshal(data)

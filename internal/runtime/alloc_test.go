@@ -17,12 +17,12 @@ import (
 )
 
 // TestAllocsShardedDispatch pins the agent's half of a report at nothing: a
-// borrowed report is marshalled on the caller's stack and crosses into a
-// shard in a recycled mailbox buffer, the shard decodes it into its own
-// scratch, the algorithm's decision is built in the shard agent's scratch,
-// and a reply that marshals into a reused buffer keeps none of it. One op is a report in
-// and its decision out, on a two-shard runtime, for a Measurement and an
-// Urgent.
+// report marshalled into a reused buffer, as a datapath sends it, crosses
+// HandleFrame into a shard in a recycled mailbox buffer, the shard decodes it
+// into its own scratch, the algorithm's decision is built in the shard
+// agent's scratch, and a reply that marshals into a reused buffer keeps none
+// of it. One op is a report in and its decision out, on a two-shard runtime,
+// for a Measurement and an Urgent.
 func TestAllocsShardedDispatch(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -73,11 +73,16 @@ func TestAllocsShardedDispatch(t *testing.T) {
 		{"Measurement", report, func() { report.Seq = seq }},
 		{"Urgent", urgent, func() { urgent.Seq = seq }},
 	} {
+		var frame []byte
 		op := func() {
 			seq++
 			c.stamp()
 			want := replies.Load() + 1
-			rt.HandleMessage(c.m, reply)
+			var err error
+			if frame, err = proto.AppendMarshal(frame[:0], c.m); err != nil {
+				t.Fatal(err)
+			}
+			rt.HandleFrame(frame, reply)
 			await(want)
 		}
 		for i := 0; i < 4; i++ {

@@ -7,7 +7,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// FuzzShardFrames puts arbitrary bytes through the frame-dispatch path of a
+// FuzzShardFrames puts arbitrary bytes through the HandleFrame path of a
 // two-shard runtime, the path ServeSet takes for every frame it receives.
 // The input is a run of frames, each a length byte and that many bytes. The
 // rule each frame must keep:
@@ -62,7 +62,7 @@ func FuzzShardFrames(f *testing.F) {
 			data = data[1+n:]
 
 			before := rt.Stats()
-			rt.dispatch(frame, reply)
+			rt.HandleFrame(frame, reply)
 			rt.Drain()
 			after := rt.Stats()
 

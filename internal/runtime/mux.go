@@ -20,14 +20,11 @@ type growingSet interface {
 // goroutine polling readiness, not a blocked reader per datapath): it
 // round-robins TryRecvFrame over the members, at most drainQuota frames each
 // per sweep, and parks in WaitAny only after a full sweep finds nothing.
-// Every member must implement ipc.TryRecver. The loop does not decode: each
-// frame is routed to its flow's shard by the SID in its header and copied
-// into that shard's mailbox (dispatch), and the shard decodes it; a
-// caller-run shard (Shards <= 1) decodes and runs it inline. A member whose
-// receive fails (peer closed, ring corrupted) is dropped. Replies to one
-// member are serialized; shard goroutines may send them concurrently with
-// the loop. The members of a
-// growingSet are read again whenever its Version moves, each dropped one is
+// Every member must implement ipc.TryRecver. The loop does not decode: it
+// hands each frame to HandleFrame. A member whose receive fails (peer
+// closed, ring corrupted) is dropped. Replies to one member are serialized;
+// shard goroutines may send them concurrently with the loop. The members of
+// a growingSet are read again whenever its Version moves, each dropped one is
 // handed back with Leave, and with none left the loop waits in WaitAny.
 // ServeSet returns nil once every member is dropped (and WaitAny says none
 // can join), or WaitAny's error if the set itself fails first. Run exactly
@@ -96,7 +93,7 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 					break
 				}
 				progress = true
-				r.dispatch(f.B, c.reply)
+				r.HandleFrame(f.B, c.reply) // what it refuses, it counts
 				f.Release()
 			}
 		}

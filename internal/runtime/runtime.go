@@ -11,20 +11,22 @@
 // immutable after New. Anything else that touches a shard's agent runs on the
 // shard, between two messages (exec).
 //
-// A message crosses to a goroutine shard as the bytes it arrived in: a serve
-// loop routes each frame by the SID in its header, the shard's mailbox holds
-// a copy of its bytes, and the shard decodes it with its own decoder.
+// A message reaches the runtime as frame bytes, through HandleFrame: it routes
+// each frame by the SID in its header, a goroutine shard's mailbox holds a
+// copy of its bytes, and every shard decodes its own input with its own
+// decoder. The serve loops, the simulator's bridge and its agent fault
+// injector all call HandleFrame, so the simulated control loop runs the
+// routing and decode code that cmd/ccp-agent serves with.
 //
 // With Shards <= 1 there is one shard with no mailbox and no goroutine: the
-// caller of HandleMessage runs the shard's agent itself, under the shard's
-// mutex, bit-identical to calling core.Agent directly. The deterministic
-// simulator (internal/harness) runs that, and so does cmd/ccp-agent on one
-// core; a goroutine per shard is what ccp-agent runs on more and what
-// ./benchmark measures.
+// caller of HandleFrame decodes and runs the frame itself, under the shard's
+// mutex. The deterministic simulator (internal/harness) runs that, and so
+// does cmd/ccp-agent on one core; a goroutine per shard is what ccp-agent
+// runs on more and what ./benchmark measures.
 //
-// The package is also the only thing that serves an agent: one frame step
-// (serve.go) under the blocking ServeTransport loop, the polled ServeSet, and
-// Serve, which hands each datapath that connects a ring the second serves.
+// The package is also the only thing that serves an agent: the blocking
+// ServeTransport loop, the polled ServeSet, and Serve, which hands each
+// datapath that connects a ring the second serves.
 package runtime
 
 import (
@@ -42,7 +44,7 @@ import (
 // Config configures a Runtime.
 type Config struct {
 	// Shards is the number of parallel agent shards. 0 or 1 is a single shard
-	// run synchronously by whoever calls HandleMessage.
+	// run synchronously by whoever calls HandleFrame.
 	Shards int
 	// Agent configures every shard's agent (they share the registry and
 	// policy; each shard instantiates its own flow table, and Stats().Agent
@@ -97,16 +99,16 @@ type item struct {
 type shard struct {
 	agent *core.Agent
 	// mail is nil in the single shard of Shards <= 1, which has no goroutine
-	// either: HandleMessage calls its agent directly.
+	// either: HandleFrame runs its agent directly.
 	mail *mailbox
-	// mu serializes the callers who run the agent: HandleMessage's and
-	// dispatch's without a mailbox, and exec's without a shard goroutine.
+	// mu serializes the callers who run the agent: HandleFrame's without a
+	// mailbox, and exec's without a shard goroutine.
 	mu sync.Mutex
 	// dec decodes the shard's frames, on its goroutine or under mu.
 	dec proto.Decoder
 }
 
-// Runtime is the sharded agent executor. It implements proto.Handler.
+// Runtime is the sharded agent executor.
 type Runtime struct {
 	cfg    Config
 	shards []*shard // never empty
@@ -164,23 +166,24 @@ func (r *Runtime) run(sh *shard) {
 			it.do(sh.agent)
 			continue
 		}
-		r.handleFrame(sh, it.frame, it.reply)
+		r.handleFrame(sh, it.frame, it.reply) // a bad frame is counted; nobody waits on it
 	}
 }
 
 // handleFrame decodes frame into sh's scratch and hands it to sh's agent; a
-// frame that does not decode is counted and goes no further. It runs on the
-// shard: its goroutine, or the caller under sh.mu.
-func (r *Runtime) handleFrame(sh *shard, frame []byte, reply func(proto.Msg) error) {
+// frame that does not decode is counted, goes no further, and is the error.
+// It runs on the shard: its goroutine, or the caller under sh.mu.
+func (r *Runtime) handleFrame(sh *shard, frame []byte, reply func(proto.Msg) error) error {
 	m, err := sh.dec.Unmarshal(frame)
 	if err != nil {
-		r.BadFrame(err)
-		return
+		r.badFrame(err)
+		return err
 	}
 	sh.agent.HandleMessage(m, reply)
 	if bufpool.DebugEnabled {
 		poison(m)
 	}
+	return nil
 }
 
 // poison overwrites a shard decoder's scratch message once the agent has
@@ -214,50 +217,45 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 	return r.shards[int(sid)%len(r.shards)]
 }
 
-// HandleMessage implements proto.Handler: it routes the message to its flow's
-// shard. A shard without a mailbox is run here, by the caller, as a direct
-// synchronous call. For a goroutine shard m is marshalled, into scratch on
-// this call's stack, and queued as a received frame is: proto.Handler lets
-// the caller reuse m as soon as we return, and the mailbox queues its own copy
-// of the bytes. A message that does not marshal is counted with the frames
-// that do not decode.
-func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
-	if sh := r.shards[0]; sh.mail == nil {
-		r.dispatched.Add(1)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		sh.agent.HandleMessage(m, reply)
-		return
-	}
-	var scratch [256]byte
-	frame, err := proto.AppendMarshal(scratch[:0], m)
-	if err != nil {
-		r.BadFrame(err)
-		return
-	}
-	r.enqueue(r.shardFor(m.FlowSID()), frame, reply)
-}
-
-// dispatch routes one received frame, which it only borrows, to its flow's
-// shard by the SID in its header (proto.FrameSID): a goroutine shard queues a
-// copy and decodes it later, a caller-run shard decodes and runs it now. A
-// frame too short to route is counted here and dispatched nowhere; one with a
-// bad body is dispatched and counted by the shard that fails to decode it.
-func (r *Runtime) dispatch(frame []byte, reply func(proto.Msg) error) {
+// HandleFrame is the runtime's one way in: it routes one received frame,
+// which it only borrows, to its flow's shard by the SID in its header
+// (proto.FrameSID). A goroutine shard queues a copy and decodes it later; a
+// caller-run shard decodes and runs it now. reply is lent each decision for
+// the duration of that call (see core.Agent.HandleMessage). A frame too short
+// to route is counted here and dispatched nowhere; one with a bad body is
+// dispatched and counted by the shard that fails to decode it. The error is
+// that of a frame refused before it reached an agent, as far as the caller
+// can know: a goroutine shard's decode error is only counted.
+func (r *Runtime) HandleFrame(frame []byte, reply func(proto.Msg) error) error {
 	sid, ok := proto.FrameSID(frame)
 	if !ok {
-		r.BadFrame(errShortFrame)
-		return
+		r.badFrame(errShortFrame)
+		return errShortFrame
 	}
 	sh := r.shardFor(sid)
 	if sh.mail == nil {
 		r.dispatched.Add(1)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		r.handleFrame(sh, frame, reply)
-		return
+		return r.handleFrame(sh, frame, reply)
 	}
 	r.enqueue(sh, frame, reply)
+	return nil
+}
+
+// HandleMessage marshals m into a pooled frame and hands it to HandleFrame. A
+// message that does not marshal is counted with the frames that do not
+// decode.
+//
+//lint:testsupport the message-level driver of the runtime, datapath and root tests and of benchmark/bench_test.go
+func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
+	f, err := proto.MarshalFrame(m)
+	if err != nil {
+		r.badFrame(err)
+		return
+	}
+	r.HandleFrame(f.B, reply) // what it refuses, it counts
+	f.Release()
 }
 
 // enqueue queues a copy of frame in sh's mailbox (see mailbox.push).

@@ -59,8 +59,8 @@ func script(n int) []proto.Msg {
 	return msgs
 }
 
-// replies runs every message through h, collecting marshalled replies.
-func replies(t *testing.T, h proto.Handler, msgs []proto.Msg) [][]byte {
+// replies runs every message through handle, collecting marshalled replies.
+func replies(t *testing.T, handle func(proto.Msg, func(proto.Msg) error), msgs []proto.Msg) [][]byte {
 	t.Helper()
 	var mu sync.Mutex
 	var out [][]byte
@@ -75,7 +75,7 @@ func replies(t *testing.T, h proto.Handler, msgs []proto.Msg) [][]byte {
 		return nil
 	}
 	for _, m := range msgs {
-		h.HandleMessage(m, reply)
+		handle(m, reply)
 	}
 	return out
 }
@@ -92,8 +92,8 @@ func TestInlineModeBitIdenticalToAgent(t *testing.T) {
 	}
 	defer rt.Close()
 
-	want := replies(t, direct, msgs)
-	got := replies(t, rt, msgs)
+	want := replies(t, direct.HandleMessage, msgs)
+	got := replies(t, rt.HandleMessage, msgs)
 	if len(want) != len(got) {
 		t.Fatalf("reply counts diverged: agent=%d runtime=%d", len(want), len(got))
 	}
@@ -175,7 +175,7 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 			}
 			defer agentSide.Close()
 			done := make(chan error, 1)
-			go func() { done <- runtime.ServeTransport(rt, agentSide) }()
+			go func() { done <- runtime.ServeTransport(rt.HandleFrame, agentSide) }()
 
 			const flows, reports = 4, 5
 			send := func(m proto.Msg) {

@@ -14,41 +14,28 @@ import (
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
-// badFramer is the optional half of ServeTransport's handler: one that has
-// it is told of each frame the loop received and could not decode. A Runtime
-// counts them (Stats.DecodeErrors); a warm standby counts them as unexpected.
-type badFramer interface {
-	BadFrame(err error)
-}
-
 // ServeTransport is the one blocking serve loop: it reads frames from t until
-// receive fails, decoding each into scratch the loop keeps and handing it to
-// h with replies marshalled back onto t, and returns the receive error. A
-// frame that does not decode is counted, never handed on. A warm standby
-// consumes its replication stream with it (h is a supervise.Standby);
-// datapaths are served over rings, by ServeSet. It stops nothing when it
-// returns: a Runtime is closed separately.
-func ServeTransport(h proto.Handler, t ipc.Transport) error {
+// receive fails, handing each to handle, which only borrows it, with replies
+// marshalled back onto t, and returns the receive error. It decodes nothing:
+// handle is a Runtime's HandleFrame, or a warm standby consuming its
+// replication stream (ccp-agent -standby); datapaths are served over rings,
+// by ServeSet. It stops nothing when it returns: a Runtime is closed
+// separately.
+func ServeTransport(handle func(frame []byte, reply func(proto.Msg) error) error, t ipc.Transport) error {
 	reply := lockedReply(t)
-	bad, _ := h.(badFramer)
-	var dec proto.Decoder
 	for {
 		f, err := ipc.RecvFrame(t)
 		if err != nil {
 			return err
 		}
-		if m, err := dec.Unmarshal(f.B); err == nil {
-			h.HandleMessage(m, reply)
-		} else if bad != nil {
-			bad.BadFrame(err)
-		}
+		handle(f.B, reply) // the handler counts what it refuses
 		f.Release()
 	}
 }
 
-// BadFrame counts a frame a serve loop or a shard could not decode and
-// reports it on the agents' diagnostic log.
-func (r *Runtime) BadFrame(err error) {
+// badFrame counts a frame HandleFrame could not route, or a shard could not
+// decode, and reports it on the agents' diagnostic log.
+func (r *Runtime) badFrame(err error) {
 	r.decodeErrors.Add(1)
 	r.logf("runtime: bad frame: %v", err)
 }

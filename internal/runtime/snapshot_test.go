@@ -120,10 +120,7 @@ func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := rt.SnapshotInto(full, func(s *proto.Snapshot) error {
-				sb.Apply(s)
-				return nil
-			}); err != nil {
+			if _, err := supervise.Replicate(rt, full, sb.Apply); err != nil {
 				t.Error(err)
 				return
 			}
@@ -143,10 +140,7 @@ func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 
 	// One final quiescent pass so the standby holds every live flow, then
 	// "restart the shards": promote the standby into a fresh runtime.
-	if _, err := rt.SnapshotInto(true, func(s *proto.Snapshot) error {
-		sb.Apply(s)
-		return nil
-	}); err != nil {
+	if _, err := supervise.Replicate(rt, true, sb.Apply); err != nil {
 		t.Fatal(err)
 	}
 	rt.Close()
@@ -187,10 +181,7 @@ func TestRuntimeRestoreFlowRoutesToOwningShard(t *testing.T) {
 		primary.HandleMessage(&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480}, func(proto.Msg) error { return nil })
 	}
 	sb := supervise.NewStandby()
-	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
-		sb.Apply(s)
-		return nil
-	}); err != nil {
+	if _, err := supervise.Replicate(primary, true, sb.Apply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,10 +262,7 @@ func TestRaceOneShardServeSnapshotRestore(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := rt.SnapshotInto(full, func(s *proto.Snapshot) error {
-				sb.Apply(s)
-				return nil
-			}); err != nil {
+			if _, err := supervise.Replicate(rt, full, sb.Apply); err != nil {
 				t.Error(err)
 				return
 			}
@@ -327,10 +315,7 @@ func TestRaceOneShardServeSnapshotRestore(t *testing.T) {
 	if st.Agent.Measurements != conns*flows*reports || st.Agent.Restores != restores || st.Agent.UnknownFlowMsg != 0 {
 		t.Fatalf("stats after the run: %+v", st.Agent)
 	}
-	n, err := rt.SnapshotInto(true, func(s *proto.Snapshot) error {
-		sb.Apply(s)
-		return nil
-	})
+	n, err := supervise.Replicate(rt, true, sb.Apply)
 	if err != nil || n != conns*flows+restores || rt.FlowCount() != n || sb.FlowCount() != n {
 		t.Fatalf("final pass emitted %d (%v), runtime holds %d flows, standby %d; want %d",
 			n, err, rt.FlowCount(), sb.FlowCount(), conns*flows+restores)

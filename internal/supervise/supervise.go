@@ -1,6 +1,7 @@
 // Package supervise is the high-availability layer around the CCP agent: a
-// warm standby that consumes flow-state snapshot deltas and can be promoted
-// to a full agent, and a supervisor that health-checks the running agent
+// warm standby that consumes flow-state snapshot deltas, as the wire frames
+// Replicate sends in and out of process alike, and can be promoted to a full
+// agent, and a supervisor that health-checks the running agent
 // with heartbeat probes and drives failover when it dies, wedges, or slows
 // past its latency budget.
 //
@@ -21,11 +22,12 @@
 package supervise
 
 import (
+	"bytes"
+	"errors"
 	"sort"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/cc"
-	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -60,10 +62,11 @@ type Config struct {
 	// Clock schedules probe ticks (the simulator clock in experiments).
 	// Required.
 	Clock cc.Clock
-	// Handler receives the probes. Required. In a supervised deployment this
-	// is the faults.AgentInjector wrapping the live agent, so probes
-	// experience the same pauses, delays, and drops the datapath traffic does.
-	Handler proto.Handler
+	// Handler receives the probes, as frames it only borrows. Required. In a
+	// supervised deployment this is the HandleFrame of the
+	// faults.AgentInjector wrapping the live agent, so probes experience the
+	// same pauses, delays, and drops the datapath traffic does.
+	Handler func(frame []byte, reply func(proto.Msg) error) error
 	// Interval is the probe period (default 10ms).
 	Interval time.Duration
 	// LatencyBudget: when the latency EWMA exceeds this, the agent is
@@ -124,7 +127,8 @@ type Supervisor struct {
 	misses        int
 	cooldownUntil time.Duration
 	haveCooldown  bool
-	scratch       proto.Heartbeat
+	probe         proto.Heartbeat
+	frame         []byte // probe, marshalled; reused by every tick
 	stats         Stats
 }
 
@@ -195,16 +199,17 @@ func (s *Supervisor) tick() {
 		s.misses++
 		s.stats.Misses++
 	}
-	s.scratch = proto.Heartbeat{Seq: seq, SentAt: now.Seconds()}
+	s.probe = proto.Heartbeat{Seq: seq, SentAt: now.Seconds()}
+	s.frame, _ = proto.AppendMarshal(s.frame[:0], &s.probe) // a Heartbeat always marshals
 	s.stats.ProbesSent++
-	s.cfg.Handler.HandleMessage(&s.scratch, s.echo)
+	s.cfg.Handler(s.frame, s.echo)
 	s.evaluate(s.cfg.Clock.Now())
 	s.timer = s.cfg.Clock.AfterFunc(s.cfg.Interval, s.tick)
 }
 
 // echo scores one heartbeat reply. It is the reply func handed to the
 // handler, so with a healthy synchronous agent it runs inside tick's
-// HandleMessage call; with a slow or paused one it runs when the delayed
+// Handler call; with a slow or paused one it runs when the delayed
 // or replayed delivery fires.
 func (s *Supervisor) echo(m proto.Msg) error {
 	hb, ok := m.(*proto.Heartbeat)
@@ -258,41 +263,58 @@ type StandbyStats struct {
 	// RestoreErrors counts snapshots RestoreInto could not restore (the flow
 	// is skipped; the rest of the table still promotes).
 	RestoreErrors int
-	// Unexpected counts non-snapshot messages and undecodable frames on the
-	// replication stream.
+	// Unexpected counts frames on the replication stream that do not decode
+	// or are not snapshots.
 	Unexpected int
 }
 
-// Standby is the warm half of the HA pair: a snapshot store that tracks the
-// primary agent's per-flow state and can be restored into a live agent
-// (promotion is runtime.New plus RestoreInto).
-// Feed it with Apply (in-process replication, e.g. the harness snapshot
-// pump) or, as a proto.Handler, from a serve loop (wire replication).
-// Like core.Agent it has one owner and no lock: ccp-agent -standby feeds and
-// promotes it from one goroutine, the simulator from its event loop.
+// Standby is the warm half of the HA pair: a store of the primary agent's
+// per-flow snapshots, kept as the frames they arrived in, that can be
+// restored into a live agent (promotion is runtime.New plus RestoreInto).
+// Apply feeds it: Replicate's send in the simulator's snapshot pump, and
+// the handler of the serve loop a replication stream arrives on in
+// ccp-agent -standby, so in-process and two-process replication run the
+// same wire codec. Like core.Agent it has one owner and no lock: ccp-agent
+// -standby feeds and promotes it from one goroutine, the simulator from its
+// event loop.
 type Standby struct {
-	snaps map[uint32]*proto.Snapshot
+	snaps map[uint32][]byte
+	dec   proto.Decoder
 	stats StandbyStats
 }
 
 // NewStandby returns an empty standby.
 func NewStandby() *Standby {
-	return &Standby{snaps: make(map[uint32]*proto.Snapshot)}
+	return &Standby{snaps: make(map[uint32][]byte)}
 }
 
-// Apply folds one snapshot into the store: a tombstone deletes the flow,
-// anything else replaces it. snap is borrowed for the duration of the call
-// (it is cloned before retention), matching the SnapshotInto sink contract.
-func (s *Standby) Apply(snap *proto.Snapshot) {
+var errNotSnapshot = errors.New("supervise: replication frame is not a snapshot")
+
+// Apply folds one replication frame, which it only borrows, into the store:
+// it is decoded once to be checked, a tombstone deletes its flow, and any
+// other snapshot's bytes are copied in, replacing the flow's. A frame that
+// does not decode or is not a snapshot is counted Unexpected and is the
+// error.
+func (s *Standby) Apply(frame []byte) error {
+	m, err := s.dec.Unmarshal(frame)
+	if err == nil && m.Type() != proto.TypeSnapshot {
+		err = errNotSnapshot
+	}
+	if err != nil {
+		s.stats.Unexpected++
+		return err
+	}
+	snap := m.(*proto.Snapshot)
 	if snap.Closed {
 		if _, ok := s.snaps[snap.SID]; ok {
 			delete(s.snaps, snap.SID)
 			s.stats.Removed++
 		}
-		return
+		return nil
 	}
-	s.snaps[snap.SID] = proto.Clone(snap).(*proto.Snapshot)
+	s.snaps[snap.SID] = bytes.Clone(frame)
 	s.stats.Applied++
+	return nil
 }
 
 // FlowCount returns the number of flows currently tracked.
@@ -307,11 +329,11 @@ type Restorer interface {
 	RestoreFlow(snap *proto.Snapshot) error
 }
 
-// RestoreInto restores every tracked flow into dst, in ascending SID order so
-// promotion is deterministic. A snapshot that fails to restore (bad program
-// bytes) is skipped and counted; one poisoned flow must not block failover
-// for the rest. The store is left intact — the caller decides whether this
-// standby keeps replicating or retires.
+// RestoreInto decodes every tracked flow's frame again and restores it into
+// dst, in ascending SID order so promotion is deterministic. A snapshot that
+// fails to restore (bad program bytes) is skipped and counted; one poisoned
+// flow must not block failover for the rest. The store is left intact — the
+// caller decides whether this standby keeps replicating or retires.
 func (s *Standby) RestoreInto(dst Restorer) {
 	sids := make([]uint32, 0, len(s.snaps))
 	for sid := range s.snaps {
@@ -319,29 +341,15 @@ func (s *Standby) RestoreInto(dst Restorer) {
 	}
 	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
 	for _, sid := range sids {
-		if err := dst.RestoreFlow(s.snaps[sid]); err != nil {
+		m, err := s.dec.Unmarshal(s.snaps[sid]) // decoded once already by Apply
+		if err == nil {
+			err = dst.RestoreFlow(m.(*proto.Snapshot))
+		}
+		if err != nil {
 			s.stats.RestoreErrors++
 		}
 	}
 }
-
-// HandleMessage feeds one replication message: a snapshot applies; anything
-// else counts as unexpected. The reply func is unused — replication is
-// one-way. A standby is a proto.Handler so that the runtime's blocking serve
-// loop (runtime.ServeTransport) consumes a replication stream over an
-// ipc.Transport, which is what ccp-agent -standby does, and so that it can
-// sit directly behind a bridge or injector in tests.
-func (s *Standby) HandleMessage(m proto.Msg, _ func(proto.Msg) error) {
-	switch v := m.(type) {
-	case *proto.Snapshot:
-		s.Apply(v)
-	default:
-		s.stats.Unexpected++
-	}
-}
-
-// BadFrame counts a replication frame the serve loop could not decode.
-func (s *Standby) BadFrame(error) { s.stats.Unexpected++ }
 
 // SnapshotSource is a live agent whose flow state can be replicated: a
 // *core.Agent or a runtime.Runtime (see core.Agent.SnapshotInto).
@@ -349,17 +357,20 @@ type SnapshotSource interface {
 	SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, error)
 }
 
-// Replicate streams one snapshot pass from a live agent onto t, marshalling
-// each snapshot as its own frame. full=true replays the entire flow table
-// (what a freshly attached standby needs once); full=false sends the
-// incremental delta. Returns the number of frames sent.
-func Replicate(a SnapshotSource, full bool, t ipc.Transport) (int, error) {
-	return a.SnapshotInto(full, func(snap *proto.Snapshot) error {
+// Replicate streams one snapshot pass from a live agent to send, marshalling
+// each snapshot as its own frame, which send only borrows. It is the one
+// replication path: ccp-agent sends onto the standby's transport, and the
+// simulator's snapshot pump hands each frame to Standby.Apply. full=true
+// replays the entire flow table (what a freshly attached standby needs
+// once); full=false sends the incremental delta. Returns the number of
+// frames sent.
+func Replicate(src SnapshotSource, full bool, send func(frame []byte) error) (int, error) {
+	return src.SnapshotInto(full, func(snap *proto.Snapshot) error {
 		f, err := proto.MarshalFrame(snap)
 		if err != nil {
 			return err
 		}
-		err = t.Send(f.B)
+		err = send(f.B)
 		f.Release()
 		return err
 	})

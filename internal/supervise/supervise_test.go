@@ -15,21 +15,26 @@ import (
 	"github.com/ccp-repro/ccp/internal/runtime"
 )
 
-// echoHandler answers heartbeats synchronously, like a healthy agent.
+// echoHandler answers heartbeat frames synchronously, like a healthy agent.
 type echoHandler struct {
 	echoes int
 }
 
-func (e *echoHandler) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
+func (e *echoHandler) handle(frame []byte, reply func(proto.Msg) error) error {
+	m, err := proto.Unmarshal(frame)
+	if err != nil {
+		return err
+	}
 	if hb, ok := m.(*proto.Heartbeat); ok {
 		e.echoes++
 		if reply != nil {
 			reply(&proto.Heartbeat{SID: hb.SID, Seq: hb.Seq, SentAt: hb.SentAt})
 		}
 	}
+	return nil
 }
 
-func newTestSupervisor(sim *netsim.Sim, h proto.Handler, onFailover func()) *Supervisor {
+func newTestSupervisor(sim *netsim.Sim, h func([]byte, func(proto.Msg) error) error, onFailover func()) *Supervisor {
 	return NewSupervisor(Config{
 		Clock:         sim,
 		Handler:       h,
@@ -44,7 +49,7 @@ func TestSupervisorHealthyStaysHealthy(t *testing.T) {
 	sim := netsim.New(1)
 	inner := &echoHandler{}
 	failovers := 0
-	sup := newTestSupervisor(sim, inner, func() { failovers++ })
+	sup := newTestSupervisor(sim, inner.handle, func() { failovers++ })
 	sup.Start()
 	sim.Run(1 * time.Second)
 	sup.Stop()
@@ -70,17 +75,17 @@ func TestSupervisorHealthyStaysHealthy(t *testing.T) {
 func TestSupervisorKillFiresFailover(t *testing.T) {
 	sim := netsim.New(1)
 	inner := &echoHandler{}
-	inj := faults.NewAgentInjector(inner, func(d time.Duration, fn func()) {
+	inj := faults.NewAgentInjector(inner.handle, func(d time.Duration, fn func()) {
 		sim.Schedule(d, fn)
 	})
 	replacement := &echoHandler{}
 	var sup *Supervisor
 	var failoverAt time.Duration
 	failovers := 0
-	sup = newTestSupervisor(sim, inj, func() {
+	sup = newTestSupervisor(sim, inj.HandleFrame, func() {
 		failovers++
 		failoverAt = sim.Now()
-		inj.Restart(replacement)
+		inj.Restart(replacement.handle)
 		sup.Adopt()
 	})
 	sup.Start()
@@ -111,13 +116,13 @@ func TestSupervisorKillFiresFailover(t *testing.T) {
 func TestSupervisorSlowAgentFailsOverViaLatency(t *testing.T) {
 	sim := netsim.New(1)
 	inner := &echoHandler{}
-	inj := faults.NewAgentInjector(inner, func(d time.Duration, fn func()) {
+	inj := faults.NewAgentInjector(inner.handle, func(d time.Duration, fn func()) {
 		sim.Schedule(d, fn)
 	})
 	failovers := 0
 	sup := NewSupervisor(Config{
 		Clock:         sim,
-		Handler:       inj,
+		Handler:       inj.HandleFrame,
 		Interval:      50 * time.Millisecond,
 		LatencyBudget: 100 * time.Millisecond,
 		MissBudget:    5, // echoes arrive within 3 intervals: misses never trip
@@ -150,13 +155,13 @@ func TestSupervisorSlowAgentFailsOverViaLatency(t *testing.T) {
 func TestSupervisorSuspectHysteresis(t *testing.T) {
 	sim := netsim.New(1)
 	inner := &echoHandler{}
-	inj := faults.NewAgentInjector(inner, func(d time.Duration, fn func()) {
+	inj := faults.NewAgentInjector(inner.handle, func(d time.Duration, fn func()) {
 		sim.Schedule(d, fn)
 	})
 	failovers := 0
 	sup := NewSupervisor(Config{
 		Clock:         sim,
-		Handler:       inj,
+		Handler:       inj.HandleFrame,
 		Interval:      50 * time.Millisecond,
 		LatencyBudget: 100 * time.Millisecond,
 		MissBudget:    5,
@@ -184,7 +189,7 @@ func TestSupervisorSuspectHysteresis(t *testing.T) {
 }
 
 // buildPrimary returns an agent with two live flows (reno and cubic).
-func buildPrimary(t *testing.T) *core.Agent {
+func buildPrimary(t testing.TB) *core.Agent {
 	t.Helper()
 	agent, err := core.NewAgent(core.AgentConfig{
 		Registry:   algorithms.NewRegistry(),
@@ -201,11 +206,18 @@ func buildPrimary(t *testing.T) *core.Agent {
 	return agent
 }
 
-func applySink(sb *Standby) func(*proto.Snapshot) error {
-	return func(snap *proto.Snapshot) error {
-		sb.Apply(snap)
-		return nil
+// snapshotCopy deep-copies s by the codec round trip.
+func snapshotCopy(t *testing.T, s *proto.Snapshot) *proto.Snapshot {
+	t.Helper()
+	b, err := proto.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
 	}
+	m, err := proto.Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.(*proto.Snapshot)
 }
 
 // checkRestored promotes sb the way every deployment does — runtime.New, then
@@ -217,7 +229,7 @@ func checkRestored(t *testing.T, sb *Standby, primary *core.Agent) {
 	t.Helper()
 	prim := map[uint32]*proto.Snapshot{}
 	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
-		prim[s.SID] = proto.Clone(s).(*proto.Snapshot)
+		prim[s.SID] = snapshotCopy(t, s)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -270,7 +282,7 @@ func checkRestored(t *testing.T, sb *Standby, primary *core.Agent) {
 func TestStandbyApplyAndRestore(t *testing.T) {
 	primary := buildPrimary(t)
 	sb := NewStandby()
-	n, err := primary.SnapshotInto(true, applySink(sb))
+	n, err := Replicate(primary, true, sb.Apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +295,11 @@ func TestStandbyApplyAndRestore(t *testing.T) {
 func TestStandbyTombstoneRemoves(t *testing.T) {
 	primary := buildPrimary(t)
 	sb := NewStandby()
-	if _, err := primary.SnapshotInto(true, applySink(sb)); err != nil {
+	if _, err := Replicate(primary, true, sb.Apply); err != nil {
 		t.Fatal(err)
 	}
 	primary.HandleMessage(&proto.Close{SID: 1}, nil)
-	n, err := primary.SnapshotInto(false, applySink(sb))
+	n, err := Replicate(primary, false, sb.Apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +316,8 @@ func TestStandbyTombstoneRemoves(t *testing.T) {
 
 // Replication over a real ipc.Transport: frames stream through a
 // shared-memory ring and the serve loop agents run (runtime.ServeTransport,
-// the standby as its handler), and the result promotes identically to
-// in-process Apply. What is not a snapshot, whether it decodes or not, is
+// with Standby.Apply as its handler, as ccp-agent -standby runs it), and the
+// result promotes identically to in-process replication. What is not a snapshot, whether it decodes or not, is
 // counted and changes nothing.
 func TestStandbyServeTransport(t *testing.T) {
 	primary := buildPrimary(t)
@@ -314,7 +326,7 @@ func TestStandbyServeTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	n, err := Replicate(primary, true, a)
+	n, err := Replicate(primary, true, a.Send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +346,8 @@ func TestStandbyServeTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := NewStandby()
-	if err := runtime.ServeTransport(sb, b); err != ipc.ErrClosed {
+	apply := func(frame []byte, _ func(proto.Msg) error) error { return sb.Apply(frame) }
+	if err := runtime.ServeTransport(apply, b); err != ipc.ErrClosed {
 		t.Fatalf("ServeTransport error = %v, want ErrClosed after drain", err)
 	}
 	if got := sb.FlowCount(); got != 2 {
