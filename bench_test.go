@@ -357,7 +357,7 @@ func BenchmarkAgentDispatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reply := func(proto.Msg) error { return nil }
+	reply := func([]byte) error { return nil }
 	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
 	m := &proto.Measurement{SID: 1, Fields: []float64{0.01, 1e6, 1e6, 14480, 0, 0, 0.01}}
 	b.ReportAllocs()
@@ -380,7 +380,7 @@ func BenchmarkAgentDispatchInstall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reply := func(proto.Msg) error { return nil }
+	reply := func([]byte) error { return nil }
 	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
 	m := &proto.Measurement{SID: 1, Fields: []float64{1448, 0.01, 0}} // acked, rtt_f, dp_now
 	b.ReportAllocs()
@@ -407,25 +407,32 @@ func BenchmarkRuntimeShardedDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Close()
-	reply := func(proto.Msg) error { return nil }
+	reply := func([]byte) error { return nil }
 	const flows = 16
 	for sid := uint32(1); sid <= flows; sid++ {
-		rt.HandleMessage(&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480}, reply)
+		create, err := proto.Marshal(&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt.HandleFrame(create, reply)
 	}
 	rt.Drain()
 	var next uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		// One report per producer, restamped each time: HandleMessage only
-		// borrows it, as a serve loop's decode scratch is borrowed.
+		// One report per producer, restamped and marshalled into one buffer
+		// each time: HandleFrame only borrows it, as a serve loop's ring
+		// frame is borrowed.
 		m := &proto.Measurement{
 			SID:    atomic.AddUint32(&next, 1)%flows + 1,
 			Fields: []float64{0.01, 1e6, 1e6, 14480, 0, 0, 0.01},
 		}
+		var frame []byte
 		for pb.Next() {
 			m.Seq++
-			rt.HandleMessage(m, reply)
+			frame, _ = proto.AppendMarshal(frame[:0], m) // a Measurement always marshals
+			rt.HandleFrame(frame, reply)
 		}
 	})
 	b.StopTimer()

@@ -43,7 +43,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/algorithms"
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/ipc"
-	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/runtime"
 	"github.com/ccp-repro/ccp/internal/supervise"
 )
@@ -194,7 +193,7 @@ func standBy(ctx context.Context, ln net.Listener, rt *runtime.Runtime) (promote
 			return false, err
 		}
 		unhook := context.AfterFunc(ctx, func() { conn.Close() })
-		apply := func(frame []byte, _ func(proto.Msg) error) error { return sb.Apply(frame) }
+		apply := func(frame []byte, _ func([]byte) error) error { return sb.Apply(frame) }
 		serveErr := runtime.ServeTransport(apply, ipc.NewStream(conn))
 		unhook()
 		conn.Close()

@@ -1,6 +1,7 @@
 package algorithms_test
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/algorithms"
@@ -44,8 +45,12 @@ func copyMsg(m proto.Msg) proto.Msg {
 }
 
 func (r *algRig) handle(m proto.Msg) {
-	r.agent.HandleMessage(m, func(out proto.Msg) error {
-		r.out = append(r.out, copyMsg(out)) // out is the agent's scratch
+	r.agent.HandleMessage(m, func(frame []byte) error {
+		out, err := proto.Unmarshal(bytes.Clone(frame)) // frame is the agent's, for this call
+		if err != nil {
+			return err
+		}
+		r.out = append(r.out, out)
 		return nil
 	})
 }

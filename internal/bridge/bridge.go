@@ -4,8 +4,10 @@
 // protocol path is exercised even in simulation; only the transport's
 // latency is modelled rather than measured.
 //
-// Frames cross the bridge as pooled buffers (proto.MarshalFrame). A frame
-// bound for the agent reaches it undecoded, as a serve loop hands it on
+// Frames cross the bridge as pooled buffers: a datapath's message is
+// marshalled into one here (proto.MarshalFrame), and an agent's decision, which
+// the agent marshals itself and only lends, is copied into one. A frame bound
+// for the agent reaches it undecoded, as a serve loop hands it on
 // (runtime.Runtime.HandleFrame, or the fault injector in front of it); only
 // frames bound for the datapath are decoded here, into per-bridge scratch
 // state (proto.Decoder).
@@ -23,8 +25,10 @@ import (
 // Stats counts bridge traffic for fig5, ablation-batching and ablation-foldvec,
 // none of which runs a fault plan. Under one, ToAgentMsgs and ToAgentBytes
 // count every frame on the wire to the agent, decoder-killed ones included.
-// MarshalErrors also counts an untapped frame either end refused: the agent
-// side is told by the error its handler returns.
+// MarshalErrors counts a datapath message that did not marshal (the agent
+// counts its own decisions that do not, as core.AgentStats.Errors) and an
+// untapped frame either end refused: the agent side is told by the error its
+// handler returns.
 type Stats struct {
 	ToAgentMsgs   int
 	ToAgentBytes  int64
@@ -40,7 +44,7 @@ type Stats struct {
 // (internal/faults), one behind the bridge and one on its wire.
 type Bridge struct {
 	sim     *netsim.Sim
-	agent   func(frame []byte, reply func(proto.Msg) error) error
+	agent   func(frame []byte, reply func(frame []byte) error) error
 	latency time.Duration
 	stats   Stats
 
@@ -53,7 +57,7 @@ type Bridge struct {
 // New creates a bridge with the given one-way IPC latency to agent, which is
 // handed each frame bound for it (it only borrows the frame) and returns the
 // error of one it refused undelivered (runtime.Runtime.HandleFrame).
-func New(sim *netsim.Sim, agent func(frame []byte, reply func(proto.Msg) error) error, latency time.Duration) *Bridge {
+func New(sim *netsim.Sim, agent func(frame []byte, reply func(frame []byte) error) error, latency time.Duration) *Bridge {
 	return &Bridge{sim: sim, agent: agent, latency: latency}
 }
 
@@ -93,13 +97,10 @@ func (b *Bridge) TappedSender(deliver func(proto.Msg), toAgent, toDatapath *Tap)
 		decodeDp := arriveDp
 		arriveDp = func(frame []byte) { toDatapath.Carry(frame, decodeDp) }
 	}
-	reply := func(m proto.Msg) error {
-		// Marshal on the agent side, unmarshal on the datapath side.
-		f, err := proto.MarshalFrame(m)
-		if err != nil {
-			b.stats.MarshalErrors++
-			return err
-		}
+	reply := func(frame []byte) error {
+		// The agent lends its frame for the call: the copy crosses.
+		f := bufpool.Get(len(frame))
+		f.B = append(f.B, frame...)
 		b.cross(f, &b.stats.ToDpMsgs, &b.stats.ToDpBytes, arriveDp)
 		return nil
 	}

@@ -68,7 +68,8 @@ type AgentStats struct {
 // their decisions back. Dispatch is a synchronous state transition, so the
 // agent runs identically on the simulator event loop (deterministic) and
 // behind a transport goroutine (internal/runtime's serve loops). It takes
-// decoded messages and knows nothing of transports or frames.
+// decoded messages, answers with encoded ones, and knows nothing of
+// transports.
 // An Agent has one owner and no lock, like datapath.CCP: only Stats and
 // FlowCount may be called from another goroutine.
 type Agent struct {
@@ -146,19 +147,16 @@ func (s *AgentStats) Add(o *AgentStats) {
 // FlowCount returns the number of live flows, without waiting.
 func (a *Agent) FlowCount() int { return int(a.live.Load()) }
 
-// HandleMessage processes one datapath→agent message. reply transmits
-// agent→datapath messages for the flow's datapath (it is captured by the
-// flow created on Create, so each datapath keeps its own channel).
+// HandleMessage processes one datapath→agent message. reply transmits the
+// encoded agent→datapath messages for the flow's datapath (it is captured by
+// the flow created on Create, so each datapath keeps its own channel).
 //
-// Ownership is one rule in both directions. m is borrowed for the duration
-// of this call: callers decode into scratch they reuse once it returns (a
-// runtime shard, its decoder). Every message handed to reply is likewise
-// borrowed for the duration of that call — it is built in storage the agent
-// reuses for its next decision — so a reply that keeps one past its return
-// must copy it (marshal it, or a Marshal and Unmarshal round trip for a
-// message); one that marshals before returning, as every transport-backed
-// reply does, has nothing to do.
-func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
+// Ownership is one rule in both directions: what crosses is lent for the
+// duration of one call. m is borrowed for this one: callers decode into
+// scratch they reuse once it returns (a runtime shard, its decoder). Each
+// frame handed to reply is borrowed for that call: the agent marshals its
+// next decision over it, so a reply that keeps the bytes copies them.
+func (a *Agent) HandleMessage(m proto.Msg, reply func(frame []byte) error) {
 	switch v := m.(type) {
 	case *proto.Create:
 		a.handleCreate(v, reply)
@@ -220,13 +218,13 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	case *proto.Heartbeat:
 		// Supervision probe: echo it so the sender measures true
 		// request→response latency through this agent's dispatch path. The
-		// echo is the agent's own message, not v: v is the caller's storage,
-		// which its reply should not find itself handed back.
+		// echo leaves the way a decision does (lend); a Heartbeat always
+		// marshals, so what is counted here is a reply that failed.
 		atomic.AddInt64(&a.shared.stats.Heartbeats, 1)
 		if reply != nil {
 			echo := &a.shared.heartbeat
 			*echo = proto.Heartbeat{SID: v.SID, Seq: v.Seq, SentAt: v.SentAt}
-			if err := reply(echo); err != nil {
+			if err := a.shared.lend(echo, reply); err != nil {
 				atomic.AddInt64(&a.shared.stats.Errors, 1)
 			}
 		}
@@ -241,7 +239,7 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 // (reports and urgents are numbered apart). What fails either check is
 // counted and nil is returned. A restored flow adopts its datapath's channel
 // here, lazily, from the first message that gets through.
-func (a *Agent) admit(sid, seq uint32, urgent bool, reply func(proto.Msg) error) *flowState {
+func (a *Agent) admit(sid, seq uint32, urgent bool, reply func(frame []byte) error) *flowState {
 	st, ok := a.flows[sid]
 	if !ok {
 		atomic.AddInt64(&a.shared.stats.UnknownFlowMsg, 1)
@@ -262,7 +260,7 @@ func (a *Agent) admit(sid, seq uint32, urgent bool, reply func(proto.Msg) error)
 	return st
 }
 
-func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
+func (a *Agent) handleCreate(v *proto.Create, reply func(frame []byte) error) {
 	// A faulty channel can deliver the same announcement twice; recreating
 	// the flow would discard live algorithm state, so replays of the Create
 	// this state was built from are ignored. (A Create with a *different*
@@ -306,7 +304,7 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(proto.Msg) error) {
 // numbers from c.Seq, the newest control sequence the datapath announced
 // having applied (nonzero on resync). A restored flow numbers ctrlSeqSkip
 // above the snapshot's last issued sequence, and resumes its dedup cursors.
-func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(proto.Msg) error) *flowState {
+func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(frame []byte) error) *flowState {
 	name := c.Alg
 	if name == "" {
 		name = a.cfg.DefaultAlg
@@ -378,7 +376,11 @@ func Describe(factory AlgFactory, mss int) (progs []*lang.Program, direct []stri
 	probe := &Flow{
 		Info:   FlowInfo{SID: 0, MSS: mss, InitCwnd: 10 * mss},
 		shared: new(flowShared),
-		send: func(m proto.Msg) error {
+		send: func(frame []byte) error {
+			m, err := proto.Unmarshal(frame)
+			if err != nil {
+				return err
+			}
 			switch v := m.(type) {
 			case *proto.Install:
 				if p, err := lang.UnmarshalProgram(v.Prog); err == nil {

@@ -21,7 +21,7 @@ func (g *flowGrabber) OnUrgent(*core.Flow, core.UrgentEvent)      {}
 
 // grabbedFlowOf returns a fresh agent and a flow of it that sends through
 // reply.
-func grabbedFlowOf(t *testing.T, reply func(proto.Msg) error) (*core.Agent, *core.Flow) {
+func grabbedFlowOf(t *testing.T, reply func(frame []byte) error) (*core.Agent, *core.Flow) {
 	t.Helper()
 	grab := &flowGrabber{}
 	reg := core.NewRegistry()
@@ -38,12 +38,13 @@ func grabbedFlowOf(t *testing.T, reply func(proto.Msg) error) (*core.Agent, *cor
 func grabbedFlow(t *testing.T) (*core.Flow, *int) {
 	t.Helper()
 	sent := new(int)
-	_, flow := grabbedFlowOf(t, func(proto.Msg) error { *sent++; return nil })
+	_, flow := grabbedFlowOf(t, func([]byte) error { *sent++; return nil })
 	return flow, sent
 }
 
 // TestAllocsFlowDecision pins a direct decision at nothing: SetCwnd and
-// SetRate fill the agent's scratch message and lend it to the send path.
+// SetRate fill the agent's scratch message, marshal it into the agent's
+// output frame and lend that to the send path.
 func TestAllocsFlowDecision(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -98,7 +99,12 @@ func TestAllocsFlowInstall(t *testing.T) {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	var whole, byRef int
-	agent, flow := grabbedFlowOf(t, func(m proto.Msg) error {
+	var dec proto.Decoder
+	agent, flow := grabbedFlowOf(t, func(frame []byte) error {
+		m, err := dec.Unmarshal(frame)
+		if err != nil {
+			return err
+		}
 		if lang.IsRef(m.(*proto.Install).Prog) {
 			byRef++
 		} else {

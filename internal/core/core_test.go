@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -47,8 +48,12 @@ func copyMsg(m proto.Msg) proto.Msg {
 	return m
 }
 
-func (c *capture) send(m proto.Msg) error {
-	c.msgs = append(c.msgs, copyMsg(m)) // m is the agent's scratch
+func (c *capture) send(frame []byte) error {
+	m, err := proto.Unmarshal(bytes.Clone(frame)) // frame is the agent's, for this call
+	if err != nil {
+		return err
+	}
+	c.msgs = append(c.msgs, m)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"github.com/ccp-repro/ccp/internal/bufpool"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
@@ -36,19 +37,21 @@ type PolicyFunc func(info FlowInfo) Policy
 
 // flowShared is what every flow of one agent holds in common, reached through
 // one pointer so a Flow carries no per-flow copy of it: the storage each
-// outgoing message is built in, and the report layouts. The send path only
-// borrows a message for the duration of the call (see Flow.send), and an
-// agent, which has one owner, makes one decision at a time, so one block per
-// agent serves all its flows and a decision allocates nothing.
+// outgoing message is built and marshalled in, and the report layouts. The
+// send path only borrows a frame for the duration of the call (see lend), and
+// an agent, which has one owner, makes one decision at a time, so one block
+// per agent serves all its flows and a decision allocates nothing.
 type flowShared struct {
 	setCwnd   proto.SetCwnd
 	setRate   proto.SetRate
 	install   proto.Install
 	heartbeat proto.Heartbeat
-	// refProg is the storage an Install by reference is encoded in: borrowed by
-	// send like the message that points at it, it grows to the largest control
-	// half the agent has sent and is then reused.
+	// refProg is the storage an Install by reference is encoded in; it grows
+	// to the largest control half the agent has sent and is then reused.
 	refProg []byte
+	// out is the frame every decision is marshalled into and lent to its
+	// reply; it grows to the largest decision the agent has sent.
+	out     []byte
 	layouts []*reportLayout // shared by its flows (layoutOf)
 
 	// stats are the agent's counters, here where a Flow can count its
@@ -66,10 +69,8 @@ type flowShared struct {
 type Flow struct {
 	Info   FlowInfo
 	policy Policy
-	// send transmits toward the flow's datapath. It borrows the message for
-	// the duration of the call: the message is the agent's scratch, rewritten
-	// by the next decision, so an implementation that keeps it must clone.
-	send func(proto.Msg) error
+	// send transmits a frame toward the flow's datapath (see lend).
+	send func(frame []byte) error
 	// shared is the owning agent's block, never nil; a flow made outside an
 	// agent (Describe's probe) is given its own.
 	shared *flowShared
@@ -113,7 +114,29 @@ func (f *Flow) emit(m proto.Msg) error {
 	if f.send == nil {
 		return nil
 	}
-	return f.send(m)
+	return f.shared.lend(m, f.send)
+}
+
+// lend marshals m into the agent's output frame and lends the frame to send
+// for the duration of the call: the next decision is marshalled over it, so a
+// send that keeps the bytes past its return must copy them (under -tags
+// debugpool they are overwritten as soon as it returns). This is the one
+// place a decision is marshalled, and the one place one that does not
+// marshal is counted (Errors).
+func (s *flowShared) lend(m proto.Msg, send func(frame []byte) error) error {
+	out, err := proto.AppendMarshal(s.out[:0], m)
+	if err != nil {
+		atomic.AddInt64(&s.stats.Errors, 1)
+		return err
+	}
+	s.out = out
+	err = send(out)
+	if bufpool.DebugEnabled {
+		for i := range out {
+			out[i] = 0xDB // the byte bufpool poisons a released frame with
+		}
+	}
+	return err
 }
 
 // Install sends a control program to the datapath, first rewriting it under

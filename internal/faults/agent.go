@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"slices"
 	"time"
-
-	"github.com/ccp-repro/ccp/internal/proto"
 )
 
 // AgentMode is the injected health state of the agent process.
@@ -62,18 +60,19 @@ type AgentFaultStats struct {
 // came with, and its place in arrival order.
 type heldFrame struct {
 	frame []byte
-	reply func(proto.Msg) error
+	reply func(frame []byte) error
 	n     uint64
 }
 
 // AgentInjector wraps the agent with process-level fault modes — pause,
 // slowdown, kill/restart — complementing the channel-level Injector: that
 // one corrupts the pipe, this one sickens the endpoint. It takes the agent's
-// input as frames, the way the agent does (runtime.Runtime.HandleFrame).
-// A frame held or delayed is a byte copy (the caller only lends the
-// original), and delayed deliveries fire on the supplied schedule function,
-// so under the simulator everything stays on the virtual clock and
-// deterministic. A frame the agent would refuse is refused only when it is
+// input as frames, the way the agent does (runtime.Runtime.HandleFrame), and
+// hands each on with the reply it came with, to which the agent lends its
+// decisions as frames: the injector touches no reply. A frame held or delayed
+// is a byte copy (the caller only lends the original), and delayed
+// deliveries fire on the supplied schedule function, so under the simulator
+// everything stays on the virtual clock and deterministic. A frame the agent would refuse is refused only when it is
 // delivered: the caller learns of it (HandleFrame's error) only in healthy
 // pass-through.
 //
@@ -81,7 +80,7 @@ type heldFrame struct {
 // runs on the event loop. Mode changes and message arrivals must come from
 // the same scheduling domain.
 type AgentInjector struct {
-	inner    func(frame []byte, reply func(proto.Msg) error) error
+	inner    func(frame []byte, reply func(frame []byte) error) error
 	schedule func(time.Duration, func())
 	mode     AgentMode
 	delay    time.Duration
@@ -95,7 +94,7 @@ type AgentInjector struct {
 
 // NewAgentInjector wraps inner, scheduling delayed deliveries with schedule
 // (the simulator's Schedule in experiments). The injector starts healthy.
-func NewAgentInjector(inner func(frame []byte, reply func(proto.Msg) error) error, schedule func(time.Duration, func())) *AgentInjector {
+func NewAgentInjector(inner func(frame []byte, reply func(frame []byte) error) error, schedule func(time.Duration, func())) *AgentInjector {
 	return &AgentInjector{inner: inner, schedule: schedule}
 }
 
@@ -108,7 +107,7 @@ func (a *AgentInjector) Mode() AgentMode { return a.mode }
 // HandleFrame takes one frame bound for the agent, which it only borrows,
 // and applies the current fault mode. It returns inner's error in healthy
 // pass-through and nil otherwise.
-func (a *AgentInjector) HandleFrame(frame []byte, reply func(proto.Msg) error) error {
+func (a *AgentInjector) HandleFrame(frame []byte, reply func(frame []byte) error) error {
 	a.arrivals++
 	switch a.mode {
 	case AgentHealthy:
@@ -136,7 +135,7 @@ func (a *AgentInjector) HandleFrame(frame []byte, reply func(proto.Msg) error) e
 }
 
 // deliver hands frame to the inner agent, counting it delivered if taken.
-func (a *AgentInjector) deliver(frame []byte, reply func(proto.Msg) error) error {
+func (a *AgentInjector) deliver(frame []byte, reply func(frame []byte) error) error {
 	err := a.inner(frame, reply)
 	if err == nil {
 		a.stats.Delivered++
@@ -201,7 +200,7 @@ func (a *AgentInjector) Kill() {
 // supervisor resolved. The injector returns to healthy passthrough.
 // Anything a pause was holding dies with the replaced process (replaying it
 // into the replacement would deliver another agent's backlog out of order).
-func (a *AgentInjector) Restart(inner func(frame []byte, reply func(proto.Msg) error) error) {
+func (a *AgentInjector) Restart(inner func(frame []byte, reply func(frame []byte) error) error) {
 	a.stats.DroppedOnKill += len(a.held)
 	a.held = nil
 	a.inner = inner

@@ -19,7 +19,7 @@ type recordingAgent struct {
 	handed [][]byte
 }
 
-func (r *recordingAgent) handle(frame []byte, _ func(proto.Msg) error) error {
+func (r *recordingAgent) handle(frame []byte, _ func([]byte) error) error {
 	m, err := proto.Unmarshal(bytes.Clone(frame))
 	if err != nil {
 		return err
@@ -188,7 +188,7 @@ func TestAgentInjectorSlowDeliveryDueDuringPauseIsHeld(t *testing.T) {
 func TestAgentInjectorReturnsRefusalOnlyWhenHealthy(t *testing.T) {
 	refuse := errors.New("refused")
 	calls := 0
-	inj := faults.NewAgentInjector(func([]byte, func(proto.Msg) error) error {
+	inj := faults.NewAgentInjector(func([]byte, func([]byte) error) error {
 		calls++
 		return refuse
 	}, noSchedule(t))

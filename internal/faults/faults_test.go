@@ -339,11 +339,11 @@ func TestBridgeKilledFrameReachesNoAgentCounter(t *testing.T) {
 	sim := netsim.New(1)
 	agent, shadow := newRenoRuntime(t), newRenoRuntime(t)
 	killed := 0
-	br := bridge.New(sim, func(frame []byte, reply func(proto.Msg) error) error {
+	br := bridge.New(sim, func(frame []byte, reply func([]byte) error) error {
 		if _, err := proto.Unmarshal(frame); err != nil {
 			killed++
 		} else {
-			shadow.HandleFrame(frame, func(proto.Msg) error { return nil })
+			shadow.HandleFrame(frame, func([]byte) error { return nil })
 		}
 		return agent.HandleFrame(frame, reply)
 	}, 50*time.Microsecond)

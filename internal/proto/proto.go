@@ -402,10 +402,9 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 }
 
 // Unmarshal decodes one message into freshly allocated structs, with one
-// exception: Install.Prog aliases data (see Decoder for the rule). Receive
-// loops that decode at high rates should hold a reusable Decoder instead.
-//
-//lint:testsupport the allocating decoder of the tests (with Marshal, the codec round trip that copies a message) and of the root benchmarks
+// exception: Install.Prog aliases data (see Decoder for the rule). It is for
+// cold paths (core.Describe's probe reads what an algorithm sends) and tests;
+// receive loops that decode at high rates hold a reusable Decoder instead.
 func Unmarshal(data []byte) (Msg, error) {
 	var dec Decoder
 	return dec.Unmarshal(data)

@@ -19,10 +19,10 @@ import (
 // TestAllocsShardedDispatch pins the agent's half of a report at nothing: a
 // report marshalled into a reused buffer, as a datapath sends it, crosses
 // HandleFrame into a shard in a recycled mailbox buffer, the shard decodes it
-// into its own scratch, the algorithm's decision is built in the shard
-// agent's scratch, and a reply that marshals into a reused buffer keeps none
-// of it. One op is a report in and its decision out, on a two-shard runtime,
-// for a Measurement and an Urgent.
+// into its own scratch, the algorithm's decision is built and marshalled in
+// the shard agent's scratch, and a reply that copies the frame into a reused
+// buffer keeps none of it. One op is a report in and its decision out, on a
+// two-shard runtime, for a Measurement and an Urgent.
 func TestAllocsShardedDispatch(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -37,14 +37,11 @@ func TestAllocsShardedDispatch(t *testing.T) {
 		mu      sync.Mutex
 		buf     = make([]byte, 0, 256)
 		replies atomic.Int64
-		encErr  error
 	)
-	reply := func(m proto.Msg) error {
+	reply := func(frame []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if _, err := proto.AppendMarshal(buf[:0], m); err != nil {
-			encErr = err
-		}
+		buf = append(buf[:0], frame...)
 		replies.Add(1)
 		return nil
 	}
@@ -58,7 +55,11 @@ func TestAllocsShardedDispatch(t *testing.T) {
 
 	const flows = 32
 	for sid := uint32(1); sid <= flows; sid++ {
-		rt.HandleMessage(&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480}, reply)
+		create, err := proto.Marshal(&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.HandleFrame(create, reply)
 	}
 	await(flows) // echoAlg answers Init with a SetCwnd
 
@@ -92,10 +93,7 @@ func TestAllocsShardedDispatch(t *testing.T) {
 			t.Errorf("%s through a sharded runtime allocated %.2f times per op, want 0", c.name, allocs)
 		}
 	}
-	if encErr != nil {
-		t.Fatalf("a decision failed to marshal: %v", encErr)
-	}
-	if st := rt.Stats(); st.Agent.StaleReports != 0 || st.Agent.DupUrgents != 0 {
+	if st := rt.Stats(); st.Agent.StaleReports != 0 || st.Agent.DupUrgents != 0 || st.Agent.Errors != 0 {
 		t.Fatalf("the measured ops were not all handled: %+v", st)
 	}
 }
@@ -111,7 +109,7 @@ func TestAllocsServeSetDispatch(t *testing.T) {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	if bufpool.DebugEnabled {
-		t.Skip("debugpool ownership tracking records stack traces on every pooled frame the replies take")
+		t.Skip("debugpool ownership tracking records a stack trace at every Release of a ring frame view, at both ends")
 	}
 	dir := t.TempDir()
 	mux, err := shmring.NewMux(filepath.Join(dir, "mux.bell"))

@@ -48,7 +48,7 @@ func FuzzShardFrames(f *testing.F) {
 	reg := core.NewRegistry()
 	reg.Register("plod", func() core.Alg { return ploddingAlg{} })
 	cfg := Config{Shards: 2, Agent: core.AgentConfig{Registry: reg, DefaultAlg: "plod"}}
-	reply := func(proto.Msg) error { return nil }
+	reply := func([]byte) error { return nil }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rt, err := newRuntime(cfg, 1)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	stdruntime "runtime"
 
 	"github.com/ccp-repro/ccp/internal/ipc"
-	"github.com/ccp-repro/ccp/internal/proto"
 )
 
 // growingSet is a RecvSet whose members join while it is served, as a
@@ -33,11 +32,11 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 	type conn struct {
 		tr    ipc.Transport
 		t     ipc.TryRecver
-		reply func(proto.Msg) error
+		reply func(frame []byte) error
 	}
 	var conns []conn
 	// A member keeps its reply across re-reads: one lock per connection.
-	replies := make(map[ipc.Transport]func(proto.Msg) error)
+	replies := make(map[ipc.Transport]func(frame []byte) error)
 	members := func() error {
 		conns = conns[:0]
 		for i, t := range set.Transports() {

@@ -90,7 +90,7 @@ type Stats struct {
 // encoded message (see mailbox.push), the shard's to read until its next pop.
 type item struct {
 	frame []byte
-	reply func(proto.Msg) error
+	reply func(frame []byte) error
 	// do, when non-nil, is a call the shard makes on its agent in place of a
 	// message (see exec).
 	do func(*core.Agent)
@@ -173,7 +173,7 @@ func (r *Runtime) run(sh *shard) {
 // handleFrame decodes frame into sh's scratch and hands it to sh's agent; a
 // frame that does not decode is counted, goes no further, and is the error.
 // It runs on the shard: its goroutine, or the caller under sh.mu.
-func (r *Runtime) handleFrame(sh *shard, frame []byte, reply func(proto.Msg) error) error {
+func (r *Runtime) handleFrame(sh *shard, frame []byte, reply func(frame []byte) error) error {
 	m, err := sh.dec.Unmarshal(frame)
 	if err != nil {
 		r.badFrame(err)
@@ -188,9 +188,9 @@ func (r *Runtime) handleFrame(sh *shard, frame []byte, reply func(proto.Msg) err
 
 // poison overwrites a shard decoder's scratch message once the agent has
 // returned (under -tags debugpool), so anything still reading it — an
-// algorithm that kept Measurement.Values past OnMeasurement, a reply that
-// kept what it was lent — sees NaNs and flow 0xDBDBDBDB instead of a
-// plausible stale report.
+// algorithm that kept Measurement.Values past OnMeasurement — sees NaNs and
+// flow 0xDBDBDBDB instead of a plausible stale report. (The agent poisons
+// the frames it lends its replies itself.)
 func poison(m proto.Msg) {
 	const sid = 0xDBDBDBDB
 	nan := math.NaN()
@@ -220,13 +220,15 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 // HandleFrame is the runtime's one way in: it routes one received frame,
 // which it only borrows, to its flow's shard by the SID in its header
 // (proto.FrameSID). A goroutine shard queues a copy and decodes it later; a
-// caller-run shard decodes and runs it now. reply is lent each decision for
-// the duration of that call (see core.Agent.HandleMessage). A frame too short
+// caller-run shard decodes and runs it now. reply is lent each decision as
+// its frame, for the duration of that call (see core.Agent.HandleMessage):
+// what comes in and what goes out are both bytes, and both only borrowed.
+// A frame too short
 // to route is counted here and dispatched nowhere; one with a bad body is
 // dispatched and counted by the shard that fails to decode it. The error is
 // that of a frame refused before it reached an agent, as far as the caller
 // can know: a goroutine shard's decode error is only counted.
-func (r *Runtime) HandleFrame(frame []byte, reply func(proto.Msg) error) error {
+func (r *Runtime) HandleFrame(frame []byte, reply func(frame []byte) error) error {
 	sid, ok := proto.FrameSID(frame)
 	if !ok {
 		r.badFrame(errShortFrame)
@@ -243,9 +245,10 @@ func (r *Runtime) HandleFrame(frame []byte, reply func(proto.Msg) error) error {
 	return nil
 }
 
-// HandleMessage marshals m into a pooled frame and hands it to HandleFrame. A
-// message that does not marshal is counted with the frames that do not
-// decode.
+// HandleMessage marshals m into a pooled frame and hands it to HandleFrame,
+// decoding each reply frame for reply, which borrows the message for the
+// call. A message that does not marshal is counted with the frames that do
+// not decode.
 //
 //lint:testsupport the message-level driver of the runtime, datapath and root tests and of benchmark/bench_test.go
 func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
@@ -254,12 +257,18 @@ func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 		r.badFrame(err)
 		return
 	}
-	r.HandleFrame(f.B, reply) // what it refuses, it counts
+	r.HandleFrame(f.B, func(frame []byte) error {
+		d, err := proto.Unmarshal(frame)
+		if err != nil {
+			return err
+		}
+		return reply(d)
+	}) // what it refuses, it counts
 	f.Release()
 }
 
 // enqueue queues a copy of frame in sh's mailbox (see mailbox.push).
-func (r *Runtime) enqueue(sh *shard, frame []byte, reply func(proto.Msg) error) {
+func (r *Runtime) enqueue(sh *shard, frame []byte, reply func(frame []byte) error) {
 	if !sh.mail.push(item{reply: reply}, frame) {
 		r.shutdownDropped.Add(1)
 		return

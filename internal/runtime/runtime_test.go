@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -59,18 +60,14 @@ func script(n int) []proto.Msg {
 	return msgs
 }
 
-// replies runs every message through handle, collecting marshalled replies.
-func replies(t *testing.T, handle func(proto.Msg, func(proto.Msg) error), msgs []proto.Msg) [][]byte {
+// replies runs every message through handle, collecting the reply frames.
+func replies(t *testing.T, handle func(proto.Msg, func([]byte) error), msgs []proto.Msg) [][]byte {
 	t.Helper()
 	var mu sync.Mutex
 	var out [][]byte
-	reply := func(m proto.Msg) error {
-		data, err := proto.Marshal(m)
-		if err != nil {
-			return err
-		}
+	reply := func(frame []byte) error {
 		mu.Lock()
-		out = append(out, data)
+		out = append(out, bytes.Clone(frame)) // lent for the call
 		mu.Unlock()
 		return nil
 	}
@@ -93,7 +90,13 @@ func TestInlineModeBitIdenticalToAgent(t *testing.T) {
 	defer rt.Close()
 
 	want := replies(t, direct.HandleMessage, msgs)
-	got := replies(t, rt.HandleMessage, msgs)
+	got := replies(t, func(m proto.Msg, reply func([]byte) error) {
+		frame, err := proto.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.HandleFrame(frame, reply)
+	}, msgs)
 	if len(want) != len(got) {
 		t.Fatalf("reply counts diverged: agent=%d runtime=%d", len(want), len(got))
 	}

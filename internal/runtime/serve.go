@@ -11,17 +11,16 @@ import (
 
 	"github.com/ccp-repro/ccp/internal/ipc"
 	"github.com/ccp-repro/ccp/internal/ipc/shmring"
-	"github.com/ccp-repro/ccp/internal/proto"
 )
 
 // ServeTransport is the one blocking serve loop: it reads frames from t until
 // receive fails, handing each to handle, which only borrows it, with replies
-// marshalled back onto t, and returns the receive error. It decodes nothing:
+// sent back onto t, and returns the receive error. It decodes nothing:
 // handle is a Runtime's HandleFrame, or a warm standby consuming its
 // replication stream (ccp-agent -standby); datapaths are served over rings,
 // by ServeSet. It stops nothing when it returns: a Runtime is closed
 // separately.
-func ServeTransport(handle func(frame []byte, reply func(proto.Msg) error) error, t ipc.Transport) error {
+func ServeTransport(handle func(frame []byte, reply func(frame []byte) error) error, t ipc.Transport) error {
 	reply := lockedReply(t)
 	for {
 		f, err := ipc.RecvFrame(t)
@@ -114,21 +113,15 @@ func (r *Runtime) Serve(ln *net.UnixListener) error {
 	return serveErr
 }
 
-// lockedReply sends each reply on t as one frame, one at a time: shard
-// goroutines reply concurrently, and a wrapper around t may keep state per
-// send (the benchmark's tracer decodes each reply). It marshals before
-// returning, so it keeps nothing of the message it was lent.
-func lockedReply(t ipc.Transport) func(proto.Msg) error {
+// lockedReply sends each reply frame on t, one at a time: shard goroutines
+// reply concurrently, and a wrapper around t may keep state per send (the
+// benchmark's tracer decodes each reply). It sends the bytes it is lent and
+// keeps none of them.
+func lockedReply(t ipc.Transport) func(frame []byte) error {
 	var mu sync.Mutex
-	return func(m proto.Msg) error {
-		f, err := proto.MarshalFrame(m)
-		if err != nil {
-			return err
-		}
+	return func(frame []byte) error {
 		mu.Lock()
-		err = t.Send(f.B)
-		mu.Unlock()
-		f.Release()
-		return err
+		defer mu.Unlock()
+		return t.Send(frame)
 	}
 }

@@ -62,11 +62,12 @@ type Config struct {
 	// Clock schedules probe ticks (the simulator clock in experiments).
 	// Required.
 	Clock cc.Clock
-	// Handler receives the probes, as frames it only borrows. Required. In a
-	// supervised deployment this is the HandleFrame of the
+	// Handler receives the probes, as frames it only borrows, and lends each
+	// echo to reply as a frame, as runtime.Runtime.HandleFrame does. Required.
+	// In a supervised deployment this is the HandleFrame of the
 	// faults.AgentInjector wrapping the live agent, so probes experience the
 	// same pauses, delays, and drops the datapath traffic does.
-	Handler func(frame []byte, reply func(proto.Msg) error) error
+	Handler func(frame []byte, reply func(frame []byte) error) error
 	// Interval is the probe period (default 10ms).
 	Interval time.Duration
 	// LatencyBudget: when the latency EWMA exceeds this, the agent is
@@ -129,6 +130,7 @@ type Supervisor struct {
 	haveCooldown  bool
 	probe         proto.Heartbeat
 	frame         []byte // probe, marshalled; reused by every tick
+	dec           proto.Decoder
 	stats         Stats
 }
 
@@ -207,11 +209,15 @@ func (s *Supervisor) tick() {
 	s.timer = s.cfg.Clock.AfterFunc(s.cfg.Interval, s.tick)
 }
 
-// echo scores one heartbeat reply. It is the reply func handed to the
-// handler, so with a healthy synchronous agent it runs inside tick's
-// Handler call; with a slow or paused one it runs when the delayed
-// or replayed delivery fires.
-func (s *Supervisor) echo(m proto.Msg) error {
+// echo scores one heartbeat reply, the frame it is lent. It is the reply func
+// handed to the handler, so with a healthy synchronous agent it runs inside
+// tick's Handler call; with a slow or paused one it runs when the delayed or
+// replayed delivery fires.
+func (s *Supervisor) echo(frame []byte) error {
+	m, err := s.dec.Unmarshal(frame)
+	if err != nil {
+		return err
+	}
 	hb, ok := m.(*proto.Heartbeat)
 	if !ok {
 		return nil // probes carry no flow, so nothing else should arrive

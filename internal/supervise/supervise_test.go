@@ -20,21 +20,21 @@ type echoHandler struct {
 	echoes int
 }
 
-func (e *echoHandler) handle(frame []byte, reply func(proto.Msg) error) error {
+func (e *echoHandler) handle(frame []byte, reply func([]byte) error) error {
 	m, err := proto.Unmarshal(frame)
 	if err != nil {
 		return err
 	}
-	if hb, ok := m.(*proto.Heartbeat); ok {
+	if _, ok := m.(*proto.Heartbeat); ok {
 		e.echoes++
 		if reply != nil {
-			reply(&proto.Heartbeat{SID: hb.SID, Seq: hb.Seq, SentAt: hb.SentAt})
+			reply(frame) // the echo is the probe's own bytes
 		}
 	}
 	return nil
 }
 
-func newTestSupervisor(sim *netsim.Sim, h func([]byte, func(proto.Msg) error) error, onFailover func()) *Supervisor {
+func newTestSupervisor(sim *netsim.Sim, h func([]byte, func([]byte) error) error, onFailover func()) *Supervisor {
 	return NewSupervisor(Config{
 		Clock:         sim,
 		Handler:       h,
@@ -198,7 +198,7 @@ func buildPrimary(t testing.TB) *core.Agent {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := func(proto.Msg) error { return nil }
+	reply := func([]byte) error { return nil }
 	agent.HandleMessage(&proto.Create{SID: 1, Seq: 1, MSS: 1460, InitCwnd: 14600,
 		SrcAddr: "10.0.0.1:1", DstAddr: "10.0.0.2:2", Alg: "reno"}, reply)
 	agent.HandleMessage(&proto.Create{SID: 2, Seq: 1, MSS: 1460, InitCwnd: 14600,
@@ -346,7 +346,7 @@ func TestStandbyServeTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := NewStandby()
-	apply := func(frame []byte, _ func(proto.Msg) error) error { return sb.Apply(frame) }
+	apply := func(frame []byte, _ func([]byte) error) error { return sb.Apply(frame) }
 	if err := runtime.ServeTransport(apply, b); err != ipc.ErrClosed {
 		t.Fatalf("ServeTransport error = %v, want ErrClosed after drain", err)
 	}

@@ -236,7 +236,7 @@ func (c *Conn) pacedOut() bool {
 // cell with the fail-safe off (the agent lets the window reach 461,750
 // segments) that is 7,699 rackMarkLost calls of 440,000 segments each and 52
 // million calls here — 46% and 26% of the cell's 17 s. A scan cursor keyed by
-// sequence number, carried across calls, is the fix (ROADMAP small debts).
+// sequence number, carried across calls, is the fix (ROADMAP item 11(a)).
 func (c *Conn) nextLostIndex() int {
 	if len(c.segs) == 0 {
 		return -1
