@@ -283,9 +283,7 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(frame []byte) error) {
 			// below.
 			old.flow.send = reply
 			old.createSeq = v.Seq
-			if !proto.SeqNewer(old.flow.ctrlSeq, v.Seq) {
-				old.flow.ctrlSeq = v.Seq + ctrlSeqSkip
-			}
+			old.flow.skipPast(v.Seq)
 			atomic.AddInt64(&a.shared.stats.ResyncAdopts, 1)
 			return
 		}
@@ -300,10 +298,13 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(frame []byte) error) {
 // applies the policy, replaces whatever the SID held, and runs the
 // algorithm's Init on the new flow, which sends on reply.
 //
-// It also sets where the flow numbers its decisions from. A cold flow
-// numbers from c.Seq, the newest control sequence the datapath announced
-// having applied (nonzero on resync). A restored flow numbers ctrlSeqSkip
-// above the snapshot's last issued sequence, and resumes its dedup cursors.
+// It also sets where the flow numbers its decisions from. A flow for a fresh
+// datapath (a Create with Seq 0) numbers from 0. Any other numbers
+// ctrlSeqSkip above the newest control sequence the agent knows of (skipPast):
+// a cold build from a resync Create above its Seq, which the datapath may have
+// passed by the time the reply arrives, and a restored flow above the
+// snapshot's last issued sequence; a restored flow also resumes its dedup
+// cursors.
 func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(frame []byte) error) *flowState {
 	name := c.Alg
 	if name == "" {
@@ -329,12 +330,14 @@ func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(frame 
 		policy = a.cfg.Policy(info)
 	}
 	st := &flowState{alg: alg, createSeq: c.Seq}
-	ctrlSeq := c.Seq
-	if snap != nil {
-		ctrlSeq = snap.CtrlSeq + ctrlSeqSkip
+	st.flow = &Flow{Info: info, policy: policy, send: reply, shared: &a.shared, layout: ewmaLayout}
+	switch {
+	case snap != nil:
+		st.flow.skipPast(snap.CtrlSeq)
 		st.lastReportSeq, st.lastUrgentSeq, st.restored = snap.ReportSeq, snap.UrgentSeq, true
+	case c.Seq != 0:
+		st.flow.skipPast(c.Seq)
 	}
-	st.flow = &Flow{Info: info, policy: policy, send: reply, ctrlSeq: ctrlSeq, shared: &a.shared, layout: ewmaLayout}
 	a.drop(c.SID)
 	a.flows[c.SID] = st
 	a.live.Store(int64(len(a.flows)))

@@ -526,7 +526,9 @@ func TestFlowStampsControlSequence(t *testing.T) {
 func TestFlowSequenceResumesFromCreate(t *testing.T) {
 	// A resync Create carries the datapath's newest applied sequence; the
 	// (possibly restarted) agent must number its decisions above it, or
-	// everything it sends would look stale.
+	// everything it sends would look stale — and ctrlSeqSkip above it, past
+	// whatever an earlier incarnation still had in flight when the Create
+	// went up.
 	alg := &recordAlg{}
 	a := newTestAgent(t, alg, nil)
 	cap := &capture{}
@@ -536,8 +538,8 @@ func TestFlowSequenceResumesFromCreate(t *testing.T) {
 	st := a.flows[1]
 	st.flow.SetCwnd(5000)
 	sc := cap.msgs[len(cap.msgs)-1].(*proto.SetCwnd)
-	if sc.Seq != 1043 {
-		t.Fatalf("seq=%d, want 1043 (resume above Create's 1042)", sc.Seq)
+	if want := uint32(1042 + ctrlSeqSkip + 1); sc.Seq != want {
+		t.Fatalf("seq=%d, want %d (ctrlSeqSkip above Create's 1042)", sc.Seq, want)
 	}
 }
 
@@ -953,14 +955,14 @@ func TestEveryWayAFlowIsMade(t *testing.T) {
 		do      func() error
 		wantErr bool
 		sid     uint32
-		ctrlSeq uint32 // the step's flow's newest control sequence; 0: gone
+		ctrlSeq uint32 // the step's flow's newest control sequence; 0: gone, or fresh
 		want    counts
 	}{
-		{"create", create(1, 5), false, 1, 5,
+		{"create", create(1, 5), false, 1, 5 + ctrlSeqSkip,
 			counts{inits: 1, flows: 1, created: 1}},
-		{"duplicate create", create(1, 5), false, 1, 5,
+		{"duplicate create", create(1, 5), false, 1, 5 + ctrlSeqSkip,
 			counts{inits: 1, flows: 1, created: 1, dups: 1}},
-		{"resync create over a live flow", create(1, 9), false, 1, 9,
+		{"resync create over a live flow", create(1, 9), false, 1, 9 + ctrlSeqSkip,
 			counts{inits: 2, releases: 1, flows: 1, created: 2, dups: 1}},
 		{"restore", restore(snap(2, "record", 40)), false, 2, 40 + ctrlSeqSkip,
 			counts{inits: 3, releases: 1, flows: 2, created: 2, restores: 1, dups: 1}},
@@ -976,6 +978,12 @@ func TestEveryWayAFlowIsMade(t *testing.T) {
 			counts{inits: 5, releases: 3, flows: 2, created: 2, restores: 3, unknownAlg: 1, dups: 1, adopt: 1}},
 		{"close", func() error { a.HandleMessage(&proto.Close{SID: 1}, cap.send); return nil }, false, 1, 0,
 			counts{inits: 5, releases: 4, flows: 1, created: 2, closed: 1, restores: 3, unknownAlg: 1, dups: 1, adopt: 1}},
+		{"create from a fresh datapath", create(4, 0), false, 4, 0,
+			counts{inits: 6, releases: 4, flows: 2, created: 3, closed: 1, restores: 3, unknownAlg: 1, dups: 1, adopt: 1}},
+		{"resync create past wraparound", create(5, 0xFFFF_FFF0), false, 5, ctrlSeqSkip - 0x10,
+			counts{inits: 7, releases: 4, flows: 3, created: 4, closed: 1, restores: 3, unknownAlg: 1, dups: 1, adopt: 1}},
+		{"restore past wraparound", restore(snap(6, "record", 0xFFFF_FFF0)), false, 6, ctrlSeqSkip - 0x10,
+			counts{inits: 8, releases: 4, flows: 4, created: 4, closed: 1, restores: 4, unknownAlg: 1, dups: 1, adopt: 1}},
 	}
 	for _, s := range steps {
 		if err := s.do(); (err != nil) != s.wantErr {

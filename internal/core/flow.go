@@ -98,10 +98,11 @@ type Flow struct {
 
 	// ctrlSeq numbers outgoing control messages (Install, SetCwnd, SetRate)
 	// in one shared sequence space, so the datapath can discard reordered or
-	// duplicated copies of superseded decisions. It starts from the Seq the
-	// datapath announced in Create, which on a resync is the newest sequence
-	// it has applied — a restarted agent resumes numbering above it instead
-	// of looking stale.
+	// duplicated copies of superseded decisions. It starts from 0 for a fresh
+	// datapath, and ctrlSeqSkip above the Seq a resync Create announced (the
+	// newest sequence the datapath had applied) or a snapshot recorded, so
+	// that a restarted agent numbers above anything in flight instead of
+	// looking stale (skipPast).
 	ctrlSeq  uint32
 	wholeLen uint32
 }

@@ -25,15 +25,29 @@ type SnapshotExporter interface {
 	ImportState(src []float64) bool
 }
 
-// ctrlSeqSkip is how far a restored flow's control sequence jumps ahead of
-// the last sequence number recorded in its snapshot. The primary may have
-// issued decisions after the snapshot was taken, so the datapath's "newest
-// applied" counter can be ahead of the snapshot — without the skip, the
-// standby's first decisions would be discarded as stale. The skip is far
-// larger than any plausible snapshot-age decision count and far smaller than
-// the 2^31 wraparound horizon, so ordering against genuinely stale messages
-// is preserved. See DESIGN.md §10.
+// ctrlSeqSkip is how far ahead a flow numbers its decisions of the newest
+// control sequence it knows its datapath may have applied, when that
+// datapath has applied decisions this agent did not send (skipPast). The
+// number it knows can be behind by then: a primary may have issued decisions
+// after its snapshot was taken, and an earlier incarnation's Install may still
+// be on the wire when a resync Create goes up, to land after it. Without the
+// skip the flow's first decisions would be discarded as stale, or, as an
+// Install's Seq, name the epoch of another incarnation's program. The skip is
+// far larger than any plausible in-flight decision count and far smaller
+// than the 2^31 wraparound horizon, so ordering against genuinely stale
+// messages is preserved. See DESIGN.md §10.
 const ctrlSeqSkip = 1 << 16
+
+// skipPast is the one skip rule: f, made or adopted for a datapath that has
+// applied control sequence seq (a resync Create's Seq, or a snapshot's last
+// issued one), numbers its next decision ctrlSeqSkip above seq, unless it has
+// numbered decisions above seq already. (A ctrlSeq of 0 has numbered none:
+// proto.NextSeq never returns 0.)
+func (f *Flow) skipPast(seq uint32) {
+	if f.ctrlSeq == 0 || !proto.SeqNewer(f.ctrlSeq, seq) {
+		f.ctrlSeq = seq + ctrlSeqSkip
+	}
+}
 
 // SnapshotInto streams the agent's per-flow state as proto.Snapshot
 // messages: first tombstones for flows closed since the previous call, then
@@ -107,7 +121,7 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 // the snapshot's program as bytes and the report layout read from them
 // (readLayout: reports are named without a datapath round trip), and numbers
 // future decisions ctrlSeqSkip above the snapshot's last issued sequence
-// (newFlow). The algorithm is freshly instantiated,
+// (newFlow, skipPast). The algorithm is freshly instantiated,
 // Init'd against a silent flow handle, then overwritten via ImportState when
 // both sides support it — so an algorithm without snapshot support degrades
 // to a cold start rather than an error. A snapshot whose program does not

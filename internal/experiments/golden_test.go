@@ -29,10 +29,12 @@ import (
 // put runtime.Runtime under the harness; ablation-fallback's at the PR that
 // left the datapath one watchdog; ablation-chaos's and ablation-agentchaos's
 // at the PR that put both fault layers in every deployment, which deleted
-// the transparency line each printed under its table. Their tables last
-// moved when Installs began to cross by reference, where a lost or stale
-// whole Install costs the references behind it too (EXPERIMENTS.md has what
-// moved each time, row by row).
+// the transparency line each printed under its table. Their tables moved
+// when Installs began to cross by reference, where a lost or stale whole
+// Install costs the references behind it too, and, with ablation-ha's, last
+// when a flow built cold from a resync Create began numbering its decisions
+// ctrlSeqSkip above the Create's Seq (EXPERIMENTS.md has what moved each
+// time, row by row).
 var golden = []struct {
 	id     string
 	run    func() fmt.Stringer
@@ -47,7 +49,7 @@ var golden = []struct {
 	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "7813b7cd221c2144fea4e4c6fbb1ff017b92b375a40a048938c401ff636f8a72"},
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "61d861159290dc262e81f8dd47992a36f189a0cf6881dca615a9a732be851832"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "cd9bce6297479d00ede5711bc3a6eef28ece0e4bf8b422670df44c9791c038f8"},
 	{"ablation-agentchaos-5of6", func() fmt.Stringer {
 		var res AblAgentChaosResult
 		for _, fault := range []string{"kill", "pause", "slow"} {
@@ -58,7 +60,7 @@ var golden = []struct {
 			}
 		}
 		return res
-	}, "2e7f828a70c6eb08c860f8b8551bdf8c19cfd573ad1266fcece652cfc36be050"},
+	}, "040586c3487b47ffd6178a902867cf4e4c88d749c9212613862e75efbf5a8c81"},
 	{"ablation-ha-7of9", func() fmt.Stringer {
 		var res AblHAResult
 		for _, fault := range []string{"kill", "pause", "slow"} {
@@ -69,7 +71,7 @@ var golden = []struct {
 			}
 		}
 		return res
-	}, "824aff2aeb0dbb54b71af3a9b7dab38b9a4b8612d2a344873babe56d61ab8910"},
+	}, "c593a782f2f76f09394a04b0f1a752d716fd2de1f274e2b1d5254bd258a661cc"},
 	{"ext-smooth", func() fmt.Stringer { return AblSmooth() }, "6829cb2ec95e6825ae32f651b69b0b1a694257045815b02890318039d049a4d6"},
 	{"ext-synthesis", func() fmt.Stringer { return AblSynthesis() }, "e0e036a9d73fd71578d6af7604d5b84ebc7d79f9c982754d84a43b8e28786f85"},
 	{"ext-group", func() fmt.Stringer { return AblGroup() }, "0b958bf5b47d746ef62fbbde26ef3a01954839f70a65325afbd678f88a7a5924"},
