@@ -43,7 +43,9 @@ bench-compare:
 # CI smoke of the end-to-end benchmark: two seconds of direct50k — real
 # rings, the sharded runtime and the verifier under a 50k-flow table — then
 # two of reinstall, where every report is answered by an Install (by
-# reference after a flow's first: direct50k never sends one). The exit status
+# reference after a flow's first: direct50k never sends one), then two of
+# steady, the one open-loop workload, where the serve loop parks between
+# reports and each reply wakes a ring. The exit status
 # is the assertion (the run checks itself: every report answered, every
 # decision accounted for, and any InstallErr — a refused reference included —
 # fails it); shared runners jitter too much to bound a latency here.
@@ -57,6 +59,8 @@ bench-smoke:
 	$(GO) run ./benchmark -workload direct50k -seconds 2 && \
 	echo "$(GO) run ./benchmark -workload reinstall -seconds 2" && \
 	$(GO) run ./benchmark -workload reinstall -seconds 2 && \
+	echo "$(GO) run ./benchmark -workload steady -seconds 2" && \
+	$(GO) run ./benchmark -workload steady -seconds 2 && \
 	after=$$($(ring_files)) && \
 	if [ "$$after" -gt "$$before" ]; then \
 		echo "bench-smoke: ring files in the backing directory grew from $$before to $$after"; exit 1; \

@@ -32,18 +32,6 @@ func newAlgRig(t *testing.T, name string, factory core.AlgFactory) *algRig {
 	return r
 }
 
-// copyMsg deep-copies m by the codec round trip.
-func copyMsg(m proto.Msg) proto.Msg {
-	b, err := proto.Marshal(m)
-	if err == nil {
-		m, err = proto.Unmarshal(b)
-	}
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func (r *algRig) handle(m proto.Msg) {
 	r.agent.HandleMessage(m, func(frame []byte) error {
 		out, err := proto.Unmarshal(bytes.Clone(frame)) // frame is the agent's, for this call

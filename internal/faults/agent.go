@@ -72,9 +72,9 @@ type heldFrame struct {
 // decisions as frames: the injector touches no reply. A frame held or delayed
 // is a byte copy (the caller only lends the original), and delayed
 // deliveries fire on the supplied schedule function, so under the simulator
-// everything stays on the virtual clock and deterministic. A frame the agent would refuse is refused only when it is
-// delivered: the caller learns of it (HandleFrame's error) only in healthy
-// pass-through.
+// everything stays on the virtual clock and deterministic. A frame the agent
+// would refuse is refused only when it is delivered: the caller learns of it
+// (HandleFrame's error) only in healthy pass-through.
 //
 // Like Injector, it is not safe for concurrent use: the simulator adapter
 // runs on the event loop. Mode changes and message arrivals must come from
