@@ -247,6 +247,11 @@ func TestStandbyTakesOverOnTheShippedPath(t *testing.T) {
 			if st.Agent.FlowsCreated != 0 || st.Agent.UnknownFlowMsg != 0 || st.DecodeErrors != 0 {
 				t.Fatalf("promoted standby cold-started or lost a flow: %+v", st)
 			}
+			// The snapshots carried each flow's epoch: the first report after
+			// the failover, and every one since, named the program that folded it.
+			if st.Agent.UnknownEpochs != 0 || st.Agent.Errors != 0 {
+				t.Fatalf("promoted standby could not name a report: %+v", st.Agent)
+			}
 			if ls := link.Stats(); ls.Connects != 2 || ls.Resyncs != 2 {
 				t.Fatalf("link stats %+v: want one reconnect replaying two flows", ls)
 			}

@@ -88,6 +88,11 @@ func (cu *Cubic) install(f *core.Flow) {
 // OnMeasurement implements core.Alg: advance along the cubic curve.
 func (cu *Cubic) OnMeasurement(f *core.Flow, m core.Measurement) {
 	cu.cutSinceReport = false
+	now, ours := m.Get("dp_now")
+	if !ours { // the default program's, sent before Init's Install landed
+		cu.install(f) // its "acked" is not the fold's: the window stays
+		return
+	}
 	acked := m.GetOr("acked", 0)
 	if acked <= 0 {
 		return
@@ -95,7 +100,6 @@ func (cu *Cubic) OnMeasurement(f *core.Flow, m core.Measurement) {
 	if rtt := m.GetOr("rtt_f", 0); rtt > 0 {
 		cu.srtt = rtt
 	}
-	now := m.GetOr("dp_now", 0)
 
 	if cu.cwndSegs < cu.ssthresh {
 		// Slow start.

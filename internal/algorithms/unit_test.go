@@ -50,6 +50,18 @@ func (r *algRig) ewmaReport(seq uint32, rtt, snd, rcv, acked, lost, ecn float64)
 		Fields: []float64{rtt, snd, rcv, acked, lost, ecn, rtt}})
 }
 
+// epoch is the Seq of the newest whole Install the algorithm sent: the epoch
+// a report its program folded carries.
+func (r *algRig) epoch() uint32 {
+	var e uint32
+	for _, m := range r.out {
+		if in, ok := m.(*proto.Install); ok && !lang.IsRef(in.Prog) {
+			e = in.Seq
+		}
+	}
+	return e
+}
+
 func (r *algRig) urgent(kind proto.UrgentKind, v float64) {
 	r.handle(&proto.Urgent{SID: 1, Kind: kind, Value: v})
 }
@@ -155,7 +167,7 @@ func TestDCTCPUnitAlphaScaling(t *testing.T) {
 	r := newAlgRig(t, "dctcp", func() core.Alg { return algorithms.NewDCTCP() })
 	c0, _ := r.lastCwnd()
 	// Fold report: [acked_b, marked_b, lost_b]. 50% marked.
-	r.handle(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{10000, 5000, 0}})
+	r.handle(&proto.Measurement{SID: 1, Seq: 1, Epoch: r.epoch(), Fields: []float64{10000, 5000, 0}})
 	c1, _ := r.lastCwnd()
 	if c1 >= c0 {
 		t.Fatalf("marked window did not shrink: %v -> %v", c0, c1)
@@ -163,7 +175,7 @@ func TestDCTCPUnitAlphaScaling(t *testing.T) {
 	// Unmarked windows grow again.
 	prev := c1
 	for seq := uint32(2); seq < 6; seq++ {
-		r.handle(&proto.Measurement{SID: 1, Seq: seq, Fields: []float64{10000, 0, 0}})
+		r.handle(&proto.Measurement{SID: 1, Seq: seq, Epoch: r.epoch(), Fields: []float64{10000, 0, 0}})
 	}
 	c2, _ := r.lastCwnd()
 	if c2 <= prev {
@@ -269,13 +281,13 @@ func TestVegasFoldUnitAppliesDelta(t *testing.T) {
 	r := newAlgRig(t, "vegas", func() core.Alg { return algorithms.NewVegasFold() })
 	c0, _ := r.lastCwnd()
 	// Fold report: [base_rtt, delta]. delta=+3 segments.
-	r.handle(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 3}})
+	r.handle(&proto.Measurement{SID: 1, Seq: 1, Epoch: r.epoch(), Fields: []float64{0.01, 3}})
 	c1, _ := r.lastCwnd()
 	if c1 != c0+3*1000 {
 		t.Fatalf("delta not applied: %v -> %v", c0, c1)
 	}
 	// Negative delta shrinks.
-	r.handle(&proto.Measurement{SID: 1, Seq: 2, Fields: []float64{0.01, -5}})
+	r.handle(&proto.Measurement{SID: 1, Seq: 2, Epoch: r.epoch(), Fields: []float64{0.01, -5}})
 	c2, _ := r.lastCwnd()
 	if c2 != c1-5*1000 {
 		t.Fatalf("negative delta not applied: %v -> %v", c1, c2)
@@ -286,15 +298,15 @@ func TestVegasVectorUnitPerPacketLoop(t *testing.T) {
 	r := newAlgRig(t, "vegas-vector", func() core.Alg { return algorithms.NewVegasVector() })
 	c0, _ := r.lastCwnd()
 	// Vector of rtt samples: all at base (no queueing) => +1 MSS each.
-	r.handle(&proto.Vector{SID: 1, Seq: 1, NumFields: 1,
-		Data: []float64{0.010, 0.010, 0.010}})
+	r.handle(&proto.Measurement{SID: 1, Seq: 1, Epoch: r.epoch(),
+		Fields: []float64{0.010, 0.010, 0.010}})
 	c1, _ := r.lastCwnd()
 	if c1 != c0+3*1000 {
 		t.Fatalf("per-packet increments wrong: %v -> %v", c0, c1)
 	}
 	// Strongly inflated RTTs => decrements.
-	r.handle(&proto.Vector{SID: 1, Seq: 2, NumFields: 1,
-		Data: []float64{0.030, 0.030, 0.030}})
+	r.handle(&proto.Measurement{SID: 1, Seq: 2, Epoch: r.epoch(),
+		Fields: []float64{0.030, 0.030, 0.030}})
 	c2, _ := r.lastCwnd()
 	if c2 >= c1 {
 		t.Fatalf("inflated RTTs did not shrink window: %v -> %v", c1, c2)
@@ -314,7 +326,7 @@ func TestXCPUnitInstallsOnce(t *testing.T) {
 	}
 	// Measurements must not trigger further control traffic.
 	n := len(r.out)
-	r.handle(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{2e6, 10000}})
+	r.handle(&proto.Measurement{SID: 1, Seq: 1, Epoch: r.epoch(), Fields: []float64{2e6, 10000}})
 	if len(r.out) != n {
 		t.Fatal("xcp reacted to a routine measurement")
 	}

@@ -2,6 +2,7 @@ package bridge_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,13 +16,21 @@ import (
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
-// grabAlg keeps its flow so the test can install on it as an algorithm would.
-type grabAlg struct{ flow *core.Flow }
+// grabAlg keeps its flow so the test can install on it as an algorithm would,
+// and the names of the newest report it was handed.
+type grabAlg struct {
+	flow    *core.Flow
+	reports int
+	named   []string
+}
 
-func (g *grabAlg) Name() string                               { return "echo" }
-func (g *grabAlg) Init(f *core.Flow)                          { g.flow = f }
-func (g *grabAlg) OnMeasurement(*core.Flow, core.Measurement) {}
-func (g *grabAlg) OnUrgent(*core.Flow, core.UrgentEvent)      {}
+func (g *grabAlg) Name() string      { return "echo" }
+func (g *grabAlg) Init(f *core.Flow) { g.flow = f }
+func (g *grabAlg) OnMeasurement(_ *core.Flow, m core.Measurement) {
+	g.reports++
+	g.named = m.Names
+}
+func (g *grabAlg) OnUrgent(*core.Flow, core.UrgentEvent) {}
 
 // foldProg is a program over a one-register fold named reg; programs over
 // the fold "a" carry windows of 20000 and up, programs over "b" below that,
@@ -46,12 +55,16 @@ type refRig struct {
 	t        *testing.T
 	sim      *netsim.Sim
 	agent    *runtime.Runtime
+	alg      *grabAlg
 	flow     *core.Flow
 	dp       *datapath.CCP
 	hold     bool
 	loseErrs bool
 	down, up []held
 	errsSeen int // InstallErrs that reached the agent
+	// folded names the values of the newest report the datapath sent: the
+	// registers of the fold it ran, or the EWMA fields.
+	folded []string
 }
 
 func isType(frame []byte, want proto.MsgType) bool {
@@ -60,8 +73,8 @@ func isType(frame []byte, want proto.MsgType) bool {
 }
 
 func newRefRig(t *testing.T) *refRig {
-	r := &refRig{t: t, sim: netsim.New(1)}
 	alg := &grabAlg{}
+	r := &refRig{t: t, sim: netsim.New(1), alg: alg}
 	r.agent = newAgent(t, alg)
 	b := bridge.New(r.sim, r.agent.HandleFrame, 10*time.Microsecond)
 	killed := func() { t.Error("a frame the test only held was refused by the decoder") }
@@ -75,6 +88,12 @@ func newRefRig(t *testing.T) *refRig {
 	}}
 	toAgent := &bridge.Tap{Killed: killed, Carry: func(frame []byte, next func([]byte)) {
 		c := append([]byte(nil), frame...)
+		if isType(c, proto.TypeMeasurement) {
+			r.folded = lang.EWMAReportNames()
+			if p := r.dp.Program(); p.Measure.Mode == lang.MeasureFold {
+				r.folded = p.RegNames()
+			}
+		}
 		if r.hold && isType(c, proto.TypeInstallErr) {
 			if !r.loseErrs {
 				r.up = append(r.up, held{c, next})
@@ -122,6 +141,22 @@ func (r *refRig) checkHalvesMatch() {
 	}
 }
 
+// report runs the flow to its next report (the programs wait a round trip,
+// 100 ms before the first RTT sample) and returns whether the agent named it
+// by the fold the datapath ran (P1), with what it was named by if not.
+func (r *refRig) report() (bool, string) {
+	r.t.Helper()
+	before := r.alg.reports
+	r.sim.Run(r.sim.Now() + 101*time.Millisecond)
+	if r.alg.reports == before {
+		r.t.Fatal("no report reached the algorithm")
+	}
+	if !slices.Equal(r.alg.named, r.folded) {
+		return false, fmt.Sprintf("a report of %v named %v", r.folded, r.alg.named)
+	}
+	return true, ""
+}
+
 // inStep: the datapath runs the agent's newest program.
 func (r *refRig) inStep() bool {
 	want, err := lang.MarshalProgram(r.flow.Installed())
@@ -155,11 +190,13 @@ func (r *refRig) answerErrs(from int) {
 // TestReferenceInterleavings delivers a whole Install that changes the fold,
 // two references to it, and the InstallErrs they may draw, in every order,
 // each Install delivered, dropped or duplicated, the InstallErrs answered at
-// once, after everything else, or lost. Two things must hold throughout: a
+// once, after everything else, or lost. Three things must hold throughout: a
 // control half never runs over a measure half other than the one the agent
-// built it for, and the datapath runs the agent's newest program one round
-// trip after an InstallErr for a reference reaches the agent (or, if none
-// did, after the next Install and its round trip).
+// built it for; the datapath runs the agent's newest program one round trip
+// after an InstallErr for a reference reaches the agent (or, if none did,
+// after the next Install and its round trip); and a report the datapath
+// sends after any step is named by the agent by the fold that datapath ran
+// (P1), the new fold's whole Install dropped or overtaken or not.
 func TestReferenceInterleavings(t *testing.T) {
 	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	const (
@@ -172,7 +209,7 @@ func TestReferenceInterleavings(t *testing.T) {
 		errsLate
 		errsLost
 	)
-	cases, resent := 0, int64(0)
+	cases, resent, misnamed, first := 0, int64(0), 0, ""
 	for _, order := range orders {
 		for fates := 0; fates < 27; fates++ {
 			for errs := errsAtOnce; errs <= errsLost; errs++ {
@@ -186,6 +223,13 @@ func TestReferenceInterleavings(t *testing.T) {
 				if st := r.dp.Stats(); st.InstallsRecvd != 2 || st.InstallsByRef != 1 || !r.inStep() {
 					t.Fatalf("%s: set-up: %+v", name, st)
 				}
+				var steps []string // P1 failures of this interleaving
+				step := func(at string) {
+					if ok, why := r.report(); !ok {
+						steps = append(steps, at+": "+why)
+					}
+				}
+				step("set-up")
 				// Then moves to fold a: one whole Install, two references.
 				r.hold, r.loseErrs = true, errs == errsLost
 				r.install(foldProg("a", 20000))
@@ -211,10 +255,12 @@ func TestReferenceInterleavings(t *testing.T) {
 								name, r.dp.Program(), r.flow.Installed())
 						}
 					}
+					step(fmt.Sprintf("after install %d", i))
 				}
 				r.down = r.down[:min(3, len(r.down))]
 				if len(r.up) > 0 {
 					r.answerErrs(3)
+					step("after the late InstallErrs")
 				}
 				if r.errsSeen > 0 && !r.inStep() {
 					t.Fatalf("%s: out of step a round trip after the InstallErr: datapath runs %s, agent holds %s",
@@ -232,6 +278,12 @@ func TestReferenceInterleavings(t *testing.T) {
 					t.Fatalf("%s: out of step after the next Install and its round trip: datapath runs %s, agent holds %s",
 						name, r.dp.Program(), r.flow.Installed())
 				}
+				step("after the next Install")
+				if len(steps) > 0 {
+					if misnamed++; first == "" {
+						first = name + ", " + steps[0]
+					}
+				}
 				cases++
 				resent += r.agent.Stats().Agent.RefResends
 				if got := r.dp.Stats(); got.RefRefusals+got.InstallsRecvd+got.StaleCtrlDropped == 0 {
@@ -243,5 +295,9 @@ func TestReferenceInterleavings(t *testing.T) {
 	t.Logf("%d interleavings, %d whole re-sends", cases, resent)
 	if resent == 0 {
 		t.Fatal("no interleaving refused a reference: the sweep tests nothing")
+	}
+	if misnamed > 0 {
+		t.Fatalf("in %d of %d interleavings a report was named by a fold the datapath did not run; first: %s",
+			misnamed, cases, first)
 	}
 }

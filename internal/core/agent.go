@@ -43,8 +43,8 @@ type AgentStats struct {
 	// flow: after failover the datapath's CC state is intact, so the
 	// promoted agent adopts the channel instead of cold-rebuilding the flow.
 	ResyncAdopts int64
-	// StaleReports counts measurements and vectors discarded because a newer
-	// report had already been processed.
+	// StaleReports counts reports discarded because a newer report had
+	// already been processed.
 	StaleReports int64
 	// Restores counts flows rebuilt from snapshots (standby promotion).
 	Restores int64
@@ -61,6 +61,9 @@ type AgentStats struct {
 	// answers one of InstallErrs.
 	InstallsByRef int64
 	RefResends    int64
+	// UnknownEpochs counts reports dropped because their flow could not name
+	// the program that folded them (Agent.report).
+	UnknownEpochs int64
 }
 
 // Agent is the user-space congestion control plane: it multiplexes flows
@@ -161,30 +164,9 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(frame []byte) error) {
 	case *proto.Create:
 		a.handleCreate(v, reply)
 	case *proto.Measurement:
-		st := a.admit(v.SID, v.Seq, false, reply)
-		if st == nil {
-			return
+		if st := a.admit(v.SID, v.Seq, false, reply); st != nil {
+			a.report(st, v)
 		}
-		atomic.AddInt64(&a.shared.stats.Measurements, 1)
-		meas := Measurement{Seq: v.Seq, Names: st.flow.layout.names, Values: v.Fields}
-		st.alg.OnMeasurement(st.flow, meas)
-	case *proto.Vector:
-		st := a.admit(v.SID, v.Seq, false, reply)
-		if st == nil {
-			return
-		}
-		atomic.AddInt64(&a.shared.stats.Vectors, 1)
-		fields := st.flow.layout.fields
-		meas := Measurement{Seq: v.Seq, Names: st.flow.layout.names}
-		if int(v.NumFields) == len(fields) {
-			samples := st.samples[:0]
-			for i := 0; i < v.Rows(); i++ {
-				samples = append(samples, PktSample{fields: fields, row: v.Row(i)})
-			}
-			st.samples = samples
-			meas.Samples = samples
-		}
-		st.alg.OnMeasurement(st.flow, meas)
 	case *proto.Urgent:
 		st := a.admit(v.SID, v.Seq, true, reply)
 		if st == nil {
@@ -232,6 +214,36 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(frame []byte) error) {
 		atomic.AddInt64(&a.shared.stats.Errors, 1)
 		a.logf("agent: unexpected message %T", m)
 	}
+}
+
+// report hands an admitted report to its algorithm, named by the layout of
+// the program its epoch names. One of an epoch the flow cannot name (a
+// standby restored behind its datapath, a flow rebuilt by a resync Create) is
+// counted and dropped, and draws the flow's program again, whole; one whose
+// values do not fit its layout counts in Errors and is dropped.
+func (a *Agent) report(st *flowState, v *proto.Measurement) {
+	l := st.flow.named(v.Epoch)
+	if l == nil {
+		atomic.AddInt64(&a.shared.stats.UnknownEpochs, 1)
+		st.flow.resend()
+		return
+	}
+	meas, counter := Measurement{Seq: v.Seq, Names: l.names, Values: v.Fields}, &a.shared.stats.Measurements
+	fits := len(v.Fields) == len(l.names)
+	if w := len(l.fields); w > 0 { // vector mode: whole rows, each w wide
+		meas.Values, counter, fits = nil, &a.shared.stats.Vectors, len(v.Fields)%w == 0
+		st.samples = st.samples[:0]
+		for row := v.Fields; fits && len(row) > 0; row = row[w:] {
+			st.samples = append(st.samples, PktSample{fields: l.fields, row: row[:w]})
+		}
+		meas.Samples = st.samples
+	}
+	if !fits {
+		atomic.AddInt64(&a.shared.stats.Errors, 1)
+		return
+	}
+	atomic.AddInt64(counter, 1)
+	st.alg.OnMeasurement(st.flow, meas)
 }
 
 // admit is the one way a report or an urgent reaches its flow: the flow sid
@@ -330,7 +342,8 @@ func (a *Agent) newFlow(c *proto.Create, snap *proto.Snapshot, reply func(frame 
 		policy = a.cfg.Policy(info)
 	}
 	st := &flowState{alg: alg, createSeq: c.Seq}
-	st.flow = &Flow{Info: info, policy: policy, send: reply, shared: &a.shared, layout: ewmaLayout}
+	st.flow = &Flow{Info: info, policy: policy, send: reply, shared: &a.shared,
+		epochs: [2]epochRun{{layout: ewmaLayout}}}
 	switch {
 	case snap != nil:
 		st.flow.skipPast(snap.CtrlSeq)

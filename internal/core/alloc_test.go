@@ -71,11 +71,11 @@ func TestAllocsFlowDecision(t *testing.T) {
 }
 
 // TestFlowSize keeps the per-flow cost of the agent from creeping: a Flow is
-// 176 bytes, a size class of its own, since it keeps its program only as
-// bytes and points at a report layout its agent shares (208 before, holding
-// two program trees and its own name list), and must not grow past that.
+// 168 bytes, in the 176-byte size class, since it keeps its program only as
+// bytes and names its reports through two epoch runs that point at layouts
+// its agent shares, and must not grow past that.
 func TestFlowSize(t *testing.T) {
-	const pinned = 176
+	const pinned = 168
 	if got := unsafe.Sizeof(core.Flow{}); got > pinned {
 		t.Fatalf("core.Flow is %d bytes, was %d: what was added belongs in the per-agent block", got, pinned)
 	}

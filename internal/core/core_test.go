@@ -125,7 +125,7 @@ func TestAgentFoldNamesAfterInstall(t *testing.T) {
 	a := newTestAgent(t, alg, nil)
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{7, 9}}, cap.send)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: cap.epoch(), Fields: []float64{7, 9}}, cap.send)
 	m := alg.measures[0]
 	if v, _ := m.Get("m1"); v != 7 {
 		t.Fatalf("m1=%v", v)
@@ -136,11 +136,12 @@ func TestAgentFoldNamesAfterInstall(t *testing.T) {
 }
 
 // TestFlowKeepsReportNamesWhileTheyHold: an algorithm that installs per report
-// sends the same register names every time, so the cached name list survives
-// those Installs — the same slice, not an equal one — and is replaced the
-// moment a name, the register count or the mode changes, or a refusal rolls
-// the program back. A layout the agent has made before comes back as the
-// same list, and a list handed out is never rewritten.
+// sends the same register names every time, so the name list its reports are
+// named by survives those Installs — the same slice, not an equal one — and
+// is replaced the moment a name, the register count or the mode changes. A
+// layout the agent has made before comes back as the same list, a list
+// handed out is never rewritten, and a report that crosses an Install of
+// another fold is named by the fold its epoch names, not the newest.
 func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 	alg := &recordAlg{}
 	a := newTestAgent(t, alg, nil)
@@ -156,15 +157,26 @@ func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 		f.Updates = []lang.Assign{{Dst: names[0], E: lang.Add(lang.V(names[0]), lang.V("pkt.acked"))}}
 		return lang.NewProgram().MeasureFold(f).WaitRtts(1).Report().MustBuild()
 	}
-	seq := uint32(0)
-	namesAfter := func(p *lang.Program) []string {
+	install := func(p *lang.Program) {
 		t.Helper()
 		if err := flow.Install(p); err != nil {
 			t.Fatal(err)
 		}
+	}
+	seq := uint32(0)
+	report := func(epoch uint32, values int) []string {
+		t.Helper()
 		seq++
-		a.HandleMessage(&proto.Measurement{SID: 1, Seq: seq, Fields: []float64{1, 2, 3}[:len(p.RegNames())]}, cap.send)
+		a.HandleMessage(&proto.Measurement{SID: 1, Seq: seq, Epoch: epoch, Fields: []float64{1, 2, 3}[:values]}, cap.send)
+		if n := int(a.Stats().Measurements); n != len(alg.measures) || n != int(seq) {
+			t.Fatalf("report %d (epoch %d) did not reach the algorithm: %+v", seq, epoch, a.Stats())
+		}
 		return alg.measures[len(alg.measures)-1].Names
+	}
+	namesAfter := func(p *lang.Program) []string {
+		t.Helper()
+		install(p)
+		return report(cap.epoch(), len(p.RegNames()))
 	}
 	same := func(x, y []string) bool { return len(x) == len(y) && &x[0] == &y[0] }
 	equal := func(x []string, y ...string) bool { return slices.Equal(x, y) }
@@ -186,41 +198,39 @@ func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 		t.Fatalf("a list already handed out was rewritten: %v", first)
 	}
 	vec := lang.NewProgram().MeasureVector(lang.FieldRTT).WaitRtts(1).Report().MustBuild()
-	if err := flow.Install(vec); err != nil {
-		t.Fatal(err)
-	}
-	kept := flow.layout
-	if got := flow.layout.names; !equal(got, "pkt.rtt") {
+	install(vec)
+	kept := flow.newest().layout
+	if got := kept.names; !equal(got, "pkt.rtt") {
 		t.Fatalf("after a change of mode: %v", got)
 	}
-	if err := flow.Install(vec); err != nil {
-		t.Fatal(err)
-	}
-	if got := flow.layout.names; !equal(got, "pkt.rtt") || flow.layout != kept {
-		t.Fatalf("same vector fields again: %v, layout kept: %v", got, flow.layout == kept)
+	install(vec)
+	if got := flow.newest().layout; got != kept {
+		t.Fatalf("same vector fields again: %v, layout kept: %v", got.names, got == kept)
 	}
 
-	// A refused Install rolls the program back, and the names with it.
 	back := namesAfter(fold(0, "m1", "m2"))
 	if !same(first, back) {
 		t.Fatal("a layout the agent had made before was made again")
 	}
-	if err := flow.Install(fold(0, "x1", "x2")); err != nil {
-		t.Fatal(err)
+	// An Install of another fold goes out; a report the fold in force sent
+	// before it landed arrives after it, and then one of the new fold.
+	inForce := cap.epoch()
+	install(fold(0, "x1", "x2", "x3"))
+	if got := report(inForce, 2); !same(first, got) {
+		t.Fatalf("a report that crossed an Install reads %v, want %v", got, first)
 	}
-	refused := cap.msgs[len(cap.msgs)-1].(*proto.Install).Seq
-	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refused, Reason: "no"}, cap.send)
-	if got := flow.layout.names; !equal(got, "m1", "m2") {
-		t.Fatalf("after a rollback: %v, was %v", got, back)
+	if got := report(cap.epoch(), 3); !equal(got, "x1", "x2", "x3") {
+		t.Fatalf("the new fold's report reads %v", got)
 	}
 }
 
-// TestLayoutFollowsRollbackAndRestore: a flow's report layout goes where its
-// program goes, in both modes whose layout a program sets. After the datapath
-// refuses the newest whole Install, the next report is named by the program
-// still running; a flow restored from a snapshot names its first report by
-// the snapshot's program, not by the one its algorithm's Init installed, and
-// by the datapath's default program when the snapshot carries none.
+// TestLayoutFollowsRollbackAndRestore: a flow's reports are named by the
+// program their epoch names, in both modes whose layout a program sets.
+// After the datapath refuses a whole Install of another layout, the next
+// report, of the epoch still in force, is named by the program still
+// running; a flow restored from a snapshot names its first report by the
+// snapshot's program, not by the one its algorithm's Init installed, and by
+// the datapath's default program when the snapshot carries none.
 func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 	fold := func(names ...string) *lang.Program {
 		f := &lang.FoldSpec{}
@@ -236,20 +246,16 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 	for _, c := range []struct {
 		mode        string
 		live, other *lang.Program
-		report      func(seq uint32) proto.Msg
+		values      []float64                // a report of live's
 		named       func(m Measurement) bool // by live's layout
 	}{
-		{"fold", fold("a1", "a2"), fold("b1"),
-			func(seq uint32) proto.Msg { return &proto.Measurement{SID: 1, Seq: seq, Fields: []float64{7, 9}} },
+		{"fold", fold("a1", "a2"), fold("b1"), []float64{7, 9},
 			func(m Measurement) bool {
 				a1, _ := m.Get("a1")
 				a2, _ := m.Get("a2")
 				return slices.Equal(m.Names, []string{"a1", "a2"}) && a1 == 7 && a2 == 9
 			}},
-		{"vector", vector(lang.FieldRTT, lang.FieldAcked), vector(lang.FieldECN),
-			func(seq uint32) proto.Msg {
-				return &proto.Vector{SID: 1, Seq: seq, NumFields: 2, Data: []float64{0.01, 1448}}
-			},
+		{"vector", vector(lang.FieldRTT, lang.FieldAcked), vector(lang.FieldECN), []float64{0.01, 1448},
 			func(m Measurement) bool {
 				return slices.Equal(m.Names, []string{"pkt.rtt", "pkt.acked"}) && len(m.Samples) == 1 &&
 					m.Samples[0].Get(lang.FieldRTT) == 0.01 && m.Samples[0].Get(lang.FieldAcked) == 1448
@@ -261,21 +267,33 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 			cap := &capture{}
 			primary.HandleMessage(createMsg(1), cap.send)
 			flow := primary.flows[1].flow
-			for _, p := range []*lang.Program{c.live, c.other} {
-				if err := flow.Install(p); err != nil {
-					t.Fatal(err)
-				}
+			report := func(a *Agent, seq, epoch uint32) {
+				a.HandleMessage(&proto.Measurement{SID: 1, Seq: seq, Epoch: epoch, Fields: c.values}, cap.send)
+			}
+			if err := flow.Install(c.live); err != nil {
+				t.Fatal(err)
+			}
+			live := cap.epoch()
+			report(primary, 1, live)
+			if err := flow.Install(c.other); err != nil {
+				t.Fatal(err)
 			}
 			sent := cap.installs()
 			if len(sent) != 2 || lang.IsRef(sent[1].Prog) {
 				t.Fatalf("want two whole Installs, got %d", len(sent))
 			}
 			primary.HandleMessage(&proto.InstallErr{SID: 1, Seq: sent[1].Seq, Reason: "no"}, cap.send)
-			primary.HandleMessage(c.report(1), cap.send)
-			if m := alg.measures[len(alg.measures)-1]; !c.named(m) {
-				t.Fatalf("after a refused whole Install the report reads %+v", m)
+			report(primary, 2, live)
+			if len(alg.measures) != 2 || !c.named(alg.measures[1]) {
+				t.Fatalf("after a refused whole Install the report reads %+v", alg.measures)
 			}
 
+			// The snapshot is of the program the datapath runs.
+			if err := flow.Install(c.live); err != nil {
+				t.Fatal(err)
+			}
+			live = cap.epoch()
+			report(primary, 3, live)
 			var snap *proto.Snapshot
 			if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
 				snap = copyMsg(s).(*proto.Snapshot)
@@ -283,28 +301,38 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			if snap.Epoch != live {
+				t.Fatalf("the snapshot carries epoch %d, want %d", snap.Epoch, live)
+			}
 			restoredAlg := &recordAlg{onInit: func(f *Flow) { f.Install(c.other) }}
 			standby := newTestAgent(t, restoredAlg, nil)
 			if err := standby.RestoreFlow(snap); err != nil {
 				t.Fatal(err)
 			}
-			standby.HandleMessage(c.report(2), cap.send)
+			report(standby, 4, live)
 			if len(restoredAlg.measures) != 1 || !c.named(restoredAlg.measures[0]) {
 				t.Fatalf("a restored flow's first report reads %+v", restoredAlg.measures)
 			}
 			bare := *snap
-			bare.SID, bare.Prog = 2, nil
+			bare.SID, bare.Prog, bare.Epoch = 2, nil, 0
 			if err := standby.RestoreFlow(&bare); err != nil {
 				t.Fatal(err)
 			}
-			standby.HandleMessage(&proto.Measurement{SID: 2, Seq: 2, Fields: []float64{0.01}}, cap.send)
+			standby.HandleMessage(&proto.Measurement{SID: 2, Seq: 4, Fields: make([]float64, 7)}, cap.send)
 			if m := restoredAlg.measures[1]; !slices.Equal(m.Names, lang.EWMAReportNames()) {
 				t.Fatalf("a flow restored with no program reads %v", m.Names)
+			}
+			if st := standby.Stats(); st.UnknownEpochs != 0 || st.Errors != 0 {
+				t.Fatalf("standby: %+v", st)
 			}
 		})
 	}
 }
 
+// TestAgentVectorDispatch: a vector-mode report is a Measurement whose values
+// are rows as wide as the field list of the program its epoch names. A report
+// whose values are not whole rows, or a scalar report whose count is not its
+// layout's, is counted in Errors and never reaches the algorithm.
 func TestAgentVectorDispatch(t *testing.T) {
 	alg := &recordAlg{}
 	alg.onInit = func(f *Flow) {
@@ -315,8 +343,12 @@ func TestAgentVectorDispatch(t *testing.T) {
 	a := newTestAgent(t, alg, nil)
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
-	a.HandleMessage(&proto.Vector{SID: 1, Seq: 1, NumFields: 2,
-		Data: []float64{0.01, 1448, 0.02, 1448}}, cap.send)
+	// A default-program report that crossed the Install, short of the EWMA
+	// fields, is misshapen.
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: 0, Fields: []float64{0.01, 1448}}, cap.send)
+	epoch := cap.epoch()
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Epoch: epoch,
+		Fields: []float64{0.01, 1448, 0.02, 1448}}, cap.send)
 	m := alg.measures[0]
 	if len(m.Samples) != 2 {
 		t.Fatalf("samples=%d", len(m.Samples))
@@ -329,6 +361,13 @@ func TestAgentVectorDispatch(t *testing.T) {
 	}
 	if m.Samples[0].Get(lang.FieldECN) != 0 {
 		t.Fatal("absent field should read 0")
+	}
+	// No rows is a report too; a ragged one is not.
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 3, Epoch: epoch}, cap.send)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 4, Epoch: epoch, Fields: []float64{0.01, 1448, 0.02}}, cap.send)
+	if st := a.Stats(); len(alg.measures) != 2 || len(alg.measures[1].Samples) != 0 ||
+		st.Vectors != 2 || st.Measurements != 0 || st.Errors != 2 || st.UnknownEpochs != 0 {
+		t.Fatalf("after an empty and two misshapen reports the algorithm saw %d; %+v", len(alg.measures), st)
 	}
 }
 
@@ -549,11 +588,12 @@ func TestAgentReportsSurviveSeqWraparound(t *testing.T) {
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
 	a.flows[1].lastReportSeq = ^uint32(0) - 1
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: ^uint32(0), Fields: []float64{1}}, cap.send)
+	ewma := make([]float64, 7)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: ^uint32(0), Fields: ewma}, cap.send)
 	// The datapath skips 0 on wrap, so the next report arrives as seq 1; it
 	// must be accepted or the flow's telemetry blackholes at the rollover.
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{2}}, cap.send)
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Fields: []float64{3}}, cap.send)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: ewma}, cap.send)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Fields: ewma}, cap.send)
 	if len(alg.measures) != 3 {
 		t.Fatalf("alg saw %d reports across the wrap, want 3", len(alg.measures))
 	}
@@ -590,19 +630,23 @@ func TestAgentDropsStaleReports(t *testing.T) {
 	a := newTestAgent(t, alg, nil)
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Fields: []float64{1}}, cap.send)
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{2}}, cap.send) // reordered
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Fields: []float64{1}}, cap.send) // duplicate
-	a.HandleMessage(&proto.Vector{SID: 1, Seq: 2, NumFields: 1, Data: []float64{3}}, cap.send)
+	ewma := make([]float64, 7)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Fields: ewma}, cap.send)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: ewma}, cap.send) // reordered
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Fields: ewma}, cap.send) // duplicate
 	if len(alg.measures) != 1 {
 		t.Fatalf("alg saw %d reports, want 1", len(alg.measures))
 	}
 	st := a.Stats()
-	if st.Measurements != 1 || st.StaleReports != 3 {
+	if st.Measurements != 1 || st.StaleReports != 2 {
 		t.Fatalf("stats=%+v", st)
 	}
-	// A newer vector still lands (shared report sequence space).
-	a.HandleMessage(&proto.Vector{SID: 1, Seq: 3, NumFields: 0, Data: nil}, cap.send)
+	// A newer report of another program still lands: one report sequence
+	// space, whatever the mode.
+	if err := a.flows[1].flow.Install(lang.NewProgram().MeasureVector(lang.FieldRTT).WaitRtts(1).Report().MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 3, Epoch: cap.epoch(), Fields: []float64{0.01}}, cap.send)
 	if a.Stats().Vectors != 1 {
 		t.Fatalf("stats=%+v", a.Stats())
 	}
@@ -656,24 +700,25 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 	}
 	refusedSeq := cap.msgs[len(cap.msgs)-1].(*proto.Install).Seq
 
-	// The datapath refuses the second install: the agent must count it, log
-	// the diagnostic, and roll its program view back to the first program —
-	// the one actually still live in the datapath.
+	// The datapath refuses the second install: the agent must count it and
+	// log the diagnostic. The first program's epoch stays in force, and its
+	// reports are named by it; nothing is sent again.
 	var logged string
 	a.cfg.Logf = func(format string, args ...any) { logged = fmt.Sprintf(format, args...) }
 	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refusedSeq, Reason: "bounds: instr 0"}, cap.send)
 	if a.Stats().InstallErrs != 1 || !strings.Contains(logged, "bounds: instr 0") {
 		t.Fatalf("InstallErrs=%d, logged %q", a.Stats().InstallErrs, logged)
 	}
-	got := float64(flow.Installed().Instrs[0].(lang.SetCwnd).E.(lang.Const))
-	if got != 20000 {
-		t.Fatalf("installed view not rolled back: cwnd const = %v", got)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: refusedSeq - 1, Fields: make([]float64, 7)}, cap.send)
+	if len(alg.measures) != 1 || !slices.Equal(alg.measures[0].Names, lang.EWMAReportNames()) {
+		t.Fatalf("the running program's report after the refusal: %+v", alg.measures)
 	}
 
-	// A refusal of an already-superseded install counts but must not roll back.
+	// A refusal of an already-superseded install only counts.
+	sent := len(cap.msgs)
 	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refusedSeq - 1, Reason: "stale"}, cap.send)
-	if float64(flow.Installed().Instrs[0].(lang.SetCwnd).E.(lang.Const)) != 20000 {
-		t.Fatal("stale refusal moved the installed view")
+	if a.Stats().InstallErrs != 2 || len(cap.msgs) != sent {
+		t.Fatalf("a stale refusal drew %d messages: %+v", len(cap.msgs)-sent, a.Stats())
 	}
 
 	// Refusals for unknown flows are counted as unknown-flow noise.
@@ -692,6 +737,18 @@ func (c *capture) installs() []*proto.Install {
 		}
 	}
 	return out
+}
+
+// epoch is the Seq of the newest whole Install among the captured messages:
+// the epoch its program's reports carry.
+func (c *capture) epoch() uint32 {
+	var e uint32
+	for _, m := range c.installs() {
+		if !lang.IsRef(m.Prog) {
+			e = m.Seq
+		}
+	}
+	return e
 }
 
 func refFold(init float64) *lang.FoldSpec {
@@ -794,8 +851,8 @@ func TestFlowInstallsByReference(t *testing.T) {
 // TestFlowRefusedReference: what an InstallErr does depends on which Install
 // it refuses. A refused reference makes the flow send its newest program
 // whole at once, after which the refusals of the other references sent
-// meanwhile change nothing; a refused whole Install rolls back if it is the
-// newest, and is never referred to again.
+// meanwhile change nothing; a refused whole Install draws nothing and is
+// never referred to again.
 func TestFlowRefusedReference(t *testing.T) {
 	a, flow, cap := grabFlow(t)
 	fold := refFold(0)
@@ -842,17 +899,16 @@ func TestFlowRefusedReference(t *testing.T) {
 		t.Fatalf("the install after a re-send names %+v (%v), want epoch %d", m, err, again.Seq)
 	}
 
-	// A refused whole Install that is the newest rolls back, and nothing
-	// refers to it afterwards.
+	// A refused whole Install draws nothing, and nothing refers to it
+	// afterwards.
 	moved := refProg(refFold(0.5), 40000)
 	if err := flow.Install(moved); err != nil {
 		t.Fatal(err)
 	}
-	before := flow.prevProgBytes
 	sent = cap.installs()
 	refuse(sent[len(sent)-1].Seq)
-	if string(flow.progBytes) != string(before) || len(cap.installs()) != len(sent) {
-		t.Fatalf("refused whole install: flow holds %s, %d installs drawn", flow.Installed(), len(cap.installs())-len(sent))
+	if len(cap.installs()) != len(sent) {
+		t.Fatalf("refused whole install: %d installs drawn", len(cap.installs())-len(sent))
 	}
 	if err := flow.Install(refProg(refFold(0.5), 50000)); err != nil {
 		t.Fatal(err)
@@ -906,7 +962,7 @@ func TestRestoredFlowKnowsNoEpoch(t *testing.T) {
 	// The datapath's first report binds the channel; the install it draws
 	// crosses whole even though the measure half is the one Init installed.
 	after := &capture{}
-	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0}}, after.send)
+	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: snap.Epoch, Fields: []float64{0}}, after.send)
 	restored := standby.flows[1].flow
 	if err := restored.Install(refProg(fold, 30000)); err != nil {
 		t.Fatal(err)
@@ -917,6 +973,59 @@ func TestRestoredFlowKnowsNoEpoch(t *testing.T) {
 	sent := after.installs()
 	if len(sent) != 2 || lang.IsRef(sent[0].Prog) || !lang.IsRef(sent[1].Prog) {
 		t.Fatalf("restored flow sent %d installs; want the first whole, the second by reference", len(sent))
+	}
+}
+
+// TestStandbyBehindItsDatapathResends: a standby restored from a snapshot
+// taken one whole Install before the primary's last — of another fold — gets
+// a report of an epoch it cannot name. It drops that report, once, counts
+// it, sends the snapshot's program again, whole, under a fresh Seq, and
+// names the next report, of the epoch that resend becomes, by that program.
+func TestStandbyBehindItsDatapathResends(t *testing.T) {
+	fold := func(names ...string) *lang.Program {
+		f := &lang.FoldSpec{}
+		for _, n := range names {
+			f.Regs = append(f.Regs, lang.RegDef{Name: n})
+		}
+		f.Updates = []lang.Assign{{Dst: names[0], E: lang.Add(lang.V(names[0]), lang.V("pkt.acked"))}}
+		return lang.NewProgram().MeasureFold(f).WaitRtts(1).Report().MustBuild()
+	}
+	a, b := fold("a1", "a2"), fold("b1")
+	primary := newTestAgent(t, &recordAlg{onInit: func(f *Flow) { f.Install(a) }}, nil)
+	cap := &capture{}
+	primary.HandleMessage(createMsg(1), cap.send)
+	var snap *proto.Snapshot
+	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
+		snap = copyMsg(s).(*proto.Snapshot)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.flows[1].flow.Install(b); err != nil {
+		t.Fatal(err)
+	}
+	behind := cap.epoch() // the datapath applies b, then the primary dies
+
+	alg := &recordAlg{}
+	standby := newTestAgent(t, alg, nil)
+	if err := standby.RestoreFlow(snap); err != nil {
+		t.Fatal(err)
+	}
+	after := &capture{}
+	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: behind, Fields: []float64{5}}, after.send)
+	sent := after.installs()
+	whole, _ := lang.MarshalProgram(a)
+	if st := standby.Stats(); len(alg.measures) != 0 || st.UnknownEpochs != 1 || st.Measurements != 0 ||
+		len(sent) != 1 || string(sent[0].Prog) != string(whole) || !proto.SeqNewer(sent[0].Seq, snap.CtrlSeq+ctrlSeqSkip) {
+		t.Fatalf("a report of an epoch the standby cannot name: algorithm saw %d, %d installs sent; %+v",
+			len(alg.measures), len(sent), st)
+	}
+	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Epoch: sent[0].Seq, Fields: []float64{7, 9}}, after.send)
+	if len(alg.measures) != 1 || !slices.Equal(alg.measures[0].Names, []string{"a1", "a2"}) {
+		t.Fatalf("the report after the resend reads %+v", alg.measures)
+	}
+	if st := standby.Stats(); st.UnknownEpochs != 1 || st.RefResends != 0 || len(after.installs()) != 1 {
+		t.Fatalf("after the resend: %d installs; %+v", len(after.installs()), st)
 	}
 }
 

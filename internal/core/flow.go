@@ -76,25 +76,12 @@ type Flow struct {
 	shared *flowShared
 
 	// progBytes is the program last installed, whole, kept so snapshots carry
-	// it without re-marshalling it; layout is how its reports are laid out.
+	// it without re-marshalling it and a resend has it to send.
 	progBytes []byte
-	layout    *reportLayout
 
-	// Datapath install-refusal tracking: prevProgBytes holds the program the
-	// datapath ran before the newest Install, so an InstallErr for that
-	// Install rolls the agent's view back to what is live (report naming
-	// depends on it). lastInstallSeq is the newest Install's control sequence.
-	//
-	// wholeSeq is the Seq of the newest Install sent whole — the epoch its
-	// measure half has at the datapath once applied — and wholeLen that half's
-	// length in progBytes, or 0 when a later Install may not refer to it: the
-	// program was EWMA-mode, which has no shorter reference form, it went
-	// nowhere (a restored flow not yet adopted), or the datapath refused it.
-	// Every Install sent after wholeSeq, up to lastInstallSeq, was a reference
-	// to it.
-	prevProgBytes  []byte
-	lastInstallSeq uint32
-	wholeSeq       uint32
+	// epochs names reports by their epoch (named): the run in force as of the
+	// newest report, or as the flow was made, and the run sent since, if any.
+	epochs [2]epochRun
 
 	// ctrlSeq numbers outgoing control messages (Install, SetCwnd, SetRate)
 	// in one shared sequence space, so the datapath can discard reordered or
@@ -103,7 +90,11 @@ type Flow struct {
 	// newest sequence the datapath had applied) or a snapshot recorded, so
 	// that a restarted agent numbers above anything in flight instead of
 	// looking stale (skipPast).
-	ctrlSeq  uint32
+	ctrlSeq uint32
+	// wholeLen is the length in progBytes of the newest whole Install's
+	// measure half, or 0 when a later Install may not refer to it: the program
+	// was EWMA-mode, which has no shorter reference form, it went nowhere (a
+	// restored flow not yet adopted), or the datapath refused it.
 	wholeLen uint32
 }
 
@@ -149,7 +140,7 @@ func (s *flowShared) lend(m proto.Msg, send func(frame []byte) error) error {
 // byte the one the last whole Install carried, as it is for an algorithm that
 // answers every report by moving a constant in its control half — a reference
 // to that Install and the control half alone (lang.AppendRef). Either way the
-// flow keeps the whole encoding: snapshots and rollback never see a reference.
+// flow keeps the whole encoding: snapshots and resends never see a reference.
 func (f *Flow) Install(p *lang.Program) error {
 	if p == nil {
 		return fmt.Errorf("core: nil program")
@@ -166,46 +157,87 @@ func (f *Flow) Install(p *lang.Program) error {
 		return err
 	}
 	// f.progBytes is the last program sent, whole or by reference to the
-	// same half, so its first wholeLen bytes are the half wholeSeq names.
+	// same half, so its first wholeLen bytes are the newest whole Install's.
 	byRef := n == int(f.wholeLen) && bytes.Equal(data[:n], f.progBytes[:n])
 	seq := proto.NextSeq(&f.ctrlSeq)
 	m := &f.shared.install
 	*m = proto.Install{SID: f.Info.SID, Seq: seq, Prog: data}
 	if byRef {
-		f.shared.refProg = lang.AppendRef(f.shared.refProg[:0], f.wholeSeq, data[n:])
+		f.shared.refProg = lang.AppendRef(f.shared.refProg[:0], f.newest().last, data[n:])
 		m.Prog = f.shared.refProg
 	}
 	if err := f.emit(m); err != nil {
 		return err
 	}
+	f.progBytes = data
 	if byRef {
 		atomic.AddInt64(&f.shared.stats.InstallsByRef, 1)
-	} else {
-		// An EWMA-mode measure half is shorter than a reference to it, and
-		// what a flow still without a channel sends (emit) reaches nobody.
-		f.wholeSeq, f.wholeLen = seq, 0
-		if clamped.Measure.Mode != lang.MeasureEWMA && f.send != nil {
-			f.wholeLen = uint32(n)
-		}
+		return nil
 	}
-	f.prevProgBytes, f.progBytes = f.progBytes, data
-	f.lastInstallSeq = seq
-	// The layout follows the installed program; an algorithm that installs
-	// per report keeps the one it has every time.
-	if !reportsAs(clamped, f.layout) {
-		f.layout = f.shared.layoutOf(clamped)
+	// An EWMA-mode measure half is shorter than a reference to it, and
+	// what a flow still without a channel sends (emit) reaches nobody.
+	f.wholeLen = 0
+	if clamped.Measure.Mode != lang.MeasureEWMA && f.send != nil {
+		f.wholeLen = uint32(n)
 	}
+	f.sentWhole(seq, f.shared.layoutOf(clamped))
 	return nil
 }
 
+// epochRun is the epochs first through last that share one report layout: a
+// run of whole Installs the flow sent (the Seqs between are its own
+// references and direct decisions, never an epoch), or the one epoch a flow
+// was made with — 0, the default program, or a snapshot's. No layout, no run.
+type epochRun struct {
+	first, last uint32
+	layout      *reportLayout
+}
+
+// newest is the run of the newest program the flow sent, or the one it was
+// made with before it sent any.
+func (f *Flow) newest() *epochRun {
+	if f.epochs[1].layout != nil {
+		return &f.epochs[1]
+	}
+	return &f.epochs[0]
+}
+
+// sentWhole records a whole Install numbered seq, whose reports are laid out
+// as l, in the run sent since: a third layout sent before a report names the
+// second forgets the second, whose reports are then of an unknown epoch.
+func (f *Flow) sentWhole(seq uint32, l *reportLayout) {
+	if r := &f.epochs[1]; r.layout == l {
+		r.last = seq
+	} else {
+		*r = epochRun{seq, seq, l}
+	}
+}
+
+// named returns the layout of a report of epoch e, or nil for an epoch the
+// flow cannot name. A report of the run sent since puts that run in force:
+// the datapath applies epochs in order and reports arrive admitted in order.
+func (f *Flow) named(e uint32) *reportLayout {
+	holds := func(r epochRun) bool {
+		return r.layout != nil && !proto.SeqNewer(r.first, e) && !proto.SeqNewer(e, r.last)
+	}
+	switch {
+	case holds(f.epochs[1]):
+		f.epochs[0], f.epochs[1] = f.epochs[1], epochRun{}
+	case !holds(f.epochs[0]):
+		return nil
+	}
+	return f.epochs[0].layout
+}
+
 // reportLayout is how a program's reports are laid out: a Measurement's value
-// names and, in vector mode, a Vector's row fields. Never written, it is shared.
+// names and, in vector mode, the fields of each row. Never written, it is shared.
 type reportLayout struct {
 	names  []string
 	fields []lang.Field
 }
 
-// ewmaLayout is an EWMA-mode program's layout, and a flow's before any.
+// ewmaLayout is an EWMA-mode program's layout, and epoch 0's: the datapath's
+// default program is EWMA-mode (datapath.Config.DefaultProgram).
 var ewmaLayout = &reportLayout{names: lang.EWMAReportNames()}
 
 // maxLayouts bounds flowShared.layouts, past what an agent's algorithms use.
@@ -253,62 +285,50 @@ func (s *flowShared) layoutOf(p *lang.Program) *reportLayout {
 	return l
 }
 
-// readLayout reads the layout back from prog, a whole program's bytes or none,
-// for an InstallErr rollback and a restore. What does not decode, or is a
-// reference, fails (with EWMA's layout: a flow's is never nil).
-func (s *flowShared) readLayout(prog []byte) (*reportLayout, error) {
-	if len(prog) == 0 {
-		return ewmaLayout, nil
-	}
-	p, err := lang.UnmarshalProgram(prog)
-	if err == nil && p.Measure.Mode == lang.MeasureRef {
-		err = fmt.Errorf("core: a reference, not a whole program")
-	}
-	if err != nil {
-		return ewmaLayout, err
-	}
-	return s.layoutOf(p), nil
-}
-
 // noteInstallErr answers a datapath install refusal (the agent counts and logs
 // it); what it does depends on which Install was refused.
 //
 // One sent before the newest whole Install is history: that Install
 // superseded it, and the two ends agree again if it was applied.
 //
-// The newest whole Install itself: no later Install may refer to it. If it is
-// also the newest Install of all, the agent's view of the installed program
-// rolls back to the one the datapath actually kept, so report-field naming
-// stays aligned; refused but already superseded, it only counts.
+// The newest whole Install itself: no later Install may refer to it. The
+// datapath kept its program, whose reports are still named by their epoch.
 //
-// One sent after it, which is to say a reference: the program was not
-// necessarily at fault — the datapath may not hold the half it named (the
-// whole Install was lost, overtaken, or stale on arrival) — and a verdict on a
-// control half alone settles nothing. So there is nothing to roll back: the
-// newest program's kept bytes go again, whole, at once and under a fresh Seq,
-// instead of the flow running an older control half until its next report,
-// and the refusals of the references sent meanwhile are history by the rule
-// above. Refused whole, it rolls back like any other.
+// One sent after it, which is to say a reference: the datapath may not hold
+// the half it named (the whole Install was lost, overtaken, or stale on
+// arrival), so the newest program goes again, whole (resend), instead of the
+// flow running an older control half until its next report, and the
+// refusals of the references sent meanwhile are history by the rule above.
 func (f *Flow) noteInstallErr(seq uint32) {
+	whole := f.newest().last
 	switch {
-	case seq == 0 || proto.SeqNewer(f.wholeSeq, seq) || proto.SeqNewer(seq, f.lastInstallSeq):
+	case seq == 0 || proto.SeqNewer(whole, seq) || proto.SeqNewer(seq, f.ctrlSeq):
 		// Unsequenced, superseded, or no Install of this flow's at all.
-	case seq == f.wholeSeq:
+	case seq == whole:
 		f.wholeLen = 0
-		if seq == f.lastInstallSeq {
-			f.progBytes = f.prevProgBytes
-			f.layout, _ = f.shared.readLayout(f.progBytes) // the flow's own encoding decodes
-		}
 	default:
-		m := &f.shared.install
-		*m = proto.Install{SID: f.Info.SID, Seq: proto.NextSeq(&f.ctrlSeq), Prog: f.progBytes}
-		if f.emit(m) != nil {
-			f.wholeLen = 0 // the channel is gone too; the next Install goes whole
-			return
+		if f.resend() {
+			atomic.AddInt64(&f.shared.stats.RefResends, 1)
 		}
-		atomic.AddInt64(&f.shared.stats.RefResends, 1)
-		f.lastInstallSeq, f.wholeSeq = m.Seq, m.Seq
 	}
+}
+
+// resend sends the kept program again, whole, under a fresh Seq, to a
+// datapath shown not to hold it: by a refused reference (noteInstallErr) or
+// a report of an epoch the flow cannot name (Agent.report). It reports
+// whether a program went.
+func (f *Flow) resend() bool {
+	if len(f.progBytes) == 0 {
+		return false
+	}
+	m := &f.shared.install
+	*m = proto.Install{SID: f.Info.SID, Seq: proto.NextSeq(&f.ctrlSeq), Prog: f.progBytes}
+	if f.emit(m) != nil {
+		f.wholeLen = 0 // the channel is gone too; the next Install goes whole
+		return false
+	}
+	f.sentWhole(m.Seq, f.newest().layout)
+	return true
 }
 
 // SetCwnd directly sets the congestion window (bytes), clamped by policy.

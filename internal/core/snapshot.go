@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -57,8 +58,9 @@ func (f *Flow) skipPast(seq uint32) {
 // once. It returns the number of messages emitted.
 //
 // The *proto.Snapshot handed to sink is reusable scratch owned by the
-// agent: it is valid only for the duration of the call, and sink must Clone
-// it to retain it. sink runs on the agent's owner, between two messages: it
+// agent: it is valid only for the duration of the call, and sink keeps it by
+// its marshalled bytes (or their round trip through the codec). sink runs on
+// the agent's owner, between two messages: it
 // must not call back into the agent, nor into the runtime that owns it.
 // Iteration is in ascending SID order so replication streams are
 // deterministic under the simulator.
@@ -98,6 +100,7 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 			CreateSeq: st.createSeq,
 			ReportSeq: st.lastReportSeq,
 			UrgentSeq: st.lastUrgentSeq,
+			Epoch:     f.newest().last,
 			SrcAddr:   f.Info.SrcAddr,
 			DstAddr:   f.Info.DstAddr,
 			Alg:       st.alg.Name(),
@@ -118,8 +121,8 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 
 // RestoreFlow rebuilds one flow from a snapshot — the standby half of the HA
 // pair. The restored flow resumes the snapshot's sequence-dedup state, keeps
-// the snapshot's program as bytes and the report layout read from them
-// (readLayout: reports are named without a datapath round trip), and numbers
+// the snapshot's program as bytes and names the snapshot's epoch by the
+// report layout read from them, and numbers
 // future decisions ctrlSeqSkip above the snapshot's last issued sequence
 // (newFlow, skipPast). The algorithm is freshly instantiated,
 // Init'd against a silent flow handle, then overwritten via ImportState when
@@ -135,9 +138,16 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 		a.drop(snap.SID)
 		return nil
 	}
-	layout, err := a.shared.readLayout(snap.Prog)
-	if err != nil {
-		return fmt.Errorf("core: snapshot for flow %d carries a bad program: %w", snap.SID, err)
+	layout := ewmaLayout
+	if len(snap.Prog) > 0 {
+		p, err := lang.UnmarshalProgram(snap.Prog)
+		if err == nil && p.Measure.Mode == lang.MeasureRef {
+			err = fmt.Errorf("a reference, not a whole program")
+		}
+		if err != nil {
+			return fmt.Errorf("core: snapshot for flow %d carries a bad program: %w", snap.SID, err)
+		}
+		layout = a.shared.layoutOf(p)
 	}
 	// Init runs against the still-silent flow: anything it sends (its own
 	// Install, an initial cwnd) is dropped, and the imported state below
@@ -148,7 +158,8 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 	// snapshot's program, not the cold-start one.
 	st := a.newFlow(&proto.Create{SID: snap.SID, MSS: snap.MSS, InitCwnd: snap.InitCwnd,
 		Seq: snap.CreateSeq, SrcAddr: snap.SrcAddr, DstAddr: snap.DstAddr, Alg: snap.Alg}, snap, nil)
-	st.flow.progBytes, st.flow.layout = bytes.Clone(snap.Prog), layout
+	st.flow.progBytes = bytes.Clone(snap.Prog)
+	st.flow.epochs = [2]epochRun{{snap.Epoch, snap.Epoch, layout}}
 	if exp, ok := st.alg.(SnapshotExporter); ok && len(snap.State) > 0 {
 		exp.ImportState(snap.State)
 	}

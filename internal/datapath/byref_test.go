@@ -269,14 +269,24 @@ func TestStaleReferenceRefused(t *testing.T) {
 		refuse(t, f, 3, 1)
 	})
 	t.Run("custom default program", func(t *testing.T) {
-		p, err := lang.UnmarshalProgram(cubic)
+		// A default program is EWMA-mode (the agent names epoch 0 so); this
+		// one reports every other round trip.
+		p := lang.NewProgram().MeasureEWMA().WaitRtts(2).Report().MustBuild()
+		f := newBareFlowCfg(datapath.Config{DefaultProgram: p})
+		if f.dp.Epoch() != 0 || f.dp.Program().Instrs[0] != (lang.WaitRtts{Rtts: lang.C(2)}) {
+			t.Fatalf("a default program has epoch %d and runs %s", f.dp.Epoch(), f.dp.Program())
+		}
+		refuse(t, f, 1, 1)
+
+		fold, err := lang.UnmarshalProgram(cubic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := newBareFlowCfg(datapath.Config{DefaultProgram: p})
-		if f.dp.Epoch() != 0 {
-			t.Fatalf("a default program has epoch %d", f.dp.Epoch())
-		}
-		refuse(t, f, 1, 1)
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not EWMA") {
+				t.Fatalf("a fold-mode default program: %v, want Init to refuse it", r)
+			}
+		}()
+		newBareFlowCfg(datapath.Config{DefaultProgram: fold})
 	})
 }

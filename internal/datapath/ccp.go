@@ -18,6 +18,7 @@
 package datapath
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/ccp-repro/ccp/internal/cc"
@@ -42,8 +43,8 @@ type Config struct {
 	//
 	// Ownership: the message (including any Fields/Data slices) is only
 	// valid for the duration of the call — the runtime builds what it sends
-	// in scratch it reuses for the next one: CCP.rep and the scratch fields
-	// beside it, vectorState.rep, the probe (failsafe.go). ToAgent must
+	// in scratch it reuses for the next one: CCP.rep (every report) and the
+	// scratch fields beside it, the probe (failsafe.go). ToAgent must
 	// marshal anything it keeps past returning (a copy is the codec round
 	// trip), and be done with the message before anything it sets off calls
 	// back into the flow.
@@ -57,7 +58,9 @@ type Config struct {
 	// smoothed re-handoff. Zero value disables it.
 	Liveness LivenessConfig
 	// DefaultProgram runs before the agent installs anything. Nil means the
-	// §3 prototype behaviour: EWMA measurement reported once per RTT.
+	// §3 prototype behaviour: EWMA measurement reported once per RTT. It must
+	// be EWMA-mode (Init panics otherwise): its reports carry epoch 0, which
+	// the agent names with the EWMA report fields.
 	DefaultProgram *lang.Program
 	// SmoothCwnd spreads window *increases* over a round trip instead of
 	// applying them as a step — the paper's §3 future work ("smooth
@@ -127,8 +130,8 @@ type CCP struct {
 	smooth *smoother    // smooth.go: window ramp
 	vec    *vectorState // report.go: vector mode
 
-	// Message scratch (Config.ToAgent's ownership rule): rep is the report,
-	// scratchUrgent and scratchIErr the urgent and the refusal.
+	// Message scratch (Config.ToAgent's ownership rule): rep is the report
+	// of every mode, scratchUrgent and scratchIErr the urgent and the refusal.
 	rep           proto.Measurement
 	scratchUrgent proto.Urgent
 	scratchIErr   proto.InstallErr
@@ -193,6 +196,9 @@ func (d *CCP) Init(h cc.Host) {
 	} else {
 		// A custom default takes the path an Install of the same bytes would.
 		data, err := lang.MarshalProgram(p)
+		if err == nil && p.Measure.Mode != lang.MeasureEWMA {
+			err = fmt.Errorf("%v-mode, not EWMA", p.Measure.Mode)
+		}
 		if err == nil {
 			err = d.install(0, data)
 		}

@@ -167,20 +167,17 @@ func TestVectorProgramShipsRows(t *testing.T) {
 		MeasureVector(lang.FieldRTT, lang.FieldAcked).
 		WaitRtts(1).Report().MustBuild())
 	r.sim.Run(time.Second)
-	var vec *proto.Vector
-	for i := len(r.sent) - 1; i >= 0; i-- {
-		if v, ok := r.sent[i].(*proto.Vector); ok {
-			vec = v
-			break
-		}
+	var vec *proto.Measurement // the newest report: a row per ACK, two wide
+	for i := len(r.sent) - 1; i >= 0 && vec == nil; i-- {
+		vec, _ = r.sent[i].(*proto.Measurement)
 	}
-	if vec == nil {
+	if vec == nil || r.dp.Stats().VectorsSent == 0 {
 		t.Fatal("no vector sent")
 	}
-	if vec.NumFields != 2 || vec.Rows() == 0 {
-		t.Fatalf("vector=%dx%d", vec.Rows(), vec.NumFields)
+	if len(vec.Fields) == 0 || len(vec.Fields)%2 != 0 {
+		t.Fatalf("vector of %d values, want rows of 2", len(vec.Fields))
 	}
-	row := vec.Row(0)
+	row := vec.Fields[:2]
 	if row[0] < 0.009 || row[0] > 0.05 {
 		t.Fatalf("row rtt=%v", row[0])
 	}
@@ -202,8 +199,8 @@ func TestVectorCapDropsExcess(t *testing.T) {
 		t.Fatal("cap not enforced")
 	}
 	for _, m := range r.sent {
-		if v, ok := m.(*proto.Vector); ok && v.Rows() > datapath.MaxVectorRows {
-			t.Fatalf("vector exceeded cap: %d rows", v.Rows())
+		if v, ok := m.(*proto.Measurement); ok && len(v.Fields) > datapath.MaxVectorRows {
+			t.Fatalf("vector exceeded cap: %d rows", len(v.Fields))
 		}
 	}
 }

@@ -8,14 +8,15 @@ import (
 // What the flow tells the agent: reports at the program's Report points and
 // urgent events as they happen. Each message is built in scratch the flow
 // owns and reuses (Config.ToAgent's ownership rule), so steady-state
-// reporting allocates nothing.
+// reporting allocates nothing. Every report, whatever the mode, is one
+// proto.Measurement stamped with the flow's epoch, which names the program
+// that folded it: the agent reads the report's layout off that program.
 
 // vectorState is what vector mode (§2.4 per-packet vectors) keeps: a flow has
 // one from its first vector-mode program on.
 type vectorState struct {
 	fields []lang.Field // the program in force's columns; empty outside vector mode
 	rows   []float64    // samples since the last report, row-major
-	rep    proto.Vector // the report, valid for one ToAgent call
 
 	n vectorCounts
 }
@@ -45,35 +46,24 @@ func (v *vectorState) sample(vars []float64) {
 
 // report ships the batched measurement state to the agent and resets it.
 func (d *CCP) report() {
-	seq := proto.NextSeq(&d.reportSeq)
+	v := &d.rep
+	v.SID, v.Seq, v.Epoch = d.cfg.SID, proto.NextSeq(&d.reportSeq), d.epoch
 	switch d.measureMode() {
 	case lang.MeasureFold:
-		v := &d.rep
-		v.SID, v.Seq = d.cfg.SID, seq
 		v.Fields = d.fold.ReadRegs(d.vars, v.Fields[:0])
-		d.send(v)
-		d.n.ReportsSent++
 		d.fold.InitRegs(d.vars)
-	case lang.MeasureVector:
+		d.n.ReportsSent++
+	case lang.MeasureVector: // a vector program has fields (lang validates)
 		vs := d.vec
-		if len(vs.fields) == 0 {
-			return
-		}
-		v := &vs.rep
-		v.SID, v.Seq = d.cfg.SID, seq
-		v.NumFields = uint8(len(vs.fields))
-		v.Data = append(v.Data[:0], vs.rows...)
+		v.Fields = append(v.Fields[:0], vs.rows...)
 		vs.rows = vs.rows[:0]
-		d.send(v)
 		vs.n.VectorsSent++
-		vs.n.VectorRowsSent += len(v.Data) / len(vs.fields)
+		vs.n.VectorRowsSent += len(v.Fields) / len(vs.fields)
 	default: // EWMA (§3 prototype report)
 		ecnFrac := 0.0
 		if d.pktsAcc > 0 {
 			ecnFrac = float64(d.ecnAcc) / float64(d.pktsAcc)
 		}
-		v := &d.rep
-		v.SID, v.Seq = d.cfg.SID, seq
 		v.Fields = append(v.Fields[:0],
 			d.ewmaRtt.Value(),
 			d.ewmaSnd.Value(),
@@ -83,11 +73,11 @@ func (d *CCP) report() {
 			ecnFrac,
 			d.lastRtt,
 		)
-		d.send(v)
 		d.n.ReportsSent++
 		d.ackedAcc, d.lostAcc = 0, 0
 		d.pktsAcc, d.ecnAcc = 0, 0
 	}
+	d.send(v)
 }
 
 func (d *CCP) sendUrgent(kind proto.UrgentKind, value float64) {

@@ -31,10 +31,12 @@ import (
 // at the PR that put both fault layers in every deployment, which deleted
 // the transparency line each printed under its table. Their tables moved
 // when Installs began to cross by reference, where a lost or stale whole
-// Install costs the references behind it too, and, with ablation-ha's, last
-// when a flow built cold from a resync Create began numbering its decisions
-// ctrlSeqSkip above the Create's Seq (EXPERIMENTS.md has what moved each
-// time, row by row).
+// Install costs the references behind it too, and, with ablation-ha's, when
+// a flow built cold from a resync Create began numbering its decisions
+// ctrlSeqSkip above the Create's Seq; ablation-chaos's, ablation-agentchaos's
+// and ablation-foldvec's moved last when every report began to carry its
+// program's epoch, a byte or more on the wire, by which the agent names it
+// (EXPERIMENTS.md has what moved each time, row by row).
 var golden = []struct {
 	id     string
 	run    func() fmt.Stringer
@@ -46,10 +48,10 @@ var golden = []struct {
 	{"fig3", func() fmt.Stringer { return Fig3(Fig3Config{RateBps: 1e9}) }, "100c671d59f159baeaf5af79dedc9367fd174c76d652b9ec96eb985a85ba97d5"},
 	{"fig4", func() fmt.Stringer { return Fig4(Fig4Config{RateBps: 96e6}) }, "69761eddf48e34fe44e3088f3b03aa72d4ce06da48a0f0498c7301a6f6b5f946"},
 	{"ablation-batching", func() fmt.Stringer { return AblBatching() }, "4a603912e95aa50dc1271832008eab2315355414aa86ead8cd3cf8d0dc0f31c3"},
-	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "7813b7cd221c2144fea4e4c6fbb1ff017b92b375a40a048938c401ff636f8a72"},
+	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "650abb12d986ef7673de2c99033aa4655e23d575b4c82986fe3c3150d82160e8"},
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "cd9bce6297479d00ede5711bc3a6eef28ece0e4bf8b422670df44c9791c038f8"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "fc6217bb4fed509072a5776141fa54c60f0a4380a47858200e86e654b45d783d"},
 	{"ablation-agentchaos-5of6", func() fmt.Stringer {
 		var res AblAgentChaosResult
 		for _, fault := range []string{"kill", "pause", "slow"} {
@@ -60,7 +62,7 @@ var golden = []struct {
 			}
 		}
 		return res
-	}, "040586c3487b47ffd6178a902867cf4e4c88d749c9212613862e75efbf5a8c81"},
+	}, "f9be6f2c91c480749c35a0b7cf327ea95f95931a44ace4be982dd81cecf16652"},
 	{"ablation-ha-7of9", func() fmt.Stringer {
 		var res AblHAResult
 		for _, fault := range []string{"kill", "pause", "slow"} {

@@ -124,7 +124,7 @@ func TestSocketLinkConcurrentRingAndPump(t *testing.T) {
 				return
 			default:
 			}
-			_ = link.ToAgent(&proto.Measurement{SID: uint32(i%flows + 1), Seq: uint32(i + 1), Fields: []float64{1}})
+			_ = link.ToAgent(&proto.Measurement{SID: uint32(i%flows + 1), Seq: uint32(i + 1), Fields: make([]float64, 7)})
 			_ = link.Stats()
 			_ = link.Connected()
 		}

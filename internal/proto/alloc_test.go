@@ -181,7 +181,7 @@ func FuzzDecoderAliasing(f *testing.F) {
 	for _, m := range []proto.Msg{
 		&proto.Install{SID: 1, Seq: 2, Prog: []byte{9, 9, 9}},
 		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1, 2, 3}},
-		&proto.Vector{SID: 1, Seq: 1, NumFields: 1, Data: []float64{0.5, 0.25}},
+		&proto.Measurement{SID: 1, Seq: 2, Epoch: 300, Fields: []float64{0.5, 0.25}},
 		&proto.Snapshot{SID: 1, Alg: "reno", Prog: []byte{7, 7}, State: []float64{4}},
 	} {
 		data, err := proto.Marshal(m)
@@ -193,7 +193,6 @@ func FuzzDecoderAliasing(f *testing.F) {
 	// Decoding these again is the scribble over the decoder's report scratch.
 	reports := []proto.Msg{
 		&proto.Measurement{SID: 0xEE, Seq: 0xEE, Fields: []float64{-1, -1, -1, -1}},
-		&proto.Vector{SID: 0xEE, Seq: 0xEE, NumFields: 1, Data: []float64{-1, -1, -1}},
 		&proto.Urgent{SID: 0xEE, Seq: 0xEE, Kind: proto.UrgentECN, Value: -1},
 	}
 	var scribble [][]byte

@@ -1,6 +1,9 @@
 package proto
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Decoder decodes wire messages into reusable scratch storage, so a
 // steady-state receive loop performs no heap allocation per message. The
@@ -10,9 +13,10 @@ import "fmt"
 // Ownership rules:
 //
 //   - The message returned by Unmarshal — and everything reachable from it
-//     (Report Fields, Vector Data) — is valid only until the next Unmarshal
-//     call on the same Decoder. Callers that need a message longer must
-//     Clone it.
+//     (Measurement Fields, Snapshot State) — is valid only until the next
+//     Unmarshal call on the same Decoder. Callers that need a message longer
+//     keep a copy of the frame's bytes, or of the message by the codec round
+//     trip (Marshal, then Unmarshal).
 //   - Install.Prog aliases the input buffer (no copy on decode); it is
 //     additionally invalidated when the input buffer is released or reused.
 //     Receivers either consume the program during dispatch (the datapath
@@ -21,7 +25,7 @@ import "fmt"
 //     goroutine.
 //
 // A Decoder reused across messages may return empty (rather than nil)
-// Fields/Data slices where a fresh decode would return nil; callers must
+// Fields/State slices where a fresh decode would return nil; callers must
 // treat the two identically, as encoding does.
 type Decoder struct {
 	// One scratch message of each type, made the first time that type is
@@ -29,7 +33,6 @@ type Decoder struct {
 	// overwrites the last, slice capacity included.
 	create  *Create
 	meas    *Measurement
-	vec     *Vector
 	urgent  *Urgent
 	close   *Close
 	install *Install
@@ -79,7 +82,7 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		return v, nil
 	case TypeMeasurement:
 		v := scratch(&dec.meas)
-		v.SID, v.Seq = d.u32(), d.u32()
+		v.SID, v.Seq, v.Epoch = d.u32(), d.u32(), uint32(d.length(math.MaxUint32, 0))
 		n := d.length(maxFieldCount, 8)
 		v.Fields = v.Fields[:0]
 		if d.err == nil && n > 0 {
@@ -88,23 +91,6 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 			}
 			for i := 0; i < n; i++ {
 				v.Fields = append(v.Fields, d.f64())
-			}
-		}
-		return v, nil
-	case TypeVector:
-		v := scratch(&dec.vec)
-		v.SID, v.Seq, v.NumFields = d.u32(), d.u32(), d.byte()
-		n := d.length(maxVectorLen, 8)
-		v.Data = v.Data[:0]
-		if d.err == nil {
-			if v.NumFields == 0 || n%int(v.NumFields) != 0 {
-				return nil, fmt.Errorf("proto: vector shape %d x %d invalid", n, v.NumFields)
-			}
-			if cap(v.Data) < n {
-				v.Data = make([]float64, 0, n)
-			}
-			for i := 0; i < n; i++ {
-				v.Data = append(v.Data, d.f64())
 			}
 		}
 		return v, nil
@@ -149,6 +135,7 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		v.MSS, v.InitCwnd = d.u32(), d.u32()
 		v.CtrlSeq, v.CreateSeq = d.u32(), d.u32()
 		v.ReportSeq, v.UrgentSeq = d.u32(), d.u32()
+		v.Epoch = uint32(d.length(math.MaxUint32, 0))
 		v.SrcAddr = d.strInto(v.SrcAddr)
 		v.DstAddr = d.strInto(v.DstAddr)
 		v.Alg = d.strInto(v.Alg)

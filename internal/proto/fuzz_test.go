@@ -81,16 +81,16 @@ func FuzzCreateRoundTrip(f *testing.F) {
 // whose seeds include snapshots via sampleMsgs.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(uint32(7), uint32(1448), uint32(14480), uint32(12), uint32(1),
-		uint32(40), uint32(2), "10.0.0.1:80", "10.0.0.2:80", "cubic",
+		uint32(40), uint32(2), uint32(9), "10.0.0.1:80", "10.0.0.2:80", "cubic",
 		[]byte{0xCC, 2, 0}, 14480.0, 2.5)
 	f.Add(uint32(0), uint32(0), uint32(0), uint32(0), uint32(0),
-		uint32(0), uint32(0), "", "", "", []byte(nil), 0.0, 0.0)
+		uint32(0), uint32(0), uint32(0), "", "", "", []byte(nil), 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, sid, mss, initCwnd,
-		ctrlSeq, createSeq, reportSeq, urgentSeq uint32,
+		ctrlSeq, createSeq, reportSeq, urgentSeq, epoch uint32,
 		src, dst, alg string, prog []byte, s0, s1 float64) {
 		in := &Snapshot{SID: sid, MSS: mss,
 			InitCwnd: initCwnd, CtrlSeq: ctrlSeq, CreateSeq: createSeq,
-			ReportSeq: reportSeq, UrgentSeq: urgentSeq,
+			ReportSeq: reportSeq, UrgentSeq: urgentSeq, Epoch: epoch,
 			SrcAddr: src, DstAddr: dst, Alg: alg,
 			Prog: prog, State: []float64{s0, s1}}
 		data, err := Marshal(in)

@@ -3,7 +3,7 @@
 // narrow — the paper's thesis is that this small message set suffices for a
 // wide range of congestion control algorithms:
 //
-//	datapath → agent: Create, Measurement, Vector, Urgent, Close, InstallErr
+//	datapath → agent: Create, Measurement, Urgent, Close, InstallErr
 //	agent → datapath: Install, SetCwnd, SetRate
 //
 // Messages are encoded little-endian with uvarint lengths; each Marshal
@@ -34,15 +34,16 @@ type MsgType uint8
 const (
 	TypeCreate MsgType = iota + 1
 	TypeMeasurement
-	TypeVector
+	// 3, 9 and 10 are reserved and decode as unknown types. They once carried
+	// vector reports (now Measurements whose epoch says their row width),
+	// report batches and overload backoffs; keeping the gaps keeps every other
+	// type's byte, and so which corrupted frames still decode.
+	_
 	TypeUrgent
 	TypeClose
 	TypeInstall
 	TypeSetCwnd
 	TypeSetRate
-	// 9 and 10 are reserved and decode as unknown types. They once carried
-	// report batches and overload backoffs; keeping the gap keeps every other
-	// type's byte, and so which corrupted frames still decode.
 	_
 	_
 	TypeSnapshot
@@ -56,8 +57,6 @@ func (t MsgType) String() string {
 		return "Create"
 	case TypeMeasurement:
 		return "Measurement"
-	case TypeVector:
-		return "Vector"
 	case TypeUrgent:
 		return "Urgent"
 	case TypeClose:
@@ -104,35 +103,16 @@ type Create struct {
 	Alg string
 }
 
-// Measurement is a batched fold/EWMA report: the values of the report
-// fields, in the installed program's register order.
+// Measurement is the one report, stamped with the epoch of the program whose
+// measure half gathered it: the Seq of the whole Install that brought that
+// half, or 0 for the default program. The epoch alone says how Fields is laid
+// out: a value per fold register or EWMA field, or, in vector mode, a row
+// per packet, row-major, as wide as the program's field list.
 type Measurement struct {
 	SID    uint32
 	Seq    uint32 // report sequence number, per flow
+	Epoch  uint32 // the program that folded the report (0: the default)
 	Fields []float64
-}
-
-// Vector is a batched per-packet report: NumFields values per packet,
-// row-major, in the installed program's field order.
-type Vector struct {
-	SID       uint32
-	Seq       uint32
-	NumFields uint8
-	Data      []float64
-}
-
-// Rows returns the number of packets in the vector.
-func (v *Vector) Rows() int {
-	if v.NumFields == 0 {
-		return 0
-	}
-	return len(v.Data) / int(v.NumFields)
-}
-
-// Row returns the i-th packet's values (aliasing Data).
-func (v *Vector) Row(i int) []float64 {
-	n := int(v.NumFields)
-	return v.Data[i*n : (i+1)*n]
 }
 
 // UrgentKind classifies urgent datapath events (§2.1): signals important
@@ -243,7 +223,6 @@ func AdmitSeq(seq uint32, last *uint32) bool {
 
 func (m *Create) Type() MsgType      { return TypeCreate }
 func (m *Measurement) Type() MsgType { return TypeMeasurement }
-func (m *Vector) Type() MsgType      { return TypeVector }
 func (m *Urgent) Type() MsgType      { return TypeUrgent }
 func (m *Close) Type() MsgType       { return TypeClose }
 func (m *Install) Type() MsgType     { return TypeInstall }
@@ -253,7 +232,6 @@ func (m *InstallErr) Type() MsgType  { return TypeInstallErr }
 
 func (m *Create) FlowSID() uint32      { return m.SID }
 func (m *Measurement) FlowSID() uint32 { return m.SID }
-func (m *Vector) FlowSID() uint32      { return m.SID }
 func (m *Urgent) FlowSID() uint32      { return m.SID }
 func (m *Close) FlowSID() uint32       { return m.SID }
 func (m *Install) FlowSID() uint32     { return m.SID }
@@ -271,8 +249,7 @@ func Split(m Msg) []Msg {
 // Limits bound decoder allocations against malformed input.
 const (
 	maxStringLen   = 255
-	maxFieldCount  = 1 << 12
-	maxVectorLen   = 1 << 20
+	maxFieldCount  = 1 << 20 // a vector-mode report's rows times its width
 	maxProgramSize = 1 << 16
 )
 
@@ -308,22 +285,9 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 		}
 		b = binary.LittleEndian.AppendUint32(b, v.SID)
 		b = binary.LittleEndian.AppendUint32(b, v.Seq)
+		b = binary.AppendUvarint(b, uint64(v.Epoch))
 		b = binary.AppendUvarint(b, uint64(len(v.Fields)))
 		for _, f := range v.Fields {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-		}
-	case *Vector:
-		if len(v.Data) > maxVectorLen {
-			return nil, fmt.Errorf("proto: vector too large (%d)", len(v.Data))
-		}
-		if v.NumFields == 0 || len(v.Data)%int(v.NumFields) != 0 {
-			return nil, fmt.Errorf("proto: vector data (%d) not a multiple of fields (%d)", len(v.Data), v.NumFields)
-		}
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = append(b, v.NumFields)
-		b = binary.AppendUvarint(b, uint64(len(v.Data)))
-		for _, f := range v.Data {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 		}
 	case *Urgent:
@@ -368,6 +332,7 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, v.CreateSeq)
 		b = binary.LittleEndian.AppendUint32(b, v.ReportSeq)
 		b = binary.LittleEndian.AppendUint32(b, v.UrgentSeq)
+		b = binary.AppendUvarint(b, uint64(v.Epoch))
 		var err error
 		if b, err = appendStr(b, v.SrcAddr); err != nil {
 			return nil, err
@@ -456,13 +421,13 @@ func (d *decoder) f64() float64 {
 // encodings (keeping the wire format canonical: one byte sequence per
 // message) and counts whose payload could not fit in the remaining input, so
 // a corrupt length can never drive an allocation larger than the message
-// itself.
-func (d *decoder) length(max, elemSize int) int {
+// itself. A report's epoch is read as a count of nothing (elemSize 0).
+func (d *decoder) length(max uint64, elemSize int) int {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 || v > uint64(max) || n != uvarintLen(v) {
+	if n <= 0 || v > max || n != uvarintLen(v) {
 		d.err = fmt.Errorf("proto: bad length")
 		return 0
 	}

@@ -19,7 +19,8 @@ func sampleMsgs() []Msg {
 		&Create{SID: 11, MSS: 1448, InitCwnd: 28960, Seq: 1042, Alg: "reno"}, // resync replay
 		&Measurement{SID: 1, Seq: 99, Fields: []float64{0.01, 2.5e6, 1.25e6, 14600, 0, 0.25, 0.012}},
 		&Measurement{SID: 2, Seq: 0, Fields: nil},
-		&Vector{SID: 3, Seq: 5, NumFields: 3, Data: []float64{1, 2, 3, 4, 5, 6}},
+		&Measurement{SID: 1, Seq: 100, Epoch: 12, Fields: []float64{14480, 0.01, 3.5}},  // a three-register fold's
+		&Measurement{SID: 3, Seq: 5, Epoch: 70000, Fields: []float64{1, 2, 3, 4, 5, 6}}, // two rows of three
 		&Urgent{SID: 4, Seq: 1, Kind: UrgentDupAck, Value: 2920},
 		&Urgent{SID: 4, Seq: 2, Kind: UrgentTimeout, Value: 14600},
 		&Urgent{SID: 4, Kind: UrgentECN, Value: 3},
@@ -29,7 +30,7 @@ func sampleMsgs() []Msg {
 		&SetCwnd{SID: 8, Seq: 7, Bytes: 29200},
 		&SetRate{SID: 9, Seq: 8, Bps: 1.25e9},
 		&Snapshot{SID: 12, MSS: 1448, InitCwnd: 14480,
-			CtrlSeq: 77, CreateSeq: 3, ReportSeq: 200, UrgentSeq: 5,
+			CtrlSeq: 77, CreateSeq: 3, ReportSeq: 200, UrgentSeq: 5, Epoch: 75,
 			SrcAddr: "10.0.0.1:4242", DstAddr: "10.0.0.2:80", Alg: "cubic",
 			Prog:  []byte{0xCC, 2, 0, 1, 0x14, 0},
 			State: []float64{14480, 65535, 2.5, 0.01}},
@@ -40,11 +41,18 @@ func sampleMsgs() []Msg {
 	}
 }
 
-// retiredFrames are frames of the two retired wire types as a peer that
-// still sent them encoded them: type 9, a report batch (a uvarint count, then
-// each message behind its uvarint length), and type 10, an overload backoff
-// (the SID, then a float64 report-interval factor).
+// retiredFrames are frames of the three retired wire types as a peer that
+// still sent them encoded them: type 3, a vector report (SID, Seq, a row-width
+// byte, then a uvarint count of float64s), type 9, a report batch (a uvarint
+// count, then each message behind its uvarint length), and type 10, an
+// overload backoff (the SID, then a float64 report-interval factor).
 func retiredFrames() [][]byte {
+	vector := binary.LittleEndian.AppendUint32([]byte{3}, 3)
+	vector = binary.LittleEndian.AppendUint32(vector, 5)
+	vector = append(vector, 2, 2)
+	for _, f := range []float64{0.01, 1448} {
+		vector = binary.LittleEndian.AppendUint64(vector, math.Float64bits(f))
+	}
 	batch := []byte{9, 2}
 	for _, m := range []Msg{
 		&Measurement{SID: 1, Seq: 100, Fields: []float64{0.01, 1e6}},
@@ -60,18 +68,19 @@ func retiredFrames() [][]byte {
 		b := binary.LittleEndian.AppendUint32([]byte{10}, 10)
 		return binary.LittleEndian.AppendUint64(b, math.Float64bits(factor))
 	}
-	return [][]byte{batch, {9, 0}, backoff(4), backoff(1)}
+	return [][]byte{vector, batch, {9, 0}, backoff(4), backoff(1)}
 }
 
 // TestWireTypeNumbers pins each message type's byte on the wire, and that
-// the bytes of the two retired types are refused as unknown whatever follows
-// them: a corrupted frame that starts with 9 or 10 must not decode.
+// the bytes of the three retired types are refused as unknown whatever
+// follows them: a corrupted frame that starts with 3, 9 or 10 must not
+// decode.
 func TestWireTypeNumbers(t *testing.T) {
 	for _, c := range []struct {
 		m    Msg
 		want byte
 	}{
-		{&Create{}, 1}, {&Measurement{}, 2}, {&Vector{NumFields: 1}, 3},
+		{&Create{}, 1}, {&Measurement{}, 2},
 		{&Urgent{Kind: UrgentDupAck}, 4}, {&Close{}, 5}, {&Install{}, 6},
 		{&SetCwnd{}, 7}, {&SetRate{}, 8}, {&Snapshot{}, 11},
 		{&Heartbeat{}, 12}, {&InstallErr{}, 13},
@@ -87,14 +96,14 @@ func TestWireTypeNumbers(t *testing.T) {
 			t.Errorf("type byte %d decodes as %v (err %v), want %v", c.want, got, err, c.m.Type())
 		}
 	}
-	for _, frame := range append(retiredFrames(), []byte{9}, []byte{10}) {
+	for _, frame := range append(retiredFrames(), []byte{3}, []byte{9}, []byte{10}) {
 		if _, err := Unmarshal(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Errorf("retired frame %x: err=%v, want an unknown message type", frame, err)
 		}
 	}
 }
 
-// TestSnapshotVersionAndFlags pins the snapshot's version byte at 2 and its
+// TestSnapshotVersionAndFlags pins the snapshot's version byte at 3 and its
 // one flag bit, Closed: a frame of another version, or one that sets any
 // other flag bit — version 1's retired "installed" bit among them — is
 // refused, not half-understood.
@@ -108,10 +117,10 @@ func TestSnapshotVersionAndFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if data[versionAt] != 2 || data[flagsAt] != m.flags() {
+		if data[versionAt] != 3 || data[flagsAt] != m.flags() {
 			t.Fatalf("snapshot %d: version %d, flags %#x on the wire", m.SID, data[versionAt], data[flagsAt])
 		}
-		for _, v := range []byte{0, 1, 3} {
+		for _, v := range []byte{0, 1, 2, 4} {
 			bad := bytes.Clone(data)
 			bad[versionAt] = v
 			if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "snapshot version") {
@@ -169,7 +178,7 @@ func TestRoundTripAll(t *testing.T) {
 func TestTypeAndSID(t *testing.T) {
 	wantTypes := []MsgType{
 		TypeCreate, TypeCreate, TypeCreate, TypeMeasurement, TypeMeasurement,
-		TypeVector, TypeUrgent, TypeUrgent, TypeUrgent, TypeClose, TypeInstall,
+		TypeMeasurement, TypeMeasurement, TypeUrgent, TypeUrgent, TypeUrgent, TypeClose, TypeInstall,
 		TypeInstall, TypeSetCwnd, TypeSetRate, TypeSnapshot, TypeSnapshot,
 		TypeHeartbeat, TypeInstallErr, TypeInstallErr,
 	}
@@ -183,27 +192,58 @@ func TestTypeAndSID(t *testing.T) {
 	}
 }
 
+// TestVectorRows: a vector-mode report is a Measurement whose Fields are its
+// rows, row-major. Nothing on the wire says how wide a row is — the epoch
+// names the program whose field list does — so the frame is the header, the
+// epoch as a minimal uvarint, the value count and the values.
 func TestVectorRows(t *testing.T) {
-	v := &Vector{NumFields: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
-	if v.Rows() != 2 {
-		t.Fatalf("rows=%d", v.Rows())
-	}
-	r := v.Row(1)
-	if len(r) != 3 || r[0] != 4 || r[2] != 6 {
-		t.Fatalf("row=%v", r)
-	}
-	empty := &Vector{}
-	if empty.Rows() != 0 {
-		t.Fatal("empty vector rows != 0")
+	for _, c := range []struct {
+		epoch uint32
+		width int // of the epoch's uvarint
+	}{{0, 1}, {127, 1}, {128, 2}, {70000, 3}, {math.MaxUint32, 5}} {
+		m := &Measurement{SID: 3, Seq: 5, Epoch: c.epoch, Fields: []float64{1, 2, 3, 4, 5, 6}}
+		data, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 + 4 + 4 + c.width + 1 + 6*8; len(data) != want {
+			t.Fatalf("epoch %d: a two-by-three report is %d bytes, want %d", c.epoch, len(data), want)
+		}
+		got, err := Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := got.(*Measurement); g.Epoch != c.epoch || !reflect.DeepEqual(g.Fields, m.Fields) {
+			t.Fatalf("epoch %d: decoded %+v", c.epoch, g)
+		}
 	}
 }
 
+// TestMarshalRejectsBadVectorShape: the codec cannot know a report's shape,
+// so it bounds what it can — the value count, and the epoch, which must be a
+// minimal uvarint that fits 32 bits. Whether a report's values fit its
+// epoch's layout is the agent's check (core).
 func TestMarshalRejectsBadVectorShape(t *testing.T) {
-	if _, err := Marshal(&Vector{NumFields: 3, Data: []float64{1, 2}}); err == nil {
-		t.Fatal("ragged vector marshalled")
+	if _, err := Marshal(&Measurement{Fields: make([]float64, maxFieldCount+1)}); err == nil {
+		t.Fatal("a report of more than maxFieldCount values marshalled")
 	}
-	if _, err := Marshal(&Vector{NumFields: 0, Data: []float64{1}}); err == nil {
-		t.Fatal("zero-field vector marshalled")
+	frame := func(epoch ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte{byte(TypeMeasurement)}, 3)
+		b = binary.LittleEndian.AppendUint32(b, 5)
+		return append(append(b, epoch...), 0) // no values
+	}
+	if _, err := Unmarshal(frame(0x81, 0x01)); err != nil {
+		t.Fatalf("epoch 129: %v", err)
+	}
+	for _, bad := range [][]byte{
+		{0x80, 0x00},                   // 0, not minimal
+		{0x81, 0x81, 0x00},             // 129, not minimal
+		{0x80, 0x80, 0x80, 0x80, 0x10}, // 2^32
+		{0x80},                         // truncated
+	} {
+		if _, err := Unmarshal(frame(bad...)); err == nil {
+			t.Errorf("epoch % x decoded", bad)
+		}
 	}
 }
 
@@ -431,11 +471,11 @@ func TestUnmarshalFuzzNoPanic(t *testing.T) {
 }
 
 func TestQuickMeasurementRoundTrip(t *testing.T) {
-	f := func(sid, seq uint32, fields []float64) bool {
+	f := func(sid, seq, epoch uint32, fields []float64) bool {
 		if len(fields) > maxFieldCount {
 			return true
 		}
-		m := &Measurement{SID: sid, Seq: seq, Fields: fields}
+		m := &Measurement{SID: sid, Seq: seq, Epoch: epoch, Fields: fields}
 		data, err := Marshal(m)
 		if err != nil {
 			return false
@@ -445,7 +485,7 @@ func TestQuickMeasurementRoundTrip(t *testing.T) {
 			return false
 		}
 		gm := got.(*Measurement)
-		if gm.SID != sid || gm.Seq != seq || len(gm.Fields) != len(fields) {
+		if gm.SID != sid || gm.Seq != seq || gm.Epoch != epoch || len(gm.Fields) != len(fields) {
 			return false
 		}
 		for i := range fields {

@@ -12,8 +12,9 @@ import "time"
 // SnapshotVersion is the only snapshot encoding this build reads or writes.
 // A decoder seeing any other version errors out rather than guessing — a
 // standby from a different build must not restore state it half-understands.
-// Version 2 retired version 1's "installed" flag: Prog is empty or a program.
-const SnapshotVersion = 2
+// Version 2 retired version 1's "installed" flag: Prog is empty or a program;
+// version 3 added Epoch.
+const SnapshotVersion = 3
 
 // snapFlagClosed is the one snapshot flag. A decode refuses any other bit,
 // which keeps the encoding canonical: one byte sequence per message.
@@ -22,10 +23,10 @@ const snapFlagClosed = 1 << 0
 // Snapshot is one flow's portable congestion-control state: everything a
 // standby agent needs to resume fresh decisions for the flow without a
 // datapath round trip. Identity and sequence-space fields mirror Create;
-// Prog is the installed datapath program (so the restored flow interprets
-// reports without re-deriving names); State is the algorithm's private
-// registers, exported via core.SnapshotExporter in a stable order the same
-// algorithm re-imports.
+// Prog is the installed datapath program and Epoch the epoch its reports
+// carry (so the restored flow names them without a round trip); State is the
+// algorithm's private registers, exported via core.SnapshotExporter in a
+// stable order the same algorithm re-imports.
 //
 // A Snapshot with Closed set is a tombstone: the flow ended and the standby
 // must forget it. Tombstones carry no program or state.
@@ -38,6 +39,7 @@ type Snapshot struct {
 	CreateSeq uint32 // Create dedup state (see core's createSeq)
 	ReportSeq uint32 // last report sequence number accepted
 	UrgentSeq uint32 // last urgent sequence number accepted
+	Epoch     uint32 // Seq of the whole Install that brought Prog's measure half
 	SrcAddr   string
 	DstAddr   string
 	Alg       string

@@ -28,8 +28,9 @@ func FuzzShardFrames(f *testing.F) {
 	for _, m := range []proto.Msg{
 		&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480, Alg: "plod"},
 		&proto.Create{SID: 2, MSS: 1448, InitCwnd: 14480},
-		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 1e6, 1448}},
-		&proto.Vector{SID: 2, Seq: 1, NumFields: 2, Data: []float64{1, 2, 3, 4}},
+		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}},
+		&proto.Measurement{SID: 1, Seq: 2, Epoch: 3, Fields: []float64{0.01, 1e6, 1448}}, // a fold's, epoch 3
+		&proto.Measurement{SID: 2, Seq: 1, Epoch: 200, Fields: []float64{1, 2, 3, 4}},    // two rows of two
 		&proto.Urgent{SID: 2, Seq: 1, Kind: proto.UrgentDupAck, Value: 1448},
 		&proto.InstallErr{SID: 1, Seq: 1, Reason: "refused"},
 		&proto.Heartbeat{SID: 1, Seq: 1, SentAt: 1.5},

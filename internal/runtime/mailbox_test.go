@@ -18,7 +18,7 @@ func frameOf(t *testing.T, m proto.Msg) []byte {
 }
 
 func meas(t *testing.T, sid, seq uint32) []byte {
-	return frameOf(t, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{1}})
+	return frameOf(t, &proto.Measurement{SID: sid, Seq: seq, Fields: make([]float64, 7)})
 }
 
 func mustPush(t *testing.T, mb *mailbox, frame []byte) {

@@ -58,7 +58,7 @@ func TestServeSetMultiplexesConnections(t *testing.T) {
 					sid := uint32(ci*100 + f)
 					send(t, d, &proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480})
 					for seq := uint32(1); seq <= reports; seq++ {
-						send(t, d, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{float64(seq)}})
+						send(t, d, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{float64(seq), 0, 0, 0, 0, 0, 0}})
 					}
 				}
 				if ci == 0 {

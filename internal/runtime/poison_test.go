@@ -36,12 +36,12 @@ func TestPoisonedContainerExposesKeptValues(t *testing.T) {
 	defer rt.Close()
 	reply := func(proto.Msg) error { return nil }
 	rt.HandleMessage(&proto.Create{SID: 2}, reply)
-	rt.HandleMessage(&proto.Measurement{SID: 2, Seq: 1, Fields: []float64{0.01, 1e6, 1448}}, reply)
+	rt.HandleMessage(&proto.Measurement{SID: 2, Seq: 1, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}}, reply)
 	// Drain returns once the shard has handled the report, and so poisoned
 	// its scratch.
 	rt.Drain()
-	if len(kept) != 3 {
-		t.Fatalf("the algorithm saw %d values, want 3", len(kept))
+	if len(kept) != 7 {
+		t.Fatalf("the algorithm saw %d values, want 7", len(kept))
 	}
 	for i, v := range kept {
 		if !math.IsNaN(v) {

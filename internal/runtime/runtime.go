@@ -200,11 +200,6 @@ func poison(m proto.Msg) {
 		for i := range v.Fields {
 			v.Fields[i] = nan
 		}
-	case *proto.Vector:
-		v.SID = sid
-		for i := range v.Data {
-			v.Data[i] = nan
-		}
 	case *proto.Urgent:
 		v.SID, v.Value = sid, nan
 	}

@@ -48,7 +48,7 @@ func script(n int) []proto.Msg {
 	}
 	for seq := uint32(1); seq <= 3; seq++ {
 		for i := 1; i <= n; i++ {
-			msgs = append(msgs, &proto.Measurement{SID: uint32(i), Seq: seq, Fields: []float64{float64(seq)}})
+			msgs = append(msgs, &proto.Measurement{SID: uint32(i), Seq: seq, Fields: []float64{float64(seq), 0, 0, 0, 0, 0, 0}})
 		}
 	}
 	for i := 1; i <= n; i++ {
@@ -139,7 +139,7 @@ func TestShardedPartitionPreservesPerFlowOrder(t *testing.T) {
 	}
 	for seq := uint32(1); seq <= reports; seq++ {
 		for i := 1; i <= flows; i++ {
-			rt.HandleMessage(&proto.Measurement{SID: uint32(i), Seq: seq, Fields: []float64{1}}, reply)
+			rt.HandleMessage(&proto.Measurement{SID: uint32(i), Seq: seq, Fields: make([]float64, 7)}, reply)
 		}
 	}
 	rt.Drain()
@@ -199,7 +199,7 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 			}
 			for seq := uint32(1); seq <= reports; seq++ {
 				for sid := uint32(1); sid <= flows; sid++ {
-					send(&proto.Measurement{SID: sid, Seq: seq, Fields: []float64{1}})
+					send(&proto.Measurement{SID: sid, Seq: seq, Fields: make([]float64, 7)})
 				}
 			}
 			got := make(map[uint32][]uint32)
@@ -251,7 +251,7 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 	}
 	for seq := uint32(1); seq <= reports; seq++ {
 		for i := 1; i <= flows; i++ {
-			rt.HandleMessage(&proto.Measurement{SID: uint32(i), Seq: seq, Fields: []float64{1}}, reply)
+			rt.HandleMessage(&proto.Measurement{SID: uint32(i), Seq: seq, Fields: make([]float64, 7)}, reply)
 		}
 	}
 	rt.Close() // must drain everything already accepted
@@ -284,7 +284,7 @@ func TestConcurrentDispatchManyGoroutines(t *testing.T) {
 			base := uint32(p * flowsPer)
 			for seq := uint32(1); seq <= reports; seq++ {
 				for f := 0; f < flowsPer; f++ {
-					rt.HandleMessage(&proto.Measurement{SID: base + uint32(f) + 1, Seq: seq, Fields: []float64{1}}, reply)
+					rt.HandleMessage(&proto.Measurement{SID: base + uint32(f) + 1, Seq: seq, Fields: make([]float64, 7)}, reply)
 				}
 			}
 		}(p)
@@ -359,7 +359,7 @@ func TestStatsNeverWaits(t *testing.T) {
 			handled := make(chan struct{})
 			go func() {
 				defer close(handled)
-				rt.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1}}, reply)
+				rt.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: make([]float64, 7)}, reply)
 			}()
 
 			read := make(chan struct{})

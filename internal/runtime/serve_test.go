@@ -273,7 +273,7 @@ func visit(sock string, sid uint32, reports int, closeRing bool) error {
 	}
 	msgs := []proto.Msg{&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480}}
 	for seq := 1; seq <= reports; seq++ {
-		msgs = append(msgs, &proto.Measurement{SID: sid, Seq: uint32(seq), Fields: []float64{float64(seq)}})
+		msgs = append(msgs, &proto.Measurement{SID: sid, Seq: uint32(seq), Fields: []float64{float64(seq), 0, 0, 0, 0, 0, 0}})
 	}
 	msgs = append(msgs, &proto.Close{SID: sid})
 	for _, m := range msgs {

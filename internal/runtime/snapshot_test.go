@@ -100,7 +100,7 @@ func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 			for seq := uint32(1); seq <= rounds; seq++ {
 				for i := 1; i <= flows; i++ {
 					rt.HandleMessage(&proto.Measurement{
-						SID: uint32(i), Seq: seq + uint32(p)*rounds, Fields: []float64{1},
+						SID: uint32(i), Seq: seq + uint32(p)*rounds, Fields: make([]float64, 7),
 					}, reply)
 				}
 			}
@@ -194,7 +194,7 @@ func TestRuntimeRestoreFlowRoutesToOwningShard(t *testing.T) {
 		var mu sync.Mutex
 		answered := map[uint32]uint32{}
 		for sid := uint32(1); sid <= flows; sid++ {
-			rt.HandleMessage(&proto.Measurement{SID: sid, Seq: 7, Fields: []float64{1}}, func(m proto.Msg) error {
+			rt.HandleMessage(&proto.Measurement{SID: sid, Seq: 7, Fields: make([]float64, 7)}, func(m proto.Msg) error {
 				mu.Lock()
 				answered[m.FlowSID()] = m.(*proto.SetCwnd).Bytes
 				mu.Unlock()
@@ -288,7 +288,7 @@ func TestRaceOneShardServeSnapshotRestore(t *testing.T) {
 			sid := uint32(ci*100 + f)
 			send(t, d, &proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480})
 			for seq := uint32(1); seq <= reports; seq++ {
-				send(t, d, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{float64(seq)}})
+				send(t, d, &proto.Measurement{SID: sid, Seq: seq, Fields: []float64{float64(seq), 0, 0, 0, 0, 0, 0}})
 			}
 		}
 	}

@@ -92,7 +92,7 @@ func TestRaceContainersAccountedExactlyOnce(t *testing.T) {
 				// HandleMessage only borrows it.
 				subs := make([]proto.Measurement, flowsPer)
 				for i := range subs {
-					subs[i] = proto.Measurement{SID: base + uint32(i), Fields: []float64{1, 2, 3}}
+					subs[i] = proto.Measurement{SID: base + uint32(i), Fields: []float64{1, 2, 3, 4, 5, 6, 7}}
 				}
 				urgent := &proto.Urgent{SID: base, Kind: proto.UrgentDupAck}
 				for seq := uint32(1); seq <= rounds; seq++ {
