@@ -89,8 +89,8 @@ func (cu *Cubic) install(f *core.Flow) {
 func (cu *Cubic) OnMeasurement(f *core.Flow, m core.Measurement) {
 	cu.cutSinceReport = false
 	now, ours := m.Get("dp_now")
-	if !ours { // the default program's, sent before Init's Install landed
-		cu.install(f) // its "acked" is not the fold's: the window stays
+	if !ours { // the default program's: a workaround, not a naming fix, so that
+		cu.install(f) // a slow agent's backlog of them does not replay as slow start
 		return
 	}
 	acked := m.GetOr("acked", 0)

@@ -387,8 +387,6 @@ func (a *Agent) logf(format string, args ...any) {
 // that installed twice over one fold would show its second as a reference.
 func Describe(factory AlgFactory, mss int) (progs []*lang.Program, direct []string) {
 	alg := factory()
-	var captured []*lang.Program
-	var directMsgs []string
 	probe := &Flow{
 		Info:   FlowInfo{SID: 0, MSS: mss, InitCwnd: 10 * mss},
 		shared: new(flowShared),
@@ -400,16 +398,16 @@ func Describe(factory AlgFactory, mss int) (progs []*lang.Program, direct []stri
 			switch v := m.(type) {
 			case *proto.Install:
 				if p, err := lang.UnmarshalProgram(v.Prog); err == nil {
-					captured = append(captured, p)
+					progs = append(progs, p)
 				}
 			case *proto.SetCwnd:
-				directMsgs = append(directMsgs, "cwnd")
+				direct = append(direct, "cwnd")
 			case *proto.SetRate:
-				directMsgs = append(directMsgs, "rate")
+				direct = append(direct, "rate")
 			}
 			return nil
 		},
 	}
 	alg.Init(probe)
-	return captured, directMsgs
+	return progs, direct
 }

@@ -71,11 +71,12 @@ func TestAllocsFlowDecision(t *testing.T) {
 }
 
 // TestFlowSize keeps the per-flow cost of the agent from creeping: a Flow is
-// 168 bytes, in the 176-byte size class, since it keeps its program only as
-// bytes and names its reports through two epoch runs that point at layouts
-// its agent shares, and must not grow past that.
+// 192 bytes, a size class of its own, since it keeps its program only as
+// bytes (with the one before it, for a refusal to roll back to) and names its
+// reports through two epoch runs that point at layouts its agent shares, and
+// must not grow past that.
 func TestFlowSize(t *testing.T) {
-	const pinned = 168
+	const pinned = 192
 	if got := unsafe.Sizeof(core.Flow{}); got > pinned {
 		t.Fatalf("core.Flow is %d bytes, was %d: what was added belongs in the per-agent block", got, pinned)
 	}

@@ -228,9 +228,10 @@ func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 // program their epoch names, in both modes whose layout a program sets.
 // After the datapath refuses a whole Install of another layout, the next
 // report, of the epoch still in force, is named by the program still
-// running; a flow restored from a snapshot names its first report by the
-// snapshot's program, not by the one its algorithm's Init installed, and by
-// the datapath's default program when the snapshot carries none.
+// running, and a snapshot carries that program and its epoch; a flow
+// restored from it names its first report by the snapshot's program, not by
+// the one its algorithm's Init installed, and by the datapath's default
+// program when the snapshot carries none.
 func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 	fold := func(names ...string) *lang.Program {
 		f := &lang.FoldSpec{}
@@ -288,12 +289,8 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 				t.Fatalf("after a refused whole Install the report reads %+v", alg.measures)
 			}
 
-			// The snapshot is of the program the datapath runs.
-			if err := flow.Install(c.live); err != nil {
-				t.Fatal(err)
-			}
-			live = cap.epoch()
-			report(primary, 3, live)
+			// A snapshot taken right after the refusal is of the program the
+			// datapath runs, under its epoch.
 			var snap *proto.Snapshot
 			if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
 				snap = copyMsg(s).(*proto.Snapshot)
@@ -301,15 +298,15 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if snap.Epoch != live {
-				t.Fatalf("the snapshot carries epoch %d, want %d", snap.Epoch, live)
+			if want, _ := lang.MarshalProgram(c.live); snap.Epoch != live || string(snap.Prog) != string(want) {
+				t.Fatalf("the snapshot carries epoch %d and %d program bytes, want epoch %d and the live program", snap.Epoch, len(snap.Prog), live)
 			}
 			restoredAlg := &recordAlg{onInit: func(f *Flow) { f.Install(c.other) }}
 			standby := newTestAgent(t, restoredAlg, nil)
 			if err := standby.RestoreFlow(snap); err != nil {
 				t.Fatal(err)
 			}
-			report(standby, 4, live)
+			report(standby, 3, live)
 			if len(restoredAlg.measures) != 1 || !c.named(restoredAlg.measures[0]) {
 				t.Fatalf("a restored flow's first report reads %+v", restoredAlg.measures)
 			}
@@ -700,14 +697,19 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 	}
 	refusedSeq := cap.msgs[len(cap.msgs)-1].(*proto.Install).Seq
 
-	// The datapath refuses the second install: the agent must count it and
-	// log the diagnostic. The first program's epoch stays in force, and its
-	// reports are named by it; nothing is sent again.
+	// The datapath refuses the second install: the agent must count it, log
+	// the diagnostic, and roll its program back to the first — the one still
+	// live in the datapath, whose epoch its snapshots now carry. The first
+	// program's reports are named by it; nothing is sent again.
 	var logged string
 	a.cfg.Logf = func(format string, args ...any) { logged = fmt.Sprintf(format, args...) }
 	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refusedSeq, Reason: "bounds: instr 0"}, cap.send)
 	if a.Stats().InstallErrs != 1 || !strings.Contains(logged, "bounds: instr 0") {
 		t.Fatalf("InstallErrs=%d, logged %q", a.Stats().InstallErrs, logged)
+	}
+	cwnd := func() float64 { return float64(flow.Installed().Instrs[0].(lang.SetCwnd).E.(lang.Const)) }
+	if got := cwnd(); got != 20000 || flow.newest().last == refusedSeq {
+		t.Fatalf("installed view not rolled back: cwnd const = %v, newest epoch %d", got, flow.newest().last)
 	}
 	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: refusedSeq - 1, Fields: make([]float64, 7)}, cap.send)
 	if len(alg.measures) != 1 || !slices.Equal(alg.measures[0].Names, lang.EWMAReportNames()) {
@@ -717,8 +719,8 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 	// A refusal of an already-superseded install only counts.
 	sent := len(cap.msgs)
 	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refusedSeq - 1, Reason: "stale"}, cap.send)
-	if a.Stats().InstallErrs != 2 || len(cap.msgs) != sent {
-		t.Fatalf("a stale refusal drew %d messages: %+v", len(cap.msgs)-sent, a.Stats())
+	if a.Stats().InstallErrs != 2 || len(cap.msgs) != sent || cwnd() != 20000 {
+		t.Fatalf("a stale refusal drew %d messages or moved the installed view (%v): %+v", len(cap.msgs)-sent, cwnd(), a.Stats())
 	}
 
 	// Refusals for unknown flows are counted as unknown-flow noise.
@@ -851,8 +853,8 @@ func TestFlowInstallsByReference(t *testing.T) {
 // TestFlowRefusedReference: what an InstallErr does depends on which Install
 // it refuses. A refused reference makes the flow send its newest program
 // whole at once, after which the refusals of the other references sent
-// meanwhile change nothing; a refused whole Install draws nothing and is
-// never referred to again.
+// meanwhile change nothing; a refused whole Install rolls back if it is the
+// newest, draws nothing, and is never referred to again.
 func TestFlowRefusedReference(t *testing.T) {
 	a, flow, cap := grabFlow(t)
 	fold := refFold(0)
@@ -899,16 +901,17 @@ func TestFlowRefusedReference(t *testing.T) {
 		t.Fatalf("the install after a re-send names %+v (%v), want epoch %d", m, err, again.Seq)
 	}
 
-	// A refused whole Install draws nothing, and nothing refers to it
-	// afterwards.
+	// A refused whole Install that is the newest rolls back and draws
+	// nothing, and nothing refers to it afterwards.
 	moved := refProg(refFold(0.5), 40000)
 	if err := flow.Install(moved); err != nil {
 		t.Fatal(err)
 	}
+	before := flow.prevProg
 	sent = cap.installs()
 	refuse(sent[len(sent)-1].Seq)
-	if len(cap.installs()) != len(sent) {
-		t.Fatalf("refused whole install: %d installs drawn", len(cap.installs())-len(sent))
+	if string(flow.progBytes) != string(before) || len(cap.installs()) != len(sent) {
+		t.Fatalf("refused whole install: flow holds %s, %d installs drawn", flow.Installed(), len(cap.installs())-len(sent))
 	}
 	if err := flow.Install(refProg(refFold(0.5), 50000)); err != nil {
 		t.Fatal(err)

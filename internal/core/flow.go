@@ -76,8 +76,9 @@ type Flow struct {
 	shared *flowShared
 
 	// progBytes is the program last installed, whole, kept so snapshots carry
-	// it without re-marshalling it and a resend has it to send.
-	progBytes []byte
+	// it without re-marshalling it and a resend has it to send; prevProg is
+	// the one installed before it, for a refusal to roll back to.
+	progBytes, prevProg []byte
 
 	// epochs names reports by their epoch (named): the run in force as of the
 	// newest report, or as the flow was made, and the run sent since, if any.
@@ -169,7 +170,7 @@ func (f *Flow) Install(p *lang.Program) error {
 	if err := f.emit(m); err != nil {
 		return err
 	}
-	f.progBytes = data
+	f.prevProg, f.progBytes = f.progBytes, data
 	if byRef {
 		atomic.AddInt64(&f.shared.stats.InstallsByRef, 1)
 		return nil
@@ -291,8 +292,10 @@ func (s *flowShared) layoutOf(p *lang.Program) *reportLayout {
 // One sent before the newest whole Install is history: that Install
 // superseded it, and the two ends agree again if it was applied.
 //
-// The newest whole Install itself: no later Install may refer to it. The
-// datapath kept its program, whose reports are still named by their epoch.
+// The newest whole Install itself: no later Install may refer to it, and the
+// flow rolls back to the program before it, which the datapath kept, so its
+// snapshots and resends carry what the datapath runs: the refused Seq leaves
+// its epochs, and the newest run is one of that program's layout.
 //
 // One sent after it, which is to say a reference: the datapath may not hold
 // the half it named (the whole Install was lost, overtaken, or stale on
@@ -305,7 +308,19 @@ func (f *Flow) noteInstallErr(seq uint32) {
 	case seq == 0 || proto.SeqNewer(whole, seq) || proto.SeqNewer(seq, f.ctrlSeq):
 		// Unsequenced, superseded, or no Install of this flow's at all.
 	case seq == whole:
-		f.wholeLen = 0
+		f.wholeLen, f.progBytes = 0, f.prevProg
+		l := ewmaLayout // no program: the datapath's default
+		if p, err := lang.UnmarshalProgram(f.progBytes); err == nil {
+			l = f.shared.layoutOf(p)
+		}
+		switch r := f.newest(); {
+		case r.layout == l && r.first != seq:
+			r.last = seq - 1
+		case r == &f.epochs[1] && f.epochs[0].layout == l:
+			*r = epochRun{}
+		default:
+			f.epochs[1] = epochRun{seq, seq, l}
+		}
 	default:
 		if f.resend() {
 			atomic.AddInt64(&f.shared.stats.RefResends, 1)
@@ -373,23 +388,17 @@ func (f *Flow) applyPolicy(p *lang.Program) *lang.Program {
 		return p
 	}
 	out := *p
-	out.Instrs = make([]lang.Instr, len(p.Instrs))
-	for i, in := range p.Instrs {
+	out.Instrs = slices.Clone(p.Instrs)
+	for i, in := range out.Instrs {
 		switch n := in.(type) {
 		case lang.SetRate:
 			if f.policy.MaxRateBps > 0 {
 				out.Instrs[i] = lang.SetRate{E: lang.Min(n.E, lang.C(f.policy.MaxRateBps))}
-			} else {
-				out.Instrs[i] = n
 			}
 		case lang.SetCwnd:
 			if f.policy.MaxCwndBytes > 0 {
 				out.Instrs[i] = lang.SetCwnd{E: lang.Min(n.E, lang.C(float64(f.policy.MaxCwndBytes)))}
-			} else {
-				out.Instrs[i] = n
 			}
-		default:
-			out.Instrs[i] = in
 		}
 	}
 	return &out

@@ -159,6 +159,7 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 	st := a.newFlow(&proto.Create{SID: snap.SID, MSS: snap.MSS, InitCwnd: snap.InitCwnd,
 		Seq: snap.CreateSeq, SrcAddr: snap.SrcAddr, DstAddr: snap.DstAddr, Alg: snap.Alg}, snap, nil)
 	st.flow.progBytes = bytes.Clone(snap.Prog)
+	st.flow.prevProg = st.flow.progBytes
 	st.flow.epochs = [2]epochRun{{snap.Epoch, snap.Epoch, layout}}
 	if exp, ok := st.alg.(SnapshotExporter); ok && len(snap.State) > 0 {
 		exp.ImportState(snap.State)

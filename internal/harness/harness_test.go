@@ -12,6 +12,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/nativecc"
 	"github.com/ccp-repro/ccp/internal/netsim"
+	"github.com/ccp-repro/ccp/internal/supervise"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
@@ -177,10 +178,9 @@ func (a *refusingAlg) OnUrgent(*core.Flow, core.UrgentEvent) {}
 // unsafe program goes out from the agent unchecked, as a reference; the
 // datapath refuses it; the agent, which cannot tell a refused reference from
 // one to a half the datapath lacks, sends the program whole, which is refused
-// too; the safe program it replaced keeps controlling the flow, and its
-// reports, named by their epoch, keep reaching the algorithm. The agent keeps
-// the program it sent last: nothing of its own depends on the refused one
-// having run.
+// too; the agent rolls its program back to the safe one it replaced, which
+// keeps controlling the flow, and whose reports, named by their epoch, keep
+// reaching the algorithm.
 func TestUnsafeInstallRefusedAtTheDatapath(t *testing.T) {
 	alg := &refusingAlg{}
 	reg := core.NewRegistry()
@@ -203,6 +203,9 @@ func TestUnsafeInstallRefusedAtTheDatapath(t *testing.T) {
 	if got, want := f.DP.Program().String(), alg.safe.String(); got != want {
 		t.Fatalf("datapath runs %s, want %s", got, want)
 	}
+	if got := alg.flow.Installed(); got == nil || got.String() != alg.safe.String() {
+		t.Fatalf("agent's view is %v, want the safe program back", got)
+	}
 	calls, reports := f.Conn.Stats().CwndSetCalls, alg.reports
 	net.Run(2 * time.Second)
 	if f.Conn.Stats().CwndSetCalls <= calls || f.Conn.Cwnd() != refusingCwnd {
@@ -211,6 +214,41 @@ func TestUnsafeInstallRefusedAtTheDatapath(t *testing.T) {
 	}
 	if ag := net.Agent.Stats().Agent; alg.reports <= reports || ag.UnknownEpochs != 0 || ag.Errors != 0 {
 		t.Fatalf("the safe program's reports: %d reached the algorithm before, %d after; %+v", reports, alg.reports, ag)
+	}
+}
+
+// TestRefusedInstallSurvivesFailover: the agent of
+// TestUnsafeInstallRefusedAtTheDatapath dies after the refusals, and a
+// standby restored from a snapshot taken after them takes over. The
+// snapshot carries the program the datapath kept, under its epoch, so the
+// promoted agent names the datapath's reports from the first, sends nothing
+// the verifier refuses, and its algorithm keeps hearing the flow.
+func TestRefusedInstallSurvivesFailover(t *testing.T) {
+	alg := &refusingAlg{}
+	reg := core.NewRegistry()
+	reg.Register("refusing", func() core.Alg { return alg })
+	net := harness.New(harness.Config{Link: link(), Registry: reg, DefaultAlg: "refusing",
+		HA: &supervise.Config{Interval: 5 * time.Millisecond, LatencyBudget: 100 * time.Millisecond, MissBudget: 3}})
+	f := net.AddCCPFlow(1, "", tcp.Options{})
+	f.Conn.Start()
+	original := net.Agent
+	net.Sim.Schedule(time.Second, net.AgentInj.Kill)
+	net.Run(time.Second)
+	if ag := net.Agent.Stats().Agent; ag.InstallErrs != 2 {
+		t.Fatalf("before the kill: %+v; want the two refusals heard", ag)
+	}
+	reports := alg.reports
+	net.Run(2 * time.Second)
+
+	if net.Agent == original {
+		t.Fatal("failover never promoted the standby")
+	}
+	ag, dp := net.Agent.Stats().Agent, f.DP.Stats()
+	if ag.Restores != 1 || ag.UnknownEpochs != 0 || ag.InstallErrs != 0 || ag.Errors != 0 || alg.reports <= reports {
+		t.Fatalf("promoted agent: %+v; the algorithm heard %d reports before the kill, %d after", ag, reports, alg.reports)
+	}
+	if dp.InstallRejects != 2 || f.Conn.Cwnd() != refusingCwnd {
+		t.Fatalf("datapath: %+v, cwnd %d; want the safe program still in force", dp, f.Conn.Cwnd())
 	}
 }
 

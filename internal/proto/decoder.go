@@ -83,16 +83,7 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 	case TypeMeasurement:
 		v := scratch(&dec.meas)
 		v.SID, v.Seq, v.Epoch = d.u32(), d.u32(), uint32(d.length(math.MaxUint32, 0))
-		n := d.length(maxFieldCount, 8)
-		v.Fields = v.Fields[:0]
-		if d.err == nil && n > 0 {
-			if cap(v.Fields) < n {
-				v.Fields = make([]float64, 0, n)
-			}
-			for i := 0; i < n; i++ {
-				v.Fields = append(v.Fields, d.f64())
-			}
-		}
+		v.Fields = d.f64s(v.Fields, maxFieldCount)
 		return v, nil
 	case TypeUrgent:
 		v := scratch(&dec.urgent)
@@ -142,16 +133,7 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		n := d.length(maxProgramSize, 1)
 		// Aliases the input, matching the Install.Prog rule.
 		v.Prog = d.view(n)
-		n = d.length(maxSnapStateLen, 8)
-		v.State = v.State[:0]
-		if d.err == nil && n > 0 {
-			if cap(v.State) < n {
-				v.State = make([]float64, 0, n)
-			}
-			for i := 0; i < n; i++ {
-				v.State = append(v.State, d.f64())
-			}
-		}
+		v.State = d.f64s(v.State, maxSnapStateLen)
 		return v, nil
 	case TypeHeartbeat:
 		v := scratch(&dec.hb)

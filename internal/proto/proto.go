@@ -417,6 +417,22 @@ func (d *decoder) f64() float64 {
 	return v
 }
 
+// f64s decodes a count of at most max values and the values, into dst's
+// storage when it has room (a Decoder's scratch).
+func (d *decoder) f64s(dst []float64, max uint64) []float64 {
+	n := d.length(max, 8)
+	dst = dst[:0]
+	if d.err == nil && n > 0 {
+		if cap(dst) < n {
+			dst = make([]float64, 0, n)
+		}
+		for i := 0; i < n; i++ {
+			dst = append(dst, d.f64())
+		}
+	}
+	return dst
+}
+
 // length decodes a uvarint element count. It rejects non-minimal varint
 // encodings (keeping the wire format canonical: one byte sequence per
 // message) and counts whose payload could not fit in the remaining input, so
