@@ -51,13 +51,13 @@ type AgentStats struct {
 	// Heartbeats counts supervision probes echoed.
 	Heartbeats int64
 	// InstallErrs counts datapath refusals of installed programs (verifier
-	// rejections, malformed encodings). Each one means the refusing flow kept
-	// running its previous program.
+	// rejections, malformed encodings, stale references). Each names the
+	// program the refusing flow kept running, which the agent's flow takes.
 	InstallErrs int64
 	// InstallsByRef counts the Installs sent as a reference to the measure
 	// half of an earlier one plus a control half (Flow.Install). RefResends
 	// counts the programs sent again, whole, because the datapath refused a
-	// reference to the flow's newest whole Install (Flow.noteInstallErr); each
+	// reference at another epoch than it named (Flow.noteInstallErr); each
 	// answers one of InstallErrs.
 	InstallsByRef int64
 	RefResends    int64
@@ -185,17 +185,17 @@ func (a *Agent) HandleMessage(m proto.Msg, reply func(frame []byte) error) {
 		}
 		atomic.AddInt64(&a.shared.stats.FlowsClosed, 1)
 	case *proto.InstallErr:
-		// The datapath refused an Install (its §9 verifier gate, or a
-		// malformed encoding). The flow is fail-safe — the datapath keeps its
-		// previous program — so the agent's job is to surface the diagnostic
-		// and stop trusting that the refused program is live.
+		// The datapath refused an Install (its §9 verifier gate, a malformed
+		// encoding, or a reference to a half it lacks). The flow is fail-safe
+		// — the datapath keeps the program it runs, and names it — so the
+		// agent's job is to surface the diagnostic and take that program.
 		atomic.AddInt64(&a.shared.stats.InstallErrs, 1)
 		st, ok := a.flows[v.SID]
 		if !ok {
 			atomic.AddInt64(&a.shared.stats.UnknownFlowMsg, 1)
 			return
 		}
-		st.flow.noteInstallErr(v.Seq)
+		st.flow.noteInstallErr(v)
 		a.logf("agent: flow %d: datapath refused install seq %d: %s", v.SID, v.Seq, v.Reason)
 	case *proto.Heartbeat:
 		// Supervision probe: echo it so the sender measures true

@@ -226,9 +226,9 @@ func TestFlowKeepsReportNamesWhileTheyHold(t *testing.T) {
 
 // TestLayoutFollowsRollbackAndRestore: a flow's reports are named by the
 // program their epoch names, in both modes whose layout a program sets.
-// After the datapath refuses a whole Install of another layout, the next
-// report, of the epoch still in force, is named by the program still
-// running, and a snapshot carries that program and its epoch; a flow
+// After the datapath refuses a whole Install of another layout, naming the
+// program it keeps and its epoch, the next report, of that epoch, is named by
+// that program, and a snapshot carries the program and its epoch; a flow
 // restored from it names its first report by the snapshot's program, not by
 // the one its algorithm's Init installed, and by the datapath's default
 // program when the snapshot carries none.
@@ -283,7 +283,12 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 			if len(sent) != 2 || lang.IsRef(sent[1].Prog) {
 				t.Fatalf("want two whole Installs, got %d", len(sent))
 			}
-			primary.HandleMessage(&proto.InstallErr{SID: 1, Seq: sent[1].Seq, Reason: "no"}, cap.send)
+			liveProg, err := lang.MarshalProgram(c.live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The refusal names the program the datapath kept, and its epoch.
+			primary.HandleMessage(&proto.InstallErr{SID: 1, Seq: sent[1].Seq, Epoch: live, Reason: "no", Prog: liveProg}, cap.send)
 			report(primary, 2, live)
 			if len(alg.measures) != 2 || !c.named(alg.measures[1]) {
 				t.Fatalf("after a refused whole Install the report reads %+v", alg.measures)
@@ -298,7 +303,7 @@ func TestLayoutFollowsRollbackAndRestore(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if want, _ := lang.MarshalProgram(c.live); snap.Epoch != live || string(snap.Prog) != string(want) {
+			if snap.Epoch != live || string(snap.Prog) != string(liveProg) {
 				t.Fatalf("the snapshot carries epoch %d and %d program bytes, want epoch %d and the live program", snap.Epoch, len(snap.Prog), live)
 			}
 			restoredAlg := &recordAlg{onInit: func(f *Flow) { f.Install(c.other) }}
@@ -649,6 +654,37 @@ func TestAgentDropsStaleReports(t *testing.T) {
 	}
 }
 
+// TestResyncRecoversAReportCursorMovedAhead: a report whose Seq a corrupting
+// channel moved far ahead of the datapath's moves the flow's report cursor
+// past every report the datapath will send for a long while, and those are
+// discarded as stale. Nothing but a rebuild moves the cursor back: the
+// datapath's resync Create, with a Seq the flow was not made from, makes the
+// flow again, and its next report reaches the algorithm.
+func TestResyncRecoversAReportCursorMovedAhead(t *testing.T) {
+	alg := &recordAlg{}
+	a := newTestAgent(t, alg, nil)
+	cap := &capture{}
+	a.HandleMessage(createMsg(1), cap.send)
+	report := func(seq uint32) {
+		a.HandleMessage(&proto.Measurement{SID: 1, Seq: seq, Fields: make([]float64, 7)}, cap.send)
+	}
+	report(1)
+	report(1<<30 + 1) // Seq 1 with a flipped bit
+	for seq := uint32(2); seq < 6; seq++ {
+		report(seq)
+	}
+	if st := a.Stats(); len(alg.measures) != 2 || st.StaleReports != 4 {
+		t.Fatalf("after the cursor moved ahead: the algorithm heard %d reports; %+v", len(alg.measures), st)
+	}
+	resync := createMsg(1)
+	resync.Seq = 7 // the newest control sequence the datapath applied
+	a.HandleMessage(resync, cap.send)
+	report(6)
+	if st := a.Stats(); alg.inits != 2 || len(alg.measures) != 3 || st.StaleReports != 4 || st.UnknownEpochs != 0 {
+		t.Fatalf("after the resync: %d inits, the algorithm heard %d reports; %+v", alg.inits, len(alg.measures), st)
+	}
+}
+
 func TestAgentDedupsCreates(t *testing.T) {
 	alg := &recordAlg{}
 	a := newTestAgent(t, alg, nil)
@@ -683,44 +719,74 @@ func TestAgentSurfacesInstallErr(t *testing.T) {
 	a := newTestAgent(t, alg, nil)
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
+	flow := a.flows[1].flow
 
-	var flow *Flow
-	flow = a.flows[1].flow
-
-	first := lang.NewProgram().Cwnd(lang.C(20000)).WaitRtts(1).Report().MustBuild()
-	second := lang.NewProgram().Cwnd(lang.C(30000)).WaitRtts(1).Report().MustBuild()
-	if err := flow.Install(first); err != nil {
+	ewma := func(cwnd float64) *lang.Program {
+		return lang.NewProgram().Cwnd(lang.C(cwnd)).WaitRtts(1).Report().MustBuild()
+	}
+	for _, cwnd := range []float64{20000, 30000} {
+		if err := flow.Install(ewma(cwnd)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	firstSeq, refusedSeq := cap.installs()[0].Seq, cap.installs()[1].Seq
+	firstProg, err := lang.MarshalProgram(ewma(20000))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := flow.Install(second); err != nil {
-		t.Fatal(err)
-	}
-	refusedSeq := cap.msgs[len(cap.msgs)-1].(*proto.Install).Seq
+	refusal := &proto.InstallErr{SID: 1, Seq: refusedSeq, Epoch: firstSeq, Reason: "bounds: instr 0", Prog: firstProg}
 
-	// The datapath refuses the second install: the agent must count it, log
-	// the diagnostic, and roll its program back to the first — the one still
-	// live in the datapath, whose epoch its snapshots now carry. The first
-	// program's reports are named by it; nothing is sent again.
+	// The datapath refuses the second install and names the first, which it
+	// keeps running: the agent must count the refusal, log the diagnostic,
+	// and take the first program back under its epoch, which its snapshots
+	// now carry. The first program's reports are named by it; nothing is sent
+	// again.
 	var logged string
 	a.cfg.Logf = func(format string, args ...any) { logged = fmt.Sprintf(format, args...) }
-	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refusedSeq, Reason: "bounds: instr 0"}, cap.send)
+	a.HandleMessage(refusal, cap.send)
 	if a.Stats().InstallErrs != 1 || !strings.Contains(logged, "bounds: instr 0") {
 		t.Fatalf("InstallErrs=%d, logged %q", a.Stats().InstallErrs, logged)
 	}
 	cwnd := func() float64 { return float64(flow.Installed().Instrs[0].(lang.SetCwnd).E.(lang.Const)) }
-	if got := cwnd(); got != 20000 || flow.newest().last == refusedSeq {
-		t.Fatalf("installed view not rolled back: cwnd const = %v, newest epoch %d", got, flow.newest().last)
+	if got := cwnd(); got != 20000 || flow.newest().last != firstSeq {
+		t.Fatalf("installed view not the datapath's: cwnd const = %v, newest epoch %d", got, flow.newest().last)
 	}
-	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: refusedSeq - 1, Fields: make([]float64, 7)}, cap.send)
+	a.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: firstSeq, Fields: make([]float64, 7)}, cap.send)
 	if len(alg.measures) != 1 || !slices.Equal(alg.measures[0].Names, lang.EWMAReportNames()) {
 		t.Fatalf("the running program's report after the refusal: %+v", alg.measures)
 	}
 
-	// A refusal of an already-superseded install only counts.
+	// A duplicate of the refusal changes nothing, and once a later whole
+	// Install has superseded the refused one, it only counts.
 	sent := len(cap.msgs)
-	a.HandleMessage(&proto.InstallErr{SID: 1, Seq: refusedSeq - 1, Reason: "stale"}, cap.send)
+	a.HandleMessage(refusal, cap.send)
 	if a.Stats().InstallErrs != 2 || len(cap.msgs) != sent || cwnd() != 20000 {
-		t.Fatalf("a stale refusal drew %d messages or moved the installed view (%v): %+v", len(cap.msgs)-sent, cwnd(), a.Stats())
+		t.Fatalf("a duplicate refusal drew %d messages or moved the installed view (%v): %+v", len(cap.msgs)-sent, cwnd(), a.Stats())
+	}
+	if err := flow.Install(ewma(40000)); err != nil {
+		t.Fatal(err)
+	}
+	a.HandleMessage(refusal, cap.send)
+	if a.Stats().InstallErrs != 3 || len(cap.msgs) != sent+1 || cwnd() != 40000 {
+		t.Fatalf("a stale refusal drew %d messages or moved the installed view (%v): %+v", len(cap.msgs)-sent-1, cwnd(), a.Stats())
+	}
+
+	// A refusal that names no whole program, or one laid out otherwise than
+	// the run of its epoch, counts in Errors and changes nothing.
+	newest := cap.installs()[2].Seq
+	if err := flow.Install(ewma(50000)); err != nil {
+		t.Fatal(err)
+	}
+	vector, err := lang.MarshalProgram(lang.NewProgram().MeasureVector(lang.FieldRTT).WaitRtts(1).Report().MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, prog := range [][]byte{vector, {0xCC, 2}, lang.AppendRef(nil, newest, []byte{1, 0x14, 0})} {
+		a.HandleMessage(&proto.InstallErr{SID: 1, Seq: newest + 1, Epoch: newest, Reason: "no", Prog: prog}, cap.send)
+		if st := a.Stats(); st.Errors != int64(i+1) || len(cap.msgs) != sent+2 || cwnd() != 50000 || flow.newest().last != newest+1 {
+			t.Fatalf("refusal %d naming % x: %d messages drawn, cwnd const %v, newest epoch %d; %+v",
+				i, prog, len(cap.msgs)-sent-2, cwnd(), flow.newest().last, st)
+		}
 	}
 
 	// Refusals for unknown flows are counted as unknown-flow noise.
@@ -851,10 +917,13 @@ func TestFlowInstallsByReference(t *testing.T) {
 }
 
 // TestFlowRefusedReference: what an InstallErr does depends on which Install
-// it refuses. A refused reference makes the flow send its newest program
-// whole at once, after which the refusals of the other references sent
-// meanwhile change nothing; a refused whole Install rolls back if it is the
-// newest, draws nothing, and is never referred to again.
+// it refuses and which epoch the datapath says it runs. A reference refused
+// at another epoch than the one it named makes the flow send its newest
+// program whole at once, after which the refusals of the other references
+// sent meanwhile change nothing. A refused whole Install that is the newest,
+// and a reference refused at the epoch it named, were refused for the
+// program: the flow takes the one the refusal names, draws nothing, and
+// refers to neither again.
 func TestFlowRefusedReference(t *testing.T) {
 	a, flow, cap := grabFlow(t)
 	fold := refFold(0)
@@ -869,16 +938,28 @@ func TestFlowRefusedReference(t *testing.T) {
 	if lang.IsRef(whole.Prog) || !lang.IsRef(ref1.Prog) || !lang.IsRef(ref2.Prog) {
 		t.Fatal("want one whole Install and two references")
 	}
-	refuse := func(seq uint32) { a.HandleMessage(&proto.InstallErr{SID: 1, Seq: seq, Reason: "no"}, cap.send) }
+	marshal := func(p *lang.Program) []byte {
+		b, err := lang.MarshalProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// refuse answers seq as a datapath running prog as epoch would.
+	refuse := func(seq, epoch uint32, prog []byte) {
+		a.HandleMessage(&proto.InstallErr{SID: 1, Seq: seq, Epoch: epoch, Reason: "no", Prog: prog}, cap.send)
+	}
+	defaultProg := marshal(lang.NewProgram().MeasureEWMA().WaitRtts(1).Report().MustBuild())
 
-	// The whole Install never arrived: the datapath refuses the first reference.
-	refuse(ref1.Seq)
+	// The whole Install never arrived: the datapath, still on its default
+	// program, refuses the first reference.
+	refuse(ref1.Seq, 0, defaultProg)
 	sent = cap.installs()
 	if len(sent) != 4 {
 		t.Fatalf("a refused reference drew %d further installs, want 1", len(sent)-3)
 	}
 	again := sent[3]
-	newest, _ := lang.MarshalProgram(progs[2])
+	newest := marshal(progs[2])
 	if string(again.Prog) != string(newest) || !proto.SeqNewer(again.Seq, ref2.Seq) {
 		t.Fatalf("re-sent seq %d % x, want the newest program whole under a fresh Seq", again.Seq, again.Prog)
 	}
@@ -886,9 +967,9 @@ func TestFlowRefusedReference(t *testing.T) {
 		t.Fatalf("after the re-send the flow holds %s, %d re-sends counted", flow.Installed(), a.Stats().RefResends)
 	}
 	// The second reference's refusal, and a duplicate of the first's, are history.
-	refuse(ref2.Seq)
-	refuse(ref1.Seq)
-	refuse(again.Seq + 100) // and one for an Install never sent is noise
+	refuse(ref2.Seq, 0, defaultProg)
+	refuse(ref1.Seq, 0, defaultProg)
+	refuse(again.Seq+100, 0, defaultProg) // and one for an Install never sent is noise
 	if got := cap.installs(); len(got) != 4 || string(flow.progBytes) != string(newest) {
 		t.Fatalf("superseded refusals drew %d installs, flow holds %s", len(got)-4, flow.Installed())
 	}
@@ -901,27 +982,50 @@ func TestFlowRefusedReference(t *testing.T) {
 		t.Fatalf("the install after a re-send names %+v (%v), want epoch %d", m, err, again.Seq)
 	}
 
-	// A refused whole Install that is the newest rolls back and draws
-	// nothing, and nothing refers to it afterwards.
-	moved := refProg(refFold(0.5), 40000)
-	if err := flow.Install(moved); err != nil {
+	// A refused whole Install that is the newest: the flow takes the program
+	// the datapath kept, the re-sent fold under the reference's control half,
+	// draws nothing, and nothing refers to the refused one afterwards.
+	kept := marshal(refProg(fold, 40000))
+	if err := flow.Install(refProg(refFold(0.5), 40000)); err != nil {
 		t.Fatal(err)
 	}
-	before := flow.prevProg
 	sent = cap.installs()
-	refuse(sent[len(sent)-1].Seq)
-	if string(flow.progBytes) != string(before) || len(cap.installs()) != len(sent) {
-		t.Fatalf("refused whole install: flow holds %s, %d installs drawn", flow.Installed(), len(cap.installs())-len(sent))
+	refuse(sent[len(sent)-1].Seq, again.Seq, kept)
+	if string(flow.progBytes) != string(kept) || flow.newest().last != again.Seq || len(cap.installs()) != len(sent) {
+		t.Fatalf("refused whole install: flow holds %s at epoch %d, %d installs drawn", flow.Installed(), flow.newest().last, len(cap.installs())-len(sent))
 	}
 	if err := flow.Install(refProg(refFold(0.5), 50000)); err != nil {
 		t.Fatal(err)
 	}
 	sent = cap.installs()
-	if lang.IsRef(sent[len(sent)-1].Prog) {
+	moved := sent[len(sent)-1]
+	if lang.IsRef(moved.Prog) {
 		t.Fatal("an install referred to one the datapath refused")
 	}
-	if got := a.Stats(); got.InstallErrs != 5 || got.RefResends != 1 {
-		t.Fatalf("agent counted %d install errors and %d re-sends, want 5 and 1", got.InstallErrs, got.RefResends)
+
+	// A reference refused at the epoch it named: its control half was at
+	// fault. The flow takes the program the refusal names instead of sending
+	// its own again, and its next Install goes whole.
+	if err := flow.Install(refProg(refFold(0.5), 60000)); err != nil {
+		t.Fatal(err)
+	}
+	sent = cap.installs()
+	if !lang.IsRef(sent[len(sent)-1].Prog) {
+		t.Fatal("want a reference to the moved fold")
+	}
+	kept = marshal(refProg(refFold(0.5), 50000))
+	refuse(sent[len(sent)-1].Seq, moved.Seq, kept)
+	if string(flow.progBytes) != string(kept) || len(cap.installs()) != len(sent) {
+		t.Fatalf("a reference refused at its own epoch: flow holds %s, %d installs drawn", flow.Installed(), len(cap.installs())-len(sent))
+	}
+	if err := flow.Install(refProg(refFold(0.5), 70000)); err != nil {
+		t.Fatal(err)
+	}
+	if sent = cap.installs(); lang.IsRef(sent[len(sent)-1].Prog) {
+		t.Fatal("the install after a refusal went by reference")
+	}
+	if got := a.Stats(); got.InstallErrs != 6 || got.RefResends != 1 || got.Errors != 0 {
+		t.Fatalf("agent counted %d install errors, %d re-sends and %d errors, want 6, 1 and 0", got.InstallErrs, got.RefResends, got.Errors)
 	}
 }
 

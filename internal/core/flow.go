@@ -76,9 +76,9 @@ type Flow struct {
 	shared *flowShared
 
 	// progBytes is the program last installed, whole, kept so snapshots carry
-	// it without re-marshalling it and a resend has it to send; prevProg is
-	// the one installed before it, for a refusal to roll back to.
-	progBytes, prevProg []byte
+	// it without re-marshalling it and a resend has it to send; after a
+	// refusal, the program the datapath said it runs (takeProgram).
+	progBytes []byte
 
 	// epochs names reports by their epoch (named): the run in force as of the
 	// newest report, or as the flow was made, and the run sent since, if any.
@@ -170,7 +170,7 @@ func (f *Flow) Install(p *lang.Program) error {
 	if err := f.emit(m); err != nil {
 		return err
 	}
-	f.prevProg, f.progBytes = f.progBytes, data
+	f.progBytes = data
 	if byRef {
 		atomic.AddInt64(&f.shared.stats.InstallsByRef, 1)
 		return nil
@@ -214,20 +214,56 @@ func (f *Flow) sentWhole(seq uint32, l *reportLayout) {
 	}
 }
 
+// holds reports whether epoch e is one of r's.
+func (r epochRun) holds(e uint32) bool {
+	return r.layout != nil && !proto.SeqNewer(r.first, e) && !proto.SeqNewer(e, r.last)
+}
+
 // named returns the layout of a report of epoch e, or nil for an epoch the
 // flow cannot name. A report of the run sent since puts that run in force:
 // the datapath applies epochs in order and reports arrive admitted in order.
 func (f *Flow) named(e uint32) *reportLayout {
-	holds := func(r epochRun) bool {
-		return r.layout != nil && !proto.SeqNewer(r.first, e) && !proto.SeqNewer(e, r.last)
-	}
 	switch {
-	case holds(f.epochs[1]):
+	case f.epochs[1].holds(e):
 		f.epochs[0], f.epochs[1] = f.epochs[1], epochRun{}
-	case !holds(f.epochs[0]):
+	case !f.epochs[0].holds(e):
 		return nil
 	}
 	return f.epochs[0].layout
+}
+
+// takeProgram puts prog, the whole program a datapath runs as epoch e, laid
+// out as l, in force: the flow keeps the bytes, its run of e is cut back to e
+// (or e makes a run), and the next Install goes whole. It reports false,
+// changing nothing, when the run that holds e is laid out otherwise.
+func (f *Flow) takeProgram(e uint32, prog []byte, l *reportLayout) bool {
+	r := epochRun{e, e, l}
+	for _, h := range f.epochs {
+		if h.holds(e) {
+			if h.layout != l {
+				return false
+			}
+			r.first = h.first
+		}
+	}
+	f.progBytes, f.epochs, f.wholeLen = bytes.Clone(prog), [2]epochRun{r}, 0
+	return true
+}
+
+// programLayout returns the report layout of prog, a whole program (empty:
+// a datapath's default), or an error for bytes that are not one.
+func (s *flowShared) programLayout(prog []byte) (*reportLayout, error) {
+	if len(prog) == 0 {
+		return ewmaLayout, nil
+	}
+	p, err := lang.UnmarshalProgram(prog)
+	if err == nil && p.Measure.Mode == lang.MeasureRef {
+		err = fmt.Errorf("a reference, not a whole program")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.layoutOf(p), nil
 }
 
 // reportLayout is how a program's reports are laid out: a Measurement's value
@@ -290,36 +326,26 @@ func (s *flowShared) layoutOf(p *lang.Program) *reportLayout {
 // it); what it does depends on which Install was refused.
 //
 // One sent before the newest whole Install is history: that Install
-// superseded it, and the two ends agree again if it was applied.
+// superseded it.
 //
-// The newest whole Install itself: no later Install may refer to it, and the
-// flow rolls back to the program before it, which the datapath kept, so its
-// snapshots and resends carry what the datapath runs: the refused Seq leaves
-// its epochs, and the newest run is one of that program's layout.
+// The newest whole Install, or a reference refused at the epoch the flow
+// holds newest (the one it named): the program was at fault, and the flow
+// takes the one the refusal names (takeProgram); a refusal that names no
+// whole program laid out as the flow's run of its epoch counts in Errors.
 //
-// One sent after it, which is to say a reference: the datapath may not hold
-// the half it named (the whole Install was lost, overtaken, or stale on
-// arrival), so the newest program goes again, whole (resend), instead of the
-// flow running an older control half until its next report, and the
-// refusals of the references sent meanwhile are history by the rule above.
-func (f *Flow) noteInstallErr(seq uint32) {
+// Any other reference: the datapath lacks the half it named (the whole
+// Install was lost, overtaken, or stale on arrival), so the newest program
+// goes again, whole (resend), and the refusals of the references sent
+// meanwhile are history by the first rule.
+func (f *Flow) noteInstallErr(v *proto.InstallErr) {
 	whole := f.newest().last
 	switch {
-	case seq == 0 || proto.SeqNewer(whole, seq) || proto.SeqNewer(seq, f.ctrlSeq):
+	case v.Seq == 0 || proto.SeqNewer(whole, v.Seq) || proto.SeqNewer(v.Seq, f.ctrlSeq):
 		// Unsequenced, superseded, or no Install of this flow's at all.
-	case seq == whole:
-		f.wholeLen, f.progBytes = 0, f.prevProg
-		l := ewmaLayout // no program: the datapath's default
-		if p, err := lang.UnmarshalProgram(f.progBytes); err == nil {
-			l = f.shared.layoutOf(p)
-		}
-		switch r := f.newest(); {
-		case r.layout == l && r.first != seq:
-			r.last = seq - 1
-		case r == &f.epochs[1] && f.epochs[0].layout == l:
-			*r = epochRun{}
-		default:
-			f.epochs[1] = epochRun{seq, seq, l}
+	case v.Seq == whole || v.Epoch == whole:
+		l, err := f.shared.programLayout(v.Prog)
+		if err != nil || !f.takeProgram(v.Epoch, v.Prog, l) {
+			atomic.AddInt64(&f.shared.stats.Errors, 1)
 		}
 	default:
 		if f.resend() {

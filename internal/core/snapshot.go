@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync/atomic"
 
-	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/proto"
 )
 
@@ -120,14 +118,14 @@ func (a *Agent) SnapshotInto(full bool, sink func(*proto.Snapshot) error) (int, 
 }
 
 // RestoreFlow rebuilds one flow from a snapshot — the standby half of the HA
-// pair. The restored flow resumes the snapshot's sequence-dedup state, keeps
-// the snapshot's program as bytes and names the snapshot's epoch by the
-// report layout read from them, and numbers
-// future decisions ctrlSeqSkip above the snapshot's last issued sequence
-// (newFlow, skipPast). The algorithm is freshly instantiated,
-// Init'd against a silent flow handle, then overwritten via ImportState when
-// both sides support it — so an algorithm without snapshot support degrades
-// to a cold start rather than an error. A snapshot whose program does not
+// pair. The restored flow resumes the snapshot's sequence-dedup state, puts
+// the snapshot's program in force under its epoch the way a refusal puts the
+// datapath's (Flow.takeProgram), and numbers future decisions ctrlSeqSkip
+// above the snapshot's last issued sequence (newFlow, skipPast). The
+// algorithm is freshly instantiated, Init'd against a silent flow handle,
+// then overwritten via ImportState when both sides support it — so an
+// algorithm without snapshot support degrades to a cold start rather than an
+// error. A snapshot whose program does not
 // decode, or is a reference, is refused before anything is touched.
 //
 // The flow has no reply channel yet; it binds lazily to the first datapath
@@ -138,16 +136,9 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 		a.drop(snap.SID)
 		return nil
 	}
-	layout := ewmaLayout
-	if len(snap.Prog) > 0 {
-		p, err := lang.UnmarshalProgram(snap.Prog)
-		if err == nil && p.Measure.Mode == lang.MeasureRef {
-			err = fmt.Errorf("a reference, not a whole program")
-		}
-		if err != nil {
-			return fmt.Errorf("core: snapshot for flow %d carries a bad program: %w", snap.SID, err)
-		}
-		layout = a.shared.layoutOf(p)
+	layout, err := a.shared.programLayout(snap.Prog)
+	if err != nil {
+		return fmt.Errorf("core: snapshot for flow %d carries a bad program: %w", snap.SID, err)
 	}
 	// Init runs against the still-silent flow: anything it sends (its own
 	// Install, an initial cwnd) is dropped, and the imported state below
@@ -158,9 +149,8 @@ func (a *Agent) RestoreFlow(snap *proto.Snapshot) error {
 	// snapshot's program, not the cold-start one.
 	st := a.newFlow(&proto.Create{SID: snap.SID, MSS: snap.MSS, InitCwnd: snap.InitCwnd,
 		Seq: snap.CreateSeq, SrcAddr: snap.SrcAddr, DstAddr: snap.DstAddr, Alg: snap.Alg}, snap, nil)
-	st.flow.progBytes = bytes.Clone(snap.Prog)
-	st.flow.prevProg = st.flow.progBytes
-	st.flow.epochs = [2]epochRun{{snap.Epoch, snap.Epoch, layout}}
+	st.flow.epochs = [2]epochRun{} // what Init sent went nowhere: no run can refuse the snapshot's
+	st.flow.takeProgram(snap.Epoch, snap.Prog, layout)
 	if exp, ok := st.alg.(SnapshotExporter); ok && len(snap.State) > 0 {
 		exp.ImportState(snap.State)
 	}

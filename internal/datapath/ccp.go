@@ -131,10 +131,9 @@ type CCP struct {
 	vec    *vectorState // report.go: vector mode
 
 	// Message scratch (Config.ToAgent's ownership rule): rep is the report
-	// of every mode, scratchUrgent and scratchIErr the urgent and the refusal.
+	// of every mode, scratchUrgent the urgent (a refusal allocates its own).
 	rep           proto.Measurement
 	scratchUrgent proto.Urgent
-	scratchIErr   proto.InstallErr
 
 	n coreCounts
 }
@@ -337,15 +336,19 @@ func (d *CCP) staleCtrl(seq uint32) bool {
 // rejectInstall records a refused Install and tells the agent why with an
 // InstallErr reply carrying the offending Seq. The refusal degrades, never
 // breaks: the previously installed program (or the default one) keeps
-// controlling the flow, and the §5 fallback machinery is untouched.
+// controlling the flow, and the §5 fallback machinery is untouched; the
+// reply names that program, whole, and its epoch.
 func (d *CCP) rejectInstall(seq uint32, err error) {
 	d.n.InstallRejects++
 	reason := err.Error()
 	if len(reason) > 255 {
 		reason = reason[:252] + "..."
 	}
-	d.scratchIErr = proto.InstallErr{SID: d.cfg.SID, Seq: seq, Reason: reason}
-	d.send(&d.scratchIErr)
+	m := &proto.InstallErr{SID: d.cfg.SID, Seq: seq, Epoch: d.epoch, Reason: reason}
+	if d.prog != nil { // nil only before Init; a program that decoded encodes
+		m.Prog, _ = lang.MarshalProgram(d.prog)
+	}
+	d.send(m)
 }
 
 func (d *CCP) measureMode() lang.MeasureMode {

@@ -51,7 +51,7 @@ var golden = []struct {
 	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "650abb12d986ef7673de2c99033aa4655e23d575b4c82986fe3c3150d82160e8"},
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "fc6217bb4fed509072a5776141fa54c60f0a4380a47858200e86e654b45d783d"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "2b78c1b9358ea9f82e6f70951ae45f3f54ca1a349f859ad8d8c7bbb8d5d4d87e"},
 	{"ablation-agentchaos-5of6", func() fmt.Stringer {
 		var res AblAgentChaosResult
 		for _, fault := range []string{"kill", "pause", "slow"} {

@@ -138,26 +138,53 @@ func TestPolicyPlumbed(t *testing.T) {
 }
 
 // refusingAlg installs a safe fold program at Init and, on its first report,
-// one over the same fold that the datapath's verifier refuses: an unbounded
-// window. The agent sends it without looking, by reference to the fold.
+// each of unsafe, programs the datapath's verifier refuses: an unbounded
+// window. The agent sends them without looking, by reference to the fold
+// before where the fold is the same, and then calls sent, if set.
 type refusingAlg struct {
-	flow         *core.Flow
-	safe, unsafe *lang.Program
-	reports      int
+	flow    *core.Flow
+	safe    *lang.Program
+	unsafe  []*lang.Program
+	sent    func()
+	reports int
 }
 
 const refusingCwnd = 20 * 1448
 
+// refusingFold is a one-register fold; the safe program's register is
+// "acked", and a fold of another name is another measure half.
+func refusingFold(reg string) *lang.FoldSpec {
+	return &lang.FoldSpec{
+		Regs:    []lang.RegDef{{Name: reg, Init: 0}},
+		Updates: []lang.Assign{{Dst: reg, E: lang.Add(lang.V(reg), lang.V("pkt.acked"))}},
+	}
+}
+
+// unsafeOver is a program over fold that multiplies the window by k.
+func unsafeOver(fold *lang.FoldSpec, k float64) *lang.Program {
+	return lang.NewProgram().MeasureFold(fold).Cwnd(lang.Mul(lang.V("cwnd"), lang.C(k))).WaitRtts(1).Report().MustBuild()
+}
+
+// newRefusingNet deploys alg as the agent's only algorithm, with the HA
+// layer when ha is set, and starts one flow under it.
+func newRefusingNet(alg *refusingAlg, ha bool) (*harness.Net, *harness.CCPFlow) {
+	alg.safe = lang.NewProgram().MeasureFold(refusingFold("acked")).Cwnd(lang.C(refusingCwnd)).WaitRtts(1).Report().MustBuild()
+	reg := core.NewRegistry()
+	reg.Register("refusing", func() core.Alg { return alg })
+	cfg := harness.Config{Link: link(), Registry: reg, DefaultAlg: "refusing"}
+	if ha {
+		cfg.HA = &supervise.Config{Interval: 5 * time.Millisecond, LatencyBudget: 100 * time.Millisecond, MissBudget: 3}
+	}
+	net := harness.New(cfg)
+	f := net.AddCCPFlow(1, "", tcp.Options{})
+	f.Conn.Start()
+	return net, f
+}
+
 func (a *refusingAlg) Name() string { return "refusing" }
 
 func (a *refusingAlg) Init(f *core.Flow) {
-	fold := &lang.FoldSpec{
-		Regs:    []lang.RegDef{{Name: "acked", Init: 0}},
-		Updates: []lang.Assign{{Dst: "acked", E: lang.Add(lang.V("acked"), lang.V("pkt.acked"))}},
-	}
 	a.flow = f
-	a.safe = lang.NewProgram().MeasureFold(fold).Cwnd(lang.C(refusingCwnd)).WaitRtts(1).Report().MustBuild()
-	a.unsafe = lang.NewProgram().MeasureFold(fold).Cwnd(lang.Mul(lang.V("cwnd"), lang.C(2))).WaitRtts(1).Report().MustBuild()
 	if err := f.Install(a.safe); err != nil {
 		panic(err)
 	}
@@ -165,10 +192,16 @@ func (a *refusingAlg) Init(f *core.Flow) {
 
 func (a *refusingAlg) OnMeasurement(f *core.Flow, m core.Measurement) {
 	a.reports++
-	if a.reports == 1 {
-		if err := f.Install(a.unsafe); err != nil {
+	if a.reports != 1 {
+		return
+	}
+	for _, p := range a.unsafe {
+		if err := f.Install(p); err != nil {
 			panic(err)
 		}
+	}
+	if a.sent != nil {
+		a.sent()
 	}
 }
 
@@ -176,29 +209,25 @@ func (a *refusingAlg) OnUrgent(*core.Flow, core.UrgentEvent) {}
 
 // TestUnsafeInstallRefusedAtTheDatapath: the datapath is the one gate. An
 // unsafe program goes out from the agent unchecked, as a reference; the
-// datapath refuses it; the agent, which cannot tell a refused reference from
-// one to a half the datapath lacks, sends the program whole, which is refused
-// too; the agent rolls its program back to the safe one it replaced, which
-// keeps controlling the flow, and whose reports, named by their epoch, keep
-// reaching the algorithm.
+// datapath refuses it, and its refusal names the safe program it keeps
+// running, under the epoch the reference named. So the agent knows the
+// program, not the reference, was at fault: it sends nothing again, and takes
+// the safe program back, which keeps controlling the flow, and whose reports,
+// named by their epoch, keep reaching the algorithm.
 func TestUnsafeInstallRefusedAtTheDatapath(t *testing.T) {
-	alg := &refusingAlg{}
-	reg := core.NewRegistry()
-	reg.Register("refusing", func() core.Alg { return alg })
-	net := harness.New(harness.Config{Link: link(), Registry: reg, DefaultAlg: "refusing"})
-	f := net.AddCCPFlow(1, "", tcp.Options{})
-	f.Conn.Start()
+	alg := &refusingAlg{unsafe: []*lang.Program{unsafeOver(refusingFold("acked"), 2)}}
+	net, f := newRefusingNet(alg, false)
 	net.Run(time.Second)
 
 	dp, ag := f.DP.Stats(), net.Agent.Stats().Agent
 	if alg.reports < 2 {
 		t.Fatalf("%d reports reached the algorithm", alg.reports)
 	}
-	if ag.InstallsByRef != 1 || ag.RefResends != 1 || ag.InstallErrs != 2 {
-		t.Fatalf("agent: %+v; want one Install by reference, resent whole once, two refusals heard", ag)
+	if ag.InstallsByRef != 1 || ag.RefResends != 0 || ag.InstallErrs != 1 {
+		t.Fatalf("agent: %+v; want one Install by reference, its one refusal heard, nothing resent", ag)
 	}
-	if dp.InstallRejects != 2 || dp.RefRefusals != 0 || dp.InstallsRecvd != 1 {
-		t.Fatalf("datapath: %+v; want the reference and the resend refused by the verifier, the safe program installed", dp)
+	if dp.InstallRejects != 1 || dp.RefRefusals != 0 || dp.InstallsRecvd != 1 {
+		t.Fatalf("datapath: %+v; want the reference refused by the verifier, the safe program installed", dp)
 	}
 	if got, want := f.DP.Program().String(), alg.safe.String(); got != want {
 		t.Fatalf("datapath runs %s, want %s", got, want)
@@ -217,37 +246,86 @@ func TestUnsafeInstallRefusedAtTheDatapath(t *testing.T) {
 	}
 }
 
-// TestRefusedInstallSurvivesFailover: the agent of
-// TestUnsafeInstallRefusedAtTheDatapath dies after the refusals, and a
-// standby restored from a snapshot taken after them takes over. The
-// snapshot carries the program the datapath kept, under its epoch, so the
-// promoted agent names the datapath's reports from the first, sends nothing
-// the verifier refuses, and its algorithm keeps hearing the flow.
-func TestRefusedInstallSurvivesFailover(t *testing.T) {
-	alg := &refusingAlg{}
-	reg := core.NewRegistry()
-	reg.Register("refusing", func() core.Alg { return alg })
-	net := harness.New(harness.Config{Link: link(), Registry: reg, DefaultAlg: "refusing",
-		HA: &supervise.Config{Interval: 5 * time.Millisecond, LatencyBudget: 100 * time.Millisecond, MissBudget: 3}})
-	f := net.AddCCPFlow(1, "", tcp.Options{})
-	f.Conn.Start()
+// failOverAfterRefusals kills the agent of a refusing deployment at one
+// second, when the periodic snapshots have seen every refusal, and runs two
+// more. A standby restored after the refusals must name every report of the
+// program the datapath kept, and send nothing the verifier refuses: the
+// promoted agent restores the flow, hears no refusal and drops no report, and
+// the algorithm keeps hearing the flow. The datapath refused refusals
+// Installs, all before the kill, and the safe program stays in force.
+func failOverAfterRefusals(t *testing.T, alg *refusingAlg, refusals int) {
+	t.Helper()
+	net, f := newRefusingNet(alg, true)
 	original := net.Agent
 	net.Sim.Schedule(time.Second, net.AgentInj.Kill)
 	net.Run(time.Second)
-	if ag := net.Agent.Stats().Agent; ag.InstallErrs != 2 {
-		t.Fatalf("before the kill: %+v; want the two refusals heard", ag)
-	}
-	reports := alg.reports
+	before, reports := net.Agent.Stats().Agent, alg.reports
 	net.Run(2 * time.Second)
-
 	if net.Agent == original {
 		t.Fatal("failover never promoted the standby")
 	}
-	ag, dp := net.Agent.Stats().Agent, f.DP.Stats()
-	if ag.Restores != 1 || ag.UnknownEpochs != 0 || ag.InstallErrs != 0 || ag.Errors != 0 || alg.reports <= reports {
+	if ag := net.Agent.Stats().Agent; ag.Restores != 1 || ag.UnknownEpochs != 0 || ag.InstallErrs != 0 || ag.Errors != 0 || alg.reports <= reports {
 		t.Fatalf("promoted agent: %+v; the algorithm heard %d reports before the kill, %d after", ag, reports, alg.reports)
 	}
-	if dp.InstallRejects != 2 || f.Conn.Cwnd() != refusingCwnd {
+	if dp := f.DP.Stats(); before.InstallErrs != int64(refusals) || dp.InstallRejects != refusals || f.Conn.Cwnd() != refusingCwnd {
+		t.Fatalf("datapath: %+v, cwnd %d; the primary heard %d refusals; want %d and the safe program still in force",
+			dp, f.Conn.Cwnd(), before.InstallErrs, refusals)
+	}
+}
+
+// TestRefusedInstallSurvivesFailover: the agent of
+// TestUnsafeInstallRefusedAtTheDatapath dies after the refusal, and a
+// standby restored from a snapshot taken after it takes over. The
+// snapshot carries the program the datapath kept, under its epoch.
+func TestRefusedInstallSurvivesFailover(t *testing.T) {
+	failOverAfterRefusals(t, &refusingAlg{unsafe: []*lang.Program{unsafeOver(refusingFold("acked"), 2)}}, 1)
+}
+
+// TestRefusedWholeInstallAndItsReferenceSurviveFailover: the unsafe program
+// brings a fold of its own, so it goes whole, and a second one over that fold
+// follows it by reference before either is refused. The first refusal names
+// the safe program and its epoch, and the second, of a reference to the
+// refused epoch, names them again; a standby restored after both runs the
+// safe program under its epoch.
+func TestRefusedWholeInstallAndItsReferenceSurviveFailover(t *testing.T) {
+	fold := refusingFold("bytes")
+	failOverAfterRefusals(t, &refusingAlg{unsafe: []*lang.Program{unsafeOver(fold, 2), unsafeOver(fold, 3)}}, 2)
+}
+
+// TestSnapshotBeforeRefusalSurvivesFailover: the primary sends an unsafe
+// program of another fold, whole, and a snapshot is taken and the primary
+// killed before its refusal returns. The standby restored from that snapshot
+// holds the refused program under its epoch, so it cannot name the
+// datapath's first report: it resends the program, which is refused once,
+// and the refusal names the safe program, by which it names every report
+// after.
+func TestSnapshotBeforeRefusalSurvivesFailover(t *testing.T) {
+	alg := &refusingAlg{unsafe: []*lang.Program{unsafeOver(refusingFold("bytes"), 2)}}
+	var net *harness.Net
+	alg.sent = func() {
+		net.Sim.Schedule(time.Microsecond, func() { // the refusal is a round trip away
+			if _, err := supervise.Replicate(net.Agent, true, net.Standby.Apply); err != nil {
+				t.Error(err)
+			}
+			net.AgentInj.Kill()
+		})
+	}
+	net, f := newRefusingNet(alg, true)
+	original := net.Agent
+	net.Run(time.Second)
+	if net.Agent == original {
+		t.Fatal("failover never promoted the standby")
+	}
+	ag, reports := net.Agent.Stats().Agent, alg.reports
+	if ag.Restores != 1 || ag.InstallErrs != 1 || ag.UnknownEpochs == 0 || ag.RefResends != 0 || ag.Errors != 0 {
+		t.Fatalf("promoted agent: %+v; want its resend refused once", ag)
+	}
+	net.Run(2 * time.Second)
+	after := net.Agent.Stats().Agent
+	if after.InstallErrs != 1 || after.UnknownEpochs != ag.UnknownEpochs || alg.reports <= reports {
+		t.Fatalf("after the refusal: %+v; the algorithm heard %d reports, then %d", after, reports, alg.reports)
+	}
+	if dp := f.DP.Stats(); dp.InstallRejects != 2 || f.Conn.Cwnd() != refusingCwnd {
 		t.Fatalf("datapath: %+v, cwnd %d; want the safe program still in force", dp, f.Conn.Cwnd())
 	}
 }

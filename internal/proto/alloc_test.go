@@ -128,8 +128,8 @@ func TestAllocsDecodeReuseIndependentResults(t *testing.T) {
 }
 
 // copyMsg deep-copies m by the codec round trip: Marshal into a fresh buffer,
-// then Unmarshal into fresh structs, whose one alias (Install.Prog) is into
-// that buffer.
+// then Unmarshal into fresh structs, whose aliases (the programs:
+// Install.Prog, InstallErr.Prog, Snapshot.Prog) are into that buffer.
 func copyMsg(t *testing.T, m proto.Msg) proto.Msg {
 	t.Helper()
 	b, err := proto.Marshal(m)
@@ -144,7 +144,8 @@ func copyMsg(t *testing.T, m proto.Msg) proto.Msg {
 }
 
 // TestInstallProgAliasesInput documents the decoder's one deliberate aliasing
-// choice: Install.Prog is a view of the input buffer, not a copy. Callers
+// choice: a program (Install.Prog here; InstallErr.Prog and Snapshot.Prog
+// alike) is a view of the input buffer, not a copy. Callers
 // that outlive the buffer must copy the bytes, or the message by the codec
 // round trip.
 func TestInstallProgAliasesInput(t *testing.T) {
@@ -174,12 +175,14 @@ func TestInstallProgAliasesInput(t *testing.T) {
 // FuzzDecoderAliasing decodes arbitrary bytes, deep-copies the result by the
 // codec round trip, then scribbles over the input buffer and the decoder's
 // scratch. The copy must match a pristine decode — i.e. the round trip must
-// sever every alias the scratch decoder keeps into the input (Install.Prog
-// and Snapshot.Prog in particular). Messages are compared through their canonical re-encoding,
-// which is insensitive to nil-versus-empty slice differences.
+// sever every alias the scratch decoder keeps into the input (Install.Prog,
+// InstallErr.Prog and Snapshot.Prog in particular). Messages are compared
+// through their canonical re-encoding, which is insensitive to
+// nil-versus-empty slice differences.
 func FuzzDecoderAliasing(f *testing.F) {
 	for _, m := range []proto.Msg{
 		&proto.Install{SID: 1, Seq: 2, Prog: []byte{9, 9, 9}},
+		&proto.InstallErr{SID: 1, Seq: 3, Epoch: 2, Reason: "no", Prog: []byte{8, 8}},
 		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{1, 2, 3}},
 		&proto.Measurement{SID: 1, Seq: 2, Epoch: 300, Fields: []float64{0.5, 0.25}},
 		&proto.Snapshot{SID: 1, Alg: "reno", Prog: []byte{7, 7}, State: []float64{4}},

@@ -17,10 +17,10 @@ import (
 //     Unmarshal call on the same Decoder. Callers that need a message longer
 //     keep a copy of the frame's bytes, or of the message by the codec round
 //     trip (Marshal, then Unmarshal).
-//   - Install.Prog aliases the input buffer (no copy on decode); it is
-//     additionally invalidated when the input buffer is released or reused.
-//     Receivers either consume the program during dispatch (the datapath
-//     parses it immediately) or copy it.
+//   - Install.Prog, InstallErr.Prog and Snapshot.Prog alias the input buffer
+//     (no copy on decode); they are additionally invalidated when it is
+//     released or reused. Receivers either consume a program during dispatch
+//     (the datapath parses an Install's at once) or copy it.
 //   - A Decoder is not safe for concurrent use. One Decoder per reading
 //     goroutine.
 //
@@ -76,9 +76,9 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 	case TypeCreate:
 		v := scratch(&dec.create)
 		v.SID, v.MSS, v.InitCwnd, v.Seq = d.u32(), d.u32(), d.u32(), d.u32()
-		v.SrcAddr = d.str()
-		v.DstAddr = d.str()
-		v.Alg = d.str()
+		v.SrcAddr = d.strInto(v.SrcAddr)
+		v.DstAddr = d.strInto(v.DstAddr)
+		v.Alg = d.strInto(v.Alg)
 		return v, nil
 	case TypeMeasurement:
 		v := scratch(&dec.meas)
@@ -98,11 +98,7 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		return v, nil
 	case TypeInstall:
 		v := scratch(&dec.install)
-		v.SID, v.Seq = d.u32(), d.u32()
-		n := d.length(maxProgramSize, 1)
-		// Aliases the input: the single copy, if the receiver needs one, is
-		// the receiver's to make (most parse the program immediately).
-		v.Prog = d.view(n)
+		v.SID, v.Seq, v.Prog = d.u32(), d.u32(), d.prog()
 		return v, nil
 	case TypeSetCwnd:
 		v := scratch(&dec.cwnd)
@@ -130,9 +126,7 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		v.SrcAddr = d.strInto(v.SrcAddr)
 		v.DstAddr = d.strInto(v.DstAddr)
 		v.Alg = d.strInto(v.Alg)
-		n := d.length(maxProgramSize, 1)
-		// Aliases the input, matching the Install.Prog rule.
-		v.Prog = d.view(n)
+		v.Prog = d.prog()
 		v.State = d.f64s(v.State, maxSnapStateLen)
 		return v, nil
 	case TypeHeartbeat:
@@ -141,8 +135,8 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		return v, nil
 	case TypeInstallErr:
 		v := scratch(&dec.instErr)
-		v.SID, v.Seq = d.u32(), d.u32()
-		v.Reason = d.strInto(v.Reason)
+		v.SID, v.Seq, v.Epoch = d.u32(), d.u32(), uint32(d.length(math.MaxUint32, 0))
+		v.Reason, v.Prog = d.strInto(v.Reason), d.prog()
 		return v, nil
 	}
 	return nil, fmt.Errorf("proto: unknown message type %d", t)

@@ -19,6 +19,10 @@
 // or double-count an urgent event. Seq 0 means "unsequenced" and is always
 // accepted. Both ends share one rule each way: a sender numbers with NextSeq,
 // a receiver checks with AdmitSeq, and both compare with SeqNewer.
+//
+// What the datapath sends names the program it concerns: a Measurement the
+// epoch of the program that folded it, an InstallErr the epoch and the whole
+// program that stays in force.
 package proto
 
 import (
@@ -163,14 +167,16 @@ type Install struct {
 }
 
 // InstallErr is the datapath's reply to an Install it refused: the program
-// failed to parse or was rejected by the install-time verifier. Seq echoes
-// the Install's control sequence number so the agent can attribute the
-// refusal; the previously installed program (or the default) stays in
-// force, so a refused install degrades the flow, never breaks it.
+// failed to parse, was rejected by the install-time verifier, or referred to
+// a measure half the flow does not run. Seq echoes the Install's control
+// sequence number. The program in force stays in force, so a refused install
+// degrades the flow, never breaks it, and Epoch and Prog name it, whole.
 type InstallErr struct {
 	SID    uint32
 	Seq    uint32 // the refused Install's control sequence number
+	Epoch  uint32 // the epoch still in force (0: the default program)
 	Reason string // human-readable cause, truncated to fit the wire format
+	Prog   []byte // the program in force, whole (empty: none before Init)
 }
 
 // SetCwnd directly sets the congestion window (bytes). It is the degenerate
@@ -269,16 +275,7 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, v.MSS)
 		b = binary.LittleEndian.AppendUint32(b, v.InitCwnd)
 		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		var err error
-		if b, err = appendStr(b, v.SrcAddr); err != nil {
-			return nil, err
-		}
-		if b, err = appendStr(b, v.DstAddr); err != nil {
-			return nil, err
-		}
-		if b, err = appendStr(b, v.Alg); err != nil {
-			return nil, err
-		}
+		return appendStr(b, v.SrcAddr, v.DstAddr, v.Alg)
 	case *Measurement:
 		if len(v.Fields) > maxFieldCount {
 			return nil, fmt.Errorf("proto: too many fields (%d)", len(v.Fields))
@@ -301,13 +298,9 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 	case *Close:
 		b = binary.LittleEndian.AppendUint32(b, v.SID)
 	case *Install:
-		if len(v.Prog) > maxProgramSize {
-			return nil, fmt.Errorf("proto: program too large (%d bytes)", len(v.Prog))
-		}
 		b = binary.LittleEndian.AppendUint32(b, v.SID)
 		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = binary.AppendUvarint(b, uint64(len(v.Prog)))
-		b = append(b, v.Prog...)
+		return appendProg(b, v.Prog)
 	case *SetCwnd:
 		b = binary.LittleEndian.AppendUint32(b, v.SID)
 		b = binary.LittleEndian.AppendUint32(b, v.Seq)
@@ -317,9 +310,6 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, v.Seq)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Bps))
 	case *Snapshot:
-		if len(v.Prog) > maxProgramSize {
-			return nil, fmt.Errorf("proto: snapshot program too large (%d bytes)", len(v.Prog))
-		}
 		if len(v.State) > maxSnapStateLen {
 			return nil, fmt.Errorf("proto: snapshot state too large (%d registers)", len(v.State))
 		}
@@ -334,17 +324,12 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, v.UrgentSeq)
 		b = binary.AppendUvarint(b, uint64(v.Epoch))
 		var err error
-		if b, err = appendStr(b, v.SrcAddr); err != nil {
+		if b, err = appendStr(b, v.SrcAddr, v.DstAddr, v.Alg); err != nil {
 			return nil, err
 		}
-		if b, err = appendStr(b, v.DstAddr); err != nil {
+		if b, err = appendProg(b, v.Prog); err != nil {
 			return nil, err
 		}
-		if b, err = appendStr(b, v.Alg); err != nil {
-			return nil, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.Prog)))
-		b = append(b, v.Prog...)
 		b = binary.AppendUvarint(b, uint64(len(v.State)))
 		for _, f := range v.State {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
@@ -356,10 +341,12 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 	case *InstallErr:
 		b = binary.LittleEndian.AppendUint32(b, v.SID)
 		b = binary.LittleEndian.AppendUint32(b, v.Seq)
+		b = binary.AppendUvarint(b, uint64(v.Epoch))
 		var err error
 		if b, err = appendStr(b, v.Reason); err != nil {
 			return nil, err
 		}
+		return appendProg(b, v.Prog)
 	default:
 		return nil, fmt.Errorf("proto: cannot marshal %T", m)
 	}
@@ -367,7 +354,7 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 }
 
 // Unmarshal decodes one message into freshly allocated structs, with one
-// exception: Install.Prog aliases data (see Decoder for the rule). It is for
+// exception: programs alias data (see Decoder for the rule). It is for
 // cold paths (core.Describe's probe reads what an algorithm sends) and tests;
 // receive loops that decode at high rates hold a reusable Decoder instead.
 func Unmarshal(data []byte) (Msg, error) {
@@ -466,34 +453,23 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// view returns the next n bytes aliasing the input (Install.Prog and
-// Snapshot.Prog: the receiver copies on its own terms).
-func (d *decoder) view(n int) []byte {
-	if d.err != nil || d.pos+n > len(d.data) {
-		d.fail()
+// prog decodes a length-prefixed program as a view of the input: the single
+// copy, if the receiver needs one, is the receiver's to make (the datapath
+// parses an Install's at once). See Decoder for the rule.
+func (d *decoder) prog() []byte {
+	n := d.length(maxProgramSize, 1)
+	if d.err != nil {
 		return nil
 	}
-	out := d.data[d.pos : d.pos+n]
 	d.pos += n
-	return out
-}
-
-func (d *decoder) str() string {
-	n := int(d.byte())
-	if d.err != nil || d.pos+n > len(d.data) {
-		d.fail()
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+n])
-	d.pos += n
-	return s
+	return d.data[d.pos-n : d.pos]
 }
 
 // strInto decodes a length-prefixed string, returning prev unchanged when
 // the wire bytes match it. A Decoder whose scratch element retains the
-// previous decode's strings (flow identity fields repeat every snapshot)
-// therefore reaches a zero-allocation steady state; the comparison itself
-// does not allocate.
+// previous decode's strings (flow identity fields repeat every snapshot and
+// every resync Create) therefore reaches a zero-allocation steady state; the
+// comparison itself does not allocate.
 func (d *decoder) strInto(prev string) string {
 	n := int(d.byte())
 	if d.err != nil || d.pos+n > len(d.data) {
@@ -508,10 +484,21 @@ func (d *decoder) strInto(prev string) string {
 	return string(b)
 }
 
-func appendStr(b []byte, s string) ([]byte, error) {
-	if len(s) > maxStringLen {
-		return nil, fmt.Errorf("proto: string too long (%d)", len(s))
+// appendStr appends each of ss behind its length byte.
+func appendStr(b []byte, ss ...string) ([]byte, error) {
+	for _, s := range ss {
+		if len(s) > maxStringLen {
+			return nil, fmt.Errorf("proto: string too long (%d)", len(s))
+		}
+		b = append(append(b, byte(len(s))), s...)
 	}
-	b = append(b, byte(len(s)))
-	return append(b, s...), nil
+	return b, nil
+}
+
+// appendProg appends a program behind its uvarint length.
+func appendProg(b, prog []byte) ([]byte, error) {
+	if len(prog) > maxProgramSize {
+		return nil, fmt.Errorf("proto: program too large (%d bytes)", len(prog))
+	}
+	return append(binary.AppendUvarint(b, uint64(len(prog))), prog...), nil
 }

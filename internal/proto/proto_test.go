@@ -38,6 +38,8 @@ func sampleMsgs() []Msg {
 		&Heartbeat{SID: 0, Seq: 9, SentAt: 1.25},
 		&InstallErr{SID: 14, Seq: 41, Reason: "verifier: rate write escapes [0, 1e12]"},
 		&InstallErr{SID: 15},
+		&InstallErr{SID: 16, Seq: 42, Epoch: 300, Reason: "datapath: install refers to the measure half of epoch 40",
+			Prog: []byte{0xCC, 2, 0, 1, 0x14, 0}}, // the program in force, as a refusal names it
 	}
 }
 
@@ -161,6 +163,9 @@ func TestRoundTripAll(t *testing.T) {
 		if v, ok := got.(*Install); ok && len(v.Prog) == 0 {
 			v.Prog = nil
 		}
+		if v, ok := got.(*InstallErr); ok && len(v.Prog) == 0 {
+			v.Prog = nil
+		}
 		if v, ok := got.(*Snapshot); ok {
 			if len(v.Prog) == 0 {
 				v.Prog = nil
@@ -180,7 +185,7 @@ func TestTypeAndSID(t *testing.T) {
 		TypeCreate, TypeCreate, TypeCreate, TypeMeasurement, TypeMeasurement,
 		TypeMeasurement, TypeMeasurement, TypeUrgent, TypeUrgent, TypeUrgent, TypeClose, TypeInstall,
 		TypeInstall, TypeSetCwnd, TypeSetRate, TypeSnapshot, TypeSnapshot,
-		TypeHeartbeat, TypeInstallErr, TypeInstallErr,
+		TypeHeartbeat, TypeInstallErr, TypeInstallErr, TypeInstallErr,
 	}
 	for i, m := range sampleMsgs() {
 		if m.Type() != wantTypes[i] {

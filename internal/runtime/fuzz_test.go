@@ -33,6 +33,7 @@ func FuzzShardFrames(f *testing.F) {
 		&proto.Measurement{SID: 2, Seq: 1, Epoch: 200, Fields: []float64{1, 2, 3, 4}},    // two rows of two
 		&proto.Urgent{SID: 2, Seq: 1, Kind: proto.UrgentDupAck, Value: 1448},
 		&proto.InstallErr{SID: 1, Seq: 1, Reason: "refused"},
+		&proto.InstallErr{SID: 1, Seq: 2, Epoch: 1, Reason: "refused", Prog: []byte{0xCC, 2, 0, 1, 0x14, 0}}, // names the program in force
 		&proto.Heartbeat{SID: 1, Seq: 1, SentAt: 1.5},
 		&proto.Close{SID: 1},
 	} {
