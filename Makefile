@@ -45,7 +45,8 @@ bench-compare:
 # two of reinstall, where every report is answered by an Install (by
 # reference after a flow's first: direct50k never sends one), then two of
 # steady, the one open-loop workload, where the serve loop parks between
-# reports and each reply wakes a ring. The exit status
+# reports and each reply wakes a ring, then two of churn, the one workload
+# that keeps creating and closing flows. The exit status
 # is the assertion (the run checks itself: every report answered, every
 # decision accounted for, and any InstallErr — a refused reference included —
 # fails it); shared runners jitter too much to bound a latency here.
@@ -61,6 +62,8 @@ bench-smoke:
 	$(GO) run ./benchmark -workload reinstall -seconds 2 && \
 	echo "$(GO) run ./benchmark -workload steady -seconds 2" && \
 	$(GO) run ./benchmark -workload steady -seconds 2 && \
+	echo "$(GO) run ./benchmark -workload churn -seconds 2" && \
+	$(GO) run ./benchmark -workload churn -seconds 2 && \
 	after=$$($(ring_files)) && \
 	if [ "$$after" -gt "$$before" ]; then \
 		echo "bench-smoke: ring files in the backing directory grew from $$before to $$after"; exit 1; \

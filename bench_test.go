@@ -380,15 +380,26 @@ func BenchmarkAgentDispatchInstall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var epoch uint32 // the Seq of Init's Install, whose fold the reports come from
+	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, func(frame []byte) error {
+		m, err := proto.Unmarshal(frame)
+		if in, ok := m.(*proto.Install); ok {
+			epoch = in.Seq
+		}
+		return err
+	})
 	reply := func([]byte) error { return nil }
-	agent.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
-	m := &proto.Measurement{SID: 1, Fields: []float64{1448, 0.01, 0}} // acked, rtt_f, dp_now
+	m := &proto.Measurement{SID: 1, Epoch: epoch, Fields: []float64{1448, 0.01, 0}} // acked, rtt_f, dp_now
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Seq++
 		m.Fields[2] += 0.005
 		agent.HandleMessage(m, reply)
+	}
+	b.StopTimer()
+	if st := agent.Stats(); st.Measurements != int64(b.N) {
+		b.Fatalf("%d of %d reports reached Cubic: %+v", st.Measurements, b.N, st)
 	}
 }
 

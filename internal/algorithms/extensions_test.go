@@ -77,7 +77,7 @@ func TestSmoothCwndReducesBursts(t *testing.T) {
 		f.Conn.Start()
 		net.Run(time.Second)
 		pre := net.Path.Forward.Stats().MaxQueueBytes
-		f.DP.Deliver(&proto.SetCwnd{SID: 1, Bytes: 60000})
+		f.DP.Deliver(&proto.SetCwnd{SID: 1, Seq: 1, Bytes: 60000}) // hold sends nothing
 		net.Run(1200 * time.Millisecond)
 		return net.Path.Forward.Stats().MaxQueueBytes - pre
 	}

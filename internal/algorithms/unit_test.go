@@ -14,9 +14,10 @@ import (
 // wire messages, capturing everything sent toward the datapath. No
 // simulator: these are pure control-logic unit tests.
 type algRig struct {
-	t     *testing.T
-	agent *core.Agent
-	out   []proto.Msg
+	t         *testing.T
+	agent     *core.Agent
+	out       []proto.Msg
+	urgentSeq uint32 // the Seq urgent last stamped
 }
 
 func newAlgRig(t *testing.T, name string, factory core.AlgFactory) *algRig {
@@ -63,7 +64,7 @@ func (r *algRig) epoch() uint32 {
 }
 
 func (r *algRig) urgent(kind proto.UrgentKind, v float64) {
-	r.handle(&proto.Urgent{SID: 1, Kind: kind, Value: v})
+	r.handle(&proto.Urgent{SID: 1, Seq: proto.NextSeq(&r.urgentSeq), Kind: kind, Value: v})
 }
 
 // lastCwnd returns the most recent window pushed to the datapath, whether

@@ -101,8 +101,8 @@ type flowState struct {
 	// to recognize duplicated deliveries of the same announcement.
 	createSeq uint32
 	// lastReportSeq / lastUrgentSeq are the newest datapath-stamped sequence
-	// numbers processed, for discarding duplicated or reordered deliveries.
-	// Zero-Seq messages (unsequenced) bypass the checks.
+	// numbers processed, for discarding duplicated or reordered deliveries
+	// (and Seq 0, which no datapath stamps).
 	lastReportSeq uint32
 	lastUrgentSeq uint32
 	// samples is vector-mode scratch, reused across reports (OnMeasurement
@@ -248,9 +248,9 @@ func (a *Agent) report(st *flowState, v *proto.Measurement) {
 
 // admit is the one way a report or an urgent reaches its flow: the flow sid
 // must exist, and seq must be fresh against the flow's cursor for its kind
-// (reports and urgents are numbered apart). What fails either check is
-// counted and nil is returned. A restored flow adopts its datapath's channel
-// here, lazily, from the first message that gets through.
+// (reports and urgents are numbered apart; 0 never is). What fails either
+// check is counted and nil is returned. A restored flow adopts its
+// datapath's channel here, lazily, from the first message that gets through.
 func (a *Agent) admit(sid, seq uint32, urgent bool, reply func(frame []byte) error) *flowState {
 	st, ok := a.flows[sid]
 	if !ok {

@@ -378,7 +378,7 @@ func TestAgentUrgentDispatch(t *testing.T) {
 	a := newTestAgent(t, alg, nil)
 	cap := &capture{}
 	a.HandleMessage(createMsg(1), cap.send)
-	a.HandleMessage(&proto.Urgent{SID: 1, Kind: proto.UrgentDupAck, Value: 1448}, cap.send)
+	a.HandleMessage(&proto.Urgent{SID: 1, Seq: 1, Kind: proto.UrgentDupAck, Value: 1448}, cap.send)
 	if len(alg.urgents) != 1 || alg.urgents[0].Kind != proto.UrgentDupAck || alg.urgents[0].Value != 1448 {
 		t.Fatalf("urgents=%+v", alg.urgents)
 	}
@@ -397,7 +397,7 @@ func TestAgentCloseReleases(t *testing.T) {
 		t.Fatal("flow not removed")
 	}
 	// Messages for closed flows are counted, not crashed on.
-	a.HandleMessage(&proto.Urgent{SID: 1, Kind: proto.UrgentECN}, cap.send)
+	a.HandleMessage(&proto.Urgent{SID: 1, Seq: 1, Kind: proto.UrgentECN}, cap.send)
 	if a.Stats().UnknownFlowMsg != 1 {
 		t.Fatalf("stats=%+v", a.Stats())
 	}
@@ -620,10 +620,10 @@ func TestAgentDedupsUrgents(t *testing.T) {
 	if st.Urgents != 2 || st.DupUrgents != 2 {
 		t.Fatalf("stats=%+v", st)
 	}
-	// Unsequenced urgents always pass (pre-protocol datapaths).
+	// Seq 0 is no datapath's: dropped like a duplicate.
 	a.HandleMessage(&proto.Urgent{SID: 1, Kind: proto.UrgentDupAck, Value: 1}, cap.send)
-	if len(alg.urgents) != 3 {
-		t.Fatal("unsequenced urgent dropped")
+	if st := a.Stats(); len(alg.urgents) != 2 || st.DupUrgents != 3 {
+		t.Fatalf("a Seq-0 urgent: the algorithm saw %d urgents; %+v", len(alg.urgents), st)
 	}
 }
 
@@ -639,8 +639,10 @@ func TestAgentDropsStaleReports(t *testing.T) {
 	if len(alg.measures) != 1 {
 		t.Fatalf("alg saw %d reports, want 1", len(alg.measures))
 	}
+	// Seq 0 is no datapath's: dropped as stale.
+	a.HandleMessage(&proto.Measurement{SID: 1, Fields: ewma}, cap.send)
 	st := a.Stats()
-	if st.Measurements != 1 || st.StaleReports != 2 {
+	if len(alg.measures) != 1 || st.Measurements != 1 || st.StaleReports != 3 {
 		t.Fatalf("stats=%+v", st)
 	}
 	// A newer report of another program still lands: one report sequence
@@ -685,6 +687,44 @@ func TestResyncRecoversAReportCursorMovedAhead(t *testing.T) {
 	}
 }
 
+// TestRebuildDropsTheOldIncarnationsReports: a resync Create with a Seq the
+// flow was not made from rebuilds it, and the rebuilt flow names only what it
+// installed itself. A report of the old flow's epoch, folded before the
+// datapath applied the new Init's Install, counts in UnknownEpochs and never
+// reaches the new algorithm; the first report of the new Init's program does.
+func TestRebuildDropsTheOldIncarnationsReports(t *testing.T) {
+	alg := &recordAlg{onInit: func(f *Flow) {
+		if err := f.Install(refProg(refFold(0), 20000)); err != nil {
+			t.Fatal(err)
+		}
+	}}
+	a := newTestAgent(t, alg, nil)
+	cap := &capture{}
+	report := func(seq, epoch uint32) {
+		a.HandleMessage(&proto.Measurement{SID: 1, Seq: seq, Epoch: epoch, Fields: []float64{1448}}, cap.send)
+	}
+	a.HandleMessage(createMsg(1), cap.send)
+	old := cap.epoch()
+	report(1, old)
+	if len(alg.measures) != 1 {
+		t.Fatalf("the live flow's algorithm heard %d reports of its own program, want 1", len(alg.measures))
+	}
+	resync := createMsg(1)
+	resync.Seq = old + 1
+	a.HandleMessage(resync, cap.send)
+	if fresh := cap.epoch(); alg.inits != 2 || fresh == old {
+		t.Fatalf("the resync: %d inits, epoch %d after %d", alg.inits, fresh, old)
+	}
+	report(2, old)
+	if st := a.Stats(); len(alg.measures) != 1 || st.UnknownEpochs != 1 || st.Errors != 0 {
+		t.Fatalf("a report of the old incarnation's epoch: the algorithm heard %d reports; %+v", len(alg.measures), st)
+	}
+	report(3, cap.epoch())
+	if st := a.Stats(); len(alg.measures) != 2 || alg.measures[1].Seq != 3 || st.UnknownEpochs != 1 {
+		t.Fatalf("the new Init's first report: the algorithm heard %d reports; %+v", len(alg.measures), st)
+	}
+}
+
 func TestAgentDedupsCreates(t *testing.T) {
 	alg := &recordAlg{}
 	a := newTestAgent(t, alg, nil)
@@ -706,7 +746,7 @@ func TestAgentDedupsCreates(t *testing.T) {
 	if alg.inits != 2 || alg.releases != 1 {
 		t.Fatalf("resync Create ignored: inits=%d releases=%d", alg.inits, alg.releases)
 	}
-	// Unsequenced Creates always rebuild (pre-protocol behaviour).
+	// A Create with Seq 0 is a brand-new datapath flow: it always rebuilds.
 	a.HandleMessage(createMsg(1), cap.send)
 	a.HandleMessage(createMsg(1), cap.send)
 	if alg.inits != 4 {

@@ -341,7 +341,8 @@ func (f *Flow) noteInstallErr(v *proto.InstallErr) {
 	whole := f.newest().last
 	switch {
 	case v.Seq == 0 || proto.SeqNewer(whole, v.Seq) || proto.SeqNewer(v.Seq, f.ctrlSeq):
-		// Unsequenced, superseded, or no Install of this flow's at all.
+		// Seq 0 (no Install's; a fresh flow, at epoch 0, would take a corrupted
+		// frame's program), superseded, or no Install of this flow's at all.
 	case v.Seq == whole || v.Epoch == whole:
 		l, err := f.shared.programLayout(v.Prog)
 		if err != nil || !f.takeProgram(v.Epoch, v.Prog, l) {

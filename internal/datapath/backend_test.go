@@ -46,7 +46,7 @@ func runInstalls(t *testing.T, cfg datapath.Config, cold bool, progs [][]byte) o
 				datapath.ResetArtifacts()
 				r.dp.ForgetArtifact()
 			}
-			r.dp.Deliver(&proto.Install{SID: 1, Prog: data})
+			r.dp.Deliver(&proto.Install{SID: 1, Seq: r.next(), Prog: data})
 		})
 	}
 	r.sim.Run(time.Duration(len(progs)+5) * 100 * time.Millisecond)

@@ -176,9 +176,9 @@ func TestRefEqualsWhole(t *testing.T) {
 
 // TestStaleReferenceRefused: a reference is honoured only when it names the
 // epoch of the measure half in force. Any other — the whole Install it refers
-// to never arrived, was refused, went unsequenced, or has been superseded by
-// another whole one — is refused with an InstallErr that says so, and the
-// program in force, its epoch and its state are untouched.
+// to never arrived, was refused, was dropped for a Seq of 0, or has been
+// superseded by another whole one — is refused with an InstallErr that says
+// so, and the program in force, its epoch and its state are untouched.
 func TestStaleReferenceRefused(t *testing.T) {
 	cubic := algPrograms(t, "cubic")[0]
 	vegas := algPrograms(t, "vegas")[0]
@@ -212,10 +212,10 @@ func TestStaleReferenceRefused(t *testing.T) {
 		f := newBareFlow()
 		refuse(t, f, 1, 1)
 	})
-	t.Run("unsequenced install", func(t *testing.T) {
+	t.Run("seq 0 install", func(t *testing.T) {
 		f := newBareFlow()
-		if reason := f.deliver(cubic); reason != "" {
-			t.Fatal(reason)
+		if reason := f.deliverSeq(0, cubic); reason != "" || f.dp.Stats().StaleCtrlDropped != 1 || f.dp.Epoch() != 0 {
+			t.Fatalf("a Seq-0 Install: %q, epoch %d, %+v", reason, f.dp.Epoch(), f.dp.Stats())
 		}
 		refuse(t, f, 1, 1)
 	})

@@ -104,12 +104,12 @@ type CCP struct {
 
 	// reportSeq numbers outgoing reports. lastCtrlSeq is the newest control
 	// sequence number applied; stale or duplicate control messages are dropped
-	// (seq 0 is unsequenced and always accepted). urgentSeq numbers outgoing
-	// urgents so the agent can dedup duplicated deliveries. epoch is the ctrl
-	// Seq of the Install whose measure half is in force — what an Install by
+	// (as is seq 0, which no agent stamps). urgentSeq numbers outgoing urgents
+	// so the agent can dedup duplicated deliveries. epoch is the ctrl Seq of
+	// the Install whose measure half is in force — what an Install by
 	// reference must name (install.go) — and 0, which no reference can name,
-	// for the default program, a Config.DefaultProgram or an unsequenced
-	// Install; only a whole-program Install that activates sets it.
+	// for the default program or a Config.DefaultProgram; only a
+	// whole-program Install that activates sets it.
 	reportSeq   uint32
 	lastCtrlSeq uint32
 	urgentSeq   uint32
@@ -277,9 +277,9 @@ func (d *CCP) OnCongestion(h cc.Host, ev cc.CongEvent, lostBytes int) {
 // and SetRate; a message at or below the newest applied sequence is a
 // reordered or duplicated copy of a decision already superseded and is
 // dropped, so the channel may reorder freely without an old window ever
-// overwriting a newer one. Seq 0 marks an unsequenced message and is always
-// accepted. Stale messages do not count as agent liveness: only decisions
-// the datapath actually applies reset the §5 watchdog.
+// overwriting a newer one. Seq 0 is dropped the same way: no agent stamps it.
+// Stale messages do not count as agent liveness: only decisions the datapath
+// actually applies reset the §5 watchdog.
 func (d *CCP) Deliver(m proto.Msg) {
 	switch v := m.(type) {
 	case *proto.Install:

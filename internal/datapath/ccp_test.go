@@ -15,12 +15,16 @@ import (
 // rig is a single CCP-controlled flow with the agent side stubbed: sent
 // messages are captured, and Deliver is called directly by the test.
 type rig struct {
-	sim  *netsim.Sim
-	dp   *datapath.CCP
-	flow *tcp.Flow
-	path *netsim.Path
-	sent []proto.Msg
+	sim     *netsim.Sim
+	dp      *datapath.CCP
+	flow    *tcp.Flow
+	path    *netsim.Path
+	sent    []proto.Msg
+	ctrlSeq uint32 // the Seq next() stamped last
 }
+
+// next numbers the rig's next control message, as an agent's flow does.
+func (r *rig) next() uint32 { return proto.NextSeq(&r.ctrlSeq) }
 
 // copyMsg deep-copies m by the codec round trip.
 func copyMsg(m proto.Msg) proto.Msg {
@@ -118,7 +122,7 @@ func install(t *testing.T, r *rig, p *lang.Program) {
 		t.Fatal(err)
 	}
 	before := r.dp.Stats().InstallsRecvd
-	r.dp.Deliver(&proto.Install{SID: 1, Prog: data})
+	r.dp.Deliver(&proto.Install{SID: 1, Seq: r.next(), Prog: data})
 	if r.dp.Stats().InstallsRecvd != before+1 {
 		reason := "(no InstallErr reply captured)"
 		for i := len(r.sent) - 1; i >= 0; i-- {
@@ -303,7 +307,7 @@ func TestMalformedInstallIgnored(t *testing.T) {
 	r.flow.Conn.Start()
 	install(t, r, lang.NewProgram().Cwnd(lang.C(20000)).WaitRtts(1).Report().MustBuild())
 	r.sim.Run(50 * time.Millisecond)
-	r.dp.Deliver(&proto.Install{SID: 1, Prog: []byte{0xDE, 0xAD, 0xBE, 0xEF}})
+	r.dp.Deliver(&proto.Install{SID: 1, Seq: r.next(), Prog: []byte{0xDE, 0xAD, 0xBE, 0xEF}})
 	r.sim.Run(100 * time.Millisecond)
 	// The previous program must still be in force.
 	if got := r.flow.Conn.Cwnd(); got != 20000 {
@@ -374,8 +378,8 @@ func TestProgramWithoutWaitDoesNotSpin(t *testing.T) {
 func TestDirectSetCwndSetRate(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
 	r.flow.Conn.Start()
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 7240})
-	r.dp.Deliver(&proto.SetRate{SID: 1, Bps: 123456})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 7240})
+	r.dp.Deliver(&proto.SetRate{SID: 1, Seq: r.next(), Bps: 123456})
 	if r.flow.Conn.Cwnd() != 7240 || r.flow.Conn.PacingRate() != 123456 {
 		t.Fatalf("cwnd=%d rate=%v", r.flow.Conn.Cwnd(), r.flow.Conn.PacingRate())
 	}
@@ -409,7 +413,7 @@ func TestFallbackOnAgentSilence(t *testing.T) {
 	}
 	// Agent returns: fallback deactivates, through the handoff ramp. The
 	// decision is below the window NewReno grew, and a decrease is not ramped.
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 20000})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 20000})
 	if r.dp.FallbackActive() {
 		t.Fatal("fallback still active after agent message")
 	}
@@ -427,7 +431,7 @@ func TestNoFallbackWhenAgentAlive(t *testing.T) {
 	// Simulate a live agent: poke every 200ms.
 	var poke func()
 	poke = func() {
-		r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 20000})
+		r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 20000})
 		r.sim.Schedule(200*time.Millisecond, poke)
 	}
 	r.sim.Schedule(0, poke)
@@ -510,17 +514,49 @@ func TestReorderedCtrlNeverRegresses(t *testing.T) {
 	}
 }
 
-func TestUnsequencedCtrlAlwaysAccepted(t *testing.T) {
-	// Seq 0 predates the sequence protocol; it must keep working.
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
-	r.flow.Conn.Start()
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 5, Bytes: 20000})
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 7240})
-	if r.flow.Conn.Cwnd() != 7240 {
-		t.Fatal("unsequenced SetCwnd dropped")
-	}
-	if r.dp.Stats().StaleCtrlDropped != 0 {
-		t.Fatalf("stats=%+v", r.dp.Stats())
+// TestSeqZeroCtrlDropped: Seq 0 is no agent's, so an Install, SetCwnd or
+// SetRate carrying it is dropped as stale, even at a cursor 2^31 or more
+// ahead of 0: no InstallErr answers it, the program, its epoch and the window
+// stay, and it does not count as the agent's liveness.
+func TestSeqZeroCtrlDropped(t *testing.T) {
+	for _, cursor := range []uint32{0, 5, 1 << 31, 0xFFFF_FFFF} {
+		r := newRig(t, link8(), tcp.Options{}, livenessCfg(time.Second))
+		r.flow.Conn.Start()
+		if cursor != 0 {
+			for cursor-r.ctrlSeq > 1<<30 { // no step of half the space or more
+				r.ctrlSeq += 1 << 30
+				r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.ctrlSeq, Bytes: 30000})
+			}
+			r.ctrlSeq = cursor - 1
+			install(t, r, lang.NewProgram().Cwnd(lang.C(20000)).WaitRtts(1).Report().MustBuild())
+		}
+		r.sim.Run(300 * time.Millisecond)
+		prog, epoch, cwnd, rate := r.dp.Program(), r.dp.Epoch(), r.flow.Conn.Cwnd(), r.flow.Conn.PacingRate()
+		st, since, sent := r.dp.Stats(), r.dp.Staleness(), len(r.sent)
+		data, err := lang.MarshalProgram(lang.NewProgram().Cwnd(lang.C(7240)).WaitRtts(1).Report().MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.dp.Deliver(&proto.Install{SID: 1, Prog: data})
+		r.dp.Deliver(&proto.Install{SID: 1, Prog: []byte{0xDE, 0xAD}})
+		r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 7240})
+		r.dp.Deliver(&proto.SetRate{SID: 1, Bps: 123456})
+		now := r.dp.Stats()
+		if now.StaleCtrlDropped != st.StaleCtrlDropped+4 || now.InstallsRecvd != st.InstallsRecvd ||
+			now.InstallRejects != st.InstallRejects || now.SetCwndRecvd != st.SetCwndRecvd || now.SetRateRecvd != st.SetRateRecvd {
+			t.Fatalf("cursor %d: Seq 0 was admitted: %+v", cursor, now)
+		}
+		for _, m := range r.sent[sent:] {
+			if _, ok := m.(*proto.InstallErr); ok {
+				t.Fatalf("cursor %d: a Seq-0 Install drew %+v", cursor, m)
+			}
+		}
+		if r.dp.Program() != prog || r.dp.Epoch() != epoch || r.flow.Conn.Cwnd() != cwnd || r.flow.Conn.PacingRate() != rate {
+			t.Fatalf("cursor %d: Seq 0 moved the flow: epoch %d, cwnd %d, rate %v", cursor, r.dp.Epoch(), r.flow.Conn.Cwnd(), r.flow.Conn.PacingRate())
+		}
+		if r.dp.Staleness() != since {
+			t.Fatalf("cursor %d: Seq 0 reset the watchdog: %+v, was %+v", cursor, r.dp.Staleness(), since)
+		}
 	}
 }
 

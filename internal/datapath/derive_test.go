@@ -52,6 +52,7 @@ type bareFlow struct {
 	conn    *tcp.Conn
 	reports [][]float64
 	refusal string // Reason of the last InstallErr
+	ctrlSeq uint32 // the Seq deliver stamped last
 }
 
 func newBareFlow() *bareFlow {
@@ -78,12 +79,12 @@ func newBareFlowCfg(cfg datapath.Config) *bareFlow {
 	return f
 }
 
-// deliver sends an Install and returns the InstallErr reason it drew ("" if
-// it was installed).
-func (f *bareFlow) deliver(data []byte) string { return f.deliverSeq(0, data) }
+// deliver sends the flow's next Install and returns the InstallErr reason it
+// drew ("" if it was installed).
+func (f *bareFlow) deliver(data []byte) string { return f.deliverSeq(proto.NextSeq(&f.ctrlSeq), data) }
 
-// deliverSeq is deliver of a sequenced Install: one that is not stale, and
-// whose Seq becomes the flow's epoch if it brings a measure half.
+// deliverSeq is deliver under Seq seq, which becomes the flow's epoch if the
+// Install is fresh and brings a measure half.
 func (f *bareFlow) deliverSeq(seq uint32, data []byte) string {
 	f.refusal = ""
 	f.dp.Deliver(&proto.Install{SID: 1, Seq: seq, Prog: data})

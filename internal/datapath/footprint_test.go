@@ -89,8 +89,8 @@ func TestFeatureStateOnlyWhereUsed(t *testing.T) {
 			r := newRig(t, link8(), tcp.Options{}, tc.cfg)
 			r.flow.Conn.Start()
 			r.sim.Run(500 * time.Millisecond)
-			r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 1, Bytes: 40 * 1448})
-			r.dp.Deliver(&proto.SetRate{SID: 1, Seq: 2, Bps: 1e6})
+			r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 40 * 1448})
+			r.dp.Deliver(&proto.SetRate{SID: 1, Seq: r.next(), Bps: 1e6})
 			if reason := deliver(t, r, fold); reason != "" {
 				t.Fatal(reason)
 			}

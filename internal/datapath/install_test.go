@@ -69,12 +69,12 @@ func algPrograms(t testing.TB, name string) [][]byte {
 	return nil
 }
 
-// deliver sends an Install and returns the InstallErr reason it drew ("" if
-// it was installed).
+// deliver sends the rig's next Install and returns the InstallErr reason it
+// drew ("" if it was installed).
 func deliver(t *testing.T, r *rig, data []byte) string {
 	t.Helper()
 	before, sent := r.dp.Stats().InstallsRecvd, len(r.sent)
-	r.dp.Deliver(&proto.Install{SID: 1, Prog: data})
+	r.dp.Deliver(&proto.Install{SID: 1, Seq: r.next(), Prog: data})
 	if r.dp.Stats().InstallsRecvd == before+1 {
 		return ""
 	}
@@ -270,7 +270,7 @@ func TestConcurrentFlowsShareArtifact(t *testing.T) {
 		conn = tcp.NewConn(clock, 1, nil, dp, tcp.Options{MSS: 1448})
 		dp.Init(conn)
 		for round := 0; round < 20; round++ {
-			dp.Deliver(&proto.Install{SID: 1, Prog: progs[round%len(progs)]})
+			dp.Deliver(&proto.Install{SID: 1, Seq: uint32(round + 1), Prog: progs[round%len(progs)]})
 			for i := 0; i < 32; i++ {
 				dp.OnAck(conn, cc.AckSample{
 					RTT: time.Duration(10+i%7) * time.Millisecond, AckedBytes: 1448,
@@ -337,7 +337,7 @@ func installer(tb testing.TB, alg, kind string) (*datapath.CCP, func(i int)) {
 	if kind == movedInitInstall {
 		init0 = initFields(tb, data)[0]
 	}
-	msg := &proto.Install{SID: 1, Prog: data}
+	msg := &proto.Install{SID: 1, Seq: 1, Prog: data}
 	if kind == byRefInstall {
 		_, ctrl := halves(tb, data)
 		msg.Prog = lang.AppendRef(nil, 1, ctrl)
@@ -350,6 +350,7 @@ func installer(tb testing.TB, alg, kind string) (*datapath.CCP, func(i int)) {
 		case movedInitInstall:
 			setInit(init0, 1/float64(i+2))
 		}
+		msg.Seq = proto.NextSeq(&msg.Seq)
 		f.dp.Deliver(msg)
 	}
 }

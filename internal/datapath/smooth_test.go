@@ -16,7 +16,7 @@ func TestSmoothCwndRampsIncreases(t *testing.T) {
 	base := r.flow.Conn.Cwnd()
 
 	target := base + 100*1448
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: uint32(target)})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: uint32(target)})
 	// Immediately after delivery, only the first quarter-step has applied.
 	mid := r.flow.Conn.Cwnd()
 	if mid >= target {
@@ -36,10 +36,10 @@ func TestSmoothCwndDecreasesImmediately(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, datapath.Config{SmoothCwnd: true})
 	r.flow.Conn.Start()
 	r.sim.Run(200 * time.Millisecond)
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 200 * 1448})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 200 * 1448})
 	r.sim.Run(400 * time.Millisecond)
 	// A decrease must take effect at once (safety).
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: 10 * 1448})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 10 * 1448})
 	if got := r.flow.Conn.Cwnd(); got != 10*1448 {
 		t.Fatalf("decrease delayed: cwnd=%d", got)
 	}
@@ -50,9 +50,9 @@ func TestSmoothCwndRetargetsMidRamp(t *testing.T) {
 	r.flow.Conn.Start()
 	r.sim.Run(200 * time.Millisecond)
 	base := r.flow.Conn.Cwnd()
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: uint32(base + 100*1448)})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: uint32(base + 100*1448)})
 	// Retarget lower before the ramp completes: applies immediately.
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: uint32(base)})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: uint32(base)})
 	r.sim.Run(300 * time.Millisecond)
 	if got := r.flow.Conn.Cwnd(); got != base {
 		t.Fatalf("stale ramp kept running: cwnd=%d, want %d", got, base)
@@ -64,7 +64,7 @@ func TestSmoothCwndDisabledIsStep(t *testing.T) {
 	r.flow.Conn.Start()
 	r.sim.Run(100 * time.Millisecond)
 	target := r.flow.Conn.Cwnd() + 100*1448
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Bytes: uint32(target)})
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: uint32(target)})
 	if got := r.flow.Conn.Cwnd(); got != target {
 		t.Fatalf("step mode did not apply directly: %d, want %d", got, target)
 	}

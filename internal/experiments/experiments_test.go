@@ -135,6 +135,9 @@ func TestTable2AllVerified(t *testing.T) {
 			t.Fatalf("primitive %s not verified", row.Operation)
 		}
 	}
+	if res.AgentErrors != 0 || res.UnknownEpochs != 0 {
+		t.Fatalf("the agent could not read %d reports and named no program for %d", res.AgentErrors, res.UnknownEpochs)
+	}
 }
 
 func TestTable3AllHandlersFire(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/datapath"
 	"github.com/ccp-repro/ccp/internal/harness"
+	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/netsim"
 	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
@@ -40,16 +41,16 @@ func AblSmooth() AblSmoothResult {
 		bdp := harness.BDPBytes(rate, rtt)
 		link := netsim.LinkConfig{RateBps: rate, Delay: rtt / 2, QueueBytes: 1 << 22}
 		reg := core.NewRegistry()
-		reg.Register("hold", func() core.Alg { return holdAlg{} })
-		net := harness.New(harness.Config{Seed: 1, Link: link, Registry: reg, DefaultAlg: "hold"})
-		f := net.AddCCPFlowCfg(1, "hold", tcp.Options{}, datapath.Config{
+		reg.Register("fixed", func() core.Alg { return fixedAlg{} })
+		net := harness.New(harness.Config{Seed: 1, Link: link, Registry: reg, DefaultAlg: "fixed"})
+		f := net.AddCCPFlowCfg(1, "fixed", tcp.Options{}, datapath.Config{
 			SmoothCwnd: smooth,
 		})
 		f.Conn.Start()
 		// Let the small initial window reach steady state, then jump.
 		net.Run(time.Second)
 		pre := net.Path.Forward.Stats().MaxQueueBytes
-		f.DP.Deliver(&proto.SetCwnd{SID: 1, Bytes: uint32(bdp)})
+		f.DP.Deliver(&proto.SetCwnd{SID: 1, Seq: 1, Bytes: uint32(bdp)}) // the flow's first decision
 		dur := 1500 * time.Millisecond
 		net.Run(dur)
 		out := &res.Step
@@ -64,14 +65,18 @@ func AblSmooth() AblSmoothResult {
 	return res
 }
 
-// holdAlg leaves the window alone entirely; the experiment injects the
-// single step itself.
-type holdAlg struct{}
+// fixedAlg installs its program, if any, at Init and decides nothing after:
+// Table 2 checks that program's effects, AblSmooth delivers its own step.
+type fixedAlg struct{ prog *lang.Program }
 
-func (holdAlg) Name() string                                   { return "hold" }
-func (holdAlg) Init(f *core.Flow)                              {}
-func (holdAlg) OnMeasurement(f *core.Flow, m core.Measurement) {}
-func (holdAlg) OnUrgent(f *core.Flow, u core.UrgentEvent)      {}
+func (fixedAlg) Name() string { return "fixed" }
+func (a fixedAlg) Init(f *core.Flow) {
+	if a.prog != nil {
+		f.Install(a.prog)
+	}
+}
+func (fixedAlg) OnMeasurement(f *core.Flow, m core.Measurement) {}
+func (fixedAlg) OnUrgent(f *core.Flow, u core.UrgentEvent)      {}
 
 // String renders the comparison.
 func (r AblSmoothResult) String() string {

@@ -9,7 +9,6 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/harness"
 	"github.com/ccp-repro/ccp/internal/lang"
-	"github.com/ccp-repro/ccp/internal/proto"
 	"github.com/ccp-repro/ccp/internal/tcp"
 )
 
@@ -70,21 +69,16 @@ type Table2Row struct {
 }
 
 // Table2Result reproduces Table 2: each primitive of the control language,
-// exercised against a live simulated datapath.
+// exercised against a live simulated datapath; AgentErrors and UnknownEpochs
+// (not printed) count the reports the agent could not read.
 type Table2Result struct {
-	Rows []Table2Row
+	Rows                       []Table2Row
+	AgentErrors, UnknownEpochs int64
 }
 
-// Table2 installs a program using every primitive on a real simulated flow
-// and checks each primitive's observable effect.
+// Table2 has an agent-side algorithm install a program using every primitive
+// on a real simulated flow and checks each primitive's observable effect.
 func Table2() Table2Result {
-	net := harness.New(harness.Config{
-		Link: oneBDPLink(48e6, 10*time.Millisecond),
-	})
-	f := net.AddCCPFlow(1, "reno", tcp.Options{})
-	f.Conn.Start()
-	net.Run(500 * time.Millisecond)
-
 	// A program exercising Measure(fold) + Rate + Cwnd + Wait + WaitRtts +
 	// Report in one loop.
 	fold := &lang.FoldSpec{
@@ -99,12 +93,13 @@ func Table2() Table2Result {
 		WaitRtts(1).
 		Report().
 		MustBuild()
-	data, err := lang.MarshalProgram(prog)
-	if err != nil {
-		panic("table2: " + err.Error())
-	}
+	reg := core.NewRegistry()
+	reg.Register("fixed", func() core.Alg { return fixedAlg{prog} })
+	net := harness.New(harness.Config{Link: oneBDPLink(48e6, 10*time.Millisecond), Registry: reg, DefaultAlg: "fixed"})
+	f := net.AddCCPFlow(1, "fixed", tcp.Options{})
+	f.Conn.Start()
+	net.Run(500 * time.Millisecond)
 	preReports := f.DP.Stats().ReportsSent
-	f.DP.Deliver(&proto.Install{SID: 1, Prog: data})
 	net.Run(1500 * time.Millisecond)
 
 	rateOK := f.Conn.PacingRate() == 2e6
@@ -114,7 +109,8 @@ func Table2() Table2Result {
 	// check the cadence is in that ballpark (both waits active).
 	waitsOK := reports > 20 && reports < 180
 
-	return Table2Result{Rows: []Table2Row{
+	ast := net.Agent.Stats().Agent
+	return Table2Result{AgentErrors: ast.Errors, UnknownEpochs: ast.UnknownEpochs, Rows: []Table2Row{
 		{"Measure(·)", "fold per-packet metric into bounded state", reports > 0},
 		{"Rate(r)", "rate <- r (pacing observed in datapath)", rateOK},
 		{"Cwnd(c)", "cwnd <- c (window observed in datapath)", cwndOK},

@@ -16,9 +16,10 @@
 // Control messages (Install, SetCwnd, SetRate) and datapath events (Create,
 // Urgent) carry a per-flow sequence number so that an unreliable channel —
 // one that reorders or duplicates messages — cannot regress a newer decision
-// or double-count an urgent event. Seq 0 means "unsequenced" and is always
-// accepted. Both ends share one rule each way: a sender numbers with NextSeq,
-// a receiver checks with AdmitSeq, and both compare with SeqNewer.
+// or double-count an urgent event. Seq 0 means "none": no sender stamps it
+// and no receiver admits it. Both ends share one rule each way: a sender
+// numbers with NextSeq, a receiver checks with AdmitSeq, and both compare
+// with SeqNewer.
 //
 // What the datapath sends names the program it concerns: a Measurement the
 // epoch of the program that folded it, an InstallErr the epoch and the whole
@@ -147,7 +148,7 @@ func (k UrgentKind) String() string {
 // double-count a loss event.
 type Urgent struct {
 	SID   uint32
-	Seq   uint32 // urgent sequence number, per flow (0 = unsequenced)
+	Seq   uint32 // urgent sequence number, per flow
 	Kind  UrgentKind
 	Value float64 // bytes lost (dupack/timeout) or marks seen (ecn)
 }
@@ -162,7 +163,7 @@ type Close struct {
 // decision of any kind can never overwrite a newer one.
 type Install struct {
 	SID  uint32
-	Seq  uint32 // control sequence number (0 = unsequenced)
+	Seq  uint32 // control sequence number
 	Prog []byte
 }
 
@@ -183,26 +184,25 @@ type InstallErr struct {
 // control program for datapaths without program executors.
 type SetCwnd struct {
 	SID   uint32
-	Seq   uint32 // control sequence number (0 = unsequenced)
+	Seq   uint32 // control sequence number
 	Bytes uint32
 }
 
 // SetRate directly sets the pacing rate (bytes/sec).
 type SetRate struct {
 	SID uint32
-	Seq uint32 // control sequence number (0 = unsequenced)
+	Seq uint32 // control sequence number
 	Bps float64
 }
 
 // SeqNewer reports whether sequence number a is newer than b under
 // wraparound arithmetic (serial number comparison): a is newer when it lies
-// at most 2^31-1 increments ahead of b. Sequence number 0 is reserved for
-// "unsequenced" and should be special-cased by callers before comparing.
+// at most 2^31-1 increments ahead of b.
 func SeqNewer(a, b uint32) bool { return int32(a-b) > 0 }
 
 // NextSeq advances the counter *last and returns the new sequence number,
-// skipping 0 on wrap: 0 marks an unsequenced message. Every sequence number
-// a sender stamps comes from here.
+// skipping 0 on wrap: 0 means none. Every sequence number a sender stamps
+// comes from here.
 func NextSeq(last *uint32) uint32 {
 	*last++
 	if *last == 0 {
@@ -212,15 +212,12 @@ func NextSeq(last *uint32) uint32 {
 }
 
 // AdmitSeq reports whether a received sequence number is fresh — newer than
-// *last, the newest admitted so far, which it then becomes — or 0, which is
-// unsequenced and always admitted without moving *last. A false result is a
-// duplicated or reordered copy of something already superseded. Every
-// receiver checks sequence numbers here.
+// *last, the newest admitted so far, which it then becomes. A false result is
+// a duplicated or reordered copy of something already superseded, or 0, which
+// no sender stamps (SeqNewer alone would admit it past a cursor of 2^31).
+// Every receiver checks sequence numbers here.
 func AdmitSeq(seq uint32, last *uint32) bool {
-	if seq == 0 {
-		return true
-	}
-	if !SeqNewer(seq, *last) {
+	if seq == 0 || !SeqNewer(seq, *last) {
 		return false
 	}
 	*last = seq

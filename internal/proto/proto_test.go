@@ -340,7 +340,7 @@ func TestNextSeqSkipsZeroOnWrap(t *testing.T) {
 		t.Fatalf("seq=%d", s)
 	}
 	if s := NextSeq(&last); s != 1 || last != 1 {
-		t.Fatalf("seq after wrap=%d (counter %d), want 1 (0 is reserved for unsequenced)", s, last)
+		t.Fatalf("seq after wrap=%d (counter %d), want 1 (0 means none)", s, last)
 	}
 }
 
@@ -355,8 +355,20 @@ func TestStaleSeqWraparound(t *testing.T) {
 	if AdmitSeq(^uint32(0), &last) || AdmitSeq(1, &last) {
 		t.Fatal("replayed seq accepted after the wrap")
 	}
-	if !AdmitSeq(0, &last) || last != 1 {
-		t.Fatal("seq 0 must stay unsequenced and always fresh")
+	if AdmitSeq(0, &last) || last != 1 {
+		t.Fatal("seq 0 admitted after the wrap")
+	}
+}
+
+// TestAdmitSeqRefusesZero: 0 is no sender's sequence number, so it is refused
+// at every cursor, including those 2^31 or more ahead of it, where SeqNewer
+// alone would call it newer.
+func TestAdmitSeqRefusesZero(t *testing.T) {
+	for _, c := range []uint32{0, 1, 1<<31 - 1, 1 << 31, 0x9000_0000, 0xFFFF_FFFF} {
+		last := c
+		if AdmitSeq(0, &last) || last != c {
+			t.Errorf("AdmitSeq(0, &%#x) admitted it or moved the cursor to %#x", c, last)
+		}
 	}
 }
 
