@@ -225,7 +225,8 @@ check:
 	fi; \
 	t=$$(($$(date +%s) - t0)); echo "check: total $$((t / 60))m$$((t % 60))s"
 
-# 10-second smoke of each fuzz target (wire decoders, the decoder's copies
+# 10-second smoke of each fuzz target (wire decoders beneath the frame check
+# and the check itself, the decoder's copies
 # against its scratch, frames routed to and decoded on agent shards, a warm
 # standby's replication frames through promotion, program decoder halves,
 # the program encoding as an identity both ways, the register VM against its
@@ -235,6 +236,7 @@ check:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshal$$' -fuzztime=$(FUZZTIME) ./internal/proto
+	$(GO) test -run='^$$' -fuzz='^FuzzCheck$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzDecoderAliasing$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzCreateRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/proto

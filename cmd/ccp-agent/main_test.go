@@ -151,7 +151,18 @@ func TestStandbyTakesOverOnTheShippedPath(t *testing.T) {
 			}
 
 			standby := start(config{listen: standbySock, standby: true})
-			wait("the standby's socket", func() bool { _, err := os.Stat(standbySock); return err == nil })
+			// The socket's file exists from bind, before listen: a dial is the
+			// proof the standby takes connections, or the primary's first
+			// replication dial can be refused and retried only after a second,
+			// by when this test has killed it. The standby reads the probe as
+			// an empty replication stream and goes on waiting.
+			wait("the standby's socket", func() bool {
+				c, err := net.Dial("unix", standbySock)
+				if err == nil {
+					c.Close()
+				}
+				return err == nil
+			})
 			primary := start(config{listen: primarySock, replicateTo: standbySock, replicateEvery: 2 * time.Millisecond})
 			primaryRT := <-primary.serving
 			if primaryRT.Shards() != procs {

@@ -97,3 +97,45 @@ func TestBridgeSetLatency(t *testing.T) {
 		t.Fatal("latency change not applied")
 	}
 }
+
+// TestCorruptedFramesAreKilled flips each bit of a flow's Create on its way
+// to the agent, and each bit of the SetCwnd its Init sends on its way back.
+// Every flipped frame fails its check: the tap hears it killed, and neither
+// the agent nor the datapath's delivery sees it.
+func TestCorruptedFramesAreKilled(t *testing.T) {
+	for _, toAgent := range []bool{true, false} {
+		for bit := 0; ; bit++ {
+			sim := netsim.New(1)
+			agent := newAgent(t, &echoAlg{})
+			b := bridge.New(sim, agent.HandleFrame, 100*time.Microsecond)
+			flipped, killed, delivered := false, 0, 0
+			tap := &bridge.Tap{
+				Carry: func(frame []byte, next func([]byte)) {
+					bad := append([]byte(nil), frame...)
+					if flipped = bit < 8*len(bad); flipped {
+						bad[bit/8] ^= 1 << (bit % 8)
+					}
+					next(bad)
+				},
+				Killed: func() { killed++ },
+			}
+			up, down := tap, (*bridge.Tap)(nil)
+			if !toAgent {
+				up, down = nil, tap
+			}
+			send := b.TappedSender(func(proto.Msg) { delivered++ }, up, down)
+			if err := send(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}); err != nil {
+				t.Fatal(err)
+			}
+			sim.Run(time.Second)
+			if !flipped {
+				break
+			}
+			flows := agent.FlowCount()
+			if killed != 1 || delivered != 0 || (toAgent && flows != 0) {
+				t.Fatalf("to agent %v, bit %d flipped: %d killed, %d delivered, %d agent flows; want 1, 0, and no flow made",
+					toAgent, bit, killed, delivered, flows)
+			}
+		}
+	}
+}

@@ -254,9 +254,7 @@ func prepare(cur *artifact, epoch uint32, prog []byte) (in installable, err erro
 	if err := lang.ValidateControl(instrs, art.resolve); err != nil {
 		return in, err
 	}
-	rep := art.inv.CheckControl(instrs)
-	in.warnings = len(rep.Findings) - len(rep.Errors())
-	if err := rep.Err(); err != nil {
+	if in.warnings, err = art.inv.Tally(instrs); err != nil {
 		return in, err
 	}
 

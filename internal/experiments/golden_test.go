@@ -34,8 +34,11 @@ import (
 // Install costs the references behind it too, and, with ablation-ha's, when
 // a flow built cold from a resync Create began numbering its decisions
 // ctrlSeqSkip above the Create's Seq; ablation-chaos's, ablation-agentchaos's
-// and ablation-foldvec's moved last when every report began to carry its
-// program's epoch, a byte or more on the wire, by which the agent names it
+// and ablation-foldvec's moved when every report began to carry its
+// program's epoch, a byte or more on the wire, by which the agent names it.
+// ablation-chaos's and ablation-foldvec's moved last when every frame began
+// to end with a CRC-32C, which refuses a corrupted frame, and to carry its
+// SID and sequence numbers as uvarints, which changed its byte counts
 // (EXPERIMENTS.md has what moved each time, row by row).
 var golden = []struct {
 	id     string
@@ -48,10 +51,10 @@ var golden = []struct {
 	{"fig3", func() fmt.Stringer { return Fig3(Fig3Config{RateBps: 1e9}) }, "100c671d59f159baeaf5af79dedc9367fd174c76d652b9ec96eb985a85ba97d5"},
 	{"fig4", func() fmt.Stringer { return Fig4(Fig4Config{RateBps: 96e6}) }, "69761eddf48e34fe44e3088f3b03aa72d4ce06da48a0f0498c7301a6f6b5f946"},
 	{"ablation-batching", func() fmt.Stringer { return AblBatching() }, "4a603912e95aa50dc1271832008eab2315355414aa86ead8cd3cf8d0dc0f31c3"},
-	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "650abb12d986ef7673de2c99033aa4655e23d575b4c82986fe3c3150d82160e8"},
+	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "dfcc843549442c53be342ba8c52c4240c7a8e7b39b9546e2a88bbe4c9b61b3a2"},
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "2b78c1b9358ea9f82e6f70951ae45f3f54ca1a349f859ad8d8c7bbb8d5d4d87e"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "06f185c88c735f9a53525ddcf590b35a144eefb6fa78b91168e797ac06f016be"},
 	{"ablation-agentchaos-5of6", func() fmt.Stringer {
 		var res AblAgentChaosResult
 		for _, fault := range []string{"kill", "pause", "slow"} {

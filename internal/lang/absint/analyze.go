@@ -94,10 +94,15 @@ func (r *Report) Err() error {
 	if len(errs) == 0 {
 		return nil
 	}
-	if len(errs) == 1 {
-		return errors.New(errs[0].String())
+	return errOf(errs[0], len(errs))
+}
+
+// errOf is Err's error for n errors, the first of them first.
+func errOf(first Finding, n int) error {
+	if n == 1 {
+		return errors.New(first.String())
 	}
-	return fmt.Errorf("%s (and %d more)", errs[0], len(errs)-1)
+	return fmt.Errorf("%s (and %d more)", first, n-1)
 }
 
 // The datapath's runtime clamps, and so the upper bounds every cwnd and rate
@@ -212,6 +217,7 @@ func AnalyzeMeasure(m lang.MeasureSpec, cfg Config) *Invariant {
 	}
 	inv.resolve = lang.StdResolver(inv.regNames)
 	a := inv.analyzer()
+	a.rep = &Report{}
 	st := a.baseState(len(inv.regNames))
 	if inv.fold != nil {
 		for i, r := range inv.fold.Regs {
@@ -262,10 +268,31 @@ func (inv *Invariant) HasErrors() bool {
 // (lang.ValidateControl).
 func (inv *Invariant) CheckControl(instrs []lang.Instr) *Report {
 	a := inv.analyzer()
+	a.rep = &Report{}
+	inv.check(a, instrs)
+	return a.rep
+}
+
+// Tally is CheckControl for an install gate, which needs of the report only
+// its number of warnings and its Err. It takes the same walk, but counts the
+// findings and keeps none but the first error, whose text err carries: err
+// is the error CheckControl's report would give.
+func (inv *Invariant) Tally(instrs []lang.Instr) (warnings int, err error) {
+	a := inv.analyzer()
+	a.tally = true
+	inv.check(a, instrs)
+	if a.errs == 0 {
+		return a.warns, nil
+	}
+	return a.warns, errOf(a.first, a.errs)
+}
+
+// check is CheckControl's walk, reporting to a.
+func (inv *Invariant) check(a *analyzer, instrs []lang.Instr) {
 	a.emit = true
-	a.rep.Findings = append(a.rep.Findings, inv.stepFindings...)
+	a.add(inv.stepFindings)
 	a.checkInstrs(instrs, inv.state)
-	a.rep.Findings = append(a.rep.Findings, inv.deadFindings...)
+	a.add(inv.deadFindings)
 	a.checkUnreadRegisters(inv, instrs)
 	a.checkReportLiveness(instrs)
 	if inv.fold != nil && len(inv.regNames) > 0 && !inv.fresh {
@@ -273,11 +300,10 @@ func (inv *Invariant) CheckControl(instrs []lang.Instr) *Report {
 		a.report(CheckNoFresh, SevWarn, nil, nil,
 			"no fold register derives from a pkt.* field: the fold never incorporates fresh measurements")
 	}
-	return a.rep
 }
 
 func (inv *Invariant) analyzer() *analyzer {
-	return &analyzer{cfg: inv.cfg, fold: inv.fold, mode: inv.mode, resolve: inv.resolve, rep: &Report{}}
+	return &analyzer{cfg: inv.cfg, fold: inv.fold, mode: inv.mode, resolve: inv.resolve}
 }
 
 type analyzer struct {
@@ -288,6 +314,11 @@ type analyzer struct {
 	rep     *Report
 	emit    bool
 	where   Where
+	// tally: count findings instead of writing them to rep, except the
+	// first error, kept in first (Invariant.Tally).
+	tally       bool
+	warns, errs int
+	first       Finding
 }
 
 // baseState builds the abstract variable table from the assumption
@@ -458,13 +489,48 @@ func (a *analyzer) evalSilent(e lang.Expr, st []AbsVal) AbsVal {
 }
 
 func (a *analyzer) report(check string, sev Severity, at *path, e lang.Expr, msg string) {
+	if a.counted(sev) {
+		return
+	}
 	expr := ""
 	if e != nil {
 		expr = e.String()
 	}
-	a.rep.Findings = append(a.rep.Findings, Finding{
-		Check: check, Severity: sev, Where: a.where, Path: at.String(), Expr: expr, Message: msg,
-	})
+	a.keep(Finding{Check: check, Severity: sev, Where: a.where, Path: at.String(), Expr: expr, Message: msg})
+}
+
+// add reports findings made earlier (an Invariant's own).
+func (a *analyzer) add(fs []Finding) {
+	for _, f := range fs {
+		if !a.counted(f.Severity) {
+			a.keep(f)
+		}
+	}
+}
+
+// counted counts a finding of severity sev when the analyzer tallies, and
+// reports whether that is all there is to do with it: everything but the
+// first error is only counted.
+func (a *analyzer) counted(sev Severity) bool {
+	if !a.tally {
+		return false
+	}
+	if sev != SevError {
+		a.warns++
+		return true
+	}
+	a.errs++
+	return a.errs > 1
+}
+
+// keep writes out a finding: to the report, or when tallying as the first
+// error.
+func (a *analyzer) keep(f Finding) {
+	if a.tally {
+		a.first = f
+		return
+	}
+	a.rep.Findings = append(a.rep.Findings, f)
 }
 
 // refine narrows st under the assumption that cond evaluates to want.

@@ -2,6 +2,7 @@ package absint_test
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/ccp-repro/ccp/internal/core"
 	"github.com/ccp-repro/ccp/internal/lang"
 	"github.com/ccp-repro/ccp/internal/lang/absint"
+	"github.com/ccp-repro/ccp/internal/lang/randprog"
 )
 
 // TestRegisteredAlgorithmsVerifyClean is the corpus gate: every Install-time
@@ -105,5 +107,49 @@ func TestRejectionTable(t *testing.T) {
 				t.Fatalf("no %s error; got %v", tc.check, rep.Errors())
 			}
 		})
+	}
+}
+
+// TestTallyMatchesCheckControl: the install gate's Tally counts the warnings
+// CheckControl's report holds and gives the error its Err gives, text and
+// all, over random programs (clean, warned and refused) and every bundled
+// algorithm's.
+func TestTallyMatchesCheckControl(t *testing.T) {
+	var progs []*lang.Program
+	for _, info := range algorithms.All() {
+		ps, _ := core.Describe(info.Factory, 1448)
+		progs = append(progs, ps...)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		progs = append(progs, randprog.Program(rng))
+	}
+	var warned, refused, refusedTwice int
+	for i, p := range progs {
+		if p.Validate() != nil {
+			continue
+		}
+		inv := absint.AnalyzeMeasure(p.Measure, absint.Datapath())
+		rep := inv.CheckControl(p.Instrs)
+		warnings, err := inv.Tally(p.Instrs)
+		errs := len(rep.Errors())
+		if want := len(rep.Findings) - errs; warnings != want {
+			t.Errorf("program %d: Tally counts %d warnings, the report holds %d", i, warnings, want)
+		}
+		if want := rep.Err(); (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+			t.Errorf("program %d: Tally's error %v, the report's %v", i, err, want)
+		}
+		if warnings > 0 {
+			warned++
+		}
+		if errs > 0 {
+			refused++
+		}
+		if errs > 1 {
+			refusedTwice++
+		}
+	}
+	if warned == 0 || refused == 0 || refusedTwice == 0 {
+		t.Fatalf("corpus too tame: %d warned, %d refused, %d with two errors or more", warned, refused, refusedTwice)
 	}
 }

@@ -2,6 +2,8 @@ package proto_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/proto"
@@ -172,7 +174,8 @@ func TestInstallProgAliasesInput(t *testing.T) {
 	}
 }
 
-// FuzzDecoderAliasing decodes arbitrary bytes, deep-copies the result by the
+// FuzzDecoderAliasing decodes arbitrary message bytes, sealed with a valid
+// check so that they reach the body decoder, deep-copies the result by the
 // codec round trip, then scribbles over the input buffer and the decoder's
 // scratch. The copy must match a pristine decode — i.e. the round trip must
 // sever every alias the scratch decoder keeps into the input (Install.Prog,
@@ -191,7 +194,7 @@ func FuzzDecoderAliasing(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		f.Add(data[:len(data)-4]) // the message without its check
 	}
 	// Decoding these again is the scribble over the decoder's report scratch.
 	reports := []proto.Msg{
@@ -206,7 +209,12 @@ func FuzzDecoderAliasing(f *testing.F) {
 		}
 		scribble = append(scribble, data)
 	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 { // the bound FuzzUnmarshal keeps, for the same reason
+			return
+		}
+		data = binary.LittleEndian.AppendUint32(bytes.Clone(data), crc32.Checksum(data, castagnoli))
 		aliased := append([]byte(nil), data...)
 		var dec proto.Decoder
 		m, err := dec.Unmarshal(aliased)

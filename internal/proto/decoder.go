@@ -1,8 +1,10 @@
 package proto
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
+	"hash/crc32"
 )
 
 // Decoder decodes wire messages into reusable scratch storage, so a
@@ -51,11 +53,17 @@ func scratch[T any](p **T) *T {
 	return *p
 }
 
-// Unmarshal decodes one message into the decoder's scratch storage. The
-// result is valid until the next Unmarshal on dec; see the type comment for
-// the full ownership rules.
+// Unmarshal decodes one frame into the decoder's scratch storage. It checks
+// the frame's CRC-32C before it reads anything else, so a frame the wire
+// changed is refused whole, whatever its body would decode to. The result is
+// valid until the next Unmarshal on dec; see the type comment for the full
+// ownership rules.
 func (dec *Decoder) Unmarshal(data []byte) (Msg, error) {
-	d := decoder{data: data}
+	n := len(data) - checkLen // the message, the bytes before the check
+	if n < 1 || binary.LittleEndian.Uint32(data[n:]) != crc32.Checksum(data[:n], castagnoli) {
+		return nil, errCheck
+	}
+	d := decoder{data: data[:n]}
 	m, err := dec.decode(&d)
 	if err != nil {
 		return nil, err
@@ -68,6 +76,8 @@ func (dec *Decoder) Unmarshal(data []byte) (Msg, error) {
 	}
 	return m, nil
 }
+
+var errCheck = errors.New("proto: frame fails its check")
 
 // decode reads one message from d.
 func (dec *Decoder) decode(d *decoder) (Msg, error) {
@@ -82,8 +92,8 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		return v, nil
 	case TypeMeasurement:
 		v := scratch(&dec.meas)
-		v.SID, v.Seq, v.Epoch = d.u32(), d.u32(), uint32(d.length(math.MaxUint32, 0))
-		v.Fields = d.f64s(v.Fields, maxFieldCount)
+		v.SID, v.Seq, v.Epoch = d.u32(), d.u32(), d.u32()
+		v.Fields = d.f64sRest(v.Fields, maxFieldCount)
 		return v, nil
 	case TypeUrgent:
 		v := scratch(&dec.urgent)
@@ -98,7 +108,7 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		return v, nil
 	case TypeInstall:
 		v := scratch(&dec.install)
-		v.SID, v.Seq, v.Prog = d.u32(), d.u32(), d.prog()
+		v.SID, v.Seq, v.Prog = d.u32(), d.u32(), d.rest(maxProgramSize)
 		return v, nil
 	case TypeSetCwnd:
 		v := scratch(&dec.cwnd)
@@ -122,12 +132,12 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		v.MSS, v.InitCwnd = d.u32(), d.u32()
 		v.CtrlSeq, v.CreateSeq = d.u32(), d.u32()
 		v.ReportSeq, v.UrgentSeq = d.u32(), d.u32()
-		v.Epoch = uint32(d.length(math.MaxUint32, 0))
+		v.Epoch = d.u32()
 		v.SrcAddr = d.strInto(v.SrcAddr)
 		v.DstAddr = d.strInto(v.DstAddr)
 		v.Alg = d.strInto(v.Alg)
 		v.Prog = d.prog()
-		v.State = d.f64s(v.State, maxSnapStateLen)
+		v.State = d.f64sRest(v.State, maxSnapStateLen)
 		return v, nil
 	case TypeHeartbeat:
 		v := scratch(&dec.hb)
@@ -135,8 +145,8 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 		return v, nil
 	case TypeInstallErr:
 		v := scratch(&dec.instErr)
-		v.SID, v.Seq, v.Epoch = d.u32(), d.u32(), uint32(d.length(math.MaxUint32, 0))
-		v.Reason, v.Prog = d.strInto(v.Reason), d.prog()
+		v.SID, v.Seq, v.Epoch = d.u32(), d.u32(), d.u32()
+		v.Reason, v.Prog = d.strInto(v.Reason), d.rest(maxProgramSize)
 		return v, nil
 	}
 	return nil, fmt.Errorf("proto: unknown message type %d", t)

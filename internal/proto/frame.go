@@ -2,6 +2,7 @@ package proto
 
 import (
 	"encoding/binary"
+	"math"
 
 	"github.com/ccp-repro/ccp/internal/bufpool"
 )
@@ -27,13 +28,19 @@ func MarshalFrame(m Msg) (*bufpool.Buf, error) {
 }
 
 // FrameSID reads the flow a frame is for from its header alone, without
-// decoding it: every message a datapath sends the agent carries its SID
-// little-endian at bytes 1–4, after the type byte (a Snapshot, which has a
-// version byte there, is not one). ok is false when the frame is too short
-// to hold one; the body is not checked.
+// decoding or checking it: every message a datapath sends the agent carries
+// its SID as a uvarint right after the type byte (a Snapshot, which has a
+// version byte there, is not one). ok is false when the bytes there are not
+// a uvarint that fits 32 bits with room for the check behind it. A frame the
+// wire changed may be routed by a SID it never had; the decoder that
+// receives it refuses it by its check.
 func FrameSID(frame []byte) (sid uint32, ok bool) {
-	if len(frame) < 5 {
+	if len(frame) < 1+checkLen {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint32(frame[1:5]), true
+	v, n := binary.Uvarint(frame[1 : len(frame)-checkLen])
+	if n <= 0 || v > math.MaxUint32 {
+		return 0, false
+	}
+	return uint32(v), true
 }

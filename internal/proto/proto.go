@@ -6,12 +6,23 @@
 //	datapath → agent: Create, Measurement, Urgent, Close, InstallErr
 //	agent → datapath: Install, SetCwnd, SetRate
 //
-// Messages are encoded little-endian with uvarint lengths; each Marshal
-// produces exactly one self-contained message (the transport adds framing).
-// Decoding is defensive: lengths are bounded by both a fixed cap and the
-// remaining input, varints must be minimal (one canonical encoding per
-// message), and truncated or malformed input returns an error, never a
-// panic.
+// Each Marshal produces exactly one self-contained frame (the transport
+// adds its own length framing): a type byte, the message, and a CRC-32C
+// (Castagnoli) of those bytes, 4 bytes little-endian. In the message, the
+// SID, every sequence number and epoch and every other 32-bit integer
+// (Create.MSS and InitCwnd, SetCwnd.Bytes) is a minimal uvarint, a float64 is
+// its 8 IEEE 754 bytes little-endian, a string is a length byte and its
+// bytes, and the last variable-length field (Measurement.Fields,
+// Install.Prog, InstallErr.Prog, Snapshot.State) has no length: it runs to
+// the check. The SID comes right after the type byte (after a Snapshot's
+// version byte), where FrameSID reads it.
+//
+// Decoding is defensive. The check is verified before anything else, so a
+// frame the channel changed is refused whole, whatever its body would decode
+// to; every receiver refuses it with no code of its own. Beneath the check,
+// lengths are bounded by both a fixed cap and the remaining input, varints
+// must be minimal (one canonical encoding per message), and truncated or
+// malformed input returns an error, never a panic.
 //
 // Control messages (Install, SetCwnd, SetRate) and datapath events (Create,
 // Urgent) carry a per-flow sequence number so that an unreliable channel —
@@ -28,7 +39,9 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -256,98 +269,88 @@ const (
 	maxProgramSize = 1 << 16
 )
 
-// Marshal encodes m as one self-contained message.
+// Marshal encodes m as one self-contained frame.
 //
 //lint:testsupport the one-call encoder of the proto, runtime, harness, supervise, datapath and core tests and of the root and benchmark/ benchmarks
 func Marshal(m Msg) ([]byte, error) {
 	return AppendMarshal(nil, m)
 }
 
-// AppendMarshal encodes m, appending to dst.
+// castagnoli is the CRC-32C table every frame's check is computed with (the
+// standard library uses the CPU's CRC32 instruction for it where there is
+// one).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checkLen is the size of the check that ends every frame.
+const checkLen = 4
+
+// AppendMarshal encodes m as one frame, appending to dst: the message, then
+// the CRC-32C of the message's bytes.
 func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
-	b := append(dst, byte(m.Type()))
+	b, err := appendMsg(append(dst, byte(m.Type())), m)
+	if err != nil {
+		return nil, err
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(dst):], castagnoli)), nil
+}
+
+// appendMsg appends m's body, everything after its type byte but the check.
+func appendMsg(b []byte, m Msg) ([]byte, error) {
 	switch v := m.(type) {
 	case *Create:
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.MSS)
-		b = binary.LittleEndian.AppendUint32(b, v.InitCwnd)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
+		b = appendU32s(b, v.SID, v.MSS, v.InitCwnd, v.Seq)
 		return appendStr(b, v.SrcAddr, v.DstAddr, v.Alg)
 	case *Measurement:
 		if len(v.Fields) > maxFieldCount {
 			return nil, fmt.Errorf("proto: too many fields (%d)", len(v.Fields))
 		}
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = binary.AppendUvarint(b, uint64(v.Epoch))
-		b = binary.AppendUvarint(b, uint64(len(v.Fields)))
-		for _, f := range v.Fields {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-		}
+		return appendF64s(appendU32s(b, v.SID, v.Seq, v.Epoch), v.Fields...), nil
 	case *Urgent:
 		if v.Kind < UrgentDupAck || v.Kind > UrgentECN {
 			return nil, fmt.Errorf("proto: invalid urgent kind %d", v.Kind)
 		}
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = append(b, byte(v.Kind))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Value))
+		b = append(appendU32s(b, v.SID, v.Seq), byte(v.Kind))
+		return appendF64s(b, v.Value), nil
 	case *Close:
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
+		return appendU32s(b, v.SID), nil
 	case *Install:
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		return appendProg(b, v.Prog)
+		if err := checkProg(v.Prog); err != nil {
+			return nil, err
+		}
+		return append(appendU32s(b, v.SID, v.Seq), v.Prog...), nil
 	case *SetCwnd:
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = binary.LittleEndian.AppendUint32(b, v.Bytes)
+		return appendU32s(b, v.SID, v.Seq, v.Bytes), nil
 	case *SetRate:
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Bps))
+		return appendF64s(appendU32s(b, v.SID, v.Seq), v.Bps), nil
 	case *Snapshot:
 		if len(v.State) > maxSnapStateLen {
 			return nil, fmt.Errorf("proto: snapshot state too large (%d registers)", len(v.State))
 		}
+		if err := checkProg(v.Prog); err != nil {
+			return nil, err
+		}
 		b = append(b, SnapshotVersion)
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = append(b, v.flags())
-		b = binary.LittleEndian.AppendUint32(b, v.MSS)
-		b = binary.LittleEndian.AppendUint32(b, v.InitCwnd)
-		b = binary.LittleEndian.AppendUint32(b, v.CtrlSeq)
-		b = binary.LittleEndian.AppendUint32(b, v.CreateSeq)
-		b = binary.LittleEndian.AppendUint32(b, v.ReportSeq)
-		b = binary.LittleEndian.AppendUint32(b, v.UrgentSeq)
-		b = binary.AppendUvarint(b, uint64(v.Epoch))
+		b = append(appendU32s(b, v.SID), v.flags())
+		b = appendU32s(b, v.MSS, v.InitCwnd, v.CtrlSeq, v.CreateSeq, v.ReportSeq, v.UrgentSeq, v.Epoch)
 		var err error
 		if b, err = appendStr(b, v.SrcAddr, v.DstAddr, v.Alg); err != nil {
 			return nil, err
 		}
-		if b, err = appendProg(b, v.Prog); err != nil {
-			return nil, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.State)))
-		for _, f := range v.State {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-		}
+		b = append(binary.AppendUvarint(b, uint64(len(v.Prog))), v.Prog...)
+		return appendF64s(b, v.State...), nil
 	case *Heartbeat:
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.SentAt))
+		return appendF64s(appendU32s(b, v.SID, v.Seq), v.SentAt), nil
 	case *InstallErr:
-		b = binary.LittleEndian.AppendUint32(b, v.SID)
-		b = binary.LittleEndian.AppendUint32(b, v.Seq)
-		b = binary.AppendUvarint(b, uint64(v.Epoch))
-		var err error
-		if b, err = appendStr(b, v.Reason); err != nil {
+		if err := checkProg(v.Prog); err != nil {
 			return nil, err
 		}
-		return appendProg(b, v.Prog)
-	default:
-		return nil, fmt.Errorf("proto: cannot marshal %T", m)
+		b, err := appendStr(appendU32s(b, v.SID, v.Seq, v.Epoch), v.Reason)
+		if err != nil {
+			return nil, err
+		}
+		return append(b, v.Prog...), nil
 	}
-	return b, nil
+	return nil, fmt.Errorf("proto: cannot marshal %T", m)
 }
 
 // Unmarshal decodes one message into freshly allocated structs, with one
@@ -359,15 +362,21 @@ func Unmarshal(data []byte) (Msg, error) {
 	return dec.Unmarshal(data)
 }
 
+// decoder reads one message's body: a frame without its check.
 type decoder struct {
 	data []byte
 	pos  int
 	err  error
 }
 
+var (
+	errTruncated = errors.New("proto: truncated message")
+	errVarint    = errors.New("proto: bad varint")
+)
+
 func (d *decoder) fail() {
 	if d.err == nil {
-		d.err = fmt.Errorf("proto: truncated message")
+		d.err = errTruncated
 	}
 }
 
@@ -381,15 +390,22 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.pos+4 > len(d.data) {
-		d.fail()
+// uvarint decodes a uvarint of at most max. It rejects non-minimal encodings,
+// keeping the wire format canonical: one byte sequence per message.
+func (d *decoder) uvarint(max uint64) uint64 {
+	if d.err != nil {
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(d.data[d.pos:])
-	d.pos += 4
+	v, n := binary.Uvarint(d.data[d.pos:])
+	if n <= 0 || v > max || n != uvarintLen(v) {
+		d.err = errVarint
+		return 0
+	}
+	d.pos += n
 	return v
 }
+
+func (d *decoder) u32() uint32 { return uint32(d.uvarint(math.MaxUint32)) }
 
 func (d *decoder) f64() float64 {
 	if d.err != nil || d.pos+8 > len(d.data) {
@@ -401,42 +417,40 @@ func (d *decoder) f64() float64 {
 	return v
 }
 
-// f64s decodes a count of at most max values and the values, into dst's
-// storage when it has room (a Decoder's scratch).
-func (d *decoder) f64s(dst []float64, max uint64) []float64 {
-	n := d.length(max, 8)
+// rest returns the bytes left before the check, at most max of them, as a
+// view of the input: the last variable-length field of a message runs to its
+// check and has no length of its own.
+func (d *decoder) rest(max int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if len(d.data)-d.pos > max {
+		d.err = fmt.Errorf("proto: %d bytes where at most %d fit", len(d.data)-d.pos, max)
+		return nil
+	}
+	b := d.data[d.pos:]
+	d.pos = len(d.data)
+	return b
+}
+
+// f64sRest decodes the values that fill the rest of the message, at most max
+// of them, into dst's storage when it has room (a Decoder's scratch).
+func (d *decoder) f64sRest(dst []float64, max int) []float64 {
+	b := d.rest(max * 8)
 	dst = dst[:0]
-	if d.err == nil && n > 0 {
+	if len(b)%8 != 0 {
+		d.fail()
+		return dst
+	}
+	if n := len(b) / 8; n > 0 {
 		if cap(dst) < n {
 			dst = make([]float64, 0, n)
 		}
 		for i := 0; i < n; i++ {
-			dst = append(dst, d.f64())
+			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
 		}
 	}
 	return dst
-}
-
-// length decodes a uvarint element count. It rejects non-minimal varint
-// encodings (keeping the wire format canonical: one byte sequence per
-// message) and counts whose payload could not fit in the remaining input, so
-// a corrupt length can never drive an allocation larger than the message
-// itself. A report's epoch is read as a count of nothing (elemSize 0).
-func (d *decoder) length(max uint64, elemSize int) int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 || v > max || n != uvarintLen(v) {
-		d.err = fmt.Errorf("proto: bad length")
-		return 0
-	}
-	d.pos += n
-	if int(v)*elemSize > len(d.data)-d.pos {
-		d.fail()
-		return 0
-	}
-	return int(v)
 }
 
 // uvarintLen returns the number of bytes of the minimal uvarint encoding
@@ -450,12 +464,18 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// prog decodes a length-prefixed program as a view of the input: the single
-// copy, if the receiver needs one, is the receiver's to make (the datapath
-// parses an Install's at once). See Decoder for the rule.
+// prog decodes a length-prefixed program (a Snapshot's, the one program
+// that is not its message's last field) as a view of the input: the single
+// copy, if the receiver needs one, is the receiver's to make. A length whose
+// bytes the message does not hold is refused before anything is sliced. See
+// Decoder for the rule.
 func (d *decoder) prog() []byte {
-	n := d.length(maxProgramSize, 1)
+	n := int(d.uvarint(maxProgramSize))
 	if d.err != nil {
+		return nil
+	}
+	if n > len(d.data)-d.pos {
+		d.fail()
 		return nil
 	}
 	d.pos += n
@@ -492,10 +512,26 @@ func appendStr(b []byte, ss ...string) ([]byte, error) {
 	return b, nil
 }
 
-// appendProg appends a program behind its uvarint length.
-func appendProg(b, prog []byte) ([]byte, error) {
-	if len(prog) > maxProgramSize {
-		return nil, fmt.Errorf("proto: program too large (%d bytes)", len(prog))
+// appendU32s appends each of vs as a minimal uvarint.
+func appendU32s(b []byte, vs ...uint32) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, uint64(v))
 	}
-	return append(binary.AppendUvarint(b, uint64(len(prog))), prog...), nil
+	return b
+}
+
+// appendF64s appends each of fs as its IEEE 754 bits, little-endian.
+func appendF64s(b []byte, fs ...float64) []byte {
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+// checkProg bounds a program's size.
+func checkProg(prog []byte) error {
+	if len(prog) > maxProgramSize {
+		return fmt.Errorf("proto: program too large (%d bytes)", len(prog))
+	}
+	return nil
 }

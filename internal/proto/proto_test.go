@@ -3,6 +3,8 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
@@ -43,11 +45,23 @@ func sampleMsgs() []Msg {
 	}
 }
 
+// seal ends body with its check, as AppendMarshal ends every frame.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// reseal recomputes the check of a frame whose message bytes a test changed,
+// so that the change reaches the body decoder.
+func reseal(frame []byte) []byte {
+	return seal(frame[:len(frame)-checkLen])
+}
+
 // retiredFrames are frames of the three retired wire types as a peer that
-// still sent them encoded them: type 3, a vector report (SID, Seq, a row-width
-// byte, then a uvarint count of float64s), type 9, a report batch (a uvarint
-// count, then each message behind its uvarint length), and type 10, an
-// overload backoff (the SID, then a float64 report-interval factor).
+// still sent them encoded them, sealed with a valid check so that only their
+// type can refuse them: type 3, a vector report (SID, Seq, a row-width byte,
+// then a uvarint count of float64s), type 9, a report batch (a uvarint count,
+// then each message behind its uvarint length), and type 10, an overload
+// backoff (the SID, then a float64 report-interval factor).
 func retiredFrames() [][]byte {
 	vector := binary.LittleEndian.AppendUint32([]byte{3}, 3)
 	vector = binary.LittleEndian.AppendUint32(vector, 5)
@@ -70,7 +84,11 @@ func retiredFrames() [][]byte {
 		b := binary.LittleEndian.AppendUint32([]byte{10}, 10)
 		return binary.LittleEndian.AppendUint64(b, math.Float64bits(factor))
 	}
-	return [][]byte{vector, batch, {9, 0}, backoff(4), backoff(1)}
+	frames := [][]byte{vector, batch, {9, 0}, backoff(4), backoff(1), {3}, {9}, {10}}
+	for i, f := range frames {
+		frames[i] = seal(f)
+	}
+	return frames
 }
 
 // TestWireTypeNumbers pins each message type's byte on the wire, and that
@@ -98,19 +116,19 @@ func TestWireTypeNumbers(t *testing.T) {
 			t.Errorf("type byte %d decodes as %v (err %v), want %v", c.want, got, err, c.m.Type())
 		}
 	}
-	for _, frame := range append(retiredFrames(), []byte{3}, []byte{9}, []byte{10}) {
+	for _, frame := range retiredFrames() {
 		if _, err := Unmarshal(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Errorf("retired frame %x: err=%v, want an unknown message type", frame, err)
 		}
 	}
 }
 
-// TestSnapshotVersionAndFlags pins the snapshot's version byte at 3 and its
+// TestSnapshotVersionAndFlags pins the snapshot's version byte at 4 and its
 // one flag bit, Closed: a frame of another version, or one that sets any
 // other flag bit — version 1's retired "installed" bit among them — is
-// refused, not half-understood.
+// refused, not half-understood, though its check is valid.
 func TestSnapshotVersionAndFlags(t *testing.T) {
-	const versionAt, flagsAt = 1, 6 // after the type byte; after the version and the SID
+	const versionAt, flagsAt = 1, 3 // after the type byte; after the version and the one-byte SID
 	for _, m := range []*Snapshot{
 		{SID: 12, MSS: 1448, Alg: "cubic", Prog: []byte{0xCC, 2, 0, 1, 0x14, 0}},
 		{SID: 13, Closed: true},
@@ -119,20 +137,20 @@ func TestSnapshotVersionAndFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if data[versionAt] != 3 || data[flagsAt] != m.flags() {
+		if data[versionAt] != 4 || data[flagsAt] != m.flags() {
 			t.Fatalf("snapshot %d: version %d, flags %#x on the wire", m.SID, data[versionAt], data[flagsAt])
 		}
-		for _, v := range []byte{0, 1, 2, 4} {
+		for _, v := range []byte{0, 1, 2, 3, 5} {
 			bad := bytes.Clone(data)
 			bad[versionAt] = v
-			if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "snapshot version") {
+			if _, err := Unmarshal(reseal(bad)); err == nil || !strings.Contains(err.Error(), "snapshot version") {
 				t.Errorf("snapshot %d as version %d: err=%v, want a refusal", m.SID, v, err)
 			}
 		}
 		for bit := 1; bit < 8; bit++ {
 			bad := bytes.Clone(data)
 			bad[flagsAt] |= 1 << bit
-			if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "unknown snapshot flags") {
+			if _, err := Unmarshal(reseal(bad)); err == nil || !strings.Contains(err.Error(), "unknown snapshot flags") {
 				t.Errorf("snapshot %d with flag bit %d: err=%v, want a refusal", m.SID, bit, err)
 			}
 		}
@@ -200,7 +218,8 @@ func TestTypeAndSID(t *testing.T) {
 // TestVectorRows: a vector-mode report is a Measurement whose Fields are its
 // rows, row-major. Nothing on the wire says how wide a row is — the epoch
 // names the program whose field list does — so the frame is the header, the
-// epoch as a minimal uvarint, the value count and the values.
+// epoch as a minimal uvarint, the values, which run to the check, and the
+// check.
 func TestVectorRows(t *testing.T) {
 	for _, c := range []struct {
 		epoch uint32
@@ -211,7 +230,7 @@ func TestVectorRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 1 + 4 + 4 + c.width + 1 + 6*8; len(data) != want {
+		if want := 1 + 1 + 1 + c.width + 6*8 + checkLen; len(data) != want {
 			t.Fatalf("epoch %d: a two-by-three report is %d bytes, want %d", c.epoch, len(data), want)
 		}
 		got, err := Unmarshal(data)
@@ -233,9 +252,7 @@ func TestMarshalRejectsBadVectorShape(t *testing.T) {
 		t.Fatal("a report of more than maxFieldCount values marshalled")
 	}
 	frame := func(epoch ...byte) []byte {
-		b := binary.LittleEndian.AppendUint32([]byte{byte(TypeMeasurement)}, 3)
-		b = binary.LittleEndian.AppendUint32(b, 5)
-		return append(append(b, epoch...), 0) // no values
+		return seal(append([]byte{byte(TypeMeasurement), 3, 5}, epoch...)) // no values
 	}
 	if _, err := Unmarshal(frame(0x81, 0x01)); err != nil {
 		t.Fatalf("epoch 129: %v", err)
@@ -285,30 +302,40 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestUnmarshalRejectsMalformed(t *testing.T) {
-	// An Install claiming more program bytes than the message holds must be
-	// rejected before allocating, and a non-minimal varint length must not
-	// decode (the encoding is canonical).
-	hdr := []byte{byte(TypeInstall), 6, 0, 0, 0, 0, 0, 0, 0} // SID=6, Seq=0
-	overclaim := append(append([]byte{}, hdr...), 0xFF, 0xFF, 0x03)
-	if _, err := Unmarshal(overclaim); err == nil {
-		t.Fatal("length beyond input accepted")
+	// A snapshot program length beyond the message must be refused before
+	// anything is sliced, and a non-minimal varint must not decode (the
+	// encoding is canonical). Each frame carries a valid check, so only its
+	// body can refuse it.
+	snap := func(progLen ...byte) []byte {
+		b := []byte{byte(TypeSnapshot), SnapshotVersion, 6, 0} // SID 6, no flags
+		b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)            // seven uvarints, three strings
+		return seal(append(append(b, progLen...), 0xCC))
 	}
-	nonMinimal := append(append([]byte{}, hdr...), 0x81, 0x00, 0xCC) // len=1 in two bytes
-	if _, err := Unmarshal(nonMinimal); err == nil {
-		t.Fatal("non-minimal varint accepted")
+	for _, bad := range [][]byte{{0xFF, 0xFF, 0x03}, {0x02}, {0x81, 0x00}} {
+		if _, err := Unmarshal(snap(bad...)); err == nil {
+			t.Errorf("snapshot program length % x accepted", bad)
+		}
 	}
-	minimal := append(append([]byte{}, hdr...), 0x01, 0xCC)
-	if _, err := Unmarshal(minimal); err != nil {
+	if _, err := Unmarshal(snap(0x01)); err != nil {
 		t.Fatalf("minimal encoding rejected: %v", err)
+	}
+	for _, body := range [][]byte{
+		{byte(TypeClose), 0x86, 0x00},                           // SID 6 in two bytes
+		{byte(TypeSetCwnd), 6, 1, 0x80, 0x80, 0x80, 0x80, 0x10}, // 2^32 bytes
+		{byte(TypeMeasurement), 6, 1, 0, 1, 2, 3},               // values not a whole float64
+	} {
+		if _, err := Unmarshal(seal(body)); err == nil {
+			t.Errorf("% x decoded", body)
+		}
 	}
 	// An Urgent with an out-of-range kind is not a valid message.
 	badKind, err := Marshal(&Urgent{SID: 1, Kind: UrgentDupAck})
 	if err != nil {
 		t.Fatal(err)
 	}
-	badKind[9] = 200 // kind byte follows SID+Seq
-	if _, err := Unmarshal(badKind); err == nil {
-		t.Fatal("invalid urgent kind accepted")
+	badKind[3] = 200 // the kind byte follows the one-byte SID and Seq
+	if _, err := Unmarshal(reseal(badKind)); err == nil || !strings.Contains(err.Error(), "urgent kind") {
+		t.Fatalf("invalid urgent kind: err=%v", err)
 	}
 	if _, err := Marshal(&Urgent{SID: 1, Kind: UrgentKind(99)}); err == nil {
 		t.Fatal("invalid urgent kind marshalled")
@@ -464,8 +491,9 @@ func TestUnmarshalTrailing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(append(data, 0)); err == nil {
-		t.Fatal("trailing byte accepted")
+	body := append(bytes.Clone(data[:len(data)-checkLen]), 0)
+	if _, err := Unmarshal(seal(body)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing byte before a valid check: err=%v", err)
 	}
 }
 
@@ -477,13 +505,14 @@ func TestUnmarshalFuzzNoPanic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body := base[:len(base)-checkLen]
 		for k := 0; k < 1+rng.Intn(5); k++ {
-			base[rng.Intn(len(base))] = byte(rng.Intn(256))
+			body[rng.Intn(len(body))] = byte(rng.Intn(256))
 		}
 		if rng.Intn(3) == 0 {
-			base = base[:rng.Intn(len(base)+1)]
+			body = body[:rng.Intn(len(body)+1)]
 		}
-		_, _ = Unmarshal(base) // must not panic
+		_, _ = Unmarshal(seal(body)) // must not panic
 	}
 }
 
@@ -538,5 +567,84 @@ func TestStringNames(t *testing.T) {
 	}
 	if MsgType(99).String() == "" || UrgentKind(99).String() == "" {
 		t.Fatal("unknown values should still format")
+	}
+}
+
+// TestFrameEndsWithItsCheck pins the frame layout's last four bytes: the
+// CRC-32C (Castagnoli) of every byte before them, little-endian.
+func TestFrameEndsWithItsCheck(t *testing.T) {
+	for _, m := range sampleMsgs() {
+		data, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(data) - 4
+		if got, want := binary.LittleEndian.Uint32(data[n:]), crc32.Checksum(data[:n], crc32.MakeTable(crc32.Castagnoli)); got != want {
+			t.Errorf("%T frame % x ends %#08x, want the CRC-32C %#08x", m, data, got, want)
+		}
+	}
+}
+
+// TestEveryCorruptionIsRefused is the refusal table: for every sample
+// message, every single-bit flip of its frame, every truncation and every
+// one-byte extension is refused. Without the check, a flip in a float64, a
+// Seq or a program byte decodes to a different valid message, which the
+// receiver would act on. A flip in the SID byte also moves FrameSID, so the
+// frame is routed to another flow's shard, whose decoder refuses it the same
+// way.
+func TestEveryCorruptionIsRefused(t *testing.T) {
+	var dec Decoder
+	for _, m := range sampleMsgs() {
+		data, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refuse := func(what string, frame []byte) {
+			t.Helper()
+			if got, err := dec.Unmarshal(frame); err == nil {
+				t.Errorf("%T with %s decoded as %#v", m, what, got)
+			}
+		}
+		for i := range data {
+			for bit := 0; bit < 8; bit++ {
+				bad := bytes.Clone(data)
+				bad[i] ^= 1 << bit
+				refuse(fmt.Sprintf("bit %d of byte %d flipped", bit, i), bad)
+				// Bits 0-6 of a one-byte SID are its value (bit 7 would make
+				// it a longer uvarint, one the body decoder refuses).
+				if sid, ok := FrameSID(bad); i == 1 && bit < 7 && m.Type() != TypeSnapshot && (!ok || sid == m.FlowSID()) {
+					t.Errorf("%T with bit %d of its SID flipped routes to SID %d (ok %v), want another flow's", m, bit, sid, ok)
+				}
+			}
+		}
+		for n := range data {
+			refuse(fmt.Sprintf("%d of %d bytes", n, len(data)), data[:n])
+		}
+		for x := 0; x < 256; x++ {
+			refuse(fmt.Sprintf("byte %#02x appended", x), append(bytes.Clone(data), byte(x)))
+		}
+	}
+}
+
+// TestFrameSID: the route is the uvarint after the type byte; a frame that
+// cannot hold one and a check has none.
+func TestFrameSID(t *testing.T) {
+	for _, sid := range []uint32{0, 1, 127, 128, 70000, math.MaxUint32} {
+		data, err := Marshal(&Measurement{SID: sid, Seq: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := FrameSID(data); !ok || got != sid {
+			t.Errorf("SID %d routes as %d (ok %v)", sid, got, ok)
+		}
+	}
+	for _, frame := range [][]byte{
+		nil, {2}, {2, 1, 0, 0, 0}, // no room for a SID and a check
+		{2, 0x80, 0, 0, 0, 0},                         // a SID cut by the check
+		{2, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0}, // 2^32
+	} {
+		if sid, ok := FrameSID(frame); ok {
+			t.Errorf("FrameSID(% x) = %d, want none", frame, sid)
+		}
 	}
 }

@@ -13,8 +13,9 @@ import "time"
 // A decoder seeing any other version errors out rather than guessing — a
 // standby from a different build must not restore state it half-understands.
 // Version 2 retired version 1's "installed" flag: Prog is empty or a program;
-// version 3 added Epoch.
-const SnapshotVersion = 3
+// version 3 added Epoch; version 4 writes the SID and every sequence number
+// as a uvarint and lets State run to the frame's check.
+const SnapshotVersion = 4
 
 // snapFlagClosed is the one snapshot flag. A decode refuses any other bit,
 // which keeps the encoding canonical: one byte sequence per message.

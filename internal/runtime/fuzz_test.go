@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/core"
@@ -9,8 +11,10 @@ import (
 
 // FuzzShardFrames puts arbitrary bytes through the HandleFrame path of a
 // two-shard runtime, the path ServeSet takes for every frame it receives.
-// The input is a run of frames, each a length byte and that many bytes. The
-// rule each frame must keep:
+// The input is a mode byte, then a run of frames, each a length byte and that
+// many bytes. An odd mode byte seals every frame with a valid check, so that
+// the shards' body decoders see it; an even one leaves the check to chance.
+// The rule each frame must keep:
 //
 //   - one too short to route (proto.FrameSID) is counted in DecodeErrors by
 //     the dispatcher and not dispatched;
@@ -41,17 +45,24 @@ func FuzzShardFrames(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		seed = append(append(seed, byte(len(b))), b...)
-		f.Add(append([]byte{byte(len(b) - 1)}, b[:len(b)-1]...)) // truncated body
+		body := b[:len(b)-4]
+		seed = append(append(seed, byte(len(body))), body...)
+		f.Add(append([]byte{0, byte(len(b) - 1)}, b[:len(b)-1]...))          // truncated: fails its check
+		f.Add(append([]byte{1, byte(len(body) - 1)}, body[:len(body)-1]...)) // truncated body, sealed
 	}
-	f.Add(seed)
-	f.Add([]byte{2, 0xFF, 0xFF, 5, 0xFF, 1, 0, 0, 0})
+	f.Add(append([]byte{1}, seed...))
+	f.Add([]byte{1, 2, 0xFF, 0xFF, 5, 0xFF, 1, 0, 0, 0})
 
 	reg := core.NewRegistry()
 	reg.Register("plod", func() core.Alg { return ploddingAlg{} })
 	cfg := Config{Shards: 2, Agent: core.AgentConfig{Registry: reg, DefaultAlg: "plod"}}
 	reply := func([]byte) error { return nil }
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sealed := data[0]&1 == 1
+		data = data[1:]
 		rt, err := newRuntime(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -62,6 +73,9 @@ func FuzzShardFrames(f *testing.F) {
 			n := min(int(data[0]), len(data)-1)
 			frame := data[1 : 1+n]
 			data = data[1+n:]
+			if sealed {
+				frame = seal(frame)
+			}
 
 			before := rt.Stats()
 			rt.HandleFrame(frame, reply)
@@ -93,4 +107,11 @@ func FuzzShardFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// seal appends a valid check to a copy of body, as proto.AppendMarshal ends
+// every frame.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...),
+		crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 }

@@ -389,3 +389,75 @@ func TestStatsNeverWaits(t *testing.T) {
 		})
 	}
 }
+
+// TestCorruptedFramesReachNoAgent puts every single-bit flip, every
+// truncation and a one-byte extension of a report, an urgent, a heartbeat
+// and a close through a four-shard runtime's HandleFrame. Each frame fails
+// its check, so it counts in DecodeErrors (and in Dispatched when it still
+// routes) and no agent sees it: no report, urgent or heartbeat is heard, no
+// flow is closed and no decision is sent. A flip in the SID routes a frame to
+// another flow's shard, whose decoder refuses it the same way.
+func TestCorruptedFramesReachNoAgent(t *testing.T) {
+	rt, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var sent int
+	reply := func([]byte) error { sent++; return nil }
+	for sid := uint32(1); sid <= 4; sid++ {
+		rt.HandleMessage(&proto.Create{SID: sid, MSS: 1448, InitCwnd: 14480}, func(proto.Msg) error { return nil })
+	}
+	rt.Drain()
+	before := rt.Stats()
+
+	var frames [][]byte
+	misrouted := 0
+	for _, m := range []proto.Msg{
+		&proto.Measurement{SID: 1, Seq: 1, Fields: []float64{0.01, 1e6, 1e6, 1448, 0, 0, 0.01}},
+		&proto.Urgent{SID: 2, Seq: 1, Kind: proto.UrgentDupAck, Value: 1448},
+		&proto.Heartbeat{SID: 3, Seq: 1, SentAt: 1.5},
+		&proto.Close{SID: 4},
+	} {
+		good, err := proto.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range good {
+			for bit := 0; bit < 8; bit++ {
+				bad := bytes.Clone(good)
+				bad[i] ^= 1 << bit
+				if sid, ok := proto.FrameSID(bad); ok && sid%4 != m.FlowSID()%4 {
+					misrouted++
+				}
+				frames = append(frames, bad)
+			}
+		}
+		for n := range good {
+			frames = append(frames, good[:n])
+		}
+		frames = append(frames, append(bytes.Clone(good), 0))
+	}
+	routable := 0
+	for _, f := range frames {
+		if _, ok := proto.FrameSID(f); ok {
+			routable++
+		}
+		rt.HandleFrame(f, reply)
+	}
+	rt.Drain()
+	after := rt.Stats()
+
+	if misrouted == 0 {
+		t.Fatal("no flipped SID routed a frame to another shard")
+	}
+	if d := after.DecodeErrors - before.DecodeErrors; d != int64(len(frames)) {
+		t.Errorf("%d of %d corrupted frames counted in DecodeErrors", d, len(frames))
+	}
+	if d := after.Dispatched - before.Dispatched; d != int64(routable) {
+		t.Errorf("dispatched %d corrupted frames, want the %d that route", d, routable)
+	}
+	if a, b := after.Agent, before.Agent; a != b || sent != 0 || rt.FlowCount() != 4 {
+		t.Errorf("a corrupted frame reached an agent: stats %+v -> %+v, %d decisions sent, %d flows", b, a, sent, rt.FlowCount())
+	}
+}

@@ -1,6 +1,8 @@
 package supervise
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"github.com/ccp-repro/ccp/internal/algorithms"
@@ -11,17 +13,20 @@ import (
 
 // FuzzStandbyApply feeds arbitrary replication-stream frames to a Standby,
 // the input a warm standby takes from outside its process, and promotes it
-// into a fresh one-shard runtime. The input is a run of frames, each a
-// length byte and that many bytes. Nothing may panic; each frame that does
+// into a fresh one-shard runtime. The input is a mode byte, then a run of
+// frames, each a length byte and that many bytes; an odd mode byte seals
+// every frame with a valid check, so that the decoder's body checks see it. Nothing may panic; each frame that does
 // not decode, or is not a snapshot, is counted Unexpected exactly once; and
 // every flow the store holds is either restored or counted a RestoreError.
 func FuzzStandbyApply(f *testing.F) {
 	var seed []byte
 	primary := buildPrimary(f)
 	if _, err := Replicate(primary, true, func(b []byte) error {
-		seed = append(append(seed, byte(len(b))), b...)
-		f.Add(append([]byte{byte(len(b))}, b...))
-		f.Add(append([]byte{byte(len(b) - 1)}, b[:len(b)-1]...)) // truncated
+		body := b[:len(b)-4]
+		seed = append(append(seed, byte(len(body))), body...)
+		f.Add(append([]byte{1, byte(len(body))}, body...))
+		f.Add(append([]byte{0, byte(len(b) - 1)}, b[:len(b)-1]...))          // truncated: fails its check
+		f.Add(append([]byte{1, byte(len(body) - 1)}, body[:len(body)-1]...)) // truncated body, sealed
 		return nil
 	}); err != nil {
 		f.Fatal(err)
@@ -36,19 +41,28 @@ func FuzzStandbyApply(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		seed = append(append(seed, byte(len(b))), b...)
+		seed = append(append(seed, byte(len(b)-4)), b[:len(b)-4]...)
 	}
-	f.Add(seed)
-	f.Add([]byte{2, 0xFF, 0xFF, 0})
+	f.Add(append([]byte{1}, seed...))
+	f.Add([]byte{1, 2, 0xFF, 0xFF, 0})
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 
 	cfg := runtime.Config{Shards: 1, Agent: core.AgentConfig{Registry: algorithms.NewRegistry(), DefaultAlg: "cubic"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sealed := data[0]&1 == 1
+		data = data[1:]
 		sb := NewStandby()
 		wantUnexpected := 0
 		for len(data) > 0 {
 			n := min(int(data[0]), len(data)-1)
 			frame := data[1 : 1+n]
 			data = data[1+n:]
+			if sealed {
+				frame = binary.LittleEndian.AppendUint32(append([]byte(nil), frame...), crc32.Checksum(frame, castagnoli))
+			}
 			if m, err := proto.Unmarshal(frame); err != nil || m.Type() != proto.TypeSnapshot {
 				wantUnexpected++
 			}
