@@ -16,14 +16,12 @@ import (
 // and a change that is meant to move an experiment regenerates its row (the
 // failure message prints the new digest) and says why.
 //
-// Left out: fig5 and ablation-lowrtt (minutes), and the
-// slow-agent cells of ablation-ha and ablation-agentchaos that take 18–52 s
-// each (`slow`×{none, fallback} and `slow`×failsafe-off); those two
-// experiments are pinned by their remaining cells, rendered by the same
-// String(). Budget: 90 s in total. Measured on two cores: 23–32 s (fig3
-// 9–15 s, the ablation-agentchaos scenarios 7–8 s, ext-synthesis 4–5 s), and
-// 76 s inside a `make check` on a busy box. Skipped under -short; `make
-// test-golden` is its lane in `make check`.
+// Left out: fig5 and ablation-lowrtt (minutes). ablation-ha and
+// ablation-agentchaos are pinned whole, slow-agent cells included: each runs
+// in about 1–2 s. Budget: 90 s in total. Measured on two cores: 23–32 s
+// (fig3 9–15 s, ext-synthesis 4–5 s, ablation-ha about 2 s), and 76 s inside
+// a `make check` on a busy box. Skipped under -short; `make test-golden` is
+// its lane in `make check`.
 //
 // The digests were generated at commit 1ba1ba0, the parent of the PR that
 // put runtime.Runtime under the harness; ablation-fallback's at the PR that
@@ -55,28 +53,8 @@ var golden = []struct {
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
 	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "06f185c88c735f9a53525ddcf590b35a144eefb6fa78b91168e797ac06f016be"},
-	{"ablation-agentchaos-5of6", func() fmt.Stringer {
-		var res AblAgentChaosResult
-		for _, fault := range []string{"kill", "pause", "slow"} {
-			for _, fb := range []bool{true, false} {
-				if fault != "slow" || fb {
-					res.Scenarios = append(res.Scenarios, runAgentChaos(fault, fb))
-				}
-			}
-		}
-		return res
-	}, "f9be6f2c91c480749c35a0b7cf327ea95f95931a44ace4be982dd81cecf16652"},
-	{"ablation-ha-7of9", func() fmt.Stringer {
-		var res AblHAResult
-		for _, fault := range []string{"kill", "pause", "slow"} {
-			for _, mode := range []string{"none", "fallback", "warm"} {
-				if fault != "slow" || mode == "warm" {
-					res.Cells = append(res.Cells, runHACell(fault, mode))
-				}
-			}
-		}
-		return res
-	}, "c593a782f2f76f09394a04b0f1a752d716fd2de1f274e2b1d5254bd258a661cc"},
+	{"ablation-agentchaos", func() fmt.Stringer { return AblAgentChaos() }, "de3acd1258611d1310900c6b76878b67a4203cf807f530a0c18568419245f68f"},
+	{"ablation-ha", func() fmt.Stringer { return AblHA() }, "56c3cd77de7966b056f7315eded9f73550fd830127a9abc52046f8fbb8affa7d"},
 	{"ext-smooth", func() fmt.Stringer { return AblSmooth() }, "6829cb2ec95e6825ae32f651b69b0b1a694257045815b02890318039d049a4d6"},
 	{"ext-synthesis", func() fmt.Stringer { return AblSynthesis() }, "e0e036a9d73fd71578d6af7604d5b84ebc7d79f9c982754d84a43b8e28786f85"},
 	{"ext-group", func() fmt.Stringer { return AblGroup() }, "0b958bf5b47d746ef62fbbde26ef3a01954839f70a65325afbd678f88a7a5924"},
