@@ -50,9 +50,8 @@ type HACell struct {
 	FallbackOnB  int
 
 	// Supervisor/agent accounting (zero outside "warm" mode).
-	Failovers    int
-	Restores     int
-	ResyncAdopts int
+	Failovers int
+	Restores  int
 	// FailoverDelayMs is fault → promotion (supervisor detection time).
 	FailoverDelayMs float64
 	// FreshDecisionRTTs counts RTTs from promotion until flow A's datapath
@@ -180,7 +179,6 @@ func runHACell(fault, mode string) HACell {
 		FallbackOffA: stA.FallbackOff,
 		FallbackOnB:  stB.FallbackOn,
 		Restores:     int(net.Agent.Stats().Agent.Restores),
-		ResyncAdopts: int(net.Agent.Stats().Agent.ResyncAdopts),
 	}
 	if mode == "warm" {
 		cell.Failovers = net.Supervisor.Stats().Failovers
