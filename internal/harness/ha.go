@@ -51,8 +51,7 @@ func (n *Net) haPump() {
 // the agent (replaceAgent), and the supervisor's health state is reset so
 // the replacement is judged on its own echoes. Datapaths find the new agent
 // through their fallback resyncs; restored flows adopt those resyncs instead
-// of cold-rebuilding, and take the program a resync names when the primary
-// installed it after the snapshot.
+// of cold-rebuilding.
 func (n *Net) failover() {
 	n.replaceAgent(n.Standby)
 	n.Supervisor.Adopt()

@@ -53,13 +53,14 @@ func TestSlowAgentSingleFallbackCycle(t *testing.T) {
 	if st.ProbeExits != 1 {
 		t.Fatalf("probe exits = %d, want 1 (exit must come from the probe gate)", st.ProbeExits)
 	}
-	// What the slow agent costs the agent side, pinned so that a change to
-	// how a resync Create is taken shows here: each of the fallback's resyncs
-	// with a new Seq rebuilds the flow, and the rebuilt flow drops every
-	// report of the program its datapath still runs, resending its own for
-	// each (ROADMAP item 19).
-	if ag := net.Agent.Stats().Agent; ag.FlowsCreated != 89 || ag.UnknownEpochs != 314 {
-		t.Fatalf("agent flows made = %d, reports of unknown epochs = %d; want 89 and 314", ag.FlowsCreated, ag.UnknownEpochs)
+	// What the slow agent costs the agent side, bounded so that a change to
+	// how a resync Create is taken that makes it worse shows here: each of the
+	// fallback's resyncs with a new Seq rebuilds the flow, and the rebuilt flow
+	// drops every report of the program its datapath still runs, resending its
+	// own for each (ROADMAP item 19). The rule in force today makes 89 flows
+	// and drops 314 reports.
+	if ag := net.Agent.Stats().Agent; ag.FlowsCreated > 89 || ag.UnknownEpochs > 314 {
+		t.Fatalf("agent flows made = %d, reports of unknown epochs = %d; want at most 89 and 314", ag.FlowsCreated, ag.UnknownEpochs)
 	}
 }
 

@@ -19,11 +19,10 @@ import (
 //     Unmarshal call on the same Decoder. Callers that need a message longer
 //     keep a copy of the frame's bytes, or of the message by the codec round
 //     trip (Marshal, then Unmarshal).
-//   - Create.Prog, Install.Prog, InstallErr.Prog and Snapshot.Prog alias the
-//     input buffer (no copy on decode); they are additionally invalidated
-//     when it is released or reused. Receivers either consume a program
-//     during dispatch (the datapath parses an Install's at once) or copy it
-//     (the agent's flow keeps a Create's or an InstallErr's).
+//   - Install.Prog, InstallErr.Prog and Snapshot.Prog alias the input buffer
+//     (no copy on decode); they are additionally invalidated when it is
+//     released or reused. Receivers either consume a program during dispatch
+//     (the datapath parses an Install's at once) or copy it.
 //   - A Decoder is not safe for concurrent use. One Decoder per reading
 //     goroutine.
 //
@@ -86,11 +85,10 @@ func (dec *Decoder) decode(d *decoder) (Msg, error) {
 	switch t {
 	case TypeCreate:
 		v := scratch(&dec.create)
-		v.SID, v.MSS, v.InitCwnd, v.Seq, v.Epoch = d.u32(), d.u32(), d.u32(), d.u32(), d.u32()
+		v.SID, v.MSS, v.InitCwnd, v.Seq = d.u32(), d.u32(), d.u32(), d.u32()
 		v.SrcAddr = d.strInto(v.SrcAddr)
 		v.DstAddr = d.strInto(v.DstAddr)
 		v.Alg = d.strInto(v.Alg)
-		v.Prog = d.rest(maxProgramSize)
 		return v, nil
 	case TypeMeasurement:
 		v := scratch(&dec.meas)

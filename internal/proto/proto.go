@@ -12,7 +12,7 @@
 // SID, every sequence number and epoch and every other 32-bit integer
 // (Create.MSS and InitCwnd, SetCwnd.Bytes) is a minimal uvarint, a float64 is
 // its 8 IEEE 754 bytes little-endian, a string is a length byte and its
-// bytes, and the last variable-length field (Create.Prog, Measurement.Fields,
+// bytes, and the last variable-length field (Measurement.Fields,
 // Install.Prog, InstallErr.Prog, Snapshot.State) has no length: it runs to
 // the check. The SID comes right after the type byte (after a Snapshot's
 // version byte), where FrameSID reads it.
@@ -33,8 +33,8 @@
 // with SeqNewer.
 //
 // What the datapath sends names the program it concerns: a Measurement the
-// epoch of the program that folded it, an InstallErr and a resync Create the
-// epoch and the whole program in force.
+// epoch of the program that folded it, an InstallErr the epoch and the whole
+// program that stays in force.
 package proto
 
 import (
@@ -102,12 +102,11 @@ type Msg interface {
 	FlowSID() uint32
 }
 
-// Create announces a flow to the agent (triggering the algorithm's Init
-// handler). A datapath re-sends Create to resynchronize with an agent that
-// may have lost the flow, and the Create says what the flow runs: Seq is the
-// highest control sequence number the datapath has applied, so the agent
-// numbers above it, and Epoch and Prog name the program in force, whole, as
-// an InstallErr does. A fresh flow's Create carries zeros and no program.
+// Create announces a new flow to the agent (triggering the algorithm's
+// Init handler). A datapath re-sends Create to resynchronize after an agent
+// restart; Seq then carries the highest control sequence number the datapath
+// has applied, so the restarted agent resumes the flow's sequence space
+// instead of starting below it.
 type Create struct {
 	SID      uint32
 	MSS      uint32
@@ -115,13 +114,11 @@ type Create struct {
 	// Seq is the datapath's last applied control sequence number (0 for a
 	// brand-new flow). The agent's flow state continues numbering above it.
 	Seq     uint32
-	Epoch   uint32 // the epoch in force (0: the default program)
 	SrcAddr string
 	DstAddr string
 	// Alg optionally requests a specific registered algorithm; empty means
 	// the agent's default.
-	Alg  string
-	Prog []byte // the program in force, whole (empty: a fresh flow's)
+	Alg string
 }
 
 // Measurement is the one report, stamped with the epoch of the program whose
@@ -301,14 +298,8 @@ func AppendMarshal(dst []byte, m Msg) ([]byte, error) {
 func appendMsg(b []byte, m Msg) ([]byte, error) {
 	switch v := m.(type) {
 	case *Create:
-		if err := checkProg(v.Prog); err != nil {
-			return nil, err
-		}
-		b, err := appendStr(appendU32s(b, v.SID, v.MSS, v.InitCwnd, v.Seq, v.Epoch), v.SrcAddr, v.DstAddr, v.Alg)
-		if err != nil {
-			return nil, err
-		}
-		return append(b, v.Prog...), nil
+		b = appendU32s(b, v.SID, v.MSS, v.InitCwnd, v.Seq)
+		return appendStr(b, v.SrcAddr, v.DstAddr, v.Alg)
 	case *Measurement:
 		if len(v.Fields) > maxFieldCount {
 			return nil, fmt.Errorf("proto: too many fields (%d)", len(v.Fields))

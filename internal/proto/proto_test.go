@@ -18,9 +18,7 @@ func sampleMsgs() []Msg {
 	return []Msg{
 		&Create{SID: 7, MSS: 1460, InitCwnd: 14600, SrcAddr: "10.0.0.1:4242", DstAddr: "10.0.0.2:80", Alg: "cubic"},
 		&Create{SID: 0},
-		&Create{SID: 11, MSS: 1448, InitCwnd: 28960, Seq: 1042, Alg: "reno"}, // a resync at epoch 0
-		&Create{SID: 17, MSS: 1448, InitCwnd: 28960, Seq: 70040, Epoch: 70001, Alg: "cubic",
-			Prog: []byte{0xCC, 2, 0, 1, 0x14, 0}}, // a resync names the program in force
+		&Create{SID: 11, MSS: 1448, InitCwnd: 28960, Seq: 1042, Alg: "reno"}, // resync replay
 		&Measurement{SID: 1, Seq: 99, Fields: []float64{0.01, 2.5e6, 1.25e6, 14600, 0, 0.25, 0.012}},
 		&Measurement{SID: 2, Seq: 0, Fields: nil},
 		&Measurement{SID: 1, Seq: 100, Epoch: 12, Fields: []float64{14480, 0.01, 3.5}},  // a three-register fold's
@@ -186,9 +184,6 @@ func TestRoundTripAll(t *testing.T) {
 		if v, ok := got.(*InstallErr); ok && len(v.Prog) == 0 {
 			v.Prog = nil
 		}
-		if v, ok := got.(*Create); ok && len(v.Prog) == 0 {
-			v.Prog = nil
-		}
 		if v, ok := got.(*Snapshot); ok {
 			if len(v.Prog) == 0 {
 				v.Prog = nil
@@ -205,7 +200,7 @@ func TestRoundTripAll(t *testing.T) {
 
 func TestTypeAndSID(t *testing.T) {
 	wantTypes := []MsgType{
-		TypeCreate, TypeCreate, TypeCreate, TypeCreate, TypeMeasurement, TypeMeasurement,
+		TypeCreate, TypeCreate, TypeCreate, TypeMeasurement, TypeMeasurement,
 		TypeMeasurement, TypeMeasurement, TypeUrgent, TypeUrgent, TypeUrgent, TypeClose, TypeInstall,
 		TypeInstall, TypeSetCwnd, TypeSetRate, TypeSnapshot, TypeSnapshot,
 		TypeHeartbeat, TypeInstallErr, TypeInstallErr, TypeInstallErr,
@@ -245,25 +240,6 @@ func TestVectorRows(t *testing.T) {
 		if g := got.(*Measurement); g.Epoch != c.epoch || !reflect.DeepEqual(g.Fields, m.Fields) {
 			t.Fatalf("epoch %d: decoded %+v", c.epoch, g)
 		}
-	}
-}
-
-// TestCreateNamesItsProgram prices what a Create says about the program in
-// force: one byte, epoch 0, for a fresh flow, which runs no program yet, and
-// the epoch's uvarint and the program's bytes, whole, for a resync.
-func TestCreateNamesItsProgram(t *testing.T) {
-	fresh := &Create{SID: 7, MSS: 1448, InitCwnd: 14480, Alg: "cubic"}
-	data := mustMarshal(t, fresh)
-	// The type, SID, MSS (2), InitCwnd (2), Seq and Epoch, three string
-	// lengths, "cubic" and the check.
-	if want := 1 + 1 + 2 + 2 + 1 + 1 + 3 + 5 + checkLen; len(data) != want {
-		t.Fatalf("a fresh Create is %d bytes, want %d", len(data), want)
-	}
-	prog := []byte{0xCC, 2, 0, 1, 0x14, 0}
-	resync := *fresh
-	resync.Seq, resync.Epoch, resync.Prog = 70040, 70001, prog
-	if got, want := len(mustMarshal(t, &resync)), len(data)+2+2+len(prog); got != want {
-		t.Fatalf("a resync Create is %d bytes, want %d: three-byte Seq and Epoch, and the program", got, want)
 	}
 }
 
