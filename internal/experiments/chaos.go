@@ -40,7 +40,10 @@ type AblChaosResult struct {
 // with 2ms delay jitter, both directions, on the canonical evaluation link.
 // All randomness comes from the simulator seed, so the sweep is
 // deterministic end to end.
-func AblChaos() AblChaosResult {
+func AblChaos() AblChaosResult { return ablChaos(1) }
+
+// ablChaos runs the sweep with the simulator seeded by seed.
+func ablChaos(seed int64) AblChaosResult {
 	link := oneBDPLink(48e6, 10*time.Millisecond)
 	dur := 10 * time.Second
 
@@ -51,7 +54,7 @@ func AblChaos() AblChaosResult {
 		fault faults.Stats
 	}
 	runOne := func(plan faults.Plan) outcome {
-		net := harness.New(harness.Config{Seed: 1, Link: link, Faults: plan})
+		net := harness.New(harness.Config{Seed: seed, Link: link, Faults: plan})
 		f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{},
 			datapath.Config{Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}})
 		rtt := sampleRTT(net, f.Conn, 50*time.Millisecond, dur)

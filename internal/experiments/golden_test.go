@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +40,10 @@ import (
 // to end with a CRC-32C, which refuses a corrupted frame, and to carry its
 // SID and sequence numbers as uvarints, which changed its byte counts
 // (EXPERIMENTS.md has what moved each time, row by row).
+// ablation-chaos-seeds is ablation-chaos at seeds 1–10 with each rate's
+// median, so a change that moves one seed's table also shows how far the
+// sweep moved; it was pinned before the fault layer began to count a
+// corrupted message once per delivered copy.
 var golden = []struct {
 	id     string
 	run    func() fmt.Stringer
@@ -55,10 +61,43 @@ var golden = []struct {
 	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "06f185c88c735f9a53525ddcf590b35a144eefb6fa78b91168e797ac06f016be"},
 	{"ablation-agentchaos", func() fmt.Stringer { return AblAgentChaos() }, "de3acd1258611d1310900c6b76878b67a4203cf807f530a0c18568419245f68f"},
 	{"ablation-ha", func() fmt.Stringer { return AblHA() }, "56c3cd77de7966b056f7315eded9f73550fd830127a9abc52046f8fbb8affa7d"},
+	{"ablation-chaos-seeds", func() fmt.Stringer { return chaosSeeds() }, "b27df717bc7d4585db859406ef743a1b13daa66341414ad148dbb400166dd9e6"},
 	{"ext-smooth", func() fmt.Stringer { return AblSmooth() }, "6829cb2ec95e6825ae32f651b69b0b1a694257045815b02890318039d049a4d6"},
 	{"ext-synthesis", func() fmt.Stringer { return AblSynthesis() }, "e0e036a9d73fd71578d6af7604d5b84ebc7d79f9c982754d84a43b8e28786f85"},
 	{"ext-group", func() fmt.Stringer { return AblGroup() }, "0b958bf5b47d746ef62fbbde26ef3a01954839f70a65325afbd678f88a7a5924"},
 }
+
+// chaosSeeds renders ablation-chaos at seeds 1–10 and, per rate, the median
+// of the ten utilizations as the tables print them. One seed's table moves
+// with any change to the channel's timing; the medians say by how much the
+// sweep as a whole moved.
+func chaosSeeds() fmt.Stringer {
+	var b strings.Builder
+	var rates []float64
+	var utils [][]float64 // by rate, one per seed
+	for seed := int64(1); seed <= 10; seed++ {
+		res := ablChaos(seed)
+		fmt.Fprintf(&b, "seed %d\n%s\n", seed, res)
+		if seed == 1 {
+			for _, row := range res.Rows {
+				rates = append(rates, row.Rate)
+			}
+			utils = make([][]float64, len(res.Rows))
+		}
+		for i, row := range res.Rows {
+			utils[i] = append(utils[i], math.Round(row.Utilization*1000)/10)
+		}
+	}
+	b.WriteString("median utilization over seeds 1–10\n")
+	for i, rate := range rates {
+		fmt.Fprintf(&b, "  %-6.2f %6.2f%%\n", rate, median(utils[i]))
+	}
+	return stringOut(b.String())
+}
+
+type stringOut string
+
+func (s stringOut) String() string { return string(s) }
 
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
