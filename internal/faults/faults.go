@@ -17,6 +17,7 @@
 package faults
 
 import (
+	"bytes"
 	"math/rand"
 	"time"
 
@@ -99,13 +100,16 @@ func (p *Plan) dir(d Dir) *DirPlan {
 type DirStats struct {
 	// Delivered counts copies handed to the receiver (duplicates count
 	// twice; corrupted-but-delivered copies count too).
-	Delivered  int
-	Dropped    int
+	Delivered int
+	Dropped   int
+	// Corrupted counts delivered copies whose bytes the fault changed: a
+	// corrupted message that is also duplicated counts twice.
 	Corrupted  int
 	Duplicated int
 	Reordered  int
-	// DecodeKilled counts corrupted messages the receiver's decoder
-	// rejected (reported by the bridge through the tap's Killed).
+	// DecodeKilled counts corrupted copies the receiver's decoder rejected
+	// (reported by the bridge through the tap's Killed). Once every copy
+	// has landed it equals Corrupted.
 	DecodeKilled int
 }
 
@@ -187,9 +191,13 @@ func (inj *Injector) Apply(dir Dir, data []byte, deliver func([]byte)) {
 		st.Dropped++
 		return
 	}
+	corrupted := false
 	if inj.rng.Float64() < p.Corrupt {
-		data = corrupt(inj.rng, data)
-		st.Corrupted++
+		// A draw can leave the bytes as they were (a truncation that keeps
+		// them all, flips that cancel): that message crosses intact.
+		mutated := corrupt(inj.rng, data)
+		corrupted = !bytes.Equal(mutated, data)
+		data = mutated
 	}
 	copies := 1
 	if inj.rng.Float64() < p.Duplicate {
@@ -197,6 +205,9 @@ func (inj *Injector) Apply(dir Dir, data []byte, deliver func([]byte)) {
 		st.Duplicated++
 	}
 	for c := 0; c < copies; c++ {
+		if corrupted {
+			st.Corrupted++
+		}
 		var delay time.Duration
 		if p.Jitter > 0 {
 			delay += time.Duration(inj.rng.Int63n(int64(p.Jitter)))

@@ -100,8 +100,9 @@ func TestCorruptMutatesCopyNotInput(t *testing.T) {
 	if mutated == 0 {
 		t.Fatal("50 corruptions, zero mutations observed")
 	}
-	if st := inj.Stats().ToAgent; st.Corrupted != 50 {
-		t.Fatalf("stats=%+v", st)
+	// A draw that leaves the bytes as they were is no corruption.
+	if st := inj.Stats().ToAgent; st.Corrupted != mutated {
+		t.Fatalf("%d copies mutated, stats=%+v", mutated, st)
 	}
 }
 
@@ -363,5 +364,34 @@ func TestBridgeKilledFrameReachesNoAgentCounter(t *testing.T) {
 	}
 	if br.Stats().MarshalErrors != 0 {
 		t.Fatalf("bridge booked %d kills as codec errors", br.Stats().MarshalErrors)
+	}
+}
+
+// Corrupted counts copies: a message corrupted and then duplicated is two
+// corrupted copies on the wire, and the receiver's check refuses both. With
+// no delay in the plan every copy lands within the run, so in each
+// direction the copies corrupted are the copies killed.
+func TestEveryCorruptedCopyIsKilled(t *testing.T) {
+	sim := netsim.New(1)
+	br := bridge.New(sim, newRenoRuntime(t).HandleFrame, 50*time.Microsecond)
+	d := faults.DirPlan{Corrupt: 0.3, Duplicate: 0.3}
+	inj := newSimInjector(sim, faults.Plan{ToAgent: d, ToDatapath: d})
+	flow := startFlow(sim, br.Connect(datapath.Config{SID: 1, Alg: "reno"},
+		inj.Tap(faults.ToAgent), inj.Tap(faults.ToDatapath)))
+	sim.Schedule(time.Second, flow.Conn.Stop)
+	sim.Run(2 * time.Second)
+
+	st := inj.Stats()
+	for _, dir := range []faults.Dir{faults.ToAgent, faults.ToDatapath} {
+		s := st.ToAgent
+		if dir == faults.ToDatapath {
+			s = st.ToDatapath
+		}
+		if s.Corrupted == 0 || s.Duplicated == 0 {
+			t.Fatalf("%v: the plan neither corrupted nor duplicated: %+v", dir, s)
+		}
+		if s.DecodeKilled != s.Corrupted {
+			t.Errorf("%v: %d copies corrupted, %d killed: %+v", dir, s.Corrupted, s.DecodeKilled, s)
+		}
 	}
 }
