@@ -129,15 +129,15 @@ test-race-robust:
 		./cmd/ccp-agent/
 
 # High-availability lane: the supervise package (failure detector, warm
-# standby, wire replication), the harness failover path and probe-gated
-# fallback hysteresis, snapshot aggregation across the sharded runtime
+# standby, wire replication), the harness failover path and the staleness
+# watchdog's probe hysteresis (a slow agent costs one fallback cycle), snapshot aggregation across the sharded runtime
 # (including a restart raced against dispatchers blocked on full mailboxes,
 # and restore routing to the owning shard), the shipped binary's own failover (cmd/ccp-agent: run twice
 # in-process, primary and standby, over real sockets), and the ablation-ha
 # acceptance tests.
 test-ha:
 	$(GO) test -count=1 ./internal/supervise/
-	$(GO) test -count=1 -run 'TestSlowAgentSingleFallbackCycle|TestProbesOffNoProbeTraffic|TestWarmStandbyFailoverBeatsFallback|TestPumpPausesWithDeadAgent' \
+	$(GO) test -count=1 -run 'TestSlowAgentSingleFallbackCycle|TestWarmStandbyFailoverBeatsFallback|TestPumpPausesWithDeadAgent' \
 		./internal/harness/
 	$(GO) test -count=1 -run 'TestSnapshotIntoAggregatesShards|TestRaceShardRestartUnderBackpressure|TestRuntimeRestoreFlowRoutesToOwningShard' \
 		./internal/runtime/

@@ -346,11 +346,11 @@ func TestAgentSurvivesSIGKILLAcrossProcesses(t *testing.T) {
 	bottleneck := netsim.LinkConfig{RateBps: 48e6, Delay: 5 * time.Millisecond, QueueBytes: 60000}
 	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: bottleneck}, fwd, rev)
 	dp := datapath.New(datapath.Config{
-		SID:      1,
-		Alg:      "cubic",
-		Clock:    sim,
-		ToAgent:  link.ToAgent,
-		Liveness: datapath.LivenessConfig{StalenessBudget: 200 * time.Millisecond},
+		SID:             1,
+		Alg:             "cubic",
+		Clock:           sim,
+		ToAgent:         link.ToAgent,
+		StalenessBudget: 200 * time.Millisecond,
 	})
 	link.Attach(dp)
 	tcp.NewFlow(sim, 1, path, fwd, rev, dp, tcp.Options{}).Conn.Start()

@@ -51,12 +51,13 @@ type Config struct {
 	// Both the simulator bridge and SocketLink marshal synchronously, so they
 	// satisfy this for free.
 	ToAgent func(proto.Msg) error
-	// Liveness configures the fail-safe layer (see failsafe.go), the §5
+	// StalenessBudget turns on the fail-safe layer (see failsafe.go), the §5
 	// watchdog: in-datapath NewReno takes over when no control decision has
-	// been applied for Liveness.StalenessBudget, with per-kind staleness
-	// clocks, explicit agent-gone handling, conservative fallback entry, and
-	// smoothed re-handoff. Zero value disables it.
-	Liveness LivenessConfig
+	// been applied for the budget, or when the agent's heartbeat round trips
+	// grow slower than it, with per-kind staleness clocks, explicit
+	// agent-gone handling, conservative fallback entry, and smoothed
+	// re-handoff once the probes are healthy again. Zero disables it.
+	StalenessBudget time.Duration
 	// DefaultProgram runs before the agent installs anything. Nil means the
 	// §3 prototype behaviour: EWMA measurement reported once per RTT. It must
 	// be EWMA-mode (Init panics otherwise): its reports carry epoch 0, which
@@ -154,7 +155,7 @@ func New(cfg Config) *CCP {
 		ewmaSnd: stats.MakeEWMA(0.25),
 		ewmaRcv: stats.MakeEWMA(0.25),
 	}
-	if cfg.Liveness.on() {
+	if cfg.StalenessBudget > 0 {
 		d.fs = &failsafe{}
 	}
 	if cfg.SmoothCwnd {

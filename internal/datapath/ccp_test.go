@@ -21,6 +21,9 @@ type rig struct {
 	path    *netsim.Path
 	sent    []proto.Msg
 	ctrlSeq uint32 // the Seq next() stamped last
+	// echo, when set, answers each Heartbeat the flow sends a millisecond
+	// later, as a live agent's runtime does.
+	echo bool
 }
 
 // next numbers the rig's next control message, as an agent's flow does.
@@ -49,11 +52,27 @@ func newRig(t *testing.T, link netsim.LinkConfig, opts tcp.Options, cfg datapath
 		// ToAgent only borrows m (the runtime reuses its report scratch), so
 		// the capture log must deep-copy.
 		r.sent = append(r.sent, copyMsg(m))
+		if hb, ok := m.(*proto.Heartbeat); ok && r.echo {
+			echo := *hb
+			r.sim.Schedule(time.Millisecond, func() { r.dp.Deliver(&echo) })
+		}
 		return nil
 	}
 	r.dp = datapath.New(cfg)
 	r.flow = tcp.NewFlow(r.sim, 1, r.path, fwd, rev, r.dp, opts)
 	return r
+}
+
+// awaitExit runs the simulation until the flow leaves fallback, failing the
+// test if it has not within d.
+func (r *rig) awaitExit(t *testing.T, d time.Duration) {
+	t.Helper()
+	for deadline := r.sim.Now() + d; r.dp.FallbackActive(); {
+		if r.sim.Now() >= deadline {
+			t.Fatalf("still in fallback %v after the agent returned: %+v", d, r.dp.Stats())
+		}
+		r.sim.Run(r.sim.Now() + time.Millisecond)
+	}
 }
 
 func (r *rig) countMsgs(ty proto.MsgType) int {
@@ -411,15 +430,16 @@ func TestFallbackOnAgentSilence(t *testing.T) {
 	if r.flow.Receiver.Delivered() <= pre {
 		t.Fatal("no progress under fallback")
 	}
-	// Agent returns: fallback deactivates, through the handoff ramp. The
-	// decision is below the window NewReno grew, and a decrease is not ramped.
+	// Agent returns: its echoes bring the probe score, which the silence
+	// saturated, back inside the exit band, and fallback deactivates through
+	// the handoff ramp. The agent's decision is below the window NewReno
+	// grew, and a decrease is not ramped.
+	r.echo = true
+	r.awaitExit(t, time.Second)
+	if st := r.dp.Stats(); st.FallbackOff != 1 || st.HandoffRamps != 1 || st.ProbeExits != 1 {
+		t.Fatalf("stats=%+v, want one deactivation, by the probes, ramped", st)
+	}
 	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 20000})
-	if r.dp.FallbackActive() {
-		t.Fatal("fallback still active after agent message")
-	}
-	if st := r.dp.Stats(); st.FallbackOff != 1 || st.HandoffRamps != 1 {
-		t.Fatalf("stats=%+v, want one deactivation, ramped", st)
-	}
 	if got := r.flow.Conn.Cwnd(); got != 20000 {
 		t.Fatalf("cwnd=%d after the agent's decision, want 20000", got)
 	}
@@ -427,8 +447,9 @@ func TestFallbackOnAgentSilence(t *testing.T) {
 
 func TestNoFallbackWhenAgentAlive(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
+	r.echo = true
 	r.flow.Conn.Start()
-	// Simulate a live agent: poke every 200ms.
+	// Simulate a live agent: echo every probe, and poke every 200ms.
 	var poke func()
 	poke = func() {
 		r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 20000})
@@ -631,7 +652,9 @@ func TestWatchdogResyncsWhileFallbackActive(t *testing.T) {
 func TestFallbackRecoveryReinstallsProgram(t *testing.T) {
 	// Crash recovery end state: after the agent returns and re-installs, the
 	// CCP program is in force and the window is the agent's decision — no
-	// native-fallback state bleeds into the CCP window.
+	// native-fallback state bleeds into the CCP window. The Install lands
+	// while the probe score is still unhealthy: the flow keeps the fallback
+	// until the echoes bring it back, and then resumes the program.
 	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	r.flow.Conn.Start()
 	r.sim.Run(3 * time.Second) // fallback engages; NewReno grows the window
@@ -643,16 +666,19 @@ func TestFallbackRecoveryReinstallsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.echo = true
 	r.dp.Deliver(&proto.Install{SID: 1, Seq: 1, Prog: data})
-	if r.dp.FallbackActive() {
-		t.Fatal("fallback still active after re-install")
+	if !r.dp.FallbackActive() {
+		t.Fatal("re-install exited fallback before the probes were healthy")
 	}
+	r.awaitExit(t, time.Second)
 	if st := r.dp.Stats(); st.FallbackOff != 1 || st.HandoffRamps != 1 || st.InstallsRecvd != 1 {
 		t.Fatalf("stats=%+v", st)
 	}
-	// The re-installed program runs immediately and overwrites whatever
-	// window the native fallback had grown to (from half the window at entry
-	// to well past 30000 in 2.5s; the exit ramp smooths increases only).
+	// The re-installed program runs from the top on exit and overwrites
+	// whatever window the native fallback had grown to (from half the window
+	// at entry to well past 30000 in 3s; the exit ramp smooths increases
+	// only).
 	if got := r.flow.Conn.Cwnd(); got != 30000 {
 		t.Fatalf("cwnd=%d after re-install, want the program's 30000", got)
 	}

@@ -78,7 +78,8 @@ func NumberedStats() (s Stats, counters int) {
 // Staleness reports the virtual time since the last applied control message
 // of each kind (Install, SetCwnd, SetRate), and since any of them. A kind
 // never received reads as the time since Init. The clocks are the fail-safe
-// layer's: a flow without Config.Liveness keeps none and reads as zero.
+// layer's: a flow without Config.StalenessBudget keeps none and reads as
+// zero.
 type Staleness struct {
 	Install time.Duration
 	Cwnd    time.Duration
@@ -92,7 +93,7 @@ func (d *CCP) HasHost() bool { return d.host != nil }
 
 // Staleness returns the flow's current control-staleness clocks.
 func (d *CCP) Staleness() Staleness {
-	if !d.cfg.Liveness.on() {
+	if d.cfg.StalenessBudget == 0 {
 		return Staleness{}
 	}
 	fs, now := d.fs, d.cfg.Clock.Now()

@@ -11,11 +11,16 @@ import (
 // dies": liveness tracking over the agent's control decisions, entry into the
 // in-datapath fallback when the control plane goes stale or the link reports
 // the agent gone, and the seamless re-handoff back to CCP control when the
-// agent recovers. There is one way in and one way out. The layer:
+// agent recovers. There is one timer, the staleness watchdog, and one way
+// out. The layer:
 //
 //   - keeps per-kind staleness clocks (virtual time of the last *applied*
 //     Install / SetCwnd / SetRate), so tests and operators can see which
 //     half of the control loop died;
+//   - probes the agent on every watchdog tick with a heartbeat its runtime
+//     echoes, and scores the round trips: a uniformly slow agent keeps its
+//     decisions fresh by sequence while each is stale by the clock, and only
+//     the probe sees it;
 //   - accepts an explicit agent-gone signal from the transport (a broken
 //     SocketLink), entering fallback immediately instead of waiting out the
 //     staleness budget;
@@ -24,19 +29,19 @@ import (
 //     multiplicative decrease, and any stale pacing-rate cap is cleared so
 //     the window-based fallback is not throttled by a dead agent's last
 //     rate decision;
-//   - exits via a handoff ramp: the first post-recovery window increase is
-//     smoothed over roughly one RTT (the §3 smooth-transition machinery)
-//     even when SmoothCwnd is off, so authority returns to the agent
-//     without a cwnd discontinuity.
+//   - exits only once the probe score is healthy again, via a handoff ramp:
+//     the first post-recovery window increase is smoothed over roughly one
+//     RTT (the §3 smooth-transition machinery) even when SmoothCwnd is off,
+//     so authority returns to the agent without a cwnd discontinuity.
 //
-// Everything is driven by the configured cc.Clock; with LivenessConfig
+// Everything is driven by the configured cc.Clock; with StalenessBudget
 // zero the layer is inert and a silent agent leaves the flow on its last
 // decision.
 
 // failsafe is the fail-safe state of one flow: everything the staleness
-// watchdog, the probe loop and the fallback keep. A flow has one from New
-// when Config.Liveness is set, and otherwise from the first Resync from the
-// transport; until then CCP.fs is nil and the flow cannot be in fallback.
+// watchdog and the fallback keep. A flow has one from New when
+// Config.StalenessBudget is set, and otherwise from the first Resync from
+// the transport; until then CCP.fs is nil and the flow cannot be in fallback.
 type failsafe struct {
 	// fallback is the in-datapath controller, made at the first fallback
 	// entry (engageFallback) and reused by later ones.
@@ -56,9 +61,8 @@ type failsafe struct {
 	// Heartbeat probing: score is the agent's health by its echoes, with a
 	// limit of twice the budget (probeLimit). scratchHB is the probe handed to
 	// ToAgent, valid for that call (Config.ToAgent).
-	probeTimer cc.Timer
-	score      proto.ProbeScore
-	scratchHB  proto.Heartbeat
+	score     proto.ProbeScore
+	scratchHB proto.Heartbeat
 
 	n failsafeCounts
 }
@@ -84,35 +88,13 @@ func (d *CCP) failsafe() *failsafe {
 	return d.fs
 }
 
-// LivenessConfig configures the fail-safe layer for one flow. The zero
-// value disables it: the flow then has no watchdog and no fallback.
-type LivenessConfig struct {
-	// StalenessBudget is how long the flow may run without a fresh applied
-	// control decision (Install, SetCwnd, SetRate) before the datapath
-	// assumes the agent is sick and enters fallback. 0 disables the
-	// liveness layer entirely.
-	StalenessBudget time.Duration
-	// ProbeInterval enables heartbeat probing: every interval the datapath
-	// sends a proto.Heartbeat that a healthy agent echoes, and the measured
-	// request→response latency feeds an EWMA health score with enter/exit
-	// hysteresis. This closes the staleness budget's blind spot — a
-	// *uniformly slow* agent is a pipeline, so its decisions arrive at the
-	// normal cadence (staleness never trips) while every decision is based
-	// on stale state; only a round-trip probe sees the true lag. 0 disables
-	// probing, leaving the budget-only behaviour bit-identical.
-	ProbeInterval time.Duration
-}
-
-func (lc LivenessConfig) on() bool { return lc.StalenessBudget > 0 }
-
-func (lc LivenessConfig) probesOn() bool { return lc.on() && lc.ProbeInterval > 0 }
-
 // The layer's fixed parameters.
 const (
-	// livenessChecksPerBudget is how many times per StalenessBudget staleness
-	// is evaluated (never more often than livenessMinCheck): entry comes at
-	// most a quarter of a budget late, and a flow in fallback re-announces
-	// itself to a restarted agent at the same cadence.
+	// livenessChecksPerBudget is how many times per StalenessBudget the
+	// watchdog ticks (never more often than livenessMinCheck): each tick
+	// sends a probe and evaluates entry, so entry comes at most a quarter of
+	// a budget late, and a flow in fallback re-announces itself to a
+	// restarted agent at the same cadence.
 	livenessChecksPerBudget = 4
 	livenessMinCheck        = time.Millisecond
 	// handoffRtts is the length of the exit ramp in round trips. One is the
@@ -129,12 +111,12 @@ const (
 )
 
 // AgentGone tells the datapath the transport has lost (gone=true) or
-// re-established (gone=false) the agent connection. With the liveness layer
+// re-established (gone=false) the agent connection. With the fail-safe layer
 // disabled this is a no-op. A gone signal enters fallback immediately; a
-// back signal alone does not exit fallback — only a fresh applied decision
-// proves the control loop is closed again.
+// back signal alone does not exit fallback — a healthy probe score with a
+// fresh applied decision or echo proves the control loop is closed again.
 func (d *CCP) AgentGone(gone bool) {
-	if !d.cfg.Liveness.on() || gone == d.fs.agentGone {
+	if d.cfg.StalenessBudget == 0 || gone == d.fs.agentGone {
 		return
 	}
 	d.fs.agentGone = gone
@@ -169,84 +151,42 @@ func (d *CCP) touchCtrl(t proto.MsgType) {
 func (d *CCP) touchAgent() {
 	fs := d.fs
 	fs.lastAgentMsg = d.cfg.Clock.Now()
-	if d.fallbackActive && !fs.agentGone && d.exitGateOK() {
+	if d.fallbackActive && !fs.agentGone && d.probeHealthy() {
 		// Resume the installed program from the top, with a handoff ramp.
 		// While the transport still reports the agent gone, a straggling
-		// queued decision does not exit fallback; with probing enabled,
-		// neither does a decision arriving while the probe score is still
-		// unhealthy (hysteresis).
+		// queued decision does not exit fallback; nor does one arriving while
+		// the probe score is still unhealthy (hysteresis), so a slow agent's
+		// late-but-sequenced decisions cannot flap the flow out of fallback.
 		d.exitFallback()
 	}
 }
 
-// armFailsafe starts the staleness watchdog and, when configured, the
-// heartbeat probe loop from Init; silence is measured from now.
+// armFailsafe starts the staleness watchdog from Init; silence is measured
+// from now.
 func (d *CCP) armFailsafe() {
-	if !d.cfg.Liveness.on() {
+	if d.cfg.StalenessBudget == 0 {
 		return
 	}
 	fs, now := d.fs, d.cfg.Clock.Now()
 	fs.lastAgentMsg, fs.lastInstallAt, fs.lastCwndAt, fs.lastRateAt = now, now, now, now
 	d.scheduleLiveness()
-	if d.cfg.Liveness.probesOn() {
-		d.scheduleProbe()
-	}
 }
 
-// stopFailsafe cancels the layer's timers when the flow closes.
+// stopFailsafe cancels the watchdog when the flow closes.
 func (d *CCP) stopFailsafe() {
 	if fs := d.fs; fs != nil {
 		stopTimer(&fs.liveTimer)
-		stopTimer(&fs.probeTimer)
 	}
-}
-
-// scheduleProbe runs the heartbeat loop: each tick sends a fresh probe (the
-// score folds in the age of the oldest still-unanswered one, so a dead or
-// paused agent drives it up even though no echoes arrive) and applies the
-// hysteresis entry edge. Probes keep flowing while in fallback — a healthy
-// echo stream is the exit signal (see handleHeartbeat; after a heal, the
-// datapath's periodic Resyncs are dup-dropped by an agent that never lost the
-// flow, so no fresh decision may ever arrive to exit on).
-func (d *CCP) scheduleProbe() {
-	fs := d.fs
-	fs.probeTimer = d.cfg.Clock.AfterFunc(d.cfg.Liveness.ProbeInterval, func() {
-		now := d.cfg.Clock.Now()
-		seq, _ := fs.score.Probe(now, d.probeLimit())
-		fs.n.ProbesSent++
-		fs.scratchHB = proto.Heartbeat{SID: d.cfg.SID, Seq: seq, SentAt: now.Seconds()}
-		d.send(&fs.scratchHB)
-		// Entry edge for the blind-spot case: control decisions still arrive
-		// at the normal cadence (lastAgentMsg stays fresh) but every round
-		// trip is slower than the budget — the flow is effectively
-		// uncontrolled and belongs in fallback.
-		if lat, ok := fs.score.Score(); !d.fallbackActive && !fs.agentGone && ok &&
-			lat > d.cfg.Liveness.StalenessBudget.Seconds() {
-			d.enterFallback(true)
-		}
-		d.scheduleProbe()
-	})
 }
 
 // probeLimit clamps the score's samples at twice the budget, so a long
 // outage saturates the score instead of poisoning the post-heal decay.
-func (d *CCP) probeLimit() float64 { return 2 * d.cfg.Liveness.StalenessBudget.Seconds() }
+func (d *CCP) probeLimit() float64 { return 2 * d.cfg.StalenessBudget.Seconds() }
 
 // probeHealthy reports whether the EWMA latency is inside the exit band.
 func (d *CCP) probeHealthy() bool {
 	lat, ok := d.fs.score.Score()
-	return ok && lat < exitLatencyFraction*d.cfg.Liveness.StalenessBudget.Seconds()
-}
-
-// exitGateOK is the hysteresis exit gate consulted by touchAgent: with
-// probing off every applied fresh decision exits fallback (the PR 6 rule);
-// with probing on the probe score must also be healthy, so a slow agent's
-// late-but-sequenced decisions cannot flap the flow out of fallback.
-func (d *CCP) exitGateOK() bool {
-	if !d.cfg.Liveness.probesOn() {
-		return true
-	}
-	return d.probeHealthy()
+	return ok && lat < exitLatencyFraction*d.cfg.StalenessBudget.Seconds()
 }
 
 // handleHeartbeat processes an echoed probe: measure the round trip, clear
@@ -254,7 +194,7 @@ func (d *CCP) exitGateOK() bool {
 // recovered. Echoes are advisory — they never reset the control staleness
 // clocks.
 func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
-	if !d.cfg.Liveness.probesOn() {
+	if d.cfg.StalenessBudget == 0 {
 		d.n.UnexpectedMsgs++
 		return
 	}
@@ -270,14 +210,30 @@ func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 	}
 }
 
-// scheduleLiveness runs the staleness watchdog: the one timer-driven way
-// into fallback.
+// scheduleLiveness runs the staleness watchdog, the layer's one timer and
+// the one timer-driven way into fallback. Each tick sends a fresh probe (the
+// score folds in the age of the oldest still-unanswered one, so a dead or
+// paused agent drives it up even though no echoes arrive), then enters
+// fallback if the agent is gone, no decision has been applied for the
+// budget, or the probe score is slower than the budget. That last is the
+// blind-spot case: decisions still arrive at the normal cadence, but every
+// round trip is slower than the budget, so the flow is effectively
+// uncontrolled. Probes keep flowing while in fallback — a healthy echo
+// stream is the exit signal (see handleHeartbeat; after a heal, the
+// datapath's periodic Resyncs are dup-dropped by an agent that never lost
+// the flow, so no fresh decision may ever arrive to exit on).
 func (d *CCP) scheduleLiveness() {
-	fs := d.fs
-	every := max(d.cfg.Liveness.StalenessBudget/livenessChecksPerBudget, livenessMinCheck)
+	fs, budget := d.fs, d.cfg.StalenessBudget
+	every := max(budget/livenessChecksPerBudget, livenessMinCheck)
 	fs.liveTimer = d.cfg.Clock.AfterFunc(every, func() {
 		now := d.cfg.Clock.Now()
-		if !d.fallbackActive && (fs.agentGone || now-fs.lastAgentMsg > d.cfg.Liveness.StalenessBudget) {
+		seq, _ := fs.score.Probe(now, d.probeLimit())
+		fs.n.ProbesSent++
+		fs.scratchHB = proto.Heartbeat{SID: d.cfg.SID, Seq: seq, SentAt: now.Seconds()}
+		d.send(&fs.scratchHB)
+		lat, scored := fs.score.Score()
+		if !d.fallbackActive && (fs.agentGone || now-fs.lastAgentMsg > budget ||
+			scored && lat > budget.Seconds()) {
 			d.enterFallback(!fs.agentGone)
 		}
 		if d.fallbackActive {

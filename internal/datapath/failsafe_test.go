@@ -10,7 +10,7 @@ import (
 )
 
 func livenessCfg(budget time.Duration) datapath.Config {
-	return datapath.Config{Liveness: datapath.LivenessConfig{StalenessBudget: budget}}
+	return datapath.Config{StalenessBudget: budget}
 }
 
 func TestLivenessEntersFallbackOnStaleControl(t *testing.T) {
@@ -75,19 +75,19 @@ func TestLivenessExitRampsWindow(t *testing.T) {
 	if !r.dp.FallbackActive() {
 		t.Fatal("fallback not active")
 	}
-	small := r.flow.Conn.Cwnd()
-	// Agent returns with a much larger window: the handoff must ramp, not
-	// step — immediately after delivery the window is above where it was
-	// but still short of the target.
-	target := small * 8
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 100, Bytes: uint32(target)})
-	if r.dp.FallbackActive() {
-		t.Fatal("fresh decision did not exit fallback")
-	}
+	// Agent returns: once its echoes bring the probe score back, the flow
+	// leaves fallback.
+	r.echo = true
+	r.awaitExit(t, time.Second)
 	st := r.dp.Stats()
 	if st.FallbackOff != 1 || st.HandoffRamps != 1 {
 		t.Fatalf("stats=%+v, want one ramped exit", st)
 	}
+	// Its first decision is a much larger window: the handoff must ramp, not
+	// step — immediately after delivery the window is above where it was
+	// but still short of the target.
+	target := r.flow.Conn.Cwnd() * 8
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 100, Bytes: uint32(target)})
 	if got := r.flow.Conn.Cwnd(); got >= target {
 		t.Fatalf("cwnd=%d jumped straight to target %d (no ramp)", got, target)
 	}
@@ -95,6 +95,60 @@ func TestLivenessExitRampsWindow(t *testing.T) {
 	r.sim.Run(r.sim.Now() + 100*time.Millisecond)
 	if got := r.flow.Conn.Cwnd(); got != target {
 		t.Fatalf("cwnd=%d never reached target %d", got, target)
+	}
+}
+
+// A uniformly slow agent, with only the staleness budget set: it answers
+// every report with a decision and every probe with its echo, each 1.4 s
+// late. Its decisions stop for one slow round trip, so the budget hands the
+// flow to the fallback; then the backlog's decisions arrive at the report
+// cadence, each fresh by sequence and stale by the clock. The probes on the
+// watchdog's tick keep the flow in fallback until the agent heals, and it
+// leaves once, on healthy echoes.
+func TestSlowAgentKeepsFallbackUntilHealed(t *testing.T) {
+	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
+	lag, seen := time.Millisecond, 0
+	var serve func()
+	serve = func() {
+		for ; seen < len(r.sent); seen++ {
+			switch m := r.sent[seen].(type) {
+			case *proto.Measurement:
+				set := &proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 30000}
+				r.sim.Schedule(lag, func() { r.dp.Deliver(set) })
+			case *proto.Heartbeat:
+				echo := *m
+				r.sim.Schedule(lag, func() { r.dp.Deliver(&echo) })
+			}
+		}
+		r.sim.Schedule(time.Millisecond, serve)
+	}
+	r.sim.Schedule(0, serve)
+	r.flow.Conn.Start()
+
+	r.sim.Run(time.Second)
+	if r.dp.FallbackActive() {
+		t.Fatal("fallback with a healthy agent")
+	}
+	lag = 1400 * time.Millisecond
+	r.sim.Run(2 * time.Second)
+	if !r.dp.FallbackActive() {
+		t.Fatalf("a slow agent's silence did not enter fallback: %+v", r.dp.Stats())
+	}
+	entered := r.dp.Stats()
+	r.sim.Run(5 * time.Second)
+	st := r.dp.Stats()
+	if st.SetCwndRecvd <= entered.SetCwndRecvd {
+		t.Fatalf("no late decision arrived in fallback: %+v", st)
+	}
+	if !r.dp.FallbackActive() || st.FallbackOn != 1 || st.FallbackOff != 0 {
+		t.Fatalf("a slow agent's late decisions took the flow out of fallback: %+v", st)
+	}
+
+	lag = time.Millisecond
+	r.sim.Run(7 * time.Second)
+	st = r.dp.Stats()
+	if r.dp.FallbackActive() || st.FallbackOn != 1 || st.FallbackOff != 1 || st.ProbeExits != 1 {
+		t.Fatalf("want one exit, by the probes, after the heal: %+v", st)
 	}
 }
 
@@ -110,8 +164,14 @@ func TestAgentGoneEntersImmediately(t *testing.T) {
 	if st.AgentGoneSignals != 1 || st.LivenessStale != 0 {
 		t.Fatalf("stats=%+v, want gone-triggered entry", st)
 	}
-	// While the transport still says gone, a straggling queued decision must
-	// not exit fallback.
+	// While the transport still says gone, neither a healthy echo (one
+	// arrives at the first tick, 2.5 s in) nor a straggling queued decision
+	// may exit fallback.
+	r.echo = true
+	r.sim.Run(3 * time.Second)
+	if st := r.dp.Stats(); !r.dp.FallbackActive() || st.ProbeEchoes == 0 {
+		t.Fatalf("fallback %v with the agent still gone: %+v", r.dp.FallbackActive(), st)
+	}
 	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 5, Bytes: 90000})
 	if !r.dp.FallbackActive() {
 		t.Fatal("straggler decision exited fallback while agent still gone")

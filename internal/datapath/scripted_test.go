@@ -96,17 +96,25 @@ type episode struct {
 // runEpisode drives a flow with a 200 ms staleness budget (the budget of
 // TestLivenessEntersFallbackOnStaleControl) through Init, a whole Install,
 // ACKs and a report, the agent's last decision, silence until the watchdog
-// hands the flow to the fallback, ACKs under the fallback, a fresh decision
-// and its handoff ramp, and Close. run steps clock to an absolute time.
+// hands the flow to the fallback, ACKs under the fallback, the agent's
+// return (its probes' echoes exit the fallback), a fresh decision and its
+// handoff ramp, and Close. While alive the agent echoes each probe a
+// millisecond later. run steps clock to an absolute time.
 func runEpisode(t *testing.T, h cc.Host, clock cc.Clock, run func(time.Duration)) episode {
 	t.Helper()
 	var ep episode
-	dp := datapath.New(datapath.Config{
-		SID:      1,
-		Clock:    clock,
-		Liveness: datapath.LivenessConfig{StalenessBudget: 200 * time.Millisecond},
+	var dp *datapath.CCP
+	alive := true
+	dp = datapath.New(datapath.Config{
+		SID:             1,
+		Clock:           clock,
+		StalenessBudget: 200 * time.Millisecond,
 		ToAgent: func(m proto.Msg) error {
 			ep.sent = append(ep.sent, m.Type())
+			if hb, ok := m.(*proto.Heartbeat); ok && alive {
+				echo := *hb
+				clock.AfterFunc(time.Millisecond, func() { dp.Deliver(&echo) })
+			}
 			return nil
 		},
 	})
@@ -140,6 +148,7 @@ func runEpisode(t *testing.T, h cc.Host, clock cc.Clock, run func(time.Duration)
 
 	// Silent for 200 ms: the watchdog, ticking every 50 ms, enters the
 	// fallback at the first tick past the budget.
+	alive = false
 	run(300 * time.Millisecond)
 	if dp.FallbackActive() {
 		t.Fatal("fallback entered within the staleness budget")
@@ -154,12 +163,20 @@ func runEpisode(t *testing.T, h cc.Host, clock cc.Clock, run func(time.Duration)
 	}
 	acks(40) // the fallback's congestion avoidance: one MSS per window acked
 
-	dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 3, Bytes: 100000})
-	if dp.FallbackActive() {
-		t.Fatal("fresh decision did not exit fallback")
+	// The agent returns: the echoes of the next two ticks' probes bring the
+	// score, raised by the silence, back inside the exit band.
+	alive = true
+	run(450 * time.Millisecond)
+	if !dp.FallbackActive() {
+		t.Fatal("fallback exited before the probes were healthy")
 	}
+	run(451 * time.Millisecond)
+	if dp.FallbackActive() {
+		t.Fatal("healthy echoes did not exit fallback")
+	}
+	dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 3, Bytes: 100000})
 	step()
-	for at := 375 * time.Millisecond; at <= 500*time.Millisecond; at += 25 * time.Millisecond {
+	for at := 475 * time.Millisecond; at <= 600*time.Millisecond; at += 25 * time.Millisecond {
 		run(at) // the handoff ramp, a quarter of the window gap per step
 		step()
 	}
@@ -175,8 +192,9 @@ func runEpisode(t *testing.T, h cc.Host, clock cc.Clock, run func(time.Duration)
 	}
 	step()
 	st := dp.Stats()
-	if st.FallbackOn != 1 || st.FallbackOff != 1 || st.LivenessStale != 1 || st.HandoffRamps != 1 {
-		t.Fatalf("stats=%+v, want one stale entry, one exit, one ramp", st)
+	if st.FallbackOn != 1 || st.FallbackOff != 1 || st.LivenessStale != 1 || st.HandoffRamps != 1 ||
+		st.ProbeExits != 1 {
+		t.Fatalf("stats=%+v, want one stale entry, one exit by the probes, one ramp", st)
 	}
 	return ep
 }
@@ -248,10 +266,10 @@ func TestNoHostBeforeInit(t *testing.T) {
 	clock := &stepClock{}
 	sent := 0
 	dp := datapath.New(datapath.Config{
-		SID:      1,
-		Clock:    clock,
-		Liveness: datapath.LivenessConfig{StalenessBudget: 200 * time.Millisecond},
-		ToAgent:  func(proto.Msg) error { sent++; return nil },
+		SID:             1,
+		Clock:           clock,
+		StalenessBudget: 200 * time.Millisecond,
+		ToAgent:         func(proto.Msg) error { sent++; return nil },
 	})
 	if dp.HasHost() {
 		t.Fatal("a flow has a host before Init")

@@ -62,7 +62,7 @@ type Stats struct {
 	LivenessStale    int
 	AgentGoneSignals int
 	HandoffRamps     int
-	// Heartbeat probing (LivenessConfig.ProbeInterval): probes sent, echoes
+	// Heartbeat probing, one probe per watchdog tick: probes sent, echoes
 	// received, and fallback exits granted by a recovered probe score.
 	ProbesSent  int
 	ProbeEchoes int

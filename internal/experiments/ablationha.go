@@ -17,15 +17,16 @@ import (
 //   - "none":     no liveness layer at all — an agent failure strands flows
 //     (established flows coast on a frozen window, newborn flows pin at
 //     InitCwnd).
-//   - "fallback": the PR 6 fail-safe — per-flow staleness clocks hand
-//     control to an in-datapath fallback, replaying a multiplicative
-//     decrease on entry; the flow survives but pays the MD cut and runs on
-//     generic AIMD until the agent heals.
-//   - "warm":     this PR's HA layer — a warm standby fed by snapshot
-//     deltas plus a heartbeat supervisor. Failure is resolved by promoting
-//     the standby before the datapath's staleness budget ever trips: no
-//     fallback entry, no MD replay, fresh algorithm decisions within a few
-//     RTTs of promotion.
+//   - "fallback": the §5 fail-safe — per-flow staleness clocks and
+//     heartbeat probes hand control to an in-datapath fallback, replaying a
+//     multiplicative decrease on entry; the flow survives but pays the MD
+//     cut and runs on generic AIMD until the agent's probes are healthy
+//     again.
+//   - "warm":     the HA layer over the same fail-safe — a warm standby fed
+//     by snapshot deltas plus a heartbeat supervisor. Failure is resolved
+//     by promoting the standby before the datapath's staleness budget ever
+//     trips: no fallback entry, no MD replay, fresh algorithm decisions
+//     within a few RTTs of promotion.
 type HACell struct {
 	Fault string // "kill", "pause", or "slow"
 	Mode  string // "none", "fallback", or "warm"
@@ -83,22 +84,14 @@ func AblHA() AblHAResult {
 	return res
 }
 
+// haDatapathCfg is the flows' datapath configuration: no fail-safe in "none"
+// mode, and otherwise a 500 ms staleness budget, the same in "fallback" and
+// under the HA layer of "warm", where it is the safety net.
 func haDatapathCfg(mode string) datapath.Config {
-	switch mode {
-	case "fallback":
-		// PR 6 configuration: staleness clocks only.
-		return datapath.Config{Liveness: datapath.LivenessConfig{
-			StalenessBudget: 500 * time.Millisecond,
-		}}
-	case "warm":
-		// Same staleness budget as the fallback arm (it is the safety net
-		// under the HA layer), plus heartbeat probes for hysteresis.
-		return datapath.Config{Liveness: datapath.LivenessConfig{
-			StalenessBudget: 500 * time.Millisecond,
-			ProbeInterval:   5 * time.Millisecond,
-		}}
+	if mode == "none" {
+		return datapath.Config{}
 	}
-	return datapath.Config{}
+	return datapath.Config{StalenessBudget: 500 * time.Millisecond}
 }
 
 func runHACell(fault, mode string) HACell {

@@ -96,7 +96,7 @@ func runAgentChaos(fault string, fallback bool) AgentChaosScenario {
 	net := harness.New(harness.Config{Seed: 1, Link: link})
 	var dpCfg datapath.Config
 	if fallback {
-		dpCfg.Liveness = datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}
+		dpCfg.StalenessBudget = 500 * time.Millisecond
 	}
 
 	a := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, dpCfg)

@@ -56,7 +56,7 @@ func ablChaos(seed int64) AblChaosResult {
 	runOne := func(plan faults.Plan) outcome {
 		net := harness.New(harness.Config{Seed: seed, Link: link, Faults: plan})
 		f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{},
-			datapath.Config{Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond}})
+			datapath.Config{StalenessBudget: 500 * time.Millisecond})
 		rtt := sampleRTT(net, f.Conn, 50*time.Millisecond, dur)
 		f.Conn.Start()
 		net.Run(dur)

@@ -39,9 +39,12 @@ import (
 // ablation-chaos's and ablation-foldvec's moved when every frame began
 // to end with a CRC-32C, which refuses a corrupted frame, and to carry its
 // SID and sequence numbers as uvarints, which changed its byte counts
-// (EXPERIMENTS.md has what moved each time, row by row); and
-// ablation-chaos's when the fault layer began to count a corrupted message
-// once per delivered copy whose bytes changed.
+// (EXPERIMENTS.md has what moved each time, row by row); ablation-chaos's
+// when the fault layer began to count a corrupted message once per delivered
+// copy whose bytes changed; and ablation-fallback's, ablation-chaos's,
+// ablation-agentchaos's and ablation-ha's when the staleness watchdog began
+// to probe the agent on every tick, so that leaving fallback always needs a
+// healthy probe score.
 // ablation-chaos-seeds is ablation-chaos at seeds 1–10 with each rate's
 // median, so a change that moves one seed's table also shows how far the
 // sweep moved.
@@ -57,12 +60,12 @@ var golden = []struct {
 	{"fig4", func() fmt.Stringer { return Fig4(Fig4Config{RateBps: 96e6}) }, "69761eddf48e34fe44e3088f3b03aa72d4ce06da48a0f0498c7301a6f6b5f946"},
 	{"ablation-batching", func() fmt.Stringer { return AblBatching() }, "4a603912e95aa50dc1271832008eab2315355414aa86ead8cd3cf8d0dc0f31c3"},
 	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "dfcc843549442c53be342ba8c52c4240c7a8e7b39b9546e2a88bbe4c9b61b3a2"},
-	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "f7bd5651297e112e4906d489336476d56428874bfd7160068665d0dbb11da976"},
+	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "4d81e19dccf09e1e106c75e6f00a48adc7b8ed8df4e4a606eecfaa5440df0003"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "34d3d254bf3e4f8450a87aadcb6afac5c068d2d3f5e1d9fa27e7f98efca80d58"},
-	{"ablation-agentchaos", func() fmt.Stringer { return AblAgentChaos() }, "de3acd1258611d1310900c6b76878b67a4203cf807f530a0c18568419245f68f"},
-	{"ablation-ha", func() fmt.Stringer { return AblHA() }, "56c3cd77de7966b056f7315eded9f73550fd830127a9abc52046f8fbb8affa7d"},
-	{"ablation-chaos-seeds", func() fmt.Stringer { return chaosSeeds() }, "f13af711817bdf99a1abbf6403a0dba0976c8bf89172a6bc856ca094c53fe429"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "83f87c68e6118d1ce159fb08e9f2c98376348aa325970dae3abb128b35eed6a9"},
+	{"ablation-agentchaos", func() fmt.Stringer { return AblAgentChaos() }, "6806e22cebbf765d4c39169f95cd0ecfecf3cead48485f44a2d89a9dda5613c0"},
+	{"ablation-ha", func() fmt.Stringer { return AblHA() }, "f9e9d599c0b5c5219d6ee76a56fbf04cdfed1a0691373d28fa3d0db1a391d832"},
+	{"ablation-chaos-seeds", func() fmt.Stringer { return chaosSeeds() }, "7dd927ab1791bd28ff3cdf6721235c9e99e6f87066d718976918ac3db8fd8036"},
 	{"ext-smooth", func() fmt.Stringer { return AblSmooth() }, "6829cb2ec95e6825ae32f651b69b0b1a694257045815b02890318039d049a4d6"},
 	{"ext-synthesis", func() fmt.Stringer { return AblSynthesis() }, "e0e036a9d73fd71578d6af7604d5b84ebc7d79f9c982754d84a43b8e28786f85"},
 	{"ext-group", func() fmt.Stringer { return AblGroup() }, "0b958bf5b47d746ef62fbbde26ef3a01954839f70a65325afbd678f88a7a5924"},

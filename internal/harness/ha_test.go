@@ -15,20 +15,17 @@ func haLink() netsim.LinkConfig {
 	return netsim.LinkConfig{RateBps: 48e6, Delay: 5 * time.Millisecond, QueueBytes: 60000}
 }
 
-// Regression for the PR 6 blind spot: a uniformly *slow* agent keeps its
+// The staleness clock's blind spot: a uniformly *slow* agent keeps its
 // decision cadence, so the per-kind staleness clocks never trip once late
-// decisions start flowing — yet every decision it makes is stale. With
-// heartbeat probing on, the datapath must converge to exactly one fallback
-// entry (no flapping while slow decisions dribble in) and exactly one exit,
-// driven by the probe latency EWMA clearing its hysteresis gate after the
-// agent heals.
+// decisions start flowing — yet every decision it makes is stale. With the
+// staleness budget alone set, the watchdog's tick probes the agent (every
+// 200ms/4), and the datapath must converge to exactly one fallback entry (no
+// flapping while slow decisions dribble in) and exactly one exit, driven by
+// the probe latency EWMA clearing its hysteresis gate after the agent heals.
 func TestSlowAgentSingleFallbackCycle(t *testing.T) {
 	net := harness.New(harness.Config{Link: haLink()})
 	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
-		Liveness: datapath.LivenessConfig{
-			StalenessBudget: 200 * time.Millisecond,
-			ProbeInterval:   50 * time.Millisecond,
-		},
+		StalenessBudget: 200 * time.Millisecond,
 	})
 	f.Conn.Start()
 	// Warm up healthy, then slow every agent delivery by 10x the staleness
@@ -64,24 +61,6 @@ func TestSlowAgentSingleFallbackCycle(t *testing.T) {
 	}
 }
 
-// Without probes (ProbeInterval zero) the probe machinery must stay
-// completely cold — the PR 6 behaviour, bit for bit.
-func TestProbesOffNoProbeTraffic(t *testing.T) {
-	net := harness.New(harness.Config{Link: haLink()})
-	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
-		Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond},
-	})
-	f.Conn.Start()
-	net.Run(3 * time.Second)
-	st := f.DP.Stats()
-	if st.ProbesSent != 0 || st.ProbeEchoes != 0 || st.ProbeExits != 0 {
-		t.Fatalf("probe machinery ran with ProbeInterval=0: %+v", st)
-	}
-	if got := net.Agent.Stats().Agent.Heartbeats; got != 0 {
-		t.Fatalf("agent saw %d heartbeats with probing off", got)
-	}
-}
-
 // The headline HA property: with a warm standby and a fast supervisor, an
 // agent kill is resolved by promotion before the datapath's staleness
 // budget ever trips — flows never enter fallback, never replay the
@@ -97,10 +76,7 @@ func TestWarmStandbyFailoverBeatsFallback(t *testing.T) {
 		},
 	})
 	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
-		Liveness: datapath.LivenessConfig{
-			StalenessBudget: 500 * time.Millisecond,
-			ProbeInterval:   5 * time.Millisecond,
-		},
+		StalenessBudget: 500 * time.Millisecond,
 	})
 	f.Conn.Start()
 	original := net.Agent

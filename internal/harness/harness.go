@@ -162,7 +162,7 @@ func (n *Net) AddCCPFlow(id netsim.FlowID, alg string, opts tcp.Options) *CCPFlo
 }
 
 // AddCCPFlowCfg is AddCCPFlow with extra datapath configuration
-// (Liveness, DefaultProgram, SmoothCwnd).
+// (StalenessBudget, DefaultProgram, SmoothCwnd).
 func (n *Net) AddCCPFlowCfg(id netsim.FlowID, alg string, opts tcp.Options, dpCfg datapath.Config) *CCPFlow {
 	n.nextSID++
 	dpCfg.SID = n.nextSID

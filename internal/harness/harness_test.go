@@ -40,7 +40,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestPlainDeploymentHasBothFaultLayers(t *testing.T) {
 	net := harness.New(harness.Config{Link: link()})
 	f := net.AddCCPFlowCfg(1, "cubic", tcp.Options{}, datapath.Config{
-		Liveness: datapath.LivenessConfig{StalenessBudget: 500 * time.Millisecond},
+		StalenessBudget: 500 * time.Millisecond,
 	})
 	f.Conn.Start()
 	net.Run(2 * time.Second)

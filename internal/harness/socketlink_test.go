@@ -156,11 +156,11 @@ func TestSocketLinkSurvivesAgentRestart(t *testing.T) {
 	path := netsim.NewPath(sim, netsim.PathConfig{Bottleneck: lnk}, fwd, rev)
 
 	dp := datapath.New(datapath.Config{
-		SID:      1,
-		Alg:      "cubic",
-		Clock:    sim,
-		ToAgent:  link.ToAgent,
-		Liveness: datapath.LivenessConfig{StalenessBudget: 200 * time.Millisecond},
+		SID:             1,
+		Alg:             "cubic",
+		Clock:           sim,
+		ToAgent:         link.ToAgent,
+		StalenessBudget: 200 * time.Millisecond,
 	})
 	link.Attach(dp)
 	flow := tcp.NewFlow(sim, 1, path, fwd, rev, dp, tcp.Options{})
