@@ -21,9 +21,9 @@ type rig struct {
 	path    *netsim.Path
 	sent    []proto.Msg
 	ctrlSeq uint32 // the Seq next() stamped last
-	// echo, when set, answers each Heartbeat the flow sends a millisecond
-	// later, as a live agent's runtime does.
-	echo bool
+	// agent, when set, is the scripted agent: it is handed the copy of each
+	// message the flow sends.
+	agent func(proto.Msg)
 }
 
 // next numbers the rig's next control message, as an agent's flow does.
@@ -52,15 +52,22 @@ func newRig(t *testing.T, link netsim.LinkConfig, opts tcp.Options, cfg datapath
 		// ToAgent only borrows m (the runtime reuses its report scratch), so
 		// the capture log must deep-copy.
 		r.sent = append(r.sent, copyMsg(m))
-		if hb, ok := m.(*proto.Heartbeat); ok && r.echo {
-			echo := *hb
-			r.sim.Schedule(time.Millisecond, func() { r.dp.Deliver(&echo) })
+		if r.agent != nil {
+			r.agent(r.sent[len(r.sent)-1])
 		}
 		return nil
 	}
 	r.dp = datapath.New(cfg)
 	r.flow = tcp.NewFlow(r.sim, 1, r.path, fwd, rev, r.dp, opts)
 	return r
+}
+
+// echoProbes is a scripted agent that does nothing but what a live agent's
+// runtime does with a probe: it echoes each Heartbeat a millisecond later.
+func (r *rig) echoProbes(m proto.Msg) {
+	if hb, ok := m.(*proto.Heartbeat); ok {
+		r.sim.Schedule(time.Millisecond, func() { r.dp.Deliver(hb) })
+	}
 }
 
 // awaitExit runs the simulation until the flow leaves fallback, failing the
@@ -434,7 +441,7 @@ func TestFallbackOnAgentSilence(t *testing.T) {
 	// saturated, back inside the exit band, and fallback deactivates through
 	// the handoff ramp. The agent's decision is below the window NewReno
 	// grew, and a decrease is not ramped.
-	r.echo = true
+	r.agent = r.echoProbes
 	r.awaitExit(t, time.Second)
 	if st := r.dp.Stats(); st.FallbackOff != 1 || st.HandoffRamps != 1 || st.ProbeExits != 1 {
 		t.Fatalf("stats=%+v, want one deactivation, by the probes, ramped", st)
@@ -447,7 +454,7 @@ func TestFallbackOnAgentSilence(t *testing.T) {
 
 func TestNoFallbackWhenAgentAlive(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
-	r.echo = true
+	r.agent = r.echoProbes
 	r.flow.Conn.Start()
 	// Simulate a live agent: echo every probe, and poke every 200ms.
 	var poke func()
@@ -666,7 +673,7 @@ func TestFallbackRecoveryReinstallsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.echo = true
+	r.agent = r.echoProbes
 	r.dp.Deliver(&proto.Install{SID: 1, Seq: 1, Prog: data})
 	if !r.dp.FallbackActive() {
 		t.Fatal("re-install exited fallback before the probes were healthy")

@@ -77,7 +77,7 @@ func TestLivenessExitRampsWindow(t *testing.T) {
 	}
 	// Agent returns: once its echoes bring the probe score back, the flow
 	// leaves fallback.
-	r.echo = true
+	r.agent = r.echoProbes
 	r.awaitExit(t, time.Second)
 	st := r.dp.Stats()
 	if st.FallbackOff != 1 || st.HandoffRamps != 1 {
@@ -107,22 +107,16 @@ func TestLivenessExitRampsWindow(t *testing.T) {
 // leaves once, on healthy echoes.
 func TestSlowAgentKeepsFallbackUntilHealed(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
-	lag, seen := time.Millisecond, 0
-	var serve func()
-	serve = func() {
-		for ; seen < len(r.sent); seen++ {
-			switch m := r.sent[seen].(type) {
-			case *proto.Measurement:
-				set := &proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 30000}
-				r.sim.Schedule(lag, func() { r.dp.Deliver(set) })
-			case *proto.Heartbeat:
-				echo := *m
-				r.sim.Schedule(lag, func() { r.dp.Deliver(&echo) })
-			}
+	lag := time.Millisecond
+	r.agent = func(m proto.Msg) {
+		switch m := m.(type) {
+		case *proto.Measurement:
+			set := &proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 30000}
+			r.sim.Schedule(lag, func() { r.dp.Deliver(set) })
+		case *proto.Heartbeat:
+			r.sim.Schedule(lag, func() { r.dp.Deliver(m) })
 		}
-		r.sim.Schedule(time.Millisecond, serve)
 	}
-	r.sim.Schedule(0, serve)
 	r.flow.Conn.Start()
 
 	r.sim.Run(time.Second)
@@ -167,7 +161,7 @@ func TestAgentGoneEntersImmediately(t *testing.T) {
 	// While the transport still says gone, neither a healthy echo (one
 	// arrives at the first tick, 2.5 s in) nor a straggling queued decision
 	// may exit fallback.
-	r.echo = true
+	r.agent = r.echoProbes
 	r.sim.Run(3 * time.Second)
 	if st := r.dp.Stats(); !r.dp.FallbackActive() || st.ProbeEchoes == 0 {
 		t.Fatalf("fallback %v with the agent still gone: %+v", r.dp.FallbackActive(), st)

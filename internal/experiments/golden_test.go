@@ -96,12 +96,8 @@ func chaosSeeds() fmt.Stringer {
 	for i, rate := range rates {
 		fmt.Fprintf(&b, "  %-6.2f %6.2f%%\n", rate, median(utils[i]))
 	}
-	return stringOut(b.String())
+	return &b
 }
-
-type stringOut string
-
-func (s stringOut) String() string { return string(s) }
 
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
