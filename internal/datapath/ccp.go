@@ -52,11 +52,11 @@ type Config struct {
 	// satisfy this for free.
 	ToAgent func(proto.Msg) error
 	// StalenessBudget turns on the fail-safe layer (see failsafe.go), the §5
-	// watchdog: in-datapath NewReno takes over when no control decision has
-	// been applied for the budget, or when the agent's heartbeat round trips
-	// grow slower than it, with per-kind staleness clocks, explicit
-	// agent-gone handling, conservative fallback entry, and smoothed
-	// re-handoff once the probes are healthy again. Zero disables it.
+	// watchdog: in-datapath NewReno takes over when no fresh control
+	// decision has arrived for the budget, or when the agent's heartbeat
+	// round trips grow slower than it, with per-kind staleness clocks,
+	// explicit agent-gone handling, conservative fallback entry, and smoothed
+	// re-handoff once the probes are healthy again. Zero or less disables it.
 	StalenessBudget time.Duration
 	// DefaultProgram runs before the agent installs anything. Nil means the
 	// §3 prototype behaviour: EWMA measurement reported once per RTT. It must
@@ -155,7 +155,7 @@ func New(cfg Config) *CCP {
 		ewmaSnd: stats.MakeEWMA(0.25),
 		ewmaRcv: stats.MakeEWMA(0.25),
 	}
-	if cfg.StalenessBudget > 0 {
+	if d.failsafeOn() {
 		d.fs = &failsafe{}
 	}
 	if cfg.SmoothCwnd {
@@ -279,8 +279,12 @@ func (d *CCP) OnCongestion(h cc.Host, ev cc.CongEvent, lostBytes int) {
 // reordered or duplicated copy of a decision already superseded and is
 // dropped, so the channel may reorder freely without an old window ever
 // overwriting a newer one. Seq 0 is dropped the same way: no agent stamps it.
-// Stale messages do not count as agent liveness: only decisions the datapath
-// actually applies reset the §5 watchdog.
+// Stale messages do not count as agent liveness: only fresh decisions reset
+// the §5 watchdog. While the fallback holds the flow a fresh SetCwnd or
+// SetRate resets the clocks but leaves the host alone, as the program's own
+// SetCwnd and SetRate do (resume): the fallback keeps the window and pacing
+// until the probe score lets the flow out, and a decision that lets it out
+// (touchCtrl) is applied under the handoff ramp.
 func (d *CCP) Deliver(m proto.Msg) {
 	switch v := m.(type) {
 	case *proto.Install:
@@ -301,14 +305,16 @@ func (d *CCP) Deliver(m proto.Msg) {
 		}
 		d.touchCtrl(proto.TypeSetCwnd)
 		d.n.SetCwndRecvd++
-		d.applyCwnd(int(v.Bytes))
+		if !d.fallbackActive {
+			d.applyCwnd(int(v.Bytes))
+		}
 	case *proto.SetRate:
 		if d.staleCtrl(v.Seq) {
 			return
 		}
 		d.touchCtrl(proto.TypeSetRate)
 		d.n.SetRateRecvd++
-		if d.host != nil {
+		if !d.fallbackActive && d.host != nil {
 			d.host.SetPacingRate(v.Bps)
 		}
 	case *proto.Heartbeat:

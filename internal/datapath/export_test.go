@@ -93,7 +93,7 @@ func (d *CCP) HasHost() bool { return d.host != nil }
 
 // Staleness returns the flow's current control-staleness clocks.
 func (d *CCP) Staleness() Staleness {
-	if d.cfg.StalenessBudget == 0 {
+	if !d.failsafeOn() {
 		return Staleness{}
 	}
 	fs, now := d.fs, d.cfg.Clock.Now()

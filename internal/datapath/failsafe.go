@@ -14,9 +14,9 @@ import (
 // agent recovers. There is one timer, the staleness watchdog, and one way
 // out. The layer:
 //
-//   - keeps per-kind staleness clocks (virtual time of the last *applied*
-//     Install / SetCwnd / SetRate), so tests and operators can see which
-//     half of the control loop died;
+//   - keeps per-kind staleness clocks (virtual time of the last *fresh*
+//     Install / SetCwnd / SetRate, acted on or held off by the fallback),
+//     so tests and operators can see which half of the control loop died;
 //   - probes the agent on every watchdog tick with a heartbeat its runtime
 //     echoes, and scores the round trips: a uniformly slow agent keeps its
 //     decisions fresh by sequence while each is stale by the clock, and only
@@ -46,7 +46,7 @@ type failsafe struct {
 	// fallback is the in-datapath controller, made at the first fallback
 	// entry (engageFallback) and reused by later ones.
 	fallback cc.CongestionControl
-	// lastAgentMsg is the virtual time of the last applied control decision
+	// lastAgentMsg is the virtual time of the last fresh control decision
 	// of any kind, which the watchdog measures silence from; the per-kind
 	// clocks beside it (Install / SetCwnd / SetRate) feed Staleness only.
 	lastAgentMsg  time.Duration
@@ -79,6 +79,10 @@ type failsafeCounts struct {
 	ProbeEchoes      int
 	ProbeExits       int
 }
+
+// failsafeOn reports whether the layer is on: a positive StalenessBudget,
+// the one test New, the watchdog and the echo handler all ask.
+func (d *CCP) failsafeOn() bool { return d.cfg.StalenessBudget > 0 }
 
 // failsafe returns the flow's fail-safe state, making it on first use.
 func (d *CCP) failsafe() *failsafe {
@@ -116,7 +120,7 @@ const (
 // back signal alone does not exit fallback — a healthy probe score with a
 // fresh applied decision or echo proves the control loop is closed again.
 func (d *CCP) AgentGone(gone bool) {
-	if d.cfg.StalenessBudget == 0 || gone == d.fs.agentGone {
+	if !d.failsafeOn() || gone == d.fs.agentGone {
 		return
 	}
 	d.fs.agentGone = gone
@@ -128,7 +132,7 @@ func (d *CCP) AgentGone(gone bool) {
 	}
 }
 
-// touchCtrl records an applied control decision of kind t for the
+// touchCtrl records a fresh control decision of kind t for the
 // staleness clocks, then feeds the shared liveness state. A flow with no
 // fail-safe state has no clock to reset and no fallback to leave.
 func (d *CCP) touchCtrl(t proto.MsgType) {
@@ -164,7 +168,7 @@ func (d *CCP) touchAgent() {
 // armFailsafe starts the staleness watchdog from Init; silence is measured
 // from now.
 func (d *CCP) armFailsafe() {
-	if d.cfg.StalenessBudget == 0 {
+	if !d.failsafeOn() {
 		return
 	}
 	fs, now := d.fs, d.cfg.Clock.Now()
@@ -194,7 +198,7 @@ func (d *CCP) probeHealthy() bool {
 // recovered. Echoes are advisory — they never reset the control staleness
 // clocks.
 func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
-	if d.cfg.StalenessBudget == 0 {
+	if !d.failsafeOn() {
 		d.n.UnexpectedMsgs++
 		return
 	}
@@ -214,7 +218,7 @@ func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 // the one timer-driven way into fallback. Each tick sends a fresh probe (the
 // score folds in the age of the oldest still-unanswered one, so a dead or
 // paused agent drives it up even though no echoes arrive), then enters
-// fallback if the agent is gone, no decision has been applied for the
+// fallback if the agent is gone, no fresh decision has arrived for the
 // budget, or the probe score is slower than the budget. That last is the
 // blind-spot case: decisions still arrive at the normal cadence, but every
 // round trip is slower than the budget, so the flow is effectively
@@ -281,8 +285,8 @@ func (d *CCP) enterFallback(stale bool) {
 	}
 }
 
-// exitFallback returns authority to the agent after a fresh applied
-// decision. The installed program restarts from the top, and the transition
+// exitFallback returns authority to the agent once the probe score is
+// healthy again. The installed program restarts from the top, and the transition
 // is smoothed by a handoff ramp.
 func (d *CCP) exitFallback() {
 	d.fallbackActive = false

@@ -108,11 +108,20 @@ func TestLivenessExitRampsWindow(t *testing.T) {
 func TestSlowAgentKeepsFallbackUntilHealed(t *testing.T) {
 	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
 	lag := time.Millisecond
+	// steered counts late decisions that moved the window while the fallback
+	// held the flow before and after: NewReno keeps it until the exit.
+	steered := 0
 	r.agent = func(m proto.Msg) {
 		switch m := m.(type) {
 		case *proto.Measurement:
 			set := &proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 30000}
-			r.sim.Schedule(lag, func() { r.dp.Deliver(set) })
+			r.sim.Schedule(lag, func() {
+				held, cwnd := r.dp.FallbackActive(), r.flow.Conn.Cwnd()
+				r.dp.Deliver(set)
+				if held && r.dp.FallbackActive() && r.flow.Conn.Cwnd() != cwnd {
+					steered++
+				}
+			})
 		case *proto.Heartbeat:
 			r.sim.Schedule(lag, func() { r.dp.Deliver(m) })
 		}
@@ -136,6 +145,9 @@ func TestSlowAgentKeepsFallbackUntilHealed(t *testing.T) {
 	}
 	if !r.dp.FallbackActive() || st.FallbackOn != 1 || st.FallbackOff != 0 {
 		t.Fatalf("a slow agent's late decisions took the flow out of fallback: %+v", st)
+	}
+	if steered != 0 {
+		t.Fatalf("%d late SetCwnds set the window under the fallback", steered)
 	}
 
 	lag = time.Millisecond
@@ -166,9 +178,15 @@ func TestAgentGoneEntersImmediately(t *testing.T) {
 	if st := r.dp.Stats(); !r.dp.FallbackActive() || st.ProbeEchoes == 0 {
 		t.Fatalf("fallback %v with the agent still gone: %+v", r.dp.FallbackActive(), st)
 	}
-	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 5, Bytes: 90000})
+	// Nor may it steer the flow: the fallback keeps the window and pacing.
+	cwnd := r.flow.Conn.Cwnd()
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 4, Bytes: 90000})
+	r.dp.Deliver(&proto.SetRate{SID: 1, Seq: 5, Bps: 1e6})
 	if !r.dp.FallbackActive() {
 		t.Fatal("straggler decision exited fallback while agent still gone")
+	}
+	if got, rate := r.flow.Conn.Cwnd(), r.flow.Conn.PacingRate(); got != cwnd || rate != 0 {
+		t.Fatalf("stragglers set cwnd %d -> %d, pacing %v under the fallback", cwnd, got, rate)
 	}
 	// Link back + fresh decision: exit.
 	r.dp.AgentGone(false)
@@ -182,14 +200,18 @@ func TestAgentGoneEntersImmediately(t *testing.T) {
 }
 
 func TestAgentGoneNoopWhenLivenessDisabled(t *testing.T) {
-	r := newRig(t, link8(), tcp.Options{}, datapath.Config{})
-	r.flow.Conn.Start()
-	r.dp.AgentGone(true)
-	if r.dp.FallbackActive() {
-		t.Fatal("AgentGone engaged fallback with the liveness layer disabled")
-	}
-	if st := r.dp.Stats(); st.AgentGoneSignals != 0 {
-		t.Fatalf("stats=%+v", st)
+	// A negative budget is off too, as zero is.
+	for _, budget := range []time.Duration{0, -time.Second} {
+		r := newRig(t, link8(), tcp.Options{}, datapath.Config{StalenessBudget: budget})
+		r.flow.Conn.Start()
+		r.dp.AgentGone(true)
+		r.sim.Run(100 * time.Millisecond)
+		if r.dp.FallbackActive() {
+			t.Fatalf("budget %v: AgentGone engaged fallback with the liveness layer disabled", budget)
+		}
+		if st := r.dp.Stats(); st.AgentGoneSignals != 0 || st.ProbesSent != 0 {
+			t.Fatalf("budget %v: stats=%+v", budget, st)
+		}
 	}
 }
 
