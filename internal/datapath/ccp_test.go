@@ -70,6 +70,18 @@ func (r *rig) echoProbes(m proto.Msg) {
 	}
 }
 
+// returned is a scripted agent that has come back: it echoes each probe, as
+// its runtime does, and answers each Create (a resync, sent every watchdog
+// tick in fallback) with a SetCwnd to the window the Create announces, as the
+// flow it rebuilds from that Create does; each a millisecond later.
+func (r *rig) returned(m proto.Msg) {
+	r.echoProbes(m)
+	if c, ok := m.(*proto.Create); ok {
+		set := &proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: c.InitCwnd}
+		r.sim.Schedule(time.Millisecond, func() { r.dp.Deliver(set) })
+	}
+}
+
 // awaitExit runs the simulation until the flow leaves fallback, failing the
 // test if it has not within d.
 func (r *rig) awaitExit(t *testing.T, d time.Duration) {
@@ -437,11 +449,19 @@ func TestFallbackOnAgentSilence(t *testing.T) {
 	if r.flow.Receiver.Delivered() <= pre {
 		t.Fatal("no progress under fallback")
 	}
-	// Agent returns: its echoes bring the probe score, which the silence
-	// saturated, back inside the exit band, and fallback deactivates through
-	// the handoff ramp. The agent's decision is below the window NewReno
-	// grew, and a decrease is not ramped.
+	// Agent returns and decides at once, while the probe score, which the
+	// silence saturated, is still outside the exit band: the flow stays in
+	// fallback and NewReno keeps the window. Its echoes then bring the score
+	// back, and fallback deactivates through the handoff ramp. The agent's
+	// next decision is below the window NewReno grew, and a decrease is not
+	// ramped.
 	r.agent = r.echoProbes
+	cwnd := r.flow.Conn.Cwnd()
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 20000})
+	if !r.dp.FallbackActive() || r.flow.Conn.Cwnd() != cwnd {
+		t.Fatalf("a decision before healthy probes exited (%v) or set cwnd %d -> %d",
+			!r.dp.FallbackActive(), cwnd, r.flow.Conn.Cwnd())
+	}
 	r.awaitExit(t, time.Second)
 	if st := r.dp.Stats(); st.FallbackOff != 1 || st.HandoffRamps != 1 || st.ProbeExits != 1 {
 		t.Fatalf("stats=%+v, want one deactivation, by the probes, ramped", st)

@@ -29,14 +29,15 @@ import (
 //     multiplicative decrease, and any stale pacing-rate cap is cleared so
 //     the window-based fallback is not throttled by a dead agent's last
 //     rate decision;
-//   - exits only once the probe score is healthy again, via a handoff ramp:
-//     the first post-recovery window increase is smoothed over roughly one
-//     RTT (the §3 smooth-transition machinery) even when SmoothCwnd is off,
-//     so authority returns to the agent without a cwnd discontinuity.
+//   - exits only once the agent has decided for the flow again and the probe
+//     score is healthy, via a handoff ramp: the first post-recovery window
+//     increase is smoothed over roughly one RTT (the §3 smooth-transition
+//     machinery) even when SmoothCwnd is off, so authority returns to the
+//     agent without a cwnd discontinuity.
 //
 // Everything is driven by the configured cc.Clock; with StalenessBudget
-// zero the layer is inert and a silent agent leaves the flow on its last
-// decision.
+// zero (or less) the layer is inert and a silent agent leaves the flow on
+// its last decision.
 
 // failsafe is the fail-safe state of one flow: everything the staleness
 // watchdog and the fallback keep. A flow has one from New when
@@ -54,7 +55,11 @@ type failsafe struct {
 	lastCwndAt    time.Duration
 	lastRateAt    time.Duration
 	agentGone     bool
-	liveTimer     cc.Timer
+	// decided is set by the first fresh decision after entry that arrives
+	// while the link is up, the agent's proof that it holds the flow again;
+	// exit waits for it (mayExit).
+	decided   bool
+	liveTimer cc.Timer
 	// handoffUntil, when nonzero, smooths window increases until the
 	// post-fallback handoff ramp expires.
 	handoffUntil time.Duration
@@ -117,8 +122,8 @@ const (
 // AgentGone tells the datapath the transport has lost (gone=true) or
 // re-established (gone=false) the agent connection. With the fail-safe layer
 // disabled this is a no-op. A gone signal enters fallback immediately; a
-// back signal alone does not exit fallback — a healthy probe score with a
-// fresh applied decision or echo proves the control loop is closed again.
+// back signal alone does not exit fallback — that takes mayExit's proof that
+// the control loop is closed again.
 func (d *CCP) AgentGone(gone bool) {
 	if !d.failsafeOn() || gone == d.fs.agentGone {
 		return
@@ -149,20 +154,32 @@ func (d *CCP) touchCtrl(t proto.MsgType) {
 	case proto.TypeSetRate:
 		fs.lastRateAt = now
 	}
+	if d.fallbackActive && !fs.agentGone {
+		fs.decided = true
+	}
 	d.touchAgent()
 }
 
+// touchAgent resets the silence clock and exits fallback if mayExit allows.
 func (d *CCP) touchAgent() {
-	fs := d.fs
-	fs.lastAgentMsg = d.cfg.Clock.Now()
-	if d.fallbackActive && !fs.agentGone && d.probeHealthy() {
-		// Resume the installed program from the top, with a handoff ramp.
-		// While the transport still reports the agent gone, a straggling
-		// queued decision does not exit fallback; nor does one arriving while
-		// the probe score is still unhealthy (hysteresis), so a slow agent's
-		// late-but-sequenced decisions cannot flap the flow out of fallback.
+	d.fs.lastAgentMsg = d.cfg.Clock.Now()
+	if d.mayExit() {
 		d.exitFallback()
 	}
+}
+
+// mayExit is the one exit rule. The flow is in fallback, the transport does
+// not report the agent gone, a fresh decision has arrived since entry, and
+// the probe score is back inside the exit band; the last of these to come
+// true, a decision or an echo, takes the flow out. Each guards a case of its
+// own: a straggling queued decision while the link is down; an agent whose
+// runtime answers probes but whose flow decides nothing (a restarted agent
+// that has not taken the flow's Create, or a control channel that loses what
+// it sends); and a slow agent's late-but-sequenced decisions, which would
+// otherwise flap the flow out of fallback at every one.
+func (d *CCP) mayExit() bool {
+	fs := d.fs
+	return d.fallbackActive && !fs.agentGone && fs.decided && d.probeHealthy()
 }
 
 // armFailsafe starts the staleness watchdog from Init; silence is measured
@@ -194,9 +211,9 @@ func (d *CCP) probeHealthy() bool {
 }
 
 // handleHeartbeat processes an echoed probe: measure the round trip, clear
-// the unanswered-probe tracker, and exit fallback if the score has
-// recovered. Echoes are advisory — they never reset the control staleness
-// clocks.
+// the unanswered-probe tracker, and exit fallback if the score has recovered
+// and the agent has decided since entry. Echoes are advisory — they never
+// reset the control staleness clocks.
 func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 	if !d.failsafeOn() {
 		d.n.UnexpectedMsgs++
@@ -205,7 +222,7 @@ func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 	fs := d.fs
 	fs.n.ProbeEchoes++
 	fs.score.Echo(v.Seq, (d.cfg.Clock.Now() - secsToDur(v.SentAt)).Seconds(), d.probeLimit())
-	if d.fallbackActive && !fs.agentGone && d.probeHealthy() {
+	if d.mayExit() {
 		fs.n.ProbeExits++
 		// touchAgent applies the exit (resetting the staleness clock too, so
 		// the budget does not immediately re-trip on the pre-outage
@@ -222,10 +239,9 @@ func (d *CCP) handleHeartbeat(v *proto.Heartbeat) {
 // budget, or the probe score is slower than the budget. That last is the
 // blind-spot case: decisions still arrive at the normal cadence, but every
 // round trip is slower than the budget, so the flow is effectively
-// uncontrolled. Probes keep flowing while in fallback — a healthy echo
-// stream is the exit signal (see handleHeartbeat; after a heal, the
-// datapath's periodic Resyncs are dup-dropped by an agent that never lost
-// the flow, so no fresh decision may ever arrive to exit on).
+// uncontrolled. Probes keep flowing while in fallback: after a heal the
+// agent's decision may come first, and the echo that brings the score back
+// into the exit band then takes the flow out (handleHeartbeat).
 func (d *CCP) scheduleLiveness() {
 	fs, budget := d.fs, d.cfg.StalenessBudget
 	every := max(budget/livenessChecksPerBudget, livenessMinCheck)
@@ -255,6 +271,7 @@ func (d *CCP) scheduleLiveness() {
 func (d *CCP) engageFallback() cc.CongestionControl {
 	fs := d.fs
 	d.fallbackActive = true
+	fs.decided = false
 	fs.n.FallbackOn++
 	stopTimer(&d.waitTimer)
 	if fs.fallback == nil {
@@ -285,9 +302,9 @@ func (d *CCP) enterFallback(stale bool) {
 	}
 }
 
-// exitFallback returns authority to the agent once the probe score is
-// healthy again. The installed program restarts from the top, and the transition
-// is smoothed by a handoff ramp.
+// exitFallback returns authority to the agent once mayExit allows. The
+// installed program restarts from the top, and the transition is smoothed
+// by a handoff ramp.
 func (d *CCP) exitFallback() {
 	d.fallbackActive = false
 	d.fs.n.FallbackOff++

@@ -75,9 +75,9 @@ func TestLivenessExitRampsWindow(t *testing.T) {
 	if !r.dp.FallbackActive() {
 		t.Fatal("fallback not active")
 	}
-	// Agent returns: once its echoes bring the probe score back, the flow
-	// leaves fallback.
-	r.agent = r.echoProbes
+	// Agent returns: once it has decided and its echoes bring the probe
+	// score back, the flow leaves fallback.
+	r.agent = r.returned
 	r.awaitExit(t, time.Second)
 	st := r.dp.Stats()
 	if st.FallbackOff != 1 || st.HandoffRamps != 1 {
@@ -155,6 +155,26 @@ func TestSlowAgentKeepsFallbackUntilHealed(t *testing.T) {
 	st = r.dp.Stats()
 	if r.dp.FallbackActive() || st.FallbackOn != 1 || st.FallbackOff != 1 || st.ProbeExits != 1 {
 		t.Fatalf("want one exit, by the probes, after the heal: %+v", st)
+	}
+}
+
+// An agent whose runtime answers probes but whose flow decides nothing (a
+// restarted agent that has not taken the flow's Create, or a control channel
+// that loses what it sends) keeps the flow in fallback: healthy echoes show
+// the agent answers, not that the flow is controlled.
+func TestEchoesAloneDoNotExitFallback(t *testing.T) {
+	r := newRig(t, link8(), tcp.Options{}, livenessCfg(500*time.Millisecond))
+	r.agent = r.echoProbes
+	r.flow.Conn.Start()
+	r.sim.Run(5 * time.Second)
+	st := r.dp.Stats()
+	if !r.dp.FallbackActive() || st.FallbackOn != 1 || st.FallbackOff != 0 || st.ProbeEchoes == 0 {
+		t.Fatalf("want one entry and no exit on echoes alone: %+v", st)
+	}
+	// A decision closes the loop: the flow leaves on it, the score healthy.
+	r.dp.Deliver(&proto.SetCwnd{SID: 1, Seq: r.next(), Bytes: 30000})
+	if st := r.dp.Stats(); r.dp.FallbackActive() || st.FallbackOff != 1 {
+		t.Fatalf("a fresh decision with healthy probes did not exit: %+v", st)
 	}
 }
 

@@ -97,9 +97,9 @@ type episode struct {
 // TestLivenessEntersFallbackOnStaleControl) through Init, a whole Install,
 // ACKs and a report, the agent's last decision, silence until the watchdog
 // hands the flow to the fallback, ACKs under the fallback, the agent's
-// return (its probes' echoes exit the fallback), a fresh decision and its
-// handoff ramp, and Close. While alive the agent echoes each probe a
-// millisecond later. run steps clock to an absolute time.
+// return (its probes' echoes bring the score back), a fresh decision that
+// exits the fallback and its handoff ramp, and Close. While alive the agent
+// echoes each probe a millisecond later. run steps clock to an absolute time.
 func runEpisode(t *testing.T, h cc.Host, clock cc.Clock, run func(time.Duration)) episode {
 	t.Helper()
 	var ep episode
@@ -164,17 +164,18 @@ func runEpisode(t *testing.T, h cc.Host, clock cc.Clock, run func(time.Duration)
 	acks(40) // the fallback's congestion avoidance: one MSS per window acked
 
 	// The agent returns: the echoes of the next two ticks' probes bring the
-	// score, raised by the silence, back inside the exit band.
+	// score, raised by the silence, back inside the exit band, but echoes
+	// alone do not show that the agent decides for the flow. Its fresh
+	// decision does, and exits the fallback.
 	alive = true
-	run(450 * time.Millisecond)
-	if !dp.FallbackActive() {
-		t.Fatal("fallback exited before the probes were healthy")
-	}
 	run(451 * time.Millisecond)
-	if dp.FallbackActive() {
-		t.Fatal("healthy echoes did not exit fallback")
+	if !dp.FallbackActive() {
+		t.Fatal("healthy echoes alone exited fallback")
 	}
 	dp.Deliver(&proto.SetCwnd{SID: 1, Seq: 3, Bytes: 100000})
+	if dp.FallbackActive() {
+		t.Fatal("a fresh decision with healthy probes did not exit fallback")
+	}
 	step()
 	for at := 475 * time.Millisecond; at <= 600*time.Millisecond; at += 25 * time.Millisecond {
 		run(at) // the handoff ramp, a quarter of the window gap per step
@@ -193,8 +194,8 @@ func runEpisode(t *testing.T, h cc.Host, clock cc.Clock, run func(time.Duration)
 	step()
 	st := dp.Stats()
 	if st.FallbackOn != 1 || st.FallbackOff != 1 || st.LivenessStale != 1 || st.HandoffRamps != 1 ||
-		st.ProbeExits != 1 {
-		t.Fatalf("stats=%+v, want one stale entry, one exit by the probes, one ramp", st)
+		st.ProbeExits != 0 || st.ProbeEchoes == 0 {
+		t.Fatalf("stats=%+v, want one stale entry, one exit by the decision, one ramp", st)
 	}
 	return ep
 }

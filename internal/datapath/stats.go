@@ -63,7 +63,9 @@ type Stats struct {
 	AgentGoneSignals int
 	HandoffRamps     int
 	// Heartbeat probing, one probe per watchdog tick: probes sent, echoes
-	// received, and fallback exits granted by a recovered probe score.
+	// received, and fallback exits taken on an echo (the agent having
+	// decided since entry, the echo brought the score back); the other exits
+	// are taken on the decision that finds the score healthy.
 	ProbesSent  int
 	ProbeEchoes int
 	ProbeExits  int

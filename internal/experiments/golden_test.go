@@ -62,10 +62,10 @@ var golden = []struct {
 	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "dfcc843549442c53be342ba8c52c4240c7a8e7b39b9546e2a88bbe4c9b61b3a2"},
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "4d81e19dccf09e1e106c75e6f00a48adc7b8ed8df4e4a606eecfaa5440df0003"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},
-	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "83f87c68e6118d1ce159fb08e9f2c98376348aa325970dae3abb128b35eed6a9"},
+	{"ablation-chaos", func() fmt.Stringer { return AblChaos() }, "8395bb3b3aa500df7c52cd2f15cad54925edbb796bc164d629429ae6ed1d3280"},
 	{"ablation-agentchaos", func() fmt.Stringer { return AblAgentChaos() }, "6806e22cebbf765d4c39169f95cd0ecfecf3cead48485f44a2d89a9dda5613c0"},
 	{"ablation-ha", func() fmt.Stringer { return AblHA() }, "f9e9d599c0b5c5219d6ee76a56fbf04cdfed1a0691373d28fa3d0db1a391d832"},
-	{"ablation-chaos-seeds", func() fmt.Stringer { return chaosSeeds() }, "7dd927ab1791bd28ff3cdf6721235c9e99e6f87066d718976918ac3db8fd8036"},
+	{"ablation-chaos-seeds", func() fmt.Stringer { return chaosSeeds() }, "255c5dc2a69a6bf521cafb9ac074e68d78639be98729ccd89b75dcb077f72dd0"},
 	{"ext-smooth", func() fmt.Stringer { return AblSmooth() }, "6829cb2ec95e6825ae32f651b69b0b1a694257045815b02890318039d049a4d6"},
 	{"ext-synthesis", func() fmt.Stringer { return AblSynthesis() }, "e0e036a9d73fd71578d6af7604d5b84ebc7d79f9c982754d84a43b8e28786f85"},
 	{"ext-group", func() fmt.Stringer { return AblGroup() }, "0b958bf5b47d746ef62fbbde26ef3a01954839f70a65325afbd678f88a7a5924"},
