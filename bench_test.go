@@ -406,6 +406,8 @@ func BenchmarkAgentDispatchInstall(b *testing.B) {
 // Sharded runtime dispatch: the same per-report path as BenchmarkAgentDispatch
 // but through the flow-affine sharded executor, fed from parallel producers —
 // the scaling story of ./benchmark's direct50k workload in microbenchmark form.
+// Shard goroutines drain the mailboxes, as under ccp-agent's serve loop: a
+// ServeSet over a set with no member starts them and returns.
 func BenchmarkRuntimeShardedDispatch(b *testing.B) {
 	rt, err := ccpruntime.New(ccpruntime.Config{
 		Shards: 4,
@@ -418,6 +420,9 @@ func BenchmarkRuntimeShardedDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Close()
+	if err := rt.ServeSet(noDatapaths{}); err != nil {
+		b.Fatal(err)
+	}
 	reply := func([]byte) error { return nil }
 	const flows = 16
 	for sid := uint32(1); sid <= flows; sid++ {
@@ -449,6 +454,12 @@ func BenchmarkRuntimeShardedDispatch(b *testing.B) {
 	b.StopTimer()
 	rt.Drain()
 }
+
+// noDatapaths is a RecvSet that no datapath ever joins.
+type noDatapaths struct{}
+
+func (noDatapaths) Transports() []ipc.Transport { return nil }
+func (noDatapaths) WaitAny() error              { return ipc.ErrClosed }
 
 // Simulator throughput: raw event rate, the cost floor of every experiment.
 func BenchmarkSimulatorEvents(b *testing.B) {

@@ -12,10 +12,9 @@
 // connects a shared-memory ring, all served by one loop — the executor, rings,
 // serve loop and shard hop the end-to-end benchmark (./benchmark) measures.
 // There is no flag for the shard count: it is GOMAXPROCS, so the agent uses
-// the cores the process is given and nothing else has to agree with it. With
-// GOMAXPROCS=1 that is the inline mode, a single agent called synchronously
-// from the serve loop; with more, flows are partitioned over that many agents
-// by SID and the serve loop only decodes and enqueues.
+// the cores the process is given and nothing else has to agree with it: flows
+// are partitioned over that many agents by SID (one with GOMAXPROCS=1), each
+// run by its shard's goroutine, and the serve loop only routes and enqueues.
 //
 // High availability (see DESIGN.md §10): a primary replicates per-flow
 // snapshots to a warm standby, which promotes itself into a live agent when

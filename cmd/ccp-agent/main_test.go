@@ -124,7 +124,7 @@ func dialer(paths ...string) func() (*net.UnixConn, error) {
 // -standby — with two flows attached over the real Unix socket and the rings
 // it hands out. When the
 // primary is stopped the standby must promote what was replicated to it into
-// its runtime (sharded when the process has more than one core to use, inline
+// its runtime (two shards when the process has two cores to use, one shard
 // with one: both are exercised), adopt the datapaths' resyncs rather than
 // cold-start the flows, and answer their next reports.
 //

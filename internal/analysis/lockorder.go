@@ -10,7 +10,7 @@ import (
 )
 
 // LockOrder checks mutex discipline on the lock classes in the tree:
-// runtime's mailbox.mu, shard.mu and lockedReply's mu, harness.SocketLink.mu,
+// runtime's mailbox.mu and lockedReply's mu, harness.SocketLink.mu,
 // datapath.artifactTable.mu, shmring's Mux.mu and Endpoint send/recv/peerMu,
 // and ipc's stream send/recvMu (core.Agent and supervise.Standby have one
 // owner and none). Every sync.Mutex/RWMutex Lock must be matched by

@@ -33,8 +33,8 @@ func copyMsg(m proto.Msg) proto.Msg {
 	return m
 }
 
-// newAgent is the simulator's agent: a runtime whose one shard the bridge's
-// caller runs.
+// newAgent is the simulator's agent: a one-shard runtime that no serve loop
+// drives, so the bridge's caller drains it.
 func newAgent(t *testing.T, alg core.Alg) *runtime.Runtime {
 	t.Helper()
 	reg := core.NewRegistry()

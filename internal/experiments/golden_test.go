@@ -18,15 +18,16 @@ import (
 // and a change that is meant to move an experiment regenerates its row (the
 // failure message prints the new digest) and says why.
 //
-// Left out: fig5 and ablation-lowrtt (minutes). ablation-ha and
+// Left out: fig5 (about 31 s through ccp-sim). ablation-ha and
 // ablation-agentchaos are pinned whole, slow-agent cells included: each runs
-// in about 1–2 s. Budget: 90 s in total. Measured on two cores: 23–32 s
-// (fig3 9–15 s, ext-synthesis 4–5 s, ablation-ha about 2 s), and 76 s inside
-// a `make check` on a busy box. Skipped under -short; `make test-golden` is
-// its lane in `make check`.
+// in under a second, and ablation-lowrtt in about 3 s. Budget: 90 s in total.
+// Measured on two cores (amd64): about 12 s alone, and 76 s inside a `make
+// check` on a busy box before ablation-lowrtt joined. Skipped under -short;
+// `make test-golden` is its lane in `make check`.
 //
 // The digests were generated at commit 1ba1ba0, the parent of the PR that
-// put runtime.Runtime under the harness; ablation-fallback's at the PR that
+// put runtime.Runtime under the harness; ablation-lowrtt's at 6dc655d, the
+// parent of the PR that made every runtime shard a mailbox; ablation-fallback's at the PR that
 // left the datapath one watchdog; ablation-chaos's and ablation-agentchaos's
 // at the PR that put both fault layers in every deployment, which deleted
 // the transparency line each printed under its table. Their tables moved
@@ -59,6 +60,7 @@ var golden = []struct {
 	{"fig3", func() fmt.Stringer { return Fig3(Fig3Config{RateBps: 1e9}) }, "100c671d59f159baeaf5af79dedc9367fd174c76d652b9ec96eb985a85ba97d5"},
 	{"fig4", func() fmt.Stringer { return Fig4(Fig4Config{RateBps: 96e6}) }, "69761eddf48e34fe44e3088f3b03aa72d4ce06da48a0f0498c7301a6f6b5f946"},
 	{"ablation-batching", func() fmt.Stringer { return AblBatching() }, "4a603912e95aa50dc1271832008eab2315355414aa86ead8cd3cf8d0dc0f31c3"},
+	{"ablation-lowrtt", func() fmt.Stringer { return AblLowRTT() }, "4429b11f5178507394be8fea088b236e0dbb9e7b18240451697de5aa3e4b5af1"},
 	{"ablation-foldvec", func() fmt.Stringer { return AblFoldVec() }, "dfcc843549442c53be342ba8c52c4240c7a8e7b39b9546e2a88bbe4c9b61b3a2"},
 	{"ablation-fallback", func() fmt.Stringer { return AblFallback() }, "4d81e19dccf09e1e106c75e6f00a48adc7b8ed8df4e4a606eecfaa5440df0003"},
 	{"ablation-urgent", func() fmt.Stringer { return AblUrgent() }, "daf26d0867c52e038cacc4dacc9752eaefeb1660040be7caf96a4b8c35924af4"},

@@ -201,8 +201,8 @@ func runChannel(t *testing.T, plan *faults.Plan) channelRun {
 	return out
 }
 
-// newRenoRuntime is the simulator's agent: a one-shard runtime, run by the
-// bridge's caller, whose flows default to reno.
+// newRenoRuntime is the simulator's agent: a one-shard runtime that no serve
+// loop drives, so the bridge's caller drains it, whose flows default to reno.
 func newRenoRuntime(t *testing.T) *runtime.Runtime {
 	t.Helper()
 	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: core.AgentConfig{Registry: algorithms.NewRegistry(), DefaultAlg: "reno"}})

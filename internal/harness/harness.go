@@ -118,9 +118,10 @@ func New(cfg Config) *Net {
 }
 
 // newAgent builds the deployment's agent the way cmd/ccp-agent does on one
-// core: a runtime whose single shard the dispatching caller — here the
-// simulator's event loop — runs itself, so runs stay deterministic. Its
-// counters are read from Net.Agent.Stats(), the agent's own under .Agent.
+// core: a one-shard runtime. No serve loop drives it, so the dispatching
+// caller — here the simulator's event loop — drains the shard's mailbox
+// before HandleFrame returns, and runs stay deterministic. Its counters are
+// read from Net.Agent.Stats(), the agent's own under .Agent.
 func (n *Net) newAgent() *runtime.Runtime {
 	rt, err := runtime.New(runtime.Config{Shards: 1, Agent: n.agentCfg})
 	if err != nil {

@@ -27,30 +27,46 @@ type Timer = cc.Timer
 // Schedule/AfterFunc, and drive it with Run or Step. Sim is not safe for
 // concurrent use: everything runs on the caller's goroutine.
 //
-// The event queue is an index-based 4-ary min-heap over a free-listed event
-// arena: Schedule reuses arena slots and per-slot Timer handles, so the
-// steady-state schedule/dispatch cycle performs no heap allocation (the
-// container/heap predecessor allocated one *event per Schedule and boxed it
-// on every push/pop). Ordering is by (at, seq) — a total order — so dispatch
-// order is bit-identical to the binary-heap implementation's.
+// The event queue is a 4-ary min-heap of entries, each an event's ordering
+// key and the index of its slot in a free-listed arena: Schedule reuses
+// arena slots and per-slot Timer handles, so the steady-state
+// schedule/dispatch cycle performs no heap allocation (the container/heap
+// predecessor allocated one *event per Schedule and boxed it on every
+// push/pop). The key lives in the heap array itself, so ordering reads no
+// arena slot. Ordering is by (at, seq) — a total order — so dispatch order
+// is bit-identical to the binary-heap implementation's. A queued event costs
+// 48 bytes (a 24-byte entry and a 24-byte slot), and each slot ever used
+// keeps its 16-byte Timer handle.
 type Sim struct {
 	now    time.Duration
 	seq    uint64
 	rng    *rand.Rand
 	halted bool
 
-	heap    []int32 // slot indices, 4-ary min-heap ordered by (at, seq)
+	heap    []entry // 4-ary min-heap ordered by (at, seq)
 	arena   []slot
 	free    []int32 // recycled arena slots
 	stopped int     // lazily-cancelled events still occupying the heap
+}
+
+// entry is one queued event in the heap: its ordering key, and its arena
+// slot.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	idx int32
+}
+
+// before orders entries by (at, seq): earlier deadline first, scheduling
+// order breaking ties.
+func (e entry) before(o entry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // slot is one arena entry. gen distinguishes successive occupancies of the
 // slot, so a stale Timer handle (retained past its event's lifetime) fails
 // its Stop instead of cancelling the slot's next occupant.
 type slot struct {
-	at      time.Duration
-	seq     uint64
 	fn      func()
 	gen     uint32
 	stopped bool
@@ -111,16 +127,14 @@ func (s *Sim) Schedule(d time.Duration, fn func()) cc.Timer {
 		idx = int32(len(s.arena) - 1)
 	}
 	sl := &s.arena[idx]
-	sl.at = s.now + d
-	sl.seq = s.seq
-	s.seq++
 	sl.fn = fn
 	sl.stopped = false
 	if sl.handle == nil {
 		sl.handle = &simTimer{s: s, idx: idx}
 	}
 	sl.handle.gen = sl.gen
-	s.heap = append(s.heap, idx)
+	s.heap = append(s.heap, entry{at: s.now + d, seq: s.seq, idx: idx})
+	s.seq++
 	s.siftUp(len(s.heap) - 1)
 	return sl.handle
 }
@@ -137,20 +151,20 @@ func (s *Sim) Run(until time.Duration) int {
 	n := 0
 	s.halted = false
 	for len(s.heap) > 0 && !s.halted {
-		idx := s.heap[0]
-		sl := &s.arena[idx]
-		if sl.at > until {
+		e := s.heap[0]
+		if e.at > until {
 			break
 		}
 		s.popRoot()
+		sl := &s.arena[e.idx]
 		if sl.stopped {
 			s.stopped--
-			s.freeSlot(idx)
+			s.freeSlot(e.idx)
 			continue
 		}
-		at, fn := sl.at, sl.fn
-		s.freeSlot(idx)
-		s.now = at
+		fn := sl.fn
+		s.freeSlot(e.idx)
+		s.now = e.at
 		fn()
 		n++
 	}
@@ -165,17 +179,17 @@ func (s *Sim) Run(until time.Duration) int {
 // one ran.
 func (s *Sim) Step() bool {
 	for len(s.heap) > 0 {
-		idx := s.heap[0]
-		sl := &s.arena[idx]
+		e := s.heap[0]
 		s.popRoot()
+		sl := &s.arena[e.idx]
 		if sl.stopped {
 			s.stopped--
-			s.freeSlot(idx)
+			s.freeSlot(e.idx)
 			continue
 		}
-		at, fn := sl.at, sl.fn
-		s.freeSlot(idx)
-		s.now = at
+		fn := sl.fn
+		s.freeSlot(e.idx)
+		s.now = e.at
 		fn()
 		return true
 	}
@@ -198,11 +212,11 @@ func (s *Sim) freeSlot(idx int32) {
 // (at, seq) is a total order.
 func (s *Sim) compact() {
 	keep := s.heap[:0]
-	for _, idx := range s.heap {
-		if s.arena[idx].stopped {
-			s.freeSlot(idx)
+	for _, e := range s.heap {
+		if s.arena[e.idx].stopped {
+			s.freeSlot(e.idx)
 		} else {
-			keep = append(keep, idx)
+			keep = append(keep, e)
 		}
 	}
 	s.heap = keep
@@ -212,52 +226,49 @@ func (s *Sim) compact() {
 	}
 }
 
-// less orders heap entries by (at, seq): earlier deadline first, scheduling
-// order breaking ties.
-func (s *Sim) less(a, b int32) bool {
-	sa, sb := &s.arena[a], &s.arena[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
+// siftUp moves the entry at i up to its place, shifting the parents it
+// passes down into the hole it leaves.
 func (s *Sim) siftUp(i int) {
 	h := s.heap
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s.less(h[i], h[parent]) {
+		if !e.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
+// siftDown moves the entry at i down to its place, shifting the least child
+// up into the hole at each level.
 func (s *Sim) siftDown(i int) {
 	h := s.heap
 	n := len(h)
+	if i >= n {
+		return
+	}
+	e := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s.less(h[c], h[min]) {
-				min = c
+		least := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h[c].before(h[least]) {
+				least = c
 			}
 		}
-		if !s.less(h[min], h[i]) {
-			return
+		if !h[least].before(e) {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		h[i] = h[least]
+		i = least
 	}
+	h[i] = e
 }
 
 // popRoot removes the minimum entry from the heap (the caller has already

@@ -22,16 +22,24 @@ import (
 // into its own scratch, the algorithm's decision is built and marshalled in
 // the shard agent's scratch, and a reply that copies the frame into a reused
 // buffer keeps none of it. One op is a report in and its decision out, on a
-// two-shard runtime, for a Measurement and an Urgent.
+// two-shard runtime, for a Measurement and an Urgent, with the shards drained
+// by their goroutines and by the dispatching caller.
 func TestAllocsShardedDispatch(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
+	for _, d := range runtime.Drivers {
+		t.Run(d.Name, func(t *testing.T) { testAllocsShardedDispatch(t, d.Start) })
+	}
+}
+
+func testAllocsShardedDispatch(t *testing.T, start func(*runtime.Runtime)) {
 	rt, err := runtime.New(runtime.Config{Shards: 2, Agent: agentCfg(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	start(rt)
 
 	var (
 		mu      sync.Mutex

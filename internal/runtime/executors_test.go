@@ -56,10 +56,12 @@ func seededStream(t *testing.T, seed int64) [][]byte {
 	return frames
 }
 
-// byFlow files decision frames under the flow each one is for.
+// byFlow files decision frames under the flow each one is for, and keeps
+// them in arrival order too.
 type byFlow struct {
 	mu    sync.Mutex
 	flows map[uint32][][]byte
+	all   [][]byte
 	n     int
 }
 
@@ -74,7 +76,9 @@ func (r *byFlow) add(t *testing.T, frame []byte) {
 	if r.flows == nil {
 		r.flows = make(map[uint32][][]byte)
 	}
-	r.flows[m.FlowSID()] = append(r.flows[m.FlowSID()], bytes.Clone(frame))
+	kept := bytes.Clone(frame)
+	r.flows[m.FlowSID()] = append(r.flows[m.FlowSID()], kept)
+	r.all = append(r.all, kept)
 	r.n++
 }
 
@@ -123,24 +127,39 @@ func overTransport(t *testing.T, dp ipc.Transport, frames [][]byte, want int) *b
 	return got
 }
 
+// callerDrained runs frames through HandleFrame on a runtime of the given
+// shards that no serve loop drives, as the simulator's event loop does: each
+// call drains the frame's shard before it returns, so every decision is in
+// once the last call has returned, with no Drain.
+func callerDrained(t *testing.T, shards int, frames [][]byte) *byFlow {
+	t.Helper()
+	got := &byFlow{}
+	rt := newAlgRuntime(t, shards)
+	for _, f := range frames {
+		if err := rt.HandleFrame(f, func(frame []byte) error { got.add(t, frame); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rt.Stats(); got.n == 0 || st.Agent.Errors != 0 || st.DecodeErrors != 0 || st.Dispatched != int64(len(frames)) {
+		t.Fatalf("shards=%d: %d decisions, stats %+v", shards, got.n, st)
+	}
+	return got
+}
+
 // TestEveryExecutorSendsTheSameBytes runs one seeded stream through every way
-// the agent is served — HandleFrame called directly, ServeSet on a shared-
-// memory ring, ServeTransport on a Unix datagram socket, and the simulator's
-// bridge — and checks that each flow gets the same decision frames, byte for
-// byte, in the same order: a decision is marshalled once, by the agent, and a
-// transport only carries the bytes it is lent.
+// the agent is served — HandleFrame called directly on runtimes no serve loop
+// drives, at 1, 2 and 4 shards, ServeSet on a shared-memory ring,
+// ServeTransport on a Unix datagram socket, and the simulator's bridge — and
+// checks that each flow gets the same decision frames, byte for byte, in the
+// same order: a decision is marshalled once, by the agent, and a transport
+// only carries the bytes it is lent. Where the callers drain the shards, the
+// whole reply sequence is the same too, run after run and whatever the number
+// of shards: that is what keeps a sharded agent deterministic under the
+// simulator.
 func TestEveryExecutorSendsTheSameBytes(t *testing.T) {
 	frames := seededStream(t, 7)
 
-	direct := &byFlow{}
-	rt := newAlgRuntime(t, 2)
-	for _, f := range frames {
-		rt.HandleFrame(f, func(frame []byte) error { direct.add(t, frame); return nil })
-	}
-	rt.Drain()
-	if st := rt.Stats(); direct.n == 0 || st.Agent.Errors != 0 || st.DecodeErrors != 0 {
-		t.Fatalf("direct: %d decisions, stats %+v", direct.n, st)
-	}
+	direct := callerDrained(t, 1, frames)
 	installs := 0
 	for _, fs := range direct.flows {
 		for _, f := range fs {
@@ -154,10 +173,29 @@ func TestEveryExecutorSendsTheSameBytes(t *testing.T) {
 	}
 	t.Logf("HandleFrame: %d decisions over %d flows, %d of them Installs", direct.n, len(direct.flows), installs)
 
-	executors := []struct {
+	type executor struct {
 		name string
 		run  func(t *testing.T) *byFlow
-	}{
+	}
+	var executors []executor
+	for _, shards := range []int{1, 2, 4} {
+		executors = append(executors, executor{fmt.Sprintf("HandleFrame/shards=%d", shards), func(t *testing.T) *byFlow {
+			got := callerDrained(t, shards, frames)
+			again := callerDrained(t, shards, frames)
+			for _, run := range []*byFlow{got, again} {
+				if len(run.all) != len(direct.all) {
+					t.Fatalf("%d decisions, want %d", len(run.all), len(direct.all))
+				}
+				for i := range run.all {
+					if !bytes.Equal(run.all[i], direct.all[i]) {
+						t.Fatalf("decision %d of the whole sequence: got %x, want %x", i, run.all[i], direct.all[i])
+					}
+				}
+			}
+			return got
+		}})
+	}
+	executors = append(executors, []executor{
 		{"ServeSet/shmring", func(t *testing.T) *byFlow {
 			dir := t.TempDir()
 			mux, err := shmring.NewMux(filepath.Join(dir, "mux.bell"))
@@ -222,7 +260,7 @@ func TestEveryExecutorSendsTheSameBytes(t *testing.T) {
 			sim.Run(time.Second)
 			return got
 		}},
-	}
+	}...)
 	for _, e := range executors {
 		t.Run(e.name, func(t *testing.T) {
 			got := e.run(t)

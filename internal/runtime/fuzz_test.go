@@ -10,7 +10,9 @@ import (
 )
 
 // FuzzShardFrames puts arbitrary bytes through the HandleFrame path of a
-// two-shard runtime, the path ServeSet takes for every frame it receives.
+// two-shard runtime, the path every frame takes from ServeSet, the bridge and
+// the fault injector, once with the shards drained by their goroutines (as
+// under a serve loop) and once by the caller (as in the simulator).
 // The input is a mode byte, then a run of frames, each a length byte and that
 // many bytes. An odd mode byte seals every frame with a valid check, so that
 // the shards' body decoders see it; an even one leaves the check to chance.
@@ -61,52 +63,58 @@ func FuzzShardFrames(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		sealed := data[0]&1 == 1
-		data = data[1:]
-		rt, err := newRuntime(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		owned := make([]int, len(rt.shards)) // buffers each shard must hold
-		for len(data) > 0 {
-			n := min(int(data[0]), len(data)-1)
-			frame := data[1 : 1+n]
-			data = data[1+n:]
-			if sealed {
-				frame = seal(frame)
-			}
-
-			before := rt.Stats()
-			rt.HandleFrame(frame, reply)
-			rt.Drain()
-			after := rt.Stats()
-
-			sid, routable := proto.FrameSID(frame)
-			_, decErr := proto.Unmarshal(frame)
-			var wantDispatched, wantBad int64
-			if routable {
-				wantDispatched = 1
-				owned[int(sid)%len(rt.shards)] = 1
-			}
-			if decErr != nil {
-				wantBad = 1
-			}
-			if d, b := after.Dispatched-before.Dispatched, after.DecodeErrors-before.DecodeErrors; d != wantDispatched || b != wantBad {
-				t.Fatalf("frame %x (routable %v, decode error %v): dispatched %d, decode errors %d; want %d and %d",
-					frame, routable, decErr, d, b, wantDispatched, wantBad)
-			}
-			for i, sh := range rt.shards {
-				sh.mail.mu.Lock()
-				free, queued := len(sh.mail.free), sh.mail.n
-				sh.mail.mu.Unlock()
-				if queued != 0 || free != owned[i] {
-					t.Fatalf("after frame %x and Drain, shard %d has %d queued and %d buffers free, want 0 and %d",
-						frame, i, queued, free, owned[i])
-				}
-			}
+		for _, d := range Drivers {
+			shardFrames(t, d.Name, d.Start, cfg, data[0]&1 == 1, data[1:], reply)
 		}
 	})
+}
+
+// shardFrames is one FuzzShardFrames input on a runtime that start drives.
+func shardFrames(t *testing.T, driver string, start func(*Runtime), cfg Config, sealed bool, data []byte, reply func([]byte) error) {
+	rt, err := newRuntime(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	start(rt)
+	owned := make([]int, len(rt.shards)) // buffers each shard must hold
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		frame := data[1 : 1+n]
+		data = data[1+n:]
+		if sealed {
+			frame = seal(frame)
+		}
+
+		before := rt.Stats()
+		rt.HandleFrame(frame, reply)
+		rt.Drain()
+		after := rt.Stats()
+
+		sid, routable := proto.FrameSID(frame)
+		_, decErr := proto.Unmarshal(frame)
+		var wantDispatched, wantBad int64
+		if routable {
+			wantDispatched = 1
+			owned[int(sid)%len(rt.shards)] = 1
+		}
+		if decErr != nil {
+			wantBad = 1
+		}
+		if d, b := after.Dispatched-before.Dispatched, after.DecodeErrors-before.DecodeErrors; d != wantDispatched || b != wantBad {
+			t.Fatalf("%s: frame %x (routable %v, decode error %v): dispatched %d, decode errors %d; want %d and %d",
+				driver, frame, routable, decErr, d, b, wantDispatched, wantBad)
+		}
+		for i, sh := range rt.shards {
+			sh.mail.mu.Lock()
+			free, queued := len(sh.mail.free), sh.mail.n
+			sh.mail.mu.Unlock()
+			if queued != 0 || free != owned[i] {
+				t.Fatalf("%s: after frame %x and Drain, shard %d has %d queued and %d buffers free, want 0 and %d",
+					driver, frame, i, queued, free, owned[i])
+			}
+		}
+	}
 }
 
 // seal appends a valid check to a copy of body, as proto.AppendMarshal ends

@@ -20,7 +20,9 @@ type growingSet interface {
 // round-robins TryRecvFrame over the members, at most drainQuota frames each
 // per sweep, and parks in WaitAny only after a full sweep finds nothing.
 // Every member must implement ipc.TryRecver. The loop does not decode: it
-// hands each frame to HandleFrame. A member whose receive fails (peer
+// hands each frame to HandleFrame, and it starts the shard goroutines that
+// drain the mailboxes (they run until Close), so it never runs an agent
+// itself. A member whose receive fails (peer
 // closed, ring corrupted) is dropped. Replies to one member are serialized;
 // shard goroutines may send them concurrently with the loop. The members of
 // a growingSet are read again whenever its Version moves, each dropped one is
@@ -61,6 +63,7 @@ func (r *Runtime) ServeSet(set ipc.RecvSet) error {
 	// saturated ring cannot monopolize the loop.
 	const drainQuota = 64
 	idleSweeps := 0
+	r.serve()
 	for {
 		if grow != nil && grow.Version() != version {
 			version = grow.Version()

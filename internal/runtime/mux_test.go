@@ -17,7 +17,7 @@ import (
 // TestServeSetMultiplexesConnections drives several shared-memory datapath
 // connections through one ServeSet goroutine: every connection's flows must
 // be processed and every reply must come back on the connection that owns
-// the flow (no cross-wiring), in both inline and sharded dispatch modes.
+// the flow (no cross-wiring), at one shard and at four.
 // Every report is answered, none dropped, and the one frame that does not
 // decode is counted as that and nothing else.
 func TestServeSetMultiplexesConnections(t *testing.T) {

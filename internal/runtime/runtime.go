@@ -12,17 +12,20 @@
 // shard, between two messages (exec).
 //
 // A message reaches the runtime as frame bytes, through HandleFrame: it routes
-// each frame by the SID in its header, a goroutine shard's mailbox holds a
-// copy of its bytes, and every shard decodes its own input with its own
-// decoder. The serve loops, the simulator's bridge and its agent fault
-// injector all call HandleFrame, so the simulated control loop runs the
-// routing and decode code that cmd/ccp-agent serves with.
+// each frame by the SID in its header, the shard's mailbox holds a copy of
+// its bytes, and every shard decodes its own input with its own decoder. The
+// serve loops, the simulator's bridge and its agent fault injector all call
+// HandleFrame, so the simulated control loop runs the routing, mailbox and
+// decode code that cmd/ccp-agent serves with.
 //
-// With Shards <= 1 there is one shard with no mailbox and no goroutine: the
-// caller of HandleFrame decodes and runs the frame itself, under the shard's
-// mutex. The deterministic simulator (internal/harness) runs that, and so
-// does cmd/ccp-agent on one core; a goroutine per shard is what ccp-agent
-// runs on more and what ./benchmark measures.
+// Every shard is a mailbox drained by one loop, and only who drains it
+// differs. Once a serve loop (ServeSet, and so Serve) runs, a goroutine per
+// shard does, until Close: that is cmd/ccp-agent at any core count, and
+// ./benchmark. Before, the caller of HandleFrame (or of Drain, SnapshotInto
+// or RestoreFlow) that finds the shard with no drainer drains it before it
+// returns, so the deterministic simulator (internal/harness), whose one event
+// loop calls HandleFrame, has every frame handled when the call returns,
+// whatever the number of shards.
 //
 // The package is also the only thing that serves an agent: the blocking
 // ServeTransport loop, the polled ServeSet, and Serve, which hands each
@@ -43,8 +46,7 @@ import (
 
 // Config configures a Runtime.
 type Config struct {
-	// Shards is the number of parallel agent shards. 0 or 1 is a single shard
-	// run synchronously by whoever calls HandleFrame.
+	// Shards is the number of parallel agent shards; 0 means 1.
 	Shards int
 	// Agent configures every shard's agent (they share the registry and
 	// policy; each shard instantiates its own flow table, and Stats().Agent
@@ -61,9 +63,8 @@ const mailboxSize = 1024
 // Stats counts the runtime's dispatch activity. Agent aggregates the
 // per-shard agent counters.
 type Stats struct {
-	// Dispatched counts messages and frames accepted for processing
-	// (synchronous calls or mailbox enqueues). A frame counts once it has
-	// been routed to its shard, before the shard decodes it.
+	// Dispatched counts frames accepted for processing: a frame counts once
+	// it is queued in its shard's mailbox, before the shard decodes it.
 	Dispatched int64
 	// Dropped, BatchesSplit, ReportsShed and BackoffsSent are always 0: a
 	// full mailbox blocks and never discards or sheds, and every frame is one
@@ -98,13 +99,8 @@ type item struct {
 
 type shard struct {
 	agent *core.Agent
-	// mail is nil in the single shard of Shards <= 1, which has no goroutine
-	// either: HandleFrame runs its agent directly.
-	mail *mailbox
-	// mu serializes the callers who run the agent: HandleFrame's without a
-	// mailbox, and exec's without a shard goroutine.
-	mu sync.Mutex
-	// dec decodes the shard's frames, on its goroutine or under mu.
+	mail  *mailbox
+	// dec decodes the shard's frames, on whoever drains the mailbox.
 	dec proto.Decoder
 }
 
@@ -122,8 +118,8 @@ type Runtime struct {
 	decodeErrors    atomic.Int64
 }
 
-// New validates cfg and returns a runtime. Shard goroutines (if any) start
-// immediately.
+// New validates cfg and returns a runtime. Its shards have no goroutine
+// until a serve loop starts them.
 func New(cfg Config) (*Runtime, error) { return newRuntime(cfg, mailboxSize) }
 
 // newRuntime is New with shard mailboxes of size messages.
@@ -138,41 +134,50 @@ func newRuntime(cfg Config, size int) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{agent: a}
-		r.shards[i] = sh
-		if cfg.Shards > 1 {
-			sh.mail = newMailbox(size)
-			r.wg.Add(1)
-			go r.run(sh)
-		}
+		r.shards[i] = &shard{agent: a, mail: newMailbox(size)}
 	}
 	return r, nil
 }
 
-// run is one shard's loop: pop the mailbox until it closes and drains.
-// Only this goroutine touches the shard's agent until it exits. The mailbox
-// keeps queued entries poppable after close, so shutdown still drains
-// in-flight work before the shard exits.
-func (r *Runtime) run(sh *shard) {
-	defer r.wg.Done()
+// serve starts a goroutine per shard to drain its mailbox from now until
+// Close, where none does yet: every serve loop calls it first.
+func (r *Runtime) serve() {
+	for _, sh := range r.shards {
+		if sh.mail.start(&r.wg) {
+			go func() {
+				defer r.wg.Done()
+				r.run(sh, false)
+			}()
+		}
+	}
+}
+
+// run is the one loop that drains sh's mailbox, handing each frame to the
+// agent and running each exec call. On the shard goroutine (caller false) it
+// runs until the mailbox is closed and drained: the mailbox keeps queued
+// entries poppable after close, so shutdown still drains in-flight work. On
+// a caller that push made the drainer, it runs until the mailbox is empty or
+// a shard goroutine takes over, and returns the decode error of the first
+// entry, which is the caller's own; a bad frame is otherwise only counted.
+func (r *Runtime) run(sh *shard, caller bool) (err error) {
 	var prev []byte // the buffer handled last, handed back by pop
-	for {
-		it, ok := sh.mail.pop(prev)
+	for first := true; ; first = false {
+		it, ok := sh.mail.pop(prev, caller)
 		if !ok {
-			return
+			return err
 		}
 		prev = it.frame
 		if it.do != nil {
 			it.do(sh.agent)
-			continue
+		} else if e := r.handleFrame(sh, it.frame, it.reply); first {
+			err = e
 		}
-		r.handleFrame(sh, it.frame, it.reply) // a bad frame is counted; nobody waits on it
 	}
 }
 
 // handleFrame decodes frame into sh's scratch and hands it to sh's agent; a
 // frame that does not decode is counted, goes no further, and is the error.
-// It runs on the shard: its goroutine, or the caller under sh.mu.
+// It runs on the shard's drainer.
 func (r *Runtime) handleFrame(sh *shard, frame []byte, reply func(frame []byte) error) error {
 	m, err := sh.dec.Unmarshal(frame)
 	if err != nil {
@@ -214,15 +219,20 @@ func (r *Runtime) shardFor(sid uint32) *shard {
 
 // HandleFrame is the runtime's one way in: it routes one received frame,
 // which it only borrows, to its flow's shard by the SID in its header
-// (proto.FrameSID). A goroutine shard queues a copy and decodes it later; a
-// caller-run shard decodes and runs it now. reply is lent each decision as
-// its frame, for the duration of that call (see core.Agent.HandleMessage):
-// what comes in and what goes out are both bytes, and both only borrowed.
-// A frame too short
-// to route is counted here and dispatched nowhere; one with a bad body is
-// dispatched and counted by the shard that fails to decode it. The error is
-// that of a frame refused before it reached an agent, as far as the caller
-// can know: a goroutine shard's decode error is only counted.
+// (proto.FrameSID), whose mailbox queues a copy. If the shard had no drainer
+// the caller now drains it, this frame first, before HandleFrame returns:
+// until the mailbox is empty, so it also runs (and sends the replies of)
+// whatever other goroutines push meanwhile, and is held for as long as they
+// keep pushing. Under a serve loop the shard goroutines drain instead.
+// reply is lent each decision as its frame, for the duration of that call
+// (see core.Agent.HandleMessage): what comes in and what goes out are both
+// bytes, and both only borrowed. A frame too short to route is counted here
+// and dispatched nowhere; one with a bad body is dispatched and counted by
+// the shard that fails to decode it; one that arrives during or after Close
+// is counted in ShutdownDropped. The error is that of a frame refused before
+// it reached an agent, as far as the caller can know: a short frame's, and
+// the decode error of a frame the caller drained itself. Another drainer's
+// decode error is only counted.
 func (r *Runtime) HandleFrame(frame []byte, reply func(frame []byte) error) error {
 	sid, ok := proto.FrameSID(frame)
 	if !ok {
@@ -230,14 +240,16 @@ func (r *Runtime) HandleFrame(frame []byte, reply func(frame []byte) error) erro
 		return errShortFrame
 	}
 	sh := r.shardFor(sid)
-	if sh.mail == nil {
-		r.dispatched.Add(1)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return r.handleFrame(sh, frame, reply)
+	queued, drain := sh.mail.push(item{reply: reply}, frame)
+	if !queued {
+		r.shutdownDropped.Add(1)
+		return nil
 	}
-	r.enqueue(sh, frame, reply)
-	return nil
+	r.dispatched.Add(1)
+	if !drain {
+		return nil
+	}
+	return r.run(sh, true)
 }
 
 // HandleMessage marshals m into a pooled frame and hands it to HandleFrame,
@@ -262,47 +274,33 @@ func (r *Runtime) HandleMessage(m proto.Msg, reply func(proto.Msg) error) {
 	f.Release()
 }
 
-// enqueue queues a copy of frame in sh's mailbox (see mailbox.push).
-func (r *Runtime) enqueue(sh *shard, frame []byte, reply func(frame []byte) error) {
-	if !sh.mail.push(item{reply: reply}, frame) {
-		r.shutdownDropped.Add(1)
-		return
-	}
-	r.dispatched.Add(1)
-}
-
 var errShortFrame = errors.New("runtime: frame too short to name its flow")
 
 // Close shuts the runtime down: new messages are refused, queued messages
-// are drained, and all shard goroutines exit before Close returns. A shard
-// the caller runs has nothing to stop. Safe to call more than once.
+// are drained, and all shard goroutines exit before Close returns (a caller
+// draining a shard finishes its mailbox as it would have). Safe to call more
+// than once.
 func (r *Runtime) Close() {
 	r.closeOnce.Do(func() {
 		for _, sh := range r.shards {
-			if sh.mail != nil {
-				sh.mail.close()
-			}
+			sh.mail.close()
 		}
 	})
 	r.wg.Wait()
 }
 
-// exec runs fn on sh's agent between two messages and returns once it has:
-// queued behind every message before it on a goroutine shard (close keeps
-// queued entries poppable), and under sh.mu on a caller-run shard or once
-// Close has stopped the shard goroutines. fn must not call back into exec.
+// exec runs fn on sh's agent between two messages, queued behind every
+// message before it, and returns once it has; after Close too, since a
+// closed mailbox still takes an exec call. fn must not call back into exec.
+// With no serve loop running, a caller that finds the shard with no drainer
+// drains it as HandleFrame's does, other callers' frames and replies
+// included, until the mailbox is empty.
 func (r *Runtime) exec(sh *shard, fn func(*core.Agent)) {
-	if sh.mail != nil {
-		done := make(chan struct{})
-		if sh.mail.push(item{do: func(a *core.Agent) { fn(a); close(done) }}, nil) {
-			<-done
-			return
-		}
-		r.wg.Wait()
+	done := make(chan struct{})
+	if _, drain := sh.mail.push(item{do: func(a *core.Agent) { fn(a); close(done) }}, nil); drain {
+		r.run(sh, true)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fn(sh.agent)
+	<-done
 }
 
 // Drain blocks until every message dispatched before the call has been

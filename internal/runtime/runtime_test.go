@@ -111,12 +111,19 @@ func TestInlineModeBitIdenticalToAgent(t *testing.T) {
 }
 
 func TestShardedPartitionPreservesPerFlowOrder(t *testing.T) {
+	for _, d := range runtime.Drivers {
+		t.Run(d.Name, func(t *testing.T) { testPerFlowOrder(t, d.Start) })
+	}
+}
+
+func testPerFlowOrder(t *testing.T, start func(*runtime.Runtime)) {
 	const flows, reports = 32, 50
 	rt, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	start(rt)
 
 	var mu sync.Mutex
 	lastCwnd := make(map[uint32]int64) // per-flow last observed decision
@@ -159,7 +166,7 @@ func TestShardedPartitionPreservesPerFlowOrder(t *testing.T) {
 }
 
 // TestServeTransportOneLoopBothModes: the serve loop is the same pooled loop
-// inline and sharded — frames decoded into scratch that is reclaimed and
+// at one shard and at three — frames decoded into scratch that is reclaimed and
 // rewritten by the next frame, a malformed frame counted (once, and never as
 // a dispatch) and skipped — and every report still draws the decision its own
 // contents call for, in per-flow order. ServeSet's half of the same assertion
@@ -231,7 +238,7 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 			if st.DecodeErrors != 1 {
 				t.Errorf("decode errors = %d, want the one 0xFF 0xFF frame", st.DecodeErrors)
 			}
-			// Every decodable frame is one dispatch, inline and sharded alike.
+			// Every decodable frame is one dispatch, at any number of shards.
 			if want := int64(flows * (1 + reports)); st.Dispatched != want {
 				t.Errorf("dispatched = %d, want %d: the undecodable frame must not count", st.Dispatched, want)
 			}
@@ -240,34 +247,72 @@ func TestServeTransportOneLoopBothModes(t *testing.T) {
 }
 
 func TestCloseDrainsQueuedWork(t *testing.T) {
-	rt, err := runtime.New(runtime.Config{Shards: 3, Agent: agentCfg(nil)})
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range runtime.Drivers {
+		t.Run(d.Name, func(t *testing.T) {
+			rt, err := runtime.New(runtime.Config{Shards: 3, Agent: agentCfg(nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Start(rt)
+			reply := func(proto.Msg) error { return nil }
+			const flows, reports = 9, 100
+			for i := 1; i <= flows; i++ {
+				rt.HandleMessage(&proto.Create{SID: uint32(i)}, reply)
+			}
+			for seq := uint32(1); seq <= reports; seq++ {
+				for i := 1; i <= flows; i++ {
+					rt.HandleMessage(&proto.Measurement{SID: uint32(i), Seq: seq, Fields: make([]float64, 7)}, reply)
+				}
+			}
+			rt.Close() // must drain everything already accepted
+			st := rt.Stats()
+			if got := st.Agent.Measurements + st.ShutdownDropped; got != flows*reports {
+				t.Fatalf("processed+shutdownDropped=%d, want %d (stats=%+v)", got, flows*reports, st)
+			}
+		})
 	}
-	reply := func(proto.Msg) error { return nil }
-	const flows, reports = 9, 100
-	for i := 1; i <= flows; i++ {
-		rt.HandleMessage(&proto.Create{SID: uint32(i)}, reply)
-	}
-	for seq := uint32(1); seq <= reports; seq++ {
-		for i := 1; i <= flows; i++ {
-			rt.HandleMessage(&proto.Measurement{SID: uint32(i), Seq: seq, Fields: make([]float64, 7)}, reply)
-		}
-	}
-	rt.Close() // must drain everything already accepted
-	st := rt.Stats()
-	if got := st.Agent.Measurements + st.ShutdownDropped; got != flows*reports {
-		t.Fatalf("processed+shutdownDropped=%d, want %d (stats=%+v)", got, flows*reports, st)
+}
+
+// TestClosedRuntimeRefusesFrames: once Close has returned, a frame reaches no
+// agent, whatever the number of shards: a Create makes no flow and draws no
+// decision, and counts in ShutdownDropped, never in Dispatched.
+func TestClosedRuntimeRefusesFrames(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rt, err := runtime.New(runtime.Config{Shards: shards, Agent: agentCfg(nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Close()
+			replies := 0
+			rt.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, func(proto.Msg) error {
+				replies++
+				return nil
+			})
+			rt.Drain()
+			st := rt.Stats()
+			if replies != 0 || st.Agent.FlowsCreated != 0 || rt.FlowCount() != 0 || st.ShutdownDropped != 1 || st.Dispatched != 0 {
+				t.Fatalf("a Create after Close drew %d replies and made %d flows (%d live); ShutdownDropped %d, Dispatched %d; want 0, 0, 0, 1, 0",
+					replies, st.Agent.FlowsCreated, rt.FlowCount(), st.ShutdownDropped, st.Dispatched)
+			}
+		})
 	}
 }
 
 func TestConcurrentDispatchManyGoroutines(t *testing.T) {
 	// The -race run in make check leans on this test: many producers, four
-	// shards.
+	// shards, drained by shard goroutines and by the producers themselves.
+	for _, d := range runtime.Drivers {
+		t.Run(d.Name, func(t *testing.T) { testConcurrentDispatch(t, d.Start) })
+	}
+}
+
+func testConcurrentDispatch(t *testing.T, start func(*runtime.Runtime)) {
 	rt, err := runtime.New(runtime.Config{Shards: 4, Agent: agentCfg(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	start(rt)
 	reply := func(proto.Msg) error { return nil }
 	const producers, flowsPer, reports = 8, 4, 50
 	for p := 0; p < producers; p++ {
@@ -343,51 +388,58 @@ func TestShardedStatsSumInstallErrs(t *testing.T) {
 
 // TestStatsNeverWaits: Stats and FlowCount load counters the shard publishes,
 // so an observer reads them while a shard is parked inside an algorithm
-// callback, whichever executor runs the shard.
+// callback, whichever goroutine drains the shard.
 func TestStatsNeverWaits(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			gate := make(chan struct{})
-			rt, err := runtime.New(runtime.Config{Shards: shards, Agent: agentCfg(gate)})
-			if err != nil {
-				t.Fatal(err)
+			for _, d := range runtime.Drivers {
+				t.Run(d.Name, func(t *testing.T) { testStatsNeverWait(t, shards, d.Start) })
 			}
-			reply := func(proto.Msg) error { return nil }
-			rt.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
-			// The caller runs a one-shard runtime, so the report parks this
-			// goroutine; with four it parks shard 1.
-			handled := make(chan struct{})
-			go func() {
-				defer close(handled)
-				rt.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: make([]float64, 7)}, reply)
-			}()
-
-			read := make(chan struct{})
-			go func() {
-				defer close(read)
-				// The report is counted before OnMeasurement runs, and the
-				// shard cannot leave it until the gate opens: every read from
-				// here on is made while the shard is parked.
-				for rt.Stats().Agent.Measurements == 0 {
-					time.Sleep(time.Millisecond)
-				}
-				for range 10 {
-					if st, n := rt.Stats(), rt.FlowCount(); st.Agent.FlowsCreated != 1 || n != 1 {
-						t.Errorf("%d flows, %+v", n, st.Agent)
-					}
-				}
-			}()
-			select {
-			case <-read:
-			case <-time.After(5 * time.Second):
-				t.Error("Stats or FlowCount waited for a parked shard")
-			}
-			close(gate)
-			<-read
-			<-handled
-			rt.Close()
 		})
 	}
+}
+
+func testStatsNeverWait(t *testing.T, shards int, start func(*runtime.Runtime)) {
+	gate := make(chan struct{})
+	rt, err := runtime.New(runtime.Config{Shards: shards, Agent: agentCfg(gate)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start(rt)
+	reply := func(proto.Msg) error { return nil }
+	rt.HandleMessage(&proto.Create{SID: 1, MSS: 1448, InitCwnd: 14480}, reply)
+	// The report parks shard 1's drainer: its goroutine, or, with none, the
+	// goroutine that dispatches the report.
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		rt.HandleMessage(&proto.Measurement{SID: 1, Seq: 1, Fields: make([]float64, 7)}, reply)
+	}()
+
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		// The report is counted before OnMeasurement runs, and the shard
+		// cannot leave it until the gate opens: every read from here on is
+		// made while the shard is parked.
+		for rt.Stats().Agent.Measurements == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		for range 10 {
+			if st, n := rt.Stats(), rt.FlowCount(); st.Agent.FlowsCreated != 1 || n != 1 {
+				t.Errorf("%d flows, %+v", n, st.Agent)
+			}
+		}
+	}()
+	select {
+	case <-read:
+	case <-time.After(5 * time.Second):
+		t.Error("Stats or FlowCount waited for a parked shard")
+	}
+	close(gate)
+	<-read
+	<-handled
+	rt.Close()
 }
 
 // TestCorruptedFramesReachNoAgent puts every single-bit flip, every

@@ -56,9 +56,16 @@ func TestSnapshotIntoAggregatesShards(t *testing.T) {
 // pass must be safe while shard mailboxes are full and dispatchers block on
 // them, and while the flow table churns — and the state it captures
 // mid-storm must still promote into a working replacement agent, which is
-// exactly what a shard restart does. The -race lane is the real assertion
+// exactly what a shard restart does, whether shard goroutines or the
+// dispatchers drain the mailboxes. The -race lane is the real assertion
 // here; see `make test-race-robust`.
 func TestRaceShardRestartUnderBackpressure(t *testing.T) {
+	for _, d := range runtime.Drivers {
+		t.Run(d.Name, func(t *testing.T) { testShardRestartUnderBackpressure(t, d.Start) })
+	}
+}
+
+func testShardRestartUnderBackpressure(t *testing.T, start func(*runtime.Runtime)) {
 	gate := make(chan struct{})
 	rt, err := runtime.NewWithMailboxes(runtime.Config{
 		Shards: 4,
@@ -67,6 +74,7 @@ func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start(rt)
 	reply := func(proto.Msg) error { return nil }
 	const flows = 16
 	for i := 1; i <= flows; i++ {
@@ -167,8 +175,8 @@ func TestRaceShardRestartUnderBackpressure(t *testing.T) {
 
 // TestRuntimeRestoreFlowRoutesToOwningShard: a flow restored from a snapshot
 // lands on the shard its SID maps to, so its next report — routed by the same
-// mapping — finds it and is answered, for SIDs covering every shard (and
-// inline, where there is one agent to find). A flow restored anywhere else
+// mapping — finds it and is answered, for SIDs covering every shard (and at
+// one shard, where there is one agent to find). A flow restored anywhere else
 // would meet its report as an unknown flow and stay silent.
 func TestRuntimeRestoreFlowRoutesToOwningShard(t *testing.T) {
 	const flows = 12 // three per shard at Shards: 4
@@ -215,11 +223,12 @@ func TestRuntimeRestoreFlowRoutesToOwningShard(t *testing.T) {
 }
 
 // TestRaceOneShardServeSnapshotRestore is ccp-agent -replicate on one
-// core: with Shards: 1 the agent is run by its callers, so ServeSet's
-// dispatch from several rings, a replicator looping SnapshotInto and Stats,
-// and a promotion restoring fresh SIDs all reach the one agent from their own
-// goroutines. The shard's mutex must order them; the -race lane is the real
-// assertion (see `make test-race-robust`), the counts the functional one.
+// core: ServeSet's dispatch from several rings, a replicator looping
+// SnapshotInto and Stats, and a promotion restoring fresh SIDs all reach the
+// one agent from their own goroutines. The one shard's mailbox must order
+// them, and its goroutine, which ServeSet started, run them one at a time;
+// the -race lane is the real assertion (see `make test-race-robust`), the
+// counts the functional one.
 func TestRaceOneShardServeSnapshotRestore(t *testing.T) {
 	const conns, flows, reports, restores = 3, 4, 100, 50
 	dir := t.TempDir()

@@ -221,7 +221,7 @@ func snapshotCopy(t *testing.T, s *proto.Snapshot) *proto.Snapshot {
 }
 
 // checkRestored promotes sb the way every deployment does — runtime.New, then
-// RestoreInto — with the shard the caller runs and with shard goroutines, and
+// RestoreInto — at one shard and at two, and
 // checks the promoted runtime against the primary: same flows, algorithms,
 // programs and exported registers, with control sequences skipped ahead so
 // post-snapshot primary decisions cannot shadow standby ones.
